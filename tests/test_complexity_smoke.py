@@ -88,17 +88,21 @@ def test_bottomup_full_tables_are_cubic():
 
 
 def test_mincontext_tables_linear_per_node():
-    """Theorem 7's space proof: every stored table has at most |dom| rows."""
+    """Theorem 7's space proof: every stored table has at most |dom| rows
+    — on every cell of the golden-counter grid, for MINCONTEXT's own
+    tables and for the ones OPTMINCONTEXT's bottom-up pass pre-fills."""
+    from test_table_counters_golden import DOCUMENTS, GRID
+
     from repro.core.context import Context
     from repro.core.mincontext import MinContextEvaluator
-    from repro.xpath.normalize import normalize
-    from repro.xpath.parser import parse_xpath
-    from repro.xpath.relevance import compute_relevance
+    from repro.core.optmincontext import OptMinContextEvaluator
 
-    doc = numbered_line(30)
-    ast = normalize(parse_xpath(wadler_family(2)))
-    compute_relevance(ast)
-    mc = MinContextEvaluator(doc)
-    mc.evaluate(ast, Context(doc.root))
-    for uid, table in mc.tables.items():
-        assert len(table) <= len(doc.nodes), uid
+    documents = {name: build() for name, build in DOCUMENTS.items()}
+    for name, query in GRID:
+        doc = documents[name]
+        ast = XPathEngine(doc).compile(query).ast
+        for evaluator in (MinContextEvaluator(doc), OptMinContextEvaluator(doc)):
+            evaluator.evaluate(ast, Context(doc.root))
+            mc = getattr(evaluator, "mincontext", evaluator)
+            for uid, table in mc.tables.items():
+                assert len(table) <= len(doc.nodes), (name, query, uid)
