@@ -61,7 +61,7 @@ SPEEDUP_GATE = 2.0
 #: The selective workload: large documents, queries whose name tests hit
 #: small partitions — the regime the fused kernels exist for. Each entry
 #: is (query, forced algorithm); corexpath rides the sorted-array
-#: sweeps, mincontext the fused step_candidate_set.
+#: sweeps, mincontext the same kernels through step_candidate_pres.
 WORKLOAD_QUERIES = (
     ("/descendant::price", "corexpath"),
     ("/descendant::ref", "corexpath"),

@@ -78,7 +78,9 @@ def bench_figure5_restricted_tables(benchmark):
     n5 = predicate.right
     rows = [
         [f"x{key[0].xml_id}", "true" if value else "false"]
-        for key, value in sorted(evaluator.tables[n5.uid].items(), key=lambda kv: kv[0][0].pre)
+        for key, value in sorted(
+            evaluator.boxed_table(n5).items(), key=lambda kv: kv[0][0].pre
+        )
     ]
     report.note("table(N5: self::* = 100) — keyed by cn only (8 rows, not 14):")
     report.table(["cn", "res"], rows)

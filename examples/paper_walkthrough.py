@@ -14,6 +14,7 @@ Prints, in order:
 """
 
 from repro.core.bottomup_paths import eval_bottomup_path, propagate_path_backwards
+from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
@@ -81,24 +82,24 @@ def main() -> None:
     n5 = predicate.right
     n8, n9 = n5.left, n5.right
     print("\n  table(N5: self::* = 100)  — keyed by cn only")
-    for key, value in sorted(mc.tables[n5.uid].items(), key=lambda kv: kv[0][0].pre):
+    for key, value in sorted(mc.boxed_table(n5).items(), key=lambda kv: kv[0][0].pre):
         print(f"    {label(key[0]):>4}  {'true' if value else 'false'}")
     print("  (x24 is true — Figure 5 prints 'false', contradicting Figure 4's")
     print("   own row ⟨x24, 8, 8⟩; strval(x24) = '100'. See EXPERIMENTS.md.)")
     print("\n  table(N8: self::*)")
-    for key, value in sorted(mc.tables[n8.uid].items(), key=lambda kv: kv[0][0].pre):
+    for key, value in sorted(mc.boxed_table(n8).items(), key=lambda kv: kv[0][0].pre):
         print(f"    {label(key[0]):>4}  {node_set(value)}")
     print("\n  table(N9: 100) — a single row, no context at all")
-    print("    ", mc.tables[n9.uid])
+    print("    ", mc.boxed_table(n9))
     print("\n  Nodes N3, N4, N6, N7 are never tabulated: MINCONTEXT loops")
     print("  over (cp, cs) instead (Example 5).")
 
     banner("Example 4: the outermost location path as plain node sets")
     mc2 = MinContextEvaluator(document)
-    first = mc2._eval_step_from_set(ast.steps[0], {document.root})
-    print("X after /descendant::*      =", node_set(first))
+    first = mc2._eval_step_from_set(ast.steps[0], [document.root.pre])
+    print("X after /descendant::*      =", node_set(box_value(document, first, "nset")))
     second = mc2._eval_step_from_set(ast.steps[1], first)
-    print("Y after descendant::*[...]  =", node_set(second))
+    print("Y after descendant::*[...]  =", node_set(box_value(document, second, "nset")))
     print("final result of e           =", node_set(result))
 
     banner("Example 9: OPTMINCONTEXT on Q (Figure 6)")
@@ -118,17 +119,19 @@ def main() -> None:
     # ρ = preceding-sibling::*/preceding::* compared with 100.
     rho = bottomup[0]
     rho_path = rho.left if hasattr(rho.left, "steps") else rho.right
-    initial = {n for n in document.nodes if n.is_element and n.string_value == "100"}
+    initial = [n for n in document.nodes if n.is_element and n.string_value == "100"]
     print("\nBackward propagation for ρ = 100:")
     print("  initial Y (strval = 100):        ", node_set(initial))
-    after_preceding = propagate_path_backwards(
-        mc3, _tail(rho_path, 1), initial
+    # The evaluators work on pre numbers; box at the read-out.
+    initial = [n.pre for n in initial]
+    after_preceding = box_value(
+        document, propagate_path_backwards(mc3, _tail(rho_path, 1), initial), "nset"
     )
     after_preceding_elements = {n for n in after_preceding if n.is_element}
     print("  after preceding⁻¹ = following:   ", node_set(after_preceding_elements))
     print("    (plus the text/attribute nodes in the same region; the")
     print("     paper's dom lists only the elements)")
-    full = propagate_path_backwards(mc3, rho_path, initial)
+    full = box_value(document, propagate_path_backwards(mc3, rho_path, initial), "nset")
     print("  after preceding-sibling⁻¹:       ", node_set(full))
 
     for node in bottomup:
@@ -136,7 +139,7 @@ def main() -> None:
     boolean_pi = bottomup[1]
     X = {
         key[0]
-        for key, value in mc3.tables[boolean_pi.uid].items()
+        for key, value in mc3.boxed_table(boolean_pi).items()
         if value and key[0].is_element
     }
     print("\nboolean(π) true exactly at X =", node_set(X))

@@ -10,14 +10,21 @@ are the guaranteed fallback of everything below.
 
 **Tier 1 — indexed scalar kernels.** Each axis fused with its node test
 over the per-document :class:`repro.xml.index.NodeIndex`
-(name-partitioned sorted pre-order arrays): :func:`fused_axis_set` /
-:func:`fused_inverse_axis_set` (node-set interface) and
-:func:`axis_test_pres` / :func:`inverse_axis_test_pres` (sorted
-pre-array interface). A ``descendant::a`` dispatch costs
+(name-partitioned sorted pre-order arrays). The sorted pre-array
+interface — :func:`axis_test_pres` / :func:`inverse_axis_test_pres` —
+is what the evaluators run on: the Core XPath sweeps, and every
+set-at-a-time step of MINCONTEXT / OPTMINCONTEXT (whose per-origin
+candidate lists are cut from the same columns by
+:func:`repro.core.common.step_relation_pres`). The boxed node-set
+interface — :func:`fused_axis_set` / :func:`fused_inverse_axis_set`,
+and the per-node :func:`repro.axes.axes.axis_test_nodes` the reference
+evaluators rank candidates with — is the same dispatch over ``Node``
+objects. A ``descendant::a`` dispatch costs
 ``O(|X|·log|D| + output)`` via binary search over the ``a`` partition;
-``following``/``preceding`` are partition suffix/prefix slices; inverse
-interval axes emit pre ranges directly. Output-sensitive, but iterating
-context nodes one pre at a time in Python.
+``following``/``preceding`` are partition suffix/prefix slices; the
+pointer axes gather the parent column; inverse interval axes emit pre
+ranges directly. Output-sensitive, but iterating context nodes one pre at a
+time in Python.
 
 **Tier 2 — vector column programs** (:mod:`repro.axes.vec`). Whole Core
 XPath sweeps compiled to a linear IR executed batch-at-a-time over the

@@ -70,7 +70,7 @@ with its inverse computed from the document's cached token index.
 from __future__ import annotations
 
 import contextlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 from repro import stats
@@ -560,11 +560,10 @@ def axis_test_pres(
     in, document order out) — the form the sorted-array sweeps of
     :mod:`repro.core.corexpath` thread through whole queries.
 
-    Interval axes ride :func:`_interval_axis_pres`; the pointer axes
-    (self/child/parent/attribute) ride :func:`_pointer_axis_pres`, so
-    every Core XPath step stays in the pre plane (on a lazy column
-    document, no node is materialized). Sibling steps and ``id`` box
-    their origins and run the fused enumerations as before."""
+    Interval axes ride :func:`_interval_axis_pres`; every other tree
+    axis rides :func:`_pointer_axis_pres`, so a step stays in the pre
+    plane (on a lazy column document, no node is materialized). Only
+    ``id`` boxes its origins and runs the fused enumeration."""
     mode = _kernel_mode
     if mode != "scan":
         if axis in INTERVAL_AXES:
@@ -612,13 +611,13 @@ def inverse_axis_test_pres(
 ) -> list[int]:
     """``χ⁻¹(Y)`` over sorted pre-order int arrays.
 
-    Interval axes ride :func:`_inverse_interval_pres`; the pointer axes
-    (self/child/parent/attribute, plus the descendant inverses — i.e.
-    ancestor chains) ride :func:`_inverse_pointer_pres` — parent-column
-    gathers and interval child hops, so the backward predicate sweeps of
-    :mod:`repro.core.corexpath` stay entirely in the pre plane (on a
-    lazy column document, no node is materialized). The sibling and
-    ``id`` inverses fall back to the boxed Definition-1 forms."""
+    Interval axes ride :func:`_inverse_interval_pres`; every other tree
+    axis rides :func:`_inverse_pointer_pres` — parent-column gathers,
+    interval child hops, sibling runs, ancestor chains — so the backward
+    sweeps of :mod:`repro.core.corexpath` and
+    :mod:`repro.core.bottomup_paths` stay entirely in the pre plane (on
+    a lazy column document, no node is materialized). Only the ``id``
+    inverse falls back to the boxed Definition-1 form."""
     mode = _kernel_mode
     if mode != "scan":
         if axis in INVERSE_INTERVAL_AXES:
@@ -728,8 +727,9 @@ def _membership(partition, block_size: int):
 def _pointer_axis_pres(
     document: Document, axis: str, pres: list[int], test: NodeTest
 ) -> list[int] | None:
-    """Column-plane ``χ(X) ∩ T(t)`` for the pointer axes, or ``None``
-    for axes without a columnar form (siblings, ``id``).
+    """Column-plane ``χ(X) ∩ T(t)`` for the pointer axes (self, child,
+    parent, attribute, the sibling and the ancestor axes), or ``None``
+    for ``id``, which has no columnar form.
 
     Candidates come from parent-column gathers (``parent``), attribute
     runs (``attribute`` — contiguity: attribute ``a`` of element ``p``
@@ -771,6 +771,14 @@ def _pointer_axis_pres(
                 candidates.append(child)
                 child += size[child]
         candidates.sort()  # runs of nested origins interleave in pre order
+    elif axis == "following-sibling" or axis == "preceding-sibling":
+        candidates = _sibling_pres(
+            node_index(document), pres, forward=axis == "following-sibling"
+        )
+    elif axis == "ancestor" or axis == "ancestor-or-self":
+        candidates = _ancestor_pres(
+            node_index(document), pres, pres if axis == "ancestor-or-self" else ()
+        )
     else:
         return None
     partition = node_index(document).filter_partition(
@@ -781,46 +789,92 @@ def _pointer_axis_pres(
     return merge_intersection(candidates, partition)
 
 
+def _sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
+    """Following (``forward``) or preceding siblings of any member of
+    ``pres`` (sorted): per parent, the slice of its child span past its
+    earliest member (before its latest). Attribute members and the
+    document node have no siblings."""
+    parent_pre = index.parent_pre
+    offsets, children = index.child_table()
+    parents = [parent_pre[p] for p in pres]
+    if forward:
+        # pres ascend: walking them backwards leaves the earliest member.
+        extremes = dict(zip(reversed(parents), reversed(pres)))
+    else:
+        extremes = dict(zip(parents, pres))
+    extremes.pop(-1, None)
+    out: list[int] = []
+    for parent, extreme in extremes.items():
+        lo, hi = offsets[parent], offsets[parent + 1]
+        if forward:
+            at = bisect_right(children, extreme, lo, hi)
+            if at == lo and lo < hi:
+                # Only an attribute sorts before every child: it hid the
+                # parent's earliest child member, if there is one.
+                is_attribute = _membership(index.attributes, len(pres))
+                return _sibling_pres(
+                    index, [p for p in pres if not is_attribute(p)], forward
+                )
+            out.extend(children[at:hi])
+        else:
+            # An attribute as latest member cuts an empty prefix.
+            out.extend(children[lo : bisect_left(children, extreme, lo, hi)])
+    out.sort()  # spans of nested parents interleave in pre order
+    return out
+
+
+def _ancestor_pres(index, pres, selves) -> list[int]:
+    """Proper ancestors of the members of ``pres``, plus ``selves``.
+    Level-synchronous parent-column walk: hop the whole frontier one
+    generation at a time, deduplicating *before* each hop, so shared
+    ancestor prefixes are gathered once for the block instead of once per
+    chain — the union costs its own size, not chains × depth."""
+    parent_pre = index.parent_pre
+    frontier = {parent_pre[p] for p in pres}
+    frontier.discard(-1)
+    seen: set[int] = set()
+    while frontier:
+        seen |= frontier
+        frontier = {parent_pre[a] for a in frontier}
+        frontier.difference_update(seen)
+        frontier.discard(-1)
+    seen.update(selves)
+    return sorted(seen)
+
+
 def _inverse_pointer_pres(
     document: Document, axis: str, pres: list[int]
 ) -> list[int] | None:
-    """Column-plane inverses for the pointer axes, or ``None`` for axes
-    that have no columnar form (sibling inverses, ``id``).
+    """Column-plane inverses for the pointer axes, or ``None`` for the
+    one axis that has no columnar form (``id``).
 
     ``self⁻¹`` is the identity; ``child⁻¹``/``attribute⁻¹`` are parent-
     column gathers (children of Y's members never duplicate, attributes
     are nobody's child and filtered by a bisect into the attribute
     partition); ``parent⁻¹`` — children plus attributes of Y — is the
     per-member run ``pre+1, +size, ...`` to the subtree's first grand-
-    child boundary, i.e. every node whose ``parent_pre`` lands in Y.
-    All output-sensitive, none touches a boxed node.
+    child boundary, i.e. every node whose ``parent_pre`` lands in Y;
+    the sibling inverses are the converse sibling runs
+    (:func:`_sibling_pres`), the descendant inverses ancestor chains
+    (:func:`_ancestor_pres`). All output-sensitive, none touches a boxed
+    node.
     """
     if axis == "self":
         return list(pres)
-    if axis not in ("child", "parent", "attribute", "descendant", "descendant-or-self"):
-        return None
     index = node_index(document)
+    if axis == "following-sibling" or axis == "preceding-sibling":
+        # x has a following sibling in Y ⟺ x is a preceding sibling of a
+        # member of Y, and vice versa.
+        return _sibling_pres(index, pres, forward=axis == "preceding-sibling")
     if axis in ("descendant", "descendant-or-self"):
         # descendant⁻¹ = strict ancestors of Y's non-attribute members
         # (attributes are nobody's descendant); or-self adds Y itself.
-        # Level-synchronous parent-column walk: hop the whole frontier
-        # one generation at a time, deduplicating *before* each hop, so
-        # shared ancestor prefixes are gathered once for the block
-        # instead of once per chain — the union costs its own size, not
-        # chains × depth.
-        parent_pre = index.parent_pre
         is_attribute = _membership(index.attributes, len(pres))
-        frontier = {parent_pre[p] for p in pres if not is_attribute(p)}
-        frontier.discard(-1)
-        seen: set[int] = set()
-        while frontier:
-            seen |= frontier
-            frontier = {parent_pre[a] for a in frontier}
-            frontier.difference_update(seen)
-            frontier.discard(-1)
-        if axis == "descendant-or-self":
-            seen.update(pres)
-        return sorted(seen)
+        return _ancestor_pres(
+            index,
+            [p for p in pres if not is_attribute(p)],
+            pres if axis == "descendant-or-self" else (),
+        )
     if axis == "child":
         parent_pre = index.parent_pre
         is_attribute = _membership(index.attributes, len(pres))
@@ -831,6 +885,8 @@ def _inverse_pointer_pres(
         parent_pre = index.parent_pre
         is_attribute = _membership(index.attributes, len(pres))
         return sorted({parent_pre[p] for p in pres if is_attribute(p)})
+    if axis != "parent":
+        return None
     size = index.size
     result: list[int] = []
     for p in pres:

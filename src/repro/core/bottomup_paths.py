@@ -18,35 +18,41 @@ Two procedures, mapping onto the Section 6 pseudo-code:
   comparison (or ``dom`` for ``boolean``) and fills ``table(N)``.
 * :func:`propagate_path_backwards` — walks the steps last-to-first.
 
-Soundness fixes relative to the *printed* pseudo-code (documented in
-DESIGN.md §5 and EXPERIMENTS.md):
+Like MINCONTEXT itself (:mod:`repro.core.mincontext`), everything here
+runs on the pre plane: target sets are sorted pre lists, node tests are
+intersections with the index's test partition, ``χ⁻¹`` is
+:func:`repro.axes.axes.inverse_axis_test_pres`, and the resulting
+boolean table over ``dom`` is a list indexed by pre.
 
-* In the position-dependent branch, the printed code ranks candidates
-  within ``Z = {z ∈ Y′ | xχz}`` — the propagated subset — but XPath
-  positions count *all* test-passing candidates of ``x``. We compute
-  positions over the full candidate list and intersect with the
-  propagated set afterwards; on the paper's own Example 9 both readings
-  give the same final answer, but on e.g. ``child::a[1] = 'v'`` the
-  printed form would be wrong.
-* At the top of an absolute path the printed code returns ``dom``
-  whenever the propagated set is nonempty; the root must actually be a
-  member (``boolean(/child::b)`` is false on an ``a``-rooted document
-  even though ``child::b`` succeeds from other nodes).
+Soundness fixes relative to the *printed* pseudo-code:
+
+* **Positions rank all candidates.** In the position-dependent branch,
+  the printed code ranks candidates within ``Z = {z ∈ Y′ | xχz}`` — the
+  propagated subset — but XPath positions count *all* test-passing
+  candidates of ``x``. We compute positions over the full candidate list
+  and intersect with the propagated set afterwards; on the paper's own
+  Example 9 both readings give the same final answer, but on e.g.
+  ``child::a[1] = 'v'`` the printed form would be wrong.
+* **An absolute path needs the root.** At the top of an absolute path
+  the printed code returns ``dom`` whenever the propagated set is
+  nonempty; the root must actually be a member (``boolean(/child::b)``
+  is false on an ``a``-rooted document even though ``child::b`` succeeds
+  from other nodes).
 """
 
 from __future__ import annotations
 
 from repro import stats
-from repro.axes.axes import fused_inverse_axis_set
-from repro.core.common import matches_node_test, step_candidate_set, step_candidates
+from repro.axes.axes import AXIS_PRINCIPAL_ATTRIBUTE, inverse_axis_test_pres
+from repro.core.common import step_candidate_pres, step_relation_pres
 from repro.core.context import WILDCARD
-from repro.core.mincontext import MinContextEvaluator
+from repro.core.mincontext import MinContextEvaluator, position_free
 from repro.errors import EvaluationError
 from repro.values.compare import compare_values
-from repro.xml.document import Node
+from repro.xml.index import merge_intersection, node_index
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 
-_CPCS = frozenset({"cp", "cs"})
+_CONTEXT_FREE = (None, WILDCARD, WILDCARD)
 
 
 def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
@@ -58,38 +64,50 @@ def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
     """
     if node.uid in mc.precomputed:
         return
-    document = mc.document
-    dom = set(document.nodes)
+    dom = _dom(mc)
+    when_reached, otherwise = True, False
 
     if isinstance(node, FunctionCall) and node.name == "boolean":
-        path = node.args[0]
-        start_nodes = propagate_path_backwards(mc, path, dom)
-        truths = {x: (x in start_nodes) for x in dom}
+        start_nodes = propagate_path_backwards(mc, node.args[0], dom)
     elif isinstance(node, BinaryOp):
         path, op, scalar = _comparison_parts(node)
-        mc.eval_by_cnode_only(scalar, set())
-        scalar_value = mc.eval_single_context(scalar, (None, WILDCARD, WILDCARD))
+        mc.eval_by_cnode_only(scalar, [])
+        scalar_value = mc.eval_single_context(scalar, _CONTEXT_FREE)
         if scalar.value_type == "bool":
             # "π RelOp s with s of type bool is treated like
             # boolean(π) RelOp s" (Section 6).
-            nonempty = propagate_path_backwards(mc, path, dom)
-            truths = {
-                x: compare_values(op, x in nonempty, "bool", scalar_value, "bool")
-                for x in dom
-            }
+            start_nodes = propagate_path_backwards(mc, path, dom)
+            when_reached = compare_values(op, True, "bool", scalar_value, "bool")
+            otherwise = compare_values(op, False, "bool", scalar_value, "bool")
         else:
-            initial = {
-                y
-                for y in dom
-                if compare_values(op, [y], "nset", scalar_value, scalar.value_type)
-            }
+
+            def admissible(y: int) -> bool:
+                return compare_values(
+                    op, (y,), "nset", scalar_value, scalar.value_type, mc.strval, mc.numval
+                )
+
+            # Only nodes passing the last step's node test can survive
+            # the first inverse step, so only they are compared.
+            initial = [y for y in _tested(mc, dom, path.steps[-1]) if admissible(y)]
+            if not initial:
+                # No admissible target passes the test. One admissible
+                # witness that fails it (if any exists) stands in for
+                # them all: the propagation dies in its first step,
+                # exactly as it would from the whole admissible set.
+                initial = next(([y] for y in dom if admissible(y)), [])
             start_nodes = propagate_path_backwards(mc, path, initial)
-            truths = {x: (x in start_nodes) for x in dom}
     else:
         raise EvaluationError(f"not a bottom-up-eligible node: {node!r}")
 
-    mc._store(node, {mc._key(node, x): value for x, value in truths.items()})
-    mc.precomputed.add(node.uid)
+    truths = [otherwise] * len(dom)
+    for x in start_nodes:
+        truths[x] = when_reached
+    mc.store_dom_table(node, truths)
+
+
+def _dom(mc: MinContextEvaluator) -> list[int]:
+    """All of ``dom`` as a sorted pre list."""
+    return list(range(len(mc.document.nodes)))
 
 
 def _comparison_parts(node: BinaryOp) -> tuple[Path, str, Expr]:
@@ -104,78 +122,72 @@ def _comparison_parts(node: BinaryOp) -> tuple[Path, str, Expr]:
 
 
 def propagate_path_backwards(
-    mc: MinContextEvaluator, path: Expr, targets: set[Node]
-) -> set[Node]:
-    """Propagate a target set backwards through ``π``: the returned set is
-    ``{x ∈ dom | some y ∈ targets is reachable from x via π}``."""
+    mc: MinContextEvaluator, path: Expr, targets: list[int]
+) -> list[int]:
+    """Propagate a target set (sorted pres) backwards through ``π``: the
+    returned sorted pre list is ``{x ∈ dom | some y ∈ targets is
+    reachable from x via π}``."""
     if not isinstance(path, Path):
         raise EvaluationError(f"not a location path: {path!r}")
-    document = mc.document
-    current = set(targets)
+    current = targets
     for step in reversed(path.steps):
         if not current:
-            return set()
+            return []
         current = _propagate_step(mc, step, current)
         stats.count("bottomup_propagation_steps")
     if path.primary is not None:
         # Context-free primary start (id('k')/...): the path succeeds from
         # *every* context node iff the primary's value meets the
         # propagated set — mirroring the absolute-path case below.
-        mc.eval_by_cnode_only(path.primary, set())
-        start_nodes = mc.eval_single_context(path.primary, (None, WILDCARD, WILDCARD))
-        if not current.isdisjoint(start_nodes):
-            return set(document.nodes)
-        return set()
+        mc.eval_by_cnode_only(path.primary, [])
+        start_nodes = mc.eval_single_context(path.primary, _CONTEXT_FREE)
+        if set(current).isdisjoint(start_nodes):
+            return []
+        return _dom(mc)
     if path.absolute:
         # '/' at the top: the path restarts at the root, so the answer is
         # context-independent — all of dom iff the root can start it (for
         # the empty absolute path '/', iff the root itself is a target).
-        if document.root in current:
-            return set(document.nodes)
-        return set()
+        if current and current[0] == 0:
+            return _dom(mc)
+        return []
     return current
 
 
-def _propagate_step(mc: MinContextEvaluator, step: Step, targets: set[Node]) -> set[Node]:
+def _tested(mc: MinContextEvaluator, pres: list[int], step: Step) -> list[int]:
+    """``pres ∩ T(t)`` for the step's node test on the step's axis."""
+    partition = node_index(mc.document).filter_partition(
+        step.node_test, attribute_principal=step.axis in AXIS_PRINCIPAL_ATTRIBUTE
+    )
+    if partition is None:  # node() matches every kind
+        return pres
+    return merge_intersection(pres, partition)
+
+
+def _propagate_step(mc: MinContextEvaluator, step: Step, targets: list[int]) -> list[int]:
     """One inverse location step: filter targets by node test and
     predicates, then apply ``χ⁻¹``."""
     document = mc.document
-    tested = {y for y in targets if matches_node_test(y, step.node_test, step.axis)}
+    tested = _tested(mc, targets, step)
     if not tested:
-        return set()
-    if not step.predicates:
-        return fused_inverse_axis_set(document, step.axis, tested)
-    position_free = all(not (_CPCS & p.relev) for p in step.predicates)
-    if position_free:
+        return []
+    if position_free(step):
         for predicate in step.predicates:
             mc.eval_by_cnode_only(predicate, tested)
-        passing = set()
-        for y in tested:
-            stats.count("mincontext_contexts_evaluated")
-            if all(
-                mc.eval_single_context(p, (y, WILDCARD, WILDCARD))
-                for p in step.predicates
-            ):
-                passing.add(y)
-        return fused_inverse_axis_set(document, step.axis, passing)
+        if step.predicates:  # a bare step evaluates no context
+            tested = mc.filter_by_cnode(step.predicates, tested)
+        return list(inverse_axis_test_pres(document, step.axis, tested))
     # Position-dependent predicates: loop over the candidate origins and
     # rank each origin's full candidate list (soundness fix, see module
     # docstring), keeping origins with a surviving candidate in `tested`.
-    origins = fused_inverse_axis_set(document, step.axis, tested)
-    pool = step_candidate_set(document, step.axis, origins, step.node_test)
+    origins = list(inverse_axis_test_pres(document, step.axis, tested))
+    pool = step_candidate_pres(document, step.axis, origins, step.node_test)
     for predicate in step.predicates:
         mc.eval_by_cnode_only(predicate, pool)
-    result = set()
-    for x in origins:
-        candidates = step_candidates(document, step.axis, x, step.node_test)
-        for predicate in step.predicates:
-            size = len(candidates)
-            survivors = []
-            for position, z in enumerate(candidates, start=1):
-                stats.count("mincontext_contexts_evaluated")
-                if mc.eval_single_context(predicate, (z, position, size)):
-                    survivors.append(z)
-            candidates = survivors
-        if any(z in tested for z in candidates):
-            result.add(x)
-    return result
+    relation = step_relation_pres(document, step.axis, origins, pool, step.node_test)
+    wanted = set(tested)
+    return sorted(
+        x
+        for x, candidates in relation.items()
+        if not wanted.isdisjoint(mc.filter_by_position(step.predicates, candidates))
+    )

@@ -34,9 +34,11 @@ the only place this evaluator touches a boxed ``Node`` in non-scan mode
 is the final ``nodes[pre]`` materialization of the *result*. On a
 column-only document (:class:`repro.xml.columns.ColumnDocument`,
 ``decode_snapshot(lazy=True)``) that means a whole Core XPath query
-costs O(output) node objects; the scan-mode and non-Core paths iterate
-``document.nodes`` and simply materialize what they touch — the eager
-fallback, byte-identical either way.
+costs O(output) node objects; scan mode and the reference evaluators
+(``naive``, ``topdown``, ``bottomup``) iterate ``document.nodes`` and
+simply materialize what they touch — the eager fallback, byte-identical
+either way. MINCONTEXT / OPTMINCONTEXT share this pre plane
+(:mod:`repro.core.mincontext`).
 """
 
 from __future__ import annotations

@@ -26,16 +26,38 @@ The four procedures map one-to-one onto the Section 6 pseudo-code:
 
 Bound: ``O(|D|⁴·|Q|²)`` time and ``O(|D|²·|Q|²)`` space (Theorem 7).
 
-Deviations from the printed pseudo-code (all documented in DESIGN.md /
-EXPERIMENTS.md):
+**Representation: the pre plane.** A context node is its pre-order
+number; a node set — a candidate set, a step result, a node-set table
+value — is a sorted, duplicate-free list of pre numbers. ``table(N)``
+maps the context projected to ``Relev(N)`` to a value: keyed by the
+context node's pre when ``'cn' ∈ Relev(N)``, by ``()`` for the single
+row of a context-free node (OPTMINCONTEXT's bottom-up tables cover all of
+``dom`` and are a list indexed by pre). Set-at-a-time steps run through
+the column kernels (:func:`repro.core.common.step_candidate_pres`),
+per-origin candidate lists are cut from the index columns
+(:func:`~repro.core.common.step_relation_pres`), string values and
+numbers are read per pre from the document
+(:meth:`~repro.xml.document.Document.string_value_of_pre` /
+:meth:`~repro.xml.document.Document.number_value_of_pre`). ``Node``
+objects appear only where a value leaves the evaluator —
+:meth:`MinContextEvaluator.evaluate`'s result and the
+:meth:`~MinContextEvaluator.boxed_table` read-out — and where a
+long-tail library function (``name``, ``lang``, ``id`` …) is applied.
+The paper's counters (table rows and cells, contexts evaluated,
+relation cells) count the same things as on boxed nodes.
 
-* Paths rooted at filter-expression primaries (full XPath 1.0 grammar,
-  outside the paper's path grammar) are supported by evaluating the
-  primary with the machinery for general expressions and then running
-  the step machinery from its result.
-* Tables are *merged* on re-entry rather than overwritten: a predicate
-  subtree can legitimately be prepared for several candidate sets when
-  its enclosing expression is itself evaluated in a (cp, cs) loop.
+Deviations from the printed pseudo-code:
+
+* **Filter-primary paths.** Paths rooted at filter-expression primaries
+  (``id('k')/a``, ``(//a)[2]/b`` — full XPath 1.0 grammar, outside the
+  paper's path grammar) are supported by evaluating the primary with the
+  machinery for general expressions, filtering it by its predicates in
+  document order, and then running the step machinery from the result.
+* **Merged tables.** Tables are *merged* on re-entry rather than
+  overwritten: a predicate subtree can legitimately be prepared for
+  several candidate sets when its enclosing expression is itself
+  evaluated in a (cp, cs) loop. Only rows for new contexts count as
+  allocated cells.
 
 Instances are single-use: create one evaluator per query evaluation (the
 engine does). OPTMINCONTEXT pre-fills ``tables`` for bottom-up-evaluated
@@ -46,19 +68,24 @@ from __future__ import annotations
 
 from repro import stats
 from repro.core.common import (
+    COMPARISON_OPS,
     apply_operator,
-    step_candidate_set,
-    step_candidates,
+    box_value,
+    step_candidate_pres,
+    step_relation_pres,
 )
 from repro.core.context import WILDCARD, Context
 from repro.errors import EvaluationError
-from repro.xml.document import Document, Node
+from repro.functions.library import apply_function
+from repro.values.compare import compare_values
+from repro.values.numbers import NAN
+from repro.xml.document import Document
+from repro.xml.index import merge_union
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
     Expr,
     FunctionCall,
-    Negate,
     NumberLiteral,
     Path,
     Step,
@@ -74,13 +101,16 @@ class MinContextEvaluator:
 
     def __init__(self, document: Document):
         self.document = document
-        #: uid → {projected-context-key: value}. Keys follow
-        #: :func:`repro.xpath.relevance.project_context`.
-        self.tables: dict[int, dict[tuple, object]] = {}
+        #: uid → table: ``{projected context: value}`` (the projection is
+        #: the context node's pre, or ``()`` for a context-free node), or
+        #: a pre-indexed list of booleans over all of ``dom``.
+        self.tables: dict[int, dict | list] = {}
         #: uids whose tables were filled by OPTMINCONTEXT's bottom-up
         #: pass; eval_by_cnode_only skips them ("subexpressions that have
         #: already been evaluated bottom-up are not evaluated again").
         self.precomputed: set[int] = set()
+        self.strval = document.string_value_of_pre
+        self.numval = document.number_value_of_pre
 
     # ------------------------------------------------------------------
     # Algorithm 6
@@ -89,37 +119,42 @@ class MinContextEvaluator:
     def evaluate(self, expr: Expr, context: Context):
         """Algorithm 6 (MINCONTEXT). Node-set results come back as
         document-ordered lists."""
+        if isinstance(expr, ConstantNodeSet):
+            # A bare node-set binding is its own value; its members may
+            # even belong to another document, which pre numbers of this
+            # one could not express.
+            return self.document.in_document_order(expr.nodes)
+        triple = (context.node.pre, context.position, context.size)
         if expr.value_type == "nset" and isinstance(expr, (Path, Union)):
-            result = self.eval_outermost_locpath(expr, {context.node}, context)
-            return self.document.in_document_order(result)
-        self.eval_by_cnode_only(expr, {context.node})
-        value = self.eval_single_context(expr, context.triple())
-        if expr.value_type == "nset":
-            return self.document.in_document_order(value)
-        return value
+            value = self.eval_outermost_locpath(expr, [triple[0]], triple)
+        else:
+            self.eval_by_cnode_only(expr, [triple[0]])
+            value = self.eval_single_context(expr, triple)
+        return box_value(self.document, value, expr.value_type)
 
     # ------------------------------------------------------------------
     # Table plumbing
     # ------------------------------------------------------------------
 
-    def _key(self, node, cn, cp=WILDCARD, cs=WILDCARD) -> tuple:
-        key = []
-        relev = node.relev
-        if "cn" in relev:
-            key.append(cn)
-        if "cp" in relev:
-            key.append(cp)
-        if "cs" in relev:
-            key.append(cs)
-        return tuple(key)
-
-    def _store(self, node, rows: dict[tuple, object]) -> None:
-        table = self.tables.setdefault(node.uid, {})
-        fresh_keys = rows.keys() - table.keys()
-        fresh_cells = sum(stats.cell_weight(rows[key]) for key in fresh_keys)
+    def _store(self, node, rows: dict) -> None:
+        table = self.tables.get(node.uid)
+        if table is None:
+            table = self.tables[node.uid] = {}
+        if stats.collecting():
+            fresh_keys = rows.keys() - table.keys() if table else rows.keys()
+            stats.count("mincontext_table_rows", len(fresh_keys))
+            stats.table_cells_allocated(
+                sum(stats.cell_weight(rows[key]) for key in fresh_keys)
+            )
         table.update(rows)
-        stats.count("mincontext_table_rows", len(fresh_keys))
-        stats.table_cells_allocated(fresh_cells)
+
+    def store_dom_table(self, node, truths: list) -> None:
+        """Install a bottom-up table (OPTMINCONTEXT): one boolean per pre,
+        covering all of ``dom``, never re-evaluated afterwards."""
+        self.tables[node.uid] = truths
+        self.precomputed.add(node.uid)
+        stats.count("mincontext_table_rows", len(truths))
+        stats.table_cells_allocated(len(truths))
 
     def _lookup(self, node, cn):
         table = self.tables.get(node.uid)
@@ -128,105 +163,195 @@ class MinContextEvaluator:
                 f"table for parse-tree node N{node.uid} was never prepared "
                 "(eval_by_cnode_only must run before eval_single_context)"
             )
-        key = self._key(node, cn)
-        if key not in table:
+        try:
+            return table[cn if "cn" in node.relev else ()]
+        except (KeyError, IndexError, TypeError):
             raise EvaluationError(
                 f"table for parse-tree node N{node.uid} has no row for context node "
-                f"{cn!r} — prepared with a different candidate set"
+                f"pre={cn!r} — prepared with a different candidate set"
+            ) from None
+
+    def _constant_pres(self, node: ConstantNodeSet) -> list[int]:
+        document = self.document
+        if any(member.document is not document for member in node.nodes):
+            raise EvaluationError(
+                "a node-set variable bound to nodes of another document can "
+                "only be the whole query, not an operand"
             )
-        return table[key]
+        return sorted(member.pre for member in node.nodes)
+
+    def boxed_table(self, node) -> dict[tuple, object]:
+        """``table(N)`` read out onto boxed nodes: ``{projected context:
+        value}`` with the context node (when relevant) as a one-tuple
+        ``(Node,)`` and node-set values as ``set[Node]`` — the form
+        Figure 5 prints. For inspection and tests; the evaluator never
+        reads it."""
+        table = self.tables[node.uid]
+        nodes = self.document.nodes
+        rows = enumerate(table) if isinstance(table, list) else table.items()
+        boxed = {}
+        for key, value in rows:
+            if node.value_type == "nset":
+                value = {nodes[pre] for pre in value}
+            boxed[() if key == () else (nodes[key],)] = value
+        return boxed
+
+    # ------------------------------------------------------------------
+    # F[[Op]] on pre-plane values
+    # ------------------------------------------------------------------
+
+    def apply(self, node: Expr, values: list, cn):
+        """Apply the operator at ``node`` to its children's values, node
+        sets being sorted pre lists. Comparisons, ``sum``, ``string`` and
+        ``number`` read their node-set operand through the per-pre
+        accessors; ``count`` and ``boolean`` need no member at all; any
+        other library function over a node set (``name``, ``local-name``,
+        ``id`` …) and ``lang`` get boxed nodes at the call. Everything
+        else is :func:`~repro.core.common.apply_operator`."""
+        if isinstance(node, BinaryOp):
+            if node.op in COMPARISON_OPS:
+                stats.count("operator_applications")
+                return compare_values(
+                    node.op,
+                    values[0],
+                    node.left.value_type,
+                    values[1],
+                    node.right.value_type,
+                    self.strval,
+                    self.numval,
+                )
+        elif isinstance(node, FunctionCall):
+            if node.name in ("lang", "id") or (
+                node.args and node.args[0].value_type == "nset"
+            ):
+                return self._apply_to_nodes(node, values, cn)
+        return apply_operator(self.document, node, values)
+
+    def _apply_to_nodes(self, node: FunctionCall, values: list, cn):
+        stats.count("operator_applications")
+        name = node.name
+        if node.args[0].value_type == "nset":
+            members = values[0]
+            if name == "count" or name == "boolean":
+                # Size and emptiness: the same on pres as on nodes.
+                return apply_function(self.document, name, values)
+            if name == "sum":
+                total = 0.0
+                for pre in members:
+                    total += self.numval(pre)
+                return total
+            if name == "string":
+                return self.strval(members[0]) if members else ""
+            if name == "number":
+                return self.numval(members[0]) if members else NAN
+        document = self.document
+        arguments = [
+            box_value(document, value, argument.value_type)
+            for value, argument in zip(values, node.args)
+        ]
+        context_node = None if cn is None else document.nodes[cn]
+        result = apply_function(document, name, arguments, context_node)
+        if node.value_type == "nset":
+            return sorted(target.pre for target in result)
+        return result
 
     # ------------------------------------------------------------------
     # eval_outermost_locpath (Section 6)
     # ------------------------------------------------------------------
 
     def eval_outermost_locpath(
-        self, expr: Expr, X: set[Node], outer: Context
-    ) -> set[Node]:
+        self, expr: Expr, X: list[int], outer: tuple
+    ) -> list[int]:
         """Evaluate an outermost location path as a plain node set.
 
         Handles the pseudo-code's four cases: ``/π`` (absolute start),
         ``π1|π2`` (union of branch results), ``π1/π2`` (the step loop),
-        and ``χ::t[e1]...[eq]`` (:meth:`_eval_step_from_set`).
+        and ``χ::t[e1]...[eq]`` (:meth:`_eval_step_from_set`). ``outer``
+        is the query's context triple, for a filter-primary start.
         """
         stats.count("outermost_path_evaluations")
         if isinstance(expr, Union):
-            return self.eval_outermost_locpath(
-                expr.left, X, outer
-            ) | self.eval_outermost_locpath(expr.right, X, outer)
+            return merge_union(
+                self.eval_outermost_locpath(expr.left, X, outer),
+                self.eval_outermost_locpath(expr.right, X, outer),
+            )
         if not isinstance(expr, Path):
             raise EvaluationError(f"not a location path: {expr!r}")
         if expr.absolute:
-            current: set[Node] = {self.document.root}
+            current = [0]
         elif expr.primary is not None:
             current = self._primary_start_set(expr, X, outer)
         else:
-            current = set(X)
+            current = X
         for step in expr.steps:
             current = self._eval_step_from_set(step, current)
         return current
 
-    def _primary_start_set(self, path: Path, X: set[Node], outer: Context) -> set[Node]:
+    def _primary_start_set(self, path: Path, X: list[int], outer: tuple) -> list[int]:
         """Start set for a filter-expression-rooted path (extension)."""
-        primary = path.primary
-        assert primary is not None
-        self.eval_by_cnode_only(primary, X)
-        value = self.eval_single_context(primary, outer.triple())
-        selected = set(value)
+        self.eval_by_cnode_only(path.primary, X)
+        selected = self.eval_single_context(path.primary, outer)
         for predicate in path.primary_predicates:
             selected = self._filter_document_order(selected, predicate)
         return selected
 
-    def _filter_document_order(self, nodes: set[Node], predicate: Expr) -> set[Node]:
+    def _filter_document_order(self, nodes: list[int], predicate: Expr) -> list[int]:
         """Filter a node set by a predicate ranked in document order (the
         rule for predicates attached to filter expressions)."""
         self.eval_by_cnode_only(predicate, nodes)
-        ordered = self.document.in_document_order(nodes)
-        size = len(ordered)
-        survivors = set()
-        for position, node in enumerate(ordered, start=1):
-            if self.eval_single_context(predicate, (node, position, size)):
-                survivors.add(node)
-        return survivors
+        size = len(nodes)
+        single = self.eval_single_context
+        return [
+            pre
+            for position, pre in enumerate(nodes, start=1)
+            if single(predicate, (pre, position, size))
+        ]
 
-    def _eval_step_from_set(self, step: Step, X: set[Node]) -> set[Node]:
+    def _eval_step_from_set(self, step: Step, X: list[int]) -> list[int]:
         """One step, set-in/set-out (the pseudo-code's ``χ::t[e1]...[eq]``
         case of eval_outermost_locpath)."""
-        Y = step_candidate_set(self.document, step.axis, X, step.node_test)
+        Y = step_candidate_pres(self.document, step.axis, X, step.node_test)
         for predicate in step.predicates:
             self.eval_by_cnode_only(predicate, Y)
-        if all(not (_CPCS & p.relev) for p in step.predicates):
-            # All predicates independent of position/size: one pass over Y.
-            result = set()
-            for y in Y:
-                stats.count("mincontext_contexts_evaluated")
-                if all(
-                    self.eval_single_context(p, (y, WILDCARD, WILDCARD))
-                    for p in step.predicates
-                ):
-                    result.add(y)
-            return result
+        if position_free(step):
+            return self.filter_by_cnode(step.predicates, Y)
         # At least one predicate needs cp/cs: loop over all pairs of
         # previous/current context node (Example 5 / Theorem 7's loop).
-        result = set()
-        for x in X:
-            candidates = step_candidates(self.document, step.axis, x, step.node_test)
-            for predicate in step.predicates:
-                size = len(candidates)
-                survivors = []
-                for position, z in enumerate(candidates, start=1):
-                    stats.count("mincontext_contexts_evaluated")
-                    if self.eval_single_context(predicate, (z, position, size)):
-                        survivors.append(z)
-                candidates = survivors
-            result.update(candidates)
-        return result
+        relation = step_relation_pres(self.document, step.axis, X, Y, step.node_test)
+        result: set[int] = set()
+        for candidates in relation.values():
+            result.update(self.filter_by_position(step.predicates, candidates))
+        return sorted(result)
+
+    def filter_by_cnode(self, predicates: list[Expr], Y: list[int]) -> list[int]:
+        """The members of ``Y`` at which every (position-free, already
+        prepared) predicate holds — one context ``⟨y, ∗, ∗⟩`` per member."""
+        stats.count("mincontext_contexts_evaluated", len(Y))
+        single = self.eval_single_context
+        for predicate in predicates:
+            Y = [y for y in Y if single(predicate, (y, WILDCARD, WILDCARD))]
+        return Y
+
+    def filter_by_position(self, predicates: list[Expr], candidates: list[int]) -> list[int]:
+        """The (cp, cs) loop over one origin's candidate list (in
+        proximity order): each predicate ranks the survivors of the
+        previous one."""
+        single = self.eval_single_context
+        for predicate in predicates:
+            size = len(candidates)
+            stats.count("mincontext_contexts_evaluated", size)
+            candidates = [
+                z
+                for position, z in enumerate(candidates, start=1)
+                if single(predicate, (z, position, size))
+            ]
+        return candidates
 
     # ------------------------------------------------------------------
     # eval_by_cnode_only (Section 6)
     # ------------------------------------------------------------------
 
-    def eval_by_cnode_only(self, node: Expr, X: set[Node]) -> None:
+    def eval_by_cnode_only(self, node: Expr, X: list[int]) -> None:
         """Prepare ``table(M)`` for every M below ``node`` whose value
         does not depend on the current context position/size."""
         if node.uid in self.precomputed:
@@ -243,28 +368,30 @@ class MinContextEvaluator:
                 self.eval_by_cnode_only(child, X)
             return
         if isinstance(node, (Path, Union)):
-            mapping = self.eval_inner_locpath(node, X)
-            self._store(node, {self._key(node, x): nodes for x, nodes in mapping.items()})
+            self._store(node, self.eval_inner_locpath(node, X))
             return
         if isinstance(node, (NumberLiteral, StringLiteral)):
             self._store(node, {(): node.value})
             return
         if isinstance(node, ConstantNodeSet):
-            self._store(node, {(): set(node.nodes)})
+            self._store(node, {(): self._constant_pres(node)})
             return
         # Op(e1, ..., ek) with Relev(N) ⊆ {'cn'}.
         children = node.children()
         for child in children:
             self.eval_by_cnode_only(child, X)
-        rows: dict[tuple, object] = {}
+        lookup = self._lookup
+        apply = self.apply
         if "cn" in relev:
-            row_nodes: list[Node | None] = list(X)
+            stats.count("mincontext_contexts_evaluated", len(X))
+            rows = {
+                cn: apply(node, [lookup(child, cn) for child in children], cn)
+                for cn in X
+            }
         else:
-            row_nodes = [None]
-        for cn in row_nodes:
             stats.count("mincontext_contexts_evaluated")
-            values = [self._lookup(child, cn) for child in children]
-            rows[self._key(node, cn)] = apply_operator(self.document, node, values, cn)
+            values = [lookup(child, None) for child in children]
+            rows = {(): apply(node, values, None)}
         self._store(node, rows)
 
     # ------------------------------------------------------------------
@@ -272,43 +399,40 @@ class MinContextEvaluator:
     # ------------------------------------------------------------------
 
     def eval_single_context(self, node: Expr, triple: tuple):
-        """Evaluate ``expr(N)`` for one context ``⟨cn, cp, cs⟩`` (wildcards
-        allowed for irrelevant components)."""
-        cn, cp, cs = triple
-        relev = node.relev
-        if not (_CPCS & relev):
-            return self._lookup(node, cn)
-        if isinstance(node, FunctionCall) and node.name == "position":
-            if cp is WILDCARD:
-                raise EvaluationError("position() evaluated under a wildcard position")
-            return float(cp)
-        if isinstance(node, FunctionCall) and node.name == "last":
-            if cs is WILDCARD:
-                raise EvaluationError("last() evaluated under a wildcard size")
-            return float(cs)
-        if isinstance(node, (Path, Union)):
+        """Evaluate ``expr(N)`` for one context ``⟨cn, cp, cs⟩`` (``cn`` a
+        pre number; wildcards allowed for irrelevant components)."""
+        if _CPCS.isdisjoint(node.relev):
+            return self._lookup(node, triple[0])
+        if isinstance(node, FunctionCall):
+            if node.name == "position":
+                if triple[1] is WILDCARD:
+                    raise EvaluationError("position() evaluated under a wildcard position")
+                return float(triple[1])
+            if node.name == "last":
+                if triple[2] is WILDCARD:
+                    raise EvaluationError("last() evaluated under a wildcard size")
+                return float(triple[2])
+        elif isinstance(node, (Path, Union)):
             # Position/size-dependent path (via a filter primary).
             return self._eval_path_single(node, triple)
-        children = node.children()
-        values = [self.eval_single_context(child, triple) for child in children]
-        return apply_operator(self.document, node, values, cn)
+        values = [self.eval_single_context(child, triple) for child in node.children()]
+        return self.apply(node, values, triple[0])
 
-    def _eval_path_single(self, node: Expr, triple: tuple) -> set[Node]:
+    def _eval_path_single(self, node: Expr, triple: tuple) -> list[int]:
         if isinstance(node, Union):
-            return self._eval_path_single(node.left, triple) | self._eval_path_single(
-                node.right, triple
+            return merge_union(
+                self._eval_path_single(node.left, triple),
+                self._eval_path_single(node.right, triple),
             )
         assert isinstance(node, Path)
-        cn = triple[0]
         if node.absolute:
-            current: set[Node] = {self.document.root}
+            current = [0]
         elif node.primary is not None:
-            value = self.eval_single_context(node.primary, triple)
-            current = set(value)
+            current = self.eval_single_context(node.primary, triple)
             for predicate in node.primary_predicates:
                 current = self._filter_document_order(current, predicate)
         else:
-            current = {cn}
+            current = [triple[0]]
         for step in node.steps:
             current = self._eval_step_from_set(step, current)
         return current
@@ -317,87 +441,69 @@ class MinContextEvaluator:
     # eval_inner_locpath (Section 6)
     # ------------------------------------------------------------------
 
-    def eval_inner_locpath(self, expr: Expr, X: set[Node]) -> dict[Node, set[Node]]:
+    def eval_inner_locpath(self, expr: Expr, X: list[int]) -> dict[int, list[int]]:
         """Evaluate an inner location path as the relation
         ``table(N) ⊆ dom × 2^dom`` (context node → reachable set)."""
         stats.count("inner_path_evaluations")
         if isinstance(expr, Union):
             left = self.eval_inner_locpath(expr.left, X)
             right = self.eval_inner_locpath(expr.right, X)
-            return {x: left.get(x, set()) | right.get(x, set()) for x in X}
+            return {x: merge_union(left[x], right[x]) for x in X}
         if isinstance(expr, ConstantNodeSet):
-            return {x: set(expr.nodes) for x in X}
+            return dict.fromkeys(X, self._constant_pres(expr))
         if not isinstance(expr, Path):
             raise EvaluationError(f"not an inner location path: {expr!r}")
         if expr.absolute:
-            root = self.document.root
-            mapping: dict[Node, set[Node]] = {root: {root}}
-            mapping = self._compose_steps(expr.steps, mapping)
-            reachable = mapping.get(root, set())
-            return {x: set(reachable) for x in X}
+            # One row per context node, all sharing the one reachable set.
+            reachable = self._compose_steps(expr.steps, {0: [0]})[0]
+            return dict.fromkeys(X, reachable)
         if expr.primary is not None:
             self.eval_by_cnode_only(expr.primary, X)
             mapping = {}
             for x in X:
-                selected = set(self._lookup(expr.primary, x))
+                selected = self._lookup(expr.primary, x)
                 for predicate in expr.primary_predicates:
                     selected = self._filter_document_order(selected, predicate)
                 mapping[x] = selected
             return self._compose_steps(expr.steps, mapping)
-        return self._compose_steps(expr.steps, {x: {x} for x in X})
+        return self._compose_steps(expr.steps, {x: [x] for x in X})
 
     def _compose_steps(
-        self, steps: list[Step], mapping: dict[Node, set[Node]]
-    ) -> dict[Node, set[Node]]:
+        self, steps: list[Step], mapping: dict[int, list[int]]
+    ) -> dict[int, list[int]]:
         """``π1/π2`` composition: thread the origin→reachable relation
         through each step's per-origin relation."""
         for step in steps:
-            origins: set[Node] = set()
-            for reachable in mapping.values():
-                origins.update(reachable)
+            origins = sorted(set().union(*mapping.values()))
             relation = self._inner_step_relation(step, origins)
-            mapping = {
-                x: set().union(*(relation[y] for y in reachable)) if reachable else set()
-                for x, reachable in mapping.items()
-            }
-            stats.count(
-                "mincontext_relation_cells", sum(len(v) for v in mapping.values())
-            )
+            composed = {}
+            cells = 0
+            for x, reachable in mapping.items():
+                targets = composed[x] = sorted(
+                    set().union(*(relation[y] for y in reachable if y in relation))
+                )
+                cells += len(targets)
+            mapping = composed
+            stats.count("mincontext_relation_cells", cells)
         return mapping
 
-    def _inner_step_relation(self, step: Step, X: set[Node]) -> dict[Node, set[Node]]:
+    def _inner_step_relation(self, step: Step, X: list[int]) -> dict[int, list[int]]:
         """Per-origin step results (the pseudo-code's
-        ``χ::t[e1]...[eq]`` case of eval_inner_locpath)."""
-        Y = step_candidate_set(self.document, step.axis, X, step.node_test)
+        ``χ::t[e1]...[eq]`` case of eval_inner_locpath); origins that
+        reach nothing have no entry."""
+        document = self.document
+        Y = step_candidate_pres(document, step.axis, X, step.node_test)
         for predicate in step.predicates:
             self.eval_by_cnode_only(predicate, Y)
-        if all(not (_CPCS & p.relev) for p in step.predicates):
-            passing = set()
-            for y in Y:
-                stats.count("mincontext_contexts_evaluated")
-                if all(
-                    self.eval_single_context(p, (y, WILDCARD, WILDCARD))
-                    for p in step.predicates
-                ):
-                    passing.add(y)
-            return {
-                x: {
-                    z
-                    for z in step_candidates(self.document, step.axis, x, step.node_test)
-                    if z in passing
-                }
-                for x in X
-            }
-        relation: dict[Node, set[Node]] = {}
-        for x in X:
-            candidates = step_candidates(self.document, step.axis, x, step.node_test)
-            for predicate in step.predicates:
-                size = len(candidates)
-                survivors = []
-                for position, z in enumerate(candidates, start=1):
-                    stats.count("mincontext_contexts_evaluated")
-                    if self.eval_single_context(predicate, (z, position, size)):
-                        survivors.append(z)
-                candidates = survivors
-            relation[x] = set(candidates)
+        if position_free(step):
+            passing = self.filter_by_cnode(step.predicates, Y)
+            return step_relation_pres(document, step.axis, X, passing, step.node_test)
+        relation = step_relation_pres(document, step.axis, X, Y, step.node_test)
+        for x, candidates in relation.items():
+            relation[x] = self.filter_by_position(step.predicates, candidates)
         return relation
+
+
+def position_free(step: Step) -> bool:
+    """No predicate of the step reads the context position or size."""
+    return all(_CPCS.isdisjoint(predicate.relev) for predicate in step.predicates)

@@ -38,6 +38,7 @@ Example::
 
 from __future__ import annotations
 
+from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.errors import ReproError
@@ -177,16 +178,17 @@ class XPathEngine:
         if use_bottomup:
             for node in _find(compiled.ast):
                 eval_bottomup_path(evaluator, node)
-        evaluator.eval_by_cnode_only(compiled.ast, set(context_nodes))
-        result: dict[Node, object] = {}
-        for context_node in context_nodes:
-            value = evaluator.eval_single_context(
-                compiled.ast, (context_node, 1, 1)
+        evaluator.eval_by_cnode_only(
+            compiled.ast, sorted({node.pre for node in context_nodes})
+        )
+        return {
+            context_node: box_value(
+                self.document,
+                evaluator.eval_single_context(compiled.ast, (context_node.pre, 1, 1)),
+                compiled.result_type,
             )
-            if compiled.result_type == "nset":
-                value = self.document.in_document_order(value)
-            result[context_node] = value
-        return result
+            for context_node in context_nodes
+        }
 
     def select(self, query: str | CompiledPlan, **kwargs) -> list[Node]:
         """Like :meth:`evaluate`, but asserts a node-set result."""

@@ -658,6 +658,12 @@ class ServeStats:
 _active: list[Stats] = []
 
 
+def collecting() -> bool:
+    """Whether any collector is active — lets a caller skip work whose
+    only purpose is to feed the counters (e.g. weighing table rows)."""
+    return bool(_active)
+
+
 def count(name: str, amount: int = 1) -> None:
     """Bump a counter on every active collector."""
     if _active:

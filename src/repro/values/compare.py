@@ -16,16 +16,30 @@ numbers; the paper's Figure 1 abbreviates this case as a string
 comparison. We follow the W3C rule (the paper itself defers to [18] for
 precise semantics, and none of the paper's examples exercise the
 difference).
+
+Node-set operands are read through two *member accessors*: ``strval``
+(member → string value) and ``numval`` (member → ``to_number`` of it).
+The defaults read boxed :class:`~repro.xml.document.Node` members; the
+pre-plane evaluators pass a document's per-pre accessors
+(:meth:`~repro.xml.document.Document.string_value_of_pre` /
+:meth:`~repro.xml.document.Document.number_value_of_pre`) and hand in
+node sets as pre ints — one comparison semantics for both planes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from operator import attrgetter
 
 from repro.values.coerce import to_boolean, to_number_value
 from repro.values.numbers import to_number
-from repro.xml.document import Node
+
+_node_strval = attrgetter("string_value")
+
+
+def _node_numval(node) -> float:
+    return to_number(node.string_value)
+
 
 EQUALITY_OPS = ("=", "!=")
 RELATIONAL_OPS = ("<", "<=", ">", ">=")
@@ -60,14 +74,6 @@ def _scalar_compare(op: str, left: float | str, right: float | str) -> bool:
     raise ValueError(f"unknown comparison operator: {op}")
 
 
-def _string_values(nodes: Iterable[Node]) -> list[str]:
-    return [node.string_value for node in nodes]
-
-
-def _numeric_values(nodes: Iterable[Node]) -> list[float]:
-    return [to_number(node.string_value) for node in nodes]
-
-
 def _exists_numeric(op: str, values: list[float], bound: float) -> bool:
     """∃ v ∈ values : v op bound — via extremum instead of scanning pairs."""
     if math.isnan(bound):
@@ -90,22 +96,20 @@ def _exists_numeric(op: str, values: list[float], bound: float) -> bool:
     raise ValueError(f"unknown comparison operator: {op}")
 
 
-def _nset_vs_nset(op: str, left: Iterable[Node], right: Iterable[Node]) -> bool:
-    left_nodes = list(left)
-    right_nodes = list(right)
-    if not left_nodes or not right_nodes:
+def _nset_vs_nset(op: str, left, right, strval, numval) -> bool:
+    if not left or not right:
         return False
     if op == "=":
-        return not set(_string_values(left_nodes)).isdisjoint(_string_values(right_nodes))
+        return not set(map(strval, left)).isdisjoint(map(strval, right))
     if op == "!=":
-        left_distinct = set(_string_values(left_nodes))
-        right_distinct = set(_string_values(right_nodes))
+        left_distinct = set(map(strval, left))
+        right_distinct = set(map(strval, right))
         if len(left_distinct) > 1 or len(right_distinct) > 1:
             return True
         return next(iter(left_distinct)) != next(iter(right_distinct))
     # Relational: ∃ pair of numeric string values ⇔ extrema comparison.
-    left_numbers = [v for v in _numeric_values(left_nodes) if not math.isnan(v)]
-    right_numbers = [v for v in _numeric_values(right_nodes) if not math.isnan(v)]
+    left_numbers = [v for v in map(numval, left) if not math.isnan(v)]
+    right_numbers = [v for v in map(numval, right) if not math.isnan(v)]
     if not left_numbers or not right_numbers:
         return False
     if op == "<":
@@ -119,43 +123,51 @@ def _nset_vs_nset(op: str, left: Iterable[Node], right: Iterable[Node]) -> bool:
     raise ValueError(f"unknown comparison operator: {op}")
 
 
-def _nset_vs_scalar(op: str, nodes: Iterable[Node], value, value_type: str) -> bool:
-    node_list = list(nodes)
+def _nset_vs_scalar(op: str, members, value, value_type: str, strval, numval) -> bool:
     if value_type == "bool":
         # Boolean comparisons go through boolean(nset) even for the empty
         # set (false = false is true); the existential reading below only
         # applies to numbers and strings.
-        left = to_boolean(node_list, "nset")
-        return _scalar_compare(op, float(left), float(value))
-    if not node_list:
+        return _scalar_compare(op, float(to_boolean(members, "nset")), float(value))
+    if not members:
         return False
     if value_type == "num":
-        return _exists_numeric(op, _numeric_values(node_list), value)
+        return _exists_numeric(op, list(map(numval, members)), value)
     if value_type == "str":
-        if op in EQUALITY_OPS:
-            strings = set(_string_values(node_list))
-            if op == "=":
-                return value in strings
-            return any(s != value for s in strings)
+        if op == "=":
+            return value in map(strval, members)
+        if op == "!=":
+            return any(s != value for s in map(strval, members))
         # W3C: relational against a string converts both sides to number.
-        return _exists_numeric(op, _numeric_values(node_list), to_number(value))
+        return _exists_numeric(op, list(map(numval, members)), to_number(value))
     raise ValueError(f"unknown XPath type: {value_type}")
 
 
-def compare_values(op: str, left, left_type: str, right, right_type: str) -> bool:
+def compare_values(
+    op: str,
+    left,
+    left_type: str,
+    right,
+    right_type: str,
+    strval=_node_strval,
+    numval=_node_numval,
+) -> bool:
     """Full XPath 1.0 comparison dispatch (§3.4 / the paper's Figure 1).
 
     Args:
         op: one of ``= != < <= > >=``.
-        left, right: runtime values.
+        left, right: runtime values; node sets are sized collections of
+            members (boxed nodes by default).
         left_type, right_type: static type tags (``nset num str bool``).
+        strval, numval: member accessors for node-set operands (see the
+            module docstring).
     """
     if left_type == "nset" and right_type == "nset":
-        return _nset_vs_nset(op, left, right)
+        return _nset_vs_nset(op, left, right, strval, numval)
     if left_type == "nset":
-        return _nset_vs_scalar(op, left, right, right_type)
+        return _nset_vs_scalar(op, left, right, right_type, strval, numval)
     if right_type == "nset":
-        return _nset_vs_scalar(_FLIPPED[op], right, left, left_type)
+        return _nset_vs_scalar(_FLIPPED[op], right, left, left_type, strval, numval)
     # Neither side is a node-set.
     if op in EQUALITY_OPS:
         if left_type == "bool" or right_type == "bool":

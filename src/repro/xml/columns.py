@@ -4,19 +4,23 @@ A :class:`ColumnDocument` is a finalized document whose *only* storage is
 the flat snapshot columns — one kind-code byte, four signed-8-byte ints
 (``parent_pre`` / ``size`` / ``post`` / ``depth``), and the two string
 columns per node. No :class:`~repro.xml.document.Node` objects exist
-after decode: the fused axis kernels (:mod:`repro.axes.axes`) and the
-Core XPath evaluator thread sorted pre arrays end-to-end, and a boxed
-``Node`` is materialized **on demand, per pre, memoized** only when a
-caller actually touches one — a result node, or a non-columnar full-XPath
-residual (``id()`` token maps, serialization). Everything predicates need
-is answered straight from the columns:
+after decode: the fused axis kernels (:mod:`repro.axes.axes`), the Core
+XPath evaluator and the context-value-table evaluators (MINCONTEXT /
+OPTMINCONTEXT) thread sorted pre arrays end-to-end, and a boxed ``Node``
+is materialized **on demand, per pre, memoized** only when a caller
+actually touches one — a result node, a non-columnar residual (the
+``id`` axis, ``name()``/``lang()``/``id()`` calls, serialization), or
+one of the reference evaluators. Everything
+predicates need is answered straight from the columns:
 
 * **name/kind tests** — already columnar via the
   :class:`~repro.xml.index.NodeIndex` partitions;
 * **string values** — :meth:`ColumnDocument.string_value_of_pre` cuts the
   subtree's text out of a memoized per-document *text prefix structure*
   (sorted text-node pres + cumulative offsets into one joined string), an
-  ``O(log #texts)`` bisect per call instead of a subtree walk;
+  ``O(log #texts)`` bisect per call instead of a subtree walk; its
+  ``to_number`` is memoized per pre
+  (:meth:`~repro.xml.document.Document.number_value_of_pre`);
 * **attribute lookup** — the snapshot validator's attribute-contiguity
   invariant (attribute ``i`` of element ``e`` sits at
   ``e + seen_attrs + 1``) makes the attribute run of an element a closed
@@ -262,6 +266,7 @@ class ColumnDocument(Document):
         self._finalized = True
         self._id_map = None
         self._id_tokens = None
+        self._number_column = None
         self._index = None
         self._cache: list[Node | None] = [None] * len(columns)
         self._materialize_lock = threading.Lock()

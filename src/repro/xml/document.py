@@ -281,6 +281,7 @@ class Document:
         self._finalized = False
         self._id_map: dict[str, Node] | None = None
         self._id_tokens: list[tuple[Node, frozenset[str]]] | None = None
+        self._number_column: list[float | None] | None = None
 
     # ------------------------------------------------------------------
     # Construction and finalization
@@ -413,6 +414,32 @@ class Document:
                 (node, frozenset(node.string_value.split())) for node in self.nodes
             ]
         return self._id_tokens
+
+    # ------------------------------------------------------------------
+    # Per-pre value accessors (what the pre-plane evaluators read)
+    # ------------------------------------------------------------------
+
+    def string_value_of_pre(self, pre: int) -> str:
+        """``strval`` of the node with pre number ``pre`` — here the
+        node's cached :attr:`Node.string_value`; a column document
+        answers from its columns without boxing the node."""
+        return self.nodes[pre].string_value
+
+    def number_value_of_pre(self, pre: int) -> float:
+        """``to_number(strval(pre))``, memoized per document: the regex
+        runs once per node, not once per comparison. The column is
+        filled idempotently, so racing evaluations are benign (a lost
+        race recomputes the same float)."""
+        column = self._number_column
+        if column is None:
+            column = self._number_column = [None] * len(self.nodes)
+        value = column[pre]
+        if value is None:
+            # Deferred: repro.values sits above repro.xml.
+            from repro.values.numbers import to_number
+
+            value = column[pre] = to_number(self.string_value_of_pre(pre))
+        return value
 
     def in_document_order(self, nodes) -> list[Node]:
         """Sort an iterable of nodes into document order."""

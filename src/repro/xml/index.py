@@ -26,7 +26,7 @@ arrays** (document order for free, set algebra by linear merges —
 :func:`merge_union` / :func:`merge_intersection` /
 :func:`merge_difference`). The dispatch between these kernels and the
 paper-bounded scans lives in :mod:`repro.axes.axes`
-(:func:`~repro.axes.axes.fused_axis_set`); this module only provides the
+(:func:`~repro.axes.axes.axis_test_pres`); this module only provides the
 machinery.
 
 Since the flat-column rewrite the columns are **packed**: ``size`` /

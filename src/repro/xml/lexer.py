@@ -62,6 +62,10 @@ class XMLLexer:
         self.source = source
         self.pos = 0
         self.length = len(source)
+        # Line bookkeeping of the latest token start (see _token_location).
+        self._mark = 0
+        self._line = 1
+        self._last_newline = -1
 
     # ------------------------------------------------------------------
     # Position/diagnostics helpers
@@ -73,6 +77,17 @@ class XMLLexer:
         last_newline = self.source.rfind("\n", 0, pos)
         column = pos - last_newline
         return line, column
+
+    def _token_location(self, start: int) -> tuple[int, int]:
+        """:meth:`_location` of a token start, counted on from the
+        previous token start (they only move forward): lexing stays
+        linear, where a full-prefix scan per token made it quadratic."""
+        newlines = self.source.count("\n", self._mark, start)
+        if newlines:
+            self._line += newlines
+            self._last_newline = self.source.rfind("\n", self._mark, start)
+        self._mark = start
+        return self._line, start - self._last_newline
 
     def _error(self, message: str, pos: int | None = None) -> XMLSyntaxError:
         line, column = self._location(pos)
@@ -103,12 +118,12 @@ class XMLLexer:
         self.pos = end
         if "]]>" in raw:
             raise self._error("']]>' is not allowed in character data", start)
-        line, column = self._location(start)
+        line, column = self._token_location(start)
         return XMLToken(XMLTokenType.TEXT, self._expand_references(raw, start), line=line, column=column)
 
     def _lex_markup(self) -> XMLToken:
         start = self.pos
-        line, column = self._location(start)
+        line, column = self._token_location(start)
         if self.source.startswith("<!--", self.pos):
             return self._lex_comment(line, column)
         if self.source.startswith("<![CDATA[", self.pos):

@@ -4,6 +4,7 @@ including regressions for the two documented soundness fixes."""
 import pytest
 
 from repro.core.bottomup_paths import eval_bottomup_path, propagate_path_backwards
+from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.engine import XPathEngine
@@ -21,9 +22,12 @@ def analyzed(query):
 
 
 def propagate(doc, path_query, targets):
+    """Backward propagation with boxed nodes in and out (the evaluator
+    itself works on sorted pre lists)."""
     path = analyzed(path_query)
     mc = MinContextEvaluator(doc)
-    return propagate_path_backwards(mc, path, targets)
+    result = propagate_path_backwards(mc, path, sorted(node.pre for node in targets))
+    return set(box_value(doc, result, "nset"))
 
 
 def ids(nodes):
@@ -122,7 +126,7 @@ def test_boolean_path_table(doc):
     (node,) = find_bottomup_paths(ast)
     eval_bottomup_path(mc, node)
     assert node.uid in mc.precomputed
-    rows = mc.tables[node.uid]
+    rows = mc.boxed_table(node)
     true_ids = {k[0].xml_id for k, v in rows.items() if v and k[0].is_element}
     assert true_ids == {"r"}
     # Idempotent: re-running does not recompute (precomputed check).

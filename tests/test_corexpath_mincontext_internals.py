@@ -89,7 +89,7 @@ def test_tables_project_to_relevant_context(doc):
     predicate = ast.steps[1].predicates[0]
     left = predicate.left  # b = 'x' — cn only
     assert left.uid in mc.tables
-    for key in mc.tables[left.uid]:
+    for key in mc.boxed_table(left):
         assert len(key) == 1  # projected to (cn,)
     # The or-node depends on cp: no table.
     assert predicate.uid not in mc.tables
@@ -102,7 +102,7 @@ def test_wildcard_context_for_context_free_subexpressions(doc):
     assert value == 3.0
     # count(//b) is keyed by cn per the paper's Path rule; the literal by ().
     literal = ast.right
-    assert mc.tables[literal.uid] == {(): 1.0}
+    assert mc.boxed_table(literal) == {(): 1.0}
 
 
 def test_eval_single_context_requires_prepared_tables(doc):
@@ -110,14 +110,14 @@ def test_eval_single_context_requires_prepared_tables(doc):
     mc = MinContextEvaluator(doc)
     predicate = ast.steps[1].predicates[0]
     with pytest.raises(EvaluationError):
-        mc.eval_single_context(predicate, (doc.root, WILDCARD, WILDCARD))
+        mc.eval_single_context(predicate, (doc.root.pre, WILDCARD, WILDCARD))
 
 
 def test_eval_single_context_wildcard_position_guard(doc):
     ast = analyzed("position()")
     mc = MinContextEvaluator(doc)
     with pytest.raises(EvaluationError):
-        mc.eval_single_context(ast, (doc.root, WILDCARD, WILDCARD))
+        mc.eval_single_context(ast, (doc.root.pre, WILDCARD, WILDCARD))
 
 
 def test_union_inner_table(doc):
@@ -161,7 +161,9 @@ def test_outermost_vs_inner_path_results_match(doc):
     must agree on the reachable nodes."""
     ast = analyzed("//a/b")
     mc = MinContextEvaluator(doc)
-    outer = mc.eval_outermost_locpath(ast, {doc.root}, Context(doc.root))
+    root = doc.root.pre
+    outer = mc.eval_outermost_locpath(ast, [root], (root, 1, 1))
     mc2 = MinContextEvaluator(doc)
-    inner = mc2.eval_inner_locpath(ast, {doc.root})
-    assert outer == inner[doc.root]
+    inner = mc2.eval_inner_locpath(ast, [root])
+    assert outer == inner[root]
+    assert ids(doc.nodes[pre] for pre in outer) == ["b1", "b2"]

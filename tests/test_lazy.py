@@ -17,7 +17,7 @@ seeds, so every case is reproducible.
 import random
 
 from repro import stats
-from repro.axes.axes import axis_test_pres, kernel_mode_forced
+from repro.axes.axes import KERNEL_MODES, axis_test_pres, kernel_mode_forced
 from repro.engine import XPathEngine
 from repro.service import QueryService, ShardedExecutor
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
@@ -120,6 +120,29 @@ def test_selective_query_materializes_output_only():
     # O(output): the result nodes plus the query's context node.
     assert materialized <= len(result) + 1
 
+    # The table evaluators run on the pre plane too: with the context
+    # node (the root) already boxed, a scalar query boxes nothing and a
+    # node-set query boxes exactly its result.
+    for algorithm in ("mincontext", "optmincontext"):
+        for query, boxed_results in (
+            ("count(//chapter)", False),
+            ("count(//book[@lang='de'])", False),
+            ("sum(//book[position() <= 10]/price)", False),
+            ("//book[price > 50]/title", True),
+        ):
+            document = _lazy_twin(book_catalog(books=24, chapters_per_book=4))
+            engine = XPathEngine(document)
+            compiled = engine.compile(query)
+            assert document.root.pre == 0 and document.materialized_count() == 1
+            before = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+            with kernel_mode_forced("auto"):
+                result = engine.evaluate(compiled, algorithm=algorithm)
+            after = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+            assert result if boxed_results else result > 0, (algorithm, query)
+            expected = len(result) if boxed_results else 0
+            assert after - before == expected, (algorithm, query)
+            assert document.materialized_count() == 1 + expected, (algorithm, query)
+
 
 # ----------------------------------------------------------------------
 # lazy ≡ eager over the fuzz corpus — algorithms × kernel modes
@@ -163,25 +186,39 @@ def test_lazy_matches_eager_on_full_grammar():
 
 
 def test_lazy_matches_eager_under_every_kernel_mode():
-    """scan / auto / indexed dispatch all return identical values on the
-    lazy twin — the kernels and the Definition-1 fallbacks agree about
-    column documents exactly as they do about trees."""
-    document = _fixed_documents()[0]
-    lazy = _lazy_twin(document)
-    eager_engine = XPathEngine(document)
-    lazy_engine = XPathEngine(lazy)
-    queries = [
+    """Every dispatch mode returns identical values on the tree and on
+    its lazy twin — the kernels and the Definition-1 fallbacks agree
+    about column documents exactly as they do about trees. Core queries
+    ride the Core evaluator; the same queries plus a full-grammar corpus
+    (position()/last(), count(), id(), unions) ride the forced table
+    evaluators, which share its pre plane, against the ``topdown``
+    oracle."""
+    core_queries = [
         "/descendant::b",
         "/descendant::c[child::b]/child::b",
         "/descendant::b[not(following::c)]",
         "/descendant::*[not(child::*)]/parent::*",
     ]
-    for mode in ("scan", "auto", "indexed"):
-        with kernel_mode_forced(mode):
-            for query in queries:
-                expected = _canon(eager_engine.evaluate(query, algorithm="corexpath"))
-                got = _canon(lazy_engine.evaluate(query, algorithm="corexpath"))
-                assert got == expected, (mode, query)
+    rng = random.Random(SEED + 4)
+    full_queries = core_queries + [random_full_query(rng) for _ in range(12)]
+    cases = [(query, "corexpath") for query in core_queries] + [
+        (query, algorithm)
+        for query in full_queries
+        for algorithm in ("mincontext", "optmincontext")
+    ]
+    for document in _fixed_documents():
+        eager_engine = XPathEngine(document)
+        lazy_engine = XPathEngine(_lazy_twin(document))
+        oracle = {
+            query: _canon(eager_engine.evaluate(query, algorithm="topdown"))
+            for query in full_queries
+        }
+        for mode in KERNEL_MODES:
+            with kernel_mode_forced(mode):
+                for query, algorithm in cases:
+                    for engine in (eager_engine, lazy_engine):
+                        got = _canon(engine.evaluate(query, algorithm=algorithm))
+                        assert got == oracle[query], (mode, query, algorithm)
 
 
 # ----------------------------------------------------------------------

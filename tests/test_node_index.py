@@ -264,7 +264,7 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
                 X = list(dict.fromkeys(X))
                 pres = sorted(x.pre for x in X)
                 for axis in sorted(ALL_AXES):
-                    for test in (NodeTest("node"), NodeTest("name", "b")):
+                    for test in _TESTS:
                         # following returns a zero-copy partition view —
                         # normalize through list() like any partition.
                         out = list(axis_test_pres(document, axis, pres, test))
@@ -278,6 +278,37 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
                         mode,
                         axis,
                     )
+
+
+def test_step_relation_pres_matches_per_origin_enumeration():
+    """The per-origin relation the table evaluators cut from the columns
+    — ``x ↦ χ({x}) ∩ pool`` in proximity order, for all origins at once —
+    equals the boxed one-origin-at-a-time enumeration the reference
+    evaluators rank: on every axis (``id`` included), for the full
+    candidate pool and for a thinned one (a predicate-passing subset)."""
+    from repro.core.common import step_candidate_pres, step_candidates, step_relation_pres
+
+    rng = random.Random(SEED + 5)
+    cells = 0
+    for document in _corpus() + [running_example_document()]:
+        for X in _context_sets(document, rng):
+            origins = sorted({x.pre for x in X})
+            for axis in sorted(ALL_AXES):
+                for test in _TESTS:
+                    full = step_candidate_pres(document, axis, origins, test)
+                    for pool in (full, full[::2]):
+                        relation = step_relation_pres(document, axis, origins, pool, test)
+                        assert all(relation.values()), "sparse: no empty rows"
+                        kept = set(pool)
+                        for x in X:
+                            expected = [
+                                y.pre
+                                for y in step_candidates(document, axis, x, test)
+                                if y.pre in kept
+                            ]
+                            assert relation.get(x.pre, []) == expected, (axis, test.kind)
+                            cells += 1
+    assert cells > 0
 
 
 def test_id_pseudo_axis_kernels_match_scan():

@@ -14,6 +14,7 @@
 import pytest
 
 from repro.core.bottomup_paths import eval_bottomup_path, propagate_path_backwards
+from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
@@ -203,17 +204,17 @@ def test_figure5_reduced_tables(doc):
     n8, n9 = n5.left, n5.right
 
     # Figure 5's N5 table, with the x24 typo corrected: true at x14, x24.
-    n5_rows = mc.tables[n5.uid]
+    n5_rows = mc.boxed_table(n5)
     assert {key[0].xml_id: value for key, value in n5_rows.items()} == {
         "11": False, "12": False, "13": False, "14": True,
         "21": False, "22": False, "23": False, "24": True,
     }
     # Figure 5's N8 table: self::* maps every candidate to itself.
-    n8_rows = mc.tables[n8.uid]
+    n8_rows = mc.boxed_table(n8)
     for key, value in n8_rows.items():
         assert value == {key[0]}
     # Figure 5's N9 table: the constant 100, one row.
-    assert mc.tables[n9.uid] == {(): 100.0}
+    assert mc.boxed_table(n9) == {(): 100.0}
     # No tables for position/size-dependent nodes (the cp/cs loop).
     assert predicate.uid not in mc.tables
     assert n4.uid not in mc.tables
@@ -228,10 +229,12 @@ def test_example4_outermost_sets(doc):
     ast = normalize(parse_xpath(QUERY_E))
     compute_relevance(ast)
     mc = MinContextEvaluator(doc)
-    first = mc._eval_step_from_set(ast.steps[0], {doc.root})
-    assert ids(first) == ["10", "11", "12", "13", "14", "21", "22", "23", "24"]
+    first = mc._eval_step_from_set(ast.steps[0], [doc.root.pre])
+    assert ids(box_value(doc, first, "nset")) == [
+        "10", "11", "12", "13", "14", "21", "22", "23", "24",
+    ]
     second = mc._eval_step_from_set(ast.steps[1], first)
-    assert ids(second) == ["13", "14", "21", "22", "23", "24"]
+    assert ids(box_value(doc, second, "nset")) == ["13", "14", "21", "22", "23", "24"]
 
 
 # --- EXP-E5: the (cp, cs) loop ---------------------------------------------------------
@@ -271,7 +274,7 @@ def test_example9_rho_bottomup_table(doc):
     paths = find_bottomup_paths(ast)
     rho_comparison = paths[0]
     eval_bottomup_path(mc, rho_comparison)
-    rows = mc.tables[rho_comparison.uid]
+    rows = mc.boxed_table(rho_comparison)
     true_nodes = {key[0].xml_id for key, value in rows.items() if value}
     assert true_nodes == {"23", "24"}
 
@@ -284,9 +287,9 @@ def test_example9_rho_propagation_steps(doc):
     rho = find_bottomup_paths(ast)[0]
     # Locate the path side of ρ = 100.
     path = rho.left if hasattr(rho.left, "steps") else rho.right
-    initial = {x(doc, 14), x(doc, 24)}
+    initial = sorted(node.pre for node in (x(doc, 14), x(doc, 24)))
     result = propagate_path_backwards(mc, path, initial)
-    assert ids(result) == ["23", "24"]
+    assert ids(box_value(doc, result, "nset")) == ["23", "24"]
 
 
 def test_example9_pi_boolean_table(doc):
@@ -301,7 +304,7 @@ def test_example9_pi_boolean_table(doc):
     for node in find_bottomup_paths(ast):
         eval_bottomup_path(mc, node)
     boolean_pi = find_bottomup_paths(ast)[1]
-    rows = mc.tables[boolean_pi.uid]
+    rows = mc.boxed_table(boolean_pi)
     # The table covers all of dom (text nodes included); the paper's X is
     # its restriction to the elements.
     true_elements = {

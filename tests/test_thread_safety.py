@@ -412,3 +412,47 @@ def test_plan_cache_iteration_is_safe_during_mutation():
         stop.set()
         monitor.join()
     assert len(cache) == 8
+
+
+def test_number_column_fills_idempotently_under_contention():
+    """The per-document ``to_number`` memo the pre-plane evaluators read
+    is filled without a lock: threads racing over a fresh document (eager
+    and lazy) may recompute a value, never see a wrong one. 16 threads on
+    a shortened switch interval all get the sequential answers, and the
+    settled column equals ``to_number`` of every string value."""
+    import sys
+
+    from repro.values.numbers import to_number
+    from repro.xml.snapshot import decode_snapshot, encode_snapshot
+
+    queries = [
+        "sum(//price) + sum(//pages)",
+        "count(//book[price > 40]) + count(//chapter[pages < 25])",
+        "sum(//book[@year >= 2000]/chapter[pages > 15]/pages)",
+    ]
+    reference = XPathEngine(book_catalog(books=30))
+    expected = [reference.evaluate(q, algorithm="topdown") for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for fresh in (
+            book_catalog(books=30),
+            decode_snapshot(encode_snapshot(book_catalog(books=30)), lazy=True),
+        ):
+            engine = XPathEngine(fresh)
+            plans = [engine.compile(q) for q in queries]
+
+            def worker(index):
+                for round_ in range(6):
+                    pick = (index + round_) % len(plans)
+                    algorithm = ("mincontext", "optmincontext")[round_ % 2]
+                    got = engine.evaluate(plans[pick], algorithm=algorithm)
+                    assert got == expected[pick], (queries[pick], algorithm)
+
+            _hammer(worker, threads=16)
+            for pre in range(len(fresh.nodes)):
+                memo = fresh.number_value_of_pre(pre)
+                value = to_number(fresh.string_value_of_pre(pre))
+                assert memo == value or (memo != memo and value != value), pre
+    finally:
+        sys.setswitchinterval(interval)

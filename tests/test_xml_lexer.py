@@ -143,3 +143,33 @@ def test_error_carries_line_and_column():
 def test_names_with_colons_dots_dashes():
     (token,) = tokenize("<ns:tag-name.x/>")
     assert token.value == "ns:tag-name.x"
+
+
+def test_token_locations_cost_no_full_prefix_scans(monkeypatch):
+    """Regression: ``_location`` (a newline count over the whole prefix)
+    ran once per token, making lexing quadratic. Token starts are now
+    located incrementally: on a well-formed ~30k-node catalog the
+    full-prefix scan never runs, and every token carries exactly the
+    line/column the full scan reports."""
+    from repro.workloads.documents import book_catalog
+    from repro.xml.lexer import XMLLexer
+    from repro.xml.serializer import serialize
+
+    def multiline(books):
+        return serialize(book_catalog(books=books)).replace("><", ">\n  <")
+
+    full_scan = XMLLexer._location
+    calls = []
+
+    def spy(self, pos=None):
+        calls.append(pos)
+        return full_scan(self, pos)
+
+    monkeypatch.setattr(XMLLexer, "_location", spy)
+    assert len(XMLLexer(multiline(850)).tokens()) > 30_000
+    assert calls == []
+
+    incremental = XMLLexer(multiline(40)).tokens()
+    monkeypatch.setattr(XMLLexer, "_token_location", full_scan)
+    assert incremental == XMLLexer(multiline(40)).tokens()
+    assert incremental[-1].line > 500
