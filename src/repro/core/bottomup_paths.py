@@ -89,12 +89,11 @@ def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
             # Only nodes passing the last step's node test can survive
             # the first inverse step, so only they are compared.
             initial = [y for y in _tested(mc, dom, path.steps[-1]) if admissible(y)]
-            if not initial:
-                # No admissible target passes the test. One admissible
-                # witness that fails it (if any exists) stands in for
-                # them all: the propagation dies in its first step,
-                # exactly as it would from the whole admissible set.
-                initial = next(([y] for y in dom if admissible(y)), [])
+            if not initial and stats.collecting() and any(map(admissible, dom)):
+                # The printed procedure starts from every admissible node
+                # and loses them all to the first inverse step's node
+                # test: that step ran, so it is counted.
+                stats.count("bottomup_propagation_steps")
             start_nodes = propagate_path_backwards(mc, path, initial)
     else:
         raise EvaluationError(f"not a bottom-up-eligible node: {node!r}")

@@ -30,6 +30,7 @@ from repro import stats
 from repro.axes.axes import axis_test_nodes, axis_test_pres, matches_node_test
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
+from repro.values.coerce import node_numval, node_strval
 from repro.values.compare import compare_values
 from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document, Node
@@ -45,7 +46,7 @@ __all__ = [
     "step_relation_pres",
 ]
 
-COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+_COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 
 def step_candidates(document: Document, axis: str, node: Node, test: NodeTest) -> list[Node]:
@@ -214,6 +215,8 @@ def apply_operator(
     expr: Expr,
     values: list,
     context_node: Node | None = None,
+    strval=node_strval,
+    numval=node_numval,
 ):
     """Apply the operator at ``expr`` to its children's values.
 
@@ -221,24 +224,27 @@ def apply_operator(
     comparisons (dispatched on the children's *static* types, as Figure
     1's typed signatures do), boolean connectives, unary minus, and core
     library calls. ``position``/``last`` are context accessors and must
-    be handled by the caller, never passed here.
+    be handled by the caller, never passed here. ``strval`` / ``numval``
+    are the member accessors for node-set operands
+    (:mod:`repro.values.coerce`): boxed nodes unless the caller works on
+    pre numbers.
     """
     stats.count("operator_applications")
-    if isinstance(expr, Negate):
-        return -values[0]
     if isinstance(expr, BinaryOp):
-        if expr.op == "and":
-            return values[0] and values[1]
-        if expr.op == "or":
-            return values[0] or values[1]
-        if expr.op in COMPARISON_OPS:
+        if expr.op in _COMPARISON_OPS:
             return compare_values(
                 expr.op,
                 values[0],
                 expr.left.value_type,
                 values[1],
                 expr.right.value_type,
+                strval,
+                numval,
             )
+        if expr.op == "and":
+            return values[0] and values[1]
+        if expr.op == "or":
+            return values[0] or values[1]
         left, right = values
         if expr.op == "+":
             return left + right
@@ -253,10 +259,12 @@ def apply_operator(
         if expr.op == "mod":
             return xpath_modulo(left, right)
         raise EvaluationError(f"unknown operator {expr.op!r}")
+    if isinstance(expr, Negate):
+        return -values[0]
     if isinstance(expr, FunctionCall):
         if expr.name in ("position", "last"):
             raise EvaluationError(
                 f"{expr.name}() is a context accessor and cannot be applied as a value function"
             )
-        return apply_function(document, expr.name, values, context_node)
+        return apply_function(document, expr.name, values, context_node, strval, numval)
     raise EvaluationError(f"cannot apply operator node {expr!r}")

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from repro import stats
 from repro.core.common import (
-    COMPARISON_OPS,
     apply_operator,
     box_value,
     step_candidate_pres,
@@ -76,13 +75,9 @@ from repro.core.common import (
 )
 from repro.core.context import WILDCARD, Context
 from repro.errors import EvaluationError
-from repro.functions.library import apply_function
-from repro.values.compare import compare_values
-from repro.values.numbers import NAN
 from repro.xml.document import Document
 from repro.xml.index import merge_union
 from repro.xpath.ast import (
-    BinaryOp,
     ConstantNodeSet,
     Expr,
     FunctionCall,
@@ -94,6 +89,9 @@ from repro.xpath.ast import (
 )
 
 _CPCS = frozenset({"cp", "cs"})
+
+#: Library functions that read more of a node than its string value.
+_BOXED_FUNCTIONS = frozenset({"name", "local-name", "namespace-uri", "lang", "id"})
 
 
 class MinContextEvaluator:
@@ -202,58 +200,22 @@ class MinContextEvaluator:
 
     def apply(self, node: Expr, values: list, cn):
         """Apply the operator at ``node`` to its children's values, node
-        sets being sorted pre lists. Comparisons, ``sum``, ``string`` and
-        ``number`` read their node-set operand through the per-pre
-        accessors; ``count`` and ``boolean`` need no member at all; any
-        other library function over a node set (``name``, ``local-name``,
-        ``id`` …) and ``lang`` get boxed nodes at the call. Everything
-        else is :func:`~repro.core.common.apply_operator`."""
-        if isinstance(node, BinaryOp):
-            if node.op in COMPARISON_OPS:
-                stats.count("operator_applications")
-                return compare_values(
-                    node.op,
-                    values[0],
-                    node.left.value_type,
-                    values[1],
-                    node.right.value_type,
-                    self.strval,
-                    self.numval,
-                )
-        elif isinstance(node, FunctionCall):
-            if node.name in ("lang", "id") or (
-                node.args and node.args[0].value_type == "nset"
-            ):
-                return self._apply_to_nodes(node, values, cn)
-        return apply_operator(self.document, node, values)
-
-    def _apply_to_nodes(self, node: FunctionCall, values: list, cn):
-        stats.count("operator_applications")
-        name = node.name
-        if node.args[0].value_type == "nset":
-            members = values[0]
-            if name == "count" or name == "boolean":
-                # Size and emptiness: the same on pres as on nodes.
-                return apply_function(self.document, name, values)
-            if name == "sum":
-                total = 0.0
-                for pre in members:
-                    total += self.numval(pre)
-                return total
-            if name == "string":
-                return self.strval(members[0]) if members else ""
-            if name == "number":
-                return self.numval(members[0]) if members else NAN
-        document = self.document
-        arguments = [
-            box_value(document, value, argument.value_type)
-            for value, argument in zip(values, node.args)
-        ]
-        context_node = None if cn is None else document.nodes[cn]
-        result = apply_function(document, name, arguments, context_node)
-        if node.value_type == "nset":
-            return sorted(target.pre for target in result)
-        return result
+        sets being sorted pre lists: :func:`~repro.core.common.apply_operator`
+        with this document's per-pre member accessors. Only the long tail
+        of the library (``name``, ``local-name``, ``lang``, ``id`` …)
+        needs boxed nodes, and gets them at the call."""
+        if isinstance(node, FunctionCall) and node.name in _BOXED_FUNCTIONS:
+            document = self.document
+            arguments = [
+                box_value(document, value, argument.value_type)
+                for value, argument in zip(values, node.args)
+            ]
+            context_node = None if cn is None else document.nodes[cn]
+            result = apply_operator(document, node, arguments, context_node)
+            if node.value_type == "nset":
+                return sorted(target.pre for target in result)
+            return result
+        return apply_operator(self.document, node, values, None, self.strval, self.numval)
 
     # ------------------------------------------------------------------
     # eval_outermost_locpath (Section 6)
@@ -368,7 +330,12 @@ class MinContextEvaluator:
                 self.eval_by_cnode_only(child, X)
             return
         if isinstance(node, (Path, Union)):
-            self._store(node, self.eval_inner_locpath(node, X))
+            rows = self.eval_inner_locpath(node, X)
+            if "cn" not in relev:
+                # A union of node-set constants: every context node maps
+                # to the same set, and the projection keeps one row.
+                rows = {(): value for value in rows.values()}
+            self._store(node, rows)
             return
         if isinstance(node, (NumberLiteral, StringLiteral)):
             self._store(node, {(): node.value})

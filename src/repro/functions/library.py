@@ -13,6 +13,12 @@ signatures so arity checking is uniform.
 
 ``lang()`` is the one function that needs the context *node* in addition
 to its argument; evaluators pass it via ``context_node``.
+
+``sum``, ``string`` and ``number`` read the members of a node-set
+argument through the accessors of :mod:`repro.values.coerce` (boxed nodes
+by default, pre ints on the pre plane); ``count`` and ``boolean`` never
+look at a member. The rest of the node-set functions (``name``,
+``local-name``, ``id``) and ``lang`` take boxed nodes.
 """
 
 from __future__ import annotations
@@ -21,9 +27,14 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import UnknownFunctionError, WrongArityError
-from repro.values.coerce import to_boolean, to_number_value, to_string_value
+from repro.values.coerce import (
+    node_numval,
+    node_strval,
+    to_boolean,
+    to_number_value,
+    to_string_value,
+)
 from repro.values.numbers import (
-    to_number,
     xpath_ceiling,
     xpath_floor,
     xpath_round,
@@ -141,12 +152,12 @@ def _fn_count(document: Document, args, context_node):
     return float(len(args[0]))
 
 
-def _fn_sum(document: Document, args, context_node):
+def _fn_sum(document: Document, args, context_node, strval, numval):
     # Figure 1: Σ_{n∈S} to_number(strval(n)); an unparsable value makes
     # the whole sum NaN (IEEE addition).
     total = 0.0
-    for node in args[0]:
-        total += to_number(node.string_value)
+    for member in args[0]:
+        total += numval(member)
     return total
 
 
@@ -193,10 +204,10 @@ def _fn_name(document: Document, args, context_node):
     return node.name
 
 
-def _fn_string(document: Document, args, context_node):
+def _fn_string(document: Document, args, context_node, strval, numval):
     value = args[0]
     if isinstance(value, (set, frozenset, list, tuple)):
-        return to_string_value(value, "nset")
+        return to_string_value(value, "nset", strval)
     return to_string_value(value, _scalar_type(value))
 
 
@@ -304,10 +315,10 @@ def _fn_lang(document: Document, args, context_node):
     return False
 
 
-def _fn_number(document: Document, args, context_node):
+def _fn_number(document: Document, args, context_node, strval, numval):
     value = args[0]
     if isinstance(value, (set, frozenset, list, tuple)):
-        return to_number_value(value, "nset")
+        return to_number_value(value, "nset", numval)
     return to_number_value(value, _scalar_type(value))
 
 
@@ -352,13 +363,28 @@ _IMPLEMENTATIONS = {
 }
 
 
-def apply_function(document: Document, name: str, args: list, context_node: Node | None = None):
+#: Functions that read node-set members through the accessors.
+_MEMBER_READERS = frozenset({"sum", "string", "number"})
+
+
+def apply_function(
+    document: Document,
+    name: str,
+    args: list,
+    context_node: Node | None = None,
+    strval=node_strval,
+    numval=node_numval,
+):
     """Apply ``F[[name]]`` to evaluated argument values.
 
     ``position``/``last`` are rejected here on purpose — they are context
     accessors, not value functions, and each evaluator handles them.
+    ``strval`` / ``numval`` are the member accessors for node-set
+    arguments (see the module docstring).
     """
     implementation = _IMPLEMENTATIONS.get(name)
     if implementation is None:
         raise UnknownFunctionError(name)
+    if name in _MEMBER_READERS:
+        return implementation(document, args, context_node, strval, numval)
     return implementation(document, args, context_node)

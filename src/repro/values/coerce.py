@@ -6,26 +6,41 @@ statically known, so the evaluators always have the tag at hand; passing
 it explicitly keeps the dispatch faithful to Figure 1's typed signatures
 rather than sniffing Python types (``bool`` being an ``int`` subclass
 makes sniffing error-prone anyway).
+
+A node set is a collection of *members* read through two accessors:
+``strval`` (member → string value) and ``numval`` (member →
+``to_number`` of it). The defaults read boxed
+:class:`~repro.xml.document.Node` members; the pre-plane evaluators hand
+in node sets as pre ints together with a document's per-pre accessors
+(:meth:`~repro.xml.document.Document.string_value_of_pre` /
+:meth:`~repro.xml.document.Document.number_value_of_pre`) — one
+conversion semantics for both planes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from operator import attrgetter
 
-from repro.values.numbers import number_to_string, to_number
-from repro.xml.document import Node
+from repro.values.numbers import NAN, number_to_string, to_number
 
 #: The four XPath 1.0 static types.
 TYPES = ("nset", "num", "str", "bool")
 
+node_strval = attrgetter("string_value")
 
-def _first_in_document_order(nodes: Iterable[Node]) -> Node | None:
-    best: Node | None = None
-    for node in nodes:
-        if best is None or node.pre < best.pre:
-            best = node
-    return best
+
+def node_numval(node) -> float:
+    return to_number(node.string_value)
+
+
+def _document_position(member) -> int:
+    return member if member.__class__ is int else member.pre
+
+
+def _first_in_document_order(members):
+    """The first member (boxed node or pre int) in document order."""
+    return min(members, key=_document_position, default=None)
 
 
 def to_boolean(value, value_type: str) -> bool:
@@ -47,7 +62,7 @@ def to_boolean(value, value_type: str) -> bool:
     raise ValueError(f"unknown XPath type: {value_type}")
 
 
-def to_string_value(value, value_type: str) -> str:
+def to_string_value(value, value_type: str, strval=node_strval) -> str:
     """Figure 1's ``F[[string : t → str]]``.
 
     * nset: the string value of the first node in document order, or ""
@@ -64,11 +79,11 @@ def to_string_value(value, value_type: str) -> str:
         return "true" if value else "false"
     if value_type == "nset":
         first = _first_in_document_order(value)
-        return "" if first is None else first.string_value
+        return "" if first is None else strval(first)
     raise ValueError(f"unknown XPath type: {value_type}")
 
 
-def to_number_value(value, value_type: str) -> float:
+def to_number_value(value, value_type: str, numval=node_numval) -> float:
     """Figure 1's ``F[[number : t → num]]``.
 
     * str: the XPath number grammar (else NaN);
@@ -83,7 +98,8 @@ def to_number_value(value, value_type: str) -> float:
     if value_type == "bool":
         return 1.0 if value else 0.0
     if value_type == "nset":
-        return to_number(to_string_value(value, "nset"))
+        first = _first_in_document_order(value)
+        return NAN if first is None else numval(first)
     raise ValueError(f"unknown XPath type: {value_type}")
 
 

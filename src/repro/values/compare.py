@@ -17,29 +17,17 @@ comparison. We follow the W3C rule (the paper itself defers to [18] for
 precise semantics, and none of the paper's examples exercise the
 difference).
 
-Node-set operands are read through two *member accessors*: ``strval``
-(member → string value) and ``numval`` (member → ``to_number`` of it).
-The defaults read boxed :class:`~repro.xml.document.Node` members; the
-pre-plane evaluators pass a document's per-pre accessors
-(:meth:`~repro.xml.document.Document.string_value_of_pre` /
-:meth:`~repro.xml.document.Document.number_value_of_pre`) and hand in
-node sets as pre ints — one comparison semantics for both planes.
+Node-set operands are read through the member accessors of
+:mod:`repro.values.coerce` (``strval`` / ``numval``): boxed nodes by
+default, pre ints with a document's per-pre accessors on the pre plane.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
-from repro.values.coerce import to_boolean, to_number_value
+from repro.values.coerce import node_numval, node_strval, to_boolean, to_number_value
 from repro.values.numbers import to_number
-
-_node_strval = attrgetter("string_value")
-
-
-def _node_numval(node) -> float:
-    return to_number(node.string_value)
-
 
 EQUALITY_OPS = ("=", "!=")
 RELATIONAL_OPS = ("<", "<=", ">", ">=")
@@ -149,8 +137,8 @@ def compare_values(
     left_type: str,
     right,
     right_type: str,
-    strval=_node_strval,
-    numval=_node_numval,
+    strval=node_strval,
+    numval=node_numval,
 ) -> bool:
     """Full XPath 1.0 comparison dispatch (§3.4 / the paper's Figure 1).
 
@@ -159,8 +147,8 @@ def compare_values(
         left, right: runtime values; node sets are sized collections of
             members (boxed nodes by default).
         left_type, right_type: static type tags (``nset num str bool``).
-        strval, numval: member accessors for node-set operands (see the
-            module docstring).
+        strval, numval: member accessors for node-set operands (see
+            :mod:`repro.values.coerce`).
     """
     if left_type == "nset" and right_type == "nset":
         return _nset_vs_nset(op, left, right, strval, numval)

@@ -91,16 +91,17 @@ def test_mincontext_tables_linear_per_node():
     """Theorem 7's space proof: every stored table has at most |dom| rows
     — on every cell of the golden-counter grid, for MINCONTEXT's own
     tables and for the ones OPTMINCONTEXT's bottom-up pass pre-fills."""
-    from test_table_counters_golden import DOCUMENTS, GRID
+    from test_table_counters_golden import DOCUMENTS, GRID, bindings
 
     from repro.core.context import Context
     from repro.core.mincontext import MinContextEvaluator
     from repro.core.optmincontext import OptMinContextEvaluator
 
     documents = {name: build() for name, build in DOCUMENTS.items()}
+    variables = {name: bindings(doc) for name, doc in documents.items()}
     for name, query in GRID:
         doc = documents[name]
-        ast = XPathEngine(doc).compile(query).ast
+        ast = XPathEngine(doc, variables=variables[name]).compile(query).ast
         for evaluator in (MinContextEvaluator(doc), OptMinContextEvaluator(doc)):
             evaluator.evaluate(ast, Context(doc.root))
             mc = getattr(evaluator, "mincontext", evaluator)

@@ -316,6 +316,28 @@ def test_nodeset_variable_bindings_differential():
     assert nodeset_cases >= 3
 
 
+def test_unions_of_nodeset_variables_differential():
+    """A union of node-set variables reads no context component (its
+    ``Relev`` is empty), so the table evaluators keep it in a one-row
+    table — as a function argument, inside a predicate, as a path's
+    start, and compared against the context node."""
+    queries = (
+        "count($a | $b)",
+        "/descendant::*[count($a | $b) > 1]",
+        "string($a | $b | $a)",
+        "($a | $b)/*[last()]",
+        "sum(($a | $b)/@id) > 3",
+        "/descendant::*[. = ($a | $b)][position() > 1]",
+    )
+    for document in _fixed_documents():
+        elements = XPathEngine(document).evaluate("/descendant::*")
+        engine = XPathEngine(
+            document, variables={"a": elements[:3], "b": elements[2:6]}
+        )
+        for query in queries:
+            _check_differential(engine, query)
+
+
 def test_nodeset_bindings_through_serial_thread_async_backends():
     """Node-set bindings ship through every in-process backend: the
     nodes live in the parent's trees, which serial/thread/async workers
