@@ -5,38 +5,37 @@ unranked, ordered, labeled tree ``dom`` with document order, string values,
 and the ``id``/``deref_ids`` machinery. Nothing here depends on external
 XML libraries; the parser is a self-contained well-formedness checker.
 
-One logical document has **three physical representations**, each the
-cheapest form for its consumer:
+``dom`` *is* a set of flat columns in document order — kind, parent,
+subtree size, post rank, depth, name, value per pre number — and every
+way into the system produces them:
 
+* **Column document** (:mod:`repro.xml.columns`) — the parsed form and
+  the decoded form. :func:`~repro.xml.parser.parse_document` writes the
+  columns in one pass over the source text and
+  ``decode_snapshot(blob, lazy=True)`` reads them back from a snapshot;
+  both return a :class:`~repro.xml.columns.ColumnDocument` with no
+  ``Node`` object in it. Boxed nodes are materialized per pre, on
+  demand, memoized (counted exactly as ``nodes_materialized`` on
+  :data:`repro.stats.axis_kernel_stats`); string values, attribute
+  lookup, id maps, paths and shape statistics are answered straight
+  from the columns.
+* **Packed index** (:mod:`repro.xml.index`) — the same int columns as
+  memoryviews plus name/kind partitions as sorted pre arrays. For a
+  column document it is built from the columns and *adopted*
+  (``index_adoptions``); only a boxed tree ever pays an index *build*.
+  The fused axis kernels, the Core XPath sweeps and the table
+  evaluators compute entirely in this plane; the binary snapshot format
+  (:mod:`repro.xml.snapshot`) persists exactly these columns.
 * **Boxed tree** (:mod:`repro.xml.document`) — linked ``Node`` objects
-  with parent/children/attribute references. The universal form: the
-  parser and builder produce it, the per-context evaluators walk it, the
-  serializer reads it. Everything works here; nothing is fastest here.
-* **Packed index** (:mod:`repro.xml.index`) — derived flat columns
-  (``size``/``post``/``depth``/``parent_pre`` as memoryviews over
-  ``array('q')`` storage) plus name/kind partitions as sorted pre
-  arrays, built at most once per document and weak-cached process-wide.
-  The fused axis kernels and the Core XPath sweeps compute entirely in
-  this plane; the binary snapshot format (:mod:`repro.xml.snapshot`)
-  persists exactly these columns.
-* **Column-only** (:mod:`repro.xml.columns`) — a
-  :class:`~repro.xml.columns.ColumnDocument` holds *just* the snapshot
-  columns: ``decode_snapshot(blob, lazy=True)`` builds no ``Node``
-  objects at all, and boxed nodes are materialized per pre, on demand,
-  memoized (counted exactly as ``nodes_materialized`` on
-  :data:`repro.stats.axis_kernel_stats`). String values, attribute
-  lookup, id maps, and shape statistics are answered straight from the
-  columns.
+  with parent/children/attribute references, produced by
+  :class:`~repro.xml.builder.DocumentBuilder`, ``element()`` / ``text()``
+  and the workload generators, and by ``decode_snapshot(blob)`` without
+  ``lazy``. It is the oracle's input and the reference evaluators'
+  home: everything works here; nothing is fastest here.
 
-Which path runs when: parsing XML always yields the boxed tree, and any
-evaluation over it attaches the packed index on first use. Snapshot
-loads choose per call site — process-backend shard workers and
-``repro-xpath batch --snapshot-store`` decode column-only by default
-(``--eager`` restores the tree build), :meth:`DocumentStore.load` stays
-eager unless asked (``lazy=True``). Results are byte-identical in every
-combination: a construct the column accessors don't cover just
-materializes the nodes it touches — the lazy path only ever removes
-work.
+Results are byte-identical whichever form a document is in: a construct
+the column accessors don't cover just materializes the nodes it touches —
+the column path only ever removes work.
 """
 
 from repro.xml.columns import ColumnDocument, DocumentColumns, LazyNode

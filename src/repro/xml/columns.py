@@ -1,10 +1,12 @@
-"""Column-native lazy documents: the third document representation.
+"""Column documents: the parsed and the decoded form of ``dom``.
 
 A :class:`ColumnDocument` is a finalized document whose *only* storage is
 the flat snapshot columns — one kind-code byte, four signed-8-byte ints
 (``parent_pre`` / ``size`` / ``post`` / ``depth``), and the two string
-columns per node. No :class:`~repro.xml.document.Node` objects exist
-after decode: the fused axis kernels (:mod:`repro.axes.axes`), the Core
+columns per node. :func:`~repro.xml.parser.parse_document` writes them
+straight from the source text and ``decode_snapshot(blob, lazy=True)``
+reads them back; no :class:`~repro.xml.document.Node` object exists
+afterwards: the fused axis kernels (:mod:`repro.axes.axes`), the Core
 XPath evaluator and the context-value-table evaluators (MINCONTEXT /
 OPTMINCONTEXT) thread sorted pre arrays end-to-end, and a boxed ``Node``
 is materialized **on demand, per pre, memoized** only when a caller
@@ -26,7 +28,11 @@ predicates need is answered straight from the columns:
   ``e + seen_attrs + 1``) makes the attribute run of an element a closed
   pre interval;
 * **id maps** — built lazily from the ``by_attribute[id_attribute]``
-  partition, first id-named attribute per element, first element per key.
+  partition, first id-named attribute per element, first element per key;
+* **paths** — :meth:`ColumnDocument.path_of_pre` renders
+  :meth:`~repro.xml.document.Node.path` from the columns, one sibling
+  walk per parent, memoized per pre (what the daemon and the CLI print
+  for every node of an answer).
 
 Materialization is the graceful eager fallback: any construct the column
 accessors do not cover simply touches ``document.nodes[pre]`` and gets a
@@ -42,9 +48,11 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 
 from repro.stats import axis_kernel_stats
 from repro.xml.document import Document, Node, NodeKind
+from repro.xml.index import NodeIndex, adopt_node_index, node_index
 
 __all__ = ["ColumnDocument", "DocumentColumns", "LazyNode", "LazyNodeList"]
 
@@ -63,6 +71,7 @@ _DOC = KIND_CODES[NodeKind.DOCUMENT]
 _ELEM = KIND_CODES[NodeKind.ELEMENT]
 _ATTR = KIND_CODES[NodeKind.ATTRIBUTE]
 _TEXT = KIND_CODES[NodeKind.TEXT]
+_COMMENT = KIND_CODES[NodeKind.COMMENT]
 
 
 class DocumentColumns:
@@ -92,8 +101,6 @@ class DocumentColumns:
     @classmethod
     def from_document(cls, document: Document) -> "DocumentColumns":
         """Columns of an eager document (test/benchmark constructor)."""
-        from repro.xml.index import node_index
-
         index = node_index(document)
         nodes = document.nodes
         return cls(
@@ -198,14 +205,17 @@ class LazyNode(Node):
             return default
         return self.document.columns.values[pre]
 
+    def path(self) -> str:
+        return self.document.path_of_pre(self.pre)
 
-class LazyNodeList:
+
+class LazyNodeList(Sequence):
     """``document.nodes`` of a column document: a sequence view that
     materializes on indexing/iteration and allocates nothing up front.
 
-    Supports exactly what the evaluators use on the eager list —
-    ``len``, int and slice indexing (slices return plain lists),
-    iteration, and ``reversed``.
+    A :class:`~collections.abc.Sequence` like the eager list — ``len``,
+    int and slice indexing (slices return plain lists), iteration,
+    ``reversed``, ``index`` / ``count``, ``random.sample``.
     """
 
     __slots__ = ("_document",)
@@ -246,14 +256,13 @@ class LazyNodeList:
 class ColumnDocument(Document):
     """A finalized document living entirely in flat columns.
 
-    Constructed by ``decode_snapshot(blob, lazy=True)``; already frozen
-    (snapshots only exist for finalized documents), with ``nodes`` a
+    Constructed by :meth:`from_columns` — the parser's and the lazy
+    snapshot decoder's last step; already frozen, with ``nodes`` a
     :class:`LazyNodeList` and ``root`` / ``root_element`` materialized on
-    first touch. The decoder attaches the adopted
-    :class:`~repro.xml.index.NodeIndex` as ``_index`` (a strong
-    reference: the index's own document link is weak, so this closes the
-    lifecycle loop without a leak — document keeps index alive, index
-    does not pin document).
+    first touch. The adopted :class:`~repro.xml.index.NodeIndex` is held
+    as ``_index`` (a strong reference: the index's own document link is
+    weak, so this closes the lifecycle loop without a leak — document
+    keeps index alive, index does not pin document).
     """
 
     def __init__(self, columns: DocumentColumns, id_attribute: str = "id"):
@@ -271,8 +280,30 @@ class ColumnDocument(Document):
         self._cache: list[Node | None] = [None] * len(columns)
         self._materialize_lock = threading.Lock()
         self._text_structure_cache = None
+        self._paths = None
         self._root_element_pre = self._find_root_element_pre()
         axis_kernel_stats.lazy_document()
+
+    @classmethod
+    def from_columns(cls, columns: DocumentColumns, id_attribute: str = "id") -> "ColumnDocument":
+        """The document over ``columns`` (already known to be legal) with
+        its index built from them and adopted: no node is boxed and no
+        index build is ever counted for it."""
+        document = cls(columns, id_attribute=id_attribute)
+        index = NodeIndex.from_columns(
+            document,
+            size=columns.size,
+            post=columns.post,
+            depth=columns.depth,
+            parent_pre=columns.parent_pre,
+            kinds=columns.kinds,
+            names=columns.names,
+        )
+        # First-in wins in the process cache; keep a strong ref to the
+        # winner so the weak-keyed cache entry survives as long as the
+        # document does (the index only weak-refs the document back).
+        document._index = adopt_node_index(document, index)
+        return document
 
     def _find_root_element_pre(self) -> int | None:
         """Pre of the single element child of the document node, if any
@@ -445,6 +476,48 @@ class ColumnDocument(Document):
         lo = bisect_left(pres, pre)
         hi = bisect_left(pres, pre + columns.size[pre], lo)
         return joined[offsets[lo] : offsets[hi]]
+
+    def path_of_pre(self, pre: int) -> str:
+        """:meth:`Node.path` of the node at ``pre``, from the columns.
+
+        One sibling walk numbers *all* children of a parent, and every
+        path is memoized per pre — rendering an answer costs one list
+        lookup per node once its siblings have been seen. The memo is
+        filled idempotently (racing renderers write equal strings)."""
+        paths = self._paths
+        if paths is None:
+            paths = [None] * len(self.columns)
+            paths[0] = "/"
+            self._paths = paths
+        if paths[pre] is not None:
+            return paths[pre]
+        columns = self.columns
+        kinds, names, parent_pre = columns.kinds, columns.names, columns.parent_pre
+        missing = []  # pre and its ancestors still without a path, nearest first
+        node = pre
+        while paths[node] is None:
+            missing.append(node)
+            node = parent_pre[node]
+        for node in reversed(missing):
+            parent = parent_pre[node]
+            if kinds[node] == _ATTR:
+                paths[node] = f"{paths[parent]}/@{names[node]}"
+                continue
+            prefix = "" if parent == 0 else paths[parent]
+            seen: dict = {}
+            for child in self.child_pres(parent):
+                code, name = kinds[child], names[child]
+                number = seen[code, name] = seen.get((code, name), 0) + 1
+                if code == _ELEM:
+                    label = name
+                elif code == _TEXT:
+                    label = "text()"
+                elif code == _COMMENT:
+                    label = "comment()"
+                else:
+                    label = f"processing-instruction({name})"
+                paths[child] = f"{prefix}/{label}[{number}]"
+        return paths[pre]
 
     # ------------------------------------------------------------------
     # Document API, columnar

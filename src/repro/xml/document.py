@@ -226,7 +226,12 @@ class Node:
         return self.attribute_value(self.document.id_attribute)
 
     def path(self) -> str:
-        """A human-readable absolute path for debugging, e.g. ``/a[1]/b[2]``."""
+        """A human-readable absolute path, e.g. ``/a[1]/b[2]``.
+
+        On a boxed tree every step recounts its preceding siblings —
+        O(depth x siblings) per call, quadratic over a wide answer. That
+        is fine for the oracle; a column document renders from a per-pre
+        memo instead (``ColumnDocument.path_of_pre``)."""
         if self.is_document:
             return "/"
         if self.is_attribute:
@@ -257,9 +262,10 @@ class Node:
 class Document:
     """A frozen XML document: the paper's ``dom`` plus derived indexes.
 
-    Construct via :func:`repro.xml.parser.parse_document` or
-    :class:`repro.xml.builder.DocumentBuilder`; both call
-    :meth:`finalize`, after which the tree is immutable.
+    Construct a boxed tree via :class:`repro.xml.builder.DocumentBuilder`
+    (it calls :meth:`finalize`, after which the tree is immutable);
+    :func:`repro.xml.parser.parse_document` returns the column subclass,
+    :class:`repro.xml.columns.ColumnDocument`, born finalized.
 
     Attributes:
         root: the document node (parent of the root element). This is the

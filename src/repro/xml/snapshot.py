@@ -4,12 +4,16 @@ A snapshot is the flat-column :class:`~repro.xml.index.NodeIndex`
 representation made durable: the per-node ``parent_pre`` / ``size`` /
 ``post`` / ``depth`` columns as little-endian signed 8-byte ints, one
 kind-code byte per node, and the two string columns (names, values) as
-length tables plus UTF-8 blobs. Decoding therefore skips both the XML
-parse *and* the index build — the rebuilt :class:`~repro.xml.document.
-Document` arrives with its index pre-seeded in the process cache
+length tables plus UTF-8 blobs — the very columns
+:func:`~repro.xml.parser.parse_document` produces, so a parsed document
+is written as it stands, without boxing a node. Decoding skips both the
+XML parse *and* the index build — the rebuilt document arrives with its
+index pre-seeded in the process cache
 (:func:`~repro.xml.index.adopt_node_index`, counted as
-``index_adoptions``). This is what :class:`~repro.xml.store.
-DocumentStore` persists per document in format v2 and what
+``index_adoptions``), as a :class:`~repro.xml.columns.ColumnDocument`
+(``lazy=True``) or a boxed :class:`~repro.xml.document.Document` tree.
+This is what :class:`~repro.xml.store.DocumentStore` persists per
+document in format v2 and what
 :class:`~repro.service.scheduler.ProcessScheduler` ships to workers
 instead of serialized markup.
 
@@ -49,22 +53,12 @@ import zlib
 from array import array
 
 from repro.errors import DocumentStoreError, SnapshotCorruptError
-from repro.xml.columns import ColumnDocument, DocumentColumns
+from repro.xml.columns import CODE_KINDS, ColumnDocument, DocumentColumns
 from repro.xml.document import Document, Node, NodeKind
-from repro.xml.index import NodeIndex, adopt_node_index, node_index
+from repro.xml.index import NodeIndex, adopt_node_index
 
 SNAPSHOT_MAGIC = b"RXSNAP02"
 SNAPSHOT_VERSION = 2
-
-_KIND_BYTES = {
-    NodeKind.DOCUMENT: ord("D"),
-    NodeKind.ELEMENT: ord("E"),
-    NodeKind.ATTRIBUTE: ord("A"),
-    NodeKind.TEXT: ord("T"),
-    NodeKind.COMMENT: ord("C"),
-    NodeKind.PROCESSING_INSTRUCTION: ord("P"),
-}
-_BYTE_KINDS = {code: kind for kind, code in _KIND_BYTES.items()}
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -89,38 +83,39 @@ def _column_from_bytes(raw: bytes) -> array:
 
 def _string_column(strings) -> bytes:
     """Length table (-1 for None) + u64 blob length + UTF-8 blob."""
-    lengths = array("q")
-    parts = []
-    for text in strings:
-        if text is None:
-            lengths.append(-1)
-        else:
-            data = text.encode("utf-8")
-            lengths.append(len(data))
-            parts.append(data)
-    blob = b"".join(parts)
+    present = [text for text in strings if text is not None]
+    blob = "".join(present).encode("utf-8")
+    if len(blob) == sum(map(len, present)):  # pure ASCII: one byte per char
+        lengths = [-1 if text is None else len(text) for text in strings]
+    else:
+        lengths = [-1 if text is None else len(text.encode("utf-8")) for text in strings]
     return _column_bytes(lengths) + _U64.pack(len(blob)) + blob
 
 
 def encode_snapshot(document: Document) -> bytes:
-    """Serialize a finalized document to the v2 binary snapshot format."""
+    """Serialize a finalized document to the v2 binary snapshot format.
+
+    A :class:`~repro.xml.columns.ColumnDocument` is written from its
+    columns as they stand (no node is boxed); the columns of a boxed tree
+    are read off its nodes and index first."""
     document._require_finalized()
-    index = node_index(document)
-    nodes = document.nodes
+    columns = getattr(document, "columns", None)
+    if columns is None:
+        columns = DocumentColumns.from_document(document)
     id_attr = document.id_attribute.encode("utf-8")
     parts = [
         SNAPSHOT_MAGIC,
         _U32.pack(SNAPSHOT_VERSION),
-        _U64.pack(len(nodes)),
+        _U64.pack(len(columns)),
         _U32.pack(len(id_attr)),
         id_attr,
-        bytes(_KIND_BYTES[node.kind] for node in nodes),
-        _column_bytes(index.parent_pre),
-        _column_bytes(index.size),
-        _column_bytes(index.post),
-        _column_bytes(index.depth),
-        _string_column(node.name for node in nodes),
-        _string_column(node.value for node in nodes),
+        bytes(columns.kinds),
+        _column_bytes(columns.parent_pre),
+        _column_bytes(columns.size),
+        _column_bytes(columns.post),
+        _column_bytes(columns.depth),
+        _string_column(columns.names),
+        _string_column(columns.values),
     ]
     payload = b"".join(parts)
     return payload + _U32.pack(zlib.crc32(payload))
@@ -347,21 +342,7 @@ def decode_snapshot(blob: bytes, lazy: bool = False) -> Document:
             names=names,
             values=values,
         )
-        lazy_document = ColumnDocument(columns, id_attribute=id_attribute)
-        index = NodeIndex.from_columns(
-            lazy_document,
-            size=size,
-            post=post,
-            depth=depth,
-            parent_pre=parent_pre,
-            kinds=kinds,
-            names=names,
-        )
-        # First-in wins in the process cache; keep a strong ref to the
-        # winner so the weak-keyed cache entry survives as long as the
-        # document does (the index only weak-refs the document back).
-        lazy_document._index = adopt_node_index(lazy_document, index)
-        return lazy_document
+        return ColumnDocument.from_columns(columns, id_attribute)
 
     document = Document(id_attribute=id_attribute)
     root = document.root
@@ -369,7 +350,7 @@ def decode_snapshot(blob: bytes, lazy: bool = False) -> Document:
     root.size = size[0]
     nodes = [root]
     for i in range(1, total):
-        node = Node(document, _BYTE_KINDS[kinds[i]], names[i], values[i])
+        node = Node(document, CODE_KINDS[kinds[i]], names[i], values[i])
         parent = nodes[parent_pre[i]]
         node.parent = parent
         if node.kind is NodeKind.ATTRIBUTE:

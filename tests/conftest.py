@@ -10,6 +10,8 @@ from repro.workloads.documents import (
     doubling_document,
     running_example_document,
 )
+from repro.xml.document import Document
+from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 #: Every full-XPath algorithm (corexpath only handles its fragment).
 ALL_ALGORITHMS = ("naive", "topdown", "bottomup", "mincontext", "optmincontext")
@@ -42,6 +44,15 @@ def catalog_engine(catalog_doc):
 @pytest.fixture(scope="session")
 def doubling_doc():
     return doubling_document()
+
+
+def eager_tree(document) -> Document:
+    """The boxed-tree twin of ``document``. ``parse_document`` yields
+    column documents, so the eager leg of an eager x lazy comparison
+    must ask for its tree — or the axis collapses to lazy x lazy."""
+    eager = decode_snapshot(encode_snapshot(document), lazy=False)
+    assert type(eager) is Document
+    return eager
 
 
 def ids(nodes) -> list[str]:

@@ -16,6 +16,7 @@ seeds, so every case is reproducible.
 
 import random
 
+from conftest import eager_tree
 from repro import stats
 from repro.axes.axes import KERNEL_MODES, axis_test_pres, kernel_mode_forced
 from repro.engine import XPathEngine
@@ -36,13 +37,16 @@ ALGORITHMS = ("naive", "bottomup", "topdown", "mincontext", "optmincontext", "co
 
 
 def _fixed_documents():
+    """The eager legs: boxed trees, whatever their source produced."""
     return [
-        running_example_document(),
+        eager_tree(running_example_document()),
         wide_tree(width=6),
-        parse_document(
-            '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
-            '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
-            '<!--comment--><d id="8"/></a>'
+        eager_tree(
+            parse_document(
+                '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
+                '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
+                '<!--comment--><d id="8"/></a>'
+            )
         ),
     ]
 
@@ -102,6 +106,27 @@ def test_materialization_counter_is_exact_and_memoized():
     assert all(a is b for a, b in zip(first_pass, second_pass))
     assert all(isinstance(node, LazyNode) for node in first_pass)
     assert [node.pre for node in first_pass] == list(range(total))
+
+
+def test_lazy_node_list_is_a_sequence():
+    """``document.nodes`` of a column document does what the eager list
+    does for its readers: ``random.sample``, ``index``, ``count``,
+    membership, reversal; slices are plain lists."""
+    from collections.abc import Sequence
+
+    document = _lazy_twin(_fixed_documents()[2])
+    other = _lazy_twin(_fixed_documents()[2])
+    nodes = document.nodes
+    assert isinstance(nodes, Sequence) and not hasattr(nodes, "__dict__")
+    picked = random.Random(SEED).sample(nodes, 5)
+    assert len({node.pre for node in picked}) == 5
+    assert all(nodes[node.pre] is node for node in picked)
+    assert [nodes.index(node) for node in picked] == [node.pre for node in picked]
+    assert nodes.index(nodes[-1]) == len(nodes) - 1
+    assert nodes.count(picked[0]) == 1 and nodes.count(other.nodes[3]) == 0
+    assert picked[0] in nodes and other.nodes[3] not in nodes
+    assert type(nodes[2:5]) is list and [node.pre for node in nodes[2:5]] == [2, 3, 4]
+    assert [node.pre for node in reversed(nodes)] == list(reversed(range(len(nodes))))
 
 
 def test_selective_query_materializes_output_only():
@@ -279,10 +304,8 @@ def test_string_values_ids_and_paths_match_the_tree():
 
 
 def test_duplicate_ids_resolve_first_in_document_order():
-    document = decode_snapshot(
-        encode_snapshot(
-            parse_document('<a id="x"><b id="x"/><c id="y"/><d id="y"/></a>')
-        )
+    document = eager_tree(
+        parse_document('<a id="x"><b id="x"/><c id="y"/><d id="y"/></a>')
     )
     lazy = _lazy_twin(document)
     assert {k: v.pre for k, v in lazy.id_map.items()} == {

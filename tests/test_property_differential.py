@@ -11,7 +11,8 @@ from repro.axes.axes import KERNEL_MODES, kernel_mode_forced
 from repro.engine import XPathEngine
 from repro.workloads.documents import random_document
 from repro.workloads.queries import random_full_query, random_query
-from repro.xml.document import Node
+from repro.xml.columns import ColumnDocument
+from repro.xml.document import Document, Node
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 _ALGORITHMS = ("naive", "topdown", "mincontext", "optmincontext")
@@ -68,6 +69,7 @@ def test_table_evaluators_agree_with_topdown_in_every_configuration(
     the eager tree and on its lazy column twin, under every kernel mode."""
     doc = random_document(random.Random(doc_seed), max_nodes=size)
     lazy = decode_snapshot(encode_snapshot(doc), lazy=True)
+    assert (type(doc), type(lazy)) == (Document, ColumnDocument)
     query = random_full_query(random.Random(query_seed))
     expected = _by_pre(XPathEngine(doc).evaluate(query, algorithm="topdown"))
     for mode in KERNEL_MODES:

@@ -11,6 +11,7 @@ from repro.workloads.documents import (
     random_document,
     wide_tree,
 )
+from repro.xml.builder import DocumentBuilder
 from repro.xml.parser import parse_document
 from repro.xml.statistics import document_statistics
 
@@ -78,7 +79,13 @@ def test_validate_catches_corruption():
 
 
 def test_validate_catches_broken_parent_link():
-    doc = parse_document("<a><b/></a>")
+    # A boxed tree: a column document's links are cut from the columns
+    # and cannot be corrupted in place.
+    builder = DocumentBuilder()
+    builder.start("a")
+    builder.leaf("b")
+    builder.end()
+    doc = builder.build()
     doc.root_element.children[0].parent = doc.root
     with pytest.raises(AssertionError):
         doc.validate()

@@ -34,6 +34,7 @@ from repro.workloads.queries import (
     running_example_query,
     wadler_family,
 )
+from repro.xml.document import Document
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "table_counters.json"
@@ -155,7 +156,13 @@ def measure_grid(documents: dict) -> dict[str, list[int]]:
 
 
 def _eager_documents() -> dict:
-    return {name: build() for name, build in DOCUMENTS.items()}
+    """Boxed trees (``running`` is parsed, which yields columns)."""
+    documents = {
+        name: decode_snapshot(encode_snapshot(build()), lazy=False)
+        for name, build in DOCUMENTS.items()
+    }
+    assert all(type(document) is Document for document in documents.values())
+    return documents
 
 
 def _lazy_documents() -> dict:

@@ -423,6 +423,8 @@ def test_number_column_fills_idempotently_under_contention():
     import sys
 
     from repro.values.numbers import to_number
+    from repro.xml.columns import ColumnDocument
+    from repro.xml.document import Document
     from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
     queries = [
@@ -435,10 +437,11 @@ def test_number_column_fills_idempotently_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for fresh in (
-            book_catalog(books=30),
-            decode_snapshot(encode_snapshot(book_catalog(books=30)), lazy=True),
+        for fresh, representation in (
+            (book_catalog(books=30), Document),
+            (decode_snapshot(encode_snapshot(book_catalog(books=30)), lazy=True), ColumnDocument),
         ):
+            assert type(fresh) is representation
             engine = XPathEngine(fresh)
             plans = [engine.compile(q) for q in queries]
 

@@ -32,6 +32,7 @@ from repro.axes import (
     vector_backend,
     vector_backend_forced,
 )
+from conftest import eager_tree
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
     book_catalog,
@@ -57,13 +58,15 @@ def _backends():
 def _fuzz_documents():
     rng = random.Random(SEED)
     return [
-        running_example_document(),
+        eager_tree(running_example_document()),
         wide_tree(width=6),
         book_catalog(books=8, chapters_per_book=3),
-        parse_document(
-            '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
-            '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
-            '<!--comment--><d id="8"/></a>'
+        eager_tree(
+            parse_document(
+                '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
+                '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
+                '<!--comment--><d id="8"/></a>'
+            )
         ),
         random_document(rng, max_nodes=30),
         random_document(rng, max_nodes=60),
@@ -101,7 +104,7 @@ def test_vector_matches_on_lazy_documents():
     """The programs run over lazy column documents without forcing full
     materialization semantics to differ — same bytes as eager."""
     rng = random.Random(SEED + 7)
-    for eager in (running_example_document(), book_catalog(books=10)):
+    for eager in (eager_tree(running_example_document()), book_catalog(books=10)):
         lazy = decode_snapshot(encode_snapshot(eager), lazy=True)
         eager_engine = XPathEngine(eager)
         lazy_engine = XPathEngine(lazy)

@@ -1,175 +1,176 @@
-"""Tests for the XML tokenizer."""
+"""Lexical cases of the XML front end, stated on ``parse_document``'s
+outcome: node kinds, names, values, attribute order, error lines. (The
+cursor tokenizer these cases were first written against is gone; the
+one-pass parser accepts the same language.)"""
 
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.xml.lexer import XMLTokenType, tokenize
+from repro.stats import axis_kernel_stats
+from repro.workloads.documents import book_catalog
+from repro.xml import parser as front_end
+from repro.xml.document import NodeKind
+from repro.xml.parser import parse_document
+from repro.xml.serializer import serialize
+from repro.xml.store import DocumentStore
+
+ELEMENT, ATTRIBUTE, TEXT = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+COMMENT, PI = NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION
 
 
-def types(source):
-    return [t.type for t in tokenize(source)]
+def rows(source):
+    """(kind, name, value) of every node below the document node."""
+    return [(n.kind, n.name, n.value) for n in parse_document(source).nodes[1:]]
 
 
 def test_simple_element_pair():
-    tokens = tokenize("<a>hello</a>")
-    assert [t.type for t in tokens] == [
-        XMLTokenType.START_TAG,
-        XMLTokenType.TEXT,
-        XMLTokenType.END_TAG,
-    ]
-    assert tokens[0].value == "a"
-    assert tokens[1].value == "hello"
-    assert tokens[2].value == "a"
+    assert rows("<a>hello</a>") == [(ELEMENT, "a", None), (TEXT, None, "hello")]
 
 
 def test_empty_tag():
-    (token,) = tokenize("<br/>")
-    assert token.type is XMLTokenType.EMPTY_TAG
-    assert token.value == "br"
+    document = parse_document("<br/>")
+    assert rows("<br/>") == [(ELEMENT, "br", None)]
+    assert document.root_element.size == 1
 
 
 def test_attributes_in_source_order():
-    (token,) = tokenize('<a x="1" y="2"/>')
-    assert token.attributes == [("x", "1"), ("y", "2")]
+    assert rows('<a x="1" y="2"/>')[1:] == [(ATTRIBUTE, "x", "1"), (ATTRIBUTE, "y", "2")]
 
 
 def test_single_quoted_attribute():
-    (token,) = tokenize("<a x='v a l'/>")
-    assert token.attributes == [("x", "v a l")]
+    assert rows("<a x='v a l'/>")[1:] == [(ATTRIBUTE, "x", "v a l")]
 
 
 def test_attribute_whitespace_around_equals():
-    (token,) = tokenize('<a x = "1"/>')
-    assert token.attributes == [("x", "1")]
+    assert rows('<a x = "1"/>')[1:] == [(ATTRIBUTE, "x", "1")]
 
 
 def test_duplicate_attribute_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize('<a x="1" x="2"/>')
+        parse_document('<a x="1" x="2"/>')
 
 
 def test_unquoted_attribute_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a x=1/>")
+        parse_document("<a x=1/>")
 
 
 def test_predefined_entities_expanded():
-    tokens = tokenize("<a>&lt;&amp;&gt;&quot;&apos;</a>")
-    assert tokens[1].value == "<&>\"'"
+    assert rows("<a>&lt;&amp;&gt;&quot;&apos;</a>")[1] == (TEXT, None, "<&>\"'")
 
 
 def test_character_references():
-    tokens = tokenize("<a>&#65;&#x42;</a>")
-    assert tokens[1].value == "AB"
+    assert rows("<a>&#65;&#x42;</a>")[1] == (TEXT, None, "AB")
 
 
 def test_entities_in_attribute_values():
-    (token,) = tokenize('<a x="&amp;&#33;"/>')
-    assert token.attributes == [("x", "&!")]
+    assert rows('<a x="&amp;&#33;"/>')[1:] == [(ATTRIBUTE, "x", "&!")]
 
 
 def test_unknown_entity_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a>&nosuch;</a>")
+        parse_document("<a>&nosuch;</a>")
 
 
 def test_unterminated_entity_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a>&amp</a>")
+        parse_document("<a>&amp</a>")
 
 
 def test_comment_token():
-    tokens = tokenize("<a><!-- note --></a>")
-    assert tokens[1].type is XMLTokenType.COMMENT
-    assert tokens[1].value == " note "
+    assert rows("<a><!-- note --></a>")[1] == (COMMENT, None, " note ")
 
 
 def test_double_hyphen_in_comment_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a><!-- a -- b --></a>")
+        parse_document("<a><!-- a -- b --></a>")
 
 
 def test_cdata_is_literal_text():
-    tokens = tokenize("<a><![CDATA[<not&parsed;>]]></a>")
-    assert tokens[1].type is XMLTokenType.TEXT
-    assert tokens[1].value == "<not&parsed;>"
+    assert rows("<a><![CDATA[<not&parsed;>]]></a>")[1] == (TEXT, None, "<not&parsed;>")
 
 
 def test_processing_instruction():
-    tokens = tokenize('<a><?target some data?></a>')
-    pi = tokens[1]
-    assert pi.type is XMLTokenType.PROCESSING_INSTRUCTION
-    assert pi.value == "target"
-    assert pi.attributes == [("data", "some data")]
+    assert rows("<a><?target some data?></a>")[1] == (PI, "target", "some data")
 
 
 def test_xml_declaration_recognized():
-    tokens = tokenize('<?xml version="1.0"?><a/>')
-    assert tokens[0].type is XMLTokenType.DECLARATION
+    assert rows('<?xml version="1.0"?><a/>') == [(ELEMENT, "a", None)]
+    with pytest.raises(XMLSyntaxError, match="must precede the root"):
+        parse_document('<a/><?xml version="1.0"?>')
 
 
 def test_doctype_skipped_as_token():
-    tokens = tokenize("<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>")
-    assert tokens[0].type is XMLTokenType.DOCTYPE
-    assert tokens[1].type is XMLTokenType.EMPTY_TAG
+    assert rows("<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>") == [(ELEMENT, "a", None)]
 
 
 def test_unterminated_comment_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a><!-- oops</a>")
+        parse_document("<a><!-- oops</a>")
 
 
 def test_unterminated_start_tag_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a")
+        parse_document("<a")
 
 
 def test_cdata_end_in_text_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize("<a>]]></a>")
+        parse_document("<a>]]></a>")
 
 
 def test_lt_in_attribute_rejected():
     with pytest.raises(XMLSyntaxError):
-        tokenize('<a x="<"/>')
+        parse_document('<a x="<"/>')
 
 
 def test_error_carries_line_and_column():
     with pytest.raises(XMLSyntaxError) as info:
-        tokenize("<a>\n<b x=1/></a>")
-    assert info.value.line == 2
+        parse_document("<a>\n<b x=1/></a>")
+    assert (info.value.line, info.value.column) == (2, 6)
 
 
 def test_names_with_colons_dots_dashes():
-    (token,) = tokenize("<ns:tag-name.x/>")
-    assert token.value == "ns:tag-name.x"
+    assert rows("<ns:tag-name.x/>") == [(ELEMENT, "ns:tag-name.x", None)]
+
+
+def _multiline(books):
+    return serialize(book_catalog(books=books)).replace("><", ">\n  <")
 
 
 def test_token_locations_cost_no_full_prefix_scans(monkeypatch):
-    """Regression: ``_location`` (a newline count over the whole prefix)
-    ran once per token, making lexing quadratic. Token starts are now
-    located incrementally: on a well-formed ~30k-node catalog the
-    full-prefix scan never runs, and every token carries exactly the
-    line/column the full scan reports."""
-    from repro.workloads.documents import book_catalog
-    from repro.xml.lexer import XMLLexer
-    from repro.xml.serializer import serialize
-
-    def multiline(books):
-        return serialize(book_catalog(books=books)).replace("><", ">\n  <")
-
-    full_scan = XMLLexer._location
+    """Regression: a newline count over the whole prefix once ran per
+    token, making the front end quadratic. A line and column are now
+    computed only to raise: a well-formed ~30k-node catalog never asks
+    for one, and an error on its last line still reports it exactly."""
+    locate = front_end._error
     calls = []
 
-    def spy(self, pos=None):
+    def spy(source, message, pos):
         calls.append(pos)
-        return full_scan(self, pos)
+        return locate(source, message, pos)
 
-    monkeypatch.setattr(XMLLexer, "_location", spy)
-    assert len(XMLLexer(multiline(850)).tokens()) > 30_000
+    monkeypatch.setattr(front_end, "_error", spy)
+    assert len(parse_document(_multiline(850)).nodes) > 30_000
     assert calls == []
 
-    incremental = XMLLexer(multiline(40)).tokens()
-    monkeypatch.setattr(XMLLexer, "_token_location", full_scan)
-    assert incremental == XMLLexer(multiline(40)).tokens()
-    assert incremental[-1].line > 500
+    broken = _multiline(40).replace("</catalog>", "</catalogue>")
+    with pytest.raises(XMLSyntaxError) as info:
+        parse_document(broken)
+    assert len(calls) == 1
+    assert info.value.line == broken.count("\n") + 1 > 500
+    assert info.value.column == broken.rindex("</catalogue>") - broken.rindex("\n")
+
+
+def test_parse_then_save_boxes_no_node_and_builds_no_index(tmp_path):
+    """A put is parse -> columns -> snapshot: the index is adopted from
+    the columns the parser wrote, and nothing is ever boxed."""
+    store = DocumentStore(tmp_path / "store.json")
+    before = axis_kernel_stats.snapshot()
+    document = parse_document(_multiline(12))
+    store.save_snapshot("catalog", document)
+    after = axis_kernel_stats.snapshot()
+    assert after["nodes_materialized"] == before["nodes_materialized"]
+    assert document.materialized_count() == 0
+    assert after["index_builds"] == before["index_builds"]
+    assert after["index_adoptions"] == before["index_adoptions"] + 1

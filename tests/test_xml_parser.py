@@ -1,10 +1,15 @@
 """Tests for the XML tree parser (structural well-formedness, node kinds)."""
 
 import pytest
+from conftest import eager_tree
+from test_xml_frontend_golden import GROUPS
 
 from repro.errors import XMLSyntaxError
+from repro.xml import snapshot
+from repro.xml.columns import ColumnDocument
 from repro.xml.document import NodeKind
 from repro.xml.parser import parse_document, parse_fragment
+from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 
 def test_root_element_and_document_node():
@@ -125,3 +130,67 @@ def test_document_is_finalized():
     doc = parse_document("<a/>")
     assert doc.is_finalized
     assert len(doc) == 2  # document node + element
+
+
+# ----------------------------------------------------------------------
+# The parsed form is the column document
+# ----------------------------------------------------------------------
+
+
+def _accepted_golden_sources():
+    """Every source of the golden corpus the front end accepts (those
+    whose strings cannot be encoded are of no use here)."""
+    for build in GROUPS.values():
+        for source in build().values():
+            try:
+                encode_snapshot(parse_document(source))
+            except (XMLSyntaxError, UnicodeEncodeError, OverflowError):
+                continue
+            yield source
+
+
+def test_parsed_documents_are_columns_with_no_boxed_node():
+    document = parse_document('<a x="1">t<b/><!--c--><?p d?></a>')
+    assert type(document) is ColumnDocument
+    assert document.materialized_count() == 0
+    assert document.root_element.name == "a"
+    assert document.materialized_count() == 1
+
+
+def test_column_paths_match_the_boxed_tree_on_the_golden_corpus():
+    """``path_of_pre`` numbers siblings by kind and name exactly as
+    ``Node.path()`` does — comment, PI and text siblings and attributes
+    included — in any order of asking, without boxing a node."""
+    sources = list(_accepted_golden_sources())
+    assert len(sources) > 150
+    kinds = set()
+    for source in sources:
+        document = parse_document(source)
+        expected = [node.path() for node in eager_tree(document).nodes]
+        pres = range(len(expected))
+        assert [document.path_of_pre(pre) for pre in pres] == expected
+        backwards = parse_document(source)
+        assert [backwards.path_of_pre(pre) for pre in reversed(pres)] == expected[::-1]
+        assert document.materialized_count() == backwards.materialized_count() == 0
+        assert [node.path() for node in document.nodes] == expected
+        kinds.update(document.columns.kinds)
+    assert kinds == set(b"DEATCP")
+
+
+def test_parser_columns_pass_the_snapshot_validator_on_the_golden_corpus(monkeypatch):
+    """The parser's own columns skip ``_validate_columns``; a decode of
+    what it encoded does not, and finds nothing to object to."""
+    validated = []
+    validate = snapshot._validate_columns
+
+    def spy(*columns):
+        validated.append(len(columns[0]))
+        validate(*columns)
+
+    monkeypatch.setattr(snapshot, "_validate_columns", spy)
+    documents = [parse_document(source) for source in _accepted_golden_sources()]
+    assert validated == []
+    for document in documents:
+        twin = decode_snapshot(encode_snapshot(document), lazy=True)
+        assert encode_snapshot(twin) == encode_snapshot(document)
+    assert validated == [len(document.nodes) for document in documents]
