@@ -5,6 +5,10 @@ The PR 6 payoff claim: a persisted flat-column snapshot (format v2,
 cheaper than shipping XML text and re-parsing it — the cold-start path
 process workers and the DocumentStore both take — without changing a
 single result byte relative to the in-memory flat or boxed-list indexes.
+Since the parser writes the same columns in one pass, both sides of
+that comparison are column documents: the snapshot's lead is now what
+the regex pass over the markup costs beyond reading the columns back
+and validating them.
 
 Four gates, two of them machine-independent:
 
@@ -18,11 +22,16 @@ Four gates, two of them machine-independent:
   per-document cache: ``index_adoptions`` moves by exactly one per
   decode, ``index_builds`` by zero, and a subsequent ``node_index`` call
   on the decoded document is a cache hit (still zero builds).
-* **cold-start gate** — best-of-N seconds for (decode snapshot + first
-  query) vs (re-parse serialized XML + first query), summed over the
-  workload documents. Snapshot load must be ≥ COLD_START_GATE× faster.
-  Host-gated like EXP-AXIS: enforced on ≥ 2-CPU hosts, reported
-  otherwise.
+* **cold-start gate** — best-of-N seconds for (lazy snapshot decode +
+  first query) vs (re-parse serialized XML + first query), like with
+  like: both yield a column document with an adopted index, summed over
+  the workload documents. Snapshot load must be ≥ COLD_START_GATE×
+  faster (five runs on the 2-CPU reference host read 1.68–1.74×; the
+  bar leaves a quarter of that to runner noise). The *eager* decode,
+  which boxes every node, is no longer the fast way in — 0.77× against
+  the one-pass parser — and is not what workers or the store's lazy
+  loads run; EXP-LAZY gates lazy over eager. Host-gated like EXP-AXIS:
+  enforced on ≥ 2-CPU hosts, reported otherwise.
 * **raw-speed gate** — the EXP-AXIS selective workload on *snapshot-
   loaded* documents: ``auto`` dispatch (riding the adopted flat index)
   must stay ≥ SPEEDUP_GATE× faster than forced ``scan``, i.e. the
@@ -138,9 +147,9 @@ def run_adoption_gate(documents) -> tuple[bool, dict]:
 
 
 def run_cold_start_gate(documents):
-    """Best-of-N seconds to get a *queryable* document from cold state:
-    snapshot decode vs re-parse of the serialized XML, each followed by
-    the same first query (so index amortization counts for both sides)."""
+    """Best-of-N seconds to get a *queryable* column document from cold
+    state: lazy snapshot decode vs re-parse of the serialized XML, each
+    followed by the same first query."""
     first_query, first_algorithm = WORKLOAD_QUERIES[0]
     payloads = [
         (serialize(document), encode_snapshot(document)) for document in documents
@@ -157,7 +166,7 @@ def run_cold_start_gate(documents):
             best_parse = min(best_parse, time.perf_counter() - started)
 
             started = time.perf_counter()
-            rebuilt = decode_snapshot(blob)
+            rebuilt = decode_snapshot(blob, lazy=True)
             engine = XPathEngine(rebuilt)
             engine.evaluate(engine.compile(first_query), algorithm=first_algorithm)
             best_decode = min(best_decode, time.perf_counter() - started)
@@ -219,7 +228,7 @@ def main() -> int:
         ["cold-start path", "summed best (ms)", "speedup"],
         [
             ["re-parse serialized XML + first query", parse_seconds * 1e3, 1.0],
-            ["decode snapshot + first query", decode_seconds * 1e3, cold_ratio],
+            ["lazy snapshot decode + first query", decode_seconds * 1e3, cold_ratio],
         ],
     )
     report.table(
@@ -247,7 +256,7 @@ def main() -> int:
     )
     if hosted:
         report.note(
-            f"cold-start gate: snapshot over re-parse = {cold_ratio:.2f}x "
+            f"cold-start gate: lazy snapshot over re-parse = {cold_ratio:.2f}x "
             f"(need >= {COLD_START_GATE}x) — " + ("PASS" if cold_ok else "FAIL")
         )
         report.note(

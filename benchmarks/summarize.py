@@ -108,7 +108,9 @@ def snapshot_lines() -> list[str]:
     path = RESULTS_DIR / "exp_snap.txt"
     if not path.exists():
         return []
-    markers = ("gate:", "speedup", "adoption", "cold-start", "dispatch", "workload:")
+    markers = (
+        "gate:", "speedup", "adoption", "cold-start", "first query", "dispatch", "workload:"
+    )
     return [
         line
         for line in path.read_text(encoding="utf-8").splitlines()

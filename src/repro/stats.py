@@ -234,8 +234,9 @@ class KernelStats:
     * ``fallback_scans`` — dispatches that ran the paper's ``O(|D|)``
       Definition-1 scan instead (predicted output too large, or scan
       mode forced);
-    * ``lazy_documents`` — column-only documents constructed by the lazy
-      snapshot decode path (:class:`repro.xml.columns.ColumnDocument`);
+    * ``lazy_documents`` — column-only documents constructed, by the
+      parser or the lazy snapshot decode path
+      (:class:`repro.xml.columns.ColumnDocument`);
     * ``nodes_materialized`` — boxed ``Node`` objects actually built on
       those documents, each pre counted exactly once ever (the
       materialization runs under the per-document lock). A lazy batch's

@@ -100,7 +100,8 @@ class DocumentColumns:
 
     @classmethod
     def from_document(cls, document: Document) -> "DocumentColumns":
-        """Columns of an eager document (test/benchmark constructor)."""
+        """Columns of a boxed tree, read off its nodes and its index
+        (what :func:`~repro.xml.snapshot.encode_snapshot` writes for one)."""
         index = node_index(document)
         nodes = document.nodes
         return cls(

@@ -48,8 +48,8 @@ per document: :func:`node_index` is weak-cached like
 :func:`repro.service.specialize.document_profile`, and the build runs
 under the cache lock so racing threads see exactly one build
 (``index_builds`` on :data:`repro.stats.axis_kernel_stats` is exact).
-Snapshot loads skip the build entirely: :meth:`NodeIndex.from_columns`
-adopts persisted columns without the post-order sort, and
+Parsed documents and snapshot loads skip the build entirely:
+:meth:`NodeIndex.from_columns` adopts their columns as they stand, and
 :func:`adopt_node_index` seeds the cache with the prebuilt index
 (counted as ``index_adoptions``, never ``index_builds``).
 """
@@ -170,12 +170,12 @@ class NodeIndex:
 
         The columns must be ``array('q')`` (or any buffer of signed
         8-byte ints) already validated against ``document`` — this is the
-        snapshot decoder's constructor: the persisted columns are adopted
-        zero-copy, leaving one ``O(|D|)`` partition pass. When the
-        decoder also passes the ``kinds`` byte column and the ``names``
-        string column, that pass runs over the columns directly — the
-        lazy decode path, which must not touch ``document.nodes`` (doing
-        so would materialize every node of a
+        parser's and the snapshot decoder's constructor: the columns are
+        adopted zero-copy, leaving one ``O(|D|)`` partition pass. When
+        the caller also passes the ``kinds`` byte column and the
+        ``names`` string column, that pass runs over the columns
+        directly — the column-document path, which must not touch
+        ``document.nodes`` (doing so would materialize every node of a
         :class:`~repro.xml.columns.ColumnDocument`).
         """
         if not document.is_finalized:

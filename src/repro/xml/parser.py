@@ -33,13 +33,14 @@ from repro.errors import XMLSyntaxError
 from repro.xml.columns import ColumnDocument, DocumentColumns
 
 # XML 1.0 Name, restricted to the ASCII subset we support.
-_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_NAME_CHAR = r"[A-Za-z0-9_:.\-]"
+_NAME = rf"[A-Za-z_:]{_NAME_CHAR}*"
 _WS = r"[ \t\r\n]*"
 _ATTRIBUTE = re.compile(rf"({_NAME}){_WS}={_WS}(?:\"([^\"<]*)\"|'([^'<]*)')")
 _CONSTRUCT = re.compile(
     # The lookahead keeps backtracking from splitting ``<ab="1">`` into a
     # shorter tag name and an attribute.
-    rf"<({_NAME})(?![A-Za-z0-9_:.\-])((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"<]*\"|'[^'<]*'))*){_WS}(/?)>"
+    rf"<({_NAME})(?!{_NAME_CHAR})((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"<]*\"|'[^'<]*'))*){_WS}(/?)>"
     r"|([^<]+)"
     rf"|</({_NAME}){_WS}>"
     r"|<!--(.*?)-->"
@@ -54,6 +55,7 @@ _WS_AT = re.compile(_WS)
 
 _PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
+# The snapshot kind codes (repro.xml.columns.KIND_CODES), as ints.
 _ELEMENT_CODE, _ATTRIBUTE_CODE, _TEXT_CODE, _COMMENT_CODE, _PI_CODE = b"EATCP"
 
 
@@ -110,7 +112,8 @@ def _doctype_end(source: str, pos: int) -> int:
 def _diagnose(source: str, pos: int) -> XMLSyntaxError:
     """What is wrong with the construct at ``source[pos] == '<'`` that the
     master regex did not match — read the way a cursor lexer would, so the
-    message and position are those of its first complaint."""
+    message and position are those of its first complaint (a bad
+    reference in an earlier, well-formed attribute raises from here)."""
     for opener, what in (
         ("<!--", "comment"),
         ("<![CDATA[", "CDATA section"),
@@ -137,10 +140,7 @@ def _diagnose(source: str, pos: int) -> XMLSyntaxError:
         # A well-formed attribute: only its references or its name can
         # be at fault.
         name = match.group(1)
-        try:
-            _expand_references(match.group(match.lastindex), source, match.start(match.lastindex))
-        except XMLSyntaxError as error:
-            return error
+        _expand_references(match.group(match.lastindex), source, match.start(match.lastindex))
         if name in seen:
             return _error(source, f"duplicate attribute {name!r} on <{tag}>", match.end())
         seen.add(name)

@@ -99,8 +99,9 @@ def encode_snapshot(document: Document) -> bytes:
     columns as they stand (no node is boxed); the columns of a boxed tree
     are read off its nodes and index first."""
     document._require_finalized()
-    columns = getattr(document, "columns", None)
-    if columns is None:
+    if isinstance(document, ColumnDocument):
+        columns = document.columns
+    else:
         columns = DocumentColumns.from_document(document)
     id_attr = document.id_attribute.encode("utf-8")
     parts = [
