@@ -45,9 +45,9 @@ from repro import stats
 from repro.axes.axes import (
     ALL_AXES,
     axis_set,
-    fused_axis_set,
-    fused_inverse_axis_set,
+    axis_test_pres,
     inverse_axis_set,
+    inverse_axis_test_pres,
     kernel_mode_forced,
     matches_node_test,
 )
@@ -115,25 +115,28 @@ def run_value_gate(documents) -> tuple[bool, int]:
             list(nodes),
         ]
         for X in context_sets:
+            pres = sorted({x.pre for x in X})
             for axis in sorted(ALL_AXES):
                 for test in tests:
-                    expected = {
-                        y
+                    expected = sorted(
+                        y.pre
                         for y in axis_set(document, axis, X)
                         if matches_node_test(y, test, axis)
-                    }
+                    )
                     with kernel_mode_forced("indexed"):
-                        indexed = fused_axis_set(document, axis, X, test)
+                        indexed = list(axis_test_pres(document, axis, pres, test))
                     with kernel_mode_forced("scan"):
-                        scanned = fused_axis_set(document, axis, X, test)
+                        scanned = list(axis_test_pres(document, axis, pres, test))
                     if not (indexed == scanned == expected):
                         ok = False
                     cells += 1
-                inverse_expected = inverse_axis_set(document, axis, X)
+                inverse_expected = sorted(
+                    y.pre for y in inverse_axis_set(document, axis, X)
+                )
                 with kernel_mode_forced("indexed"):
-                    inverse_indexed = fused_inverse_axis_set(document, axis, X)
+                    inverse_indexed = inverse_axis_test_pres(document, axis, pres)
                 with kernel_mode_forced("scan"):
-                    inverse_scanned = fused_inverse_axis_set(document, axis, X)
+                    inverse_scanned = inverse_axis_test_pres(document, axis, pres)
                 if not (inverse_indexed == inverse_scanned == inverse_expected):
                     ok = False
                 cells += 1
@@ -179,7 +182,7 @@ def run_counter_gate() -> tuple[bool, dict]:
         for document in documents:
             for axis in ("descendant", "following", "preceding", "child", "self"):
                 for _ in range(10):
-                    fused_axis_set(document, axis, [document.root], test)
+                    axis_test_pres(document, axis, [0], test)
                     calls += 1
     after = stats.axis_kernel_stats.snapshot()
     fused_delta = after["fused_hits"] - before_dispatch["fused_hits"]

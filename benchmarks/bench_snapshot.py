@@ -4,7 +4,7 @@ The PR 6 payoff claim: a persisted flat-column snapshot (format v2,
 ``repro.xml.snapshot``) rebuilds a document *and* its adopted NodeIndex
 cheaper than shipping XML text and re-parsing it — the cold-start path
 process workers and the DocumentStore both take — without changing a
-single result byte relative to the in-memory flat or boxed-list indexes.
+single result byte relative to the in-memory index.
 Since the parser writes the same columns in one pass, both sides of
 that comparison are column documents: the snapshot's lead is now what
 the regex pass over the markup costs beyond reading the columns back
@@ -13,30 +13,25 @@ and validating them.
 Four gates, two of them machine-independent:
 
 * **identity gate** — for every workload query × document, the value is
-  byte-identical across four paths: forced Definition-1 ``scan`` on the
-  original document, ``auto`` dispatch over the packed flat index,
-  ``auto`` over a boxed-list (``packed=False``) index, and ``auto`` on a
+  byte-identical across three paths: forced Definition-1 ``scan`` on the
+  original document, ``auto`` dispatch over its index, and ``auto`` on a
   document round-tripped through ``encode_snapshot``/``decode_snapshot``
   (node sets compared by pre-order position, scalars by value).
 * **adoption gate** — each decode adopts its rebuilt index into the
   per-document cache: ``index_adoptions`` moves by exactly one per
   decode, ``index_builds`` by zero, and a subsequent ``node_index`` call
   on the decoded document is a cache hit (still zero builds).
-* **cold-start gate** — best-of-N seconds for (lazy snapshot decode +
+* **cold-start gate** — best-of-N seconds for (snapshot decode +
   first query) vs (re-parse serialized XML + first query), like with
   like: both yield a column document with an adopted index, summed over
   the workload documents. Snapshot load must be ≥ COLD_START_GATE×
   faster (five runs on the 2-CPU reference host read 1.68–1.74×; the
-  bar leaves a quarter of that to runner noise). The *eager* decode,
-  which boxes every node, is no longer the fast way in — 0.77× against
-  the one-pass parser — and is not what workers or the store's lazy
-  loads run; EXP-LAZY gates lazy over eager. Host-gated like EXP-AXIS:
-  enforced on ≥ 2-CPU hosts, reported otherwise.
+  bar leaves a quarter of that to runner noise). Host-gated like
+  EXP-AXIS: enforced on ≥ 2-CPU hosts, reported otherwise.
 * **raw-speed gate** — the EXP-AXIS selective workload on *snapshot-
   loaded* documents: ``auto`` dispatch (riding the adopted flat index)
-  must stay ≥ SPEEDUP_GATE× faster than forced ``scan``, i.e. the
-  memoryview columns lose nothing to the boxed-list kernels they
-  replaced. Host-gated the same way.
+  must stay ≥ SPEEDUP_GATE× faster than forced ``scan``. Host-gated the
+  same way.
 
 The script exits nonzero if any enforced gate fails. Run with::
 
@@ -55,8 +50,7 @@ from harness import ExperimentReport, time_query
 from repro import stats
 from repro.axes.axes import kernel_mode_forced
 from repro.engine import XPathEngine
-from repro.xml import index as index_module
-from repro.xml.index import NodeIndex, node_index
+from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
@@ -81,7 +75,7 @@ def _canon(document, value):
 
 
 def run_identity_gate(documents) -> tuple[bool, int]:
-    """scan == flat auto == list auto == snapshot auto, per query cell."""
+    """scan == flat auto == snapshot auto, per query cell."""
     cells = 0
     ok = True
     for document in documents:
@@ -98,16 +92,6 @@ def run_identity_gate(documents) -> tuple[bool, int]:
                 flat = _canon(
                     document, engine.evaluate(compiled, algorithm=algorithm)
                 )
-            # Boxed-list reference representation: seed the cache with a
-            # packed=False index, evaluate, then restore the flat one.
-            index_module._INDEX_CACHE[document] = NodeIndex(document, packed=False)
-            try:
-                with kernel_mode_forced("auto"):
-                    boxed = _canon(
-                        document, engine.evaluate(compiled, algorithm=algorithm)
-                    )
-            finally:
-                index_module._INDEX_CACHE.pop(document, None)
             with kernel_mode_forced("auto"):
                 snapped = _canon(
                     rebuilt,
@@ -115,7 +99,7 @@ def run_identity_gate(documents) -> tuple[bool, int]:
                         rebuilt_engine.compile(query), algorithm=algorithm
                     ),
                 )
-            if not (baseline == flat == boxed == snapped):
+            if not (baseline == flat == snapped):
                 ok = False
             cells += 1
     return ok, cells
@@ -148,7 +132,7 @@ def run_adoption_gate(documents) -> tuple[bool, dict]:
 
 def run_cold_start_gate(documents):
     """Best-of-N seconds to get a *queryable* column document from cold
-    state: lazy snapshot decode vs re-parse of the serialized XML, each
+    state: snapshot decode vs re-parse of the serialized XML, each
     followed by the same first query."""
     first_query, first_algorithm = WORKLOAD_QUERIES[0]
     payloads = [
@@ -166,7 +150,7 @@ def run_cold_start_gate(documents):
             best_parse = min(best_parse, time.perf_counter() - started)
 
             started = time.perf_counter()
-            rebuilt = decode_snapshot(blob, lazy=True)
+            rebuilt = decode_snapshot(blob)
             engine = XPathEngine(rebuilt)
             engine.evaluate(engine.compile(first_query), algorithm=first_algorithm)
             best_decode = min(best_decode, time.perf_counter() - started)
@@ -228,7 +212,7 @@ def main() -> int:
         ["cold-start path", "summed best (ms)", "speedup"],
         [
             ["re-parse serialized XML + first query", parse_seconds * 1e3, 1.0],
-            ["lazy snapshot decode + first query", decode_seconds * 1e3, cold_ratio],
+            ["snapshot decode + first query", decode_seconds * 1e3, cold_ratio],
         ],
     )
     report.table(
@@ -246,7 +230,7 @@ def main() -> int:
         f"{adoption_detail['reuse_builds']} builds on node_index reuse"
     )
     report.note(
-        f"identity gate:   scan == flat == boxed-list == snapshot on every "
+        f"identity gate:   scan == flat == snapshot on every "
         f"query cell ({identity_cells} cells) — "
         + ("PASS" if identity_ok else "FAIL")
     )
@@ -256,7 +240,7 @@ def main() -> int:
     )
     if hosted:
         report.note(
-            f"cold-start gate: lazy snapshot over re-parse = {cold_ratio:.2f}x "
+            f"cold-start gate: snapshot over re-parse = {cold_ratio:.2f}x "
             f"(need >= {COLD_START_GATE}x) — " + ("PASS" if cold_ok else "FAIL")
         )
         report.note(

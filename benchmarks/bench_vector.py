@@ -7,27 +7,23 @@ in the index lookups themselves. Compiling the sweep's step chain into a
 linear column program and executing it batch-at-a-time over the flat
 NodeIndex columns (interval joins, partition semi-joins, child-span and
 attribute-run gathers) removes that dispatch without changing a single
-result byte. The stdlib executor alone must pay for itself; the
-auto-detected numpy executor (:mod:`repro.axes.vec_np`) widens the gap
-but is never required.
+result byte.
 
 Three gates, two of them machine-independent:
 
 * **value gate** — every workload query over every workload document
   evaluates byte-identically under forced ``scan``, ``indexed``,
-  ``auto``, and ``vector`` dispatch, the latter on the stdlib executor
-  and (when importable) the numpy executor.
+  ``auto``, and ``vector`` dispatch.
 * **counter gate** — ``vector_program_runs``/``vector_ops`` move by
-  exactly the program-shape-predicted amounts for known queries, on
-  both executors, and the wide workload actually engages the vector
-  tier under ``auto`` dispatch.
+  exactly the program-shape-predicted amounts for known queries, and
+  the wide workload actually engages the vector tier under ``auto``
+  dispatch.
 * **speedup gate** — summed best-of-N evaluation time of the wide
   workload under forced ``vector`` dispatch vs forced ``indexed``
-  (scalar kernels): >= 2.0x with the auto-selected executor AND
-  >= 1.5x with the stdlib executor forced. Host-gated like EXP-AXIS:
-  enforced when the host grants >= 2 usable CPUs (CI runners),
-  reported but not enforced on 1-CPU containers where shared-host
-  noise dominates. The measured ratios print either way.
+  (scalar kernels): >= 1.5x. Host-gated like EXP-AXIS: enforced when
+  the host grants >= 2 usable CPUs (CI runners), reported but not
+  enforced on 1-CPU containers where shared-host noise dominates. The
+  measured ratio prints either way.
 
 The script exits nonzero if any enforced gate fails. Run with::
 
@@ -42,18 +38,13 @@ import sys
 from harness import ExperimentReport, time_query
 
 from repro import stats
-from repro.axes import (
-    kernel_mode_forced,
-    numpy_available,
-    vector_backend_forced,
-)
+from repro.axes import kernel_mode_forced
 from repro.engine import XPathEngine
 from repro.workloads.documents import balanced_tree, book_catalog
 from repro.xml.index import node_index
 
 REPEAT = 5
-VECTOR_SPEEDUP_GATE = 2.0
-STDLIB_SPEEDUP_GATE = 1.5
+VECTOR_SPEEDUP_GATE = 1.5
 
 #: The wide-sweep workload: whole-document frontiers, the regime the
 #: vector tier exists for. All Core XPath, all routed through
@@ -89,21 +80,13 @@ def workload_documents():
     ]
 
 
-def _backends():
-    names = ["stdlib"]
-    if numpy_available():
-        names.append("numpy")
-    return names
-
-
 # ----------------------------------------------------------------------
 # Gates
 # ----------------------------------------------------------------------
 
 
 def run_value_gate(documents) -> tuple[bool, int]:
-    """Vector ≡ indexed ≡ auto ≡ scan on every query × document cell,
-    for every available executor."""
+    """Vector ≡ indexed ≡ auto ≡ scan on every query × document cell."""
     cells = 0
     ok = True
     for document in documents:
@@ -112,13 +95,8 @@ def run_value_gate(documents) -> tuple[bool, int]:
             compiled = engine.compile(query)
             with kernel_mode_forced("scan"):
                 baseline = engine.evaluate(compiled, algorithm="corexpath")
-            for mode in ("indexed", "auto"):
+            for mode in ("indexed", "auto", "vector"):
                 with kernel_mode_forced(mode):
-                    if engine.evaluate(compiled, algorithm="corexpath") != baseline:
-                        ok = False
-                cells += 1
-            for backend in _backends():
-                with kernel_mode_forced("vector"), vector_backend_forced(backend):
                     if engine.evaluate(compiled, algorithm="corexpath") != baseline:
                         ok = False
                 cells += 1
@@ -141,23 +119,22 @@ COUNTER_QUERIES = (
 
 def run_counter_gate(documents) -> tuple[bool, list]:
     """Exact accounting: the vector counters move by program-shape-
-    predicted deltas, identically on every executor."""
+    predicted deltas."""
     document = documents[0]
     engine = XPathEngine(document)
     ok = True
     rows = []
     for query, want_runs, want_ops in COUNTER_QUERIES:
         compiled = engine.compile(query)
-        for backend in _backends():
-            with kernel_mode_forced("vector"), vector_backend_forced(backend):
-                before = stats.axis_kernel_stats.snapshot()
-                engine.evaluate(compiled, algorithm="corexpath")
-                after = stats.axis_kernel_stats.snapshot()
-            runs = after["vector_program_runs"] - before["vector_program_runs"]
-            ops = after["vector_ops"] - before["vector_ops"]
-            if (runs, ops) != (want_runs, want_ops):
-                ok = False
-            rows.append([f"{query} [{backend}]", runs, want_runs, ops, want_ops])
+        with kernel_mode_forced("vector"):
+            before = stats.axis_kernel_stats.snapshot()
+            engine.evaluate(compiled, algorithm="corexpath")
+            after = stats.axis_kernel_stats.snapshot()
+        runs = after["vector_program_runs"] - before["vector_program_runs"]
+        ops = after["vector_ops"] - before["vector_ops"]
+        if (runs, ops) != (want_runs, want_ops):
+            ok = False
+        rows.append([query, runs, want_runs, ops, want_ops])
     # Engagement: under plain auto dispatch the wide workload must run
     # through the vector tier, not fall back to scalar sweeps.
     with kernel_mode_forced("auto"):
@@ -178,7 +155,7 @@ def run_counter_gate(documents) -> tuple[bool, list]:
 
 def run_speedup_gate(documents):
     """Summed best-of-N evaluation seconds: forced indexed scalar
-    kernels vs forced vector programs, per executor."""
+    kernels vs forced vector programs."""
     engines = [XPathEngine(document) for document in documents]
     compiled = [
         [engine.compile(query) for query in WORKLOAD_QUERIES] for engine in engines
@@ -188,19 +165,13 @@ def run_speedup_gate(documents):
         index.child_table()
         index.attribute_counts()
     timings = {}
-    with kernel_mode_forced("indexed"):
-        total = 0.0
-        for engine, plans in zip(engines, compiled):
-            for plan in plans:
-                total += time_query(engine, plan, "corexpath", repeat=REPEAT)
-        timings["indexed"] = total
-    for backend in _backends():
-        with kernel_mode_forced("vector"), vector_backend_forced(backend):
-            total = 0.0
-            for engine, plans in zip(engines, compiled):
-                for plan in plans:
-                    total += time_query(engine, plan, "corexpath", repeat=REPEAT)
-            timings[backend] = total
+    for mode in ("indexed", "vector"):
+        with kernel_mode_forced(mode):
+            timings[mode] = sum(
+                time_query(engine, plan, "corexpath", repeat=REPEAT)
+                for engine, plans in zip(engines, compiled)
+                for plan in plans
+            )
     return timings
 
 
@@ -215,17 +186,9 @@ def main() -> int:
     value_ok, value_cells = run_value_gate(documents)
     counters_ok, counter_rows = run_counter_gate(documents)
     timings = run_speedup_gate(documents)
-    auto_backend = "numpy" if numpy_available() else "stdlib"
-    vector_speedup = timings["indexed"] / timings[auto_backend]
-    stdlib_speedup = timings["indexed"] / timings["stdlib"]
+    vector_speedup = timings["indexed"] / timings["vector"]
     speedup_enforced = usable_cpus >= 2
-    # The 2x gate prices the auto-selected executor at its best; with
-    # numpy absent that IS the stdlib executor, whose own 1.5x gate is
-    # the binding one — don't double-charge the no-numpy leg.
-    vector_ok = (
-        not numpy_available() or vector_speedup >= VECTOR_SPEEDUP_GATE
-    )
-    stdlib_ok = stdlib_speedup >= STDLIB_SPEEDUP_GATE
+    vector_ok = vector_speedup >= VECTOR_SPEEDUP_GATE
 
     report = ExperimentReport(
         "EXP-VEC", "block-vectorized column programs vs scalar kernels"
@@ -234,18 +197,12 @@ def main() -> int:
     report.note(
         f"workload: {len(WORKLOAD_QUERIES)} wide-sweep queries x "
         f"{len(documents)} documents (|dom| = {sizes}); best of {REPEAT}; "
-        f"numpy {'available' if numpy_available() else 'ABSENT (stdlib only)'}; "
         f"host grants {usable_cpus} usable CPU(s)"
     )
-    rows = [["indexed (scalar kernels forced)", timings["indexed"] * 1e3, 1.0]]
-    for backend in _backends():
-        rows.append(
-            [
-                f"vector / {backend} executor",
-                timings[backend] * 1e3,
-                timings["indexed"] / timings[backend],
-            ]
-        )
+    rows = [
+        ["indexed (scalar kernels forced)", timings["indexed"] * 1e3, 1.0],
+        ["vector (column programs forced)", timings["vector"] * 1e3, vector_speedup],
+    ]
     report.table(["dispatch", "summed best (ms)", "speedup"], rows)
     report.note()
     report.table(
@@ -255,36 +212,29 @@ def main() -> int:
     report.note()
     report.note(
         f"value gate:   vector == indexed == auto == scan on every cell "
-        f"({value_cells} cells, {len(_backends())} executor(s)) — "
+        f"({value_cells} cells) — "
         + ("PASS" if value_ok else "FAIL")
     )
     report.note(
-        "counter gate: program/op deltas exact on every executor — "
+        "counter gate: program/op deltas exact — "
         + ("PASS" if counters_ok else "FAIL")
     )
     if speedup_enforced:
-        vector_need = (
-            f"need >= {VECTOR_SPEEDUP_GATE}x"
-            if numpy_available()
-            else "stdlib gate binds — numpy absent"
-        )
         report.note(
-            f"speedup gate: vector {vector_speedup:.2f}x ({vector_need}), "
-            f"stdlib-only {stdlib_speedup:.2f}x "
-            f"(need >= {STDLIB_SPEEDUP_GATE}x) — "
-            + ("PASS" if vector_ok and stdlib_ok else "FAIL")
+            f"speedup gate: vector over indexed = {vector_speedup:.2f}x "
+            f"(need >= {VECTOR_SPEEDUP_GATE}x) — "
+            + ("PASS" if vector_ok else "FAIL")
         )
     else:
         report.note(
-            f"speedup gate: SKIPPED — 1-CPU host (measured vector "
-            f"{vector_speedup:.2f}x / stdlib {stdlib_speedup:.2f}x; gates "
-            f"need >= {VECTOR_SPEEDUP_GATE}x / >= {STDLIB_SPEEDUP_GATE}x "
+            f"speedup gate: SKIPPED — 1-CPU host (measured "
+            f"{vector_speedup:.2f}x; gate needs >= {VECTOR_SPEEDUP_GATE}x "
             f"on >= 2-CPU hosts)"
         )
     report.finish()
     if not value_ok or not counters_ok:
         return 1
-    if speedup_enforced and not (vector_ok and stdlib_ok):
+    if speedup_enforced and not vector_ok:
         return 1
     return 0
 

@@ -11,7 +11,6 @@ Run after the benchmark suite:
     python benchmarks/summarize.py --axes        # just the fused-kernel gates
     python benchmarks/summarize.py --snapshot    # just the snapshot gates
     python benchmarks/summarize.py --batchplan   # just the multi-query gates
-    python benchmarks/summarize.py --lazy        # just the lazy-decode gates
     python benchmarks/summarize.py --vector      # just the vector-program gates
     python benchmarks/summarize.py --serve       # just the serving-daemon gates
 """
@@ -28,7 +27,7 @@ ORDER = [
     "exp_x1", "exp_t7a", "exp_t7b", "exp_t10", "exp_t13",
     "exp_x2", "exp_x3", "exp_a1", "exp_a2",
     "exp_svc", "exp_shard", "exp_mqo", "exp_async", "exp_spec", "exp_axis", "exp_snap",
-    "exp_lazy", "exp_vec", "exp_serve",
+    "exp_vec", "exp_serve",
 ]
 
 
@@ -132,20 +131,6 @@ def batchplan_lines() -> list[str]:
     ]
 
 
-def lazy_lines() -> list[str]:
-    """The gate, cold-start, peak-memory, and counter lines from the
-    EXP-LAZY report (written by bench_lazy.py)."""
-    path = RESULTS_DIR / "exp_lazy.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "decode (", "peak memory", "counters:", "workload:")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
 def vector_lines() -> list[str]:
     """The gate, speedup, and counter lines from the EXP-VEC report
     (written by bench_vector.py)."""
@@ -210,12 +195,6 @@ def main(argv: list[str] | None = None) -> None:
         "--batchplan",
         action="store_true",
         help="print only the multi-query sharing gates and speedup (EXP-MQO)",
-    )
-    parser.add_argument(
-        "--lazy",
-        action="store_true",
-        help="print only the lazy-decode gates, peak memory, and cold-start "
-        "speedup (EXP-LAZY)",
     )
     parser.add_argument(
         "--vector",
@@ -288,15 +267,6 @@ def main(argv: list[str] | None = None) -> None:
             raise SystemExit(
                 "no multi-query results yet — run: "
                 "python benchmarks/bench_batchplan.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.lazy:
-        lines = lazy_lines()
-        if not lines:
-            raise SystemExit(
-                "no lazy-decode results yet — run: "
-                "python benchmarks/bench_lazy.py"
             )
         print("\n".join(lines))
         return

@@ -15,11 +15,10 @@ interface — :func:`axis_test_pres` / :func:`inverse_axis_test_pres` —
 is what the evaluators run on: the Core XPath sweeps, and every
 set-at-a-time step of MINCONTEXT / OPTMINCONTEXT (whose per-origin
 candidate lists are cut from the same columns by
-:func:`repro.core.common.step_relation_pres`). The boxed node-set
-interface — :func:`fused_axis_set` / :func:`fused_inverse_axis_set`,
-and the per-node :func:`repro.axes.axes.axis_test_nodes` the reference
-evaluators rank candidates with — is the same dispatch over ``Node``
-objects. A ``descendant::a`` dispatch costs
+:func:`repro.core.common.step_relation_pres`). The per-node
+:func:`repro.axes.axes.axis_test_nodes` the reference evaluators rank
+candidates with is the same dispatch over ``Node`` objects. A
+``descendant::a`` dispatch costs
 ``O(|X|·log|D| + output)`` via binary search over the ``a`` partition;
 ``following``/``preceding`` are partition suffix/prefix slices; the
 pointer axes gather the parent column; inverse interval axes emit pre
@@ -30,16 +29,14 @@ time in Python.
 XPath sweeps compiled to a linear IR executed batch-at-a-time over the
 flat columns — interval joins, pointer gathers, child-span/attribute-run
 gathers, partition intersects — with no per-node Python dispatch in the
-loop body, on a stdlib executor always and a byte-identical
-auto-detected numpy executor (:mod:`repro.axes.vec_np`) when importable
-(:func:`set_vector_backend` / :func:`vector_backend_forced` select).
+loop body, built from the standard library's C-speed blocks alone.
 
 **The fallback guarantee lives in the dispatch**: every fused call whose
 predicted cost (computed exactly from partition bisections) exceeds the
 ``O(|D|)`` scan bound — or every call while :func:`set_kernel_mode`
 forces ``scan`` — runs the Definition-1 implementation verbatim, and the
 vector primitives are forced-kernel forms of the same tier-1 code paths,
-so results are byte-identical in every mode/backend and worst-case
+so results are byte-identical in every mode and worst-case
 asymptotics never regress. Dispatch outcomes are counted exactly on
 :data:`repro.stats.axis_kernel_stats` (``fused_hits``/``fallback_scans``
 for scalar dispatches, ``vector_program_runs``/``vector_ops`` for the
@@ -57,8 +54,6 @@ from repro.axes.axes import (
     axis_nodes,
     axis_set,
     axis_test_pres,
-    fused_axis_set,
-    fused_inverse_axis_set,
     inverse_axis_set,
     inverse_axis_test_pres,
     is_forward_axis,
@@ -71,17 +66,11 @@ from repro.axes.order import axis_order_key, index_in_axis_order, sort_in_axis_o
 from repro.axes.vec import (
     FORWARD_VECTOR_AXES,
     INVERSE_VECTOR_AXES,
-    VECTOR_BACKENDS,
     VECTOR_MIN_BLOCK,
-    active_backend_name,
     compile_backward_steps,
     compile_forward_steps,
-    numpy_available,
     run_program,
-    set_vector_backend,
     sweep_engaged,
-    vector_backend,
-    vector_backend_forced,
 )
 
 __all__ = [
@@ -95,8 +84,6 @@ __all__ = [
     "axis_nodes",
     "axis_set",
     "axis_test_pres",
-    "fused_axis_set",
-    "fused_inverse_axis_set",
     "inverse_axis_set",
     "inverse_axis_test_pres",
     "is_forward_axis",
@@ -109,15 +96,9 @@ __all__ = [
     "sort_in_axis_order",
     "FORWARD_VECTOR_AXES",
     "INVERSE_VECTOR_AXES",
-    "VECTOR_BACKENDS",
     "VECTOR_MIN_BLOCK",
-    "active_backend_name",
     "compile_backward_steps",
     "compile_forward_steps",
-    "numpy_available",
     "run_program",
-    "set_vector_backend",
     "sweep_engaged",
-    "vector_backend",
-    "vector_backend_forced",
 ]

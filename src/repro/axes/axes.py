@@ -11,9 +11,8 @@ semantics, three execution regimes, every tier byte-identical:
   Definition 1 citing [11]). These are the *guaranteed* implementations
   and the worst-case fallback of everything below; they never consult an
   index.
-* **Tier 1 — indexed scalar kernels** (:func:`fused_axis_set` /
-  :func:`fused_inverse_axis_set` and their sorted-pre-array forms
-  :func:`axis_test_pres` / :func:`inverse_axis_test_pres`): fused
+* **Tier 1 — indexed scalar kernels** (:func:`axis_test_pres` /
+  :func:`inverse_axis_test_pres`, over sorted pre arrays): fused
   axis+name-test kernels over the per-document
   :class:`repro.xml.index.NodeIndex`, *output-sensitive* but iterating
   origins one pre at a time in Python. ``descendant::a`` is a
@@ -25,8 +24,7 @@ semantics, three execution regimes, every tier byte-identical:
 * **Tier 2 — vector column programs** (:mod:`repro.axes.vec`): whole
   Core XPath sweeps compiled to a linear IR of block-at-a-time column
   primitives (interval joins, pointer gathers, partition intersections)
-  with zero per-node Python dispatch in the loop body — a stdlib
-  backend always, a byte-identical numpy backend when importable. The
+  with zero per-node Python dispatch in the loop body. The
   Core evaluator routes sweeps here in ``vector`` mode, and in ``auto``
   whenever a block is wide enough to amortize program setup; narrow
   blocks and axes without columnar form fall back per-op to tier 1.
@@ -527,32 +525,6 @@ def _scan_axis_set(document: Document, axis: str, X, test: NodeTest) -> set[Node
     return {y for y in axis_set(document, axis, X) if matches_node_test(y, test, axis)}
 
 
-def fused_axis_set(
-    document: Document, axis: str, node_set: Iterable[Node], test: NodeTest
-) -> set[Node]:
-    """``χ(X) ∩ T(t)`` through the fused-kernel dispatch.
-
-    Byte-identical to ``axis_set`` + ``matches_node_test`` in every mode;
-    output-sensitive whenever the dispatch takes a kernel. Exactly one of
-    ``fused_hits``/``fallback_scans`` is counted per call.
-    """
-    X = node_set if isinstance(node_set, (set, frozenset, list, tuple)) else list(node_set)
-    mode = _kernel_mode
-    if mode != "scan":
-        if axis in INTERVAL_AXES:
-            pres = sorted({x.pre for x in X})
-            out = _interval_axis_pres(document, axis, pres, test, mode != "auto")
-            if out is not None:
-                stats.axis_kernel_stats.fused()
-                nodes = document.nodes
-                return {nodes[p] for p in out}
-        else:
-            stats.axis_kernel_stats.fused()
-            return _enumerated_axis_set(document, axis, X, test)
-    stats.axis_kernel_stats.fallback()
-    return _scan_axis_set(document, axis, X, test)
-
-
 def axis_test_pres(
     document: Document, axis: str, pres: list[int], test: NodeTest
 ) -> list[int]:
@@ -585,25 +557,6 @@ def axis_test_pres(
         stats.axis_kernel_stats.fallback()
         result = _scan_axis_set(document, axis, X, test)
     return sorted(y.pre for y in result)
-
-
-def fused_inverse_axis_set(
-    document: Document, axis: str, node_set: Iterable[Node]
-) -> set[Node]:
-    """``χ⁻¹(Y)`` through the fused-kernel dispatch (kernels exist for
-    the interval axes; everything else runs the Definition-1 form, whose
-    implementations are already per-``Y`` enumerations)."""
-    Y = node_set if isinstance(node_set, (set, frozenset, list, tuple)) else list(node_set)
-    mode = _kernel_mode
-    if mode != "scan" and axis in INVERSE_INTERVAL_AXES:
-        pres = sorted({y.pre for y in Y})
-        out = _inverse_interval_pres(document, axis, pres, mode != "auto")
-        if out is not None:
-            stats.axis_kernel_stats.fused()
-            nodes = document.nodes
-            return {nodes[p] for p in out}
-    stats.axis_kernel_stats.fallback()
-    return inverse_axis_set(document, axis, Y)
 
 
 def inverse_axis_test_pres(
@@ -655,10 +608,9 @@ def _interval_axis_pres(
     if axis == "following":
         # One suffix of the partition: every partition member at or past
         # the earliest subtree end is a following of that context node.
-        # The slice stays a zero-copy view of the packed partition (a
-        # list copy only in the packed=False reference form): callers
-        # bisect/iterate/merge pre arrays, never mutate them, so there
-        # is no reason to materialize the partition tail.
+        # The slice stays a zero-copy view of the packed partition:
+        # callers bisect/iterate/merge pre arrays, never mutate them, so
+        # there is no reason to materialize the partition tail.
         cutoff = min(p + size[p] for p in pres)
         return partition[bisect_left(partition, cutoff):]
     if axis == "preceding":

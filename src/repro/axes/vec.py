@@ -14,20 +14,12 @@ contiguous child-span / attribute-run gathers, sorted-merge
 union/intersect, name-test partition intersects — with no per-node
 Python dispatch in the loop body.
 
-Two interchangeable executors implement the primitives:
+The primitives are built from the standard library's C-speed blocks
+only: ``array``/``memoryview`` slice gathers, ``bisect`` over whole
+blocks, bulk ``set`` algebra, one ``sort`` per gather that needs it.
 
-* the **stdlib backend** (this module): C-speed building blocks only —
-  ``array``/``memoryview`` slice gathers, ``bisect`` over whole blocks,
-  bulk ``set`` algebra, one ``sort`` per gather that needs it;
-* the **numpy backend** (:mod:`repro.axes.vec_np`): the same primitives
-  over ``np.frombuffer`` zero-copy views of the packed columns
-  (``searchsorted`` interval joins, boolean-mask pointer joins).
-  Auto-detected, import-guarded, never a hard dependency, and
-  byte-identical — the executor's control flow, counters, and results
-  do not depend on which backend runs.
-
-Dispatch: :func:`repro.axes.axes.set_kernel_mode` gains a ``vector``
-mode that forces programs and their vector primitives; in ``auto`` a
+Dispatch: the ``vector`` mode of :func:`repro.axes.axes.set_kernel_mode`
+forces programs and their vector primitives; in ``auto`` a
 sweep routes through a program when the document is at least
 :data:`VECTOR_MIN_BLOCK` nodes, and each op runs vectorized only while
 its block is that wide (narrow blocks delegate per-op to the tier-1
@@ -46,9 +38,6 @@ Theorem-13 bound is preserved by the tier-0/1 dispatch underneath.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 from repro import stats
 from repro.axes.axes import (
@@ -86,114 +75,100 @@ INVERSE_VECTOR_AXES = (
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Column primitives
 # ----------------------------------------------------------------------
+#
+# Each takes a sorted duplicate-free pre block and returns a sorted
+# duplicate-free pre array — the same contract as the tier-1 pre-plane
+# kernels (most primitives *are* those kernels, forced, so identity is
+# by construction rather than by reimplementation).
 
-#: ``auto`` — numpy when importable, stdlib otherwise (the default);
-#: ``stdlib`` / ``numpy`` force one executor (``numpy`` raises when the
-#: module is not importable). Results are byte-identical regardless.
-VECTOR_BACKENDS = ("auto", "stdlib", "numpy")
 
-
-class _StdlibBackend:
-    """Column primitives from the standard library alone.
-
-    Each method takes a sorted duplicate-free pre block and returns a
-    sorted duplicate-free pre array — the same contract as the tier-1
-    pre-plane kernels (most primitives *are* those kernels, forced, so
-    identity is by construction rather than by reimplementation).
-    """
-
-    name = "stdlib"
-
-    def forward_block(self, document, index, axis, block, test):
-        """``χ(block) ∩ T(test)`` for a forward vector axis."""
-        if axis in INTERVAL_AXES:
-            if not isinstance(block, list):
-                block = list(block)
-            out = _interval_axis_pres(document, axis, block, test, True)
-            if out is not None:
-                return out
-            return axis_test_pres(document, axis, block, test)
-        if axis == "self":
-            return self.filter_block(index, block, test, False)
-        if axis == "parent":
-            parent_pre = index.parent_pre
-            candidates = sorted({parent_pre[p] for p in block if p != 0})
-            return self.filter_block(index, candidates, test, False)
-        if axis == "child":
-            partition = index.filter_partition(test, attribute_principal=False)
-            target = index.non_attributes if partition is None else partition
-            if len(target) <= 8 * len(block):
-                # Partition-side semi-join: one pass over the test
-                # partition keeping members whose parent lands in the
-                # block — already sorted, no gather, no merge.
-                parent_pre = index.parent_pre
-                members = set(block)
-                return [p for p in target if parent_pre[p] in members]
-            offsets, children = index.child_table()
-            spans = memoryview(children)
-            out: list[int] = []
-            extend = out.extend
-            for p in block:
-                lo, hi = offsets[p], offsets[p + 1]
-                if lo < hi:
-                    extend(spans[lo:hi])
-            out.sort()  # spans of nested origins interleave in pre order
-            if partition is None:
-                return out
-            return _intersect_sorted(out, partition)
-        if axis == "attribute":
-            counts = index.attribute_counts()
-            out = []
-            extend = out.extend
-            for p in block:
-                n = counts[p]
-                if n:
-                    extend(range(p + 1, p + 1 + n))
-            # Runs across an ascending block are disjoint ascending (a
-            # block member inside another's run is an attribute, whose
-            # own run is empty) — no sort needed.
-            return self.filter_block(index, out, test, True)
-        # ancestor / ancestor-or-self: level-synchronous parent-column
-        # walk — the whole frontier hops one generation per iteration,
-        # deduplicated before each hop.
-        seen = _frontier_ancestors(index, block)
-        if axis == "ancestor-or-self":
-            seen.update(block)
-        return self.filter_block(index, sorted(seen), test, False)
-
-    def inverse_block(self, document, index, axis, block):
-        """``χ⁻¹(block)`` for an inverse vector axis."""
+def forward_block(document, index, axis, block, test):
+    """``χ(block) ∩ T(test)`` for a forward vector axis."""
+    if axis in INTERVAL_AXES:
         if not isinstance(block, list):
             block = list(block)
-        if axis in INVERSE_INTERVAL_AXES:
-            out = _inverse_interval_pres(document, axis, block, True)
-        else:
-            out = _inverse_pointer_pres(document, axis, block)
-        return out if out is not None else []
-
-    def filter_block(self, index, block, test, attribute_principal):
-        """``block ∩ T(test)`` via one partition intersect (``None``
-        partition means ``node()`` — matches everything)."""
-        partition = index.filter_partition(
-            test, attribute_principal=attribute_principal
-        )
+        out = _interval_axis_pres(document, axis, block, test, True)
+        if out is not None:
+            return out
+        return axis_test_pres(document, axis, block, test)
+    if axis == "self":
+        return filter_block(index, block, test, False)
+    if axis == "parent":
+        parent_pre = index.parent_pre
+        candidates = sorted({parent_pre[p] for p in block if p != 0})
+        return filter_block(index, candidates, test, False)
+    if axis == "child":
+        partition = index.filter_partition(test, attribute_principal=False)
+        target = index.non_attributes if partition is None else partition
+        if len(target) <= 8 * len(block):
+            # Partition-side semi-join: one pass over the test
+            # partition keeping members whose parent lands in the
+            # block — already sorted, no gather, no merge.
+            parent_pre = index.parent_pre
+            members = set(block)
+            return [p for p in target if parent_pre[p] in members]
+        offsets, children = index.child_table()
+        spans = memoryview(children)
+        out: list[int] = []
+        extend = out.extend
+        for p in block:
+            lo, hi = offsets[p], offsets[p + 1]
+            if lo < hi:
+                extend(spans[lo:hi])
+        out.sort()  # spans of nested origins interleave in pre order
         if partition is None:
-            return block if isinstance(block, list) else list(block)
-        return _intersect_sorted(block, partition)
+            return out
+        return intersect(out, partition)
+    if axis == "attribute":
+        counts = index.attribute_counts()
+        out = []
+        extend = out.extend
+        for p in block:
+            n = counts[p]
+            if n:
+                extend(range(p + 1, p + 1 + n))
+        # Runs across an ascending block are disjoint ascending (a
+        # block member inside another's run is an attribute, whose
+        # own run is empty) — no sort needed.
+        return filter_block(index, out, test, True)
+    # ancestor / ancestor-or-self: level-synchronous parent-column
+    # walk — the whole frontier hops one generation per iteration,
+    # deduplicated before each hop.
+    seen = _frontier_ancestors(index, block)
+    if axis == "ancestor-or-self":
+        seen.update(block)
+    return filter_block(index, sorted(seen), test, False)
 
-    def intersect(self, a, b):
-        """Sorted-set intersection of two sorted duplicate-free pre
-        arrays (the predicate-merge primitive)."""
-        return _intersect_sorted(a, b)
+
+def inverse_block(document, axis, block):
+    """``χ⁻¹(block)`` for an inverse vector axis."""
+    if not isinstance(block, list):
+        block = list(block)
+    if axis in INVERSE_INTERVAL_AXES:
+        out = _inverse_interval_pres(document, axis, block, True)
+    else:
+        out = _inverse_pointer_pres(document, axis, block)
+    return out if out is not None else []
 
 
-def _intersect_sorted(a, b):
-    """``merge_intersection`` semantics at block speed: galloping merge
-    when one side is much smaller (bisects beat any full pass), bulk
-    C-level set intersection when the sides are comparable (the regime
-    where the Python merge loop pays per-element interpreter cost)."""
+def filter_block(index, block, test, attribute_principal):
+    """``block ∩ T(test)`` via one partition intersect (``None``
+    partition means ``node()`` — matches everything)."""
+    partition = index.filter_partition(test, attribute_principal=attribute_principal)
+    if partition is None:
+        return block if isinstance(block, list) else list(block)
+    return intersect(block, partition)
+
+
+def intersect(a, b):
+    """Intersection of two sorted duplicate-free pre arrays (the
+    predicate-merge primitive) — ``merge_intersection`` semantics at
+    block speed: galloping merge when one side is much smaller (bisects
+    beat any full pass), bulk C-level set intersection when the sides
+    are comparable (the regime where the Python merge loop pays
+    per-element interpreter cost)."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
@@ -214,82 +189,6 @@ def _frontier_ancestors(index, block) -> set[int]:
         frontier.difference_update(seen)
         frontier.discard(-1)
     return seen
-
-
-_STDLIB = _StdlibBackend()
-_numpy_backend = None
-_numpy_checked = False
-
-
-def _load_numpy_backend():
-    global _numpy_backend, _numpy_checked
-    if not _numpy_checked:
-        try:
-            from repro.axes import vec_np
-
-            _numpy_backend = vec_np.make_backend(_STDLIB)
-        except Exception:  # pragma: no cover - import breakage only
-            _numpy_backend = None
-        _numpy_checked = True
-    return _numpy_backend
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can run in this process."""
-    return _load_numpy_backend() is not None
-
-
-_backend_mode = (
-    os.environ.get("REPRO_VECTOR_BACKEND", "auto")
-    if os.environ.get("REPRO_VECTOR_BACKEND", "auto") in VECTOR_BACKENDS
-    else "auto"
-)
-
-
-def vector_backend() -> str:
-    """The selected backend mode (see :data:`VECTOR_BACKENDS`)."""
-    return _backend_mode
-
-
-def set_vector_backend(name: str) -> str:
-    """Select the vector executor process-wide; returns the previous
-    selection. ``numpy`` raises :class:`RuntimeError` when numpy is not
-    importable (``auto`` silently uses stdlib then)."""
-    global _backend_mode
-    if name not in VECTOR_BACKENDS:
-        raise ValueError(
-            f"unknown vector backend: {name!r} (pick from {VECTOR_BACKENDS})"
-        )
-    if name == "numpy" and not numpy_available():
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    previous = _backend_mode
-    _backend_mode = name
-    return previous
-
-
-@contextlib.contextmanager
-def vector_backend_forced(name: str):
-    """Context-manager form of :func:`set_vector_backend`."""
-    previous = set_vector_backend(name)
-    try:
-        yield
-    finally:
-        set_vector_backend(previous)
-
-
-def active_backend():
-    """The executor the next vectorized op will run on."""
-    if _backend_mode == "stdlib":
-        return _STDLIB
-    backend = _load_numpy_backend()
-    if _backend_mode == "numpy" and backend is None:  # pragma: no cover
-        raise RuntimeError("numpy backend selected but numpy is not importable")
-    return backend if backend is not None else _STDLIB
-
-
-def active_backend_name() -> str:
-    """``"stdlib"`` or ``"numpy"`` — the resolved executor name."""
-    return active_backend().name
 
 
 # ----------------------------------------------------------------------
@@ -392,19 +291,17 @@ def run_program(document, program, block, predicate_pres, on_step=None):
     sweep counts the step *then* stops on an empty frontier.
 
     Counters: one ``vector_program_runs`` tick per call; one
-    ``vector_ops`` tick per primitive executed on the vector backend
-    (the step op, and in backward steps the name-test filter). An op
-    delegated to a scalar kernel — narrow block in ``auto``, or an axis
-    with no columnar form — ticks ``fused_hits``/``fallback_scans``
-    through that kernel's own dispatch instead, so the two counter
-    families partition a program's step work exactly, independent of
-    backend.
+    ``vector_ops`` tick per primitive run vectorized (the step op, and
+    in backward steps the name-test filter). An op delegated to a scalar
+    kernel — narrow block in ``auto``, or an axis with no columnar form —
+    ticks ``fused_hits``/``fallback_scans`` through that kernel's own
+    dispatch instead, so the two counter families partition a program's
+    step work exactly.
     """
     kernel_stats = stats.axis_kernel_stats
     kernel_stats.vector_run()
     forced = kernel_mode() == "vector"
     index = node_index(document)
-    backend = active_backend()
     current = block
     if program.direction == "forward":
         for step in program.steps:
@@ -412,7 +309,7 @@ def run_program(document, program, block, predicate_pres, on_step=None):
                 on_step()
             if step.vector and (forced or len(current) >= VECTOR_MIN_BLOCK):
                 kernel_stats.vector_op()
-                current = backend.forward_block(
+                current = forward_block(
                     document, index, step.axis, current, step.test
                 )
             else:
@@ -422,7 +319,7 @@ def run_program(document, program, block, predicate_pres, on_step=None):
             for predicate in step.predicates:
                 if not current:
                     break
-                current = backend.intersect(current, predicate_pres(predicate))
+                current = intersect(current, predicate_pres(predicate))
         return current if isinstance(current, list) else list(current)
     for step in program.steps:
         if on_step is not None:
@@ -431,18 +328,14 @@ def run_program(document, program, block, predicate_pres, on_step=None):
             return []
         if forced or len(current) >= VECTOR_MIN_BLOCK:
             kernel_stats.vector_op()
-            tested = backend.filter_block(
-                index, current, step.test, step.axis in AXIS_PRINCIPAL_ATTRIBUTE
-            )
-        else:
-            tested = _STDLIB.filter_block(
-                index, current, step.test, step.axis in AXIS_PRINCIPAL_ATTRIBUTE
-            )
+        tested = filter_block(
+            index, current, step.test, step.axis in AXIS_PRINCIPAL_ATTRIBUTE
+        )
         for predicate in step.predicates:
-            tested = backend.intersect(tested, predicate_pres(predicate))
+            tested = intersect(tested, predicate_pres(predicate))
         if step.vector and (forced or len(tested) >= VECTOR_MIN_BLOCK):
             kernel_stats.vector_op()
-            current = backend.inverse_block(document, index, step.axis, tested)
+            current = inverse_block(document, step.axis, tested)
         else:
             if not isinstance(tested, list):
                 tested = list(tested)
@@ -453,18 +346,11 @@ def run_program(document, program, block, predicate_pres, on_step=None):
 __all__ = [
     "FORWARD_VECTOR_AXES",
     "INVERSE_VECTOR_AXES",
-    "VECTOR_BACKENDS",
     "VECTOR_MIN_BLOCK",
     "CompiledStep",
     "VectorProgram",
-    "active_backend",
-    "active_backend_name",
     "compile_backward_steps",
     "compile_forward_steps",
-    "numpy_available",
     "run_program",
-    "set_vector_backend",
     "sweep_engaged",
-    "vector_backend",
-    "vector_backend_forced",
 ]

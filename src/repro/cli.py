@@ -33,10 +33,9 @@ Three modes:
   :class:`repro.xml.store.DocumentStore` instead of (or alongside)
   ``--xml``/``--file`` — snapshot-backed documents skip the XML parse
   and arrive with their node index pre-seeded;
-* ``repro-xpath store {snapshot,list,migrate}`` manages a document
-  store: ``snapshot`` parses a document and persists it as a binary
-  snapshot sidecar (format v2), ``list`` prints the catalog, and
-  ``migrate`` rewrites legacy v1 inline entries as snapshot sidecars;
+* ``repro-xpath store {snapshot,list}`` manages a document store:
+  ``snapshot`` parses a document and persists it as a binary snapshot
+  sidecar (format v2), and ``list`` prints the catalog;
 * ``repro-xpath serve`` runs the long-lived serving daemon
   (:mod:`repro.serve`): line-delimited JSON over TCP, per-client
   quotas, cost-priced admission control, per-query deadlines, and
@@ -94,7 +93,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.axes import KERNEL_MODES, kernel_mode_forced, vector_backend
+from repro.axes import KERNEL_MODES, kernel_mode_forced
 from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import (
     DeadlineExceededError,
@@ -478,22 +477,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="with --snapshot-store: load only this named document "
         "(repeatable; default: every document in the store)",
     )
-    lazy_group = parser.add_mutually_exclusive_group()
-    lazy_group.add_argument(
-        "--lazy",
-        dest="lazy",
-        action="store_true",
-        default=True,
-        help="with --snapshot-store: decode documents column-only and "
-        "materialize Node objects per result (default)",
-    )
-    lazy_group.add_argument(
-        "--eager",
-        dest="lazy",
-        action="store_false",
-        help="with --snapshot-store: rebuild the full boxed node tree at "
-        "load time (the pre-lazy behavior)",
-    )
     parser.add_argument(
         "--algorithm",
         "-a",
@@ -737,7 +720,7 @@ def _batch_main(args) -> int:
             store = DocumentStore(args.snapshot_store)
             names = args.doc if args.doc else store.names()
             for name in names:
-                documents.append(store.load(name, lazy=args.lazy))
+                documents.append(store.load(name))
                 labels.append(f"store:{name}")
         except ReproError as error:
             return _fail(str(error), error_exit_code(error))
@@ -819,8 +802,7 @@ def _batch_main(args) -> int:
             print(
                 "vector:       "
                 f"programs={kernel_stats['vector_program_runs']} "
-                f"ops={kernel_stats['vector_ops']} "
-                f"backend={vector_backend()}",
+                f"ops={kernel_stats['vector_ops']}",
                 file=sys.stderr,
             )
     return 0
@@ -840,11 +822,10 @@ def build_store_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "action",
-        choices=("snapshot", "list", "migrate"),
+        choices=("snapshot", "list"),
         help="snapshot: parse a document and persist it; list: print the "
         "catalog (name, storage format, node count, and bytes on disk vs "
-        "decoded column bytes per document); migrate: rewrite legacy v1 "
-        "inline entries as v2 snapshot sidecars",
+        "decoded column bytes per document)",
     )
     parser.add_argument(
         "--store",
@@ -896,31 +877,16 @@ def store_main(argv: list[str]) -> int:
             return _fail(str(error), error_exit_code(error))
         print(f"{args.name}: {len(document.nodes)} nodes -> {sidecar}")
         return EXIT_OK
-    if args.action == "list":
-        try:
-            for name in store.names():
-                entry = store._entry(name)
-                kind = (
-                    "snapshot v2"
-                    if entry.get("format") == 2
-                    else "legacy v1 inline"
-                )
-                sizes = store.column_sizes(name)
-                print(
-                    f"{name}\t{kind}\tnodes={sizes['nodes']}\t"
-                    f"disk={sizes['disk_bytes']}B\t"
-                    f"columns={sizes['column_bytes']}B"
-                )
-        except ReproError as error:
-            return _fail(str(error), error_exit_code(error))
-        return EXIT_OK
     try:
-        migrated = store.migrate()
+        for name in store.names():
+            sizes = store.column_sizes(name)
+            print(
+                f"{name}\tsnapshot v2\tnodes={sizes['nodes']}\t"
+                f"disk={sizes['disk_bytes']}B\t"
+                f"columns={sizes['column_bytes']}B"
+            )
     except ReproError as error:
         return _fail(str(error), error_exit_code(error))
-    for name in migrated:
-        print(f"migrated: {name}")
-    print(f"{len(migrated)} document(s) migrated")
     return EXIT_OK
 
 

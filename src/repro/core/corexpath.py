@@ -32,8 +32,8 @@ output-sensitive fast path.
 Because pres thread end-to-end — context in, merges through, pres out —
 the only place this evaluator touches a boxed ``Node`` in non-scan mode
 is the final ``nodes[pre]`` materialization of the *result*. On a
-column-only document (:class:`repro.xml.columns.ColumnDocument`,
-``decode_snapshot(lazy=True)``) that means a whole Core XPath query
+column-only document (:class:`repro.xml.columns.ColumnDocument`) that
+means a whole Core XPath query
 costs O(output) node objects; scan mode and the reference evaluators
 (``naive``, ``topdown``, ``bottomup``) iterate ``document.nodes`` and
 simply materialize what they touch — the eager fallback, byte-identical

@@ -183,12 +183,9 @@ def _evaluate_shard_snapshots(payload: dict) -> dict:
 
     started = time.perf_counter()
     try:
-        # Column-only decode: the worker adopts the index and evaluates
-        # over flat columns, materializing just the result nodes it
-        # encodes back — never the O(|D|) tree the eager decode builds.
-        documents = [
-            decode_snapshot(blob, lazy=True) for blob in payload["snapshots"]
-        ]
+        # The worker adopts the index and evaluates over flat columns,
+        # materializing just the result nodes it encodes back.
+        documents = [decode_snapshot(blob) for blob in payload["snapshots"]]
     except DocumentStoreError as error:
         return {"fallback": f"shard snapshot does not decode: {error}"}
     for document, expected in zip(documents, payload["node_counts"]):

@@ -235,7 +235,7 @@ class KernelStats:
       Definition-1 scan instead (predicted output too large, or scan
       mode forced);
     * ``lazy_documents`` — column-only documents constructed, by the
-      parser or the lazy snapshot decode path
+      parser or the snapshot decoder
       (:class:`repro.xml.columns.ColumnDocument`);
     * ``nodes_materialized`` — boxed ``Node`` objects actually built on
       those documents, each pre counted exactly once ever (the

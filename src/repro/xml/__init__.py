@@ -12,8 +12,8 @@ way into the system produces them:
 * **Column document** (:mod:`repro.xml.columns`) — the parsed form and
   the decoded form. :func:`~repro.xml.parser.parse_document` writes the
   columns in one pass over the source text and
-  ``decode_snapshot(blob, lazy=True)`` reads them back from a snapshot;
-  both return a :class:`~repro.xml.columns.ColumnDocument` with no
+  :func:`~repro.xml.snapshot.decode_snapshot` reads them back from a
+  snapshot; both return a :class:`~repro.xml.columns.ColumnDocument` with no
   ``Node`` object in it. Boxed nodes are materialized per pre, on
   demand, memoized (counted exactly as ``nodes_materialized`` on
   :data:`repro.stats.axis_kernel_stats`); string values, attribute
@@ -22,15 +22,15 @@ way into the system produces them:
 * **Packed index** (:mod:`repro.xml.index`) — the same int columns as
   memoryviews plus name/kind partitions as sorted pre arrays. For a
   column document it is built from the columns and *adopted*
-  (``index_adoptions``); only a boxed tree ever pays an index *build*.
+  (``index_adoptions``); a boxed tree's columns are read off its nodes
+  first and the result counted as an index *build*.
   The fused axis kernels, the Core XPath sweeps and the table
   evaluators compute entirely in this plane; the binary snapshot format
   (:mod:`repro.xml.snapshot`) persists exactly these columns.
 * **Boxed tree** (:mod:`repro.xml.document`) — linked ``Node`` objects
   with parent/children/attribute references, produced by
   :class:`~repro.xml.builder.DocumentBuilder`, ``element()`` / ``text()``
-  and the workload generators, and by ``decode_snapshot(blob)`` without
-  ``lazy``. It is the oracle's input and the reference evaluators'
+  and the workload generators. It is the oracle's input and the reference evaluators'
   home: everything works here; nothing is fastest here.
 
 Results are byte-identical whichever form a document is in: a construct

@@ -4,7 +4,7 @@ A :class:`ColumnDocument` is a finalized document whose *only* storage is
 the flat snapshot columns — one kind-code byte, four signed-8-byte ints
 (``parent_pre`` / ``size`` / ``post`` / ``depth``), and the two string
 columns per node. :func:`~repro.xml.parser.parse_document` writes them
-straight from the source text and ``decode_snapshot(blob, lazy=True)``
+straight from the source text and ``decode_snapshot(blob)``
 reads them back; no :class:`~repro.xml.document.Node` object exists
 afterwards: the fused axis kernels (:mod:`repro.axes.axes`), the Core
 XPath evaluator and the context-value-table evaluators (MINCONTEXT /
@@ -52,7 +52,7 @@ from collections.abc import Sequence
 
 from repro.stats import axis_kernel_stats
 from repro.xml.document import Document, Node, NodeKind
-from repro.xml.index import NodeIndex, adopt_node_index, node_index
+from repro.xml.index import NodeIndex, adopt_node_index
 
 __all__ = ["ColumnDocument", "DocumentColumns", "LazyNode", "LazyNodeList"]
 
@@ -100,16 +100,32 @@ class DocumentColumns:
 
     @classmethod
     def from_document(cls, document: Document) -> "DocumentColumns":
-        """Columns of a boxed tree, read off its nodes and its index
-        (what :func:`~repro.xml.snapshot.encode_snapshot` writes for one)."""
-        index = node_index(document)
+        """Columns of a boxed tree, read off its nodes in one pre-order
+        pass — what :class:`~repro.xml.index.NodeIndex` indexes and
+        :func:`~repro.xml.snapshot.encode_snapshot` writes for one."""
         nodes = document.nodes
+        total = len(nodes)
+        size = array("q", [node.size for node in nodes])
+        parent_pre = array("q", [-1]) * total
+        depth = array("q", bytes(8 * total))
+        for pre, node in enumerate(nodes):
+            parent = node.parent
+            if parent is not None:
+                # Parents precede children in pre-order, so their depth
+                # is already final when the child is visited.
+                parent_pre[pre] = parent.pre
+                depth[pre] = depth[parent.pre] + 1
+        # Post-order rank, closed form: the nodes finishing before pre
+        # are exactly those started before it (pre of them) minus its
+        # still-open ancestors (depth), plus its own descendants
+        # (size - 1) — so post = pre - depth + size - 1, no sort needed.
+        post = array("q", [pre - depth[pre] + size[pre] - 1 for pre in range(total)])
         return cls(
             kinds=bytes(KIND_CODES[node.kind] for node in nodes),
-            parent_pre=array("q", index.parent_pre),
-            size=array("q", index.size),
-            post=array("q", index.post),
-            depth=array("q", index.depth),
+            parent_pre=parent_pre,
+            size=size,
+            post=post,
+            depth=depth,
             names=[node.name for node in nodes],
             values=[node.value for node in nodes],
         )
@@ -257,8 +273,8 @@ class LazyNodeList(Sequence):
 class ColumnDocument(Document):
     """A finalized document living entirely in flat columns.
 
-    Constructed by :meth:`from_columns` — the parser's and the lazy
-    snapshot decoder's last step; already frozen, with ``nodes`` a
+    Constructed by :meth:`from_columns` — the parser's and the snapshot
+    decoder's last step; already frozen, with ``nodes`` a
     :class:`LazyNodeList` and ``root`` / ``root_element`` materialized on
     first touch. The adopted :class:`~repro.xml.index.NodeIndex` is held
     as ``_index`` (a strong reference: the index's own document link is
@@ -291,15 +307,7 @@ class ColumnDocument(Document):
         its index built from them and adopted: no node is boxed and no
         index build is ever counted for it."""
         document = cls(columns, id_attribute=id_attribute)
-        index = NodeIndex.from_columns(
-            document,
-            size=columns.size,
-            post=columns.post,
-            depth=columns.depth,
-            parent_pre=columns.parent_pre,
-            kinds=columns.kinds,
-            names=columns.names,
-        )
+        index = NodeIndex.from_columns(document, columns)
         # First-in wins in the process cache; keep a strong ref to the
         # winner so the weak-keyed cache entry survives as long as the
         # document does (the index only weak-refs the document back).

@@ -29,22 +29,20 @@ paper-bounded scans lives in :mod:`repro.axes.axes`
 (:func:`~repro.axes.axes.axis_test_pres`); this module only provides the
 machinery.
 
-Since the flat-column rewrite the columns are **packed**: ``size`` /
-``post`` / ``depth`` / ``parent_pre`` are ``memoryview``s over
-``array('q')`` storage, and every name/kind partition is a zero-copy
-``memoryview`` slice into one shared packed pre-number array (an offset
-table maps partition → span). Indexing a memoryview yields a plain
-``int`` and ``bisect`` works through ``__getitem__``/``__len__``, so the
-kernels in :mod:`repro.axes.axes` bisect over unboxed 8-byte machine
-words instead of lists of boxed ints — byte-identical results, smaller
-and cache-friendlier storage, and the exact columns the binary snapshot
-format (:mod:`repro.xml.snapshot`) persists. ``NodeIndex(document,
-packed=False)`` keeps the historical boxed-list representation as the
-reference implementation for property tests and benchmark gates.
+The columns are **packed**: ``size`` / ``post`` / ``depth`` /
+``parent_pre`` are ``memoryview``s over ``array('q')`` storage, and
+every name/kind partition is a zero-copy ``memoryview`` slice into one
+shared packed pre-number array (an offset table maps partition → span).
+Indexing a memoryview yields a plain ``int`` and ``bisect`` works
+through ``__getitem__``/``__len__``, so the kernels in
+:mod:`repro.axes.axes` bisect over unboxed 8-byte machine words — the
+exact columns the binary snapshot format (:mod:`repro.xml.snapshot`)
+persists.
 
-Index construction is ``O(|D|)`` (two passes; the post numbering is the
-closed form ``post = pre - depth + size - 1``), performed at most once
-per document: :func:`node_index` is weak-cached like
+Every index is made the same way: one ``O(|D|)`` partition pass over a
+document's flat columns (:class:`~repro.xml.columns.DocumentColumns`).
+A boxed tree's columns are read off its nodes first, at most once per
+document: :func:`node_index` is weak-cached like
 :func:`repro.service.specialize.document_profile`, and the build runs
 under the cache lock so racing threads see exactly one build
 (``index_builds`` on :data:`repro.stats.axis_kernel_stats` is exact).
@@ -62,7 +60,7 @@ from array import array
 from bisect import bisect_left
 
 from repro.stats import axis_kernel_stats
-from repro.xml.document import Document, NodeKind
+from repro.xml.document import Document
 
 
 class NodeIndex:
@@ -71,9 +69,6 @@ class NodeIndex:
     Attributes:
         document: the indexed (finalized, immutable) document.
         total: ``|dom|``.
-        packed: whether the columns are flat (``memoryview`` over
-            ``array('q')`` storage) or boxed-int lists (the reference
-            representation, ``packed=False``).
         size: ``size[i]`` — subtree size of the node with pre number ``i``.
         post: ``post[i]`` — post-order rank of the node with pre ``i``.
         depth: ``depth[i]`` — distance from the document node (root is 0;
@@ -86,16 +81,15 @@ class NodeIndex:
         elements / attributes / non_attributes / text_nodes / comments /
         pis: kind partitions, each a sorted pre array.
 
-    When ``packed``, every partition is a zero-copy slice into one shared
-    packed array; all of them index/bisect/slice/iterate exactly like the
-    list form, but ``partition == [..]`` is always ``False`` for a
-    memoryview — comparisons must go through ``list(partition)``.
+    Every partition is a zero-copy slice into one shared packed array;
+    all of them index/bisect/slice/iterate like a list, but
+    ``partition == [..]`` is always ``False`` for a memoryview —
+    comparisons must go through ``list(partition)``.
     """
 
     __slots__ = (
         "_document_ref",
         "total",
-        "packed",
         "_child_offsets",
         "_child_packed",
         "_attribute_counts",
@@ -114,9 +108,32 @@ class NodeIndex:
         "pis",
     )
 
-    def __init__(self, document: Document, packed: bool = True):
+    def __init__(self, document: Document):
+        """The index of a boxed tree: its columns are read off the nodes
+        once, then indexed exactly as a parsed or decoded document's."""
+        # Imported here: repro.xml.columns builds on this module.
+        from repro.xml.columns import DocumentColumns
+
         if not document.is_finalized:
             raise ValueError("document must be finalized before indexing")
+        self._adopt(document, DocumentColumns.from_document(document))
+
+    @classmethod
+    def from_columns(cls, document: Document, columns) -> "NodeIndex":
+        """The index over a document's flat columns
+        (:class:`~repro.xml.columns.DocumentColumns`, already known to
+        describe ``document``) — the parser's and the snapshot decoder's
+        constructor. The int columns are adopted zero-copy, leaving one
+        ``O(|D|)`` partition pass over the kind and name columns, which
+        never touches ``document.nodes`` (doing so would materialize
+        every node of a :class:`~repro.xml.columns.ColumnDocument`)."""
+        if not document.is_finalized:
+            raise ValueError("document must be finalized before indexing")
+        index = cls.__new__(cls)
+        index._adopt(document, columns)
+        return index
+
+    def _adopt(self, document: Document, columns) -> None:
         # Weak back-reference only: the index is the *value* of a
         # weak-keyed cache whose key is the document — a strong reference
         # here would make every key strongly reachable from its own value
@@ -125,119 +142,18 @@ class NodeIndex:
         self._child_offsets = None
         self._child_packed = None
         self._attribute_counts = None
-        nodes = document.nodes
-        total = len(nodes)
-        self.total = total
-        self.size = [node.size for node in nodes]
-        self.depth = [0] * total
-        self.parent_pre = [-1] * total
-        for pre, node in enumerate(nodes):
-            parent = node.parent
-            if parent is not None:
-                # Parents precede children in pre-order, so their depth
-                # is already final when the child is visited.
-                self.parent_pre[pre] = parent.pre
-                self.depth[pre] = self.depth[parent.pre] + 1
-        self._build_partitions(nodes)
-        # Post-order rank, closed form: the nodes finishing before pre
-        # are exactly those started before it (pre of them) minus its
-        # still-open ancestors (depth), plus its own descendants
-        # (size - 1) — so post = pre - depth + size - 1, no sort needed.
-        self.post = [
-            pre - self.depth[pre] + self.size[pre] - 1 for pre in range(total)
-        ]
-        self.packed = packed
-        if packed:
-            self.size = memoryview(array("q", self.size))
-            self.post = memoryview(array("q", self.post))
-            self.depth = memoryview(array("q", self.depth))
-            self.parent_pre = memoryview(array("q", self.parent_pre))
-            self._pack_partitions()
+        self.total = len(columns)
+        self.size = memoryview(columns.size)
+        self.post = memoryview(columns.post)
+        self.depth = memoryview(columns.depth)
+        self.parent_pre = memoryview(columns.parent_pre)
+        self._build_partitions(columns.kinds, columns.names)
+        self._pack_partitions()
 
-    @classmethod
-    def from_columns(
-        cls,
-        document: Document,
-        *,
-        size,
-        post,
-        depth,
-        parent_pre,
-        kinds=None,
-        names=None,
-    ) -> "NodeIndex":
-        """Build a packed index from persisted flat columns.
-
-        The columns must be ``array('q')`` (or any buffer of signed
-        8-byte ints) already validated against ``document`` — this is the
-        parser's and the snapshot decoder's constructor: the columns are
-        adopted zero-copy, leaving one ``O(|D|)`` partition pass. When
-        the caller also passes the ``kinds`` byte column and the
-        ``names`` string column, that pass runs over the columns
-        directly — the column-document path, which must not touch
-        ``document.nodes`` (doing so would materialize every node of a
-        :class:`~repro.xml.columns.ColumnDocument`).
-        """
-        if not document.is_finalized:
-            raise ValueError("document must be finalized before indexing")
-        index = cls.__new__(cls)
-        index._document_ref = weakref.ref(document)
-        index._child_offsets = None
-        index._child_packed = None
-        index._attribute_counts = None
-        index.size = memoryview(size if isinstance(size, array) else array("q", size))
-        index.post = memoryview(post if isinstance(post, array) else array("q", post))
-        index.depth = memoryview(
-            depth if isinstance(depth, array) else array("q", depth)
-        )
-        index.parent_pre = memoryview(
-            parent_pre if isinstance(parent_pre, array) else array("q", parent_pre)
-        )
-        if kinds is not None and names is not None:
-            index.total = len(kinds)
-            index._build_partitions_from_columns(kinds, names)
-        else:
-            nodes = document.nodes
-            index.total = len(nodes)
-            index._build_partitions(nodes)
-        index.packed = True
-        index._pack_partitions()
-        return index
-
-    def _build_partitions(self, nodes) -> None:
-        """One pre-order pass filling the kind and name partitions (as
-        lists — sorted by construction, packed afterwards when asked)."""
-        self.by_tag: dict[str, list[int]] = {}
-        self.by_attribute: dict[str, list[int]] = {}
-        self.by_pi_target: dict[str, list[int]] = {}
-        self.elements: list[int] = []
-        self.attributes: list[int] = []
-        self.non_attributes: list[int] = []
-        self.text_nodes: list[int] = []
-        self.comments: list[int] = []
-        self.pis: list[int] = []
-        for pre, node in enumerate(nodes):
-            kind = node.kind
-            if kind is NodeKind.ATTRIBUTE:
-                self.attributes.append(pre)
-                self.by_attribute.setdefault(node.name, []).append(pre)
-                continue
-            self.non_attributes.append(pre)
-            if kind is NodeKind.ELEMENT:
-                self.elements.append(pre)
-                self.by_tag.setdefault(node.name, []).append(pre)
-            elif kind is NodeKind.TEXT:
-                self.text_nodes.append(pre)
-            elif kind is NodeKind.COMMENT:
-                self.comments.append(pre)
-            elif kind is NodeKind.PROCESSING_INSTRUCTION:
-                self.pis.append(pre)
-                self.by_pi_target.setdefault(node.name, []).append(pre)
-
-    def _build_partitions_from_columns(self, kinds, names) -> None:
-        """:meth:`_build_partitions` driven by the snapshot kind/name
-        columns alone — identical partitions, no ``Node`` attribute
-        chasing (and, on a lazy document, no materialization)."""
+    def _build_partitions(self, kinds, names) -> None:
+        """One pre-order pass over the kind and name columns filling the
+        kind and name partitions (as lists — sorted by construction,
+        packed afterwards)."""
         self.by_tag: dict[str, list[int]] = {}
         self.by_attribute: dict[str, list[int]] = {}
         self.by_pi_target: dict[str, list[int]] = {}
@@ -256,7 +172,7 @@ class NodeIndex:
         text_append = self.text_nodes.append
         comment_append = self.comments.append
         pi_append = self.pis.append
-        # This loop runs on every lazy decode; iterating the kind bytes
+        # This loop runs on every parse and decode; iterating the kind bytes
         # directly (ints) with bound appends keeps it cheap.
         for pre, code in enumerate(kinds):
             if code == attribute:
@@ -330,7 +246,7 @@ class NodeIndex:
 
     @property
     def document(self) -> Document:
-        """The indexed document (weakly held — see ``__init__``)."""
+        """The indexed document (weakly held — see ``_adopt``)."""
         document = self._document_ref()
         if document is None:  # pragma: no cover - needs a caller that
             # outlives the document it handed in
@@ -339,8 +255,7 @@ class NodeIndex:
 
     def partition(self, test, axis: str):
         """The sorted pre array of ``T(t)`` for a node test, restricted to
-        the principal-capable node kinds the partition axes can reach —
-        a ``memoryview`` slice when packed, a list otherwise.
+        the principal-capable node kinds the partition axes can reach.
 
         Only meaningful for the non-attribute-principal axes (the
         interval/suffix kernels never enumerate attribute nodes — the
@@ -416,8 +331,7 @@ class NodeIndex:
 
         ``children[offsets[p]:offsets[p+1]]`` is the ascending pre array
         of the children of ``p`` (attributes excluded), for every pre.
-        Both columns are ``array('q')`` — gatherable by slice from the
-        stdlib backend and zero-copy adoptable by ``numpy.frombuffer``.
+        Both columns are ``array('q')`` — gatherable by slice.
         Built lazily in one counting-sort pass over ``parent_pre``
         (stable, so each span is ascending for free) and memoized; the
         build is idempotent, so a racing duplicate build is benign — the
@@ -526,8 +440,8 @@ class NodeIndex:
             assert all(a < b for a, b in zip(partition, partition[1:])), (
                 "partition not strictly sorted"
             )
-        # Partitions may be memoryviews (packed) or lists — normalize
-        # through list() for the equality checks.
+        # Partitions are memoryviews — normalize through list() for the
+        # equality checks.
         assert sum(len(p) for p in self.by_tag.values()) == len(self.elements)
         assert sorted(p for ps in self.by_tag.values() for p in ps) == list(
             self.elements

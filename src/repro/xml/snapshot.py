@@ -7,11 +7,11 @@ kind-code byte per node, and the two string columns (names, values) as
 length tables plus UTF-8 blobs — the very columns
 :func:`~repro.xml.parser.parse_document` produces, so a parsed document
 is written as it stands, without boxing a node. Decoding skips both the
-XML parse *and* the index build — the rebuilt document arrives with its
-index pre-seeded in the process cache
+XML parse *and* the index build — the decoded
+:class:`~repro.xml.columns.ColumnDocument` arrives with its index
+pre-seeded in the process cache
 (:func:`~repro.xml.index.adopt_node_index`, counted as
-``index_adoptions``), as a :class:`~repro.xml.columns.ColumnDocument`
-(``lazy=True``) or a boxed :class:`~repro.xml.document.Document` tree.
+``index_adoptions``) and no node boxed.
 This is what :class:`~repro.xml.store.DocumentStore` persists per
 document in format v2 and what
 :class:`~repro.service.scheduler.ProcessScheduler` ships to workers
@@ -53,9 +53,8 @@ import zlib
 from array import array
 
 from repro.errors import DocumentStoreError, SnapshotCorruptError
-from repro.xml.columns import CODE_KINDS, ColumnDocument, DocumentColumns
-from repro.xml.document import Document, Node, NodeKind
-from repro.xml.index import NodeIndex, adopt_node_index
+from repro.xml.columns import ColumnDocument, DocumentColumns
+from repro.xml.document import Document
 
 SNAPSHOT_MAGIC = b"RXSNAP02"
 SNAPSHOT_VERSION = 2
@@ -97,7 +96,7 @@ def encode_snapshot(document: Document) -> bytes:
 
     A :class:`~repro.xml.columns.ColumnDocument` is written from its
     columns as they stand (no node is boxed); the columns of a boxed tree
-    are read off its nodes and index first."""
+    are read off its nodes first."""
     document._require_finalized()
     if isinstance(document, ColumnDocument):
         columns = document.columns
@@ -193,8 +192,8 @@ def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
     """O(|D|) structural validation: reject blobs that pass the CRC but
     do not describe a legal finalized document.
 
-    This runs on every decode — eager and lazy alike — so the per-node
-    loop is written for speed: direct byte compares instead of kind-enum
+    This runs on every decode, so the per-node loop is written for
+    speed: direct byte compares instead of kind-enum
     lookups, and attribute contiguity checked against the *predecessor*
     row (attribute ``i`` is contiguous with its element iff ``i-1`` is
     that element or a sibling attribute of it — inductively equivalent
@@ -271,21 +270,11 @@ def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
                 raise SnapshotCorruptError(f"corrupt snapshot: post broken at node {i}")
 
 
-def decode_snapshot(blob: bytes, lazy: bool = False) -> Document:
-    """Rebuild a finalized document (index pre-seeded) from a snapshot.
-
-    With ``lazy=True`` the decode stops at the columns: a
-    :class:`~repro.xml.columns.ColumnDocument` is returned, its index
-    partitions built straight from the kind/name columns, and **zero**
-    :class:`~repro.xml.document.Node` objects exist until a caller
-    touches one — results stay byte-identical to the eager tree in every
-    mode (asserted by the lazy property suite and the EXP-LAZY identity
-    gate). Validation is identical in both modes.
-
-    Raises :class:`~repro.errors.SnapshotCorruptError` on any corruption:
-    truncation, bad magic, wrong version, checksum mismatch, column
-    lengths that disagree, or structurally illegal node tables.
-    """
+def _open_envelope(blob) -> tuple[_Reader, int]:
+    """Verify a blob's envelope — bytes-like, header present, magic,
+    CRC, version, node count — and return a reader positioned after the
+    node count (over the payload, CRC stripped) together with that
+    count. The one place that decides what a corrupt envelope is."""
     if not isinstance(blob, (bytes, bytearray, memoryview)):
         raise DocumentStoreError("snapshot must be a bytes-like object")
     blob = bytes(blob)
@@ -312,6 +301,23 @@ def decode_snapshot(blob: bytes, lazy: bool = False) -> Document:
         raise SnapshotCorruptError(
             "corrupt snapshot: empty node table", offset=len(SNAPSHOT_MAGIC) + 4
         )
+    return reader, total
+
+
+def decode_snapshot(blob: bytes, lazy: bool = True) -> ColumnDocument:
+    """Rebuild a finalized document (index pre-seeded) from a snapshot.
+
+    The decode stops at the columns: a
+    :class:`~repro.xml.columns.ColumnDocument` is returned, its index
+    partitions built straight from the kind/name columns, and **zero**
+    :class:`~repro.xml.document.Node` objects exist until a caller
+    touches one. ``lazy`` is accepted and selects nothing.
+
+    Raises :class:`~repro.errors.SnapshotCorruptError` on any corruption:
+    truncation, bad magic, wrong version, checksum mismatch, column
+    lengths that disagree, or structurally illegal node tables.
+    """
+    reader, total = _open_envelope(blob)
     try:
         id_attribute = reader.take(reader.u32("id length"), "id attribute").decode(
             "utf-8"
@@ -332,46 +338,16 @@ def decode_snapshot(blob: bytes, lazy: bool = False) -> Document:
             "corrupt snapshot: trailing bytes", offset=reader.offset
         )
     _validate_columns(kinds, parent_pre, size, post, depth, names)
-
-    if lazy:
-        columns = DocumentColumns(
-            kinds=kinds,
-            parent_pre=parent_pre,
-            size=size,
-            post=post,
-            depth=depth,
-            names=names,
-            values=values,
-        )
-        return ColumnDocument.from_columns(columns, id_attribute)
-
-    document = Document(id_attribute=id_attribute)
-    root = document.root
-    root.pre = 0
-    root.size = size[0]
-    nodes = [root]
-    for i in range(1, total):
-        node = Node(document, CODE_KINDS[kinds[i]], names[i], values[i])
-        parent = nodes[parent_pre[i]]
-        node.parent = parent
-        if node.kind is NodeKind.ATTRIBUTE:
-            parent.attributes.append(node)
-        else:
-            node.child_index = len(parent.children)
-            parent.children.append(node)
-        node.pre = i
-        node.size = size[i]
-        nodes.append(node)
-    document.nodes = nodes
-    element_children = [c for c in root.children if c.is_element]
-    if len(element_children) == 1:
-        document.root_element = element_children[0]
-    document._finalized = True
-    index = NodeIndex.from_columns(
-        document, size=size, post=post, depth=depth, parent_pre=parent_pre
+    columns = DocumentColumns(
+        kinds=kinds,
+        parent_pre=parent_pre,
+        size=size,
+        post=post,
+        depth=depth,
+        names=names,
+        values=values,
     )
-    adopt_node_index(document, index)
-    return document
+    return ColumnDocument.from_columns(columns, id_attribute)
 
 
 def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
@@ -379,40 +355,14 @@ def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
 
     Returns ``{"nodes", "disk_bytes", "column_bytes", "name_bytes",
     "value_bytes"}``: the bytes the blob occupies as stored versus the
-    flat-column payload a lazy load keeps resident (one kind byte + four
+    flat-column payload a load keeps resident (one kind byte + four
     8-byte ints per node, plus the raw UTF-8 name/value blobs — Python
-    object overhead excluded on purpose; the whole point of the lazy
-    path is that there are no per-node objects to count). Only the
-    envelope (magic, version, CRC, lengths) is verified here, not the
-    structure — this backs ``repro-xpath store list``, which must stay
-    cheap per entry.
+    object overhead excluded on purpose; a column document has no
+    per-node objects to count). Only the envelope (magic, version, CRC,
+    lengths) is verified here, not the structure — this backs
+    ``repro-xpath store list``, which must stay cheap per entry.
     """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise DocumentStoreError("snapshot must be a bytes-like object")
-    blob = bytes(blob)
-    if len(blob) < len(SNAPSHOT_MAGIC) + 4 + 8 + 4 + 4:
-        raise SnapshotCorruptError(
-            "corrupt snapshot: truncated header", offset=len(blob)
-        )
-    if blob[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise SnapshotCorruptError("corrupt snapshot: bad magic", offset=0)
-    declared_crc = _U32.unpack(blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) != declared_crc:
-        raise SnapshotCorruptError(
-            "corrupt snapshot: checksum mismatch", offset=len(blob) - 4
-        )
-    reader = _Reader(blob[:-4])
-    reader.take(len(SNAPSHOT_MAGIC), "magic")
-    version = reader.u32("version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotCorruptError(
-            f"unsupported snapshot version {version}", offset=len(SNAPSHOT_MAGIC)
-        )
-    total = reader.u64("node count")
-    if total < 1:
-        raise SnapshotCorruptError(
-            "corrupt snapshot: empty node table", offset=len(SNAPSHOT_MAGIC) + 4
-        )
+    reader, total = _open_envelope(blob)
     reader.take(reader.u32("id length"), "id attribute")
     reader.take(total, "kind column")
     reader.take(total * 32, "int columns")
@@ -425,7 +375,7 @@ def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
     name_bytes, value_bytes = string_bytes
     return {
         "nodes": total,
-        "disk_bytes": len(blob),
+        "disk_bytes": len(reader.blob) + 4,
         "column_bytes": total * 33 + name_bytes + value_bytes,
         "name_bytes": name_bytes,
         "value_bytes": value_bytes,

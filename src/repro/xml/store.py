@@ -4,40 +4,23 @@ The conclusion of the paper points at "using our techniques for XPath
 processors that query XML documents stored in a database". This module
 provides the substrate for that: a named catalog of finalized documents
 that reconstructs them with their document order (and therefore every
-axis computation) intact. Two formats coexist:
+axis computation) intact.
 
-**Format v1 (JSON, read-only legacy).** The whole store is one JSON
-file; each document is an inline pre-order node table::
+**Format v2 (JSON catalog + binary sidecars).** The catalog file holds
+only ``{"format": 2, "file": "<sidecar>"}`` entries; each document's
+payload is a versioned binary snapshot (:mod:`repro.xml.snapshot`:
+magic, version, flat ``parent_pre`` / ``size`` / ``post`` / ``depth``
+columns, string tables, CRC-32) in its own file under ``<store>.d/``.
+Saving one document touches one sidecar plus the small catalog — O(1)
+in the number of *other* stored documents. Loaded documents are
+:class:`~repro.xml.columns.ColumnDocument` instances with their
+:class:`~repro.xml.index.NodeIndex` pre-seeded, which is why
+:class:`~repro.service.scheduler.ProcessScheduler` workers consume
+snapshots (via :meth:`DocumentStore.load_snapshot` or the scheduler's
+in-memory blobs) instead of re-parsing markup.
 
-    {"version": 1,
-     "documents": {
-        "<name>": {
-            "id_attribute": "id",
-            "nodes": [[kind, name, value, parent], ...]   # pre-order
-        }, ...}}
-
-``kind`` is a single-character code; ``parent`` is the parent's pre-order
-index (the document node, index 0, has parent -1). v1 stores open
-transparently; their entries load (with full row validation — malformed
-rows raise :class:`DocumentStoreError`, never bare ``ValueError`` /
-``TypeError``) but every *save* writes format v2.
-
-**Format v2 (JSON catalog + binary sidecars, current).** The catalog
-file holds only ``{"format": 2, "file": "<sidecar>"}`` entries; each
-document's payload is a versioned binary snapshot
-(:mod:`repro.xml.snapshot`: magic, version, flat ``parent_pre`` /
-``size`` / ``post`` / ``depth`` columns, string tables, CRC-32) in its
-own file under ``<store>.d/``. Saving one document touches one sidecar
-plus the small catalog — O(1) in the number of *other* stored documents,
-where v1 rewrote every node table on every save. Snapshot-loaded
-documents come back with their :class:`~repro.xml.index.NodeIndex`
-pre-seeded, which is why :class:`~repro.service.scheduler.
-ProcessScheduler` workers consume snapshots (via
-:meth:`DocumentStore.load_snapshot` or the scheduler's in-memory blobs)
-instead of re-parsing markup.
-
-:meth:`DocumentStore.migrate` rewrites remaining v1 inline entries as
-sidecars in place.
+A catalog written by format v1 (inline JSON node tables) is refused at
+open with a :class:`DocumentStoreError` naming the remedy.
 
 Writes are atomic *and durable*: content is serialized first (a failing
 serialization can never leave debris), written to a temp file, fsynced,
@@ -53,7 +36,8 @@ import os
 import pathlib
 
 from repro.errors import DocumentStoreError
-from repro.xml.document import Document, NodeKind
+from repro.xml.columns import ColumnDocument
+from repro.xml.document import Document
 from repro.xml.snapshot import (
     decode_snapshot,
     encode_snapshot,
@@ -62,17 +46,6 @@ from repro.xml.snapshot import (
 
 __all__ = ["DocumentStore", "DocumentStoreError"]
 
-_KIND_CODES = {
-    NodeKind.DOCUMENT: "D",
-    NodeKind.ELEMENT: "E",
-    NodeKind.ATTRIBUTE: "A",
-    NodeKind.TEXT: "T",
-    NodeKind.COMMENT: "C",
-    NodeKind.PROCESSING_INSTRUCTION: "P",
-}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
-
-_LEGACY_VERSION = 1
 _FORMAT_VERSION = 2
 
 
@@ -106,7 +79,7 @@ def _write_bytes_durably(path: pathlib.Path, data: bytes) -> None:
 
 class DocumentStore:
     """A named collection of persisted documents: one JSON catalog plus
-    one binary snapshot sidecar per (format-v2) document."""
+    one binary snapshot sidecar per document."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = pathlib.Path(path)
@@ -132,12 +105,20 @@ class DocumentStore:
         if not isinstance(data, dict) or not isinstance(data.get("documents"), dict):
             raise DocumentStoreError(f"{self.path} is not a document store file")
         version = data.get("version")
-        if version not in (_LEGACY_VERSION, _FORMAT_VERSION):
+        # Inline node tables outlive the version field: saving into a v1
+        # catalog stamped it 2 and left the other entries as they were.
+        if version == 1 or any(
+            isinstance(entry, dict) and "nodes" in entry
+            for entry in data["documents"].values()
+        ):
+            raise DocumentStoreError(
+                f"{self.path} was written by format v1; migrate it with a "
+                "checkout at or before PR 18"
+            )
+        if version != _FORMAT_VERSION:
             raise DocumentStoreError(
                 f"unsupported store version {version!r} in {self.path}"
             )
-        # v1 catalogs normalize in memory; the first save persists v2.
-        data["version"] = _FORMAT_VERSION
         return data
 
     def _write(self) -> None:
@@ -173,9 +154,9 @@ class DocumentStore:
     def save(self, name: str, document: Document) -> None:
         """Persist a finalized document under ``name`` (overwrites).
 
-        Writes format v2: the snapshot sidecar first (durably), then the
-        small catalog — saving one document no longer rewrites every
-        other document's payload.
+        Writes the snapshot sidecar first (durably), then the small
+        catalog — saving one document never rewrites another document's
+        payload.
         """
         self.save_snapshot(name, document)
 
@@ -201,59 +182,34 @@ class DocumentStore:
             raise DocumentStoreError(f"corrupt store: malformed entry for {name!r}")
         return entry
 
-    def load(self, name: str, lazy: bool = False) -> Document:
+    def load(self, name: str, lazy: bool = True) -> ColumnDocument:
         """Reconstruct the document stored under ``name``.
 
-        The rebuilt tree has identical pre-order numbering, subtree
-        sizes, and string values — every axis computation gives the same
-        answers as on the original. Snapshot-backed (v2) documents also
-        arrive with their node index pre-seeded. With ``lazy=True`` the
-        load stops at the flat columns
-        (:class:`~repro.xml.columns.ColumnDocument`): no ``Node``
-        objects until touched; legacy (v1 inline) entries round-trip
-        through a snapshot encode to reach the same representation.
+        The loaded :class:`~repro.xml.columns.ColumnDocument` has
+        identical pre-order numbering, subtree sizes, and string values
+        — every axis computation gives the same answers as on the
+        original — and arrives with its node index pre-seeded and no
+        ``Node`` object boxed. ``lazy`` is accepted and selects nothing.
         """
-        entry = self._entry(name)
-        if entry.get("format") == _FORMAT_VERSION:
-            return decode_snapshot(self.load_snapshot(name), lazy=lazy)
-        document = self._load_legacy(entry)
-        if lazy:
-            return decode_snapshot(encode_snapshot(document), lazy=True)
-        return document
+        return decode_snapshot(self.load_snapshot(name))
 
     def load_snapshot(self, name: str) -> bytes:
-        """The raw v2 snapshot blob for ``name`` (decodable with
-        :func:`repro.xml.snapshot.decode_snapshot`). Legacy inline
-        entries are encoded on the fly."""
-        entry = self._entry(name)
-        if entry.get("format") == _FORMAT_VERSION:
-            sidecar = self._sidecar_path(entry)
-            try:
-                return sidecar.read_bytes()
-            except OSError as error:
-                raise DocumentStoreError(
-                    f"cannot read snapshot {sidecar}: {error}"
-                ) from error
-        return encode_snapshot(self._load_legacy(entry))
+        """The raw snapshot blob for ``name`` (decodable with
+        :func:`repro.xml.snapshot.decode_snapshot`)."""
+        sidecar = self._sidecar_path(self._entry(name))
+        try:
+            return sidecar.read_bytes()
+        except OSError as error:
+            raise DocumentStoreError(
+                f"cannot read snapshot {sidecar}: {error}"
+            ) from error
 
     def column_sizes(self, name: str) -> dict[str, int]:
         """Per-document storage accounting for ``store list``: node
-        count, bytes on disk (the blob as stored; legacy entries report
-        their on-the-fly encoding), and the decoded flat-column bytes a
-        lazy load keeps resident — what eager tree building pays on top
-        is Python objects, which is exactly the saving the lazy path
-        claims. See :func:`repro.xml.snapshot.snapshot_column_sizes`."""
+        count, bytes on disk (the blob as stored), and the decoded
+        flat-column bytes a load keeps resident. See
+        :func:`repro.xml.snapshot.snapshot_column_sizes`."""
         return snapshot_column_sizes(self.load_snapshot(name))
-
-    def migrate(self) -> list[str]:
-        """Rewrite every legacy (v1 inline) entry as a v2 snapshot
-        sidecar; returns the migrated names, sorted."""
-        migrated = []
-        for name in self.names():
-            if self._data["documents"][name].get("format") != _FORMAT_VERSION:
-                self.save_snapshot(name, self._load_legacy(self._entry(name)))
-                migrated.append(name)
-        return migrated
 
     def delete(self, name: str) -> None:
         """Remove a document (and its sidecar, if any) from the store."""
@@ -262,73 +218,8 @@ class DocumentStore:
             raise DocumentStoreError(f"no document named {name!r} in {self.path}")
         del self._data["documents"][name]
         self._write()
-        if isinstance(entry, dict) and entry.get("format") == _FORMAT_VERSION:
+        if isinstance(entry, dict):
             try:
                 self._sidecar_path(entry).unlink()
             except (OSError, DocumentStoreError):
                 pass  # the catalog no longer references it; best effort
-
-    # ------------------------------------------------------------------
-    # Legacy v1 inline node tables
-    # ------------------------------------------------------------------
-
-    def _load_legacy(self, entry: dict) -> Document:
-        rows = entry.get("nodes")
-        if not isinstance(rows, list) or not rows:
-            raise DocumentStoreError("corrupt store: empty node table")
-        id_attribute = entry.get("id_attribute", "id")
-        if not isinstance(id_attribute, str):
-            raise DocumentStoreError("corrupt store: malformed id attribute")
-        document = Document(id_attribute=id_attribute)
-        nodes = []
-        for index, row in enumerate(rows):
-            # Validate the row shape before unpacking: malformed rows
-            # must surface as DocumentStoreError (the CLI keys its
-            # error-family exit codes off the typed hierarchy), never as
-            # bare ValueError/TypeError escaping from the plumbing.
-            if not isinstance(row, (list, tuple)) or len(row) != 4:
-                raise DocumentStoreError(
-                    f"corrupt store: node row {index} has wrong shape"
-                )
-            code, node_name, value, parent_index = row
-            kind = _CODE_KINDS.get(code)
-            if kind is None:
-                raise DocumentStoreError(f"corrupt store: unknown node kind {code!r}")
-            if node_name is not None and not isinstance(node_name, str):
-                raise DocumentStoreError(
-                    f"corrupt store: node {index} has a non-string name"
-                )
-            if value is not None and not isinstance(value, str):
-                raise DocumentStoreError(
-                    f"corrupt store: node {index} has a non-string value"
-                )
-            if kind is NodeKind.DOCUMENT:
-                if index != 0:
-                    raise DocumentStoreError("corrupt store: document node not first")
-                nodes.append(document.root)
-                continue
-            # bool is an int subclass; an explicit screen keeps True/False
-            # from sneaking through as parent indexes 1/0.
-            if isinstance(parent_index, bool) or not isinstance(parent_index, int):
-                raise DocumentStoreError(
-                    f"corrupt store: node {index} has a non-integer parent"
-                )
-            if not 0 <= parent_index < index:
-                raise DocumentStoreError(
-                    f"corrupt store: node {index} has invalid parent {parent_index}"
-                )
-            node = document.new_node(kind, name=node_name, value=value)
-            parent = nodes[parent_index]
-            try:
-                if kind is NodeKind.ATTRIBUTE:
-                    document.set_attribute_node(parent, node)
-                else:
-                    document.append_child(parent, node)
-            except ValueError as error:
-                raise DocumentStoreError(
-                    f"corrupt store: node {index} cannot attach to its parent: {error}"
-                ) from error
-            nodes.append(node)
-        if nodes[0] is not document.root:
-            raise DocumentStoreError("corrupt store: document node missing")
-        return document.finalize()

@@ -11,7 +11,6 @@ from repro.workloads.documents import (
     running_example_document,
 )
 from repro.xml.document import Document
-from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 #: Every full-XPath algorithm (corexpath only handles its fragment).
 ALL_ALGORITHMS = ("naive", "topdown", "bottomup", "mincontext", "optmincontext")
@@ -46,13 +45,25 @@ def doubling_doc():
     return doubling_document()
 
 
-def eager_tree(document) -> Document:
-    """The boxed-tree twin of ``document``. ``parse_document`` yields
-    column documents, so the eager leg of an eager x lazy comparison
-    must ask for its tree — or the axis collapses to lazy x lazy."""
-    eager = decode_snapshot(encode_snapshot(document), lazy=False)
-    assert type(eager) is Document
-    return eager
+def boxed_twin(document) -> Document:
+    """The boxed-tree twin of ``document``, rebuilt node by node through
+    the public construction API. ``parse_document`` and
+    ``decode_snapshot`` yield column documents, so the boxed leg of a
+    boxed x column comparison must ask for its tree — and gets one that
+    shares no code with the parser or the codec it is compared with."""
+    twin = Document(id_attribute=document.id_attribute)
+    built = [twin.root]
+    for node in document.nodes[1:]:
+        copy = twin.new_node(node.kind, node.name, node.value)
+        parent = built[node.parent.pre]
+        if node.is_attribute:
+            twin.set_attribute_node(parent, copy)
+        else:
+            twin.append_child(parent, copy)
+        built.append(copy)
+    twin.finalize()
+    assert type(twin) is Document
+    return twin
 
 
 def ids(nodes) -> list[str]:

@@ -436,23 +436,6 @@ def test_store_list_shows_catalog(tmp_path, capsys):
     assert "nodes=2" in lines[1]  # <r/> is a document node plus one element
 
 
-def test_store_migrate_reports_converted_entries(tmp_path, capsys):
-    import json
-
-    store = tmp_path / "catalog.json"
-    rows = [["D", None, None, -1], ["E", "a", None, 0]]
-    store.write_text(json.dumps(
-        {"version": 1, "id_attribute": "id", "documents": {"old": {"nodes": rows}}}
-    ))
-    code, out, _ = run(capsys, "store", "migrate", "--store", str(store))
-    assert code == 0
-    assert "migrated: old" in out
-    assert "1 document(s) migrated" in out
-    code, out, _ = run(capsys, "store", "list", "--store", str(store))
-    (line,) = out.splitlines()
-    assert line.startswith("old\tsnapshot v2\tnodes=2\t")
-
-
 def test_store_snapshot_requires_name_and_document(tmp_path, capsys):
     store = tmp_path / "catalog.json"
     code, _, err = run(capsys, "store", "snapshot", "--store", str(store), "--xml", XML)

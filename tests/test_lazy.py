@@ -1,6 +1,6 @@
-"""Lazy column documents ≡ eager trees — the PR 8 property suite.
+"""Lazy column documents ≡ boxed trees — the PR 8 property suite.
 
-``decode_snapshot(blob, lazy=True)`` returns a
+``decode_snapshot(blob)`` returns a
 :class:`~repro.xml.columns.ColumnDocument` that holds only the snapshot
 columns and materializes boxed ``Node`` objects per pre, on demand,
 memoized. The contract under test: **byte-identical results in every
@@ -16,7 +16,7 @@ seeds, so every case is reproducible.
 
 import random
 
-from conftest import eager_tree
+from conftest import boxed_twin
 from repro import stats
 from repro.axes.axes import KERNEL_MODES, axis_test_pres, kernel_mode_forced
 from repro.engine import XPathEngine
@@ -39,9 +39,9 @@ ALGORITHMS = ("naive", "bottomup", "topdown", "mincontext", "optmincontext", "co
 def _fixed_documents():
     """The eager legs: boxed trees, whatever their source produced."""
     return [
-        eager_tree(running_example_document()),
+        boxed_twin(running_example_document()),
         wide_tree(width=6),
-        eager_tree(
+        boxed_twin(
             parse_document(
                 '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
                 '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
@@ -53,7 +53,7 @@ def _fixed_documents():
 
 def _lazy_twin(document):
     """A :class:`ColumnDocument` with the same pre-plane as ``document``."""
-    twin = decode_snapshot(encode_snapshot(document), lazy=True)
+    twin = decode_snapshot(encode_snapshot(document))
     assert isinstance(twin, ColumnDocument)
     return twin
 
@@ -76,7 +76,7 @@ def _canon(value):
 def test_lazy_decode_builds_no_nodes():
     blob = encode_snapshot(running_example_document())
     before = stats.axis_kernel_stats.snapshot()
-    document = decode_snapshot(blob, lazy=True)
+    document = decode_snapshot(blob)
     after = stats.axis_kernel_stats.snapshot()
     assert after["lazy_documents"] - before["lazy_documents"] == 1
     assert after["nodes_materialized"] - before["nodes_materialized"] == 0
@@ -144,6 +144,29 @@ def test_selective_query_materializes_output_only():
     assert materialized == document.materialized_count()
     # O(output): the result nodes plus the query's context node.
     assert materialized <= len(result) + 1
+
+    # A selective workload over several fresh documents: each stays
+    # under a tenth of its |dom|, and the global counter is exactly the
+    # sum of what the documents hold (none boxed twice, none uncounted).
+    selective = (
+        "/descendant::price",
+        "/descendant::ref",
+        "/descendant::author[not(following::ref)]",
+        "/descendant::heading/following::ref",
+    )
+    before = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+    documents = [
+        _lazy_twin(book_catalog(books=books, chapters_per_book=4))
+        for books in (24, 12)
+    ]
+    with kernel_mode_forced("auto"):
+        for document in documents:
+            engine = XPathEngine(document)
+            for query in selective:
+                engine.evaluate(engine.compile(query), algorithm="corexpath")
+            assert document.materialized_count() <= 0.10 * len(document)
+    after = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+    assert after - before == sum(d.materialized_count() for d in documents)
 
     # The table evaluators run on the pre plane too: with the context
     # node (the root) already boxed, a scalar query boxes nothing and a
@@ -304,7 +327,7 @@ def test_string_values_ids_and_paths_match_the_tree():
 
 
 def test_duplicate_ids_resolve_first_in_document_order():
-    document = eager_tree(
+    document = boxed_twin(
         parse_document('<a id="x"><b id="x"/><c id="y"/><d id="y"/></a>')
     )
     lazy = _lazy_twin(document)
@@ -332,7 +355,7 @@ def test_serialization_and_reencode_are_byte_identical():
     exact snapshot blob."""
     for document in _fixed_documents():
         blob = encode_snapshot(document)
-        lazy = decode_snapshot(blob, lazy=True)
+        lazy = decode_snapshot(blob)
         assert serialize(lazy) == serialize(document)
         assert encode_snapshot(lazy) == blob
 

@@ -26,13 +26,9 @@ import pytest
 from repro import stats
 from repro.axes.axes import (
     ALL_AXES,
-    INTERVAL_AXES,
-    INVERSE_INTERVAL_AXES,
     KERNEL_MODES,
     axis_set,
     axis_test_pres,
-    fused_axis_set,
-    fused_inverse_axis_set,
     inverse_axis_set,
     inverse_axis_test_pres,
     kernel_mode,
@@ -154,35 +150,6 @@ def test_partitions_are_sorted_and_complete():
         ]
 
 
-def test_packed_and_list_indexes_hold_identical_columns():
-    """The flat-column (packed) representation is value-identical to the
-    boxed-list reference representation, cell by cell."""
-    for document in _corpus():
-        packed = NodeIndex(document, packed=True)
-        plain = NodeIndex(document, packed=False)
-        assert packed.packed and not plain.packed
-        assert packed.total == plain.total
-        for column in ("size", "post", "depth", "parent_pre"):
-            assert list(getattr(packed, column)) == getattr(plain, column), column
-        for group in ("by_tag", "by_attribute", "by_pi_target"):
-            packed_group = getattr(packed, group)
-            plain_group = getattr(plain, group)
-            assert sorted(packed_group) == sorted(plain_group), group
-            for name, members in plain_group.items():
-                assert list(packed_group[name]) == members, (group, name)
-        for kind in (
-            "elements",
-            "attributes",
-            "non_attributes",
-            "text_nodes",
-            "comments",
-            "pis",
-        ):
-            assert list(getattr(packed, kind)) == getattr(plain, kind), kind
-        packed.validate()
-        plain.validate()
-
-
 def test_node_index_is_cached_and_refuses_unfinalized_documents():
     document = book_catalog(books=2)
     assert node_index(document) is node_index(document)
@@ -218,6 +185,19 @@ def _scan_reference(document, axis, X, test):
     return {y for y in axis_set(document, axis, X) if matches_node_test(y, test, axis)}
 
 
+def _kernel_axis_set(document, axis, X, test):
+    """``χ(X) ∩ T(t)`` as a node set, through the kernels production runs."""
+    nodes = document.nodes
+    pres = sorted({x.pre for x in X})
+    return {nodes[p] for p in axis_test_pres(document, axis, pres, test)}
+
+
+def _kernel_inverse_axis_set(document, axis, Y):
+    nodes = document.nodes
+    pres = sorted({y.pre for y in Y})
+    return {nodes[p] for p in inverse_axis_test_pres(document, axis, pres)}
+
+
 @pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_fused_axis_set_matches_scan_everywhere(mode):
     rng = random.Random(SEED + 1)
@@ -228,7 +208,7 @@ def test_fused_axis_set_matches_scan_everywhere(mode):
                 for axis in sorted(ALL_AXES):
                     for test in _TESTS:
                         expected = _scan_reference(document, axis, X, test)
-                        assert fused_axis_set(document, axis, X, test) == expected, (
+                        assert _kernel_axis_set(document, axis, X, test) == expected, (
                             mode,
                             axis,
                             test.kind,
@@ -246,7 +226,7 @@ def test_fused_inverse_axis_set_matches_scan_everywhere(mode):
             for Y in _context_sets(document, rng):
                 for axis in sorted(ALL_AXES):
                     expected = inverse_axis_set(document, axis, Y)
-                    assert fused_inverse_axis_set(document, axis, Y) == expected, (
+                    assert _kernel_inverse_axis_set(document, axis, Y) == expected, (
                         mode,
                         axis,
                     )
@@ -322,10 +302,10 @@ def test_id_pseudo_axis_kernels_match_scan():
         with kernel_mode_forced(mode):
             for X in ([], [document.root], rng.sample(nodes, 5), list(nodes)):
                 for test in (NodeTest("node"), NodeTest("name", "d"), NodeTest("wildcard")):
-                    assert fused_axis_set(document, "id", X, test) == _scan_reference(
+                    assert _kernel_axis_set(document, "id", X, test) == _scan_reference(
                         document, "id", X, test
                     )
-                assert fused_inverse_axis_set(document, "id", X) == inverse_axis_set(
+                assert _kernel_inverse_axis_set(document, "id", X) == inverse_axis_set(
                     document, "id", X
                 )
 
@@ -346,8 +326,8 @@ def test_every_dispatch_counts_exactly_one_outcome():
             before = stats.axis_kernel_stats.snapshot()
             calls = 0
             for axis in sorted(ALL_AXES):
-                fused_axis_set(document, axis, X, test)
-                fused_inverse_axis_set(document, axis, X)
+                _kernel_axis_set(document, axis, X, test)
+                _kernel_inverse_axis_set(document, axis, X)
                 calls += 2
             after = stats.axis_kernel_stats.snapshot()
         fused_delta = after["fused_hits"] - before["fused_hits"]
@@ -356,9 +336,9 @@ def test_every_dispatch_counts_exactly_one_outcome():
         if mode == "scan":
             assert fused_delta == 0
         else:
-            # Forward: every axis has a fused kernel. Inverse: only the
-            # interval axes do; the rest honestly count as scans.
-            assert fused_delta == len(ALL_AXES) + len(INVERSE_INTERVAL_AXES)
+            # Forward: every axis has a fused kernel. Inverse: every
+            # tree axis does; ``id`` honestly counts as a scan.
+            assert fused_delta == 2 * len(ALL_AXES) - 1
         assert after["index_builds"] == before["index_builds"]
 
 
@@ -371,12 +351,12 @@ def test_auto_dispatch_falls_back_when_predicted_output_is_large():
     node_index(document)
     assert kernel_mode() == "auto"
     before = stats.axis_kernel_stats.snapshot()
-    fused_axis_set(document, "descendant", [document.root], NodeTest("node"))
+    _kernel_axis_set(document, "descendant", [document.root], NodeTest("node"))
     after = stats.axis_kernel_stats.snapshot()
     assert after["fallback_scans"] - before["fallback_scans"] == 1
     # A selective name test from the same context stays on the kernel.
     before = stats.axis_kernel_stats.snapshot()
-    fused_axis_set(document, "descendant", [document.root], NodeTest("name", "a"))
+    _kernel_axis_set(document, "descendant", [document.root], NodeTest("name", "a"))
     after = stats.axis_kernel_stats.snapshot()
     assert after["fused_hits"] - before["fused_hits"] == 1
 

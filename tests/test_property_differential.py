@@ -68,7 +68,7 @@ def test_table_evaluators_agree_with_topdown_in_every_configuration(
     ``mincontext`` / ``optmincontext`` equal the ``topdown`` oracle on
     the eager tree and on its lazy column twin, under every kernel mode."""
     doc = random_document(random.Random(doc_seed), max_nodes=size)
-    lazy = decode_snapshot(encode_snapshot(doc), lazy=True)
+    lazy = decode_snapshot(encode_snapshot(doc))
     assert (type(doc), type(lazy)) == (Document, ColumnDocument)
     query = random_full_query(random.Random(query_seed))
     expected = _by_pre(XPathEngine(doc).evaluate(query, algorithm="topdown"))

@@ -6,10 +6,9 @@ Three properties carry the snapshot path:
   boundary, bad magic, wrong version, column lengths that disagree with
   their blob, checksum failure, and structurally illegal node tables
   that nonetheless carry a valid CRC.
-* **flat ≡ list ≡ Definition-1** — over the same corpus as
-  ``tests/test_node_index.py``, the packed (memoryview) kernels, the
-  boxed-list reference kernels, and the paper's Definition-1 scans all
-  return identical node sets cell by cell.
+* **flat ≡ Definition-1** — over the same corpus as
+  ``tests/test_node_index.py``, the packed (memoryview) kernels and the
+  paper's Definition-1 scans return identical node sets cell by cell.
 * **Round-trip equality** — a decoded snapshot reproduces ``pre`` /
   ``post`` / ``size`` / ``depth`` / every partition exactly, and its
   index arrives adopted (``index_adoptions``), never rebuilt
@@ -22,13 +21,14 @@ import zlib
 
 import pytest
 
+from conftest import boxed_twin
 from repro import stats
 from repro.axes.axes import (
     ALL_AXES,
     INVERSE_INTERVAL_AXES,
     axis_set,
-    fused_axis_set,
-    fused_inverse_axis_set,
+    axis_test_pres,
+    inverse_axis_test_pres,
     kernel_mode_forced,
     matches_node_test,
 )
@@ -40,7 +40,7 @@ from repro.workloads.documents import (
     running_example_document,
     wide_tree,
 )
-from repro.xml.index import NodeIndex, adopt_node_index, node_index
+from repro.xml.index import adopt_node_index, node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import (
@@ -245,48 +245,32 @@ def test_attribute_contiguity_enforced():
 
 
 # ----------------------------------------------------------------------
-# flat ≡ list ≡ Definition-1, and round-trip equality
+# flat ≡ Definition-1, and round-trip equality
 # ----------------------------------------------------------------------
 
 
-def _axis_answers(document, index):
-    """Every (axis × test) node-set over a fixed context, computed
-    through the fused kernels against ``index``'s representation."""
+def _axis_answers(document):
+    """Every (axis × test) pre array over a fixed context, computed
+    through the kernels the evaluators run."""
     answers = []
-    contexts = [
-        [document.root],
-        list(document.nodes),
-        document.nodes[-1:],
-    ]
-    for X in contexts:
+    total = len(document.nodes)
+    contexts = [[0], list(range(total)), [total - 1]]
+    for pres in contexts:
         for axis in sorted(ALL_AXES):
             for test in _TESTS:
-                answers.append(sorted(n.pre for n in fused_axis_set(document, axis, X, test)))
+                answers.append(list(axis_test_pres(document, axis, pres, test)))
         for axis in sorted(INVERSE_INTERVAL_AXES):
-            answers.append(
-                sorted(n.pre for n in fused_inverse_axis_set(document, axis, X))
-            )
+            answers.append(inverse_axis_test_pres(document, axis, pres))
     return answers
 
 
 def test_flat_list_and_scan_kernels_are_byte_identical():
     for document in _corpus():
-        packed = NodeIndex(document, packed=True)
-        plain = NodeIndex(document, packed=False)
-        # Swap representations through the cache by monkey-seeding: the
-        # kernels consult node_index(document), so compare by evaluating
-        # with each representation installed.
-        from repro.xml import index as index_module
-
         with kernel_mode_forced("indexed"):
-            index_module._INDEX_CACHE[document] = packed
-            flat_answers = _axis_answers(document, packed)
-            index_module._INDEX_CACHE[document] = plain
-            list_answers = _axis_answers(document, plain)
+            flat_answers = _axis_answers(document)
         with kernel_mode_forced("scan"):
-            scan_answers = _axis_answers(document, plain)
-        assert flat_answers == list_answers == scan_answers
-        index_module._INDEX_CACHE.pop(document, None)
+            scan_answers = _axis_answers(document)
+        assert flat_answers == scan_answers
 
 
 def test_definition1_scan_agreement_on_snapshot_loaded_documents():
@@ -296,7 +280,10 @@ def test_definition1_scan_agreement_on_snapshot_loaded_documents():
         for axis in sorted(ALL_AXES):
             for test in rng.sample(_TESTS, 4):
                 X = rng.sample(loaded.nodes, min(5, len(loaded.nodes)))
-                fused = fused_axis_set(loaded, axis, X, test)
+                pres = sorted({x.pre for x in X})
+                fused = {
+                    loaded.nodes[p] for p in axis_test_pres(loaded, axis, pres, test)
+                }
                 scan = {
                     y
                     for y in axis_set(loaded, axis, X)
@@ -306,11 +293,13 @@ def test_definition1_scan_agreement_on_snapshot_loaded_documents():
 
 
 def test_round_trip_columns_and_partitions_equal():
-    for document in _corpus():
+    """One index form: the index a boxed tree builds from its nodes is,
+    column for column and partition for partition, the index its
+    ``encode -> decode`` twin adopts from the snapshot columns."""
+    for document in map(boxed_twin, _corpus()):
         original_index = node_index(document)
         loaded = decode_snapshot(encode_snapshot(document))
         loaded_index = node_index(loaded)
-        assert loaded_index.packed
         for column in ("size", "post", "depth", "parent_pre"):
             assert list(getattr(loaded_index, column)) == list(
                 getattr(original_index, column)
@@ -343,8 +332,7 @@ def test_decode_adopts_index_without_building():
     assert after["index_builds"] == before["index_builds"]
     assert after["index_adoptions"] == before["index_adoptions"] + 1
     # node_index() now hits the adopted entry — still no build.
-    index = node_index(loaded)
-    assert index.packed
+    node_index(loaded)
     assert stats.axis_kernel_stats.snapshot()["index_builds"] == before["index_builds"]
 
 

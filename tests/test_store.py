@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from repro import stats
 from repro.engine import XPathEngine
 from repro.workloads.documents import book_catalog, random_document, running_example_document
+from repro.xml.columns import ColumnDocument
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.store import DocumentStore, DocumentStoreError
@@ -20,7 +22,14 @@ def store(tmp_path):
 def test_save_and_load_round_trip(store):
     original = parse_document('<a id="1"><b k="v">text<!--c--><?p d?></b></a>')
     store.save("doc", original)
+    before = stats.axis_kernel_stats.snapshot()
     loaded = store.load("doc")
+    after = stats.axis_kernel_stats.snapshot()
+    # The one decoded form: columns only, index adopted, nothing boxed.
+    assert type(loaded) is ColumnDocument and loaded.materialized_count() == 0
+    assert after["nodes_materialized"] == before["nodes_materialized"]
+    assert after["index_builds"] == before["index_builds"]
+    assert after["index_adoptions"] == before["index_adoptions"] + 1
     assert serialize(loaded) == serialize(original)
     assert len(loaded) == len(original)
     # Pre-order numbering identical node for node.
@@ -97,10 +106,10 @@ def test_version_mismatch_rejected(tmp_path):
         DocumentStore(path)
 
 
-def _write_v1_store(path, rows, id_attribute="id"):
+def _write_v1_store(path, rows, id_attribute="id", version=1):
     """Hand-craft a legacy (format v1) store file with inline node rows."""
     payload = {
-        "version": 1,
+        "version": version,
         "documents": {"x": {"id_attribute": id_attribute, "nodes": rows}},
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -114,12 +123,15 @@ _V1_ROWS = [
 ]
 
 
-def test_legacy_v1_store_loads_transparently(tmp_path):
+def test_v1_catalog_is_refused_at_open_naming_the_remedy(tmp_path):
+    """Format v1 (inline node tables) is no longer read: opening such a
+    catalog — also one a v2 save re-stamped while leaving inline entries
+    behind — fails with the typed error, before any load."""
     path = tmp_path / "old.json"
-    _write_v1_store(path, _V1_ROWS)
-    loaded = DocumentStore(path).load("x")
-    assert serialize(loaded) == '<a id="1">text</a>'
-    assert loaded.element_by_id("1") is loaded.root_element
+    for stamped_version in (1, 2):
+        _write_v1_store(path, _V1_ROWS, version=stamped_version)
+        with pytest.raises(DocumentStoreError, match="written by format v1; migrate it"):
+            DocumentStore(path)
 
 
 def test_corrupt_node_table_rejected(tmp_path):
@@ -129,32 +141,6 @@ def test_corrupt_node_table_rejected(tmp_path):
     _write_v1_store(path, rows)
     with pytest.raises(DocumentStoreError):
         DocumentStore(path).load("x")
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda rows: rows.__setitem__(1, ["E", "a", None]),  # wrong arity
-        lambda rows: rows.__setitem__(1, ["E", "a", None, 0, "extra"]),
-        lambda rows: rows.__setitem__(1, ["E", "a", None, "0"]),  # non-int parent
-        lambda rows: rows.__setitem__(1, ["E", "a", None, True]),  # bool parent
-        lambda rows: rows.__setitem__(1, ["E", 7, None, 0]),  # non-string name
-        lambda rows: rows.__setitem__(2, ["A", "id", "1", 3]),  # attr → text parent
-        lambda rows: rows.__setitem__(1, "not a row"),
-        lambda rows: rows.__setitem__(0, ["E", "a", None, -1]),  # no document node
-    ],
-)
-def test_malformed_v1_rows_raise_store_error_not_bare_exceptions(tmp_path, mutate):
-    """Regression (bugfix a): malformed rows used to escape as bare
-    ValueError/TypeError from tuple unpacking, int comparison, or
-    set_attribute_node — breaking the CLI's error-family exit codes."""
-    rows = [list(row) if isinstance(row, list) else row for row in _V1_ROWS]
-    mutate(rows)
-    path = tmp_path / "bad.json"
-    _write_v1_store(path, rows)
-    store = DocumentStore(path)
-    with pytest.raises(DocumentStoreError):
-        store.load("x")
 
 
 def test_failed_write_leaves_no_temp_file(store, tmp_path):
@@ -191,19 +177,6 @@ def test_saving_one_document_does_not_rewrite_others(store, tmp_path):
     catalog = (tmp_path / "store.json").read_bytes()
     assert len(catalog) < 300
     assert b"nodes" not in catalog
-
-
-def test_migrate_converts_v1_entries_to_sidecars(tmp_path):
-    path = tmp_path / "old.json"
-    _write_v1_store(path, _V1_ROWS)
-    store = DocumentStore(path)
-    assert store.migrate() == ["x"]
-    assert store.sidecar_dir.exists() and len(list(store.sidecar_dir.iterdir())) == 1
-    reopened = DocumentStore(path)
-    assert serialize(reopened.load("x")) == '<a id="1">text</a>'
-    raw = json.loads(path.read_text())
-    assert raw["version"] == 2
-    assert raw["documents"]["x"]["format"] == 2
 
 
 def test_load_snapshot_round_trips_raw_blob(store):

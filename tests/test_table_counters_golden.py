@@ -19,6 +19,7 @@ import pathlib
 
 import pytest
 
+from conftest import boxed_twin
 from repro import stats
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
@@ -34,7 +35,6 @@ from repro.workloads.queries import (
     running_example_query,
     wadler_family,
 )
-from repro.xml.document import Document
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "table_counters.json"
@@ -157,17 +157,12 @@ def measure_grid(documents: dict) -> dict[str, list[int]]:
 
 def _eager_documents() -> dict:
     """Boxed trees (``running`` is parsed, which yields columns)."""
-    documents = {
-        name: decode_snapshot(encode_snapshot(build()), lazy=False)
-        for name, build in DOCUMENTS.items()
-    }
-    assert all(type(document) is Document for document in documents.values())
-    return documents
+    return {name: boxed_twin(build()) for name, build in DOCUMENTS.items()}
 
 
 def _lazy_documents() -> dict:
     return {
-        name: decode_snapshot(encode_snapshot(build()), lazy=True)
+        name: decode_snapshot(encode_snapshot(build()))
         for name, build in DOCUMENTS.items()
     }
 

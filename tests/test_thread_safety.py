@@ -273,7 +273,7 @@ def test_node_index_is_built_exactly_once_under_contention():
     counter moves by exactly one (the build runs under the cache lock),
     and every fused dispatch counts exactly one outcome."""
     from repro import stats
-    from repro.axes.axes import fused_axis_set
+    from repro.axes.axes import axis_test_pres
     from repro.workloads.documents import book_catalog
     from repro.xml.index import node_index
     from repro.xpath.ast import NodeTest
@@ -288,7 +288,7 @@ def test_node_index_is_built_exactly_once_under_contention():
         index = node_index(document)
         instances.append(index)
         for _ in range(calls_per_thread):
-            result = fused_axis_set(document, "descendant", [document.root], test)
+            result = axis_test_pres(document, "descendant", [0], test)
             assert len(result) == 6  # one price element per book
 
     _hammer(worker)
@@ -317,7 +317,7 @@ def test_lazy_document_materializes_each_pre_exactly_once_under_contention():
     from repro.engine import XPathEngine
     from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
-    lazy = decode_snapshot(encode_snapshot(book_catalog(books=4)), lazy=True)
+    lazy = decode_snapshot(encode_snapshot(book_catalog(books=4)))
     total = len(lazy)
     expected_prices = [
         node.pre for node in XPathEngine(book_catalog(books=4)).evaluate(
@@ -439,7 +439,7 @@ def test_number_column_fills_idempotently_under_contention():
     try:
         for fresh, representation in (
             (book_catalog(books=30), Document),
-            (decode_snapshot(encode_snapshot(book_catalog(books=30)), lazy=True), ColumnDocument),
+            (decode_snapshot(encode_snapshot(book_catalog(books=30))), ColumnDocument),
         ):
             assert type(fresh) is representation
             engine = XPathEngine(fresh)

@@ -1,38 +1,37 @@
 """The vector column-program tier (PR 9): byte identity and exact counters.
 
 The contract under test: compiling a Core XPath sweep to a
-:class:`repro.axes.vec.VectorProgram` and running it batch-at-a-time —
-on the stdlib executor or the optional numpy executor — returns the
-*same bytes* as the scalar kernels and the Definition-1 scans, on eager
-and lazy documents alike, and the ``vector_program_runs``/``vector_ops``
-counters move deterministically per (document, query, mode), never per
-backend.
+:class:`repro.axes.vec.VectorProgram` and running it batch-at-a-time
+returns the *same bytes* as the scalar kernels and the Definition-1
+scans, on boxed and column documents alike, and the
+``vector_program_runs``/``vector_ops`` counters move deterministically
+per (document, query, mode).
 
 The differential loop reuses the Core XPath fuzz grammar
 (:func:`repro.workloads.queries.random_core_query`) with a fixed seed,
-crossing every kernel mode with every available executor.
+crossing every kernel mode.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import stats
 from repro.axes import (
     FORWARD_VECTOR_AXES,
     INVERSE_VECTOR_AXES,
-    VECTOR_BACKENDS,
     VECTOR_MIN_BLOCK,
     compile_backward_steps,
     compile_forward_steps,
     kernel_mode_forced,
-    numpy_available,
-    set_vector_backend,
     sweep_engaged,
-    vector_backend,
-    vector_backend_forced,
 )
-from conftest import eager_tree
+from conftest import boxed_twin
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
     book_catalog,
@@ -48,20 +47,13 @@ from repro.xpath.parser import parse_xpath
 SEED = 20030612
 
 
-def _backends():
-    names = ["stdlib"]
-    if numpy_available():
-        names.append("numpy")
-    return names
-
-
 def _fuzz_documents():
     rng = random.Random(SEED)
     return [
-        eager_tree(running_example_document()),
+        boxed_twin(running_example_document()),
         wide_tree(width=6),
         book_catalog(books=8, chapters_per_book=3),
-        eager_tree(
+        boxed_twin(
             parse_document(
                 '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
                 '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
@@ -74,7 +66,7 @@ def _fuzz_documents():
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: vector == scalar == scan, every mode x executor
+# Differential fuzz: vector == scalar == scan, every mode
 # ----------------------------------------------------------------------
 
 
@@ -88,14 +80,10 @@ def test_vector_matches_scalar_and_scan_on_fuzz_corpus():
             compiled = engine.compile(query)
             with kernel_mode_forced("scan"):
                 baseline = engine.evaluate(compiled, algorithm="corexpath")
-            for mode in ("indexed", "auto"):
+            for mode in ("indexed", "auto", "vector"):
                 with kernel_mode_forced(mode):
                     got = engine.evaluate(compiled, algorithm="corexpath")
                 assert got == baseline, f"{mode} diverged on {query!r}"
-            for backend in _backends():
-                with kernel_mode_forced("vector"), vector_backend_forced(backend):
-                    got = engine.evaluate(compiled, algorithm="corexpath")
-                assert got == baseline, f"vector/{backend} diverged on {query!r}"
             cases += 1
     assert cases == 15 * len(_fuzz_documents())
 
@@ -104,21 +92,19 @@ def test_vector_matches_on_lazy_documents():
     """The programs run over lazy column documents without forcing full
     materialization semantics to differ — same bytes as eager."""
     rng = random.Random(SEED + 7)
-    for eager in (eager_tree(running_example_document()), book_catalog(books=10)):
-        lazy = decode_snapshot(encode_snapshot(eager), lazy=True)
+    for eager in (boxed_twin(running_example_document()), book_catalog(books=10)):
+        lazy = decode_snapshot(encode_snapshot(eager))
         eager_engine = XPathEngine(eager)
         lazy_engine = XPathEngine(lazy)
         for _ in range(10):
             query = random_core_query(rng)
             with kernel_mode_forced("scan"):
                 baseline = eager_engine.evaluate(query, algorithm="corexpath")
-            for backend in _backends():
-                with kernel_mode_forced("vector"), vector_backend_forced(backend):
-                    got = lazy_engine.evaluate(query, algorithm="corexpath")
-                pres = [node.pre for node in got]
-                assert pres == [node.pre for node in baseline], (
-                    f"vector/{backend} on lazy doc diverged on {query!r}"
-                )
+            with kernel_mode_forced("vector"):
+                got = lazy_engine.evaluate(query, algorithm="corexpath")
+            assert [node.pre for node in got] == [node.pre for node in baseline], (
+                f"vector on lazy doc diverged on {query!r}"
+            )
 
 
 def test_backward_predicate_programs_match_scalar():
@@ -140,9 +126,8 @@ def test_backward_predicate_programs_match_scalar():
     for query in queries:
         with kernel_mode_forced("scan"):
             baseline = engine.evaluate(query, algorithm="corexpath")
-        for backend in _backends():
-            with kernel_mode_forced("vector"), vector_backend_forced(backend):
-                assert engine.evaluate(query, algorithm="corexpath") == baseline
+        with kernel_mode_forced("vector"):
+            assert engine.evaluate(query, algorithm="corexpath") == baseline
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +183,7 @@ def test_sweep_engagement_thresholds():
 
 
 # ----------------------------------------------------------------------
-# Counters: exact, deterministic, backend-independent
+# Counters: exact and deterministic
 # ----------------------------------------------------------------------
 
 #: (query, program runs, vector ops) for ONE forced-vector evaluation.
@@ -228,11 +213,10 @@ def _evaluate_delta(engine, compiled):
 def test_vector_counters_are_exact_per_evaluation(query, want_runs, want_ops):
     engine = XPathEngine(book_catalog(books=20))
     compiled = engine.compile(query)
-    for backend in _backends():
-        with kernel_mode_forced("vector"), vector_backend_forced(backend):
-            assert _evaluate_delta(engine, compiled) == (want_runs, want_ops), (
-                f"counter shape drifted on {query!r} [{backend}]"
-            )
+    with kernel_mode_forced("vector"):
+        assert _evaluate_delta(engine, compiled) == (want_runs, want_ops), (
+            f"counter shape drifted on {query!r}"
+        )
 
 
 def test_vector_counters_do_not_move_outside_vector_dispatch():
@@ -258,44 +242,32 @@ def test_auto_dispatch_engages_vector_tier_on_wide_documents():
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# No optional dependency
 # ----------------------------------------------------------------------
 
 
-def test_backend_selection_api():
-    assert vector_backend() in VECTOR_BACKENDS
-    with pytest.raises(ValueError):
-        set_vector_backend("gpu")
-    previous = vector_backend()
-    with vector_backend_forced("stdlib"):
-        assert vector_backend() == "stdlib"
-    assert vector_backend() == previous
-
-
-def test_numpy_backend_requires_numpy():
-    if numpy_available():
-        with vector_backend_forced("numpy"):
-            assert vector_backend() == "numpy"
-    else:
-        with pytest.raises(RuntimeError):
-            set_vector_backend("numpy")
-
-
-def test_stdlib_backend_is_first_class_without_numpy():
-    """The stdlib executor must produce full results with numpy entirely
-    out of the picture — the no-numpy CI leg runs this whole module, but
-    this case also pins the guarded-import contract directly."""
-    from repro.axes import vec_np
-
-    assert vec_np.available() == numpy_available()
-    if not numpy_available():
-        assert vec_np.make_backend(None) is None
-    document = book_catalog(books=10)
-    engine = XPathEngine(document)
-    with kernel_mode_forced("scan"):
-        baseline = engine.evaluate("/descendant::*/child::*", algorithm="corexpath")
-    with kernel_mode_forced("vector"), vector_backend_forced("stdlib"):
-        assert (
-            engine.evaluate("/descendant::*/child::*", algorithm="corexpath")
-            == baseline
-        )
+def test_vector_tier_never_imports_numpy():
+    """The vector tier is standard library only; the memory an optional
+    array package costs must not come back through an import. A fresh
+    interpreter parses, evaluates a batch under forced ``vector``
+    dispatch, and must end without the module loaded."""
+    script = (
+        "import sys\n"
+        "from repro import QueryService, parse_document\n"
+        "from repro.axes import kernel_mode_forced\n"
+        "document = parse_document('<r>' + '<a><b/><b/></a>' * 20 + '</r>')\n"
+        "with kernel_mode_forced('vector'):\n"
+        "    batch = QueryService().evaluate_many(\n"
+        "        ['/descendant::a/child::b', '/descendant::a[child::b]'], [document])\n"
+        "assert [len(value) for value in batch.values[0]] == [40, 20]\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    source_root = str(pathlib.Path(repro.__file__).parents[1])
+    outcome = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": source_root},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert outcome.returncode == 0, outcome.stderr

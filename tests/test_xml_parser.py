@@ -1,7 +1,7 @@
 """Tests for the XML tree parser (structural well-formedness, node kinds)."""
 
 import pytest
-from conftest import eager_tree
+from conftest import boxed_twin
 from test_xml_frontend_golden import GROUPS
 
 from repro.errors import XMLSyntaxError
@@ -166,7 +166,7 @@ def test_column_paths_match_the_boxed_tree_on_the_golden_corpus():
     kinds = set()
     for source in sources:
         document = parse_document(source)
-        expected = [node.path() for node in eager_tree(document).nodes]
+        expected = [node.path() for node in boxed_twin(parse_document(source)).nodes]
         pres = range(len(expected))
         assert [document.path_of_pre(pre) for pre in pres] == expected
         backwards = parse_document(source)
@@ -191,6 +191,6 @@ def test_parser_columns_pass_the_snapshot_validator_on_the_golden_corpus(monkeyp
     documents = [parse_document(source) for source in _accepted_golden_sources()]
     assert validated == []
     for document in documents:
-        twin = decode_snapshot(encode_snapshot(document), lazy=True)
+        twin = decode_snapshot(encode_snapshot(document))
         assert encode_snapshot(twin) == encode_snapshot(document)
     assert validated == [len(document.nodes) for document in documents]
