@@ -4,7 +4,7 @@ PR 10 turned the paper's predictability result into an operational
 contract: the daemon prices every (query, document) cell *before*
 evaluation and refuses or degrades what cannot finish in time, so tail
 latency is governed by deadlines and refusal cost — not by whatever the
-slowest admitted request happens to do. Four gates:
+slowest admitted request happens to do. Five gates:
 
 * **p99 gate** — a sustained skewed many-client workload with fault
   injection (slow evaluations, dying workers, per-query deadlines) keeps
@@ -23,7 +23,13 @@ slowest admitted request happens to do. Four gates:
   the refusal p99 itself is bounded;
 * **drain gate** — SIGTERM-style drain with a slow straggler in flight
   finishes inside the grace window and the straggler still receives its
-  response (completed or typed ``DEADLINE``) — zero lost in-flight work.
+  response (completed or typed ``DEADLINE``) — zero lost in-flight work;
+* **hit gate** — repeats of warmed (query, document) cells are answered
+  from the result memo on the event loop: ``evaluations_started`` does
+  not move, ``memo_hits`` and the result cache's hits move by exactly
+  the number of repeats, its misses by zero, and the identities stay
+  exact. Counters only — the end-to-end number for this path is the
+  ``serve-hot`` workload of ``BENCHMARK.json``.
 
 Absolute milliseconds are machine-dependent; the gates are bounds and
 exact counter identities, deterministic across machines. Run with::
@@ -62,6 +68,12 @@ DRAIN_BOUND_SECONDS = DRAIN_GRACE + 1.0
 CLIENT_PLANS = (("hot", 40), ("warm", 20), ("cold", 8), ("cold2", 8))
 
 DOCUMENT = "<lib>" + "<book><sleepy/><doomed/></book>" * 20 + "</lib>"
+
+#: The hit gate's warmed cells: every query on every document...
+HIT_QUERIES = ("//book", "count(//book)", "//book[sleepy]", "string(/lib/book[2])")
+HIT_DOCUMENTS = ("d1", "d2")
+#: ...each asked this many more times.
+HIT_REPEATS = 200
 
 
 class DaemonThread:
@@ -258,6 +270,40 @@ def drain_phase():
     return drain_elapsed, responded, outcome.get("response", "LOST")
 
 
+def hit_phase():
+    """Warm every cell once, then repeat them all: the counter deltas of
+    the repeats, and the final STATS payload."""
+    injector = FaultInjector()
+    service = QueryService()
+    runner = DaemonThread(service=service, injector=injector)
+    cells = [(query, name) for name in HIT_DOCUMENTS for query in HIT_QUERIES]
+    try:
+        with ServeClient(port=runner.daemon.port, client="repeat") as client:
+            for name in HIT_DOCUMENTS:
+                client.register(name, DOCUMENT)
+            for query, name in cells:
+                client.query(query, name, retry=False)
+
+            def counters():
+                cache = service.result_cache_stats()
+                return {
+                    "evaluations_started": injector.snapshot()["evaluations_started"],
+                    "memo_hits": runner.daemon.stats.snapshot()["memo_hits"],
+                    "cache_hits": cache["hits"],
+                    "cache_misses": cache["misses"],
+                }
+
+            before = counters()
+            for _ in range(HIT_REPEATS):
+                for query, name in cells:
+                    client.query(query, name, retry=False)
+            after = counters()
+            stats = client.stats()
+    finally:
+        runner.stop()
+    return {key: after[key] - before[key] for key in after}, stats
+
+
 def main() -> int:
     latencies, ledgers, stats = sustained_load_phase()
     all_latencies = [sample for series in latencies.values() for sample in series]
@@ -281,6 +327,15 @@ def main() -> int:
 
     drain_elapsed, straggler_responded, straggler_outcome = drain_phase()
     drain_ok = drain_elapsed <= DRAIN_BOUND_SECONDS and straggler_responded
+
+    hit_deltas, hit_stats = hit_phase()
+    repeats = HIT_REPEATS * len(HIT_QUERIES) * len(HIT_DOCUMENTS)
+    hit_ok = reconciliation_gate(hit_stats) and hit_deltas == {
+        "evaluations_started": 0,
+        "memo_hits": repeats,
+        "cache_hits": repeats,
+        "cache_misses": 0,
+    }
 
     total_requests = sum(count for _, count in CLIENT_PLANS)
     report = ExperimentReport(
@@ -338,8 +393,17 @@ def main() -> int:
         f"in flight (need <= {DRAIN_BOUND_SECONDS:.1f}s), straggler response: "
         f"{straggler_outcome} — " + ("PASS" if drain_ok else "FAIL")
     )
+    report.note(
+        f"hit gate:     {repeats} repeats of "
+        f"{len(HIT_QUERIES) * len(HIT_DOCUMENTS)} warmed cells: evaluations "
+        f"started +{hit_deltas['evaluations_started']}, memo_hits "
+        f"+{hit_deltas['memo_hits']}, result cache hits "
+        f"+{hit_deltas['cache_hits']} / misses +{hit_deltas['cache_misses']}, "
+        "identities exact — " + ("PASS" if hit_ok else "FAIL")
+    )
     report.finish()
-    return 0 if (p99_ok and reconciled and zero_lost and admission_ok and drain_ok) else 1
+    gates = (p99_ok, reconciled, zero_lost, admission_ok, drain_ok, hit_ok)
+    return 0 if all(gates) else 1
 
 
 if __name__ == "__main__":

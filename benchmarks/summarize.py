@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> None:
         "--serve",
         action="store_true",
         help="print only the serving-daemon gates: p99, reconciliation, "
-        "admission, drain (EXP-SERVE)",
+        "admission, drain, hit (EXP-SERVE)",
     )
     args = parser.parse_args(argv)
     if args.plan_cache:

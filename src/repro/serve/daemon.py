@@ -6,40 +6,67 @@ QueryService` (plan cache, sessions, specializer timings), an
 service's timing histories, per-client :class:`~repro.serve.quotas.
 ClientState`, and exact per-client + global :class:`~repro.stats.
 ServeStats`. Connections speak the line-delimited JSON protocol of
-:mod:`repro.serve.protocol`; requests on one connection are handled
-concurrently (pipelining) with responses correlated by ``id`` and
-delivered through a bounded per-connection response queue (backpressure
-propagates to the evaluation tasks, never unbounded buffering).
+:mod:`repro.serve.protocol`; requests on one connection may be
+pipelined, with responses correlated by ``id`` and delivered through a
+bounded per-connection response queue (a client that does not read
+stalls its own reader and its own evaluation tasks, never the daemon's
+memory).
 
-The robustness contract, in the order a request meets it:
+The connection reader runs one **synchronous front half** for every
+frame, on the event loop, and answers right there whatever does not
+have to wait; only a real evaluation becomes a task. The stages, in the
+order a frame meets them, with the counter each exit lands in:
 
-1. **decode** — malformed lines get a typed ``PROTOCOL`` error and the
-   connection resynchronizes at the next newline; oversized frames get
-   ``FRAME_TOO_LARGE`` and a close.
-2. **quotas** — the client's token bucket (``RATE_LIMITED`` +
-   ``retry_after``) and in-flight cap (``QUOTA``) fence static resource
-   use before any pricing work.
-3. **admission** — the controller prices the (query, document) cells
-   from the specializer's cost model × observed per-algorithm rates ×
-   per-document shard history and admits, degrades (cheapest admissible
-   algorithm, sharing dropped), or rejects with typed ``OVERLOAD`` —
-   all *before evaluation starts*.
-4. **deadlines** — admitted work runs under ``asyncio.wait_for`` (single
-   queries) or a deadline-armed :class:`~repro.service.async_service.
-   BatchStream` (batches): expiry always yields a typed ``DEADLINE``
-   response — with the partial cells for batches — never a hang.
-   Worker threads already evaluating cannot be interrupted, only
-   abandoned; their results are dropped and their timing observations
-   still sharpen future admissions.
-5. **drain** — SIGTERM stops admission (``SHUTTING_DOWN``), lets
-   in-flight work finish inside ``drain_grace`` (stragglers are
-   cancelled into ``DEADLINE`` responses), flushes every response
-   queue, and only then closes: zero lost responses, counters
-   reconciled (``admitted == completed + deadlined + failed`` holds
-   through the shutdown).
+1. **decode** — a malformed line gets a typed ``PROTOCOL`` error
+   (``malformed``) and the connection resynchronizes at the next
+   newline; an oversized frame gets ``FRAME_TOO_LARGE`` and a close.
+2. **count + client lookup** — ``requests``. ``PING``, ``STATS`` and
+   ``UNREGISTER`` are answered here; ``REGISTER`` is validated here and
+   its parse runs as a task on a worker thread.
+3. **gate** (QUERY and BATCH, ``queries``) — draining
+   (``SHUTTING_DOWN``, ``rejected_draining``), the client's token
+   bucket (``RATE_LIMITED`` + ``retry_after``, ``rejected_rate``) and
+   its in-flight cap (``QUOTA``, ``rejected_quota``).
+4. **validation** — ``deadline_ms``, the named documents, the query
+   text, then the plan (cache or compile): any failure is a typed
+   request error (``request_errors``).
+5. **memo probe** (QUERY) — one dictionary read in the document's
+   session. A hit is answered now: no task, no worker thread, no
+   pricing. It is an answer like any other — ``admitted`` and
+   ``completed``, plus ``memo_hits`` ⊆ ``completed`` — so both
+   identities close unchanged; its reply carries ``memo: true``,
+   ``algorithm: "auto"``, ``degraded: false``, ``priced_ms: 0.0``.
+   *Quotas apply to hits* (stage 3 came first: a hit takes a rate token
+   and needs a free slot, and is refused while draining); *admission
+   does not* (an answer that costs no evaluation is not load to shed,
+   so the queue watermarks and the cost budget are not consulted), and
+   a hit meets any deadline.
+6. **admission** (a miss, every BATCH) — the controller prices the
+   (query, document) cells from the specializer's cost model × observed
+   per-algorithm rates × per-document shard history and admits,
+   degrades (cheapest admissible algorithm, sharing dropped), or
+   rejects with typed ``OVERLOAD`` (``rejected_overload``) — all
+   *before evaluation starts*.
+7. **evaluation** (a task) — under ``asyncio.wait_for`` (single
+   queries, on a worker thread) or a deadline-armed
+   :class:`~repro.service.async_service.BatchStream` (batches), through
+   one outcome ladder: the value (``completed``), a typed ``DEADLINE``
+   — with the partial cells for batches — on expiry or when the drain
+   grace runs out (``deadlined``), a typed error for a library failure
+   or a dying worker, and nothing but the count when the client left
+   mid-flight (``failed``). Worker threads already evaluating cannot be
+   interrupted, only abandoned; their results are dropped and their
+   timing observations still sharpen future admissions.
+8. **drain** — SIGTERM stops admission, lets in-flight work finish
+   inside ``drain_grace``, flushes every response queue, and only then
+   closes: zero lost responses, ``admitted == completed + deadlined +
+   failed`` through the shutdown.
 
 Every failure mode is deterministically testable through the
-:class:`~repro.serve.faults.FaultInjector` seam.
+:class:`~repro.serve.faults.FaultInjector` seam. ``before_evaluate``
+sits on the evaluation path only (``evaluations_started`` counts
+evaluations; a hit starts none); ``should_disconnect`` is asked before
+every QUERY reply, hit or not.
 """
 
 from __future__ import annotations
@@ -48,6 +75,7 @@ import asyncio
 import math
 import signal
 import time
+from dataclasses import dataclass, field
 
 from repro.errors import (
     DeadlineExceededError,
@@ -57,7 +85,7 @@ from repro.errors import (
     RateLimitedError,
     ReproError,
 )
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.faults import FaultInjector
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -69,7 +97,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.quotas import ClientQuota, ClientState
 from repro.service.async_service import AsyncQueryService
-from repro.service.service import QueryService
+from repro.service.service import DocumentSession, QueryService
 from repro.stats import ServeStats
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize_node
@@ -101,6 +129,51 @@ def _consume_result(future) -> None:
         future.exception()
 
 
+class _RequestError(ReproError):
+    """A refusal whose stable wire code has no library exception class
+    (``UNKNOWN_DOCUMENT``, ``SHUTTING_DOWN``)."""
+
+    def __init__(self, code: str, message: str):
+        self.protocol_code = code
+        super().__init__(message)
+
+
+#: The verdict a memo hit carries in place of a priced one.
+_MEMO_HIT = AdmissionDecision(action="admit", reason="memo hit")
+
+
+@dataclass(eq=False)
+class _Request:
+    """One validated QUERY or BATCH: what the front half established and
+    the evaluation task needs. A QUERY is the one-query, one-document
+    case of the same shape."""
+
+    id: object
+    client: ClientState
+    stats: ServeStats
+    batch: bool
+    queries: list
+    doc_names: list
+    documents: list
+    plans: list
+    deadline_seconds: float | None
+    style: str
+    started: float = field(default_factory=time.monotonic)
+    decision: AdmissionDecision | None = None
+    #: BATCH result cells as they stream in (a deadline keeps them).
+    cells: list = field(default_factory=list)
+
+    def elapsed_ms(self) -> float:
+        return round((time.monotonic() - self.started) * 1000.0, 3)
+
+    def partial(self) -> dict:
+        """The cells a BATCH reply carries, finished or not."""
+        if not self.batch:
+            return {}
+        total = len(self.queries) * len(self.documents)
+        return {"cells": self.cells, "completed": len(self.cells), "total": total}
+
+
 class _Connection:
     """One client connection: reader, writer, the bounded response
     queue, and the set of in-flight request tasks."""
@@ -115,9 +188,17 @@ class _Connection:
 
     async def send(self, frame: dict) -> None:
         """Queue one response frame (drops silently once the transport
-        died — the handler's counters already recorded the outcome)."""
+        died — the handler's counters already recorded the outcome).
+        Returns without yielding while the queue has room; a full queue
+        suspends the caller — the reader included, which then stops
+        taking frames off the socket."""
         if not self.dead:
             await self.queue.put(frame)
+
+    def spawn(self, coroutine) -> None:
+        task = asyncio.ensure_future(coroutine)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
 
     async def close_queue(self) -> None:
         await self.queue.put(None)
@@ -208,8 +289,8 @@ class XPathDaemon:
         if pending:
             done, stragglers = await asyncio.wait(pending, timeout=self.drain_grace)
             for task in stragglers:
-                # The handler converts this cancel into a typed DEADLINE
-                # response (drained) before finishing — see _run_query.
+                # The ladder converts this cancel into a typed DEADLINE
+                # response (drained) before finishing — see _settle.
                 task.cancel()
             if stragglers:
                 await asyncio.wait(stragglers, timeout=self.drain_grace)
@@ -241,6 +322,12 @@ class XPathDaemon:
             self._client_stats[name] = ServeStats(name=f"serve_client_{name}")
         state.touch()
         return state, self._client_stats[name]
+
+    def _count(self, client_stats: ServeStats, event: str, *how, **flags) -> None:
+        """One :class:`~repro.stats.ServeStats` event on the global
+        instance and on the client's: the pair never drifts apart."""
+        getattr(self.stats, event)(*how, **flags)
+        getattr(client_stats, event)(*how, **flags)
 
     def _evict_client(self, name: str) -> None:
         """Drop one client's retained state (registrations included),
@@ -337,9 +424,9 @@ class XPathDaemon:
                         await asyncio.wait(set(conn.tasks))
                     await conn.send(ok_response(frame.get("id"), bye=True))
                     break
-                task = asyncio.ensure_future(self._handle_frame(conn, frame))
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
+                reply = self._front(conn, frame)
+                if reply is not None:
+                    await conn.send(reply)
         except ConnectionError:
             pass
         finally:
@@ -350,9 +437,13 @@ class XPathDaemon:
             return
         self._connections.discard(conn)
         if cancel_tasks and conn.tasks:
-            # The client is gone mid-flight: cancelled handlers record
-            # their queries as failed, keeping admitted == completed +
-            # deadlined + failed exact (see _run_query).
+            # The client is gone mid-flight: cancelled evaluations are
+            # recorded as failed, keeping admitted == completed +
+            # deadlined + failed exact (see _settle). The reader may
+            # have created the newest task without yielding since; one
+            # pass of the loop lets it reach the ladder that does that
+            # recording before the cancel lands.
+            await asyncio.sleep(0)
             for task in set(conn.tasks):
                 task.cancel()
             await asyncio.wait(set(conn.tasks), timeout=self.drain_grace)
@@ -398,7 +489,7 @@ class XPathDaemon:
             except (ConnectionError, OSError):
                 conn.dead = True
 
-    async def _drop_connection(self, conn: _Connection) -> None:
+    def _drop_connection(self, conn: _Connection) -> None:
         """Fault injection: hard mid-stream disconnect."""
         conn.dead = True
         try:
@@ -406,56 +497,52 @@ class XPathDaemon:
         except (ConnectionError, OSError):
             pass
 
-    # -- request dispatch -----------------------------------------------
+    # -- the synchronous front half -------------------------------------
 
-    async def _handle_frame(self, conn: _Connection, frame: dict) -> None:
+    def _front(self, conn: _Connection, frame: dict) -> dict | None:
+        """Stages 2–6 for one decoded frame, without yielding: the reply
+        to send now, or ``None`` when a task spawned here will answer
+        (or the disconnect fault ate the reply)."""
         request_id = frame.get("id")
         verb = frame.get("verb")
-        self.stats.request()
         client, client_stats = self._client(frame, conn)
-        client_stats.request()
+        self._count(client_stats, "request")
+        if verb in ("QUERY", "BATCH"):
+            return self._front_query(conn, frame, client, client_stats)
         if verb == "PING":
-            await conn.send(ok_response(request_id, pong=True, draining=self.draining))
-        elif verb == "STATS":
-            await conn.send(ok_response(request_id, stats=self.stats_snapshot()))
-        elif verb == "REGISTER":
-            await self._handle_register(conn, frame, client, client_stats)
-        elif verb == "UNREGISTER":
-            await self._handle_unregister(conn, frame, client, client_stats)
-        elif verb == "QUERY":
-            await self._handle_query(conn, frame, client, client_stats)
-        elif verb == "BATCH":
-            await self._handle_batch(conn, frame, client, client_stats)
-        else:
-            await conn.send(
-                error_response(
-                    request_id, "UNKNOWN_VERB", f"unknown verb {verb!r}"
-                )
-            )
+            return ok_response(request_id, pong=True, draining=self.draining)
+        if verb == "STATS":
+            return ok_response(request_id, stats=self.stats_snapshot())
+        if verb in ("REGISTER", "UNREGISTER"):
+            try:
+                if self.draining:
+                    raise _RequestError("SHUTTING_DOWN", "daemon is draining")
+                if verb == "REGISTER":
+                    self._front_register(conn, frame, client)
+                    return None
+                name = frame.get("name")
+                if not isinstance(name, str) or not client.unregister(name):
+                    raise _RequestError(
+                        "UNKNOWN_DOCUMENT", f"no document {name!r} registered"
+                    )
+                return ok_response(request_id, name=name, **client.gauges())
+            except ReproError as error:
+                return error_to_response(request_id, error)
+        return error_response(request_id, "UNKNOWN_VERB", f"unknown verb {verb!r}")
 
-    async def _handle_register(self, conn, frame, client, client_stats) -> None:
-        request_id = frame.get("id")
-        if self.draining:
-            await conn.send(
-                error_response(
-                    request_id, "SHUTTING_DOWN", "daemon is draining"
-                )
-            )
-            return
+    def _front_register(self, conn, frame, client) -> None:
         name = frame.get("name")
         xml = frame.get("xml")
         if not isinstance(name, str) or not name or not isinstance(xml, str):
-            await conn.send(
-                error_response(
-                    request_id,
-                    "PROTOCOL",
-                    "REGISTER needs a non-empty string 'name' and a string 'xml'",
-                )
+            raise ProtocolError(
+                "REGISTER needs a non-empty string 'name' and a string 'xml'"
             )
-            return
         source_bytes = len(xml.encode("utf-8"))
+        client.check_register(name, source_bytes)
+        conn.spawn(self._register(conn, frame.get("id"), client, name, xml, source_bytes))
+
+    async def _register(self, conn, request_id, client, name, xml, source_bytes) -> None:
         try:
-            client.check_register(name, source_bytes)
             document = await asyncio.to_thread(parse_document, xml)
         except ReproError as error:
             await conn.send(error_to_response(request_id, error))
@@ -463,217 +550,221 @@ class XPathDaemon:
         client.register(name, document, source_bytes)
         await conn.send(
             ok_response(
-                request_id,
-                name=name,
-                nodes=len(document.nodes),
-                **client.gauges(),
+                request_id, name=name, nodes=len(document.nodes), **client.gauges()
             )
         )
 
-    async def _handle_unregister(self, conn, frame, client, client_stats) -> None:
+    def _front_query(self, conn, frame, client, client_stats) -> dict | None:
+        """Gate → validation → memo probe → admission for one QUERY or
+        BATCH. The in-flight slot taken at the gate is released on every
+        exit from here except the hand-off to the evaluation task."""
         request_id = frame.get("id")
-        if self.draining:
-            await conn.send(
-                error_response(request_id, "SHUTTING_DOWN", "daemon is draining")
+        self._count(client_stats, "query")
+        refusal = self._gate(client)
+        if refusal is not None:
+            self._count(client_stats, "reject", refusal[0])
+            return error_to_response(request_id, refusal[1])
+        handed_off = False
+        try:
+            try:
+                request = self._validate(frame, client, client_stats)
+            except ReproError as error:
+                self._count(client_stats, "request_error")
+                return error_to_response(request_id, error)
+            if not request.batch:
+                session = self.service.session(request.documents[0])
+                value = session.probe(request.plans[0])
+                if value is not DocumentSession.MISS:
+                    request.decision = _MEMO_HIT
+                    self._count(client_stats, "admit")
+                    self._count(client_stats, "complete", memo=True)
+                    return self._query_reply(conn, request, value)
+            decision = self.admission.decide(
+                request.plans, request.documents, request.deadline_seconds,
+                self._in_flight,
             )
-            return
-        name = frame.get("name")
-        if not isinstance(name, str) or not client.unregister(name):
-            await conn.send(
-                error_response(
-                    request_id, "UNKNOWN_DOCUMENT", f"no document {name!r} registered"
+            if not decision.admitted:
+                self._count(client_stats, "reject", "overload")
+                return error_to_response(
+                    request_id,
+                    OverloadError(decision.reason, retry_after=decision.retry_after),
                 )
-            )
-            return
-        await conn.send(ok_response(request_id, name=name, **client.gauges()))
+            self._count(client_stats, "admit", degraded=decision.degraded)
+            request.decision = decision
+            self._in_flight += 1
+            conn.spawn(self._settle(conn, request))
+            handed_off = True
+            return None
+        finally:
+            if not handed_off:
+                client.release_slot()
 
-    # -- QUERY ----------------------------------------------------------
-
-    def _deadline_seconds(self, frame: dict) -> float | None:
-        """The request's deadline in seconds. Raises a typed
-        :class:`~repro.errors.ProtocolError` on a non-numeric
-        ``deadline_ms`` — untrusted wire input must never escape as a
-        bare ``ValueError`` that would eat the response."""
-        deadline_ms = frame.get("deadline_ms")
-        if deadline_ms is None:
-            return self.default_deadline_seconds
-        if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
-            raise ProtocolError(
-                f"'deadline_ms' must be a number, got {type(deadline_ms).__name__}"
-            )
-        if not math.isfinite(deadline_ms):
-            raise ProtocolError(f"'deadline_ms' must be finite, got {deadline_ms!r}")
-        return max(float(deadline_ms), 0.0) / 1000.0
-
-    def _reject(self, client_stats: ServeStats, reason: str) -> None:
-        self.stats.reject(reason)
-        client_stats.reject(reason)
-
-    def _admission_gate(self, frame, client, client_stats):
-        """The shared pre-evaluation pipeline for QUERY and BATCH: count
-        the query, then drain/rate/slot checks. Returns an error frame to
-        send, or ``None`` to proceed (the in-flight slot is then held and
-        must be released by the caller)."""
-        request_id = frame.get("id")
-        self.stats.query()
-        client_stats.query()
+    def _gate(self, client: ClientState) -> tuple[str, ReproError] | None:
+        """Stage 3: the reject reason and its typed error, or ``None``
+        with one of the client's in-flight slots now held."""
         if self.draining:
-            self._reject(client_stats, "draining")
-            return error_response(
-                request_id, "SHUTTING_DOWN", "daemon is draining; not admitting"
+            return "draining", _RequestError(
+                "SHUTTING_DOWN", "daemon is draining; not admitting"
             )
         try:
             client.check_rate()
         except RateLimitedError as error:
-            self._reject(client_stats, "rate")
-            return error_to_response(request_id, error)
+            return "rate", error
         try:
             client.acquire_slot()
         except QuotaExceededError as error:
-            self._reject(client_stats, "quota")
-            return error_to_response(request_id, error)
+            return "quota", error
         return None
 
-    async def _handle_query(self, conn, frame, client, client_stats) -> None:
-        refusal = self._admission_gate(frame, client, client_stats)
-        if refusal is not None:
-            await conn.send(refusal)
-            return
-        try:
-            await self._run_query(conn, frame, client, client_stats)
-        finally:
-            client.release_slot()
+    def _validate(self, frame, client, client_stats) -> _Request:
+        """Stage 4. Raises the typed error the refusal carries; untrusted
+        wire input must never escape as a bare ``ValueError`` that would
+        eat the response."""
+        deadline_ms = frame.get("deadline_ms")
+        if deadline_ms is None:
+            deadline_seconds = self.default_deadline_seconds
+        elif isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
+            raise ProtocolError(
+                f"'deadline_ms' must be a number, got {type(deadline_ms).__name__}"
+            )
+        elif not math.isfinite(deadline_ms):
+            raise ProtocolError(f"'deadline_ms' must be finite, got {deadline_ms!r}")
+        else:
+            deadline_seconds = max(float(deadline_ms), 0.0) / 1000.0
+        batch = frame.get("verb") == "BATCH"
+        if batch:
+            queries = frame.get("queries")
+            doc_names = frame.get("docs") or client.document_names()
+            if (
+                not isinstance(queries, list)
+                or not queries
+                or not all(isinstance(query, str) for query in queries)
+                or not isinstance(doc_names, list)
+                or not doc_names
+            ):
+                raise ProtocolError(
+                    "BATCH needs a non-empty string list 'queries' and "
+                    "registered documents ('docs' or prior REGISTERs)"
+                )
+        else:
+            queries, doc_names = [frame.get("query")], [frame.get("doc")]
+            if not isinstance(queries[0], str):
+                raise ProtocolError("QUERY needs a string 'query'")
+        documents = []
+        for name in doc_names:
+            document = client.document(name) if isinstance(name, str) else None
+            if document is None:
+                raise _RequestError(
+                    "UNKNOWN_DOCUMENT",
+                    f"no document {name!r} registered for client {client.name!r}",
+                )
+            documents.append(document)
+        plans = [self.service.plan(query) for query in queries]
+        return _Request(
+            frame.get("id"), client, client_stats, batch, queries, doc_names,
+            documents, plans, deadline_seconds, frame.get("output", "path"),
+        )
 
-    async def _run_query(self, conn, frame, client, client_stats) -> None:
-        request_id = frame.get("id")
-        query = frame.get("query")
-        doc_name = frame.get("doc")
-        try:
-            deadline_seconds = self._deadline_seconds(frame)
-        except ProtocolError as error:
-            self.stats.request_error()
-            client_stats.request_error()
-            await conn.send(error_to_response(request_id, error))
-            return
-        document = client.document(doc_name) if isinstance(doc_name, str) else None
-        if not isinstance(query, str) or document is None:
-            self.stats.request_error()
-            client_stats.request_error()
-            if not isinstance(query, str):
-                await conn.send(
-                    error_response(request_id, "PROTOCOL", "QUERY needs a string 'query'")
-                )
-            else:
-                await conn.send(
-                    error_response(
-                        request_id,
-                        "UNKNOWN_DOCUMENT",
-                        f"no document {doc_name!r} registered for client "
-                        f"{client.name!r}",
-                    )
-                )
-            return
-        try:
-            plan = self.service.plan(query)
-        except ReproError as error:
-            self.stats.request_error()
-            client_stats.request_error()
-            await conn.send(error_to_response(request_id, error))
-            return
-        decision = self.admission.decide(
-            [plan], [document], deadline_seconds, self._in_flight
-        )
-        if not decision.admitted:
-            self._reject(client_stats, "overload")
-            await conn.send(
-                error_to_response(
-                    request_id,
-                    OverloadError(decision.reason, retry_after=decision.retry_after),
-                )
-            )
-            return
-        self.stats.admit(degraded=decision.degraded)
-        client_stats.admit(degraded=decision.degraded)
-        self._in_flight += 1
-        started = time.monotonic()
-        loop = asyncio.get_running_loop()
-        try:
-            future = loop.run_in_executor(
-                None, self._evaluate_sync, plan, document, decision.algorithm, query
-            )
-            if deadline_seconds is not None:
-                value = await asyncio.wait_for(
-                    asyncio.shield(future), deadline_seconds
-                )
-            else:
-                value = await future
-        except asyncio.TimeoutError:
-            # The worker thread cannot be interrupted; abandon its result
-            # (and swallow its eventual exception) but answer *now*.
-            future.add_done_callback(_consume_result)
-            self.stats.deadline(drained=self.draining)
-            client_stats.deadline(drained=self.draining)
-            await conn.send(
-                error_response(
-                    request_id,
-                    "DEADLINE",
-                    f"deadline of {deadline_seconds * 1000:.0f}ms exceeded",
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            )
-            return
-        except asyncio.CancelledError:
-            future.add_done_callback(_consume_result)
-            if self.draining:
-                # Drain-grace straggler: deadline it out, respond, finish.
-                self.stats.deadline(drained=True)
-                client_stats.deadline(drained=True)
-                await conn.send(
-                    error_response(
-                        request_id,
-                        "DEADLINE",
-                        "drain grace expired with the query still running",
-                        elapsed_ms=(time.monotonic() - started) * 1000.0,
-                    )
-                )
-                return
-            # Client went away mid-flight: no one to answer, but the
-            # counters must still reconcile.
-            self.stats.fail()
-            client_stats.fail()
-            raise
-        except ReproError as error:
-            self.stats.fail(drained=self.draining)
-            client_stats.fail(drained=self.draining)
-            await conn.send(error_to_response(request_id, error))
-            return
-        except Exception as error:  # worker death: typed, never lost
-            self.stats.fail(drained=self.draining)
-            client_stats.fail(drained=self.draining)
-            await conn.send(
-                error_response(request_id, "EVALUATION", f"evaluation failed: {error}")
-            )
-            return
-        finally:
-            self._in_flight -= 1
-        self.stats.complete(drained=self.draining)
-        client_stats.complete(drained=self.draining)
+    def _query_reply(self, conn, request: _Request, value) -> dict | None:
+        """The QUERY answer, hit or evaluated — unless the disconnect
+        fault takes the connection instead."""
+        query = request.queries[0]
         if self.injector.should_disconnect(query):
-            await self._drop_connection(conn)
-            return
-        payload = render_value(value, frame.get("output", "path"))
-        await conn.send(
-            ok_response(
-                request_id,
-                query=query,
-                doc=doc_name,
-                algorithm=decision.algorithm,
-                degraded=decision.degraded,
-                priced_ms=decision.priced_seconds * 1000.0,
-                elapsed_ms=(time.monotonic() - started) * 1000.0,
-                **payload,
-            )
+            self._drop_connection(conn)
+            return None
+        decision = request.decision
+        return ok_response(
+            request.id,
+            query=query,
+            doc=request.doc_names[0],
+            algorithm=decision.algorithm,
+            degraded=decision.degraded,
+            priced_ms=round(decision.priced_seconds * 1000.0, 3),
+            memo=decision is _MEMO_HIT,
+            elapsed_ms=request.elapsed_ms(),
+            **render_value(value, request.style),
         )
+
+    # -- evaluation tasks -----------------------------------------------
+
+    async def _settle(self, conn: _Connection, request: _Request) -> None:
+        """Stage 7: run one admitted QUERY or BATCH and turn whatever
+        happens into exactly one counted outcome and one typed frame."""
+        run = self._run_batch if request.batch else self._run_query
+        try:
+            try:
+                value = await run(request)
+            finally:
+                self._in_flight -= 1
+                request.client.release_slot()
+        except DeadlineExceededError as error:
+            self._count(request.stats, "deadline", drained=self.draining)
+            reply = self._deadline_reply(request, str(error))
+        except asyncio.CancelledError:
+            if not self.draining:
+                # Client went away mid-flight: no one to answer, but the
+                # counters must still reconcile.
+                self._count(request.stats, "fail")
+                raise
+            # Drain-grace straggler: deadline it out, respond, finish.
+            self._count(request.stats, "deadline", drained=True)
+            reply = self._deadline_reply(
+                request, "drain grace expired with the request still running"
+            )
+        except ReproError as error:
+            self._count(request.stats, "fail", drained=self.draining)
+            reply = error_to_response(request.id, error)
+        except Exception as error:  # worker death: typed, never lost
+            self._count(request.stats, "fail", drained=self.draining)
+            reply = error_response(
+                request.id, "EVALUATION", f"evaluation failed: {error}"
+            )
+        else:
+            self._count(request.stats, "complete", drained=self.draining)
+            if request.batch:
+                reply = ok_response(
+                    request.id,
+                    **request.partial(),
+                    degraded=request.decision.degraded,
+                    shared=request.decision.share,
+                    priced_ms=round(request.decision.priced_seconds * 1000.0, 3),
+                    elapsed_ms=request.elapsed_ms(),
+                )
+            else:
+                reply = self._query_reply(conn, request, value)
+        if reply is not None:
+            await conn.send(reply)
+
+    def _deadline_reply(self, request: _Request, message: str) -> dict:
+        return error_response(
+            request.id,
+            "DEADLINE",
+            message,
+            **request.partial(),
+            elapsed_ms=request.elapsed_ms(),
+        )
+
+    async def _run_query(self, request: _Request):
+        future = asyncio.get_running_loop().run_in_executor(
+            None,
+            self._evaluate_sync,
+            request.plans[0],
+            request.documents[0],
+            request.decision.algorithm,
+            request.queries[0],
+        )
+        # The worker thread cannot be interrupted, only abandoned: when a
+        # deadline or a cancel answers first, its eventual result (or
+        # exception) is swallowed here.
+        future.add_done_callback(_consume_result)
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(future), request.deadline_seconds
+            )
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(
+                f"deadline of {request.deadline_seconds * 1000:.0f}ms exceeded"
+            ) from None
 
     def _evaluate_sync(self, plan, document, algorithm: str, query: str):
         """Runs in a worker thread: the fault seam, then the service
@@ -681,171 +772,30 @@ class XPathDaemon:
         self.injector.before_evaluate(query)
         return self.service.evaluate(plan, document, algorithm=algorithm)
 
-    # -- BATCH ----------------------------------------------------------
-
-    async def _handle_batch(self, conn, frame, client, client_stats) -> None:
-        refusal = self._admission_gate(frame, client, client_stats)
-        if refusal is not None:
-            await conn.send(refusal)
-            return
-        try:
-            await self._run_batch(conn, frame, client, client_stats)
-        finally:
-            client.release_slot()
-
-    async def _run_batch(self, conn, frame, client, client_stats) -> None:
-        request_id = frame.get("id")
-        queries = frame.get("queries")
-        doc_names = frame.get("docs") or client.document_names()
-        try:
-            deadline_seconds = self._deadline_seconds(frame)
-        except ProtocolError as error:
-            self.stats.request_error()
-            client_stats.request_error()
-            await conn.send(error_to_response(request_id, error))
-            return
-        if (
-            not isinstance(queries, list)
-            or not queries
-            or not all(isinstance(query, str) for query in queries)
-            or not isinstance(doc_names, list)
-            or not doc_names
-        ):
-            self.stats.request_error()
-            client_stats.request_error()
-            await conn.send(
-                error_response(
-                    request_id,
-                    "PROTOCOL",
-                    "BATCH needs a non-empty string list 'queries' and "
-                    "registered documents ('docs' or prior REGISTERs)",
-                )
-            )
-            return
-        documents = []
-        for name in doc_names:
-            document = client.document(name) if isinstance(name, str) else None
-            if document is None:
-                self.stats.request_error()
-                client_stats.request_error()
-                await conn.send(
-                    error_response(
-                        request_id,
-                        "UNKNOWN_DOCUMENT",
-                        f"no document {name!r} registered for client {client.name!r}",
-                    )
-                )
-                return
-            documents.append(document)
-        try:
-            plans = [self.service.plan(query) for query in queries]
-        except ReproError as error:
-            self.stats.request_error()
-            client_stats.request_error()
-            await conn.send(error_to_response(request_id, error))
-            return
-        decision = self.admission.decide(
-            plans, documents, deadline_seconds, self._in_flight
+    async def _run_batch(self, request: _Request) -> None:
+        """Streams the cells into ``request.cells``, where a deadline or
+        a drain finds the finished ones."""
+        stream = self.async_service.stream_many(
+            request.queries,
+            request.documents,
+            algorithm=request.decision.algorithm,
+            workers=max(1, min(self.batch_workers, len(request.documents))),
+            share=request.decision.share,
+            deadline_seconds=request.deadline_seconds,
         )
-        if not decision.admitted:
-            self._reject(client_stats, "overload")
-            await conn.send(
-                error_to_response(
-                    request_id,
-                    OverloadError(decision.reason, retry_after=decision.retry_after),
-                )
-            )
-            return
-        self.stats.admit(degraded=decision.degraded)
-        client_stats.admit(degraded=decision.degraded)
-        started = time.monotonic()
-        style = frame.get("output", "path")
-        cells = []
-        total = len(queries) * len(documents)
-        stream = None
-        self._in_flight += 1
         try:
-            stream = self.async_service.stream_many(
-                queries,
-                documents,
-                algorithm=decision.algorithm,
-                workers=max(1, min(self.batch_workers, len(documents))),
-                share=decision.share,
-                deadline_seconds=deadline_seconds,
-            )
             async for item in stream:
-                cells.append(
+                request.cells.append(
                     {
-                        "doc": doc_names[item.document_index],
+                        "doc": request.doc_names[item.document_index],
                         "query": item.query,
                         "algorithm": item.algorithm,
-                        **render_value(item.value, style),
+                        **render_value(item.value, request.style),
                     }
                 )
-        except DeadlineExceededError:
-            self.stats.deadline(drained=self.draining)
-            client_stats.deadline(drained=self.draining)
-            await conn.send(
-                error_response(
-                    request_id,
-                    "DEADLINE",
-                    f"batch deadline exceeded with {len(cells)} of {total} "
-                    "cells complete",
-                    cells=cells,
-                    completed=len(cells),
-                    total=total,
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            )
-            return
         except asyncio.CancelledError:
-            if stream is not None:
-                await stream.aclose()
-            if self.draining:
-                self.stats.deadline(drained=True)
-                client_stats.deadline(drained=True)
-                await conn.send(
-                    error_response(
-                        request_id,
-                        "DEADLINE",
-                        "drain grace expired with the batch still running",
-                        cells=cells,
-                        completed=len(cells),
-                        total=total,
-                    )
-                )
-                return
-            self.stats.fail()
-            client_stats.fail()
+            await stream.aclose()
             raise
-        except ReproError as error:
-            self.stats.fail(drained=self.draining)
-            client_stats.fail(drained=self.draining)
-            await conn.send(error_to_response(request_id, error))
-            return
-        except Exception as error:  # worker death: typed, never lost
-            self.stats.fail(drained=self.draining)
-            client_stats.fail(drained=self.draining)
-            await conn.send(
-                error_response(request_id, "EVALUATION", f"evaluation failed: {error}")
-            )
-            return
-        finally:
-            self._in_flight -= 1
-        self.stats.complete(drained=self.draining)
-        client_stats.complete(drained=self.draining)
-        await conn.send(
-            ok_response(
-                request_id,
-                cells=cells,
-                completed=len(cells),
-                total=total,
-                degraded=decision.degraded,
-                shared=decision.share,
-                priced_ms=decision.priced_seconds * 1000.0,
-                elapsed_ms=(time.monotonic() - started) * 1000.0,
-            )
-        )
 
 
 async def run_daemon(daemon: XPathDaemon, ready=None) -> None:

@@ -68,7 +68,7 @@ class DocumentSession:
     because documents are finalized (immutable) and plans are never
     mutated after compilation.
 
-    Thread safety: memo lookups (with their hit/miss accounting) and
+    Thread safety: memo lookups (with their hit accounting) and
     inserts run under one lock, while the evaluation itself runs outside
     it — so concurrent drivers of one session never lose a counter or
     corrupt the memo, but also never serialize the expensive work. Two
@@ -186,6 +186,51 @@ class DocumentSession:
         shared and independent runs (and repeat batches) populate and
         hit the same entries.
         """
+        value = self.probe(
+            plan, algorithm, context_node, context_position, context_size
+        )
+        if value is not self.MISS:
+            return value
+        self.result_stats.miss()
+        value = compute()
+        key = self._result_key(
+            plan, algorithm, context_node, context_position, context_size
+        )
+        with self._lock:
+            if len(self._results) >= self.result_capacity:
+                self._results.clear()
+                self.result_stats.eviction(self.result_capacity)
+            self._results[key] = (plan, value)
+        return _copy_result(value)
+
+    #: What :meth:`probe` returns when the memo holds no entry.
+    MISS = object()
+
+    def probe(
+        self,
+        plan: CompiledPlan,
+        algorithm: str = "auto",
+        context_node: Node | None = None,
+        context_position: int = 1,
+        context_size: int = 1,
+    ):
+        """The memo's read half alone: the memoized value (counted as a
+        hit, under the same key and lock as :meth:`evaluate_computed`)
+        or :attr:`MISS` — which counts nothing, because the evaluation
+        the caller goes on to request counts that miss itself. One
+        dictionary read, so a caller that must not block (the serving
+        daemon's event loop) can answer repeats without a worker."""
+        key = self._result_key(
+            plan, algorithm, context_node, context_position, context_size
+        )
+        with self._lock:
+            entry = self._results.get(key)
+            if entry is None:
+                return self.MISS
+            self.result_stats.hit()
+            return _copy_result(entry[1])
+
+    def _result_key(self, plan, algorithm, context_node, position, size) -> tuple:
         node = context_node if context_node is not None else self.document.root
         # Keyed by the plan's *stable* cache key, not the AST's identity:
         # a plan evicted from the LRU and recompiled gets a fresh AST (and
@@ -201,20 +246,7 @@ class DocumentSession:
         # reachable even if a later re-selection — after a specializer
         # memo flush with refined timing rates — would choose a different
         # evaluator (evaluation is pure, so the value is the same).
-        key = (plan.cache_key, algorithm, node, context_position, context_size)
-        with self._lock:
-            entry = self._results.get(key)
-            if entry is not None:
-                self.result_stats.hit()
-                return _copy_result(entry[1])
-            self.result_stats.miss()
-        value = compute()
-        with self._lock:
-            if len(self._results) >= self.result_capacity:
-                self._results.clear()
-                self.result_stats.eviction(self.result_capacity)
-            self._results[key] = (plan, value)
-        return _copy_result(value)
+        return (plan.cache_key, algorithm, node, position, size)
 
     def _evaluate_timed(self, plan: CompiledPlan, resolved: str, context: Context):
         """Run one real evaluation, feeding its wall time back into the

@@ -484,7 +484,6 @@ class BatchPlanStats:
         return merged
 
 
-@dataclass
 class ServeStats:
     """Exact accounting for the serving daemon (:mod:`repro.serve`).
 
@@ -512,27 +511,37 @@ class ServeStats:
     instead of rejected — a subset of ``admitted``. ``drained`` counts
     responses (completed, deadlined, or failed) delivered while the
     daemon was draining — a subset of the outcome counters, never a
-    separate outcome.
+    separate outcome. ``memo_hits`` counts queries answered from the
+    result memo on the event loop, with no pricing and no evaluation —
+    admitted and completed like any other answer, so a subset of
+    ``completed``.
     """
 
-    name: str = "serve"
-    requests: int = 0
-    malformed: int = 0
-    queries: int = 0
-    admitted: int = 0
-    degraded: int = 0
-    rejected_overload: int = 0
-    rejected_rate: int = 0
-    rejected_quota: int = 0
-    rejected_draining: int = 0
-    request_errors: int = 0
-    completed: int = 0
-    deadlined: int = 0
-    failed: int = 0
-    drained: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    #: Every counter, declared once: the attributes, :meth:`snapshot`'s
+    #: keys (in this order) and what :meth:`absorb_snapshot` folds.
+    COUNTERS = (
+        "requests",
+        "malformed",
+        "queries",
+        "admitted",
+        "degraded",
+        "rejected_overload",
+        "rejected_rate",
+        "rejected_quota",
+        "rejected_draining",
+        "request_errors",
+        "completed",
+        "deadlined",
+        "failed",
+        "drained",
+        "memo_hits",
     )
+
+    def __init__(self, name: str = "serve"):
+        self.name = name
+        self._lock = threading.Lock()
+        for key in self.COUNTERS:
+            setattr(self, key, 0)
 
     def request(self, amount: int = 1) -> None:
         with self._lock:
@@ -573,11 +582,13 @@ class ServeStats:
             self.request_errors += amount
         count(f"{self.name}_request_errors", amount)
 
-    def complete(self, drained: bool = False) -> None:
+    def complete(self, drained: bool = False, memo: bool = False) -> None:
         with self._lock:
             self.completed += 1
             if drained:
                 self.drained += 1
+            if memo:
+                self.memo_hits += 1
         count(f"{self.name}_completed")
 
     def deadline(self, drained: bool = False) -> None:
@@ -594,63 +605,20 @@ class ServeStats:
                 self.drained += 1
         count(f"{self.name}_failed")
 
-    @property
-    def rejected(self) -> int:
-        with self._lock:
-            return (
-                self.rejected_overload
-                + self.rejected_rate
-                + self.rejected_quota
-                + self.rejected_draining
-            )
-
     def absorb_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this instance (derived
         fields recomputed, never summed)."""
         with self._lock:
-            for key in (
-                "requests",
-                "malformed",
-                "queries",
-                "admitted",
-                "degraded",
-                "rejected_overload",
-                "rejected_rate",
-                "rejected_quota",
-                "rejected_draining",
-                "request_errors",
-                "completed",
-                "deadlined",
-                "failed",
-                "drained",
-            ):
+            for key in self.COUNTERS:
                 setattr(self, key, getattr(self, key) + snapshot.get(key, 0))
 
     def snapshot(self) -> dict[str, int]:
         """A consistent point-in-time copy, including the derived
         ``rejected`` total."""
         with self._lock:
-            merged = {
-                "requests": self.requests,
-                "malformed": self.malformed,
-                "queries": self.queries,
-                "admitted": self.admitted,
-                "degraded": self.degraded,
-                "rejected_overload": self.rejected_overload,
-                "rejected_rate": self.rejected_rate,
-                "rejected_quota": self.rejected_quota,
-                "rejected_draining": self.rejected_draining,
-                "request_errors": self.request_errors,
-                "completed": self.completed,
-                "deadlined": self.deadlined,
-                "failed": self.failed,
-                "drained": self.drained,
-            }
-        merged["rejected"] = (
-            merged["rejected_overload"]
-            + merged["rejected_rate"]
-            + merged["rejected_quota"]
-            + merged["rejected_draining"]
+            merged = {key: getattr(self, key) for key in self.COUNTERS}
+        merged["rejected"] = sum(
+            merged[key] for key in self.COUNTERS if key.startswith("rejected_")
         )
         return merged
 

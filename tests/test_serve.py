@@ -10,9 +10,11 @@ requests never reach evaluation.
 """
 
 import asyncio
+import concurrent.futures
 import contextlib
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -39,6 +41,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.serve.quotas import ClientQuota, ClientState, TokenBucket
 from repro.service.service import QueryService
+from repro.stats import ServeStats
 from repro.xml.parser import parse_document
 
 BOOKS = (
@@ -693,6 +696,342 @@ def test_idle_named_clients_are_evicted_after_the_retention_window():
             assert snapshot[key] == sum(
                 client[key] for client in stats["clients"].values()
             )
+
+
+# ----------------------------------------------------------------------
+# memo hits: answered by the reader, on the event loop
+# ----------------------------------------------------------------------
+
+
+class CountingAdmission(AdmissionController):
+    """Counts the requests that were priced."""
+
+    decisions = 0
+
+    def decide(self, *args, **kwargs):
+        self.decisions += 1
+        return super().decide(*args, **kwargs)
+
+
+class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """Counts the calls handed to worker threads."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def assert_stats_reconcile(stats):
+    """Both identities globally and per client, global == Σ clients."""
+    assert_identities(stats["global"])
+    for client_snapshot in stats["clients"].values():
+        assert_identities(client_snapshot)
+    # BYE and undecodable lines are requests of no client.
+    for key in set(ServeStats.COUNTERS) - {"requests", "malformed"}:
+        assert stats["global"][key] == sum(
+            client[key] for client in stats["clients"].values()
+        ), key
+
+
+def test_memo_hits_start_no_evaluation_no_task_and_no_pricing():
+    service = QueryService()
+    admission = CountingAdmission(service, seconds_per_unit=1e-12)
+    executor = CountingExecutor(max_workers=2)
+    with running_daemon(service=service, admission=admission) as daemon:
+        loop = daemon._server.get_loop()
+        loop.call_soon_threadsafe(loop.set_default_executor, executor)
+        with ServeClient(port=daemon.port, client="hot") as client:
+            client.register("d", BOOKS)
+            miss = client.query("//book/title", "d")
+            assert miss["memo"] is False
+            before = daemon.stats_snapshot()
+            priced, submitted = admission.decisions, executor.submitted
+            cache = service.result_cache_stats()
+            (conn,) = daemon._connections
+            for _ in range(25):
+                hit = client.query("//book/title", "d")
+                assert hit["memo"] is True and not conn.tasks
+                assert hit["algorithm"] == "auto" and hit["degraded"] is False
+                assert hit["priced_ms"] == 0.0
+                assert {key: hit[key] for key in ("kind", "count", "items")} == {
+                    key: miss[key] for key in ("kind", "count", "items")
+                }
+            # A hit meets any deadline, but validation still precedes it.
+            assert client.query("//book/title", "d", deadline_ms=0)["memo"] is True
+            with pytest.raises(ProtocolError):
+                client.request(
+                    "QUERY", query="//book/title", doc="d", deadline_ms="soon"
+                )
+            after = client.stats()
+        assert admission.decisions == priced
+        assert executor.submitted == submitted
+        assert after["faults"] == before["faults"]
+        assert after["faults"]["evaluations_started"] == 1
+        assert after["global"]["memo_hits"] == before["global"]["memo_hits"] + 26
+        assert after["clients"]["hot"]["memo_hits"] == 26
+        assert after["global"]["completed"] == before["global"]["completed"] + 26
+        assert after["global"]["request_errors"] == 1
+        now = service.result_cache_stats()
+        assert now["hits"] == cache["hits"] + 26 and now["misses"] == cache["misses"]
+        assert_stats_reconcile(after)
+
+
+def test_reply_timings_are_rounded_to_microseconds():
+    injector = FaultInjector(delay_matching="price", delay_seconds=0.3)
+    service = QueryService()
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="t") as client:
+            client.register("d", BOOKS)
+            replies = [client.query("//book", "d"), client.query("//book", "d")]
+            replies.append(client.batch(["//title"], ["d"]))
+            client.send_raw(
+                encode_frame(
+                    {"verb": "QUERY", "id": 0, "client": "t", "doc": "d",
+                     "query": "//price", "deadline_ms": 30}
+                )
+            )
+            replies.append(client.read_response())
+        assert replies[-1]["error"]["code"] == "DEADLINE"
+        for reply in replies:
+            for key in ("elapsed_ms", "priced_ms"):
+                if key in reply:
+                    assert len(repr(float(reply[key])).partition(".")[2]) <= 3
+        assert all("elapsed_ms" in reply for reply in replies)
+
+
+def test_a_hit_takes_a_rate_token():
+    now = [0.0]
+    with running_daemon(quota=ClientQuota(rate=1.0, burst=3)) as daemon:
+        with ServeClient(port=daemon.port, client="r") as client:
+            client.register("d", BOOKS)
+            daemon._clients["r"].bucket = TokenBucket(
+                rate=1.0, burst=3, clock=lambda: now[0]
+            )
+            assert client.query("//book", "d", retry=False)["memo"] is False
+            assert client.query("//book", "d", retry=False)["memo"] is True
+            assert client.query("//book", "d", retry=False)["memo"] is True
+            with pytest.raises(RateLimitedError) as excinfo:
+                client.query("//book", "d", retry=False)  # bucket empty
+            assert excinfo.value.retry_after == pytest.approx(1.0)
+            now[0] += 1.0
+            assert client.query("//book", "d", retry=False)["memo"] is True
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["rejected_rate"] == 1 and snapshot["memo_hits"] == 3
+        assert_identities(snapshot)
+
+
+def test_a_hit_needs_a_free_slot_but_ignores_the_queue_watermarks():
+    injector = FaultInjector(delay_matching="slow", delay_seconds=1.0)
+    service = QueryService()
+    with running_daemon(
+        service=service,
+        injector=injector,
+        quota=ClientQuota(max_in_flight=1),
+        admission=permissive(service, queue_high=2, queue_degrade=2),
+    ) as daemon:
+        document = "<a><slow/><fast/></a>"
+        busy = {}
+        for name in ("one", "two"):
+            client = ServeClient(port=daemon.port, client=name, timeout=10)
+            client.register("d", document)
+            assert client.query("//fast", "d")["memo"] is False
+            busy[name] = client
+        with ServeClient(port=daemon.port, client="idle") as idle:
+            idle.register("d", document)
+            assert idle.query("//fast", "d")["memo"] is False
+            threads = [
+                threading.Thread(target=client.query, args=("//slow", "d"))
+                for client in busy.values()
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while daemon._in_flight < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert daemon._in_flight == 2  # the high watermark
+            # Same client, its only slot taken: a hit is refused QUOTA.
+            with ServeClient(port=daemon.port, client="one") as again:
+                with pytest.raises(QuotaExceededError):
+                    again.query("//fast", "d", retry=False)
+            # Another client: its miss is shed, its hit is not load.
+            with pytest.raises(OverloadError):
+                idle.query("//a", "d", retry=False)
+            assert idle.query("//fast", "d", retry=False)["memo"] is True
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            stats = idle.stats()
+        for client in busy.values():
+            client.close()
+        assert stats["global"]["rejected_quota"] == 1
+        assert stats["global"]["rejected_overload"] == 1
+        assert stats["global"]["memo_hits"] == 1
+        assert_stats_reconcile(stats)
+
+
+def test_a_hit_is_refused_while_draining():
+    with running_daemon() as daemon:
+        with ServeClient(port=daemon.port, client="d") as client:
+            client.register("d", BOOKS)
+            assert client.query("//book", "d")["memo"] is False
+            daemon.draining = True
+            with pytest.raises(RemoteError) as excinfo:
+                client.query("//book", "d", retry=False)
+            assert excinfo.value.protocol_code == "SHUTTING_DOWN"
+            daemon.draining = False
+            assert client.query("//book", "d")["memo"] is True
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["rejected_draining"] == 1 and snapshot["memo_hits"] == 1
+        assert_identities(snapshot)
+
+
+def test_disconnect_fault_applies_to_a_hit_and_the_counters_reconcile():
+    injector = FaultInjector(disconnect_matching="price")
+    with running_daemon(injector=injector) as daemon:
+        for attempt in range(2):  # the miss memoizes; the repeat is a hit
+            client = ServeClient(port=daemon.port, client="x", timeout=5)
+            if attempt == 0:
+                client.register("d", BOOKS)
+            with pytest.raises(ProtocolError):
+                client.query("//price", "d", retry=False)
+            with contextlib.suppress(ProtocolError, OSError):
+                client.close()
+        with ServeClient(port=daemon.port, client="x") as client:
+            stats = client.stats()
+        assert stats["faults"] == {"evaluations_started": 1, "faults_injected": 2}
+        assert stats["global"]["completed"] == 2
+        assert stats["global"]["memo_hits"] == 1
+        assert_stats_reconcile(stats)
+
+
+# ----------------------------------------------------------------------
+# pipelining and backpressure, over a raw socket
+# ----------------------------------------------------------------------
+
+
+def read_frames(sock, count, timeout=30.0):
+    """The next ``count`` reply frames off a raw socket."""
+    sock.settimeout(timeout)
+    with sock.makefile("rb") as stream:
+        return [decode_frame(stream.readline()) for _ in range(count)]
+
+
+def test_pipelined_frames_get_one_reply_each_and_hits_keep_send_order():
+    service = QueryService()
+    with running_daemon(
+        service=service,
+        quota=ClientQuota(max_in_flight=512),
+        admission=permissive(service, queue_high=1024, queue_degrade=1024),
+    ) as daemon:
+        items = "".join(f"<item n='{index}'/>" for index in range(40))
+        with ServeClient(port=daemon.port, client="p") as client:
+            client.register("d", f"<r>{items}</r>")
+            warmed = client.query("//item", "d")
+        frames, hits, misses = [], [], []
+        for index in range(1, 301):
+            fields = {"verb": "QUERY", "id": index, "client": "p", "doc": "d"}
+            if index == 100:
+                frames.append(b"{this is not json\n")
+                continue
+            if index == 150:
+                fields["doc"] = "ghost"
+            elif index == 200:
+                fields = {"verb": "PING", "id": index, "client": "p"}
+            elif index % 3 == 0:
+                fields["query"] = f"//item[@n = '7' or @n = 'x{index}']"
+                misses.append(index)
+            else:
+                fields["query"] = "//item"
+                hits.append(index)
+            fields.setdefault("query", "//item")
+            frames.append(encode_frame(fields))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(b"".join(frames))
+            replies = read_frames(sock, 300)
+        by_id = {}
+        for reply in replies:
+            assert reply["id"] not in by_id  # exactly one reply per id
+            by_id[reply["id"]] = reply
+        assert set(by_id) == (set(range(1, 301)) - {100}) | {None}
+        assert by_id[None]["error"]["code"] == "PROTOCOL"
+        assert by_id[150]["error"]["code"] == "UNKNOWN_DOCUMENT"
+        assert by_id[200]["pong"] is True
+        assert [r["id"] for r in replies if r.get("memo")] == hits
+        for index in hits:
+            assert by_id[index]["items"] == warmed["items"]
+        for index in misses:
+            assert by_id[index]["memo"] is False and by_id[index]["count"] == 1
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["memo_hits"] == len(hits)
+        assert snapshot["completed"] == 1 + len(hits) + len(misses)
+        assert snapshot["malformed"] == 1 and snapshot["request_errors"] == 1
+        assert_identities(snapshot)
+
+
+def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
+    with running_daemon() as daemon:
+        items = "".join("<item/>" for _ in range(200))
+        with ServeClient(port=daemon.port, client="b") as client:
+            client.register("d", f"<r>{items}</r>")
+            largest = len(encode_frame(client.query("//item", "d")))
+        frame = {"verb": "QUERY", "client": "b", "doc": "d", "query": "//item"}
+        burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(burst)
+            (conn,) = daemon._connections
+            transport = conn.writer.transport
+            high_water = transport.get_write_buffer_limits()[1]
+            deadline = time.monotonic() + 10.0
+            while not conn.queue.full() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert conn.queue.full()  # the reader is now waiting on it
+            for _ in range(20):
+                assert conn.queue.qsize() <= daemon.response_queue_size
+                assert transport.get_write_buffer_size() <= high_water + 2 * largest
+                assert not conn.tasks
+                time.sleep(0.01)
+            replies = read_frames(sock, 5000)
+        assert [reply["id"] for reply in replies] == list(range(5000))
+        assert all(reply["memo"] and reply["count"] == 200 for reply in replies)
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["memo_hits"] == 5000
+        assert_identities(snapshot)
+
+
+def test_a_miss_admitted_right_before_the_client_leaves_is_failed_not_lost():
+    """The reader admits and counts a miss before its task has run a
+    step; an EOF right behind the frame must not strand the slot, the
+    gauge or the ``admitted`` it already recorded."""
+    injector = FaultInjector(delay_matching="slow", delay_seconds=0.5)
+    service = QueryService()
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="e") as client:
+            client.register("d", "<a><slow/><fast/></a>")
+            client.query("//fast", "d")
+        frame = {"verb": "QUERY", "client": "e", "doc": "d"}
+        burst = [encode_frame({**frame, "id": n, "query": "//fast"}) for n in range(600)]
+        burst.append(encode_frame({**frame, "id": 600, "query": "//slow"}))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(b"".join(burst))
+            sock.shutdown(socket.SHUT_WR)
+            replies = read_frames(sock, 600)
+        assert [reply["id"] for reply in replies] == list(range(600))
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            snapshot = daemon.stats.snapshot()
+            if snapshot["failed"]:
+                break
+            time.sleep(0.01)
+        assert snapshot["admitted"] == 602 and snapshot["failed"] == 1
+        assert daemon._in_flight == 0
+        assert daemon._clients["e"].in_flight == 0
+        assert_identities(snapshot)
 
 
 # ----------------------------------------------------------------------
