@@ -8,10 +8,14 @@ table is stored. This suite runs both table evaluators under
 Example 9, the three benchmark families, and ~30 bibliography queries
 (``id()``, ``sum``/``count``, filter-primary paths, node-set = node-set,
 unions of bound node-set variables) — on eager trees and on lazy column
-documents, and asserts the five counters against
-``golden/table_counters.json``, the values of the object-based evaluators
-this suite was first committed against. A representation change that
-moves any of them changed the algorithm.
+documents, and asserts the six counters against
+``golden/table_counters.json``. The five paper counters are the values of
+the object-based evaluators this suite was first committed against;
+``operator_applications`` (one ``F[[Op]]`` per compound node per context)
+and the cells of the end-to-end benchmark's template shapes were added
+from the pre-plane interpreter of the commit before the evaluators
+compiled their context loops. A representation change that moves any of
+them changed the algorithm.
 """
 
 import json
@@ -45,6 +49,7 @@ COUNTERS = (
     "mincontext_table_rows",
     "mincontext_relation_cells",
     "bottomup_propagation_steps",
+    "operator_applications",
 )
 
 TABLE_ALGORITHMS = ("mincontext", "optmincontext")
@@ -67,6 +72,9 @@ FAMILY_QUERIES = (
     core_family(2),
     core_family(3, with_predicates=False),
 )
+
+#: ``line`` only: the level ``benchmarks/e2e`` alternates with level 0.
+LINE_QUERIES = (wadler_family(1),)
 
 #: The bibliography vocabulary: ``catalog`` only.
 CATALOG_QUERIES = (
@@ -106,6 +114,10 @@ CATALOG_QUERIES = (
     # Admissible targets exist (numeric prices), none of them is a title:
     # the propagation dies in its first inverse step.
     "//book[title > 20]/@id",
+    # The two template shapes of ``benchmarks/e2e/workloads.py`` not
+    # already above (the other eleven are, with other literals).
+    "//book[position() mod 7 = 3 and price > 20]/title",
+    "//book[position() > count(chapter[pages > 15]) * 9]/@id",
 )
 
 #: Node-set variables (``catalog`` only): ``$a`` and ``$b`` are bound to
@@ -121,6 +133,7 @@ VARIABLE_QUERIES = (
 
 GRID = tuple(
     [(name, query) for name in DOCUMENTS for query in FAMILY_QUERIES]
+    + [("line", query) for query in LINE_QUERIES]
     + [("catalog", query) for query in CATALOG_QUERIES + VARIABLE_QUERIES]
 )
 
@@ -135,7 +148,7 @@ def bindings(document) -> dict:
 
 
 def measure(document, query: str, algorithm: str, variables: dict) -> list[int]:
-    """The five counters of one evaluation, in :data:`COUNTERS` order."""
+    """The six counters of one evaluation, in :data:`COUNTERS` order."""
     engine = XPathEngine(document, variables=variables)
     compiled = engine.compile(query)
     with stats.collect() as collected:
