@@ -280,6 +280,58 @@ def sweep_engaged(document) -> bool:
     return mode == "auto" and len(document.nodes) >= VECTOR_MIN_BLOCK
 
 
+def _wide(block) -> bool:
+    """The per-op gate: does this block run vectorized? Always in
+    ``vector`` mode, in ``auto`` from :data:`VECTOR_MIN_BLOCK` members
+    up, never in ``indexed`` / ``scan``."""
+    mode = kernel_mode()
+    return mode == "vector" or (mode == "auto" and len(block) >= VECTOR_MIN_BLOCK)
+
+
+def forward_step(document, axis, block, test):
+    """``χ(block) ∩ T(test)`` over a sorted duplicate-free pre block, on
+    the tier the block earns: the column primitive when the axis has one
+    and the block is wide, the tier-1 dispatch
+    (:func:`repro.axes.axes.axis_test_pres`, tier 0 underneath) otherwise.
+    The set step of every pre-plane evaluator: a Core sweep's program
+    steps and MINCONTEXT / OPTMINCONTEXT's candidate sets
+    (:func:`repro.core.common.step_candidate_pres`). A vectorized op
+    ticks ``vector_ops``; a delegated one ticks ``fused_hits`` /
+    ``fallback_scans`` through the dispatch it lands in."""
+    if axis in FORWARD_VECTOR_AXES and _wide(block):
+        stats.axis_kernel_stats.vector_op()
+        return forward_block(document, node_index(document), axis, block, test)
+    if not isinstance(block, list):
+        block = list(block)
+    return axis_test_pres(document, axis, block, test)
+
+
+def inverse_step(document, axis, block):
+    """``χ⁻¹(block)``, tiered like :func:`forward_step`."""
+    if axis in INVERSE_VECTOR_AXES and _wide(block):
+        stats.axis_kernel_stats.vector_op()
+        return inverse_block(document, axis, block)
+    if not isinstance(block, list):
+        block = list(block)
+    return inverse_axis_test_pres(document, axis, block)
+
+
+def filter_step(document, axis, block, test):
+    """``block ∩ T(test)`` for a step on ``axis`` — the name-test filter
+    an inverse step applies before ``χ⁻¹``, tiered like
+    :func:`forward_step` (one partition intersect at block speed, or the
+    tier-1 sorted merge)."""
+    index = node_index(document)
+    attribute_principal = axis in AXIS_PRINCIPAL_ATTRIBUTE
+    if _wide(block):
+        stats.axis_kernel_stats.vector_op()
+        return filter_block(index, block, test, attribute_principal)
+    partition = index.filter_partition(test, attribute_principal=attribute_principal)
+    if partition is None:  # node() matches every kind
+        return block
+    return merge_intersection(block, partition)
+
+
 def run_program(document, program, block, predicate_pres, on_step=None):
     """Execute a compiled program over a sorted pre block.
 
@@ -298,24 +350,13 @@ def run_program(document, program, block, predicate_pres, on_step=None):
     dispatch instead, so the two counter families partition a program's
     step work exactly.
     """
-    kernel_stats = stats.axis_kernel_stats
-    kernel_stats.vector_run()
-    forced = kernel_mode() == "vector"
-    index = node_index(document)
+    stats.axis_kernel_stats.vector_run()
     current = block
     if program.direction == "forward":
         for step in program.steps:
             if on_step is not None:
                 on_step()
-            if step.vector and (forced or len(current) >= VECTOR_MIN_BLOCK):
-                kernel_stats.vector_op()
-                current = forward_block(
-                    document, index, step.axis, current, step.test
-                )
-            else:
-                if not isinstance(current, list):
-                    current = list(current)
-                current = axis_test_pres(document, step.axis, current, step.test)
+            current = forward_step(document, step.axis, current, step.test)
             for predicate in step.predicates:
                 if not current:
                     break
@@ -326,20 +367,10 @@ def run_program(document, program, block, predicate_pres, on_step=None):
             on_step()
         if not current:
             return []
-        if forced or len(current) >= VECTOR_MIN_BLOCK:
-            kernel_stats.vector_op()
-        tested = filter_block(
-            index, current, step.test, step.axis in AXIS_PRINCIPAL_ATTRIBUTE
-        )
+        tested = filter_step(document, step.axis, current, step.test)
         for predicate in step.predicates:
             tested = intersect(tested, predicate_pres(predicate))
-        if step.vector and (forced or len(tested) >= VECTOR_MIN_BLOCK):
-            kernel_stats.vector_op()
-            current = inverse_block(document, step.axis, tested)
-        else:
-            if not isinstance(tested, list):
-                tested = list(tested)
-            current = inverse_axis_test_pres(document, step.axis, tested)
+        current = inverse_step(document, step.axis, tested)
     return current if isinstance(current, list) else list(current)
 
 
@@ -351,6 +382,9 @@ __all__ = [
     "VectorProgram",
     "compile_backward_steps",
     "compile_forward_steps",
+    "filter_step",
+    "forward_step",
+    "inverse_step",
     "run_program",
     "sweep_engaged",
 ]

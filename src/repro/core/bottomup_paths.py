@@ -20,9 +20,12 @@ Two procedures, mapping onto the Section 6 pseudo-code:
 
 Like MINCONTEXT itself (:mod:`repro.core.mincontext`), everything here
 runs on the pre plane: target sets are sorted pre lists, node tests are
-intersections with the index's test partition, ``χ⁻¹`` is
-:func:`repro.axes.axes.inverse_axis_test_pres`, and the resulting
-boolean table over ``dom`` is a list indexed by pre.
+intersections with the index's test partition
+(:func:`repro.axes.vec.filter_step`), ``χ⁻¹`` is
+:func:`repro.axes.vec.inverse_step` — the two halves of a Core sweep's
+backward step, block primitives on wide sets and the tier-1 kernels on
+narrow ones — and the resulting boolean table over ``dom`` is a list
+indexed by pre.
 
 Soundness fixes relative to the *printed* pseudo-code:
 
@@ -43,13 +46,12 @@ Soundness fixes relative to the *printed* pseudo-code:
 from __future__ import annotations
 
 from repro import stats
-from repro.axes.axes import AXIS_PRINCIPAL_ATTRIBUTE, inverse_axis_test_pres
+from repro.axes.vec import inverse_step, filter_step
 from repro.core.common import step_candidate_pres, step_relation_pres
 from repro.core.context import WILDCARD
 from repro.core.mincontext import MinContextEvaluator, position_free
 from repro.errors import EvaluationError
 from repro.values.compare import compare_values
-from repro.xml.index import merge_intersection, node_index
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 
 _CONTEXT_FREE = (None, WILDCARD, WILDCARD)
@@ -88,7 +90,9 @@ def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
 
             # Only nodes passing the last step's node test can survive
             # the first inverse step, so only they are compared.
-            initial = [y for y in _tested(mc, dom, path.steps[-1]) if admissible(y)]
+            last = path.steps[-1]
+            tested = filter_step(mc.document, last.axis, dom, last.node_test)
+            initial = [y for y in tested if admissible(y)]
             if not initial and stats.collecting() and any(map(admissible, dom)):
                 # The printed procedure starts from every admissible node
                 # and loses them all to the first inverse step's node
@@ -153,21 +157,11 @@ def propagate_path_backwards(
     return current
 
 
-def _tested(mc: MinContextEvaluator, pres: list[int], step: Step) -> list[int]:
-    """``pres ∩ T(t)`` for the step's node test on the step's axis."""
-    partition = node_index(mc.document).filter_partition(
-        step.node_test, attribute_principal=step.axis in AXIS_PRINCIPAL_ATTRIBUTE
-    )
-    if partition is None:  # node() matches every kind
-        return pres
-    return merge_intersection(pres, partition)
-
-
 def _propagate_step(mc: MinContextEvaluator, step: Step, targets: list[int]) -> list[int]:
     """One inverse location step: filter targets by node test and
     predicates, then apply ``χ⁻¹``."""
     document = mc.document
-    tested = _tested(mc, targets, step)
+    tested = filter_step(document, step.axis, targets, step.node_test)
     if not tested:
         return []
     if position_free(step):
@@ -175,11 +169,11 @@ def _propagate_step(mc: MinContextEvaluator, step: Step, targets: list[int]) -> 
             mc.eval_by_cnode_only(predicate, tested)
         if step.predicates:  # a bare step evaluates no context
             tested = mc.filter_by_cnode(step.predicates, tested)
-        return list(inverse_axis_test_pres(document, step.axis, tested))
+        return inverse_step(document, step.axis, tested)
     # Position-dependent predicates: loop over the candidate origins and
     # rank each origin's full candidate list (soundness fix, see module
     # docstring), keeping origins with a surviving candidate in `tested`.
-    origins = list(inverse_axis_test_pres(document, step.axis, tested))
+    origins = inverse_step(document, step.axis, tested)
     pool = step_candidate_pres(document, step.axis, origins, step.node_test)
     for predicate in step.predicates:
         mc.eval_by_cnode_only(predicate, pool)

@@ -27,7 +27,8 @@ import math
 from bisect import bisect_left, bisect_right
 
 from repro import stats
-from repro.axes.axes import axis_test_nodes, axis_test_pres, matches_node_test
+from repro.axes.axes import axis_test_nodes, matches_node_test
+from repro.axes.vec import forward_step
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
 from repro.values.coerce import node_numval, node_strval
@@ -65,10 +66,12 @@ def step_candidate_pres(
 ) -> list[int]:
     """``χ(X) ∩ T(t)`` as a sorted pre list — the set-at-a-time step of
     MINCONTEXT / OPTMINCONTEXT. ``pres`` must be sorted and
-    duplicate-free. Routed through :func:`repro.axes.axes.axis_test_pres`:
-    output-sensitive column kernels when the predicted output is small,
-    the Definition-1 ``O(|D|)`` scan otherwise — identical either way."""
-    out = axis_test_pres(document, axis, pres, test)
+    duplicate-free. Routed through :func:`repro.axes.vec.forward_step`,
+    the step a Core sweep's program runs: one block primitive over the
+    columns when the block is wide, the output-sensitive tier-1 kernels
+    when it is narrow (or the mode is ``indexed``), the Definition-1
+    ``O(|D|)`` scan when those predict no saving — identical every way."""
+    out = forward_step(document, axis, pres, test)
     # following hands back a zero-copy view of its partition's tail.
     return out if isinstance(out, list) else list(out)
 

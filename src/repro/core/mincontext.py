@@ -66,6 +66,8 @@ subexpressions and records their uids in ``precomputed``.
 
 from __future__ import annotations
 
+import operator
+
 from repro import stats
 from repro.core.common import (
     apply_operator,
@@ -75,9 +77,12 @@ from repro.core.common import (
 )
 from repro.core.context import WILDCARD, Context
 from repro.errors import EvaluationError
+from repro.values.compare import EQUALITY_OPS, RELATIONAL_OPS, compare_values
+from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document
 from repro.xml.index import merge_union
 from repro.xpath.ast import (
+    BinaryOp,
     ConstantNodeSet,
     Expr,
     FunctionCall,
@@ -89,9 +94,30 @@ from repro.xpath.ast import (
 )
 
 _CPCS = frozenset({"cp", "cs"})
+_COMPARISON_OPS = frozenset(EQUALITY_OPS + RELATIONAL_OPS)
 
 #: Library functions that read more of a node than its string value.
 _BOXED_FUNCTIONS = frozenset({"name", "local-name", "namespace-uri", "lang", "id"})
+
+#: ``F[[Op]]`` for a binary operator whose operands are both statically
+#: ``num``: the float operator itself. IEEE comparisons are what
+#: :func:`repro.values.compare._scalar_compare` spells out (NaN fails
+#: everything but ``!=``), IEEE ``+ - *`` what
+#: :func:`~repro.core.common.apply_operator` computes; ``div`` / ``mod``
+#: keep their XPath forms (division by zero, sign of the dividend).
+_NUM_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "div": xpath_divide,
+    "mod": xpath_modulo,
+}
 
 
 class MinContextEvaluator:
@@ -109,6 +135,11 @@ class MinContextEvaluator:
         self.precomputed: set[int] = set()
         self.strval = document.string_value_of_pre
         self.numval = document.number_value_of_pre
+        #: uid → ``eval_single_context`` for that node (:meth:`compiled`)
+        #: and uid → its bare ``F[[Op]]`` (:meth:`_operator`), each built
+        #: at first use.
+        self._compiled: dict[int, object] = {}
+        self._operators: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Algorithm 6
@@ -262,11 +293,12 @@ class MinContextEvaluator:
         rule for predicates attached to filter expressions)."""
         self.eval_by_cnode_only(predicate, nodes)
         size = len(nodes)
-        single = self.eval_single_context
+        holds = self.compiled(predicate)
+        _count_applications(holds, size)
         return [
             pre
             for position, pre in enumerate(nodes, start=1)
-            if single(predicate, (pre, position, size))
+            if holds(pre, position, size)
         ]
 
     def _eval_step_from_set(self, step: Step, X: list[int]) -> list[int]:
@@ -289,23 +321,25 @@ class MinContextEvaluator:
         """The members of ``Y`` at which every (position-free, already
         prepared) predicate holds — one context ``⟨y, ∗, ∗⟩`` per member."""
         stats.count("mincontext_contexts_evaluated", len(Y))
-        single = self.eval_single_context
         for predicate in predicates:
-            Y = [y for y in Y if single(predicate, (y, WILDCARD, WILDCARD))]
+            holds = self.compiled(predicate)
+            _count_applications(holds, len(Y))
+            Y = [y for y in Y if holds(y, WILDCARD, WILDCARD)]
         return Y
 
     def filter_by_position(self, predicates: list[Expr], candidates: list[int]) -> list[int]:
         """The (cp, cs) loop over one origin's candidate list (in
         proximity order): each predicate ranks the survivors of the
         previous one."""
-        single = self.eval_single_context
         for predicate in predicates:
             size = len(candidates)
             stats.count("mincontext_contexts_evaluated", size)
+            holds = self.compiled(predicate)
+            _count_applications(holds, size)
             candidates = [
                 z
                 for position, z in enumerate(candidates, start=1)
-                if single(predicate, (z, position, size))
+                if holds(z, position, size)
             ]
         return candidates
 
@@ -344,21 +378,17 @@ class MinContextEvaluator:
             self._store(node, {(): self._constant_pres(node)})
             return
         # Op(e1, ..., ek) with Relev(N) ⊆ {'cn'}.
-        children = node.children()
-        for child in children:
+        for child in node.children():
             self.eval_by_cnode_only(child, X)
-        lookup = self._lookup
-        apply = self.apply
+        op = self._operator(node)
         if "cn" in relev:
             stats.count("mincontext_contexts_evaluated", len(X))
-            rows = {
-                cn: apply(node, [lookup(child, cn) for child in children], cn)
-                for cn in X
-            }
+            _count_applications(op, len(X))
+            rows = {cn: op(cn, WILDCARD, WILDCARD) for cn in X}
         else:
             stats.count("mincontext_contexts_evaluated")
-            values = [lookup(child, None) for child in children]
-            rows = {(): apply(node, values, None)}
+            _count_applications(op, 1)
+            rows = {(): op(None, WILDCARD, WILDCARD)}
         self._store(node, rows)
 
     # ------------------------------------------------------------------
@@ -368,22 +398,125 @@ class MinContextEvaluator:
     def eval_single_context(self, node: Expr, triple: tuple):
         """Evaluate ``expr(N)`` for one context ``⟨cn, cp, cs⟩`` (``cn`` a
         pre number; wildcards allowed for irrelevant components)."""
+        single = self.compiled(node)
+        _count_applications(single, 1)
+        return single(*triple)
+
+    def compiled(self, node: Expr):
+        """``eval_single_context`` for ``node`` as a closure
+        ``f(cn, cp, cs)``, built once per parse-tree node: the dispatch
+        on node type and ``Relev(N)`` happens here, not per context. The
+        loops fetch it once and call it per triple.
+
+        ``f.applications`` is how many ``F[[Op]]`` one call applies
+        without ticking ``operator_applications`` itself; whoever calls
+        ``f`` counts them, in bulk (:func:`_count_applications`)."""
+        single = self._compiled.get(node.uid)
+        if single is not None:
+            return single
         if _CPCS.isdisjoint(node.relev):
-            return self._lookup(node, triple[0])
-        if isinstance(node, FunctionCall):
-            if node.name == "position":
-                if triple[1] is WILDCARD:
-                    raise EvaluationError("position() evaluated under a wildcard position")
-                return float(triple[1])
-            if node.name == "last":
-                if triple[2] is WILDCARD:
-                    raise EvaluationError("last() evaluated under a wildcard size")
-                return float(triple[2])
+            single = self._table_reader(node)
+        elif isinstance(node, FunctionCall) and node.name in _CONTEXT_ACCESSORS:
+            single = _CONTEXT_ACCESSORS[node.name]
         elif isinstance(node, (Path, Union)):
             # Position/size-dependent path (via a filter primary).
-            return self._eval_path_single(node, triple)
-        values = [self.eval_single_context(child, triple) for child in node.children()]
-        return self.apply(node, values, triple[0])
+            path_single = self._eval_path_single
+
+            def single(cn, cp, cs):
+                return path_single(node, (cn, cp, cs))
+
+            single.applications = 0
+        else:
+            single = self._operator(node)
+        self._compiled[node.uid] = single
+        return single
+
+    def _table_reader(self, node: Expr):
+        """``table(N)`` read at the context node (or at ``()``): the row
+        straight from the dictionary, :meth:`_lookup` when that fails, for
+        its diagnosis. The table itself is fetched per call: it may not
+        exist yet, and OPTMINCONTEXT may still install one."""
+        tables = self.tables
+        uid = node.uid
+        lookup = self._lookup
+        if "cn" in node.relev:
+
+            def read(cn, cp, cs):
+                try:
+                    return tables[uid][cn]
+                except (KeyError, IndexError, TypeError):
+                    return lookup(node, cn)
+
+        else:
+
+            def read(cn, cp, cs):
+                try:
+                    return tables[uid][()]
+                except (KeyError, TypeError):
+                    return lookup(node, cn)
+
+        read.applications = 0
+        return read
+
+    def _operator(self, node: Expr):
+        """``F[[Op]]`` at a compound node as a closure over its children's
+        :meth:`compiled` forms, the operator resolved once: ``and`` /
+        ``or`` (both operands evaluated, as the interpreter's value list
+        did), comparisons and arithmetic on two static ``num`` operands
+        as the float operator itself, every other comparison as
+        :func:`~repro.values.compare.compare_values` with the static
+        types and this document's accessors bound, anything else through
+        :meth:`apply`."""
+        apply_op = self._operators.get(node.uid)
+        if apply_op is not None:
+            return apply_op
+        operands = [self.compiled(child) for child in node.children()]
+        own = 1
+        if isinstance(node, BinaryOp) and node.op in ("and", "or"):
+            left, right = operands
+            if node.op == "and":
+
+                def apply_op(cn, cp, cs):
+                    first, second = left(cn, cp, cs), right(cn, cp, cs)
+                    return first and second
+
+            else:
+
+                def apply_op(cn, cp, cs):
+                    first, second = left(cn, cp, cs), right(cn, cp, cs)
+                    return first or second
+
+        elif (
+            isinstance(node, BinaryOp)
+            and node.op in _NUM_OPERATORS
+            and node.left.value_type == node.right.value_type == "num"
+        ):
+            left, right = operands
+            function = _NUM_OPERATORS[node.op]
+
+            def apply_op(cn, cp, cs):
+                return function(left(cn, cp, cs), right(cn, cp, cs))
+
+        elif isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
+            left, right = operands
+            op, left_type, right_type = node.op, node.left.value_type, node.right.value_type
+            strval, numval = self.strval, self.numval
+
+            def apply_op(cn, cp, cs):
+                return compare_values(
+                    op, left(cn, cp, cs), left_type, right(cn, cp, cs), right_type, strval, numval
+                )
+
+        else:
+            own = 0  # apply_operator ticks for itself
+            apply = self.apply
+
+            def apply_op(cn, cp, cs):
+                return apply(node, [operand(cn, cp, cs) for operand in operands], cn)
+
+        apply_op.applications = own + sum(operand.applications for operand in operands)
+        self._operators[node.uid] = apply_op
+        return apply_op
 
     def _eval_path_single(self, node: Expr, triple: tuple) -> list[int]:
         if isinstance(node, Union):
@@ -469,6 +602,30 @@ class MinContextEvaluator:
         for x, candidates in relation.items():
             relation[x] = self.filter_by_position(step.predicates, candidates)
         return relation
+
+
+def _position(cn, cp, cs):
+    if cp is WILDCARD:
+        raise EvaluationError("position() evaluated under a wildcard position")
+    return float(cp)
+
+
+def _last(cn, cp, cs):
+    if cs is WILDCARD:
+        raise EvaluationError("last() evaluated under a wildcard size")
+    return float(cs)
+
+
+#: ``position()`` / ``last()`` return the context component itself.
+_CONTEXT_ACCESSORS = {"position": _position, "last": _last}
+_position.applications = _last.applications = 0
+
+
+def _count_applications(single, contexts: int) -> None:
+    """Tick ``operator_applications`` for ``contexts`` calls of a
+    compiled node about to be made."""
+    if single.applications:
+        stats.count("operator_applications", single.applications * contexts)
 
 
 def position_free(step: Step) -> bool:

@@ -120,6 +120,94 @@ def test_eval_single_context_wildcard_position_guard(doc):
         mc.eval_single_context(ast, (doc.root.pre, WILDCARD, WILDCARD))
 
 
+# The compiled form of eval_single_context keeps the interpreter's
+# diagnoses, word for word (texts as of the commit before it replaced it).
+
+
+@pytest.mark.parametrize(
+    "query,message",
+    [
+        ("position()", "position() evaluated under a wildcard position"),
+        ("last()", "last() evaluated under a wildcard size"),
+        ("position() + 1 > last() * 2", "position() evaluated under a wildcard position"),
+        ("1 = last() or 2 = 3", "last() evaluated under a wildcard size"),
+    ],
+)
+def test_compiled_context_accessors_refuse_wildcards(doc, query, message):
+    ast = analyzed(query)
+    mc = MinContextEvaluator(doc)
+    mc.eval_by_cnode_only(ast, [doc.root.pre])
+    with pytest.raises(EvaluationError) as caught:
+        mc.eval_single_context(ast, (doc.root.pre, WILDCARD, WILDCARD))
+    assert str(caught.value) == message
+    # Same closure, second call: a concrete context evaluates.
+    mc.eval_single_context(ast, (doc.root.pre, 1, 2))
+
+
+def test_compiled_table_reads_diagnose_like_lookup(doc):
+    ast = analyzed("//a[b = 'x' and position() = 1]")
+    predicate = ast.steps[1].predicates[0]
+    comparison = predicate.left  # b = 'x' — table-backed, keyed by cn
+    a1, a2 = doc.element_by_id("a1").pre, doc.element_by_id("a2").pre
+    mc = MinContextEvaluator(doc)
+    never = (
+        f"table for parse-tree node N{comparison.uid} was never prepared "
+        "(eval_by_cnode_only must run before eval_single_context)"
+    )
+    for node in (comparison, predicate):  # read directly, and as an operand
+        with pytest.raises(EvaluationError) as caught:
+            mc.eval_single_context(node, (a1, 1, 1))
+        assert str(caught.value) == never
+    # Prepared for a1 alone: the closures built above see the new table,
+    # and a2 has no row in it.
+    mc.eval_by_cnode_only(predicate, [a1])
+    assert mc.eval_single_context(predicate, (a1, 1, 1)) is False
+    missing = (
+        f"table for parse-tree node N{comparison.uid} has no row for context node "
+        f"pre={a2!r} — prepared with a different candidate set"
+    )
+    for node in (comparison, predicate):
+        with pytest.raises(EvaluationError) as caught:
+            mc.eval_single_context(node, (a2, 1, 1))
+        assert str(caught.value) == missing
+
+
+def test_compiled_connectives_evaluate_both_operands(doc):
+    """``and`` / ``or`` do not short-circuit: a false left operand still
+    reaches the right one (here: its wildcard guard), as the
+    interpreter's value list did."""
+    ast = analyzed("1 = 2 and position() = 1")
+    mc = MinContextEvaluator(doc)
+    mc.eval_by_cnode_only(ast, [doc.root.pre])
+    with pytest.raises(EvaluationError, match="wildcard position"):
+        mc.eval_single_context(ast, (doc.root.pre, WILDCARD, WILDCARD))
+    assert mc.eval_single_context(ast, (doc.root.pre, 1, 1)) is False
+
+
+def test_compiled_number_operators_keep_ieee_and_xpath_semantics(doc):
+    """Operators on two static ``num`` operands run as the float operator
+    itself; the values are the interpreter's (``topdown`` is the oracle)."""
+    engine = XPathEngine(doc)
+    nan = "number('x')"
+    for query in (
+        f"{nan} != {nan}",
+        f"{nan} = {nan}",
+        f"{nan} < 1",
+        f"1 >= {nan}",
+        f"position() * {nan} != last()",
+        "position() div 0 > last()",
+        "-1 div 0 < position()",
+        "0 div 0 = 0 div 0",
+        "5 mod -2 = position()",
+        "-5 mod 2 = -last()",
+        "position() mod 0 != position() mod 0",
+        "(position() - last()) * 3 + 1 = 1",
+    ):
+        want = engine.evaluate(query, algorithm="topdown")
+        for algorithm in ("mincontext", "optmincontext"):
+            assert engine.evaluate(query, algorithm=algorithm) is want, (query, algorithm)
+
+
 def test_union_inner_table(doc):
     ast = analyzed("count(b | c)")
     mc = MinContextEvaluator(doc)

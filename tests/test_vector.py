@@ -10,6 +10,12 @@ per (document, query, mode).
 The differential loop reuses the Core XPath fuzz grammar
 (:func:`repro.workloads.queries.random_core_query`) with a fixed seed,
 crossing every kernel mode.
+
+Since the table evaluators' set steps go through the same per-step gate
+(:func:`repro.axes.vec.forward_step` and its inverse / filter siblings),
+a hypothesis property holds each step function to the Definition-1 scan
+on every axis, node test and block shape, and a counter test shows the
+gate engaging under a forced ``mincontext`` run.
 """
 
 import os
@@ -19,10 +25,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import stats
 from repro.axes import (
+    ALL_AXES,
     FORWARD_VECTOR_AXES,
     INVERSE_VECTOR_AXES,
     VECTOR_MIN_BLOCK,
@@ -31,6 +39,15 @@ from repro.axes import (
     kernel_mode_forced,
     sweep_engaged,
 )
+from repro.axes.axes import (
+    AXIS_PRINCIPAL_ATTRIBUTE,
+    KERNEL_MODES,
+    axis_test_pres,
+    inverse_axis_test_pres,
+    matches_node_test,
+)
+from repro.axes.vec import filter_step, inverse_step
+from repro.core.common import step_candidate_pres
 from conftest import boxed_twin
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
@@ -42,6 +59,7 @@ from repro.workloads.documents import (
 from repro.workloads.queries import random_core_query
 from repro.xml.parser import parse_document
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
+from repro.xpath.ast import NodeTest
 from repro.xpath.parser import parse_xpath
 
 SEED = 20030612
@@ -128,6 +146,78 @@ def test_backward_predicate_programs_match_scalar():
             baseline = engine.evaluate(query, algorithm="corexpath")
         with kernel_mode_forced("vector"):
             assert engine.evaluate(query, algorithm="corexpath") == baseline
+
+
+# ----------------------------------------------------------------------
+# The step functions: every tier computes the Definition-1 set
+# ----------------------------------------------------------------------
+
+_NODE_TESTS = (
+    [NodeTest("name", name) for name in ("a", "b", "c", "id", "kind")]
+    + [NodeTest(kind) for kind in ("wildcard", "node", "text", "comment", "pi")]
+)
+
+
+@st.composite
+def document_and_block(draw):
+    """A random tree of at least 18 nodes (every element carries an
+    ``id`` attribute, so attribute origins and origins nested in one
+    another come up constantly) and a sorted block of it: empty, a
+    singleton, the three widths around :data:`VECTOR_MIN_BLOCK`, or all
+    of ``dom``."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    document = random_document(rng, max_nodes=40)
+    while len(document.nodes) < VECTOR_MIN_BLOCK + 2:
+        document = random_document(rng, max_nodes=40)
+    total = len(document.nodes)
+    width = draw(
+        st.sampled_from(
+            (0, 1, VECTOR_MIN_BLOCK - 1, VECTOR_MIN_BLOCK, VECTOR_MIN_BLOCK + 1, total)
+        )
+    )
+    block = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=total - 1),
+            min_size=width,
+            max_size=width,
+            unique=True,
+        )
+    )
+    return document, sorted(block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(document_and_block())
+def test_step_functions_equal_the_scan_in_every_mode(data):
+    """``step_candidate_pres`` — and the inverse and filter halves the
+    bottom-up propagation uses — equal the tier-0 answer for every axis x
+    node test x block, whichever tier the mode and the block width pick,
+    on boxed and on column documents."""
+    eager, block = data
+    column = decode_snapshot(encode_snapshot(eager))
+    nodes = eager.nodes
+    for axis in sorted(ALL_AXES):
+        with kernel_mode_forced("scan"):
+            inverse = inverse_axis_test_pres(eager, axis, block)
+        for test in _NODE_TESTS:
+            with kernel_mode_forced("scan"):
+                forward = list(axis_test_pres(eager, axis, block, test))
+            matching = [
+                pre for pre in block if matches_node_test(nodes[pre], test, axis)
+            ]
+            for mode in KERNEL_MODES:
+                for document in (eager, column):
+                    where = f"{axis}::{test!r} from {block} in {mode}"
+                    with kernel_mode_forced(mode):
+                        got = step_candidate_pres(document, axis, block, test)
+                        assert got == list(axis_test_pres(document, axis, block, test)), where
+                        assert list(filter_step(document, axis, block, test)) == matching, where
+                    assert isinstance(got, list) and got == forward, where
+        for mode in KERNEL_MODES:
+            for document in (eager, column):
+                with kernel_mode_forced(mode):
+                    got = inverse_step(document, axis, block)
+                assert list(got) == inverse, f"inverse {axis} from {block} in {mode}"
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +329,36 @@ def test_auto_dispatch_engages_vector_tier_on_wide_documents():
         runs, ops = _evaluate_delta(engine, compiled)
     assert runs == 1
     assert ops >= 1  # per-op engagement depends on block widths, not mode
+
+
+@pytest.mark.parametrize("algorithm", ["mincontext", "optmincontext"])
+def test_table_evaluators_reach_the_vector_tier_through_the_step_gate(algorithm):
+    """MINCONTEXT's set steps go through the gate a Core sweep's program
+    steps go through: wide blocks tick ``vector_ops`` in ``auto``, no
+    program is run, and ``scan`` / ``indexed`` stay on tiers 0 / 1 — with
+    the same answer and the same paper counters in every mode."""
+    document = book_catalog(books=20)
+    assert len(document.nodes) >= VECTOR_MIN_BLOCK
+    engine = XPathEngine(document)
+    compiled = engine.compile("//book[price > 50]/title")
+    seen = set()
+    for mode in KERNEL_MODES:
+        before = stats.axis_kernel_stats.snapshot()
+        with kernel_mode_forced(mode), stats.collect() as collected:
+            value = engine.evaluate(compiled, algorithm=algorithm)
+        after = stats.axis_kernel_stats.snapshot()
+        assert after["vector_program_runs"] == before["vector_program_runs"]
+        vector_ops = after["vector_ops"] - before["vector_ops"]
+        assert (vector_ops == 0) == (mode in ("scan", "indexed")), (mode, vector_ops)
+        counters = collected.snapshot()
+        seen.add(
+            (
+                tuple(node.pre for node in value),
+                counters["mincontext_contexts_evaluated"],
+                counters["peak_table_cells"],
+            )
+        )
+    assert len(seen) == 1, seen
 
 
 # ----------------------------------------------------------------------
