@@ -12,10 +12,10 @@ are the guaranteed fallback of everything below.
 over the per-document :class:`repro.xml.index.NodeIndex`
 (name-partitioned sorted pre-order arrays). The sorted pre-array
 interface — :func:`axis_test_pres` / :func:`inverse_axis_test_pres` —
-is what the evaluators run on: the Core XPath sweeps, and every
-set-at-a-time step of MINCONTEXT / OPTMINCONTEXT (whose per-origin
-candidate lists are cut from the same columns by
-:func:`repro.core.common.step_relation_pres`). The per-node
+is what the evaluators run on when a block is too narrow for tier 2:
+the Core XPath sweeps, and every set-at-a-time step of MINCONTEXT /
+OPTMINCONTEXT (whose per-origin candidate lists are cut from the same
+columns by :func:`repro.core.common.step_relation_pres`). The per-node
 :func:`repro.axes.axes.axis_test_nodes` the reference evaluators rank
 candidates with is the same dispatch over ``Node`` objects. A
 ``descendant::a`` dispatch costs
@@ -25,11 +25,20 @@ pointer axes gather the parent column; inverse interval axes emit pre
 ranges directly. Output-sensitive, but iterating context nodes one pre at a
 time in Python.
 
-**Tier 2 — vector column programs** (:mod:`repro.axes.vec`). Whole Core
-XPath sweeps compiled to a linear IR executed batch-at-a-time over the
-flat columns — interval joins, pointer gathers, child-span/attribute-run
-gathers, partition intersects — with no per-node Python dispatch in the
-loop body, built from the standard library's C-speed blocks alone.
+**Tier 2 — vector column primitives** (:mod:`repro.axes.vec`). One
+step over a whole block of context nodes — interval joins, pointer
+gathers, child-span/attribute-run gathers, partition intersects — with
+no per-node Python dispatch in the loop body, built from the standard
+library's C-speed blocks alone. Tier 2 serves the set steps of all three
+pre-plane evaluators through one per-step gate
+(:func:`repro.axes.vec.forward_step` / ``inverse_step`` /
+``filter_step``): a Core XPath sweep compiled to a linear IR and run
+step by step, MINCONTEXT's outermost and inner set steps and
+OPTMINCONTEXT's candidate pools
+(:func:`repro.core.common.step_candidate_pres`), and the bottom-up path
+propagation. A block of at least ``VECTOR_MIN_BLOCK`` members runs
+vectorized in ``auto``; narrower blocks, axes without a columnar form
+and the ``indexed`` / ``scan`` modes take tier 1 / tier 0.
 
 **The fallback guarantee lives in the dispatch**: every fused call whose
 predicted cost (computed exactly from partition bisections) exceeds the

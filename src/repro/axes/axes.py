@@ -21,13 +21,16 @@ semantics, three execution regimes, every tier byte-identical:
   partition suffix/prefix slices, the pointer axes gather the
   parent-pre column, and the inverse interval axes emit pre-number
   ranges directly.
-* **Tier 2 — vector column programs** (:mod:`repro.axes.vec`): whole
-  Core XPath sweeps compiled to a linear IR of block-at-a-time column
-  primitives (interval joins, pointer gathers, partition intersections)
-  with zero per-node Python dispatch in the loop body. The
-  Core evaluator routes sweeps here in ``vector`` mode, and in ``auto``
-  whenever a block is wide enough to amortize program setup; narrow
-  blocks and axes without columnar form fall back per-op to tier 1.
+* **Tier 2 — vector column primitives** (:mod:`repro.axes.vec`): one
+  step over a whole block — interval joins, pointer gathers, partition
+  intersections — with zero per-node Python dispatch in the loop body.
+  Every pre-plane evaluator reaches it through one per-step gate
+  (:func:`repro.axes.vec.forward_step` and its inverse / filter
+  siblings): Core sweeps compiled to a linear IR, MINCONTEXT /
+  OPTMINCONTEXT's set steps and the bottom-up propagation. Always in
+  ``vector`` mode, in ``auto`` whenever a block is wide enough to
+  amortize the setup; narrow blocks and axes without columnar form fall
+  back per-op to tier 1.
 
 **Where the fallback guarantee lives:** every fused entry point runs a
 dispatch — when the kernel's predicted cost (context size × log |D| +

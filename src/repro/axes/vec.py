@@ -18,23 +18,29 @@ The primitives are built from the standard library's C-speed blocks
 only: ``array``/``memoryview`` slice gathers, ``bisect`` over whole
 blocks, bulk ``set`` algebra, one ``sort`` per gather that needs it.
 
-Dispatch: the ``vector`` mode of :func:`repro.axes.axes.set_kernel_mode`
-forces programs and their vector primitives; in ``auto`` a
-sweep routes through a program when the document is at least
-:data:`VECTOR_MIN_BLOCK` nodes, and each op runs vectorized only while
-its block is that wide (narrow blocks delegate per-op to the tier-1
-scalar kernels, whose ``fused_hits``/``fallback_scans`` accounting then
-applies verbatim). Axes with no columnar form (the sibling axes, ``id``)
-always delegate. Every program run ticks ``vector_program_runs`` and
-every vectorized primitive ticks ``vector_ops`` on
-:data:`repro.stats.axis_kernel_stats` — together with the scalar
-counters this partitions a program's step work exactly.
+Dispatch is per step, in one place: :func:`forward_step`,
+:func:`inverse_step` and :func:`filter_step` run their op vectorized when
+the axis has a columnar form and the block passes the gate — always in
+the ``vector`` mode of :func:`repro.axes.axes.set_kernel_mode`, from
+:data:`VECTOR_MIN_BLOCK` members up in ``auto``, never in ``indexed`` /
+``scan`` — and otherwise delegate to the tier-1 scalar kernels, whose
+``fused_hits``/``fallback_scans`` accounting then applies verbatim. Axes
+with no columnar form (the sibling axes, ``id``) always delegate. The
+three step functions serve every pre-plane evaluator: a Core sweep's
+program (:func:`run_program`, engaged per document by
+:func:`sweep_engaged`), the set steps of MINCONTEXT / OPTMINCONTEXT
+(:func:`repro.core.common.step_candidate_pres`) and the bottom-up path
+propagation (:mod:`repro.core.bottomup_paths`). Every program run ticks
+``vector_program_runs`` and every vectorized primitive ticks
+``vector_ops`` on :data:`repro.stats.axis_kernel_stats` — together with
+the scalar counters this partitions a program's step work exactly.
 
 The fallback guarantee is inherited, not re-proved: every vector
 primitive computes the same set as a forced tier-1 kernel (most *are*
-the forced kernels, applied to whole blocks), and programs only replace
-the per-step loop of :mod:`repro.core.corexpath`, whose worst-case
-Theorem-13 bound is preserved by the tier-0/1 dispatch underneath.
+the forced kernels, applied to whole blocks), and the step functions
+only replace one ``χ(X) ∩ T(t)`` / ``χ⁻¹(Y)`` call of an evaluator whose
+worst-case bound (Theorems 7, 10, 13) is preserved by the tier-0/1
+dispatch underneath.
 """
 
 from __future__ import annotations
@@ -200,7 +206,8 @@ class CompiledStep:
     """One sweep step, dispatch resolved at compile time.
 
     ``vector`` records whether the axis has a columnar form in this
-    direction; predicates stay as expressions — they recurse into
+    direction (what the step functions test again per block; kept for
+    inspection); predicates stay as expressions — they recurse into
     arbitrary sub-sweeps, so the executor evaluates them through a
     callback and intersects the resulting sorted pre arrays.
     """
@@ -321,15 +328,15 @@ def filter_step(document, axis, block, test):
     an inverse step applies before ``χ⁻¹``, tiered like
     :func:`forward_step` (one partition intersect at block speed, or the
     tier-1 sorted merge)."""
-    index = node_index(document)
-    attribute_principal = axis in AXIS_PRINCIPAL_ATTRIBUTE
-    if _wide(block):
+    wide = _wide(block)
+    if wide:
         stats.axis_kernel_stats.vector_op()
-        return filter_block(index, block, test, attribute_principal)
-    partition = index.filter_partition(test, attribute_principal=attribute_principal)
+    partition = node_index(document).filter_partition(
+        test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE
+    )
     if partition is None:  # node() matches every kind
         return block
-    return merge_intersection(block, partition)
+    return intersect(block, partition) if wide else merge_intersection(block, partition)
 
 
 def run_program(document, program, block, predicate_pres, on_step=None):

@@ -46,7 +46,7 @@ Soundness fixes relative to the *printed* pseudo-code:
 from __future__ import annotations
 
 from repro import stats
-from repro.axes.vec import inverse_step, filter_step
+from repro.axes.vec import filter_step, inverse_step
 from repro.core.common import step_candidate_pres, step_relation_pres
 from repro.core.context import WILDCARD
 from repro.core.mincontext import MinContextEvaluator, position_free

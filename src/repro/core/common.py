@@ -12,8 +12,10 @@ The step primitives come in two planes:
   evaluators (``naive``, ``topdown``, ``bottomup``) use it; they are the
   differential oracle and stay object-based.
 * **pre plane** — :func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a
-  sorted pre array, through the fused kernels of
-  :mod:`repro.axes.axes`) and :func:`step_relation_pres` (the per-origin
+  sorted pre array, through the per-step gate of :mod:`repro.axes.vec`:
+  a tier-2 block primitive when the block is wide, the fused tier-1
+  kernels of :mod:`repro.axes.axes` when it is narrow — the step all
+  three pre-plane evaluators share) and :func:`step_relation_pres` (the per-origin
   relation ``x ↦ χ({x}) ∩ pool`` in proximity order, cut from the
   :class:`~repro.xml.index.NodeIndex` columns for all origins at once).
   MINCONTEXT, OPTMINCONTEXT and the Core XPath evaluator run here; on a

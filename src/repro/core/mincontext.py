@@ -58,6 +58,25 @@ Deviations from the printed pseudo-code:
   several candidate sets when its enclosing expression is itself
   evaluated in a (cp, cs) loop. Only rows for new contexts count as
   allocated cells.
+* **Compiled operators.** The printed ``eval_single_context`` dispatches
+  on the parse-tree node for every context it is handed. Here that
+  dispatch runs once per node: :meth:`MinContextEvaluator.compiled`
+  builds, at first use, a closure ``f(cn, cp, cs)`` that *is*
+  ``eval_single_context`` for the node, and the loops
+  (``filter_by_position``, ``filter_by_cnode``, the document-order
+  filter, the row fill of ``eval_by_cnode_only``) fetch it once and call
+  it per triple. What a closure closes over: a table-backed node
+  (``Relev(N) ∩ {cp, cs} = ∅``) its table row read (``_lookup`` for the
+  diagnosis when the row is missing); ``position()`` / ``last()`` the
+  context component, wildcard check kept; a comparison or arithmetic
+  operator on two static ``num`` operands the float operator itself
+  (IEEE NaN semantics, ``div`` / ``mod`` in their XPath forms); any
+  other comparison ``compare_values`` with the static types and this
+  document's accessors bound; everything else :meth:`~MinContextEvaluator.apply`.
+  ``and`` / ``or`` still evaluate both operands, as ``F[[Op]]`` applied
+  to a value list does. No table is built, keyed, merged or counted
+  differently, and ``operator_applications`` still reads one per
+  compound node per context (ticked per loop, not per call).
 
 Instances are single-use: create one evaluator per query evaluation (the
 engine does). OPTMINCONTEXT pre-fills ``tables`` for bottom-up-evaluated

@@ -14,22 +14,34 @@ Why per (query, document) and not per query
 
 The paper's headline result is that *which* algorithm you run dominates
 cost, and the constants hiding inside the bounds are document-shape
-facts. Measured on this implementation (seed constants below):
+facts. Measured on this implementation (re-measured when the table
+evaluators' set steps moved onto the block kernels and their context
+loops were compiled; forced algorithms, best of 15, book catalogs of
+0.35k–8.8k nodes, ``balanced_tree`` and ``numbered_line``; the seed
+constants below predate it and are the specializer item's to redo):
 
-* MINCONTEXT's demand-driven tables beat OPTMINCONTEXT by 2–4× on
-  selective, position-independent queries (``//book[price > 20]/title``):
-  the bottom-up pass precomputes predicate tables over the *whole*
-  document that the top-down pass would only have touched for a few
-  candidate nodes.
-* The Core XPath evaluator, since its PR 5 rewrite onto sorted pre
-  arrays and fused partition kernels, runs 2–5× *below* MINCONTEXT's
-  constants on Core queries at every document size (before the rewrite
-  it was 2–4× above on small/mid documents — seed constants are
-  re-measured facts, not axioms).
-* OPTMINCONTEXT wins when position-dependent predicates sit on sibling
-  axes *and* the document has long sibling runs (high fanout): the
-  (cp, cs) loops then re-enter the same subexpressions ``Θ(fanout)``
-  times, which is exactly what the bottom-up precomputation amortizes.
+* MINCONTEXT's demand-driven tables beat OPTMINCONTEXT by 1.5–2.7× when
+  an earlier step has already narrowed the candidates
+  (``//book[@id = 'bk3']/chapter[pages > 20]/heading``: 0.60 against
+  1.53 ms at 3.5k nodes): the bottom-up pass precomputes the predicate's
+  table over the *whole* document where the top-down pass touches a few
+  candidate nodes. With the predicate on the wide step itself
+  (``//book[price > 20]/title``) both evaluate it once per book and are
+  level (0.56 / 0.53 ms), OPTMINCONTEXT slightly ahead on small
+  documents.
+* The Core XPath evaluator runs 1.2–5× below MINCONTEXT on Core queries
+  *with predicates* (sorted pre arrays and set algebra against one table
+  row per candidate) and level with it on predicate-free paths, where
+  all three now run the same block kernels; OPTMINCONTEXT, whose
+  bottom-up pass turns Core predicates into the same backward sweeps,
+  stays within 0.95–1.5× of it.
+* OPTMINCONTEXT wins by up to 1.35× when position-dependent predicates
+  sit on sibling axes *and* an existential comparison sits inside them on
+  a document with long sibling runs (``wadler_family(2)`` on a 200-item
+  line: 9.1 against 12.3 ms): the (cp, cs) loops then re-enter the same
+  subexpression ``Θ(fanout)`` times, which is what the bottom-up
+  precomputation amortizes. With positional arithmetic alone
+  (``wadler_family(1)``) the two are level.
 
 Since the fused axis kernels (:mod:`repro.axes`, PR 5) landed, the cost
 model also prices the *indexed* variants of those candidates: a plan's

@@ -244,12 +244,13 @@ class KernelStats:
     * ``vector_program_runs`` — whole-sweep column programs executed by
       :func:`repro.axes.vec.run_program` (one per Core XPath main-path
       or backward-predicate sweep routed through the vector tier);
-    * ``vector_ops`` — program ops actually executed by a vector backend
-      (block-at-a-time column primitives). Ops a program delegates to a
-      scalar kernel (narrow block under ``auto`` dispatch, or an axis
-      without a columnar form) tick the existing ``fused_hits`` /
-      ``fallback_scans`` counters instead, so the three counters
-      partition a program's step work exactly.
+    * ``vector_ops`` — step ops executed as block-at-a-time column
+      primitives, by a program or by a table evaluator's set step (both
+      go through the step functions of :mod:`repro.axes.vec`). Ops
+      delegated to a scalar kernel (narrow block under ``auto``
+      dispatch, or an axis without a columnar form) tick the existing
+      ``fused_hits`` / ``fallback_scans`` counters instead, so the three
+      counters partition the step work exactly.
 
     Every fused/fallback event is exactly one dispatched call, so
     ``fused_hits + fallback_scans`` equals the number of fused-dispatch

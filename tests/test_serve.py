@@ -982,10 +982,14 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
         with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
             sock.sendall(burst)
+            deadline = time.monotonic() + 10.0
+            # The kernel can take the whole burst before the loop has
+            # accepted the connection.
+            while not daemon._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
             (conn,) = daemon._connections
             transport = conn.writer.transport
             high_water = transport.get_write_buffer_limits()[1]
-            deadline = time.monotonic() + 10.0
             while not conn.queue.full() and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert conn.queue.full()  # the reader is now waiting on it

@@ -40,7 +40,6 @@ from repro.axes import (
     sweep_engaged,
 )
 from repro.axes.axes import (
-    AXIS_PRINCIPAL_ATTRIBUTE,
     KERNEL_MODES,
     axis_test_pres,
     inverse_axis_test_pres,
