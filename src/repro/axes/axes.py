@@ -687,9 +687,9 @@ def _pointer_axis_pres(
     for ``id``, which has no columnar form.
 
     Candidates come from parent-column gathers (``parent``), attribute
-    runs (``attribute`` — contiguity: element ``p``'s attributes are
-    ``p+1 .. p+attribute_counts[p]``), or sibling hops ``child +=
-    size[child]`` across the subtree interval past that run
+    runs (``attribute`` — contiguity: attribute ``a`` of element ``p``
+    satisfies ``parent_pre[a] == p`` and sits right after ``p``), or
+    sibling hops ``child += size[child]`` across the subtree interval
     (``child``); the node test is then one sorted-merge intersection
     with the matching partition. Output-sensitive, no boxed nodes.
     """
@@ -699,23 +699,29 @@ def _pointer_axis_pres(
         parent_pre = node_index(document).parent_pre
         candidates = sorted({parent_pre[p] for p in pres if p != 0})
     elif axis == "attribute":
-        # An element's attributes are the contiguous run right after it;
-        # runs across an ascending block are disjoint and ascending (a
-        # member inside another's run is an attribute: empty run).
-        counts = node_index(document).attribute_counts()
+        index = node_index(document)
+        parent_pre = index.parent_pre
+        total = index.total
+        # ≥ 1 membership probe per context node: when the block is
+        # larger than the attribute partition, one pass over the
+        # partition (set build) beats per-probe bisects.
+        is_attribute = _membership(index.attributes, len(pres))
         candidates = []
         for p in pres:
-            n = counts[p]
-            if n:
-                candidates.extend(range(p + 1, p + 1 + n))
+            a = p + 1
+            while a < total and parent_pre[a] == p and is_attribute(a):
+                candidates.append(a)
+                a += 1
     elif axis == "child":
         index = node_index(document)
         size = index.size
-        counts = index.attribute_counts()
+        is_attribute = _membership(index.attributes, len(pres))
         candidates = []
         for p in pres:
             end = p + size[p]
-            child = p + 1 + counts[p]  # skip the origin's attribute run
+            child = p + 1
+            while child < end and is_attribute(child):
+                child += 1  # skip the origin's attribute run
             while child < end:
                 candidates.append(child)
                 child += size[child]

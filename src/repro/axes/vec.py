@@ -203,26 +203,23 @@ def _frontier_ancestors(index, block) -> set[int]:
 
 
 class CompiledStep:
-    """One sweep step, dispatch resolved at compile time.
+    """One sweep step of a program: axis, node test, predicates.
 
-    ``vector`` records whether the axis has a columnar form in this
-    direction (what the step functions test again per block; kept for
-    inspection); predicates stay as expressions — they recurse into
-    arbitrary sub-sweeps, so the executor evaluates them through a
-    callback and intersects the resulting sorted pre arrays.
+    Which tier runs it is decided per block by the step functions;
+    predicates stay as expressions — they recurse into arbitrary
+    sub-sweeps, so the executor evaluates them through a callback and
+    intersects the resulting sorted pre arrays.
     """
 
-    __slots__ = ("axis", "test", "predicates", "vector")
+    __slots__ = ("axis", "test", "predicates")
 
-    def __init__(self, axis, test, predicates, vector):
+    def __init__(self, axis, test, predicates):
         self.axis = axis
         self.test = test
         self.predicates = predicates
-        self.vector = vector
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        tier = "vec" if self.vector else "scalar"
-        return f"<{tier} {self.axis}::{self.test!r} +{len(self.predicates)}pred>"
+        return f"<{self.axis}::{self.test!r} +{len(self.predicates)}pred>"
 
 
 class VectorProgram:
@@ -244,12 +241,7 @@ def compile_forward_steps(steps) -> VectorProgram:
     return VectorProgram(
         "forward",
         tuple(
-            CompiledStep(
-                step.axis,
-                step.node_test,
-                tuple(step.predicates),
-                step.axis in FORWARD_VECTOR_AXES,
-            )
+            CompiledStep(step.axis, step.node_test, tuple(step.predicates))
             for step in steps
         ),
     )
@@ -261,12 +253,7 @@ def compile_backward_steps(steps) -> VectorProgram:
     return VectorProgram(
         "backward",
         tuple(
-            CompiledStep(
-                step.axis,
-                step.node_test,
-                tuple(step.predicates),
-                step.axis in INVERSE_VECTOR_AXES,
-            )
+            CompiledStep(step.axis, step.node_test, tuple(step.predicates))
             for step in reversed(steps)
         ),
     )
@@ -325,18 +312,14 @@ def inverse_step(document, axis, block):
 
 def filter_step(document, axis, block, test):
     """``block ∩ T(test)`` for a step on ``axis`` — the name-test filter
-    an inverse step applies before ``χ⁻¹``, tiered like
-    :func:`forward_step` (one partition intersect at block speed, or the
-    tier-1 sorted merge)."""
-    wide = _wide(block)
-    if wide:
+    an inverse step applies before ``χ⁻¹``: one partition intersect
+    (:func:`filter_block`), counted as a ``vector_ops`` tick when the
+    block is wide."""
+    if _wide(block):
         stats.axis_kernel_stats.vector_op()
-    partition = node_index(document).filter_partition(
-        test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE
+    return filter_block(
+        node_index(document), block, test, axis in AXIS_PRINCIPAL_ATTRIBUTE
     )
-    if partition is None:  # node() matches every kind
-        return block
-    return intersect(block, partition) if wide else merge_intersection(block, partition)
 
 
 def run_program(document, program, block, predicate_pres, on_step=None):

@@ -230,7 +230,7 @@ def test_forward_program_shape():
     assert program.direction == "forward"
     axes = [step.axis for step in program.steps]
     assert axes == ["descendant", "child", "following-sibling"]
-    assert [step.vector for step in program.steps] == [True, True, False]
+    assert [axis in FORWARD_VECTOR_AXES for axis in axes] == [True, True, False]
     assert [len(step.predicates) for step in program.steps] == [0, 1, 0]
 
 
@@ -242,7 +242,7 @@ def test_backward_program_reverses_steps():
     assert [step.axis for step in program.steps] == ["child", "descendant"]
     # Inverse vectorizability is judged against the *inverse* axis set:
     # descendant inverts to an interval emit, child to a parent gather.
-    assert all(step.vector for step in program.steps)
+    assert all(step.axis in INVERSE_VECTOR_AXES for step in program.steps)
 
 
 def test_vector_axis_sets_are_the_documented_tiers():
