@@ -76,7 +76,10 @@ Deviations from the printed pseudo-code:
   ``and`` / ``or`` still evaluate both operands, as ``F[[Op]]`` applied
   to a value list does. No table is built, keyed, merged or counted
   differently, and ``operator_applications`` still reads one per
-  compound node per context (ticked per loop, not per call).
+  compound node per context (ticked per loop, not per call). The
+  closures live as long as one ``evaluate`` call, which drops them on
+  its way out: they hold the evaluator, and kept they would leave it
+  and its tables to the cycle collector.
 
 Instances are single-use: create one evaluator per query evaluation (the
 engine does). OPTMINCONTEXT pre-fills ``tables`` for bottom-up-evaluated
@@ -173,11 +176,18 @@ class MinContextEvaluator:
             # one could not express.
             return self.document.in_document_order(expr.nodes)
         triple = (context.node.pre, context.position, context.size)
-        if expr.value_type == "nset" and isinstance(expr, (Path, Union)):
-            value = self.eval_outermost_locpath(expr, [triple[0]], triple)
-        else:
-            self.eval_by_cnode_only(expr, [triple[0]])
-            value = self.eval_single_context(expr, triple)
+        try:
+            if expr.value_type == "nset" and isinstance(expr, (Path, Union)):
+                value = self.eval_outermost_locpath(expr, [triple[0]], triple)
+            else:
+                self.eval_by_cnode_only(expr, [triple[0]])
+                value = self.eval_single_context(expr, triple)
+        finally:
+            # The closures hold this evaluator (``_lookup``, ``apply``):
+            # dropped here, it and its tables die with the last reference
+            # instead of waiting for the cycle collector.
+            self._compiled.clear()
+            self._operators.clear()
         return box_value(self.document, value, expr.value_type)
 
     # ------------------------------------------------------------------

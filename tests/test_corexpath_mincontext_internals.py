@@ -208,6 +208,32 @@ def test_compiled_number_operators_keep_ieee_and_xpath_semantics(doc):
             assert engine.evaluate(query, algorithm=algorithm) is want, (query, algorithm)
 
 
+def test_an_evaluator_dies_with_its_last_reference(doc):
+    """The compiled closures hold the evaluator; ``evaluate`` drops them
+    when it is done, so the evaluator and its tables are freed by
+    reference count and never wait for the cycle collector."""
+    import gc
+    import weakref
+
+    from repro.core.optmincontext import OptMinContextEvaluator
+
+    ast = analyzed("//a[b and position() = last()]/b[c]")
+    context = Context(doc.root, 1, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for cls in (MinContextEvaluator, OptMinContextEvaluator):
+            evaluator = cls(doc)
+            assert ids(evaluator.evaluate(ast, context)) == ["b2"]
+            inner = getattr(evaluator, "mincontext", evaluator)
+            assert inner.tables  # something to free
+            gone = weakref.ref(inner)
+            del evaluator, inner
+            assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_union_inner_table(doc):
     ast = analyzed("count(b | c)")
     mc = MinContextEvaluator(doc)
