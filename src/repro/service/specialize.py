@@ -20,25 +20,25 @@ loops were compiled; forced algorithms, best of 15, book catalogs of
 0.35k–8.8k nodes, ``balanced_tree`` and ``numbered_line``; the seed
 constants below predate it and are the specializer item's to redo):
 
-* MINCONTEXT's demand-driven tables beat OPTMINCONTEXT by 1.5–2.7× when
+* MINCONTEXT's demand-driven tables beat OPTMINCONTEXT by 1.3–2.8× when
   an earlier step has already narrowed the candidates
-  (``//book[@id = 'bk3']/chapter[pages > 20]/heading``: 0.60 against
-  1.53 ms at 3.5k nodes): the bottom-up pass precomputes the predicate's
+  (``//book[@id = 'bk3']/chapter[pages > 20]/heading``: 0.44 against
+  1.16 ms at 3.5k nodes): the bottom-up pass precomputes the predicate's
   table over the *whole* document where the top-down pass touches a few
   candidate nodes. With the predicate on the wide step itself
   (``//book[price > 20]/title``) both evaluate it once per book and are
-  level (0.56 / 0.53 ms), OPTMINCONTEXT slightly ahead on small
+  level (0.45 / 0.42 ms), OPTMINCONTEXT slightly ahead on small
   documents.
-* The Core XPath evaluator runs 1.2–5× below MINCONTEXT on Core queries
+* The Core XPath evaluator runs 1.2–4.3× below MINCONTEXT on Core queries
   *with predicates* (sorted pre arrays and set algebra against one table
   row per candidate) and level with it on predicate-free paths, where
   all three now run the same block kernels; OPTMINCONTEXT, whose
   bottom-up pass turns Core predicates into the same backward sweeps,
   stays within 0.95–1.5× of it.
-* OPTMINCONTEXT wins by up to 1.35× when position-dependent predicates
+* OPTMINCONTEXT wins by 1.2–1.4× when position-dependent predicates
   sit on sibling axes *and* an existential comparison sits inside them on
   a document with long sibling runs (``wadler_family(2)`` on a 200-item
-  line: 9.1 against 12.3 ms): the (cp, cs) loops then re-enter the same
+  line: 6.2 against 8.3 ms): the (cp, cs) loops then re-enter the same
   subexpression ``Θ(fanout)`` times, which is what the bottom-up
   precomputation amortizes. With positional arithmetic alone
   (``wadler_family(1)``) the two are level.
