@@ -1,4 +1,4 @@
-"""EXP-AXIS — output-sensitive fused axis kernels vs the O(|D|) scans.
+"""EXP-AXIS — output-sensitive axis kernels vs the O(|D|) scans.
 
 The PR 5 payoff claim: on *selective* queries over large documents, the
 per-document NodeIndex (name-partitioned sorted pre arrays + sorted-array
@@ -11,10 +11,10 @@ Three gates, two of them machine-independent:
 
 * **value gate** — for every axis × node test × context-set cell over
   the workload documents (attributes, the document node, and whole-dom
-  sets included), the forced-``indexed`` kernels return byte-identical
-  node sets to the forced-``scan`` path, forward and inverse; and every
-  workload query evaluates byte-identically under ``scan``/``auto``/
-  ``indexed`` dispatch across the paper-bounded evaluators.
+  sets included), the step functions under ``auto`` return
+  byte-identical node sets to the forced-``scan`` path, forward and
+  inverse; and every workload query evaluates byte-identically under
+  ``scan`` and ``auto`` across the paper-bounded evaluators.
 * **counter gate** — ``index_builds`` moves by exactly one per fresh
   boxed tree (a parsed document adopts the index built from its columns
   and never counts a build), every dispatch counts exactly one
@@ -45,12 +45,11 @@ from repro import stats
 from repro.axes.axes import (
     ALL_AXES,
     axis_set,
-    axis_test_pres,
     inverse_axis_set,
-    inverse_axis_test_pres,
     kernel_mode_forced,
     matches_node_test,
 )
+from repro.axes.vec import forward_step, inverse_step
 from repro.engine import XPathEngine
 from repro.workloads.documents import balanced_tree, book_catalog
 from repro.xml.builder import DocumentBuilder
@@ -91,7 +90,7 @@ def workload_documents():
 
 def run_value_gate(documents) -> tuple[bool, int]:
     """Kernel ≡ scan on every (axis, test, context-set) cell, forward and
-    inverse, plus whole-query identity across all three dispatch modes."""
+    inverse, plus whole-query identity across both policies."""
     tests = [
         NodeTest("name", "price"),
         NodeTest("name", "chapter"),
@@ -123,35 +122,31 @@ def run_value_gate(documents) -> tuple[bool, int]:
                         for y in axis_set(document, axis, X)
                         if matches_node_test(y, test, axis)
                     )
-                    with kernel_mode_forced("indexed"):
-                        indexed = list(axis_test_pres(document, axis, pres, test))
+                    kernel = list(forward_step(document, axis, pres, test))
                     with kernel_mode_forced("scan"):
-                        scanned = list(axis_test_pres(document, axis, pres, test))
-                    if not (indexed == scanned == expected):
+                        scanned = list(forward_step(document, axis, pres, test))
+                    if not (kernel == scanned == expected):
                         ok = False
                     cells += 1
                 inverse_expected = sorted(
                     y.pre for y in inverse_axis_set(document, axis, X)
                 )
-                with kernel_mode_forced("indexed"):
-                    inverse_indexed = inverse_axis_test_pres(document, axis, pres)
+                inverse_kernel = inverse_step(document, axis, pres)
                 with kernel_mode_forced("scan"):
-                    inverse_scanned = inverse_axis_test_pres(document, axis, pres)
-                if not (inverse_indexed == inverse_scanned == inverse_expected):
+                    inverse_scanned = inverse_step(document, axis, pres)
+                if not (inverse_kernel == inverse_scanned == inverse_expected):
                     ok = False
                 cells += 1
-    # Whole queries: every dispatch mode returns the same bytes.
+    # Whole queries: both policies return the same bytes.
     for document in documents:
         engine = XPathEngine(document)
         for query, algorithm in WORKLOAD_QUERIES:
             compiled = engine.compile(query)
             with kernel_mode_forced("scan"):
                 baseline = engine.evaluate(compiled, algorithm=algorithm)
-            for mode in ("auto", "indexed"):
-                with kernel_mode_forced(mode):
-                    if engine.evaluate(compiled, algorithm=algorithm) != baseline:
-                        ok = False
-                cells += 1
+            if engine.evaluate(compiled, algorithm=algorithm) != baseline:
+                ok = False
+            cells += 1
     return ok, cells
 
 
@@ -178,12 +173,11 @@ def run_counter_gate() -> tuple[bool, dict]:
     test = NodeTest("name", "a")
     calls = 0
     before_dispatch = stats.axis_kernel_stats.snapshot()
-    with kernel_mode_forced("auto"):
-        for document in documents:
-            for axis in ("descendant", "following", "preceding", "child", "self"):
-                for _ in range(10):
-                    axis_test_pres(document, axis, [0], test)
-                    calls += 1
+    for document in documents:
+        for axis in ("descendant", "following", "preceding", "child", "self"):
+            for _ in range(10):
+                forward_step(document, axis, [0], test)
+                calls += 1
     after = stats.axis_kernel_stats.snapshot()
     fused_delta = after["fused_hits"] - before_dispatch["fused_hits"]
     fallback_delta = after["fallback_scans"] - before_dispatch["fallback_scans"]
@@ -235,7 +229,7 @@ def main() -> int:
     speedup_ok = speedup >= SPEEDUP_GATE
 
     report = ExperimentReport(
-        "EXP-AXIS", "output-sensitive fused axis kernels vs O(|D|) scans"
+        "EXP-AXIS", "output-sensitive axis kernels vs O(|D|) scans"
     )
     sizes = ", ".join(str(len(document)) for document in documents)
     report.note(
@@ -247,7 +241,7 @@ def main() -> int:
         ["dispatch", "summed best (ms)", "speedup"],
         [
             ["scan (Definition-1 fallback forced)", scan_seconds * 1e3, 1.0],
-            ["auto (indexed kernels + fallback)", auto_seconds * 1e3, speedup],
+            ["auto (kernels + predicted-cost fallback)", auto_seconds * 1e3, speedup],
         ],
     )
     report.note()
@@ -259,7 +253,7 @@ def main() -> int:
         f"{counter_detail['documents']} fresh documents"
     )
     report.note(
-        f"value gate:   indexed == scan on every cell ({value_cells} cells) — "
+        f"value gate:   auto == scan on every cell ({value_cells} cells) — "
         + ("PASS" if value_ok else "FAIL")
     )
     report.note(

@@ -11,7 +11,6 @@ Run after the benchmark suite:
     python benchmarks/summarize.py --axes        # just the fused-kernel gates
     python benchmarks/summarize.py --snapshot    # just the snapshot gates
     python benchmarks/summarize.py --batchplan   # just the multi-query gates
-    python benchmarks/summarize.py --vector      # just the vector-program gates
     python benchmarks/summarize.py --serve       # just the serving-daemon gates
 """
 
@@ -27,7 +26,7 @@ ORDER = [
     "exp_x1", "exp_t7a", "exp_t7b", "exp_t10", "exp_t13",
     "exp_x2", "exp_x3", "exp_a1", "exp_a2",
     "exp_svc", "exp_shard", "exp_mqo", "exp_async", "exp_spec", "exp_axis", "exp_snap",
-    "exp_vec", "exp_serve",
+    "exp_serve",
 ]
 
 
@@ -131,20 +130,6 @@ def batchplan_lines() -> list[str]:
     ]
 
 
-def vector_lines() -> list[str]:
-    """The gate, speedup, and counter lines from the EXP-VEC report
-    (written by bench_vector.py)."""
-    path = RESULTS_DIR / "exp_vec.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "speedup", "dispatch", "workload:", "counter probe")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
 def serve_lines() -> list[str]:
     """The gate, percentile, and counter lines from the EXP-SERVE report
     (written by bench_serve.py)."""
@@ -195,11 +180,6 @@ def main(argv: list[str] | None = None) -> None:
         "--batchplan",
         action="store_true",
         help="print only the multi-query sharing gates and speedup (EXP-MQO)",
-    )
-    parser.add_argument(
-        "--vector",
-        action="store_true",
-        help="print only the vector-program gates and speedups (EXP-VEC)",
     )
     parser.add_argument(
         "--serve",
@@ -267,15 +247,6 @@ def main(argv: list[str] | None = None) -> None:
             raise SystemExit(
                 "no multi-query results yet — run: "
                 "python benchmarks/bench_batchplan.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.vector:
-        lines = vector_lines()
-        if not lines:
-            raise SystemExit(
-                "no vector-program results yet — run: "
-                "python benchmarks/bench_vector.py"
             )
         print("\n".join(lines))
         return

@@ -1,51 +1,36 @@
 """Axis functions ``χ`` and inverse axis functions ``χ⁻¹`` (Definition 1).
 
-Since the block-vectorized rewrite the dispatch is **three-tier** — one
-semantics, three execution regimes, every tier byte-identical:
+Two implementations of one semantics, byte-identical:
 
-* **Tier 0 — Definition-1 scans** (:func:`axis_set` /
-  :func:`inverse_axis_set`, plus :func:`axis_nodes` for proximity-order
-  per-node enumeration): the set functions ``χ(X)`` / ``χ⁻¹(Y)`` of
-  Definition 1, each computed in ``O(|D|)`` regardless of ``|X|`` (the
-  bound the paper's complexity theorems depend on; see the remark below
-  Definition 1 citing [11]). These are the *guaranteed* implementations
-  and the worst-case fallback of everything below; they never consult an
-  index.
-* **Tier 1 — indexed scalar kernels** (:func:`axis_test_pres` /
-  :func:`inverse_axis_test_pres`, over sorted pre arrays): fused
-  axis+name-test kernels over the per-document
-  :class:`repro.xml.index.NodeIndex`, *output-sensitive* but iterating
-  origins one pre at a time in Python. ``descendant::a`` is a
-  binary-search range query over the sorted ``a`` partition
-  (``O(|X|·log|D| + output)``), ``following``/``preceding`` are
-  partition suffix/prefix slices, the pointer axes gather the
-  parent-pre column, and the inverse interval axes emit pre-number
-  ranges directly.
-* **Tier 2 — vector column primitives** (:mod:`repro.axes.vec`): one
-  step over a whole block — interval joins, pointer gathers, partition
-  intersections — with zero per-node Python dispatch in the loop body.
-  Every pre-plane evaluator reaches it through one per-step gate
-  (:func:`repro.axes.vec.forward_step` and its inverse / filter
-  siblings): Core sweeps compiled to a linear IR, MINCONTEXT /
-  OPTMINCONTEXT's set steps and the bottom-up propagation. Always in
-  ``vector`` mode, in ``auto`` whenever a block is wide enough to
-  amortize the setup; narrow blocks and axes without columnar form fall
-  back per-op to tier 1.
+* **The Definition-1 scans** (:func:`axis_set` / :func:`inverse_axis_set`,
+  plus :func:`axis_nodes` for proximity-order per-node enumeration): the
+  set functions ``χ(X)`` / ``χ⁻¹(Y)`` of Definition 1, each computed in
+  ``O(|D|)`` regardless of ``|X|`` (the bound the paper's complexity
+  theorems depend on; see the remark below Definition 1 citing [11]).
+  They never consult an index; they are the test oracle and the
+  fallback of everything below.
+* **The pre-plane kernels** (:func:`forward_pres` / :func:`inverse_pres`,
+  over sorted pre arrays): one output-sensitive kernel per axis and
+  direction over the per-document :class:`repro.xml.index.NodeIndex`.
+  ``descendant::a`` is a binary-search range query over the sorted ``a``
+  partition (``O(|X|·log|D| + output)``), ``following``/``preceding`` are
+  partition suffix/prefix slices, the pointer axes gather the parent-pre
+  column, child spans and attribute runs, and the inverse interval axes
+  emit pre-number ranges directly. Where the cheaper algorithm depends
+  on how many origins a step has, the kernel branches on the block's
+  width (:data:`VECTOR_MIN_BLOCK`). Evaluators reach the kernels only
+  through the step functions of :mod:`repro.axes.vec`; the per-node
+  proximity-order form is :func:`axis_test_nodes`.
 
-**Where the fallback guarantee lives:** every fused entry point runs a
-dispatch — when the kernel's predicted cost (context size × log |D| +
-predicted output, computed exactly from partition bisects) exceeds the
-``O(|D|)`` scan bound, or when :func:`set_kernel_mode` forces ``scan``,
-the call falls through to :func:`axis_set`/:func:`inverse_axis_set`
-verbatim; a vector program's primitives are forced-kernel forms of the
-same tier-1 code paths, so the guarantee covers tier 2 too. The fast
-paths can therefore only improve constants and output-sensitivity; the
-paper's worst-case asymptotics (Theorems 7, 10, 13) are preserved
-unconditionally, mirroring the specializer's guarantee clamps. Every
-outcome is counted exactly on :data:`repro.stats.axis_kernel_stats`
-(``fused_hits`` / ``fallback_scans`` per scalar dispatch,
-``vector_program_runs`` / ``vector_ops`` per program and vectorized
-op).
+**Where the fallback guarantee lives:** a narrow interval step whose
+predicted cost (context size × log |D| + predicted output, computed
+exactly from partition bisects) exceeds the ``O(|D|)`` scan bound is
+declined by its kernel, and the step function then runs
+:func:`axis_set` verbatim — as it does for every step while
+:func:`set_kernel_mode` forces ``scan``. The kernels can therefore only
+improve constants and output-sensitivity. Every outcome is counted
+exactly on :data:`repro.stats.axis_kernel_stats` (``fused_hits`` /
+``fallback_scans`` / ``vector_ops``).
 
 Linear-time techniques of the Definition-1 scans, keyed to the pre-order
 numbering of :mod:`repro.xml.document`:
@@ -156,16 +141,15 @@ def axis_test_nodes(
     emit for free: ascending pre *is* proximity order for
     ``descendant``/``descendant-or-self``/``following`` (and its reverse
     for ``preceding``), so a singleton interval query plus the slice
-    direction replaces a full-document walk with filtering. The same
-    predicted-cost dispatch as :func:`axis_test_pres` applies (a
-    rejected kernel falls back to the enumerate-then-filter scan; one
+    direction replaces a full-document walk with filtering. The
+    predicted-cost rule of :func:`_interval_axis_pres` applies (a
+    declined kernel falls back to the enumerate-then-filter scan; one
     ``fused_hits``/``fallback_scans`` tick per interval-axis dispatch in
-    non-scan mode, none otherwise — scan mode and the non-interval axes
-    never consult the index here, so they are not dispatches).
+    ``auto``, none otherwise — ``scan`` and the non-interval axes never
+    consult the index here, so they are not dispatches).
     """
-    mode = _kernel_mode
-    if mode != "scan" and axis in INTERVAL_AXES:
-        out = _interval_axis_pres(document, axis, [node.pre], test, mode != "auto")
+    if _kernel_mode != "scan" and axis in INTERVAL_AXES:
+        out = _interval_axis_pres(document, axis, [node.pre], test)
         if out is not None:
             stats.axis_kernel_stats.fused()
             nodes = document.nodes
@@ -356,24 +340,17 @@ def _descendant_set(document: Document, X: Iterable[Node], include_self: bool) -
     return result
 
 
-def _ancestor_set(X: Iterable[Node], include_self: bool, keep=None) -> set[Node]:
-    """Union of ancestor chains with sharing: O(|D|) total.
-
-    ``keep`` (optional predicate) filters nodes as they are produced —
-    the fused kernels pass the node test here so there is exactly one
-    copy of the shared-visited chain walk; the Definition-1 scans pass
-    nothing and keep everything.
-    """
+def _ancestor_set(X: Iterable[Node], include_self: bool) -> set[Node]:
+    """Union of ancestor chains with sharing: O(|D|) total."""
     visited: set[Node] = set()
     result: set[Node] = set()
     for x in X:
-        if include_self and (keep is None or keep(x)):
+        if include_self:
             result.add(x)
         node = x.parent
         while node is not None and node not in visited:
             visited.add(node)
-            if keep is None or keep(node):
-                result.add(node)
+            result.add(node)
             node = node.parent
     return result
 
@@ -403,13 +380,8 @@ def _preceding_set(document: Document, X: Iterable[Node]) -> set[Node]:
     }
 
 
-def _sibling_set(X: Iterable[Node], forward: bool, keep=None) -> set[Node]:
-    """Group by parent, then one suffix (or prefix) per parent: O(|D|).
-
-    ``keep`` as in :func:`_ancestor_set`: the single copy of the
-    extreme-child-index selection serves the scans (``keep=None``) and
-    the fused kernels (node-test predicate) alike.
-    """
+def _sibling_set(X: Iterable[Node], forward: bool) -> set[Node]:
+    """Group by parent, then one suffix (or prefix) per parent: O(|D|)."""
     extremes: dict[int, tuple[Node, int]] = {}
     for x in X:
         if x.parent is None or x.child_index is None:
@@ -424,11 +396,7 @@ def _sibling_set(X: Iterable[Node], forward: bool, keep=None) -> set[Node]:
                 extremes[key] = (parent, x.child_index)
     result: set[Node] = set()
     for parent, index in extremes.values():
-        siblings = parent.children[index + 1 :] if forward else parent.children[:index]
-        if keep is None:
-            result.update(siblings)
-        else:
-            result.update(sibling for sibling in siblings if keep(sibling))
+        result.update(parent.children[index + 1 :] if forward else parent.children[:index])
     return result
 
 
@@ -466,43 +434,28 @@ def matches_node_test(node: Node, test: NodeTest, axis: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Fused axis + name-test kernels (output-sensitive fast path)
+# Kernel modes
 # ----------------------------------------------------------------------
 
-#: Axes whose fused forward kernels are NodeIndex partition queries
-#: (binary-search ranges / suffix slices over sorted pre arrays).
-INTERVAL_AXES = frozenset(
-    {"descendant", "descendant-or-self", "following", "preceding"}
-)
-
-#: Axes whose fused *inverse* kernels emit pre-number ranges directly.
-INVERSE_INTERVAL_AXES = frozenset(
-    {"ancestor", "ancestor-or-self", "following", "preceding"}
-)
-
-#: Dispatch modes: ``auto`` (predicted-cost dispatch across all three
-#: tiers — the default), ``indexed`` (always take the scalar index
-#: kernels where one exists, never the vector programs), ``vector``
-#: (route every Core sweep through the block-vectorized column programs
-#: of :mod:`repro.axes.vec`, forcing the vector primitives regardless of
-#: block width), ``scan`` (always run the Definition-1 scans — the A/B
-#: baseline the EXP-AXIS/EXP-VEC value and speedup gates compare
-#: against).
-KERNEL_MODES = ("auto", "indexed", "vector", "scan")
+#: The two policies: ``auto`` (the output-sensitive kernels, with the
+#: predicted-cost fallback to the scans — the only production policy)
+#: and ``scan`` (always run the Definition-1 scans: the oracle that
+#: tests, EXP-AXIS and the traced end-to-end probe compare against).
+KERNEL_MODES = ("auto", "scan")
 
 _kernel_mode = "auto"
 
 
 def kernel_mode() -> str:
-    """The active dispatch mode (see :data:`KERNEL_MODES`)."""
+    """The active policy (see :data:`KERNEL_MODES`)."""
     return _kernel_mode
 
 
 def set_kernel_mode(mode: str) -> str:
-    """Set the dispatch mode process-wide; returns the previous mode.
+    """Set the policy process-wide; returns the previous one.
 
     A benchmarking/testing knob (not synchronized with in-flight
-    evaluations): results are byte-identical in every mode, only the
+    evaluations): results are byte-identical in both modes, only the
     fused/fallback split changes.
     """
     global _kernel_mode
@@ -523,74 +476,82 @@ def kernel_mode_forced(mode: str):
         set_kernel_mode(previous)
 
 
-def _scan_axis_set(document: Document, axis: str, X, test: NodeTest) -> set[Node]:
-    """The guaranteed path: Definition-1 scan, then the node-test filter."""
-    return {y for y in axis_set(document, axis, X) if matches_node_test(y, test, axis)}
+# ----------------------------------------------------------------------
+# Pre-plane kernels (output-sensitive fast path)
+# ----------------------------------------------------------------------
+#
+# Each takes a sorted duplicate-free pre array and returns one; none
+# touches a boxed node except ``id``.
+
+#: Axes whose forward kernels are NodeIndex partition queries
+#: (binary-search ranges / suffix slices over sorted pre arrays).
+INTERVAL_AXES = frozenset(
+    {"descendant", "descendant-or-self", "following", "preceding"}
+)
+
+#: Axes whose *inverse* kernels emit pre-number ranges directly.
+INVERSE_INTERVAL_AXES = frozenset(
+    {"ancestor", "ancestor-or-self", "following", "preceding"}
+)
+
+#: From this many origins up a step counts as a block
+#: (``vector_ops``), and a kernel whose cheaper algorithm depends on the
+#: number of origins takes its whole-column side: per-document setup — a
+#: child table, a pass over a partition — that a narrower step would not
+#: earn back.
+VECTOR_MIN_BLOCK = 16
 
 
-def axis_test_pres(
+def forward_pres(
     document: Document, axis: str, pres: list[int], test: NodeTest
-) -> list[int]:
-    """``χ(X) ∩ T(t)`` over sorted pre-order int arrays (document order
-    in, document order out) — the form the sorted-array sweeps of
-    :mod:`repro.core.corexpath` thread through whole queries.
+) -> list[int] | None:
+    """``χ(X) ∩ T(t)`` over sorted pre arrays (document order in,
+    document order out), or ``None`` when the kernel declines and the
+    caller owes the Definition-1 scan.
 
-    Interval axes ride :func:`_interval_axis_pres`; every other tree
-    axis rides :func:`_pointer_axis_pres`, so a step stays in the pre
-    plane (on a lazy column document, no node is materialized). Only
-    ``id`` boxes its origins and runs the fused enumeration."""
-    mode = _kernel_mode
-    if mode != "scan":
-        if axis in INTERVAL_AXES:
-            out = _interval_axis_pres(document, axis, pres, test, mode != "auto")
-            if out is not None:
-                stats.axis_kernel_stats.fused()
-                return out
-        else:
-            out = _pointer_axis_pres(document, axis, pres, test)
-            if out is not None:
-                stats.axis_kernel_stats.fused()
-                return out
-    nodes = document.nodes
-    X = [nodes[p] for p in pres]
-    if mode != "scan" and axis not in INTERVAL_AXES:
-        stats.axis_kernel_stats.fused()
-        result = _enumerated_axis_set(document, axis, X, test)
-    else:
-        stats.axis_kernel_stats.fallback()
-        result = _scan_axis_set(document, axis, X, test)
-    return sorted(y.pre for y in result)
+    Interval axes ride :func:`_interval_axis_pres`, every other tree
+    axis :func:`_pointer_axis_pres`, so a step stays in the pre plane
+    (on a column document, no node is materialized). Only ``id`` boxes
+    its origins."""
+    if axis in INTERVAL_AXES:
+        return _interval_axis_pres(document, axis, pres, test)
+    if axis == "id":
+        nodes = document.nodes
+        targets = set()
+        for p in pres:
+            targets.update(document.deref_ids(nodes[p].string_value))
+        return sorted(y.pre for y in targets if matches_node_test(y, test, axis))
+    return _pointer_axis_pres(document, axis, pres, test)
 
 
-def inverse_axis_test_pres(
-    document: Document, axis: str, pres: list[int]
-) -> list[int]:
-    """``χ⁻¹(Y)`` over sorted pre-order int arrays.
+def inverse_pres(document: Document, axis: str, pres: list[int]) -> list[int] | None:
+    """``χ⁻¹(Y)`` over sorted pre arrays, or ``None`` for ``id``, whose
+    inverse is the boxed Definition-1 form.
 
     Interval axes ride :func:`_inverse_interval_pres`; every other tree
     axis rides :func:`_inverse_pointer_pres` — parent-column gathers,
-    interval child hops, sibling runs, ancestor chains — so the backward
-    sweeps of :mod:`repro.core.corexpath` and
-    :mod:`repro.core.bottomup_paths` stay entirely in the pre plane (on
-    a lazy column document, no node is materialized). Only the ``id``
-    inverse falls back to the boxed Definition-1 form."""
-    mode = _kernel_mode
-    if mode != "scan":
-        if axis in INVERSE_INTERVAL_AXES:
-            out = _inverse_interval_pres(document, axis, pres, mode != "auto")
-        else:
-            out = _inverse_pointer_pres(document, axis, pres)
-        if out is not None:
-            stats.axis_kernel_stats.fused()
-            return out
-    stats.axis_kernel_stats.fallback()
-    nodes = document.nodes
-    result = inverse_axis_set(document, axis, [nodes[p] for p in pres])
-    return sorted(y.pre for y in result)
+    interval child hops, sibling runs, ancestor chains."""
+    if axis in INVERSE_INTERVAL_AXES:
+        return _inverse_interval_pres(document, axis, pres)
+    return _inverse_pointer_pres(document, axis, pres)
+
+
+def intersect(a, b):
+    """Intersection of two sorted duplicate-free pre arrays —
+    ``merge_intersection`` semantics at block speed: galloping merge
+    when one side is much smaller (bisects beat any full pass), bulk
+    C-level set intersection when the sides are comparable (the regime
+    where the Python merge loop pays per-element interpreter cost)."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return []
+    if min(la, lb) * 16 < max(la, lb):
+        return merge_intersection(a, b)
+    return sorted(set(a).intersection(b))
 
 
 def _interval_axis_pres(
-    document: Document, axis: str, pres: list[int], test: NodeTest, forced: bool
+    document: Document, axis: str, pres: list[int], test: NodeTest
 ) -> list[int] | None:
     """Partition kernel for a forward interval axis, or ``None`` when the
     predicted cost exceeds the ``O(|D|)`` scan bound (caller falls back).
@@ -639,9 +600,12 @@ def _interval_axis_pres(
         if lo_idx < hi_idx:
             spans.append((lo_idx, hi_idx))
             output += hi_idx - lo_idx
-    if not forced:
+    if len(pres) < VECTOR_MIN_BLOCK:
         # The dispatch rule: predicted kernel cost (bisections + exact
-        # output, both already known) must beat the scan's |D| bound.
+        # output, both already known) must beat the scan's |D| bound. A
+        # block is not priced: nested origins were skipped above, so it
+        # pays one bisect pair per maximal interval plus its output, and
+        # the scan it would trade that for boxes every node it visits.
         predicted = output + len(pres) * max(1, index.total.bit_length())
         if predicted > index.total:
             return None
@@ -681,67 +645,87 @@ def _membership(partition, block_size: int):
 
 def _pointer_axis_pres(
     document: Document, axis: str, pres: list[int], test: NodeTest
-) -> list[int] | None:
+) -> list[int]:
     """Column-plane ``χ(X) ∩ T(t)`` for the pointer axes (self, child,
-    parent, attribute, the sibling and the ancestor axes), or ``None``
-    for ``id``, which has no columnar form.
+    parent, attribute, the sibling and the ancestor axes).
 
-    Candidates come from parent-column gathers (``parent``), attribute
-    runs (``attribute`` — contiguity: attribute ``a`` of element ``p``
-    satisfies ``parent_pre[a] == p`` and sits right after ``p``), or
-    sibling hops ``child += size[child]`` across the subtree interval
-    (``child``); the node test is then one sorted-merge intersection
-    with the matching partition. Output-sensitive, no boxed nodes.
+    Candidates come from parent-column gathers (``parent``, the ancestor
+    axes), attribute runs (``attribute`` — element ``p``'s attributes
+    are the contiguous pres ``p+1 .. p+attribute_counts[p]``), child
+    spans (:func:`_child_pres`) or per-parent sibling spans; the node
+    test is then one intersection with the matching partition.
+    Output-sensitive, no boxed nodes.
     """
+    index = node_index(document)
+    if axis == "child":
+        return _child_pres(index, pres, test)
     if axis == "self":
         candidates = pres
     elif axis == "parent":
-        parent_pre = node_index(document).parent_pre
+        parent_pre = index.parent_pre
         candidates = sorted({parent_pre[p] for p in pres if p != 0})
     elif axis == "attribute":
-        index = node_index(document)
-        parent_pre = index.parent_pre
-        total = index.total
-        # ≥ 1 membership probe per context node: when the block is
-        # larger than the attribute partition, one pass over the
-        # partition (set build) beats per-probe bisects.
-        is_attribute = _membership(index.attributes, len(pres))
+        counts = index.attribute_counts()
         candidates = []
         for p in pres:
-            a = p + 1
-            while a < total and parent_pre[a] == p and is_attribute(a):
-                candidates.append(a)
-                a += 1
-    elif axis == "child":
-        index = node_index(document)
-        size = index.size
-        is_attribute = _membership(index.attributes, len(pres))
-        candidates = []
-        for p in pres:
-            end = p + size[p]
-            child = p + 1
-            while child < end and is_attribute(child):
-                child += 1  # skip the origin's attribute run
-            while child < end:
-                candidates.append(child)
-                child += size[child]
-        candidates.sort()  # runs of nested origins interleave in pre order
+            n = counts[p]
+            if n:
+                candidates.extend(range(p + 1, p + 1 + n))
+        # Runs across ascending origins are disjoint and ascending (an
+        # origin inside another's run is an attribute, whose own run is
+        # empty) — no sort needed.
     elif axis == "following-sibling" or axis == "preceding-sibling":
-        candidates = _sibling_pres(
-            node_index(document), pres, forward=axis == "following-sibling"
-        )
+        candidates = _sibling_pres(index, pres, forward=axis == "following-sibling")
     elif axis == "ancestor" or axis == "ancestor-or-self":
         candidates = _ancestor_pres(
-            node_index(document), pres, pres if axis == "ancestor-or-self" else ()
+            index, pres, pres if axis == "ancestor-or-self" else ()
         )
     else:
-        return None
-    partition = node_index(document).filter_partition(
+        raise ValueError(f"unknown axis: {axis}")
+    partition = index.filter_partition(
         test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE
     )
     if partition is None:  # node() matches every kind
         return list(candidates)
-    return merge_intersection(candidates, partition)
+    return intersect(candidates, partition)
+
+
+def _child_pres(index, pres: list[int], test: NodeTest) -> list[int]:
+    """``child(X) ∩ T(t)``. A block reads whichever is shorter, the test
+    partition (semi-join on the parent column) or its members' spans of
+    the child table; a narrow step hops ``child += size[child]`` across
+    each origin's subtree interval and builds no table."""
+    partition = index.filter_partition(test)
+    if len(pres) >= VECTOR_MIN_BLOCK:
+        target = index.non_attributes if partition is None else partition
+        if len(target) <= 8 * len(pres):
+            # One pass over the partition keeping members whose parent
+            # lands in the block — already sorted, no gather, no merge.
+            parent_pre = index.parent_pre
+            members = set(pres)
+            return [p for p in target if parent_pre[p] in members]
+        offsets, children = index.child_table()
+        spans = memoryview(children)
+        candidates: list[int] = []
+        extend = candidates.extend
+        for p in pres:
+            lo, hi = offsets[p], offsets[p + 1]
+            if lo < hi:
+                extend(spans[lo:hi])
+    else:
+        size = index.size
+        counts = index.attribute_counts()
+        candidates = []
+        for p in pres:
+            end = p + size[p]
+            child = p + 1 + counts[p]  # past the origin's attribute run
+            while child < end:
+                candidates.append(child)
+                child += size[child]
+    candidates.sort()  # runs of nested origins interleave in pre order
+    if partition is None:  # node() matches every kind
+        return candidates
+    return intersect(candidates, partition)
 
 
 def _sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
@@ -855,10 +839,10 @@ def _inverse_pointer_pres(
 
 
 def _inverse_interval_pres(
-    document: Document, axis: str, pres: list[int], forced: bool
-) -> list[int] | None:
-    """Range-emitting kernel for an inverse interval axis, or ``None``
-    to fall back. ``pres`` must be sorted ascending."""
+    document: Document, axis: str, pres: list[int]
+) -> list[int]:
+    """Range-emitting kernel for an inverse interval axis. ``pres`` must
+    be sorted ascending."""
     if not pres:
         return []
     index = node_index(document)
@@ -892,74 +876,13 @@ def _inverse_interval_pres(
         return list(range(cutoff, index.total))
     # ancestor / ancestor-or-self inverses: the (strict) interior of Y's
     # subtree intervals, attributes included. Maximal intervals emit
-    # disjoint ascending pre ranges — output cost, no scan.
+    # disjoint ascending pre ranges — output cost, at most |D|, no scan.
     include_self = axis == "ancestor-or-self"
-    spans: list[tuple[int, int]] = []
+    result: list[int] = []
     max_end = -1
-    output = 0
     for p in pres:
         if p < max_end:
             continue
-        lo = p if include_self else p + 1
-        hi = p + size[p]
-        max_end = hi
-        if lo < hi:
-            spans.append((lo, hi))
-            output += hi - lo
-    if not forced and output > index.total:
-        return None
-    result: list[int] = []
-    for lo, hi in spans:
-        result.extend(range(lo, hi))
+        max_end = p + size[p]
+        result.extend(range(p if include_self else p + 1, max_end))
     return result
-
-
-def _enumerated_axis_set(
-    document: Document, axis: str, X: Iterable[Node], test: NodeTest
-) -> set[Node]:
-    """Single-pass fused enumeration for the per-node axes: the same
-    candidates the Definition-1 forms enumerate, filtered as they are
-    produced (no intermediate unfiltered set)."""
-    result: set[Node] = set()
-    if axis == "self":
-        for x in X:
-            if matches_node_test(x, test, axis):
-                result.add(x)
-        return result
-    if axis == "child":
-        for x in X:
-            for child in x.children:
-                if matches_node_test(child, test, axis):
-                    result.add(child)
-        return result
-    if axis == "parent":
-        for x in X:
-            parent = x.parent
-            if parent is not None and matches_node_test(parent, test, axis):
-                result.add(parent)
-        return result
-    if axis == "attribute":
-        for x in X:
-            for attribute in x.attributes:
-                if matches_node_test(attribute, test, axis):
-                    result.add(attribute)
-        return result
-    if axis in ("ancestor", "ancestor-or-self"):
-        return _ancestor_set(
-            X,
-            include_self=axis == "ancestor-or-self",
-            keep=lambda node: matches_node_test(node, test, axis),
-        )
-    if axis in ("following-sibling", "preceding-sibling"):
-        return _sibling_set(
-            X,
-            forward=axis == "following-sibling",
-            keep=lambda node: matches_node_test(node, test, axis),
-        )
-    if axis == "id":
-        for x in X:
-            for target in document.deref_ids(x.string_value):
-                if matches_node_test(target, test, axis):
-                    result.add(target)
-        return result
-    raise ValueError(f"unknown axis: {axis}")

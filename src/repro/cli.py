@@ -93,7 +93,6 @@ import argparse
 import asyncio
 import sys
 
-from repro.axes import KERNEL_MODES, kernel_mode_forced
 from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import (
     DeadlineExceededError,
@@ -554,16 +553,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "completes (completion order) instead of waiting for the batch",
     )
     parser.add_argument(
-        "--kernel-mode",
-        choices=KERNEL_MODES,
-        default=None,
-        help="force the axis-kernel dispatch tier for the whole batch: "
-        "auto (predicted-cost dispatch, the process default), indexed "
-        "(scalar index kernels only), vector (block-vectorized column "
-        "programs), or scan (Definition-1 scans — the A/B baseline); "
-        "results are byte-identical in every mode",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print plan-cache, result-cache, batch-plan, specializer, and "
@@ -664,13 +653,6 @@ def _stream_batch(args, queries: list[str], documents: list, labels: list[str]) 
 def batch_main(argv: list[str]) -> int:
     parser = build_batch_parser()
     args = parser.parse_args(argv)
-    if args.kernel_mode is not None:
-        with kernel_mode_forced(args.kernel_mode):
-            return _batch_main(args)
-    return _batch_main(args)
-
-
-def _batch_main(args) -> int:
     try:
         queries = _load_batch_queries(args)
     except OSError as error:
@@ -800,9 +782,7 @@ def _batch_main(args) -> int:
                 file=sys.stderr,
             )
             print(
-                "vector:       "
-                f"programs={kernel_stats['vector_program_runs']} "
-                f"ops={kernel_stats['vector_ops']}",
+                f"vector:       ops={kernel_stats['vector_ops']}",
                 file=sys.stderr,
             )
     return 0

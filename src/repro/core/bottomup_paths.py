@@ -23,8 +23,7 @@ runs on the pre plane: target sets are sorted pre lists, node tests are
 intersections with the index's test partition
 (:func:`repro.axes.vec.filter_step`), ``χ⁻¹`` is
 :func:`repro.axes.vec.inverse_step` — the two halves of a Core sweep's
-backward step, block primitives on wide sets and the tier-1 kernels on
-narrow ones — and the resulting boolean table over ``dom`` is a list
+backward step — and the resulting boolean table over ``dom`` is a list
 indexed by pre.
 
 Soundness fixes relative to the *printed* pseudo-code:

@@ -12,11 +12,9 @@ The step primitives come in two planes:
   evaluators (``naive``, ``topdown``, ``bottomup``) use it; they are the
   differential oracle and stay object-based.
 * **pre plane** — :func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a
-  sorted pre array, through the per-step gate of :mod:`repro.axes.vec`:
-  a tier-2 block primitive when the block is wide, the fused tier-1
-  kernels of :mod:`repro.axes.axes` when it is narrow — the step all
-  three pre-plane evaluators share) and :func:`step_relation_pres` (the per-origin
-  relation ``x ↦ χ({x}) ∩ pool`` in proximity order, cut from the
+  sorted pre array, through the per-step gate of :mod:`repro.axes.vec`
+  — the step all three pre-plane evaluators share) and
+  :func:`step_relation_pres` (the per-origin relation ``x ↦ χ({x}) ∩ pool`` in proximity order, cut from the
   :class:`~repro.xml.index.NodeIndex` columns for all origins at once).
   MINCONTEXT, OPTMINCONTEXT and the Core XPath evaluator run here; on a
   lazy column document (:mod:`repro.xml.columns`) they box nothing but
@@ -69,10 +67,9 @@ def step_candidate_pres(
     """``χ(X) ∩ T(t)`` as a sorted pre list — the set-at-a-time step of
     MINCONTEXT / OPTMINCONTEXT. ``pres`` must be sorted and
     duplicate-free. Routed through :func:`repro.axes.vec.forward_step`,
-    the step a Core sweep's program runs: one block primitive over the
-    columns when the block is wide, the output-sensitive tier-1 kernels
-    when it is narrow (or the mode is ``indexed``), the Definition-1
-    ``O(|D|)`` scan when those predict no saving — identical every way."""
+    the step a Core sweep runs: the axis's output-sensitive kernel, or
+    the Definition-1 ``O(|D|)`` scan when the kernel predicts no saving
+    (and under ``scan``) — identical either way."""
     out = forward_step(document, axis, pres, test)
     # following hands back a zero-copy view of its partition's tail.
     return out if isinstance(out, list) else list(out)

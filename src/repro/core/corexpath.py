@@ -17,14 +17,14 @@ int array** (document order is free, final ordering costs nothing) and
 the boolean connectives are linear merges
 (:func:`repro.xml.index.merge_union` /
 :func:`~repro.xml.index.merge_intersection` /
-:func:`~repro.xml.index.merge_difference`). Each step's ``χ(X) ∩ T(t)``
-goes through the fused axis+name-test dispatch
-(:func:`repro.axes.axes.axis_test_pres` /
-:func:`~repro.axes.axes.inverse_axis_test_pres`): output-sensitive
-NodeIndex kernels when the predicted output is small, the paper's
-``O(|D|)`` Definition-1 scans otherwise — so a selective step costs
-``O(|X|·log|D| + output)`` while the Theorem 13 worst case is preserved
-unconditionally (the fallback guarantee lives in that dispatch; see
+:func:`~repro.xml.index.merge_difference`). Each step goes through the
+per-step gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
+:func:`~repro.axes.vec.forward_step`, a backward step
+:func:`~repro.axes.vec.filter_step` then
+:func:`~repro.axes.vec.inverse_step`: the axis's output-sensitive
+NodeIndex kernel, or the paper's ``O(|D|)`` Definition-1 scan when a
+narrow interval step predicts no saving — so a selective step costs
+``O(|X|·log|D| + output)`` (the fallback rule lives in the kernels; see
 :mod:`repro.axes`). OPTMINCONTEXT routes whole-query Core XPath here;
 benchmark EXP-T13 verifies the linear scaling, EXP-AXIS the
 output-sensitive fast path.
@@ -44,23 +44,11 @@ either way. MINCONTEXT / OPTMINCONTEXT share this pre plane
 from __future__ import annotations
 
 from repro import stats
-from repro.axes import vec
-from repro.axes.axes import (
-    AXIS_PRINCIPAL_ATTRIBUTE,
-    axis_test_pres,
-    inverse_axis_test_pres,
-    kernel_mode,
-    matches_node_test,
-)
+from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
 from repro.xml.document import Document, Node
-from repro.xml.index import (
-    merge_difference,
-    merge_intersection,
-    merge_union,
-    node_index,
-)
+from repro.xml.index import merge_difference, merge_intersection, merge_union
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
 
@@ -114,37 +102,16 @@ class CoreXPathEvaluator:
         return self._sweep(path.steps, current)
 
     def _sweep(self, steps: list[Step], current: list[int]) -> list[int]:
-        """Forward-sweep a step chain: a tier-2 column program when the
-        vector dispatch is engaged for this document (``vector`` mode,
-        or ``auto`` on a wide-enough document), else the per-step scalar
-        loop. Identical results and per-step accounting either way."""
-        if steps and vec.sweep_engaged(self.document):
-            program = vec.compile_forward_steps(steps)
-            return vec.run_program(
-                self.document,
-                program,
-                current,
-                self._predicate_pres,
-                on_step=self._count_step,
-            )
+        """Forward-sweep a step chain: every step runs, even on an empty
+        set."""
         for step in steps:
-            current = self._forward_step(step, current)
-        return current
-
-    @staticmethod
-    def _count_step() -> None:
-        stats.count("corexpath_steps")
-
-    def _forward_step(self, step: Step, origins: list[int]) -> list[int]:
-        stats.count("corexpath_steps")
-        candidates = axis_test_pres(
-            self.document, step.axis, origins, step.node_test
-        )
-        for predicate in step.predicates:
-            if not candidates:
-                break
-            candidates = merge_intersection(candidates, self._predicate_pres(predicate))
-        return candidates
+            stats.count("corexpath_steps")
+            current = forward_step(self.document, step.axis, current, step.node_test)
+            for predicate in step.predicates:
+                if not current:
+                    break
+                current = intersect(current, self._predicate_pres(predicate))
+        return current if isinstance(current, list) else list(current)
 
     # ------------------------------------------------------------------
 
@@ -173,46 +140,16 @@ class CoreXPathEvaluator:
         propagation (no positions in Core XPath, so one pass suffices)."""
         assert isinstance(path, Path)
         current = self._all_pres()
-        if path.steps and vec.sweep_engaged(self.document):
-            program = vec.compile_backward_steps(path.steps)
-            current = vec.run_program(
-                self.document,
-                program,
-                current,
-                self._predicate_pres,
-                on_step=self._count_step,
-            )
-        else:
-            for step in reversed(path.steps):
-                stats.count("corexpath_steps")
-                if not current:
-                    break
-                tested = self._test_filter(current, step)
-                for predicate in step.predicates:
-                    tested = merge_intersection(
-                        tested, self._predicate_pres(predicate)
-                    )
-                current = inverse_axis_test_pres(self.document, step.axis, tested)
+        for step in reversed(path.steps):
+            stats.count("corexpath_steps")
+            if not current:
+                break
+            tested = filter_step(self.document, step.axis, current, step.node_test)
+            for predicate in step.predicates:
+                tested = intersect(tested, self._predicate_pres(predicate))
+            current = inverse_step(self.document, step.axis, tested)
         if path.absolute:
             if current and current[0] == 0:  # pre 0 is the document node
                 return self._all_pres()
             return []
         return current
-
-    def _test_filter(self, pres: list[int], step: Step) -> list[int]:
-        """``pres ∩ T(t)`` — intersect with the index's test partition
-        when kernels are enabled, else the per-node membership filter."""
-        if kernel_mode() != "scan":
-            partition = node_index(self.document).filter_partition(
-                step.node_test,
-                attribute_principal=step.axis in AXIS_PRINCIPAL_ATTRIBUTE,
-            )
-            if partition is None:  # node() matches every kind
-                return pres
-            return merge_intersection(pres, partition)
-        nodes = self.document.nodes
-        return [
-            pre
-            for pre in pres
-            if matches_node_test(nodes[pre], step.node_test, step.axis)
-        ]

@@ -48,7 +48,7 @@ physical → schedule → merge:
    guarantee clamps above a size threshold — so a mis-estimate costs
    constants, never asymptotics. The same shape of guarantee holds one
    layer down: the *fallback guarantee for the kernels themselves lives
-   in the axis dispatch* (:func:`repro.axes.axes.axis_test_pres`), which
+   in the axis dispatch* (:func:`repro.axes.vec.forward_step`), which
    reverts to the Definition-1 ``O(|D|)`` scans whenever predicted
    output is large — evaluator choice and kernel choice can both be
    wrong and the paper's bounds still hold. Specializations are

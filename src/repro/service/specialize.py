@@ -228,9 +228,9 @@ REPRESENTATIVE_PROFILES = (
 #: vector gain is priced separately (:data:`VECTOR_SWEEP_DISCOUNT`).
 CORE_SWEEP_FACTOR = 0.4
 #: Multiplier on the Core sweep estimate for documents wide enough that
-#: ``auto`` routes sweeps through the tier-2 column programs
-#: (``repro.axes.vec``): batch-at-a-time column ops cut the per-node
-#: interpreter constant, but only once blocks amortize program setup —
+#: sweep steps reach the block side of the axis kernels
+#: (``repro.axes.vec``): whole-column ops cut the per-node
+#: interpreter constant, but only once blocks amortize their setup —
 #: below the block threshold the discount must not apply, or tiny
 #: documents would over-prefer corexpath on mispredicted gains.
 #: Measured ≈ 0.6–0.8 on wide sweeps; 0.75 keeps the discount
@@ -329,8 +329,8 @@ def cost_units(plan: LogicalPlan, profile: DocumentProfile, algorithm: str) -> f
         # The Core sweep is set operations end to end: every name-tested
         # interval step is now a fused partition query, so the whole
         # estimate scales with the predicted kernel output. Documents
-        # past the vector block threshold run the sweep as tier-2
-        # column programs — cheaper per step, priced by the discount.
+        # past the block threshold run the sweep's wide steps as
+        # whole-column ops — cheaper per step, priced by the discount.
         estimate = CORE_SWEEP_FACTOR * base * selectivity
         if n >= VECTOR_MIN_BLOCK:
             estimate *= VECTOR_SWEEP_DISCOUNT

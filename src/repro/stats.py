@@ -218,7 +218,7 @@ class TimingStats:
 class KernelStats:
     """Exact accounting for the output-sensitive axis kernels.
 
-    Eight counters, each updated under the instance lock (the same
+    Seven counters, each updated under the instance lock (the same
     exactness contract as :class:`CacheStats` — the thread-safety hammer
     asserts them with ``==``):
 
@@ -229,8 +229,10 @@ class KernelStats:
       snapshot loads (:func:`repro.xml.index.adopt_node_index`); kept
       apart from ``index_builds`` so the one-build-per-document
       exactness stays assertable;
-    * ``fused_hits`` — fused axis+name-test dispatches served by an
-      output-sensitive kernel;
+    * ``fused_hits`` — axis-step dispatches served by an
+      output-sensitive kernel over fewer than
+      :data:`repro.axes.vec.VECTOR_MIN_BLOCK` origins, or on an axis
+      whose kernel has no whole-column form (the sibling axes, ``id``);
     * ``fallback_scans`` — dispatches that ran the paper's ``O(|D|)``
       Definition-1 scan instead (predicted output too large, or scan
       mode forced);
@@ -241,23 +243,20 @@ class KernelStats:
       those documents, each pre counted exactly once ever (the
       materialization runs under the per-document lock). A lazy batch's
       delta is the O(output) the column path promises;
-    * ``vector_program_runs`` — whole-sweep column programs executed by
-      :func:`repro.axes.vec.run_program` (one per Core XPath main-path
-      or backward-predicate sweep routed through the vector tier);
-    * ``vector_ops`` — step ops executed as block-at-a-time column
-      primitives, by a program or by a table evaluator's set step (both
-      go through the step functions of :mod:`repro.axes.vec`). Ops
-      delegated to a scalar kernel (narrow block under ``auto``
-      dispatch, or an axis without a columnar form) tick the existing
-      ``fused_hits`` / ``fallback_scans`` counters instead, so the three
-      counters partition the step work exactly.
+    * ``vector_ops`` — step ops run by a kernel over a block of at least
+      ``VECTOR_MIN_BLOCK`` members in whole-column operations: an axis
+      step on one of :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /
+      ``INVERSE_VECTOR_AXES``, or the name-test filter of a backward
+      step.
 
-    Every fused/fallback event is exactly one dispatched call, so
-    ``fused_hits + fallback_scans`` equals the number of fused-dispatch
-    calls — the invariant the EXP-AXIS counter gate checks. Events are
-    mirrored into active :func:`collect` collectors as
-    ``axis_index_builds`` / ``axis_index_adoptions`` /
-    ``axis_fused_kernels`` / ``axis_fallback_scans``.
+    Every dispatch of :func:`repro.axes.vec.forward_step` /
+    ``inverse_step`` ticks exactly one of ``fused_hits``,
+    ``fallback_scans`` and ``vector_ops``, so the three partition the
+    axis-step work exactly — the invariant the EXP-AXIS counter gate
+    checks. Events are mirrored into active :func:`collect` collectors
+    as ``axis_index_builds`` / ``axis_index_adoptions`` /
+    ``axis_fused_kernels`` / ``axis_fallback_scans`` /
+    ``axis_vector_ops``.
     """
 
     name: str = "axis_kernels"
@@ -267,7 +266,6 @@ class KernelStats:
     fallback_scans: int = 0
     lazy_documents: int = 0
     nodes_materialized: int = 0
-    vector_program_runs: int = 0
     vector_ops: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -303,11 +301,6 @@ class KernelStats:
             self.nodes_materialized += amount
         count("axis_nodes_materialized", amount)
 
-    def vector_run(self, amount: int = 1) -> None:
-        with self._lock:
-            self.vector_program_runs += amount
-        count("axis_vector_programs", amount)
-
     def vector_op(self, amount: int = 1) -> None:
         with self._lock:
             self.vector_ops += amount
@@ -323,7 +316,6 @@ class KernelStats:
                 "fallback_scans": self.fallback_scans,
                 "lazy_documents": self.lazy_documents,
                 "nodes_materialized": self.nodes_materialized,
-                "vector_program_runs": self.vector_program_runs,
                 "vector_ops": self.vector_ops,
             }
 

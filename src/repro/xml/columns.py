@@ -385,7 +385,7 @@ class ColumnDocument(Document):
         """The contiguous attribute run of element ``pre`` (maybe empty)."""
         index = self._index
         if index is not None and index.attribute_counts_ready:
-            # The vector tier already paid for the per-pre attribute
+            # An axis kernel already paid for the per-pre attribute
             # counts — the run is a closed form then (non-elements
             # count 0, so the kind check is subsumed).
             return range(pre + 1, pre + 1 + index.attribute_counts()[pre])
@@ -414,7 +414,7 @@ class ColumnDocument(Document):
         index = self._index
         if index is not None and index.child_table_ready:
             # One contiguous span of the memoized child table (built by
-            # the vector tier; non-parents have an empty span).
+            # the axis kernels; non-parents have an empty span).
             offsets, children = index.child_table()
             return list(children[offsets[pre] : offsets[pre + 1]])
         columns = self.columns

@@ -25,9 +25,8 @@ Node sets travel through the fast kernels as **sorted pre-order int
 arrays** (document order for free, set algebra by linear merges —
 :func:`merge_union` / :func:`merge_intersection` /
 :func:`merge_difference`). The dispatch between these kernels and the
-paper-bounded scans lives in :mod:`repro.axes.axes`
-(:func:`~repro.axes.axes.axis_test_pres`); this module only provides the
-machinery.
+paper-bounded scans lives in the step functions of
+:mod:`repro.axes.vec`; this module only provides the machinery.
 
 The columns are **packed**: ``size`` / ``post`` / ``depth`` /
 ``parent_pre`` are ``memoryview``s over ``array('q')`` storage, and
@@ -311,7 +310,7 @@ class NodeIndex:
         return None
 
     # ------------------------------------------------------------------
-    # Block accessors (the vector tier's gatherable columns)
+    # Block accessors (the axis kernels' gatherable columns)
     # ------------------------------------------------------------------
 
     @property

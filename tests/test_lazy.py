@@ -18,7 +18,8 @@ import random
 
 from conftest import boxed_twin
 from repro import stats
-from repro.axes.axes import KERNEL_MODES, axis_test_pres, kernel_mode_forced
+from repro.axes.axes import KERNEL_MODES, kernel_mode_forced
+from repro.axes.vec import forward_step
 from repro.engine import XPathEngine
 from repro.service import QueryService, ShardedExecutor
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
@@ -374,7 +375,7 @@ def test_following_axis_suffix_is_a_zero_copy_view():
     partition = index.partition(test, "following")
     origin = index.by_tag["title"][0]
     with kernel_mode_forced("auto"):
-        out = axis_test_pres(document, "following", [origin], test)
+        out = forward_step(document, "following", [origin], test)
     assert isinstance(out, memoryview)
     assert out.obj is partition.obj  # same backing storage: zero-copy
     assert list(out)  # and the suffix is non-trivial on this workload

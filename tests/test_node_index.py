@@ -9,11 +9,10 @@ Two properties carry the whole output-sensitive fast path:
   checks here).
 * **Kernel ≡ scan** — for every axis × node test × context-set shape
   (attributes, the document node, text/comment nodes, the empty set, all
-  of ``dom``), the fused dispatch returns *exactly* the Definition-1
-  scan's answer in every kernel mode (``auto``, forced ``indexed``,
-  forced ``scan``). The ``indexed`` mode matters: it drives the
-  partition kernels even where the cost dispatch would fall back, so
-  both branches are proven equal regardless of the heuristic.
+  of ``dom``), the step functions return *exactly* the Definition-1
+  scan's answer under both policies (``auto``, forced ``scan``). The
+  kernels' own width branches are driven both ways on every block shape
+  by the property in ``tests/test_vector.py``.
 
 The exact fused/fallback accounting is asserted here per call and under
 contention in ``tests/test_thread_safety.py``.
@@ -28,14 +27,14 @@ from repro.axes.axes import (
     ALL_AXES,
     KERNEL_MODES,
     axis_set,
-    axis_test_pres,
+    intersect,
     inverse_axis_set,
-    inverse_axis_test_pres,
     kernel_mode,
     kernel_mode_forced,
     matches_node_test,
     set_kernel_mode,
 )
+from repro.axes.vec import VECTOR_MIN_BLOCK, filter_step, forward_step, inverse_step
 from repro.workloads.documents import (
     book_catalog,
     deep_chain,
@@ -186,16 +185,16 @@ def _scan_reference(document, axis, X, test):
 
 
 def _kernel_axis_set(document, axis, X, test):
-    """``χ(X) ∩ T(t)`` as a node set, through the kernels production runs."""
+    """``χ(X) ∩ T(t)`` as a node set, through the step production runs."""
     nodes = document.nodes
     pres = sorted({x.pre for x in X})
-    return {nodes[p] for p in axis_test_pres(document, axis, pres, test)}
+    return {nodes[p] for p in forward_step(document, axis, pres, test)}
 
 
 def _kernel_inverse_axis_set(document, axis, Y):
     nodes = document.nodes
     pres = sorted({y.pre for y in Y})
-    return {nodes[p] for p in inverse_axis_test_pres(document, axis, pres)}
+    return {nodes[p] for p in inverse_step(document, axis, pres)}
 
 
 @pytest.mark.parametrize("mode", KERNEL_MODES)
@@ -247,11 +246,11 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
                     for test in _TESTS:
                         # following returns a zero-copy partition view —
                         # normalize through list() like any partition.
-                        out = list(axis_test_pres(document, axis, pres, test))
+                        out = list(forward_step(document, axis, pres, test))
                         assert out == sorted(out)
                         expected = _scan_reference(document, axis, X, test)
                         assert out == sorted(y.pre for y in expected), (mode, axis)
-                    inverse = inverse_axis_test_pres(document, axis, pres)
+                    inverse = inverse_step(document, axis, pres)
                     assert inverse == sorted(inverse)
                     expected_inverse = inverse_axis_set(document, axis, X)
                     assert inverse == sorted(y.pre for y in expected_inverse), (
@@ -292,9 +291,10 @@ def test_step_relation_pres_matches_per_origin_enumeration():
 
 
 def test_id_pseudo_axis_kernels_match_scan():
-    """The id pseudo-axis rides the enumerated fused path (forward) and
-    the Definition-1 token index (inverse); both must equal the scans on
-    documents whose string values dereference real ids."""
+    """The id pseudo-axis boxes its origins and dereferences their
+    string values (forward) and rides the Definition-1 token index
+    (inverse); both must equal the scans on documents whose string
+    values dereference real ids."""
     document = running_example_document()
     nodes = document.nodes
     rng = random.Random(SEED + 4)
@@ -316,30 +316,69 @@ def test_id_pseudo_axis_kernels_match_scan():
 
 
 def test_every_dispatch_counts_exactly_one_outcome():
+    """``fused_hits + fallback_scans + vector_ops`` partitions the axis
+    steps: one tick per dispatch, a scan under ``scan``, a block op on
+    the columnar axes of a block, a fused hit otherwise."""
     document = book_catalog(books=3)
     node_index(document)  # build outside the measured window
     rng = random.Random(SEED + 5)
-    X = rng.sample(document.nodes, 6)
+    narrow = rng.sample(document.nodes, 6)
+    block = list(document.nodes)
+    assert len(narrow) < VECTOR_MIN_BLOCK <= len(block)
     test = NodeTest("name", "title")
-    for mode, expect_fused in (("indexed", True), ("scan", False)):
+    siblings_and_id = 3  # no whole-column form: fused at every width
+    for mode, X, want in (
+        # Forward: every axis has a kernel. Inverse: every tree axis
+        # does; ``id`` honestly counts as a scan.
+        ("auto", narrow, (2 * len(ALL_AXES) - 1, 1, 0)),
+        ("auto", block, (2 * siblings_and_id - 1, 1, 2 * (len(ALL_AXES) - siblings_and_id))),
+        ("scan", narrow, (0, 2 * len(ALL_AXES), 0)),
+        ("scan", block, (0, 2 * len(ALL_AXES), 0)),
+    ):
         with kernel_mode_forced(mode):
             before = stats.axis_kernel_stats.snapshot()
-            calls = 0
             for axis in sorted(ALL_AXES):
                 _kernel_axis_set(document, axis, X, test)
                 _kernel_inverse_axis_set(document, axis, X)
-                calls += 2
             after = stats.axis_kernel_stats.snapshot()
-        fused_delta = after["fused_hits"] - before["fused_hits"]
-        fallback_delta = after["fallback_scans"] - before["fallback_scans"]
-        assert fused_delta + fallback_delta == calls
-        if mode == "scan":
-            assert fused_delta == 0
-        else:
-            # Forward: every axis has a fused kernel. Inverse: every
-            # tree axis does; ``id`` honestly counts as a scan.
-            assert fused_delta == 2 * len(ALL_AXES) - 1
+        got = tuple(
+            after[key] - before[key]
+            for key in ("fused_hits", "fallback_scans", "vector_ops")
+        )
+        assert got == want, (mode, len(X))
         assert after["index_builds"] == before["index_builds"]
+
+
+def test_scan_mode_step_functions_read_no_index():
+    """``scan`` means one thing: on a fresh boxed document no step
+    function builds (or reads) the index, and each equals its ``auto``
+    answer."""
+    test = NodeTest("name", "title")
+    scanned = book_catalog(books=20)
+    block = [node.pre for node in scanned.nodes if node.is_element]
+    before = stats.axis_kernel_stats.snapshot()
+    with kernel_mode_forced("scan"):
+        answers = (
+            list(forward_step(scanned, "child", block, test)),
+            inverse_step(scanned, "child", block),
+            filter_step(scanned, "child", block, test),
+        )
+    after = stats.axis_kernel_stats.snapshot()
+    assert after["index_builds"] == before["index_builds"]
+    indexed = book_catalog(books=20)
+    assert answers == (
+        list(forward_step(indexed, "child", block, test)),
+        inverse_step(indexed, "child", block),
+        filter_step(indexed, "child", block, test),
+    )
+    assert stats.axis_kernel_stats.snapshot()["index_builds"] == after["index_builds"] + 1
+
+
+def test_unknown_axis_is_refused_by_both_policies():
+    document = book_catalog(books=1)
+    for mode in KERNEL_MODES:
+        with kernel_mode_forced(mode), pytest.raises(ValueError, match="unknown axis"):
+            forward_step(document, "bogus", [0], NodeTest("node"))
 
 
 def test_auto_dispatch_falls_back_when_predicted_output_is_large():
@@ -363,12 +402,14 @@ def test_auto_dispatch_falls_back_when_predicted_output_is_large():
 
 def test_kernel_mode_validates_and_restores():
     assert kernel_mode() == "auto"
-    with pytest.raises(ValueError):
-        set_kernel_mode("bogus")
+    assert KERNEL_MODES == ("auto", "scan")
+    for retired in ("bogus", "indexed", "vector"):
+        with pytest.raises(ValueError):
+            set_kernel_mode(retired)
     with kernel_mode_forced("scan"):
         assert kernel_mode() == "scan"
-        with kernel_mode_forced("indexed"):
-            assert kernel_mode() == "indexed"
+        with kernel_mode_forced("auto"):
+            assert kernel_mode() == "auto"
         assert kernel_mode() == "scan"
     assert kernel_mode() == "auto"
 
@@ -385,6 +426,7 @@ def test_merge_algebra_matches_set_algebra():
         b = sorted(rng.sample(range(60), rng.randint(0, 20)))
         assert merge_union(a, b) == sorted(set(a) | set(b))
         assert merge_intersection(a, b) == sorted(set(a) & set(b))
+        assert intersect(a, b) == sorted(set(a) & set(b))
         assert merge_difference(a, b) == sorted(set(a) - set(b))
 
 
@@ -394,6 +436,9 @@ def test_merge_intersection_gallops_on_skewed_sizes():
     assert merge_intersection(small, big) == sorted(set(small) & set(big))
     assert merge_intersection(big, small) == sorted(set(small) & set(big))
     assert merge_intersection([], big) == []
+    # The block form gallops on the same skew and set-intersects the rest.
+    assert intersect(small, big) == intersect(big, small) == sorted(set(small) & set(big))
+    assert intersect(big, big[::2]) == big[::2]
 
 
 # ----------------------------------------------------------------------
@@ -402,39 +447,38 @@ def test_merge_intersection_gallops_on_skewed_sizes():
 
 
 def test_evaluators_are_byte_identical_across_kernel_modes():
-    """One fuzz pass per mode: every algorithm returns the same bytes
-    whatever the dispatch does — the EXP-AXIS value gate in miniature."""
+    """One fuzz pass per policy: every pre-plane algorithm returns the
+    same bytes under ``auto`` as under ``scan``, on the boxed tree and on
+    its column twin — the EXP-AXIS value gate in miniature."""
     from repro.engine import XPathEngine
     from repro.workloads.queries import random_core_query, random_full_query
+    from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
     rng = random.Random(SEED + 7)
     documents = [random_document(rng, max_nodes=16) for _ in range(3)]
+    documents.append(book_catalog(books=6))  # wide enough for block steps
     queries = [random_core_query(rng, max_steps=3) for _ in range(6)]
     queries += [random_full_query(rng, max_steps=3) for _ in range(6)]
     queries += ["/descendant::b/following::*", "//b[preceding::c]"]
-    baseline = {}
-    with kernel_mode_forced("scan"):
-        for d_index, document in enumerate(documents):
-            engine = XPathEngine(document)
-            for query in queries:
-                compiled = engine.compile(query)
-                names = ["mincontext", "optmincontext"]
-                if compiled.is_core_xpath:
-                    names.append("corexpath")
-                for name in names:
-                    baseline[(d_index, query, name)] = engine.evaluate(
-                        compiled, algorithm=name
-                    )
-    for mode in ("auto", "indexed"):
-        with kernel_mode_forced(mode):
-            for d_index, document in enumerate(documents):
-                engine = XPathEngine(document)
-                for query in queries:
-                    compiled = engine.compile(query)
-                    names = ["mincontext", "optmincontext"]
-                    if compiled.is_core_xpath:
-                        names.append("corexpath")
-                    for name in names:
-                        assert engine.evaluate(compiled, algorithm=name) == baseline[
-                            (d_index, query, name)
-                        ], (mode, query, name)
+
+    def answers(document):
+        engine = XPathEngine(document)
+        out = {}
+        for query in queries:
+            compiled = engine.compile(query)
+            names = ["mincontext", "optmincontext"]
+            if compiled.is_core_xpath:
+                names.append("corexpath")
+            for name in names:
+                value = engine.evaluate(compiled, algorithm=name)
+                if isinstance(value, list):
+                    value = [node.pre for node in value]
+                out[(query, name)] = value
+        return out
+
+    for document in documents:
+        with kernel_mode_forced("scan"):
+            baseline = answers(document)
+        column = decode_snapshot(encode_snapshot(document))
+        for twin in (document, column):
+            assert answers(twin) == baseline, type(twin).__name__

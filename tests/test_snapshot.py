@@ -27,11 +27,10 @@ from repro.axes.axes import (
     ALL_AXES,
     INVERSE_INTERVAL_AXES,
     axis_set,
-    axis_test_pres,
-    inverse_axis_test_pres,
     kernel_mode_forced,
     matches_node_test,
 )
+from repro.axes.vec import forward_step, inverse_step
 from repro.errors import DocumentStoreError
 from repro.workloads.documents import (
     book_catalog,
@@ -258,15 +257,15 @@ def _axis_answers(document):
     for pres in contexts:
         for axis in sorted(ALL_AXES):
             for test in _TESTS:
-                answers.append(list(axis_test_pres(document, axis, pres, test)))
+                answers.append(list(forward_step(document, axis, pres, test)))
         for axis in sorted(INVERSE_INTERVAL_AXES):
-            answers.append(inverse_axis_test_pres(document, axis, pres))
+            answers.append(inverse_step(document, axis, pres))
     return answers
 
 
 def test_flat_list_and_scan_kernels_are_byte_identical():
     for document in _corpus():
-        with kernel_mode_forced("indexed"):
+        with kernel_mode_forced("auto"):
             flat_answers = _axis_answers(document)
         with kernel_mode_forced("scan"):
             scan_answers = _axis_answers(document)
@@ -282,7 +281,7 @@ def test_definition1_scan_agreement_on_snapshot_loaded_documents():
                 X = rng.sample(loaded.nodes, min(5, len(loaded.nodes)))
                 pres = sorted({x.pre for x in X})
                 fused = {
-                    loaded.nodes[p] for p in axis_test_pres(loaded, axis, pres, test)
+                    loaded.nodes[p] for p in forward_step(loaded, axis, pres, test)
                 }
                 scan = {
                     y

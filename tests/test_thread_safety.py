@@ -273,7 +273,7 @@ def test_node_index_is_built_exactly_once_under_contention():
     counter moves by exactly one (the build runs under the cache lock),
     and every fused dispatch counts exactly one outcome."""
     from repro import stats
-    from repro.axes.axes import axis_test_pres
+    from repro.axes.vec import forward_step
     from repro.workloads.documents import book_catalog
     from repro.xml.index import node_index
     from repro.xpath.ast import NodeTest
@@ -288,7 +288,7 @@ def test_node_index_is_built_exactly_once_under_contention():
         index = node_index(document)
         instances.append(index)
         for _ in range(calls_per_thread):
-            result = axis_test_pres(document, "descendant", [0], test)
+            result = forward_step(document, "descendant", [0], test)
             assert len(result) == 6  # one price element per book
 
     _hammer(worker)
@@ -348,46 +348,41 @@ def test_lazy_document_materializes_each_pre_exactly_once_under_contention():
 
 
 def test_vector_program_counters_are_exact_under_contention():
-    """PR 9's vector tier under the hammer: 8 threads evaluating the
-    same compiled sweep in forced ``vector`` mode over one shared
-    document tick ``vector_program_runs``/``vector_ops`` by exactly
-    ``threads x rounds x per-evaluation shape`` — the counters ride the
-    same locked :class:`repro.stats.KernelStats` as the scalar dispatch
-    counters, so equality is the torn-update regression signal — while
-    every thread reads identical bytes."""
+    """The block counters under the hammer: 8 threads evaluating the
+    same compiled sweep over one shared document tick ``vector_ops`` and
+    ``fused_hits`` by exactly ``threads x rounds x per-evaluation
+    shape`` — they ride the same locked :class:`repro.stats.KernelStats`,
+    so equality is the torn-update regression signal — while every
+    thread reads identical bytes."""
     from repro import stats
-    from repro.axes import kernel_mode_forced
 
     document = book_catalog(books=20)
     engine = XPathEngine(document)
     compiled = engine.compile("/descendant::*[child::*]/child::node()")
     rounds = 30
-    with kernel_mode_forced("vector"):
-        expected = engine.evaluate(compiled, algorithm="corexpath")
-        probe = stats.axis_kernel_stats.snapshot()
-        engine.evaluate(compiled, algorithm="corexpath")
-        after_probe = stats.axis_kernel_stats.snapshot()
-        runs_per_eval = (
-            after_probe["vector_program_runs"] - probe["vector_program_runs"]
-        )
-        ops_per_eval = after_probe["vector_ops"] - probe["vector_ops"]
-        assert runs_per_eval == 2  # forward sweep + one predicate program
-        assert ops_per_eval == 4  # two forward ops + filter op + inverse op
+    keys = ("vector_ops", "fused_hits", "fallback_scans")
 
-        before = stats.axis_kernel_stats.snapshot()
+    def delta(before, after):
+        return tuple(after[key] - before[key] for key in keys)
 
-        def worker(_):
-            for _ in range(rounds):
-                assert engine.evaluate(compiled, algorithm="corexpath") == expected
+    expected = engine.evaluate(compiled, algorithm="corexpath")
+    probe = stats.axis_kernel_stats.snapshot()
+    engine.evaluate(compiled, algorithm="corexpath")
+    per_eval = delta(probe, stats.axis_kernel_stats.snapshot())
+    # Blocks: the predicate's filter and inverse over dom, then child
+    # from every element; the opening descendant from the root is narrow.
+    assert per_eval == (3, 1, 0)
 
-        _hammer(worker)
-        after = stats.axis_kernel_stats.snapshot()
+    before = stats.axis_kernel_stats.snapshot()
+
+    def worker(_):
+        for _ in range(rounds):
+            assert engine.evaluate(compiled, algorithm="corexpath") == expected
+
+    _hammer(worker)
+    after = stats.axis_kernel_stats.snapshot()
     evaluations = THREADS * rounds
-    assert (
-        after["vector_program_runs"] - before["vector_program_runs"]
-        == evaluations * runs_per_eval
-    )
-    assert after["vector_ops"] - before["vector_ops"] == evaluations * ops_per_eval
+    assert delta(before, after) == tuple(evaluations * count for count in per_eval)
 
 
 def test_plan_cache_iteration_is_safe_during_mutation():
