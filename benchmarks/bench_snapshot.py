@@ -1,6 +1,6 @@
 """EXP-SNAP — binary NodeIndex snapshots vs serialize-and-re-parse.
 
-The PR 6 payoff claim: a persisted flat-column snapshot (format v2,
+The PR 6 payoff claim: a persisted flat-column snapshot (``RXSNAP03``,
 ``repro.xml.snapshot``) rebuilds a document *and* its adopted NodeIndex
 cheaper than shipping XML text and re-parsing it — the cold-start path
 process workers and the DocumentStore both take — without changing a
@@ -8,7 +8,8 @@ single result byte relative to the in-memory index.
 Since the parser writes the same columns in one pass, both sides of
 that comparison are column documents: the snapshot's lead is now what
 the regex pass over the markup costs beyond reading the columns back
-and validating them.
+and running the full structural check on them (``decode_snapshot``; a
+``DocumentStore.load`` leaves the check out and is not timed here).
 
 Four gates, two of them machine-independent:
 
@@ -20,7 +21,12 @@ Four gates, two of them machine-independent:
 * **adoption gate** — each decode adopts its rebuilt index into the
   per-document cache: ``index_adoptions`` moves by exactly one per
   decode, ``index_builds`` by zero, and a subsequent ``node_index`` call
-  on the decoded document is a cache hit (still zero builds).
+  on the decoded document is a cache hit (still zero builds). Over a
+  round trip of every document through a ``DocumentStore`` the
+  ``store_stats`` counters must read, exactly: two fsyncs and one file
+  per put (the new directory's one fsync apart), zero partition passes
+  and zero structural checks per ``DocumentStore.load``, one structural
+  check per ``decode_snapshot``.
 * **cold-start gate** — best-of-N seconds for (snapshot decode +
   first query) vs (re-parse serialized XML + first query), like with
   like: both yield a column document with an adopted index, summed over
@@ -41,7 +47,9 @@ The script exits nonzero if any enforced gate fails. Run with::
 from __future__ import annotations
 
 import os
+import pathlib
 import sys
+import tempfile
 import time
 
 from bench_axes import WORKLOAD_QUERIES, workload_documents
@@ -54,6 +62,7 @@ from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
+from repro.xml.store import DocumentStore
 
 REPEAT = 5
 SPEEDUP_GATE = 2.0
@@ -123,11 +132,54 @@ def run_adoption_gate(documents) -> tuple[bool, dict]:
         "adoptions": adoptions,
         "decode_builds": decode_builds,
         "reuse_builds": reuse_builds,
+        "store": run_store_round_trips(documents),
     }
     ok = (
-        adoptions == len(documents) and decode_builds == 0 and reuse_builds == 0
+        adoptions == len(documents)
+        and decode_builds == 0
+        and reuse_builds == 0
+        and detail["store"]["ok"]
     )
     return ok, detail
+
+
+def _store_delta(action) -> dict:
+    before = stats.store_stats.snapshot()
+    action()
+    after = stats.store_stats.snapshot()
+    return {key: after[key] - before[key] for key in after}
+
+
+def run_store_round_trips(documents) -> dict:
+    """Every document through a fresh ``DocumentStore`` — put, load,
+    full decode of the stored blob — with the exact ``store_stats``
+    deltas of each step summed, and ``ok`` iff every single step read
+    what the one-file format promises."""
+    totals = {"put_fsyncs": 0, "files": 0, "load_passes": 0, "load_checks": 0,
+              "opens": 0, "decode_checks": 0}
+    ok = True
+    with tempfile.TemporaryDirectory() as directory:
+        store = DocumentStore(pathlib.Path(directory) / "store")
+        for number, document in enumerate(documents):
+            name = f"doc{number}"
+            put = _store_delta(lambda: store.save(name, document))
+            load = _store_delta(lambda: store.load(name))
+            blob = store.load_snapshot(name)
+            decode = _store_delta(lambda: decode_snapshot(blob))
+            put_fsyncs = put["fsyncs"] - put["directories_created"]
+            ok = ok and (
+                (put_fsyncs, put["files_written"], put["puts"]) == (2, 1, 1)
+                and (load["partition_passes"], load["structural_checks"]) == (0, 0)
+                and load["opens"] == 1
+                and decode["structural_checks"] == 1
+            )
+            totals["put_fsyncs"] += put_fsyncs
+            totals["files"] += put["files_written"]
+            totals["load_passes"] += load["partition_passes"]
+            totals["load_checks"] += load["structural_checks"]
+            totals["opens"] += load["opens"]
+            totals["decode_checks"] += decode["structural_checks"]
+    return {"ok": ok, "documents": len(documents), **totals}
 
 
 def run_cold_start_gate(documents):
@@ -229,13 +281,23 @@ def main() -> int:
         f"{adoption_detail['documents']} snapshots; "
         f"{adoption_detail['reuse_builds']} builds on node_index reuse"
     )
+    round_trips = adoption_detail["store"]
+    report.note(
+        f"store:    {round_trips['documents']} puts = {round_trips['files']} files, "
+        f"{round_trips['put_fsyncs']} fsyncs; {round_trips['opens']} loads = "
+        f"{round_trips['load_passes']} partition passes, "
+        f"{round_trips['load_checks']} structural checks; "
+        f"{round_trips['documents']} decodes = "
+        f"{round_trips['decode_checks']} structural checks"
+    )
     report.note(
         f"identity gate:   scan == flat == snapshot on every "
         f"query cell ({identity_cells} cells) — "
         + ("PASS" if identity_ok else "FAIL")
     )
     report.note(
-        "adoption gate:   decode adopts exactly once, never builds — "
+        "adoption gate:   decode adopts exactly once, never builds; a put is "
+        "one file and two fsyncs, a store load no per-node pass — "
         + ("PASS" if adoption_ok else "FAIL")
     )
     if hosted:

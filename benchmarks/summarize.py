@@ -101,13 +101,14 @@ def axes_lines() -> list[str]:
 
 
 def snapshot_lines() -> list[str]:
-    """The gate, speedup, and adoption-counter lines from the EXP-SNAP
-    report (written by bench_snapshot.py)."""
+    """The gate, speedup, and adoption- and store-counter lines from the
+    EXP-SNAP report (written by bench_snapshot.py)."""
     path = RESULTS_DIR / "exp_snap.txt"
     if not path.exists():
         return []
     markers = (
-        "gate:", "speedup", "adoption", "cold-start", "first query", "dispatch", "workload:"
+        "gate:", "speedup", "adoption", "store:", "cold-start", "first query",
+        "dispatch", "workload:",
     )
     return [
         line

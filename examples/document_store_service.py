@@ -3,12 +3,12 @@
 Demonstrates the paper's §7 outlook ("XPath processors that query XML
 documents stored in a database") end to end with this library's
 substrate: documents are ingested once into a :class:`DocumentStore`
-file; a service loads them on demand, keeps per-document engines with
+(one snapshot file each under ``<path>.d/``); a service loads them on demand, keeps per-document engines with
 compiled-query caches, answers point queries, and uses the engine's
 ``table()`` API (the context-value-table principle as a feature) for
 bulk per-node classification.
 
-Run:  python examples/document_store_service.py [store.json]
+Run:  python examples/document_store_service.py [store-path]
 """
 
 import sys

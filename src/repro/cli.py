@@ -32,10 +32,11 @@ Three modes:
   the whole batch. ``--snapshot-store PATH`` pulls documents from a
   :class:`repro.xml.store.DocumentStore` instead of (or alongside)
   ``--xml``/``--file`` — snapshot-backed documents skip the XML parse
-  and arrive with their node index pre-seeded;
+  and arrive with their node index read from the file;
 * ``repro-xpath store {snapshot,list}`` manages a document store:
-  ``snapshot`` parses a document and persists it as a binary snapshot
-  sidecar (format v2), and ``list`` prints the catalog;
+  ``snapshot`` parses a document and persists it as one binary snapshot
+  file (``RXSNAP03``) under ``PATH.d/``, and ``list`` prints what the
+  directory holds;
 * ``repro-xpath serve`` runs the long-lived serving daemon
   (:mod:`repro.serve`): line-delimited JSON over TCP, per-client
   quotas, cost-priced admission control, per-query deadlines, and
@@ -53,8 +54,8 @@ Examples::
     repro-xpath batch --xml "<a><b/></a>" --xml "<a/>" -q "//b" -q "count(//b)" --stats
     repro-xpath batch -f big.xml -f small.xml -q "//b" --workers 2 \\
         --backend async --stream
-    repro-xpath store snapshot --store cat.json --name books --file books.xml
-    repro-xpath batch --snapshot-store cat.json -q "//book/title"
+    repro-xpath store snapshot --store cat --name books --file books.xml
+    repro-xpath batch --snapshot-store cat -q "//book/title"
 
 ``--explain`` prints the normalized parse tree with static types and
 ``Relev`` sets plus fragment classification; ``--compare`` runs all
@@ -74,7 +75,7 @@ query from a bad document from a bad invocation:
   serving protocol (:data:`EXIT_DOCUMENT`);
 * 5 — fragment violation, e.g. ``corexpath`` forced onto a query outside
   Core XPath (:data:`EXIT_FRAGMENT`);
-* 6 — document-store failure, including corrupt snapshot sidecars
+* 6 — document-store failure, including corrupt snapshot files
   (:data:`EXIT_STORE`);
 * 7 — refused by the serving daemon: admission overload, rate limit,
   quota, or a draining server (:data:`EXIT_OVERLOAD`);
@@ -118,7 +119,7 @@ from repro.service import (
     compile_plan,
     resolve_algorithm,
 )
-from repro.stats import axis_kernel_stats
+from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.document import Node
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize_node
@@ -464,9 +465,9 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--snapshot-store",
         metavar="PATH",
-        help="a DocumentStore catalog to load documents from — snapshot-"
-        "backed entries skip the XML parse and arrive with their node "
-        "index pre-seeded",
+        help="a DocumentStore path (documents live in PATH.d/) to load "
+        "documents from — they skip the XML parse and arrive with their "
+        "node index read from the file",
     )
     parser.add_argument(
         "--doc",
@@ -577,8 +578,10 @@ def _print_batch_stats(
     result_stats: dict,
     shards_line: str | None,
     batch_plan: dict | None = None,
+    from_store: bool = False,
 ):
-    """The --stats footer, shared by the barrier and streaming paths."""
+    """The --stats footer, shared by the barrier and streaming paths;
+    ``from_store`` adds the (process-wide) document-store counters."""
     if shards_line is not None:
         print(shards_line, file=sys.stderr)
     print(
@@ -604,6 +607,12 @@ def _print_batch_stats(
             f"memo hits={batch_plan['memo_hits']} "
             f"fallbacks={batch_plan['fallback_cells']} "
             f"steps saved={batch_plan['steps_saved']}",
+            file=sys.stderr,
+        )
+    if from_store:
+        counters = store_stats.snapshot().items()
+        print(
+            "store:        " + " ".join(f"{key}={value}" for key, value in counters),
             file=sys.stderr,
         )
 
@@ -646,6 +655,7 @@ def _stream_batch(args, queries: list[str], documents: list, labels: list[str]) 
             f"(backend=async --stream, strategy={args.shard_by}, "
             "stats are exact sums over shards)",
             stream.batch_plan,
+            bool(args.snapshot_store),
         )
     return 0
 
@@ -749,7 +759,11 @@ def batch_main(argv: list[str]) -> int:
                 "stats are exact sums over shards)"
             )
         _print_batch_stats(
-            batch.plan_stats, batch.result_stats, shards_line, batch.batch_plan
+            batch.plan_stats,
+            batch.result_stats,
+            shards_line,
+            batch.batch_plan,
+            bool(args.snapshot_store),
         )
         # Stage-2 memo counters live on the driving service; sharded
         # batches specialize inside per-shard workers instead. The axis
@@ -797,21 +811,23 @@ def build_store_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-xpath store",
         description="Manage a binary-snapshot document store: persist parsed "
-        "documents as format-v2 snapshot sidecars that later loads (and "
-        "'batch --snapshot-store') reconstruct without re-parsing.",
+        "documents as snapshot files (one per document, in PATH.d/) that "
+        "later loads (and 'batch --snapshot-store') reconstruct without "
+        "re-parsing or re-indexing.",
     )
     parser.add_argument(
         "action",
         choices=("snapshot", "list"),
         help="snapshot: parse a document and persist it; list: print the "
-        "catalog (name, storage format, node count, and bytes on disk vs "
-        "decoded column bytes per document)",
+        "stored documents (name, storage format, node count, and bytes on "
+        "disk vs decoded column and partition bytes per document)",
     )
     parser.add_argument(
         "--store",
         required=True,
         metavar="PATH",
-        help="the store's catalog file (created if missing)",
+        help="the store's path: documents are kept in PATH.d/ (created "
+        "by the first snapshot); nothing is written at PATH itself",
     )
     parser.add_argument(
         "--name",
@@ -850,20 +866,21 @@ def store_main(argv: list[str]) -> int:
             document = parse_document(
                 source, keep_whitespace_text=not args.strip_whitespace
             )
-            sidecar = store.save_snapshot(args.name, document)
+            snapshot_file = store.save_snapshot(args.name, document)
         except OSError as error:
             return _fail(str(error), EXIT_ERROR)
         except ReproError as error:
             return _fail(str(error), error_exit_code(error))
-        print(f"{args.name}: {len(document.nodes)} nodes -> {sidecar}")
+        print(f"{args.name}: {len(document.nodes)} nodes -> {snapshot_file}")
         return EXIT_OK
     try:
         for name in store.names():
             sizes = store.column_sizes(name)
             print(
-                f"{name}\tsnapshot v2\tnodes={sizes['nodes']}\t"
+                f"{name}\tsnapshot v3\tnodes={sizes['nodes']}\t"
                 f"disk={sizes['disk_bytes']}B\t"
-                f"columns={sizes['column_bytes']}B"
+                f"columns={sizes['column_bytes']}B\t"
+                f"partitions={sizes['partition_bytes']}B"
             )
     except ReproError as error:
         return _fail(str(error), error_exit_code(error))

@@ -100,19 +100,20 @@ class DocumentStoreError(ReproError):
     missing documents, format problems, or corrupt files.
 
     Lives here (rather than in the store module) so the binary snapshot
-    codec can raise it without importing the catalog layer that sits
+    codec can raise it without importing the store layer that sits
     above it; :mod:`repro.xml.store` re-exports it for compatibility.
     """
 
 
 class SnapshotCorruptError(DocumentStoreError):
     """Raised when a binary snapshot blob (or a :class:`~repro.xml.store.
-    DocumentStore` sidecar) fails to decode: truncation, bad magic or
-    version, checksum mismatch, column lengths that disagree, or
-    structurally illegal node tables.
+    DocumentStore` file) fails to decode: truncation, bad magic or
+    version, checksum mismatch, sections that disagree about their
+    sizes, or — under the full check — node tables, string tables or
+    partitions that do not describe a document.
 
     Carries the byte ``offset`` into the blob at which decoding stopped
-    when known, so a corrupt sidecar report points at the damage instead
+    when known, so a corrupt-file report points at the damage instead
     of leaking ``struct``/checksum internals.
     """
 

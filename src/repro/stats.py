@@ -15,6 +15,9 @@ operation counts, which are immune to interpreter noise:
   mirrored into the active collectors as ``<name>_hits`` /
   ``<name>_misses`` / ``<name>_evictions`` counters, so one
   :func:`collect` block sees evaluation work and cache traffic together.
+* :class:`StoreStats` — puts, fsyncs, partition passes and structural
+  checks of the document store and the snapshot codec, with the
+  identities that tie them together.
 
 Collection is opt-in and nestable::
 
@@ -614,6 +617,72 @@ class ServeStats:
             merged[key] for key in self.COUNTERS if key.startswith("rejected_")
         )
         return merged
+
+
+class StoreStats:
+    """Exact accounting for the document store and the snapshot codec
+    (:mod:`repro.xml.store`, :mod:`repro.xml.snapshot`,
+    :mod:`repro.xml.index`). Each counter is ticked where its event
+    happens — ``fsyncs`` at the ``os.fsync`` call, ``files_written`` at
+    the ``os.replace`` — never derived from another, so the identities
+    are checks, not definitions:
+
+    * ``files_written == puts`` — a put is one file, and nothing else
+      writes one;
+    * ``fsyncs == 2 × puts + deletes + directories_created`` — a put
+      fsyncs its file and the store directory, a delete the directory
+      after the unlink, and creating the store directory fsyncs its
+      parent, once per store.
+
+    ``opens`` counts :meth:`~repro.xml.store.DocumentStore.load` calls
+    that returned a document, ``bytes_written`` the blob bytes of the
+    puts, ``partition_passes`` the ``O(|D|)`` runs of
+    :meth:`~repro.xml.index.NodeIndex._build_partitions` (one per parse
+    or boxed-tree index, one inside each full structural check, none on
+    a store load) and ``structural_checks`` the runs of the full
+    ``O(|D|)`` check (:func:`~repro.xml.snapshot.check_snapshot`: one
+    per :func:`~repro.xml.snapshot.decode_snapshot`, none on a store
+    load).
+    """
+
+    #: Every counter, declared once: the attributes and
+    #: :meth:`snapshot`'s keys (in this order).
+    COUNTERS = (
+        "puts",
+        "deletes",
+        "opens",
+        "files_written",
+        "fsyncs",
+        "bytes_written",
+        "directories_created",
+        "partition_passes",
+        "structural_checks",
+    )
+
+    def __init__(self, name: str = "store"):
+        self.name = name
+        self._lock = threading.Lock()
+        for key in self.COUNTERS:
+            setattr(self, key, 0)
+
+    def tick(self, key: str, amount: int = 1) -> None:
+        """Add ``amount`` to the counter ``key`` (one of :attr:`COUNTERS`)."""
+        if key not in self.COUNTERS:
+            raise KeyError(key)
+        with self._lock:
+            setattr(self, key, getattr(self, key) + amount)
+        count(f"{self.name}_{key}", amount)
+
+    def snapshot(self) -> dict[str, int]:
+        """A consistent point-in-time copy of the counters."""
+        with self._lock:
+            return {key: getattr(self, key) for key in self.COUNTERS}
+
+
+#: The process-wide store counters — process-global for the reason
+#: :data:`axis_kernel_stats` is: the partition pass and the structural
+#: check belong to documents, not to a store instance.
+store_stats = StoreStats()
 
 
 # Active collectors; almost always empty, occasionally one deep.

@@ -11,9 +11,11 @@ way into the system produces them:
 
 * **Column document** (:mod:`repro.xml.columns`) — the parsed form and
   the decoded form. :func:`~repro.xml.parser.parse_document` writes the
-  columns in one pass over the source text and
-  :func:`~repro.xml.snapshot.decode_snapshot` reads them back from a
-  snapshot; both return a :class:`~repro.xml.columns.ColumnDocument` with no
+  columns in one pass over the source text;
+  :func:`~repro.xml.snapshot.decode_snapshot` and
+  :meth:`DocumentStore.load <repro.xml.store.DocumentStore.load>` read
+  them back from a snapshot (strings still encoded, decoded per access);
+  all return a :class:`~repro.xml.columns.ColumnDocument` with no
   ``Node`` object in it. Boxed nodes are materialized per pre, on
   demand, memoized (counted exactly as ``nodes_materialized`` on
   :data:`repro.stats.axis_kernel_stats`); string values, attribute
@@ -21,12 +23,14 @@ way into the system produces them:
   from the columns.
 * **Packed index** (:mod:`repro.xml.index`) — the same int columns as
   memoryviews plus name/kind partitions as sorted pre arrays. For a
-  column document it is built from the columns and *adopted*
+  parsed document the partitions come from one pass over the columns,
+  for a loaded one out of the snapshot, and the index is *adopted*
   (``index_adoptions``); a boxed tree's columns are read off its nodes
   first and the result counted as an index *build*.
   The fused axis kernels, the Core XPath sweeps and the table
   evaluators compute entirely in this plane; the binary snapshot format
-  (:mod:`repro.xml.snapshot`) persists exactly these columns.
+  (:mod:`repro.xml.snapshot`) persists exactly these columns and
+  partitions.
 * **Boxed tree** (:mod:`repro.xml.document`) — linked ``Node`` objects
   with parent/children/attribute references, produced by
   :class:`~repro.xml.builder.DocumentBuilder`, ``element()`` / ``text()``

@@ -4,9 +4,10 @@ A :class:`ColumnDocument` is a finalized document whose *only* storage is
 the flat snapshot columns — one kind-code byte, four signed-8-byte ints
 (``parent_pre`` / ``size`` / ``post`` / ``depth``), and the two string
 columns per node. :func:`~repro.xml.parser.parse_document` writes them
-straight from the source text and ``decode_snapshot(blob)``
-reads them back; no :class:`~repro.xml.document.Node` object exists
-afterwards: the fused axis kernels (:mod:`repro.axes.axes`), the Core
+straight from the source text and a snapshot load
+(``decode_snapshot(blob)``, ``DocumentStore.load(name)``) reads them
+back, the strings still encoded (:class:`StringTable`); no
+:class:`~repro.xml.document.Node` object exists afterwards: the fused axis kernels (:mod:`repro.axes.axes`), the Core
 XPath evaluator and the context-value-table evaluators (MINCONTEXT /
 OPTMINCONTEXT) thread sorted pre arrays end-to-end, and a boxed ``Node``
 is materialized **on demand, per pre, memoized** only when a caller
@@ -49,14 +50,22 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 
+from repro.errors import SnapshotCorruptError
 from repro.stats import axis_kernel_stats
 from repro.xml.document import Document, Node, NodeKind
 from repro.xml.index import NodeIndex, adopt_node_index
 
-__all__ = ["ColumnDocument", "DocumentColumns", "LazyNode", "LazyNodeList"]
+__all__ = [
+    "ColumnDocument",
+    "DocumentColumns",
+    "LazyNode",
+    "LazyNodeList",
+    "StringTable",
+]
 
-#: Snapshot kind-code bytes (the on-disk v2 codes; see repro.xml.snapshot).
+#: Snapshot kind-code bytes (the on-disk codes; see repro.xml.snapshot).
 KIND_CODES = {
     NodeKind.DOCUMENT: ord("D"),
     NodeKind.ELEMENT: ord("E"),
@@ -74,14 +83,110 @@ _TEXT = KIND_CODES[NodeKind.TEXT]
 _COMMENT = KIND_CODES[NodeKind.COMMENT]
 
 
+class StringTable(Sequence):
+    """A string column in its stored shape: one UTF-8 blob and
+    ``len + 1`` offsets into it, each string decoded when it is asked
+    for — a load decodes the few strings its queries touch, not every
+    string of the document. Read-only, and a drop-in for the
+    ``list[str | None]`` the parser produces (index, ``len``, iterate,
+    and what :class:`~collections.abc.Sequence` derives from those);
+    like the partitions it does not compare equal to a list — go
+    through ``list(table)``.
+
+    String ``i`` is ``blob[offsets[i]:offsets[i + 1]]``; a ``None``
+    entry occupies no bytes and stores its position *complemented*
+    (``~offset``, negative), which the end of its predecessor reads back
+    with another ``~``. This class is the one place that knows the
+    shape: :meth:`pack` writes it, indexing reads it, :meth:`checked`
+    verifies it. Offsets that leave the blob or split a multi-byte
+    sequence — which only a table that was never checked can hold —
+    surface as :class:`~repro.errors.SnapshotCorruptError`.
+    """
+
+    __slots__ = ("offsets", "blob", "_length")
+
+    def __init__(self, offsets, blob: bytes):
+        self.offsets = offsets
+        self.blob = blob
+        self._length = len(offsets) - 1
+
+    @staticmethod
+    def pack(strings) -> tuple[array, bytes]:
+        """``(offsets, blob)`` for a sequence of ``str | None``."""
+        strings = list(strings)
+        present = [text for text in strings if text is not None]
+        blob = "".join(present).encode("utf-8")
+        ascii_only = len(blob) == sum(map(len, present))  # one byte per char
+        offsets = []
+        append = offsets.append
+        position = 0
+        for text in strings:
+            if text is None:
+                append(~position)
+            else:
+                append(position)
+                position += len(text) if ascii_only else len(text.encode("utf-8"))
+        append(position)
+        return array("q", offsets), blob
+
+    def checked(self, what: str) -> list[str | None]:
+        """Every string, decoded — after verifying what indexing takes
+        on trust: offsets start at 0, never decrease and end at the
+        blob's end."""
+        offsets = self.offsets
+        starts = [entry if entry >= 0 else ~entry for entry in offsets]
+        if starts[0] != 0 or offsets[-1] != len(self.blob) or starts != sorted(starts):
+            raise SnapshotCorruptError(
+                f"corrupt snapshot: {what} offset table is not monotone over its blob"
+            )
+        if self.blob.isascii():
+            # Byte offsets are character offsets: every string is a plain
+            # slice of the one decoded text, no per-string decode call.
+            text = self.blob.decode("ascii")
+            return [
+                None if entry < 0 else text[entry:end]
+                for entry, end in zip(offsets, starts[1:])
+            ]
+        # Per string, so that an offset splitting a multi-byte sequence
+        # (or a blob that is not UTF-8 at all) fails its own decode.
+        return list(self)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int) -> str | None:
+        length = self._length
+        if not 0 <= index < length:
+            if not -length <= index < 0:
+                raise IndexError("string column index out of range")
+            index += length
+        offsets = self.offsets
+        lo = offsets[index]
+        if lo < 0:
+            return None
+        hi = offsets[index + 1]
+        if hi < 0:
+            hi = ~hi
+        try:
+            return self.blob[lo:hi].decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise SnapshotCorruptError(
+                f"corrupt snapshot: string {index} of a column is not UTF-8"
+            ) from error
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._length))
+
+
 class DocumentColumns:
     """The flat columns of one finalized document (read-only).
 
-    Exactly the payload of a v2 snapshot after validation: ``kinds`` is a
-    ``bytes`` of kind codes, the four int columns are ``array('q')`` (or
-    any int buffer), ``names`` / ``values`` are lists of ``str | None``.
-    The int columns are shared zero-copy with the document's
-    :class:`~repro.xml.index.NodeIndex`.
+    Exactly the column sections of a snapshot: ``kinds`` is a ``bytes``
+    of kind codes, the four int columns are ``array('q')`` (or any int
+    buffer), ``names`` / ``values`` are sequences of ``str | None`` — a
+    list from the parser or a boxed tree, a :class:`StringTable` from a
+    snapshot, and no reader may care which. The int columns are shared
+    zero-copy with the document's :class:`~repro.xml.index.NodeIndex`.
     """
 
     __slots__ = ("kinds", "parent_pre", "size", "post", "depth", "names", "values")
@@ -302,12 +407,16 @@ class ColumnDocument(Document):
         axis_kernel_stats.lazy_document()
 
     @classmethod
-    def from_columns(cls, columns: DocumentColumns, id_attribute: str = "id") -> "ColumnDocument":
+    def from_columns(
+        cls, columns: DocumentColumns, id_attribute: str = "id", partitions=None
+    ) -> "ColumnDocument":
         """The document over ``columns`` (already known to be legal) with
-        its index built from them and adopted: no node is boxed and no
-        index build is ever counted for it."""
+        its index made from them — or from the persisted ``partitions``
+        of :attr:`NodeIndex.partitions <repro.xml.index.NodeIndex>` —
+        and adopted: no node is boxed and no index build is ever counted
+        for it."""
         document = cls(columns, id_attribute=id_attribute)
-        index = NodeIndex.from_columns(document, columns)
+        index = NodeIndex.from_columns(document, columns, partitions)
         # First-in wins in the process cache; keep a strong ref to the
         # winner so the weak-keyed cache entry survives as long as the
         # document does (the index only weak-refs the document back).
@@ -455,14 +564,14 @@ class ColumnDocument(Document):
         structure = self._text_structure_cache
         if structure is None:
             columns = self.columns
-            kinds, values = columns.kinds, columns.values
-            pres = [i for i in range(len(columns)) if kinds[i] == _TEXT]
-            offsets = array("q", bytes(8 * (len(pres) + 1)))
-            parts = []
-            for rank, text_pre in enumerate(pres):
-                text = values[text_pre] or ""
-                parts.append(text)
-                offsets[rank + 1] = offsets[rank] + len(text)
+            values = columns.values
+            index = self._index
+            if index is not None:
+                pres = index.text_nodes
+            else:
+                pres = [i for i, code in enumerate(columns.kinds) if code == _TEXT]
+            parts = [values[text_pre] or "" for text_pre in pres]
+            offsets = array("q", accumulate(map(len, parts), initial=0))
             structure = (pres, offsets, "".join(parts))
             self._text_structure_cache = structure
         return structure

@@ -38,17 +38,21 @@ through ``__getitem__``/``__len__``, so the kernels in
 exact columns the binary snapshot format (:mod:`repro.xml.snapshot`)
 persists.
 
-Every index is made the same way: one ``O(|D|)`` partition pass over a
-document's flat columns (:class:`~repro.xml.columns.DocumentColumns`).
+Partitions are made in one place: one ``O(|D|)`` partition pass over a
+document's flat columns (:class:`~repro.xml.columns.DocumentColumns`),
+counted as ``partition_passes`` on :data:`repro.stats.store_stats`.
 A boxed tree's columns are read off its nodes first, at most once per
 document: :func:`node_index` is weak-cached like
 :func:`repro.service.specialize.document_profile`, and the build runs
 under the cache lock so racing threads see exactly one build
 (``index_builds`` on :data:`repro.stats.axis_kernel_stats` is exact).
-Parsed documents and snapshot loads skip the build entirely:
-:meth:`NodeIndex.from_columns` adopts their columns as they stand, and
-:func:`adopt_node_index` seeds the cache with the prebuilt index
-(counted as ``index_adoptions``, never ``index_builds``).
+Parsed documents skip the build: :meth:`NodeIndex.from_columns` adopts
+their columns as they stand and runs the pass over them. Snapshot loads
+skip the pass as well — the packed array and its span directory
+(:attr:`NodeIndex.partitions`) are part of the snapshot and are handed
+back as they were written. Either way :func:`adopt_node_index` seeds
+the cache with the prebuilt index (counted as ``index_adoptions``,
+never ``index_builds``).
 """
 
 from __future__ import annotations
@@ -58,8 +62,13 @@ import weakref
 from array import array
 from bisect import bisect_left
 
-from repro.stats import axis_kernel_stats
+from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.document import Document
+
+#: The six kind partitions, in the order they are packed and persisted.
+KIND_PARTITIONS = (
+    "elements", "attributes", "non_attributes", "text_nodes", "comments", "pis"
+)
 
 
 class NodeIndex:
@@ -79,6 +88,9 @@ class NodeIndex:
         by_pi_target: PI target → sorted pre numbers.
         elements / attributes / non_attributes / text_nodes / comments /
         pis: kind partitions, each a sorted pre array.
+        partitions: ``(packed, span_ends, tags, attributes, pi_targets)``
+            — the storage all of the above are views of, and its span
+            directory; see :meth:`_build_partitions`.
 
     Every partition is a zero-copy slice into one shared packed array;
     all of them index/bisect/slice/iterate like a list, but
@@ -96,6 +108,7 @@ class NodeIndex:
         "post",
         "depth",
         "parent_pre",
+        "partitions",
         "by_tag",
         "by_attribute",
         "by_pi_target",
@@ -118,21 +131,24 @@ class NodeIndex:
         self._adopt(document, DocumentColumns.from_document(document))
 
     @classmethod
-    def from_columns(cls, document: Document, columns) -> "NodeIndex":
+    def from_columns(cls, document: Document, columns, partitions=None) -> "NodeIndex":
         """The index over a document's flat columns
         (:class:`~repro.xml.columns.DocumentColumns`, already known to
         describe ``document``) — the parser's and the snapshot decoder's
-        constructor. The int columns are adopted zero-copy, leaving one
-        ``O(|D|)`` partition pass over the kind and name columns, which
-        never touches ``document.nodes`` (doing so would materialize
-        every node of a :class:`~repro.xml.columns.ColumnDocument`)."""
+        constructor. The int columns are adopted zero-copy. The parser
+        leaves ``partitions`` out and pays one ``O(|D|)`` partition pass
+        over the kind and name columns, which never touches
+        ``document.nodes`` (doing so would materialize every node of a
+        :class:`~repro.xml.columns.ColumnDocument`); the decoder hands
+        in the persisted :attr:`partitions` of the encoded index and
+        pays nothing per node."""
         if not document.is_finalized:
             raise ValueError("document must be finalized before indexing")
         index = cls.__new__(cls)
-        index._adopt(document, columns)
+        index._adopt(document, columns, partitions)
         return index
 
-    def _adopt(self, document: Document, columns) -> None:
+    def _adopt(self, document: Document, columns, partitions=None) -> None:
         # Weak back-reference only: the index is the *value* of a
         # weak-keyed cache whose key is the document — a strong reference
         # here would make every key strongly reachable from its own value
@@ -146,32 +162,40 @@ class NodeIndex:
         self.post = memoryview(columns.post)
         self.depth = memoryview(columns.depth)
         self.parent_pre = memoryview(columns.parent_pre)
-        self._build_partitions(columns.kinds, columns.names)
-        self._pack_partitions()
+        if partitions is None:
+            partitions = self._build_partitions(columns.kinds, columns.names)
+        self._point_at(*partitions)
 
-    def _build_partitions(self, kinds, names) -> None:
+    @staticmethod
+    def _build_partitions(kinds, names):
         """One pre-order pass over the kind and name columns filling the
-        kind and name partitions (as lists — sorted by construction,
-        packed afterwards)."""
-        self.by_tag: dict[str, list[int]] = {}
-        self.by_attribute: dict[str, list[int]] = {}
-        self.by_pi_target: dict[str, list[int]] = {}
-        self.elements: list[int] = []
-        self.attributes: list[int] = []
-        self.non_attributes: list[int] = []
-        self.text_nodes: list[int] = []
-        self.comments: list[int] = []
-        self.pis: list[int] = []
+        kind and name partitions (sorted by construction), packed into
+        the persisted form ``(packed, span_ends, tags, attributes,
+        pi_targets)`` that :meth:`_point_at` takes: every partition
+        concatenated into one ``array('q')`` — the six kind partitions
+        in :data:`KIND_PARTITIONS` order, then the tag, attribute-name
+        and PI-target partitions in first-occurrence order — with the
+        end offset of each (it starts where its predecessor ends) and
+        the three key lists."""
+        store_stats.tick("partition_passes")
+        by_tag: dict[str, list[int]] = {}
+        by_attribute: dict[str, list[int]] = {}
+        by_pi: dict[str, list[int]] = {}
+        elements: list[int] = []
+        attributes: list[int] = []
+        non_attributes: list[int] = []
+        text_nodes: list[int] = []
+        comments: list[int] = []
+        pis: list[int] = []
         element, attribute = ord("E"), ord("A")
         text, comment, pi = ord("T"), ord("C"), ord("P")
-        by_tag, by_attribute, by_pi = self.by_tag, self.by_attribute, self.by_pi_target
-        elements_append = self.elements.append
-        attributes_append = self.attributes.append
-        non_attributes_append = self.non_attributes.append
-        text_append = self.text_nodes.append
-        comment_append = self.comments.append
-        pi_append = self.pis.append
-        # This loop runs on every parse and decode; iterating the kind bytes
+        elements_append = elements.append
+        attributes_append = attributes.append
+        non_attributes_append = non_attributes.append
+        text_append = text_nodes.append
+        comment_append = comments.append
+        pi_append = pis.append
+        # This loop runs on every parse; iterating the kind bytes
         # directly (ints) with bound appends keeps it cheap.
         for pre, code in enumerate(kinds):
             if code == attribute:
@@ -197,49 +221,30 @@ class NodeIndex:
             elif code == pi:
                 pi_append(pre)
                 by_pi.setdefault(names[pre], []).append(pre)
+        packed = array("q")
+        span_ends = array("q")
+        for partition in (
+            elements, attributes, non_attributes, text_nodes, comments, pis,
+            *by_tag.values(), *by_attribute.values(), *by_pi.values(),
+        ):
+            packed.extend(partition)
+            span_ends.append(len(packed))
+        return packed, span_ends, list(by_tag), list(by_attribute), list(by_pi)
 
-    def _pack_partitions(self) -> None:
-        """Concatenate every partition into one ``array('q')`` and
-        re-point the partition attributes at zero-copy ``memoryview``
-        slices of it (the offset table is consumed on the spot; the
-        shared storage stays alive through each view's ``.obj``)."""
-        data = array("q")
-
-        def reserve(values) -> tuple[int, int]:
-            lo = len(data)
-            data.extend(values)
-            return lo, len(data)
-
-        kind_spans = [
-            reserve(partition)
-            for partition in (
-                self.elements,
-                self.attributes,
-                self.non_attributes,
-                self.text_nodes,
-                self.comments,
-                self.pis,
-            )
-        ]
-        tag_spans = {name: reserve(p) for name, p in self.by_tag.items()}
-        attribute_spans = {name: reserve(p) for name, p in self.by_attribute.items()}
-        pi_spans = {name: reserve(p) for name, p in self.by_pi_target.items()}
-        view = memoryview(data)
-        (
-            self.elements,
-            self.attributes,
-            self.non_attributes,
-            self.text_nodes,
-            self.comments,
-            self.pis,
-        ) = [view[lo:hi] for lo, hi in kind_spans]
-        self.by_tag = {name: view[lo:hi] for name, (lo, hi) in tag_spans.items()}
-        self.by_attribute = {
-            name: view[lo:hi] for name, (lo, hi) in attribute_spans.items()
-        }
-        self.by_pi_target = {
-            name: view[lo:hi] for name, (lo, hi) in pi_spans.items()
-        }
+    def _point_at(self, packed, span_ends, tags, attributes, pi_targets) -> None:
+        """Point the partition attributes at zero-copy ``memoryview``
+        slices of ``packed`` (kept, with the span directory, as
+        ``self.partitions`` — what a snapshot persists and a load hands
+        back here). The caller vouches for the directory: one end per
+        partition, non-decreasing, the last equal to ``len(packed)``."""
+        self.partitions = (packed, span_ends, tags, attributes, pi_targets)
+        view = memoryview(packed)
+        spans = (view[lo:hi] for lo, hi in zip([0, *span_ends], span_ends))
+        for kind in KIND_PARTITIONS:
+            setattr(self, kind, next(spans))
+        self.by_tag = dict(zip(tags, spans))
+        self.by_attribute = dict(zip(attributes, spans))
+        self.by_pi_target = dict(zip(pi_targets, spans))
 
     # ------------------------------------------------------------------
 

@@ -3,9 +3,10 @@
 The paper's complexity bounds are stated in |D| alone, but the constants
 hide document shape: depth drives ancestor/descendant work, fanout drives
 sibling/position work, text volume drives string-value comparisons. This
-module computes those shape statistics in one O(|D|) pass — used by the
-``fragment_advisor`` example to contextualize measurements and by
-workload tests to assert generator shapes.
+module computes those shape statistics — one O(|D|) walk of a boxed
+tree, a read of the index for a column document — for the specializer's
+``DocumentProfile``, the ``fragment_advisor`` example (to contextualize
+measurements) and workload tests asserting generator shapes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.xml.columns import ColumnDocument
 from repro.xml.document import Document, Node, NodeKind
+from repro.xml.index import node_index
 
 
 @dataclass
@@ -60,12 +62,12 @@ class DocumentStatistics:
 
 
 def document_statistics(document: Document) -> DocumentStatistics:
-    """One-pass shape statistics for a finalized document.
+    """Shape statistics for a finalized document.
 
-    Column documents take the columnar pass (identical numbers, zero
+    Column documents are read off their index (identical numbers, zero
     nodes materialized — :func:`repro.service.specialize.document_profile`
-    runs this on every lazily decoded document, so a tree walk here would
-    defeat the lazy path before the first query).
+    runs this on every parsed or loaded document before its first query,
+    so a tree walk here would defeat the lazy path).
     """
     if isinstance(document, ColumnDocument):
         return _column_statistics(document)
@@ -103,50 +105,40 @@ def document_statistics(document: Document) -> DocumentStatistics:
 
 
 def _column_statistics(document: ColumnDocument) -> DocumentStatistics:
-    """The tree walk above, replayed over the flat columns — field-for-
-    field equal (asserted by the lazy property suite): the ``depth``
-    column is the walk's depth argument, the attribute-contiguity
-    invariant makes "first id-named attribute per element" a run of
-    consecutive partition entries, and element-child fanout needs only
-    the ``parent_pre`` column."""
-    columns = document.columns
-    kinds = columns.kinds
-    names = columns.names
-    values = columns.values
-    depth = columns.depth
-    parent_pre = columns.parent_pre
-    element, attribute = ord("E"), ord("A")
-    text, comment, pi = ord("T"), ord("C"), ord("P")
-    stats = DocumentStatistics()
-    stats.total_nodes = len(columns)
-    id_attribute = document.id_attribute
-    fanout: dict[int, int] = {}
-    last_id_parent = -1
-    for i in range(stats.total_nodes):
-        code = kinds[i]
-        if code == element:
-            stats.elements += 1
-            stats.tag_counts[names[i]] += 1
-            if depth[i] > stats.max_depth:
-                stats.max_depth = depth[i]
-            parent = parent_pre[i]
-            if parent >= 0 and kinds[parent] == element:
-                fanout[parent] = fanout.get(parent, 0) + 1
-        elif code == attribute:
-            stats.attributes += 1
-            if names[i] == id_attribute:
-                parent = parent_pre[i]
-                if parent != last_id_parent:
-                    last_id_parent = parent
-                    if values[i] is not None:
-                        stats.identified_elements += 1
-        elif code == text:
-            stats.text_nodes += 1
-            stats.total_text_bytes += len(values[i] or "")
-        elif code == comment:
-            stats.comments += 1
-        elif code == pi:
-            stats.processing_instructions += 1
+    """The tree walk above, read off the document's index — field-for-
+    field equal (asserted by the store property suite) and nothing per
+    node: kind counts and ``tag_counts`` are partition lengths, depth
+    and element-child fanout are gathered from the ``depth`` /
+    ``parent_pre`` columns by the ``elements`` partition, text volume is
+    the length of the document node's string value (every text node
+    joined: the prefix structure the first string comparison builds
+    anyway), identified elements come off ``by_attribute[id_attribute]``."""
+    index = node_index(document)
+    values = document.columns.values
+    parent_of = index.parent_pre.__getitem__
+    stats = DocumentStatistics(
+        total_nodes=index.total,
+        elements=len(index.elements),
+        attributes=len(index.attributes),
+        text_nodes=len(index.text_nodes),
+        comments=len(index.comments),
+        processing_instructions=len(index.pis),
+        max_depth=max(map(index.depth.__getitem__, index.elements), default=0),
+        total_text_bytes=len(document.string_value_of_pre(0)),
+        tag_counts=Counter({tag: len(pres) for tag, pres in index.by_tag.items()}),
+    )
+    # Attributes of one element are consecutive in the partition, and
+    # only the first id-named one counts (Node.attribute's rule).
+    last_parent = -1
+    for pre in index.by_attribute.get(document.id_attribute, ()):
+        parent = parent_of(pre)
+        if parent != last_parent:
+            last_parent = parent
+            stats.identified_elements += values[pre] is not None
+    # Elements hang under elements or under the document node (pre 0),
+    # whose children the tree walk does not count as fanout.
+    fanout = Counter(map(parent_of, index.elements))
+    fanout.pop(0, None)
     if fanout:
         stats._parents = len(fanout)
         stats._child_sum = sum(fanout.values())

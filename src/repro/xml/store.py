@@ -2,75 +2,68 @@
 
 The conclusion of the paper points at "using our techniques for XPath
 processors that query XML documents stored in a database". This module
-provides the substrate for that: a named catalog of finalized documents
-that reconstructs them with their document order (and therefore every
-axis computation) intact.
+is the substrate for that: named, finalized documents kept as binary
+snapshots (:mod:`repro.xml.snapshot`) that reopen with their document
+order — and therefore every axis computation — intact and their
+:class:`~repro.xml.index.NodeIndex` already in the file.
 
-**Format v2 (JSON catalog + binary sidecars).** The catalog file holds
-only ``{"format": 2, "file": "<sidecar>"}`` entries; each document's
-payload is a versioned binary snapshot (:mod:`repro.xml.snapshot`:
-magic, version, flat ``parent_pre`` / ``size`` / ``post`` / ``depth``
-columns, string tables, CRC-32) in its own file under ``<store>.d/``.
-Saving one document touches one sidecar plus the small catalog — O(1)
-in the number of *other* stored documents. Loaded documents are
-:class:`~repro.xml.columns.ColumnDocument` instances with their
-:class:`~repro.xml.index.NodeIndex` pre-seeded, which is why
-:class:`~repro.service.scheduler.ProcessScheduler` workers consume
-snapshots (via :meth:`DocumentStore.load_snapshot` or the scheduler's
-in-memory blobs) instead of re-parsing markup.
+**The directory is the catalog.** ``DocumentStore(path)`` keeps one file
+per document, ``<path>.d/<sha256(name)[:24]>.snap``, whose header names
+the document. Nothing is written at ``path`` itself and no object holds
+a copy of the name table, so:
 
-A catalog written by format v1 (inline JSON node tables) is refused at
-open with a :class:`DocumentStoreError` naming the remedy.
+* a **put** is one file: the blob is encoded first (a failing encode
+  touches nothing), written to ``<file>.tmp``, fsynced, ``os.replace``d
+  over the target, and the directory fsynced — two fsyncs, no other
+  document's file touched. The rename *is* the commit: a crash before it
+  leaves the previous document (or none), after it the new one, never a
+  mixture; an error on the way removes the temp file;
+* ``names()`` / ``len`` / ``in`` read the directory (to list, also each
+  file's header), so two ``DocumentStore`` objects on one path — or two
+  processes — see each other's puts and deletes. ``*.tmp`` debris of a
+  killed process is never listed; the next put of that name replaces it;
+* a **load** goes straight to the file its name hashes to and trusts it
+  as far as the snapshot module's docstring argues: CRC-32 over the whole
+  blob, a header naming the document asked for, bounds-checked sections
+  — and no per-node pass of any kind;
+* a **delete** is an unlink plus the directory fsync.
 
-Writes are atomic *and durable*: content is serialized first (a failing
-serialization can never leave debris), written to a temp file, fsynced,
-``os.replace``d over the target, and the directory entry fsynced; the
-temp file is removed on any error.
+Refused at open, with the remedy: a file at ``path`` — the JSON catalog
+of store formats v1 and v2, which this layout has no use for. Refused at
+load: an ``RXSNAP02`` file (a v2 sidecar). A checkout at or before PR 22
+reads both; load the documents there and save them here.
+:data:`repro.stats.store_stats` counts puts, deletes, opens, files
+written, fsyncs and bytes, each where it happens.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 
 from repro.errors import DocumentStoreError
+from repro.stats import store_stats
 from repro.xml.columns import ColumnDocument
 from repro.xml.document import Document
 from repro.xml.snapshot import (
-    decode_snapshot,
+    decode_stored,
     encode_snapshot,
     snapshot_column_sizes,
+    snapshot_name,
 )
 
 __all__ = ["DocumentStore", "DocumentStoreError"]
 
-_FORMAT_VERSION = 2
 
-
-def _write_bytes_durably(path: pathlib.Path, data: bytes) -> None:
-    """Atomic + durable file replacement: temp file, fsync, rename,
-    directory fsync; the temp file never survives an error."""
-    temp_path = path.with_name(path.name + ".tmp")
+def _fsync_directory(path: pathlib.Path) -> None:
     try:
-        with open(temp_path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except OSError as error:
-        try:
-            temp_path.unlink()
-        except OSError:
-            pass
-        raise DocumentStoreError(f"cannot write {path}: {error}") from error
-    try:
-        directory_fd = os.open(path.parent, os.O_RDONLY)
+        directory_fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - platforms without dir open
         return
     try:
         os.fsync(directory_fd)
+        store_stats.tick("fsyncs")
     except OSError:  # pragma: no cover - filesystems without dir fsync
         pass
     finally:
@@ -78,148 +71,126 @@ def _write_bytes_durably(path: pathlib.Path, data: bytes) -> None:
 
 
 class DocumentStore:
-    """A named collection of persisted documents: one JSON catalog plus
-    one binary snapshot sidecar per document."""
+    """A named collection of persisted documents: one binary snapshot
+    file per document in ``<path>.d/``, and nothing else."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = pathlib.Path(path)
-        self._data = self._read()
-
-    # ------------------------------------------------------------------
-    # File plumbing
-    # ------------------------------------------------------------------
+        if self.path.exists():
+            raise DocumentStoreError(
+                f"{self.path} exists: a store keeps its documents in "
+                f"{self.sidecar_dir} and no catalog file. If it is the JSON "
+                "catalog of store format v1 or v2, load its documents with a "
+                "checkout at or before PR 22, save them with this one, and "
+                "remove it"
+            )
 
     @property
     def sidecar_dir(self) -> pathlib.Path:
         """Directory holding the per-document snapshot files."""
         return self.path.with_name(self.path.name + ".d")
 
-    def _read(self) -> dict:
-        if not self.path.exists():
-            return {"version": _FORMAT_VERSION, "documents": {}}
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise DocumentStoreError(f"cannot read store {self.path}: {error}") from error
-        if not isinstance(data, dict) or not isinstance(data.get("documents"), dict):
-            raise DocumentStoreError(f"{self.path} is not a document store file")
-        version = data.get("version")
-        # Inline node tables outlive the version field: saving into a v1
-        # catalog stamped it 2 and left the other entries as they were.
-        if version == 1 or any(
-            isinstance(entry, dict) and "nodes" in entry
-            for entry in data["documents"].values()
-        ):
-            raise DocumentStoreError(
-                f"{self.path} was written by format v1; migrate it with a "
-                "checkout at or before PR 18"
-            )
-        if version != _FORMAT_VERSION:
-            raise DocumentStoreError(
-                f"unsupported store version {version!r} in {self.path}"
-            )
-        return data
+    def _file(self, name: str) -> pathlib.Path:
+        digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:24]
+        return self.sidecar_dir / f"{digest}.snap"
 
-    def _write(self) -> None:
-        # Serialize before touching the filesystem: a failing
-        # json.dumps must not create (or strand) a temp file.
-        payload = json.dumps(self._data, separators=(",", ":")).encode("utf-8")
-        _write_bytes_durably(self.path, payload)
-
-    def _sidecar_path(self, entry: dict) -> pathlib.Path:
-        filename = entry.get("file")
-        if not isinstance(filename, str) or os.sep in filename or filename in (
-            "",
-            ".",
-            "..",
-        ):
-            raise DocumentStoreError(f"corrupt store: bad sidecar name {filename!r}")
-        return self.sidecar_dir / filename
-
-    # ------------------------------------------------------------------
-    # Catalog operations
-    # ------------------------------------------------------------------
+    def _missing(self, name: str) -> DocumentStoreError:
+        return DocumentStoreError(f"no document named {name!r} in {self.path}")
 
     def names(self) -> list[str]:
-        """Stored document names, sorted."""
-        return sorted(self._data["documents"])
+        """Stored document names, sorted — read off the directory: the
+        header of every ``*.snap`` file, which must name the document
+        the file name is the hash of."""
+        names = []
+        for file in self.sidecar_dir.glob("*.snap"):  # no directory, no files
+            try:
+                with open(file, "rb") as handle:
+                    name = snapshot_name(handle.read)
+            except FileNotFoundError:
+                continue  # deleted since the listing
+            except OSError as error:
+                raise DocumentStoreError(f"cannot read snapshot {file}: {error}") from error
+            if self._file(name) != file:
+                raise DocumentStoreError(
+                    f"corrupt store: {file} holds a document named {name!r}"
+                )
+            names.append(name)
+        return sorted(names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._data["documents"]
+        return self._file(name).exists()
 
     def __len__(self) -> int:
-        return len(self._data["documents"])
+        return len(self.names())
 
     def save(self, name: str, document: Document) -> None:
-        """Persist a finalized document under ``name`` (overwrites).
-
-        Writes the snapshot sidecar first (durably), then the small
-        catalog — saving one document never rewrites another document's
-        payload.
-        """
+        """Persist a finalized document under ``name`` (overwrites)."""
         self.save_snapshot(name, document)
 
     def save_snapshot(self, name: str, document: Document) -> pathlib.Path:
-        """Persist ``document`` as a binary snapshot sidecar; returns the
-        sidecar path."""
-        document._require_finalized()
-        blob = encode_snapshot(document)
-        digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:24]
-        filename = f"{digest}.snap"
-        self.sidecar_dir.mkdir(parents=True, exist_ok=True)
-        sidecar = self.sidecar_dir / filename
-        _write_bytes_durably(sidecar, blob)
-        self._data["documents"][name] = {"format": _FORMAT_VERSION, "file": filename}
-        self._write()
-        return sidecar
-
-    def _entry(self, name: str) -> dict:
-        entry = self._data["documents"].get(name)
-        if entry is None:
-            raise DocumentStoreError(f"no document named {name!r} in {self.path}")
-        if not isinstance(entry, dict):
-            raise DocumentStoreError(f"corrupt store: malformed entry for {name!r}")
-        return entry
+        """:meth:`save`, returning the path of the snapshot file — the
+        put of the module docstring."""
+        blob = encode_snapshot(document, name)
+        target = self._file(name)
+        temp = target.with_name(target.name + ".tmp")
+        try:
+            if not self.sidecar_dir.exists():
+                # First put into a new store: the directory the puts are
+                # committed into must itself be durable.
+                self.sidecar_dir.mkdir(parents=True, exist_ok=True)
+                store_stats.tick("directories_created")
+                _fsync_directory(self.sidecar_dir.parent)
+            with open(temp, "wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+                store_stats.tick("fsyncs")
+            os.replace(temp, target)
+        except OSError as error:
+            try:
+                temp.unlink()
+            except OSError:
+                pass
+            raise DocumentStoreError(f"cannot write {target}: {error}") from error
+        store_stats.tick("files_written")
+        store_stats.tick("bytes_written", len(blob))
+        _fsync_directory(self.sidecar_dir)
+        store_stats.tick("puts")
+        return target
 
     def load(self, name: str, lazy: bool = True) -> ColumnDocument:
-        """Reconstruct the document stored under ``name``.
-
-        The loaded :class:`~repro.xml.columns.ColumnDocument` has
-        identical pre-order numbering, subtree sizes, and string values
-        — every axis computation gives the same answers as on the
-        original — and arrives with its node index pre-seeded and no
-        ``Node`` object boxed. ``lazy`` is accepted and selects nothing.
-        """
-        return decode_snapshot(self.load_snapshot(name))
+        """Reconstruct the document stored under ``name``: identical
+        pre-order numbering, subtree sizes and string values — every
+        axis computation answers as on the original — with its node
+        index adopted from the file, no ``Node`` object boxed and no
+        string decoded. ``lazy`` is accepted and selects nothing."""
+        document = decode_stored(self.load_snapshot(name), name)
+        store_stats.tick("opens")
+        return document
 
     def load_snapshot(self, name: str) -> bytes:
         """The raw snapshot blob for ``name`` (decodable with
         :func:`repro.xml.snapshot.decode_snapshot`)."""
-        sidecar = self._sidecar_path(self._entry(name))
+        file = self._file(name)
         try:
-            return sidecar.read_bytes()
+            return file.read_bytes()
+        except FileNotFoundError:
+            raise self._missing(name) from None
         except OSError as error:
-            raise DocumentStoreError(
-                f"cannot read snapshot {sidecar}: {error}"
-            ) from error
+            raise DocumentStoreError(f"cannot read snapshot {file}: {error}") from error
 
     def column_sizes(self, name: str) -> dict[str, int]:
-        """Per-document storage accounting for ``store list``: node
-        count, bytes on disk (the blob as stored), and the decoded
-        flat-column bytes a load keeps resident. See
+        """Per-document storage accounting for ``store list``; see
         :func:`repro.xml.snapshot.snapshot_column_sizes`."""
         return snapshot_column_sizes(self.load_snapshot(name))
 
     def delete(self, name: str) -> None:
-        """Remove a document (and its sidecar, if any) from the store."""
-        entry = self._data["documents"].get(name)
-        if entry is None:
-            raise DocumentStoreError(f"no document named {name!r} in {self.path}")
-        del self._data["documents"][name]
-        self._write()
-        if isinstance(entry, dict):
-            try:
-                self._sidecar_path(entry).unlink()
-            except (OSError, DocumentStoreError):
-                pass  # the catalog no longer references it; best effort
+        """Remove a document from the store: unlink, directory fsync."""
+        try:
+            self._file(name).unlink()
+        except FileNotFoundError:
+            raise self._missing(name) from None
+        except OSError as error:
+            raise DocumentStoreError(f"cannot delete {name!r}: {error}") from error
+        _fsync_directory(self.sidecar_dir)
+        store_stats.tick("deletes")

@@ -400,7 +400,9 @@ def test_store_snapshot_then_batch_from_store(tmp_path, capsys):
     )
     assert code == 0
     assert "doc:" in out and "nodes" in out
-    assert store.exists()
+    # The directory is the catalog: one file per document, none at PATH.
+    assert not store.exists()
+    assert len(list((tmp_path / "catalog.json.d").glob("*.snap"))) == 1
     code, out, _ = run(
         capsys, "batch", "--snapshot-store", str(store), "-q", "//b",
     )
@@ -427,12 +429,13 @@ def test_store_list_shows_catalog(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert [line.split("\t")[:2] for line in lines] == [
-        ["one", "snapshot v2"],
-        ["two", "snapshot v2"],
+        ["one", "snapshot v3"],
+        ["two", "snapshot v3"],
     ]
     # Per-document sizes: what lazy loading keeps resident vs the disk blob.
     for line in lines:
         assert "nodes=" in line and "disk=" in line and "columns=" in line
+        assert "partitions=" in line
     assert "nodes=2" in lines[1]  # <r/> is a document node plus one element
 
 
@@ -506,6 +509,11 @@ def test_batch_snapshot_store_stats_count_adoptions(tmp_path, capsys):
     assert code == 0
     assert "axis kernels:" in err
     assert "adoptions=" in err
+    # The store's own counters ride the same block, only with a store.
+    (store_line,) = [line for line in err.splitlines() if line.startswith("store:")]
+    assert "opens=" in store_line and "structural_checks=" in store_line
+    _, _, err = run(capsys, "batch", "--xml", XML, "-q", "//b", "--stats")
+    assert "store:" not in err
 
 
 def test_query_literally_named_store_stays_reachable(capsys):

@@ -3,12 +3,16 @@ snapshot it yields, and the exact diagnostic of what it rejects.
 
 ``tests/golden/xml_frontend.json`` was generated with the cursor lexer +
 tree-building parser of the commit before the front end was rewritten
-("PR 17", ``8da6232``). Every cell is either
-``sha256(encode_snapshot(parse_document(source)))`` or the
+("PR 17", ``8da6232``). Every cell is either the
+:func:`data_model_digest` of ``parse_document(source)`` or the
 ``[message, line, column]`` of the :class:`XMLSyntaxError` (or the bare
 type name of whatever other exception that front end let through). A
 diff here means the accepted language, the data model or an error reply
-changed — not merely the representation.
+changed — not merely the representation. The digest is spelled out here
+rather than taken from ``encode_snapshot``: it is the sha256 of the
+``RXSNAP02`` bytes that commit's codec wrote (which is what the cells
+hold), computed from ``document.nodes`` alone, so it names the same data
+model on that commit and on every snapshot format since.
 
 New cells must come from that commit: ``git archive 8da6232`` into a
 scratch directory, copy this file in, and run it with
@@ -21,6 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import struct
+import zlib
+from array import array
 
 import pytest
 
@@ -33,7 +40,6 @@ from repro.workloads.documents import (
 )
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
-from repro.xml.snapshot import encode_snapshot
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "xml_frontend.json"
 
@@ -244,10 +250,45 @@ GROUPS = {
 }
 
 
+def data_model_digest(document) -> str:
+    """sha256 over (id attribute; per node: kind, parent, size, post,
+    depth, name, value) in the byte layout of an ``RXSNAP02`` blob."""
+    nodes = list(document.nodes)
+    depth: list = []
+    for node in nodes:
+        depth.append(0 if node.parent is None else depth[node.parent.pre] + 1)
+
+    def ints(values) -> bytes:
+        return array("q", values).tobytes()  # the cells come from an LE host
+
+    def strings(items) -> bytes:
+        encoded = [None if item is None else item.encode("utf-8") for item in items]
+        blob = b"".join(item for item in encoded if item is not None)
+        lengths = ints(-1 if item is None else len(item) for item in encoded)
+        return lengths + struct.pack("<Q", len(blob)) + blob
+
+    id_attribute = document.id_attribute.encode("utf-8")
+    payload = b"".join(
+        (
+            b"RXSNAP02",
+            struct.pack("<IQI", 2, len(nodes), len(id_attribute)),
+            id_attribute,
+            bytes(ord(node.kind.name[0]) for node in nodes),
+            ints(-1 if node.parent is None else node.parent.pre for node in nodes),
+            ints(node.size for node in nodes),
+            ints(node.pre - depth[node.pre] + node.size - 1 for node in nodes),
+            ints(depth),
+            strings(node.name for node in nodes),
+            strings(node.value for node in nodes),
+        )
+    )
+    return hashlib.sha256(payload + struct.pack("<I", zlib.crc32(payload))).hexdigest()
+
+
 def outcome(source: str, keep_whitespace_text: bool):
     try:
         document = parse_document(source, keep_whitespace_text=keep_whitespace_text)
-        return hashlib.sha256(encode_snapshot(document)).hexdigest()
+        return data_model_digest(document)
     except XMLSyntaxError as error:
         return [error.args[0], error.line, error.column]
     except Exception as error:  # e.g. chr() overflow on a huge character reference
