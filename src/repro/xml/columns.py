@@ -7,9 +7,10 @@ columns per node. :func:`~repro.xml.parser.parse_document` writes them
 straight from the source text and a snapshot load
 (``decode_snapshot(blob)``, ``DocumentStore.load(name)``) reads them
 back, the strings still encoded (:class:`StringTable`); no
-:class:`~repro.xml.document.Node` object exists afterwards: the fused axis kernels (:mod:`repro.axes.axes`), the Core
-XPath evaluator and the context-value-table evaluators (MINCONTEXT /
-OPTMINCONTEXT) thread sorted pre arrays end-to-end, and a boxed ``Node``
+:class:`~repro.xml.document.Node` object exists afterwards: the fused
+axis kernels (:mod:`repro.axes.axes`), the Core XPath evaluator and the
+context-value-table evaluators (MINCONTEXT / OPTMINCONTEXT) thread
+sorted pre arrays end-to-end, and a boxed ``Node``
 is materialized **on demand, per pre, memoized** only when a caller
 actually touches one — a result node, a non-columnar residual (the
 ``id`` axis, ``name()``/``lang()``/``id()`` calls, serialization), or

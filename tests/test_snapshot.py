@@ -349,46 +349,52 @@ def test_snapshot_preserves_custom_id_attribute():
 # ----------------------------------------------------------------------
 
 
-def test_every_truncation_raises_typed_snapshot_corrupt_with_offset():
-    """Truncation at every boundary surfaces the typed subclass with a
-    byte offset — never a struct/checksum internal."""
-    from repro.errors import SnapshotCorruptError
-
-    blob = encode_snapshot(book_catalog(books=2))
+def test_every_truncation_raises_typed_snapshot_corrupt_with_offset(tmp_path):
+    """Truncation at every boundary — section boundaries included —
+    surfaces the typed subclass with a byte offset, never a
+    struct/checksum internal, from ``decode_snapshot`` and from the
+    store alike."""
+    blob = encode_snapshot(book_catalog(books=2), "doc")
     lengths = set(range(0, len(blob), max(1, len(blob) // 96)))
     lengths.update({0, 1, 7, 8, 11, 12, 19, 20, 23, 24, len(blob) - 5, len(blob) - 1})
+    lengths.update(start for start, _ in snapshot_layout(blob).values())
     for length in sorted(lengths):
-        with pytest.raises(SnapshotCorruptError) as excinfo:
-            decode_snapshot(blob[:length])
-        assert excinfo.value.offset is not None
-        assert "at byte" in str(excinfo.value)
+        for decode in (decode_snapshot, lambda cut: _stored(tmp_path, cut).load("doc")):
+            with pytest.raises(SnapshotCorruptError) as excinfo:
+                decode(blob[:length])
+            assert excinfo.value.offset is not None
+            assert "at byte" in str(excinfo.value)
 
 
-def test_bit_flip_fuzzing_raises_only_the_typed_error():
-    """Byte-level corruption fuzzing: flip bytes everywhere (CRC catches
-    them), and reseal a sample so deeper structural checks fire — every
-    failure is SnapshotCorruptError, and no struct.error, ValueError,
-    or UnicodeDecodeError ever leaks."""
-    from repro.errors import SnapshotCorruptError
-
+def test_bit_flip_fuzzing_raises_only_the_typed_error(tmp_path):
+    """Byte-level corruption fuzzing: a flipped bit anywhere is caught
+    (CRC-32 sees every single-bit error) by both readers; resealed, the
+    flip meets whatever lies behind the checksum — the full check for
+    ``decode_snapshot``, the reader's bounds for the store — and either
+    way every failure is SnapshotCorruptError: no struct.error,
+    ValueError, IndexError or UnicodeDecodeError ever leaks, not even
+    from a lazily decoded string."""
     rng = random.Random(20251008)
-    blob = encode_snapshot(running_example_document())
+    blob = encode_snapshot(running_example_document(), "doc")
     for _ in range(120):
         corrupted = bytearray(blob)
         offset = rng.randrange(len(corrupted))
         corrupted[offset] ^= 1 << rng.randrange(8)
-        try:
+        with pytest.raises(SnapshotCorruptError):
             decode_snapshot(bytes(corrupted))
-        except SnapshotCorruptError:
-            pass  # the only acceptable failure type
-    # Resealed corruption gets past the CRC; structural validation must
-    # still classify it as SnapshotCorruptError.
+        with pytest.raises(SnapshotCorruptError):
+            _stored(tmp_path, bytes(corrupted)).load("doc")
     for _ in range(120):
         payload = bytearray(blob[:-4])
         offset = rng.randrange(len(SNAPSHOT_MAGIC), len(payload))
         payload[offset] ^= 1 << rng.randrange(8)
         try:
             decode_snapshot(reseal(bytes(payload)))
+        except SnapshotCorruptError:
+            pass  # the only acceptable failure type
+        try:
+            columns = _stored(tmp_path, reseal(bytes(payload))).load("doc").columns
+            list(columns.names), list(columns.values)
         except SnapshotCorruptError:
             pass
 
