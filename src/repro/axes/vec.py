@@ -110,17 +110,23 @@ def inverse_step(document, axis, block):
 def filter_step(document, axis, block, test):
     """``block ∩ T(test)`` for a step on ``axis`` — the name-test filter
     an inverse step applies before ``χ⁻¹``: one intersect with the test's
-    partition, or the per-member node test under ``scan``."""
+    partition, or the per-member node test under ``scan``. A block of
+    |D| members is all of ``dom`` (blocks are sorted and duplicate-free),
+    and the answer is the partition itself: every backward sweep starts
+    there."""
     if kernel_mode() == "scan":
         nodes = document.nodes
         return [p for p in block if matches_node_test(nodes[p], test, axis)]
     if len(block) >= VECTOR_MIN_BLOCK:
         stats.axis_kernel_stats.vector_op()
-    partition = node_index(document).filter_partition(
+    index = node_index(document)
+    partition = index.filter_partition(
         test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE
     )
     if partition is None:  # node() matches every kind
         return block if isinstance(block, list) else list(block)
+    if len(block) == len(index.size):
+        return list(partition)
     return intersect(block, partition)
 
 

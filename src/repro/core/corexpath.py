@@ -5,20 +5,25 @@ of location paths — admits ``O(|D|·|Q|)`` evaluation (Theorem 13, proved
 in [11]): since ``position()``/``last()`` are absent, no per-origin
 ranking loop is ever needed. The strategy:
 
-* a *predicate* denotes the set of context nodes where it holds; paths
-  inside predicates are ∃-quantified, so their node set is computed by
-  **backward propagation** through inverse axis functions, and
-  ``and``/``or``/``not`` are set intersection/union/complement;
+* a path inside a predicate is ∃-quantified, so the set of context
+  nodes where it is nonempty is computed by **backward propagation**
+  through inverse axis functions, from all of ``dom``;
 * the *main* path is then a forward sweep: ``X_{i+1} = χ(X_i) ∩ T(t_i) ∩
   pred-sets``, one set operation per step.
 
-Every node set in these sweeps is represented as a **sorted pre-order
-int array** (document order is free, final ordering costs nothing) and
-the boolean connectives are linear merges
-(:func:`repro.xml.index.merge_union` /
-:func:`~repro.xml.index.merge_intersection` /
-:func:`~repro.xml.index.merge_difference`). Each step goes through the
-per-step gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
+Every node set is a **sorted pre-order int array** (document order is
+free). The connectives are a **candidate-set algebra**: a predicate is
+only asked which members of a sorted block (a step's candidates) it
+holds at — ``and`` narrows the block by its left side, then its right;
+``or`` unions the left side's hits with the right side's hits over the
+remainder; ``not(p)`` is the block minus ``p``'s hits, one C-level set
+difference; ``boolean(π)`` intersects the block with π's backward
+propagation. No complement of ``dom`` is ever built and each connective
+costs ``O(|block|) ⊆ O(|D|)``; every backward propagation still runs
+exactly once per ``boolean``, whatever the block, so the query costs
+``O(|Q|)`` sweeps of ``O(|D|)`` (Theorem 13) and ``corexpath_steps`` is
+a function of the query alone. Each step goes
+through the per-step gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
 :func:`~repro.axes.vec.forward_step`, a backward step
 :func:`~repro.axes.vec.filter_step` then
 :func:`~repro.axes.vec.inverse_step`: the axis's output-sensitive
@@ -29,16 +34,16 @@ narrow interval step predicts no saving — so a selective step costs
 benchmark EXP-T13 verifies the linear scaling, EXP-AXIS the
 output-sensitive fast path.
 
-Because pres thread end-to-end — context in, merges through, pres out —
-the only place this evaluator touches a boxed ``Node`` in non-scan mode
-is the final ``nodes[pre]`` materialization of the *result*. On a
-column-only document (:class:`repro.xml.columns.ColumnDocument`) that
-means a whole Core XPath query
-costs O(output) node objects; scan mode and the reference evaluators
-(``naive``, ``topdown``, ``bottomup``) iterate ``document.nodes`` and
-simply materialize what they touch — the eager fallback, byte-identical
-either way. MINCONTEXT / OPTMINCONTEXT share this pre plane
-(:mod:`repro.core.mincontext`).
+Because pres thread end-to-end — context in, set algebra through, pres
+out — the only place this evaluator touches a boxed ``Node`` in
+non-scan mode is the final ``nodes[pre]`` materialization of the
+*result*. On a column-only document
+(:class:`repro.xml.columns.ColumnDocument`) that means a whole Core
+XPath query costs O(output) node objects; scan mode and the reference
+evaluators (``naive``, ``topdown``, ``bottomup``) iterate
+``document.nodes`` and simply materialize what they touch — the eager
+fallback, byte-identical either way. MINCONTEXT / OPTMINCONTEXT share
+this pre plane (:mod:`repro.core.mincontext`).
 """
 
 from __future__ import annotations
@@ -48,9 +53,15 @@ from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
 from repro.xml.document import Document, Node
-from repro.xml.index import merge_difference, merge_intersection, merge_union
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
+
+
+def _without(block, hits: list[int]) -> list[int]:
+    """``block - hits`` for a sorted block and sorted ``hits ⊆ block``."""
+    if not hits:
+        return block if isinstance(block, list) else list(block)
+    return sorted(set(block).difference(hits))
 
 
 class CoreXPathEvaluator:
@@ -89,8 +100,8 @@ class CoreXPathEvaluator:
         return self._sweep(steps, list(pres))
 
     def _all_pres(self) -> list[int]:
-        """``dom`` as a sorted pre array (built once; callers treat the
-        merge inputs as immutable, so sharing is safe)."""
+        """``dom`` as a sorted pre array (built once; callers treat it as
+        immutable, so sharing is safe)."""
         if self._dom_pres is None:
             self._dom_pres = list(range(len(self.document.nodes)))
         return self._dom_pres
@@ -110,34 +121,32 @@ class CoreXPathEvaluator:
             for predicate in step.predicates:
                 if not current:
                     break
-                current = intersect(current, self._predicate_pres(predicate))
+                current = self._within(predicate, current)
         return current if isinstance(current, list) else list(current)
 
     # ------------------------------------------------------------------
 
-    def _predicate_pres(self, predicate: Expr) -> list[int]:
-        """The set of context nodes at which the predicate holds."""
+    def _within(self, predicate: Expr, block) -> list[int]:
+        """The members of the sorted block ``block`` at which the
+        predicate holds. Both sides of every connective are evaluated
+        whatever the block, so the sweeps that run depend on the query
+        alone."""
         if isinstance(predicate, BinaryOp) and predicate.op == "and":
-            return merge_intersection(
-                self._predicate_pres(predicate.left),
-                self._predicate_pres(predicate.right),
-            )
+            return self._within(predicate.right, self._within(predicate.left, block))
         if isinstance(predicate, BinaryOp) and predicate.op == "or":
-            return merge_union(
-                self._predicate_pres(predicate.left),
-                self._predicate_pres(predicate.right),
-            )
+            hits = self._within(predicate.left, block)
+            more = self._within(predicate.right, _without(block, hits))
+            return sorted(hits + more) if hits and more else hits or more
         if isinstance(predicate, FunctionCall) and predicate.name == "not":
-            return merge_difference(
-                self._all_pres(), self._predicate_pres(predicate.args[0])
-            )
+            return _without(block, self._within(predicate.args[0], block))
         if isinstance(predicate, FunctionCall) and predicate.name == "boolean":
-            return self._exists_pres(predicate.args[0])
+            return self._exists_within(predicate.args[0], block)
         raise FragmentViolationError(f"non-Core predicate: {predicate!r}")
 
-    def _exists_pres(self, path: Expr) -> list[int]:
-        """``{cn | path evaluates to a nonempty set at cn}`` by backward
-        propagation (no positions in Core XPath, so one pass suffices)."""
+    def _exists_within(self, path: Expr, block) -> list[int]:
+        """``{cn ∈ block | path evaluates to a nonempty set at cn}``:
+        backward propagation from all of ``dom`` (no positions in Core
+        XPath, so one pass suffices), intersected with the block."""
         assert isinstance(path, Path)
         current = self._all_pres()
         for step in reversed(path.steps):
@@ -146,10 +155,10 @@ class CoreXPathEvaluator:
                 break
             tested = filter_step(self.document, step.axis, current, step.node_test)
             for predicate in step.predicates:
-                tested = intersect(tested, self._predicate_pres(predicate))
+                tested = self._within(predicate, tested)
             current = inverse_step(self.document, step.axis, tested)
         if path.absolute:
-            if current and current[0] == 0:  # pre 0 is the document node
-                return self._all_pres()
-            return []
-        return current
+            # pre 0 is the document node: the path holds everywhere or nowhere.
+            holds = bool(current) and current[0] == 0
+            return (block if isinstance(block, list) else list(block)) if holds else []
+        return intersect(block, current)

@@ -29,7 +29,8 @@ order a frame meets them, with the counter each exit lands in:
    its in-flight cap (``QUOTA``, ``rejected_quota``).
 4. **validation** — ``deadline_ms``, the named documents, the query
    text, then the plan (cache or compile): any failure is a typed
-   request error (``request_errors``).
+   request error (``request_errors``) — a library error with its own
+   code, anything else (a bug) ``INTERNAL``; the connection stays open.
 5. **memo probe** (QUERY) — one dictionary read in the document's
    session. A hit is answered now: no task, no worker thread, no
    pricing. It is an answer like any other — ``admitted`` and
@@ -571,6 +572,11 @@ class XPathDaemon:
             except ReproError as error:
                 self._count(client_stats, "request_error")
                 return error_to_response(request_id, error)
+            except Exception as error:  # a front-end bug: typed, never lost
+                self._count(client_stats, "request_error")
+                return error_response(
+                    request_id, "INTERNAL", f"request validation failed: {error!r}"
+                )
             if not request.batch:
                 session = self.service.session(request.documents[0])
                 value = session.probe(request.plans[0])

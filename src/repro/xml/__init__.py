@@ -47,7 +47,6 @@ from repro.xml.document import Document, Node, NodeKind
 from repro.xml.index import (
     NodeIndex,
     adopt_node_index,
-    merge_difference,
     merge_intersection,
     merge_union,
     node_index,
@@ -75,7 +74,6 @@ __all__ = [
     "adopt_node_index",
     "decode_snapshot",
     "encode_snapshot",
-    "merge_difference",
     "merge_intersection",
     "merge_union",
     "node_index",

@@ -23,9 +23,8 @@ possible, all computed once per document and cached process-wide:
 
 Node sets travel through the fast kernels as **sorted pre-order int
 arrays** (document order for free, set algebra by linear merges —
-:func:`merge_union` / :func:`merge_intersection` /
-:func:`merge_difference`). The dispatch between these kernels and the
-paper-bounded scans lives in the step functions of
+:func:`merge_union` / :func:`merge_intersection`). The dispatch between
+these kernels and the paper-bounded scans lives in the step functions of
 :mod:`repro.axes.vec`; this module only provides the machinery.
 
 The columns are **packed**: ``size`` / ``post`` / ``depth`` /
@@ -601,27 +600,4 @@ def merge_intersection(a: list[int], b: list[int]) -> list[int]:
             out.append(x)
             i += 1
             j += 1
-    return out
-
-
-def merge_difference(a: list[int], b: list[int]) -> list[int]:
-    """``a - b`` for sorted int arrays (linear merge)."""
-    if not a:
-        return []
-    if not b:
-        return list(a)
-    out: list[int] = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            j += 1
-        else:
-            i += 1
-            j += 1
-    out.extend(a[i:])
     return out

@@ -117,6 +117,16 @@ class FunctionCall(Expr):
         return f"FunctionCall({self.name}, {self.args!r})"
 
 
+#: Binary operator → precedence, low to high: the one table the parser
+#: folds by and ``unparse`` parenthesizes by (unary minus binds tighter,
+#: then ``|``).
+BINARY_PRECEDENCE = {
+    op: level
+    for level, ops in enumerate(("or", "and", "= !=", "< <= > >=", "+ -", "* div mod"), 1)
+    for op in ops.split()
+}
+
+
 class BinaryOp(Expr):
     """``left op right`` for op in ``or and = != <= < >= > + - * div mod``."""
 
@@ -272,10 +282,6 @@ class Path(Expr):
         result.extend(self.primary_predicates)
         result.extend(self.steps)
         return result
-
-    def is_plain_location_path(self) -> bool:
-        """True for pure location paths (no filter-expression start)."""
-        return self.primary is None
 
     def __repr__(self) -> str:
         root = "/" if self.absolute else (repr(self.primary) if self.primary else "")

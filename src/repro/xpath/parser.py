@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the full XPath 1.0 grammar.
+"""Parser for the full XPath 1.0 grammar: precedence climbing over one
+binary-operator table, on the token list of one tokenizer pass.
 
 Accepts both the unabbreviated syntax the paper uses
 (``/descendant::*[position() > last()*0.5]``) and the abbreviated one
@@ -11,14 +12,34 @@ W3C rules:
 * ``@n``   →  ``attribute::n``
 * no axis  →  ``child::``
 
-Operator precedence (low to high): ``or``, ``and``, equality, relational,
-additive, multiplicative, unary minus, union ``|``, path.
+The tokens come from :func:`repro.xpath.lexer.scan`, which reads the
+whole query first (a lexical error anywhere wins over a syntax error
+before it). :meth:`_Parser.expr` folds binary operators left-
+associatively on an explicit operator stack ranked by
+:data:`repro.xpath.ast.BINARY_PRECEDENCE` — one loop for all six levels,
+no recursion per operator. An operand is unary minus over a ``|`` union
+of path expressions: location paths, or filter expressions (primary,
+predicates, ``/`` tail).
+
+**Nesting depth.** A parenthesized expression, a predicate, an argument
+list, a unary minus and a binary or ``|`` operator each sit one level
+above what they hold (an operator chain as the left-deep tree it
+builds: ``a or b or c`` is two levels), and a query may be at most
+:data:`MAX_DEPTH` levels deep. Past that, an :class:`XPathSyntaxError`
+names the ``(``, ``[``, function name or ``-`` that opens level
+``MAX_DEPTH + 1`` on the way down — the parser never recurses past the
+limit — or the operator whose subtree would be that high on the way
+back. The normalizer, the analyses and all six evaluators recurse over
+the tree; at 64 levels the deepest-recursing shape (nested predicates,
+about ten frames a level) stays well inside the interpreter's recursion
+limit, on the daemon's worker threads too.
 """
 
 from __future__ import annotations
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
+    BINARY_PRECEDENCE,
     BinaryOp,
     Expr,
     FunctionCall,
@@ -31,311 +52,299 @@ from repro.xpath.ast import (
     Union,
     VariableRef,
 )
-from repro.xpath.lexer import Token, TokenType, tokenize_xpath
+from repro.xpath.lexer import NODE_TYPES, TokenType, scan
+
+#: The deepest nesting a query may have (see the module docstring).
+MAX_DEPTH = 64
 
 _AXES = frozenset(
-    {
-        "self",
-        "child",
-        "parent",
-        "descendant",
-        "ancestor",
-        "descendant-or-self",
-        "ancestor-or-self",
-        "following",
-        "preceding",
-        "following-sibling",
-        "preceding-sibling",
-        "attribute",
-        "namespace",
-    }
+    "self child parent descendant ancestor descendant-or-self ancestor-or-self "
+    "following preceding following-sibling preceding-sibling attribute namespace".split()
 )
 
-_NODE_TYPE_NAMES = frozenset({"node", "text", "comment", "processing-instruction"})
+_OPERATOR = TokenType.OPERATOR
+_NAME = TokenType.NAME
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
+_LBRACKET = TokenType.LBRACKET
+#: Token types that begin a location step.
+_STEP_STARTS = (
+    _NAME, TokenType.STAR, TokenType.AXIS_NAME, TokenType.AT, TokenType.DOT, TokenType.DOTDOT
+)
+
+
+def _too_deep(offset: int) -> XPathSyntaxError:
+    return XPathSyntaxError(f"query nested deeper than {MAX_DEPTH} levels", offset)
+
+
+def _above(levels: int, other: int, offset: int) -> int:
+    """The depth of a construct at ``offset`` over subtrees ``levels``
+    and ``other`` deep, refusing depth ``MAX_DEPTH + 1``."""
+    levels = (levels if levels > other else other) + 1
+    if levels > MAX_DEPTH:
+        raise _too_deep(offset)
+    return levels
+
+
+def _descendant_or_self() -> Step:
+    return Step("descendant-or-self", NodeTest("node"))
 
 
 class _Parser:
+    """One query's tokens and the cursor over them. Each parse method
+    returns ``(node, levels)``: the subtree and its nesting depth."""
+
+    __slots__ = ("tokens", "pos", "open")
+
     def __init__(self, source: str):
-        self.source = source
-        self.tokens = tokenize_xpath(source)
-        self.index = 0
+        self.tokens = scan(source)
+        self.pos = 0
+        self.open = 0  # constructs open around the cursor
 
-    # ------------------------------------------------------------------
-    # Token helpers
-    # ------------------------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.type is not TokenType.END:
-            self.index += 1
-        return token
-
-    def accept(self, token_type: TokenType, value: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.type is token_type and (value is None or token.value == value):
-            return self.advance()
-        return None
-
-    def expect(self, token_type: TokenType, value: str | None = None) -> Token:
-        token = self.accept(token_type, value)
-        if token is None:
-            actual = self.peek()
-            wanted = value or token_type.value
+    def expect(self, token_type: TokenType) -> None:
+        token = self.tokens[self.pos]
+        if token[0] is not token_type:
             raise XPathSyntaxError(
-                f"expected {wanted!r}, found {actual.value!r}", actual.offset
+                f"expected {token_type.value!r}, found {token[1]!r}", token[2]
             )
-        return token
+        self.pos += 1
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
+    def enter(self, offset: int) -> None:
+        """Open a level on the way down, refusing level ``MAX_DEPTH + 1``
+        before the parser recurses into it."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(offset)
 
     def parse(self) -> Expr:
-        expr = self.parse_or()
-        trailing = self.peek()
-        if trailing.type is not TokenType.END:
+        expr, _ = self.expr()
+        trailing = self.tokens[self.pos]
+        if trailing[0] is not TokenType.END:
             raise XPathSyntaxError(
-                f"unexpected trailing input {trailing.value!r}", trailing.offset
+                f"unexpected trailing input {trailing[1]!r}", trailing[2]
             )
         return expr
 
-    # ------------------------------------------------------------------
-    # Expression levels
-    # ------------------------------------------------------------------
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept(TokenType.OPERATOR, "or"):
-            left = BinaryOp("or", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.accept(TokenType.OPERATOR, "and"):
-            left = BinaryOp("and", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
+    def expr(self):
+        """Expr: operands and binary operators, folded by precedence."""
+        tokens = self.tokens
+        first = self.operand()
+        token = tokens[self.pos]
+        if token[0] is not _OPERATOR or token[1] not in BINARY_PRECEDENCE:
+            return first
+        operands = [first]
+        pending = []  # (precedence, operator token), precedences rising
         while True:
-            token = self.peek()
-            if token.type is TokenType.OPERATOR and token.value in ("=", "!="):
-                self.advance()
-                left = BinaryOp(token.value, left, self.parse_relational())
-            else:
-                return left
+            token = tokens[self.pos]
+            precedence = BINARY_PRECEDENCE.get(token[1]) if token[0] is _OPERATOR else None
+            while pending and (precedence is None or pending[-1][0] >= precedence):
+                operator = pending.pop()[1]
+                right, right_levels = operands.pop()
+                left, left_levels = operands.pop()
+                levels = _above(left_levels, right_levels, operator[2])
+                operands.append((BinaryOp(operator[1], left, right), levels))
+            if precedence is None:
+                return operands[0]
+            pending.append((precedence, token))
+            self.pos += 1
+            operands.append(self.operand())
 
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while True:
-            token = self.peek()
-            if token.type is TokenType.OPERATOR and token.value in ("<", "<=", ">", ">="):
-                self.advance()
-                left = BinaryOp(token.value, left, self.parse_additive())
-            else:
-                return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.type is TokenType.OPERATOR and token.value in ("+", "-"):
-                self.advance()
-                left = BinaryOp(token.value, left, self.parse_multiplicative())
-            else:
-                return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while True:
-            token = self.peek()
-            if token.type is TokenType.OPERATOR and token.value in ("*", "div", "mod"):
-                self.advance()
-                left = BinaryOp(token.value, left, self.parse_unary())
-            else:
-                return left
-
-    def parse_unary(self) -> Expr:
-        if self.accept(TokenType.OPERATOR, "-"):
-            return Negate(self.parse_unary())
-        return self.parse_union()
-
-    def parse_union(self) -> Expr:
-        left = self.parse_path()
-        while self.accept(TokenType.OPERATOR, "|"):
-            left = Union(left, self.parse_path())
-        return left
+    def operand(self):
+        """UnaryExpr: ``-``* over PathExprs joined by ``|``."""
+        tokens = self.tokens
+        token = tokens[self.pos]
+        minuses = []
+        while token[0] is _OPERATOR and token[1] == "-":
+            minuses.append(token[2])
+            self.enter(token[2])
+            self.pos += 1
+            token = tokens[self.pos]
+        node, levels = self.path()
+        token = tokens[self.pos]
+        while token[0] is _OPERATOR and token[1] == "|":
+            self.pos += 1
+            right, right_levels = self.path()
+            node = Union(node, right)
+            levels = _above(levels, right_levels, token[2])
+            token = tokens[self.pos]
+        if minuses:
+            self.open -= len(minuses)
+            for offset in reversed(minuses):
+                node = Negate(node)
+                levels = _above(levels, 0, offset)
+        return node, levels
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
 
-    def parse_path(self) -> Expr:
+    def path(self):
         """PathExpr: a location path, or a filter expression optionally
         followed by '/' RelativeLocationPath."""
-        if self._starts_location_path():
-            return self.parse_location_path()
-        primary = self.parse_primary()
-        predicates: list[Expr] = []
-        while self.peek().type is TokenType.LBRACKET:
-            predicates.append(self.parse_predicate())
-        token = self.peek()
-        has_tail = token.type is TokenType.OPERATOR and token.value in ("/", "//")
-        if not predicates and not has_tail:
-            return primary
-        steps: list[Step] = []
-        if has_tail:
-            self.advance()
-            if token.value == "//":
-                steps.append(Step("descendant-or-self", NodeTest("node")))
-            steps.extend(self.parse_relative_steps())
-        return Path(primary=primary, primary_predicates=predicates, steps=steps)
-
-    def _starts_location_path(self) -> bool:
-        token = self.peek()
-        if token.type in (
-            TokenType.NAME,
-            TokenType.STAR,
-            TokenType.AXIS_NAME,
-            TokenType.AT,
-            TokenType.DOT,
-            TokenType.DOTDOT,
-        ):
-            return True
-        if token.type is TokenType.OPERATOR and token.value in ("/", "//"):
-            return True
-        # node-type tests lex as FUNCTION_NAME-free NAME except
-        # processing-instruction('x') which lexes as NAME + LPAREN; the
-        # lexer already keeps node types as NAME, so nothing more here.
-        return False
-
-    def parse_location_path(self) -> Path:
-        token = self.peek()
-        if token.type is TokenType.OPERATOR and token.value in ("/", "//"):
-            self.advance()
-            steps: list[Step] = []
-            if token.value == "//":
-                steps.append(Step("descendant-or-self", NodeTest("node")))
-                steps.extend(self.parse_relative_steps())
-            elif self._starts_step():
-                steps.extend(self.parse_relative_steps())
-            return Path(absolute=True, steps=steps)
-        return Path(steps=self.parse_relative_steps())
-
-    def _starts_step(self) -> bool:
-        token = self.peek()
-        return token.type in (
-            TokenType.NAME,
-            TokenType.STAR,
-            TokenType.AXIS_NAME,
-            TokenType.AT,
-            TokenType.DOT,
-            TokenType.DOTDOT,
-        )
-
-    def parse_relative_steps(self) -> list[Step]:
-        steps = [self.parse_step()]
-        while True:
-            token = self.peek()
-            if token.type is TokenType.OPERATOR and token.value == "/":
-                self.advance()
-                steps.append(self.parse_step())
-            elif token.type is TokenType.OPERATOR and token.value == "//":
-                self.advance()
-                steps.append(Step("descendant-or-self", NodeTest("node")))
-                steps.append(self.parse_step())
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
+            self.pos += 1
+            if token[1] == "//":
+                steps, levels = self.steps([_descendant_or_self()])
+            elif tokens[self.pos][0] in _STEP_STARTS:
+                steps, levels = self.steps([])
             else:
-                return steps
+                steps, levels = [], 0
+            return Path(absolute=True, steps=steps), levels
+        if token[0] in _STEP_STARTS:
+            steps, levels = self.steps([])
+            return Path(steps=steps), levels
+        primary, levels = self.primary()
+        predicates, predicate_levels = self.predicates()
+        token = tokens[self.pos]
+        if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
+            self.pos += 1
+            steps, step_levels = self.steps(
+                [_descendant_or_self()] if token[1] == "//" else []
+            )
+        elif not predicates:
+            return primary, levels
+        else:
+            steps, step_levels = [], 0
+        path = Path(primary=primary, primary_predicates=predicates, steps=steps)
+        return path, max(levels, predicate_levels, step_levels)
 
-    def parse_step(self) -> Step:
-        if self.accept(TokenType.DOT):
-            return Step("self", NodeTest("node"))
-        if self.accept(TokenType.DOTDOT):
-            return Step("parent", NodeTest("node"))
+    def steps(self, steps: list):
+        """RelativeLocationPath, appended to ``steps``."""
+        tokens = self.tokens
+        levels = 0
+        while True:
+            step, step_levels = self.step()
+            steps.append(step)
+            if step_levels > levels:
+                levels = step_levels
+            token = tokens[self.pos]
+            if token[0] is not _OPERATOR or (token[1] != "/" and token[1] != "//"):
+                return steps, levels
+            self.pos += 1
+            if token[1] == "//":
+                steps.append(_descendant_or_self())
+
+    def step(self):
+        tokens = self.tokens
+        pos = self.pos
+        token = tokens[pos]
+        kind = token[0]
+        if kind is TokenType.DOT or kind is TokenType.DOTDOT:
+            self.pos = pos + 1
+            return Step("self" if kind is TokenType.DOT else "parent", NodeTest("node")), 0
         axis = "child"
-        axis_token = self.accept(TokenType.AXIS_NAME)
-        if axis_token is not None:
-            if axis_token.value not in _AXES:
+        if kind is TokenType.AXIS_NAME:
+            axis = token[1]
+            if axis not in _AXES:
+                raise XPathSyntaxError(f"unknown axis {axis!r}", token[2])
+            if axis == "namespace":
                 raise XPathSyntaxError(
-                    f"unknown axis {axis_token.value!r}", axis_token.offset
+                    "the namespace axis is not supported (see DESIGN.md)", token[2]
                 )
-            if axis_token.value == "namespace":
-                raise XPathSyntaxError(
-                    "the namespace axis is not supported (see DESIGN.md)",
-                    axis_token.offset,
-                )
-            axis = axis_token.value
+            self.pos = pos + 1
             self.expect(TokenType.COLONCOLON)
-        elif self.accept(TokenType.AT):
+            pos = self.pos
+        elif kind is TokenType.AT:
             axis = "attribute"
-        node_test = self.parse_node_test()
-        predicates: list[Expr] = []
-        while self.peek().type is TokenType.LBRACKET:
-            predicates.append(self.parse_predicate())
-        return Step(axis, node_test, predicates)
+            pos += 1
+        token = tokens[pos]
+        if token[0] is _NAME:
+            name = token[1]
+            pos += 1
+            if name in NODE_TYPES and tokens[pos][0] is _LPAREN:
+                self.pos = pos + 1
+                node_test = self.node_type(name)
+                pos = self.pos
+            else:
+                node_test = NodeTest("name", name)
+        elif token[0] is TokenType.STAR:
+            pos += 1
+            node_test = NodeTest("wildcard")
+        else:
+            raise XPathSyntaxError(
+                f"expected a node test, found {token[1]!r}", token[2]
+            )
+        self.pos = pos
+        if tokens[pos][0] is _LBRACKET:
+            predicates, levels = self.predicates()
+            return Step(axis, node_test, predicates), levels
+        return Step(axis, node_test), 0
 
-    def parse_node_test(self) -> NodeTest:
-        if self.accept(TokenType.STAR):
-            return NodeTest("wildcard")
-        token = self.peek()
-        if token.type is TokenType.NAME:
-            self.advance()
-            if token.value in _NODE_TYPE_NAMES and self.peek().type is TokenType.LPAREN:
-                self.advance()  # consume '('
-                if token.value == "processing-instruction":
-                    target = None
-                    literal = self.accept(TokenType.LITERAL)
-                    if literal is not None:
-                        target = literal.value
-                    self.expect(TokenType.RPAREN)
-                    return NodeTest("pi", target)
-                self.expect(TokenType.RPAREN)
-                if token.value == "node":
-                    return NodeTest("node")
-                return NodeTest(token.value)
-            return NodeTest("name", token.value)
-        raise XPathSyntaxError(f"expected a node test, found {token.value!r}", token.offset)
+    def node_type(self, name: str) -> NodeTest:
+        """The rest of ``node()``, ``text()``, ``comment()`` or
+        ``processing-instruction(['target'])`` after its ``(``."""
+        target = None
+        if name == "processing-instruction":
+            literal = self.tokens[self.pos]
+            if literal[0] is TokenType.LITERAL:
+                target = literal[1]
+                self.pos += 1
+        self.expect(_RPAREN)
+        if name == "processing-instruction":
+            return NodeTest("pi", target)
+        return NodeTest(name)
 
-    def parse_predicate(self) -> Expr:
-        self.expect(TokenType.LBRACKET)
-        expr = self.parse_or()
-        self.expect(TokenType.RBRACKET)
-        return expr
+    def predicates(self):
+        """Zero or more ``[expr]``; each is a level above its expression."""
+        tokens = self.tokens
+        predicates = []
+        levels = 0
+        token = tokens[self.pos]
+        while token[0] is _LBRACKET:
+            self.pos += 1
+            self.enter(token[2])
+            expr, expr_levels = self.expr()
+            self.expect(TokenType.RBRACKET)
+            self.open -= 1
+            predicates.append(expr)
+            if expr_levels >= levels:
+                levels = _above(expr_levels, 0, token[2])
+            token = tokens[self.pos]
+        return predicates, levels
 
     # ------------------------------------------------------------------
     # Primaries
     # ------------------------------------------------------------------
 
-    def parse_primary(self) -> Expr:
-        token = self.peek()
-        if token.type is TokenType.VARIABLE:
-            self.advance()
-            return VariableRef(token.value)
-        if token.type is TokenType.LITERAL:
-            self.advance()
-            return StringLiteral(token.value)
-        if token.type is TokenType.NUMBER:
-            self.advance()
-            return NumberLiteral(float(token.value))
-        if token.type is TokenType.LPAREN:
-            self.advance()
-            inner = self.parse_or()
-            self.expect(TokenType.RPAREN)
-            return inner
-        if token.type is TokenType.FUNCTION_NAME:
-            self.advance()
-            self.expect(TokenType.LPAREN)
-            args: list[Expr] = []
-            if self.peek().type is not TokenType.RPAREN:
-                args.append(self.parse_or())
-                while self.accept(TokenType.COMMA):
-                    args.append(self.parse_or())
-            self.expect(TokenType.RPAREN)
-            return FunctionCall(token.value, args)
-        raise XPathSyntaxError(f"unexpected token {token.value!r}", token.offset)
+    def primary(self):
+        token = self.tokens[self.pos]
+        kind = token[0]
+        if kind is TokenType.NUMBER:
+            self.pos += 1
+            return NumberLiteral(float(token[1])), 0
+        if kind is TokenType.LITERAL:
+            self.pos += 1
+            return StringLiteral(token[1]), 0
+        if kind is TokenType.VARIABLE:
+            self.pos += 1
+            return VariableRef(token[1]), 0
+        if kind is _LPAREN:
+            self.pos += 1
+            self.enter(token[2])
+            inner, levels = self.expr()
+            self.expect(_RPAREN)
+            self.open -= 1
+            return inner, _above(levels, 0, token[2])
+        if kind is TokenType.FUNCTION_NAME:
+            self.pos += 1
+            self.expect(_LPAREN)
+            self.enter(token[2])
+            args = []
+            levels = 0
+            if self.tokens[self.pos][0] is not _RPAREN:
+                while True:
+                    arg, arg_levels = self.expr()
+                    args.append(arg)
+                    levels = max(levels, arg_levels)
+                    if self.tokens[self.pos][0] is not TokenType.COMMA:
+                        break
+                    self.pos += 1
+            self.expect(_RPAREN)
+            self.open -= 1
+            return FunctionCall(token[1], args), _above(levels, 0, token[2])
+        raise XPathSyntaxError(f"unexpected token {token[1]!r}", token[2])
 
 
 def parse_xpath(source: str) -> Expr:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.values.numbers import number_to_string
 from repro.xpath.ast import (
+    BINARY_PRECEDENCE,
     AstNode,
     BinaryOp,
     ConstantNodeSet,
@@ -25,22 +26,7 @@ from repro.xpath.ast import (
     VariableRef,
 )
 
-# Precedence levels, low to high; higher binds tighter.
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "=": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "div": 6,
-    "mod": 6,
-}
+# Precedence levels above the binary operators; higher binds tighter.
 _UNARY_PRECEDENCE = 7
 _UNION_PRECEDENCE = 8
 _LEAF_PRECEDENCE = 9
@@ -48,7 +34,7 @@ _LEAF_PRECEDENCE = 9
 
 def _precedence(expr: Expr) -> int:
     if isinstance(expr, BinaryOp):
-        return _PRECEDENCE[expr.op]
+        return BINARY_PRECEDENCE[expr.op]
     if isinstance(expr, Negate):
         return _UNARY_PRECEDENCE
     if isinstance(expr, Union):
@@ -107,7 +93,7 @@ def unparse(expr: Expr) -> str:
     if isinstance(expr, Negate):
         return f"-{_child(expr.operand, _UNARY_PRECEDENCE)}"
     if isinstance(expr, BinaryOp):
-        level = _PRECEDENCE[expr.op]
+        level = BINARY_PRECEDENCE[expr.op]
         left = _child(expr.left, level)
         right = _child(expr.right, level, right_side=True)
         return f"{left} {expr.op} {right}"

@@ -44,7 +44,6 @@ from repro.workloads.documents import (
 )
 from repro.xml.index import (
     NodeIndex,
-    merge_difference,
     merge_intersection,
     merge_union,
     node_index,
@@ -427,7 +426,6 @@ def test_merge_algebra_matches_set_algebra():
         assert merge_union(a, b) == sorted(set(a) | set(b))
         assert merge_intersection(a, b) == sorted(set(a) & set(b))
         assert intersect(a, b) == sorted(set(a) & set(b))
-        assert merge_difference(a, b) == sorted(set(a) - set(b))
 
 
 def test_merge_intersection_gallops_on_skewed_sizes():

@@ -370,6 +370,62 @@ def test_malformed_frame_gets_a_typed_error_and_the_connection_recovers():
         assert daemon.stats.snapshot()["malformed"] == 1
 
 
+#: Query texts the front end once let escape as a bare exception (a
+#: Unicode digit, nesting past the recursion limit), and the offset each
+#: is refused at now.
+HOSTILE_QUERIES = (
+    ("²", 0),
+    ("//book[price > ١٢]", 15),
+    ("(" * 100 + "1" + ")" * 100, 64),
+    ("//book[" + "not(" * 100 + "title" + ")" * 100 + "]", 259),
+    ("//book" + "[title" * 100 + "]" * 100, 390),
+)
+
+
+def test_hostile_query_texts_get_typed_replies_and_the_connection_stays_open():
+    with running_daemon() as daemon:
+        with ServeClient(port=daemon.port, client="alice") as client:
+            client.register("books", BOOKS)
+            for query, offset in HOSTILE_QUERIES:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.query(query, "books")
+                assert excinfo.value.protocol_code == "QUERY_SYNTAX"
+                assert f"(at offset {offset})" in str(excinfo.value)
+                # The same connection answers the next query.
+                assert client.query("//book/title", "books")["count"] == 2
+            stats = client.stats()
+        assert stats["global"]["request_errors"] == len(HOSTILE_QUERIES)
+        assert stats["global"]["completed"] == len(HOSTILE_QUERIES)
+        assert_stats_reconcile(stats)
+
+
+class FailingPlanner(QueryService):
+    """A service whose planner has a bug for one query text."""
+
+    def plan(self, query, *args, **kwargs):
+        if query == "//boom":
+            raise RuntimeError("planner bug")
+        return super().plan(query, *args, **kwargs)
+
+
+def test_an_unexpected_validation_failure_is_one_typed_counted_reply():
+    with running_daemon(service=FailingPlanner()) as daemon:
+        with ServeClient(port=daemon.port, client="alice") as client:
+            client.register("books", BOOKS)
+            with pytest.raises(RemoteError) as excinfo:
+                client.query("//boom", "books")
+            assert excinfo.value.protocol_code == "INTERNAL"
+            assert "planner bug" in str(excinfo.value)
+            assert client.query("//book/title", "books")["count"] == 2
+            with pytest.raises(RemoteError) as excinfo:
+                client.batch(["//book", "//boom"], ["books"])
+            assert excinfo.value.protocol_code == "INTERNAL"
+            stats = client.stats()
+        assert stats["global"]["request_errors"] == 2
+        assert stats["gauges"]["alice"]["in_flight"] == 0
+        assert_stats_reconcile(stats)
+
+
 def test_rate_limit_is_typed_and_the_retry_hint_works():
     with running_daemon(quota=ClientQuota(rate=20.0, burst=1)) as daemon:
         with ServeClient(port=daemon.port, client="r") as client:

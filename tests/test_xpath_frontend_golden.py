@@ -25,10 +25,23 @@ move the corpus), and generated malformed inputs: truncations and
 single-character edits, lone operators, unterminated literals, Unicode
 letters and digits, and deep nesting.
 
+Two bugs of that front end were fixed since, and the file's ``changed``
+section holds the new outcome of every cell they touched, keyed
+``group|cell``: XPath ``Digits`` are ``[0-9]`` (a Unicode digit is an
+unexpected character, not an ``AttributeError`` or a silently converted
+number), and a query nested deeper than
+:data:`repro.xpath.parser.MAX_DEPTH` is an
+:class:`~repro.errors.XPathSyntaxError` at the offending token (not a
+``RecursionError``, nor, for a long operator chain, a tree the later
+passes cannot walk). :func:`test_changed_cells_are_the_two_fixes` checks
+that every override is one of those.
+
 New cells must come from that commit: ``git archive 2f1e65b`` into a
 scratch directory, copy this file into its ``tests/``, and run
 ``PYTHONPATH=src python tests/test_xpath_frontend_golden.py`` there — it
-prints the JSON to commit as ``tests/golden/xpath_frontend.json``.
+prints the groups to commit as ``tests/golden/xpath_frontend.json``;
+then ``PYTHONPATH=src python tests/test_xpath_frontend_golden.py
+--changed`` on this tree prints the ``changed`` section to add to it.
 """
 
 from __future__ import annotations
@@ -471,14 +484,53 @@ def measure(group: str, golden: dict | None = None) -> dict:
     )
 
 
+def changed_cells(golden: dict) -> dict:
+    """``{"group|cell": outcome}`` for every cell this tree answers
+    differently from the golden file (the recipe for its ``changed``
+    section)."""
+    changed = {}
+    for group in GROUPS:
+        measured = measure(group, golden)
+        for cell, expected in golden[group].items():
+            if measured[cell] != expected:
+                changed[f"{group}|{cell}"] = measured[cell]
+    return changed
+
+
+def _fixed_on_purpose(query: str, outcome: dict) -> bool:
+    """One of the two fixes since the golden commit: a Unicode digit is
+    an unexpected character, or the query is nested too deeply."""
+    error = outcome.get("error", [None, ""])
+    if error[0] != "XPathSyntaxError":
+        return False
+    if error[1].startswith("query nested deeper than"):
+        return True
+    offending = query[error[2]]
+    return not offending.isascii() and offending.isdigit() and "unexpected character" in error[1]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def test_changed_cells_are_the_two_fixes(golden):
+    """``changed`` overrides the seed front end's outcome for exactly
+    the cells its two bugs produced, each with the reason visible."""
+    for key, outcome in golden["changed"].items():
+        group, cell = key.split("|", 1)
+        query = sources(group, golden)[cell][0]
+        assert golden[group][cell] != outcome, key
+        assert _fixed_on_purpose(query, outcome), key
+
+
 @pytest.mark.parametrize("group", GROUPS)
 def test_front_end_matches_golden(group, golden):
-    expected = golden[group]
+    expected = dict(golden[group])
+    prefix = f"{group}|"
+    for key, outcome in golden["changed"].items():
+        if key.startswith(prefix):
+            expected[key[len(prefix) :]] = outcome
     measured = measure(group, golden)
     assert sorted(measured) == sorted(expected)
     wrong = {
@@ -499,4 +551,11 @@ def test_corpus_exercises_both_outcomes(golden):
 
 
 if __name__ == "__main__":
-    print(json.dumps({group: measure(group) for group in GROUPS}, indent=0, sort_keys=True, ensure_ascii=False))
+    import sys
+
+    if sys.argv[1:] == ["--changed"]:
+        document = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        document["changed"] = changed_cells(document)
+    else:
+        document = {group: measure(group) for group in GROUPS}
+    print(json.dumps(document, indent=0, sort_keys=True, ensure_ascii=False))
