@@ -257,9 +257,24 @@ def template_sources() -> dict[str, str]:
 _QUERY_PUNCTUATION = re.compile(r"[/\[\]()@:$*|=<>.+\-]|^[0-9]")
 
 
+def _query_like(text: str) -> bool:
+    """A one-line literal with XPath punctuation that the front end of
+    the golden commit parsed, or a short one it refused (prose and
+    ``pytest.raises`` patterns are neither)."""
+    if not text or "\n" in text or ".*" in text or text.lstrip().startswith("<"):
+        return False
+    if len(text) > 200 or not _QUERY_PUNCTUATION.search(text):
+        return False
+    try:
+        parse_xpath(text)
+    except Exception:  # refused, however that front end refused it
+        return len(text) <= 30
+    return True
+
+
 def harvest_test_strings() -> list[str]:
-    """Every short one-line string literal in ``tests/*.py`` that carries
-    XPath punctuation (accepted or not), this file excepted."""
+    """Every query-like string literal in ``tests/*.py``, this file
+    excepted."""
     here = pathlib.Path(__file__)
     found = set()
     for path in sorted(here.parent.glob("*.py")):
@@ -267,15 +282,8 @@ def harvest_test_strings() -> list[str]:
             continue
         for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, pyast.Constant) and isinstance(node.value, str):
-                text = node.value
-                if (
-                    text
-                    and len(text) <= 200
-                    and "\n" not in text
-                    and not text.lstrip().startswith("<")
-                    and _QUERY_PUNCTUATION.search(text)
-                ):
-                    found.add(text)
+                if _query_like(node.value):
+                    found.add(node.value)
     return sorted(found)
 
 
