@@ -22,8 +22,8 @@ propagation. No complement of ``dom`` is ever built and each connective
 costs ``O(|block|) ⊆ O(|D|)``; every backward propagation still runs
 exactly once per ``boolean``, whatever the block, so the query costs
 ``O(|Q|)`` sweeps of ``O(|D|)`` (Theorem 13) and ``corexpath_steps`` is
-a function of the query alone. Each step goes
-through the per-step gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
+a function of the query alone. Each step goes through the per-step
+gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
 :func:`~repro.axes.vec.forward_step`, a backward step
 :func:`~repro.axes.vec.filter_step` then
 :func:`~repro.axes.vec.inverse_step`: the axis's output-sensitive
