@@ -31,7 +31,7 @@ from repro.core.mincontext import MinContextEvaluator
 from repro.core.naive import NaiveEvaluator
 from repro.core.optmincontext import OptMinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
-from repro.errors import FragmentViolationError, UnknownAlgorithmError
+from repro.errors import FragmentViolationError, UnknownAlgorithmError, XPathSyntaxError
 from repro.service.plan import CompiledPlan, LogicalPlan, PlanOptions, compute_traits
 from repro.xml.document import Document
 from repro.xpath.fragments import (
@@ -76,28 +76,38 @@ def compile_plan(
     variables: dict[str, object] | None = None,
     optimize: bool = False,
 ) -> LogicalPlan:
-    """Run the full stage-1 frontend pipeline on one query string."""
+    """Run the full stage-1 frontend pipeline on one query string.
+
+    The passes after the parser recurse over the tree. The parser bounds
+    the nesting it recurses into (:data:`repro.xpath.parser.MAX_DEPTH`),
+    not the height of an operator chain, so a tree too tall for these
+    passes (a chain of some five hundred terms) is refused here: an
+    :class:`~repro.errors.XPathSyntaxError`, never a ``RecursionError``.
+    """
     stats.count("plans_compiled")
     bindings = dict(variables or {})
-    ast = normalize(parse_xpath(query), bindings)
-    compute_relevance(ast)
-    rewrite_stats = None
-    if optimize:
-        rewrite_stats = RewriteStats()
-        ast = rewrite(ast, rewrite_stats)
+    try:
+        ast = normalize(parse_xpath(query), bindings)
         compute_relevance(ast)
-    return LogicalPlan(
-        source=query,
-        ast=ast,
-        result_type=ast.value_type or "nset",
-        core_violation=core_xpath_violation(ast),
-        wadler_violation=wadler_violation(ast),
-        bottomup_path_count=len(find_bottomup_paths(ast)),
-        variables=bindings,
-        rewrite_stats=rewrite_stats,
-        traits=compute_traits(ast),
-        options=PlanOptions.make(bindings, optimize),
-    )
+        rewrite_stats = None
+        if optimize:
+            rewrite_stats = RewriteStats()
+            ast = rewrite(ast, rewrite_stats)
+            compute_relevance(ast)
+        return LogicalPlan(
+            source=query,
+            ast=ast,
+            result_type=ast.value_type or "nset",
+            core_violation=core_xpath_violation(ast),
+            wadler_violation=wadler_violation(ast),
+            bottomup_path_count=len(find_bottomup_paths(ast)),
+            variables=bindings,
+            rewrite_stats=rewrite_stats,
+            traits=compute_traits(ast),
+            options=PlanOptions.make(bindings, optimize),
+        )
+    except RecursionError:
+        raise XPathSyntaxError("query nested too deeply to compile") from None
 
 
 class QueryPlanner:

@@ -21,18 +21,19 @@ no recursion per operator. An operand is unary minus over a ``|`` union
 of path expressions: location paths, or filter expressions (primary,
 predicates, ``/`` tail).
 
-**Nesting depth.** A parenthesized expression, a predicate, an argument
-list, a unary minus and a binary or ``|`` operator each sit one level
-above what they hold (an operator chain as the left-deep tree it
-builds: ``a or b or c`` is two levels), and a query may be at most
-:data:`MAX_DEPTH` levels deep. Past that, an :class:`XPathSyntaxError`
-names the ``(``, ``[``, function name or ``-`` that opens level
-``MAX_DEPTH + 1`` on the way down — the parser never recurses past the
-limit — or the operator whose subtree would be that high on the way
-back. The normalizer, the analyses and all six evaluators recurse over
-the tree; at 64 levels the deepest-recursing shape (nested predicates,
-about ten frames a level) stays well inside the interpreter's recursion
-limit, on the daemon's worker threads too.
+**Nesting depth.** The parser recurses only into a parenthesized
+expression, a predicate and a function call's arguments, and at most
+:data:`MAX_DEPTH` of them may be open at once: the ``(``, ``[`` or
+function name that opens one more is an :class:`XPathSyntaxError` at
+its offset, before the parser recurses into it. Operator chains, ``|``
+unions and unary minus runs are loops here and stay unbounded, as they
+always were. The normalizer, the analyses and all six evaluators recurse
+over the tree. The costliest nesting (predicates in predicates, whose
+step keys ``compute_traits`` unparses) compiles up to about 95 levels
+and the other shapes to about 235, so every evaluator runs a query at
+the limit. An operator chain compiles up to about 470 terms and
+evaluates up to about 235 (``topdown``); a tree taller than the later
+passes can walk is refused by :func:`repro.service.planner.compile_plan`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.xpath.ast import (
 from repro.xpath.lexer import NODE_TYPES, TokenType, scan
 
 #: The deepest nesting a query may have (see the module docstring).
-MAX_DEPTH = 64
+MAX_DEPTH = 80
 
 _AXES = frozenset(
     "self child parent descendant ancestor descendant-or-self ancestor-or-self "
@@ -73,33 +74,19 @@ _STEP_STARTS = (
 )
 
 
-def _too_deep(offset: int) -> XPathSyntaxError:
-    return XPathSyntaxError(f"query nested deeper than {MAX_DEPTH} levels", offset)
-
-
-def _above(levels: int, other: int, offset: int) -> int:
-    """The depth of a construct at ``offset`` over subtrees ``levels``
-    and ``other`` deep, refusing depth ``MAX_DEPTH + 1``."""
-    levels = (levels if levels > other else other) + 1
-    if levels > MAX_DEPTH:
-        raise _too_deep(offset)
-    return levels
-
-
 def _descendant_or_self() -> Step:
     return Step("descendant-or-self", NodeTest("node"))
 
 
 class _Parser:
-    """One query's tokens and the cursor over them. Each parse method
-    returns ``(node, levels)``: the subtree and its nesting depth."""
+    """One query's tokens and the cursor over them."""
 
     __slots__ = ("tokens", "pos", "open")
 
     def __init__(self, source: str):
         self.tokens = scan(source)
         self.pos = 0
-        self.open = 0  # constructs open around the cursor
+        self.open = 0  # parentheses, predicates and calls open at the cursor
 
     def expect(self, token_type: TokenType) -> None:
         token = self.tokens[self.pos]
@@ -110,14 +97,14 @@ class _Parser:
         self.pos += 1
 
     def enter(self, offset: int) -> None:
-        """Open a level on the way down, refusing level ``MAX_DEPTH + 1``
-        before the parser recurses into it."""
+        """Open a level, refusing level ``MAX_DEPTH + 1`` before the
+        parser recurses into it."""
         self.open += 1
         if self.open > MAX_DEPTH:
-            raise _too_deep(offset)
+            raise XPathSyntaxError(f"query nested deeper than {MAX_DEPTH} levels", offset)
 
     def parse(self) -> Expr:
-        expr, _ = self.expr()
+        expr = self.expr()
         trailing = self.tokens[self.pos]
         if trailing[0] is not TokenType.END:
             raise XPathSyntaxError(
@@ -125,7 +112,7 @@ class _Parser:
             )
         return expr
 
-    def expr(self):
+    def expr(self) -> Expr:
         """Expr: operands and binary operators, folded by precedence."""
         tokens = self.tokens
         first = self.operand()
@@ -133,52 +120,44 @@ class _Parser:
         if token[0] is not _OPERATOR or token[1] not in BINARY_PRECEDENCE:
             return first
         operands = [first]
-        pending = []  # (precedence, operator token), precedences rising
+        pending = []  # (precedence, operator), precedences rising
         while True:
             token = tokens[self.pos]
             precedence = BINARY_PRECEDENCE.get(token[1]) if token[0] is _OPERATOR else None
             while pending and (precedence is None or pending[-1][0] >= precedence):
                 operator = pending.pop()[1]
-                right, right_levels = operands.pop()
-                left, left_levels = operands.pop()
-                levels = _above(left_levels, right_levels, operator[2])
-                operands.append((BinaryOp(operator[1], left, right), levels))
+                right = operands.pop()
+                operands.append(BinaryOp(operator, operands.pop(), right))
             if precedence is None:
                 return operands[0]
-            pending.append((precedence, token))
+            pending.append((precedence, token[1]))
             self.pos += 1
             operands.append(self.operand())
 
-    def operand(self):
+    def operand(self) -> Expr:
         """UnaryExpr: ``-``* over PathExprs joined by ``|``."""
         tokens = self.tokens
         token = tokens[self.pos]
-        minuses = []
+        minuses = 0
         while token[0] is _OPERATOR and token[1] == "-":
-            minuses.append(token[2])
-            self.enter(token[2])
+            minuses += 1
             self.pos += 1
             token = tokens[self.pos]
-        node, levels = self.path()
+        node = self.path()
         token = tokens[self.pos]
         while token[0] is _OPERATOR and token[1] == "|":
             self.pos += 1
-            right, right_levels = self.path()
-            node = Union(node, right)
-            levels = _above(levels, right_levels, token[2])
+            node = Union(node, self.path())
             token = tokens[self.pos]
-        if minuses:
-            self.open -= len(minuses)
-            for offset in reversed(minuses):
-                node = Negate(node)
-                levels = _above(levels, 0, offset)
-        return node, levels
+        for _ in range(minuses):
+            node = Negate(node)
+        return node
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
 
-    def path(self):
+    def path(self) -> Expr:
         """PathExpr: a location path, or a filter expression optionally
         followed by '/' RelativeLocationPath."""
         tokens = self.tokens
@@ -186,54 +165,46 @@ class _Parser:
         if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
             self.pos += 1
             if token[1] == "//":
-                steps, levels = self.steps([_descendant_or_self()])
+                steps = self.steps([_descendant_or_self()])
             elif tokens[self.pos][0] in _STEP_STARTS:
-                steps, levels = self.steps([])
+                steps = self.steps([])
             else:
-                steps, levels = [], 0
-            return Path(absolute=True, steps=steps), levels
+                steps = []
+            return Path(absolute=True, steps=steps)
         if token[0] in _STEP_STARTS:
-            steps, levels = self.steps([])
-            return Path(steps=steps), levels
-        primary, levels = self.primary()
-        predicates, predicate_levels = self.predicates()
+            return Path(steps=self.steps([]))
+        primary = self.primary()
+        predicates = self.predicates()
         token = tokens[self.pos]
         if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
             self.pos += 1
-            steps, step_levels = self.steps(
-                [_descendant_or_self()] if token[1] == "//" else []
-            )
+            steps = self.steps([_descendant_or_self()] if token[1] == "//" else [])
         elif not predicates:
-            return primary, levels
+            return primary
         else:
-            steps, step_levels = [], 0
-        path = Path(primary=primary, primary_predicates=predicates, steps=steps)
-        return path, max(levels, predicate_levels, step_levels)
+            steps = []
+        return Path(primary=primary, primary_predicates=predicates, steps=steps)
 
-    def steps(self, steps: list):
+    def steps(self, steps: list) -> list:
         """RelativeLocationPath, appended to ``steps``."""
         tokens = self.tokens
-        levels = 0
         while True:
-            step, step_levels = self.step()
-            steps.append(step)
-            if step_levels > levels:
-                levels = step_levels
+            steps.append(self.step())
             token = tokens[self.pos]
             if token[0] is not _OPERATOR or (token[1] != "/" and token[1] != "//"):
-                return steps, levels
+                return steps
             self.pos += 1
             if token[1] == "//":
                 steps.append(_descendant_or_self())
 
-    def step(self):
+    def step(self) -> Step:
         tokens = self.tokens
         pos = self.pos
         token = tokens[pos]
         kind = token[0]
         if kind is TokenType.DOT or kind is TokenType.DOTDOT:
             self.pos = pos + 1
-            return Step("self" if kind is TokenType.DOT else "parent", NodeTest("node")), 0
+            return Step("self" if kind is TokenType.DOT else "parent", NodeTest("node"))
         axis = "child"
         if kind is TokenType.AXIS_NAME:
             axis = token[1]
@@ -268,9 +239,8 @@ class _Parser:
             )
         self.pos = pos
         if tokens[pos][0] is _LBRACKET:
-            predicates, levels = self.predicates()
-            return Step(axis, node_test, predicates), levels
-        return Step(axis, node_test), 0
+            return Step(axis, node_test, self.predicates())
+        return Step(axis, node_test)
 
     def node_type(self, name: str) -> NodeTest:
         """The rest of ``node()``, ``text()``, ``comment()`` or
@@ -286,64 +256,57 @@ class _Parser:
             return NodeTest("pi", target)
         return NodeTest(name)
 
-    def predicates(self):
-        """Zero or more ``[expr]``; each is a level above its expression."""
+    def predicates(self) -> list:
+        """Zero or more ``[expr]``."""
         tokens = self.tokens
         predicates = []
-        levels = 0
         token = tokens[self.pos]
         while token[0] is _LBRACKET:
             self.pos += 1
             self.enter(token[2])
-            expr, expr_levels = self.expr()
+            predicates.append(self.expr())
             self.expect(TokenType.RBRACKET)
             self.open -= 1
-            predicates.append(expr)
-            if expr_levels >= levels:
-                levels = _above(expr_levels, 0, token[2])
             token = tokens[self.pos]
-        return predicates, levels
+        return predicates
 
     # ------------------------------------------------------------------
     # Primaries
     # ------------------------------------------------------------------
 
-    def primary(self):
+    def primary(self) -> Expr:
         token = self.tokens[self.pos]
         kind = token[0]
         if kind is TokenType.NUMBER:
             self.pos += 1
-            return NumberLiteral(float(token[1])), 0
+            return NumberLiteral(float(token[1]))
         if kind is TokenType.LITERAL:
             self.pos += 1
-            return StringLiteral(token[1]), 0
+            return StringLiteral(token[1])
         if kind is TokenType.VARIABLE:
             self.pos += 1
-            return VariableRef(token[1]), 0
+            return VariableRef(token[1])
         if kind is _LPAREN:
             self.pos += 1
             self.enter(token[2])
-            inner, levels = self.expr()
+            inner = self.expr()
             self.expect(_RPAREN)
             self.open -= 1
-            return inner, _above(levels, 0, token[2])
+            return inner
         if kind is TokenType.FUNCTION_NAME:
             self.pos += 1
             self.expect(_LPAREN)
             self.enter(token[2])
             args = []
-            levels = 0
             if self.tokens[self.pos][0] is not _RPAREN:
                 while True:
-                    arg, arg_levels = self.expr()
-                    args.append(arg)
-                    levels = max(levels, arg_levels)
+                    args.append(self.expr())
                     if self.tokens[self.pos][0] is not TokenType.COMMA:
                         break
                     self.pos += 1
             self.expect(_RPAREN)
             self.open -= 1
-            return FunctionCall(token[1], args), _above(levels, 0, token[2])
+            return FunctionCall(token[1], args)
         raise XPathSyntaxError(f"unexpected token {token[1]!r}", token[2])
 
 

@@ -1,17 +1,22 @@
 """The parser's nesting-depth limit (:data:`repro.xpath.parser.MAX_DEPTH`).
 
-A query exactly ``MAX_DEPTH`` levels deep compiles and evaluates under
-every algorithm; one level more is an :class:`XPathSyntaxError` at the
-construct that opens it, whatever the shape of the nesting. Nothing the
-workload generators produce comes near the limit.
+A query nested exactly ``MAX_DEPTH`` levels deep — parentheses,
+predicates, function calls — compiles and evaluates under every
+algorithm; one level more is an :class:`XPathSyntaxError` at the
+construct that opens it. Operator chains, unions and unary minus runs
+are not nesting: as long as the seed front end compiled them, they still
+compile, and a chain too tall for the passes after the parser is an
+:class:`XPathSyntaxError` from ``compile_plan``, never a
+``RecursionError``. Nothing the workload generators produce comes near
+either.
 
 Every evaluator except ``bottomup`` runs at the limit on
 ``book_catalog(3)``. ``bottomup`` fills a context-value table per
 parse-tree node over all ``(cn, cp, cs)`` of the document, so at the
-limit it takes one to three minutes a shape on that document; what the
-limit is about — the recursion through the tree — does not depend on the
-document, so here it runs on a three-node one, except for the two
-shapes whose tree is small (parentheses add no node, a union is cheap).
+limit it takes minutes a shape on that document; what the limit is
+about — the recursion through the tree — does not depend on the
+document, so here it runs on a three-node one, except for parentheses
+(which add no node to the tree).
 """
 
 from __future__ import annotations
@@ -31,12 +36,9 @@ from repro.xpath.parser import MAX_DEPTH, parse_xpath
 ALGORITHMS = ("naive", "topdown", "bottomup", "mincontext", "optmincontext", "corexpath")
 
 #: ``shape(n)`` is a query exactly ``n`` levels deep and the offset of
-#: its topmost construct at level ``n`` — where ``shape(MAX_DEPTH + 1)``
-#: is refused: the ``(`` / ``not`` / ``[`` that opens the level on the
-#: way down, or the ``|`` that makes the chain one too high. A predicate
-#: is a level, so the shapes inside ``//book[...]`` spend one on it, and
-#: when what it holds is ``MAX_DEPTH`` high it is the ``[`` (offset 6)
-#: that is refused.
+#: the ``(`` / ``[`` / function name that opens level ``n`` — where
+#: ``shape(MAX_DEPTH + 1)`` is refused. A predicate is a level, so the
+#: ``not`` shape spends one on its ``[``.
 SHAPES = {
     "parentheses": lambda n: ("(" * n + "//book" + ")" * n, n - 1),
     "not": lambda n: (
@@ -44,12 +46,15 @@ SHAPES = {
         7 + 4 * (n - 2),
     ),
     "predicates": lambda n: ("//book" + "[title" * n + "]" * n, 6 + 6 * (n - 1)),
-    "or-chain": lambda n: ("//book[" + " or ".join(["title"] * n) + "]", 6),
-    "union-chain": lambda n: (" | ".join(["//title"] * (n + 1)), 7 + 10 * (n - 1) + 1),
-    "minus": lambda n: ("//book[" + "-" * (n - 2) + "1 < 5]", 6),
+    "calls": lambda n: ("string(" * n + "//title" + ")" * n, 7 * (n - 1)),
 }
-#: Shapes whose tree stays small, so ``bottomup`` is quick on the catalog.
-SMALL_TREES = ("parentheses", "union-chain")
+#: ``chain(n)``: ``n`` operators in a row, no nesting.
+CHAINS = {
+    "or": lambda n: "//book[" + " or ".join(["title"] * (n + 1)) + "]",
+    "union": lambda n: " | ".join(["//title"] * (n + 1)),
+    "plus": lambda n: "+".join(["1"] * (n + 1)),
+    "minus": lambda n: "//book[" + "-" * n + "1 < 5]",
+}
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +65,24 @@ def catalog():
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_the_limit_compiles_and_evaluates_under_every_algorithm(shape, catalog):
     query, _ = SHAPES[shape](MAX_DEPTH)
+    _evaluates_alike(query, catalog, bottomup_on_catalog=shape == "parentheses")
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chains_past_the_limit_compile_and_evaluate_under_every_algorithm(chain, catalog):
+    """The limit is on nesting: a chain twice as long compiles, as it
+    did before the limit existed."""
+    _evaluates_alike(CHAINS[chain](2 * MAX_DEPTH), catalog, bottomup_on_catalog=False)
+
+
+def _evaluates_alike(query, catalog, bottomup_on_catalog):
     plan = compile_plan(query)
     tiny = parse_document("<book><title/></book>")
     answers = set()
     for algorithm in ALGORITHMS:
         if algorithm == "corexpath" and not plan.is_core_xpath:
             continue
-        document = catalog if algorithm != "bottomup" or shape in SMALL_TREES else tiny
+        document = catalog if algorithm != "bottomup" or bottomup_on_catalog else tiny
         value = XPathEngine(document).evaluate(plan, algorithm=algorithm)
         if document is catalog:
             answers.add(repr([node.pre for node in value] if isinstance(value, list) else value))
@@ -90,9 +106,12 @@ def test_far_too_deep_is_refused_without_recursing():
     with pytest.raises(XPathSyntaxError) as excinfo:
         parse_xpath("(" * 10_000 + "1" + ")" * 10_000)
     assert excinfo.value.offset == MAX_DEPTH
-    with pytest.raises(XPathSyntaxError) as excinfo:
-        parse_xpath("-" * 10_000 + "1")
-    assert excinfo.value.offset == MAX_DEPTH
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_a_chain_too_tall_to_compile_is_a_syntax_error(chain):
+    with pytest.raises(XPathSyntaxError, match="^query nested too deeply to compile$"):
+        compile_plan(CHAINS[chain](10_000))
 
 
 def test_no_generated_query_comes_near_the_limit():

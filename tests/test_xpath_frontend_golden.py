@@ -29,12 +29,13 @@ Two bugs of that front end were fixed since, and the file's ``changed``
 section holds the new outcome of every cell they touched, keyed
 ``group|cell``: XPath ``Digits`` are ``[0-9]`` (a Unicode digit is an
 unexpected character, not an ``AttributeError`` or a silently converted
-number), and a query nested deeper than
-:data:`repro.xpath.parser.MAX_DEPTH` is an
-:class:`~repro.errors.XPathSyntaxError` at the offending token (not a
-``RecursionError``, nor, for a long operator chain, a tree the later
-passes cannot walk). :func:`test_changed_cells_are_the_two_fixes` checks
-that every override is one of those.
+number), and a query that front end could not compile for its depth (a
+``RecursionError``) is an :class:`~repro.errors.XPathSyntaxError` —
+at the ``(``, ``[`` or function name past
+:data:`repro.xpath.parser.MAX_DEPTH`, or from ``compile_plan`` for a tree
+too tall to walk. :func:`test_changed_cells_are_the_two_fixes` checks
+that every override is one of those; every query that front end compiled
+still compiles to the same cell.
 
 New cells must come from that commit: ``git archive 2f1e65b`` into a
 scratch directory, copy this file into its ``tests/``, and run
@@ -505,14 +506,15 @@ def changed_cells(golden: dict) -> dict:
     return changed
 
 
-def _fixed_on_purpose(query: str, outcome: dict) -> bool:
+def _fixed_on_purpose(query: str, before: dict, after: dict) -> bool:
     """One of the two fixes since the golden commit: a Unicode digit is
-    an unexpected character, or the query is nested too deeply."""
-    error = outcome.get("error", [None, ""])
+    an unexpected character, or a query that commit answered with a
+    ``RecursionError`` is refused for its depth."""
+    error = after.get("error", [None, ""])
     if error[0] != "XPathSyntaxError":
         return False
-    if error[1].startswith("query nested deeper than"):
-        return True
+    if error[1].startswith("query nested"):
+        return before.get("error") == ["RecursionError"]
     offending = query[error[2]]
     return not offending.isascii() and offending.isdigit() and "unexpected character" in error[1]
 
@@ -529,7 +531,7 @@ def test_changed_cells_are_the_two_fixes(golden):
         group, cell = key.split("|", 1)
         query = sources(group, golden)[cell][0]
         assert golden[group][cell] != outcome, key
-        assert _fixed_on_purpose(query, outcome), key
+        assert _fixed_on_purpose(query, golden[group][cell], outcome), key
 
 
 @pytest.mark.parametrize("group", GROUPS)
