@@ -60,9 +60,9 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 from repro import stats
-from repro.axes.order import FORWARD_AXES, REVERSE_AXES, is_forward_axis
+from repro.axes.order import FORWARD_AXES, INTERVAL_AXES, REVERSE_AXES, is_forward_axis
 from repro.xml.document import Document, Node, NodeKind
-from repro.xml.index import merge_intersection, merge_union, node_index
+from repro.xml.index import ATTR, merge_intersection, merge_union, node_index
 from repro.xpath.ast import NodeTest
 
 #: Every axis this library supports. ``id`` is the pseudo-axis of
@@ -483,12 +483,6 @@ def kernel_mode_forced(mode: str):
 # Each takes a sorted duplicate-free pre array and returns one; none
 # touches a boxed node except ``id``.
 
-#: Axes whose forward kernels are NodeIndex partition queries
-#: (binary-search ranges / suffix slices over sorted pre arrays).
-INTERVAL_AXES = frozenset(
-    {"descendant", "descendant-or-self", "following", "preceding"}
-)
-
 #: Axes whose *inverse* kernels emit pre-number ranges directly.
 INVERSE_INTERVAL_AXES = frozenset(
     {"ancestor", "ancestor-or-self", "following", "preceding"}
@@ -615,32 +609,13 @@ def _interval_axis_pres(
     if include_self and test.kind == "node":
         # Attribute context nodes match node() but live in no partition
         # the interval query reads; or-self must still return them. The
-        # membership test is a bisect into the attribute partition — a
-        # lazy column document must not materialize nodes here.
-        attributes = index.attributes
-        attribute_selves = [p for p in pres if _sorted_contains(attributes, p)]
+        # membership test reads the kind byte — a lazy column document
+        # must not materialize nodes here.
+        kinds = index.kinds
+        attribute_selves = [p for p in pres if kinds[p] == ATTR]
         if attribute_selves:
             result = merge_union(result, attribute_selves)
     return result
-
-
-def _sorted_contains(partition, pre: int) -> bool:
-    """Membership in a sorted pre array (packed memoryview or list)."""
-    i = bisect_left(partition, pre)
-    return i < len(partition) and partition[i] == pre
-
-
-def _membership(partition, block_size: int):
-    """O(1)-membership predicate over a sorted pre array.
-
-    When the candidate block outnumbers the partition, the per-candidate
-    bisects would cost more than one pass over the partition — build a
-    set once and answer in O(1). Otherwise keep the bisect (no pass over
-    a partition that may be much larger than the block).
-    """
-    if block_size > len(partition):
-        return set(partition).__contains__
-    return lambda pre: _sorted_contains(partition, pre)
 
 
 def _pointer_axis_pres(
@@ -750,10 +725,8 @@ def _sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
             if at == lo and lo < hi:
                 # Only an attribute sorts before every child: it hid the
                 # parent's earliest child member, if there is one.
-                is_attribute = _membership(index.attributes, len(pres))
-                return _sibling_pres(
-                    index, [p for p in pres if not is_attribute(p)], forward
-                )
+                kinds = index.kinds
+                return _sibling_pres(index, [p for p in pres if kinds[p] != ATTR], forward)
             out.extend(children[at:hi])
         else:
             # An attribute as latest member cuts an empty prefix.
@@ -789,8 +762,7 @@ def _inverse_pointer_pres(
 
     ``self⁻¹`` is the identity; ``child⁻¹``/``attribute⁻¹`` are parent-
     column gathers (children of Y's members never duplicate, attributes
-    are nobody's child and filtered by a bisect into the attribute
-    partition); ``parent⁻¹`` — children plus attributes of Y — is the
+    are nobody's child and filtered by their kind byte); ``parent⁻¹`` — children plus attributes of Y — is the
     per-member run ``pre+1, +size, ...`` to the subtree's first grand-
     child boundary, i.e. every node whose ``parent_pre`` lands in Y;
     the sibling inverses are the converse sibling runs
@@ -805,25 +777,21 @@ def _inverse_pointer_pres(
         # x has a following sibling in Y ⟺ x is a preceding sibling of a
         # member of Y, and vice versa.
         return _sibling_pres(index, pres, forward=axis == "preceding-sibling")
+    kinds = index.kinds
     if axis in ("descendant", "descendant-or-self"):
         # descendant⁻¹ = strict ancestors of Y's non-attribute members
         # (attributes are nobody's descendant); or-self adds Y itself.
-        is_attribute = _membership(index.attributes, len(pres))
         return _ancestor_pres(
             index,
-            [p for p in pres if not is_attribute(p)],
+            [p for p in pres if kinds[p] != ATTR],
             pres if axis == "descendant-or-self" else (),
         )
     if axis == "child":
         parent_pre = index.parent_pre
-        is_attribute = _membership(index.attributes, len(pres))
-        return sorted(
-            {parent_pre[p] for p in pres if p != 0 and not is_attribute(p)}
-        )
+        return sorted({parent_pre[p] for p in pres if p != 0 and kinds[p] != ATTR})
     if axis == "attribute":
         parent_pre = index.parent_pre
-        is_attribute = _membership(index.attributes, len(pres))
-        return sorted({parent_pre[p] for p in pres if is_attribute(p)})
+        return sorted({parent_pre[p] for p in pres if kinds[p] == ATTR})
     if axis != "parent":
         return None
     size = index.size
@@ -847,16 +815,16 @@ def _inverse_interval_pres(
         return []
     index = node_index(document)
     size = index.size
-    attributes = index.attributes
+    kinds = index.kinds
     if axis == "following":
         # following(x) ∩ Y ≠ ∅ ⟺ x's subtree ends at or before the
         # latest non-attribute member of Y: every pre below the cutoff
         # except the cutoff node's (still-open) ancestors. Attribute
-        # membership is a bisect into the attribute partition, never a
-        # node touch (a lazy column document must stay lazy here).
+        # membership is the kind byte, never a node touch (a lazy column
+        # document must stay lazy here).
         cutoff = None
         for p in pres:
-            if not _sorted_contains(attributes, p):
+            if kinds[p] != ATTR:
                 cutoff = p  # pres ascend: the last non-attribute wins
         if cutoff is None:
             return []
@@ -867,9 +835,7 @@ def _inverse_interval_pres(
         cutoff = None
         for p in pres:
             end = p + size[p]
-            if not _sorted_contains(attributes, p) and (
-                cutoff is None or end < cutoff
-            ):
+            if kinds[p] != ATTR and (cutoff is None or end < cutoff):
                 cutoff = end
         if cutoff is None:
             return []

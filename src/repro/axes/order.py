@@ -41,6 +41,13 @@ REVERSE_AXES = frozenset(
 )
 
 
+#: Axes whose forward kernels are NodeIndex partition queries
+#: (binary-search ranges / suffix slices over sorted pre arrays).
+INTERVAL_AXES = frozenset(
+    {"descendant", "descendant-or-self", "following", "preceding"}
+)
+
+
 def is_forward_axis(axis: str) -> bool:
     """True if ``<doc,χ`` for this axis is standard document order."""
     if axis in FORWARD_AXES:

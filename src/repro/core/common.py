@@ -35,7 +35,7 @@ from repro.values.coerce import node_numval, node_strval
 from repro.values.compare import compare_values
 from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document, Node
-from repro.xml.index import merge_intersection, node_index
+from repro.xml.index import ATTR, node_index
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Negate, NodeTest
 
 __all__ = [
@@ -138,7 +138,8 @@ def step_relation_pres(
             # Attribute origins are their own (only) or-self match; they
             # sit inside their element's interval but are nobody's
             # descendant, so the interval cut must not see them.
-            attribute_origins = set(merge_intersection(origins, index.attributes))
+            kinds = index.kinds
+            attribute_origins = {x for x in origins if kinds[x] == ATTR}
             if attribute_origins:
                 pool = [y for y in pool if y not in attribute_origins]
         for x in origins:
@@ -166,12 +167,11 @@ def step_relation_pres(
         parent_pre = index.parent_pre
         offsets, children = index.child_table()
         forward = axis == "following-sibling"
-        # Attributes have a parent but no siblings.
-        attribute_origins = set(merge_intersection(origins, index.attributes))
+        kinds = index.kinds
         spans: dict[int, list[int]] = {}
         for x in origins:
             parent = parent_pre[x]
-            if parent < 0 or x in attribute_origins:
+            if parent < 0 or kinds[x] == ATTR:  # attributes have no siblings
                 continue
             span = spans.get(parent)
             if span is None:

@@ -167,7 +167,6 @@ from repro.service.plan import (
     LogicalPlan,
     PlanOptions,
     PlanTraits,
-    compute_traits,
     plan_key,
 )
 from repro.service.planner import (
@@ -234,7 +233,6 @@ __all__ = [
     "ThreadScheduler",
     "build_batch_plan",
     "compile_plan",
-    "compute_traits",
     "document_profile",
     "make_evaluator",
     "make_scheduler",

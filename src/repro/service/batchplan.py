@@ -17,9 +17,10 @@ node-sets once per query. Instead:
    of step keys.
 2. The chains are unified into a prefix DAG: every step prefix with at
    least two distinct consumer plans becomes a *materialized* prefix
-   node, compiled once into its own prefix plan (cloned from a consumer,
-   so no unparse→reparse round trip is trusted) whose parent is its
-   longest materialized proper prefix.
+   node, compiled once into its own prefix plan (over a consumer's own
+   steps, so no unparse→reparse round trip is trusted, and described
+   from the consumer's ``step_summaries``, so nothing walks it) whose
+   parent is its longest materialized proper prefix.
 3. Per document, each distinct (prefix, document) node-set is evaluated
    at most once — lazily, only when a consumer actually misses the
    session memo — as a residual sweep over its parent's sorted pre
@@ -62,94 +63,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.service.plan import LogicalPlan, PlanOptions, compute_traits
+from repro.service.plan import LogicalPlan
 from repro.stats import BatchPlanStats
 from repro.xml.document import Document
-from repro.xpath.ast import (
-    BinaryOp,
-    ConstantNodeSet,
-    Expr,
-    FunctionCall,
-    Negate,
-    NumberLiteral,
-    Path,
-    Step,
-    StringLiteral,
-    Union,
-    VariableRef,
-)
-from repro.xpath.fragments import (
-    core_xpath_violation,
-    find_bottomup_paths,
-    wadler_violation,
-)
-from repro.xpath.relevance import compute_relevance
+from repro.xpath.ast import ConstantNodeSet, Path, Step, clone
+from repro.xpath.normalize import StepSummary, analyze, prefix_analysis
 
 
-# ----------------------------------------------------------------------
-# AST cloning
-# ----------------------------------------------------------------------
-
-
-def clone_expr(expr: Expr) -> Expr:
-    """A structural deep copy of a normalized AST fragment.
-
-    Prefix and residual plans re-root step lists taken from consumer
-    plans; reusing the original ``Step`` objects would be unsound
-    because :func:`~repro.xpath.relevance.compute_relevance` *mutates*
-    the ``relev`` slots it annotates — recomputing relevance for the new
-    root on shared nodes would corrupt the consumer plan. Clones get
-    fresh uids (the table-based evaluators key side tables by uid),
-    carry over ``value_type`` (normalization already ran on the source),
-    and share the immutable :class:`~repro.xpath.ast.NodeTest` and the
-    members of a :class:`~repro.xpath.ast.ConstantNodeSet`.
-    """
-    if isinstance(expr, NumberLiteral):
-        copy: Expr = NumberLiteral(expr.value)
-    elif isinstance(expr, StringLiteral):
-        copy = StringLiteral(expr.value)
-    elif isinstance(expr, VariableRef):
-        copy = VariableRef(expr.name)
-    elif isinstance(expr, ConstantNodeSet):
-        copy = ConstantNodeSet(expr.nodes)
-    elif isinstance(expr, FunctionCall):
-        copy = FunctionCall(expr.name, [clone_expr(arg) for arg in expr.args])
-    elif isinstance(expr, BinaryOp):
-        copy = BinaryOp(expr.op, clone_expr(expr.left), clone_expr(expr.right))
-    elif isinstance(expr, Negate):
-        copy = Negate(clone_expr(expr.operand))
-    elif isinstance(expr, Union):
-        copy = Union(clone_expr(expr.left), clone_expr(expr.right))
-    elif isinstance(expr, Path):
-        copy = Path(
-            absolute=expr.absolute,
-            primary=None if expr.primary is None else clone_expr(expr.primary),
-            primary_predicates=[clone_expr(p) for p in expr.primary_predicates],
-            steps=[clone_step(s) for s in expr.steps],
-        )
-    else:
-        raise ReproError(f"cannot clone AST node: {type(expr).__name__}")
-    copy.value_type = expr.value_type
-    return copy
-
-
-def clone_step(step: Step) -> Step:
-    """Clone one location step (see :func:`clone_expr`)."""
-    copy = Step(step.axis, step.node_test, [clone_expr(p) for p in step.predicates])
-    copy.value_type = step.value_type
-    return copy
-
-
-def _steps_are_core(steps: list[Step]) -> bool:
-    """Whether a step suffix can resume the Core XPath forward sweep.
-
-    The probe path only *wraps* the original steps for the structural
-    fragment check — nothing is mutated, so sharing the step objects
-    here is safe (unlike re-rooting them in a plan, which re-annotates).
-    """
-    if not steps:
-        return True
-    return core_xpath_violation(Path(absolute=True, steps=list(steps))) is None
+def _steps_are_core(steps: tuple[StepSummary, ...]) -> bool:
+    """Whether a step suffix, given its steps' summaries, can resume the
+    Core XPath forward sweep."""
+    return all(step.core is None for step in steps)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +81,7 @@ def _steps_are_core(steps: list[Step]) -> bool:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefixNode:
     """One materialized step prefix: a compiled plan of its own, plus the
     residual link to its longest materialized proper prefix."""
@@ -166,13 +90,12 @@ class PrefixNode:
     plan: LogicalPlan
     parent: tuple[str, ...] | None
     consumers: int
-    #: The steps past ``parent`` (the prefix plan's *own* cloned steps,
-    #: so applying them mutates nothing shared).
+    #: The steps past ``parent`` (applying them mutates nothing).
     residual_steps: list[Step] = field(default_factory=list)
     residual_core: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchEntry:
     """One input plan's sharing decision."""
 
@@ -198,30 +121,23 @@ def _longest_materialized(
     return None
 
 
-def _compile_prefix(chain: tuple[str, ...], source_steps: list[Step]) -> LogicalPlan:
+def _compile_prefix(chain: tuple[str, ...], plan: LogicalPlan, length: int) -> LogicalPlan:
     """Compile one materialized prefix into a standalone plan.
 
-    The AST is *cloned* from a consumer plan's leading steps (already
-    normalized/rewritten), never re-parsed from the canonical text — the
-    text is only the plan's stable source/cache key, so prefix memo
-    entries survive across batches and across syntactic variants that
-    normalize to the same chain.
+    The AST is a new absolute path over the first ``length`` steps of a
+    consumer plan (already normalized/rewritten, annotations included),
+    never re-parsed from the canonical text — the text is only the plan's
+    stable source/cache key, so prefix memo entries survive across
+    batches and across syntactic variants that normalize to the same
+    chain. The steps are shared, not copied: nothing annotates them
+    again, and no evaluation sees both trees (table-based evaluators,
+    which key tables by uid, are built fresh per evaluation). Verdicts,
+    path count and traits come from the consumer's step summaries:
+    nothing walks the prefix.
     """
-    ast = Path(absolute=True, steps=[clone_step(s) for s in source_steps])
-    ast.value_type = "nset"
-    compute_relevance(ast)
-    return LogicalPlan(
-        source="/" + "/".join(chain),
-        ast=ast,
-        result_type="nset",
-        core_violation=core_xpath_violation(ast),
-        wadler_violation=wadler_violation(ast),
-        bottomup_path_count=len(find_bottomup_paths(ast)),
-        variables={},
-        rewrite_stats=None,
-        traits=compute_traits(ast),
-        options=PlanOptions.make({}, False),
-    )
+    ast = Path(absolute=True, steps=plan.ast.steps[:length])
+    analysis = prefix_analysis(ast, plan.step_summaries[:length])
+    return LogicalPlan.from_analysis("/" + "/".join(chain), analysis)
 
 
 def _residual_plan(
@@ -235,20 +151,10 @@ def _residual_plan(
     nodes = document.nodes
     primary = ConstantNodeSet(nodes[pre] for pre in base_pres)
     primary.value_type = "nset"
-    ast = Path(primary=primary, steps=[clone_step(s) for s in steps])
+    ast = Path(primary=primary, steps=[clone(step) for step in steps])
     ast.value_type = "nset"
-    compute_relevance(ast)
-    return LogicalPlan(
-        source=f"<residual of {plan.source!r}>",
-        ast=ast,
-        result_type="nset",
-        core_violation=core_xpath_violation(ast),
-        wadler_violation=wadler_violation(ast),
-        bottomup_path_count=len(find_bottomup_paths(ast)),
-        variables={},
-        rewrite_stats=None,
-        traits=compute_traits(ast),
-        options=PlanOptions.make({}, False),
+    return LogicalPlan.from_analysis(
+        f"<residual of {plan.source!r}>", analyze(ast, normalized=True)
     )
 
 
@@ -279,23 +185,24 @@ class BatchPlan:
             chain = plan.traits.step_keys
             for length in range(1, len(chain) + 1):
                 prefix = chain[:length]
-                counts[prefix] = counts.get(prefix, 0) + 1
-                representatives.setdefault(prefix, (plan, length))
+                if prefix in counts:
+                    counts[prefix] += 1
+                else:
+                    counts[prefix] = 1
+                    representatives[prefix] = (plan, length)
         materialized = {prefix for prefix, n in counts.items() if n >= 2}
         for chain in sorted(materialized, key=lambda c: (len(c), c)):
             plan, length = representatives[chain]
-            prefix_plan = _compile_prefix(chain, plan.ast.steps[:length])
+            prefix_plan = _compile_prefix(chain, plan, length)
             parent = _longest_materialized(chain, len(chain) - 1, materialized)
-            residual = (
-                prefix_plan.ast.steps[len(parent):] if parent is not None else []
-            )
+            covered = length if parent is None else len(parent)
             self.nodes[chain] = PrefixNode(
                 chain=chain,
                 plan=prefix_plan,
                 parent=parent,
                 consumers=counts[chain],
-                residual_steps=residual,
-                residual_core=_steps_are_core(residual),
+                residual_steps=prefix_plan.ast.steps[covered:],
+                residual_core=_steps_are_core(plan.step_summaries[covered:length]),
             )
         for plan in plans:
             chain = plan.traits.step_keys
@@ -303,10 +210,9 @@ class BatchPlan:
             if chain and self.nodes:
                 base = _longest_materialized(chain, len(chain), self.nodes)
                 if base is not None:
-                    suffix = plan.ast.steps[len(base):]
                     entry.base = base
-                    entry.residual_steps = suffix
-                    entry.residual_core = _steps_are_core(suffix)
+                    entry.residual_steps = plan.ast.steps[len(base):]
+                    entry.residual_core = _steps_are_core(plan.step_summaries[len(base):])
             self.entries.append(entry)
         shared_keys = {
             entry.plan.cache_key for entry in self.entries if entry.base is not None

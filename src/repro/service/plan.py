@@ -6,9 +6,11 @@ rewritten) AST with ``value_type``/``Relev`` annotations, the fragment
 classification (Definition 12 and Section 4 of the paper), the bottom-up
 path count, and the :class:`PlanTraits` the cost model reads (AST size,
 position dependence, sibling-positional steps, string-function count).
-Building one costs a full parse → normalize → relevance → rewrite →
-classify pass; evaluating one is pure — the plan never changes and may
-be shared freely across documents, contexts, and threads of evaluation.
+Building one costs a parse and one pass over the tree that normalizes
+it and derives all of the above (:func:`repro.xpath.normalize.analyze`),
+plus, with ``optimize``, a rewrite and one more pass; evaluating one is
+pure — the plan never changes and may be shared freely across
+documents, contexts, and threads of evaluation.
 That asymmetry is the whole point of the service layer: compile once,
 evaluate many times (Theorems 7/10/13 bound the *evaluation* cost; the
 frontend cost is amortized away by
@@ -31,11 +33,11 @@ key ``(query, options)`` never conflates distinct plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.axes.axes import INTERVAL_AXES
-from repro.xpath.ast import AstNode, ConstantNodeSet, Expr, FunctionCall, Path, Step
+from repro.xpath.ast import Expr
+from repro.xpath.normalize import Analysis, StepSummary, counters
 from repro.xpath.rewrite import RewriteStats
-from repro.xpath.unparse import step_to_string
 
 
 def freeze_variables(variables: dict[str, object] | None) -> tuple:
@@ -72,45 +74,33 @@ class PlanOptions:
     def make(
         cls, variables: dict[str, object] | None = None, optimize: bool = False
     ) -> "PlanOptions":
+        if not variables and not optimize:
+            return _DEFAULT_OPTIONS  # immutable: every plain compile shares it
         return cls(optimize=bool(optimize), variables_signature=freeze_variables(variables))
 
 
+_DEFAULT_OPTIONS = PlanOptions()
+
+
+#: A step summary's key.
+_KEY = itemgetter(0)
+
+
 def plan_key(query: str, options: PlanOptions) -> tuple:
-    """The plan-cache key: the exact query text plus its compile options."""
-    return (query, options)
+    """The plan-cache key: the exact query text plus its compile options
+    (flat, so hashing it never calls back into Python)."""
+    return (query, options.optimize, options.variables_signature)
 
 
-#: The context components whose relevance marks position dependence.
-_CPCS = frozenset({"cp", "cs"})
-
-#: Sibling axes whose positional predicates loop over sibling runs —
-#: the shape feature that makes OPTMINCONTEXT's bottom-up precomputation
-#: pay off on high-fanout documents (see the cost model).
-_SIBLING_AXES = frozenset({"following-sibling", "preceding-sibling"})
-
-#: String-library functions whose cost scales with text volume.
-_STRING_FUNCTIONS = frozenset(
-    {
-        "string",
-        "concat",
-        "contains",
-        "starts-with",
-        "substring",
-        "substring-before",
-        "substring-after",
-        "string-length",
-        "normalize-space",
-        "translate",
-    }
-)
-
-
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass pays an ``object.__setattr__`` per field
+# on every compile. Nothing writes a plan's traits after it is built.
+@dataclass
 class PlanTraits:
     """Document-independent cost features of one normalized AST.
 
-    Computed once at compile time (one AST walk) and read by the stage-2
-    cost model together with a :class:`DocumentProfile`:
+    Read off the tree's :class:`~repro.xpath.normalize.Analysis` at
+    compile time and read by the stage-2 cost model together with a
+    :class:`DocumentProfile`:
 
     * ``ast_size`` — total AST node count, the ``|Q|`` of the paper's
       bounds;
@@ -129,10 +119,10 @@ class PlanTraits:
       counts, stage 2 can predict how small the fused kernels' outputs
       are — see :func:`repro.service.specialize.name_test_selectivity`);
     * ``step_keys`` — the canonical per-step keys of the query's main
-      path, when the query *is* a plain absolute location path: one
-      :func:`repro.xpath.unparse.step_to_string` rendering per
-      normalized step. Two plans whose chains share a prefix denote the
-      same intermediate node-sets (``//a`` and
+      path, when the query *is* a plain absolute location path: each
+      normalized step's canonical text (its ``unparse``). Two plans
+      whose chains share a prefix denote the same intermediate node-sets
+      (``//a`` and
       ``/descendant-or-self::node()/child::a`` unify here because
       normalization expands abbreviations before unparsing), which is
       what the batch-shared step DAG (:mod:`repro.service.batchplan`)
@@ -152,57 +142,6 @@ class PlanTraits:
     step_keys: tuple = ()
 
 
-def compute_traits(ast: Expr) -> PlanTraits:
-    """One-pass trait extraction over a relevance-annotated AST."""
-    size = 0
-    uses_position = False
-    positional_sibling = False
-    string_ops = 0
-    indexed_axis_steps = 0
-    name_test_tags: list[str] = []
-    constant_node_set = False
-    stack: list[AstNode] = [ast]
-    while stack:
-        node = stack.pop()
-        size += 1
-        if isinstance(node, ConstantNodeSet):
-            constant_node_set = True
-        relev = getattr(node, "relev", None)
-        if relev and (relev & _CPCS):
-            uses_position = True
-        if isinstance(node, FunctionCall) and node.name in _STRING_FUNCTIONS:
-            string_ops += 1
-        if isinstance(node, Step):
-            if node.axis in _SIBLING_AXES:
-                for predicate in node.predicates:
-                    predicate_relev = getattr(predicate, "relev", None)
-                    if predicate_relev and (predicate_relev & _CPCS):
-                        positional_sibling = True
-            if node.axis in INTERVAL_AXES:
-                indexed_axis_steps += 1
-                if node.node_test.kind == "name":
-                    name_test_tags.append(node.node_test.name)
-        stack.extend(node.children())
-    step_keys: tuple = ()
-    if (
-        isinstance(ast, Path)
-        and ast.absolute
-        and ast.primary is None
-        and ast.steps
-        and not constant_node_set
-    ):
-        step_keys = tuple(step_to_string(step) for step in ast.steps)
-    return PlanTraits(
-        ast_size=size,
-        uses_position=uses_position,
-        positional_sibling=positional_sibling,
-        string_op_count=string_ops,
-        indexed_axis_steps=indexed_axis_steps,
-        name_test_tags=tuple(sorted(name_test_tags)),
-        step_keys=step_keys,
-    )
-
-
 @dataclass
 class LogicalPlan:
     """A parsed, normalized, analyzed query, reusable across evaluations.
@@ -218,6 +157,12 @@ class LogicalPlan:
         traits: the document-independent cost features the stage-2
             specializer reads (see :class:`PlanTraits`).
         options: the compile-time options this plan was built under.
+        step_summaries: one :class:`~repro.xpath.normalize.StepSummary`
+            per main-path step when ``traits.step_keys`` is non-empty: the
+            batch planner describes any prefix of the path from them
+            without walking it. Kept beside the traits, not in them:
+            ``PlanTraits`` is the cost model's (and the golden corpus's)
+            record of the whole query.
     """
 
     source: str
@@ -231,6 +176,44 @@ class LogicalPlan:
     rewrite_stats: RewriteStats | None = None
     traits: PlanTraits = field(default_factory=PlanTraits)
     options: PlanOptions = field(default_factory=PlanOptions)
+    step_summaries: tuple[StepSummary, ...] = field(default=(), repr=False)
+
+    @classmethod
+    def from_analysis(
+        cls,
+        source: str,
+        analysis: Analysis,
+        variables: dict[str, object] | None = None,
+        rewrite_stats: RewriteStats | None = None,
+        optimize: bool = False,
+    ) -> "LogicalPlan":
+        """The plan of an analyzed tree (see :class:`PlanTraits` for when
+        a plan has step keys)."""
+        ast, core, wadler, counts, tags, steps = analysis
+        size, bottomup, string_ops, indexed, positions, siblings, constants = counters(counts)
+        if constants or not steps:
+            steps = ()
+        return cls(
+            source=source,
+            ast=ast,
+            result_type=ast.value_type or "nset",
+            core_violation=core,
+            wadler_violation=wadler,
+            bottomup_path_count=bottomup,
+            variables={} if variables is None else variables,
+            rewrite_stats=rewrite_stats,
+            traits=PlanTraits(
+                ast_size=size,
+                uses_position=positions > 0,
+                positional_sibling=siblings > 0,
+                string_op_count=string_ops,
+                indexed_axis_steps=indexed,
+                name_test_tags=tuple(sorted(tags)) if tags else (),
+                step_keys=tuple(map(_KEY, steps)),
+            ),
+            options=PlanOptions.make(variables, optimize),
+            step_summaries=steps,
+        )
 
     @property
     def is_core_xpath(self) -> bool:

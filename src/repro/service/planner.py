@@ -2,9 +2,12 @@
 
 This module owns the *document-independent* half of compilation:
 
-* :func:`compile_plan` — parse → normalize (variables substituted,
-  conversions explicit) → relevance analysis → optional rewrite →
-  fragment classification → trait extraction, producing a
+* :func:`compile_plan` — parse, then one pass over the tree that
+  normalizes it (variables substituted, conversions explicit) and, node
+  by node, derives ``Relev``, the fragment verdicts, the bottom-up path
+  count, the cost traits and each step's canonical key
+  (:func:`repro.xpath.normalize.analyze`); with ``optimize``, a rewrite
+  and one more such pass. The result is a
   :class:`~repro.service.plan.LogicalPlan`;
 * :func:`resolve_algorithm` — validate an algorithm name, apply the
   *static* ``auto`` fragment dispatch (Core XPath → Theorem 13's
@@ -31,17 +34,11 @@ from repro.core.mincontext import MinContextEvaluator
 from repro.core.naive import NaiveEvaluator
 from repro.core.optmincontext import OptMinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
-from repro.errors import FragmentViolationError, UnknownAlgorithmError, XPathSyntaxError
-from repro.service.plan import CompiledPlan, LogicalPlan, PlanOptions, compute_traits
+from repro.errors import FragmentViolationError, UnknownAlgorithmError
+from repro.service.plan import CompiledPlan, LogicalPlan
 from repro.xml.document import Document
-from repro.xpath.fragments import (
-    core_xpath_violation,
-    find_bottomup_paths,
-    wadler_violation,
-)
-from repro.xpath.normalize import normalize
+from repro.xpath.normalize import analyze
 from repro.xpath.parser import parse_xpath
-from repro.xpath.relevance import compute_relevance
 from repro.xpath.rewrite import RewriteStats, rewrite
 
 #: The selectable evaluation algorithms.
@@ -78,36 +75,20 @@ def compile_plan(
 ) -> LogicalPlan:
     """Run the full stage-1 frontend pipeline on one query string.
 
-    The passes after the parser recurse over the tree. The parser bounds
-    the nesting it recurses into (:data:`repro.xpath.parser.MAX_DEPTH`),
-    not the height of an operator chain, so a tree too tall for these
-    passes (a chain of some five hundred terms) is refused here: an
-    :class:`~repro.errors.XPathSyntaxError`, never a ``RecursionError``.
+    The parser bounds the nesting it recurses into
+    (:data:`repro.xpath.parser.MAX_DEPTH`), not the height of an operator
+    chain; the pass after it refuses a tree taller than
+    :data:`repro.xpath.normalize.MAX_HEIGHT` (a chain of some five
+    hundred terms) with an :class:`~repro.errors.XPathSyntaxError`.
     """
     stats.count("plans_compiled")
     bindings = dict(variables or {})
-    try:
-        ast = normalize(parse_xpath(query), bindings)
-        compute_relevance(ast)
-        rewrite_stats = None
-        if optimize:
-            rewrite_stats = RewriteStats()
-            ast = rewrite(ast, rewrite_stats)
-            compute_relevance(ast)
-        return LogicalPlan(
-            source=query,
-            ast=ast,
-            result_type=ast.value_type or "nset",
-            core_violation=core_xpath_violation(ast),
-            wadler_violation=wadler_violation(ast),
-            bottomup_path_count=len(find_bottomup_paths(ast)),
-            variables=bindings,
-            rewrite_stats=rewrite_stats,
-            traits=compute_traits(ast),
-            options=PlanOptions.make(bindings, optimize),
-        )
-    except RecursionError:
-        raise XPathSyntaxError("query nested too deeply to compile") from None
+    analysis = analyze(parse_xpath(query), bindings)
+    rewrite_stats = None
+    if optimize:
+        rewrite_stats = RewriteStats()
+        analysis = analyze(rewrite(analysis.ast, rewrite_stats), normalized=True)
+    return LogicalPlan.from_analysis(query, analysis, bindings, rewrite_stats, optimize)
 
 
 class QueryPlanner:

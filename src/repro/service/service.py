@@ -87,6 +87,7 @@ class DocumentSession:
         document: Document,
         result_capacity: int | None = None,
         specializer: PlanSpecializer | None = None,
+        result_stats: CacheStats | None = None,
     ):
         if not document.is_finalized:
             raise ReproError("document must be finalized before building a session")
@@ -105,7 +106,13 @@ class DocumentSession:
         self._evaluators: dict[str, object] = {}
         self._results: dict[tuple, object] = {}
         self._lock = threading.RLock()
-        self.result_stats = CacheStats(name="result_cache", capacity=self.result_capacity)
+        #: The memo's counters; a :class:`QueryService` hands every
+        #: session it makes the same instance.
+        self.result_stats = (
+            CacheStats(name="result_cache", capacity=self.result_capacity)
+            if result_stats is None
+            else result_stats
+        )
 
     # ------------------------------------------------------------------
 
@@ -359,14 +366,13 @@ class QueryService:
         self.shard_history = ShardTimingHistory()
         # Sessions are LRU-bounded too: a long-lived service must not
         # retain every document tree it has ever served. Evicting a
-        # session drops its document reference and result memo; its
-        # hit/miss counts are folded into _retired_result_stats so
-        # aggregate statistics stay exact.
+        # session drops its document reference and result memo. Every
+        # session counts into the one _result_stats, so a lookup on a
+        # session another thread has just evicted is still counted.
         self._sessions = PlanCache(session_capacity, name="session_cache")
-        self._retired_result_stats = CacheStats(name="result_cache")
+        self._result_stats = CacheStats(name="result_cache")
         # Guards the compound session-map operations (lookup + create +
-        # evict must be atomic, or racing threads leak sessions and lose
-        # retired counters). Re-entrant: clear() absorbs stats while held.
+        # evict must be atomic, or racing threads leak sessions).
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -394,10 +400,10 @@ class QueryService:
                     document,
                     result_capacity=self.result_capacity,
                     specializer=self.specializer,
+                    result_stats=self._result_stats,
                 )
                 while len(self._sessions) >= self._sessions.capacity:
-                    _, evicted = self._sessions.pop_lru()
-                    self._retired_result_stats.absorb(evicted.result_stats)
+                    self._sessions.pop_lru()
                 self._sessions.put(document, session)
             return session
 
@@ -526,14 +532,8 @@ class QueryService:
         }
 
     def result_cache_stats(self) -> dict:
-        """Aggregated result-memo statistics across all sessions, live and
-        evicted."""
-        merged = CacheStats(name="result_cache")
-        with self._lock:
-            merged.absorb(self._retired_result_stats)
-            for session in self._sessions.values():
-                merged.absorb(session.result_stats)
-        return merged.snapshot()
+        """Result-memo statistics across all sessions, live and evicted."""
+        return self._result_stats.snapshot()
 
     def cache_stats(self) -> dict:
         """One dict with every cache layer, for CLI/monitoring output.
@@ -558,6 +558,5 @@ class QueryService:
             self.specializer.clear()
         with self._lock:
             for session in self._sessions.values():
-                self._retired_result_stats.absorb(session.result_stats)
                 session.clear()
             self._sessions.clear()

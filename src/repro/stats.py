@@ -103,11 +103,6 @@ class CacheStats:
             self.evictions += amount
         count(f"{self.name}_evictions", amount)
 
-    def absorb(self, other: "CacheStats") -> None:
-        """Fold another instance's counters into this one (used when
-        aggregating across sessions and when retiring evicted ones)."""
-        self.absorb_snapshot(other.snapshot())
-
     def absorb_snapshot(self, snapshot: dict) -> None:
         """Fold a counter snapshot (a :meth:`snapshot` dict, or a shard's
         merged stats) into this instance — the incremental form of the

@@ -64,6 +64,10 @@ from bisect import bisect_left
 from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.document import Document
 
+#: The kind byte of an attribute in the ``kinds`` column
+#: (:data:`repro.xml.columns.KIND_CODES`).
+ATTR = ord("A")
+
 #: The six kind partitions, in the order they are packed and persisted.
 KIND_PARTITIONS = (
     "elements", "attributes", "non_attributes", "text_nodes", "comments", "pis"
@@ -82,6 +86,9 @@ class NodeIndex:
             an attribute is one deeper than its element).
         parent_pre: ``parent_pre[i]`` — pre number of the parent (``-1``
             for the document node).
+        kinds: ``kinds[i]`` — the kind byte of the node with pre ``i``,
+            the columns' own ``bytes`` (not a copy): ``kinds[p] == ATTR``
+            is the kernels' attribute-membership test.
         by_tag: element tag → sorted pre numbers of elements with it.
         by_attribute: attribute name → sorted pre numbers of attributes.
         by_pi_target: PI target → sorted pre numbers.
@@ -107,6 +114,7 @@ class NodeIndex:
         "post",
         "depth",
         "parent_pre",
+        "kinds",
         "partitions",
         "by_tag",
         "by_attribute",
@@ -161,6 +169,7 @@ class NodeIndex:
         self.post = memoryview(columns.post)
         self.depth = memoryview(columns.depth)
         self.parent_pre = memoryview(columns.parent_pre)
+        self.kinds = columns.kinds
         if partitions is None:
             partitions = self._build_partitions(columns.kinds, columns.names)
         self._point_at(*partitions)
@@ -186,7 +195,7 @@ class NodeIndex:
         text_nodes: list[int] = []
         comments: list[int] = []
         pis: list[int] = []
-        element, attribute = ord("E"), ord("A")
+        element, attribute = ord("E"), ATTR
         text, comment, pi = ord("T"), ord("C"), ord("P")
         elements_append = elements.append
         attributes_append = attributes.append

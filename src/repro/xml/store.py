@@ -13,15 +13,20 @@ the document. Nothing is written at ``path`` itself and no object holds
 a copy of the name table, so:
 
 * a **put** is one file: the blob is encoded first (a failing encode
-  touches nothing), written to ``<file>.tmp``, fsynced, ``os.replace``d
-  over the target, and the directory fsynced — two fsyncs, no other
-  document's file touched. The rename *is* the commit: a crash before it
-  leaves the previous document (or none), after it the new one, never a
-  mixture; an error on the way removes the temp file;
+  touches nothing), written to a temp file of its own,
+  ``<file>.<pid>.<n>.tmp``, fsynced, ``os.replace``d over the target, and
+  the directory fsynced — two fsyncs, no other document's file touched.
+  The rename *is* the commit: a crash before it leaves the previous
+  document (or none), after it the new one, never a mixture; an error on
+  the way removes the temp file. Two writers of one name — threads or
+  processes — never share a temp file, so each commits a whole document
+  and the last rename wins;
 * ``names()`` / ``len`` / ``in`` read the directory (to list, also each
   file's header), so two ``DocumentStore`` objects on one path — or two
   processes — see each other's puts and deletes. ``*.tmp`` debris of a
-  killed process is never listed; the next put of that name replaces it;
+  killed writer is never listed, and opening a store removes every temp
+  file whose writer is gone: its process has exited, or it is this
+  process and no put of it is writing that file;
 * a **load** goes straight to the file its name hashes to and trusts it
   as far as the snapshot module's docstring argues: CRC-32 over the whole
   blob, a header naming the document asked for, bounds-checked sections
@@ -39,6 +44,7 @@ written, fsyncs and bytes, each where it happens.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pathlib
 
@@ -54,6 +60,30 @@ from repro.xml.snapshot import (
 )
 
 __all__ = ["DocumentStore", "DocumentStoreError"]
+
+#: Temp-file numbers of this process, and the temp files its puts are
+#: writing right now (a put adds its file before creating it and drops
+#: it however the put ends).
+_temp_numbers = itertools.count()
+_writing: set[str] = set()
+
+
+def _writer_gone(temp: pathlib.Path) -> bool:
+    """Whether no live put is writing ``temp`` (named
+    ``<file>.<pid>.<n>.tmp``; a name without a pid is debris too)."""
+    parts = temp.name.split(".")
+    if len(parts) != 5 or not parts[2].isdigit():
+        return True
+    pid = int(parts[2])
+    if pid == os.getpid():
+        return temp.name not in _writing
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # alive, and someone else's to signal
+        return False
+    return False
 
 
 def _fsync_directory(path: pathlib.Path) -> None:
@@ -84,6 +114,12 @@ class DocumentStore:
                 "checkout at or before PR 22, save them with this one, and "
                 "remove it"
             )
+        for temp in self.sidecar_dir.glob("*.tmp"):  # no directory, no files
+            if _writer_gone(temp):
+                try:
+                    temp.unlink()
+                except FileNotFoundError:
+                    pass  # another opener swept it first
 
     @property
     def sidecar_dir(self) -> pathlib.Path:
@@ -132,7 +168,8 @@ class DocumentStore:
         put of the module docstring."""
         blob = encode_snapshot(document, name)
         target = self._file(name)
-        temp = target.with_name(target.name + ".tmp")
+        temp = target.with_name(f"{target.name}.{os.getpid()}.{next(_temp_numbers)}.tmp")
+        _writing.add(temp.name)
         try:
             if not self.sidecar_dir.exists():
                 # First put into a new store: the directory the puts are
@@ -152,6 +189,8 @@ class DocumentStore:
             except OSError:
                 pass
             raise DocumentStoreError(f"cannot write {target}: {error}") from error
+        finally:
+            _writing.discard(temp.name)
         store_stats.tick("files_written")
         store_stats.tick("bytes_written", len(blob))
         _fsync_directory(self.sidecar_dir)

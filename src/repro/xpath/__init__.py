@@ -2,11 +2,12 @@
 
 The parser accepts both abbreviated and unabbreviated XPath 1.0 syntax and
 produces the parse tree the paper's algorithms walk (Figures 3 and 6).
-:mod:`repro.xpath.normalize` then establishes the paper's Section 2.2
-assumptions — all type conversions explicit, variables replaced by their
-bindings — and :mod:`repro.xpath.relevance` computes ``Relev(N)``
-(Section 3.1). :mod:`repro.xpath.fragments` classifies expressions into
-Core XPath (Definition 12) and the Extended Wadler Fragment (Section 4).
+One pass over that tree (:func:`repro.xpath.normalize.analyze`) then
+establishes the paper's Section 2.2 assumptions — all type conversions
+explicit, variables replaced by their bindings — and, visiting each node
+once, computes ``Relev(N)`` (Section 3.1, :mod:`repro.xpath.relevance`)
+and the Core XPath (Definition 12) and Extended Wadler Fragment
+(Section 4) verdicts (:mod:`repro.xpath.fragments`).
 """
 
 from repro.xpath.ast import (

@@ -6,12 +6,11 @@ context-value tables off parse-tree nodes (``table(N)``), look up
 (including each location :class:`Step`, which the paper treats as its own
 parse-tree node — see Figure 3 where N2 is the second step) therefore
 carries a unique ``uid`` to key those side tables, plus two annotation
-slots filled by later passes:
+slots, both filled by the front end's one pass after the parser
+(:func:`repro.xpath.normalize.analyze`):
 
-* ``value_type`` — the static XPath type (``nset num str bool``), set by
-  :func:`repro.xpath.normalize.normalize`;
-* ``relev`` — the relevant-context set ``Relev(N) ⊆ {'cn','cp','cs'}``,
-  set by :func:`repro.xpath.relevance.compute_relevance`.
+* ``value_type`` — the static XPath type (``nset num str bool``);
+* ``relev`` — the relevant-context set ``Relev(N) ⊆ {'cn','cp','cs'}``.
 
 Paths are normalized to a single shape: :class:`Path` with an optional
 start (absolute root / filter-expression primary) and a list of
@@ -30,12 +29,9 @@ _uid_counter = itertools.count(1)
 class AstNode:
     """Base for everything appearing in the parse tree."""
 
+    # Every subclass's constructor sets all three (no super() call per
+    # node: building nodes is a good share of compiling a query).
     __slots__ = ("uid", "value_type", "relev")
-
-    def __init__(self):
-        self.uid: int = next(_uid_counter)
-        self.value_type: str | None = None
-        self.relev: frozenset[str] | None = None
 
     def children(self) -> list["AstNode"]:
         """Direct parse-tree children (expressions and steps)."""
@@ -60,7 +56,7 @@ class NumberLiteral(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.value = float(value)
 
     def __repr__(self) -> str:
@@ -73,7 +69,7 @@ class StringLiteral(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.value = value
 
     def __repr__(self) -> str:
@@ -88,7 +84,7 @@ class VariableRef(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.name = name
 
     def __repr__(self) -> str:
@@ -106,7 +102,7 @@ class FunctionCall(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: list[Expr]):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.name = name
         self.args = list(args)
 
@@ -133,7 +129,7 @@ class BinaryOp(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.op = op
         self.left = left
         self.right = right
@@ -151,7 +147,7 @@ class Negate(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.operand = operand
 
     def children(self) -> list[AstNode]:
@@ -167,7 +163,7 @@ class Union(Expr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.left = left
         self.right = right
 
@@ -186,7 +182,7 @@ class ConstantNodeSet(Expr):
     __slots__ = ("nodes",)
 
     def __init__(self, nodes):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.nodes = frozenset(nodes)
 
     def __repr__(self) -> str:
@@ -233,7 +229,7 @@ class Step(AstNode):
     __slots__ = ("axis", "node_test", "predicates")
 
     def __init__(self, axis: str, node_test: NodeTest, predicates: list[Expr] | None = None):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         self.axis = axis
         self.node_test = node_test
         self.predicates = list(predicates or [])
@@ -267,7 +263,7 @@ class Path(Expr):
         primary_predicates: list[Expr] | None = None,
         steps: list[Step] | None = None,
     ):
-        super().__init__()
+        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
         if absolute and primary is not None:
             raise ValueError("a path cannot be both absolute and primary-rooted")
         self.absolute = absolute
@@ -286,3 +282,37 @@ class Path(Expr):
     def __repr__(self) -> str:
         root = "/" if self.absolute else (repr(self.primary) if self.primary else "")
         return f"Path({root}, steps={self.steps!r})"
+
+
+def clone(node: AstNode) -> AstNode:
+    """A structural deep copy with fresh uids (the table-based evaluators
+    key side tables by uid, so one AST object must never sit at two
+    parse-tree positions). Carries ``value_type`` and ``relev`` over and
+    shares the immutable :class:`NodeTest` and the members of a
+    :class:`ConstantNodeSet`."""
+    kind = type(node)
+    if kind is Step:
+        copy: AstNode = Step(node.axis, node.node_test, list(map(clone, node.predicates)))
+    elif kind is Path:
+        primary = node.primary and clone(node.primary)
+        predicates = list(map(clone, node.primary_predicates))
+        copy = Path(node.absolute, primary, predicates, list(map(clone, node.steps)))
+    elif kind is FunctionCall:
+        copy = FunctionCall(node.name, list(map(clone, node.args)))
+    elif kind is BinaryOp:
+        copy = BinaryOp(node.op, clone(node.left), clone(node.right))
+    elif kind is NumberLiteral or kind is StringLiteral:
+        copy = kind(node.value)
+    elif kind is VariableRef:
+        copy = VariableRef(node.name)
+    elif kind is ConstantNodeSet:
+        copy = ConstantNodeSet(node.nodes)
+    elif kind is Negate:
+        copy = Negate(clone(node.operand))
+    elif kind is Union:
+        copy = Union(clone(node.left), clone(node.right))
+    else:
+        raise TypeError(f"cannot clone AST node: {kind.__name__}")
+    copy.value_type = node.value_type
+    copy.relev = node.relev
+    return copy

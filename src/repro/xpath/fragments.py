@@ -16,7 +16,11 @@ Both classifiers expect a **normalized** tree (conversions explicit,
 numeric predicates rewritten, unions lifted, ``id``-chains turned into
 pseudo-axis steps) and return a violation description, or ``None`` when
 the expression is in the fragment — the reason strings power the
-``fragment_advisor`` example and engine diagnostics.
+``fragment_advisor`` example and engine diagnostics. A compiled plan
+carries both verdicts: the front end's one pass
+(:func:`repro.xpath.normalize.analyze`) applies the rules node by node.
+:func:`core_xpath_violation` is also a walk of its own, the one the
+Core XPath evaluator guards every query with.
 
 Interpretation notes (documented deviations / sharpenings):
 
@@ -36,29 +40,18 @@ Interpretation notes (documented deviations / sharpenings):
 
 from __future__ import annotations
 
-from repro.xpath.ast import (
-    BinaryOp,
-    ConstantNodeSet,
-    Expr,
-    FunctionCall,
-    Negate,
-    NumberLiteral,
-    Path,
-    Step,
-    StringLiteral,
-    Union,
-)
+from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path
 
 _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 #: Name accessors always select document data.
-_R1_NAME_ACCESSORS = frozenset({"local-name", "namespace-uri", "name"})
+R1_NAME_ACCESSORS = frozenset({"local-name", "namespace-uri", "name"})
 #: Conversions select data exactly when applied to a node-set.
-_R1_DATA_CONVERSIONS = frozenset({"string", "number"})
+R1_DATA_CONVERSIONS = frozenset({"string", "number"})
 #: Derived string measures on document data (banned when fed a
-#: data-selecting conversion, which the _R1_DATA_CONVERSIONS rule already
+#: data-selecting conversion, which the R1_DATA_CONVERSIONS rule already
 #: catches; listed for the strict reading used by `strict=True`).
-_R1_STRING_MEASURES = frozenset({"string-length", "normalize-space"})
+R1_STRING_MEASURES = frozenset({"string-length", "normalize-space"})
 
 
 def _needs_relev(expr: Expr) -> frozenset[str]:
@@ -118,122 +111,19 @@ def _core_predicate(expr: Expr) -> str | None:
 def wadler_violation(expr: Expr, strict: bool = False) -> str | None:
     """Return why ``expr`` violates Restrictions 1–3, else ``None``.
 
-    ``strict=True`` applies Restriction 1 literally (ban string-length
-    and normalize-space outright) instead of the data-flow reading
-    described in the module docstring.
+    The rules are applied per node by the front end's one pass
+    (:func:`repro.xpath.normalize.analyze`); this runs it over an
+    already-normalized tree. ``strict=True`` applies Restriction 1
+    literally (ban string-length and normalize-space outright) instead
+    of the data-flow reading described in the module docstring.
     """
-    return _wadler(expr, nset_allowed=True, strict=strict)
+    from repro.xpath.normalize import analyze  # the pass builds on this module
+
+    return analyze(expr, normalized=True, strict=strict).wadler
 
 
 def is_extended_wadler(expr: Expr, strict: bool = False) -> bool:
     return wadler_violation(expr, strict=strict) is None
-
-
-def _wadler(expr: Expr, nset_allowed: bool, strict: bool) -> str | None:
-    if isinstance(expr, (NumberLiteral, StringLiteral)):
-        return None
-    if isinstance(expr, ConstantNodeSet):
-        if not nset_allowed:
-            return "constant node-set in a non-existential position"
-        return None
-    if isinstance(expr, Negate):
-        return _wadler(expr.operand, nset_allowed=False, strict=strict)
-    if isinstance(expr, Union):
-        if not nset_allowed:
-            return "union in a non-existential position"
-        return (
-            _wadler(expr.left, nset_allowed=True, strict=strict)
-            or _wadler(expr.right, nset_allowed=True, strict=strict)
-        )
-    if isinstance(expr, Path):
-        if not nset_allowed:
-            return "location path in a non-existential position (Restriction 2)"
-        return _wadler_path(expr, strict)
-    if isinstance(expr, BinaryOp):
-        return _wadler_binary(expr, strict)
-    if isinstance(expr, FunctionCall):
-        return _wadler_call(expr, strict)
-    return f"construct outside the fragment: {type(expr).__name__}"
-
-
-def _wadler_path(path: Path, strict: bool) -> str | None:
-    if path.primary is not None:
-        # The Section 4 reading of Restriction 3: a path may start from a
-        # context-free node set (id('k')/..., a constant binding) — the
-        # "id as axis" device. Context-*dependent* primaries are out.
-        if _needs_relev(path.primary):
-            return "context-dependent filter-expression primary"
-        violation = _wadler(path.primary, nset_allowed=True, strict=strict)
-        if violation is not None:
-            return violation
-        for predicate in path.primary_predicates:
-            violation = _wadler(predicate, nset_allowed=False, strict=strict)
-            if violation is not None:
-                return violation
-    for step in path.steps:
-        for predicate in step.predicates:
-            violation = _wadler(predicate, nset_allowed=False, strict=strict)
-            if violation is not None:
-                return violation
-    return None
-
-
-def _wadler_binary(expr: BinaryOp, strict: bool) -> str | None:
-    if expr.op in ("and", "or"):
-        return (
-            _wadler(expr.left, nset_allowed=False, strict=strict)
-            or _wadler(expr.right, nset_allowed=False, strict=strict)
-        )
-    if expr.op in _COMPARISON_OPS:
-        left_is_nset = expr.left.value_type == "nset"
-        right_is_nset = expr.right.value_type == "nset"
-        if left_is_nset and right_is_nset:
-            return "nset RelOp nset comparison (Restriction 2)"
-        if left_is_nset or right_is_nset:
-            nset_side = expr.left if left_is_nset else expr.right
-            scalar_side = expr.right if left_is_nset else expr.left
-            if _needs_relev(scalar_side):
-                return (
-                    "nset RelOp scalar where the scalar depends on the context "
-                    "(Restriction 2)"
-                )
-            return (
-                _wadler(nset_side, nset_allowed=True, strict=strict)
-                or _wadler(scalar_side, nset_allowed=False, strict=strict)
-            )
-        return (
-            _wadler(expr.left, nset_allowed=False, strict=strict)
-            or _wadler(expr.right, nset_allowed=False, strict=strict)
-        )
-    # Arithmetic.
-    return (
-        _wadler(expr.left, nset_allowed=False, strict=strict)
-        or _wadler(expr.right, nset_allowed=False, strict=strict)
-    )
-
-
-def _wadler_call(call: FunctionCall, strict: bool) -> str | None:
-    name = call.name
-    if name in ("count", "sum"):
-        return f"{name}() is not allowed (Restriction 2)"
-    if name in _R1_NAME_ACCESSORS:
-        return f"{name}() selects document data (Restriction 1)"
-    if strict and name in _R1_STRING_MEASURES:
-        return f"{name}() is banned under the strict reading of Restriction 1"
-    if name in _R1_DATA_CONVERSIONS and call.args and call.args[0].value_type == "nset":
-        return f"{name}() applied to a node-set selects document data (Restriction 1)"
-    if name == "boolean" and len(call.args) == 1 and call.args[0].value_type == "nset":
-        return _wadler(call.args[0], nset_allowed=True, strict=strict)
-    if name == "id":
-        argument = call.args[0]
-        if argument.value_type != "nset" and _needs_relev(argument):
-            return "id(s) where s depends on the context (Restriction 3)"
-        return _wadler(argument, nset_allowed=True, strict=strict)
-    for arg in call.args:
-        violation = _wadler(arg, nset_allowed=False, strict=strict)
-        if violation is not None:
-            return violation
-    return None
 
 
 # ----------------------------------------------------------------------

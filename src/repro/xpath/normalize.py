@@ -1,4 +1,5 @@
-"""Normalization: establish the paper's Section 2.2 assumptions.
+"""Normalization and static analysis: the front end's one pass after the
+parser.
 
 The paper's semantics (and all four evaluation algorithms) assume a
 *normalized* parse tree:
@@ -19,14 +20,32 @@ The paper's semantics (and all four evaluation algorithms) assume a
    ``propagate_path_backwards`` ("we assume w.l.o.g. that all occurrences
    of '|' have been removed").
 
-The pass is bottom-up and annotates every node's static ``value_type``
-(every XPath 1.0 expression has one of the four types statically).
+:func:`analyze` establishes them and, in the same visit of each node,
+derives everything later stages read about the tree: the node's static
+``value_type`` and its ``Relev`` set (the rules of Section 3.1, stated in
+:mod:`repro.xpath.relevance`), and for its subtree a *record*: the
+canonical text (what :func:`~repro.xpath.unparse.unparse` renders, built
+from the children's texts), the Core XPath and Extended Wadler verdicts
+(the rules of :mod:`repro.xpath.fragments`) and the counters the
+planner's ``PlanTraits`` and bottom-up path count are read from. Each
+step of an absolute path also gets a :class:`StepSummary`: all the batch
+planner needs to describe any prefix of that path.
+
+Children are visited before their parent, in post-order on an explicit
+stack, so no Python recursion follows the tree's height. The parser
+bounds nesting (:data:`repro.xpath.parser.MAX_DEPTH`) but not operator
+chains, and the evaluators recurse: a tree more than
+:data:`MAX_HEIGHT` nodes tall is an :class:`~repro.errors.XPathSyntaxError`.
 """
 
 from __future__ import annotations
 
-from repro.errors import UnboundVariableError, XPathTypeError
-from repro.functions.library import signature_for
+from operator import itemgetter
+from typing import NamedTuple
+
+from repro.axes.order import INTERVAL_AXES
+from repro.errors import UnboundVariableError, XPathSyntaxError, XPathTypeError
+from repro.functions.library import FUNCTION_LIBRARY, signature_for
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
@@ -40,259 +59,616 @@ from repro.xpath.ast import (
     StringLiteral,
     Union,
     VariableRef,
+    clone,
 )
+from repro.xpath.fragments import R1_DATA_CONVERSIONS, R1_NAME_ACCESSORS, R1_STRING_MEASURES
+from repro.xpath.fragments import is_bottomup_eligible
+from repro.xpath.unparse import binary_text, leaf_text, negate_text, node_test_to_string
+
+#: The tallest tree :func:`analyze` accepts, in nodes from the root to
+#: the deepest leaf: every operator chain the recursive passes it
+#: replaced could compile fits, and the optimizer's rewrite and the
+#: evaluators, which recurse, stay clear of the interpreter's limit.
+MAX_HEIGHT = 500
 
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "div", "mod"})
 _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 _BOOLEAN_OPS = frozenset({"and", "or"})
-
 _CONVERSION_FUNCTIONS = {"bool": "boolean", "num": "number", "str": "string"}
+_LEAF_TYPES = {NumberLiteral: "num", StringLiteral: "str", ConstantNodeSet: "nset"}
+
+_EMPTY: frozenset[str] = frozenset()
+_CN: frozenset[str] = frozenset({"cn"})
+_CPCS: frozenset[str] = frozenset({"cp", "cs"})
+#: ``Relev`` of the calls whose set does not depend on their arguments.
+_FIXED_RELEV = {"position": frozenset({"cp"}), "last": frozenset({"cs"}),
+                "true": _EMPTY, "false": _EMPTY}
+_CONTEXT_NODE_FUNCTIONS = frozenset(
+    name for name, sig in FUNCTION_LIBRARY.items() if sig.context_node_dependent
+)
+#: Sibling axes whose positional predicates loop over sibling runs —
+#: the shape feature that makes OPTMINCONTEXT's bottom-up precomputation
+#: pay off on high-fanout documents (see the cost model).
+_SIBLING_AXES = frozenset({"following-sibling", "preceding-sibling"})
+#: String-library functions whose cost scales with text volume.
+_STRING_FUNCTIONS = frozenset(
+    "string concat contains starts-with substring substring-before substring-after "
+    "string-length normalize-space translate".split()
+)
+
+# Definition 12: why a node is outside Core XPath as a predicate.
+_NON_CORE = {
+    kind: f"predicate uses a non-Core construct: {kind.__name__}"
+    for kind in (NumberLiteral, StringLiteral, ConstantNodeSet, FunctionCall,
+                 BinaryOp, Negate, Union, Path)
+}
+_NOT_A_PATH = "not a location path: "
+_ID_AXIS = "the id pseudo-axis is not in Core XPath"
+_FILTER_PRIMARY = "filter-expression primaries are not in Core XPath"
+# Restriction 2: why a node-set is outside the fragment where a scalar
+# is needed.
+_NON_EXISTENTIAL = {
+    Path: "location path in a non-existential position (Restriction 2)",
+    Union: "union in a non-existential position",
+    ConstantNodeSet: "constant node-set in a non-existential position",
+}
+
+#: The packed counters of a subtree, 32 bits apiece, so that merging a
+#: child's is one addition (see :func:`counters`).
+_SIZE, _BOTTOMUP, _STRING_OP, _INDEXED, _POSITION, _SIBLING, _CONSTANT = (
+    1 << 32 * field for field in range(7)
+)
+#: A record's node and text; a summary's key.
+_NODE, _TEXT = itemgetter(0), itemgetter(1)
+#: Builds a named tuple without its Python-level ``__new__``.
+_new = tuple.__new__
 
 
-def _typed(expr: Expr, value_type: str) -> Expr:
-    expr.value_type = value_type
-    return expr
+def counters(counts: int) -> tuple[int, ...]:
+    """Packed counters, unpacked: nodes, subexpressions OPTMINCONTEXT
+    evaluates bottom-up, string-library calls, interval-axis steps,
+    ``position()`` / ``last()`` calls (the only origin of ``cp`` / ``cs``
+    in a ``Relev`` set), sibling-axis steps with a position-dependent
+    predicate and embedded :class:`ConstantNodeSet` nodes."""
+    mask = 0xFFFFFFFF
+    return (counts & mask, counts >> 32 & mask, counts >> 64 & mask, counts >> 96 & mask,
+            counts >> 128 & mask, counts >> 160 & mask, counts >> 192)
 
 
-def _convert(expr: Expr, to_type: str) -> Expr:
-    """Wrap ``expr`` in an explicit conversion call if its type differs."""
-    if expr.value_type == to_type:
-        return expr
+class StepSummary(NamedTuple):
+    """One location step of an absolute path, as :func:`analyze` saw it:
+    its canonical text (the batch planner's step key), why it puts a
+    path outside Core XPath and why it violates Restrictions 1–3 (None:
+    it does not), the packed counters of the step and its predicates,
+    and the name tests of the interval-axis steps in it."""
+
+    key: str
+    core: str | None
+    wadler: str | None
+    counts: int
+    tags: tuple
+
+
+class Analysis(NamedTuple):
+    """A normalized, annotated tree; why it is outside Core XPath and the
+    Extended Wadler Fragment; its packed counters (a whole query is never
+    its own bottom-up subexpression); the name tests of its interval-axis
+    steps, unsorted; and, for an absolute path, its step summaries."""
+
+    ast: Expr
+    core: str | None
+    wadler: str | None
+    counts: int
+    tags: tuple
+    steps: tuple[StepSummary, ...] = ()
+
+
+def analyze(
+    expr: Expr,
+    variables: dict[str, object] | None = None,
+    *,
+    normalized: bool = False,
+    strict: bool = False,
+) -> Analysis:
+    """Normalize a freshly parsed expression (see the module docstring)
+    and analyze it, in one visit per node.
+
+    Args:
+        expr: AST from :func:`repro.xpath.parser.parse_xpath` (the
+            result shares mutated nodes with it — reparse rather than
+            reuse the raw AST).
+        variables: variable bindings (``$x`` values): Python
+            bool/float/str or an iterable of nodes.
+        normalized: ``expr`` is already normalized (an optimizer
+            rewrite, a tree the batch planner assembled): analyze only.
+            An unsubstituted variable is then an
+            :class:`~repro.errors.XPathTypeError`.
+        strict: apply Restriction 1 literally (see
+            :func:`repro.xpath.fragments.wadler_violation`).
+    """
+    visit = _Pass(variables, normalized, strict)
+    root, _, core, wadler, counts, tags = visit.tree(expr)
+    if type(root) is not Path:
+        core = _NOT_A_PATH + type(root).__name__
+    if is_bottomup_eligible(root):
+        counts -= _BOTTOMUP
+    steps = visit.steps if root is visit.main else ()
+    return _new(Analysis, (root, core, wadler, counts, tags, steps))
+
+
+def normalize(expr: Expr, variables: dict[str, object] | None = None) -> Expr:
+    """The normalized, statically typed AST of :func:`analyze`."""
+    return analyze(expr, variables).ast
+
+
+def prefix_analysis(ast: Path, steps: tuple[StepSummary, ...]) -> Analysis:
+    """The analysis of an absolute path whose steps were analyzed before
+    (a batch planner's prefix of a plan), read off their summaries."""
+    ast.value_type, ast.relev = "nset", _CN
+    core = wadler = None
+    counts, tags = _SIZE, ()
+    for _, step_core, step_wadler, step_counts, step_tags in steps:
+        core, wadler = core or step_core, wadler or step_wadler
+        counts += step_counts
+        tags += step_tags
+    return _new(Analysis, (ast, core, wadler, counts, tags, steps))
+
+
+# ----------------------------------------------------------------------
+# Records: ``(node, text, core, wadler, counts, tags)`` of one subtree,
+# ``core`` the node's own verdict (a path's as a location path, any
+# other node's as a predicate) and ``wadler`` its verdict in an
+# existential position.
+# ----------------------------------------------------------------------
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b is a or not b:
+        return a
+    return a | b if a else b
+
+
+def _as_predicate(record) -> str | None:
+    """Definition 12's verdict on a node in a predicate position."""
+    return _NON_CORE[Path] if type(record[0]) is Path else record[2]
+
+
+def _scalar(record) -> str | None:
+    """Restrictions 1–3 on a node in a position that needs a scalar."""
+    return _NON_EXISTENTIAL.get(type(record[0])) or record[3]
+
+
+def _first_scalar(records) -> str | None:
+    return next(filter(None, map(_scalar, records)), None)
+
+
+def _test(record) -> tuple:
+    """``boolean(π)`` over a path's record: what :func:`_call` derives,
+    for the call nearly every predicate gets."""
+    path = record[0]
+    call = FunctionCall("boolean", [path])
+    call.value_type, call.relev = "bool", path.relev
+    counts = record[4] + _SIZE
+    if path.steps and (path.primary is None or not (path.primary_predicates or path.primary.relev)):
+        counts += _BOTTOMUP  # OPTMINCONTEXT's boolean(π) shape
+    return call, f"boolean({record[1]})", record[2], record[3], counts, record[5]
+
+
+def _call(call: FunctionCall, args: list, strict: bool) -> tuple:
+    """The record of a call over its (normalized) arguments' records."""
+    name = call.name
+    if name == "not":
+        arg = args[0]
+        call.relev = arg[0].relev
+        return call, f"not({arg[1]})", _as_predicate(arg), _scalar(arg), _SIZE + arg[4], arg[5]
+    fixed = relev = _FIXED_RELEV.get(name)
+    if fixed is None:
+        relev = _CN if name in _CONTEXT_NODE_FUNCTIONS else _EMPTY
+        counts = _SIZE + _STRING_OP if name in _STRING_FUNCTIONS else _SIZE
+    else:
+        counts = _SIZE + _POSITION if name == "position" or name == "last" else _SIZE
+    tags = ()
+    for arg in args:
+        counts += arg[4]
+        tags += arg[5]
+        if fixed is None:
+            relev = _union(relev, arg[0].relev)
+    call.relev = relev
+    core = _NON_CORE[FunctionCall]
+    if name == "boolean" and len(args) == 1:
+        arg = args[0][0]
+        core = args[0][2] if type(arg) is Path else _NOT_A_PATH + type(arg).__name__
+        if is_bottomup_eligible(call):
+            counts += _BOTTOMUP
+    text = f"{name}({', '.join(map(_TEXT, args))})"
+    return call, text, core, _wadler_call(name, args, strict), counts, tags
+
+
+def _wadler_call(name: str, args: list, strict: bool) -> str | None:
+    if name == "count" or name == "sum":
+        return f"{name}() is not allowed (Restriction 2)"
+    if name in R1_NAME_ACCESSORS:
+        return f"{name}() selects document data (Restriction 1)"
+    if strict and name in R1_STRING_MEASURES:
+        return f"{name}() is banned under the strict reading of Restriction 1"
+    if args:
+        arg = args[0][0]
+        if name in R1_DATA_CONVERSIONS and arg.value_type == "nset":
+            return f"{name}() applied to a node-set selects document data (Restriction 1)"
+        if name == "boolean" and len(args) == 1 and arg.value_type == "nset":
+            return args[0][3]
+        if name == "id":
+            if arg.value_type != "nset" and arg.relev:
+                return "id(s) where s depends on the context (Restriction 3)"
+            return args[0][3]
+    return _first_scalar(args)
+
+
+def _binary(node: BinaryOp, left, right) -> tuple:
+    """The record of an operator over its operands' records."""
+    op = node.op
+    left_type, right_type = left[0].value_type, right[0].value_type
+    node.relev = _union(left[0].relev, right[0].relev)
+    counts = _SIZE + left[4] + right[4]
+    core = _NON_CORE[BinaryOp]
+    if op in _BOOLEAN_OPS:
+        core = _as_predicate(left) or _as_predicate(right)
+        wadler = _scalar(left) or _scalar(right)
+    elif op in _COMPARISON_OPS and (left_type == "nset" or right_type == "nset"):
+        if is_bottomup_eligible(node):
+            counts += _BOTTOMUP
+        nset, scalar = (left, right) if left_type == "nset" else (right, left)
+        if left_type == right_type:
+            wadler = "nset RelOp nset comparison (Restriction 2)"
+        elif scalar[0].relev:
+            wadler = "nset RelOp scalar where the scalar depends on the context (Restriction 2)"
+        else:
+            wadler = nset[3] or _scalar(scalar)
+    else:
+        wadler = _scalar(left) or _scalar(right)
+    text = binary_text(node, left[1], right[1])
+    return node, text, core, wadler, counts, left[5] + right[5]
+
+
+def _step(step: Step, predicates) -> StepSummary:
+    """A step's summary from its (normalized) predicates' records."""
+    axis, test = step.axis, step.node_test
+    core = _ID_AXIS if axis == "id" else None
+    wadler, counts, tags = None, _SIZE, ()
+    if axis in INTERVAL_AXES:
+        counts += _INDEXED
+        if test.kind == "name":
+            tags = (test.name,)
+    text = f"{axis}::{test.name if test.kind == 'name' else node_test_to_string(test)}"
+    for record in predicates:
+        core = core or _as_predicate(record)
+        wadler = wadler or _scalar(record)
+        counts += record[4]
+        tags += record[5]
+        text += f"[{record[1]}]"
+    if axis in _SIBLING_AXES and any(not p[0].relev.isdisjoint(_CPCS) for p in predicates):
+        counts += _SIBLING
+    return _new(StepSummary, (text, core, wadler, counts, tags))
+
+
+#: Summaries of predicate-free steps by ``(axis, kind, name)``: most
+#: steps of most queries, and one immutable summary serves them all.
+_BARE_STEPS: dict[tuple, StepSummary] = {}
+
+
+def _bare_step(step: Step) -> StepSummary:
+    test = step.node_test
+    summary = _BARE_STEPS.get((step.axis, test.kind, test.name))
+    if summary is None:
+        summary = _step(step, ())
+        if len(_BARE_STEPS) < 4096:
+            _BARE_STEPS[step.axis, test.kind, test.name] = summary
+    return summary
+
+
+def _convert(record, to_type: str) -> tuple:
+    """Wrap the node in an explicit conversion call if its type differs."""
+    node = record[0]
+    if node.value_type == to_type:
+        return record
     if to_type == "nset":
-        raise XPathTypeError(
-            f"a {expr.value_type} expression cannot be converted to a node-set"
-        )
-    call = FunctionCall(_CONVERSION_FUNCTIONS[to_type], [expr])
-    return _typed(call, to_type)
+        raise XPathTypeError(f"a {node.value_type} expression cannot be converted to a node-set")
+    if type(node) is Path and to_type == "bool":
+        return _test(record)
+    call = FunctionCall(_CONVERSION_FUNCTIONS[to_type], [node])
+    call.value_type = to_type
+    return _call(call, [record], False)
 
 
-def _self_node_path() -> Path:
-    """``self::node()`` — the default argument of context-defaulting
-    functions like ``string()``."""
-    path = Path(steps=[Step("self", NodeTest("node"))])
-    return _typed(path, "nset")
+def _typed(node: Expr, value_type: str) -> Expr:
+    node.value_type = value_type
+    return node
 
 
-class _Normalizer:
-    def __init__(self, variables: dict[str, object] | None):
+def _lift_comparison(op: str, left: Expr, right: Expr) -> Expr:
+    """``(π1|π2) RelOp e`` → ``(π1 RelOp e) or (π2 RelOp e)`` (both
+    sides checked). Sound because node-set comparisons are existential
+    over the set, and a union is the union of its branches; the side
+    that goes into both branches is cloned."""
+    if type(left) is Union:
+        first = _lift_comparison(op, left.left, right)
+        return _typed(BinaryOp("or", first, _lift_comparison(op, left.right, clone(right))), "bool")
+    if type(right) is Union:
+        first = _lift_comparison(op, left, right.left)
+        return _typed(BinaryOp("or", first, _lift_comparison(op, clone(left), right.right)), "bool")
+    return _typed(BinaryOp(op, left, right), "bool")
+
+
+def _lift_boolean(call: Expr) -> Expr:
+    """``boolean(π1|π2)`` → ``boolean(π1) or boolean(π2)``."""
+    if type(call) is not FunctionCall or call.name != "boolean" or type(call.args[0]) is not Union:
+        return call
+    union = call.args[0]
+    halves = [_lift_boolean(_typed(FunctionCall("boolean", [half]), "bool"))
+              for half in (union.left, union.right)]
+    return _typed(BinaryOp("or", *halves), "bool")
+
+
+# ----------------------------------------------------------------------
+# The pass
+# ----------------------------------------------------------------------
+
+
+class _Pass:
+    """One :func:`analyze` call. A visit pops its children's records
+    off the output stack and returns its own."""
+
+    __slots__ = ("variables", "normalizing", "strict", "main", "steps")
+
+    def __init__(self, variables, normalized: bool, strict: bool):
         self.variables = variables or {}
+        self.normalizing = not normalized
+        self.strict = strict
+        #: The last absolute path visited, and its step summaries.
+        self.main: Path | None = None
+        self.steps: tuple[StepSummary, ...] = ()
 
-    # ------------------------------------------------------------------
+    def tree(self, expr: Expr) -> tuple:
+        """The record of ``expr``'s tree. The stack holds ``(node,
+        depth)``: a positive depth enters the node, 0 visits it after its
+        children, -1 checks the primary a filter expression has just
+        visited before its predicates are."""
+        normalizing = self.normalizing
+        out: list = []
+        stack = [(expr, 1)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            node, depth = pop()
+            kind = type(node)
+            if depth > 0:
+                if depth > MAX_HEIGHT:
+                    raise XPathSyntaxError("query nested too deeply to compile")
+                if kind is Path:
+                    # A path visits its own steps: only their predicates
+                    # (one level further down) and its primary get
+                    # entries of their own.
+                    mark = len(stack)
+                    push((node, 0))
+                    for step in reversed(node.steps):
+                        if step.predicates:
+                            for predicate in reversed(step.predicates):
+                                push((predicate, depth + 2))
+                    if node.primary is not None:
+                        for predicate in reversed(node.primary_predicates):
+                            push((predicate, depth + 1))
+                        if normalizing:
+                            push((node, -1))
+                        push((node.primary, depth + 1))
+                    if len(stack) > mark + 1:
+                        continue
+                    pop()
+                else:
+                    children = node.children()
+                    if normalizing and kind is FunctionCall:
+                        signature_for(node.name).check_arity(len(children))
+                    if children:
+                        push((node, 0))
+                        for child in reversed(children):
+                            push((child, depth + 1))
+                        continue
+            elif depth < 0:
+                if out[-1][0].value_type != "nset":
+                    raise XPathTypeError(
+                        "a filter expression followed by predicates or '/' must be a "
+                        f"node-set, got {out[-1][0].value_type}"
+                    )
+                continue
+            out.append(_VISITS[kind](self, node, out))
+        return out[0]
 
-    def normalize(self, expr: Expr) -> Expr:
-        if isinstance(expr, NumberLiteral):
-            return _typed(expr, "num")
-        if isinstance(expr, StringLiteral):
-            return _typed(expr, "str")
-        if isinstance(expr, ConstantNodeSet):
-            return _typed(expr, "nset")
-        if isinstance(expr, VariableRef):
-            return self._substitute_variable(expr)
-        if isinstance(expr, Negate):
-            operand = _convert(self.normalize(expr.operand), "num")
-            expr.operand = operand
-            return _typed(expr, "num")
-        if isinstance(expr, BinaryOp):
-            return self._normalize_binary(expr)
-        if isinstance(expr, Union):
-            left = self.normalize(expr.left)
-            right = self.normalize(expr.right)
-            if left.value_type != "nset" or right.value_type != "nset":
-                raise XPathTypeError("operands of '|' must be node-sets")
-            expr.left, expr.right = left, right
-            return _typed(expr, "nset")
-        if isinstance(expr, Path):
-            return self._normalize_path(expr)
-        if isinstance(expr, FunctionCall):
-            return self._normalize_call(expr)
-        raise XPathTypeError(f"cannot normalize node {expr!r}")
+    def reanalyze(self, expr: Expr) -> tuple:
+        """The record of a subtree a normalization rule assembled from
+        normalized parts (a lifted union, a path rooted at ``id``)."""
+        return _Pass(None, True, self.strict).tree(expr)
 
-    # ------------------------------------------------------------------
+    def predicate(self, record) -> tuple:
+        """W3C §2.4: a numeric predicate ``[e]`` means
+        ``[position() = e]``; anything else is wrapped in ``boolean()``."""
+        node = record[0]
+        if node.value_type == "bool":
+            return record
+        if node.value_type == "num":
+            position = _typed(FunctionCall("position", []), "num")
+            equals = _typed(BinaryOp("=", position, node), "bool")
+            return _binary(equals, _call(position, [], False), record)
+        converted = _convert(record, "bool")
+        if type(node) is Union:  # converted to boolean(π1|π2): lift it
+            return self.reanalyze(_lift_boolean(converted[0]))
+        return converted
 
-    def _substitute_variable(self, ref: VariableRef) -> Expr:
+    def visit_leaf(self, node, out) -> tuple:
+        kind = type(node)
+        node.value_type, node.relev = _LEAF_TYPES[kind], _EMPTY
+        counts = _SIZE + _CONSTANT if kind is ConstantNodeSet else _SIZE
+        return node, leaf_text(node), _NON_CORE[kind], None, counts, ()
+
+    def visit_variable(self, ref: VariableRef, out) -> tuple:
+        if not self.normalizing:
+            raise XPathTypeError(
+                "relevance analysis requires a normalized tree (found an unsubstituted "
+                "variable)"
+            )
         if ref.name not in self.variables:
             raise UnboundVariableError(ref.name)
         value = self.variables[ref.name]
         if isinstance(value, bool):
-            return _typed(FunctionCall("true" if value else "false", []), "bool")
+            return _call(_typed(FunctionCall(str(value).lower(), []), "bool"), [], self.strict)
         if isinstance(value, (int, float)):
-            return _typed(NumberLiteral(float(value)), "num")
+            return self.visit_leaf(NumberLiteral(float(value)), out)
         if isinstance(value, str):
-            return _typed(StringLiteral(value), "str")
+            return self.visit_leaf(StringLiteral(value), out)
         if isinstance(value, (set, frozenset, list, tuple)):
-            return _typed(ConstantNodeSet(value), "nset")
+            return self.visit_leaf(ConstantNodeSet(value), out)
         raise XPathTypeError(f"unsupported variable binding type for ${ref.name}: {type(value)}")
 
-    def _normalize_binary(self, expr: BinaryOp) -> Expr:
-        left = self.normalize(expr.left)
-        right = self.normalize(expr.right)
-        if expr.op in _BOOLEAN_OPS:
-            expr.left = _convert(left, "bool")
-            expr.right = _convert(right, "bool")
-            return _typed(expr, "bool")
-        if expr.op in _ARITHMETIC_OPS:
-            expr.left = _convert(left, "num")
-            expr.right = _convert(right, "num")
-            return _typed(expr, "num")
-        if expr.op in _COMPARISON_OPS:
-            # Figure 1 defines comparison on all type pairs; no conversion
-            # is inserted. Lift unions out first (Section 4 / Section 6
-            # pseudo-code assumption).
-            lifted = self._lift_union_comparison(expr.op, left, right)
-            if lifted is not None:
-                return lifted
-            expr.left, expr.right = left, right
-            return _typed(expr, "bool")
-        raise XPathTypeError(f"unknown binary operator {expr.op!r}")
+    def visit_negate(self, node: Negate, out) -> tuple:
+        operand = out.pop()
+        if self.normalizing:
+            operand = _convert(operand, "num")
+            node.operand, node.value_type = operand[0], "num"
+        node.relev = operand[0].relev
+        text = negate_text(node, operand[1])
+        return node, text, _NON_CORE[Negate], _scalar(operand), _SIZE + operand[4], operand[5]
 
-    def _lift_union_comparison(self, op: str, left: Expr, right: Expr) -> Expr | None:
-        """``(π1|π2) RelOp e`` → ``(π1 RelOp e) or (π2 RelOp e)`` (both
-        sides checked). Sound because node-set comparisons are existential
-        over the set, and a union is the union of its branches."""
-        if isinstance(left, Union):
-            # Rebuild explicitly to avoid sharing subtrees between branches.
-            return self._make_or(
-                self._normalize_binary(BinaryOp(op, left.left, right)),
-                self._normalize_binary(BinaryOp(op, left.right, _clone(right))),
-            )
-        if isinstance(right, Union):
-            return self._make_or(
-                self._normalize_binary(BinaryOp(op, left, right.left)),
-                self._normalize_binary(BinaryOp(op, _clone(left), right.right)),
-            )
-        return None
-
-    def _make_or(self, left: Expr, right: Expr) -> Expr:
-        return _typed(BinaryOp("or", left, right), "bool")
-
-    def _normalize_path(self, path: Path) -> Expr:
-        if path.primary is not None:
-            primary = self.normalize(path.primary)
-            if primary.value_type != "nset":
-                raise XPathTypeError(
-                    "a filter expression followed by predicates or '/' must be a node-set, "
-                    f"got {primary.value_type}"
-                )
-            path.primary = primary
-        path.primary_predicates = [self._normalize_predicate(p) for p in path.primary_predicates]
-        for step in path.steps:
-            step.predicates = [self._normalize_predicate(p) for p in step.predicates]
-            step.value_type = "nset"
-        return _typed(path, "nset")
-
-    def _normalize_predicate(self, expr: Expr) -> Expr:
-        """W3C §2.4: a numeric predicate ``[e]`` means
-        ``[position() = e]``; anything else is wrapped in ``boolean()``."""
-        normalized = self.normalize(expr)
-        if normalized.value_type == "num":
-            position = _typed(FunctionCall("position", []), "num")
-            return _typed(BinaryOp("=", position, normalized), "bool")
-        if normalized.value_type == "bool":
-            return self._lift_boolean_union(normalized)
-        return self._lift_boolean_union(_convert(normalized, "bool"))
-
-    def _lift_boolean_union(self, expr: Expr) -> Expr:
-        """``boolean(π1|π2)`` → ``boolean(π1) or boolean(π2)``."""
-        if (
-            isinstance(expr, FunctionCall)
-            and expr.name == "boolean"
-            and len(expr.args) == 1
-            and isinstance(expr.args[0], Union)
-        ):
-            union = expr.args[0]
-            return self._make_or(
-                self._lift_boolean_union(_typed(FunctionCall("boolean", [union.left]), "bool")),
-                self._lift_boolean_union(_typed(FunctionCall("boolean", [union.right]), "bool")),
-            )
-        return expr
-
-    def _normalize_call(self, call: FunctionCall) -> Expr:
-        signature = signature_for(call.name)
-        signature.check_arity(len(call.args))
-        args = [self.normalize(a) for a in call.args]
-        if not args and signature.defaults_to_context:
-            args = [_self_node_path()]
-        # Section 4 rewrite: id over a node-set becomes the id pseudo-axis.
-        if call.name == "id" and args and args[0].value_type == "nset":
-            return self._rewrite_id_axis(args[0])
-        converted: list[Expr] = []
-        for index, arg in enumerate(args):
-            param_index = min(index, len(signature.params) - 1)
-            param = signature.params[param_index]
-            if param == "object":
-                converted.append(arg)
-            elif param == "nset":
-                if arg.value_type != "nset":
-                    raise XPathTypeError(
-                        f"argument {index + 1} of {call.name}() must be a node-set"
-                    )
-                converted.append(arg)
+    def visit_binary(self, node: BinaryOp, out) -> tuple:
+        right, left = out.pop(), out.pop()
+        if self.normalizing:
+            op = node.op
+            if op in _BOOLEAN_OPS or op in _ARITHMETIC_OPS:
+                node.value_type = "bool" if op in _BOOLEAN_OPS else "num"
+                left, right = _convert(left, node.value_type), _convert(right, node.value_type)
+            elif op in _COMPARISON_OPS:
+                # Figure 1 defines comparison on all type pairs; no
+                # conversion is inserted. Unions are lifted out first
+                # (Section 4 / Section 6 pseudo-code assumption).
+                if type(left[0]) is Union or type(right[0]) is Union:
+                    return self.reanalyze(_lift_comparison(op, left[0], right[0]))
+                node.value_type = "bool"
             else:
-                converted.append(_convert(arg, param))
-        call.args = converted
-        result = _typed(call, signature.returns)
-        if call.name == "boolean":
-            return self._lift_boolean_union(result)
-        return result
+                raise XPathTypeError(f"unknown binary operator {op!r}")
+            node.left, node.right = left[0], right[0]
+        return _binary(node, left, right)
 
-    def _rewrite_id_axis(self, arg: Expr) -> Expr:
+    def visit_union(self, node: Union, out) -> tuple:
+        right, left = out.pop(), out.pop()
+        if self.normalizing:
+            if left[0].value_type != "nset" or right[0].value_type != "nset":
+                raise XPathTypeError("operands of '|' must be node-sets")
+            node.left, node.right, node.value_type = left[0], right[0], "nset"
+        node.relev = _union(left[0].relev, right[0].relev)
+        text = binary_text(node, left[1], right[1])
+        counts = _SIZE + left[4] + right[4]
+        return node, text, _NON_CORE[Union], left[3] or right[3], counts, left[5] + right[5]
+
+    def visit_call(self, call: FunctionCall, out) -> tuple:
+        count = len(call.args)
+        args = out[len(out) - count:]
+        del out[len(out) - count:]
+        if not self.normalizing:
+            return _call(call, args, self.strict)
+        name = call.name
+        signature = FUNCTION_LIBRARY[name]  # its arity was checked on entry
+        if not args and signature.defaults_to_context:
+            # ``self::node()``, the default argument of context-defaulting
+            # functions like ``string()``.
+            step = Step("self", NodeTest("node"))
+            path = Path(steps=[step])
+            step.value_type = path.value_type = "nset"
+            step.relev = path.relev = _CN
+            args = [(path, "self::node()", None, None, 2 * _SIZE, ())]
+        if name == "id" and args and args[0][0].value_type == "nset":
+            return self.id_axis(args[0])
+        params = signature.params
+        for index, arg in enumerate(args):
+            param = params[min(index, len(params) - 1)]
+            if param == "nset" and arg[0].value_type != "nset":
+                raise XPathTypeError(f"argument {index + 1} of {name}() must be a node-set")
+            if param != "nset" and param != "object":
+                args[index] = _convert(arg, param)
+        call.args = list(map(_NODE, args))
+        call.value_type = signature.returns
+        if name == "boolean" and type(call.args[0]) is Union:
+            return self.reanalyze(_lift_boolean(call))
+        return _call(call, args, self.strict)
+
+    def id_axis(self, record) -> tuple:
         """``id(π)`` ≡ π extended with one ``id``-axis step (Section 4)."""
-        id_step = Step("id", NodeTest("node"))
-        id_step.value_type = "nset"
-        if isinstance(arg, Path):
-            arg.steps.append(id_step)
-            return _typed(arg, "nset")
-        # Union / constant node-set primary: root a new path at it.
-        return _typed(Path(primary=arg, steps=[id_step]), "nset")
+        arg = record[0]
+        step = Step("id", NodeTest("node"))
+        step.value_type, step.relev = "nset", _CN
+        if type(arg) is not Path:  # a union, constant or call primary
+            return self.reanalyze(_typed(Path(primary=arg, steps=[step]), "nset"))
+        arg.steps.append(step)
+        summary = _bare_step(step)
+        if arg is self.main:
+            self.steps += (summary,)
+        text = f"{'' if record[1] == '/' else record[1]}/{summary.key}"
+        return arg, text, record[2] or _ID_AXIS, record[3], record[4] + summary.counts, record[5]
+
+    def visit_path(self, path: Path, out) -> tuple:
+        normalizing = self.normalizing
+        summaries = []
+        core = wadler = None
+        counts, tags = _SIZE, ()
+        for step in reversed(path.steps):  # the last step's predicates are on top
+            if step.predicates:
+                count = len(step.predicates)
+                predicates = out[-count:]
+                del out[-count:]
+                if normalizing:
+                    predicates = list(map(self.predicate, predicates))
+                    step.predicates = list(map(_NODE, predicates))
+                summary = _step(step, predicates)
+            else:
+                test = step.node_test
+                summary = _BARE_STEPS.get((step.axis, test.kind, test.name)) or _bare_step(step)
+            step.value_type, step.relev = "nset", _CN
+            summaries.append(summary)
+            _, step_core, step_wadler, step_counts, step_tags = summary
+            core = step_core or core  # the first step's verdict is the last one read
+            wadler = step_wadler or wadler
+            counts += step_counts
+            tags += step_tags
+        summaries.reverse()
+        path.value_type = "nset"
+        text = "/".join(map(_NODE, summaries))
+        if path.primary is None:
+            path.relev = _CN
+            if not path.absolute:
+                return path, text, core, wadler, counts, tags
+            self.main, self.steps = path, tuple(summaries)
+            return path, "/" + text, core, wadler, counts, tags
+        count = len(path.primary_predicates)
+        predicates = out[len(out) - count:]
+        del out[len(out) - count:]
+        primary = out.pop()
+        if normalizing:
+            path.primary = primary[0]
+            predicates = list(map(self.predicate, predicates))
+            path.primary_predicates = list(map(_NODE, predicates))
+        node = primary[0]
+        path.relev = _union(_CN, node.relev)
+        if node.relev:
+            first = "context-dependent filter-expression primary"
+        else:
+            first = primary[3] or _first_scalar(predicates)
+        start = primary[1] if type(node) in (FunctionCall, ConstantNodeSet) else f"({primary[1]})"
+        for record in [primary, *predicates]:
+            counts += record[4]
+            tags += record[5]
+        start += "".join([f"[{record[1]}]" for record in predicates])
+        text = f"{start}/{text}" if text else start
+        return path, text, _FILTER_PRIMARY, first or wadler, counts, tags
 
 
-def _clone(expr: Expr) -> Expr:
-    """Deep-copy an already-normalized subtree with fresh uids.
-
-    Needed by the union-lifting rewrites, which duplicate the scalar side
-    of a comparison into both branches; sharing one AST object between two
-    parse-tree positions would confuse ``table(N)`` bookkeeping.
-    """
-    if isinstance(expr, NumberLiteral):
-        return _typed(NumberLiteral(expr.value), "num")
-    if isinstance(expr, StringLiteral):
-        return _typed(StringLiteral(expr.value), "str")
-    if isinstance(expr, ConstantNodeSet):
-        return _typed(ConstantNodeSet(expr.nodes), "nset")
-    if isinstance(expr, Negate):
-        return _typed(Negate(_clone(expr.operand)), expr.value_type)
-    if isinstance(expr, BinaryOp):
-        return _typed(BinaryOp(expr.op, _clone(expr.left), _clone(expr.right)), expr.value_type)
-    if isinstance(expr, Union):
-        return _typed(Union(_clone(expr.left), _clone(expr.right)), expr.value_type)
-    if isinstance(expr, FunctionCall):
-        return _typed(FunctionCall(expr.name, [_clone(a) for a in expr.args]), expr.value_type)
-    if isinstance(expr, Path):
-        clone = Path(
-            absolute=expr.absolute,
-            primary=_clone(expr.primary) if expr.primary is not None else None,
-            primary_predicates=[_clone(p) for p in expr.primary_predicates],
-            steps=[_clone_step(s) for s in expr.steps],
-        )
-        return _typed(clone, expr.value_type)
-    raise XPathTypeError(f"cannot clone node {expr!r}")
-
-
-def _clone_step(step: Step) -> Step:
-    clone = Step(step.axis, step.node_test, [_clone(p) for p in step.predicates])
-    clone.value_type = "nset"
-    return clone
-
-
-def normalize(expr: Expr, variables: dict[str, object] | None = None) -> Expr:
-    """Normalize a freshly parsed expression (see module docstring).
-
-    Args:
-        expr: AST from :func:`repro.xpath.parser.parse_xpath`.
-        variables: variable bindings (`$x` values): Python bool/float/str
-            or an iterable of nodes.
-
-    Returns the normalized, statically typed AST (shares mutated nodes
-    with the input — reparse rather than reuse the raw AST).
-    """
-    return _Normalizer(variables).normalize(expr)
+_VISITS = {
+    NumberLiteral: _Pass.visit_leaf, StringLiteral: _Pass.visit_leaf,
+    ConstantNodeSet: _Pass.visit_leaf, VariableRef: _Pass.visit_variable,
+    Negate: _Pass.visit_negate, BinaryOp: _Pass.visit_binary, Union: _Pass.visit_union,
+    FunctionCall: _Pass.visit_call, Path: _Pass.visit_path,
+}

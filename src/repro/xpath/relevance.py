@@ -27,33 +27,16 @@ extensions of the paper's rules, which silently assume them):
   Relev(N1) = Relev(N2) = {'cn'} in Example 3 although the predicate
   below them uses position() and last()).
 
-The analysis is one bottom-up pass, ``O(|Q|)`` as the paper notes, and is
-document-independent.
+The analysis is bottom-up, ``O(|Q|)`` as the paper notes, and
+document-independent: the front end's one pass
+(:func:`repro.xpath.normalize.analyze`) fills every node's set in the
+same visit that normalizes it.
 """
 
 from __future__ import annotations
 
-from repro.errors import XPathTypeError
-from repro.functions.library import signature_for
-from repro.xpath.ast import (
-    AstNode,
-    BinaryOp,
-    ConstantNodeSet,
-    Expr,
-    FunctionCall,
-    Negate,
-    NumberLiteral,
-    Path,
-    Step,
-    StringLiteral,
-    Union,
-    VariableRef,
-)
-
-_EMPTY: frozenset[str] = frozenset()
-_CN: frozenset[str] = frozenset({"cn"})
-_CP: frozenset[str] = frozenset({"cp"})
-_CS: frozenset[str] = frozenset({"cs"})
+from repro.xpath.ast import Expr
+from repro.xpath.normalize import analyze
 
 
 def compute_relevance(expr: Expr) -> frozenset[str]:
@@ -61,73 +44,10 @@ def compute_relevance(expr: Expr) -> frozenset[str]:
 
     Must run on a normalized tree (variables substituted, conversions
     explicit) — raw trees may contain :class:`VariableRef` nodes, which
-    are rejected.
+    are rejected. :func:`repro.xpath.normalize.analyze` applies the rules
+    above while it normalizes, so this is only needed after a rewrite.
     """
-    return _visit(expr)
-
-
-def _visit(node: AstNode) -> frozenset[str]:
-    if isinstance(node, (NumberLiteral, StringLiteral, ConstantNodeSet)):
-        node.relev = _EMPTY
-        return _EMPTY
-    if isinstance(node, VariableRef):
-        raise XPathTypeError(
-            "relevance analysis requires a normalized tree (found an unsubstituted variable)"
-        )
-    if isinstance(node, FunctionCall):
-        return _visit_call(node)
-    if isinstance(node, (BinaryOp, Negate, Union)):
-        result: frozenset[str] = _EMPTY
-        for child in node.children():
-            result = result | _visit(child)
-        node.relev = result
-        return result
-    if isinstance(node, Path):
-        return _visit_path(node)
-    if isinstance(node, Step):  # pragma: no cover - steps visited via paths
-        return _visit_step(node)
-    raise XPathTypeError(f"cannot analyze node {node!r}")
-
-
-def _visit_call(node: FunctionCall) -> frozenset[str]:
-    if node.name == "position":
-        node.relev = _CP
-        return _CP
-    if node.name == "last":
-        node.relev = _CS
-        return _CS
-    result: frozenset[str] = _EMPTY
-    for arg in node.args:
-        result = result | _visit(arg)
-    if node.name == "true" or node.name == "false":
-        node.relev = _EMPTY
-        return _EMPTY
-    if signature_for(node.name).context_node_dependent:
-        result = result | _CN
-    node.relev = result
-    return result
-
-
-def _visit_path(node: Path) -> frozenset[str]:
-    # Predicates and steps get their own annotations, but (per the paper's
-    # location-path rule) do not contribute to the path's set: predicate
-    # contexts are freshly generated by the step evaluation.
-    for predicate in node.primary_predicates:
-        _visit(predicate)
-    for step in node.steps:
-        _visit_step(step)
-    result = _CN
-    if node.primary is not None:
-        result = result | _visit(node.primary)
-    node.relev = result
-    return result
-
-
-def _visit_step(step: Step) -> frozenset[str]:
-    for predicate in step.predicates:
-        _visit(predicate)
-    step.relev = _CN
-    return _CN
+    return analyze(expr, normalized=True).ast.relev
 
 
 def project_context(

@@ -33,17 +33,17 @@ _LEAF_PRECEDENCE = 9
 
 
 def _precedence(expr: Expr) -> int:
-    if isinstance(expr, BinaryOp):
+    kind = type(expr)
+    if kind is BinaryOp:
         return BINARY_PRECEDENCE[expr.op]
-    if isinstance(expr, Negate):
+    if kind is Negate:
         return _UNARY_PRECEDENCE
-    if isinstance(expr, Union):
-        return _UNION_PRECEDENCE
-    return _LEAF_PRECEDENCE
+    return _UNION_PRECEDENCE if kind is Union else _LEAF_PRECEDENCE
 
 
-def _child(expr: Expr, parent_precedence: int, right_side: bool = False) -> str:
-    text = unparse(expr)
+def _operand(expr: Expr, text: str, parent_precedence: int, right_side: bool = False) -> str:
+    """``text``, the rendering of ``expr``, parenthesized where the
+    operator around it binds tighter."""
     child_precedence = _precedence(expr)
     if child_precedence < parent_precedence or (
         right_side and child_precedence == parent_precedence
@@ -70,13 +70,13 @@ def node_test_to_string(test: NodeTest) -> str:
     raise ValueError(f"unknown node test {test!r}")
 
 
-def step_to_string(step: Step) -> str:
-    predicates = "".join(f"[{unparse(p)}]" for p in step.predicates)
-    return f"{step.axis}::{node_test_to_string(step.node_test)}{predicates}"
+# The renderers of a literal, a negation and an operator take the
+# children's texts: the front end's one pass (:mod:`repro.xpath.normalize`)
+# feeds them the texts it already built.
 
 
-def unparse(expr: Expr) -> str:
-    """Render an AST as unabbreviated XPath 1.0 text."""
+def leaf_text(expr: Expr) -> str:
+    """A literal, a variable reference or a constant node-set."""
     if isinstance(expr, NumberLiteral):
         return number_to_string(expr.value)
     if isinstance(expr, StringLiteral):
@@ -87,23 +87,37 @@ def unparse(expr: Expr) -> str:
         return f"${expr.name}"
     if isinstance(expr, ConstantNodeSet):
         return f"$<node-set:{len(expr.nodes)}>"
+    raise ValueError(f"cannot unparse {expr!r}")
+
+
+def negate_text(expr: Negate, operand: str) -> str:
+    return f"-{_operand(expr.operand, operand, _UNARY_PRECEDENCE)}"
+
+
+def binary_text(expr: BinaryOp | Union, left: str, right: str) -> str:
+    """An operator (``|`` included) over its operands' texts."""
+    level = _precedence(expr)
+    op = "|" if isinstance(expr, Union) else expr.op
+    left = _operand(expr.left, left, level)
+    return f"{left} {op} {_operand(expr.right, right, level, right_side=True)}"
+
+
+def step_to_string(step: Step) -> str:
+    predicates = "".join(f"[{unparse(p)}]" for p in step.predicates)
+    return f"{step.axis}::{node_test_to_string(step.node_test)}{predicates}"
+
+
+def unparse(expr: Expr) -> str:
+    """Render an AST as unabbreviated XPath 1.0 text."""
     if isinstance(expr, FunctionCall):
-        args = ", ".join(unparse(a) for a in expr.args)
-        return f"{expr.name}({args})"
+        return f"{expr.name}({', '.join(unparse(a) for a in expr.args)})"
     if isinstance(expr, Negate):
-        return f"-{_child(expr.operand, _UNARY_PRECEDENCE)}"
-    if isinstance(expr, BinaryOp):
-        level = BINARY_PRECEDENCE[expr.op]
-        left = _child(expr.left, level)
-        right = _child(expr.right, level, right_side=True)
-        return f"{left} {expr.op} {right}"
-    if isinstance(expr, Union):
-        left = _child(expr.left, _UNION_PRECEDENCE)
-        right = _child(expr.right, _UNION_PRECEDENCE, right_side=True)
-        return f"{left} | {right}"
+        return negate_text(expr, unparse(expr.operand))
+    if isinstance(expr, (BinaryOp, Union)):
+        return binary_text(expr, unparse(expr.left), unparse(expr.right))
     if isinstance(expr, Path):
         return _unparse_path(expr)
-    raise ValueError(f"cannot unparse {expr!r}")
+    return leaf_text(expr)
 
 
 def _unparse_path(path: Path) -> str:

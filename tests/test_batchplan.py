@@ -25,7 +25,6 @@ from repro.service import (
     ShardedExecutor,
     build_batch_plan,
 )
-from repro.service.batchplan import clone_expr
 from repro.service.scheduler import merge_batch_plan_snapshots
 from repro.service.specialize import PlanSpecializer, document_profile
 from repro.workloads.documents import (
@@ -37,7 +36,7 @@ from repro.workloads.documents import (
     wide_tree,
 )
 from repro.xml.parser import parse_document
-from repro.xpath.ast import NodeTest
+from repro.xpath.ast import NodeTest, clone
 
 SEED = 20030613
 
@@ -155,7 +154,7 @@ def test_build_batch_plan_empty_and_degenerate():
 def test_clone_expr_gives_fresh_uids_and_preserves_types():
     service = QueryService()
     ast = service.plan("//b[position() = 1]/c").ast
-    copy = clone_expr(ast)
+    copy = clone(ast)
     assert copy is not ast
     assert copy.value_type == ast.value_type
     originals = set()

@@ -419,6 +419,65 @@ def test_sigkill_mid_save_loop_leaves_a_store_that_opens(tmp_path):
         assert engine.evaluate("count(//b)") == (k % 7 + 1) * 40
 
 
+_PUT_LOOP = """
+import sys
+from repro.xml.parser import parse_document
+from repro.xml.store import DocumentStore
+store = DocumentStore(sys.argv[1])
+document = parse_document(sys.argv[2])
+for _ in range(int(sys.argv[3])):
+    store.save("shared", document)
+"""
+
+
+def test_two_processes_putting_one_name_both_succeed(tmp_path):
+    """Each writer has a temp file of its own: two processes overwriting
+    one name at once both succeed, and the name then holds one of their
+    documents, whole."""
+    path = tmp_path / "store.json"
+    markups = ["<a>" + "<b/>" * 400 + "</a>", "<c>" + "<d>text</d>" * 300 + "</c>"]
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _PUT_LOOP, str(path), markup, "60"],
+            env={**os.environ, "PYTHONPATH": source},
+            stderr=subprocess.PIPE,
+        )
+        for markup in markups
+    ]
+    for process in processes:
+        _, error = process.communicate(timeout=120)
+        assert process.returncode == 0, error.decode()
+    store = DocumentStore(path)
+    assert store.names() == ["shared"]
+    stored = serialize(decode_snapshot(store.load_snapshot("shared")))
+    assert stored in [serialize(parse_document(markup)) for markup in markups]
+    assert _debris(tmp_path) == []
+
+
+def test_opening_a_store_removes_the_temp_files_of_gone_writers(tmp_path):
+    """A temp file is swept when its writer's process has exited, or is
+    this process with no put writing it, or names no writer at all; a
+    live process's temp file stays."""
+    store = DocumentStore(tmp_path / "store.json")
+    store.save("x", parse_document("<x/>"))
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait(timeout=30)
+    stem = store._file("x").name
+    temps = {
+        "exited": f"{stem}.{exited.pid}.0.tmp",
+        "this process, not writing": f"{stem}.{os.getpid()}.999999.tmp",
+        "no writer named": f"{stem}.tmp",
+        "live": f"{stem}.{os.getppid()}.0.tmp",
+    }
+    for name in temps.values():
+        (store.sidecar_dir / name).write_bytes(b"half a blob")
+    DocumentStore(tmp_path / "store.json")
+    left = sorted(temp.name for temp in _debris(tmp_path))
+    assert left == [temps["live"]]
+    assert store.names() == ["x"]
+
+
 def test_store_counters_are_exact_and_their_identities_hold(tmp_path):
     """``store_stats``: every counter ticked where its event happens,
     the identities asserted over a mixed run — and the per-open zeros the

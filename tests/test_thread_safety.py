@@ -174,9 +174,9 @@ def test_specializer_memo_counters_are_exact_under_contention():
 
 
 def test_shared_service_session_eviction_loses_no_counters():
-    """Session-capacity thrash from many threads: retired sessions fold
-    their memo counters into the aggregate, so totals stay exact even
-    while sessions are evicted and rebuilt concurrently."""
+    """Session-capacity thrash from many threads: every session counts
+    into the service's one result-memo stats, so totals stay exact even
+    when a thread counts on a session another thread has just evicted."""
     documents = [parse_document(f"<a><b>{i}</b></a>") for i in range(6)]
     service = QueryService(session_capacity=2)
 
