@@ -81,7 +81,7 @@ def _steps_are_core(steps: tuple[StepSummary, ...]) -> bool:
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass
 class PrefixNode:
     """One materialized step prefix: a compiled plan of its own, plus the
     residual link to its longest materialized proper prefix."""
@@ -95,7 +95,7 @@ class PrefixNode:
     residual_core: bool = True
 
 
-@dataclass(slots=True)
+@dataclass
 class BatchEntry:
     """One input plan's sharing decision."""
 
@@ -185,11 +185,8 @@ class BatchPlan:
             chain = plan.traits.step_keys
             for length in range(1, len(chain) + 1):
                 prefix = chain[:length]
-                if prefix in counts:
-                    counts[prefix] += 1
-                else:
-                    counts[prefix] = 1
-                    representatives[prefix] = (plan, length)
+                counts[prefix] = counts.get(prefix, 0) + 1
+                representatives.setdefault(prefix, (plan, length))
         materialized = {prefix for prefix, n in counts.items() if n >= 2}
         for chain in sorted(materialized, key=lambda c: (len(c), c)):
             plan, length = representatives[chain]

@@ -33,10 +33,9 @@ key ``(query, options)`` never conflates distinct plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from repro.xpath.ast import Expr
-from repro.xpath.normalize import Analysis, StepSummary, counters
+from repro.xpath.normalize import Analysis, Counts, StepSummary
 from repro.xpath.rewrite import RewriteStats
 
 
@@ -74,27 +73,15 @@ class PlanOptions:
     def make(
         cls, variables: dict[str, object] | None = None, optimize: bool = False
     ) -> "PlanOptions":
-        if not variables and not optimize:
-            return _DEFAULT_OPTIONS  # immutable: every plain compile shares it
         return cls(optimize=bool(optimize), variables_signature=freeze_variables(variables))
 
 
-_DEFAULT_OPTIONS = PlanOptions()
-
-
-#: A step summary's key.
-_KEY = itemgetter(0)
-
-
 def plan_key(query: str, options: PlanOptions) -> tuple:
-    """The plan-cache key: the exact query text plus its compile options
-    (flat, so hashing it never calls back into Python)."""
-    return (query, options.optimize, options.variables_signature)
+    """The plan-cache key: the exact query text plus its compile options."""
+    return (query, options)
 
 
-# Not frozen: a frozen dataclass pays an ``object.__setattr__`` per field
-# on every compile. Nothing writes a plan's traits after it is built.
-@dataclass
+@dataclass(frozen=True)
 class PlanTraits:
     """Document-independent cost features of one normalized AST.
 
@@ -189,27 +176,25 @@ class LogicalPlan:
     ) -> "LogicalPlan":
         """The plan of an analyzed tree (see :class:`PlanTraits` for when
         a plan has step keys)."""
-        ast, core, wadler, counts, tags, steps = analysis
-        size, bottomup, string_ops, indexed, positions, siblings, constants = counters(counts)
-        if constants or not steps:
-            steps = ()
+        counts = Counts.unpack(analysis.counts)
+        steps = () if counts.constants else analysis.steps
         return cls(
             source=source,
-            ast=ast,
-            result_type=ast.value_type or "nset",
-            core_violation=core,
-            wadler_violation=wadler,
-            bottomup_path_count=bottomup,
+            ast=analysis.ast,
+            result_type=analysis.ast.value_type or "nset",
+            core_violation=analysis.core,
+            wadler_violation=analysis.wadler,
+            bottomup_path_count=counts.bottomup,
             variables={} if variables is None else variables,
             rewrite_stats=rewrite_stats,
             traits=PlanTraits(
-                ast_size=size,
-                uses_position=positions > 0,
-                positional_sibling=siblings > 0,
-                string_op_count=string_ops,
-                indexed_axis_steps=indexed,
-                name_test_tags=tuple(sorted(tags)) if tags else (),
-                step_keys=tuple(map(_KEY, steps)),
+                ast_size=counts.size,
+                uses_position=counts.positions > 0,
+                positional_sibling=counts.siblings > 0,
+                string_op_count=counts.string_ops,
+                indexed_axis_steps=counts.indexed,
+                name_test_tags=tuple(sorted(analysis.tags)),
+                step_keys=tuple(step.key for step in steps),
             ),
             options=PlanOptions.make(variables, optimize),
             step_summaries=steps,

@@ -13,20 +13,23 @@ the document. Nothing is written at ``path`` itself and no object holds
 a copy of the name table, so:
 
 * a **put** is one file: the blob is encoded first (a failing encode
-  touches nothing), written to a temp file of its own,
-  ``<file>.<pid>.<n>.tmp``, fsynced, ``os.replace``d over the target, and
-  the directory fsynced — two fsyncs, no other document's file touched.
-  The rename *is* the commit: a crash before it leaves the previous
-  document (or none), after it the new one, never a mixture; an error on
-  the way removes the temp file. Two writers of one name — threads or
-  processes — never share a temp file, so each commits a whole document
-  and the last rename wins;
+  touches nothing), written to a temp file of its own (a fresh
+  ``<file>.<random>.tmp``), fsynced, ``os.replace``d over the target,
+  and the directory fsynced — two fsyncs, no other document's file
+  touched. The rename *is* the commit: a crash before it leaves the
+  previous document (or none), after it the new one, never a mixture; an
+  error on the way removes the temp file. Two writers of one name —
+  threads or processes — never share a temp file, so each commits a
+  whole document and the last rename wins;
 * ``names()`` / ``len`` / ``in`` read the directory (to list, also each
   file's header), so two ``DocumentStore`` objects on one path — or two
   processes — see each other's puts and deletes. ``*.tmp`` debris of a
-  killed writer is never listed, and opening a store removes every temp
-  file whose writer is gone: its process has exited, or it is this
-  process and no put of it is writing that file;
+  killed writer is never listed, and opening a store removes it. A put
+  holds an exclusive ``flock`` on its temp file from creating it until
+  the rename, and the kernel drops that lock when the writer dies, so
+  the opener removes only the temp files it can lock: never one a live
+  writer is still writing, whatever process namespace or (on a file
+  system whose locks span hosts) host that writer runs in;
 * a **load** goes straight to the file its name hashes to and trusts it
   as far as the snapshot module's docstring argues: CRC-32 over the whole
   blob, a header naming the document asked for, bounds-checked sections
@@ -43,10 +46,12 @@ written, fsyncs and bytes, each where it happens.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
-import itertools
 import os
 import pathlib
+import tempfile
 
 from repro.errors import DocumentStoreError
 from repro.stats import store_stats
@@ -61,29 +66,51 @@ from repro.xml.snapshot import (
 
 __all__ = ["DocumentStore", "DocumentStoreError"]
 
-#: Temp-file numbers of this process, and the temp files its puts are
-#: writing right now (a put adds its file before creating it and drops
-#: it however the put ends).
-_temp_numbers = itertools.count()
-_writing: set[str] = set()
 
-
-def _writer_gone(temp: pathlib.Path) -> bool:
-    """Whether no live put is writing ``temp`` (named
-    ``<file>.<pid>.<n>.tmp``; a name without a pid is debris too)."""
-    parts = temp.name.split(".")
-    if len(parts) != 5 or not parts[2].isdigit():
-        return True
-    pid = int(parts[2])
-    if pid == os.getpid():
-        return temp.name not in _writing
+def _same_file(fd: int, path: str | os.PathLike) -> bool:
+    """Whether ``path`` still names the file open as ``fd``."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # alive, and someone else's to signal
+        return os.path.samestat(os.fstat(fd), os.stat(path))
+    except FileNotFoundError:
         return False
-    return False
+
+
+def _locked_temp_file(target: pathlib.Path) -> tuple[int, pathlib.Path]:
+    """A new temp file beside ``target``, open for writing and under this
+    put's exclusive lock. An opener may remove the file between its
+    creation and the lock (it cannot tell it from a dead writer's); the
+    put then finds its name gone and makes another."""
+    while True:
+        fd, name = tempfile.mkstemp(prefix=f"{target.name}.", suffix=".tmp", dir=target.parent)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            kept = _same_file(fd, name)
+        except BaseException:
+            os.close(fd)
+            with contextlib.suppress(OSError):
+                os.unlink(name)
+            raise
+        if kept:
+            return fd, pathlib.Path(name)
+        os.close(fd)
+
+
+def _remove_if_abandoned(temp: pathlib.Path) -> None:
+    """Remove a temp file no put holds locked: its writer died."""
+    try:
+        fd = os.open(temp, os.O_RDWR)
+    except FileNotFoundError:
+        return  # committed or removed since the listing
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        # A put renames its file away before it lets go of the lock: a
+        # name still on the locked file is debris.
+        if _same_file(fd, temp):
+            temp.unlink()
+    except (BlockingIOError, FileNotFoundError):
+        pass  # a live put is writing it, or it was committed meanwhile
+    finally:
+        os.close(fd)
 
 
 def _fsync_directory(path: pathlib.Path) -> None:
@@ -115,11 +142,7 @@ class DocumentStore:
                 "remove it"
             )
         for temp in self.sidecar_dir.glob("*.tmp"):  # no directory, no files
-            if _writer_gone(temp):
-                try:
-                    temp.unlink()
-                except FileNotFoundError:
-                    pass  # another opener swept it first
+            _remove_if_abandoned(temp)
 
     @property
     def sidecar_dir(self) -> pathlib.Path:
@@ -168,8 +191,7 @@ class DocumentStore:
         put of the module docstring."""
         blob = encode_snapshot(document, name)
         target = self._file(name)
-        temp = target.with_name(f"{target.name}.{os.getpid()}.{next(_temp_numbers)}.tmp")
-        _writing.add(temp.name)
+        temp = None
         try:
             if not self.sidecar_dir.exists():
                 # First put into a new store: the directory the puts are
@@ -177,20 +199,20 @@ class DocumentStore:
                 self.sidecar_dir.mkdir(parents=True, exist_ok=True)
                 store_stats.tick("directories_created")
                 _fsync_directory(self.sidecar_dir.parent)
-            with open(temp, "wb") as handle:
+            fd, temp = _locked_temp_file(target)
+            with open(fd, "wb") as handle:  # closing it releases the lock
                 handle.write(blob)
                 handle.flush()
-                os.fsync(handle.fileno())
+                os.fsync(fd)
                 store_stats.tick("fsyncs")
-            os.replace(temp, target)
+                os.replace(temp, target)
         except OSError as error:
-            try:
-                temp.unlink()
-            except OSError:
-                pass
+            if temp is not None:
+                try:
+                    temp.unlink()
+                except OSError:
+                    pass
             raise DocumentStoreError(f"cannot write {target}: {error}") from error
-        finally:
-            _writing.discard(temp.name)
         store_stats.tick("files_written")
         store_stats.tick("bytes_written", len(blob))
         _fsync_directory(self.sidecar_dir)

@@ -29,9 +29,12 @@ _uid_counter = itertools.count(1)
 class AstNode:
     """Base for everything appearing in the parse tree."""
 
-    # Every subclass's constructor sets all three (no super() call per
-    # node: building nodes is a good share of compiling a query).
     __slots__ = ("uid", "value_type", "relev")
+
+    def __init__(self):
+        self.uid: int = next(_uid_counter)
+        self.value_type: str | None = None
+        self.relev: frozenset[str] | None = None
 
     def children(self) -> list["AstNode"]:
         """Direct parse-tree children (expressions and steps)."""
@@ -56,7 +59,7 @@ class NumberLiteral(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.value = float(value)
 
     def __repr__(self) -> str:
@@ -69,7 +72,7 @@ class StringLiteral(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.value = value
 
     def __repr__(self) -> str:
@@ -84,7 +87,7 @@ class VariableRef(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.name = name
 
     def __repr__(self) -> str:
@@ -102,7 +105,7 @@ class FunctionCall(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: list[Expr]):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.name = name
         self.args = list(args)
 
@@ -129,7 +132,7 @@ class BinaryOp(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.op = op
         self.left = left
         self.right = right
@@ -147,7 +150,7 @@ class Negate(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.operand = operand
 
     def children(self) -> list[AstNode]:
@@ -163,7 +166,7 @@ class Union(Expr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.left = left
         self.right = right
 
@@ -182,7 +185,7 @@ class ConstantNodeSet(Expr):
     __slots__ = ("nodes",)
 
     def __init__(self, nodes):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.nodes = frozenset(nodes)
 
     def __repr__(self) -> str:
@@ -229,7 +232,7 @@ class Step(AstNode):
     __slots__ = ("axis", "node_test", "predicates")
 
     def __init__(self, axis: str, node_test: NodeTest, predicates: list[Expr] | None = None):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         self.axis = axis
         self.node_test = node_test
         self.predicates = list(predicates or [])
@@ -263,7 +266,7 @@ class Path(Expr):
         primary_predicates: list[Expr] | None = None,
         steps: list[Step] | None = None,
     ):
-        self.uid, self.value_type, self.relev = next(_uid_counter), None, None
+        super().__init__()
         if absolute and primary is not None:
             raise ValueError("a path cannot be both absolute and primary-rooted")
         self.absolute = absolute

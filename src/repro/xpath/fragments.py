@@ -19,8 +19,9 @@ the expression is in the fragment — the reason strings power the
 ``fragment_advisor`` example and engine diagnostics. A compiled plan
 carries both verdicts: the front end's one pass
 (:func:`repro.xpath.normalize.analyze`) applies the rules node by node.
-:func:`core_xpath_violation` is also a walk of its own, the one the
-Core XPath evaluator guards every query with.
+:func:`core_xpath_violation` is also a walk of its own: the one the
+Core XPath evaluator guards every query with, and the reference the
+pass's Core verdicts are tested against (the reasons below are shared).
 
 Interpretation notes (documented deviations / sharpenings):
 
@@ -53,6 +54,13 @@ R1_DATA_CONVERSIONS = frozenset({"string", "number"})
 #: catches; listed for the strict reading used by `strict=True`).
 R1_STRING_MEASURES = frozenset({"string-length", "normalize-space"})
 
+# Definition 12: why an expression is outside Core XPath (the templates
+# take the offending node's class name).
+NOT_A_PATH = "not a location path: {}"
+FILTER_PRIMARY = "filter-expression primaries are not in Core XPath"
+ID_AXIS = "the id pseudo-axis is not in Core XPath"
+NON_CORE_PREDICATE = "predicate uses a non-Core construct: {}"
+
 
 def _needs_relev(expr: Expr) -> frozenset[str]:
     if expr.relev is None:
@@ -79,12 +87,12 @@ def is_core_xpath(expr: Expr) -> bool:
 
 def _core_path(expr: Expr) -> str | None:
     if not isinstance(expr, Path):
-        return f"not a location path: {type(expr).__name__}"
+        return NOT_A_PATH.format(type(expr).__name__)
     if expr.primary is not None:
-        return "filter-expression primaries are not in Core XPath"
+        return FILTER_PRIMARY
     for step in expr.steps:
         if step.axis == "id":
-            return "the id pseudo-axis is not in Core XPath"
+            return ID_AXIS
         for predicate in step.predicates:
             violation = _core_predicate(predicate)
             if violation is not None:
@@ -100,7 +108,7 @@ def _core_predicate(expr: Expr) -> str | None:
     if isinstance(expr, FunctionCall) and expr.name == "boolean" and len(expr.args) == 1:
         # A bare cxp predicate is boolean(path) after normalization.
         return _core_path(expr.args[0])
-    return f"predicate uses a non-Core construct: {type(expr).__name__}"
+    return NON_CORE_PREDICATE.format(type(expr).__name__)
 
 
 # ----------------------------------------------------------------------

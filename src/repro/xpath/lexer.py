@@ -66,17 +66,13 @@ class Token(NamedTuple):
 _QNAME = r"[A-Za-z_][A-Za-z0-9_.\-]*(?::[A-Za-z_][A-Za-z0-9_.\-]*)?"
 
 #: The master regex: every lexeme, longest forms first where two share a
-#: first character; the final ``.`` takes whatever else there is. The
-#: commonest lexemes come first (names, one-character punctuation,
-#: slashes): the alternatives are tried in order at every position.
+#: first character; the final ``.`` takes whatever else there is.
 _TOKEN = re.compile(
-    _QNAME
-    + r"|[\[\]()@,|=+*-]|//?"
-    r"|[ \t\r\n]+"
+    r"[ \t\r\n]+"
     r"|[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
-    r"|\.\.|::|!=|<=|>="
     r"|\"[^\"]*\"|'[^']*'"
-    r"|\$" + _QNAME
+    r"|\.\.|::|//|!=|<=|>=|\$" + _QNAME
+    + r"|" + _QNAME
     + r"|.",
     re.DOTALL,
 )
@@ -102,17 +98,9 @@ NODE_TYPES = frozenset({"node", "text", "comment", "processing-instruction"})
 #: Punctuation after which the next token is in name position.
 _OPENERS = frozenset("([,@")
 
-# The token types scan() emits, as module constants: an enum member
-# lookup costs a hundred nanoseconds, a global a few.
-_OPERATOR, _NAME, _NUMBER, _LITERAL = (
-    TokenType.OPERATOR, TokenType.NAME, TokenType.NUMBER, TokenType.LITERAL
-)
-_AXIS_NAME, _FUNCTION_NAME, _VARIABLE = (
-    TokenType.AXIS_NAME, TokenType.FUNCTION_NAME, TokenType.VARIABLE
-)
-_DOT, _DOTDOT, _COLONCOLON, _STAR = (
-    TokenType.DOT, TokenType.DOTDOT, TokenType.COLONCOLON, TokenType.STAR
-)
+_OPERATOR = TokenType.OPERATOR
+_NAME = TokenType.NAME
+_NUMBER = TokenType.NUMBER
 
 
 def scan(source: str) -> list[tuple]:
@@ -141,43 +129,43 @@ def scan(source: str) -> list[tuple]:
             if follow and _CLASS.get(follow[0]) is _SPACE:
                 follow = lexemes[index + 2] if index + 2 < count else ""
             if follow == "::":
-                append((_AXIS_NAME, text, start))
+                append((TokenType.AXIS_NAME, text, start))
             elif follow == "(" and text not in NODE_TYPES:
-                append((_FUNCTION_NAME, text, start))
+                append((TokenType.FUNCTION_NAME, text, start))
             else:
                 append((_NAME, text, start))
             operator_position = True
+        elif kind is _SPACE:
+            continue
         elif kind is _SYMBOL and text != "!":
             append((_OPERATOR, text, start))
             operator_position = False
-        elif type(kind) is TokenType:
-            append((kind, text, start))
-            operator_position = text not in _OPENERS
-        elif kind is _COLON and text == "::":
-            append((_COLONCOLON, text, start))
-            operator_position = False
-        elif kind is _SPACE:
-            continue
         elif kind is _DIGIT:
             append((_NUMBER, text, start))
             operator_position = True
         elif kind is _PERIOD:
             if text == ".":
-                append((_DOT, text, start))
+                append((TokenType.DOT, text, start))
             elif text == "..":
-                append((_DOTDOT, text, start))
+                append((TokenType.DOTDOT, text, start))
             else:
                 append((_NUMBER, text, start))
             operator_position = True
         elif kind is _ASTERISK:
-            append((_OPERATOR if operator_position else _STAR, text, start))
+            append((_OPERATOR if operator_position else TokenType.STAR, text, start))
             operator_position = not operator_position
         elif kind is _QUOTE and len(text) > 1:
-            append((_LITERAL, text[1:-1], start))
+            append((TokenType.LITERAL, text[1:-1], start))
             operator_position = True
+        elif kind is _COLON and text == "::":
+            append((TokenType.COLONCOLON, text, start))
+            operator_position = False
         elif kind is _DOLLAR and len(text) > 1:
-            append((_VARIABLE, text[1:], start))
+            append((TokenType.VARIABLE, text[1:], start))
             operator_position = True
+        elif isinstance(kind, TokenType):
+            append((kind, text, start))
+            operator_position = text not in _OPENERS
         elif kind is _QUOTE:
             raise XPathSyntaxError("unterminated string literal", start)
         elif kind is _DOLLAR:

@@ -23,13 +23,15 @@ The paper's semantics (and all four evaluation algorithms) assume a
 :func:`analyze` establishes them and, in the same visit of each node,
 derives everything later stages read about the tree: the node's static
 ``value_type`` and its ``Relev`` set (the rules of Section 3.1, stated in
-:mod:`repro.xpath.relevance`), and for its subtree a *record*: the
-canonical text (what :func:`~repro.xpath.unparse.unparse` renders, built
-from the children's texts), the Core XPath and Extended Wadler verdicts
-(the rules of :mod:`repro.xpath.fragments`) and the counters the
-planner's ``PlanTraits`` and bottom-up path count are read from. Each
-step of an absolute path also gets a :class:`StepSummary`: all the batch
-planner needs to describe any prefix of that path.
+:mod:`repro.xpath.relevance`), and for its subtree an :class:`Analysis`:
+the canonical text (what :func:`~repro.xpath.unparse.unparse` renders,
+built from the children's texts), the Core XPath and Extended Wadler
+verdicts (the rules of :mod:`repro.xpath.fragments`) and the
+:class:`Counts` the planner's ``PlanTraits`` and bottom-up path count
+are read from. Each step gets a :class:`StepSummary`: all the batch
+planner needs to describe any prefix of an absolute path.
+:func:`repro.xpath.fragments.core_xpath_violation` stays a walk of its
+own, the reference the Core verdicts here are tested against.
 
 Children are visited before their parent, in post-order on an explicit
 stack, so no Python recursion follows the tree's height. The parser
@@ -40,7 +42,7 @@ chains, and the evaluators recurse: a tree more than
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain
 from typing import NamedTuple
 
 from repro.axes.order import INTERVAL_AXES
@@ -61,8 +63,16 @@ from repro.xpath.ast import (
     VariableRef,
     clone,
 )
-from repro.xpath.fragments import R1_DATA_CONVERSIONS, R1_NAME_ACCESSORS, R1_STRING_MEASURES
-from repro.xpath.fragments import is_bottomup_eligible
+from repro.xpath.fragments import (
+    FILTER_PRIMARY,
+    ID_AXIS,
+    NON_CORE_PREDICATE,
+    NOT_A_PATH,
+    R1_DATA_CONVERSIONS,
+    R1_NAME_ACCESSORS,
+    R1_STRING_MEASURES,
+    is_bottomup_eligible,
+)
 from repro.xpath.unparse import binary_text, leaf_text, negate_text, node_test_to_string
 
 #: The tallest tree :func:`analyze` accepts, in nodes from the root to
@@ -95,16 +105,13 @@ _STRING_FUNCTIONS = frozenset(
     "string concat contains starts-with substring substring-before substring-after "
     "string-length normalize-space translate".split()
 )
-
-# Definition 12: why a node is outside Core XPath as a predicate.
+#: Definition 12: why a node of each kind is outside Core XPath as a
+#: predicate (and/or, not() and boolean() decide on their operands).
 _NON_CORE = {
-    kind: f"predicate uses a non-Core construct: {kind.__name__}"
+    kind: NON_CORE_PREDICATE.format(kind.__name__)
     for kind in (NumberLiteral, StringLiteral, ConstantNodeSet, FunctionCall,
                  BinaryOp, Negate, Union, Path)
 }
-_NOT_A_PATH = "not a location path: "
-_ID_AXIS = "the id pseudo-axis is not in Core XPath"
-_FILTER_PRIMARY = "filter-expression primaries are not in Core XPath"
 # Restriction 2: why a node-set is outside the fragment where a scalar
 # is needed.
 _NON_EXISTENTIAL = {
@@ -113,34 +120,52 @@ _NON_EXISTENTIAL = {
     ConstantNodeSet: "constant node-set in a non-existential position",
 }
 
-#: The packed counters of a subtree, 32 bits apiece, so that merging a
-#: child's is one addition (see :func:`counters`).
-_SIZE, _BOTTOMUP, _STRING_OP, _INDEXED, _POSITION, _SIBLING, _CONSTANT = (
+
+class Counts(NamedTuple):
+    """The counters of a subtree that a plan's ``PlanTraits`` and its
+    bottom-up path count are read from. The pass carries them packed
+    into one int, 32 bits apiece, so that adding a child's counts to its
+    parent's is one addition (``_NODE``, ``_BOTTOMUP`` and so on are one
+    unit of each)."""
+
+    #: Parse-tree nodes, steps included.
+    size: int
+    #: Subexpressions OPTMINCONTEXT evaluates bottom-up.
+    bottomup: int
+    #: String-library calls.
+    string_ops: int
+    #: Interval-axis steps.
+    indexed: int
+    #: ``position()`` / ``last()`` calls, the only origin of ``cp`` /
+    #: ``cs`` in a ``Relev`` set.
+    positions: int
+    #: Sibling-axis steps with a position-dependent predicate.
+    siblings: int
+    #: Embedded :class:`ConstantNodeSet` nodes.
+    constants: int
+
+    @classmethod
+    def unpack(cls, packed: int) -> Counts:
+        return cls._make([packed >> 32 * field & 0xFFFFFFFF for field in range(7)])
+
+
+_NODE, _BOTTOMUP, _STRING_OP, _INDEXED, _POSITION, _SIBLING, _CONSTANT = (
     1 << 32 * field for field in range(7)
 )
-#: A record's node and text; a summary's key.
-_NODE, _TEXT = itemgetter(0), itemgetter(1)
-#: Builds a named tuple without its Python-level ``__new__``.
-_new = tuple.__new__
-
-
-def counters(counts: int) -> tuple[int, ...]:
-    """Packed counters, unpacked: nodes, subexpressions OPTMINCONTEXT
-    evaluates bottom-up, string-library calls, interval-axis steps,
-    ``position()`` / ``last()`` calls (the only origin of ``cp`` / ``cs``
-    in a ``Relev`` set), sibling-axis steps with a position-dependent
-    predicate and embedded :class:`ConstantNodeSet` nodes."""
-    mask = 0xFFFFFFFF
-    return (counts & mask, counts >> 32 & mask, counts >> 64 & mask, counts >> 96 & mask,
-            counts >> 128 & mask, counts >> 160 & mask, counts >> 192)
+#: The counts of a call, before its arguments' are added.
+_CALL_COUNTS = {
+    **{name: _NODE + _STRING_OP for name in _STRING_FUNCTIONS},
+    "position": _NODE + _POSITION,
+    "last": _NODE + _POSITION,
+}
 
 
 class StepSummary(NamedTuple):
-    """One location step of an absolute path, as :func:`analyze` saw it:
-    its canonical text (the batch planner's step key), why it puts a
-    path outside Core XPath and why it violates Restrictions 1–3 (None:
-    it does not), the packed counters of the step and its predicates,
-    and the name tests of the interval-axis steps in it."""
+    """One location step, as :func:`analyze` saw it: its canonical text
+    (the batch planner's step key), why it puts a path outside Core XPath
+    and why it violates Restrictions 1–3 (None: it does not), the counts
+    of the step and its predicates, and the name tests of the
+    interval-axis steps in them."""
 
     key: str
     core: str | None
@@ -150,16 +175,19 @@ class StepSummary(NamedTuple):
 
 
 class Analysis(NamedTuple):
-    """A normalized, annotated tree; why it is outside Core XPath and the
-    Extended Wadler Fragment; its packed counters (a whole query is never
-    its own bottom-up subexpression); the name tests of its interval-axis
-    steps, unsorted; and, for an absolute path, its step summaries."""
+    """A normalized, annotated (sub)tree: its canonical text; why it is
+    outside Core XPath (a path as a location path, any other node as a
+    predicate; for a whole query, as a query) and why it violates
+    Restrictions 1–3 in an existential position; its packed counts; the
+    name tests of its interval-axis steps, unsorted; and, for an absolute
+    location path, one summary per step."""
 
     ast: Expr
+    text: str
     core: str | None
     wadler: str | None
     counts: int
-    tags: tuple
+    tags: tuple = ()
     steps: tuple[StepSummary, ...] = ()
 
 
@@ -186,14 +214,12 @@ def analyze(
         strict: apply Restriction 1 literally (see
             :func:`repro.xpath.fragments.wadler_violation`).
     """
-    visit = _Pass(variables, normalized, strict)
-    root, _, core, wadler, counts, tags = visit.tree(expr)
-    if type(root) is not Path:
-        core = _NOT_A_PATH + type(root).__name__
-    if is_bottomup_eligible(root):
-        counts -= _BOTTOMUP
-    steps = visit.steps if root is visit.main else ()
-    return _new(Analysis, (root, core, wadler, counts, tags, steps))
+    root = _Pass(variables, normalized, strict).tree(expr)
+    node, counts = root.ast, root.counts
+    core = root.core if type(node) is Path else NOT_A_PATH.format(type(node).__name__)
+    if is_bottomup_eligible(node):
+        counts -= _BOTTOMUP  # a whole query is never its own bottom-up subexpression
+    return Analysis(node, root.text, core, root.wadler, counts, root.tags, root.steps)
 
 
 def normalize(expr: Expr, variables: dict[str, object] | None = None) -> Expr:
@@ -205,86 +231,64 @@ def prefix_analysis(ast: Path, steps: tuple[StepSummary, ...]) -> Analysis:
     """The analysis of an absolute path whose steps were analyzed before
     (a batch planner's prefix of a plan), read off their summaries."""
     ast.value_type, ast.relev = "nset", _CN
-    core = wadler = None
-    counts, tags = _SIZE, ()
-    for _, step_core, step_wadler, step_counts, step_tags in steps:
-        core, wadler = core or step_core, wadler or step_wadler
-        counts += step_counts
-        tags += step_tags
-    return _new(Analysis, (ast, core, wadler, counts, tags, steps))
+    return _steps_analysis(ast, steps)
 
 
 # ----------------------------------------------------------------------
-# Records: ``(node, text, core, wadler, counts, tags)`` of one subtree,
-# ``core`` the node's own verdict (a path's as a location path, any
-# other node's as a predicate) and ``wadler`` its verdict in an
-# existential position.
+# Analyses of one node, over its (normalized) children's
 # ----------------------------------------------------------------------
 
 
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b is a or not b:
-        return a
-    return a | b if a else b
+def _first(verdicts) -> str | None:
+    return next(filter(None, verdicts), None)
 
 
-def _as_predicate(record) -> str | None:
+def _tags(analyses) -> tuple:
+    return tuple(chain.from_iterable([analysis.tags for analysis in analyses]))
+
+
+def _as_predicate(analysis: Analysis) -> str | None:
     """Definition 12's verdict on a node in a predicate position."""
-    return _NON_CORE[Path] if type(record[0]) is Path else record[2]
+    return _NON_CORE[Path] if type(analysis.ast) is Path else analysis.core
 
 
-def _scalar(record) -> str | None:
+def _scalar(analysis: Analysis) -> str | None:
     """Restrictions 1–3 on a node in a position that needs a scalar."""
-    return _NON_EXISTENTIAL.get(type(record[0])) or record[3]
+    return _NON_EXISTENTIAL.get(type(analysis.ast)) or analysis.wadler
 
 
-def _first_scalar(records) -> str | None:
-    return next(filter(None, map(_scalar, records)), None)
+def _path_test(call: FunctionCall, path: Analysis) -> Analysis:
+    """``boolean(π)``: the call nearly every predicate gets."""
+    call.relev = path.ast.relev
+    counts = _NODE + path.counts
+    if is_bottomup_eligible(call):
+        counts += _BOTTOMUP
+    return Analysis(call, f"boolean({path.text})", path.core, path.wadler, counts, path.tags)
 
 
-def _test(record) -> tuple:
-    """``boolean(π)`` over a path's record: what :func:`_call` derives,
-    for the call nearly every predicate gets."""
-    path = record[0]
-    call = FunctionCall("boolean", [path])
-    call.value_type, call.relev = "bool", path.relev
-    counts = record[4] + _SIZE
-    if path.steps and (path.primary is None or not (path.primary_predicates or path.primary.relev)):
-        counts += _BOTTOMUP  # OPTMINCONTEXT's boolean(π) shape
-    return call, f"boolean({record[1]})", record[2], record[3], counts, record[5]
-
-
-def _call(call: FunctionCall, args: list, strict: bool) -> tuple:
-    """The record of a call over its (normalized) arguments' records."""
+def _call(call: FunctionCall, args: list[Analysis], strict: bool) -> Analysis:
     name = call.name
-    if name == "not":
-        arg = args[0]
-        call.relev = arg[0].relev
-        return call, f"not({arg[1]})", _as_predicate(arg), _scalar(arg), _SIZE + arg[4], arg[5]
-    fixed = relev = _FIXED_RELEV.get(name)
-    if fixed is None:
-        relev = _CN if name in _CONTEXT_NODE_FUNCTIONS else _EMPTY
-        counts = _SIZE + _STRING_OP if name in _STRING_FUNCTIONS else _SIZE
-    else:
-        counts = _SIZE + _POSITION if name == "position" or name == "last" else _SIZE
-    tags = ()
+    if name == "boolean" and len(args) == 1 and type(args[0].ast) is Path:
+        return _path_test(call, args[0])
+    fixed = _FIXED_RELEV.get(name)
+    relev = fixed if fixed is not None else _CN if name in _CONTEXT_NODE_FUNCTIONS else _EMPTY
+    counts, tags = _CALL_COUNTS.get(name, _NODE), ()
     for arg in args:
-        counts += arg[4]
-        tags += arg[5]
+        counts += arg.counts
+        tags += arg.tags
         if fixed is None:
-            relev = _union(relev, arg[0].relev)
+            relev = relev | arg.ast.relev
     call.relev = relev
     core = _NON_CORE[FunctionCall]
-    if name == "boolean" and len(args) == 1:
-        arg = args[0][0]
-        core = args[0][2] if type(arg) is Path else _NOT_A_PATH + type(arg).__name__
-        if is_bottomup_eligible(call):
-            counts += _BOTTOMUP
-    text = f"{name}({', '.join(map(_TEXT, args))})"
-    return call, text, core, _wadler_call(name, args, strict), counts, tags
+    if name == "not" and len(args) == 1:
+        core = _as_predicate(args[0])
+    elif name == "boolean" and len(args) == 1:
+        core = NOT_A_PATH.format(type(args[0].ast).__name__)
+    text = f"{name}({', '.join([arg.text for arg in args])})"
+    return Analysis(call, text, core, _wadler_call(name, args, strict), counts, tags)
 
 
-def _wadler_call(name: str, args: list, strict: bool) -> str | None:
+def _wadler_call(name: str, args: list[Analysis], strict: bool) -> str | None:
     if name == "count" or name == "sum":
         return f"{name}() is not allowed (Restriction 2)"
     if name in R1_NAME_ACCESSORS:
@@ -292,25 +296,24 @@ def _wadler_call(name: str, args: list, strict: bool) -> str | None:
     if strict and name in R1_STRING_MEASURES:
         return f"{name}() is banned under the strict reading of Restriction 1"
     if args:
-        arg = args[0][0]
+        arg = args[0].ast
         if name in R1_DATA_CONVERSIONS and arg.value_type == "nset":
             return f"{name}() applied to a node-set selects document data (Restriction 1)"
         if name == "boolean" and len(args) == 1 and arg.value_type == "nset":
-            return args[0][3]
+            return args[0].wadler
         if name == "id":
             if arg.value_type != "nset" and arg.relev:
                 return "id(s) where s depends on the context (Restriction 3)"
-            return args[0][3]
-    return _first_scalar(args)
+            return args[0].wadler
+    return _first(map(_scalar, args))
 
 
-def _binary(node: BinaryOp, left, right) -> tuple:
-    """The record of an operator over its operands' records."""
+def _binary(node: BinaryOp, left: Analysis, right: Analysis) -> Analysis:
     op = node.op
-    left_type, right_type = left[0].value_type, right[0].value_type
-    node.relev = _union(left[0].relev, right[0].relev)
-    counts = _SIZE + left[4] + right[4]
+    left_type, right_type = left.ast.value_type, right.ast.value_type
+    node.relev = left.ast.relev | right.ast.relev
     core = _NON_CORE[BinaryOp]
+    counts = _NODE + left.counts + right.counts
     if op in _BOOLEAN_OPS:
         core = _as_predicate(left) or _as_predicate(right)
         wadler = _scalar(left) or _scalar(right)
@@ -320,64 +323,66 @@ def _binary(node: BinaryOp, left, right) -> tuple:
         nset, scalar = (left, right) if left_type == "nset" else (right, left)
         if left_type == right_type:
             wadler = "nset RelOp nset comparison (Restriction 2)"
-        elif scalar[0].relev:
+        elif scalar.ast.relev:
             wadler = "nset RelOp scalar where the scalar depends on the context (Restriction 2)"
         else:
-            wadler = nset[3] or _scalar(scalar)
+            wadler = nset.wadler or _scalar(scalar)
     else:
         wadler = _scalar(left) or _scalar(right)
-    text = binary_text(node, left[1], right[1])
-    return node, text, core, wadler, counts, left[5] + right[5]
+    text = binary_text(node, left.text, right.text)
+    return Analysis(node, text, core, wadler, counts, left.tags + right.tags)
 
 
-def _step(step: Step, predicates) -> StepSummary:
-    """A step's summary from its (normalized) predicates' records."""
+def _step(step: Step, predicates: list[Analysis]) -> StepSummary:
     axis, test = step.axis, step.node_test
-    core = _ID_AXIS if axis == "id" else None
-    wadler, counts, tags = None, _SIZE, ()
-    if axis in INTERVAL_AXES:
-        counts += _INDEXED
-        if test.kind == "name":
-            tags = (test.name,)
-    text = f"{axis}::{test.name if test.kind == 'name' else node_test_to_string(test)}"
-    for record in predicates:
-        core = core or _as_predicate(record)
-        wadler = wadler or _scalar(record)
-        counts += record[4]
-        tags += record[5]
-        text += f"[{record[1]}]"
-    if axis in _SIBLING_AXES and any(not p[0].relev.isdisjoint(_CPCS) for p in predicates):
-        counts += _SIBLING
-    return _new(StepSummary, (text, core, wadler, counts, tags))
+    indexed = axis in INTERVAL_AXES
+    text = f"{axis}::{node_test_to_string(test)}"
+    core = ID_AXIS if axis == "id" else None
+    wadler = None
+    counts = _NODE + _INDEXED if indexed else _NODE
+    tags = (test.name,) if indexed and test.kind == "name" else ()
+    if predicates:
+        text += "".join(f"[{predicate.text}]" for predicate in predicates)
+        core = core or _first(map(_as_predicate, predicates))
+        wadler = _first(map(_scalar, predicates))
+        if axis in _SIBLING_AXES and any(
+            not predicate.ast.relev.isdisjoint(_CPCS) for predicate in predicates
+        ):
+            counts += _SIBLING
+        counts += sum([predicate.counts for predicate in predicates])
+        tags += _tags(predicates)
+    return StepSummary(text, core, wadler, counts, tags)
 
 
-#: Summaries of predicate-free steps by ``(axis, kind, name)``: most
-#: steps of most queries, and one immutable summary serves them all.
-_BARE_STEPS: dict[tuple, StepSummary] = {}
+def _steps_analysis(path: Path, steps: tuple[StepSummary, ...]) -> Analysis:
+    """A primary-less path's analysis over its steps' summaries."""
+    core = wadler = None
+    tags: tuple = ()
+    for step in steps:
+        core = core or step.core
+        wadler = wadler or step.wadler
+        tags += step.tags
+    text = "/".join([step.key for step in steps])
+    return Analysis(
+        path,
+        "/" + text if path.absolute else text,
+        core,
+        wadler,
+        _NODE + sum([step.counts for step in steps]),
+        tags,
+        steps if path.absolute else (),
+    )
 
 
-def _bare_step(step: Step) -> StepSummary:
-    test = step.node_test
-    summary = _BARE_STEPS.get((step.axis, test.kind, test.name))
-    if summary is None:
-        summary = _step(step, ())
-        if len(_BARE_STEPS) < 4096:
-            _BARE_STEPS[step.axis, test.kind, test.name] = summary
-    return summary
-
-
-def _convert(record, to_type: str) -> tuple:
+def _convert(analysis: Analysis, to_type: str) -> Analysis:
     """Wrap the node in an explicit conversion call if its type differs."""
-    node = record[0]
+    node = analysis.ast
     if node.value_type == to_type:
-        return record
+        return analysis
     if to_type == "nset":
         raise XPathTypeError(f"a {node.value_type} expression cannot be converted to a node-set")
-    if type(node) is Path and to_type == "bool":
-        return _test(record)
-    call = FunctionCall(_CONVERSION_FUNCTIONS[to_type], [node])
-    call.value_type = to_type
-    return _call(call, [record], False)
+    call = _typed(FunctionCall(_CONVERSION_FUNCTIONS[to_type], [node]), to_type)
+    return _call(call, [analysis], False)
 
 
 def _typed(node: Expr, value_type: str) -> Expr:
@@ -409,105 +414,103 @@ def _lift_boolean(call: Expr) -> Expr:
     return _typed(BinaryOp("or", *halves), "bool")
 
 
+def _pop(out: list, count: int) -> list:
+    """The last ``count`` entries of the output stack, taken off it."""
+    start = len(out) - count
+    taken = out[start:]
+    del out[start:]
+    return taken
+
+
 # ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
 
 
 class _Pass:
-    """One :func:`analyze` call. A visit pops its children's records
-    off the output stack and returns its own."""
-
-    __slots__ = ("variables", "normalizing", "strict", "main", "steps")
+    """One :func:`analyze` call. A visit takes its children's analyses
+    off the output stack and returns its own. A path visits its own
+    steps: only their predicates (one level further down) and its
+    primary get entries of their own."""
 
     def __init__(self, variables, normalized: bool, strict: bool):
         self.variables = variables or {}
         self.normalizing = not normalized
         self.strict = strict
-        #: The last absolute path visited, and its step summaries.
-        self.main: Path | None = None
-        self.steps: tuple[StepSummary, ...] = ()
 
-    def tree(self, expr: Expr) -> tuple:
-        """The record of ``expr``'s tree. The stack holds ``(node,
+    def tree(self, expr: Expr) -> Analysis:
+        """The analysis of ``expr``'s tree. The stack holds ``(node,
         depth)``: a positive depth enters the node, 0 visits it after its
         children, -1 checks the primary a filter expression has just
-        visited before its predicates are."""
-        normalizing = self.normalizing
+        visited before its predicates and steps are."""
         out: list = []
         stack = [(expr, 1)]
-        push, pop = stack.append, stack.pop
         while stack:
-            node, depth = pop()
-            kind = type(node)
+            node, depth = stack.pop()
             if depth > 0:
                 if depth > MAX_HEIGHT:
                     raise XPathSyntaxError("query nested too deeply to compile")
-                if kind is Path:
-                    # A path visits its own steps: only their predicates
-                    # (one level further down) and its primary get
-                    # entries of their own.
-                    mark = len(stack)
-                    push((node, 0))
+                if type(node) is Path:
+                    entered = len(stack)
+                    stack.append((node, 0))
                     for step in reversed(node.steps):
-                        if step.predicates:
-                            for predicate in reversed(step.predicates):
-                                push((predicate, depth + 2))
+                        for predicate in reversed(step.predicates):
+                            stack.append((predicate, depth + 2))
                     if node.primary is not None:
                         for predicate in reversed(node.primary_predicates):
-                            push((predicate, depth + 1))
-                        if normalizing:
-                            push((node, -1))
-                        push((node.primary, depth + 1))
-                    if len(stack) > mark + 1:
+                            stack.append((predicate, depth + 1))
+                        if self.normalizing:
+                            stack.append((node, -1))
+                        stack.append((node.primary, depth + 1))
+                    if len(stack) > entered + 1:
                         continue
-                    pop()
+                    stack.pop()  # nothing below its steps: visit it now
                 else:
+                    if self.normalizing and type(node) is FunctionCall:
+                        signature_for(node.name).check_arity(len(node.args))
                     children = node.children()
-                    if normalizing and kind is FunctionCall:
-                        signature_for(node.name).check_arity(len(children))
                     if children:
-                        push((node, 0))
+                        stack.append((node, 0))
                         for child in reversed(children):
-                            push((child, depth + 1))
+                            stack.append((child, depth + 1))
                         continue
             elif depth < 0:
-                if out[-1][0].value_type != "nset":
+                if out[-1].ast.value_type != "nset":
                     raise XPathTypeError(
                         "a filter expression followed by predicates or '/' must be a "
-                        f"node-set, got {out[-1][0].value_type}"
+                        f"node-set, got {out[-1].ast.value_type}"
                     )
                 continue
-            out.append(_VISITS[kind](self, node, out))
+            out.append(_VISITS[type(node)](self, node, out))
         return out[0]
 
-    def reanalyze(self, expr: Expr) -> tuple:
-        """The record of a subtree a normalization rule assembled from
-        normalized parts (a lifted union, a path rooted at ``id``)."""
+    def reanalyze(self, expr: Expr) -> Analysis:
+        """The analysis of a subtree a normalization rule assembled from
+        normalized parts (a lifted union, a path extended by ``id``)."""
         return _Pass(None, True, self.strict).tree(expr)
 
-    def predicate(self, record) -> tuple:
+    def predicate(self, analysis: Analysis) -> Analysis:
         """W3C §2.4: a numeric predicate ``[e]`` means
         ``[position() = e]``; anything else is wrapped in ``boolean()``."""
-        node = record[0]
+        node = analysis.ast
         if node.value_type == "bool":
-            return record
+            return analysis
         if node.value_type == "num":
             position = _typed(FunctionCall("position", []), "num")
             equals = _typed(BinaryOp("=", position, node), "bool")
-            return _binary(equals, _call(position, [], False), record)
-        converted = _convert(record, "bool")
+            return _binary(equals, _call(position, [], False), analysis)
+        converted = _convert(analysis, "bool")
         if type(node) is Union:  # converted to boolean(π1|π2): lift it
-            return self.reanalyze(_lift_boolean(converted[0]))
+            return self.reanalyze(_lift_boolean(converted.ast))
         return converted
 
-    def visit_leaf(self, node, out) -> tuple:
+    def visit_leaf(self, node, out) -> Analysis:
         kind = type(node)
         node.value_type, node.relev = _LEAF_TYPES[kind], _EMPTY
-        counts = _SIZE + _CONSTANT if kind is ConstantNodeSet else _SIZE
-        return node, leaf_text(node), _NON_CORE[kind], None, counts, ()
+        counts = _NODE + _CONSTANT if kind is ConstantNodeSet else _NODE
+        return Analysis(node, leaf_text(node), _NON_CORE[kind], None, counts)
 
-    def visit_variable(self, ref: VariableRef, out) -> tuple:
+    def visit_variable(self, ref: VariableRef, out) -> Analysis:
         if not self.normalizing:
             raise XPathTypeError(
                 "relevance analysis requires a normalized tree (found an unsubstituted "
@@ -526,17 +529,19 @@ class _Pass:
             return self.visit_leaf(ConstantNodeSet(value), out)
         raise XPathTypeError(f"unsupported variable binding type for ${ref.name}: {type(value)}")
 
-    def visit_negate(self, node: Negate, out) -> tuple:
+    def visit_negate(self, node: Negate, out) -> Analysis:
         operand = out.pop()
         if self.normalizing:
             operand = _convert(operand, "num")
-            node.operand, node.value_type = operand[0], "num"
-        node.relev = operand[0].relev
-        text = negate_text(node, operand[1])
-        return node, text, _NON_CORE[Negate], _scalar(operand), _SIZE + operand[4], operand[5]
+            node.operand, node.value_type = operand.ast, "num"
+        node.relev = operand.ast.relev
+        return Analysis(
+            node, negate_text(node, operand.text), _NON_CORE[Negate],
+            _scalar(operand), _NODE + operand.counts, operand.tags,
+        )
 
-    def visit_binary(self, node: BinaryOp, out) -> tuple:
-        right, left = out.pop(), out.pop()
+    def visit_binary(self, node: BinaryOp, out) -> Analysis:
+        left, right = _pop(out, 2)
         if self.normalizing:
             op = node.op
             if op in _BOOLEAN_OPS or op in _ARITHMETIC_OPS:
@@ -546,29 +551,29 @@ class _Pass:
                 # Figure 1 defines comparison on all type pairs; no
                 # conversion is inserted. Unions are lifted out first
                 # (Section 4 / Section 6 pseudo-code assumption).
-                if type(left[0]) is Union or type(right[0]) is Union:
-                    return self.reanalyze(_lift_comparison(op, left[0], right[0]))
+                if type(left.ast) is Union or type(right.ast) is Union:
+                    return self.reanalyze(_lift_comparison(op, left.ast, right.ast))
                 node.value_type = "bool"
             else:
                 raise XPathTypeError(f"unknown binary operator {op!r}")
-            node.left, node.right = left[0], right[0]
+            node.left, node.right = left.ast, right.ast
         return _binary(node, left, right)
 
-    def visit_union(self, node: Union, out) -> tuple:
-        right, left = out.pop(), out.pop()
+    def visit_union(self, node: Union, out) -> Analysis:
+        left, right = _pop(out, 2)
         if self.normalizing:
-            if left[0].value_type != "nset" or right[0].value_type != "nset":
+            if left.ast.value_type != "nset" or right.ast.value_type != "nset":
                 raise XPathTypeError("operands of '|' must be node-sets")
-            node.left, node.right, node.value_type = left[0], right[0], "nset"
-        node.relev = _union(left[0].relev, right[0].relev)
-        text = binary_text(node, left[1], right[1])
-        counts = _SIZE + left[4] + right[4]
-        return node, text, _NON_CORE[Union], left[3] or right[3], counts, left[5] + right[5]
+            node.left, node.right, node.value_type = left.ast, right.ast, "nset"
+        node.relev = left.ast.relev | right.ast.relev
+        return Analysis(
+            node, binary_text(node, left.text, right.text), _NON_CORE[Union],
+            left.wadler or right.wadler, _NODE + left.counts + right.counts,
+            left.tags + right.tags,
+        )
 
-    def visit_call(self, call: FunctionCall, out) -> tuple:
-        count = len(call.args)
-        args = out[len(out) - count:]
-        del out[len(out) - count:]
+    def visit_call(self, call: FunctionCall, out) -> Analysis:
+        args = _pop(out, len(call.args))
         if not self.normalizing:
             return _call(call, args, self.strict)
         name = call.name
@@ -576,94 +581,66 @@ class _Pass:
         if not args and signature.defaults_to_context:
             # ``self::node()``, the default argument of context-defaulting
             # functions like ``string()``.
-            step = Step("self", NodeTest("node"))
-            path = Path(steps=[step])
-            step.value_type = path.value_type = "nset"
-            step.relev = path.relev = _CN
-            args = [(path, "self::node()", None, None, 2 * _SIZE, ())]
-        if name == "id" and args and args[0][0].value_type == "nset":
-            return self.id_axis(args[0])
+            args = [self.reanalyze(Path(steps=[Step("self", NodeTest("node"))]))]
+        if name == "id" and args and args[0].ast.value_type == "nset":
+            # ``id(π)`` ≡ π extended with one ``id``-axis step (Section 4).
+            arg, step = args[0].ast, Step("id", NodeTest("node"))
+            if type(arg) is Path:
+                arg.steps.append(step)
+            else:  # a union, constant or call primary
+                arg = _typed(Path(primary=arg, steps=[step]), "nset")
+            return self.reanalyze(arg)
         params = signature.params
         for index, arg in enumerate(args):
             param = params[min(index, len(params) - 1)]
-            if param == "nset" and arg[0].value_type != "nset":
+            if param == "nset" and arg.ast.value_type != "nset":
                 raise XPathTypeError(f"argument {index + 1} of {name}() must be a node-set")
             if param != "nset" and param != "object":
                 args[index] = _convert(arg, param)
-        call.args = list(map(_NODE, args))
+        call.args = [arg.ast for arg in args]
         call.value_type = signature.returns
         if name == "boolean" and type(call.args[0]) is Union:
             return self.reanalyze(_lift_boolean(call))
         return _call(call, args, self.strict)
 
-    def id_axis(self, record) -> tuple:
-        """``id(π)`` ≡ π extended with one ``id``-axis step (Section 4)."""
-        arg = record[0]
-        step = Step("id", NodeTest("node"))
-        step.value_type, step.relev = "nset", _CN
-        if type(arg) is not Path:  # a union, constant or call primary
-            return self.reanalyze(_typed(Path(primary=arg, steps=[step]), "nset"))
-        arg.steps.append(step)
-        summary = _bare_step(step)
-        if arg is self.main:
-            self.steps += (summary,)
-        text = f"{'' if record[1] == '/' else record[1]}/{summary.key}"
-        return arg, text, record[2] or _ID_AXIS, record[3], record[4] + summary.counts, record[5]
-
-    def visit_path(self, path: Path, out) -> tuple:
-        normalizing = self.normalizing
+    def visit_path(self, path: Path, out) -> Analysis:
         summaries = []
-        core = wadler = None
-        counts, tags = _SIZE, ()
         for step in reversed(path.steps):  # the last step's predicates are on top
+            predicates = []
             if step.predicates:
-                count = len(step.predicates)
-                predicates = out[-count:]
-                del out[-count:]
-                if normalizing:
-                    predicates = list(map(self.predicate, predicates))
-                    step.predicates = list(map(_NODE, predicates))
-                summary = _step(step, predicates)
-            else:
-                test = step.node_test
-                summary = _BARE_STEPS.get((step.axis, test.kind, test.name)) or _bare_step(step)
+                predicates = _pop(out, len(step.predicates))
+                if self.normalizing:
+                    predicates = [self.predicate(predicate) for predicate in predicates]
+                    step.predicates = [predicate.ast for predicate in predicates]
             step.value_type, step.relev = "nset", _CN
-            summaries.append(summary)
-            _, step_core, step_wadler, step_counts, step_tags = summary
-            core = step_core or core  # the first step's verdict is the last one read
-            wadler = step_wadler or wadler
-            counts += step_counts
-            tags += step_tags
-        summaries.reverse()
+            summaries.append(_step(step, predicates))
+        steps = tuple(reversed(summaries))
         path.value_type = "nset"
-        text = "/".join(map(_NODE, summaries))
         if path.primary is None:
             path.relev = _CN
-            if not path.absolute:
-                return path, text, core, wadler, counts, tags
-            self.main, self.steps = path, tuple(summaries)
-            return path, "/" + text, core, wadler, counts, tags
-        count = len(path.primary_predicates)
-        predicates = out[len(out) - count:]
-        del out[len(out) - count:]
+            return _steps_analysis(path, steps)
+        tail = _steps_analysis(path, steps)  # a filter expression's path is relative
+        predicates = _pop(out, len(path.primary_predicates))
         primary = out.pop()
-        if normalizing:
-            path.primary = primary[0]
-            predicates = list(map(self.predicate, predicates))
-            path.primary_predicates = list(map(_NODE, predicates))
-        node = primary[0]
-        path.relev = _union(_CN, node.relev)
+        if self.normalizing:
+            predicates = [self.predicate(predicate) for predicate in predicates]
+            path.primary = primary.ast
+            path.primary_predicates = [predicate.ast for predicate in predicates]
+        node = primary.ast
+        path.relev = _CN | node.relev
         if node.relev:
-            first = "context-dependent filter-expression primary"
+            wadler = "context-dependent filter-expression primary"
         else:
-            first = primary[3] or _first_scalar(predicates)
-        start = primary[1] if type(node) in (FunctionCall, ConstantNodeSet) else f"({primary[1]})"
-        for record in [primary, *predicates]:
-            counts += record[4]
-            tags += record[5]
-        start += "".join([f"[{record[1]}]" for record in predicates])
-        text = f"{start}/{text}" if text else start
-        return path, text, _FILTER_PRIMARY, first or wadler, counts, tags
+            wadler = primary.wadler or _first(map(_scalar, predicates))
+        text = primary.text if type(node) in (FunctionCall, ConstantNodeSet) else f"({primary.text})"
+        text += "".join(f"[{predicate.text}]" for predicate in predicates)
+        if steps:
+            text += "/" + tail.text
+        return Analysis(
+            path, text, FILTER_PRIMARY, wadler or tail.wadler,
+            tail.counts + primary.counts + sum([predicate.counts for predicate in predicates]),
+            tail.tags + primary.tags + _tags(predicates),
+        )
 
 
 _VISITS = {

@@ -63,36 +63,19 @@ _AXES = frozenset(
     "following preceding following-sibling preceding-sibling attribute namespace".split()
 )
 
-# Token types as module constants (an enum member lookup is slow).
-_OPERATOR, _NAME, _NUMBER, _LITERAL, _VARIABLE = (
-    TokenType.OPERATOR, TokenType.NAME, TokenType.NUMBER, TokenType.LITERAL, TokenType.VARIABLE
-)
-_LPAREN, _RPAREN, _LBRACKET, _RBRACKET, _COMMA = (
-    TokenType.LPAREN, TokenType.RPAREN, TokenType.LBRACKET, TokenType.RBRACKET, TokenType.COMMA
-)
-_AXIS_NAME, _FUNCTION_NAME, _COLONCOLON, _AT, _STAR, _DOT, _DOTDOT = (
-    TokenType.AXIS_NAME, TokenType.FUNCTION_NAME, TokenType.COLONCOLON, TokenType.AT,
-    TokenType.STAR, TokenType.DOT, TokenType.DOTDOT,
-)
+_OPERATOR = TokenType.OPERATOR
+_NAME = TokenType.NAME
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
+_LBRACKET = TokenType.LBRACKET
 #: Token types that begin a location step.
-_STEP_STARTS = (_NAME, _STAR, _AXIS_NAME, _AT, _DOT, _DOTDOT)
-
-
-#: Node tests are immutable, so steps share them: one ``node()`` test,
-#: and one name test per name (up to a bound).
-_NODE_TEST = NodeTest("node")
-_NAME_TESTS: dict[str, NodeTest] = {}
-
-
-def _name_test(name: str) -> NodeTest:
-    test = NodeTest("name", name)
-    if len(_NAME_TESTS) < 4096:
-        _NAME_TESTS[name] = test
-    return test
+_STEP_STARTS = (
+    _NAME, TokenType.STAR, TokenType.AXIS_NAME, TokenType.AT, TokenType.DOT, TokenType.DOTDOT
+)
 
 
 def _descendant_or_self() -> Step:
-    return Step("descendant-or-self", _NODE_TEST)
+    return Step("descendant-or-self", NodeTest("node"))
 
 
 class _Parser:
@@ -219,11 +202,11 @@ class _Parser:
         pos = self.pos
         token = tokens[pos]
         kind = token[0]
-        if kind is _DOT or kind is _DOTDOT:
+        if kind is TokenType.DOT or kind is TokenType.DOTDOT:
             self.pos = pos + 1
-            return Step("self" if kind is _DOT else "parent", _NODE_TEST)
+            return Step("self" if kind is TokenType.DOT else "parent", NodeTest("node"))
         axis = "child"
-        if kind is _AXIS_NAME:
+        if kind is TokenType.AXIS_NAME:
             axis = token[1]
             if axis not in _AXES:
                 raise XPathSyntaxError(f"unknown axis {axis!r}", token[2])
@@ -232,9 +215,9 @@ class _Parser:
                     "the namespace axis is not supported (see DESIGN.md)", token[2]
                 )
             self.pos = pos + 1
-            self.expect(_COLONCOLON)
+            self.expect(TokenType.COLONCOLON)
             pos = self.pos
-        elif kind is _AT:
+        elif kind is TokenType.AT:
             axis = "attribute"
             pos += 1
         token = tokens[pos]
@@ -246,8 +229,8 @@ class _Parser:
                 node_test = self.node_type(name)
                 pos = self.pos
             else:
-                node_test = _NAME_TESTS.get(name) or _name_test(name)
-        elif token[0] is _STAR:
+                node_test = NodeTest("name", name)
+        elif token[0] is TokenType.STAR:
             pos += 1
             node_test = NodeTest("wildcard")
         else:
@@ -265,13 +248,13 @@ class _Parser:
         target = None
         if name == "processing-instruction":
             literal = self.tokens[self.pos]
-            if literal[0] is _LITERAL:
+            if literal[0] is TokenType.LITERAL:
                 target = literal[1]
                 self.pos += 1
         self.expect(_RPAREN)
         if name == "processing-instruction":
             return NodeTest("pi", target)
-        return _NODE_TEST if name == "node" else NodeTest(name)
+        return NodeTest(name)
 
     def predicates(self) -> list:
         """Zero or more ``[expr]``."""
@@ -282,7 +265,7 @@ class _Parser:
             self.pos += 1
             self.enter(token[2])
             predicates.append(self.expr())
-            self.expect(_RBRACKET)
+            self.expect(TokenType.RBRACKET)
             self.open -= 1
             token = tokens[self.pos]
         return predicates
@@ -294,13 +277,13 @@ class _Parser:
     def primary(self) -> Expr:
         token = self.tokens[self.pos]
         kind = token[0]
-        if kind is _NUMBER:
+        if kind is TokenType.NUMBER:
             self.pos += 1
             return NumberLiteral(float(token[1]))
-        if kind is _LITERAL:
+        if kind is TokenType.LITERAL:
             self.pos += 1
             return StringLiteral(token[1])
-        if kind is _VARIABLE:
+        if kind is TokenType.VARIABLE:
             self.pos += 1
             return VariableRef(token[1])
         if kind is _LPAREN:
@@ -310,7 +293,7 @@ class _Parser:
             self.expect(_RPAREN)
             self.open -= 1
             return inner
-        if kind is _FUNCTION_NAME:
+        if kind is TokenType.FUNCTION_NAME:
             self.pos += 1
             self.expect(_LPAREN)
             self.enter(token[2])
@@ -318,7 +301,7 @@ class _Parser:
             if self.tokens[self.pos][0] is not _RPAREN:
                 while True:
                     args.append(self.expr())
-                    if self.tokens[self.pos][0] is not _COMMA:
+                    if self.tokens[self.pos][0] is not TokenType.COMMA:
                         break
                     self.pos += 1
             self.expect(_RPAREN)

@@ -33,12 +33,13 @@ _LEAF_PRECEDENCE = 9
 
 
 def _precedence(expr: Expr) -> int:
-    kind = type(expr)
-    if kind is BinaryOp:
+    if isinstance(expr, BinaryOp):
         return BINARY_PRECEDENCE[expr.op]
-    if kind is Negate:
+    if isinstance(expr, Negate):
         return _UNARY_PRECEDENCE
-    return _UNION_PRECEDENCE if kind is Union else _LEAF_PRECEDENCE
+    if isinstance(expr, Union):
+        return _UNION_PRECEDENCE
+    return _LEAF_PRECEDENCE
 
 
 def _operand(expr: Expr, text: str, parent_precedence: int, right_side: bool = False) -> str:

@@ -8,8 +8,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import XPathEngine
+from repro.service import compile_plan
 from repro.workloads.documents import random_document
-from repro.workloads.queries import random_query
+from repro.workloads.queries import random_core_query, random_query
+from repro.xpath.fragments import core_xpath_violation
 from repro.xpath.normalize import normalize
 from repro.xpath.parser import parse_xpath
 from repro.xpath.relevance import compute_relevance
@@ -72,7 +74,7 @@ def test_rewrite_preserves_semantics(doc_seed, query_seed):
 def test_analyses_are_reparse_stable(seed):
     """Fragment classification and relevance must agree between a query
     and its unparse (the analyses are functions of syntax alone)."""
-    from repro.xpath.fragments import core_xpath_violation, wadler_violation
+    from repro.xpath.fragments import wadler_violation
 
     query = random_query(random.Random(seed))
     first = normalize(parse_xpath(query))
@@ -82,6 +84,19 @@ def test_analyses_are_reparse_stable(seed):
     assert first.relev == second.relev
     assert (core_xpath_violation(first) is None) == (core_xpath_violation(second) is None)
     assert (wadler_violation(first) is None) == (wadler_violation(second) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000), st.booleans(), st.booleans())
+def test_core_verdict_of_the_pass_is_the_definition_12_walk(seed, core, optimize):
+    """The front end's pass applies Definition 12 node by node;
+    :func:`core_xpath_violation` walks the rules as stated. On whole
+    queries, Core and not, plain and rewritten, they give the same
+    verdict, reason included."""
+    rng = random.Random(seed)
+    query = random_core_query(rng) if core else random_query(rng)
+    plan = compile_plan(query, optimize=optimize)
+    assert plan.core_violation == core_xpath_violation(plan.ast), query
 
 
 @settings(max_examples=40, deadline=None)

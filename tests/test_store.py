@@ -433,7 +433,8 @@ for _ in range(int(sys.argv[3])):
 def test_two_processes_putting_one_name_both_succeed(tmp_path):
     """Each writer has a temp file of its own: two processes overwriting
     one name at once both succeed, and the name then holds one of their
-    documents, whole."""
+    documents, whole — while a third keeps opening the store, which
+    removes abandoned temp files and must never take a live put's."""
     path = tmp_path / "store.json"
     markups = ["<a>" + "<b/>" * 400 + "</a>", "<c>" + "<d>text</d>" * 300 + "</c>"]
     source = os.path.dirname(os.path.dirname(repro.__file__))
@@ -445,6 +446,9 @@ def test_two_processes_putting_one_name_both_succeed(tmp_path):
         )
         for markup in markups
     ]
+    deadline = time.monotonic() + 120
+    while any(process.poll() is None for process in processes) and time.monotonic() < deadline:
+        DocumentStore(path)
     for process in processes:
         _, error = process.communicate(timeout=120)
         assert process.returncode == 0, error.decode()
@@ -455,26 +459,46 @@ def test_two_processes_putting_one_name_both_succeed(tmp_path):
     assert _debris(tmp_path) == []
 
 
-def test_opening_a_store_removes_the_temp_files_of_gone_writers(tmp_path):
-    """A temp file is swept when its writer's process has exited, or is
-    this process with no put writing it, or names no writer at all; a
-    live process's temp file stays."""
-    store = DocumentStore(tmp_path / "store.json")
+_HOLD_LOCK = """
+import fcntl
+import sys
+handle = open(sys.argv[1], "r+b")
+fcntl.flock(handle, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+def test_opening_a_store_removes_only_the_temp_files_no_writer_holds(tmp_path):
+    """Whether a temp file's writer is alive is read off the file's lock,
+    never off a process id: a file a live process holds locked stays,
+    even under a name that points at an exited process (all an opener
+    could see of a writer in another PID namespace or on another host),
+    and goes once that process has exited; an unlocked one goes at once."""
+    path = tmp_path / "store.json"
+    store = DocumentStore(path)
     store.save("x", parse_document("<x/>"))
     exited = subprocess.Popen([sys.executable, "-c", "pass"])
     exited.wait(timeout=30)
     stem = store._file("x").name
-    temps = {
-        "exited": f"{stem}.{exited.pid}.0.tmp",
-        "this process, not writing": f"{stem}.{os.getpid()}.999999.tmp",
-        "no writer named": f"{stem}.tmp",
-        "live": f"{stem}.{os.getppid()}.0.tmp",
-    }
-    for name in temps.values():
-        (store.sidecar_dir / name).write_bytes(b"half a blob")
-    DocumentStore(tmp_path / "store.json")
-    left = sorted(temp.name for temp in _debris(tmp_path))
-    assert left == [temps["live"]]
+    held = store.sidecar_dir / f"{stem}.{exited.pid}.tmp"
+    abandoned = store.sidecar_dir / f"{stem}.abandoned.tmp"
+    for temp in (held, abandoned):
+        temp.write_bytes(b"half a blob")
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(held)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+    )
+    try:
+        assert writer.stdout.readline().strip() == b"locked"
+        DocumentStore(path)
+        assert _debris(tmp_path) == [held]
+    finally:
+        writer.communicate(timeout=30)  # closing its stdin ends it
+    assert writer.returncode == 0
+    DocumentStore(path)
+    assert _debris(tmp_path) == []
     assert store.names() == ["x"]
 
 
