@@ -6,7 +6,7 @@ cheaper than shipping XML text and re-parsing it — the cold-start path
 process workers and the DocumentStore both take — without changing a
 single result byte relative to the in-memory index.
 Since the parser writes the same columns in one pass, both sides of
-that comparison are column documents: the snapshot's lead is now what
+that comparison are the same documents: the snapshot's lead is now what
 the regex pass over the markup costs beyond reading the columns back
 and running the full structural check on them (``decode_snapshot``; a
 ``DocumentStore.load`` leaves the check out and is not timed here).
@@ -29,7 +29,7 @@ Four gates, two of them machine-independent:
   check per ``decode_snapshot``.
 * **cold-start gate** — best-of-N seconds for (snapshot decode +
   first query) vs (re-parse serialized XML + first query), like with
-  like: both yield a column document with an adopted index, summed over
+  like: both yield a document with an adopted index, summed over
   the workload documents. Snapshot load must be ≥ COLD_START_GATE×
   faster (five runs on the 2-CPU reference host read 1.68–1.74×; the
   bar leaves a quarter of that to runner noise). Host-gated like
@@ -183,7 +183,7 @@ def run_store_round_trips(documents) -> dict:
 
 
 def run_cold_start_gate(documents):
-    """Best-of-N seconds to get a *queryable* column document from cold
+    """Best-of-N seconds to get a *queryable* document from cold
     state: snapshot decode vs re-parse of the serialized XML, each
     followed by the same first query."""
     first_query, first_algorithm = WORKLOAD_QUERIES[0]

@@ -11,6 +11,7 @@ from harness import ExperimentReport, loglog_slope, time_query
 
 from repro.axes.axes import axis_set, inverse_axis_set
 from repro.workloads.documents import book_catalog
+from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 
@@ -41,7 +42,8 @@ def _run_axis_sweep():
     rows = []
     for books in (100, 300, 900):
         document = book_catalog(books=books)
-        X = set(document.elements()[: len(document.elements()) // 2])
+        elements = node_index(document).elements
+        X = list(elements[: len(elements) // 2])
         sizes.append(len(document.nodes))
         row = [len(document.nodes)]
         for axis in axes:

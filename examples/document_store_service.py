@@ -16,6 +16,7 @@ import tempfile
 import pathlib
 
 from repro import XPathEngine
+from repro.xml.index import node_index
 from repro.xml.statistics import document_statistics
 from repro.xml.store import DocumentStore
 from repro.workloads.documents import book_catalog, running_example_document
@@ -31,7 +32,7 @@ class QueryService:
     def engine(self, name: str) -> XPathEngine:
         if name not in self._engines:
             document = self.store.load(name)
-            document.validate()  # integrity check after deserialization
+            node_index(document).validate()  # integrity check after deserialization
             self._engines[name] = XPathEngine(document, optimize=True)
         return self._engines[name]
 

@@ -1,12 +1,14 @@
 """Axis relations of the XPath data model — one semantics, two policies.
 
-**The Definition-1 scans.** Every axis ``χ`` is available as a per-node
-iterator (:func:`axis_nodes`) and as a set function ``χ : 2^dom →
-2^dom`` (:func:`axis_set`) with an inverse ``χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠
-∅}`` (:func:`inverse_axis_set`). These run in ``O(|D|)`` time regardless
-of ``|X|`` — the bound the paper's complexity theorems rely on (see the
-remark below Definition 1) — and are the test oracle and the fallback
-of everything below.
+**The Definition-1 scans.** Every axis ``χ`` is available, over pre
+numbers, as a per-node enumeration (:func:`axis_nodes`) and as a set
+function ``χ : 2^dom → 2^dom`` (:func:`axis_set`) with an inverse
+``χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}`` (:func:`inverse_axis_set`); node
+tests are :func:`select_node_test`. These run in ``O(|D|)`` time
+regardless of ``|X|`` — the bound the paper's complexity theorems rely
+on (see the remark below Definition 1) — read only the kind, parent,
+size and name columns and string values, and are the test oracle and
+the fallback of everything below.
 
 **The pre-plane kernels.** Each axis, fused with its node test, has one
 forward and one inverse kernel over the per-document
@@ -35,8 +37,8 @@ inverse — and then runs the Definition-1 scan verbatim; under ``scan``
 (:func:`kernel_mode_forced`, the oracle tests and benchmarks compare
 against) every step does, and none reads the index. Results are
 byte-identical under both. The per-node
-:func:`repro.axes.axes.axis_test_nodes` the reference evaluators rank
-candidates with applies the same rule to ``Node`` objects. Outcomes are
+:func:`repro.axes.axes.axis_test_pres` the reference evaluators rank
+candidates with applies the same rule to one origin. Outcomes are
 counted exactly on :data:`repro.stats.axis_kernel_stats`
 (``fused_hits`` / ``vector_ops`` for kernel runs below and from
 ``VECTOR_MIN_BLOCK`` origins, ``fallback_scans`` for scans).
@@ -56,7 +58,7 @@ from repro.axes.axes import (
     is_forward_axis,
     kernel_mode,
     kernel_mode_forced,
-    matches_node_test,
+    select_node_test,
     set_kernel_mode,
 )
 from repro.axes.order import axis_order_key, index_in_axis_order, sort_in_axis_order
@@ -83,7 +85,7 @@ __all__ = [
     "is_forward_axis",
     "kernel_mode",
     "kernel_mode_forced",
-    "matches_node_test",
+    "select_node_test",
     "set_kernel_mode",
     "axis_order_key",
     "index_in_axis_order",

@@ -1,14 +1,17 @@
 """Axis functions ``χ`` and inverse axis functions ``χ⁻¹`` (Definition 1).
 
-Two implementations of one semantics, byte-identical:
+Two implementations of one semantics, byte-identical, both over pre
+numbers:
 
 * **The Definition-1 scans** (:func:`axis_set` / :func:`inverse_axis_set`,
   plus :func:`axis_nodes` for proximity-order per-node enumeration): the
   set functions ``χ(X)`` / ``χ⁻¹(Y)`` of Definition 1, each computed in
   ``O(|D|)`` regardless of ``|X|`` (the bound the paper's complexity
   theorems depend on; see the remark below Definition 1 citing [11]).
-  They never consult an index; they are the test oracle and the
-  fallback of everything below.
+  They read only the ``kinds`` / ``parent_pre`` / ``size`` / ``names``
+  columns and string values — never an index partition, the child table
+  or a ``Node`` — and are the test oracle and the fallback of
+  everything below.
 * **The pre-plane kernels** (:func:`forward_pres` / :func:`inverse_pres`,
   over sorted pre arrays): one output-sensitive kernel per axis and
   direction over the per-document :class:`repro.xml.index.NodeIndex`.
@@ -20,7 +23,7 @@ Two implementations of one semantics, byte-identical:
   on how many origins a step has, the kernel branches on the block's
   width (:data:`VECTOR_MIN_BLOCK`). Evaluators reach the kernels only
   through the step functions of :mod:`repro.axes.vec`; the per-node
-  proximity-order form is :func:`axis_test_nodes`.
+  proximity-order form is :func:`axis_test_pres`.
 
 **Where the fallback guarantee lives:** a narrow interval step whose
 predicted cost (context size × log |D| + predicted output, computed
@@ -57,12 +60,13 @@ from __future__ import annotations
 
 import contextlib
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro import stats
 from repro.axes.order import FORWARD_AXES, INTERVAL_AXES, REVERSE_AXES, is_forward_axis
-from repro.xml.document import Document, Node, NodeKind
-from repro.xml.index import ATTR, merge_intersection, merge_union, node_index
+from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT
+from repro.xml.document import Document
+from repro.xml.index import merge_intersection, merge_union, node_index
 from repro.xpath.ast import NodeTest
 
 #: Every axis this library supports. ``id`` is the pseudo-axis of
@@ -74,65 +78,90 @@ ALL_AXES = frozenset(FORWARD_AXES | REVERSE_AXES)
 AXIS_PRINCIPAL_ATTRIBUTE = frozenset({"attribute"})
 
 # ----------------------------------------------------------------------
-# Per-node enumeration (proximity order)
+# The Definition-1 scans, over pre numbers
 # ----------------------------------------------------------------------
+#
+# They read the document's kind / parent / size / name columns and its
+# string values and nothing else — no index partition, no child table,
+# no Node — so the scan oracle shares no code with the kernels it checks.
 
 
-def axis_nodes(document: Document, axis: str, node: Node) -> Iterator[Node]:
-    """Yield ``χ({node})`` in proximity order (``<doc,χ``)."""
+def _children_of(columns, pre: int) -> list[int]:
+    """Child pres of ``pre``: past its attribute run, one subtree hop
+    (``c += size[c]``) at a time to the end of its interval."""
+    kinds, size = columns.kinds, columns.size
+    end = pre + size[pre]
+    child = pre + 1
+    while child < end and kinds[child] == ATTR:
+        child += 1
+    out = []
+    while child < end:
+        out.append(child)
+        child += size[child]
+    return out
+
+
+def _attributes_of(columns, pre: int) -> range:
+    """The attribute run ``pre + 1 ..`` of element ``pre`` (maybe empty)."""
+    kinds = columns.kinds
+    end = pre + columns.size[pre]
+    stop = pre + 1
+    while stop < end and kinds[stop] == ATTR:
+        stop += 1
+    return range(pre + 1, stop)
+
+
+def _ancestors_of(parent_pre, pre: int) -> list[int]:
+    out = []
+    parent = parent_pre[pre]
+    while parent >= 0:
+        out.append(parent)
+        parent = parent_pre[parent]
+    return out
+
+
+def axis_nodes(document: Document, axis: str, pre: int) -> list[int]:
+    """``χ({pre})`` in proximity order (``<doc,χ``), as pre numbers."""
     stats.count("axis_single_calls")
+    columns = document.columns
+    if axis == "child":
+        return _children_of(columns, pre)
+    kinds, parent_pre, size = columns.kinds, columns.parent_pre, columns.size
     if axis == "self":
-        yield node
-    elif axis == "child":
-        yield from node.children
-    elif axis == "parent":
-        if node.parent is not None:
-            yield node.parent
-    elif axis == "descendant":
-        yield from _descendants(node)
-    elif axis == "descendant-or-self":
-        yield node
-        yield from _descendants(node)
-    elif axis == "ancestor":
-        yield from node.ancestors()
-    elif axis == "ancestor-or-self":
-        yield node
-        yield from node.ancestors()
-    elif axis == "following-sibling":
-        if node.parent is not None and node.child_index is not None:
-            yield from node.parent.children[node.child_index + 1 :]
-    elif axis == "preceding-sibling":
-        if node.parent is not None and node.child_index is not None:
-            yield from reversed(node.parent.children[: node.child_index])
-    elif axis == "following":
-        start = node.pre + node.size
-        for candidate in document.nodes[start:]:
-            if not candidate.is_attribute:
-                yield candidate
-    elif axis == "preceding":
-        limit = node.pre
+        return [pre]
+    if axis == "parent":
+        return [] if pre == 0 else [parent_pre[pre]]
+    if axis == "descendant" or axis == "descendant-or-self":
+        out = [p for p in range(pre + 1, pre + size[pre]) if kinds[p] != ATTR]
+        return [pre, *out] if axis == "descendant-or-self" else out
+    if axis == "ancestor":
+        return _ancestors_of(parent_pre, pre)
+    if axis == "ancestor-or-self":
+        return [pre, *_ancestors_of(parent_pre, pre)]
+    if axis == "following-sibling" or axis == "preceding-sibling":
+        if pre == 0 or kinds[pre] == ATTR:
+            return []  # the document node and attributes have no siblings
+        siblings = _children_of(columns, parent_pre[pre])
+        at = siblings.index(pre)
+        if axis == "following-sibling":
+            return siblings[at + 1 :]
+        return siblings[:at][::-1]
+    if axis == "following":
+        return [p for p in range(pre + size[pre], len(kinds)) if kinds[p] != ATTR]
+    if axis == "preceding":
         # Proximity order for preceding is reverse document order.
-        for candidate in reversed(document.nodes[:limit]):
-            if candidate.pre + candidate.size <= limit and not candidate.is_attribute:
-                yield candidate
-    elif axis == "attribute":
-        yield from node.attributes
-    elif axis == "id":
-        yield from document.in_document_order(document.deref_ids(node.string_value))
-    else:
-        raise ValueError(f"unknown axis: {axis}")
+        return [
+            p for p in range(pre - 1, -1, -1) if p + size[p] <= pre and kinds[p] != ATTR
+        ]
+    if axis == "attribute":
+        return list(_attributes_of(columns, pre)) if kinds[pre] == ELEM else []
+    if axis == "id":
+        return sorted(document.deref_id_pres(document.string_value_of_pre(pre)))
+    raise ValueError(f"unknown axis: {axis}")
 
 
-def _descendants(node: Node) -> Iterator[Node]:
-    for child in node.children:
-        yield child
-        yield from _descendants(child)
-
-
-def axis_test_nodes(
-    document: Document, axis: str, node: Node, test: NodeTest
-) -> list[Node]:
-    """``χ({node}) ∩ T(t)`` in proximity order (``<doc,χ``) — the fused
+def axis_test_pres(document: Document, axis: str, pre: int, test: NodeTest) -> list[int]:
+    """``χ({pre}) ∩ T(t)`` in proximity order (``<doc,χ``) — the fused
     per-node form of :func:`axis_nodes`.
 
     The per-context evaluators' positional loops rank candidates by
@@ -149,73 +178,62 @@ def axis_test_nodes(
     consult the index here, so they are not dispatches).
     """
     if _kernel_mode != "scan" and axis in INTERVAL_AXES:
-        out = _interval_axis_pres(document, axis, [node.pre], test)
+        out = _interval_axis_pres(document, axis, [pre], test)
         if out is not None:
             stats.axis_kernel_stats.fused()
-            nodes = document.nodes
-            if axis == "preceding":
-                return [nodes[p] for p in reversed(out)]
-            return [nodes[p] for p in out]
+            return out[::-1] if axis == "preceding" else list(out)
         stats.axis_kernel_stats.fallback()
-    return [
-        candidate
-        for candidate in axis_nodes(document, axis, node)
-        if matches_node_test(candidate, test, axis)
-    ]
+    return select_node_test(document, axis_nodes(document, axis, pre), test, axis)
 
 
-# ----------------------------------------------------------------------
-# Set functions (Definition 1), each O(|D|)
-# ----------------------------------------------------------------------
-
-
-def axis_set(document: Document, axis: str, node_set: Iterable[Node]) -> set[Node]:
-    """The axis function ``χ(X) = {y | ∃x ∈ X : x χ y}``."""
+def axis_set(document: Document, axis: str, pres: Iterable[int]) -> set[int]:
+    """The axis function ``χ(X) = {y | ∃x ∈ X : x χ y}``, in ``O(|D|)``."""
     stats.count("axis_set_calls")
-    X = node_set if isinstance(node_set, (set, frozenset, list, tuple)) else list(node_set)
+    X = pres if isinstance(pres, (set, frozenset, list, tuple, range)) else list(pres)
+    columns = document.columns
     if axis == "self":
         return set(X)
     if axis == "child":
-        result: set[Node] = set()
+        result: set[int] = set()
         for x in X:
-            result.update(x.children)
+            result.update(_children_of(columns, x))
         return result
     if axis == "parent":
-        return {x.parent for x in X if x.parent is not None}
+        parent_pre = columns.parent_pre
+        return {parent_pre[x] for x in X if x != 0}
     if axis == "descendant":
-        return _descendant_set(document, X, include_self=False)
+        return _interval_cover(columns, X, include_attributes=False)
     if axis == "descendant-or-self":
-        result = _descendant_set(document, X, include_self=False)
-        result.update(X)
-        return result
+        return _interval_cover(columns, X, include_attributes=False).union(X)
     if axis == "ancestor":
-        return _ancestor_set(X, include_self=False)
+        return _ancestor_set(columns.parent_pre, X)
     if axis == "ancestor-or-self":
-        result = _ancestor_set(X, include_self=False)
-        result.update(X)
-        return result
+        return _ancestor_set(columns.parent_pre, X).union(X)
     if axis == "following":
-        return _following_set(document, X)
+        return _following_set(columns, X)
     if axis == "preceding":
-        return _preceding_set(document, X)
+        return _preceding_set(columns, X)
     if axis == "following-sibling":
-        return _sibling_set(X, forward=True)
+        return _sibling_set(columns, X, forward=True)
     if axis == "preceding-sibling":
-        return _sibling_set(X, forward=False)
+        return _sibling_set(columns, X, forward=False)
     if axis == "attribute":
+        kinds = columns.kinds
         result = set()
         for x in X:
-            result.update(x.attributes)
+            if kinds[x] == ELEM:
+                result.update(_attributes_of(columns, x))
         return result
     if axis == "id":
+        strval = document.string_value_of_pre
         result = set()
         for x in X:
-            result.update(document.deref_ids(x.string_value))
+            result |= document.deref_id_pres(strval(x))
         return result
     raise ValueError(f"unknown axis: {axis}")
 
 
-def inverse_axis_set(document: Document, axis: str, node_set: Iterable[Node]) -> set[Node]:
+def inverse_axis_set(document: Document, axis: str, pres: Iterable[int]) -> set[int]:
     """Definition 1's ``χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}``, in ``O(|D|)``.
 
     For most tree axes this is the converse axis's set function
@@ -228,175 +246,137 @@ def inverse_axis_set(document: Document, axis: str, node_set: Iterable[Node]) ->
     Section 4, shown linear-time in [11]).
     """
     stats.count("axis_inverse_calls")
-    Y = node_set if isinstance(node_set, (set, frozenset)) else set(node_set)
+    Y = pres if isinstance(pres, (set, frozenset)) else set(pres)
+    columns = document.columns
+    kinds, parent_pre, size = columns.kinds, columns.parent_pre, columns.size
     if axis == "self":
         return set(Y)
     if axis == "child":
         # x has a child in Y — attribute members of Y are nobody's child.
-        return {y.parent for y in Y if not y.is_attribute and y.parent is not None}
+        return {parent_pre[y] for y in Y if y != 0 and kinds[y] != ATTR}
     if axis == "parent":
         # x's parent is in Y — children of Y plus attributes of Y.
-        result = axis_set(document, "child", Y)
-        result |= axis_set(document, "attribute", Y)
-        return result
-    if axis == "descendant":
-        return _ancestor_set((y for y in Y if not y.is_attribute), include_self=False)
-    if axis == "descendant-or-self":
-        result = _ancestor_set((y for y in Y if not y.is_attribute), include_self=False)
-        result.update(Y)
-        return result
-    if axis == "ancestor":
+        return axis_set(document, "child", Y) | axis_set(document, "attribute", Y)
+    if axis == "descendant" or axis == "descendant-or-self":
+        result = _ancestor_set(parent_pre, [y for y in Y if kinds[y] != ATTR])
+        return result.union(Y) if axis == "descendant-or-self" else result
+    if axis == "ancestor" or axis == "ancestor-or-self":
         # x has an ancestor in Y: everything strictly inside Y's subtree
         # intervals, attributes included (an attribute's ancestors are its
         # element's ancestor-or-self chain).
-        return _interval_cover(document, Y, include_self=False, include_attributes=True)
-    if axis == "ancestor-or-self":
-        result = _interval_cover(document, Y, include_self=False, include_attributes=True)
-        result.update(Y)
-        return result
+        result = _interval_cover(columns, Y, include_attributes=True)
+        return result.union(Y) if axis == "ancestor-or-self" else result
     if axis == "following":
         # following(x) ∩ Y ≠ ∅ ⟺ some non-attribute y ∈ Y starts at or
         # after x's subtree end. x itself may be any kind, attributes too.
-        cutoff = None
-        for y in Y:
-            if not y.is_attribute and (cutoff is None or y.pre > cutoff):
-                cutoff = y.pre
+        cutoff = max((y for y in Y if kinds[y] != ATTR), default=None)
         if cutoff is None:
             return set()
-        return {x for x in document.nodes if x.pre + x.size <= cutoff}
+        return {x for x in range(cutoff) if x + size[x] <= cutoff}
     if axis == "preceding":
-        cutoff = None
-        for y in Y:
-            if not y.is_attribute:
-                end = y.pre + y.size
-                if cutoff is None or end < cutoff:
-                    cutoff = end
+        cutoff = min((y + size[y] for y in Y if kinds[y] != ATTR), default=None)
         if cutoff is None:
             return set()
-        return set(document.nodes[cutoff:])
+        return set(range(cutoff, len(kinds)))
     if axis == "following-sibling":
-        return _sibling_set(Y, forward=False)
+        return _sibling_set(columns, Y, forward=False)
     if axis == "preceding-sibling":
-        return _sibling_set(Y, forward=True)
+        return _sibling_set(columns, Y, forward=True)
     if axis == "attribute":
-        return {y.parent for y in Y if y.is_attribute and y.parent is not None}
+        return {parent_pre[y] for y in Y if kinds[y] == ATTR}
     if axis == "id":
-        ids = {y.xml_id for y in Y}
-        ids.discard(None)
+        names, values = columns.names, columns.values
+        ids = set()
+        for y in Y:
+            if kinds[y] == ELEM:
+                for attribute in _attributes_of(columns, y):
+                    if names[attribute] == document.id_attribute:
+                        ids.add(values[attribute])
+                        break
         if not ids:
             return set()
-        return {node for node, tokens in document.id_tokens() if not ids.isdisjoint(tokens)}
+        tokens = document.id_tokens()
+        return {x for x in range(len(kinds)) if not ids.isdisjoint(tokens[x])}
     raise ValueError(f"unknown axis: {axis}")
 
 
-def _interval_cover(
-    document: Document, X: Iterable[Node], include_self: bool, include_attributes: bool
-) -> set[Node]:
-    """Nodes covered by the subtree intervals of ``X`` (difference-array
-    sweep like :func:`_descendant_set`, optionally keeping attributes)."""
-    nodes = document.nodes
-    total = len(nodes)
+def _interval_cover(columns, X: Iterable[int], include_attributes: bool) -> set[int]:
+    """Pres strictly inside the subtree intervals of ``X`` — a difference
+    array over pre numbers (each ``x`` contributes ``(x, x + size(x))``),
+    one prefix-sum pass: ``O(|D| + |X|)``."""
+    kinds, size = columns.kinds, columns.size
+    total = len(kinds)
     delta = [0] * (total + 1)
     any_interval = False
     for x in X:
-        lo = x.pre if include_self else x.pre + 1
-        hi = x.pre + x.size
-        if lo < hi:
-            delta[lo] += 1
+        hi = x + size[x]
+        if x + 1 < hi:
+            delta[x + 1] += 1
             delta[hi] -= 1
             any_interval = True
     if not any_interval:
         return set()
-    result: set[Node] = set()
+    result: set[int] = set()
     coverage = 0
-    for pre, node in enumerate(nodes):
+    for pre in range(total):
         coverage += delta[pre]
-        if coverage > 0 and (include_attributes or not node.is_attribute):
-            result.add(node)
+        if coverage > 0 and (include_attributes or kinds[pre] != ATTR):
+            result.add(pre)
     return result
 
 
-def _descendant_set(document: Document, X: Iterable[Node], include_self: bool) -> set[Node]:
-    """Union of subtree intervals via a difference array: O(|D| + |X|)."""
-    nodes = document.nodes
-    total = len(nodes)
-    delta = [0] * (total + 1)
-    any_interval = False
+def _ancestor_set(parent_pre, X: Iterable[int]) -> set[int]:
+    """Union of proper ancestor chains with sharing: O(|D|) total."""
+    result: set[int] = set()
     for x in X:
-        lo = x.pre if include_self else x.pre + 1
-        hi = x.pre + x.size
-        if lo < hi:
-            delta[lo] += 1
-            delta[hi] -= 1
-            any_interval = True
-    if not any_interval:
-        return set()
-    result: set[Node] = set()
-    coverage = 0
-    for pre, node in enumerate(nodes):
-        coverage += delta[pre]
-        if coverage > 0 and not node.is_attribute:
-            result.add(node)
+        parent = parent_pre[x]
+        while parent >= 0 and parent not in result:
+            result.add(parent)
+            parent = parent_pre[parent]
     return result
 
 
-def _ancestor_set(X: Iterable[Node], include_self: bool) -> set[Node]:
-    """Union of ancestor chains with sharing: O(|D|) total."""
-    visited: set[Node] = set()
-    result: set[Node] = set()
-    for x in X:
-        if include_self:
-            result.add(x)
-        node = x.parent
-        while node is not None and node not in visited:
-            visited.add(node)
-            result.add(node)
-            node = node.parent
-    return result
-
-
-def _following_set(document: Document, X: Iterable[Node]) -> set[Node]:
-    cutoff = None
-    for x in X:
-        end = x.pre + x.size
-        if cutoff is None or end < cutoff:
-            cutoff = end
+def _following_set(columns, X: Iterable[int]) -> set[int]:
+    size, kinds = columns.size, columns.kinds
+    cutoff = min((x + size[x] for x in X), default=None)
     if cutoff is None:
         return set()
-    return {node for node in document.nodes[cutoff:] if not node.is_attribute}
+    return {p for p in range(cutoff, len(kinds)) if kinds[p] != ATTR}
 
 
-def _preceding_set(document: Document, X: Iterable[Node]) -> set[Node]:
-    cutoff = None
-    for x in X:
-        if cutoff is None or x.pre > cutoff:
-            cutoff = x.pre
+def _preceding_set(columns, X: Iterable[int]) -> set[int]:
+    size, kinds = columns.size, columns.kinds
+    cutoff = max(X, default=None)
     if cutoff is None:
         return set()
-    return {
-        node
-        for node in document.nodes[:cutoff]
-        if node.pre + node.size <= cutoff and not node.is_attribute
-    }
+    return {p for p in range(cutoff) if p + size[p] <= cutoff and kinds[p] != ATTR}
 
 
-def _sibling_set(X: Iterable[Node], forward: bool) -> set[Node]:
-    """Group by parent, then one suffix (or prefix) per parent: O(|D|)."""
-    extremes: dict[int, tuple[Node, int]] = {}
+def _sibling_set(columns, X: Iterable[int], forward: bool) -> set[int]:
+    """Group by parent, then one suffix (or prefix) of each parent's
+    children: O(|D|). Among siblings pre order is child order, so the
+    earliest (latest) member of a group is its least (greatest) pre."""
+    kinds, parent_pre, size = columns.kinds, columns.parent_pre, columns.size
+    extremes: dict[int, int] = {}
     for x in X:
-        if x.parent is None or x.child_index is None:
-            continue  # document node and attributes have no siblings
-        key = id(x.parent)
-        current = extremes.get(key)
-        if current is None:
-            extremes[key] = (x.parent, x.child_index)
+        parent = parent_pre[x]
+        if parent < 0 or kinds[x] == ATTR:
+            continue  # the document node and attributes have no siblings
+        current = extremes.get(parent)
+        if current is None or (x < current if forward else x > current):
+            extremes[parent] = x
+    result: set[int] = set()
+    for parent, extreme in extremes.items():
+        if forward:
+            sibling, end = extreme + size[extreme], parent + size[parent]
+            while sibling < end:
+                result.add(sibling)
+                sibling += size[sibling]
         else:
-            parent, index = current
-            if (forward and x.child_index < index) or (not forward and x.child_index > index):
-                extremes[key] = (parent, x.child_index)
-    result: set[Node] = set()
-    for parent, index in extremes.values():
-        result.update(parent.children[index + 1 :] if forward else parent.children[:index])
+            for sibling in _children_of(columns, parent):
+                if sibling == extreme:
+                    break
+                result.add(sibling)
     return result
 
 
@@ -405,32 +385,34 @@ def _sibling_set(X: Iterable[Node], forward: bool) -> set[Node]:
 # ----------------------------------------------------------------------
 
 
-def matches_node_test(node: Node, test: NodeTest, axis: str) -> bool:
-    """Does ``node`` pass node test ``t`` on the given axis?
+def select_node_test(
+    document: Document, pres: Iterable[int], test: NodeTest, axis: str
+) -> list[int]:
+    """The members of ``pres`` (in their order) that pass node test
+    ``t`` on the given axis, read off the kind and name columns.
 
     Name tests and ``*`` select the axis's *principal node type*
     (attributes on the attribute axis, elements elsewhere) — this is how
     the paper's ``T(*) = dom`` specializes once non-element node kinds
     exist; on the paper's element-only examples the two coincide.
     """
-    if test.kind == "node":
-        return True
-    if test.kind == "text":
-        return node.kind is NodeKind.TEXT
-    if test.kind == "comment":
-        return node.kind is NodeKind.COMMENT
-    if test.kind == "pi":
-        if node.kind is not NodeKind.PROCESSING_INSTRUCTION:
-            return False
-        return test.name is None or node.name == test.name
-    principal = (
-        NodeKind.ATTRIBUTE if axis in AXIS_PRINCIPAL_ATTRIBUTE else NodeKind.ELEMENT
-    )
-    if node.kind is not principal:
-        return False
-    if test.kind == "wildcard":
-        return True
-    return node.name == test.name
+    kind = test.kind
+    if kind == "node" or not pres:
+        return list(pres)
+    kinds = document.columns.kinds
+    if kind == "text":
+        return [p for p in pres if kinds[p] == TEXT]
+    if kind == "comment":
+        return [p for p in pres if kinds[p] == COMMENT]
+    if kind == "pi":
+        code = PI
+    else:
+        code = ATTR if axis in AXIS_PRINCIPAL_ATTRIBUTE else ELEM
+    name = None if kind == "wildcard" else test.name
+    if name is None:
+        return [p for p in pres if kinds[p] == code]
+    names = document.columns.names
+    return [p for p in pres if kinds[p] == code and names[p] == name]
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +463,7 @@ def kernel_mode_forced(mode: str):
 # ----------------------------------------------------------------------
 #
 # Each takes a sorted duplicate-free pre array and returns one; none
-# touches a boxed node except ``id``.
+# creates a node.
 
 #: Axes whose *inverse* kernels emit pre-number ranges directly.
 INVERSE_INTERVAL_AXES = frozenset(
@@ -504,23 +486,23 @@ def forward_pres(
     caller owes the Definition-1 scan.
 
     Interval axes ride :func:`_interval_axis_pres`, every other tree
-    axis :func:`_pointer_axis_pres`, so a step stays in the pre plane
-    (on a column document, no node is materialized). Only ``id`` boxes
-    its origins."""
+    axis :func:`_pointer_axis_pres`, and ``id`` derefs each origin's
+    string value through the document's id → pre map, so a step stays in
+    the pre plane and no node is created."""
     if axis in INTERVAL_AXES:
         return _interval_axis_pres(document, axis, pres, test)
     if axis == "id":
-        nodes = document.nodes
-        targets = set()
+        strval = document.string_value_of_pre
+        targets: set[int] = set()
         for p in pres:
-            targets.update(document.deref_ids(nodes[p].string_value))
-        return sorted(y.pre for y in targets if matches_node_test(y, test, axis))
+            targets |= document.deref_id_pres(strval(p))
+        return select_node_test(document, sorted(targets), test, axis)
     return _pointer_axis_pres(document, axis, pres, test)
 
 
 def inverse_pres(document: Document, axis: str, pres: list[int]) -> list[int] | None:
     """``χ⁻¹(Y)`` over sorted pre arrays, or ``None`` for ``id``, whose
-    inverse is the boxed Definition-1 form.
+    inverse is the Definition-1 scan.
 
     Interval axes ride :func:`_inverse_interval_pres`; every other tree
     axis rides :func:`_inverse_pointer_pres` — parent-column gathers,
@@ -599,7 +581,7 @@ def _interval_axis_pres(
         # output, both already known) must beat the scan's |D| bound. A
         # block is not priced: nested origins were skipped above, so it
         # pays one bisect pair per maximal interval plus its output, and
-        # the scan it would trade that for boxes every node it visits.
+        # the scan it would trade that for visits every node.
         predicted = output + len(pres) * max(1, index.total.bit_length())
         if predicted > index.total:
             return None
@@ -609,8 +591,7 @@ def _interval_axis_pres(
     if include_self and test.kind == "node":
         # Attribute context nodes match node() but live in no partition
         # the interval query reads; or-self must still return them. The
-        # membership test reads the kind byte — a lazy column document
-        # must not materialize nodes here.
+        # membership test reads the kind byte, so no node is created.
         kinds = index.kinds
         attribute_selves = [p for p in pres if kinds[p] == ATTR]
         if attribute_selves:
@@ -629,7 +610,7 @@ def _pointer_axis_pres(
     are the contiguous pres ``p+1 .. p+attribute_counts[p]``), child
     spans (:func:`_child_pres`) or per-parent sibling spans; the node
     test is then one intersection with the matching partition.
-    Output-sensitive, no boxed nodes.
+    Output-sensitive, no nodes.
     """
     index = node_index(document)
     if axis == "child":
@@ -767,8 +748,7 @@ def _inverse_pointer_pres(
     child boundary, i.e. every node whose ``parent_pre`` lands in Y;
     the sibling inverses are the converse sibling runs
     (:func:`_sibling_pres`), the descendant inverses ancestor chains
-    (:func:`_ancestor_pres`). All output-sensitive, none touches a boxed
-    node.
+    (:func:`_ancestor_pres`). All output-sensitive, none creates a node.
     """
     if axis == "self":
         return list(pres)
@@ -820,8 +800,7 @@ def _inverse_interval_pres(
         # following(x) ∩ Y ≠ ∅ ⟺ x's subtree ends at or before the
         # latest non-attribute member of Y: every pre below the cutoff
         # except the cutoff node's (still-open) ancestors. Attribute
-        # membership is the kind byte, never a node touch (a lazy column
-        # document must stay lazy here).
+        # membership is the kind byte, never a node.
         cutoff = None
         for p in pres:
             if kinds[p] != ATTR:

@@ -16,10 +16,11 @@ Each step function chooses between two implementations of the same set:
   filter) — under ``auto``, the production policy;
 * the Definition-1 ``O(|D|)`` scan (:func:`repro.axes.axes.axis_set` /
   :func:`~repro.axes.axes.inverse_axis_set`, a per-member node test for
-  the filter) — when the kernel declines (a narrow interval step whose
-  predicted cost exceeds the scan bound, the ``id`` inverse), and for
-  every step while :func:`repro.axes.axes.set_kernel_mode` forces
-  ``scan``, under which no step function reads the index.
+  the filter, all over pre numbers) — when the kernel declines (a narrow
+  interval step whose predicted cost exceeds the scan bound, the ``id``
+  inverse), and for every step while
+  :func:`repro.axes.axes.set_kernel_mode` forces ``scan``, under which
+  no step function reads the index.
 
 Every dispatch ticks exactly one of three counters on
 :data:`repro.stats.axis_kernel_stats`: ``fallback_scans`` for a scan,
@@ -47,14 +48,14 @@ from repro.axes.axes import (
     inverse_axis_set,
     inverse_pres,
     kernel_mode,
-    matches_node_test,
+    select_node_test,
 )
 from repro.xml.index import node_index
 
 #: Forward axes whose kernel runs a block in whole-column operations
 #: (interval joins, pointer/child-span/attribute-run gathers, frontier
 #: ancestor walks). The sibling axes cut one span per parent and ``id``
-#: boxes its origins: they count as ``fused_hits`` at every width.
+#: derefs per origin: they count as ``fused_hits`` at every width.
 FORWARD_VECTOR_AXES = (
     frozenset({"self", "child", "parent", "attribute", "ancestor", "ancestor-or-self"})
     | INTERVAL_AXES
@@ -87,9 +88,7 @@ def forward_step(document, axis, block, test):
             _count_kernel_run(block, axis in FORWARD_VECTOR_AXES)
             return out
     stats.axis_kernel_stats.fallback()
-    nodes = document.nodes
-    scanned = axis_set(document, axis, [nodes[p] for p in block])
-    return sorted(y.pre for y in scanned if matches_node_test(y, test, axis))
+    return sorted(select_node_test(document, axis_set(document, axis, block), test, axis))
 
 
 def inverse_step(document, axis, block):
@@ -102,9 +101,7 @@ def inverse_step(document, axis, block):
             _count_kernel_run(block, axis in INVERSE_VECTOR_AXES)
             return out
     stats.axis_kernel_stats.fallback()
-    nodes = document.nodes
-    scanned = inverse_axis_set(document, axis, [nodes[p] for p in block])
-    return sorted(y.pre for y in scanned)
+    return sorted(inverse_axis_set(document, axis, block))
 
 
 def filter_step(document, axis, block, test):
@@ -115,8 +112,7 @@ def filter_step(document, axis, block, test):
     and the answer is the partition itself: every backward sweep starts
     there."""
     if kernel_mode() == "scan":
-        nodes = document.nodes
-        return [p for p in block if matches_node_test(nodes[p], test, axis)]
+        return select_node_test(document, block, test, axis)
     if len(block) >= VECTOR_MIN_BLOCK:
         stats.axis_kernel_stats.vector_op()
     index = node_index(document)

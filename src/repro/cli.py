@@ -97,8 +97,6 @@ import sys
 from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import (
     DeadlineExceededError,
-    DocumentFrozenError,
-    DocumentNotFinalizedError,
     DocumentStoreError,
     FragmentViolationError,
     OverloadError,
@@ -146,8 +144,6 @@ _ERROR_EXITS = (
     (XPathTypeError, EXIT_QUERY),
     (UnboundVariableError, EXIT_QUERY),
     (XMLSyntaxError, EXIT_DOCUMENT),
-    (DocumentFrozenError, EXIT_DOCUMENT),
-    (DocumentNotFinalizedError, EXIT_DOCUMENT),
     (FragmentViolationError, EXIT_FRAGMENT),
     (UnknownAlgorithmError, EXIT_USAGE),
     (DocumentStoreError, EXIT_STORE),
@@ -169,8 +165,6 @@ _CODE_EXITS = {
     "QUERY_TYPE": EXIT_QUERY,
     "UNBOUND_VARIABLE": EXIT_QUERY,
     "XML_SYNTAX": EXIT_DOCUMENT,
-    "DOCUMENT_FROZEN": EXIT_DOCUMENT,
-    "DOCUMENT_NOT_FINALIZED": EXIT_DOCUMENT,
     "UNKNOWN_DOCUMENT": EXIT_DOCUMENT,
     "EVALUATION": EXIT_ERROR,
     "INTERNAL": EXIT_ERROR,

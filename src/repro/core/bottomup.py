@@ -21,7 +21,7 @@ tests. It is only practical on small documents — which is the point.
 from __future__ import annotations
 
 from repro import stats
-from repro.core.common import apply_operator, matches_node_test, step_candidates
+from repro.core.common import apply_operator, step_candidates
 from repro.core.context import Context
 from repro.errors import EvaluationError
 from repro.xml.document import Document, Node

@@ -7,18 +7,18 @@ Figure 1's ``F[[Op]]`` dispatched over the AST.
 
 The step primitives come in two planes:
 
-* **boxed** — :func:`step_candidates` enumerates one context node's
+* **nodes** — :func:`step_candidates` enumerates one context node's
   candidates as ``Node`` objects in proximity order. The reference
   evaluators (``naive``, ``topdown``, ``bottomup``) use it; they are the
-  differential oracle and stay object-based.
+  differential oracle and stay object-based (the candidates are
+  enumerated over pre numbers and only the output becomes nodes).
 * **pre plane** — :func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a
   sorted pre array, through the per-step gate of :mod:`repro.axes.vec`
   — the step all three pre-plane evaluators share) and
   :func:`step_relation_pres` (the per-origin relation ``x ↦ χ({x}) ∩ pool`` in proximity order, cut from the
   :class:`~repro.xml.index.NodeIndex` columns for all origins at once).
-  MINCONTEXT, OPTMINCONTEXT and the Core XPath evaluator run here; on a
-  lazy column document (:mod:`repro.xml.columns`) they box nothing but
-  what leaves the evaluator (:func:`box_value`).
+  MINCONTEXT, OPTMINCONTEXT and the Core XPath evaluator run here; they
+  create no node but what leaves the evaluator (:func:`box_value`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from repro import stats
-from repro.axes.axes import axis_test_nodes, matches_node_test
+from repro.axes.axes import axis_test_pres
 from repro.axes.vec import forward_step
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
@@ -41,7 +41,6 @@ from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Negate, NodeTest
 __all__ = [
     "apply_operator",
     "box_value",
-    "matches_node_test",
     "step_candidate_pres",
     "step_candidates",
     "step_relation_pres",
@@ -53,12 +52,12 @@ _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 def step_candidates(document: Document, axis: str, node: Node, test: NodeTest) -> list[Node]:
     """``χ({x}) ∩ T(t)`` in proximity order — one context node's
     candidates, the list predicates assign positions over. Routed through
-    the fused per-node dispatch (:func:`repro.axes.axes.axis_test_nodes`):
+    the fused per-node dispatch (:func:`repro.axes.axes.axis_test_pres`):
     interval-axis enumerations become singleton partition range queries
     when the predicted output is small, the enumerate-then-filter walk
     otherwise — identical candidates in identical proximity order either
     way, so positional predicates rank the same lists."""
-    return axis_test_nodes(document, axis, node, test)
+    return document.nodes_at(axis_test_pres(document, axis, node.pre, test))
 
 
 def step_candidate_pres(
@@ -91,7 +90,8 @@ def step_relation_pres(
     two bisects into the pool for the interval axes (ascending pre is
     proximity order there, descending for ``preceding``), the parent
     chain for the ancestor axes, and one filtered child-table span per
-    parent for the sibling axes. Only ``id`` boxes its origins.
+    parent for the sibling axes, and an id → pre map deref per origin
+    for ``id``.
     """
     stats.count("axis_single_calls", len(origins))
     if not pool:
@@ -191,11 +191,7 @@ def step_relation_pres(
     if axis == "id":
         strval = document.string_value_of_pre
         for x in origins:
-            cut = sorted(
-                target.pre
-                for target in document.deref_ids(strval(x))
-                if target.pre in members
-            )
+            cut = sorted(members.intersection(document.deref_id_pres(strval(x))))
             if cut:
                 relation[x] = cut
         return relation
@@ -207,8 +203,7 @@ def box_value(document: Document, value, value_type: str):
     list) becomes the document-ordered ``list[Node]``; scalars pass
     through. The one place the pre-plane evaluators materialize nodes."""
     if value_type == "nset":
-        nodes = document.nodes
-        return [nodes[pre] for pre in value]
+        return document.nodes_at(value)
     return value
 
 

@@ -35,15 +35,11 @@ benchmark EXP-T13 verifies the linear scaling, EXP-AXIS the
 output-sensitive fast path.
 
 Because pres thread end-to-end — context in, set algebra through, pres
-out — the only place this evaluator touches a boxed ``Node`` in
-non-scan mode is the final ``nodes[pre]`` materialization of the
-*result*. On a column-only document
-(:class:`repro.xml.columns.ColumnDocument`) that means a whole Core
-XPath query costs O(output) node objects; scan mode and the reference
-evaluators (``naive``, ``topdown``, ``bottomup``) iterate
-``document.nodes`` and simply materialize what they touch — the eager
-fallback, byte-identical either way. MINCONTEXT / OPTMINCONTEXT share
-this pre plane (:mod:`repro.core.mincontext`).
+out — the only place this evaluator touches a ``Node`` is the final
+materialization of the *result* (``document.nodes_at``), in either
+kernel mode: a whole Core XPath query costs O(output) node objects.
+MINCONTEXT / OPTMINCONTEXT share this pre plane
+(:mod:`repro.core.mincontext`).
 """
 
 from __future__ import annotations
@@ -81,8 +77,7 @@ class CoreXPathEvaluator:
             raise FragmentViolationError(f"not a Core XPath query: {violation}")
         assert isinstance(expr, Path)
         result = self._forward_path(expr, [context.node.pre])
-        nodes = self.document.nodes
-        return [nodes[pre] for pre in result]
+        return self.document.nodes_at(result)
 
     def forward_from_pres(self, steps: list[Step], pres: list[int]) -> list[int]:
         """Forward-sweep a *relative* step suffix from an

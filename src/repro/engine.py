@@ -64,8 +64,6 @@ class XPathEngine:
         optimize: bool = False,
         specialize: bool = False,
     ):
-        if not document.is_finalized:
-            raise ReproError("document must be finalized before building an engine")
         self.document = document
         self.variables = dict(variables or {})
         self.optimize = optimize

@@ -27,19 +27,6 @@ class XMLSyntaxError(ReproError):
         super().__init__(message)
 
 
-class DocumentFrozenError(ReproError):
-    """Raised when mutating a document after it has been finalized.
-
-    Evaluation relies on the pre/post order numbering computed by
-    :meth:`repro.xml.document.Document.finalize`; mutating afterwards would
-    silently corrupt every axis computation, so it is a hard error.
-    """
-
-
-class DocumentNotFinalizedError(ReproError):
-    """Raised when evaluating against a document that was never finalized."""
-
-
 class XPathSyntaxError(ReproError):
     """Raised when an XPath query string cannot be parsed.
 
@@ -241,8 +228,6 @@ ERROR_CODES = (
     (WrongArityError, "WRONG_ARITY"),
     (XPathTypeError, "QUERY_TYPE"),
     (XMLSyntaxError, "XML_SYNTAX"),
-    (DocumentFrozenError, "DOCUMENT_FROZEN"),
-    (DocumentNotFinalizedError, "DOCUMENT_NOT_FINALIZED"),
     (UnboundVariableError, "UNBOUND_VARIABLE"),
     (EvaluationError, "EVALUATION"),
     (SnapshotCorruptError, "SNAPSHOT_CORRUPT"),

@@ -148,8 +148,7 @@ def _residual_plan(
     cloned on top. Only built for non-Core suffixes (Core ones resume
     the sorted-pre-array sweep directly); always evaluated with
     ``cached=False`` so its ad-hoc source never lands in any memo."""
-    nodes = document.nodes
-    primary = ConstantNodeSet(nodes[pre] for pre in base_pres)
+    primary = ConstantNodeSet(document.nodes_at(base_pres))
     primary.value_type = "nset"
     ast = Path(primary=primary, steps=[clone(step) for step in steps])
     ast.value_type = "nset"
@@ -330,15 +329,11 @@ class BatchPlan:
         total: int,
     ) -> list:
         document = session.document
-        nodes = document.nodes
         if not steps:
-            return [nodes[pre] for pre in base_pres]
+            return document.nodes_at(base_pres)
         if core_ok:
             evaluator = session.evaluator("corexpath")
-            return [
-                nodes[pre]
-                for pre in evaluator.forward_from_pres(steps, base_pres)
-            ]
+            return document.nodes_at(evaluator.forward_from_pres(steps, base_pres))
         residual = _residual_plan(plan, steps, base_pres, document)
         if session.specializer is not None:
             algorithm = session.specializer.specialize_residual(

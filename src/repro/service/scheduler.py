@@ -25,7 +25,7 @@ Backends
   CPython's GIL still serializes the evaluation work.
 * :class:`ProcessScheduler` — a ``ProcessPoolExecutor`` for true
   parallelism. Documents cross the boundary as binary snapshots
-  (:mod:`repro.xml.snapshot`) — exact for every finalized document, so
+  (:mod:`repro.xml.snapshot`) — exact for every document, so
   workers skip the XML parse *and* the index build — and node-set
   results return as pre-order indices rebound to the parent's trees.
   A worker that rejects a blob (corruption) falls back to in-parent
@@ -158,8 +158,7 @@ def _decode_value(encoded, document: Document):
     """Rebind an encoded cell to the parent process's document."""
     tag, payload = encoded
     if tag == "nset":
-        nodes = document.nodes
-        return [nodes[pre] for pre in payload]
+        return document.nodes_at(payload)
     return payload
 
 
@@ -169,10 +168,9 @@ def _evaluate_shard_snapshots(payload: dict) -> dict:
     index-encoded result.
 
     Snapshots preserve the pre-order numbering *exactly* for every
-    finalized document — including builder-constructed trees that do not
-    round-trip through serialize → parse — so decoding them is always
-    sound where the old markup path needed a canonicality screen. The
-    decoder's CRC and structural validation reject corrupt blobs, and
+    document, so decoding them is always sound where the old markup path
+    needed a canonicality screen. The decoder's CRC and structural
+    validation reject corrupt blobs, and
     the rebuilt node counts are still cross-checked against the parent's
     as defense in depth: any failure is reported as a fallback request
     instead of a result — the parent then evaluates that shard
@@ -494,11 +492,10 @@ class ProcessScheduler(Scheduler):
 
     def dispatch(self, prepared: PreparedBatch) -> list[dict]:
         # Every shard ships: binary snapshots preserve the pre-order
-        # numbering exactly for all finalized documents (builder trees
-        # included), so the old serialize → parse canonicality screen —
-        # and its in-parent fallback path for non-canonical documents —
-        # is gone. Blobs are encoded once per document (weak-cached) no
-        # matter how many shards share it.
+        # numbering exactly for all documents, so the old serialize →
+        # parse canonicality screen — and its in-parent fallback path for
+        # non-canonical documents — is gone. Blobs are encoded once per
+        # document (weak-cached) no matter how many shards share it.
         from repro.xml.snapshot import cached_snapshot
 
         documents = prepared.documents

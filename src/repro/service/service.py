@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.context import Context
-from repro.errors import ReproError
 from repro.service.cache import PlanCache
 from repro.service.plan import CompiledPlan, PlanOptions, plan_key
 from repro.service.planner import (
@@ -65,7 +64,7 @@ class DocumentSession:
 
     Holds reusable evaluator instances for the stateless algorithms and a
     ``(plan, algorithm, context) → result`` memo. Both caches are sound
-    because documents are finalized (immutable) and plans are never
+    because documents are immutable and plans are never
     mutated after compilation.
 
     Thread safety: memo lookups (with their hit accounting) and
@@ -89,8 +88,6 @@ class DocumentSession:
         specializer: PlanSpecializer | None = None,
         result_stats: CacheStats | None = None,
     ):
-        if not document.is_finalized:
-            raise ReproError("document must be finalized before building a session")
         self.document = document
         self.result_capacity = (
             self.DEFAULT_RESULT_CAPACITY if result_capacity is None else result_capacity

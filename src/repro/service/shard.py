@@ -72,7 +72,7 @@ def document_weight(document: Document) -> int:
     """The cost proxy ``size-balanced`` sharding balances on: ``|dom|``,
     the total node count — identical to
     :class:`repro.xml.statistics.DocumentStatistics.total_nodes`, but
-    read in O(1) from the finalized document's numbering instead of
+    read in O(1) from the document's numbering instead of
     re-walking the tree per batch. Swap in a fuller
     :func:`~repro.xml.statistics.document_statistics` shape measure
     (depth, fanout, text volume) here if plain size ever mis-balances a

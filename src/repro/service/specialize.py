@@ -127,7 +127,7 @@ class DocumentProfile:
 
     @classmethod
     def of(cls, document: Document) -> "DocumentProfile":
-        """Profile a finalized document (one O(|D|) statistics pass)."""
+        """Profile a document (one read of its index statistics)."""
         shape = document_statistics(document)
         return cls(
             total_nodes=shape.total_nodes,
@@ -175,7 +175,7 @@ class DocumentProfile:
         )
 
 
-#: Profiles are immutable facts about finalized documents; cache them
+#: Profiles are immutable facts about immutable documents; cache them
 #: process-wide so fresh sessions over the same document skip the
 #: statistics pass. Weak keys: the cache never pins a document.
 _PROFILE_CACHE: "weakref.WeakKeyDictionary[Document, DocumentProfile]" = (

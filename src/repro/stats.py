@@ -234,13 +234,12 @@ class KernelStats:
     * ``fallback_scans`` — dispatches that ran the paper's ``O(|D|)``
       Definition-1 scan instead (predicted output too large, or scan
       mode forced);
-    * ``lazy_documents`` — column-only documents constructed, by the
-      parser or the snapshot decoder
-      (:class:`repro.xml.columns.ColumnDocument`);
-    * ``nodes_materialized`` — boxed ``Node`` objects actually built on
-      those documents, each pre counted exactly once ever (the
-      materialization runs under the per-document lock). A lazy batch's
-      delta is the O(output) the column path promises;
+    * ``lazy_documents`` — documents constructed (by the parser, the
+      builders or the snapshot decoder: :class:`repro.xml.document.Document`);
+    * ``nodes_materialized`` — ``Node`` objects actually created on
+      those documents, each pre counted exactly once ever (creation
+      runs under the per-document lock). A batch's delta is the
+      O(output) the column path promises;
     * ``vector_ops`` — step ops run by a kernel over a block of at least
       ``VECTOR_MIN_BLOCK`` members in whole-column operations: an axis
       step on one of :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /
@@ -633,8 +632,8 @@ class StoreStats:
     that returned a document, ``bytes_written`` the blob bytes of the
     puts, ``partition_passes`` the ``O(|D|)`` runs of
     :meth:`~repro.xml.index.NodeIndex._build_partitions` (one per parse
-    or boxed-tree index, one inside each full structural check, none on
-    a store load) and ``structural_checks`` the runs of the full
+    or build, one inside each full structural check, none on a store
+    load) and ``structural_checks`` the runs of the full
     ``O(|D|)`` check (:func:`~repro.xml.snapshot.check_snapshot`: one
     per :func:`~repro.xml.snapshot.decode_snapshot`, none on a store
     load).

@@ -1,7 +1,7 @@
 """Document generators.
 
-All generators return finalized :class:`repro.xml.document.Document`
-instances and are deterministic given their parameters (``random_document``
+All generators return :class:`repro.xml.document.Document` instances
+(built with :class:`repro.xml.builder.DocumentBuilder`) and are deterministic given their parameters (``random_document``
 takes an explicit ``random.Random``).
 """
 

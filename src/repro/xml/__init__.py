@@ -7,42 +7,36 @@ XML libraries; the parser is a self-contained well-formedness checker.
 
 ``dom`` *is* a set of flat columns in document order — kind, parent,
 subtree size, post rank, depth, name, value per pre number — and every
-way into the system produces them:
+way into the system produces them. Two forms sit over the columns:
 
-* **Column document** (:mod:`repro.xml.columns`) — the parsed form and
-  the decoded form. :func:`~repro.xml.parser.parse_document` writes the
-  columns in one pass over the source text;
+* **Document** (:mod:`repro.xml.document`) — the columns
+  (:mod:`repro.xml.columns`) plus :class:`~repro.xml.document.Node`
+  objects created per pre on first access and cached (counted exactly as
+  ``nodes_materialized`` on :data:`repro.stats.axis_kernel_stats`).
+  :func:`~repro.xml.parser.parse_document` writes the columns in one
+  pass over the source text, :class:`~repro.xml.builder.DocumentBuilder`
+  and ``element()`` / ``text()`` append to the same columns,
   :func:`~repro.xml.snapshot.decode_snapshot` and
   :meth:`DocumentStore.load <repro.xml.store.DocumentStore.load>` read
   them back from a snapshot (strings still encoded, decoded per access);
-  all return a :class:`~repro.xml.columns.ColumnDocument` with no
-  ``Node`` object in it. Boxed nodes are materialized per pre, on
-  demand, memoized (counted exactly as ``nodes_materialized`` on
-  :data:`repro.stats.axis_kernel_stats`); string values, attribute
-  lookup, id maps, paths and shape statistics are answered straight
-  from the columns.
+  all finish through :meth:`Document.from_columns
+  <repro.xml.document.Document.from_columns>`. String values, attribute
+  lookup, id maps, paths, shape statistics and serialization are
+  answered straight from the columns.
 * **Packed index** (:mod:`repro.xml.index`) — the same int columns as
-  memoryviews plus name/kind partitions as sorted pre arrays. For a
-  parsed document the partitions come from one pass over the columns,
-  for a loaded one out of the snapshot, and the index is *adopted*
-  (``index_adoptions``); a boxed tree's columns are read off its nodes
-  first and the result counted as an index *build*.
-  The fused axis kernels, the Core XPath sweeps and the table
-  evaluators compute entirely in this plane; the binary snapshot format
-  (:mod:`repro.xml.snapshot`) persists exactly these columns and
-  partitions.
-* **Boxed tree** (:mod:`repro.xml.document`) — linked ``Node`` objects
-  with parent/children/attribute references, produced by
-  :class:`~repro.xml.builder.DocumentBuilder`, ``element()`` / ``text()``
-  and the workload generators. It is the oracle's input and the reference evaluators'
-  home: everything works here; nothing is fastest here.
+  memoryviews plus name/kind partitions as sorted pre arrays, made by
+  one pass over the columns (or, for a loaded document, read out of the
+  snapshot) and *adopted* by the document at birth
+  (``index_adoptions``). The fused axis kernels, the Core XPath sweeps
+  and the table evaluators compute entirely in this plane; the binary
+  snapshot format (:mod:`repro.xml.snapshot`) persists exactly these
+  columns and partitions.
 
-Results are byte-identical whichever form a document is in: a construct
-the column accessors don't cover just materializes the nodes it touches —
-the column path only ever removes work.
+The reference evaluators walk ``Node`` objects; everything else works on
+pre numbers, and results are byte-identical either way.
 """
 
-from repro.xml.columns import ColumnDocument, DocumentColumns, LazyNode
+from repro.xml.columns import DocumentColumns
 from repro.xml.document import Document, Node, NodeKind
 from repro.xml.index import (
     NodeIndex,
@@ -62,12 +56,10 @@ from repro.xml.snapshot import (
 from repro.xml.store import DocumentStore, DocumentStoreError
 
 __all__ = [
-    "ColumnDocument",
     "Document",
     "DocumentColumns",
     "DocumentStore",
     "DocumentStoreError",
-    "LazyNode",
     "Node",
     "NodeIndex",
     "NodeKind",

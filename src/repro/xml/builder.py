@@ -10,12 +10,23 @@ Two styles are offered:
   literal trees in tests::
 
       doc = element("a", {"id": "1"}, element("b", {}, text("hi"))).build()
+
+Both append to the columns the parser writes (kind, parent, size, depth,
+name, value per node, in document order) and finish through the same
+:meth:`Document.from_columns <repro.xml.document.Document.from_columns>`,
+and both build only what the parser could have read from the document's
+serialization: adjacent text merges into one node, empty text is
+dropped, PI data loses its surrounding whitespace, and a second root
+element, ``--`` in a comment, ``?>`` in a processing instruction or a
+PI target that is empty, holds a space or is ``xml`` raise
+:class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
 from repro.errors import ReproError
-from repro.xml.document import Document, Node, NodeKind
+from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT, DocumentColumns
+from repro.xml.document import Document, NodeKind
 
 
 class DocumentBuilder:
@@ -33,32 +44,53 @@ class DocumentBuilder:
     """
 
     def __init__(self, id_attribute: str = "id"):
-        self.document = Document(id_attribute=id_attribute)
-        self._stack: list[Node] = [self.document.root]
+        self.id_attribute = id_attribute
+        self._kinds = bytearray(b"D")
+        self._parents = [-1]
+        self._sizes = [0]
+        self._depths = [0]
+        self._names: list[str | None] = [None]
+        self._values: list[str | None] = [None]
+        self._open = [0]  # pres of the open elements, the document node first
+        self._root_seen = False
         self._built = False
 
     @property
     def depth(self) -> int:
         """Number of currently open elements."""
-        return len(self._stack) - 1
+        return len(self._open) - 1
+
+    def _append(self, code: int, name: str | None, value: str | None, parent: int) -> int:
+        pre = len(self._kinds)
+        self._kinds.append(code)
+        self._parents.append(parent)
+        self._sizes.append(1)
+        self._depths.append(self._depths[parent] + 1)
+        self._names.append(name)
+        self._values.append(value)
+        return pre
 
     def start(self, name: str, attributes: dict[str, str] | None = None, **kw_attributes: str):
         """Open an element; attributes may be given as a dict or keywords."""
-        element = self.document.new_node(NodeKind.ELEMENT, name=name)
-        self.document.append_child(self._stack[-1], element)
+        parent = self._open[-1]
+        if parent == 0:
+            if self._root_seen:
+                raise ReproError(f"multiple root elements (second is <{name}>)")
+            self._root_seen = True
+        element = self._append(ELEM, name, None, parent)
         merged = dict(attributes or {})
         merged.update(kw_attributes)
         for attr_name, attr_value in merged.items():
-            attr = self.document.new_node(NodeKind.ATTRIBUTE, name=attr_name, value=str(attr_value))
-            self.document.set_attribute_node(element, attr)
-        self._stack.append(element)
+            self._append(ATTR, attr_name, str(attr_value), element)
+        self._open.append(element)
         return self
 
     def end(self):
         """Close the most recently opened element."""
-        if len(self._stack) == 1:
+        if len(self._open) == 1:
             raise ReproError("end() with no open element")
-        self._stack.pop()
+        element = self._open.pop()
+        self._sizes[element] = len(self._kinds) - element
         return self
 
     def leaf(self, name: str, content: str | None = None, attributes: dict[str, str] | None = None, **kw_attributes: str):
@@ -69,43 +101,51 @@ class DocumentBuilder:
         return self.end()
 
     def text(self, content: str):
-        """Append a text node to the open element.
-
-        Empty content is a no-op: the XPath data model has no empty text
-        nodes (the parser never creates them either), and allowing one
-        here would break the serialize/parse round-trip.
-        """
-        if self._stack[-1].is_document:
+        """Append text to the open element: a text node, or more of the
+        one just appended there. Empty content is a no-op — the XPath
+        data model has neither empty nor adjacent text nodes."""
+        parent = self._open[-1]
+        if parent == 0:
             raise ReproError("text() outside the root element")
-        if content == "":
-            return self
-        node = self.document.new_node(NodeKind.TEXT, value=content)
-        self.document.append_child(self._stack[-1], node)
+        if content:
+            if self._kinds[-1] == TEXT and self._parents[-1] == parent:
+                self._values[-1] += content
+            else:
+                self._append(TEXT, None, content, parent)
         return self
 
     def comment(self, content: str):
         """Append a comment node."""
-        node = self.document.new_node(NodeKind.COMMENT, value=content)
-        self.document.append_child(self._stack[-1], node)
+        if "--" in content:
+            raise ReproError(f"'--' is not allowed inside a comment: {content!r}")
+        self._append(COMMENT, None, content, self._open[-1])
         return self
 
     def processing_instruction(self, target: str, data: str = ""):
         """Append a processing-instruction node."""
-        node = self.document.new_node(NodeKind.PROCESSING_INSTRUCTION, name=target, value=data)
-        self.document.append_child(self._stack[-1], node)
+        data = data.strip()
+        if not target or " " in target or target.lower() == "xml":
+            raise ReproError(f"bad processing-instruction target {target!r}")
+        if "?>" in target or "?>" in data:
+            raise ReproError(f"'?>' is not allowed inside a processing instruction: {data!r}")
+        self._append(PI, target, data, self._open[-1])
         return self
 
     def build(self) -> Document:
-        """Finalize and return the document. All elements must be closed."""
+        """Return the document. All elements must be closed."""
         if self._built:
             raise ReproError("build() called twice")
-        if len(self._stack) != 1:
-            open_names = ", ".join(n.name or "?" for n in self._stack[1:])
+        if len(self._open) != 1:
+            open_names = ", ".join(self._names[pre] or "?" for pre in self._open[1:])
             raise ReproError(f"build() with unclosed element(s): {open_names}")
-        if not self.document.root.children:
+        if not self._root_seen:
             raise ReproError("build() on an empty document (no root element)")
         self._built = True
-        return self.document.finalize()
+        self._sizes[0] = len(self._kinds)
+        columns = DocumentColumns.from_lists(
+            self._kinds, self._parents, self._sizes, self._depths, self._names, self._values
+        )
+        return Document.from_columns(columns, self.id_attribute)
 
 
 class _Spec:
@@ -123,18 +163,22 @@ class _Spec:
         """Materialize this spec (which must be an element) as a document."""
         if self.kind is not NodeKind.ELEMENT:
             raise ReproError("only an element spec can be the document root")
-        document = Document(id_attribute=id_attribute)
-        self._attach(document, document.root)
-        return document.finalize()
+        builder = DocumentBuilder(id_attribute=id_attribute)
+        self._emit(builder)
+        return builder.build()
 
-    def _attach(self, document: Document, parent: Node) -> None:
-        node = document.new_node(self.kind, name=self.name, value=self.value)
-        document.append_child(parent, node)
-        for attr_name, attr_value in self.attributes.items():
-            attr = document.new_node(NodeKind.ATTRIBUTE, name=attr_name, value=str(attr_value))
-            document.set_attribute_node(node, attr)
-        for child in self.children:
-            child._attach(document, node)
+    def _emit(self, builder: DocumentBuilder) -> None:
+        if self.kind is NodeKind.ELEMENT:
+            builder.start(self.name, self.attributes)
+            for child in self.children:
+                child._emit(builder)
+            builder.end()
+        elif self.kind is NodeKind.TEXT:
+            builder.text(self.value)
+        elif self.kind is NodeKind.COMMENT:
+            builder.comment(self.value)
+        else:
+            builder.processing_instruction(self.name, self.value)
 
 
 def element(name: str, attributes: dict[str, str] | None = None, *children: "_Spec | str") -> _Spec:

@@ -7,8 +7,8 @@ re-scanning the whole tree to produce a tiny node set. This module holds
 the *derived* structures that make an output-sensitive fast path
 possible, all computed once per document and cached process-wide:
 
-* **pre/post numbering** — ``pre`` is positional (``nodes[i].pre == i``,
-  assigned at finalize); ``post[i]`` is the post-order rank, so
+* **pre/post numbering** — ``pre`` is positional (``nodes[i].pre == i``);
+  ``post[i]`` is the post-order rank, so
   ancestorship is the classic two-number test
   ``pre(x) < pre(y) and post(x) > post(y)``;
 * **size / depth / parent arrays** — ``size[i]`` (subtree size, interval
@@ -40,18 +40,17 @@ persists.
 Partitions are made in one place: one ``O(|D|)`` partition pass over a
 document's flat columns (:class:`~repro.xml.columns.DocumentColumns`),
 counted as ``partition_passes`` on :data:`repro.stats.store_stats`.
-A boxed tree's columns are read off its nodes first, at most once per
-document: :func:`node_index` is weak-cached like
-:func:`repro.service.specialize.document_profile`, and the build runs
-under the cache lock so racing threads see exactly one build
-(``index_builds`` on :data:`repro.stats.axis_kernel_stats` is exact).
-Parsed documents skip the build: :meth:`NodeIndex.from_columns` adopts
-their columns as they stand and runs the pass over them. Snapshot loads
-skip the pass as well — the packed array and its span directory
-(:attr:`NodeIndex.partitions`) are part of the snapshot and are handed
-back as they were written. Either way :func:`adopt_node_index` seeds
-the cache with the prebuilt index (counted as ``index_adoptions``,
-never ``index_builds``).
+Every document is born with its index:
+:meth:`~repro.xml.document.Document.from_columns` adopts the columns as
+they stand and runs the pass over them — or, for a snapshot load, takes
+the packed array and its span directory (:attr:`NodeIndex.partitions`)
+back as they were written — and :func:`adopt_node_index` seeds the
+process-wide cache with it (``index_adoptions``). :func:`node_index` is
+weak-cached like :func:`repro.service.specialize.document_profile`; a
+document made without :meth:`~repro.xml.document.Document.from_columns`
+is indexed on first use, under the cache lock, so racing threads see
+exactly one build (``index_builds`` on
+:data:`repro.stats.axis_kernel_stats` is exact).
 """
 
 from __future__ import annotations
@@ -60,13 +59,13 @@ import threading
 import weakref
 from array import array
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 from repro.stats import axis_kernel_stats, store_stats
-from repro.xml.document import Document
+from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT
 
-#: The kind byte of an attribute in the ``kinds`` column
-#: (:data:`repro.xml.columns.KIND_CODES`).
-ATTR = ord("A")
+if TYPE_CHECKING:
+    from repro.xml.document import Document
 
 #: The six kind partitions, in the order they are packed and persisted.
 KIND_PARTITIONS = (
@@ -78,7 +77,7 @@ class NodeIndex:
     """Derived per-document arrays and name partitions (read-only).
 
     Attributes:
-        document: the indexed (finalized, immutable) document.
+        document: the indexed (immutable) document.
         total: ``|dom|``.
         size: ``size[i]`` — subtree size of the node with pre number ``i``.
         post: ``post[i]`` — post-order rank of the node with pre ``i``.
@@ -127,30 +126,17 @@ class NodeIndex:
         "pis",
     )
 
-    def __init__(self, document: Document):
-        """The index of a boxed tree: its columns are read off the nodes
-        once, then indexed exactly as a parsed or decoded document's."""
-        # Imported here: repro.xml.columns builds on this module.
-        from repro.xml.columns import DocumentColumns
-
-        if not document.is_finalized:
-            raise ValueError("document must be finalized before indexing")
-        self._adopt(document, DocumentColumns.from_document(document))
-
     @classmethod
     def from_columns(cls, document: Document, columns, partitions=None) -> "NodeIndex":
         """The index over a document's flat columns
         (:class:`~repro.xml.columns.DocumentColumns`, already known to
         describe ``document``) — the parser's and the snapshot decoder's
         constructor. The int columns are adopted zero-copy. The parser
-        leaves ``partitions`` out and pays one ``O(|D|)`` partition pass
-        over the kind and name columns, which never touches
-        ``document.nodes`` (doing so would materialize every node of a
-        :class:`~repro.xml.columns.ColumnDocument`); the decoder hands
-        in the persisted :attr:`partitions` of the encoded index and
-        pays nothing per node."""
-        if not document.is_finalized:
-            raise ValueError("document must be finalized before indexing")
+        and the builders leave ``partitions`` out and pay one ``O(|D|)``
+        partition pass over the kind and name columns, which never
+        touches ``document.nodes`` (doing so would create every node);
+        the decoder hands in the persisted :attr:`partitions` of the
+        encoded index and pays nothing per node."""
         index = cls.__new__(cls)
         index._adopt(document, columns, partitions)
         return index
@@ -195,8 +181,7 @@ class NodeIndex:
         text_nodes: list[int] = []
         comments: list[int] = []
         pis: list[int] = []
-        element, attribute = ord("E"), ATTR
-        text, comment, pi = ord("T"), ord("C"), ord("P")
+        element, attribute, text, comment, pi = ELEM, ATTR, TEXT, COMMENT, PI
         elements_append = elements.append
         attributes_append = attributes.append
         non_attributes_append = non_attributes.append
@@ -292,7 +277,7 @@ class NodeIndex:
         return None
 
     def filter_partition(self, test, attribute_principal: bool = False):
-        """The sorted pre array equal to ``{p | matches_node_test}`` for
+        """The sorted pre array equal to ``select_node_test(dom)`` for
         *arbitrary* candidate nodes — the membership filter the backward
         sweeps intersect with. ``None`` means "matches everything"
         (``node()``, which is kind-blind). Unlike :meth:`partition`, name
@@ -410,24 +395,26 @@ class NodeIndex:
         ``AssertionError`` with a description on violation. O(|D|²) in
         the pre/post cross-check — property-test use only.
         """
-        nodes = self.document.nodes
+        names = self.document.columns.names
         total = self.total
-        assert total == len(nodes), "index size diverged from document"
-        assert len(self.size) == len(self.post) == total, "column lengths diverged"
+        assert len(self.kinds) == len(self.size) == len(self.post) == total, (
+            "column lengths diverged"
+        )
         assert len(self.depth) == len(self.parent_pre) == total, (
             "column lengths diverged"
         )
         assert sorted(self.post) == list(range(total)), "post is not a permutation"
-        for pre, node in enumerate(nodes):
-            assert self.size[pre] == node.size, f"size broken at pre={pre}"
-            expected_parent = -1 if node.parent is None else node.parent.pre
-            assert self.parent_pre[pre] == expected_parent, f"parent broken at pre={pre}"
-            if node.parent is not None:
-                assert self.depth[pre] == self.depth[node.parent.pre] + 1, (
-                    f"depth broken at pre={pre}"
-                )
-            else:
-                assert self.depth[pre] == 0, "document node depth must be 0"
+        assert self.parent_pre[0] == -1 and self.depth[0] == 0, "document node broken"
+        # Sizes recomputed bottom-up from the parent column (a child's
+        # pre exceeds its parent's, so walking backwards sees it first).
+        sizes = [1] * total
+        for pre in range(total - 1, 0, -1):
+            parent = self.parent_pre[pre]
+            assert 0 <= parent < pre, f"parent broken at pre={pre}"
+            assert self.depth[pre] == self.depth[parent] + 1, f"depth broken at pre={pre}"
+            sizes[parent] += sizes[pre]
+        for pre in range(total):
+            assert self.size[pre] == sizes[pre], f"size broken at pre={pre}"
         # Pre/post consistency: interval containment iff pre/post order.
         for x in range(total):
             x_end = x + self.size[x]
@@ -464,17 +451,17 @@ class NodeIndex:
         assert len(self.non_attributes) + len(self.attributes) == total
         for tag, members in self.by_tag.items():
             for pre in members:
-                assert nodes[pre].is_element and nodes[pre].name == tag
+                assert self.kinds[pre] == ELEM and names[pre] == tag
         for name, members in self.by_attribute.items():
             for pre in members:
-                assert nodes[pre].is_attribute and nodes[pre].name == name
+                assert self.kinds[pre] == ATTR and names[pre] == name
 
 
 # ----------------------------------------------------------------------
 # Process-wide cache
 # ----------------------------------------------------------------------
 
-#: Indexes are immutable facts about finalized documents; cache them
+#: Indexes are immutable facts about immutable documents; cache them
 #: process-wide so every evaluator over the same document shares one.
 #: Weak keys (and a weak back-reference inside the index): the cache
 #: never pins a document.
@@ -513,7 +500,7 @@ def node_index(document: Document) -> NodeIndex:
             index = _INDEX_CACHE.get(document)
             if index is not None:  # built by the racing caller we waited on
                 return index
-        index = NodeIndex(document)
+        index = NodeIndex.from_columns(document, document.columns)
         with _INDEX_LOCK:
             _INDEX_CACHE[document] = index
             axis_kernel_stats.index_build()
@@ -521,7 +508,8 @@ def node_index(document: Document) -> NodeIndex:
 
 
 def adopt_node_index(document: Document, index: NodeIndex) -> NodeIndex:
-    """Seed the process-wide cache with a prebuilt index (snapshot loads).
+    """Seed the process-wide cache with a prebuilt index (every
+    :meth:`~repro.xml.document.Document.from_columns`).
 
     Counts as ``index_adoptions`` on :data:`repro.stats.axis_kernel_stats`
     — never ``index_builds``, whose one-build-per-document exactness the

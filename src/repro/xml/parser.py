@@ -5,10 +5,9 @@ regex (one alternative per construct, attribute runs split by a second
 regex) and appends to the flat columns of the paper's data model —
 ``kinds`` / ``parent_pre`` / ``size`` / ``depth`` / ``names`` /
 ``values``, ``post`` by the closed form — closing an element's ``size``
-on its end tag. The result is a
-:class:`~repro.xml.columns.ColumnDocument` with its
-:class:`~repro.xml.index.NodeIndex` adopted: no ``Node`` exists until a
-caller touches one, and no index build ever runs for a parsed document.
+on its end tag. The result is a :class:`~repro.xml.document.Document`
+with its :class:`~repro.xml.index.NodeIndex` adopted: no ``Node`` exists
+until a caller touches one, and no index build ever runs for it.
 
 The accepted language is that of a small cursor lexer, leniencies
 included: ASCII names, no whitespace required between attributes,
@@ -27,10 +26,10 @@ to say exactly what is wrong with it.
 from __future__ import annotations
 
 import re
-from array import array
 
 from repro.errors import XMLSyntaxError
-from repro.xml.columns import ColumnDocument, DocumentColumns
+from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT, DocumentColumns
+from repro.xml.document import Document
 
 # XML 1.0 Name, restricted to the ASCII subset we support.
 _NAME_CHAR = r"[A-Za-z0-9_:.\-]"
@@ -54,9 +53,6 @@ _NAME_AT = re.compile(_NAME)
 _WS_AT = re.compile(_WS)
 
 _PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
-
-# The snapshot kind codes (repro.xml.columns.KIND_CODES), as ints.
-_ELEMENT_CODE, _ATTRIBUTE_CODE, _TEXT_CODE, _COMMENT_CODE, _PI_CODE = b"EATCP"
 
 
 def _error(source: str, message: str, pos: int) -> XMLSyntaxError:
@@ -165,8 +161,8 @@ def _diagnose(source: str, pos: int) -> XMLSyntaxError:
 
 def parse_document(
     source: str, id_attribute: str = "id", keep_whitespace_text: bool = True
-) -> ColumnDocument:
-    """Parse an XML string into a finalized (column) document.
+) -> Document:
+    """Parse an XML string into a document.
 
     Args:
         source: the XML text.
@@ -202,7 +198,7 @@ def parse_document(
                         )
                     root_seen = True
                 pre = len(kinds)
-                kinds.append(_ELEMENT_CODE)
+                kinds.append(ELEM)
                 parents.append(open_pre)
                 sizes.append(1)
                 depths.append(level)
@@ -225,7 +221,7 @@ def parse_document(
                                 offset + attribute.end(),
                             )
                         seen.add(attribute_name)
-                        kinds.append(_ATTRIBUTE_CODE)
+                        kinds.append(ATTR)
                         parents.append(pre)
                         sizes.append(1)
                         depths.append(level + 1)
@@ -277,9 +273,9 @@ def parse_document(
                     continue
                 if not keep_whitespace_text and not value.strip():
                     continue
-                code, name = _TEXT_CODE, None
+                code, name = TEXT, None
             elif construct == _COMMENT:
-                code, name, value = _COMMENT_CODE, None, match.group(6)
+                code, name, value = COMMENT, None, match.group(6)
                 if "--" in value:
                     raise _error(source, "'--' is not allowed inside a comment", start)
             else:
@@ -292,7 +288,7 @@ def parse_document(
                             source, "XML declaration/DOCTYPE must precede the root element", start
                         )
                     continue
-                code, value = _PI_CODE, value.strip()
+                code, value = PI, value.strip()
             kinds.append(code)
             parents.append(open_pre)
             sizes.append(1)
@@ -314,20 +310,10 @@ def parse_document(
     if not root_seen:
         raise XMLSyntaxError("document has no root element")
     sizes[0] = len(kinds)
-    # Post-order rank by the closed form post = pre - depth + size - 1.
-    posts = [pre - depth + size - 1 for pre, (depth, size) in enumerate(zip(depths, sizes))]
-    columns = DocumentColumns(
-        kinds=bytes(kinds),
-        parent_pre=array("q", parents),
-        size=array("q", sizes),
-        post=array("q", posts),
-        depth=array("q", depths),
-        names=names,
-        values=values,
-    )
-    return ColumnDocument.from_columns(columns, id_attribute)
+    columns = DocumentColumns.from_lists(kinds, parents, sizes, depths, names, values)
+    return Document.from_columns(columns, id_attribute)
 
 
-def parse_fragment(source: str, id_attribute: str = "id") -> ColumnDocument:
+def parse_fragment(source: str, id_attribute: str = "id") -> Document:
     """Parse a fragment by wrapping it in a synthetic ``<fragment>`` root."""
     return parse_document(f"<fragment>{source}</fragment>", id_attribute=id_attribute)

@@ -1,4 +1,4 @@
-"""Binary snapshots of finalized documents (``RXSNAP03``).
+"""Binary snapshots of documents (``RXSNAP03``).
 
 A snapshot is a document in the shape a load will use it: the flat
 columns :func:`~repro.xml.parser.parse_document` produces, the two
@@ -6,11 +6,11 @@ string columns as offset tables over UTF-8 blobs
 (:class:`~repro.xml.columns.StringTable` decodes a string when it is
 asked for), and the index's partitions as the packed array and span
 directory it holds anyway (:attr:`NodeIndex.partitions
-<repro.xml.index.NodeIndex>`). A parsed document is written as it
-stands; a load reads the int sections with ``frombytes``, points
+<repro.xml.index.NodeIndex>`). A document is written as it stands; a
+load reads the int sections with ``frombytes``, points
 ``memoryview`` slices at the partition array and adopts the index
 (``index_adoptions``) — no parse, no index build, no partition pass, no
-string decoded, no node boxed. :class:`~repro.xml.store.DocumentStore`
+string decoded, no node created. :class:`~repro.xml.store.DocumentStore`
 keeps one such file per document;
 :class:`~repro.service.scheduler.ProcessScheduler` ships them to workers.
 
@@ -54,8 +54,8 @@ anything that crossed a boundary — always runs it, because a CRC says
 the bytes are the ones that were written, not that what was written is a
 document. :meth:`DocumentStore.load <repro.xml.store.DocumentStore.load>`
 (:func:`decode_stored`) does not: every file under ``<store>.d/`` was
-produced by :func:`encode_snapshot` from a finalized document, whose
-columns and index are legal by construction, so there the checksum, the
+produced by :func:`encode_snapshot` from a document, whose columns
+and index are legal by construction, so there the checksum, the
 header (which must name the document asked for) and the reader's bounds
 are the whole argument. ``structural_checks`` on
 :data:`repro.stats.store_stats` counts the full check's runs.
@@ -78,7 +78,7 @@ from operator import ne
 
 from repro.errors import DocumentStoreError, SnapshotCorruptError
 from repro.stats import store_stats
-from repro.xml.columns import ColumnDocument, DocumentColumns, StringTable
+from repro.xml.columns import DocumentColumns, StringTable
 from repro.xml.document import Document
 from repro.xml.index import KIND_PARTITIONS, NodeIndex, node_index
 
@@ -123,20 +123,12 @@ def _string_table(strings) -> bytes:
 
 
 def encode_snapshot(document: Document, name: str = "") -> bytes:
-    """Serialize a finalized document to the binary snapshot format,
-    ``name`` (what a store files it under) in the header.
-
-    A :class:`~repro.xml.columns.ColumnDocument` is written from its
-    columns and its adopted index as they stand (no node is boxed, no
-    partition pass); the columns of a boxed tree are read off its nodes
-    and partitioned first."""
-    document._require_finalized()
-    if isinstance(document, ColumnDocument):
-        columns = document.columns
-        partitions = node_index(document).partitions
-    else:
-        columns = DocumentColumns.from_document(document)
-        partitions = NodeIndex._build_partitions(columns.kinds, columns.names)
+    """Serialize a document to the binary snapshot format, ``name``
+    (what a store files it under) in the header: its columns and its
+    adopted index as they stand — no node is created, no partition
+    pass runs."""
+    columns = document.columns
+    partitions = node_index(document).partitions
     packed, span_ends, tags, attributes, pi_targets = partitions
     payload = b"".join(
         (
@@ -289,7 +281,7 @@ def _first(flags) -> int:
 
 
 def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
-    """Reject columns that do not describe a legal finalized document.
+    """Reject columns that do not describe a legal document.
 
     The per-node loop is written for speed: byte compares instead of
     kind-enum lookups, and attribute contiguity checked against the
@@ -370,8 +362,8 @@ def check_snapshot(columns: DocumentColumns, partitions: tuple) -> None:
         raise _corrupt("persisted partitions disagree with the columns")
 
 
-def decode_snapshot(blob: bytes, lazy: bool = True) -> ColumnDocument:
-    """Rebuild a finalized document (index adopted) from snapshot bytes
+def decode_snapshot(blob: bytes, lazy: bool = True) -> Document:
+    """Rebuild a document (index adopted) from snapshot bytes
     of any origin: read, fully checked, adopted. **Zero**
     :class:`~repro.xml.document.Node` objects exist until a caller
     touches one. ``lazy`` is accepted and selects nothing.
@@ -383,10 +375,10 @@ def decode_snapshot(blob: bytes, lazy: bool = True) -> ColumnDocument:
     """
     _, id_attribute, columns, partitions = read_snapshot(blob)
     check_snapshot(columns, partitions)
-    return ColumnDocument.from_columns(columns, id_attribute, partitions)
+    return Document.from_columns(columns, id_attribute, partitions)
 
 
-def decode_stored(blob: bytes, name: str) -> ColumnDocument:
+def decode_stored(blob: bytes, name: str) -> Document:
     """:func:`decode_snapshot` for a file a
     :class:`~repro.xml.store.DocumentStore` wrote itself: read and
     adopted, the full check left out (the module docstring says why),
@@ -394,7 +386,7 @@ def decode_stored(blob: bytes, name: str) -> ColumnDocument:
     stored_name, id_attribute, columns, partitions = read_snapshot(blob)
     if stored_name != name:
         raise _corrupt(f"file for {name!r} holds {stored_name!r}", _FIXED_HEADER)
-    return ColumnDocument.from_columns(columns, id_attribute, partitions)
+    return Document.from_columns(columns, id_attribute, partitions)
 
 
 def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
@@ -403,8 +395,7 @@ def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
     stored, the flat-column payload a load keeps resident (one kind byte
     + four 8-byte ints per node, plus the raw UTF-8 name/value blobs)
     and the packed partition array beside it — Python object overhead
-    excluded on purpose; a column document has no per-node objects to
-    count."""
+    excluded on purpose; a document has no per-node objects to count."""
     _, _, columns, partitions = read_snapshot(blob)
     name_bytes, value_bytes = len(columns.names.blob), len(columns.values.blob)
     return {

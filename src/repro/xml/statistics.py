@@ -3,8 +3,8 @@
 The paper's complexity bounds are stated in |D| alone, but the constants
 hide document shape: depth drives ancestor/descendant work, fanout drives
 sibling/position work, text volume drives string-value comparisons. This
-module computes those shape statistics — one O(|D|) walk of a boxed
-tree, a read of the index for a column document — for the specializer's
+module computes those shape statistics — a read of the document's
+index — for the specializer's
 ``DocumentProfile``, the ``fragment_advisor`` example (to contextualize
 measurements) and workload tests asserting generator shapes.
 """
@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.xml.columns import ColumnDocument
-from repro.xml.document import Document, Node, NodeKind
+from repro.xml.document import Document
 from repro.xml.index import node_index
 
 
@@ -62,57 +61,16 @@ class DocumentStatistics:
 
 
 def document_statistics(document: Document) -> DocumentStatistics:
-    """Shape statistics for a finalized document.
-
-    Column documents are read off their index (identical numbers, zero
-    nodes materialized — :func:`repro.service.specialize.document_profile`
-    runs this on every parsed or loaded document before its first query,
-    so a tree walk here would defeat the lazy path).
-    """
-    if isinstance(document, ColumnDocument):
-        return _column_statistics(document)
-    stats = DocumentStatistics()
-    stats.total_nodes = len(document)
-
-    def visit(node: Node, depth: int) -> None:
-        if node.kind is NodeKind.ELEMENT:
-            stats.elements += 1
-            stats.tag_counts[node.name] += 1
-            stats.max_depth = max(stats.max_depth, depth)
-            if node.attribute_value(document.id_attribute) is not None:
-                stats.identified_elements += 1
-            element_children = sum(1 for c in node.children if c.is_element)
-            if element_children:
-                stats._parents += 1
-                stats._child_sum += element_children
-                stats.max_fanout = max(stats.max_fanout, element_children)
-        elif node.kind is NodeKind.ATTRIBUTE:
-            stats.attributes += 1
-        elif node.kind is NodeKind.TEXT:
-            stats.text_nodes += 1
-            stats.total_text_bytes += len(node.value or "")
-        elif node.kind is NodeKind.COMMENT:
-            stats.comments += 1
-        elif node.kind is NodeKind.PROCESSING_INSTRUCTION:
-            stats.processing_instructions += 1
-        for attr in node.attributes:
-            visit(attr, depth + 1)
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(document.root, 0)
-    return stats
-
-
-def _column_statistics(document: ColumnDocument) -> DocumentStatistics:
-    """The tree walk above, read off the document's index — field-for-
-    field equal (asserted by the store property suite) and nothing per
-    node: kind counts and ``tag_counts`` are partition lengths, depth
-    and element-child fanout are gathered from the ``depth`` /
-    ``parent_pre`` columns by the ``elements`` partition, text volume is
-    the length of the document node's string value (every text node
-    joined: the prefix structure the first string comparison builds
-    anyway), identified elements come off ``by_attribute[id_attribute]``."""
+    """Shape statistics for a document, read off its index — nothing
+    per node and no node created
+    (:func:`repro.service.specialize.document_profile` runs this on every
+    document before its first query): kind counts and ``tag_counts`` are
+    partition lengths, depth and element-child fanout are gathered from
+    the ``depth`` / ``parent_pre`` columns by the ``elements`` partition,
+    text volume is the length of the document node's string value (every
+    text node joined: the prefix structure the first string comparison
+    builds anyway), identified elements come off
+    ``by_attribute[id_attribute]``."""
     index = node_index(document)
     values = document.columns.values
     parent_of = index.parent_pre.__getitem__
@@ -136,7 +94,7 @@ def _column_statistics(document: ColumnDocument) -> DocumentStatistics:
             last_parent = parent
             stats.identified_elements += values[pre] is not None
     # Elements hang under elements or under the document node (pre 0),
-    # whose children the tree walk does not count as fanout.
+    # whose children do not count as fanout.
     fanout = Counter(map(parent_of, index.elements))
     fanout.pop(0, None)
     if fanout:

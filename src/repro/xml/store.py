@@ -2,7 +2,7 @@
 
 The conclusion of the paper points at "using our techniques for XPath
 processors that query XML documents stored in a database". This module
-is the substrate for that: named, finalized documents kept as binary
+is the substrate for that: named documents kept as binary
 snapshots (:mod:`repro.xml.snapshot`) that reopen with their document
 order — and therefore every axis computation — intact and their
 :class:`~repro.xml.index.NodeIndex` already in the file.
@@ -55,7 +55,6 @@ import tempfile
 
 from repro.errors import DocumentStoreError
 from repro.stats import store_stats
-from repro.xml.columns import ColumnDocument
 from repro.xml.document import Document
 from repro.xml.snapshot import (
     decode_stored,
@@ -183,7 +182,7 @@ class DocumentStore:
         return len(self.names())
 
     def save(self, name: str, document: Document) -> None:
-        """Persist a finalized document under ``name`` (overwrites)."""
+        """Persist a document under ``name`` (overwrites)."""
         self.save_snapshot(name, document)
 
     def save_snapshot(self, name: str, document: Document) -> pathlib.Path:
@@ -219,11 +218,11 @@ class DocumentStore:
         store_stats.tick("puts")
         return target
 
-    def load(self, name: str, lazy: bool = True) -> ColumnDocument:
+    def load(self, name: str, lazy: bool = True) -> Document:
         """Reconstruct the document stored under ``name``: identical
         pre-order numbering, subtree sizes and string values — every
         axis computation answers as on the original — with its node
-        index adopted from the file, no ``Node`` object boxed and no
+        index adopted from the file, no ``Node`` object created and no
         string decoded. ``lazy`` is accepted and selects nothing."""
         document = decode_stored(self.load_snapshot(name), name)
         store_stats.tick("opens")

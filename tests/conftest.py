@@ -10,7 +10,7 @@ from repro.workloads.documents import (
     doubling_document,
     running_example_document,
 )
-from repro.xml.document import Document
+from repro.xml.statistics import DocumentStatistics
 
 #: Every full-XPath algorithm (corexpath only handles its fragment).
 ALL_ALGORITHMS = ("naive", "topdown", "bottomup", "mincontext", "optmincontext")
@@ -45,25 +45,61 @@ def doubling_doc():
     return doubling_document()
 
 
-def boxed_twin(document) -> Document:
-    """The boxed-tree twin of ``document``, rebuilt node by node through
-    the public construction API. ``parse_document`` and
-    ``decode_snapshot`` yield column documents, so the boxed leg of a
-    boxed x column comparison must ask for its tree — and gets one that
-    shares no code with the parser or the codec it is compared with."""
-    twin = Document(id_attribute=document.id_attribute)
-    built = [twin.root]
-    for node in document.nodes[1:]:
-        copy = twin.new_node(node.kind, node.name, node.value)
-        parent = built[node.parent.pre]
-        if node.is_attribute:
-            twin.set_attribute_node(parent, copy)
-        else:
-            twin.append_child(parent, copy)
-        built.append(copy)
-    twin.finalize()
-    assert type(twin) is Document
-    return twin
+def per_node_statistics(document) -> DocumentStatistics:
+    """``document_statistics`` as it was before it read the index: one
+    loop over every node of the columns. Kept as the oracle."""
+    columns = document.columns
+    kinds, names, values = columns.kinds, columns.names, columns.values
+    depth, parent_pre = columns.depth, columns.parent_pre
+    stats = DocumentStatistics()
+    stats.total_nodes = len(columns)
+    fanout: dict[int, int] = {}
+    last_id_parent = -1
+    for i in range(stats.total_nodes):
+        code = chr(kinds[i])
+        if code == "E":
+            stats.elements += 1
+            stats.tag_counts[names[i]] += 1
+            stats.max_depth = max(stats.max_depth, depth[i])
+            parent = parent_pre[i]
+            if parent >= 0 and chr(kinds[parent]) == "E":
+                fanout[parent] = fanout.get(parent, 0) + 1
+        elif code == "A":
+            stats.attributes += 1
+            if names[i] == document.id_attribute:
+                parent = parent_pre[i]
+                if parent != last_id_parent:
+                    last_id_parent = parent
+                    if values[i] is not None:
+                        stats.identified_elements += 1
+        elif code == "T":
+            stats.text_nodes += 1
+            stats.total_text_bytes += len(values[i] or "")
+        elif code == "C":
+            stats.comments += 1
+        elif code == "P":
+            stats.processing_instructions += 1
+    if fanout:
+        stats._parents = len(fanout)
+        stats._child_sum = sum(fanout.values())
+        stats.max_fanout = max(fanout.values())
+    return stats
+
+
+def walked_path(node) -> str:
+    """``node.path()`` by recounting each step's earlier same-kind,
+    same-name siblings — independent of the document's per-pre memo."""
+    parent = node.parent
+    if parent is None:
+        return "/"
+    if node.is_attribute:
+        return f"{walked_path(parent)}/@{node.name}"
+    siblings = parent.children[: node.child_index + 1]
+    number = sum(s.kind is node.kind and s.name == node.name for s in siblings)
+    labels = {"element": node.name, "text": "text()", "comment": "comment()"}
+    label = labels.get(node.kind.value, f"processing-instruction({node.name})")
+    prefix = "" if parent.is_document else walked_path(parent)
+    return f"{prefix}/{label}[{number}]"
 
 
 def ids(nodes) -> list[str]:

@@ -1,4 +1,5 @@
-"""Tests for axis semantics: per-node enumeration and set functions.
+"""Tests for axis semantics: per-node enumeration and set functions,
+over pre numbers.
 
 Fixture tree (ids in brackets):
 
@@ -29,87 +30,91 @@ def doc():
 
 
 def by_id(doc, key):
-    return doc.element_by_id(key)
+    """The pre number of the element with id ``key``."""
+    return doc.id_pre_map()[key]
 
 
-def ids(nodes):
-    return sorted(n.xml_id for n in nodes)
+def ids(doc, pres):
+    return sorted(doc.nodes[p].xml_id for p in pres)
+
+
+def in_order(doc, pres):
+    return [doc.nodes[p].xml_id for p in pres]
 
 
 def test_self(doc):
-    node = by_id(doc, "3")
-    assert list(axis_nodes(doc, "self", node)) == [node]
+    pre = by_id(doc, "3")
+    assert axis_nodes(doc, "self", pre) == [pre]
 
 
 def test_child(doc):
-    assert ids(axis_nodes(doc, "child", by_id(doc, "1"))) == ["2", "5", "7"]
-    assert list(axis_nodes(doc, "child", by_id(doc, "3"))) == []
+    assert ids(doc, axis_nodes(doc, "child", by_id(doc, "1"))) == ["2", "5", "7"]
+    assert axis_nodes(doc, "child", by_id(doc, "3")) == []
 
 
 def test_parent(doc):
-    assert list(axis_nodes(doc, "parent", by_id(doc, "3"))) == [by_id(doc, "2")]
-    assert list(axis_nodes(doc, "parent", doc.root)) == []
+    assert axis_nodes(doc, "parent", by_id(doc, "3")) == [by_id(doc, "2")]
+    assert axis_nodes(doc, "parent", 0) == []
 
 
 def test_descendant_proximity_order(doc):
-    names = [n.xml_id for n in axis_nodes(doc, "descendant", by_id(doc, "1"))]
-    assert names == ["2", "3", "4", "5", "6", "7"]
+    assert in_order(doc, axis_nodes(doc, "descendant", by_id(doc, "1"))) == [
+        "2", "3", "4", "5", "6", "7",
+    ]
 
 
 def test_descendant_excludes_attributes(doc):
-    nodes = list(axis_nodes(doc, "descendant", by_id(doc, "2")))
-    assert ids(nodes) == ["3", "4"]
-    assert not any(n.is_attribute for n in nodes)
+    pres = axis_nodes(doc, "descendant", by_id(doc, "2"))
+    assert ids(doc, pres) == ["3", "4"]
+    assert not any(doc.nodes[p].is_attribute for p in pres)
 
 
 def test_ancestor_proximity_order(doc):
-    chain = list(axis_nodes(doc, "ancestor", by_id(doc, "3")))
-    assert [n.xml_id for n in chain[:2]] == ["2", "1"]
-    assert chain[-1].is_document
+    chain = axis_nodes(doc, "ancestor", by_id(doc, "3"))
+    assert in_order(doc, chain[:2]) == ["2", "1"]
+    assert chain[-1] == 0
 
 
 def test_or_self_variants(doc):
-    node = by_id(doc, "2")
-    descendants = list(axis_nodes(doc, "descendant-or-self", node))
-    assert descendants[0] is node
-    ancestors = list(axis_nodes(doc, "ancestor-or-self", node))
-    assert ancestors[0] is node
+    pre = by_id(doc, "2")
+    assert axis_nodes(doc, "descendant-or-self", pre)[0] == pre
+    assert axis_nodes(doc, "ancestor-or-self", pre)[0] == pre
 
 
 def test_siblings(doc):
-    b2 = by_id(doc, "2")
-    assert ids(axis_nodes(doc, "following-sibling", b2)) == ["5", "7"]
-    e = by_id(doc, "7")
-    preceding = list(axis_nodes(doc, "preceding-sibling", e))
+    assert ids(doc, axis_nodes(doc, "following-sibling", by_id(doc, "2"))) == ["5", "7"]
+    preceding = axis_nodes(doc, "preceding-sibling", by_id(doc, "7"))
     # Proximity order: nearest sibling first.
-    assert [n.xml_id for n in preceding] == ["5", "2"]
+    assert in_order(doc, preceding) == ["5", "2"]
 
 
 def test_attribute_has_no_siblings(doc):
-    attr = by_id(doc, "4").attributes[0]
-    assert list(axis_nodes(doc, "following-sibling", attr)) == []
-    assert list(axis_nodes(doc, "preceding-sibling", attr)) == []
+    attr = doc.element_by_id("4").attributes[0].pre
+    assert axis_nodes(doc, "following-sibling", attr) == []
+    assert axis_nodes(doc, "preceding-sibling", attr) == []
 
 
 def test_following(doc):
-    assert ids(axis_nodes(doc, "following", by_id(doc, "2"))) == ["5", "6", "7"]
-    assert ids(axis_nodes(doc, "following", by_id(doc, "4"))) == ["5", "6", "7"]
-    assert list(axis_nodes(doc, "following", by_id(doc, "7"))) == []
+    assert ids(doc, axis_nodes(doc, "following", by_id(doc, "2"))) == ["5", "6", "7"]
+    assert ids(doc, axis_nodes(doc, "following", by_id(doc, "4"))) == ["5", "6", "7"]
+    assert axis_nodes(doc, "following", by_id(doc, "7")) == []
 
 
 def test_preceding(doc):
-    assert ids(axis_nodes(doc, "preceding", by_id(doc, "7"))) == ["2", "3", "4", "5", "6"]
+    assert ids(doc, axis_nodes(doc, "preceding", by_id(doc, "7"))) == ["2", "3", "4", "5", "6"]
     # Ancestors are not preceding.
-    assert ids(axis_nodes(doc, "preceding", by_id(doc, "3"))) == []
+    assert axis_nodes(doc, "preceding", by_id(doc, "3")) == []
     # Proximity order is reverse document order.
-    got = [n.xml_id for n in axis_nodes(doc, "preceding", by_id(doc, "6"))]
-    assert got == ["4", "3", "2"]
+    assert in_order(doc, axis_nodes(doc, "preceding", by_id(doc, "6"))) == ["4", "3", "2"]
 
 
 def test_attribute_axis(doc):
-    assert [a.name for a in axis_nodes(doc, "attribute", by_id(doc, "4"))] == ["id", "x"]
-    assert [a.name for a in axis_nodes(doc, "attribute", by_id(doc, "3"))] == ["id"]
-    assert list(axis_nodes(doc, "attribute", doc.root)) == []
+    def names(pre):
+        return [doc.nodes[p].name for p in axis_nodes(doc, "attribute", pre)]
+
+    assert names(by_id(doc, "4")) == ["id", "x"]
+    assert names(by_id(doc, "3")) == ["id"]
+    assert names(0) == []
 
 
 def test_axis_set_matches_per_node_union(doc):
@@ -131,13 +136,13 @@ def test_inverse_axis_definition(doc):
     Y = {by_id(doc, "3"), by_id(doc, "6")}
     for axis in sorted(ALL_AXES - {"id"}):
         expected = {
-            x for x in doc.nodes if not set(axis_nodes(doc, axis, x)).isdisjoint(Y)
+            x for x in range(len(doc)) if not set(axis_nodes(doc, axis, x)).isdisjoint(Y)
         }
         assert inverse_axis_set(doc, axis, Y) == expected, axis
 
 
 def test_unknown_axis_rejected(doc):
     with pytest.raises(ValueError):
-        list(axis_nodes(doc, "sideways", doc.root))
+        axis_nodes(doc, "sideways", 0)
     with pytest.raises(ValueError):
         axis_set(doc, "sideways", set())

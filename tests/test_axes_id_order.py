@@ -29,39 +29,44 @@ def by_id(doc, key):
     return doc.element_by_id(key)
 
 
+def pre_of(doc, key):
+    return doc.id_pre_map()[key]
+
+
 def test_id_axis_single_node(doc):
-    got = list(axis_nodes(doc, "id", by_id(doc, "1")))
-    assert [n.xml_id for n in got] == ["2", "3"]
+    got = axis_nodes(doc, "id", pre_of(doc, "1"))
+    assert [doc.nodes[p].xml_id for p in got] == ["2", "3"]
 
 
 def test_id_axis_empty_for_no_tokens(doc):
-    assert list(axis_nodes(doc, "id", by_id(doc, "4"))) == []
+    assert axis_nodes(doc, "id", pre_of(doc, "4")) == []
 
 
 def test_id_axis_set(doc):
-    X = {by_id(doc, "1"), by_id(doc, "2")}
-    assert {n.xml_id for n in axis_set(doc, "id", X)} == {"2", "3", "r"}
+    X = {pre_of(doc, "1"), pre_of(doc, "2")}
+    assert {doc.nodes[p].xml_id for p in axis_set(doc, "id", X)} == {"2", "3", "r"}
 
 
 def test_id_inverse(doc):
     """id⁻¹(Y): nodes whose string value mentions an id of Y."""
-    Y = {by_id(doc, "2")}
-    got = inverse_axis_set(doc, "id", Y)
+    got = inverse_axis_set(doc, "id", {pre_of(doc, "2")})
     # '2' appears in strval of b[1], c[3] — and also of the root/document
     # (their string values concatenate all text) — all qualify.
-    assert by_id(doc, "1") in got
-    assert by_id(doc, "3") in got
-    assert by_id(doc, "4") not in got
+    assert pre_of(doc, "1") in got
+    assert pre_of(doc, "3") in got
+    assert pre_of(doc, "4") not in got
 
 
 def test_id_inverse_of_unidentified_nodes_is_empty(doc):
     text_node = by_id(doc, "1").children[0]
-    assert inverse_axis_set(doc, "id", {text_node}) == set()
+    assert inverse_axis_set(doc, "id", {text_node.pre}) == set()
 
 
 def test_id_inverse_matches_definition(doc):
-    Y = {by_id(doc, "3"), by_id(doc, "r")}
-    expected = {x for x in doc.nodes if not set(axis_nodes(doc, "id", x)).isdisjoint(Y)}
+    Y = {pre_of(doc, "3"), pre_of(doc, "r")}
+    expected = {
+        x for x in range(len(doc)) if not set(axis_nodes(doc, "id", x)).isdisjoint(Y)
+    }
     assert inverse_axis_set(doc, "id", Y) == expected
 
 

@@ -15,9 +15,9 @@ import pytest
 from repro.axes.axes import (
     INTERVAL_AXES,
     axis_nodes,
-    axis_test_nodes,
+    axis_test_pres,
     kernel_mode_forced,
-    matches_node_test,
+    select_node_test,
 )
 from repro.service import (
     AsyncQueryService,
@@ -495,7 +495,7 @@ def test_bucketed_memo_degenerates_to_lru_on_tied_buckets():
 
 
 # ----------------------------------------------------------------------
-# Fused per-node axis kernels (axis_test_nodes)
+# Fused per-node axis kernels (axis_test_pres)
 # ----------------------------------------------------------------------
 
 
@@ -518,16 +518,14 @@ def test_axis_test_nodes_matches_scan_in_proximity_order(mode):
     axes = sorted(INTERVAL_AXES) + ["child", "parent", "ancestor", "self"]
     with kernel_mode_forced(mode):
         for document in _axis_corpus():
-            for node in document.nodes:
+            for pre in range(len(document)):
                 for axis in axes:
                     for test in tests:
-                        expected = [
-                            candidate
-                            for candidate in axis_nodes(document, axis, node)
-                            if matches_node_test(candidate, test, axis)
-                        ]
-                        got = axis_test_nodes(document, axis, node, test)
-                        assert got == expected, (mode, axis, test.kind, node.pre)
+                        expected = select_node_test(
+                            document, axis_nodes(document, axis, pre), test, axis
+                        )
+                        got = axis_test_pres(document, axis, pre, test)
+                        assert got == expected, (mode, axis, test.kind, pre)
 
 
 def test_axis_test_nodes_used_by_positional_evaluation():

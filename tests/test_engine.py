@@ -10,7 +10,6 @@ from repro.errors import (
     UnknownAlgorithmError,
     XPathSyntaxError,
 )
-from repro.xml.document import Document
 from repro.xml.parser import parse_document
 
 
@@ -97,11 +96,6 @@ def test_unbound_variable_raises(engine):
 def test_syntax_error_propagates(engine):
     with pytest.raises(XPathSyntaxError):
         engine.evaluate("//b[")
-
-
-def test_unfinalized_document_rejected():
-    with pytest.raises(ReproError):
-        XPathEngine(Document())
 
 
 def test_default_context_is_document_root(engine):

@@ -12,7 +12,7 @@ attributes with the width branch forced both ways
 (``VECTOR_MIN_BLOCK`` 0 and ``sys.maxsize``). Each answer equals the
 Definition-1 scan's (``kernel_mode_forced("scan")``), each dispatch is
 counted exactly once — one kernel run under ``auto``, one scan under
-``scan`` — and on a column document the kernels box no node.
+``scan`` — and the kernels box no node.
 """
 
 from __future__ import annotations

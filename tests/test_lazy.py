@@ -1,14 +1,17 @@
-"""Lazy column documents ≡ boxed trees — the PR 8 property suite.
+"""Lazy documents ≡ eager documents.
 
-``decode_snapshot(blob)`` returns a
-:class:`~repro.xml.columns.ColumnDocument` that holds only the snapshot
-columns and materializes boxed ``Node`` objects per pre, on demand,
-memoized. The contract under test: **byte-identical results in every
-configuration** (all algorithms, share on/off, every scheduler backend,
-every kernel mode), **exact accounting** (``lazy_documents`` /
-``nodes_materialized`` move by exactly what happened, each pre is boxed
-at most once), and **output-sensitivity** (a selective Core XPath query
-materializes O(output) nodes, not O(|D|)).
+A :class:`~repro.xml.document.Document` holds only its columns and
+creates ``Node`` objects per pre, on demand, memoized; a node's links
+are memoized on first access, and the index's child table and attribute
+counts are built when a kernel first needs them. The "eager" leg here
+is a document with all of that already done, the "lazy" leg a fresh
+``decode_snapshot`` of it with none of it done. The contract under test:
+**byte-identical results in every configuration** (all algorithms,
+share on/off, every scheduler backend, every kernel mode), **exact
+accounting** (``lazy_documents`` / ``nodes_materialized`` move by
+exactly what happened, each pre is created at most once), and
+**output-sensitivity** (a selective Core XPath query materializes
+O(output) nodes, not O(|D|)).
 
 The suite rides the differential-fuzz corpus generators with fixed
 seeds, so every case is reproducible.
@@ -16,7 +19,7 @@ seeds, so every case is reproducible.
 
 import random
 
-from conftest import boxed_twin
+from conftest import per_node_statistics, walked_path
 from repro import stats
 from repro.axes.axes import KERNEL_MODES, kernel_mode_forced
 from repro.axes.vec import forward_step
@@ -24,8 +27,7 @@ from repro.engine import XPathEngine
 from repro.service import QueryService, ShardedExecutor
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
 from repro.workloads.queries import random_core_query, random_full_query
-from repro.xml.columns import ColumnDocument, LazyNode
-from repro.xml.document import Node
+from repro.xml.document import Document, Node
 from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
@@ -37,12 +39,23 @@ SEED = 20030612
 ALGORITHMS = ("naive", "bottomup", "topdown", "mincontext", "optmincontext", "corexpath")
 
 
+def _eager(document):
+    """``document`` with every node created and every memo filled: all
+    links walked, the index's child table and attribute counts built."""
+    index = node_index(document)
+    index.child_table()
+    index.attribute_counts()
+    for node in document.nodes:
+        node.parent, node.children, node.attributes, node.child_index, node.string_value
+    return document
+
+
 def _fixed_documents():
-    """The eager legs: boxed trees, whatever their source produced."""
+    """The eager legs."""
     return [
-        boxed_twin(running_example_document()),
-        wide_tree(width=6),
-        boxed_twin(
+        _eager(running_example_document()),
+        _eager(wide_tree(width=6)),
+        _eager(
             parse_document(
                 '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
                 '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
@@ -53,9 +66,9 @@ def _fixed_documents():
 
 
 def _lazy_twin(document):
-    """A :class:`ColumnDocument` with the same pre-plane as ``document``."""
+    """A fresh document with the same columns as ``document``."""
     twin = decode_snapshot(encode_snapshot(document))
-    assert isinstance(twin, ColumnDocument)
+    assert type(twin) is Document and twin.materialized_count() == 0
     return twin
 
 
@@ -105,13 +118,12 @@ def test_materialization_counter_is_exact_and_memoized():
     assert after["nodes_materialized"] == mid["nodes_materialized"]
     assert document.materialized_count() == total
     assert all(a is b for a, b in zip(first_pass, second_pass))
-    assert all(isinstance(node, LazyNode) for node in first_pass)
+    assert all(type(node) is Node for node in first_pass)
     assert [node.pre for node in first_pass] == list(range(total))
 
 
 def test_lazy_node_list_is_a_sequence():
-    """``document.nodes`` of a column document does what the eager list
-    does for its readers: ``random.sample``, ``index``, ``count``,
+    """``document.nodes`` does what a list would do for its readers: ``random.sample``, ``index``, ``count``,
     membership, reversal; slices are plain lists."""
     from collections.abc import Sequence
 
@@ -200,7 +212,7 @@ def test_selective_query_materializes_output_only():
 
 def test_lazy_matches_eager_on_core_fuzz_corpus():
     """Every Core XPath fuzz case, all six algorithms: the lazy twin
-    returns the same values (by pre) as the eager tree."""
+    returns the same values (by pre) as the eager document."""
     rng = random.Random(SEED)
     cases = 0
     for document in _fixed_documents():
@@ -235,9 +247,9 @@ def test_lazy_matches_eager_on_full_grammar():
 
 
 def test_lazy_matches_eager_under_every_kernel_mode():
-    """Every dispatch mode returns identical values on the tree and on
-    its lazy twin — the kernels and the Definition-1 fallbacks agree
-    about column documents exactly as they do about trees. Core queries
+    """Every dispatch mode returns identical values on the eager document
+    and on its lazy twin — the kernels and the Definition-1 fallbacks
+    agree whatever has been materialized. Core queries
     ride the Core evaluator; the same queries plus a full-grammar corpus
     (position()/last(), count(), id(), unions) ride the forced table
     evaluators, which share its pre plane, against the ``topdown``
@@ -321,16 +333,14 @@ def test_string_values_ids_and_paths_match_the_tree():
             assert twin.name == node.name
             assert twin.kind == node.kind
             assert twin.child_index == node.child_index
-            assert twin.path() == node.path()
+            assert twin.path() == node.path() == walked_path(node)
         assert {k: v.pre for k, v in lazy.id_map.items()} == {
             k: v.pre for k, v in document.id_map.items()
         }
 
 
 def test_duplicate_ids_resolve_first_in_document_order():
-    document = boxed_twin(
-        parse_document('<a id="x"><b id="x"/><c id="y"/><d id="y"/></a>')
-    )
+    document = _eager(parse_document('<a id="x"><b id="x"/><c id="y"/><d id="y"/></a>'))
     lazy = _lazy_twin(document)
     assert {k: v.pre for k, v in lazy.id_map.items()} == {
         k: v.pre for k, v in document.id_map.items()
@@ -340,24 +350,22 @@ def test_duplicate_ids_resolve_first_in_document_order():
 
 
 def test_column_statistics_match_the_tree_walk():
-    """``document_statistics`` answers from the columns on a lazy
-    document — identical to the boxed tree walk, and without
-    materializing a single node."""
+    """``document_statistics`` answers from the index — identical to a
+    pass over every node's columns, and without materializing a node."""
     for document in _fixed_documents() + [book_catalog(books=3)]:
         lazy = _lazy_twin(document)
-        before = lazy.materialized_count()
-        assert document_statistics(lazy) == document_statistics(document)
-        assert lazy.materialized_count() == before == 0
+        assert document_statistics(lazy) == per_node_statistics(document)
+        assert lazy.materialized_count() == 0
 
 
 def test_serialization_and_reencode_are_byte_identical():
-    """The eager fallbacks still work end to end: serializing a lazy
-    document walks (and boxes) the tree; re-encoding it reproduces the
-    exact snapshot blob."""
+    """Serializing a lazy document reads its columns and creates no
+    node; re-encoding it reproduces the exact snapshot blob."""
     for document in _fixed_documents():
         blob = encode_snapshot(document)
         lazy = decode_snapshot(blob)
         assert serialize(lazy) == serialize(document)
+        assert lazy.materialized_count() == 0
         assert encode_snapshot(lazy) == blob
 
 

@@ -31,7 +31,7 @@ from repro.axes.axes import (
     inverse_axis_set,
     kernel_mode,
     kernel_mode_forced,
-    matches_node_test,
+    select_node_test,
     set_kernel_mode,
 )
 from repro.axes.vec import VECTOR_MIN_BLOCK, filter_step, forward_step, inverse_step
@@ -43,12 +43,12 @@ from repro.workloads.documents import (
     wide_tree,
 )
 from repro.xml.index import (
-    NodeIndex,
     merge_intersection,
     merge_union,
     node_index,
 )
 from repro.xml.parser import parse_document
+from repro.xml.snapshot import decode_snapshot, encode_snapshot
 from repro.xpath.ast import NodeTest
 
 SEED = 20030614
@@ -88,19 +88,20 @@ _TESTS = [
 
 
 def _context_sets(document, rng):
-    nodes = document.nodes
-    attributes = [n for n in nodes if n.is_attribute]
+    """Context sets as pre lists (unsorted, maybe with repeats)."""
+    pres = range(len(document))
+    attributes = list(node_index(document).attributes)
     sets = [
         [],
-        [document.root],
-        [nodes[-1]],
-        rng.sample(nodes, min(3, len(nodes))),
-        rng.sample(nodes, min(9, len(nodes))),
-        list(nodes),
+        [0],
+        [pres[-1]],
+        rng.sample(pres, min(3, len(pres))),
+        rng.sample(pres, min(9, len(pres))),
+        list(pres),
     ]
     if attributes:
         sets.append(attributes[:2])
-        sets.append(rng.sample(nodes, min(4, len(nodes))) + attributes[:1])
+        sets.append(rng.sample(pres, min(4, len(pres))) + attributes[:1])
     return sets
 
 
@@ -148,13 +149,9 @@ def test_partitions_are_sorted_and_complete():
         ]
 
 
-def test_node_index_is_cached_and_refuses_unfinalized_documents():
+def test_node_index_is_cached():
     document = book_catalog(books=2)
-    assert node_index(document) is node_index(document)
-    from repro.xml.document import Document
-
-    with pytest.raises(ValueError):
-        NodeIndex(Document())
+    assert node_index(document) is node_index(document) is document._index
 
 
 def test_index_cache_never_pins_a_document():
@@ -180,20 +177,16 @@ def test_index_cache_never_pins_a_document():
 
 
 def _scan_reference(document, axis, X, test):
-    return {y for y in axis_set(document, axis, X) if matches_node_test(y, test, axis)}
+    return set(select_node_test(document, axis_set(document, axis, X), test, axis))
 
 
 def _kernel_axis_set(document, axis, X, test):
-    """``χ(X) ∩ T(t)`` as a node set, through the step production runs."""
-    nodes = document.nodes
-    pres = sorted({x.pre for x in X})
-    return {nodes[p] for p in forward_step(document, axis, pres, test)}
+    """``χ(X) ∩ T(t)`` as a pre set, through the step production runs."""
+    return set(forward_step(document, axis, sorted(set(X)), test))
 
 
 def _kernel_inverse_axis_set(document, axis, Y):
-    nodes = document.nodes
-    pres = sorted({y.pre for y in Y})
-    return {nodes[p] for p in inverse_step(document, axis, pres)}
+    return set(inverse_step(document, axis, sorted(set(Y))))
 
 
 @pytest.mark.parametrize("mode", KERNEL_MODES)
@@ -239,8 +232,7 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
         for document in _corpus():
             for X in _context_sets(document, rng):
                 # The pres interface's contract: sorted, duplicate-free.
-                X = list(dict.fromkeys(X))
-                pres = sorted(x.pre for x in X)
+                pres = sorted(set(X))
                 for axis in sorted(ALL_AXES):
                     for test in _TESTS:
                         # following returns a zero-copy partition view —
@@ -248,11 +240,11 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
                         out = list(forward_step(document, axis, pres, test))
                         assert out == sorted(out)
                         expected = _scan_reference(document, axis, X, test)
-                        assert out == sorted(y.pre for y in expected), (mode, axis)
+                        assert out == sorted(expected), (mode, axis)
                     inverse = inverse_step(document, axis, pres)
                     assert inverse == sorted(inverse)
                     expected_inverse = inverse_axis_set(document, axis, X)
-                    assert inverse == sorted(y.pre for y in expected_inverse), (
+                    assert inverse == sorted(expected_inverse), (
                         mode,
                         axis,
                     )
@@ -261,8 +253,8 @@ def test_pres_level_kernels_agree_and_stay_sorted(mode):
 def test_step_relation_pres_matches_per_origin_enumeration():
     """The per-origin relation the table evaluators cut from the columns
     — ``x ↦ χ({x}) ∩ pool`` in proximity order, for all origins at once —
-    equals the boxed one-origin-at-a-time enumeration the reference
-    evaluators rank: on every axis (``id`` included), for the full
+    equals the one-origin-at-a-time enumeration the reference evaluators
+    rank: on every axis (``id`` included), for the full
     candidate pool and for a thinned one (a predicate-passing subset)."""
     from repro.core.common import step_candidate_pres, step_candidates, step_relation_pres
 
@@ -270,7 +262,7 @@ def test_step_relation_pres_matches_per_origin_enumeration():
     cells = 0
     for document in _corpus() + [running_example_document()]:
         for X in _context_sets(document, rng):
-            origins = sorted({x.pre for x in X})
+            origins = sorted(set(X))
             for axis in sorted(ALL_AXES):
                 for test in _TESTS:
                     full = step_candidate_pres(document, axis, origins, test)
@@ -281,25 +273,25 @@ def test_step_relation_pres_matches_per_origin_enumeration():
                         for x in X:
                             expected = [
                                 y.pre
-                                for y in step_candidates(document, axis, x, test)
+                                for y in step_candidates(document, axis, document.nodes[x], test)
                                 if y.pre in kept
                             ]
-                            assert relation.get(x.pre, []) == expected, (axis, test.kind)
+                            assert relation.get(x, []) == expected, (axis, test.kind)
                             cells += 1
     assert cells > 0
 
 
 def test_id_pseudo_axis_kernels_match_scan():
-    """The id pseudo-axis boxes its origins and dereferences their
-    string values (forward) and rides the Definition-1 token index
-    (inverse); both must equal the scans on documents whose string
+    """The id pseudo-axis dereferences its origins' string values
+    through the id → pre map (forward) and rides the Definition-1 token
+    index (inverse); both must equal the scans on documents whose string
     values dereference real ids."""
     document = running_example_document()
-    nodes = document.nodes
+    pres = range(len(document))
     rng = random.Random(SEED + 4)
     for mode in KERNEL_MODES:
         with kernel_mode_forced(mode):
-            for X in ([], [document.root], rng.sample(nodes, 5), list(nodes)):
+            for X in ([], [0], rng.sample(pres, 5), list(pres)):
                 for test in (NodeTest("node"), NodeTest("name", "d"), NodeTest("wildcard")):
                     assert _kernel_axis_set(document, "id", X, test) == _scan_reference(
                         document, "id", X, test
@@ -321,8 +313,8 @@ def test_every_dispatch_counts_exactly_one_outcome():
     document = book_catalog(books=3)
     node_index(document)  # build outside the measured window
     rng = random.Random(SEED + 5)
-    narrow = rng.sample(document.nodes, 6)
-    block = list(document.nodes)
+    narrow = rng.sample(range(len(document)), 6)
+    block = list(range(len(document)))
     assert len(narrow) < VECTOR_MIN_BLOCK <= len(block)
     test = NodeTest("name", "title")
     siblings_and_id = 3  # no whole-column form: fused at every width
@@ -349,28 +341,41 @@ def test_every_dispatch_counts_exactly_one_outcome():
 
 
 def test_scan_mode_step_functions_read_no_index():
-    """``scan`` means one thing: on a fresh boxed document no step
-    function builds (or reads) the index, and each equals its ``auto``
-    answer."""
-    test = NodeTest("name", "title")
-    scanned = book_catalog(books=20)
-    block = [node.pre for node in scanned.nodes if node.is_element]
-    before = stats.axis_kernel_stats.snapshot()
+    """``scan`` means one thing, and the oracle shares nothing with the
+    kernels it checks: on a freshly decoded document every axis's
+    forward, inverse and filter step under ``scan`` equals its ``auto``
+    answer, builds neither the child table nor the attribute counts, and
+    creates no node."""
+    blob = encode_snapshot(book_catalog(books=6))
+    scanned, reference = decode_snapshot(blob), decode_snapshot(blob)
+    index = node_index(scanned)
+    blocks = [
+        [0],
+        list(index.by_tag["book"]),
+        list(index.attributes[:5]),
+        sorted([*index.by_tag["ref"][:2], *index.by_tag["title"][:2]]),
+        list(range(len(scanned))),
+    ]
+    tests = (NodeTest("node"), NodeTest("wildcard"), NodeTest("name", "title"),
+             NodeTest("name", "id"), NodeTest("text"))
+
+    def steps(document):
+        return [
+            (
+                [list(forward_step(document, axis, block, test)) for test in tests],
+                [filter_step(document, axis, block, test) for test in tests],
+                inverse_step(document, axis, block),
+            )
+            for axis in sorted(ALL_AXES)
+            for block in blocks
+        ]
+
     with kernel_mode_forced("scan"):
-        answers = (
-            list(forward_step(scanned, "child", block, test)),
-            inverse_step(scanned, "child", block),
-            filter_step(scanned, "child", block, test),
-        )
-    after = stats.axis_kernel_stats.snapshot()
-    assert after["index_builds"] == before["index_builds"]
-    indexed = book_catalog(books=20)
-    assert answers == (
-        list(forward_step(indexed, "child", block, test)),
-        inverse_step(indexed, "child", block),
-        filter_step(indexed, "child", block, test),
-    )
-    assert stats.axis_kernel_stats.snapshot()["index_builds"] == after["index_builds"] + 1
+        scans = steps(scanned)
+    assert not index.child_table_ready and not index.attribute_counts_ready
+    assert scanned.materialized_count() == 0
+    assert scans == steps(reference)
+    assert reference.materialized_count() == 0
 
 
 def test_unknown_axis_is_refused_by_both_policies():
@@ -389,12 +394,12 @@ def test_auto_dispatch_falls_back_when_predicted_output_is_large():
     node_index(document)
     assert kernel_mode() == "auto"
     before = stats.axis_kernel_stats.snapshot()
-    _kernel_axis_set(document, "descendant", [document.root], NodeTest("node"))
+    _kernel_axis_set(document, "descendant", [0], NodeTest("node"))
     after = stats.axis_kernel_stats.snapshot()
     assert after["fallback_scans"] - before["fallback_scans"] == 1
     # A selective name test from the same context stays on the kernel.
     before = stats.axis_kernel_stats.snapshot()
-    _kernel_axis_set(document, "descendant", [document.root], NodeTest("name", "a"))
+    _kernel_axis_set(document, "descendant", [0], NodeTest("name", "a"))
     after = stats.axis_kernel_stats.snapshot()
     assert after["fused_hits"] - before["fused_hits"] == 1
 
@@ -446,11 +451,10 @@ def test_merge_intersection_gallops_on_skewed_sizes():
 
 def test_evaluators_are_byte_identical_across_kernel_modes():
     """One fuzz pass per policy: every pre-plane algorithm returns the
-    same bytes under ``auto`` as under ``scan``, on the boxed tree and on
-    its column twin — the EXP-AXIS value gate in miniature."""
+    same bytes under ``auto`` as under ``scan`` — the EXP-AXIS value
+    gate in miniature."""
     from repro.engine import XPathEngine
     from repro.workloads.queries import random_core_query, random_full_query
-    from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
     rng = random.Random(SEED + 7)
     documents = [random_document(rng, max_nodes=16) for _ in range(3)]
@@ -477,6 +481,4 @@ def test_evaluators_are_byte_identical_across_kernel_modes():
     for document in documents:
         with kernel_mode_forced("scan"):
             baseline = answers(document)
-        column = decode_snapshot(encode_snapshot(document))
-        for twin in (document, column):
-            assert answers(twin) == baseline, type(twin).__name__
+        assert answers(document) == baseline

@@ -16,7 +16,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import stats
-from repro.axes.axes import kernel_mode_forced, matches_node_test
+from repro.axes.axes import kernel_mode_forced, select_node_test
 from repro.axes.vec import VECTOR_MIN_BLOCK, filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.core.corexpath import CoreXPathEvaluator
@@ -225,9 +225,8 @@ def test_filter_step_is_the_node_test_on_dom_and_on_any_other_block(name, step, 
     either way: one vector op for a wide block."""
     document = DOCUMENTS[name]
     (parsed,) = compile_plan(step.lstrip("/")).ast.steps
-    nodes = document.nodes
-    dom = list(range(len(nodes)))
-    matching = [p for p in dom if matches_node_test(nodes[p], parsed.node_test, parsed.axis)]
+    dom = list(range(len(document)))
+    matching = select_node_test(document, dom, parsed.node_test, parsed.axis)
     rng = random.Random(seed)
     dropped = rng.choice(matching) if matching else 0
     for block in (dom, [p for p in dom if p != dropped], sorted(rng.sample(dom, len(dom) // 2))):

@@ -11,9 +11,7 @@ from repro.axes.axes import KERNEL_MODES, kernel_mode_forced
 from repro.engine import XPathEngine
 from repro.workloads.documents import random_document
 from repro.workloads.queries import random_full_query, random_query
-from repro.xml.columns import ColumnDocument
-from repro.xml.document import Document, Node
-from repro.xml.snapshot import decode_snapshot, encode_snapshot
+from repro.xml.document import Node
 
 _ALGORITHMS = ("naive", "topdown", "mincontext", "optmincontext")
 
@@ -48,7 +46,7 @@ def test_algorithms_agree(doc_seed, query_seed, size):
 
 
 def _by_pre(value):
-    """Nodes as pre numbers: comparable between a tree and its lazy twin."""
+    """Nodes as pre numbers."""
     if isinstance(value, list):
         return [node.pre if isinstance(node, Node) else node for node in value]
     return value
@@ -65,23 +63,19 @@ def test_table_evaluators_agree_with_topdown_in_every_configuration(
 ):
     """The pre-plane table evaluators on the full grammar (position
     arithmetic, count(), string functions, id(), unions): forced
-    ``mincontext`` / ``optmincontext`` equal the ``topdown`` oracle on
-    the eager tree and on its lazy column twin, under every kernel mode."""
+    ``mincontext`` / ``optmincontext`` equal the ``topdown`` oracle under
+    every kernel mode."""
     doc = random_document(random.Random(doc_seed), max_nodes=size)
-    lazy = decode_snapshot(encode_snapshot(doc))
-    assert (type(doc), type(lazy)) == (Document, ColumnDocument)
     query = random_full_query(random.Random(query_seed))
-    expected = _by_pre(XPathEngine(doc).evaluate(query, algorithm="topdown"))
+    engine = XPathEngine(doc)
+    expected = _by_pre(engine.evaluate(query, algorithm="topdown"))
     for mode in KERNEL_MODES:
         with kernel_mode_forced(mode):
-            for document in (doc, lazy):
-                engine = XPathEngine(document)
-                for name in ("mincontext", "optmincontext"):
-                    value = _by_pre(engine.evaluate(query, algorithm=name))
-                    assert _equal(value, expected), (
-                        f"{name} ({mode}, {type(document).__name__}) vs topdown "
-                        f"on {query!r}\n{value!r}\n{expected!r}"
-                    )
+            for name in ("mincontext", "optmincontext"):
+                value = _by_pre(engine.evaluate(query, algorithm=name))
+                assert _equal(value, expected), (
+                    f"{name} ({mode}) vs topdown on {query!r}\n{value!r}\n{expected!r}"
+                )
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,12 +3,14 @@ the store (PR 24).
 
 ``DocumentStore.load`` skips the full structural check on the premise
 that every file in the store was produced by ``encode_snapshot`` from a
-finalized document and therefore passes it. These properties hold that
-premise to account over generated documents — builder trees with
-non-ASCII names and values, adjacent text nodes, comments, PIs and a
-custom id attribute, and parsed markup — and pin what a load hands
+document and therefore passes it. These properties hold that
+premise to account over generated documents — built documents with
+non-ASCII names and values, text appended in pieces, comments, PIs and
+a custom id attribute, and parsed markup — and pin what a load hands
 back: the same columns, the same partitions and the same statistics as
-the document that was saved, whichever of the two readers read it.
+the document that was saved, whichever of the two readers read it. The
+parser is the builder's oracle: a built document's columns are those
+of its serialization, parsed.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import boxed_twin
+from conftest import per_node_statistics
 from repro.xml.builder import DocumentBuilder
-from repro.xml.columns import ColumnDocument, DocumentColumns
+from repro.xml.document import Document
 from repro.xml.index import KIND_PARTITIONS, node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
@@ -39,8 +41,8 @@ _STORE_NAMES = st.sampled_from(["doc", "naïve ☃", "a/b", "", " "])
 @st.composite
 def tree_specs(draw, names, id_attribute, depth=0):
     """``(name, attributes, children)``; a child is another spec, a text
-    (adjacent texts happen), ``("comment", text)`` or ``("pi", target,
-    data)``."""
+    (adjacent and empty texts happen), ``("comment", text)`` or ``("pi",
+    target, data)``."""
     attributes = {}
     if draw(st.booleans()):
         attributes[id_attribute] = draw(_WORD)
@@ -78,8 +80,8 @@ def _build(builder: DocumentBuilder, spec) -> None:
 
 @st.composite
 def builder_trees(draw):
-    """Boxed trees the parser could not have produced: any names,
-    adjacent text nodes, a custom id attribute."""
+    """Built documents the parser could not have read: any names, a
+    custom id attribute."""
     id_attribute = draw(st.sampled_from(["id", "key", "é"]))
     builder = DocumentBuilder(id_attribute=id_attribute)
     _build(builder, draw(tree_specs(_WILD_NAMES, id_attribute)))
@@ -88,7 +90,7 @@ def builder_trees(draw):
 
 @st.composite
 def parsed_documents(draw):
-    """Column documents straight from the parser (list-backed columns)."""
+    """Documents straight from the parser (list-backed columns)."""
     id_attribute = draw(st.sampled_from(["id", "key"]))
     builder = DocumentBuilder(id_attribute=id_attribute)
     _build(builder, draw(tree_specs(_ASCII_NAMES, id_attribute)))
@@ -96,11 +98,7 @@ def parsed_documents(draw):
 
 
 def _columns(document) -> tuple:
-    columns = (
-        document.columns
-        if isinstance(document, ColumnDocument)
-        else DocumentColumns.from_document(document)
-    )
+    columns = document.columns
     return (
         bytes(columns.kinds),
         list(columns.parent_pre),
@@ -119,47 +117,6 @@ def _partitions(document) -> dict:
         # Key order is part of it: tag_counts.most_common breaks ties by it.
         found[group] = [(key, list(pres)) for key, pres in getattr(index, group).items()]
     return found
-
-
-def _per_node_statistics(document: ColumnDocument) -> DocumentStatistics:
-    """``_column_statistics`` as it was before it read the index: one
-    loop over every node of the columns. Kept as the oracle."""
-    columns = document.columns
-    kinds, names, values = columns.kinds, columns.names, columns.values
-    depth, parent_pre = columns.depth, columns.parent_pre
-    stats = DocumentStatistics()
-    stats.total_nodes = len(columns)
-    fanout: dict[int, int] = {}
-    last_id_parent = -1
-    for i in range(stats.total_nodes):
-        code = chr(kinds[i])
-        if code == "E":
-            stats.elements += 1
-            stats.tag_counts[names[i]] += 1
-            stats.max_depth = max(stats.max_depth, depth[i])
-            parent = parent_pre[i]
-            if parent >= 0 and chr(kinds[parent]) == "E":
-                fanout[parent] = fanout.get(parent, 0) + 1
-        elif code == "A":
-            stats.attributes += 1
-            if names[i] == document.id_attribute:
-                parent = parent_pre[i]
-                if parent != last_id_parent:
-                    last_id_parent = parent
-                    if values[i] is not None:
-                        stats.identified_elements += 1
-        elif code == "T":
-            stats.text_nodes += 1
-            stats.total_text_bytes += len(values[i] or "")
-        elif code == "C":
-            stats.comments += 1
-        elif code == "P":
-            stats.processing_instructions += 1
-    if fanout:
-        stats._parents = len(fanout)
-        stats._child_sum = sum(fanout.values())
-        stats.max_fanout = max(fanout.values())
-    return stats
 
 
 def _same_statistics(a: DocumentStatistics, b: DocumentStatistics) -> bool:
@@ -185,7 +142,7 @@ def test_what_the_store_hands_back_is_what_was_saved(document, name):
     expected_columns = _columns(document)
     expected_partitions = _partitions(document)
     for loaded in (trusted, checked):
-        assert type(loaded) is ColumnDocument and loaded.materialized_count() == 0
+        assert type(loaded) is Document and loaded.materialized_count() == 0
         assert loaded.id_attribute == document.id_attribute
         assert _columns(loaded) == expected_columns
         assert _partitions(loaded) == expected_partitions
@@ -208,15 +165,27 @@ def test_loaded_parsed_and_reparsed_documents_are_indistinguishable(document):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(builder_trees(), parsed_documents()))
-def test_statistics_read_off_the_index_equal_the_per_node_pass_and_the_tree_walk(document):
-    blob = encode_snapshot(document)
-    walked = document_statistics(boxed_twin(decode_snapshot(blob)))  # the tree walk
-    assert type(walked.tag_counts) is Counter
-    for column_document in (document, decode_snapshot(blob)):
-        if not isinstance(column_document, ColumnDocument):
-            continue
-        read = document_statistics(column_document)
-        assert _same_statistics(read, _per_node_statistics(column_document))
+def test_statistics_read_off_the_index_equal_the_per_node_pass(document):
+    for read_from in (document, decode_snapshot(encode_snapshot(document))):
+        read = document_statistics(read_from)
+        assert type(read.tag_counts) is Counter
+        walked = per_node_statistics(read_from)
         assert _same_statistics(read, walked)
         assert read.summary() == walked.summary()
-        assert column_document.materialized_count() == 0
+        assert read_from.materialized_count() == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_built_columns_are_the_columns_of_their_parsed_serialization(data):
+    """The parser as the builder's oracle: whatever the builder is fed
+    (adjacent and empty text, comments, PIs), what it builds is what
+    ``parse_document`` reads back from its serialization — column for
+    column, partition for partition."""
+    id_attribute = data.draw(st.sampled_from(["id", "key"]))
+    builder = DocumentBuilder(id_attribute=id_attribute)
+    _build(builder, data.draw(tree_specs(_ASCII_NAMES, id_attribute)))
+    built = builder.build()
+    parsed = parse_document(serialize(built), id_attribute=id_attribute)
+    assert _columns(built) == _columns(parsed)
+    assert _partitions(built) == _partitions(parsed)

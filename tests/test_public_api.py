@@ -65,7 +65,6 @@ def test_version_is_exposed():
 def test_error_hierarchy_rooted_at_repro_error():
     import repro
     from repro.errors import (
-        DocumentFrozenError,
         EvaluationError,
         FragmentViolationError,
         ReproError,
@@ -78,7 +77,6 @@ def test_error_hierarchy_rooted_at_repro_error():
     from repro.xml.store import DocumentStoreError
 
     for error_type in (
-        DocumentFrozenError,
         EvaluationError,
         FragmentViolationError,
         UnknownFunctionError,

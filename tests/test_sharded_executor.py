@@ -131,15 +131,15 @@ def test_process_backend_rebinds_nodes_to_parent_documents(documents):
 
 
 def test_process_backend_ships_noncanonical_documents_without_fallback():
-    """A builder document with *adjacent text nodes* does not round-trip
-    node-isomorphically through serialize → parse — under the old markup
-    shipping this forced an in-parent fallback. Binary snapshots preserve
-    the pre-order numbering exactly for every finalized document, so the
-    shard ships, evaluates in the worker, and rebinds correctly — no
-    fallback anywhere."""
+    """A builder document with a non-ASCII tag does not round-trip
+    through serialize → parse (the parser reads ASCII names only) —
+    under the old markup shipping this forced an in-parent fallback.
+    Binary snapshots preserve the pre-order numbering exactly for every
+    document, so the shard ships, evaluates in the worker, and rebinds
+    correctly — no fallback anywhere."""
     from repro.xml.builder import element, text
 
-    noncanonical = element("a", None, text("x"), text("y"), element("b")).build()
+    noncanonical = element("a", None, element("é", None, text("x")), text("y"), element("b")).build()
     canonical = parse_document("<a><b>1</b></a>")
     documents = [noncanonical, canonical, parse_document("<a><b>2</b></a>")]
     sequential = QueryService().evaluate_many(["//b", "//text()"], documents)
@@ -151,7 +151,7 @@ def test_process_backend_ships_noncanonical_documents_without_fallback():
     (b_node,) = batch.value(0, 0)
     assert b_node is noncanonical.nodes[b_node.pre]
     assert b_node.is_element and b_node.name == "b"
-    # Both of the adjacent text nodes come back, unmerged.
+    # Both text nodes come back, the one under the non-ASCII tag too.
     assert [n.value for n in batch.value(0, 1)] == ["x", "y"]
     # No shard fell back: snapshots make every document shippable.
     for shard in batch.shards:
@@ -161,15 +161,15 @@ def test_process_backend_ships_noncanonical_documents_without_fallback():
 @pytest.mark.parametrize(
     "make_document",
     [
-        # PI data containing '?>' serializes to a PI that terminates
-        # early: the reparse *adds* nodes, shifting later pre indices.
+        # An attribute name holding a space serializes to two names,
+        # the second without a value: the reparse raises.
         lambda element, text, comment, pi: element(
-            "a", None, pi("t", "x?>y"), element("b", None, text("10"))
+            "a", {"x y": "1"}, pi("t", "d"), element("b", None, text("10"))
         ).build(),
-        # A comment containing '--' serializes to non-well-formed markup:
-        # the worker's reparse raises outright.
+        # A non-ASCII element name is outside the parser's language: the
+        # worker's reparse raises outright.
         lambda element, text, comment, pi: element(
-            "a", None, comment("x--y"), element("b", None, text("10"))
+            "a", None, comment("c"), element("ü", None, element("b", None, text("10")))
         ).build(),
     ],
 )

@@ -1,7 +1,9 @@
 """Binary snapshot codec: corruption fuzzing and byte-identity (PR 6;
 ``RXSNAP03`` layout since PR 24).
 
-Three properties carry the snapshot path:
+Two properties carry the snapshot path (that the kernels equal the
+Definition-1 scans is ``tests/test_node_index.py``'s, over the same
+corpus: a decoded document is a built one):
 
 * **Every corruption is a DocumentStoreError** — truncation at any
   boundary, bad magic, wrong version, sections that disagree about
@@ -11,9 +13,6 @@ Three properties carry the snapshot path:
   document. ``DocumentStore.load`` leaves the full check out; what it
   must still catch (everything the checksum, the header and the
   reader's bounds can see) is asserted beside each case.
-* **flat ≡ Definition-1** — over the same corpus as
-  ``tests/test_node_index.py``, the packed (memoryview) kernels and the
-  paper's Definition-1 scans return identical node sets cell by cell.
 * **Round-trip equality** — a decoded snapshot reproduces ``pre`` /
   ``post`` / ``size`` / ``depth`` / every partition exactly, and its
   index arrives adopted (``index_adoptions``), never rebuilt
@@ -26,15 +25,12 @@ from array import array
 
 import pytest
 
-from conftest import boxed_twin
 from snapshot_tools import assemble_snapshot, ints, reseal, snapshot_layout
 from repro import stats
 from repro.axes.axes import (
     ALL_AXES,
     INVERSE_INTERVAL_AXES,
-    axis_set,
     kernel_mode_forced,
-    matches_node_test,
 )
 from repro.axes.vec import forward_step, inverse_step
 from repro.errors import DocumentStoreError, SnapshotCorruptError
@@ -45,7 +41,7 @@ from repro.workloads.documents import (
     running_example_document,
     wide_tree,
 )
-from repro.xml.index import NodeIndex, adopt_node_index, node_index
+from repro.xml.index import adopt_node_index, node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import (
@@ -254,30 +250,12 @@ def test_flat_list_and_scan_kernels_are_byte_identical():
         assert flat_answers == scan_answers
 
 
-def test_definition1_scan_agreement_on_snapshot_loaded_documents():
-    rng = random.Random(SEED + 6)
-    for document in _corpus():
-        loaded = decode_snapshot(encode_snapshot(document))
-        for axis in sorted(ALL_AXES):
-            for test in rng.sample(_TESTS, 4):
-                X = rng.sample(loaded.nodes, min(5, len(loaded.nodes)))
-                pres = sorted({x.pre for x in X})
-                fused = {
-                    loaded.nodes[p] for p in forward_step(loaded, axis, pres, test)
-                }
-                scan = {
-                    y
-                    for y in axis_set(loaded, axis, X)
-                    if matches_node_test(y, test, axis)
-                }
-                assert fused == scan, (axis, test)
-
-
 def test_round_trip_columns_and_partitions_equal():
-    """One index form: the index a boxed tree builds from its nodes is,
-    column for column and partition for partition, the index its
-    ``encode -> decode`` twin adopts from the snapshot columns."""
-    for document in map(boxed_twin, _corpus()):
+    """One index form: the index a document partitions from the columns
+    it was built or parsed with is, column for column and partition for
+    partition, the index its ``encode -> decode`` twin adopts from the
+    snapshot."""
+    for document in _corpus():
         original_index = node_index(document)
         loaded = decode_snapshot(encode_snapshot(document))
         loaded_index = node_index(loaded)
@@ -300,7 +278,6 @@ def test_round_trip_columns_and_partitions_equal():
             assert (a.kind, a.name, a.value, a.pre, a.size) == (
                 b.kind, b.name, b.value, b.pre, b.size,
             )
-        loaded.validate()
         loaded_index.validate()
 
 
@@ -453,7 +430,7 @@ def test_reparented_tables_decode_only_when_they_are_still_pre_order():
                 values=list(columns.values),
             )
             if _is_pre_order(parent_pre):
-                decode_snapshot(blob).validate()
+                node_index(decode_snapshot(blob)).validate()
                 accepted += 1
             else:
                 with pytest.raises(SnapshotCorruptError, match="parent's interval"):

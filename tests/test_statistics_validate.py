@@ -1,4 +1,4 @@
-"""Tests for document statistics and the integrity validator."""
+"""Tests for document statistics and the index integrity validator."""
 
 import random
 
@@ -12,6 +12,7 @@ from repro.workloads.documents import (
     wide_tree,
 )
 from repro.xml.builder import DocumentBuilder
+from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.statistics import document_statistics
 
@@ -61,39 +62,31 @@ def test_mean_fanout_of_leaf_only_document():
     assert stats.mean_fanout == 0.0
 
 
-# --- validate() ----------------------------------------------------------------
+# --- NodeIndex.validate() -----------------------------------------------------
 
 def test_validate_accepts_generated_documents():
     rng = random.Random(3)
     for _ in range(20):
-        random_document(rng, max_nodes=20).validate()
-    book_catalog(books=3).validate()
-    deep_chain(5).validate()
+        node_index(random_document(rng, max_nodes=20)).validate()
+    node_index(book_catalog(books=3)).validate()
+    node_index(deep_chain(5)).validate()
 
 
 def test_validate_catches_corruption():
     doc = parse_document("<a><b/><c/></a>")
-    doc.root_element.children[0].size = 99
+    doc.columns.size[2] = 99
     with pytest.raises(AssertionError):
-        doc.validate()
+        node_index(doc).validate()
 
 
 def test_validate_catches_broken_parent_link():
-    # A boxed tree: a column document's links are cut from the columns
-    # and cannot be corrupted in place.
     builder = DocumentBuilder()
     builder.start("a")
-    builder.leaf("b")
+    builder.start("b")
+    builder.leaf("c")
+    builder.end()
     builder.end()
     doc = builder.build()
-    doc.root_element.children[0].parent = doc.root
+    doc.columns.parent_pre[3] = 1  # c claims a, not b, as its parent
     with pytest.raises(AssertionError):
-        doc.validate()
-
-
-def test_validate_requires_finalized():
-    from repro.errors import DocumentNotFinalizedError
-    from repro.xml.document import Document
-
-    with pytest.raises(DocumentNotFinalizedError):
-        Document().validate()
+        node_index(doc).validate()

@@ -16,7 +16,7 @@ from repro import stats
 from repro.engine import XPathEngine
 from repro.errors import SnapshotCorruptError
 from repro.workloads.documents import book_catalog, random_document, running_example_document
-from repro.xml.columns import ColumnDocument
+from repro.xml.document import Document
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import decode_snapshot
@@ -34,8 +34,8 @@ def test_save_and_load_round_trip(store):
     before = stats.axis_kernel_stats.snapshot()
     loaded = store.load("doc")
     after = stats.axis_kernel_stats.snapshot()
-    # The one decoded form: columns only, index adopted, nothing boxed.
-    assert type(loaded) is ColumnDocument and loaded.materialized_count() == 0
+    # Columns only, index adopted, no node created.
+    assert type(loaded) is Document and loaded.materialized_count() == 0
     assert after["nodes_materialized"] == before["nodes_materialized"]
     assert after["index_builds"] == before["index_builds"]
     assert after["index_adoptions"] == before["index_adoptions"] + 1
@@ -176,10 +176,14 @@ def test_failed_write_leaves_no_temp_file(store, tmp_path, monkeypatch):
     """Regression (bugfix b, re-aimed at the one-file layout): neither a
     failing encode nor a failing write strands ``<file>.tmp``."""
     store.save("ok", parse_document("<a/>"))
-    from repro.xml.document import Document
 
+    def failing_encode(document, name):
+        raise repro.ReproError("cannot encode")
+
+    monkeypatch.setattr("repro.xml.store.encode_snapshot", failing_encode)
     with pytest.raises(repro.ReproError):
-        store.save("unfinalized", Document())  # fails before any file is touched
+        store.save("unencodable", parse_document("<u/>"))  # fails before any file is touched
+    monkeypatch.undo()
     assert _debris(tmp_path) == []
 
     def failing_fsync(fd):
@@ -525,7 +529,7 @@ def test_store_counters_are_exact_and_their_identities_hold(tmp_path):
     }
     _, moved = delta(lambda: store.save("a", document))  # overwrite: no mkdir
     assert moved == {"puts": 1, "files_written": 1, "bytes_written": size, "fsyncs": 2}
-    _, moved = delta(lambda: store.save("b", book_catalog(books=2)))  # boxed tree
+    _, moved = delta(lambda: store.save("b", book_catalog(books=2)))  # built inside: one pass
     assert moved["partition_passes"] == 1 and moved["fsyncs"] == 2
     loaded, moved = delta(lambda: store.load("b"))
     assert moved == {"opens": 1}  # no partition pass, no structural check

@@ -7,8 +7,9 @@ table is stored. This suite runs both table evaluators under
 ``stats.collect()`` on a seeded grid — the paper's running example and
 Example 9, the three benchmark families, and ~30 bibliography queries
 (``id()``, ``sum``/``count``, filter-primary paths, node-set = node-set,
-unions of bound node-set variables) — on eager trees and on lazy column
-documents, and asserts the six counters against
+unions of bound node-set variables) — on documents as built (string
+columns are lists) and as a store loads them from a snapshot (string
+columns are :class:`~repro.xml.columns.StringTable` objects), and asserts the six counters against
 ``golden/table_counters.json``. The five paper counters are the values of
 the object-based evaluators this suite was first committed against;
 ``operator_applications`` (one ``F[[Op]]`` per compound node per context)
@@ -23,7 +24,6 @@ import pathlib
 
 import pytest
 
-from conftest import boxed_twin
 from repro import stats
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
@@ -39,7 +39,8 @@ from repro.workloads.queries import (
     running_example_query,
     wadler_family,
 )
-from repro.xml.snapshot import decode_snapshot, encode_snapshot
+from repro.xml.columns import StringTable
+from repro.xml.snapshot import decode_stored, encode_snapshot
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "table_counters.json"
 
@@ -169,15 +170,20 @@ def measure_grid(documents: dict) -> dict[str, list[int]]:
 
 
 def _eager_documents() -> dict:
-    """Boxed trees (``running`` is parsed, which yields columns)."""
-    return {name: boxed_twin(build()) for name, build in DOCUMENTS.items()}
+    """As built or parsed: list-backed string columns."""
+    documents = {name: build() for name, build in DOCUMENTS.items()}
+    assert all(type(d.columns.names) is list for d in documents.values())
+    return documents
 
 
 def _lazy_documents() -> dict:
-    return {
-        name: decode_snapshot(encode_snapshot(build()))
+    """As a store loads them: :class:`StringTable` string columns."""
+    documents = {
+        name: decode_stored(encode_snapshot(build(), name), name)
         for name, build in DOCUMENTS.items()
     }
+    assert all(type(d.columns.names) is StringTable for d in documents.values())
+    return documents
 
 
 @pytest.mark.parametrize(

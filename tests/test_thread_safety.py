@@ -275,10 +275,12 @@ def test_node_index_is_built_exactly_once_under_contention():
     from repro import stats
     from repro.axes.vec import forward_step
     from repro.workloads.documents import book_catalog
+    from repro.xml.document import Document
     from repro.xml.index import node_index
     from repro.xpath.ast import NodeTest
 
-    document = book_catalog(books=6)  # fresh document: not yet indexed
+    # Made without from_columns, which would adopt an index at birth.
+    document = Document(book_catalog(books=6).columns)
     before = stats.axis_kernel_stats.snapshot()
     instances = []
     calls_per_thread = 50
@@ -411,16 +413,15 @@ def test_plan_cache_iteration_is_safe_during_mutation():
 
 def test_number_column_fills_idempotently_under_contention():
     """The per-document ``to_number`` memo the pre-plane evaluators read
-    is filled without a lock: threads racing over a fresh document (eager
-    and lazy) may recompute a value, never see a wrong one. 16 threads on
+    is filled without a lock: threads racing over a fresh document (built,
+    and as a store loads it) may recompute a value, never see a wrong one. 16 threads on
     a shortened switch interval all get the sequential answers, and the
     settled column equals ``to_number`` of every string value."""
     import sys
 
     from repro.values.numbers import to_number
-    from repro.xml.columns import ColumnDocument
-    from repro.xml.document import Document
-    from repro.xml.snapshot import decode_snapshot, encode_snapshot
+    from repro.xml.columns import StringTable
+    from repro.xml.snapshot import decode_stored, encode_snapshot
 
     queries = [
         "sum(//price) + sum(//pages)",
@@ -433,10 +434,10 @@ def test_number_column_fills_idempotently_under_contention():
     sys.setswitchinterval(1e-5)
     try:
         for fresh, representation in (
-            (book_catalog(books=30), Document),
-            (decode_snapshot(encode_snapshot(book_catalog(books=30))), ColumnDocument),
+            (book_catalog(books=30), list),
+            (decode_stored(encode_snapshot(book_catalog(books=30), "c"), "c"), StringTable),
         ):
-            assert type(fresh) is representation
+            assert type(fresh.columns.values) is representation
             engine = XPathEngine(fresh)
             plans = [engine.compile(q) for q in queries]
 

@@ -3,7 +3,7 @@
 The contract under test: every pre-plane axis step goes through one
 gate (:func:`repro.axes.vec.forward_step` and its inverse / filter
 siblings), whose kernels return the *same bytes* as the Definition-1
-scans on boxed and column documents alike, whatever the block's width,
+scans on built and decoded documents alike, whatever the block's width,
 and whose ``vector_ops`` / ``fused_hits`` / ``fallback_scans`` counters
 move deterministically per (document, query).
 
@@ -42,12 +42,11 @@ from repro.axes.axes import (
     forward_pres,
     inverse_axis_set,
     inverse_pres,
-    matches_node_test,
+    select_node_test,
 )
 from repro.axes.vec import filter_step, inverse_step
 from repro.core.common import step_candidate_pres
 from repro.core.corexpath import CoreXPathEvaluator
-from conftest import boxed_twin
 from repro.engine import XPathEngine
 from repro.workloads.documents import (
     book_catalog,
@@ -67,15 +66,13 @@ SEED = 20030612
 def _fuzz_documents():
     rng = random.Random(SEED)
     return [
-        boxed_twin(running_example_document()),
+        running_example_document(),
         wide_tree(width=6),
         book_catalog(books=8, chapters_per_book=3),
-        boxed_twin(
-            parse_document(
-                '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
-                '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
-                '<!--comment--><d id="8"/></a>'
-            )
+        parse_document(
+            '<a id="1">x<b id="2"><a id="3">100</a>y</b>'
+            '<c id="4" kind="k"><b id="5">1</b><b id="6">2</b><b id="7">2</b></c>'
+            '<!--comment--><d id="8"/></a>'
         ),
         random_document(rng, max_nodes=30),
         random_document(rng, max_nodes=60),
@@ -89,7 +86,7 @@ def _fuzz_documents():
 
 def test_vector_matches_scalar_and_scan_on_fuzz_corpus():
     """Whole queries: ``auto`` equals ``scan`` for all three pre-plane
-    evaluators, on the boxed tree and on its column twin."""
+    evaluators, on the document and on its decoded twin."""
     rng = random.Random(SEED)
     cases = 0
     for document in _fuzz_documents():
@@ -110,24 +107,6 @@ def test_vector_matches_scalar_and_scan_on_fuzz_corpus():
                 )
             cases += 1
     assert cases == 15 * len(_fuzz_documents())
-
-
-def test_vector_matches_on_lazy_documents():
-    """The kernels run over lazy column documents without forcing full
-    materialization semantics to differ — same bytes as eager."""
-    rng = random.Random(SEED + 7)
-    for eager in (boxed_twin(running_example_document()), book_catalog(books=10)):
-        lazy = decode_snapshot(encode_snapshot(eager))
-        eager_engine = XPathEngine(eager)
-        lazy_engine = XPathEngine(lazy)
-        for _ in range(10):
-            query = random_core_query(rng)
-            with kernel_mode_forced("scan"):
-                baseline = eager_engine.evaluate(query, algorithm="corexpath")
-            got = lazy_engine.evaluate(query, algorithm="corexpath")
-            assert [node.pre for node in got] == [node.pre for node in baseline], (
-                f"auto on lazy doc diverged on {query!r}"
-            )
 
 
 def test_backward_predicate_programs_match_scalar():
@@ -202,23 +181,17 @@ def test_step_functions_equal_the_scan_in_every_mode(data):
     axis x node test x block under both policies, and so does every
     kernel called directly with the width gate as shipped, lowered to 0
     (every block takes the block side) and raised out of reach (every
-    block takes the narrow side), on boxed and on column documents. A
+    block takes the narrow side), on built and on decoded documents. A
     kernel may decline (``None``) only where the step function then owes
     the scan."""
     eager, block = data
     column = decode_snapshot(encode_snapshot(eager))
-    nodes = eager.nodes
-    origins = [nodes[pre] for pre in block]
     for axis in sorted(ALL_AXES):
-        inverse = sorted(y.pre for y in inverse_axis_set(eager, axis, origins))
-        reached = axis_set(eager, axis, origins)
+        inverse = sorted(inverse_axis_set(eager, axis, block))
+        reached = axis_set(eager, axis, block)
         for test in _NODE_TESTS:
-            forward = sorted(
-                y.pre for y in reached if matches_node_test(y, test, axis)
-            )
-            matching = [
-                pre for pre in block if matches_node_test(nodes[pre], test, axis)
-            ]
+            forward = sorted(select_node_test(eager, reached, test, axis))
+            matching = select_node_test(eager, block, test, axis)
             for document in (eager, column):
                 for mode in KERNEL_MODES:
                     where = f"{axis}::{test!r} from {block} in {mode}"
@@ -250,17 +223,14 @@ def test_child_kernel_takes_every_side_on_a_catalog():
     semi-join, and with the gate out of reach the size hops — one
     answer."""
     document = book_catalog(books=20)
-    nodes = document.nodes
     index = node_index(document)
     books = list(index.by_tag["book"])
     elements = list(index.elements)
     assert len(books) >= VECTOR_MIN_BLOCK and 8 * len(books) < len(elements)
     for block in (books, elements):
-        reached = axis_set(document, "child", [nodes[pre] for pre in block])
+        reached = axis_set(document, "child", block)
         for test in (NodeTest("wildcard"), NodeTest("node"), NodeTest("name", "title")):
-            wanted = sorted(
-                y.pre for y in reached if matches_node_test(y, test, "child")
-            )
+            wanted = sorted(select_node_test(document, reached, test, "child"))
             assert forward_pres(document, "child", block, test) == wanted
             with mock.patch(_GATE, sys.maxsize):
                 assert forward_pres(document, "child", block, test) == wanted

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import XPathEngine
 from repro.errors import ReproError
 from repro.xml.builder import DocumentBuilder, comment, element, processing_instruction, text
 from repro.xml.parser import parse_document
@@ -66,6 +67,47 @@ def test_builder_rejects_double_build():
     builder.build()
     with pytest.raises(ReproError):
         builder.build()
+
+
+# --- the builder builds only what the parser could read back ----------------
+
+
+def _round_trips(doc):
+    again = parse_document(serialize(doc))
+    assert list(again.columns.kinds) == list(doc.columns.kinds)
+    assert list(again.columns.values) == list(doc.columns.values)
+
+
+def test_builder_merges_adjacent_text():
+    builder = DocumentBuilder()
+    builder.start("a").text("x").text("y").end()
+    doc = builder.build()
+    assert XPathEngine(doc).evaluate("count(/a/text())") == 1.0
+    assert doc.root_element.children[0].value == "xy"
+    _round_trips(doc)
+
+
+def test_builder_drops_empty_text():
+    doc = element("a", {}, "").build()
+    assert doc.root_element.children == []
+    assert len(doc) == 2
+    _round_trips(doc)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DocumentBuilder().leaf("a").leaf("b"), "multiple root elements"),
+        (lambda: element("a", {}, comment("x--y")).build(), "'--'"),
+        (lambda: element("a", {}, processing_instruction("t", "x?>y")).build(), r"'\?>'"),
+        (lambda: element("a", {}, processing_instruction("xml", "v")).build(), "target"),
+        (lambda: element("a", {}, processing_instruction("XmL", "v")).build(), "target"),
+    ],
+    ids=["second root", "-- in comment", "?> in PI data", "PI target xml", "PI target XmL"],
+)
+def test_builder_refuses_what_the_parser_would_refuse(build, message):
+    with pytest.raises(ReproError, match=message):
+        build()
 
 
 def test_declarative_builder():

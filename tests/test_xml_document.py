@@ -2,9 +2,6 @@
 
 import pytest
 
-from repro.errors import DocumentFrozenError, DocumentNotFinalizedError
-from repro.xml.builder import DocumentBuilder
-from repro.xml.document import Document, NodeKind
 from repro.xml.parser import parse_document
 
 
@@ -96,22 +93,14 @@ def test_path_rendering():
 
 
 def test_frozen_document_rejects_mutation():
-    doc = parse_document("<a/>")
-    with pytest.raises(DocumentFrozenError):
-        doc.new_node(NodeKind.ELEMENT, name="x")
-
-
-def test_unfinalized_document_rejects_queries():
-    doc = Document()
-    with pytest.raises(DocumentNotFinalizedError):
-        len(doc)
-
-
-def test_finalize_is_idempotent():
-    builder = DocumentBuilder()
-    builder.leaf("a")
-    doc = builder.build()
-    assert doc.finalize() is doc
+    doc = parse_document("<a><b/></a>")
+    b = doc.root_element.children[0]
+    with pytest.raises(TypeError):
+        doc.nodes[1] = b  # the node list is a read-only view of the columns
+    with pytest.raises(TypeError):
+        doc.columns.kinds[2] = ord("T")
+    with pytest.raises(AttributeError):
+        b.parent = doc.root  # links are cut from the columns, never set
 
 
 def test_elements_listing():

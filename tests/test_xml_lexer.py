@@ -166,8 +166,9 @@ def test_parse_then_save_boxes_no_node_and_builds_no_index(tmp_path):
     """A put is parse -> columns -> snapshot: the index is adopted from
     the columns the parser wrote, and nothing is ever boxed."""
     store = DocumentStore(tmp_path / "store.json")
+    source = _multiline(12)
     before = axis_kernel_stats.snapshot()
-    document = parse_document(_multiline(12))
+    document = parse_document(source)
     store.save_snapshot("catalog", document)
     after = axis_kernel_stats.snapshot()
     assert after["nodes_materialized"] == before["nodes_materialized"]

@@ -1,13 +1,13 @@
 """Tests for the XML tree parser (structural well-formedness, node kinds)."""
 
 import pytest
-from conftest import boxed_twin
+from conftest import walked_path
 from test_xml_frontend_golden import GROUPS
 
 from repro.errors import XMLSyntaxError
 from repro.xml import snapshot
-from repro.xml.columns import ColumnDocument
-from repro.xml.document import NodeKind
+from repro.xml.document import Document, NodeKind
+from repro.xml.index import node_index
 from repro.xml.parser import parse_document, parse_fragment
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
 
@@ -127,13 +127,15 @@ def test_custom_id_attribute():
 
 
 def test_document_is_finalized():
+    """Born complete: numbered, sized and indexed when the parser returns."""
     doc = parse_document("<a/>")
-    assert doc.is_finalized
     assert len(doc) == 2  # document node + element
+    assert list(doc.columns.size) == [2, 1]
+    assert node_index(doc) is doc._index
 
 
 # ----------------------------------------------------------------------
-# The parsed form is the column document
+# The parsed form is its columns: no node until one is touched
 # ----------------------------------------------------------------------
 
 
@@ -151,22 +153,23 @@ def _accepted_golden_sources():
 
 def test_parsed_documents_are_columns_with_no_boxed_node():
     document = parse_document('<a x="1">t<b/><!--c--><?p d?></a>')
-    assert type(document) is ColumnDocument
+    assert type(document) is Document
     assert document.materialized_count() == 0
     assert document.root_element.name == "a"
     assert document.materialized_count() == 1
 
 
 def test_column_paths_match_the_boxed_tree_on_the_golden_corpus():
-    """``path_of_pre`` numbers siblings by kind and name exactly as
-    ``Node.path()`` does — comment, PI and text siblings and attributes
-    included — in any order of asking, without boxing a node."""
+    """``path_of_pre`` numbers siblings by kind and name exactly as a
+    walk that recounts each node's earlier siblings does — comment, PI
+    and text siblings and attributes included — in any order of asking,
+    without creating a node."""
     sources = list(_accepted_golden_sources())
     assert len(sources) > 150
     kinds = set()
     for source in sources:
         document = parse_document(source)
-        expected = [node.path() for node in boxed_twin(parse_document(source)).nodes]
+        expected = [walked_path(node) for node in parse_document(source).nodes]
         pres = range(len(expected))
         assert [document.path_of_pre(pre) for pre in pres] == expected
         backwards = parse_document(source)
