@@ -1,6 +1,6 @@
 """EXP-SNAP — binary NodeIndex snapshots vs serialize-and-re-parse.
 
-The PR 6 payoff claim: a persisted flat-column snapshot (``RXSNAP03``,
+The payoff claim: a persisted flat-column snapshot (``RXSNAP04``,
 ``repro.xml.snapshot``) rebuilds a document *and* its adopted NodeIndex
 cheaper than shipping XML text and re-parsing it — the cold-start path
 process workers and the DocumentStore both take — without changing a

@@ -687,10 +687,16 @@ def _child_pres(index, pres: list[int], test: NodeTest) -> list[int]:
 def _sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
     """Following (``forward``) or preceding siblings of any member of
     ``pres`` (sorted): per parent, the slice of its child span past its
-    earliest member (before its latest). Attribute members and the
+    earliest member (before its latest) — or, until the document's
+    sibling hops have paid for the child table
+    (:meth:`~repro.xml.index.NodeIndex.sibling_table`), the same run
+    hopped out of the parent's interval. Attribute members and the
     document node have no siblings."""
+    table = index.sibling_table()
+    if table is None:
+        return _hopped_sibling_pres(index, pres, forward)
     parent_pre = index.parent_pre
-    offsets, children = index.child_table()
+    offsets, children = table
     parents = [parent_pre[p] for p in pres]
     if forward:
         # pres ascend: walking them backwards leaves the earliest member.
@@ -713,6 +719,34 @@ def _sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
             # An attribute as latest member cuts an empty prefix.
             out.extend(children[lo : bisect_left(children, extreme, lo, hi)])
     out.sort()  # spans of nested parents interleave in pre order
+    return out
+
+
+def _hopped_sibling_pres(index, pres: list[int], forward: bool) -> list[int]:
+    """:func:`_sibling_pres` without the child table: per parent, hop
+    ``c += size[c]`` from past its earliest member to the end of its
+    interval (from past its attribute run up to its latest member)."""
+    kinds, parent_pre, size = index.kinds, index.parent_pre, index.size
+    members = [p for p in pres if kinds[p] != ATTR]
+    parents = [parent_pre[p] for p in members]
+    if forward:
+        extremes = dict(zip(reversed(parents), reversed(members)))
+    else:
+        extremes = dict(zip(parents, members))
+    extremes.pop(-1, None)
+    out: list[int] = []
+    for parent, extreme in extremes.items():
+        if forward:
+            sibling, end = extreme + size[extreme], parent + size[parent]
+        else:
+            sibling, end = parent + 1, extreme
+            while kinds[sibling] == ATTR:
+                sibling += 1
+        while sibling < end:
+            out.append(sibling)
+            sibling += size[sibling]
+    index.count_sibling_hops(len(out))
+    out.sort()  # runs of nested parents interleave in pre order
     return out
 
 

@@ -35,7 +35,7 @@ Three modes:
   and arrive with their node index read from the file;
 * ``repro-xpath store {snapshot,list}`` manages a document store:
   ``snapshot`` parses a document and persists it as one binary snapshot
-  file (``RXSNAP03``) under ``PATH.d/``, and ``list`` prints what the
+  file (``RXSNAP04``) under ``PATH.d/``, and ``list`` prints what the
   directory holds;
 * ``repro-xpath serve`` runs the long-lived serving daemon
   (:mod:`repro.serve`): line-delimited JSON over TCP, per-client

@@ -89,9 +89,11 @@ def step_relation_pres(
     ``child``/``attribute``, one probe per origin for ``self``/``parent``,
     two bisects into the pool for the interval axes (ascending pre is
     proximity order there, descending for ``preceding``), the parent
-    chain for the ancestor axes, and one filtered child-table span per
-    parent for the sibling axes, and an id → pre map deref per origin
-    for ``id``.
+    chain for the ancestor axes, one filtered span of children per
+    parent for the sibling axes (hopped out of the parent's interval
+    until the document's hops have paid for the child table, see
+    :meth:`~repro.xml.index.NodeIndex.sibling_table`), and an id → pre
+    map deref per origin for ``id``.
     """
     stats.count("axis_single_calls", len(origins))
     if not pool:
@@ -165,21 +167,22 @@ def step_relation_pres(
         return relation
     if axis == "following-sibling" or axis == "preceding-sibling":
         parent_pre = index.parent_pre
-        offsets, children = index.child_table()
+        # child_pres slices the child table once it is built, and hops
+        # the parent's interval until then.
+        hopping = index.sibling_table() is None
         forward = axis == "following-sibling"
         kinds = index.kinds
         spans: dict[int, list[int]] = {}
+        hops = 0
         for x in origins:
             parent = parent_pre[x]
             if parent < 0 or kinds[x] == ATTR:  # attributes have no siblings
                 continue
             span = spans.get(parent)
             if span is None:
-                span = spans[parent] = [
-                    s
-                    for s in children[offsets[parent] : offsets[parent + 1]]
-                    if s in members
-                ]
+                children = document.child_pres(parent)
+                hops += len(children)
+                span = spans[parent] = [s for s in children if s in members]
             if forward:
                 cut = span[bisect_right(span, x) :]
             else:
@@ -187,6 +190,8 @@ def step_relation_pres(
                 cut.reverse()
             if cut:
                 relation[x] = cut
+        if hopping:
+            index.count_sibling_hops(hops)
         return relation
     if axis == "id":
         strval = document.string_value_of_pre

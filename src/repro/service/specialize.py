@@ -5,7 +5,7 @@ a query string into a :class:`~repro.service.plan.LogicalPlan` held in
 the :class:`~repro.service.cache.PlanCache`. This module is the
 document-*dependent* half: a :class:`PlanSpecializer` combines a logical
 plan with a :class:`DocumentProfile` (node count, depth, fanout, text
-ratio — from :mod:`repro.xml.statistics`) and produces a
+ratio — the shape the index persists) and produces a
 :class:`PhysicalPlan` naming the evaluator to run, chosen by a small
 explicit cost model.
 
@@ -94,7 +94,7 @@ from repro.service.plan import LogicalPlan
 from repro.service.planner import resolve_algorithm
 from repro.stats import CacheStats, TimingStats
 from repro.xml.document import Document
-from repro.xml.statistics import document_statistics
+from repro.xml.index import node_index
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +127,17 @@ class DocumentProfile:
 
     @classmethod
     def of(cls, document: Document) -> "DocumentProfile":
-        """Profile a document (one read of its index statistics)."""
-        shape = document_statistics(document)
+        """Profile a document: its index's persisted
+        :class:`~repro.xml.index.DocumentShape` and tag partition
+        lengths — nothing per node, no string decoded."""
+        index = node_index(document)
+        shape = index.shape
         return cls(
-            total_nodes=shape.total_nodes,
+            total_nodes=index.total,
             max_depth=shape.max_depth,
             max_fanout=shape.max_fanout,
-            text_ratio=shape.total_text_bytes / max(1, shape.total_nodes),
-            tag_counts=tuple(sorted(shape.tag_counts.items())),
+            text_ratio=shape.text_chars / max(1, index.total),
+            tag_counts=tuple(sorted((tag, len(pres)) for tag, pres in index.by_tag.items())),
         )
 
     @property

@@ -6,7 +6,7 @@ and the ``id``/``deref_ids`` machinery. Nothing here depends on external
 XML libraries; the parser is a self-contained well-formedness checker.
 
 ``dom`` *is* a set of flat columns in document order — kind, parent,
-subtree size, post rank, depth, name, value per pre number — and every
+subtree size, depth, name, value per pre number — and every
 way into the system produces them. Two forms sit over the columns:
 
 * **Document** (:mod:`repro.xml.document`) — the columns
@@ -24,13 +24,14 @@ way into the system produces them. Two forms sit over the columns:
   lookup, id maps, paths, shape statistics and serialization are
   answered straight from the columns.
 * **Packed index** (:mod:`repro.xml.index`) — the same int columns as
-  memoryviews plus name/kind partitions as sorted pre arrays, made by
+  memoryviews plus name/kind partitions as sorted pre arrays and the
+  document's shape (text volume, element depth and fanout), made by
   one pass over the columns (or, for a loaded document, read out of the
   snapshot) and *adopted* by the document at birth
   (``index_adoptions``). The fused axis kernels, the Core XPath sweeps
   and the table evaluators compute entirely in this plane; the binary
   snapshot format (:mod:`repro.xml.snapshot`) persists exactly these
-  columns and partitions.
+  columns, partitions and shape.
 
 The reference evaluators walk ``Node`` objects; everything else works on
 pre numbers, and results are byte-identical either way.

@@ -1,8 +1,8 @@
 """The flat columns of ``dom``: what every document is stored as.
 
 A document (:class:`~repro.xml.document.Document`) is one kind-code
-byte, four signed-8-byte ints (``parent_pre`` / ``size`` / ``post`` /
-``depth``) and two strings (name, value) per node, in document order —
+byte, three signed-8-byte ints (``parent_pre`` / ``size`` / ``depth``)
+and two strings (name, value) per node, in document order —
 :class:`DocumentColumns`, the column sections of a snapshot.
 :func:`~repro.xml.parser.parse_document` and the builders of
 :mod:`repro.xml.builder` write them as lists
@@ -124,20 +124,19 @@ class DocumentColumns:
     """The flat columns of one document (read-only).
 
     Exactly the column sections of a snapshot: ``kinds`` is a ``bytes``
-    of kind codes, the four int columns are ``array('q')`` (or any int
+    of kind codes, the three int columns are ``array('q')`` (or any int
     buffer), ``names`` / ``values`` are sequences of ``str | None`` — a
     list from the parser or a builder, a :class:`StringTable` from a
     snapshot, and no reader may care which. The int columns are shared
     zero-copy with the document's :class:`~repro.xml.index.NodeIndex`.
     """
 
-    __slots__ = ("kinds", "parent_pre", "size", "post", "depth", "names", "values")
+    __slots__ = ("kinds", "parent_pre", "size", "depth", "names", "values")
 
-    def __init__(self, *, kinds, parent_pre, size, post, depth, names, values):
+    def __init__(self, *, kinds, parent_pre, size, depth, names, values):
         self.kinds = kinds
         self.parent_pre = parent_pre
         self.size = size
-        self.post = post
         self.depth = depth
         self.names = names
         self.values = values
@@ -148,16 +147,11 @@ class DocumentColumns:
     @classmethod
     def from_lists(cls, kinds, parent_pre, size, depth, names, values) -> "DocumentColumns":
         """The columns a writer appended in pre-order, every ``size``
-        closed. Post-order rank by the closed form: the nodes finishing
-        before ``pre`` are those started before it (``pre`` of them)
-        minus its still-open ancestors (``depth``), plus its own
-        descendants (``size - 1``)."""
-        post = [pre - d + s - 1 for pre, (d, s) in enumerate(zip(depth, size))]
+        closed."""
         return cls(
             kinds=bytes(kinds),
             parent_pre=array("q", parent_pre),
             size=array("q", size),
-            post=array("q", post),
             depth=array("q", depth),
             names=names,
             values=values,

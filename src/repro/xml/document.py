@@ -10,7 +10,7 @@ full set.
 
 A :class:`Document` *is* its flat columns
 (:class:`~repro.xml.columns.DocumentColumns`): kind, parent, subtree
-size, post rank, depth, name and value per pre-order number ``pre``.
+size, depth, name and value per pre-order number ``pre``.
 Following the W3C data model, an element's attribute nodes come after
 the element and before its children in document order; ``size`` counts
 a node's subtree including itself and all attributes in it, which lets
@@ -35,11 +35,16 @@ straight from the columns:
 
 * **name/kind tests** — the :class:`~repro.xml.index.NodeIndex`
   partitions, or the kind and name columns;
-* **string values** — :meth:`Document.string_value_of_pre` cuts the
-  subtree's text out of a memoized per-document *text prefix structure*
-  (sorted text-node pres + cumulative offsets into one joined string), an
-  ``O(log #texts)`` bisect per call instead of a subtree walk; its
-  ``to_number`` is memoized per pre (:meth:`Document.number_value_of_pre`);
+* **string values** — :meth:`Document.string_value_of_pre` joins the
+  text nodes of the subtree's interval of the ``text_nodes`` partition
+  (two bisects), until those joins have decoded as many text nodes as
+  the document holds; from then on it cuts the subtree's text out of a
+  memoized per-document *text prefix structure* (sorted text-node pres +
+  cumulative offsets into one joined string), one bisect pair and one
+  slice per call. A document that reads a few string values never pays
+  for the whole join; one that reads many pays for it at most twice
+  over. Its ``to_number`` is memoized per pre
+  (:meth:`Document.number_value_of_pre`);
 * **attribute lookup** — attribute ``i`` of element ``e`` sits at
   ``e + i + 1`` (the columns' attribute-contiguity invariant), so the
   attribute run of an element is a closed pre interval;
@@ -351,21 +356,23 @@ class Document:
         self._id_tokens = None
         self._number_column = None
         self._text_structure_cache = None
+        self._texts_decoded = 0
         self._paths = None
         self._root_element_pre = self._find_root_element_pre()
         axis_kernel_stats.lazy_document()
 
     @classmethod
     def from_columns(
-        cls, columns: DocumentColumns, id_attribute: str = "id", partitions=None
+        cls, columns: DocumentColumns, id_attribute: str = "id", partitions=None,
+        shape=None,
     ) -> "Document":
         """The document over ``columns`` (already known to be legal) with
         its index made from them — or from the persisted ``partitions``
-        of :attr:`NodeIndex.partitions <repro.xml.index.NodeIndex>` —
-        and adopted: no node is created and no index build is ever
-        counted for it."""
+        and ``shape`` of :attr:`NodeIndex.partitions
+        <repro.xml.index.NodeIndex>` / ``NodeIndex.shape`` — and adopted:
+        no node is created and no index build is ever counted for it."""
         document = cls(columns, id_attribute=id_attribute)
-        index = NodeIndex.from_columns(document, columns, partitions)
+        index = NodeIndex.from_columns(document, columns, partitions, shape)
         # First-in wins in the process cache; keep a strong ref to the
         # winner so the weak-keyed cache entry survives as long as the
         # document does (the index only weak-refs the document back).
@@ -520,6 +527,14 @@ class Document:
             child += size[child]
         return index
 
+    @property
+    def text_join_ready(self) -> bool:
+        """Whether the whole-document text join is memoized (see
+        :meth:`string_value_of_pre`) — a probe, like
+        :attr:`NodeIndex.child_table_ready
+        <repro.xml.index.NodeIndex.child_table_ready>`."""
+        return self._text_structure_cache is not None
+
     def _text_structure(self):
         """(sorted text pres, cumulative offsets, joined text) — computed
         once; a lost construction race just recomputes the same value."""
@@ -540,15 +555,30 @@ class Document:
         nodes in the subtree interval ``[pre, pre + size)`` in document
         order: every text node's ancestors inside the interval are
         elements (text attaches only under D/E, and D only at pre 0).
-        One bisect into the text prefix structure, one string slice.
+        Two bisects into the ``text_nodes`` partition find them; they are
+        joined on their own until the joins have decoded as many text
+        nodes as the document holds, and cut from the memoized
+        whole-document join after that (a lost race on the tally only
+        moves that point).
         """
         columns = self.columns
         code = columns.kinds[pre]
         if code != ELEM and code != DOC:
             return columns.values[pre] or ""
-        pres, offsets, joined = self._text_structure()
+        end = pre + columns.size[pre]
+        structure = self._text_structure_cache
+        if structure is None:
+            pres = node_index(self).text_nodes
+            lo = bisect_left(pres, pre)
+            hi = bisect_left(pres, end, lo)
+            self._texts_decoded += hi - lo
+            if self._texts_decoded < len(pres):
+                values = columns.values
+                return "".join([values[text_pre] or "" for text_pre in pres[lo:hi]])
+            structure = self._text_structure()
+        pres, offsets, joined = structure
         lo = bisect_left(pres, pre)
-        hi = bisect_left(pres, pre + columns.size[pre], lo)
+        hi = bisect_left(pres, end, lo)
         return joined[offsets[lo] : offsets[hi]]
 
     def number_value_of_pre(self, pre: int) -> float:

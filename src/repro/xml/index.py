@@ -7,10 +7,8 @@ re-scanning the whole tree to produce a tiny node set. This module holds
 the *derived* structures that make an output-sensitive fast path
 possible, all computed once per document and cached process-wide:
 
-* **pre/post numbering** — ``pre`` is positional (``nodes[i].pre == i``);
-  ``post[i]`` is the post-order rank, so
-  ancestorship is the classic two-number test
-  ``pre(x) < pre(y) and post(x) > post(y)``;
+* **pre numbering** — ``pre`` is positional (``nodes[i].pre == i``),
+  and ancestorship is the interval test ``x < y < x + size[x]``;
 * **size / depth / parent arrays** — ``size[i]`` (subtree size, interval
   arithmetic), ``depth[i]``, ``parent_pre[i]`` (``-1`` for the document
   node), so kernels never chase Python object attributes in their inner
@@ -27,8 +25,8 @@ arrays** (document order for free, set algebra by linear merges —
 these kernels and the paper-bounded scans lives in the step functions of
 :mod:`repro.axes.vec`; this module only provides the machinery.
 
-The columns are **packed**: ``size`` / ``post`` / ``depth`` /
-``parent_pre`` are ``memoryview``s over ``array('q')`` storage, and
+The columns are **packed**: ``size`` / ``depth`` / ``parent_pre`` are
+``memoryview``s over ``array('q')`` storage, and
 every name/kind partition is a zero-copy ``memoryview`` slice into one
 shared packed pre-number array (an offset table maps partition → span).
 Indexing a memoryview yields a plain ``int`` and ``bisect`` works
@@ -39,14 +37,16 @@ persists.
 
 Partitions are made in one place: one ``O(|D|)`` partition pass over a
 document's flat columns (:class:`~repro.xml.columns.DocumentColumns`),
-counted as ``partition_passes`` on :data:`repro.stats.store_stats`.
-Every document is born with its index:
+counted as ``partition_passes`` on :data:`repro.stats.store_stats`. The
+same pass measures the document's :class:`DocumentShape` (text volume,
+element depth and fanout), so a profile of the document reads numbers
+instead of walking nodes. Every document is born with its index:
 :meth:`~repro.xml.document.Document.from_columns` adopts the columns as
 they stand and runs the pass over them — or, for a snapshot load, takes
-the packed array and its span directory (:attr:`NodeIndex.partitions`)
-back as they were written — and :func:`adopt_node_index` seeds the
-process-wide cache with it (``index_adoptions``). :func:`node_index` is
-weak-cached like :func:`repro.service.specialize.document_profile`; a
+the packed array, its span directory (:attr:`NodeIndex.partitions`) and
+the shape back as they were written — and :func:`adopt_node_index`
+seeds the process-wide cache with it (``index_adoptions``).
+:func:`node_index` is weak-cached like :func:`repro.service.specialize.document_profile`; a
 document made without :meth:`~repro.xml.document.Document.from_columns`
 is indexed on first use, under the cache lock, so racing threads see
 exactly one build (``index_builds`` on
@@ -59,7 +59,8 @@ import threading
 import weakref
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING
+from collections import Counter
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT
@@ -73,6 +74,22 @@ KIND_PARTITIONS = (
 )
 
 
+class DocumentShape(NamedTuple):
+    """What the partition pass measures besides the partitions, persisted
+    beside them: the shape numbers no partition length gives."""
+
+    #: Characters over every text node (the document's string value).
+    text_chars: int
+    #: Depth of the deepest element (the root element is at 1).
+    max_depth: int
+    #: Most element children of one element.
+    max_fanout: int
+    #: Elements with at least one element child.
+    fanout_parents: int
+    #: Elements whose parent is an element.
+    fanout_children: int
+
+
 class NodeIndex:
     """Derived per-document arrays and name partitions (read-only).
 
@@ -80,7 +97,6 @@ class NodeIndex:
         document: the indexed (immutable) document.
         total: ``|dom|``.
         size: ``size[i]`` — subtree size of the node with pre number ``i``.
-        post: ``post[i]`` — post-order rank of the node with pre ``i``.
         depth: ``depth[i]`` — distance from the document node (root is 0;
             an attribute is one deeper than its element).
         parent_pre: ``parent_pre[i]`` — pre number of the parent (``-1``
@@ -96,6 +112,7 @@ class NodeIndex:
         partitions: ``(packed, span_ends, tags, attributes, pi_targets)``
             — the storage all of the above are views of, and its span
             directory; see :meth:`_build_partitions`.
+        shape: the :class:`DocumentShape` the same pass measured.
 
     Every partition is a zero-copy slice into one shared packed array;
     all of them index/bisect/slice/iterate like a list, but
@@ -109,12 +126,13 @@ class NodeIndex:
         "_child_offsets",
         "_child_packed",
         "_attribute_counts",
+        "_sibling_hops",
         "size",
-        "post",
         "depth",
         "parent_pre",
         "kinds",
         "partitions",
+        "shape",
         "by_tag",
         "by_attribute",
         "by_pi_target",
@@ -127,21 +145,23 @@ class NodeIndex:
     )
 
     @classmethod
-    def from_columns(cls, document: Document, columns, partitions=None) -> "NodeIndex":
+    def from_columns(
+        cls, document: Document, columns, partitions=None, shape=None
+    ) -> "NodeIndex":
         """The index over a document's flat columns
         (:class:`~repro.xml.columns.DocumentColumns`, already known to
         describe ``document``) — the parser's and the snapshot decoder's
         constructor. The int columns are adopted zero-copy. The parser
-        and the builders leave ``partitions`` out and pay one ``O(|D|)``
-        partition pass over the kind and name columns, which never
+        and the builders leave ``partitions`` and ``shape`` out and pay
+        one ``O(|D|)`` partition pass over the columns, which never
         touches ``document.nodes`` (doing so would create every node);
-        the decoder hands in the persisted :attr:`partitions` of the
-        encoded index and pays nothing per node."""
+        the decoder hands in the persisted :attr:`partitions` and
+        :attr:`shape` of the encoded index and pays nothing per node."""
         index = cls.__new__(cls)
-        index._adopt(document, columns, partitions)
+        index._adopt(document, columns, partitions, shape)
         return index
 
-    def _adopt(self, document: Document, columns, partitions=None) -> None:
+    def _adopt(self, document: Document, columns, partitions=None, shape=None) -> None:
         # Weak back-reference only: the index is the *value* of a
         # weak-keyed cache whose key is the document — a strong reference
         # here would make every key strongly reachable from its own value
@@ -150,18 +170,19 @@ class NodeIndex:
         self._child_offsets = None
         self._child_packed = None
         self._attribute_counts = None
+        self._sibling_hops = 0
         self.total = len(columns)
         self.size = memoryview(columns.size)
-        self.post = memoryview(columns.post)
         self.depth = memoryview(columns.depth)
         self.parent_pre = memoryview(columns.parent_pre)
         self.kinds = columns.kinds
         if partitions is None:
-            partitions = self._build_partitions(columns.kinds, columns.names)
+            partitions, shape = self._build_partitions(columns)
+        self.shape = shape
         self._point_at(*partitions)
 
     @staticmethod
-    def _build_partitions(kinds, names):
+    def _build_partitions(columns) -> tuple[tuple, DocumentShape]:
         """One pre-order pass over the kind and name columns filling the
         kind and name partitions (sorted by construction), packed into
         the persisted form ``(packed, span_ends, tags, attributes,
@@ -170,8 +191,11 @@ class NodeIndex:
         in :data:`KIND_PARTITIONS` order, then the tag, attribute-name
         and PI-target partitions in first-occurrence order — with the
         end offset of each (it starts where its predecessor ends) and
-        the three key lists."""
+        the three key lists. Returns them with the document's
+        :class:`DocumentShape`, gathered from the element and text
+        partitions before they are packed."""
         store_stats.tick("partition_passes")
+        kinds, names = columns.kinds, columns.names
         by_tag: dict[str, list[int]] = {}
         by_attribute: dict[str, list[int]] = {}
         by_pi: dict[str, list[int]] = {}
@@ -222,7 +246,21 @@ class NodeIndex:
         ):
             packed.extend(partition)
             span_ends.append(len(packed))
-        return packed, span_ends, list(by_tag), list(by_attribute), list(by_pi)
+        # The shape, one C-level map per measure over the partitions just
+        # filled. Elements hang under elements or under the document node
+        # (pre 0), whose children do not count as fanout.
+        values = columns.values
+        fanout = Counter(map(columns.parent_pre.__getitem__, elements))
+        fanout.pop(0, None)
+        shape = DocumentShape(
+            text_chars=sum(map(len, filter(None, map(values.__getitem__, text_nodes)))),
+            max_depth=max(map(columns.depth.__getitem__, elements), default=0),
+            max_fanout=max(fanout.values(), default=0),
+            fanout_parents=len(fanout),
+            fanout_children=sum(fanout.values()),
+        )
+        partitions = (packed, span_ends, list(by_tag), list(by_attribute), list(by_pi))
+        return partitions, shape
 
     def _point_at(self, packed, span_ends, tags, attributes, pi_targets) -> None:
         """Point the partition attributes at zero-copy ``memoryview``
@@ -361,6 +399,25 @@ class NodeIndex:
         self._child_offsets = offsets
         return offsets, children
 
+    def sibling_table(self):
+        """The child table for a sibling step, or ``None`` while hopping
+        is the cheaper way: a step then walks ``c += size[c]`` inside the
+        parent's interval, paying for its own output, and tallies the
+        nodes it visited with :meth:`count_sibling_hops`. Once a
+        document's hops have visited ``total`` nodes the ``O(|D|)``
+        build has been paid for once over, so the table is built (or
+        was, by another step) and every later sibling step slices it:
+        neither way costs more than twice the other, and a long-lived
+        document ends up with its table."""
+        if self._child_offsets is None and self._sibling_hops < self.total:
+            return None
+        return self.child_table()
+
+    def count_sibling_hops(self, visited: int) -> None:
+        """Tally ``visited`` nodes hopped by a sibling step (unlocked: a
+        lost update only moves the point :meth:`sibling_table` switches)."""
+        self._sibling_hops += visited
+
     def attribute_counts(self):
         """``array('q')`` of per-pre attribute counts: element ``p``'s
         attributes are exactly the contiguous run ``p+1 .. p+counts[p]``
@@ -385,25 +442,23 @@ class NodeIndex:
         return chain
 
     def is_ancestor(self, x_pre: int, y_pre: int) -> bool:
-        """The two-number ancestorship test (proper)."""
-        return x_pre < y_pre and self.post[x_pre] > self.post[y_pre]
+        """Proper ancestorship: ``y`` lies strictly inside ``x``'s
+        subtree interval."""
+        return x_pre < y_pre < x_pre + self.size[x_pre]
 
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
         """Assert every invariant the fused kernels rely on; raises
         ``AssertionError`` with a description on violation. O(|D|²) in
-        the pre/post cross-check — property-test use only.
+        the interval cross-check — property-test use only.
         """
         names = self.document.columns.names
         total = self.total
-        assert len(self.kinds) == len(self.size) == len(self.post) == total, (
-            "column lengths diverged"
-        )
+        assert len(self.kinds) == len(self.size) == total, "column lengths diverged"
         assert len(self.depth) == len(self.parent_pre) == total, (
             "column lengths diverged"
         )
-        assert sorted(self.post) == list(range(total)), "post is not a permutation"
         assert self.parent_pre[0] == -1 and self.depth[0] == 0, "document node broken"
         # Sizes recomputed bottom-up from the parent column (a child's
         # pre exceeds its parent's, so walking backwards sees it first).
@@ -415,14 +470,12 @@ class NodeIndex:
             sizes[parent] += sizes[pre]
         for pre in range(total):
             assert self.size[pre] == sizes[pre], f"size broken at pre={pre}"
-        # Pre/post consistency: interval containment iff pre/post order.
-        for x in range(total):
-            x_end = x + self.size[x]
-            for y in range(total):
-                interval = x < y < x_end
-                two_number = x < y and self.post[x] > self.post[y]
-                assert interval == two_number, (
-                    f"pre/post inconsistent for ({x}, {y})"
+        # Interval containment iff the parent chain reaches x.
+        for y in range(total):
+            chain = set(self.ancestors_of(y))
+            for x in range(total):
+                assert self.is_ancestor(x, y) == (x in chain), (
+                    f"intervals and parents disagree for ({x}, {y})"
                 )
         partitions = [
             self.elements,

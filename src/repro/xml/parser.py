@@ -4,8 +4,7 @@
 regex (one alternative per construct, attribute runs split by a second
 regex) and appends to the flat columns of the paper's data model —
 ``kinds`` / ``parent_pre`` / ``size`` / ``depth`` / ``names`` /
-``values``, ``post`` by the closed form — closing an element's ``size``
-on its end tag. The result is a :class:`~repro.xml.document.Document`
+``values`` — closing an element's ``size`` on its end tag. The result is a :class:`~repro.xml.document.Document`
 with its :class:`~repro.xml.index.NodeIndex` adopted: no ``Node`` exists
 until a caller touches one, and no index build ever runs for it.
 

@@ -1,29 +1,32 @@
-"""Binary snapshots of documents (``RXSNAP03``).
+"""Binary snapshots of documents (``RXSNAP04``).
 
 A snapshot is a document in the shape a load will use it: the flat
 columns :func:`~repro.xml.parser.parse_document` produces, the two
 string columns as offset tables over UTF-8 blobs
 (:class:`~repro.xml.columns.StringTable` decodes a string when it is
-asked for), and the index's partitions as the packed array and span
+asked for), the index's partitions as the packed array and span
 directory it holds anyway (:attr:`NodeIndex.partitions
-<repro.xml.index.NodeIndex>`). A document is written as it stands; a
-load reads the int sections with ``frombytes``, points
-``memoryview`` slices at the partition array and adopts the index
+<repro.xml.index.NodeIndex>`), and the document's shape
+(:class:`~repro.xml.index.DocumentShape`: text characters, element
+depth and fanout) that the partition pass measured. A document is
+written as it stands; a load reads the int sections with ``frombytes``,
+points ``memoryview`` slices at the partition array and adopts the index
 (``index_adoptions``) — no parse, no index build, no partition pass, no
-string decoded, no node created. :class:`~repro.xml.store.DocumentStore`
-keeps one such file per document;
+string decoded, no node created; profiling the loaded document decodes
+no text either. :class:`~repro.xml.store.DocumentStore` keeps one such
+file per document;
 :class:`~repro.service.scheduler.ProcessScheduler` ships them to workers.
 
 Layout (all integers little-endian)::
 
-    magic      8 bytes            b"RXSNAP03"
-    version    u32                3
+    magic      8 bytes            b"RXSNAP04"
+    version    u32                4
     n          u64                node count (>= 1)
     name       u32 length + UTF-8 the store's name for the document
                                   (empty outside a store)
     id_attr    u32 length + UTF-8
     kinds      n bytes            one code per node: D E A T C P
-    parent_pre, size, post, depth   n x i64 each
+    parent_pre, size, depth       n x i64 each
     names, values                 one string table each (below)
     packed     u64 p + p x i64    every partition, concatenated
     key counts u32 T, u32 A, u32 P  tags, attribute names, PI targets
@@ -32,6 +35,10 @@ Layout (all integers little-endian)::
                                   predecessor ends): the six kind
                                   partitions, then one per key
     keys       string table of T + A + P entries
+    shape      5 x i64            text characters, max element depth,
+                                  max element fanout, elements with an
+                                  element child, elements under an
+                                  element (``DocumentShape`` order)
     crc        u32                zlib.crc32 over every preceding byte
 
 A string table of ``k`` entries is ``(k + 1) x i64`` offsets, a ``u64``
@@ -46,9 +53,9 @@ to ``p``, trailing bytes. :func:`check_snapshot` is the full ``O(|D|)``
 structural check on top of it: the columns are a pre-order numbering of
 a legal tree (parents precede children, attributes sit contiguously
 behind their element, exact ``size`` / ``depth``, every subtree one
-nested interval, ``post = pre - depth + size - 1``), the string tables
-are monotone and decode, and the persisted partitions are exactly what a
-partition pass over the columns yields. :func:`decode_snapshot` — for
+nested interval), the string tables are monotone and decode, and the
+persisted partitions and shape are exactly what a partition pass over
+the columns yields. :func:`decode_snapshot` — for
 bytes a caller hands in: the process scheduler's payloads, the CLI,
 anything that crossed a boundary — always runs it, because a CRC says
 the bytes are the ones that were written, not that what was written is a
@@ -63,8 +70,8 @@ are the whole argument. ``structural_checks`` on
 Every failure raises :class:`~repro.errors.SnapshotCorruptError` (a
 :class:`~repro.errors.DocumentStoreError`) with the byte offset at which
 reading stopped when one is known — ``struct``, ``zlib`` and codec
-internals never reach a caller. A blob of the previous format
-(``RXSNAP02``) is refused the same way, naming the remedy.
+internals never reach a caller. A blob of an earlier format
+(``RXSNAP02``, ``RXSNAP03``) is refused the same way, naming the remedy.
 """
 
 from __future__ import annotations
@@ -80,14 +87,15 @@ from repro.errors import DocumentStoreError, SnapshotCorruptError
 from repro.stats import store_stats
 from repro.xml.columns import DocumentColumns, StringTable
 from repro.xml.document import Document
-from repro.xml.index import KIND_PARTITIONS, NodeIndex, node_index
+from repro.xml.index import KIND_PARTITIONS, DocumentShape, NodeIndex, node_index
 
-SNAPSHOT_MAGIC = b"RXSNAP03"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_MAGIC = b"RXSNAP04"
+SNAPSHOT_VERSION = 4
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _KEY_COUNTS = struct.Struct("<III")
+_SHAPE = struct.Struct(f"<{len(DocumentShape._fields)}q")
 #: magic, version, node count: what precedes the name.
 _FIXED_HEADER = len(SNAPSHOT_MAGIC) + 4 + 8
 
@@ -128,8 +136,8 @@ def encode_snapshot(document: Document, name: str = "") -> bytes:
     adopted index as they stand — no node is created, no partition
     pass runs."""
     columns = document.columns
-    partitions = node_index(document).partitions
-    packed, span_ends, tags, attributes, pi_targets = partitions
+    index = node_index(document)
+    packed, span_ends, tags, attributes, pi_targets = index.partitions
     payload = b"".join(
         (
             SNAPSHOT_MAGIC,
@@ -140,7 +148,6 @@ def encode_snapshot(document: Document, name: str = "") -> bytes:
             bytes(columns.kinds),
             _column_bytes(columns.parent_pre),
             _column_bytes(columns.size),
-            _column_bytes(columns.post),
             _column_bytes(columns.depth),
             _string_table(columns.names),
             _string_table(columns.values),
@@ -149,6 +156,7 @@ def encode_snapshot(document: Document, name: str = "") -> bytes:
             _KEY_COUNTS.pack(len(tags), len(attributes), len(pi_targets)),
             _column_bytes(span_ends),
             _string_table(tags + attributes + pi_targets),
+            _SHAPE.pack(*index.shape),
         )
     )
     return payload + _U32.pack(zlib.crc32(payload))
@@ -208,6 +216,13 @@ class _Reader:
                 "with this one",
                 offset=0,
             )
+        if magic == b"RXSNAP03":
+            raise SnapshotCorruptError(
+                "snapshot format v3 (RXSNAP03) is no longer read: load the "
+                "document with a release that still reads it, or parse its "
+                "source again, and save it with this one",
+                offset=0,
+            )
         if magic != SNAPSHOT_MAGIC:
             raise _corrupt("bad magic", 0)
         version = self.u32("header")
@@ -232,10 +247,10 @@ def snapshot_name(read) -> str:
     return _Reader(read(length)).utf8(length, "name")
 
 
-def read_snapshot(blob) -> tuple[str, str, DocumentColumns, tuple]:
-    """The reader: ``(name, id_attribute, columns, partitions)`` of a
-    blob — envelope (magic, version, CRC) and section bounds verified,
-    every section adopted in the shape it will be used
+def read_snapshot(blob) -> tuple[str, str, DocumentColumns, tuple, DocumentShape]:
+    """The reader: ``(name, id_attribute, columns, partitions, shape)``
+    of a blob — envelope (magic, version, CRC) and section bounds
+    verified, every section adopted in the form it will be used
     (``partitions`` is :attr:`NodeIndex.partitions
     <repro.xml.index.NodeIndex>`), no node walked. Whether the sections
     describe a document is :func:`check_snapshot`'s question."""
@@ -253,7 +268,6 @@ def read_snapshot(blob) -> tuple[str, str, DocumentColumns, tuple]:
         kinds=bytes(reader.take(total, "kind column")),
         parent_pre=reader.ints(total, "parent column"),
         size=reader.ints(total, "size column"),
-        post=reader.ints(total, "post column"),
         depth=reader.ints(total, "depth column"),
         names=reader.string_table(total, "name"),
         values=reader.string_table(total, "value"),
@@ -269,18 +283,19 @@ def read_snapshot(blob) -> tuple[str, str, DocumentColumns, tuple]:
             reader.offset - 8 * len(spans),
         )
     keys = list(reader.string_table(keyed, "partition key"))
+    shape = DocumentShape(*_SHAPE.unpack(reader.take(_SHAPE.size, "shape")))
     if reader.offset != len(reader.blob):
         raise _corrupt("trailing bytes", reader.offset)
     split = tags + attributes
     partitions = (packed, span_ends, keys[:tags], keys[tags:split], keys[split:])
-    return name, id_attribute, columns, partitions
+    return name, id_attribute, columns, partitions, shape
 
 
 def _first(flags) -> int:
     return next(i for i, flag in enumerate(flags) if flag)
 
 
-def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
+def _validate_columns(kinds, parent_pre, size, depth, names) -> None:
     """Reject columns that do not describe a legal document.
 
     The per-node loop is written for speed: byte compares instead of
@@ -293,9 +308,7 @@ def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
     doc, elem, attr = ord("D"), ord("E"), ord("A")
     # The loops below gather by parent index; lists hand back their
     # boxed ints directly where arrays would box one per access.
-    parent_pre, size, post, depth = (
-        column.tolist() for column in (parent_pre, size, post, depth)
-    )
+    parent_pre, size, depth = (column.tolist() for column in (parent_pre, size, depth))
     if kinds[0] != doc or parent_pre[0] != -1 or depth[0] != 0 or names[0] is not None:
         raise _corrupt("malformed document node")
     ends = [i + s for i, s in enumerate(size)]
@@ -341,25 +354,23 @@ def _validate_columns(kinds, parent_pre, size, post, depth, names) -> None:
         recomputed[parent_pre[i]] += recomputed[i]
     if size != recomputed:
         raise _corrupt(f"size broken at node {_first(map(ne, size, recomputed))}")
-    # Closed-form post identity — pins the whole column exactly.
-    expected_post = [i - d + s - 1 for i, (d, s) in enumerate(zip(depth, size))]
-    if post != expected_post:
-        raise _corrupt(f"post broken at node {_first(map(ne, post, expected_post))}")
 
 
-def check_snapshot(columns: DocumentColumns, partitions: tuple) -> None:
+def check_snapshot(columns: DocumentColumns, partitions: tuple, shape: DocumentShape) -> None:
     """The full ``O(|D|)`` structural check (see the module docstring):
-    legal columns, sound string tables, and persisted partitions equal
-    to a fresh partition pass over the columns. It has to decode every
-    string, and leaves them in ``columns`` as lists for the document."""
+    legal columns, sound string tables, and persisted partitions and
+    shape equal to a fresh partition pass over the columns. It has to
+    decode every string, and leaves them in ``columns`` as lists for the
+    document."""
     store_stats.tick("structural_checks")
     names = columns.names = columns.names.checked("name")
     columns.values = columns.values.checked("value")
-    _validate_columns(
-        columns.kinds, columns.parent_pre, columns.size, columns.post, columns.depth, names
-    )
-    if partitions != NodeIndex._build_partitions(columns.kinds, names):
+    _validate_columns(columns.kinds, columns.parent_pre, columns.size, columns.depth, names)
+    fresh_partitions, fresh_shape = NodeIndex._build_partitions(columns)
+    if partitions != fresh_partitions:
         raise _corrupt("persisted partitions disagree with the columns")
+    if shape != fresh_shape:
+        raise _corrupt("persisted shape disagrees with the columns")
 
 
 def decode_snapshot(blob: bytes, lazy: bool = True) -> Document:
@@ -371,11 +382,11 @@ def decode_snapshot(blob: bytes, lazy: bool = True) -> Document:
     Raises :class:`~repro.errors.SnapshotCorruptError` on any corruption:
     truncation, bad magic, wrong version, checksum mismatch, sections
     that disagree about their sizes, node tables that are not a legal
-    pre-order numbering, partitions that are not the columns'.
+    pre-order numbering, partitions or a shape that are not the columns'.
     """
-    _, id_attribute, columns, partitions = read_snapshot(blob)
-    check_snapshot(columns, partitions)
-    return Document.from_columns(columns, id_attribute, partitions)
+    _, id_attribute, columns, partitions, shape = read_snapshot(blob)
+    check_snapshot(columns, partitions, shape)
+    return Document.from_columns(columns, id_attribute, partitions, shape)
 
 
 def decode_stored(blob: bytes, name: str) -> Document:
@@ -383,25 +394,25 @@ def decode_stored(blob: bytes, name: str) -> Document:
     :class:`~repro.xml.store.DocumentStore` wrote itself: read and
     adopted, the full check left out (the module docstring says why),
     the header required to name the document asked for."""
-    stored_name, id_attribute, columns, partitions = read_snapshot(blob)
+    stored_name, id_attribute, columns, partitions, shape = read_snapshot(blob)
     if stored_name != name:
         raise _corrupt(f"file for {name!r} holds {stored_name!r}", _FIXED_HEADER)
-    return Document.from_columns(columns, id_attribute, partitions)
+    return Document.from_columns(columns, id_attribute, partitions, shape)
 
 
 def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
     """Storage accounting for a snapshot blob (``repro-xpath store
     list``), through the reader alone: the bytes the blob occupies as
     stored, the flat-column payload a load keeps resident (one kind byte
-    + four 8-byte ints per node, plus the raw UTF-8 name/value blobs)
+    + three 8-byte ints per node, plus the raw UTF-8 name/value blobs)
     and the packed partition array beside it — Python object overhead
     excluded on purpose; a document has no per-node objects to count."""
-    _, _, columns, partitions = read_snapshot(blob)
+    _, _, columns, partitions, _ = read_snapshot(blob)
     name_bytes, value_bytes = len(columns.names.blob), len(columns.values.blob)
     return {
         "nodes": len(columns),
         "disk_bytes": len(blob),
-        "column_bytes": len(columns) * 33 + name_bytes + value_bytes,
+        "column_bytes": len(columns) * 25 + name_bytes + value_bytes,
         "name_bytes": name_bytes,
         "value_bytes": value_bytes,
         "partition_bytes": 8 * len(partitions[0]),

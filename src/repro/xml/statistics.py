@@ -3,10 +3,10 @@
 The paper's complexity bounds are stated in |D| alone, but the constants
 hide document shape: depth drives ancestor/descendant work, fanout drives
 sibling/position work, text volume drives string-value comparisons. This
-module computes those shape statistics — a read of the document's
-index — for the specializer's
-``DocumentProfile``, the ``fragment_advisor`` example (to contextualize
-measurements) and workload tests asserting generator shapes.
+module reads those shape statistics off the document's index — for the
+``fragment_advisor`` example (to contextualize measurements) and
+workload tests asserting generator shapes; the specializer's
+``DocumentProfile`` reads the same index numbers directly.
 """
 
 from __future__ import annotations
@@ -61,17 +61,15 @@ class DocumentStatistics:
 
 
 def document_statistics(document: Document) -> DocumentStatistics:
-    """Shape statistics for a document, read off its index — nothing
-    per node and no node created
-    (:func:`repro.service.specialize.document_profile` runs this on every
-    document before its first query): kind counts and ``tag_counts`` are
-    partition lengths, depth and element-child fanout are gathered from
-    the ``depth`` / ``parent_pre`` columns by the ``elements`` partition,
-    text volume is the length of the document node's string value (every
-    text node joined: the prefix structure the first string comparison
-    builds anyway), identified elements come off
-    ``by_attribute[id_attribute]``."""
+    """Shape statistics for a document, read off its index with no node
+    created: kind counts and ``tag_counts`` are partition lengths; depth,
+    element-child fanout and text volume are the index's
+    :class:`~repro.xml.index.DocumentShape`, which the partition pass
+    measured (and a snapshot persists), so no text is decoded. The one
+    loop left runs over the ``by_attribute[id_attribute]`` partition to
+    count identified elements."""
     index = node_index(document)
+    shape = index.shape
     values = document.columns.values
     parent_of = index.parent_pre.__getitem__
     stats = DocumentStatistics(
@@ -81,9 +79,12 @@ def document_statistics(document: Document) -> DocumentStatistics:
         text_nodes=len(index.text_nodes),
         comments=len(index.comments),
         processing_instructions=len(index.pis),
-        max_depth=max(map(index.depth.__getitem__, index.elements), default=0),
-        total_text_bytes=len(document.string_value_of_pre(0)),
+        max_depth=shape.max_depth,
+        max_fanout=shape.max_fanout,
+        total_text_bytes=shape.text_chars,
         tag_counts=Counter({tag: len(pres) for tag, pres in index.by_tag.items()}),
+        _parents=shape.fanout_parents,
+        _child_sum=shape.fanout_children,
     )
     # Attributes of one element are consecutive in the partition, and
     # only the first id-named one counts (Node.attribute's rule).
@@ -93,12 +94,4 @@ def document_statistics(document: Document) -> DocumentStatistics:
         if parent != last_parent:
             last_parent = parent
             stats.identified_elements += values[pre] is not None
-    # Elements hang under elements or under the document node (pre 0),
-    # whose children do not count as fanout.
-    fanout = Counter(map(parent_of, index.elements))
-    fanout.pop(0, None)
-    if fanout:
-        stats._parents = len(fanout)
-        stats._child_sum = sum(fanout.values())
-        stats.max_fanout = max(fanout.values())
     return stats

@@ -39,7 +39,10 @@ a copy of the name table, so:
 Refused at open, with the remedy: a file at ``path`` — the JSON catalog
 of store formats v1 and v2, which this layout has no use for. Refused at
 load: an ``RXSNAP02`` file (a v2 sidecar). A checkout at or before PR 22
-reads both; load the documents there and save them here.
+reads both; load the documents there and save them here. An ``RXSNAP03``
+file (the format before the persisted document shape) is refused at
+load too: load it with a release that reads it, or parse its source
+again, and save it here.
 :data:`repro.stats.store_stats` counts puts, deletes, opens, files
 written, fsyncs and bytes, each where it happens.
 """

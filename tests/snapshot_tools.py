@@ -1,4 +1,4 @@
-"""The ``RXSNAP03`` layout spelled out a second time, for the tests.
+"""The ``RXSNAP04`` layout spelled out a second time, for the tests.
 
 ``assemble_snapshot`` builds a CRC-valid blob from arbitrary (also
 illegal) tables without going through ``encode_snapshot``;
@@ -13,10 +13,11 @@ import struct
 import zlib
 from array import array
 
+from repro.xml.columns import DocumentColumns
 from repro.xml.index import NodeIndex
 
-MAGIC = b"RXSNAP03"
-VERSION = 3
+MAGIC = b"RXSNAP04"
+VERSION = 4
 
 
 def reseal(payload: bytes) -> bytes:
@@ -47,14 +48,21 @@ def sized(text: str) -> bytes:
 
 
 def assemble_snapshot(
-    *, kinds, parent_pre, size, post, depth, names, values,
-    partitions=None, name="", id_attribute="id",
+    *, kinds, parent_pre, size, depth, names, values,
+    partitions=None, shape=None, name="", id_attribute="id",
 ) -> bytes:
-    """A structurally arbitrary, CRC-valid snapshot. ``partitions``
-    defaults to what an honest writer would persist for these kinds and
-    names (``NodeIndex.partitions``' five components)."""
-    if partitions is None:
-        partitions = NodeIndex._build_partitions(kinds, names)
+    """A structurally arbitrary, CRC-valid snapshot. ``partitions`` and
+    ``shape`` default to what an honest writer would persist for these
+    columns (``NodeIndex.partitions``' five components, the five
+    ``DocumentShape`` numbers)."""
+    honest_partitions, honest_shape = NodeIndex._build_partitions(
+        DocumentColumns(
+            kinds=kinds, parent_pre=parent_pre, size=size, depth=depth,
+            names=names, values=values,
+        )
+    )
+    partitions = honest_partitions if partitions is None else partitions
+    shape = honest_shape if shape is None else shape
     packed, span_ends, tags, attributes, pi_targets = partitions
     return reseal(
         MAGIC
@@ -64,7 +72,6 @@ def assemble_snapshot(
         + bytes(kinds)
         + ints(parent_pre)
         + ints(size)
-        + ints(post)
         + ints(depth)
         + string_table(names)
         + string_table(values)
@@ -73,6 +80,7 @@ def assemble_snapshot(
         + struct.pack("<III", len(tags), len(attributes), len(pi_targets))
         + ints(span_ends)
         + string_table(list(tags) + list(attributes) + list(pi_targets))
+        + ints(shape)
     )
 
 
@@ -99,7 +107,7 @@ def snapshot_layout(blob: bytes) -> dict[str, tuple[int, int]]:
         (length,) = struct.unpack("<I", mark(f"{what} length", 4))
         mark(what, length)
     mark("kinds", total)
-    for column in ("parent_pre", "size", "post", "depth"):
+    for column in ("parent_pre", "size", "depth"):
         mark(column, 8 * total)
     table("names", total)
     table("values", total)
@@ -108,6 +116,7 @@ def snapshot_layout(blob: bytes) -> dict[str, tuple[int, int]]:
     keyed = sum(struct.unpack("<III", mark("key counts", 12)))
     mark("span ends", 8 * (6 + keyed))
     table("keys", keyed)
+    mark("shape", 8 * 5)
     mark("crc", 4)
     assert cursor == len(blob), "not a well-formed snapshot"
     return sections

@@ -2,8 +2,8 @@
 
 Two properties carry the whole output-sensitive fast path:
 
-* **Index invariants** — pre/post consistency (interval containment iff
-  the two-number test), partition sortedness/completeness, and the
+* **Index invariants** — ancestorship (interval containment iff the
+  parent chain), partition sortedness/completeness, and the
   size/depth/parent arrays mirroring the tree, asserted directly over a
   fuzz corpus (:meth:`repro.xml.index.NodeIndex.validate` plus explicit
   checks here).
@@ -117,14 +117,14 @@ def test_node_index_invariants_hold_on_the_corpus():
 
 
 def test_pre_post_numbering_characterizes_ancestorship():
-    """The classic two-number test: x is a proper ancestor of y iff
-    pre(x) < pre(y) and post(x) > post(y)."""
+    """The interval test: x is a proper ancestor of y iff
+    x < y < x + size(x) — exactly when x is on y's parent chain."""
     for document in _corpus():
         index = node_index(document)
-        for x in document.nodes:
-            for y in document.nodes:
-                expected = x.is_ancestor_of(y) and x is not y
-                assert index.is_ancestor(x.pre, y.pre) == expected, (x, y)
+        for y in range(len(document.nodes)):
+            chain = set(index.ancestors_of(y))
+            for x in range(len(document.nodes)):
+                assert index.is_ancestor(x, y) == (x in chain), (x, y)
 
 
 def test_partitions_are_sorted_and_complete():

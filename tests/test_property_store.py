@@ -7,8 +7,9 @@ document and therefore passes it. These properties hold that
 premise to account over generated documents — built documents with
 non-ASCII names and values, text appended in pieces, comments, PIs and
 a custom id attribute, and parsed markup — and pin what a load hands
-back: the same columns, the same partitions and the same statistics as
-the document that was saved, whichever of the two readers read it. The
+back: the same columns, the same partitions and the same statistics and
+profile (read off the persisted shape) as the document that was saved,
+whichever of the two readers read it. The
 parser is the builder's oracle: a built document's columns are those
 of its serialization, parsed.
 """
@@ -22,6 +23,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_node_statistics
+from repro.service.specialize import DocumentProfile
 from repro.xml.builder import DocumentBuilder
 from repro.xml.document import Document
 from repro.xml.index import KIND_PARTITIONS, node_index
@@ -103,7 +105,6 @@ def _columns(document) -> tuple:
         bytes(columns.kinds),
         list(columns.parent_pre),
         list(columns.size),
-        list(columns.post),
         list(columns.depth),
         list(columns.names),
         list(columns.values),
@@ -189,3 +190,29 @@ def test_built_columns_are_the_columns_of_their_parsed_serialization(data):
     parsed = parse_document(serialize(built), id_attribute=id_attribute)
     assert _columns(built) == _columns(parsed)
     assert _partitions(built) == _partitions(parsed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_parsed_built_decoded_and_loaded_documents_profile_alike(data):
+    """One shape, four ways to a document: built, parsed from the built
+    one's serialization, fully checked by ``decode_snapshot`` and loaded
+    by the store — which reads the shape the file persists and checks
+    nothing. All four give the per-node oracle's statistics and one
+    profile; a persisted text total off by one would fail the loaded
+    leg."""
+    id_attribute = data.draw(st.sampled_from(["id", "key"]))
+    builder = DocumentBuilder(id_attribute=id_attribute)
+    _build(builder, data.draw(tree_specs(_ASCII_NAMES, id_attribute)))
+    built = builder.build()
+    parsed = parse_document(serialize(built), id_attribute=id_attribute)
+    trusted, checked = _round_trips(built, "doc")
+    oracle = per_node_statistics(parsed)
+    profile = DocumentProfile.of(parsed)
+    assert profile.text_ratio == oracle.total_text_bytes / oracle.total_nodes
+    assert (profile.max_depth, profile.max_fanout) == (oracle.max_depth, oracle.max_fanout)
+    for document in (parsed, built, checked, trusted):
+        assert _same_statistics(document_statistics(document), oracle)
+        assert DocumentProfile.of(document) == profile
+        assert document.materialized_count() == 0
+    assert not trusted.text_join_ready

@@ -1,5 +1,5 @@
 """Binary snapshot codec: corruption fuzzing and byte-identity (PR 6;
-``RXSNAP03`` layout since PR 24).
+``RXSNAP04`` layout: no ``post`` column, the document shape persisted).
 
 Two properties carry the snapshot path (that the kernels equal the
 Definition-1 scans is ``tests/test_node_index.py``'s, over the same
@@ -10,11 +10,12 @@ corpus: a decoded document is a built one):
   their sizes, checksum failure, and — through ``decode_snapshot``,
   which runs the full structural check — node tables, string tables and
   persisted partitions that carry a valid CRC but do not describe a
-  document. ``DocumentStore.load`` leaves the full check out; what it
+  document, and a persisted shape that is not the columns'.
+  ``DocumentStore.load`` leaves the full check out; what it
   must still catch (everything the checksum, the header and the
   reader's bounds can see) is asserted beside each case.
 * **Round-trip equality** — a decoded snapshot reproduces ``pre`` /
-  ``post`` / ``size`` / ``depth`` / every partition exactly, and its
+  ``size`` / ``depth`` / every partition and the shape exactly, and its
   index arrives adopted (``index_adoptions``), never rebuilt
   (``index_builds``).
 """
@@ -158,7 +159,6 @@ def test_structurally_illegal_tables_rejected_despite_valid_crc():
         kinds=b"DEA",
         parent_pre=[-1, 0, 1],
         size=[3, 2, 1],
-        post=[2, 1, 0],
         depth=[0, 1, 2],
         names=[None, "a", "id"],
         values=[None, None, "1"],
@@ -178,7 +178,6 @@ def test_structurally_illegal_tables_rejected_despite_valid_crc():
         variant(parent_pre=[-1, 0, 5]),  # parent out of range
         variant(parent_pre=[-1, 0, 0]),  # attribute owned by document
         variant(size=[3, 1, 1]),  # wrong subtree size
-        variant(post=[2, 0, 1]),  # wrong post order
         variant(depth=[0, 1, 1]),  # wrong depth
         variant(names=[None, None, "id"]),  # unnamed element
         variant(names=["d", "a", "id"]),  # named document node
@@ -187,8 +186,8 @@ def test_structurally_illegal_tables_rejected_despite_valid_crc():
     for blob in bad_blobs:
         with pytest.raises(DocumentStoreError):
             decode_snapshot(blob)
-    # Parents precede children, depths and (recomputed) sizes agree, the
-    # closed-form post holds — and node 3, a child of node 1, lies
+    # Parents precede children, depths and (recomputed) sizes agree —
+    # and node 3, a child of node 1, lies
     # outside [1, 1 + size[1]): not a pre-order numbering. Decoded before
     # PR 24; ``/a/descendant::*`` then answered ``b`` and ``//a/c``
     # nothing.
@@ -198,7 +197,6 @@ def test_structurally_illegal_tables_rejected_despite_valid_crc():
                 kinds=b"DEEE",
                 parent_pre=[-1, 0, 0, 1],
                 size=[4, 2, 1, 1],
-                post=[3, 1, 1, 1],
                 depth=[0, 1, 1, 2],
                 names=[None, "a", "b", "c"],
                 values=[None, None, None, None],
@@ -212,7 +210,6 @@ def test_attribute_contiguity_enforced():
         kinds=b"DETA",
         parent_pre=[-1, 0, 1, 1],
         size=[4, 3, 1, 1],
-        post=[3, 2, 0, 1],
         depth=[0, 1, 2, 2],
         names=[None, "a", None, "id"],
         values=[None, None, "t", "1"],
@@ -259,7 +256,8 @@ def test_round_trip_columns_and_partitions_equal():
         original_index = node_index(document)
         loaded = decode_snapshot(encode_snapshot(document))
         loaded_index = node_index(loaded)
-        for column in ("size", "post", "depth", "parent_pre"):
+        assert loaded_index.shape == original_index.shape
+        for column in ("size", "depth", "parent_pre"):
             assert list(getattr(loaded_index, column)) == list(
                 getattr(original_index, column)
             ), column
@@ -392,8 +390,8 @@ def _is_pre_order(parent_pre) -> bool:
 
 def test_reparented_tables_decode_only_when_they_are_still_pre_order():
     """Resealed structural fuzz: move one subtree root under another
-    element or the document node and recompute ``depth``, ``size`` and
-    ``post`` from the new ``parent_pre`` — every per-node check of the
+    element or the document node and recompute ``depth`` and ``size``
+    from the new ``parent_pre`` — every per-node check of the
     old validator passes by construction. The table must decode exactly
     when it is still a pre-order numbering; before the interval-nesting
     test the interleaved ones decoded too."""
@@ -424,7 +422,6 @@ def test_reparented_tables_decode_only_when_they_are_still_pre_order():
                 kinds=kinds,
                 parent_pre=parent_pre,
                 size=size,
-                post=[i - depth[i] + size[i] - 1 for i in range(total)],
                 depth=depth,
                 names=list(columns.names),
                 values=list(columns.values),
@@ -490,7 +487,7 @@ def test_store_load_surfaces_typed_corruption_from_the_sidecar(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The RXSNAP03 sections: header name, string tables, partitions (PR 24)
+# The sections: header name, string tables, partitions, shape
 # ----------------------------------------------------------------------
 
 _NON_ASCII = '<r id="é1">naïve ☃<k v="ü"/>\U0001d11e<?pi dätä?><!--ç--></r>'
@@ -533,11 +530,11 @@ def test_snapshot_layout_helper_agrees_with_the_encoder():
         kinds=columns.kinds,
         parent_pre=columns.parent_pre,
         size=columns.size,
-        post=columns.post,
         depth=columns.depth,
         names=columns.names,
         values=columns.values,
         partitions=node_index(document).partitions,
+        shape=node_index(document).shape,
         name="naïve",
         id_attribute="v",
     )
@@ -706,3 +703,30 @@ def test_v2_blob_is_refused_naming_the_remedy(tmp_path):
         decode_snapshot(legacy)
     with pytest.raises(SnapshotCorruptError, match="no longer read"):
         _stored(tmp_path, legacy).load("doc")
+
+
+def test_v3_blob_is_refused_naming_the_remedy(tmp_path):
+    legacy = reseal(b"RXSNAP03" + struct.pack("<IQI", 3, 1, 0) + bytes(80))
+    with pytest.raises(SnapshotCorruptError, match="v3.*no longer read.*save it"):
+        decode_snapshot(legacy)
+    with pytest.raises(SnapshotCorruptError, match="no longer read"):
+        _stored(tmp_path, legacy).load("doc")
+
+
+def test_a_shape_that_is_not_the_columns_is_refused_by_the_full_check(tmp_path):
+    """Resealed, each persisted shape number moved by one is sound to the
+    reader — the store trusts it, as it trusts the partitions — and wrong
+    to the full check."""
+    document = parse_document(_NON_ASCII)
+    blob = encode_snapshot(document, "doc")
+    shape = list(node_index(document).shape)
+    assert _section_ints(blob, "shape") == shape
+    assert decode_snapshot(blob).columns.values == document.columns.values
+    for field in range(len(shape)):
+        for moved in (shape[field] - 1, shape[field] + 1):
+            wrong = list(shape)
+            wrong[field] = moved
+            bad = _patched(blob, "shape", ints(wrong))
+            with pytest.raises(SnapshotCorruptError, match="shape disagrees"):
+                decode_snapshot(bad)
+            assert list(node_index(_stored(tmp_path, bad).load("doc")).shape) == wrong

@@ -455,3 +455,58 @@ def test_number_column_fills_idempotently_under_contention():
                 assert memo == value or (memo != memo and value != value), pre
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_racing_readers_of_one_fresh_document_agree():
+    """Sibling hops and per-interval string values tally their work
+    without a lock, and the child table and the text join are built by
+    whichever reader crosses the |D| line: 16 threads on a shortened
+    switch interval, each racing sibling steps and element string values
+    over one freshly loaded document, all get the answers of a document
+    whose table and join were built before the race — and the race does
+    build both."""
+    import sys
+
+    from repro.axes.vec import forward_step, inverse_step
+    from repro.xml.index import node_index
+    from repro.xml.snapshot import decode_stored, encode_snapshot
+    from repro.xpath.ast import NodeTest
+
+    blob = encode_snapshot(book_catalog(books=30), "c")
+    reference = decode_stored(blob, "c")
+    node_index(reference).child_table()
+    reference.string_value_of_pre(0)
+    fresh = decode_stored(blob, "c")
+    index = node_index(fresh)
+    steps = [
+        (axis, tag)
+        for axis in ("following-sibling", "preceding-sibling")
+        for tag in ("chapter", "author", "title")
+    ]
+    origins = {tag: list(index.by_tag[tag]) for tag in ("chapter", "author", "title")}
+
+    def answers(document, axis, tag):
+        pres = origins[tag]
+        return (
+            forward_step(document, axis, pres, NodeTest("wildcard")),
+            inverse_step(document, axis, pres),
+        )
+
+    expected = {step: answers(reference, *step) for step in steps}
+    elements = list(index.elements)
+    values = [reference.string_value_of_pre(pre) for pre in elements]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+
+        def worker(thread):
+            for round_ in range(8):
+                step = steps[(thread + round_) % len(steps)]
+                assert answers(fresh, *step) == expected[step], step
+                for at in range(thread, len(elements), 16):
+                    assert fresh.string_value_of_pre(elements[at]) == values[at]
+
+        _hammer(worker, threads=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert index.child_table_ready and fresh.text_join_ready
