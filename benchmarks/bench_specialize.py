@@ -1,26 +1,27 @@
 """EXP-SPEC — per-document physical specialization vs static dispatch.
 
-The two-stage compiler's payoff claim (ISSUE 4): on a mixed serving
+The two-stage compiler's contract: on a mixed serving
 workload — small and large documents, Core and non-Core queries — the
-cost-driven specializer picks a cheaper evaluator per (query, document)
-than the static fragment dispatch (Core → corexpath, else →
-optmincontext), without changing a single result byte.
+cost-driven specializer resolves every ``auto`` (query, document) cell
+without changing a single result byte or losing a counter.
 
-The workload deliberately mixes the regimes the cost model separates
-(re-measured after PR 5's sorted-array Core rewrite):
+``auto`` chooses between OPTMINCONTEXT and, inside Core XPath, the Core
+XPath sweep; MINCONTEXT is selectable by name only. Outside Core XPath
+that leaves one candidate, so the specializer and the static fragment
+dispatch (Core → corexpath, else → optmincontext) pick the same
+evaluator; inside it the cost model keeps the Core sweep at every size.
+The choice matrix the report prints shows how many cells the
+specializer still switches. The workload mixes the regimes the model
+separates:
 
-* small/mid catalogs with selective non-positional predicates, where
-  MINCONTEXT beats OPTMINCONTEXT's whole-document bottom-up pass — the
-  specializer's main remaining switch;
-* Core chains, where the fused-kernel Core sweep is now the cheapest
-  evaluator at every size (the specializer must *keep* the static Core
-  → corexpath choice, no longer switch it);
-* a sibling line, where positional-sibling loops × high fanout make
-  OPTMINCONTEXT the right call (another keep);
-* position-heavy and aggregate queries, where the candidates tie and
-  any choice is fine.
+* small/mid catalogs with selective non-positional predicates;
+* Core chains, where the fused-kernel Core sweep is the cheapest
+  evaluator at every size;
+* a sibling line, where positional-sibling loops × high fanout run
+  under OPTMINCONTEXT;
+* position-heavy and aggregate queries.
 
-Three gates, two of them machine-independent:
+Two gates, both machine-independent:
 
 * **value gate** — specialized ``auto`` results are byte-identical to
   the static path's *and* to a fresh per-document engine's, for every
@@ -28,14 +29,13 @@ Three gates, two of them machine-independent:
 * **stats gate** — the plan cache counts exactly one lookup per distinct
   query, and the specializer memo exactly one lookup per ``auto``
   resolution (misses = distinct (plan, profile) pairs) — the two-stage
-  split must not lose or invent a counter;
-* **speedup gate** — specialized end-to-end batch time >= 1.2x the
-  static dispatch's. Like EXP-SHARD's speedup gate it is host-gated:
-  enforced when the host grants >= 2 usable CPUs (CI runners), reported
-  but not enforced on 1-CPU containers, where shared-host noise
-  dominates single-run timings. The measured ratio prints either way.
+  split must not lose or invent a counter.
 
-The script exits nonzero if any enforced gate fails. Run with::
+The best-of-passes batch times of both configurations print beside the
+gates, as information: the switch a speedup gate once measured
+(MINCONTEXT on selective queries) is gone.
+
+The script exits nonzero if either gate fails. Run with::
 
     PYTHONPATH=src python benchmarks/bench_specialize.py
 """
@@ -63,7 +63,6 @@ from repro.workloads.queries import (
 
 PASSES = 5
 WARMUP_PASSES = 1
-SPEEDUP_GATE = 1.2
 
 
 def mixed_workload():
@@ -77,7 +76,7 @@ def mixed_workload():
         balanced_tree(depth=4, fanout=4),
         book_catalog(books=30, chapters_per_book=3),
         book_catalog(books=45, chapters_per_book=4),
-        numbered_line(120),  # fanout 120: the keep-OPTMINCONTEXT regime
+        numbered_line(120),  # fanout 120: positional-sibling loops
     ]
     queries = [
         core_family(4),                     # Core XPath
@@ -87,7 +86,7 @@ def mixed_workload():
         "//b/c[. > 20]",                    # selective, no position
         wadler_family(2),                   # positional sibling loops
         position_heavy_query(2),            # positional, non-sibling
-        "count(//*)",                       # aggregate, candidates tie
+        "count(//*)",                       # aggregate
     ]
     return queries, documents
 
@@ -161,12 +160,9 @@ def main() -> int:
     )
 
     # ------------------------------------------------------------------
-    # Speedup gate: end-to-end batch time, fresh service per pass.
+    # Batch times, reported beside the gates.
     static_seconds = _best_batch_seconds(False, queries, documents)
     specialized_seconds = _best_batch_seconds(True, queries, documents)
-    speedup = static_seconds / specialized_seconds
-    speedup_enforced = usable_cpus >= 2
-    speedup_ok = speedup >= SPEEDUP_GATE
 
     # ------------------------------------------------------------------
     report = ExperimentReport(
@@ -179,7 +175,7 @@ def main() -> int:
         f"host grants {usable_cpus} usable CPU(s)"
     )
     report.table(
-        ["configuration", "best batch (ms)", "throughput (eval/s)", "speedup"],
+        ["configuration", "best batch (ms)", "throughput (eval/s)", "static/this"],
         [
             [
                 "static dispatch (--no-specialize)",
@@ -191,7 +187,7 @@ def main() -> int:
                 "specialized (cost-driven, per document)",
                 specialized_seconds * 1e3,
                 evaluations / specialized_seconds,
-                speedup,
+                static_seconds / specialized_seconds,
             ],
         ],
     )
@@ -218,22 +214,8 @@ def main() -> int:
         "stats gate:   plan cache + specializer memo counters exact — "
         + ("PASS" if stats_gate else "FAIL")
     )
-    if speedup_enforced:
-        report.note(
-            f"speedup gate: specialized over static = {speedup:.2f}x "
-            f"(need >= {SPEEDUP_GATE}x) — " + ("PASS" if speedup_ok else "FAIL")
-        )
-    else:
-        report.note(
-            f"speedup gate: SKIPPED — 1-CPU host (measured {speedup:.2f}x, "
-            f"gate needs >= {SPEEDUP_GATE}x on >= 2-CPU hosts)"
-        )
     report.finish()
-    if not value_gate or not stats_gate:
-        return 1
-    if speedup_enforced and not speedup_ok:
-        return 1
-    return 0
+    return 0 if value_gate and stats_gate else 1
 
 
 if __name__ == "__main__":

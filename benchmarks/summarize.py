@@ -73,12 +73,12 @@ def async_batch_lines() -> list[str]:
 
 
 def specialize_lines() -> list[str]:
-    """The gate, throughput, and choice-matrix lines from the EXP-SPEC
-    report (written by bench_specialize.py)."""
+    """The value / stats gate, batch-time and choice-matrix lines from
+    the EXP-SPEC report (written by bench_specialize.py)."""
     path = RESULTS_DIR / "exp_spec.txt"
     if not path.exists():
         return []
-    markers = ("gate:", "speedup", "configuration", "dispatch", "specialized", "->")
+    markers = ("gate:", "configuration", "dispatch", "specialized", "->")
     return [
         line
         for line in path.read_text(encoding="utf-8").splitlines()

@@ -15,7 +15,11 @@ linear time for Core XPath.
 Two procedures, mapping onto the Section 6 pseudo-code:
 
 * :func:`eval_bottomup_path` — builds the initial set from the RelOp
-  comparison (or ``dom`` for ``boolean``) and fills ``table(N)``.
+  comparison (or ``dom`` for ``boolean``) and fills ``table(N)``. The
+  comparison is resolved once, not per node: the start set of
+  ``π RelOp c`` is one pass over the last step's tested partition
+  keeping ``numval(y) op c`` — ``strval(y) op s`` for a string ``s``
+  under ``=`` / ``!=`` (:func:`repro.values.compare.member_operands`).
 * :func:`propagate_path_backwards` — walks the steps last-to-first.
 
 Like MINCONTEXT itself (:mod:`repro.core.mincontext`), everything here
@@ -50,7 +54,7 @@ from repro.core.common import step_candidate_pres, step_relation_pres
 from repro.core.context import WILDCARD
 from repro.core.mincontext import MinContextEvaluator, position_free
 from repro.errors import EvaluationError
-from repro.values.compare import compare_values
+from repro.values.compare import COMPARE, FLIPPED, member_operands
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 
 _CONTEXT_FREE = (None, WILDCARD, WILDCARD)
@@ -78,21 +82,23 @@ def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
             # "π RelOp s with s of type bool is treated like
             # boolean(π) RelOp s" (Section 6).
             start_nodes = propagate_path_backwards(mc, path, dom)
-            when_reached = compare_values(op, True, "bool", scalar_value, "bool")
-            otherwise = compare_values(op, False, "bool", scalar_value, "bool")
+            when_reached = COMPARE[op](True, scalar_value)
+            otherwise = COMPARE[op](False, scalar_value)
         else:
-
-            def admissible(y: int) -> bool:
-                return compare_values(
-                    op, (y,), "nset", scalar_value, scalar.value_type, mc.strval, mc.numval
-                )
-
+            # y is admissible iff read(y) test bound: the operator and
+            # the member reading are resolved once for the whole sweep.
+            read, coerce = member_operands(op, scalar.value_type, mc.strval, mc.numval)
+            test, bound = COMPARE[op], coerce(scalar_value)
             # Only nodes passing the last step's node test can survive
             # the first inverse step, so only they are compared.
             last = path.steps[-1]
             tested = filter_step(mc.document, last.axis, dom, last.node_test)
-            initial = [y for y in tested if admissible(y)]
-            if not initial and stats.collecting() and any(map(admissible, dom)):
+            initial = [y for y in tested if test(read(y), bound)]
+            if (
+                not initial
+                and stats.collecting()
+                and any(test(read(y), bound) for y in dom)
+            ):
                 # The printed procedure starts from every admissible node
                 # and loses them all to the first inverse step's node
                 # test: that step ran, so it is counted.
@@ -115,11 +121,10 @@ def _dom(mc: MinContextEvaluator) -> list[int]:
 def _comparison_parts(node: BinaryOp) -> tuple[Path, str, Expr]:
     """Split ``π RelOp s`` into (path, effective op, scalar), flipping the
     operator when the path is on the right."""
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
     if isinstance(node.left, Path) and node.left.steps:
         return node.left, node.op, node.right
     if isinstance(node.right, Path) and node.right.steps:
-        return node.right, flipped[node.op], node.left
+        return node.right, FLIPPED[node.op], node.left
     raise EvaluationError(f"no location-path side in {node!r}")
 
 

@@ -32,7 +32,7 @@ from repro.axes.vec import forward_step
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
 from repro.values.coerce import node_numval, node_strval
-from repro.values.compare import compare_values
+from repro.values.compare import COMPARE, compare_values
 from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document, Node
 from repro.xml.index import ATTR, node_index
@@ -45,8 +45,6 @@ __all__ = [
     "step_candidates",
     "step_relation_pres",
 ]
-
-_COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 
 def step_candidates(document: Document, axis: str, node: Node, test: NodeTest) -> list[Node]:
@@ -233,7 +231,7 @@ def apply_operator(
     """
     stats.count("operator_applications")
     if isinstance(expr, BinaryOp):
-        if expr.op in _COMPARISON_OPS:
+        if expr.op in COMPARE:
             return compare_values(
                 expr.op,
                 values[0],

@@ -70,9 +70,12 @@ Deviations from the printed pseudo-code:
   diagnosis when the row is missing); ``position()`` / ``last()`` the
   context component, wildcard check kept; a comparison or arithmetic
   operator on two static ``num`` operands the float operator itself
-  (IEEE NaN semantics, ``div`` / ``mod`` in their XPath forms); any
-  other comparison ``compare_values`` with the static types and this
-  document's accessors bound; everything else :meth:`~MinContextEvaluator.apply`.
+  (IEEE NaN semantics, ``div`` / ``mod`` in their XPath forms); a node
+  set against a ``num`` or ``str`` the existential member test, its
+  operator and member reading resolved once
+  (:func:`~repro.values.compare.member_operands`); any other comparison
+  ``compare_values`` with the static types and this document's
+  accessors bound; everything else :meth:`~MinContextEvaluator.apply`.
   ``and`` / ``or`` still evaluate both operands, as ``F[[Op]]`` applied
   to a value list does. No table is built, keyed, merged or counted
   differently, and ``operator_applications`` still reads one per
@@ -80,6 +83,19 @@ Deviations from the printed pseudo-code:
   closures live as long as one ``evaluate`` call, which drops them on
   its way out: they hold the evaluator, and kept they would leave it
   and its tables to the cycle collector.
+* **Positions as slices.** A predicate ``position() RelOp e`` (either
+  operand order) whose ``e`` is a ``num`` built from ``last()``,
+  context-free table rows and float arithmetic (``[2]``, ``[last()]``,
+  ``position() != last()``, ``position() > last() * 0.25``) is decided
+  per candidate list: :meth:`~MinContextEvaluator.ranker` computes
+  ``e`` once and keeps the window of positions the float comparison
+  accepts (:func:`position_window`): ``=`` keeps at most one member,
+  ``!=`` drops at most one, the relational operators keep a prefix or
+  a suffix, NaN and ±∞ compare as floats do. The loop's counters are
+  ticked in bulk as for every other list, so
+  ``mincontext_contexts_evaluated`` and ``operator_applications`` read
+  what the per-(cp, cs) loop would. A predicate that reads ``cn``, or
+  an ``e`` with a library call, still runs the loop.
 
 Instances are single-use: create one evaluator per query evaluation (the
 engine does). OPTMINCONTEXT pre-fills ``tables`` for bottom-up-evaluated
@@ -88,6 +104,7 @@ subexpressions and records their uids in ``precomputed``.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from repro import stats
@@ -99,7 +116,7 @@ from repro.core.common import (
 )
 from repro.core.context import WILDCARD, Context
 from repro.errors import EvaluationError
-from repro.values.compare import EQUALITY_OPS, RELATIONAL_OPS, compare_values
+from repro.values.compare import COMPARE, FLIPPED, compare_values, member_operands
 from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document
 from repro.xml.index import merge_union
@@ -116,30 +133,24 @@ from repro.xpath.ast import (
 )
 
 _CPCS = frozenset({"cp", "cs"})
-_COMPARISON_OPS = frozenset(EQUALITY_OPS + RELATIONAL_OPS)
 
 #: Library functions that read more of a node than its string value.
 _BOXED_FUNCTIONS = frozenset({"name", "local-name", "namespace-uri", "lang", "id"})
 
 #: ``F[[Op]]`` for a binary operator whose operands are both statically
-#: ``num``: the float operator itself. IEEE comparisons are what
-#: :func:`repro.values.compare._scalar_compare` spells out (NaN fails
-#: everything but ``!=``), IEEE ``+ - *`` what
-#: :func:`~repro.core.common.apply_operator` computes; ``div`` / ``mod``
-#: keep their XPath forms (division by zero, sign of the dividend).
-_NUM_OPERATORS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+#: ``num``: the float operator itself. Comparisons are
+#: :data:`repro.values.compare.COMPARE` (NaN fails everything but
+#: ``!=``), IEEE ``+ - *`` what :func:`~repro.core.common.apply_operator`
+#: computes; ``div`` / ``mod`` keep their XPath forms (division by zero,
+#: sign of the dividend).
+_ARITHMETIC = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "div": xpath_divide,
     "mod": xpath_modulo,
 }
+_NUM_OPERATORS = {**COMPARE, **_ARITHMETIC}
 
 
 class MinContextEvaluator:
@@ -157,11 +168,13 @@ class MinContextEvaluator:
         self.precomputed: set[int] = set()
         self.strval = document.string_value_of_pre
         self.numval = document.number_value_of_pre
-        #: uid → ``eval_single_context`` for that node (:meth:`compiled`)
-        #: and uid → its bare ``F[[Op]]`` (:meth:`_operator`), each built
+        #: uid → ``eval_single_context`` for that node (:meth:`compiled`),
+        #: uid → its bare ``F[[Op]]`` (:meth:`_operator`) and predicate
+        #: uid → its candidate-list filter (:meth:`ranker`), each built
         #: at first use.
         self._compiled: dict[int, object] = {}
         self._operators: dict[int, object] = {}
+        self._rankers: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Algorithm 6
@@ -188,6 +201,7 @@ class MinContextEvaluator:
             # instead of waiting for the cycle collector.
             self._compiled.clear()
             self._operators.clear()
+            self._rankers.clear()
         return box_value(self.document, value, expr.value_type)
 
     # ------------------------------------------------------------------
@@ -321,14 +335,7 @@ class MinContextEvaluator:
         """Filter a node set by a predicate ranked in document order (the
         rule for predicates attached to filter expressions)."""
         self.eval_by_cnode_only(predicate, nodes)
-        size = len(nodes)
-        holds = self.compiled(predicate)
-        _count_applications(holds, size)
-        return [
-            pre
-            for position, pre in enumerate(nodes, start=1)
-            if holds(pre, position, size)
-        ]
+        return self.ranker(predicate)(nodes)
 
     def _eval_step_from_set(self, step: Step, X: list[int]) -> list[int]:
         """One step, set-in/set-out (the pseudo-code's ``χ::t[e1]...[eq]``
@@ -361,16 +368,47 @@ class MinContextEvaluator:
         proximity order): each predicate ranks the survivors of the
         previous one."""
         for predicate in predicates:
-            size = len(candidates)
-            stats.count("mincontext_contexts_evaluated", size)
-            holds = self.compiled(predicate)
-            _count_applications(holds, size)
-            candidates = [
-                z
-                for position, z in enumerate(candidates, start=1)
-                if holds(z, position, size)
-            ]
+            stats.count("mincontext_contexts_evaluated", len(candidates))
+            candidates = self.ranker(predicate)(candidates)
         return candidates
+
+    def ranker(self, predicate: Expr):
+        """The predicate as a filter ``rank(candidates)`` over one ranked
+        list (proximity or document order), built once per parse-tree
+        node: the survivors at whose context ``⟨z, position, size⟩`` the
+        predicate holds. A position comparison (:func:`_position_bound`)
+        computes its bound once and slices (:func:`position_window`);
+        any other predicate is called per member. Either way
+        ``operator_applications`` is ticked for every member, in bulk."""
+        rank = self._rankers.get(predicate.uid)
+        if rank is not None:
+            return rank
+        holds = self.compiled(predicate)
+        position_bound = _position_bound(predicate)
+        if position_bound is None:
+
+            def rank(candidates):
+                size = len(candidates)
+                _count_applications(holds, size)
+                return [
+                    z
+                    for position, z in enumerate(candidates, start=1)
+                    if holds(z, position, size)
+                ]
+
+        else:
+            op, bound_node = position_bound
+            bound = self.compiled(bound_node)
+
+            def rank(candidates):
+                size = len(candidates)
+                _count_applications(holds, size)
+                if not size:
+                    return []
+                return position_window(op, bound(candidates[0], WILDCARD, size), candidates)
+
+        self._rankers[predicate.uid] = rank
+        return rank
 
     # ------------------------------------------------------------------
     # eval_by_cnode_only (Section 6)
@@ -492,8 +530,9 @@ class MinContextEvaluator:
         :meth:`compiled` forms, the operator resolved once: ``and`` /
         ``or`` (both operands evaluated, as the interpreter's value list
         did), comparisons and arithmetic on two static ``num`` operands
-        as the float operator itself, every other comparison as
-        :func:`~repro.values.compare.compare_values` with the static
+        as the float operator itself, a node set against a ``num`` or
+        ``str`` as the existential member test, every other comparison
+        as :func:`~repro.values.compare.compare_values` with the static
         types and this document's accessors bound, anything else through
         :meth:`apply`."""
         apply_op = self._operators.get(node.uid)
@@ -526,15 +565,30 @@ class MinContextEvaluator:
             def apply_op(cn, cp, cs):
                 return function(left(cn, cp, cs), right(cn, cp, cs))
 
-        elif isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
+        elif isinstance(node, BinaryOp) and node.op in COMPARE:
             left, right = operands
             op, left_type, right_type = node.op, node.left.value_type, node.right.value_type
             strval, numval = self.strval, self.numval
+            nset_left = left_type == "nset"
+            scalar_type = right_type if nset_left else left_type
+            if scalar_type in ("num", "str") and (right_type == "nset") != nset_left:
+                # ∃ member m: read(m) test bound, resolved here once.
+                test_op = op if nset_left else FLIPPED[op]
+                test = COMPARE[test_op]
+                read, coerce = member_operands(test_op, scalar_type, strval, numval)
+                members, scalar = (left, right) if nset_left else (right, left)
 
-            def apply_op(cn, cp, cs):
-                return compare_values(
-                    op, left(cn, cp, cs), left_type, right(cn, cp, cs), right_type, strval, numval
-                )
+                def apply_op(cn, cp, cs):
+                    nodes, bound = members(cn, cp, cs), coerce(scalar(cn, cp, cs))
+                    return any(test(read(member), bound) for member in nodes)
+
+            else:
+
+                def apply_op(cn, cp, cs):
+                    return compare_values(
+                        op, left(cn, cp, cs), left_type, right(cn, cp, cs), right_type,
+                        strval, numval,
+                    )
 
         else:
             own = 0  # apply_operator ticks for itself
@@ -655,6 +709,69 @@ def _count_applications(single, contexts: int) -> None:
     compiled node about to be made."""
     if single.applications:
         stats.count("operator_applications", single.applications * contexts)
+
+
+def _position_bound(predicate: Expr):
+    """``(op, e)`` when the predicate is ``position() RelOp e`` or ``e
+    RelOp position()`` — ``op`` with ``position()`` on the left — and
+    ``e`` a :func:`_list_constant`; else ``None``."""
+    if not (isinstance(predicate, BinaryOp) and predicate.op in COMPARE):
+        return None
+    left, right = predicate.left, predicate.right
+    if _is_position(left) and _list_constant(right):
+        return predicate.op, right
+    if _is_position(right) and _list_constant(left):
+        return FLIPPED[predicate.op], left
+    return None
+
+
+def _is_position(node: Expr) -> bool:
+    return isinstance(node, FunctionCall) and node.name == "position"
+
+
+def _list_constant(node: Expr) -> bool:
+    """A ``num`` with ``Relev ⊆ {cs}`` whose compiled form ticks nothing
+    itself: ``last()``, a table row, or float arithmetic over them
+    (:meth:`~MinContextEvaluator.apply` ticks per call, so a library
+    call would count once where the loop counts per member)."""
+    if node.value_type != "num" or not node.relev <= {"cs"}:
+        return False
+    if not node.relev:
+        return True
+    if isinstance(node, FunctionCall):
+        return node.name == "last"
+    return (
+        isinstance(node, BinaryOp)
+        and node.op in _ARITHMETIC
+        and _list_constant(node.left)
+        and _list_constant(node.right)
+    )
+
+
+def position_window(op: str, bound: float, candidates: list) -> list:
+    """The members of ``candidates`` whose 1-based position ``p`` has
+    ``COMPARE[op](p, bound)``, as a slice: ``=`` keeps at most one
+    member, ``!=`` drops at most one, ``<`` / ``<=`` keep a prefix and
+    ``>`` / ``>=`` a suffix."""
+    if bound != bound:  # NaN: only != holds
+        return candidates[:] if op == "!=" else []
+    size = len(candidates)
+    # Positions run 1..size: a bound clamped to [0, size + 1] compares
+    # the same with each, and ±∞ leaves floor / ceil.
+    bound = min(max(bound, 0.0), size + 1.0)
+    if op == "<":
+        return candidates[: max(0, math.ceil(bound) - 1)]
+    if op == "<=":
+        return candidates[: math.floor(bound)]
+    if op == ">":
+        return candidates[math.floor(bound) :]
+    if op == ">=":
+        return candidates[max(0, math.ceil(bound) - 1) :]
+    index = int(bound) - 1
+    hit = bound == index + 1 and 0 <= index < size
+    if op == "=":
+        return candidates[index : index + 1] if hit else []
+    return candidates[:index] + candidates[index + 1 :] if hit else candidates[:]
 
 
 def position_free(step: Step) -> bool:

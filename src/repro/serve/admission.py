@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.service.specialize import cost_units, document_profile
+from repro.service.specialize import auto_candidates, cost_units, document_profile
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,10 @@ class AdmissionController:
         return rate if rate is not None else self.seconds_per_unit
 
     @staticmethod
-    def _candidates(plan) -> list[str]:
-        """The algorithms legal for a plan regardless of profile — the
-        degrade pool. ``corexpath`` joins only inside Core XPath
-        (forcing it elsewhere is a fragment violation, not a degrade)."""
-        candidates = ["mincontext", "optmincontext"]
-        if plan.is_core_xpath:
-            candidates.append("corexpath")
-        return candidates
+    def _candidates(plan) -> tuple[str, ...]:
+        """The degrade pool: ``auto``'s candidates for the plan
+        (:func:`~repro.service.specialize.auto_candidates`)."""
+        return auto_candidates(plan.is_core_xpath)
 
     def _history_floor(self, document) -> float:
         """A per-document price floor from the shard timing history: a

@@ -43,9 +43,9 @@ physical → schedule → merge:
    range queries), so a plan's name-tested interval-axis steps combined
    with the profile's tag counts shrink the sweep share of its estimate
    (:func:`repro.service.specialize.name_test_selectivity`). Candidates
-   are restricted to the worst-case-bounded evaluators (``mincontext``,
-   ``optmincontext``, and ``corexpath`` inside Core XPath), with
-   guarantee clamps above a size threshold — so a mis-estimate costs
+   are restricted to the worst-case-bounded evaluators
+   (``optmincontext``, and ``corexpath`` inside Core XPath), with a
+   guarantee clamp above a size threshold — so a mis-estimate costs
    constants, never asymptotics. The same shape of guarantee holds one
    layer down: the *fallback guarantee for the kernels themselves lives
    in the axis dispatch* (:func:`repro.axes.vec.forward_step`), which
@@ -122,7 +122,7 @@ Inspecting the stages — what runs where, and why::
     plan.best_algorithm()              # static dispatch: 'optmincontext'
     from repro.service.specialize import document_profile
     physical = service.specializer.specialize(plan, document_profile(docs[0]))
-    physical.algorithm                 # e.g. 'mincontext' on a small doc
+    physical.algorithm                 # 'optmincontext' outside Core XPath
     physical.rationale                 # the profile features that decided
     from repro.service.batchplan import build_batch_plan
     print(build_batch_plan([plan, service.plan("//book/title")]).describe())

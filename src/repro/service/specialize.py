@@ -14,34 +14,33 @@ Why per (query, document) and not per query
 
 The paper's headline result is that *which* algorithm you run dominates
 cost, and the constants hiding inside the bounds are document-shape
-facts. Measured on this implementation (re-measured when the table
-evaluators' set steps moved onto the block kernels and their context
-loops were compiled; forced algorithms, best of 15, book catalogs of
-0.35k–8.8k nodes, ``balanced_tree`` and ``numbered_line``; the seed
-constants below predate it and are the specializer item's to redo):
+facts. Measured on this implementation (re-measured when OPTMINCONTEXT
+started deciding ``π RelOp c`` start sets in one sweep and both table
+evaluators started slicing position predicates; forced algorithms,
+best of 15 on a 2-CPU host, a 4.9k-node book catalog and a 200-item
+``numbered_line``; the seed constants below predate it and are the
+specializer item's to redo):
 
-* MINCONTEXT's demand-driven tables beat OPTMINCONTEXT by 1.3–2.8× when
-  an earlier step has already narrowed the candidates
-  (``//book[@id = 'bk3']/chapter[pages > 20]/heading``: 0.44 against
-  1.16 ms at 3.5k nodes): the bottom-up pass precomputes the predicate's
-  table over the *whole* document where the top-down pass touches a few
-  candidate nodes. With the predicate on the wide step itself
-  (``//book[price > 20]/title``) both evaluate it once per book and are
-  level (0.45 / 0.42 ms), OPTMINCONTEXT slightly ahead on small
-  documents.
-* The Core XPath evaluator runs 1.2–4.3× below MINCONTEXT on Core queries
-  *with predicates* (sorted pre arrays and set algebra against one table
-  row per candidate) and level with it on predicate-free paths, where
-  all three now run the same block kernels; OPTMINCONTEXT, whose
-  bottom-up pass turns Core predicates into the same backward sweeps,
-  stays within 0.95–1.5× of it.
-* OPTMINCONTEXT wins by 1.2–1.4× when position-dependent predicates
-  sit on sibling axes *and* an existential comparison sits inside them on
-  a document with long sibling runs (``wadler_family(2)`` on a 200-item
-  line: 6.2 against 8.3 ms): the (cp, cs) loops then re-enter the same
-  subexpression ``Θ(fanout)`` times, which is what the bottom-up
-  precomputation amortizes. With positional arithmetic alone
-  (``wadler_family(1)``) the two are level.
+* OPTMINCONTEXT no longer loses to MINCONTEXT where an earlier step has
+  narrowed the candidates (``//book[@id = 'bk3']/chapter[pages >
+  20]/heading``: 0.65 against 0.67 ms, was 1.29 against 0.65): its
+  start set is one comparison per tested node, not a ``compare_values``
+  dispatch each. With the predicate on the wide step itself
+  (``//book[price > 20]/title``) it is ahead (0.34 / 0.58 ms), and
+  ahead on position templates (``//chapter[pages > 20][position() =
+  2]/heading``: 0.90 / 1.82 ms). So ``auto`` no longer offers
+  MINCONTEXT (:func:`auto_candidates`).
+* The Core XPath evaluator stays the cheapest on Core queries
+  (``core_family(4)``: 0.14 ms, MINCONTEXT 0.25, OPTMINCONTEXT 0.80):
+  sorted pre arrays and set algebra against one table row per
+  candidate.
+* OPTMINCONTEXT wins by 1.4× when position-dependent predicates sit on
+  sibling axes *and* an existential comparison sits inside them on a
+  document with long sibling runs (``wadler_family(2)``: 4.75 against
+  6.59 ms): the (cp, cs) loops then re-enter the same subexpression
+  ``Θ(fanout)`` times, which is what the bottom-up precomputation
+  amortizes. With positional arithmetic alone (``wadler_family(1)``)
+  both slice and are level (0.68 / 0.67 ms, was 3.14 / 4.53).
 
 Since the fused axis kernels (:mod:`repro.axes`, PR 5) landed, the cost
 model also prices the *indexed* variants of those candidates: a plan's
@@ -54,15 +53,16 @@ sweep share of each candidate's estimate — the Core XPath sweep in full
 neutralize the term, so the pinned seed decisions are unchanged.
 
 The candidate pool is deliberately restricted to the paper's
-worst-case-bounded evaluators — ``mincontext``, ``optmincontext``, and
-(inside Core XPath) ``corexpath``. ``naive`` is exponential and
-``bottomup``/``topdown`` have no useful bounds on positional predicates,
-so a cost-model mis-estimate over this pool costs constant factors,
-never asymptotics. Two *guarantee clamps* keep even the constant-factor
-risk bounded: above ``guarantee_nodes`` the selector defers to the
-strongest fragment guarantee available (Theorem 13's linear time for
-Core XPath, Corollary 11's bounds for the Extended Wadler Fragment)
-regardless of what the constants say.
+worst-case-bounded evaluators — ``optmincontext`` and (inside Core
+XPath) ``corexpath`` (:func:`auto_candidates`). ``naive`` is exponential
+and ``bottomup``/``topdown`` have no useful bounds on positional
+predicates, so a cost-model mis-estimate over this pool costs constant
+factors, never asymptotics. Outside Core XPath the pool is OPTMINCONTEXT
+alone, which already carries Corollary 11's bounds for the Extended
+Wadler Fragment. Inside it a *guarantee clamp* keeps even the
+constant-factor risk bounded: above ``guarantee_nodes`` the selector
+defers to Theorem 13's linear time regardless of what the constants
+say.
 
 Online refinement
 -----------------
@@ -264,8 +264,16 @@ INDEX_DISCOUNT_FLOOR = 0.05
 #: evaluator is *all* set sweeps, so its discount applies in full.
 SET_SWEEP_SHARE = 0.5
 
-#: Algorithms the cost model can estimate *and* ``auto`` may select.
-SELECTABLE = ("mincontext", "optmincontext", "corexpath")
+
+def auto_candidates(core_xpath: bool) -> tuple[str, ...]:
+    """The evaluators ``auto`` chooses among: OPTMINCONTEXT, plus the
+    Core XPath sweep inside Core XPath (forcing it elsewhere is a
+    fragment violation). MINCONTEXT is selectable by name only: it is the
+    reference OPTMINCONTEXT runs on top of, and no measured template
+    runs faster under it than under the pool (see the module
+    docstring)."""
+    return ("optmincontext", "corexpath") if core_xpath else ("optmincontext",)
+
 
 #: Floor on the residual share of a plan's sweep when a step prefix is
 #: already materialized (:meth:`PlanSpecializer.specialize_residual`):
@@ -319,9 +327,9 @@ def cost_units(plan: LogicalPlan, profile: DocumentProfile, algorithm: str) -> f
     """Estimated abstract cost of evaluating ``plan`` on a document of
     ``profile``'s shape with ``algorithm``.
 
-    Only the :data:`SELECTABLE` algorithms have real models; the other
-    evaluators get the base sweep estimate so forced-algorithm timings
-    can still be normalized into per-unit rates.
+    The :func:`auto_candidates` and MINCONTEXT (priced when forced) have
+    real models; the other evaluators get the base sweep estimate so
+    forced-algorithm timings can still be normalized into per-unit rates.
     """
     n = profile.total_nodes
     base = float(n) * plan.traits.ast_size
@@ -441,7 +449,8 @@ class PlanSpecializer:
             raise ValueError(
                 f"memo capacity must be >= 1, got {self.memo_capacity}"
             )
-        #: Above this many nodes, fragment guarantees override constants.
+        #: Above this many nodes, Theorem 13 overrides constants on Core
+        #: XPath plans.
         self.guarantee_nodes = guarantee_nodes
         self.timings = timings if timings is not None else TimingStats(name="eval")
         self.stats = CacheStats(name="specialize_cache", capacity=self.memo_capacity)
@@ -513,11 +522,9 @@ class PlanSpecializer:
                 requested=algorithm,
                 rationale=f"algorithm forced to {resolved!r} by the caller",
             )
-        candidates = ["mincontext", "optmincontext"]
-        if plan.is_core_xpath:
-            candidates.append("corexpath")
         estimates = tuple(
-            (name, cost_units(plan, profile, name)) for name in candidates
+            (name, cost_units(plan, profile, name))
+            for name in auto_candidates(plan.is_core_xpath)
         )
         scaled = self._apply_observed_rates(estimates)
         chosen = min(scaled, key=lambda pair: pair[1])[0]
@@ -542,25 +549,18 @@ class PlanSpecializer:
                 f"(fused kernels over {len(traits.name_test_tags)} "
                 "indexed name tests)"
             )
-        if profile.total_nodes > self.guarantee_nodes:
+        if (
+            plan.is_core_xpath
+            and chosen != "corexpath"
+            and profile.total_nodes > self.guarantee_nodes
+        ):
             # Past the guarantee threshold the constants stop being the
-            # story: defer to the strongest fragment bound available.
-            if plan.is_core_xpath and chosen != "corexpath":
-                chosen, clamped = "corexpath", True
-                reasons.append(
-                    f"guarantee clamp: Core XPath + |dom| > {self.guarantee_nodes} "
-                    "→ Theorem 13 linear time"
-                )
-            elif (
-                not plan.is_core_xpath
-                and plan.is_extended_wadler
-                and chosen != "optmincontext"
-            ):
-                chosen, clamped = "optmincontext", True
-                reasons.append(
-                    f"guarantee clamp: Wadler fragment + |dom| > {self.guarantee_nodes} "
-                    "→ Corollary 11 bounds"
-                )
+            # story: defer to Theorem 13's linear time.
+            chosen, clamped = "corexpath", True
+            reasons.append(
+                f"guarantee clamp: Core XPath + |dom| > {self.guarantee_nodes} "
+                "→ Theorem 13 linear time"
+            )
         if scaled is not estimates:
             reasons.append("estimates scaled by observed per-algorithm rates")
         return PhysicalPlan(
@@ -616,33 +616,22 @@ class PlanSpecializer:
         this to pick the evaluator for a *residual* evaluation: the
         first ``covered`` of ``total`` main-path steps are done (a
         sorted pre array), only the remaining steps run. Candidates are
-        the table evaluators — a residual plan is rooted at a
-        ``ConstantNodeSet`` primary, which is outside Core XPath — with
-        estimates scaled to the residual share of the work
-        (:func:`residual_cost_units`), refined by observed rates, and
-        clamped to OPTMINCONTEXT's Corollary 11 guarantee past the
-        guarantee threshold exactly like a full selection. Not memoized:
-        ``covered`` varies per DAG node and the selection is a handful
-        of float comparisons."""
-        candidates = ("mincontext", "optmincontext")
+        ``auto``'s outside Core XPath — a residual plan is rooted at a
+        ``ConstantNodeSet`` primary — with estimates scaled to the
+        residual share of the work (:func:`residual_cost_units`) and
+        refined by observed rates. Not memoized: ``covered`` varies per
+        DAG node and the selection is a handful of float comparisons."""
         estimates = tuple(
             (name, residual_cost_units(plan, profile, name, covered, total))
-            for name in candidates
+            for name in auto_candidates(core_xpath=False)
         )
         scaled = self._apply_observed_rates(estimates)
         chosen = min(scaled, key=lambda pair: pair[1])[0]
-        clamped = False
         reasons = [
             f"residual {max(0, total - covered)}/{total} step(s) past a "
             "materialized prefix",
             f"|dom|={profile.total_nodes}",
         ]
-        if profile.total_nodes > self.guarantee_nodes and chosen != "optmincontext":
-            chosen, clamped = "optmincontext", True
-            reasons.append(
-                f"guarantee clamp: |dom| > {self.guarantee_nodes} "
-                "→ Corollary 11 bounds"
-            )
         if scaled is not estimates:
             reasons.append("estimates scaled by observed per-algorithm rates")
         return PhysicalPlan(
@@ -651,7 +640,6 @@ class PlanSpecializer:
             algorithm=chosen,
             requested="auto",
             estimates=scaled,
-            clamped=clamped,
             rationale="; ".join(reasons),
         )
 

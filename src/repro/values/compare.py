@@ -10,6 +10,10 @@ linear in the operand sizes, which keeps the evaluators inside the
 theorems' bounds (each comparison result must be computable in
 ``O(|D|)``-ish time per context).
 
+Every comparison ends in one :data:`COMPARE` operator on two like-typed
+scalars. Python's float operators already follow IEEE 754 as XPath
+does: a NaN operand makes ``!=`` true and every other operator false.
+
 One deliberate spec-fidelity note: for relational operators (``<`` etc.)
 with a node-set against a *string*, the W3C rule converts both sides to
 numbers; the paper's Figure 1 abbreviates this case as a string
@@ -25,6 +29,7 @@ default, pre ints with a document's per-pre accessors on the pre plane.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.values.coerce import node_numval, node_strval, to_boolean, to_number_value
 from repro.values.numbers import to_number
@@ -32,56 +37,34 @@ from repro.values.numbers import to_number
 EQUALITY_OPS = ("=", "!=")
 RELATIONAL_OPS = ("<", "<=", ">", ">=")
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+#: ``F[[RelOp]]`` on two like-typed scalars.
+COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: ``a op b ⇔ b FLIPPED[op] a``: the operator with its operands swapped.
+FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
-def _scalar_compare(op: str, left: float | str, right: float | str) -> bool:
-    """Compare two like-typed scalars; NaN makes everything false except
-    ``NaN != x``."""
-    if op == "=":
-        return left == right
-    if op == "!=":
-        if isinstance(left, float) and math.isnan(left):
-            return True
-        if isinstance(right, float) and math.isnan(right):
-            return True
-        return left != right
-    # Relational: IEEE semantics — any NaN operand yields false.
-    if isinstance(left, float) and math.isnan(left):
-        return False
-    if isinstance(right, float) and math.isnan(right):
-        return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unknown comparison operator: {op}")
-
-
-def _exists_numeric(op: str, values: list[float], bound: float) -> bool:
-    """∃ v ∈ values : v op bound — via extremum instead of scanning pairs."""
-    if math.isnan(bound):
-        return op == "!=" and bool(values)
-    finite = [v for v in values if not math.isnan(v)]
-    if op == "=":
-        return bound in finite
-    if op == "!=":
-        return any(v != bound for v in finite) or (len(finite) < len(values))
-    if not finite:
-        return False
-    if op == "<":
-        return min(finite) < bound
-    if op == "<=":
-        return min(finite) <= bound
-    if op == ">":
-        return max(finite) > bound
-    if op == ">=":
-        return max(finite) >= bound
-    raise ValueError(f"unknown comparison operator: {op}")
+def member_operands(op: str, value_type: str, strval, numval):
+    """How ``S op s`` reads the members of a node set ``S`` against a
+    ``num`` or ``str`` scalar ``s``: ``(read, coerce)`` with ``S op s``
+    iff some member ``m`` has ``COMPARE[op](read(m), coerce(s))``.
+    Equality against a string compares string values; everything else
+    compares numbers (W3C: relational against a string converts both
+    sides)."""
+    if value_type == "str":
+        if op in EQUALITY_OPS:
+            return strval, str
+        return numval, to_number
+    if value_type == "num":
+        return numval, float
+    raise ValueError(f"unknown XPath type: {value_type}")
 
 
 def _nset_vs_nset(op: str, left, right, strval, numval) -> bool:
@@ -100,35 +83,21 @@ def _nset_vs_nset(op: str, left, right, strval, numval) -> bool:
     right_numbers = [v for v in map(numval, right) if not math.isnan(v)]
     if not left_numbers or not right_numbers:
         return False
-    if op == "<":
-        return min(left_numbers) < max(right_numbers)
-    if op == "<=":
-        return min(left_numbers) <= max(right_numbers)
-    if op == ">":
-        return max(left_numbers) > min(right_numbers)
-    if op == ">=":
-        return max(left_numbers) >= min(right_numbers)
-    raise ValueError(f"unknown comparison operator: {op}")
+    if op in ("<", "<="):
+        return COMPARE[op](min(left_numbers), max(right_numbers))
+    return COMPARE[op](max(left_numbers), min(right_numbers))
 
 
 def _nset_vs_scalar(op: str, members, value, value_type: str, strval, numval) -> bool:
+    test = COMPARE[op]
     if value_type == "bool":
         # Boolean comparisons go through boolean(nset) even for the empty
         # set (false = false is true); the existential reading below only
         # applies to numbers and strings.
-        return _scalar_compare(op, float(to_boolean(members, "nset")), float(value))
-    if not members:
-        return False
-    if value_type == "num":
-        return _exists_numeric(op, list(map(numval, members)), value)
-    if value_type == "str":
-        if op == "=":
-            return value in map(strval, members)
-        if op == "!=":
-            return any(s != value for s in map(strval, members))
-        # W3C: relational against a string converts both sides to number.
-        return _exists_numeric(op, list(map(numval, members)), to_number(value))
-    raise ValueError(f"unknown XPath type: {value_type}")
+        return test(float(bool(members)), float(value))
+    read, coerce = member_operands(op, value_type, strval, numval)
+    bound = coerce(value)
+    return any(test(read(member), bound) for member in members)
 
 
 def compare_values(
@@ -155,19 +124,13 @@ def compare_values(
     if left_type == "nset":
         return _nset_vs_scalar(op, left, right, right_type, strval, numval)
     if right_type == "nset":
-        return _nset_vs_scalar(_FLIPPED[op], right, left, left_type, strval, numval)
+        return _nset_vs_scalar(FLIPPED[op], right, left, left_type, strval, numval)
     # Neither side is a node-set.
     if op in EQUALITY_OPS:
         if left_type == "bool" or right_type == "bool":
-            return _scalar_compare(
-                op, float(to_boolean(left, left_type)), float(to_boolean(right, right_type))
-            )
-        if left_type == "num" or right_type == "num":
-            return _scalar_compare(
-                op, to_number_value(left, left_type), to_number_value(right, right_type)
-            )
-        return _scalar_compare(op, left, right)
+            left, right = float(to_boolean(left, left_type)), float(to_boolean(right, right_type))
+        elif left_type == "num" or right_type == "num":
+            left, right = to_number_value(left, left_type), to_number_value(right, right_type)
+        return COMPARE[op](left, right)
     # Relational on scalars always compares numbers (Figure 1's GtOp row).
-    return _scalar_compare(
-        op, to_number_value(left, left_type), to_number_value(right, right_type)
-    )
+    return COMPARE[op](to_number_value(left, left_type), to_number_value(right, right_type))

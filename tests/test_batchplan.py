@@ -418,11 +418,14 @@ def test_specialize_residual_picks_table_evaluators():
     physical = service.specializer.specialize_residual(
         plan, small, covered=1, total=3
     )
-    assert physical.algorithm in ("mincontext", "optmincontext")
+    assert physical.algorithm == "optmincontext"
+    assert dict(physical.estimates).keys() == {"optmincontext"}
     assert "materialized prefix" in physical.rationale
 
 
-def test_specialize_residual_guarantee_clamp():
+def test_specialize_residual_runs_optmincontext_past_the_guarantee_threshold():
+    """A residual is never Core XPath, so its one candidate already
+    carries Corollary 11's bound: no clamp."""
     specializer = PlanSpecializer(guarantee_nodes=10)
     service = QueryService()
     plan = service.plan("//book/chapter/section")
@@ -430,6 +433,7 @@ def test_specialize_residual_guarantee_clamp():
     assert big.total_nodes > 10
     physical = specializer.specialize_residual(plan, big, covered=2, total=3)
     assert physical.algorithm == "optmincontext"
+    assert not physical.clamped
 
 
 def test_specialize_residual_scales_with_remaining_work():

@@ -287,11 +287,11 @@ def test_admission_candidates_respect_the_fragment(service_and_plan):
     service, _, document = service_and_plan
     outside_core = service.plan("count(//book)")  # function call: not Core
     assert not outside_core.is_core_xpath
-    assert "corexpath" not in AdmissionController._candidates(outside_core)
+    assert AdmissionController._candidates(outside_core) == ("optmincontext",)
     controller = AdmissionController(service, queue_high=64, queue_degrade=0)
     decision = controller.decide([outside_core], [document])
     assert decision.degraded
-    assert decision.algorithm in ("mincontext", "optmincontext")
+    assert decision.algorithm == "optmincontext"
 
 
 def test_admission_deadline_tightens_the_budget(service_and_plan):

@@ -7,10 +7,10 @@ them), and ``specialize=False`` must reproduce the static fragment
 dispatch exactly. *Accounting* — the specializer memo's
 hit/miss/eviction counters are exact, like every other cache in the
 service layer. *Sanity of the model itself* — the decisions the seed
-constants encode (MINCONTEXT on small/selective inputs, OPTMINCONTEXT on
-positional-sibling × high-fanout shapes, the guarantee clamps) are
-pinned so a constant tweak that silently inverts a decision fails here,
-not in a benchmark regression.
+constants encode (the Core XPath sweep on Core queries, OPTMINCONTEXT
+everywhere else, MINCONTEXT never under ``auto``, the Theorem 13 clamp)
+are pinned so a constant tweak that silently inverts a decision fails
+here, not in a benchmark regression.
 """
 
 import random
@@ -135,18 +135,23 @@ def test_large_core_query_clamp_overrides_hostile_observed_rates():
     assert "Theorem 13" in physical.rationale
 
 
-def test_selective_nonpositional_query_prefers_mincontext():
-    """The bottom-up pass precomputes whole-document tables a selective
-    top-down evaluation never needs — MINCONTEXT wins."""
+def test_selective_nonpositional_query_runs_optmincontext():
+    """OPTMINCONTEXT decides the comparison's start set in one sweep, so
+    its whole-document bottom-up pass no longer loses to MINCONTEXT's
+    demand-driven tables on a selective query: ``auto`` does not offer
+    MINCONTEXT at all."""
     physical = _specialize("//book[price > 20]/title", SMALL)
-    assert physical.algorithm == "mincontext"
+    assert physical.algorithm == "optmincontext"
+    assert "mincontext" not in dict(physical.estimates)
 
 
-def test_large_wadler_query_clamps_to_optmincontext():
+def test_large_wadler_query_runs_optmincontext_unclamped():
+    """Outside Core XPath OPTMINCONTEXT is the only candidate, so the
+    Corollary 11 guarantee needs no clamp past the size threshold."""
     physical = _specialize("//book[price > 20]/title", BIG)
     assert physical.algorithm == "optmincontext"
-    assert physical.clamped
-    assert "Corollary 11" in physical.rationale
+    assert not physical.clamped
+    assert "clamp" not in physical.rationale
 
 
 def test_positional_sibling_on_high_fanout_prefers_optmincontext():
@@ -155,9 +160,9 @@ def test_positional_sibling_on_high_fanout_prefers_optmincontext():
     assert not physical.clamped
 
 
-def test_positional_sibling_on_low_fanout_prefers_mincontext():
+def test_positional_sibling_on_low_fanout_runs_optmincontext():
     physical = _specialize(wadler_family(2), SMALL)
-    assert physical.algorithm == "mincontext"
+    assert physical.algorithm == "optmincontext"
 
 
 def test_rationale_names_the_driving_features():
@@ -165,7 +170,7 @@ def test_rationale_names_the_driving_features():
     assert f"|dom|={LINE.total_nodes}" in physical.rationale
     assert f"fanout={LINE.max_fanout}" in physical.rationale
     assert "positional=sibling" in physical.rationale
-    assert dict(physical.estimates).keys() == {"mincontext", "optmincontext"}
+    assert dict(physical.estimates).keys() == {"optmincontext"}
 
 
 def test_core_candidates_include_corexpath():
@@ -235,16 +240,18 @@ def test_specializer_memo_evicts_lru_one_at_a_time():
 
 def test_observed_rates_refine_future_selections():
     """Online refinement: once every candidate has enough observations,
-    the per-algorithm seconds-per-unit rates scale the estimates. A
-    position-free, bottom-up-free query ties on units, so the observed
-    rates decide — and a new (plan, profile) pair flips accordingly."""
+    the per-algorithm seconds-per-unit rates scale the estimates. On a
+    Core plan the seed units favor the Core XPath sweep; observed rates
+    that make it a hundred times slower per unit than OPTMINCONTEXT flip
+    a new (plan, profile) pair."""
     specializer = PlanSpecializer()
-    plan = compile_plan("count(//*)")  # units tie: no loops, no bottom-up paths
+    plan = compile_plan("//a/b")  # Core, no predicates: no bottom-up paths
     baseline = specializer.specialize(plan, SMALL)
-    assert baseline.algorithm == "mincontext"  # deterministic tie-break
-    units = cost_units(plan, SMALL, "mincontext")
+    assert baseline.algorithm == "corexpath"
+    assert not baseline.clamped
+    units = cost_units(plan, SMALL, "optmincontext")
     for _ in range(PlanSpecializer.MIN_OBSERVATIONS):
-        specializer.timings.observe("mincontext", units, 1.0)      # slow
+        specializer.timings.observe("corexpath", units, 1.0)       # slow
         specializer.timings.observe("optmincontext", units, 0.01)  # fast
     fresh_profile = DocumentProfile(
         total_nodes=201, max_depth=5, max_fanout=8, text_ratio=2.0
@@ -254,17 +261,17 @@ def test_observed_rates_refine_future_selections():
     assert "observed" in refined.rationale
     # The memoized earlier selection stays pinned — refinement affects
     # future pairs, never past ones.
-    assert specializer.specialize(plan, SMALL).algorithm == "mincontext"
+    assert specializer.specialize(plan, SMALL).algorithm == "corexpath"
 
 
 def test_partial_observations_do_not_skew_selection():
     """Rates apply only when every candidate is observed: mixing one
     measured rate with defaults would favor whichever ran first."""
     specializer = PlanSpecializer()
-    plan = compile_plan("count(//*)")
+    plan = compile_plan("//a/b")
     for _ in range(PlanSpecializer.MIN_OBSERVATIONS):
         specializer.timings.observe("optmincontext", 100.0, 1e-9)
-    assert specializer.specialize(plan, SMALL).algorithm == "mincontext"
+    assert specializer.specialize(plan, SMALL).algorithm == "corexpath"
 
 
 def test_session_evaluations_feed_the_timing_model():
@@ -417,7 +424,7 @@ def test_cli_plan_explain_with_document_names_profile_and_choice(capsys):
     assert code == 0
     assert "[given document]" in out
     assert "|dom|=6" in out
-    assert "chosen algorithm: mincontext" in out
+    assert "chosen algorithm: optmincontext" in out
     assert "bottomup-paths=1" in out
 
 
