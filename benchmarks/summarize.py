@@ -7,7 +7,6 @@ Run after the benchmark suite:
     python benchmarks/summarize.py --plan-cache  # just the plan-cache hit rates
     python benchmarks/summarize.py --sharded     # just the sharding gates/speedup
     python benchmarks/summarize.py --async-batch # just the async/streaming gates
-    python benchmarks/summarize.py --specialize  # just the specialization gates
     python benchmarks/summarize.py --axes        # just the fused-kernel gates
     python benchmarks/summarize.py --snapshot    # just the snapshot gates
     python benchmarks/summarize.py --batchplan   # just the multi-query gates
@@ -25,7 +24,7 @@ ORDER = [
     "exp_f4", "exp_f5", "exp_e9",
     "exp_x1", "exp_t7a", "exp_t7b", "exp_t10", "exp_t13",
     "exp_x2", "exp_x3", "exp_a1", "exp_a2",
-    "exp_svc", "exp_shard", "exp_mqo", "exp_async", "exp_spec", "exp_axis", "exp_snap",
+    "exp_svc", "exp_shard", "exp_mqo", "exp_async", "exp_axis", "exp_snap",
     "exp_serve",
 ]
 
@@ -65,20 +64,6 @@ def async_batch_lines() -> list[str]:
     if not path.exists():
         return []
     markers = ("gate:", "barrier", "stream:")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def specialize_lines() -> list[str]:
-    """The value / stats gate, batch-time and choice-matrix lines from
-    the EXP-SPEC report (written by bench_specialize.py)."""
-    path = RESULTS_DIR / "exp_spec.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "configuration", "dispatch", "specialized", "->")
     return [
         line
         for line in path.read_text(encoding="utf-8").splitlines()
@@ -163,11 +148,6 @@ def main(argv: list[str] | None = None) -> None:
         help="print only the async/streaming gates and latencies (EXP-ASYNC)",
     )
     parser.add_argument(
-        "--specialize",
-        action="store_true",
-        help="print only the specialization gates and choice matrix (EXP-SPEC)",
-    )
-    parser.add_argument(
         "--axes",
         action="store_true",
         help="print only the fused-axis-kernel gates and speedup (EXP-AXIS)",
@@ -212,15 +192,6 @@ def main(argv: list[str] | None = None) -> None:
             raise SystemExit(
                 "no async-batch results yet — run: "
                 "python benchmarks/bench_async_batch.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.specialize:
-        lines = specialize_lines()
-        if not lines:
-            raise SystemExit(
-                "no specialization results yet — run: "
-                "python benchmarks/bench_specialize.py"
             )
         print("\n".join(lines))
         return

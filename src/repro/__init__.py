@@ -27,15 +27,13 @@ Serving workloads — the service layer
 The paper's complexity theorems bound *evaluation* cost; the per-call
 frontend pipeline (parse → normalize → rewrite → relevance → fragment
 dispatch) is pure overhead on repeated queries. :class:`QueryService`
-amortizes it with a *two-stage* compiler: stage 1 turns each distinct
-``(query, options)`` pair into a document-independent
-:class:`LogicalPlan` held in an LRU cache; stage 2 specializes ``auto``
-evaluations per document — a cost model over the document's profile
-(size, depth, fanout, text ratio) picks the cheapest of the paper's
-worst-case-bounded evaluators, refined online by observed timings
-(``specialize=False`` restores the static fragment dispatch). Each
-document gets a session that memoizes ``(plan, context) → result``. The
-batch API evaluates whole workloads in one call::
+amortizes it: each distinct ``(query, options)`` pair is compiled once
+into a document-independent :class:`LogicalPlan` held in an LRU cache,
+and ``auto`` runs the paper's fragment dispatch — Theorem 13's
+linear-time sweep on Core XPath, OPTMINCONTEXT with Corollary 11's
+bounds elsewhere — on every document alike. Each document gets a
+session that memoizes ``(plan, context) → result``. The batch API
+evaluates whole workloads in one call::
 
     from repro import QueryService, parse_document
 
@@ -85,8 +83,6 @@ from repro.engine import ALGORITHMS, CompiledPlan, CompiledQuery, XPathEngine
 from repro.service import (
     DocumentProfile,
     LogicalPlan,
-    PhysicalPlan,
-    PlanSpecializer,
     ShardTimingHistory,
     document_profile,
 )
@@ -138,10 +134,8 @@ __all__ = [
     "LogicalPlan",
     "Node",
     "NodeKind",
-    "PhysicalPlan",
     "PlanCache",
     "PlanOptions",
-    "PlanSpecializer",
     "QueryPlanner",
     "QueryService",
     "ReproError",

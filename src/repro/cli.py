@@ -5,15 +5,12 @@ Three modes:
 * the default (legacy) mode evaluates one query against one document;
 * ``repro-xpath plan QUERY`` compiles a query and prints its *logical*
   plan — normalized form, fragment classification, and the algorithm the
-  static ``auto`` dispatch selects — without needing a document.
-  ``plan --explain`` additionally prints stage 2 of the two-stage
-  compilation: the per-document *physical* specialization — the document
-  profile (``|dom|``, depth, fanout, text ratio), the cost-model
-  estimate for every candidate evaluator, the chosen algorithm, and the
-  rationale (which profile/plan features drove the choice). Give
-  ``plan`` a real document via ``--xml``/``--file`` to specialize for
-  it; without one, two representative profiles (a small and a large
-  document) are specialized so the decision surface is still visible.
+  ``auto`` dispatch selects — without needing a document.
+  ``plan --explain`` additionally names the fragment result behind that
+  choice (Theorem 13 for Core XPath, Corollary 11 elsewhere); give
+  ``plan`` a document via ``--xml``/``--file`` and it also prints the
+  document's profile (``|dom|``, depth, fanout, text ratio) and the
+  cost units admission control prices the cell at.
   ``plan --explain-batch QUERY...`` accepts several queries and prints
   the *batch-shared step DAG* the service would build for them — which
   step prefixes unify, which plans consume them, and which plans stay
@@ -21,9 +18,7 @@ Three modes:
 * ``repro-xpath batch`` evaluates many queries against many documents
   through :class:`repro.service.QueryService`, sharing the compiled-plan
   cache and per-document caches, and can report cache statistics.
-  Per-document specialization is on by default; ``--no-specialize``
-  reproduces the static document-blind fragment dispatch exactly.
-  Batch-step sharing (the shared-prefix DAG) is likewise on by default
+  Batch-step sharing (the shared-prefix DAG) is on by default
   for ``auto`` batches; ``--no-share`` reproduces fully independent
   per-cell evaluation byte-identically, stats included.
   ``--workers N --backend {serial,thread,process,async}`` shards the
@@ -288,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 def build_plan_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-xpath plan",
-        description="Compile a query and print its logical plan (stage 1; no "
-        "document needed). --explain adds stage 2: the per-document physical "
-        "specialization — profile, per-candidate cost estimates, chosen "
-        "algorithm, and rationale. --explain-batch accepts several queries "
-        "and prints the batch-shared step DAG the service would build.",
+        description="Compile a query and print its logical plan (no document "
+        "needed). --explain adds the fragment reason for the evaluator auto "
+        "runs and, given a document, its profile and admission cost units. "
+        "--explain-batch accepts several queries and prints the "
+        "batch-shared step DAG the service would build.",
     )
     parser.add_argument(
         "query",
@@ -312,9 +307,9 @@ def build_plan_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="print the physical specialization stage: document profile, "
-        "cost-model estimates per candidate algorithm, the chosen algorithm, "
-        "and the rationale (profile features that drove the choice)",
+        help="print why auto runs the evaluator it does (Theorem 13 or "
+        "Corollary 11) and, given a document, its profile and the cost "
+        "units admission prices",
     )
     parser.add_argument(
         "--explain-batch",
@@ -325,10 +320,10 @@ def build_plan_parser() -> argparse.ArgumentParser:
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument(
-        "--file", "-f", help="XML document to specialize for (implies --explain)"
+        "--file", "-f", help="XML document to price the query on (implies --explain)"
     )
     source.add_argument(
-        "--xml", help="inline XML document to specialize for (implies --explain)"
+        "--xml", help="inline XML document to price the query on (implies --explain)"
     )
     return parser
 
@@ -368,11 +363,19 @@ def plan_main(argv: list[str]) -> int:
     print("Core XPath:      ", core)
     print("Extended Wadler: ", wadler)
     print("bottom-up paths: ", plan.bottomup_path_count)
-    print("algorithm:       ", plan.algorithm, "(static fragment dispatch)")
+    reason = "fragment dispatch"
+    if args.explain and plan.is_core_xpath:
+        reason = "Theorem 13: Core XPath runs as linear-time set sweeps"
+    elif args.explain:
+        reason = (
+            "Corollary 11: outside Core XPath, OPTMINCONTEXT bounds each "
+            "subexpression by its fragment"
+        )
+    print("algorithm:       ", plan.algorithm, f"({reason})")
     if plan.rewrite_stats is not None:
         print("rewrites applied:", plan.rewrite_stats.total())
-    if args.explain:
-        code = _print_specialization(args, plan)
+    if args.xml or args.file:
+        code = _print_cost(args, plan)
         if code != 0:
             return code
     if args.tree:
@@ -383,38 +386,25 @@ def plan_main(argv: list[str]) -> int:
     return 0
 
 
-def _print_specialization(args, plan) -> int:
-    """The ``plan --explain`` stage-2 section: specialize the logical
-    plan for the given document, or for the representative small/large
-    profiles when no document was supplied."""
-    from repro.service.specialize import (
-        REPRESENTATIVE_PROFILES,
-        PlanSpecializer,
-        document_profile,
-    )
+def _print_cost(args, plan) -> int:
+    """The document part of ``plan --explain``: the document's profile
+    and the cost units admission prices the cell at."""
+    from repro.service.cost import cost_units, document_profile
 
-    specializer = PlanSpecializer()
-    if args.xml or args.file:
-        try:
-            if args.file:
-                with open(args.file, encoding="utf-8") as handle:
-                    source = handle.read()
-            else:
-                source = args.xml
-            document = parse_document(source)
-        except OSError as error:
-            return _fail(str(error), EXIT_ERROR)
-        except ReproError as error:
-            return _fail(str(error), error_exit_code(error))
-        targets = [("given document", document_profile(document))]
-    else:
-        targets = list(REPRESENTATIVE_PROFILES)
-    print("physical specialization (stage 2, cost-driven):")
-    for label, profile in targets:
-        physical = specializer.specialize(plan, profile)
-        print(f"  [{label}]")
-        for line in physical.describe().splitlines():
-            print(f"    {line}")
+    try:
+        if args.file:
+            with open(args.file, encoding="utf-8") as handle:
+                source = handle.read()
+        else:
+            source = args.xml
+        document = parse_document(source)
+    except OSError as error:
+        return _fail(str(error), EXIT_ERROR)
+    except ReproError as error:
+        return _fail(str(error), error_exit_code(error))
+    profile = document_profile(document)
+    print("profile:         ", profile.describe())
+    print("cost units:      ", f"{cost_units(plan, profile, plan.algorithm):.3g}")
     return 0
 
 
@@ -496,14 +486,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="apply the semantics-preserving rewrite pass when compiling plans",
     )
     parser.add_argument(
-        "--specialize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="choose the evaluator per (query, document) with the cost-driven "
-        "specializer (default); --no-specialize reproduces the static "
-        "document-blind fragment dispatch exactly",
-    )
-    parser.add_argument(
         "--share",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -550,8 +532,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print plan-cache, result-cache, batch-plan, specializer, and "
-        "axis-kernel statistics after the batch",
+        help="print plan-cache, result-cache, batch-plan, and axis-kernel "
+        "statistics after the batch",
     )
     return parser
 
@@ -618,7 +600,6 @@ def _stream_batch(args, queries: list[str], documents: list, labels: list[str]) 
     async_service = AsyncQueryService(
         plan_capacity=args.plan_capacity,
         optimize=args.optimize,
-        specialize=args.specialize,
     )
     stream = async_service.stream_many(
         queries,
@@ -725,7 +706,6 @@ def batch_main(argv: list[str]) -> int:
     service = QueryService(
         plan_capacity=args.plan_capacity,
         optimize=args.optimize,
-        specialize=args.specialize,
     )
     try:
         batch = service.evaluate_many(
@@ -759,21 +739,10 @@ def batch_main(argv: list[str]) -> int:
             batch.batch_plan,
             bool(args.snapshot_store),
         )
-        # Stage-2 memo counters live on the driving service; sharded
-        # batches specialize inside per-shard workers instead. The axis
-        # kernel counters are process-global for the same reason the
-        # node-index cache is — per document, not per service — so they
-        # too only describe in-process (workers == 1) evaluation.
+        # The axis kernel counters are process-global for the same reason
+        # the node-index cache is — per document, not per service — so
+        # they only describe in-process (workers == 1) evaluation.
         if args.workers == 1:
-            specialize_stats = service.cache_stats().get("specialize_cache")
-            if specialize_stats is not None:
-                print(
-                    "specializer:  "
-                    f"hits={specialize_stats['hits']} "
-                    f"misses={specialize_stats['misses']} "
-                    f"hit rate={specialize_stats['hit_rate']:.1%}",
-                    file=sys.stderr,
-                )
             kernel_stats = axis_kernel_stats.snapshot()
             print(
                 "axis kernels: "

@@ -1,22 +1,15 @@
 """Public engine facade.
 
 :class:`XPathEngine` is a thin per-document convenience wrapper over the
-two-stage compiler: stage 1 (:mod:`repro.service.planner`) — parse →
+compiler (:mod:`repro.service.planner`): parse →
 normalize (variables substituted, conversions explicit) → relevance
 analysis → fragment classification — produces the document-independent
 :class:`LogicalPlan <repro.service.plan.LogicalPlan>`, and
-``algorithm='auto'`` statically picks the best algorithm the paper
-provides for the query's fragment:
+``algorithm='auto'`` picks the best algorithm the paper provides for the
+query's fragment, for every document alike:
 
 * whole-query Core XPath (Definition 12)  → ``corexpath``  (Theorem 13)
 * everything else                          → ``optmincontext`` (Thm 7/10)
-
-Construct with ``specialize=True`` to route ``auto`` through stage 2
-instead (:mod:`repro.service.specialize`): the cost-driven selector
-reads this document's profile (node count, depth, fanout, text ratio)
-and picks the cheapest evaluator whose guarantees hold — the same
-per-document specialization :class:`repro.service.QueryService` applies
-by default. Values are identical either way; only speed differs.
 
 The slower algorithms (``naive``, ``bottomup``, ``topdown``,
 ``mincontext``) remain selectable — the benchmark harness and the
@@ -62,22 +55,10 @@ class XPathEngine:
         document: Document,
         variables: dict[str, object] | None = None,
         optimize: bool = False,
-        specialize: bool = False,
     ):
         self.document = document
         self.variables = dict(variables or {})
         self.optimize = optimize
-        # Off by default at the engine level: the single-document facade
-        # is also the differential suites' oracle harness, where the
-        # static dispatch is the reference behavior. The service layer
-        # (QueryService) enables specialization by default.
-        self.specialize = bool(specialize)
-        self._specializer = None
-        self._profile = None
-        if self.specialize:
-            from repro.service.specialize import PlanSpecializer
-
-            self._specializer = PlanSpecializer()
         self._planner = QueryPlanner()
         self._cache: dict[str, CompiledPlan] = {}
 
@@ -121,19 +102,8 @@ class XPathEngine:
         if context_node is None:
             context_node = self.document.root
         context = Context(context_node, context_position, context_size)
-        resolved = self._resolve(compiled, algorithm)
+        resolved = resolve_algorithm(compiled, algorithm)
         return make_evaluator(self.document, resolved).evaluate(compiled.ast, context)
-
-    def _resolve(self, compiled: CompiledPlan, algorithm: str) -> str:
-        """Static fragment dispatch, or — with ``specialize=True`` — the
-        stage-2 cost-driven choice for this document's profile."""
-        if algorithm == "auto" and self._specializer is not None:
-            if self._profile is None:
-                from repro.service.specialize import document_profile
-
-                self._profile = document_profile(self.document)
-            return self._specializer.specialize(compiled, self._profile).algorithm
-        return resolve_algorithm(compiled, algorithm)
 
     # ------------------------------------------------------------------
 

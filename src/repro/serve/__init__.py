@@ -31,13 +31,14 @@ lands in:
    "auto"``, ``degraded: false``, ``priced_ms: 0.0``.
 6. **Admission** (:mod:`repro.serve.admission`; a miss, every BATCH) —
    the dynamic gate. Each (query, document) cell is priced from the
-   specializer's cost model (abstract units per candidate algorithm)
-   times the observed seconds-per-unit rate, floored by the document's
+   cost model of :mod:`repro.service.cost` (abstract units for the
+   evaluator the plan's fragment dispatches to) times that evaluator's
+   observed seconds-per-unit rate, floored by the document's
    shard-timing history; the price is compared against the request's
    remaining deadline and the daemon's queue depth. The verdict is
-   admit, degrade (force the cheapest admissible algorithm and drop
-   batch sharing — reduced service beats refusal), or a typed
-   ``OVERLOAD`` rejection (``rejected_overload``).
+   admit, degrade (keep ``auto`` and drop batch sharing — reduced
+   service beats refusal), or a typed ``OVERLOAD``
+   rejection (``rejected_overload``).
 7. **Evaluation** — under cooperative cancellation: ``asyncio.wait_for``
    for single queries, a deadline-armed
    :class:`~repro.service.async_service.BatchStream` for batches. One

@@ -1,47 +1,45 @@
 """Admission control: price work before doing it, refuse it typed.
 
 The paper's complexity theorems give every (query, document) cell a
-computable cost *shape*; the service layer already turned that shape
-into numbers — :func:`repro.service.specialize.cost_units` estimates
-abstract units per candidate algorithm, :class:`repro.stats.TimingStats`
+computable cost *shape*; the service layer turns that shape into
+numbers — :func:`repro.service.cost.cost_units` estimates abstract units
+for the evaluator ``auto`` runs (the plan's fragment dispatch),
+:attr:`QueryService.timings <repro.service.service.QueryService.timings>`
 holds the observed seconds-per-unit EMA per algorithm, and
 :class:`repro.service.shard.ShardTimingHistory` holds observed
 per-document seconds. The :class:`AdmissionController` composes those
 oracles into a pre-evaluation gate:
 
 * **admit** — the priced cost fits the remaining deadline and the queue
-  is shallow: evaluate normally (``auto`` specialization, batch sharing
-  on);
-* **degrade** — the priced cost busts the budget or the queue passed the
-  degrade watermark, but the *cheapest admissible* algorithm still
-  fits: force that algorithm and drop batch sharing (shared-prefix
-  bookkeeping costs latency the request no longer has);
+  is shallow: evaluate normally (``auto``, batch sharing on);
+* **degrade** — the queue passed the degrade watermark but the priced
+  cost still fits: evaluate under ``auto`` with batch sharing dropped
+  (shared-prefix bookkeeping costs latency the request no longer has);
 * **reject** — the queue passed the high watermark (typed ``OVERLOAD``
-  with a ``retry_after`` hint) or even the cheapest algorithm cannot
-  make the deadline (typed ``OVERLOAD`` with *no* hint: retrying the
-  same request cannot help).
+  with a ``retry_after`` hint) or the priced cost cannot make the
+  deadline (typed ``OVERLOAD`` with *no* hint: retrying the same
+  request cannot help).
 
-Everything here is O(candidates) arithmetic over memoized profiles — no
-evaluation ever starts for a rejected request, which is what keeps the
-daemon's p99 bounded under overload (the EXP-SERVE gate).
+Everything here is arithmetic over memoized profiles — no evaluation
+ever starts for a rejected request, which is what keeps the daemon's
+p99 bounded under overload (the EXP-SERVE gate).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.service.specialize import auto_candidates, cost_units, document_profile
+from repro.service.cost import cost_units, document_profile
 
 
 @dataclass(frozen=True)
 class AdmissionDecision:
     """The controller's verdict for one request (single query or batch).
 
-    ``algorithm`` is ``"auto"`` for admits and the forced cheapest
-    admissible evaluator for single-query degrades; ``share`` is False
-    whenever the request was degraded. ``retry_after`` is the backoff
-    hint for rejections (``None`` when retrying cannot help).
+    ``algorithm`` is always ``"auto"``: a degrade changes only
+    ``share``, which is False whenever the request was degraded.
+    ``retry_after`` is the backoff hint for rejections (``None`` when
+    retrying cannot help).
     """
 
     action: str  # "admit" | "degrade" | "reject"
@@ -63,8 +61,8 @@ class AdmissionDecision:
 class AdmissionController:
     """Prices (query, document) cells and gates them against deadlines
     and queue depth. One instance per daemon, sharing the daemon
-    service's specializer timings and shard history so every served
-    evaluation sharpens the next admission decision."""
+    service's timings and shard history so every served evaluation
+    sharpens the next admission decision."""
 
     #: Seed seconds-per-unit before any timing observations exist.
     #: Deliberately conservative (admission should start strict and
@@ -72,7 +70,7 @@ class AdmissionController:
     #: ``MIN_OBSERVATIONS`` evaluations per algorithm.
     DEFAULT_SECONDS_PER_UNIT = 2e-7
     #: Observations an algorithm needs before its observed rate replaces
-    #: the seed (mirrors the specializer's own threshold).
+    #: the seed.
     MIN_OBSERVATIONS = 3
     #: Weight of the per-document shard history in the price floor.
     HISTORY_WEIGHT = 0.25
@@ -101,20 +99,11 @@ class AdmissionController:
 
     def _rate(self, algorithm: str) -> float:
         """Observed seconds-per-unit for an algorithm, or the seed."""
-        specializer = self.service.specializer
-        if specializer is None:
-            return self.seconds_per_unit
-        timings = specializer.timings
+        timings = self.service.timings
         if timings.observation_count(algorithm) < self.MIN_OBSERVATIONS:
             return self.seconds_per_unit
         rate = timings.rate(algorithm)
         return rate if rate is not None else self.seconds_per_unit
-
-    @staticmethod
-    def _candidates(plan) -> tuple[str, ...]:
-        """The degrade pool: ``auto``'s candidates for the plan
-        (:func:`~repro.service.specialize.auto_candidates`)."""
-        return auto_candidates(plan.is_core_xpath)
 
     def _history_floor(self, document) -> float:
         """A per-document price floor from the shard timing history: a
@@ -128,31 +117,15 @@ class AdmissionController:
             return 0.0
         return self.HISTORY_WEIGHT * predicted[0]
 
-    def price(self, plan, document, algorithm: str = "auto") -> float:
-        """Priced seconds for one (query, document) cell: model units ×
-        per-algorithm rate, floored by the document's shard history.
-        ``auto`` prices the cheapest candidate (what specialization
-        would pick, modulo guarantee clamps — admission wants a lower
-        bound it can trust, not the exact selection)."""
-        profile = document_profile(document)
-        if algorithm == "auto":
-            model = min(
-                cost_units(plan, profile, name) * self._rate(name)
-                for name in self._candidates(plan)
-            )
-        else:
-            model = cost_units(plan, profile, algorithm) * self._rate(algorithm)
-        return max(model, self._history_floor(document))
-
-    def cheapest(self, plan, documents) -> tuple[str, float]:
-        """The cheapest admissible forced algorithm for a plan across
-        documents, with its total price — the degrade target."""
-        best_name, best_price = None, math.inf
-        for name in self._candidates(plan):
-            total = sum(self.price(plan, document, name) for document in documents)
-            if total < best_price:
-                best_name, best_price = name, total
-        return best_name, best_price
+    def price(self, plan, document) -> float:
+        """Priced seconds for one (query, document) cell under the
+        evaluator ``auto`` runs,
+        :meth:`~repro.service.plan.LogicalPlan.best_algorithm`: model
+        units × that evaluator's rate, floored by the document's shard
+        history."""
+        algorithm = plan.best_algorithm()
+        units = cost_units(plan, document_profile(document), algorithm)
+        return max(units * self._rate(algorithm), self._history_floor(document))
 
     # -- the gate -------------------------------------------------------
 
@@ -171,10 +144,8 @@ class AdmissionController:
         """Gate one request — a single plan or a whole batch (every plan
         × every document) — **before any evaluation starts**.
 
-        Single-query degrades force the cheapest admissible algorithm;
-        batch degrades drop sharing and keep per-cell ``auto`` (the
-        streaming scheduler evaluates one algorithm choice per cell, so
-        a batch-wide forced algorithm could only over-price cells).
+        A degrade keeps ``auto`` and drops sharing; ``auto`` already
+        runs the evaluator the price was taken for.
         """
         plans = list(plans)
         documents = list(documents)
@@ -195,39 +166,27 @@ class AdmissionController:
         budget = self.max_cost_seconds
         if deadline_seconds is not None:
             budget = min(budget, deadline_seconds)
-        crowded = queue_depth >= self.queue_degrade
-        if auto_price <= budget and not crowded:
+        if auto_price > budget:
+            return AdmissionDecision(
+                action="reject",
+                priced_seconds=auto_price,
+                reason=(
+                    f"priced cost {auto_price:.4f}s exceeds the "
+                    f"{budget:.4f}s budget"
+                ),
+                # No hint on purpose: the same request would be refused again.
+                retry_after=None,
+            )
+        if queue_depth < self.queue_degrade:
             return AdmissionDecision(
                 action="admit", priced_seconds=auto_price, reason="within budget"
             )
-        if len(plans) == 1:
-            algorithm, degraded_price = self.cheapest(plans[0], documents)
-        else:
-            algorithm, degraded_price = "auto", auto_price
-        if degraded_price <= budget:
-            reason = (
+        return AdmissionDecision(
+            action="degrade",
+            share=False,
+            priced_seconds=auto_price,
+            reason=(
                 f"queue depth {queue_depth} past the degrade watermark "
                 f"{self.queue_degrade}"
-                if crowded and auto_price <= budget
-                else (
-                    f"priced {auto_price:.4f}s over the {budget:.4f}s budget; "
-                    f"cheapest admissible fits at {degraded_price:.4f}s"
-                )
-            )
-            return AdmissionDecision(
-                action="degrade",
-                algorithm=algorithm,
-                share=False,
-                priced_seconds=degraded_price,
-                reason=reason,
-            )
-        return AdmissionDecision(
-            action="reject",
-            priced_seconds=degraded_price,
-            reason=(
-                f"priced cost {degraded_price:.4f}s exceeds the "
-                f"{budget:.4f}s budget even degraded"
             ),
-            # No hint on purpose: the same request would be refused again.
-            retry_after=None,
         )

@@ -1,7 +1,7 @@
 """The serving daemon: an asyncio TCP front end over the query service.
 
 One :class:`XPathDaemon` owns a shared :class:`~repro.service.service.
-QueryService` (plan cache, sessions, specializer timings), an
+QueryService` (plan cache, sessions, per-algorithm timings), an
 :class:`~repro.serve.admission.AdmissionController` priced from that
 service's timing histories, per-client :class:`~repro.serve.quotas.
 ClientState`, and exact per-client + global :class:`~repro.stats.
@@ -43,9 +43,10 @@ order a frame meets them, with the counter each exit lands in:
    so the queue watermarks and the cost budget are not consulted), and
    a hit meets any deadline.
 6. **admission** (a miss, every BATCH) — the controller prices the
-   (query, document) cells from the specializer's cost model × observed
-   per-algorithm rates × per-document shard history and admits,
-   degrades (cheapest admissible algorithm, sharing dropped), or
+   (query, document) cells from the cost model × observed per-algorithm
+   rates × per-document shard history and admits, degrades (still
+   ``auto``, sharing dropped — so a degraded QUERY fills and hits the
+   same memo entry as an admitted one), or
    rejects with typed ``OVERLOAD`` (``rejected_overload``) — all
    *before evaluation starts*.
 7. **evaluation** (a task) — under ``asyncio.wait_for`` (single

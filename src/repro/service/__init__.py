@@ -3,17 +3,17 @@
 The paper's algorithms bound *evaluation* cost; this package amortizes
 everything that happens before evaluation, then keeps the evaluators
 saturated. A batch flows through five layers — logical → batch →
-physical → schedule → merge:
+dispatch → schedule → merge:
 
 1. **logical planning (document-independent)** — each distinct
    ``(query, options)`` pair is compiled once (parse → normalize →
    rewrite → relevance → fragment classification → trait extraction)
    into a :class:`LogicalPlan`, held in the exact-accounting LRU
    :class:`PlanCache`. A logical plan deliberately names *no* evaluator:
-   it carries the fragment classification and the cost features
-   (:class:`~repro.service.plan.PlanTraits`) that the physical stage
-   reads — including ``step_keys``, the canonical per-step rendering of
-   plain absolute paths that the batch stage keys on.
+   it carries the fragment classification that picks one and the cost
+   features (:class:`~repro.service.plan.PlanTraits`) admission prices
+   — including ``step_keys``, the canonical per-step rendering of plain
+   absolute paths that the batch stage keys on.
 2. **batch planning (per batch of queries)** — between logical planning
    and per-document work, :func:`repro.service.batchplan.build_batch_plan`
    unifies the batch's common step prefixes into a shared-step DAG
@@ -30,34 +30,17 @@ physical → schedule → merge:
    (``--no-share``) reproduces independent evaluation byte-identically,
    stats included. Exact accounting lives on
    :class:`repro.stats.BatchPlanStats` (``BatchResult.batch_plan``).
-3. **physical specialization (per document)** — a
-   :class:`PlanSpecializer` combines a logical plan with a
-   :class:`DocumentProfile` (node count, depth, fanout, text ratio,
-   per-tag counts) and picks the evaluator via a small explicit cost
-   model seeded from the paper's complexity bounds and refined online by
-   observed per-algorithm timings (:class:`repro.stats.TimingStats`).
-   Since PR 5 the model also prices the evaluators' *indexed* fast
-   paths: every candidate's set sweeps run through the fused
-   axis+name-test kernels of :mod:`repro.axes` (per-document
-   :class:`~repro.xml.index.NodeIndex`, output-sensitive partition
-   range queries), so a plan's name-tested interval-axis steps combined
-   with the profile's tag counts shrink the sweep share of its estimate
-   (:func:`repro.service.specialize.name_test_selectivity`). Candidates
-   are restricted to the worst-case-bounded evaluators
-   (``optmincontext``, and ``corexpath`` inside Core XPath), with a
-   guarantee clamp above a size threshold — so a mis-estimate costs
-   constants, never asymptotics. The same shape of guarantee holds one
-   layer down: the *fallback guarantee for the kernels themselves lives
-   in the axis dispatch* (:func:`repro.axes.vec.forward_step`), which
+3. **dispatch (per plan)** — ``auto`` is the paper's fragment dispatch,
+   :meth:`LogicalPlan.best_algorithm`: Core XPath runs Theorem 13's
+   linear-time set sweep (``corexpath``), everything else OPTMINCONTEXT
+   with Corollary 11's bounds. The choice reads no document and no
+   history. The kernels under either evaluator keep a guarantee of
+   their own: the axis dispatch (:func:`repro.axes.vec.forward_step`)
    reverts to the Definition-1 ``O(|D|)`` scans whenever predicted
-   output is large — evaluator choice and kernel choice can both be
-   wrong and the paper's bounds still hold. Specializations are
-   memoized in a profile-bucketed memo with exact counters
-   (``specialize_cache``) whose eviction victimizes the globally-LRU
-   entry of a *largest* profile bucket — one hot profile cannot evict
-   every other profile's entries; ``specialize=False`` anywhere in the
-   stack falls back to the static fragment dispatch
-   (:func:`resolve_algorithm`).
+   output is large. A price for the chosen evaluator — abstract units
+   from :mod:`repro.service.cost` (plan traits × :class:`DocumentProfile`)
+   times the observed seconds per unit on :attr:`QueryService.timings`
+   — is what admission control reads.
 4. **scheduling** — the pluggable middle layer
    (:mod:`repro.service.scheduler`): ``prepare`` plans document shards
    (LPT on node counts — or on *observed per-document seconds* once a
@@ -87,9 +70,8 @@ Modules:
   static algorithm dispatch;
 * :mod:`repro.service.batchplan` — the batch layer: :class:`BatchPlan` /
   :func:`build_batch_plan`, prefix unification and residual evaluation;
-* :mod:`repro.service.specialize` — the physical layer:
-  :class:`DocumentProfile`, :class:`PhysicalPlan`,
-  :class:`PlanSpecializer`, the cost model;
+* :mod:`repro.service.cost` — :class:`DocumentProfile` and the
+  admission price of a (plan, document, evaluator) cell;
 * :mod:`repro.service.cache` — the thread-safe, exact-accounting LRU
   :class:`PlanCache`;
 * :mod:`repro.service.service` — :class:`QueryService` /
@@ -108,22 +90,20 @@ Quickstart::
 
     from repro import QueryService, parse_document
 
-    service = QueryService(plan_capacity=128)    # specialization on
+    service = QueryService(plan_capacity=128)
     docs = [parse_document(x) for x in sources]
     batch = service.evaluate_many(["//book/title", "//book[price > 20]"], docs)
     batch.value(0, 1)                      # doc 0, second query
     batch.batch_plan                       # shared-step DAG counters
     service.cache_stats()["plan_cache"]    # hits / misses / hit_rate
-    service.cache_stats()["specialize_cache"]   # physical memo counters
+    service.cache_stats()["timings"]       # observed seconds per unit
 
 Inspecting the stages — what runs where, and why::
 
     plan = service.plan("//book[price > 20]/title")   # logical (cached)
-    plan.best_algorithm()              # static dispatch: 'optmincontext'
-    from repro.service.specialize import document_profile
-    physical = service.specializer.specialize(plan, document_profile(docs[0]))
-    physical.algorithm                 # 'optmincontext' outside Core XPath
-    physical.rationale                 # the profile features that decided
+    plan.best_algorithm()              # what auto runs: 'optmincontext'
+    from repro.service.cost import cost_units, document_profile
+    cost_units(plan, document_profile(docs[0]), plan.best_algorithm())
     from repro.service.batchplan import build_batch_plan
     print(build_batch_plan([plan, service.plan("//book/title")]).describe())
     # CLI forms: repro-xpath plan --explain --file doc.xml QUERY
@@ -156,6 +136,7 @@ Serving from an event loop — the async front end::
 from repro.service.async_service import AsyncQueryService, BatchStream, StreamItem
 from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
+from repro.service.cost import DocumentProfile, document_profile
 from repro.service.executor import (
     EXECUTOR_BACKENDS,
     ShardedExecutor,
@@ -193,12 +174,6 @@ from repro.service.shard import (
     ShardTimingHistory,
     plan_shards,
 )
-from repro.service.specialize import (
-    DocumentProfile,
-    PhysicalPlan,
-    PlanSpecializer,
-    document_profile,
-)
 
 __all__ = [
     "ALGORITHMS",
@@ -213,10 +188,8 @@ __all__ = [
     "DocumentSession",
     "EXECUTOR_BACKENDS",
     "LogicalPlan",
-    "PhysicalPlan",
     "PlanCache",
     "PlanOptions",
-    "PlanSpecializer",
     "PlanTraits",
     "PreparedBatch",
     "ProcessScheduler",

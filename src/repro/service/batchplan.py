@@ -1,5 +1,5 @@
 """Batch-shared step DAG — the multi-query stage between logical
-planning and per-document specialization.
+planning and per-document evaluation.
 
 The paper's polynomial algorithms win by never recomputing a
 context–subexpression pair *within* one query; this module lifts the
@@ -34,9 +34,9 @@ node-sets once per query. Instead:
    forward sweep directly from the prefix's pre array
    (:meth:`~repro.core.corexpath.CoreXPathEvaluator.forward_from_pres`);
    suffixes with full-XPath predicates become a
-   :class:`~repro.xpath.ast.ConstantNodeSet`-rooted residual plan whose
-   evaluator the specializer prices against the *remaining* work
-   (:meth:`~repro.service.specialize.PlanSpecializer.specialize_residual`).
+   :class:`~repro.xpath.ast.ConstantNodeSet`-rooted residual plan that
+   OPTMINCONTEXT evaluates (a residual is outside Core XPath by
+   construction, so this is ``auto``'s own dispatch).
 
 Soundness: a location step is a pure set function of its origin set —
 per-origin candidate lists (so positional predicates rank within each
@@ -259,8 +259,6 @@ class BatchPlan:
                     entry.residual_steps,
                     entry.residual_core,
                     base_pres,
-                    covered=len(entry.base),
-                    total=len(entry.chain),
                 )
             except ReproError:
                 # Per-cell fallback: any sharing-path error (fragment
@@ -303,8 +301,6 @@ class BatchPlan:
                 node.residual_steps,
                 node.residual_core,
                 base_pres,
-                covered=len(node.parent),
-                total=len(chain),
             )
             self.stats.prefix_evaluation(len(chain) - len(node.parent))
             return value
@@ -325,8 +321,6 @@ class BatchPlan:
         steps: list[Step],
         core_ok: bool,
         base_pres: list[int],
-        covered: int,
-        total: int,
     ) -> list:
         document = session.document
         if not steps:
@@ -335,13 +329,7 @@ class BatchPlan:
             evaluator = session.evaluator("corexpath")
             return document.nodes_at(evaluator.forward_from_pres(steps, base_pres))
         residual = _residual_plan(plan, steps, base_pres, document)
-        if session.specializer is not None:
-            algorithm = session.specializer.specialize_residual(
-                plan, session.profile, covered=covered, total=total
-            ).algorithm
-        else:
-            algorithm = "optmincontext"
-        return session.evaluate(residual, algorithm=algorithm, cached=False)
+        return session.evaluate(residual, algorithm="optmincontext", cached=False)
 
     # ------------------------------------------------------------------
 

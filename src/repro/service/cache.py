@@ -8,12 +8,10 @@ one eviction — the plan-cache tests assert these counters literally.
 
 The cache is value-agnostic (it stores whatever the factory returns), but
 in practice the keys are :func:`repro.service.plan.plan_key` tuples and
-the values :class:`repro.service.plan.LogicalPlan` instances — stage 1 of
-the two-stage compilation only. Stage-2 physical specializations are
-document-dependent and live in the
-:class:`repro.service.specialize.PlanSpecializer` memo instead, keyed by
-(plan, profile), so an evicted-and-recompiled plan (same stable
-``cache_key``) keeps hitting its existing specializations.
+the values :class:`repro.service.plan.LogicalPlan` instances. Results live in each
+:class:`~repro.service.service.DocumentSession` memo instead, keyed by
+the plan's stable ``cache_key``, so an evicted-and-recompiled plan keeps
+hitting its existing results.
 
 Thread safety: every operation (including the lookup-count + mutate
 pairs) runs under one re-entrant lock, so a single cache shared by

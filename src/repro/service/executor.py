@@ -54,7 +54,6 @@ class ShardedExecutor:
         result_capacity: int | None = None,
         optimize: bool = False,
         variables: dict[str, object] | None = None,
-        specialize: bool = True,
         history=None,
     ):
         self.scheduler = make_scheduler(
@@ -66,7 +65,6 @@ class ShardedExecutor:
             result_capacity=result_capacity,
             optimize=optimize,
             variables=variables,
-            specialize=specialize,
             history=history,
         )
         self.workers = workers

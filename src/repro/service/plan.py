@@ -1,4 +1,4 @@
-"""Logical query plans — stage 1 of the two-stage compilation pipeline.
+"""Logical query plans — the compiled, document-independent form of a query.
 
 A :class:`LogicalPlan` is everything the *document-independent* frontend
 pipeline produces for one query string: the normalized (and optionally
@@ -16,14 +16,9 @@ evaluate many times (Theorems 7/10/13 bound the *evaluation* cost; the
 frontend cost is amortized away by
 :class:`repro.service.cache.PlanCache`).
 
-What a logical plan deliberately does *not* contain is an evaluator
-choice: stage 2 (:mod:`repro.service.specialize`) turns a logical plan
-plus a per-document :class:`~repro.service.specialize.DocumentProfile`
-into a :class:`~repro.service.specialize.PhysicalPlan` naming the chosen
-algorithm. :meth:`LogicalPlan.best_algorithm` remains the
-document-independent *static* fragment dispatch (Core XPath →
-``corexpath``, else ``optmincontext``) — the stage-2 fallback and the
-``--no-specialize`` behavior.
+The evaluator a plan runs under ``auto`` follows from its fragment
+classification alone: :meth:`LogicalPlan.best_algorithm` (Core XPath →
+``corexpath``, else ``optmincontext``), the same for every document.
 
 :class:`PlanOptions` captures the compile-time knobs that change the
 produced AST — the rewrite flag and the variable bindings — so the cache
@@ -86,8 +81,9 @@ class PlanTraits:
     """Document-independent cost features of one normalized AST.
 
     Read off the tree's :class:`~repro.xpath.normalize.Analysis` at
-    compile time and read by the stage-2 cost model together with a
-    :class:`DocumentProfile`:
+    compile time and read by the admission cost model
+    (:mod:`repro.service.cost`) together with a document's
+    :class:`~repro.service.cost.DocumentProfile`:
 
     * ``ast_size`` — total AST node count, the ``|Q|`` of the paper's
       bounds;
@@ -103,8 +99,8 @@ class PlanTraits:
       fused NodeIndex kernels turn into partition range queries;
     * ``name_test_tags`` — the element tags those steps name-test (the
       *name-test selectivity hook*: combined with a profile's per-tag
-      counts, stage 2 can predict how small the fused kernels' outputs
-      are — see :func:`repro.service.specialize.name_test_selectivity`);
+      counts, the cost model predicts how small the fused kernels'
+      outputs are — see :func:`repro.service.cost.name_test_selectivity`);
     * ``step_keys`` — the canonical per-step keys of the query's main
       path, when the query *is* a plain absolute location path: each
       normalized step's canonical text (its ``unparse``). Two plans
@@ -141,8 +137,8 @@ class LogicalPlan:
         wadler_violation: why it is outside the Extended Wadler Fragment.
         bottomup_path_count: number of subexpressions OPTMINCONTEXT will
             evaluate bottom-up.
-        traits: the document-independent cost features the stage-2
-            specializer reads (see :class:`PlanTraits`).
+        traits: the document-independent cost features admission
+            prices (see :class:`PlanTraits`).
         options: the compile-time options this plan was built under.
         step_summaries: one :class:`~repro.xpath.normalize.StepSummary`
             per main-path step when ``traits.step_keys`` is non-empty: the
@@ -209,11 +205,9 @@ class LogicalPlan:
         return self.wadler_violation is None
 
     def best_algorithm(self) -> str:
-        """The *static* (document-independent) fragment dispatch ``auto``
-        falls back to when no specializer is attached: Core XPath →
+        """What ``auto`` runs, the paper's fragment dispatch: Core XPath →
         Theorem 13's linear-time evaluator, everything else →
-        OPTMINCONTEXT. The cost-driven per-document choice lives in
-        :class:`repro.service.specialize.PlanSpecializer`."""
+        OPTMINCONTEXT with Corollary 11's bounds."""
         if self.is_core_xpath:
             return "corexpath"
         return "optmincontext"
@@ -230,8 +224,8 @@ class LogicalPlan:
 
 
 #: Backward-compatible aliases — the class was named ``CompiledPlan``
-#: before the two-stage split (and ``CompiledQuery`` in the engine facade
-#: that predates the service layer). Both names remain importable;
-#: ``LogicalPlan`` is the stage-1 name the architecture docs use.
+#: once (and ``CompiledQuery`` in the engine facade that predates the
+#: service layer). Both names remain importable; ``LogicalPlan`` is the
+#: name the architecture docs use.
 CompiledPlan = LogicalPlan
 CompiledQuery = LogicalPlan

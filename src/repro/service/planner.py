@@ -1,4 +1,4 @@
-"""The query planner: stage 1 of the two-stage compilation pipeline.
+"""The query planner: compilation and the ``auto`` fragment dispatch.
 
 This module owns the *document-independent* half of compilation:
 
@@ -16,11 +16,8 @@ This module owns the *document-independent* half of compilation:
 * :func:`make_evaluator` — instantiate the chosen evaluator for a
   document.
 
-Stage 2 — turning a logical plan into a per-document *physical* plan via
-the cost-driven algorithm selector — lives in
-:mod:`repro.service.specialize`; :func:`resolve_algorithm` is its
-document-blind fallback (and the exact behavior of ``--no-specialize``).
-:class:`XPathEngine <repro.engine.XPathEngine>` and
+There is no per-document stage: :func:`resolve_algorithm` is what
+``auto`` runs everywhere. :class:`XPathEngine <repro.engine.XPathEngine>` and
 :class:`QueryService <repro.service.service.QueryService>` are both thin
 clients of these functions.
 """
@@ -73,7 +70,7 @@ def compile_plan(
     variables: dict[str, object] | None = None,
     optimize: bool = False,
 ) -> LogicalPlan:
-    """Run the full stage-1 frontend pipeline on one query string.
+    """Run the full frontend pipeline on one query string.
 
     The parser bounds the nesting it recurses into
     (:data:`repro.xpath.parser.MAX_DEPTH`), not the height of an operator
@@ -105,9 +102,8 @@ class QueryPlanner:
 
 
 def resolve_algorithm(plan: LogicalPlan, algorithm: str = "auto") -> str:
-    """Validate and *statically* resolve an algorithm name for a plan
-    (document-blind fragment dispatch — the stage-2 specializer refines
-    ``auto`` per document profile when one is attached).
+    """Validate an algorithm name for a plan and resolve ``auto`` to the
+    plan's fragment dispatch (:meth:`LogicalPlan.best_algorithm`).
 
     Raises :class:`repro.errors.UnknownAlgorithmError` for names outside
     :data:`ALGORITHMS` and :class:`repro.errors.FragmentViolationError`

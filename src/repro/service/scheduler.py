@@ -257,7 +257,6 @@ class Scheduler:
         result_capacity: int | None = None,
         optimize: bool = False,
         variables: dict[str, object] | None = None,
-        specialize: bool = True,
         history: ShardTimingHistory | None = None,
     ):
         if workers < 1:
@@ -279,7 +278,6 @@ class Scheduler:
             "result_capacity": result_capacity,
             "optimize": optimize,
             "variables": dict(variables or {}),
-            "specialize": specialize,
         }
 
     # ------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""The query service: compile once, specialize per document, evaluate many.
+"""The query service: compile once, evaluate many.
 
 :class:`QueryService` is the production-facing entry point this
 reproduction grows toward (see ROADMAP.md): a long-lived object that
 
 * compiles each distinct ``(query, options)`` pair exactly once into a
-  stage-1 :class:`~repro.service.plan.LogicalPlan`, held in an LRU
+  :class:`~repro.service.plan.LogicalPlan`, held in an LRU
   :class:`~repro.service.cache.PlanCache`;
-* specializes ``auto`` evaluations per document through a shared
-  :class:`~repro.service.specialize.PlanSpecializer` (stage 2: logical
-  plan × :class:`~repro.service.specialize.DocumentProfile` → the
-  cost-model-chosen evaluator, refined online by observed timings) —
-  construct with ``specialize=False`` for the document-blind static
-  fragment dispatch;
+* runs ``auto`` as the paper's fragment dispatch
+  (:meth:`~repro.service.plan.LogicalPlan.best_algorithm`: Theorem 13's
+  sweep on Core XPath, OPTMINCONTEXT elsewhere) and feeds every
+  uncached evaluation's wall time into :attr:`QueryService.timings`,
+  the per-algorithm rates admission control prices with;
 * keeps one :class:`DocumentSession` per served document, which reuses
   stateless evaluator instances and memoizes ``(plan, context)`` results
   — evaluation is pure, so repeated identical requests are dictionary
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.context import Context
 from repro.service.cache import PlanCache
+from repro.service.cost import cost_units, document_profile
 from repro.service.plan import CompiledPlan, PlanOptions, plan_key
 from repro.service.planner import (
     QueryPlanner,
@@ -46,8 +46,7 @@ from repro.service.planner import (
     resolve_algorithm,
 )
 from repro.service.shard import ShardTimingHistory
-from repro.service.specialize import PlanSpecializer, document_profile
-from repro.stats import CacheStats
+from repro.stats import CacheStats, TimingStats
 from repro.xml.document import Document, Node
 
 
@@ -84,8 +83,8 @@ class DocumentSession:
     def __init__(
         self,
         document: Document,
+        timings: TimingStats,
         result_capacity: int | None = None,
-        specializer: PlanSpecializer | None = None,
         result_stats: CacheStats | None = None,
     ):
         self.document = document
@@ -96,9 +95,10 @@ class DocumentSession:
             raise ValueError(
                 f"result capacity must be >= 1, got {self.result_capacity}"
             )
-        #: Stage-2 selector (shared service-wide); ``None`` keeps the
-        #: static document-blind fragment dispatch.
-        self.specializer = specializer
+        #: Per-algorithm seconds-per-unit rates every uncached
+        #: evaluation feeds; a :class:`QueryService` hands every session
+        #: it makes the same instance.
+        self.timings = timings
         self._profile = None
         self._evaluators: dict[str, object] = {}
         self._results: dict[tuple, object] = {}
@@ -115,18 +115,16 @@ class DocumentSession:
 
     @property
     def profile(self):
-        """This document's :class:`~repro.service.specialize.DocumentProfile`
-        (computed lazily, cached process-wide by the specialize module)."""
+        """This document's :class:`~repro.service.cost.DocumentProfile`
+        (computed lazily, cached process-wide by the cost module)."""
         if self._profile is None:
             self._profile = document_profile(self.document)
         return self._profile
 
     def resolve(self, plan: CompiledPlan, algorithm: str = "auto") -> str:
-        """Stage-2 resolution: specialize ``auto`` per this document's
-        profile when a specializer is attached; static fragment dispatch
-        otherwise (and for forced names, which need no profile)."""
-        if algorithm == "auto" and self.specializer is not None:
-            return self.specializer.specialize(plan, self.profile).algorithm
+        """The evaluator to run: ``auto`` is the plan's fragment
+        dispatch, a forced name is validated against the plan's
+        fragment (:func:`~repro.service.planner.resolve_algorithm`)."""
         return resolve_algorithm(plan, algorithm)
 
     def evaluator(self, algorithm: str):
@@ -152,9 +150,8 @@ class DocumentSession:
     ):
         """Evaluate a compiled plan against this session's document.
 
-        ``algorithm='auto'`` goes through :meth:`resolve` — per-document
-        specialization when the session carries a specializer, static
-        dispatch otherwise. ``cached=False`` bypasses the result memo
+        ``algorithm='auto'`` runs the plan's fragment dispatch (see
+        :meth:`resolve`). ``cached=False`` bypasses the result memo
         (used by benchmarks to time real evaluation work).
         """
         node = context_node if context_node is not None else self.document.root
@@ -245,22 +242,22 @@ class DocumentSession:
         # bound objects are alive, so the entry pins them (via the plan's
         # variables dict) for exactly as long as the key can match.
         # Keyed by the *requested* algorithm, with resolution deferred to
-        # the miss path: hits stay session-local dict lookups (no
-        # specializer lock on the hot path), and an ``auto`` entry stays
-        # reachable even if a later re-selection — after a specializer
-        # memo flush with refined timing rates — would choose a different
-        # evaluator (evaluation is pure, so the value is the same).
+        # the miss path: a hit is one dict lookup. ``auto`` and a forced
+        # name for the evaluator it dispatches to fill separate entries
+        # holding the same value; the daemon admits and degrades alike
+        # under ``auto``, so its loop-side probe finds every entry its
+        # evaluations made.
         return (plan.cache_key, algorithm, node, position, size)
 
     def _evaluate_timed(self, plan: CompiledPlan, resolved: str, context: Context):
-        """Run one real evaluation, feeding its wall time back into the
-        specializer's online cost refinement (when one is attached)."""
-        if self.specializer is None:
-            return self.evaluator(resolved).evaluate(plan.ast, context)
+        """Run one real evaluation, feeding its wall time into the
+        session's timing rates."""
         started = time.perf_counter()
         value = self.evaluator(resolved).evaluate(plan.ast, context)
-        self.specializer.observe(
-            plan, self.profile, resolved, time.perf_counter() - started
+        self.timings.observe(
+            resolved,
+            cost_units(plan, self.profile, resolved),
+            time.perf_counter() - started,
         )
         return value
 
@@ -286,11 +283,10 @@ class BatchResult:
     """The outcome of one :meth:`QueryService.evaluate_many` call.
 
     ``values[d][q]`` is the result of ``queries[q]`` on document ``d``;
-    ``algorithms[q]`` is the *statically* resolved algorithm per query
-    (the document-independent fragment dispatch — under specialization
-    the evaluator actually run may differ per document, with identical
-    values). ``plan_stats``/``result_stats`` cover *this batch only*
-    (deltas, not service-lifetime totals — those live on
+    ``algorithms[q]`` is the evaluator that ran ``queries[q]`` on every
+    document (the fragment dispatch for ``auto``).
+    ``plan_stats``/``result_stats`` cover *this batch only* (deltas, not
+    service-lifetime totals — those live on
     :meth:`QueryService.cache_stats`).
 
     Sharded runs (``workers > 1``) additionally report ``workers`` (the
@@ -346,18 +342,15 @@ class QueryService:
         result_capacity: int | None = None,
         optimize: bool = False,
         variables: dict[str, object] | None = None,
-        specialize: bool = True,
     ):
         self.planner = QueryPlanner()
         self.plans = PlanCache(plan_capacity)
         self.optimize = optimize
         self.variables = dict(variables or {})
         self.result_capacity = result_capacity
-        self.specialize = bool(specialize)
-        #: One specializer for the whole service: the memo is keyed by
-        #: (plan, profile), so identically-shaped documents share
-        #: specializations, and the timing model sees every evaluation.
-        self.specializer = PlanSpecializer() if self.specialize else None
+        #: Observed seconds per cost unit, per algorithm: every session's
+        #: uncached evaluations feed it, admission control prices with it.
+        self.timings = TimingStats(name="eval")
         #: Observed per-document evaluation times from sharded batches,
         #: fed back into LPT shard planning on repeat batches.
         self.shard_history = ShardTimingHistory()
@@ -396,7 +389,7 @@ class QueryService:
                 session = DocumentSession(
                     document,
                     result_capacity=self.result_capacity,
-                    specializer=self.specializer,
+                    timings=self.timings,
                     result_stats=self._result_stats,
                 )
                 while len(self._sessions) >= self._sessions.capacity:
@@ -484,10 +477,6 @@ class QueryService:
         plan_stats_before = self.plans.stats.snapshot()
         result_stats_before = self.result_cache_stats()
         plans = [self.plan(query) for query in query_list]
-        # Reported per-query algorithms are the static fragment dispatch
-        # (document-independent by definition); the sessions re-resolve
-        # ``auto`` per document below, so the evaluator actually run may
-        # differ per (query, document) — values are identical either way.
         algorithms = [resolve_algorithm(plan, algorithm) for plan in plans]
         batch_plan = None
         if share and algorithm == "auto":
@@ -525,7 +514,6 @@ class QueryService:
             "result_capacity": self.result_capacity,
             "optimize": self.optimize,
             "variables": dict(self.variables),
-            "specialize": self.specialize,
         }
 
     def result_cache_stats(self) -> dict:
@@ -533,26 +521,22 @@ class QueryService:
         return self._result_stats.snapshot()
 
     def cache_stats(self) -> dict:
-        """One dict with every cache layer, for CLI/monitoring output.
-        ``specialize_cache`` (the stage-2 memo) and ``timings`` (the
-        online per-algorithm rates) appear only when specialization is
-        enabled."""
-        merged = {
+        """One dict with every cache layer and the observed per-algorithm
+        ``timings``, for CLI/monitoring output."""
+        return {
             "plan_cache": self.plans.stats.snapshot(),
             "result_cache": self.result_cache_stats(),
             "sessions": len(self._sessions),
+            # Always zero: no memo stands behind it. Kept because the
+            # end-to-end harness indexes it (benchmarks/e2e/worker.py's
+            # batch `deterministic` block and tracer.py's hit rate).
+            "specialize_cache": CacheStats(name="specialize_cache").snapshot(),
+            "timings": self.timings.snapshot(),
         }
-        if self.specializer is not None:
-            merged["specialize_cache"] = self.specializer.stats.snapshot()
-            merged["timings"] = self.specializer.timings.snapshot()
-        return merged
 
     def clear(self) -> None:
-        """Drop all cached plans, sessions, and specializations
-        (statistics are retained)."""
+        """Drop all cached plans and sessions (statistics are retained)."""
         self.plans.clear()
-        if self.specializer is not None:
-            self.specializer.clear()
         with self._lock:
             for session in self._sessions.values():
                 session.clear()

@@ -146,13 +146,13 @@ class CacheStats:
 class TimingStats:
     """Observed wall-clock timings, keyed by name (one key per algorithm).
 
-    The physical-plan specializer (:mod:`repro.service.specialize`) seeds
-    its cost model from the paper's complexity bounds and then *refines*
-    it online: every uncached evaluation reports ``(key, units, seconds)``
-    — the abstract cost units the model predicted and the seconds the
-    evaluation actually took — and the per-key exponentially-weighted
-    seconds-per-unit rate corrects systematic constant-factor error in
-    the seed model. Counters are lock-protected for the same reason
+    :attr:`QueryService.timings <repro.service.service.QueryService.timings>`
+    holds one: every uncached evaluation reports ``(key, units,
+    seconds)`` — the abstract cost units :mod:`repro.service.cost`
+    predicted and the seconds the evaluation actually took — and the
+    per-key exponentially-weighted seconds-per-unit rate is what
+    admission control (:mod:`repro.serve.admission`) prices with once a
+    key has enough observations. Counters are lock-protected for the same reason
     :class:`CacheStats` counters are: concurrent drivers must not lose
     observations. Every observation is also mirrored into the active
     :func:`collect` collectors as ``<name>_<key>_observations`` /
@@ -189,8 +189,7 @@ class TimingStats:
 
     def rate(self, key: str) -> float | None:
         """The observed seconds-per-unit EMA for a key, or ``None`` when
-        the key has never been observed (callers must not mix observed
-        rates with made-up defaults — see the specializer)."""
+        the key has never been observed."""
         with self._lock:
             return self._rates.get(key)
 
@@ -496,8 +495,8 @@ class ServeStats:
       admitted and then lost — the zero-lost-responses drain gate is
       this identity plus a client-side response count.
 
-    ``degraded`` counts admissions that were priced over budget and
-    downgraded (cheapest admissible algorithm, batch sharing dropped)
+    ``degraded`` counts admissions past the degrade watermark that were
+    downgraded (the plan's evaluator forced, batch sharing dropped)
     instead of rejected — a subset of ``admitted``. ``drained`` counts
     responses (completed, deadlined, or failed) delivered while the
     daemon was draining — a subset of the outcome counters, never a

@@ -5,8 +5,9 @@ hide document shape: depth drives ancestor/descendant work, fanout drives
 sibling/position work, text volume drives string-value comparisons. This
 module reads those shape statistics off the document's index — for the
 ``fragment_advisor`` example (to contextualize measurements) and
-workload tests asserting generator shapes; the specializer's
-``DocumentProfile`` reads the same index numbers directly.
+workload tests asserting generator shapes; admission's
+``DocumentProfile`` (:mod:`repro.service.cost`) reads the same index
+numbers directly.
 """
 
 from __future__ import annotations

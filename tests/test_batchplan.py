@@ -26,7 +26,6 @@ from repro.service import (
     build_batch_plan,
 )
 from repro.service.scheduler import merge_batch_plan_snapshots
-from repro.service.specialize import PlanSpecializer, document_profile
 from repro.workloads.documents import (
     balanced_tree,
     book_catalog,
@@ -199,14 +198,6 @@ def test_share_off_matches_independent_evaluation(documents):
     batch = QueryService().evaluate_many(QUERIES, documents, share=False)
     assert batch.values == _independent_values(QUERIES, documents)
     assert batch.batch_plan == {}
-
-
-def test_share_on_off_identical_without_specialization(documents):
-    on = QueryService(specialize=False).evaluate_many(QUERIES, documents)
-    off = QueryService(specialize=False).evaluate_many(
-        QUERIES, documents, share=False
-    )
-    assert on.values == off.values
 
 
 def test_no_share_reproduces_independent_stats_exactly(documents):
@@ -407,95 +398,29 @@ def test_async_no_share_stays_empty(documents):
 
 
 # ----------------------------------------------------------------------
-# Residual pricing (specialize_residual)
+# Residual dispatch
 # ----------------------------------------------------------------------
 
 
-def test_specialize_residual_picks_table_evaluators():
+def test_a_non_core_residual_runs_optmincontext():
+    """A residual with full-XPath predicates is outside Core XPath, so it
+    runs OPTMINCONTEXT — ``auto``'s own dispatch — past the shared
+    Core prefix, which runs the Theorem 13 sweep."""
     service = QueryService()
-    plan = service.plan("//book[price > 20]/title")
-    small = document_profile(book_catalog(books=2))
-    physical = service.specializer.specialize_residual(
-        plan, small, covered=1, total=3
-    )
-    assert physical.algorithm == "optmincontext"
-    assert dict(physical.estimates).keys() == {"optmincontext"}
-    assert "materialized prefix" in physical.rationale
-
-
-def test_specialize_residual_runs_optmincontext_past_the_guarantee_threshold():
-    """A residual is never Core XPath, so its one candidate already
-    carries Corollary 11's bound: no clamp."""
-    specializer = PlanSpecializer(guarantee_nodes=10)
-    service = QueryService()
-    plan = service.plan("//book/chapter/section")
-    big = document_profile(balanced_tree(depth=4, fanout=3))
-    assert big.total_nodes > 10
-    physical = specializer.specialize_residual(plan, big, covered=2, total=3)
-    assert physical.algorithm == "optmincontext"
-    assert not physical.clamped
-
-
-def test_specialize_residual_scales_with_remaining_work():
-    service = QueryService()
-    plan = service.plan("//book/chapter/section")
-    profile = document_profile(book_catalog(books=3))
-    nearly_done = service.specializer.specialize_residual(
-        plan, profile, covered=2, total=3
-    )
-    untouched = service.specializer.specialize_residual(
-        plan, profile, covered=0, total=3
-    )
-    cheapest = lambda physical: min(cost for _, cost in physical.estimates)
-    assert cheapest(nearly_done) <= cheapest(untouched)
-
-
-# ----------------------------------------------------------------------
-# Profile-bucketed specializer memo
-# ----------------------------------------------------------------------
-
-
-def test_hot_profile_cannot_evict_other_buckets():
-    specializer = PlanSpecializer(memo_capacity=8)
-    service = QueryService()
-    cold_profile = document_profile(running_example_document())
-    hot_profile = document_profile(book_catalog(books=3))
-    assert cold_profile.key != hot_profile.key
-    cold_plans = [service.plan(q) for q in ("//a", "//b", "//c")]
-    for plan in cold_plans:
-        specializer.specialize(plan, cold_profile)
-    # Hammer the hot profile far past capacity.
-    for index in range(32):
-        specializer.specialize(service.plan(f"//t{index}"), hot_profile)
-    hits_before = specializer.stats.snapshot()["hits"]
-    for plan in cold_plans:
-        specializer.specialize(plan, cold_profile)
-    # Every cold entry survived the burst: pure hits, no re-selection.
-    assert specializer.stats.snapshot()["hits"] == hits_before + len(cold_plans)
-    snapshot = specializer.stats.snapshot()
-    # Exact accounting: memo size == misses - evictions, within capacity.
-    assert len(specializer._order) <= 8
-    assert snapshot["misses"] - snapshot["evictions"] == len(specializer._order)
-
-
-def test_bucketed_memo_degenerates_to_lru_on_tied_buckets():
-    specializer = PlanSpecializer(memo_capacity=2)
-    service = QueryService()
-    profiles = [
-        document_profile(running_example_document()),
-        document_profile(book_catalog(books=2)),
-        document_profile(wide_tree(width=5)),
+    document = book_catalog(books=4)
+    queries = [
+        "//book/chapter[position() = 2]/heading",
+        "//book/chapter[pages > 20]/heading",
     ]
-    plan = service.plan("//b")
-    for profile in profiles:  # one entry per bucket; third insert evicts LRU
-        specializer.specialize(plan, profile)
-    snapshot = specializer.stats.snapshot()
-    assert len(specializer._order) == 2
-    assert snapshot["evictions"] == 1
-    # The oldest (first) profile was the victim; the last two still hit.
-    specializer.specialize(plan, profiles[1])
-    specializer.specialize(plan, profiles[2])
-    assert specializer.stats.snapshot()["hits"] == 2
+    session = service.session(document)
+    ran = []
+    evaluator = session.evaluator
+    session.evaluator = lambda algorithm: ran.append(algorithm) or evaluator(algorithm)
+    batch = service.evaluate_many(queries, [document])
+    assert batch.batch_plan["shared_evaluations"] == 2
+    assert batch.batch_plan["fallback_cells"] == 0
+    assert ran.count("optmincontext") == 2 and set(ran) == {"corexpath", "optmincontext"}
+    assert batch.values == _independent_values(queries, [document])
 
 
 # ----------------------------------------------------------------------

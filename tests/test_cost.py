@@ -1,0 +1,201 @@
+"""Static dispatch and the admission cost model.
+
+``auto`` is the paper's fragment dispatch — Theorem 13's sweep on Core
+XPath, OPTMINCONTEXT elsewhere — whatever the service has observed.
+What stays per document is the *price* admission control reads: a
+:class:`DocumentProfile` read off the index, the plan's traits, and
+:func:`cost_units`, scaled by the rates every uncached evaluation feeds
+into :attr:`QueryService.timings`.
+"""
+
+import pytest
+
+from repro.errors import FragmentViolationError, UnknownAlgorithmError
+from repro.service import QueryService, compile_plan
+from repro.service.cost import DocumentProfile, cost_units, document_profile
+from repro.workloads.documents import balanced_tree, book_catalog, numbered_line
+from repro.workloads.queries import core_family, wadler_family
+from repro.xml.statistics import document_statistics
+from test_xpath_frontend_golden import FULL_TEMPLATES, WADLER_TEMPLATES, template_sources
+
+
+# ----------------------------------------------------------------------
+# Profiles and traits
+# ----------------------------------------------------------------------
+
+
+def test_document_profile_matches_statistics():
+    document = book_catalog(books=5)
+    shape = document_statistics(document)
+    profile = DocumentProfile.of(document)
+    assert profile.total_nodes == shape.total_nodes == len(document)
+    assert profile.max_depth == shape.max_depth
+    assert profile.max_fanout == shape.max_fanout
+    assert profile.text_ratio == pytest.approx(
+        shape.total_text_bytes / shape.total_nodes
+    )
+
+
+def test_document_profile_is_cached_process_wide():
+    document = book_catalog(books=3)
+    assert document_profile(document) is document_profile(document)
+
+
+def test_plan_traits_classify_position_dependence():
+    no_position = compile_plan("//book[price > 20]/title")
+    assert not no_position.traits.uses_position
+    assert not no_position.traits.positional_sibling
+    assert no_position.traits.ast_size > 1
+
+    positional = compile_plan("/descendant::*[position() = last()]")
+    assert positional.traits.uses_position
+    assert not positional.traits.positional_sibling
+
+    sibling = compile_plan(wadler_family(2))
+    assert sibling.traits.uses_position
+    assert sibling.traits.positional_sibling
+
+    strings = compile_plan("//a[contains(string(self::node()), 'x')]")
+    assert strings.traits.string_op_count >= 2  # contains + string
+
+
+def test_inner_position_does_not_leak_to_outer_traits():
+    """position() bound by an inner step is resolved there: the outer
+    predicate is position-independent and must not set the flags."""
+    plan = compile_plan("//a[child::b[position() = 1]]")
+    assert not plan.traits.positional_sibling
+
+
+SMALL = DocumentProfile(total_nodes=200, max_depth=5, max_fanout=8, text_ratio=2.0)
+BIG = DocumentProfile(total_nodes=9000, max_depth=12, max_fanout=16, text_ratio=2.0)
+
+
+def test_cost_units_are_monotone_in_document_size():
+    plan = compile_plan(core_family(4))
+    for algorithm in ("mincontext", "optmincontext", "corexpath"):
+        assert cost_units(plan, SMALL, algorithm) < cost_units(plan, BIG, algorithm)
+
+
+# ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
+
+
+def test_forced_algorithm_passes_through_and_validates():
+    session = QueryService().session(book_catalog(books=2))
+    plan = compile_plan("//b[position() = 1]")  # outside Core XPath
+    assert session.resolve(plan, "topdown") == "topdown"
+    with pytest.raises(FragmentViolationError):
+        session.resolve(plan, "corexpath")
+    with pytest.raises(UnknownAlgorithmError):
+        session.resolve(plan, "fastest")
+
+
+def _dispatch_cells() -> list[str]:
+    """The serve-cold templates (Core, Extended Wadler and full XPath,
+    each literal at its low / mid / high value) and ``core_family``."""
+    queries = [
+        query
+        for name, query in template_sources().items()
+        if name.startswith(("core-", "wadler-", "full-", "cold-"))
+    ]
+    assert len(WADLER_TEMPLATES) + len(FULL_TEMPLATES) == 13
+    queries += [
+        core_family(depth, with_predicates=flag)
+        for depth in (2, 3, 4, 5)
+        for flag in (True, False)
+    ]
+    return queries
+
+
+def test_auto_does_not_depend_on_observed_rates():
+    """Observed timings price admission; they never steer ``auto``. Fed
+    rates that make the Core XPath sweep 10⁴× slower per unit than the
+    table evaluators, every cell still resolves to — and runs — the
+    plan's fragment dispatch."""
+    service = QueryService()
+    documents = [book_catalog(books=6), balanced_tree(6, 3), numbered_line(200)]
+    units = cost_units(compile_plan("//a/b"), SMALL, "corexpath")
+    for _ in range(10):
+        service.timings.observe("corexpath", units, 1.0)
+        service.timings.observe("optmincontext", units, 1e-4)
+        service.timings.observe("mincontext", units, 1e-4)
+    queries = _dispatch_cells()
+    assert any(compile_plan(query).is_core_xpath for query in queries)
+    assert not all(compile_plan(query).is_core_xpath for query in queries)
+    for document in documents:
+        session = service.session(document)
+        for query in queries:
+            plan = service.plan(query)
+            expected = plan.best_algorithm()
+            assert session.resolve(plan) == expected, query
+            before = service.timings.observation_count(expected)
+            session.evaluate(plan, cached=False)
+            assert service.timings.observation_count(expected) == before + 1, query
+
+
+def test_session_evaluations_feed_the_timing_model():
+    service = QueryService()
+    document = book_catalog(books=3)
+    service.evaluate("//book/title", document)
+    service.evaluate("//book/title", document)  # a memo hit: not timed
+    snapshot = service.cache_stats()["timings"]
+    assert snapshot.keys() == {"corexpath"}
+    assert snapshot["corexpath"]["observations"] == 1
+    assert service.timings.rate("corexpath") > 0.0
+    # The end-to-end harness's compatibility key: always zero.
+    spec = service.cache_stats()["specialize_cache"]
+    assert (spec["hits"], spec["misses"], spec["evictions"]) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# CLI surface
+# ----------------------------------------------------------------------
+
+
+def _run_cli(capsys, *argv):
+    from repro.cli import main
+
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_plan_explain_without_document(capsys):
+    code, out, _ = _run_cli(capsys, "plan", "--explain", "//book[price > 20]/title")
+    assert code == 0
+    assert "algorithm:        optmincontext (Corollary 11:" in out
+    assert "profile:" not in out and "cost units:" not in out
+    code, out, _ = _run_cli(capsys, "plan", "--explain", "//book/title")
+    assert code == 0
+    assert "algorithm:        corexpath (Theorem 13:" in out
+
+
+def test_cli_plan_explain_with_document_names_profile_and_choice(capsys):
+    code, out, _ = _run_cli(
+        capsys,
+        "plan",
+        "--explain",
+        "--xml",
+        "<a><b>1</b><b>2</b></a>",
+        "//b[. > 1]",
+    )
+    assert code == 0
+    assert "algorithm:        optmincontext (Corollary 11:" in out
+    assert "|dom|=6" in out
+    plan = compile_plan("//b[. > 1]")
+    profile = DocumentProfile(
+        total_nodes=6, max_depth=2, max_fanout=2, text_ratio=2 / 6,
+        tag_counts=(("a", 1), ("b", 2)),
+    )
+    assert f"cost units:       {cost_units(plan, profile, 'optmincontext'):.3g}" in out
+
+
+def test_cli_plan_document_implies_explain(capsys):
+    """A document handed to ``plan`` is a question about that document —
+    it must never be silently ignored just because --explain was not
+    spelled out."""
+    code, out, _ = _run_cli(capsys, "plan", "--xml", "<a><b/></a>", "//b")
+    assert code == 0
+    assert "algorithm:        corexpath (Theorem 13:" in out
+    assert "profile:" in out and "cost units:" in out

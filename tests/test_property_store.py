@@ -23,7 +23,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_node_statistics
-from repro.service.specialize import DocumentProfile
+from repro.service.cost import DocumentProfile
 from repro.xml.builder import DocumentBuilder
 from repro.xml.document import Document
 from repro.xml.index import KIND_PARTITIONS, node_index

@@ -275,9 +275,9 @@ def test_admission_degrades_past_the_degrade_watermark(service_and_plan):
     decision = controller.decide([plan], [document], queue_depth=2)
     assert decision.admitted and decision.degraded
     assert not decision.share  # sharing is dropped under pressure
-    # Single-query degrade forces a concrete cheapest algorithm.
-    assert decision.algorithm in ("mincontext", "optmincontext", "corexpath")
-    # Batch degrade keeps per-cell auto but still drops sharing.
+    # A degrade keeps auto: it already runs the evaluator it was priced for.
+    assert decision.algorithm == "auto"
+    # So does a batch degrade, which also drops sharing.
     batch = controller.decide([plan, plan], [document], queue_depth=2)
     assert batch.admitted and batch.degraded
     assert batch.algorithm == "auto" and not batch.share
@@ -287,11 +287,12 @@ def test_admission_candidates_respect_the_fragment(service_and_plan):
     service, _, document = service_and_plan
     outside_core = service.plan("count(//book)")  # function call: not Core
     assert not outside_core.is_core_xpath
-    assert AdmissionController._candidates(outside_core) == ("optmincontext",)
     controller = AdmissionController(service, queue_high=64, queue_degrade=0)
     decision = controller.decide([outside_core], [document])
-    assert decision.degraded
-    assert decision.algorithm == "optmincontext"
+    assert decision.degraded and decision.algorithm == "auto"
+    # Priced under the evaluator auto runs outside Core XPath.
+    assert outside_core.best_algorithm() == "optmincontext"
+    assert decision.priced_seconds == controller.price(outside_core, document)
 
 
 def test_admission_deadline_tightens_the_budget(service_and_plan):
@@ -510,7 +511,7 @@ def test_degraded_admission_still_answers():
             client.register("d", BOOKS)
             response = client.query("//book/title", "d")
             assert response["degraded"]
-            assert response["algorithm"] in ("mincontext", "optmincontext", "corexpath")
+            assert response["algorithm"] == "auto"
             local = XPathEngine(parse_document(BOOKS)).evaluate("//book/title")
             assert response["items"] == [node.path() for node in local]
             batch = client.batch(["//title", "//price"], ["d"])
@@ -835,6 +836,24 @@ def test_memo_hits_start_no_evaluation_no_task_and_no_pricing():
         now = service.result_cache_stats()
         assert now["hits"] == cache["hits"] + 26 and now["misses"] == cache["misses"]
         assert_stats_reconcile(after)
+
+
+def test_a_degraded_query_is_answered_from_the_memo_on_repeat():
+    """A degrade keeps ``auto``, so the loop's ``auto`` probe finds the
+    entry the degraded evaluation made."""
+    service = QueryService()
+    with running_daemon(
+        service=service, admission=permissive(service, queue_degrade=0)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="d") as client:
+            client.register("d", BOOKS)
+            replies = [client.query("//book/title", "d") for _ in range(3)]
+            stats = client.stats()
+    assert replies[0]["memo"] is False and replies[0]["degraded"] is True
+    assert [reply["memo"] for reply in replies[1:]] == [True, True]
+    assert stats["global"]["memo_hits"] == 2
+    assert stats["faults"]["evaluations_started"] == 1
+    assert_stats_reconcile(stats)
 
 
 def test_reply_timings_are_rounded_to_microseconds():
