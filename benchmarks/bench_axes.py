@@ -23,7 +23,7 @@ Three gates, two of them machine-independent:
   dominate).
 * **speedup gate** — summed best-of-N evaluation time of the selective
   workload under ``auto`` dispatch ≥ 2× faster than under forced
-  ``scan``. Host-gated like EXP-SHARD: enforced when the host grants
+  ``scan``. Host-gated: enforced when the host grants
   ≥ 2 usable CPUs (CI runners), reported but not enforced on 1-CPU
   containers where shared-host noise dominates. The measured ratio
   prints either way.

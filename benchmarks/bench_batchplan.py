@@ -33,8 +33,7 @@ Five gates, four of them machine-independent:
   and 1.5x-2.0x since the set kernels made it cheaper (the shared pass
   itself got no slower), so the bar is set on the sign of the effect,
   not on its size. Wall-clock ratios on an oversubscribed 1-CPU host
-  are too noisy even for that, so (like EXP-SHARD's gate) it is
-  enforced only when the host grants >= 2 usable CPUs and reported as
+  are too noisy even for that, so it is enforced only when the host grants >= 2 usable CPUs and reported as
   SKIPPED otherwise, with the measured ratio printed either way.
 
 The script exits nonzero if any enforced gate fails. Run with::

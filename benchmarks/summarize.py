@@ -5,8 +5,6 @@ Run after the benchmark suite:
     pytest benchmarks/ --benchmark-only
     python benchmarks/summarize.py               # prints + writes results/ALL.txt
     python benchmarks/summarize.py --plan-cache  # just the plan-cache hit rates
-    python benchmarks/summarize.py --sharded     # just the sharding gates/speedup
-    python benchmarks/summarize.py --async-batch # just the async/streaming gates
     python benchmarks/summarize.py --axes        # just the fused-kernel gates
     python benchmarks/summarize.py --snapshot    # just the snapshot gates
     python benchmarks/summarize.py --batchplan   # just the multi-query gates
@@ -24,7 +22,7 @@ ORDER = [
     "exp_f4", "exp_f5", "exp_e9",
     "exp_x1", "exp_t7a", "exp_t7b", "exp_t10", "exp_t13",
     "exp_x2", "exp_x3", "exp_a1", "exp_a2",
-    "exp_svc", "exp_shard", "exp_mqo", "exp_async", "exp_axis", "exp_snap",
+    "exp_svc", "exp_mqo", "exp_axis", "exp_snap",
     "exp_serve",
 ]
 
@@ -36,34 +34,6 @@ def plan_cache_lines() -> list[str]:
     if not path.exists():
         return []
     markers = ("hit rate:", "speedup = ")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def sharded_batch_lines() -> list[str]:
-    """The gate and throughput lines from the EXP-SHARD report (written
-    by bench_sharded_batch.py)."""
-    path = RESULTS_DIR / "exp_shard.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "vs 1 worker", "workers (", "1 worker (", "shards:")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def async_batch_lines() -> list[str]:
-    """The gate and latency lines from the EXP-ASYNC report (written by
-    bench_async_batch.py)."""
-    path = RESULTS_DIR / "exp_async.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "barrier", "stream:")
     return [
         line
         for line in path.read_text(encoding="utf-8").splitlines()
@@ -138,16 +108,6 @@ def main(argv: list[str] | None = None) -> None:
         help="print only the plan-cache hit rates and speedups (EXP-SVC)",
     )
     parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help="print only the sharded-batch gates and throughputs (EXP-SHARD)",
-    )
-    parser.add_argument(
-        "--async-batch",
-        action="store_true",
-        help="print only the async/streaming gates and latencies (EXP-ASYNC)",
-    )
-    parser.add_argument(
         "--axes",
         action="store_true",
         help="print only the fused-axis-kernel gates and speedup (EXP-AXIS)",
@@ -174,24 +134,6 @@ def main(argv: list[str] | None = None) -> None:
         if not lines:
             raise SystemExit(
                 "no plan-cache results yet — run: python benchmarks/bench_plan_cache.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.sharded:
-        lines = sharded_batch_lines()
-        if not lines:
-            raise SystemExit(
-                "no sharded-batch results yet — run: "
-                "python benchmarks/bench_sharded_batch.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.async_batch:
-        lines = async_batch_lines()
-        if not lines:
-            raise SystemExit(
-                "no async-batch results yet — run: "
-                "python benchmarks/bench_async_batch.py"
             )
         print("\n".join(lines))
         return

@@ -51,41 +51,17 @@ The same machinery backs the CLI's ``plan`` (inspect a compiled plan)
 and ``batch`` (evaluate many queries × many documents, with cache
 statistics) subcommands — see ``python -m repro plan --help``.
 
-Scaling out — sharded execution and the scheduler seam
-------------------------------------------------------
+Serving — the daemon
+--------------------
 
-Batches shard by document: ``evaluate_many(..., workers=4,
-shard_by="size-balanced", backend="process")`` partitions the documents
-across workers (round-robin, or balanced on node count), evaluates the
-shards concurrently, and merges the per-shard results with exact
-cache-statistics aggregation. The *backend* names a pluggable
-:class:`~repro.service.scheduler.Scheduler` — ``serial`` (reference),
-``thread`` (in-process overlap), ``process`` (true parallelism;
-documents are rebuilt per worker from serialized markup and node-set
-results rebound to the caller's trees), or ``async`` (a coroutine
-scheduler). The CLI exposes the same knobs: ``repro-xpath batch ...
---workers 4 --shard-by size-balanced --backend process``. See
-:mod:`repro.service.scheduler`.
-
-Serving from an event loop — the async front end
-------------------------------------------------
-
-:class:`QueryService` is thread-safe, and :class:`AsyncQueryService`
-puts coroutines in front of it: ``await evaluate(...)``, ``await
-evaluate_many(..., workers=4)``, and ``stream_many(...)`` — an async
-iterator that yields each (query, document) result as its shard
-completes, so consumers see first results while the slowest shard is
-still evaluating. ``repro-xpath batch ... --backend async --stream`` is
-the CLI form. See :mod:`repro.service.async_service`.
+``repro-xpath serve`` fronts one shared :class:`QueryService` over TCP
+(:mod:`repro.serve`): a ``QUERY`` is one evaluation on a worker thread,
+and a ``BATCH`` steps :meth:`QueryService.batch_rows` one document row
+per worker-thread hop, so batches read and fill the same plan cache and
+result memo as every other request.
 """
 
 from repro.engine import ALGORITHMS, CompiledPlan, CompiledQuery, XPathEngine
-from repro.service import (
-    DocumentProfile,
-    LogicalPlan,
-    ShardTimingHistory,
-    document_profile,
-)
 from repro.errors import (
     EvaluationError,
     FragmentViolationError,
@@ -99,16 +75,15 @@ from repro.errors import (
 )
 from repro.core.context import Context
 from repro.service import (
-    AsyncQueryService,
     BatchResult,
-    BatchStream,
+    DocumentProfile,
     DocumentSession,
+    LogicalPlan,
     PlanCache,
     PlanOptions,
     QueryPlanner,
     QueryService,
-    ShardedExecutor,
-    StreamItem,
+    document_profile,
 )
 from repro.xml.builder import DocumentBuilder, element, text
 from repro.xml.document import Document, Node, NodeKind
@@ -119,9 +94,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AsyncQueryService",
     "BatchResult",
-    "BatchStream",
     "CompiledPlan",
     "CompiledQuery",
     "Context",
@@ -139,9 +112,6 @@ __all__ = [
     "QueryPlanner",
     "QueryService",
     "ReproError",
-    "ShardTimingHistory",
-    "ShardedExecutor",
-    "StreamItem",
     "document_profile",
     "UnboundVariableError",
     "UnknownAlgorithmError",

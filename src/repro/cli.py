@@ -21,10 +21,7 @@ Three modes:
   Batch-step sharing (the shared-prefix DAG) is on by default
   for ``auto`` batches; ``--no-share`` reproduces fully independent
   per-cell evaluation byte-identically, stats included.
-  ``--workers N --backend {serial,thread,process,async}`` shards the
-  documents across workers; ``--backend async --stream`` prints each
-  (document, query) result as its shard completes instead of waiting for
-  the whole batch. ``--snapshot-store PATH`` pulls documents from a
+  ``--snapshot-store PATH`` pulls documents from a
   :class:`repro.xml.store.DocumentStore` instead of (or alongside)
   ``--xml``/``--file`` — snapshot-backed documents skip the XML parse
   and arrive with their node index read from the file;
@@ -47,8 +44,6 @@ Examples::
     repro-xpath plan "//a[position() = last()]"
     repro-xpath plan --explain --file doc.xml "//book[price > 20]/title"
     repro-xpath batch --xml "<a><b/></a>" --xml "<a/>" -q "//b" -q "count(//b)" --stats
-    repro-xpath batch -f big.xml -f small.xml -q "//b" --workers 2 \\
-        --backend async --stream
     repro-xpath store snapshot --store cat --name books --file books.xml
     repro-xpath batch --snapshot-store cat -q "//book/title"
 
@@ -105,9 +100,6 @@ from repro.errors import (
     XPathTypeError,
 )
 from repro.service import (
-    EXECUTOR_BACKENDS,
-    SHARD_STRATEGIES,
-    AsyncQueryService,
     QueryService,
     compile_plan,
     resolve_algorithm,
@@ -501,35 +493,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="LRU capacity of the compiled-plan cache (default: 256)",
     )
     parser.add_argument(
-        "--workers",
-        "-w",
-        type=int,
-        default=1,
-        help="shard the documents across this many workers (default: 1, "
-        "no sharding)",
-    )
-    parser.add_argument(
-        "--shard-by",
-        choices=SHARD_STRATEGIES,
-        default="round-robin",
-        help="document partitioning strategy for --workers > 1 "
-        "(size-balanced weighs documents by node count)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=EXECUTOR_BACKENDS,
-        default="thread",
-        help="worker backend for --workers > 1 (process gives true "
-        "parallelism — documents are rebuilt per worker; async runs a "
-        "coroutine scheduler and enables --stream)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="with --backend async: print each result as its shard "
-        "completes (completion order) instead of waiting for the batch",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print plan-cache, result-cache, batch-plan, and axis-kernel "
@@ -549,17 +512,10 @@ def _load_batch_queries(args) -> list[str]:
     return queries
 
 
-def _print_batch_stats(
-    plan_stats: dict,
-    result_stats: dict,
-    shards_line: str | None,
-    batch_plan: dict | None = None,
-    from_store: bool = False,
-):
-    """The --stats footer, shared by the barrier and streaming paths;
-    ``from_store`` adds the (process-wide) document-store counters."""
-    if shards_line is not None:
-        print(shards_line, file=sys.stderr)
+def _print_batch_stats(batch, from_store: bool) -> None:
+    """The --stats footer; ``from_store`` adds the (process-wide)
+    document-store counters."""
+    plan_stats, result_stats = batch.plan_stats, batch.result_stats
     print(
         "plan cache:   "
         f"hits={plan_stats['hits']} misses={plan_stats['misses']} "
@@ -573,6 +529,7 @@ def _print_batch_stats(
         f"hit rate={result_stats['hit_rate']:.1%}",
         file=sys.stderr,
     )
+    batch_plan = batch.batch_plan
     if batch_plan:
         print(
             "batch plan:   "
@@ -591,48 +548,22 @@ def _print_batch_stats(
             "store:        " + " ".join(f"{key}={value}" for key, value in counters),
             file=sys.stderr,
         )
-
-
-def _stream_batch(args, queries: list[str], documents: list, labels: list[str]) -> int:
-    """Drive the async streaming front end: results print as their shard
-    completes (completion order, not batch order — every block is
-    labeled, so the output is self-describing)."""
-    async_service = AsyncQueryService(
-        plan_capacity=args.plan_capacity,
-        optimize=args.optimize,
+    kernel_stats = axis_kernel_stats.snapshot()
+    print(
+        "axis kernels: "
+        f"index builds={kernel_stats['index_builds']} "
+        f"adoptions={kernel_stats['index_adoptions']} "
+        f"fused={kernel_stats['fused_hits']} "
+        f"fallback scans={kernel_stats['fallback_scans']}",
+        file=sys.stderr,
     )
-    stream = async_service.stream_many(
-        queries,
-        documents,
-        algorithm=args.algorithm,
-        workers=args.workers,
-        shard_by=args.shard_by,
-        share=args.share,
+    print(
+        "lazy decode:  "
+        f"lazy documents={kernel_stats['lazy_documents']} "
+        f"nodes materialized={kernel_stats['nodes_materialized']}",
+        file=sys.stderr,
     )
-
-    async def drive() -> None:
-        async for item in stream:
-            print(
-                f"=== {labels[item.document_index]} :: {item.query} "
-                f"[{item.algorithm}] ==="
-            )
-            print(_render_result(item.value, args.output))
-
-    try:
-        asyncio.run(drive())
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
-    if args.stats:
-        _print_batch_stats(
-            stream.plan_stats,
-            stream.result_stats,
-            f"shards:       {len(stream.shards)} "
-            f"(backend=async --stream, strategy={args.shard_by}, "
-            "stats are exact sums over shards)",
-            stream.batch_plan,
-            bool(args.snapshot_store),
-        )
-    return 0
+    print(f"vector:       ops={kernel_stats['vector_ops']}", file=sys.stderr)
 
 
 def batch_main(argv: list[str]) -> int:
@@ -653,10 +584,6 @@ def batch_main(argv: list[str]) -> int:
         return _fail("--doc requires --snapshot-store", EXIT_USAGE)
     if args.plan_capacity < 1:
         return _fail("--plan-capacity must be >= 1", EXIT_USAGE)
-    if args.workers < 1:
-        return _fail("--workers must be >= 1", EXIT_USAGE)
-    if args.stream and args.backend != "async":
-        return _fail("--stream requires --backend async", EXIT_USAGE)
     labels = []
     documents = []
     for inline in args.xml:
@@ -692,8 +619,7 @@ def batch_main(argv: list[str]) -> int:
         except ReproError as error:
             return _fail(str(error), error_exit_code(error))
     # Compile every query up front so an unparsable query mid-list fails
-    # with a one-line message *naming the query* (and, for sharded runs,
-    # before any worker spawns). Validation uses a throwaway compile, not
+    # with a one-line message *naming the query*. Validation uses a throwaway compile, not
     # the service's cache, so the batch's --stats still report the real
     # compile misses.
     for query in dict.fromkeys(queries):  # dedupe, keep first-error order
@@ -701,8 +627,6 @@ def batch_main(argv: list[str]) -> int:
             resolve_algorithm(compile_plan(query, optimize=args.optimize), args.algorithm)
         except ReproError as error:
             return _fail(f"query {query!r}: {error}", error_exit_code(error))
-    if args.stream:
-        return _stream_batch(args, queries, documents, labels)
     service = QueryService(
         plan_capacity=args.plan_capacity,
         optimize=args.optimize,
@@ -712,9 +636,6 @@ def batch_main(argv: list[str]) -> int:
             queries,
             documents,
             algorithm=args.algorithm,
-            workers=args.workers,
-            shard_by=args.shard_by,
-            backend=args.backend,
             share=args.share,
         )
     except ReproError as error:
@@ -725,43 +646,7 @@ def batch_main(argv: list[str]) -> int:
             print(f"=== {label} :: {query} [{algorithm}] ===")
             print(_render_result(batch.value(doc_index, query_index), args.output))
     if args.stats:
-        shards_line = None
-        if args.workers > 1:
-            shards_line = (
-                f"shards:       {batch.workers} "
-                f"(backend={args.backend}, strategy={args.shard_by}, "
-                "stats are exact sums over shards)"
-            )
-        _print_batch_stats(
-            batch.plan_stats,
-            batch.result_stats,
-            shards_line,
-            batch.batch_plan,
-            bool(args.snapshot_store),
-        )
-        # The axis kernel counters are process-global for the same reason
-        # the node-index cache is — per document, not per service — so
-        # they only describe in-process (workers == 1) evaluation.
-        if args.workers == 1:
-            kernel_stats = axis_kernel_stats.snapshot()
-            print(
-                "axis kernels: "
-                f"index builds={kernel_stats['index_builds']} "
-                f"adoptions={kernel_stats['index_adoptions']} "
-                f"fused={kernel_stats['fused_hits']} "
-                f"fallback scans={kernel_stats['fallback_scans']}",
-                file=sys.stderr,
-            )
-            print(
-                "lazy decode:  "
-                f"lazy documents={kernel_stats['lazy_documents']} "
-                f"nodes materialized={kernel_stats['nodes_materialized']}",
-                file=sys.stderr,
-            )
-            print(
-                f"vector:       ops={kernel_stats['vector_ops']}",
-                file=sys.stderr,
-            )
+        _print_batch_stats(batch, bool(args.snapshot_store))
     return 0
 
 
@@ -926,12 +811,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="seconds in-flight work gets to finish after SIGTERM",
     )
-    parser.add_argument(
-        "--batch-workers",
-        type=int,
-        default=2,
-        help="shard workers per BATCH request",
-    )
     return parser
 
 
@@ -968,7 +847,6 @@ def serve_main(argv: list[str]) -> int:
             if args.default_deadline_ms is None
             else args.default_deadline_ms / 1000.0
         ),
-        batch_workers=args.batch_workers,
         drain_grace=args.drain_grace,
     )
 

@@ -33,18 +33,21 @@ lands in:
    the dynamic gate. Each (query, document) cell is priced from the
    cost model of :mod:`repro.service.cost` (abstract units for the
    evaluator the plan's fragment dispatches to) times that evaluator's
-   observed seconds-per-unit rate, floored by the document's
-   shard-timing history; the price is compared against the request's
-   remaining deadline and the daemon's queue depth. The verdict is
+   observed seconds-per-unit rate; the price is compared against the
+   request's deadline and the daemon's queue depth. The verdict is
    admit, degrade (keep ``auto`` and drop batch sharing — reduced
    service beats refusal), or a typed ``OVERLOAD``
    rejection (``rejected_overload``).
-7. **Evaluation** — under cooperative cancellation: ``asyncio.wait_for``
-   for single queries, a deadline-armed
-   :class:`~repro.service.async_service.BatchStream` for batches. One
+7. **Evaluation** — worker-thread hops under cooperative cancellation,
+   each bounded by ``asyncio.wait_for`` at the request's remaining
+   deadline: one hop for a QUERY, one per document row for a BATCH,
+   stepping the shared service's
+   :meth:`~repro.service.service.QueryService.batch_rows` (so batches
+   share the plan cache and result memo with every other request). One
    outcome ladder: the value (``completed``, ``memo: false``), a typed
-   ``DEADLINE`` (with the partial cells, for batches; ``deadlined``), a
-   typed error (``failed``) — never a hang, never a silent drop.
+   ``DEADLINE`` (with the whole rows already finished, for batches;
+   ``deadlined``), a typed error (``failed``) — never a hang, never a
+   silent drop.
 
 Which stages a frame passes: a **hit** 1–5; a **miss** 1–7; a
 **refusal** ends at 3 (quota, rate, draining) or 6 (overload); a

@@ -4,11 +4,10 @@ The paper's complexity theorems give every (query, document) cell a
 computable cost *shape*; the service layer turns that shape into
 numbers — :func:`repro.service.cost.cost_units` estimates abstract units
 for the evaluator ``auto`` runs (the plan's fragment dispatch),
-:attr:`QueryService.timings <repro.service.service.QueryService.timings>`
-holds the observed seconds-per-unit EMA per algorithm, and
-:class:`repro.service.shard.ShardTimingHistory` holds observed
-per-document seconds. The :class:`AdmissionController` composes those
-oracles into a pre-evaluation gate:
+and :attr:`QueryService.timings <repro.service.service.QueryService.timings>`
+holds the observed seconds-per-unit EMA per algorithm. The
+:class:`AdmissionController` composes the two into a pre-evaluation
+gate:
 
 * **admit** — the priced cost fits the remaining deadline and the queue
   is shallow: evaluate normally (``auto``, batch sharing on);
@@ -61,8 +60,8 @@ class AdmissionDecision:
 class AdmissionController:
     """Prices (query, document) cells and gates them against deadlines
     and queue depth. One instance per daemon, sharing the daemon
-    service's timings and shard history so every served evaluation
-    sharpens the next admission decision."""
+    service's timings so every served evaluation sharpens the next
+    admission decision."""
 
     #: Seed seconds-per-unit before any timing observations exist.
     #: Deliberately conservative (admission should start strict and
@@ -72,8 +71,6 @@ class AdmissionController:
     #: Observations an algorithm needs before its observed rate replaces
     #: the seed.
     MIN_OBSERVATIONS = 3
-    #: Weight of the per-document shard history in the price floor.
-    HISTORY_WEIGHT = 0.25
 
     def __init__(
         self,
@@ -105,27 +102,14 @@ class AdmissionController:
         rate = timings.rate(algorithm)
         return rate if rate is not None else self.seconds_per_unit
 
-    def _history_floor(self, document) -> float:
-        """A per-document price floor from the shard timing history: a
-        document whose past evaluations ran slow raises every price on
-        it, whatever the unit model claims."""
-        history = getattr(self.service, "shard_history", None)
-        if history is None:
-            return 0.0
-        predicted = history.predicted_weights([document])
-        if not predicted:
-            return 0.0
-        return self.HISTORY_WEIGHT * predicted[0]
-
     def price(self, plan, document) -> float:
         """Priced seconds for one (query, document) cell under the
         evaluator ``auto`` runs,
         :meth:`~repro.service.plan.LogicalPlan.best_algorithm`: model
-        units × that evaluator's rate, floored by the document's shard
-        history."""
+        units × that evaluator's rate."""
         algorithm = plan.best_algorithm()
         units = cost_units(plan, document_profile(document), algorithm)
-        return max(units * self._rate(algorithm), self._history_floor(document))
+        return units * self._rate(algorithm)
 
     # -- the gate -------------------------------------------------------
 

@@ -44,21 +44,23 @@ order a frame meets them, with the counter each exit lands in:
    a hit meets any deadline.
 6. **admission** (a miss, every BATCH) — the controller prices the
    (query, document) cells from the cost model × observed per-algorithm
-   rates × per-document shard history and admits, degrades (still
-   ``auto``, sharing dropped — so a degraded QUERY fills and hits the
-   same memo entry as an admitted one), or
-   rejects with typed ``OVERLOAD`` (``rejected_overload``) — all
-   *before evaluation starts*.
-7. **evaluation** (a task) — under ``asyncio.wait_for`` (single
-   queries, on a worker thread) or a deadline-armed
-   :class:`~repro.service.async_service.BatchStream` (batches), through
-   one outcome ladder: the value (``completed``), a typed ``DEADLINE``
-   — with the partial cells for batches — on expiry or when the drain
-   grace runs out (``deadlined``), a typed error for a library failure
-   or a dying worker, and nothing but the count when the client left
-   mid-flight (``failed``). Worker threads already evaluating cannot be
-   interrupted, only abandoned; their results are dropped and their
-   timing observations still sharpen future admissions.
+   rates and admits, degrades (still ``auto``, sharing dropped — so a
+   degraded QUERY fills and hits the same memo entry as an admitted
+   one), or rejects with typed ``OVERLOAD`` (``rejected_overload``) —
+   all *before evaluation starts*.
+7. **evaluation** (a task) — worker-thread hops, each under
+   ``asyncio.wait_for`` against the request's remaining deadline: one
+   hop for a QUERY, one per document row for a BATCH (the shared
+   service's :meth:`~repro.service.service.QueryService.batch_rows`,
+   so batches read and fill the same plan cache and result memo; the
+   deadline is checked and a cancel noticed between rows). One outcome
+   ladder: the value (``completed``), a typed ``DEADLINE`` — with the
+   whole rows already finished, for batches — on expiry or when the
+   drain grace runs out (``deadlined``), a typed error for a library
+   failure or a dying worker, and nothing but the count when the client
+   left mid-flight (``failed``). Worker threads already evaluating
+   cannot be interrupted, only abandoned; their results are dropped and
+   their timing observations still sharpen future admissions.
 8. **drain** — SIGTERM stops admission, lets in-flight work finish
    inside ``drain_grace``, flushes every response queue, and only then
    closes: zero lost responses, ``admitted == completed + deadlined +
@@ -66,9 +68,9 @@ order a frame meets them, with the counter each exit lands in:
 
 Every failure mode is deterministically testable through the
 :class:`~repro.serve.faults.FaultInjector` seam. ``before_evaluate``
-sits on the evaluation path only (``evaluations_started`` counts
-evaluations; a hit starts none); ``should_disconnect`` is asked before
-every QUERY reply, hit or not.
+sits on the evaluation path only, once per query of a QUERY hop or a
+BATCH row (``evaluations_started`` counts them; a hit starts none);
+``should_disconnect`` is asked before every QUERY reply, hit or not.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ from repro.serve.protocol import (
     ok_response,
 )
 from repro.serve.quotas import ClientQuota, ClientState
-from repro.service.async_service import AsyncQueryService
+from repro.service.batchplan import build_batch_plan
+from repro.service.planner import resolve_algorithm
 from repro.service.service import DocumentSession, QueryService
 from repro.stats import ServeStats
 from repro.xml.parser import parse_document
@@ -162,7 +165,7 @@ class _Request:
     style: str
     started: float = field(default_factory=time.monotonic)
     decision: AdmissionDecision | None = None
-    #: BATCH result cells as they stream in (a deadline keeps them).
+    #: BATCH result cells, a whole row at a time (a deadline keeps them).
     cells: list = field(default_factory=list)
 
     def elapsed_ms(self) -> float:
@@ -219,14 +222,12 @@ class XPathDaemon:
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
         default_deadline_seconds: float | None = None,
-        batch_workers: int = 2,
         response_queue_size: int = 256,
         drain_grace: float = 5.0,
         client_retention_seconds: float = 900.0,
         max_retained_clients: int = 1024,
     ):
         self.service = service if service is not None else QueryService()
-        self.async_service = AsyncQueryService(self.service)
         self.host = host
         self.port = port
         self.quota = quota if quota is not None else ClientQuota()
@@ -235,7 +236,6 @@ class XPathDaemon:
         )
         self.injector = injector if injector is not None else FaultInjector()
         self.default_deadline_seconds = default_deadline_seconds
-        self.batch_workers = batch_workers
         self.response_queue_size = response_queue_size
         self.drain_grace = drain_grace
         self.client_retention_seconds = client_retention_seconds
@@ -751,27 +751,34 @@ class XPathDaemon:
             elapsed_ms=request.elapsed_ms(),
         )
 
+    async def _hop(self, request: _Request, function, *args):
+        """One worker-thread hop against the request's remaining
+        deadline; none starts once it has lapsed. The thread cannot be
+        interrupted, only abandoned: when the deadline or a cancel
+        answers first, its eventual result (or exception) is
+        swallowed."""
+        deadline = request.deadline_seconds
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - (time.monotonic() - request.started)
+        if remaining is None or remaining > 0:
+            future = asyncio.get_running_loop().run_in_executor(None, function, *args)
+            future.add_done_callback(_consume_result)
+            try:
+                return await asyncio.wait_for(asyncio.shield(future), remaining)
+            except asyncio.TimeoutError:
+                pass
+        raise DeadlineExceededError(f"deadline of {deadline * 1000:.0f}ms exceeded")
+
     async def _run_query(self, request: _Request):
-        future = asyncio.get_running_loop().run_in_executor(
-            None,
+        return await self._hop(
+            request,
             self._evaluate_sync,
             request.plans[0],
             request.documents[0],
             request.decision.algorithm,
             request.queries[0],
         )
-        # The worker thread cannot be interrupted, only abandoned: when a
-        # deadline or a cancel answers first, its eventual result (or
-        # exception) is swallowed here.
-        future.add_done_callback(_consume_result)
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(future), request.deadline_seconds
-            )
-        except asyncio.TimeoutError:
-            raise DeadlineExceededError(
-                f"deadline of {request.deadline_seconds * 1000:.0f}ms exceeded"
-            ) from None
 
     def _evaluate_sync(self, plan, document, algorithm: str, query: str):
         """Runs in a worker thread: the fault seam, then the service
@@ -780,29 +787,36 @@ class XPathDaemon:
         return self.service.evaluate(plan, document, algorithm=algorithm)
 
     async def _run_batch(self, request: _Request) -> None:
-        """Streams the cells into ``request.cells``, where a deadline or
-        a drain finds the finished ones."""
-        stream = self.async_service.stream_many(
-            request.queries,
+        """Steps the shared service's batch loop one document row per
+        hop, appending each finished row to ``request.cells``, where a
+        deadline or a drain finds it. The deadline is checked between
+        rows, never after the last one."""
+        algorithm = request.decision.algorithm
+        rows = self.service.batch_rows(
+            request.plans,
             request.documents,
-            algorithm=request.decision.algorithm,
-            workers=max(1, min(self.batch_workers, len(request.documents))),
-            share=request.decision.share,
-            deadline_seconds=request.deadline_seconds,
+            algorithm,
+            build_batch_plan(request.plans, algorithm, request.decision.share),
         )
-        try:
-            async for item in stream:
-                request.cells.append(
-                    {
-                        "doc": request.doc_names[item.document_index],
-                        "query": item.query,
-                        "algorithm": item.algorithm,
-                        **render_value(item.value, request.style),
-                    }
-                )
-        except asyncio.CancelledError:
-            await stream.aclose()
-            raise
+        algorithms = [resolve_algorithm(plan, algorithm) for plan in request.plans]
+        for name in request.doc_names:
+            row = await self._hop(request, self._batch_row, request, rows)
+            request.cells.extend(
+                {
+                    "doc": name,
+                    "query": query,
+                    "algorithm": resolved,
+                    **render_value(value, request.style),
+                }
+                for query, resolved, value in zip(request.queries, algorithms, row)
+            )
+
+    def _batch_row(self, request: _Request, rows) -> list:
+        """Runs in a worker thread: the fault seam for each query, then
+        the next document's row."""
+        for query in request.queries:
+            self.injector.before_evaluate(query)
+        return next(rows)
 
 
 async def run_daemon(daemon: XPathDaemon, ready=None) -> None:

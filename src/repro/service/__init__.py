@@ -1,9 +1,9 @@
-"""The service layer: staged compilation, batch sharing, scheduling.
+"""The service layer: staged compilation, batch sharing, dispatch.
 
-The paper's algorithms bound *evaluation* cost; this package amortizes
-everything that happens before evaluation, then keeps the evaluators
-saturated. A batch flows through five layers — logical → batch →
-dispatch → schedule → merge:
+The paper's algorithms bound *evaluation* cost, one (query, document)
+pair at a time; this package amortizes everything that happens before
+evaluation. A batch flows through four layers — logical → batch →
+dispatch → rows:
 
 1. **logical planning (document-independent)** — each distinct
    ``(query, options)`` pair is compiled once (parse → normalize →
@@ -41,25 +41,14 @@ dispatch → schedule → merge:
    from :mod:`repro.service.cost` (plan traits × :class:`DocumentProfile`)
    times the observed seconds per unit on :attr:`QueryService.timings`
    — is what admission control reads.
-4. **scheduling** — the pluggable middle layer
-   (:mod:`repro.service.scheduler`): ``prepare`` plans document shards
-   (LPT on node counts — or on *observed per-document seconds* once a
-   :class:`~repro.service.shard.ShardTimingHistory` has seen the
-   documents), ``dispatch`` evaluates them. Backends:
-   :class:`SerialScheduler` (reference), :class:`ThreadScheduler`
-   (``ThreadPoolExecutor`` overlap), :class:`ProcessScheduler` (true
-   parallelism; documents rebuilt per worker, node-sets rebound by
-   pre-order index), and :class:`AsyncScheduler` (asyncio
-   coroutine-per-shard, bounded semaphore, thread offload — also the
-   only backend that can *stream* shard outcomes as they complete).
-   Batch sharing composes: each worker builds its own step DAG over its
-   shard, so process workers stay self-contained.
-5. **merge** — per-shard values reassembled into batch order, cache and
-   batch-plan counters summed exactly (:func:`merge_stats_snapshots` /
-   :func:`~repro.service.scheduler.merge_batch_plan_snapshots`;
-   incremental form: :meth:`repro.stats.CacheStats.absorb_snapshot`),
-   and each shard's wall time fed back into the timing history,
-   producing one :class:`BatchResult` regardless of backend.
+4. **rows (per document)** — :meth:`QueryService.batch_rows` is the
+   one batch loop: for each document in order it yields that document's
+   row, through the DAG's ``evaluate_row`` when a prefix is shared, cell
+   by cell through the session memo otherwise.
+   :meth:`QueryService.evaluate_many` consumes it whole into one
+   :class:`BatchResult`; the serving daemon's ``BATCH`` steps it one row
+   per worker-thread hop, so its first rows are ready before its last
+   document is evaluated, and a deadline keeps the finished rows.
 
 Modules:
 
@@ -76,15 +65,7 @@ Modules:
   :class:`PlanCache`;
 * :mod:`repro.service.service` — :class:`QueryService` /
   :class:`DocumentSession` / :class:`BatchResult` (thread-safe: one
-  service may be shared across concurrent drivers);
-* :mod:`repro.service.shard` — deterministic shard planning +
-  :class:`ShardTimingHistory` (adaptive weights from observed times);
-* :mod:`repro.service.scheduler` — the :class:`Scheduler` seam and its
-  four backends;
-* :mod:`repro.service.executor` — :class:`ShardedExecutor`, the
-  backward-compatible facade that selects a scheduler by backend name;
-* :mod:`repro.service.async_service` — :class:`AsyncQueryService` /
-  :class:`BatchStream`, the coroutine front end.
+  service may be shared across concurrent drivers).
 
 Quickstart::
 
@@ -108,40 +89,11 @@ Inspecting the stages — what runs where, and why::
     print(build_batch_plan([plan, service.plan("//book/title")]).describe())
     # CLI forms: repro-xpath plan --explain --file doc.xml QUERY
     #            repro-xpath plan --explain-batch QUERY QUERY...
-
-Scaling out, same API — shard the batch across workers::
-
-    batch = service.evaluate_many(queries, docs, workers=4,
-                                  shard_by="size-balanced", backend="process")
-    batch.workers        # shards actually used
-    batch.shards         # per-shard documents, weights, wall times, stats
-    batch.plan_stats     # exact sum of the per-shard counters
-    # Repeat batches re-balance on the observed per-shard wall times
-    # recorded in service.shard_history (adaptive LPT weighting).
-
-Serving from an event loop — the async front end::
-
-    from repro.service import AsyncQueryService
-
-    async_service = AsyncQueryService(service)       # shares the caches
-    value = await async_service.evaluate("//b", doc)
-    batch = await async_service.evaluate_many(queries, docs, workers=4)
-    stream = async_service.stream_many(queries, docs, workers=4,
-                                       shard_by="size-balanced")
-    async for item in stream:            # results as shards complete
-        print(item.document_index, item.query, item.value)
-    stream.batch()                       # merged BatchResult, exact stats
 """
 
-from repro.service.async_service import AsyncQueryService, BatchStream, StreamItem
 from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
 from repro.service.cost import DocumentProfile, document_profile
-from repro.service.executor import (
-    EXECUTOR_BACKENDS,
-    ShardedExecutor,
-    merge_stats_snapshots,
-)
 from repro.service.plan import (
     CompiledPlan,
     CompiledQuery,
@@ -157,60 +109,26 @@ from repro.service.planner import (
     make_evaluator,
     resolve_algorithm,
 )
-from repro.service.scheduler import (
-    SCHEDULER_BACKENDS,
-    AsyncScheduler,
-    PreparedBatch,
-    ProcessScheduler,
-    Scheduler,
-    SerialScheduler,
-    ThreadScheduler,
-    make_scheduler,
-)
 from repro.service.service import BatchResult, DocumentSession, QueryService
-from repro.service.shard import (
-    SHARD_STRATEGIES,
-    Shard,
-    ShardTimingHistory,
-    plan_shards,
-)
 
 __all__ = [
     "ALGORITHMS",
-    "AsyncQueryService",
-    "AsyncScheduler",
     "BatchPlan",
     "BatchResult",
-    "BatchStream",
     "CompiledPlan",
     "CompiledQuery",
     "DocumentProfile",
     "DocumentSession",
-    "EXECUTOR_BACKENDS",
     "LogicalPlan",
     "PlanCache",
     "PlanOptions",
     "PlanTraits",
-    "PreparedBatch",
-    "ProcessScheduler",
     "QueryPlanner",
     "QueryService",
-    "SCHEDULER_BACKENDS",
-    "SHARD_STRATEGIES",
-    "Scheduler",
-    "SerialScheduler",
-    "Shard",
-    "ShardTimingHistory",
-    "ShardedExecutor",
-    "StreamItem",
-    "ThreadScheduler",
     "build_batch_plan",
     "compile_plan",
     "document_profile",
     "make_evaluator",
-    "make_scheduler",
-    "merge_stats_snapshots",
     "plan_key",
-    "plan_shards",
     "resolve_algorithm",
 ]

@@ -160,9 +160,8 @@ def _residual_plan(
 class BatchPlan:
     """The shared-step DAG for one batch of logical plans.
 
-    Build once per :meth:`~repro.service.QueryService.evaluate_many`
-    call (per shard, so process workers stay self-contained), then call
-    :meth:`evaluate_row` once per document. :attr:`stats` carries the
+    Build once per batch, then call :meth:`evaluate_row` once per
+    document (:meth:`~repro.service.QueryService.batch_rows` does). :attr:`stats` carries the
     exact :class:`~repro.stats.BatchPlanStats` for this batch.
     """
 
@@ -370,8 +369,11 @@ class BatchPlan:
         return "\n".join(lines)
 
 
-def build_batch_plan(plans: list[LogicalPlan]) -> BatchPlan | None:
-    """The shared-step DAG for a batch, or ``None`` for an empty batch."""
-    if not plans:
+def build_batch_plan(
+    plans: list[LogicalPlan], algorithm: str = "auto", share: bool = True
+) -> BatchPlan | None:
+    """The shared-step DAG for a batch, or ``None`` when nothing may
+    share: an empty batch, ``share=False``, or a forced algorithm."""
+    if not plans or not share or algorithm != "auto":
         return None
     return BatchPlan(list(plans))

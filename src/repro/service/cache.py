@@ -15,8 +15,8 @@ hitting its existing results.
 
 Thread safety: every operation (including the lookup-count + mutate
 pairs) runs under one re-entrant lock, so a single cache shared by
-concurrent drivers — the thread scheduler's seeded workers, the async
-front end's offload threads — keeps its counters exact and never loses
+concurrent drivers — the serving daemon's worker threads, user
+threads — keeps its counters exact and never loses
 an eviction. The lock is re-entrant because a ``get_or_create`` factory
 may legitimately insert entries (even the same key) into the cache it is
 populating; holding the lock across the factory also guarantees each key

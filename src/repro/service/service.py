@@ -17,10 +17,9 @@ reproduction grows toward (see ROADMAP.md): a long-lived object that
   lookups;
 * exposes :meth:`QueryService.evaluate_many`, the batch API: all queries
   × all documents in one call, sharing the plan cache across documents
-  and each document's session caches across queries; sharded batches
-  feed their observed per-shard wall times into a persistent
-  :class:`~repro.service.shard.ShardTimingHistory` that reweights the
-  LPT partitioning of repeat batches.
+  and each document's session caches across queries. Its loop is
+  :meth:`QueryService.batch_rows`, one row per document, which the
+  serving daemon's ``BATCH`` steps one row at a time.
 
 The per-call frontend cost (parse → normalize → rewrite → relevance →
 fragment classification) is exactly the overhead the paper's algorithms
@@ -36,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.context import Context
+from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
 from repro.service.cost import cost_units, document_profile
 from repro.service.plan import CompiledPlan, PlanOptions, plan_key
@@ -45,7 +45,6 @@ from repro.service.planner import (
     make_evaluator,
     resolve_algorithm,
 )
-from repro.service.shard import ShardTimingHistory
 from repro.stats import CacheStats, TimingStats
 from repro.xml.document import Document, Node
 
@@ -289,17 +288,11 @@ class BatchResult:
     service-lifetime totals — those live on
     :meth:`QueryService.cache_stats`).
 
-    Sharded runs (``workers > 1``) additionally report ``workers`` (the
-    number of shards actually used) and ``shards`` (per-shard document
-    indices, weights, wall times, and unmerged stats snapshots); the
-    top-level stats are then the exact sums of the per-shard counters.
-
     ``batch_plan`` is the batch-shared step DAG's exact counter snapshot
     (:class:`~repro.stats.BatchPlanStats`) when multi-query sharing ran
     — ``share=True`` (the default) with ``algorithm='auto'`` — and an
     empty dict otherwise, notably for every ``share=False`` call (which
     reproduces independent evaluation byte-identically, stats included).
-    Sharded runs sum the per-shard snapshots.
     """
 
     queries: list[str]
@@ -308,8 +301,6 @@ class BatchResult:
     algorithms: list[str]
     plan_stats: dict = field(default_factory=dict)
     result_stats: dict = field(default_factory=dict)
-    workers: int = 1
-    shards: list = field(default_factory=list)
     batch_plan: dict = field(default_factory=dict)
 
     def value(self, document_index: int, query_index: int):
@@ -319,20 +310,18 @@ class BatchResult:
 class QueryService:
     """Compile-once, evaluate-many XPath service over the paper's algorithms.
 
-    One instance is safe to share across threads (and across the async
-    front end's offload threads): the plan cache, the session map, and
+    One instance is safe to share across threads (the serving daemon's
+    worker threads among them): the plan cache, the session map, and
     every :class:`~repro.stats.CacheStats` counter are lock-protected, so
     concurrent drivers observe exact hit/miss/eviction totals and never
     lose an eviction. Evaluation itself runs outside the locks —
     documents and plans are immutable, so it needs no synchronization.
 
-    One accounting caveat: the *per-batch* stats an unsharded
-    :meth:`evaluate_many` reports are deltas of the service-lifetime
-    counters, so two unsharded batches running concurrently on one
-    shared service attribute each other's interleaved lookups (values
-    are still correct, and the lifetime totals in :meth:`cache_stats`
-    stay exact). Sharded and streamed batches are immune — each shard
-    runs a fresh service and the merged stats are per-shard sums.
+    One accounting caveat: the *per-batch* stats :meth:`evaluate_many`
+    reports are deltas of the service-lifetime counters, so two batches
+    running concurrently on one shared service attribute each other's
+    interleaved lookups (values are still correct, and the lifetime
+    totals in :meth:`cache_stats` stay exact).
     """
 
     def __init__(
@@ -351,9 +340,6 @@ class QueryService:
         #: Observed seconds per cost unit, per algorithm: every session's
         #: uncached evaluations feed it, admission control prices with it.
         self.timings = TimingStats(name="eval")
-        #: Observed per-document evaluation times from sharded batches,
-        #: fed back into LPT shard planning on repeat batches.
-        self.shard_history = ShardTimingHistory()
         # Sessions are LRU-bounded too: a long-lived service must not
         # retain every document tree it has ever served. Evicting a
         # session drops its document reference and result memo. Every
@@ -425,9 +411,6 @@ class QueryService:
         queries,
         documents,
         algorithm: str = "auto",
-        workers: int = 1,
-        shard_by: str = "round-robin",
-        backend: str = "thread",
         share: bool = True,
     ) -> BatchResult:
         """Evaluate every query against every document.
@@ -446,52 +429,15 @@ class QueryService:
         per-cell path (byte-identical results *and* stats, with
         ``batch_plan`` empty). Forced algorithms never share — the
         requested evaluator must run as asked.
-
-        With ``workers > 1`` the batch is sharded by document and
-        delegated to a :class:`~repro.service.executor.ShardedExecutor`
-        (``shard_by`` picks the partitioning strategy, ``backend`` picks
-        the scheduler: ``serial``, ``thread``, ``process``, or ``async``
-        — see :mod:`repro.service.scheduler`). Each worker runs a fresh
-        service built from this service's configuration, so this
-        service's own caches
-        are neither consulted nor populated; the returned batch stats are
-        the exact sums of the per-shard counters (see ``BatchResult``) —
-        each shard builds its own DAG, so process workers stay
-        self-contained.
         """
-        if workers > 1:
-            from repro.service.executor import ShardedExecutor
-
-            executor = ShardedExecutor(
-                workers=workers,
-                backend=backend,
-                shard_by=shard_by,
-                history=self.shard_history,
-                **self.config(),
-            )
-            return executor.execute(
-                queries, documents, algorithm=algorithm, share=share
-            )
         query_list = list(queries)
         document_list = list(documents)
         plan_stats_before = self.plans.stats.snapshot()
         result_stats_before = self.result_cache_stats()
         plans = [self.plan(query) for query in query_list]
         algorithms = [resolve_algorithm(plan, algorithm) for plan in plans]
-        batch_plan = None
-        if share and algorithm == "auto":
-            from repro.service.batchplan import build_batch_plan
-
-            batch_plan = build_batch_plan(plans)
-        values: list[list[object]] = []
-        for document in document_list:
-            session = self.session(document)
-            if batch_plan is not None and batch_plan.shared:
-                values.append(batch_plan.evaluate_row(session))
-            else:
-                values.append(
-                    [session.evaluate(plan, algorithm=algorithm) for plan in plans]
-                )
+        batch_plan = build_batch_plan(plans, algorithm, share)
+        values = list(self.batch_rows(plans, document_list, algorithm, batch_plan))
         return BatchResult(
             queries=query_list,
             document_count=len(document_list),
@@ -502,19 +448,29 @@ class QueryService:
             batch_plan=batch_plan.stats.snapshot() if batch_plan is not None else {},
         )
 
-    # ------------------------------------------------------------------
+    def batch_rows(
+        self,
+        plans: list[CompiledPlan],
+        documents,
+        algorithm: str = "auto",
+        batch_plan: BatchPlan | None = None,
+    ):
+        """Yield each document's row, in order: every plan's value on
+        that document. The one batch loop — :meth:`evaluate_many`
+        consumes it whole, the serving daemon's ``BATCH`` steps it one
+        row per worker-thread hop. A ``batch_plan`` (from
+        :func:`~repro.service.batchplan.build_batch_plan`, built once
+        per batch) that shares a prefix evaluates the row through its
+        step DAG; otherwise each cell runs through the session memo."""
+        shared = batch_plan is not None and batch_plan.shared
+        for document in documents:
+            session = self.session(document)
+            if shared:
+                yield batch_plan.evaluate_row(session)
+            else:
+                yield [session.evaluate(plan, algorithm=algorithm) for plan in plans]
 
-    def config(self) -> dict:
-        """The constructor arguments that reproduce this service's
-        configuration — used to build per-worker services for sharded
-        execution (and handy for spawning read-replicas in general)."""
-        return {
-            "plan_capacity": self.plans.capacity,
-            "session_capacity": self._sessions.capacity,
-            "result_capacity": self.result_capacity,
-            "optimize": self.optimize,
-            "variables": dict(self.variables),
-        }
+    # ------------------------------------------------------------------
 
     def result_cache_stats(self) -> dict:
         """Result-memo statistics across all sessions, live and evicted."""

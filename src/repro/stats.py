@@ -73,8 +73,8 @@ class CacheStats:
     The counters are exact (every lookup is either a hit or a miss, every
     capacity overflow is an eviction) — the plan-cache tests assert on
     them literally. Exactness must survive concurrent drivers (one
-    :class:`~repro.service.QueryService` shared across threads, or the
-    async front end offloading to a thread pool), so every counter update
+    :class:`~repro.service.QueryService` shared across threads, as the
+    serving daemon's worker threads share it), so every counter update
     happens inside the instance's lock; ``+=`` on a shared int is a
     read-modify-write that loses increments under interleaving.
     """
@@ -102,19 +102,6 @@ class CacheStats:
         with self._lock:
             self.evictions += amount
         count(f"{self.name}_evictions", amount)
-
-    def absorb_snapshot(self, snapshot: dict) -> None:
-        """Fold a counter snapshot (a :meth:`snapshot` dict, or a shard's
-        merged stats) into this instance — the incremental form of the
-        scheduler layer's barrier merge. The streaming front end calls
-        this once per completed shard and reaches totals identical to
-        merging all snapshots at the end: addition is associative and
-        each shard's counters are folded exactly once.
-        """
-        with self._lock:
-            self.hits += snapshot.get("hits", 0)
-            self.misses += snapshot.get("misses", 0)
-            self.evictions += snapshot.get("evictions", 0)
 
     @property
     def lookups(self) -> int:
@@ -352,8 +339,7 @@ class BatchPlanStats:
     plus every materialized-prefix step (each prefix computed at most
     once per document, through the memo). Plan-level fields
     (``sharable_plans``/``shared_plans``/``independent_plans``/
-    ``prefix_nodes``) describe the DAG built for the batch; merged
-    sharded snapshots sum them across shards.
+    ``prefix_nodes``) describe the DAG built for the batch.
     """
 
     name: str = "batch_plan"
@@ -425,29 +411,6 @@ class BatchPlanStats:
     def steps_saved(self) -> int:
         with self._lock:
             return self.steps_independent - self.steps_shared
-
-    def absorb_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` dict (e.g. one shard's batch-plan
-        stats) into this instance; derived fields are recomputed, never
-        summed."""
-        if not snapshot:
-            return
-        with self._lock:
-            for key in (
-                "sharable_plans",
-                "shared_plans",
-                "independent_plans",
-                "prefix_nodes",
-                "cells",
-                "memo_hits",
-                "shared_evaluations",
-                "fallback_cells",
-                "prefix_evaluations",
-                "prefix_memo_hits",
-                "steps_independent",
-                "steps_shared",
-            ):
-                setattr(self, key, getattr(self, key) + snapshot.get(key, 0))
 
     def snapshot(self) -> dict[str, int]:
         """A consistent point-in-time copy of the counters, including the

@@ -523,8 +523,9 @@ _INDEX_CACHE: "weakref.WeakKeyDictionary[Document, NodeIndex]" = (
 )
 #: Per-document build locks (weak-keyed too): racing first callers of
 #: one document serialize, builds of *different* documents proceed in
-#: parallel — a sharded thread batch over fresh documents must not
-#: funnel every O(|D|·log|D|) build through one global lock.
+#: parallel — worker threads answering first queries on fresh
+#: documents must not funnel every O(|D|·log|D|) build through one
+#: global lock.
 _BUILD_LOCKS: "weakref.WeakKeyDictionary[Document, threading.Lock]" = (
     weakref.WeakKeyDictionary()
 )

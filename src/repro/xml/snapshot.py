@@ -14,8 +14,7 @@ points ``memoryview`` slices at the partition array and adopts the index
 (``index_adoptions``) — no parse, no index build, no partition pass, no
 string decoded, no node created; profiling the loaded document decodes
 no text either. :class:`~repro.xml.store.DocumentStore` keeps one such
-file per document;
-:class:`~repro.service.scheduler.ProcessScheduler` ships them to workers.
+file per document.
 
 Layout (all integers little-endian)::
 
@@ -56,8 +55,8 @@ behind their element, exact ``size`` / ``depth``, every subtree one
 nested interval), the string tables are monotone and decode, and the
 persisted partitions and shape are exactly what a partition pass over
 the columns yields. :func:`decode_snapshot` — for
-bytes a caller hands in: the process scheduler's payloads, the CLI,
-anything that crossed a boundary — always runs it, because a CRC says
+bytes a caller hands in: the CLI, anything that crossed a
+boundary — always runs it, because a CRC says
 the bytes are the ones that were written, not that what was written is a
 document. :meth:`DocumentStore.load <repro.xml.store.DocumentStore.load>`
 (:func:`decode_stored`) does not: every file under ``<store>.d/`` was
@@ -78,7 +77,6 @@ from __future__ import annotations
 
 import struct
 import sys
-import weakref
 import zlib
 from array import array
 from operator import ne
@@ -417,24 +415,3 @@ def snapshot_column_sizes(blob: bytes) -> dict[str, int]:
         "value_bytes": value_bytes,
         "partition_bytes": 8 * len(partitions[0]),
     }
-
-
-# ----------------------------------------------------------------------
-# Parent-side blob cache
-# ----------------------------------------------------------------------
-
-#: Shipping the same document to many worker shards must not re-encode
-#: it per shard; weak keys keep the cache from pinning documents (same
-#: contract as the index cache).
-_SNAPSHOT_CACHE: "weakref.WeakKeyDictionary[Document, bytes]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def cached_snapshot(document: Document) -> bytes:
-    """:func:`encode_snapshot`, weak-cached per document."""
-    blob = _SNAPSHOT_CACHE.get(document)
-    if blob is None:
-        blob = encode_snapshot(document)
-        _SNAPSHOT_CACHE[document] = blob
-    return blob

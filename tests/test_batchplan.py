@@ -2,7 +2,7 @@
 
 The contract under test, end to end: sharing only ever removes work —
 ``evaluate_many(share=True)`` returns exactly the values of independent
-evaluation (every backend, every plan shape), ``share=False`` reproduces
+evaluation (every plan shape), ``share=False`` reproduces
 the independent path byte-identically *including stats*, and the
 :class:`~repro.stats.BatchPlanStats` counters satisfy their
 reconciliation identities exactly.
@@ -19,13 +19,7 @@ from repro.axes.axes import (
     kernel_mode_forced,
     select_node_test,
 )
-from repro.service import (
-    AsyncQueryService,
-    QueryService,
-    ShardedExecutor,
-    build_batch_plan,
-)
-from repro.service.scheduler import merge_batch_plan_snapshots
+from repro.service import QueryService, build_batch_plan
 from repro.workloads.documents import (
     balanced_tree,
     book_catalog,
@@ -310,91 +304,6 @@ def test_sharing_reduces_step_applications(documents):
     independent evaluation on a prefix-heavy batch."""
     batch = QueryService().evaluate_many(QUERIES, documents)
     assert batch.batch_plan["steps_saved"] > 0
-
-
-def test_merge_batch_plan_snapshots_sums_and_preserves_emptiness():
-    a = {"cells": 3, "memo_hits": 1, "shared_evaluations": 2, "fallback_cells": 0,
-         "sharable_plans": 2, "shared_plans": 2, "independent_plans": 0,
-         "prefix_nodes": 1, "prefix_evaluations": 1, "prefix_memo_hits": 0,
-         "steps_independent": 6, "steps_shared": 3, "steps_saved": 3}
-    merged = merge_batch_plan_snapshots([a, {}, a])
-    assert merged["cells"] == 6
-    assert merged["steps_saved"] == 6
-    assert merged["prefix_nodes"] == 2
-    # All-empty (every shard ran share=False or unsharable) stays {}.
-    assert merge_batch_plan_snapshots([{}, {}]) == {}
-    assert merge_batch_plan_snapshots([]) == {}
-
-
-# ----------------------------------------------------------------------
-# Sharded + async paths
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_sharded_backends_match_sequential_values(documents, backend):
-    service = QueryService()
-    sequential = service.evaluate_many(QUERIES, documents)
-    sharded = QueryService().evaluate_many(
-        QUERIES, documents, workers=2, backend=backend
-    )
-    assert sharded.values == sequential.values
-    merged = sharded.batch_plan
-    # Cell counters sum across shards to the unsharded totals; the
-    # plan-shape fields describe the per-shard DAG fleet instead.
-    assert merged["cells"] == sequential.batch_plan["cells"]
-    assert merged["shared_evaluations"] + merged["memo_hits"] == merged["cells"]
-    assert merged["steps_saved"] >= 0
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_sharded_no_share_is_empty_and_identical(documents, backend):
-    sharded = QueryService().evaluate_many(
-        QUERIES, documents, workers=2, backend=backend, share=False
-    )
-    assert sharded.batch_plan == {}
-    assert sharded.values == _independent_values(QUERIES, documents)
-
-
-def test_executor_forwards_share_knob(documents):
-    executor = ShardedExecutor(workers=2, backend="thread")
-    on = executor.execute(QUERIES, documents)
-    off = executor.execute(QUERIES, documents, share=False)
-    assert on.values == off.values
-    assert on.batch_plan and off.batch_plan == {}
-
-
-def test_async_paths_carry_batch_plan(documents):
-    import asyncio
-
-    async def run():
-        service = AsyncQueryService(QueryService())
-        direct = await service.evaluate_many(QUERIES, documents)
-        stream = service.stream_many(QUERIES, documents, workers=2)
-        items = []
-        async for item in stream:
-            items.append(item)
-        return direct, stream.batch(), items
-
-    direct, streamed, items = asyncio.run(run())
-    expected = _independent_values(QUERIES, documents)
-    assert direct.values == expected
-    assert streamed.values == expected
-    assert direct.batch_plan["cells"] > 0
-    assert streamed.batch_plan["cells"] > 0
-    assert len(items) == len(QUERIES) * len(documents)
-
-
-def test_async_no_share_stays_empty(documents):
-    import asyncio
-
-    async def run():
-        service = AsyncQueryService(QueryService())
-        return await service.evaluate_many(QUERIES, documents, share=False)
-
-    batch = asyncio.run(run())
-    assert batch.batch_plan == {}
-    assert batch.values == _independent_values(QUERIES, documents)
 
 
 # ----------------------------------------------------------------------

@@ -283,111 +283,6 @@ def test_batch_subcommand_unbound_variable_exit_code(capsys):
 
 
 # ----------------------------------------------------------------------
-# batch subcommand: sharded execution
-# ----------------------------------------------------------------------
-
-
-def test_batch_subcommand_workers_thread_backend(capsys):
-    sequential = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)",
-    )
-    sharded = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)", "--workers", "2",
-    )
-    assert sharded[0] == 0
-    assert sharded[1] == sequential[1]  # identical output, batch order kept
-
-
-def test_batch_subcommand_workers_stats_reports_shards(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "--workers", "2", "--shard-by", "size-balanced", "--stats",
-    )
-    assert code == 0
-    assert "shards:       2" in err
-    assert "strategy=size-balanced" in err
-    assert "plan cache:" in err
-
-
-def test_batch_subcommand_invalid_workers_exit_code(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "-q", "//b", "--workers", "0"
-    )
-    assert code == 2
-    assert "--workers" in err
-
-
-# ----------------------------------------------------------------------
-# batch subcommand: async backend and streaming
-# ----------------------------------------------------------------------
-
-
-def test_batch_subcommand_async_backend_matches_sequential(capsys):
-    sequential = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)",
-    )
-    asynchronous = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)", "--workers", "2", "--backend", "async",
-    )
-    assert asynchronous[0] == 0
-    assert asynchronous[1] == sequential[1]  # identical output, batch order kept
-
-
-def test_batch_subcommand_stream_prints_every_labeled_result(capsys):
-    """--stream output arrives in completion order, so compare as a set
-    of labeled blocks against the barrier run's."""
-    barrier = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)",
-    )
-    streamed = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "-q", "count(//b)", "--workers", "2", "--backend", "async", "--stream",
-    )
-    assert streamed[0] == 0
-
-    def blocks(output):
-        chunks = ("=== " + part for part in output.split("=== ") if part)
-        return {chunk.strip() for chunk in chunks}
-
-    assert blocks(streamed[1]) == blocks(barrier[1])
-    assert len(blocks(streamed[1])) == 4  # 2 documents x 2 queries
-
-
-def test_batch_subcommand_stream_stats_report_shards(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>", "-q", "//b",
-        "--workers", "2", "--backend", "async", "--stream", "--stats",
-    )
-    assert code == 0
-    assert "shards:       2" in err
-    assert "backend=async --stream" in err
-    assert "plan cache:" in err
-    assert "result cache:" in err
-
-
-def test_batch_subcommand_stream_requires_async_backend(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "-q", "//b", "--workers", "2", "--stream"
-    )
-    assert code == 2
-    assert "--stream requires --backend async" in err
-
-
-def test_batch_subcommand_stream_bad_query_exit_code(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "-q", "//b[", "--workers", "2",
-        "--backend", "async", "--stream",
-    )
-    assert code == 3  # EXIT_QUERY: surfaced at prepare time, before streaming
-    assert "//b[" in err
-
-
-# ----------------------------------------------------------------------
 # store subcommand and batch --snapshot-store
 # ----------------------------------------------------------------------
 
@@ -600,13 +495,3 @@ def test_batch_subcommand_forced_algorithm_stats_omit_batch_plan(capsys):
     )
     assert code == 0
     assert "batch plan:" not in err
-
-
-def test_batch_subcommand_workers_stats_report_merged_batch_plan(capsys):
-    code, _, err = run(
-        capsys, "batch", "--xml", XML, "--xml", "<a><b>30</b></a>",
-        "-q", "//b", "-q", "//b/text()", "--workers", "2", "--stats",
-    )
-    assert code == 0
-    assert "shards:       2" in err
-    assert "batch plan:" in err

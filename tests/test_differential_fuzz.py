@@ -231,40 +231,37 @@ def test_id_pseudo_axis_differential():
     assert nonempty > 0
 
 
-def test_variable_corpus_through_the_sharded_service():
-    """Scalar fuzz bindings ship through every scheduler backend — the
-    generated bindings are scalars by construction, so even the process
-    backend (which rejects node-set bindings) accepts the corpus."""
-    from repro.service import ShardedExecutor
+def _assert_batch_matches_engines(queries, documents, variables=None):
+    """``evaluate_many`` over every (query, document) cell equals a fresh
+    engine's answer on that cell."""
+    batch = QueryService(variables=variables).evaluate_many(queries, documents)
+    for doc_index, document in enumerate(documents):
+        engine = XPathEngine(document, variables=variables)
+        for query_index, query in enumerate(queries):
+            assert batch.value(doc_index, query_index) == engine.evaluate(query), (
+                query,
+            )
 
+
+def test_variable_corpus_through_the_batch_service():
+    """Scalar fuzz bindings flow through the service's batch loop to
+    every cell unchanged."""
     rng = random.Random(SEED + 15)
     bindings: dict = {}
     queries = [
         random_full_query(rng, max_steps=3, variables=bindings) for _ in range(10)
     ]
     documents = [random_document(rng, max_nodes=12) for _ in range(4)]
-    sequential = QueryService(variables=bindings).evaluate_many(queries, documents)
-    for backend in ("serial", "thread", "process", "async"):
-        batch = ShardedExecutor(
-            workers=2, backend=backend, variables=bindings
-        ).execute(queries, documents)
-        assert batch.values == sequential.values, backend
+    _assert_batch_matches_engines(queries, documents, bindings)
 
 
-def test_full_grammar_through_the_sharded_service():
-    """Sharded evaluation returns byte-identical results to a fresh
-    engine on the full-grammar corpus — the executor is grammar-blind."""
+def test_full_grammar_through_the_batch_service():
+    """The batch loop returns byte-identical results to a fresh engine
+    on the full-grammar corpus — it is grammar-blind."""
     rng = random.Random(SEED + 13)
     documents = [random_document(rng, max_nodes=12) for _ in range(4)]
     queries = [random_full_query(rng, max_steps=3) for _ in range(12)]
-    service = QueryService()
-    batch = service.evaluate_many(queries, documents, workers=2)
-    for doc_index, document in enumerate(documents):
-        engine = XPathEngine(document)
-        for query_index, query in enumerate(queries):
-            assert batch.value(doc_index, query_index) == engine.evaluate(query), (
-                query,
-            )
+    _assert_batch_matches_engines(queries, documents)
 
 
 def _nodeset_corpus(seed: int, count: int):
@@ -338,43 +335,17 @@ def test_unions_of_nodeset_variables_differential():
             _check_differential(engine, query)
 
 
-def test_nodeset_bindings_through_serial_thread_async_backends():
-    """Node-set bindings ship through every in-process backend: the
-    nodes live in the parent's trees, which serial/thread/async workers
-    share. The same document twice gives two real shards."""
-    from repro.service import ShardedExecutor
-
+def test_nodeset_bindings_through_the_batch_service():
+    """Node-set bindings reach every row of a batch: the nodes live in
+    the caller's tree, which each row evaluates against. The same
+    document twice gives two rows, the second answered from the memo."""
     corpus, bindings = _nodeset_corpus(SEED + 22, 10)
     queries = [query for query in corpus if "$nset" in query][:6]
     assert len(queries) >= 2
     for document in _fixed_documents()[:2]:
         document_bindings = dict(bindings)
         document_bindings["nset"] = XPathEngine(document).evaluate("//b")
-        documents = [document, document]
-        sequential = QueryService(variables=document_bindings).evaluate_many(
-            queries, documents
-        )
-        for backend in ("serial", "thread", "async"):
-            batch = ShardedExecutor(
-                workers=2, backend=backend, variables=document_bindings
-            ).execute(queries, documents)
-            assert batch.values == sequential.values, backend
-            assert batch.workers == 2
-
-
-def test_process_backend_rejects_nodeset_bindings_cleanly():
-    """The process backend's scalar-bindings guard must refuse node-set
-    bindings at construction, with a message pointing at the in-process
-    backends — not fail somewhere inside a worker."""
-    from repro.service import ShardedExecutor
-
-    document = _fixed_documents()[0]
-    bindings = {"nset": XPathEngine(document).evaluate("//b")}
-    with pytest.raises(ValueError) as excinfo:
-        ShardedExecutor(workers=2, backend="process", variables=bindings)
-    message = str(excinfo.value)
-    assert "scalar" in message
-    assert "nset" in message
+        _assert_batch_matches_engines(queries, [document, document], document_bindings)
 
 
 def test_fuzz_corpus_through_the_service_layer():

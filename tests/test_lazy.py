@@ -7,7 +7,7 @@ counts are built when a kernel first needs them. The "eager" leg here
 is a document with all of that already done, the "lazy" leg a fresh
 ``decode_snapshot`` of it with none of it done. The contract under test:
 **byte-identical results in every configuration** (all algorithms,
-share on/off, every scheduler backend, every kernel mode), **exact
+share on/off, every kernel mode), **exact
 accounting** (``lazy_documents`` / ``nodes_materialized`` move by
 exactly what happened, each pre is created at most once), and
 **output-sensitivity** (a selective Core XPath query materializes
@@ -24,7 +24,7 @@ from repro import stats
 from repro.axes.axes import KERNEL_MODES, kernel_mode_forced
 from repro.axes.vec import forward_step
 from repro.engine import XPathEngine
-from repro.service import QueryService, ShardedExecutor
+from repro.service import QueryService
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
 from repro.workloads.queries import random_core_query, random_full_query
 from repro.xml.document import Document, Node
@@ -299,22 +299,6 @@ def test_lazy_matches_eager_through_batch_service_share_on_and_off():
         )
         got = QueryService().evaluate_many(queries, lazy_documents, share=share)
         assert _canon(got.values) == _canon(expected.values), share
-
-
-def test_lazy_matches_eager_through_every_scheduler_backend():
-    """Serial, thread, and process shard workers all see lazy parents;
-    the process backend re-encodes the columns and decodes lazily on the
-    worker side (the scheduler's default)."""
-    rng = random.Random(SEED + 3)
-    queries = [random_core_query(rng, max_steps=3) for _ in range(4)]
-    eager_documents = _fixed_documents()[:2]
-    lazy_documents = [_lazy_twin(document) for document in eager_documents]
-    expected = QueryService().evaluate_many(queries, eager_documents)
-    for backend in ("serial", "thread", "process"):
-        batch = ShardedExecutor(workers=2, backend=backend).execute(
-            queries, lazy_documents
-        )
-        assert _canon(batch.values) == _canon(expected.values), backend
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.serve import FaultInjector, ServeClient, XPathDaemon
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.serve.quotas import ClientQuota, ClientState, TokenBucket
+from repro.service.planner import QueryPlanner
 from repro.service.service import QueryService
 from repro.stats import ServeStats
 from repro.xml.parser import parse_document
@@ -494,10 +495,15 @@ def test_admission_rejects_before_any_evaluation_starts():
             assert excinfo.value.retry_after is None
             with pytest.raises(OverloadError):
                 client.batch(["//book"], ["d"], retry=False)
+            # The proof: nothing was evaluated for the rejected requests.
+            assert injector.snapshot()["evaluations_started"] == 0
+            # ... and the seam does see a BATCH that is admitted: its one
+            # (query, document) cell starts one evaluation.
+            daemon.admission.max_cost_seconds = 60.0
+            assert client.batch(["//book"], ["d"], retry=False)["completed"] == 1
+            assert injector.snapshot()["evaluations_started"] == 1
         snapshot = daemon.stats.snapshot()
         assert snapshot["rejected_overload"] == 2
-        # The proof: nothing was evaluated for the rejected requests.
-        assert injector.snapshot()["evaluations_started"] == 0
         assert_identities(snapshot)
 
 
@@ -543,19 +549,29 @@ def test_query_deadline_returns_typed_deadline_not_a_hang():
 
 
 def test_batch_deadline_surfaces_partial_cells():
+    """Every row is slowed by the fault seam, so the deadline lapses
+    inside a later row: the reply keeps exactly the whole rows finished
+    before it, in document order."""
+    injector = FaultInjector(delay_matching="slow", delay_seconds=0.5)
     service = QueryService()
-    with running_daemon(service=service, admission=permissive(service)) as daemon:
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
         with ServeClient(port=daemon.port, client="b", timeout=10) as client:
-            wide = "<r>" + "<x><y/></x>" * 400 + "</r>"
-            client.register("d", wide)
+            names = ["d1", "d2", "d3"]
+            for name in names:
+                client.register(name, BOOKS)
+            queries = ["//slow", "//title", "count(//book)"]
             with pytest.raises(DeadlineExceededError) as excinfo:
-                client.batch(
-                    ["//y", "count(//x)", "//x/y"], ["d"], deadline_ms=1, retry=False
-                )
+                client.batch(queries, names, deadline_ms=800, retry=False)
             error = excinfo.value
-            assert error.total == 3 and error.completed < error.total
-            assert isinstance(error.cells, list)
+            assert error.total == len(queries) * len(names)
+            rows, remainder = divmod(error.completed, len(queries))
+            assert remainder == 0 and 0 < rows < len(names)
             assert len(error.cells) == error.completed
+            assert [(cell["doc"], cell["query"]) for cell in error.cells] == [
+                (name, query) for name in names[:rows] for query in queries
+            ]
         snapshot = daemon.stats.snapshot()
         assert snapshot["deadlined"] == 1
         assert_identities(snapshot)
@@ -605,29 +621,106 @@ def test_batch_worker_death_returns_a_typed_error_and_frees_the_gauge():
     ``EVALUATION`` response and release the in-flight gauge, or the
     daemon would slowly reject all traffic at the queue watermark
     (regression)."""
+    injector = FaultInjector(die_matching="doomed")
     service = QueryService()
-    with running_daemon(service=service, admission=permissive(service)) as daemon:
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
         with ServeClient(port=daemon.port, client="w") as client:
             client.register("d", BOOKS)
-            real = daemon.async_service.stream_many
-
-            def dying_stream(*args, **kwargs):
-                async def gen():
-                    raise RuntimeError("worker died evaluating the batch")
-                    yield  # pragma: no cover
-
-                return gen()
-
-            daemon.async_service.stream_many = dying_stream
             with pytest.raises(RemoteError) as excinfo:
-                client.batch(["//book"], ["d"])
+                client.batch(["//book", "//doomed"], ["d"])
             assert excinfo.value.protocol_code == "EVALUATION"
             assert "worker died" in str(excinfo.value)
             assert daemon._in_flight == 0
-            daemon.async_service.stream_many = real
             assert client.batch(["//title"], ["d"])["ok"]  # daemon survived
         snapshot = daemon.stats.snapshot()
         assert snapshot["failed"] == 1 and snapshot["completed"] == 1
+        assert_identities(snapshot)
+
+
+class CountingPlanner(QueryPlanner):
+    """Counts the queries it compiles."""
+
+    compiles = 0
+
+    def compile(self, *args, **kwargs):
+        self.compiles += 1
+        return super().compile(*args, **kwargs)
+
+
+def test_repeat_batches_hit_the_shared_memo_and_compile_each_query_once():
+    """A BATCH runs on the daemon's own service: its plans come from the
+    plan cache that validation filled, and its cells fill and hit the
+    same result memo a QUERY uses."""
+    service = QueryService()
+    service.planner = CountingPlanner()
+    with running_daemon(service=service, admission=permissive(service)) as daemon:
+        with ServeClient(port=daemon.port, client="r") as client:
+            names = ["d1", "d2"]
+            for name in names:
+                client.register(name, BOOKS)
+            queries = ["//book/title", "//book/price", "count(//book)", "//title"]
+            replies = [client.batch(queries, names) for _ in range(3)]
+            # A QUERY for one of the cells is answered from that memo.
+            assert client.query("//book/price", "d2")["memo"] is True
+        cells = len(queries) * len(names)
+        assert [reply["completed"] for reply in replies] == [cells] * 3
+        assert replies[1]["cells"] == replies[2]["cells"] == replies[0]["cells"]
+        assert service.result_cache_stats()["hits"] == 2 * cells + 1
+        assert service.planner.compiles == len(queries)
+        assert_identities(daemon.stats.snapshot())
+
+
+def test_a_batch_appends_each_row_before_the_next_is_evaluated():
+    """The first row is in the reply's cells before the last document's
+    row is evaluated: each row step sees every earlier row already
+    appended."""
+    service = QueryService()
+    with running_daemon(service=service, admission=permissive(service)) as daemon:
+        seen = []
+        real_row = daemon._batch_row
+
+        def recording_row(request, rows):
+            seen.append(len(request.cells))
+            return real_row(request, rows)
+
+        daemon._batch_row = recording_row
+        with ServeClient(port=daemon.port, client="s") as client:
+            names = ["d1", "d2", "d3"]
+            for name in names:
+                client.register(name, BOOKS)
+            reply = client.batch(["//title", "count(//book)"], names)
+        assert reply["completed"] == reply["total"] == 6
+        assert seen == [0, 2, 4]
+
+
+def test_deadline_lapsing_after_the_last_row_is_not_a_deadline():
+    """A batch whose rows all finished is answered ``completed`` even
+    when its deadline lapses between the last row and the reply — the
+    deadline is checked between rows, never after the last one
+    (regression)."""
+    service = QueryService()
+    with running_daemon(service=service, admission=permissive(service)) as daemon:
+        real_row = daemon._batch_row
+
+        def lapsing_row(request, rows):
+            row = real_row(request, rows)
+            if len(request.cells) + len(row) == request.partial()["total"]:
+                request.deadline_seconds = 0.0
+            return row
+
+        daemon._batch_row = lapsing_row
+        with ServeClient(port=daemon.port, client="l") as client:
+            names = ["d1", "d2"]
+            for name in names:
+                client.register(name, BOOKS)
+            reply = client.batch(
+                ["//title", "//price"], names, deadline_ms=60_000, retry=False
+            )
+        assert reply["completed"] == reply["total"] == 4
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["completed"] == 1 and snapshot["deadlined"] == 0
         assert_identities(snapshot)
 
 
@@ -1081,6 +1174,39 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         assert all(reply["memo"] and reply["count"] == 200 for reply in replies)
         snapshot = daemon.stats.snapshot()
         assert snapshot["memo_hits"] == 5000
+        assert_identities(snapshot)
+
+
+def test_a_batch_whose_client_leaves_starts_no_further_row():
+    """A client that leaves mid-BATCH cancels it between rows: the row in
+    flight is abandoned, no later row starts, and the request counts as
+    failed."""
+    injector = FaultInjector(delay_matching="slow", delay_seconds=0.4)
+    service = QueryService()
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
+        names = ["d1", "d2", "d3"]
+        with ServeClient(port=daemon.port, client="q") as client:
+            for name in names:
+                client.register(name, BOOKS)
+        frame = {
+            "verb": "BATCH", "id": 1, "client": "q", "queries": ["//slow"], "docs": names
+        }
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(encode_frame(frame))
+            deadline = time.monotonic() + 5.0
+            while injector.snapshot()["evaluations_started"] == 0:
+                assert time.monotonic() < deadline, "the first row never started"
+                time.sleep(0.01)
+        deadline = time.monotonic() + 5.0
+        while daemon.stats.snapshot()["failed"] == 0:
+            assert time.monotonic() < deadline, "the cancel was never counted"
+            time.sleep(0.01)
+        time.sleep(0.6)  # past the abandoned row's delay
+        assert injector.snapshot()["evaluations_started"] == 1
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["failed"] == 1 and daemon._in_flight == 0
         assert_identities(snapshot)
 
 

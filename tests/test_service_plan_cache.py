@@ -10,6 +10,7 @@ import pytest
 
 from repro import stats
 from repro.engine import XPathEngine
+from repro.errors import XPathSyntaxError
 from repro.service import PlanCache, PlanOptions, QueryService, plan_key
 from repro.workloads.documents import book_catalog, running_example_document
 from repro.xml.parser import parse_document
@@ -83,6 +84,17 @@ def test_batch_algorithms_follow_fragment_dispatch(documents):
     service = QueryService()
     batch = service.evaluate_many(["//b[child::c]", "//b[position() = 1]"], documents[:1])
     assert batch.algorithms == ["corexpath", "optmincontext"]
+
+
+def test_empty_batches_and_query_errors_before_any_row(documents):
+    """No documents gives no rows, no queries gives empty rows, and a bad
+    query fails the batch before any document is evaluated."""
+    service = QueryService()
+    assert service.evaluate_many(QUERIES, []).values == []
+    assert service.evaluate_many([], documents).values == [[]] * len(documents)
+    with pytest.raises(XPathSyntaxError):
+        service.evaluate_many(["//b", "//b["], documents)
+    assert service.result_cache_stats()["misses"] == 0
 
 
 def test_forced_algorithm_in_batch(documents):

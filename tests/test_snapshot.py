@@ -48,7 +48,6 @@ from repro.xml.serializer import serialize
 from repro.xml.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    cached_snapshot,
     decode_snapshot,
     encode_snapshot,
 )
@@ -296,20 +295,6 @@ def test_adopt_rejects_foreign_index():
     a, b = parse_document("<a/>"), parse_document("<b/>")
     with pytest.raises(ValueError):
         adopt_node_index(a, node_index(b))
-
-
-def test_cached_snapshot_encodes_once_and_never_pins():
-    import gc
-    import weakref
-
-    document = book_catalog(books=2)
-    blob = cached_snapshot(document)
-    assert cached_snapshot(document) is blob
-    assert blob == encode_snapshot(document)
-    ref = weakref.ref(document)
-    del document
-    gc.collect()
-    assert ref() is None, "snapshot cache pinned the document"
 
 
 def test_snapshot_preserves_custom_id_attribute():
