@@ -495,8 +495,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print plan-cache, result-cache, batch-plan, and axis-kernel "
-        "statistics after the batch",
+        help="print plan-cache, result-cache, holds-memo, batch-plan, and "
+        "axis-kernel statistics after the batch",
     )
     return parser
 
@@ -527,6 +527,14 @@ def _print_batch_stats(batch, from_store: bool) -> None:
         "result cache: "
         f"hits={result_stats['hits']} misses={result_stats['misses']} "
         f"hit rate={result_stats['hit_rate']:.1%}",
+        file=sys.stderr,
+    )
+    holds_stats = batch.holds_stats
+    print(
+        "holds memo:   "
+        f"hits={holds_stats['hits']} misses={holds_stats['misses']} "
+        f"evictions={holds_stats['evictions']} "
+        f"hit rate={holds_stats['hit_rate']:.1%}",
         file=sys.stderr,
     )
     batch_plan = batch.batch_plan

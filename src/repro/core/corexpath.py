@@ -19,10 +19,18 @@ holds at — ``and`` narrows the block by its left side, then its right;
 remainder; ``not(p)`` is the block minus ``p``'s hits, one C-level set
 difference; ``boolean(π)`` intersects the block with π's backward
 propagation. No complement of ``dom`` is ever built and each connective
-costs ``O(|block|) ⊆ O(|D|)``; every backward propagation still runs
-exactly once per ``boolean``, whatever the block, so the query costs
-``O(|Q|)`` sweeps of ``O(|D|)`` (Theorem 13) and ``corexpath_steps`` is
-a function of the query alone. Each step goes through the per-step
+costs ``O(|block|) ⊆ O(|D|)``. In a bare evaluator
+(``CoreXPathEvaluator(document)``: :class:`~repro.engine.XPathEngine`,
+the test oracles) every backward propagation runs exactly once per
+``boolean``, whatever the block, so the query costs ``O(|Q|)`` sweeps of
+``O(|D|)`` (Theorem 13) and ``corexpath_steps`` is a function of the
+query alone. The set where π holds depends only on the document and π,
+so an evaluator handed a :class:`HoldsMemo` — each
+:class:`~repro.service.service.DocumentSession` owns one — runs each
+(document, π) propagation once until the memo is flushed, keyed by π's
+canonical text (``Path.key``): a repeat costs one dictionary read and
+no sweep, and ``corexpath_steps`` then counts only the propagations the
+memo did not hold. Each step goes through the per-step
 gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
 :func:`~repro.axes.vec.forward_step`, a backward step
 :func:`~repro.axes.vec.filter_step` then
@@ -44,10 +52,14 @@ MINCONTEXT / OPTMINCONTEXT share this pre plane
 
 from __future__ import annotations
 
+import threading
+from array import array
+
 from repro import stats
 from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
+from repro.stats import CacheStats
 from repro.xml.document import Document, Node
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
@@ -60,11 +72,81 @@ def _without(block, hits: list[int]) -> list[int]:
     return sorted(set(block).difference(hits))
 
 
-class CoreXPathEvaluator:
-    """Forward/backward sorted-array evaluation for Core XPath queries."""
+class HoldsMemo:
+    """One document's memo of backward propagations: ``Path.key`` → the
+    sorted pres where that path holds, stored as ``array('i')`` (four
+    bytes a pre, not a boxed int per member).
 
-    def __init__(self, document: Document):
+    Bounded by :data:`CELLS` stored cells, an entry costing its length
+    plus :data:`ENTRY_CELLS` for its header, and flushed wholesale when
+    an insert would pass the bound — like the session's result memo,
+    whose entries are recomputable too. So the sets and their headers
+    never take more than ``4 * CELLS`` bytes (4 MiB) per document
+    session, beside the key strings, which are the plans' canonical
+    texts. A set longer than the bound on its own is not kept.
+
+    Thread-safe: lookups and inserts run under one lock, the propagation
+    outside it. Two threads that miss one key both compute the same set
+    and the first insert stays. Every lookup counts one hit or one miss
+    and every flushed entry one eviction on :attr:`stats`, which a
+    :class:`~repro.service.service.QueryService` shares across its
+    sessions.
+    """
+
+    #: The bound, in stored cells (a cell is one 4-byte pre).
+    CELLS = 1 << 20
+    #: What an entry's array header and dictionary slot are charged.
+    ENTRY_CELLS = 16
+
+    def __init__(self, stats: CacheStats | None = None):
+        self.stats = stats if stats is not None else CacheStats(name="holds_memo")
+        self._sets: dict[str, array] = {}
+        self._cells = 0
+        self._lock = threading.Lock()
+
+    def get_or_create(self, key: str, factory) -> array:
+        """The set stored under ``key``, or ``factory()``'s, stored."""
+        with self._lock:
+            found = self._sets.get(key)
+        if found is not None:
+            self.stats.hit()
+            return found
+        self.stats.miss()
+        value = array("i", factory())
+        cost = len(value) + self.ENTRY_CELLS
+        if cost > self.CELLS:
+            return value
+        with self._lock:
+            if key in self._sets:
+                return self._sets[key]
+            if self._cells + cost > self.CELLS:
+                self.stats.eviction(len(self._sets))
+                self._sets.clear()
+                self._cells = 0
+            self._sets[key] = value
+            self._cells += cost
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._sets.clear()
+            self._cells = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._sets)
+
+
+class CoreXPathEvaluator:
+    """Forward/backward sorted-array evaluation for Core XPath queries.
+
+    ``holds``, when given, memoizes each keyed predicate path's backward
+    propagation (see :class:`HoldsMemo`); without it every ``boolean``
+    propagates afresh."""
+
+    def __init__(self, document: Document, holds: HoldsMemo | None = None):
         self.document = document
+        self.holds = holds
         self._dom_pres: list[int] | None = None
 
     # ------------------------------------------------------------------
@@ -139,10 +221,22 @@ class CoreXPathEvaluator:
         raise FragmentViolationError(f"non-Core predicate: {predicate!r}")
 
     def _exists_within(self, path: Expr, block) -> list[int]:
-        """``{cn ∈ block | path evaluates to a nonempty set at cn}``:
-        backward propagation from all of ``dom`` (no positions in Core
-        XPath, so one pass suffices), intersected with the block."""
+        """``{cn ∈ block | path evaluates to a nonempty set at cn}``: the
+        block intersected with the set where the path holds."""
         assert isinstance(path, Path)
+        if self.holds is None or path.key is None:
+            holds = self._holds_at(path)
+        else:
+            holds = self.holds.get_or_create(path.key, lambda: self._holds_at(path))
+        if path.absolute:
+            return (block if isinstance(block, list) else list(block)) if holds else []
+        return intersect(block, holds)
+
+    def _holds_at(self, path: Path):
+        """The sorted pres where ``path`` is nonempty: backward
+        propagation from all of ``dom`` (no positions in Core XPath, so
+        one pass suffices). An absolute path holds everywhere or
+        nowhere, so its set is ``[0]`` or empty."""
         current = self._all_pres()
         for step in reversed(path.steps):
             stats.count("corexpath_steps")
@@ -153,7 +247,6 @@ class CoreXPathEvaluator:
                 tested = self._within(predicate, tested)
             current = inverse_step(self.document, step.axis, tested)
         if path.absolute:
-            # pre 0 is the document node: the path holds everywhere or nowhere.
-            holds = bool(current) and current[0] == 0
-            return (block if isinstance(block, list) else list(block)) if holds else []
-        return intersect(block, current)
+            # pre 0 is the document node.
+            return [0] if current and current[0] == 0 else []
+        return current

@@ -31,6 +31,9 @@ order a frame meets them, with the counter each exit lands in:
    text, then the plan (cache or compile): any failure is a typed
    request error (``request_errors``) — a library error with its own
    code, anything else (a bug) ``INTERNAL``; the connection stays open.
+   A request's deadline and ``elapsed_ms`` count from its frame's
+   decode, so the compile spends them: one that lapses before the
+   evaluation hop is a ``DEADLINE`` there.
 5. **memo probe** (QUERY) — one dictionary read in the document's
    session. A hit is answered now: no task, no worker thread, no
    pricing. It is an answer like any other — ``admitted`` and
@@ -163,7 +166,9 @@ class _Request:
     plans: list
     deadline_seconds: float | None
     style: str
-    started: float = field(default_factory=time.monotonic)
+    #: When the frame was decoded: the deadline and ``elapsed_ms``
+    #: count from here, so validation (a plan compile) spends them too.
+    started: float
     decision: AdmissionDecision | None = None
     #: BATCH result cells, a whole row at a time (a deadline keeps them).
     cells: list = field(default_factory=list)
@@ -415,6 +420,7 @@ class XPathDaemon:
                     continue
                 try:
                     frame = decode_frame(line)
+                    received = time.monotonic()
                 except ReproError as error:
                     self.stats.request()
                     self.stats.malformed_frame()
@@ -426,7 +432,7 @@ class XPathDaemon:
                         await asyncio.wait(set(conn.tasks))
                     await conn.send(ok_response(frame.get("id"), bye=True))
                     break
-                reply = self._front(conn, frame)
+                reply = self._front(conn, frame, received)
                 if reply is not None:
                     await conn.send(reply)
         except ConnectionError:
@@ -501,16 +507,17 @@ class XPathDaemon:
 
     # -- the synchronous front half -------------------------------------
 
-    def _front(self, conn: _Connection, frame: dict) -> dict | None:
-        """Stages 2–6 for one decoded frame, without yielding: the reply
-        to send now, or ``None`` when a task spawned here will answer
-        (or the disconnect fault ate the reply)."""
+    def _front(self, conn: _Connection, frame: dict, received: float) -> dict | None:
+        """Stages 2–6 for one frame decoded at ``received`` (a
+        ``time.monotonic()`` reading), without yielding: the reply to
+        send now, or ``None`` when a task spawned here will answer (or
+        the disconnect fault ate the reply)."""
         request_id = frame.get("id")
         verb = frame.get("verb")
         client, client_stats = self._client(frame, conn)
         self._count(client_stats, "request")
         if verb in ("QUERY", "BATCH"):
-            return self._front_query(conn, frame, client, client_stats)
+            return self._front_query(conn, frame, client, client_stats, received)
         if verb == "PING":
             return ok_response(request_id, pong=True, draining=self.draining)
         if verb == "STATS":
@@ -556,7 +563,7 @@ class XPathDaemon:
             )
         )
 
-    def _front_query(self, conn, frame, client, client_stats) -> dict | None:
+    def _front_query(self, conn, frame, client, client_stats, received) -> dict | None:
         """Gate → validation → memo probe → admission for one QUERY or
         BATCH. The in-flight slot taken at the gate is released on every
         exit from here except the hand-off to the evaluation task."""
@@ -569,7 +576,7 @@ class XPathDaemon:
         handed_off = False
         try:
             try:
-                request = self._validate(frame, client, client_stats)
+                request = self._validate(frame, client, client_stats, received)
             except ReproError as error:
                 self._count(client_stats, "request_error")
                 return error_to_response(request_id, error)
@@ -623,10 +630,12 @@ class XPathDaemon:
             return "quota", error
         return None
 
-    def _validate(self, frame, client, client_stats) -> _Request:
+    def _validate(self, frame, client, client_stats, received: float) -> _Request:
         """Stage 4. Raises the typed error the refusal carries; untrusted
         wire input must never escape as a bare ``ValueError`` that would
-        eat the response."""
+        eat the response. The request's clock starts at ``received``, so
+        a deadline that the plan compile uses up is met at the hop as a
+        typed ``DEADLINE``."""
         deadline_ms = frame.get("deadline_ms")
         if deadline_ms is None:
             deadline_seconds = self.default_deadline_seconds
@@ -669,7 +678,7 @@ class XPathDaemon:
         plans = [self.service.plan(query) for query in queries]
         return _Request(
             frame.get("id"), client, client_stats, batch, queries, doc_names,
-            documents, plans, deadline_seconds, frame.get("output", "path"),
+            documents, plans, deadline_seconds, frame.get("output", "path"), received,
         )
 
     def _query_reply(self, conn, request: _Request, value) -> dict | None:

@@ -44,7 +44,11 @@ dispatch → rows:
 4. **rows (per document)** — :meth:`QueryService.batch_rows` is the
    one batch loop: for each document in order it yields that document's
    row, through the DAG's ``evaluate_row`` when a prefix is shared, cell
-   by cell through the session memo otherwise.
+   by cell through the session memo otherwise. Either way the session's
+   ``corexpath`` instance reads the session's
+   :class:`~repro.core.corexpath.HoldsMemo`, so each Core XPath
+   predicate path is propagated backwards once per document until a
+   flush, across queries, batches and requests.
    :meth:`QueryService.evaluate_many` consumes it whole into one
    :class:`BatchResult`; the serving daemon's ``BATCH`` steps it one row
    per worker-thread hop, so its first rows are ready before its last

@@ -12,9 +12,12 @@ reproduction grows toward (see ROADMAP.md): a long-lived object that
   uncached evaluation's wall time into :attr:`QueryService.timings`,
   the per-algorithm rates admission control prices with;
 * keeps one :class:`DocumentSession` per served document, which reuses
-  stateless evaluator instances and memoizes ``(plan, context)`` results
+  stateless evaluator instances, memoizes ``(plan, context)`` results
   — evaluation is pure, so repeated identical requests are dictionary
-  lookups;
+  lookups — and memoizes where each Core XPath predicate path holds
+  (:class:`~repro.core.corexpath.HoldsMemo`), so every query, batch and
+  request on the document runs each such backward propagation once
+  until the memo is flushed;
 * exposes :meth:`QueryService.evaluate_many`, the batch API: all queries
   × all documents in one call, sharing the plan cache across documents
   and each document's session caches across queries. Its loop is
@@ -35,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.context import Context
+from repro.core.corexpath import CoreXPathEvaluator, HoldsMemo
 from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
 from repro.service.cost import cost_units, document_profile
@@ -60,10 +64,17 @@ def _copy_result(value):
 class DocumentSession:
     """Per-document evaluation state shared across queries.
 
-    Holds reusable evaluator instances for the stateless algorithms and a
-    ``(plan, algorithm, context) → result`` memo. Both caches are sound
-    because documents are immutable and plans are never
-    mutated after compilation.
+    Holds reusable evaluator instances for the stateless algorithms, a
+    ``(plan, algorithm, context) → result`` memo and a
+    :class:`~repro.core.corexpath.HoldsMemo`: ``Path.key`` → the pres
+    where that Core XPath predicate path holds, which the session's
+    ``corexpath`` instance reads for every ``boolean(π)`` — in a whole
+    query and in the batch planner's residual sweeps alike — so the
+    session runs each (document, π) backward propagation once until a
+    flush (at most ``4 * HoldsMemo.CELLS`` bytes, 4 MiB, of sets). The
+    caches are sound because documents are immutable and plans are never
+    mutated after compilation; all three go with :meth:`clear` and with
+    the session when its service evicts it.
 
     Thread safety: memo lookups (with their hit accounting) and
     inserts run under one lock, while the evaluation itself runs outside
@@ -85,6 +96,7 @@ class DocumentSession:
         timings: TimingStats,
         result_capacity: int | None = None,
         result_stats: CacheStats | None = None,
+        holds_stats: CacheStats | None = None,
     ):
         self.document = document
         self.result_capacity = (
@@ -109,6 +121,9 @@ class DocumentSession:
             if result_stats is None
             else result_stats
         )
+        #: Where each keyed Core XPath predicate path holds; its
+        #: counters, like the result memo's, are shared by a service.
+        self.holds = HoldsMemo(holds_stats)
 
     # ------------------------------------------------------------------
 
@@ -128,12 +143,16 @@ class DocumentSession:
 
     def evaluator(self, algorithm: str):
         """An evaluator for a resolved algorithm; instances of stateless
-        algorithms are reused, table-based ones are built fresh."""
+        algorithms are reused (``corexpath`` reading the session's
+        :attr:`holds`), table-based ones are built fresh."""
         if algorithm in REUSABLE_ALGORITHMS:
             with self._lock:
                 instance = self._evaluators.get(algorithm)
                 if instance is None:
-                    instance = make_evaluator(self.document, algorithm)
+                    if algorithm == "corexpath":
+                        instance = CoreXPathEvaluator(self.document, self.holds)
+                    else:
+                        instance = make_evaluator(self.document, algorithm)
                     self._evaluators[algorithm] = instance
                 return instance
         return make_evaluator(self.document, algorithm)
@@ -264,6 +283,7 @@ class DocumentSession:
         with self._lock:
             self._evaluators.clear()
             self._results.clear()
+        self.holds.clear()
 
 
 def _stats_delta(before: dict, after: dict) -> dict:
@@ -284,7 +304,9 @@ class BatchResult:
     ``values[d][q]`` is the result of ``queries[q]`` on document ``d``;
     ``algorithms[q]`` is the evaluator that ran ``queries[q]`` on every
     document (the fragment dispatch for ``auto``).
-    ``plan_stats``/``result_stats`` cover *this batch only* (deltas, not
+    ``plan_stats``/``result_stats``/``holds_stats`` (the sessions'
+    :class:`~repro.core.corexpath.HoldsMemo` lookups) cover *this batch
+    only* (deltas, not
     service-lifetime totals — those live on
     :meth:`QueryService.cache_stats`).
 
@@ -301,6 +323,7 @@ class BatchResult:
     algorithms: list[str]
     plan_stats: dict = field(default_factory=dict)
     result_stats: dict = field(default_factory=dict)
+    holds_stats: dict = field(default_factory=dict)
     batch_plan: dict = field(default_factory=dict)
 
     def value(self, document_index: int, query_index: int):
@@ -347,6 +370,9 @@ class QueryService:
         # session another thread has just evicted is still counted.
         self._sessions = PlanCache(session_capacity, name="session_cache")
         self._result_stats = CacheStats(name="result_cache")
+        # The same for every session's memo of backward propagations;
+        # its capacity is per session, in cells.
+        self._holds_stats = CacheStats(name="holds_memo", capacity=HoldsMemo.CELLS)
         # Guards the compound session-map operations (lookup + create +
         # evict must be atomic, or racing threads leak sessions).
         self._lock = threading.RLock()
@@ -377,6 +403,7 @@ class QueryService:
                     result_capacity=self.result_capacity,
                     timings=self.timings,
                     result_stats=self._result_stats,
+                    holds_stats=self._holds_stats,
                 )
                 while len(self._sessions) >= self._sessions.capacity:
                     self._sessions.pop_lru()
@@ -434,6 +461,7 @@ class QueryService:
         document_list = list(documents)
         plan_stats_before = self.plans.stats.snapshot()
         result_stats_before = self.result_cache_stats()
+        holds_stats_before = self._holds_stats.snapshot()
         plans = [self.plan(query) for query in query_list]
         algorithms = [resolve_algorithm(plan, algorithm) for plan in plans]
         batch_plan = build_batch_plan(plans, algorithm, share)
@@ -445,6 +473,7 @@ class QueryService:
             algorithms=algorithms,
             plan_stats=_stats_delta(plan_stats_before, self.plans.stats.snapshot()),
             result_stats=_stats_delta(result_stats_before, self.result_cache_stats()),
+            holds_stats=_stats_delta(holds_stats_before, self._holds_stats.snapshot()),
             batch_plan=batch_plan.stats.snapshot() if batch_plan is not None else {},
         )
 
@@ -482,6 +511,7 @@ class QueryService:
         return {
             "plan_cache": self.plans.stats.snapshot(),
             "result_cache": self.result_cache_stats(),
+            "holds_memo": self._holds_stats.snapshot(),
             "sessions": len(self._sessions),
             # Always zero: no memo stands behind it. Kept because the
             # end-to-end harness indexes it (benchmarks/e2e/worker.py's

@@ -253,11 +253,17 @@ class Path(Expr):
       order (the W3C rule for predicates outside location steps).
     * ``steps`` — the location steps.
 
+    * ``key`` — the path's canonical text when it is the operand of a
+      ``boolean()`` call (stamped by :func:`repro.xpath.normalize.analyze`),
+      else ``None``. Two paths with one key hold at the same nodes of any
+      document: a :class:`~repro.service.service.DocumentSession`
+      memoizes Core XPath's backward propagations under it.
+
     A relative location path has ``absolute=False, primary=None``. The
     parser never produces a Path with both ``absolute`` and ``primary``.
     """
 
-    __slots__ = ("absolute", "primary", "primary_predicates", "steps")
+    __slots__ = ("absolute", "primary", "primary_predicates", "steps", "key")
 
     def __init__(
         self,
@@ -273,6 +279,7 @@ class Path(Expr):
         self.primary = primary
         self.primary_predicates = list(primary_predicates or [])
         self.steps = list(steps or [])
+        self.key: str | None = None
 
     def children(self) -> list[AstNode]:
         result: list[AstNode] = []
@@ -290,7 +297,8 @@ class Path(Expr):
 def clone(node: AstNode) -> AstNode:
     """A structural deep copy with fresh uids (the table-based evaluators
     key side tables by uid, so one AST object must never sit at two
-    parse-tree positions). Carries ``value_type`` and ``relev`` over and
+    parse-tree positions). Carries ``value_type``, ``relev`` and a path's
+    ``key`` over and
     shares the immutable :class:`NodeTest` and the members of a
     :class:`ConstantNodeSet`."""
     kind = type(node)
@@ -300,6 +308,7 @@ def clone(node: AstNode) -> AstNode:
         primary = node.primary and clone(node.primary)
         predicates = list(map(clone, node.primary_predicates))
         copy = Path(node.absolute, primary, predicates, list(map(clone, node.steps)))
+        copy.key = node.key
     elif kind is FunctionCall:
         copy = FunctionCall(node.name, list(map(clone, node.args)))
     elif kind is BinaryOp:

@@ -258,7 +258,10 @@ def _scalar(analysis: Analysis) -> str | None:
 
 
 def _path_test(call: FunctionCall, path: Analysis) -> Analysis:
-    """``boolean(π)``: the call nearly every predicate gets."""
+    """``boolean(π)``: the call nearly every predicate gets. π's
+    canonical text becomes its ``key``, under which a document session
+    memoizes where π holds."""
+    path.ast.key = path.text
     call.relev = path.ast.relev
     counts = _NODE + path.counts
     if is_bottomup_eligible(call):

@@ -672,6 +672,39 @@ def test_repeat_batches_hit_the_shared_memo_and_compile_each_query_once():
         assert_identities(daemon.stats.snapshot())
 
 
+class SlowPlanner(CountingPlanner):
+    """Compiles each query after a fixed pause."""
+
+    def compile(self, *args, **kwargs):
+        time.sleep(0.3)
+        return super().compile(*args, **kwargs)
+
+
+def test_a_deadline_and_elapsed_ms_count_from_the_frame_not_the_compile():
+    """A request's clock starts when its frame is decoded: a deadline
+    the plan compile uses up is a typed DEADLINE at the hop (no
+    evaluation starts), and ``elapsed_ms`` includes the compile. A memo
+    hit still meets any deadline."""
+    injector = FaultInjector()
+    service = QueryService()
+    service.planner = SlowPlanner()
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="p", timeout=10) as client:
+            client.register("d", BOOKS)
+            with pytest.raises(DeadlineExceededError):
+                client.query("//title", "d", deadline_ms=100, retry=False)
+            assert injector.snapshot()["evaluations_started"] == 0
+            reply = client.query("//price", "d", retry=False)
+            assert reply["memo"] is False and reply["elapsed_ms"] >= 300.0
+            assert client.query("//price", "d", deadline_ms=0, retry=False)["memo"]
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["deadlined"] == 1 and snapshot["completed"] == 2
+        assert service.planner.compiles == 2
+        assert_identities(snapshot)
+
+
 def test_a_batch_appends_each_row_before_the_next_is_evaluated():
     """The first row is in the reply's cells before the last document's
     row is evaluated: each row step sees every earlier row already
