@@ -1,7 +1,7 @@
 """EXP-SVC — plan-cache amortization: warm vs cold repeated queries.
 
 The service layer's claim: for repeated queries, the per-call frontend
-pipeline (parse → normalize → rewrite → relevance → fragment dispatch)
+pipeline (parse → normalize → relevance → fragment dispatch)
 is pure overhead, and caching compiled plans amortizes it away. The
 workload is the paper's own query families (Core XPath chains, the
 Wadler line family, Example 9, the Section 2.4 running query) over the

@@ -1,8 +1,8 @@
 """EXP-A2 (ablation/scale) — the full engine on large documents.
 
 Production-credibility check rather than a paper experiment: the auto-
-dispatched engine (fragment classification + OPTMINCONTEXT/Core XPath +
-rewrites) on catalogs up to tens of thousands of nodes, mixed query set.
+dispatched engine (fragment classification + OPTMINCONTEXT/Core XPath)
+on catalogs up to tens of thousands of nodes, mixed query set.
 Confirms nothing degrades super-linearly for the fragments that promise
 linear/quadratic behaviour at realistic sizes.
 """
@@ -31,7 +31,7 @@ def _run():
     rows = []
     for books in (50, 150, 450, 1350):
         document = book_catalog(books=books)
-        engine = XPathEngine(document, optimize=True)
+        engine = XPathEngine(document)
         size = len(document.nodes)
         sizes.append(size)
         row = [books, size]
@@ -53,12 +53,12 @@ def _run():
 
 
 def bench_large_catalog_core_query(benchmark):
-    engine = XPathEngine(book_catalog(books=400), optimize=True)
+    engine = XPathEngine(book_catalog(books=400))
     compiled = engine.compile(QUERIES["core"])
     benchmark(lambda: engine.evaluate(compiled))
 
 
 def bench_large_catalog_wadler_query(benchmark):
-    engine = XPathEngine(book_catalog(books=400), optimize=True)
+    engine = XPathEngine(book_catalog(books=400))
     compiled = engine.compile(QUERIES["wadler"])
     benchmark(lambda: engine.evaluate(compiled))

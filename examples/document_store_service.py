@@ -33,7 +33,7 @@ class QueryService:
         if name not in self._engines:
             document = self.store.load(name)
             node_index(document).validate()  # integrity check after deserialization
-            self._engines[name] = XPathEngine(document, optimize=True)
+            self._engines[name] = XPathEngine(document)
         return self._engines[name]
 
     def query(self, name: str, xpath: str):

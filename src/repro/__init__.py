@@ -25,9 +25,9 @@ Serving workloads — the service layer
 -------------------------------------
 
 The paper's complexity theorems bound *evaluation* cost; the per-call
-frontend pipeline (parse → normalize → rewrite → relevance → fragment
-dispatch) is pure overhead on repeated queries. :class:`QueryService`
-amortizes it: each distinct ``(query, options)`` pair is compiled once
+frontend pipeline (parse → normalize → relevance → fragment dispatch)
+is pure overhead on repeated queries. :class:`QueryService` amortizes
+it: each distinct ``(query, bindings)`` pair is compiled once
 into a document-independent :class:`LogicalPlan` held in an LRU cache,
 and ``auto`` runs the paper's fragment dispatch — Theorem 13's
 linear-time sweep on Core XPath, OPTMINCONTEXT with Corollary 11's
@@ -61,7 +61,7 @@ per worker-thread hop, so batches read and fill the same plan cache and
 result memo as every other request.
 """
 
-from repro.engine import ALGORITHMS, CompiledPlan, CompiledQuery, XPathEngine
+from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import (
     EvaluationError,
     FragmentViolationError,
@@ -80,7 +80,6 @@ from repro.service import (
     DocumentSession,
     LogicalPlan,
     PlanCache,
-    PlanOptions,
     QueryPlanner,
     QueryService,
     document_profile,
@@ -95,8 +94,6 @@ __version__ = "1.1.0"
 __all__ = [
     "ALGORITHMS",
     "BatchResult",
-    "CompiledPlan",
-    "CompiledQuery",
     "Context",
     "Document",
     "DocumentBuilder",
@@ -108,7 +105,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "PlanCache",
-    "PlanOptions",
     "QueryPlanner",
     "QueryService",
     "ReproError",

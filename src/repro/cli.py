@@ -102,8 +102,10 @@ from repro.errors import (
 from repro.service import (
     QueryService,
     compile_plan,
+    document_profile,
     resolve_algorithm,
 )
+from repro.service.cost import cost_units
 from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.document import Node
 from repro.xml.parser import parse_document
@@ -255,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and the per-subexpression evaluation plan",
     )
     parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="apply the semantics-preserving rewrite pass before evaluation",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="run every algorithm and check they agree",
@@ -285,11 +282,6 @@ def build_plan_parser() -> argparse.ArgumentParser:
         "query",
         nargs="+",
         help="XPath 1.0 query to compile (several only with --explain-batch)",
-    )
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="apply the semantics-preserving rewrite pass",
     )
     parser.add_argument(
         "--tree",
@@ -329,13 +321,10 @@ def plan_main(argv: list[str]) -> int:
             "(plan prints one query's logical plan)",
             EXIT_USAGE,
         )
-    # Giving a document *is* asking what runs on it — never ignore it.
-    if args.xml or args.file:
-        args.explain = True
     plans = []
     for query in queries:
         try:
-            plans.append(compile_plan(query, optimize=args.optimize))
+            plans.append(compile_plan(query))
         except ReproError as error:
             message = (
                 str(error) if len(queries) == 1 else f"query {query!r}: {error}"
@@ -346,7 +335,30 @@ def plan_main(argv: list[str]) -> int:
 
         print(build_batch_plan(plans).describe())
         return 0
-    plan = plans[0]
+    profile = None
+    if args.xml or args.file:
+        try:
+            if args.file:
+                with open(args.file, encoding="utf-8") as handle:
+                    source = handle.read()
+            else:
+                source = args.xml
+            profile = document_profile(parse_document(source))
+        except OSError as error:
+            return _fail(str(error), EXIT_ERROR)
+        except ReproError as error:
+            return _fail(str(error), error_exit_code(error))
+    # Giving a document *is* asking what runs on it — never ignore it.
+    _print_plan(plans[0], args.explain or profile is not None, args.tree, profile)
+    return 0
+
+
+def _print_plan(plan, explain: bool, tree: bool, profile=None) -> None:
+    """The plan block ``plan`` and ``--explain`` print: normalized query,
+    result type, fragment verdicts, bottom-up paths and the evaluator
+    ``auto`` runs; ``explain`` names the fragment result behind that
+    choice, ``profile`` adds the document's profile and admission's cost
+    units, and ``tree`` the parse tree and per-subexpression plan."""
     core = "yes" if plan.is_core_xpath else f"no ({plan.core_violation})"
     wadler = "yes" if plan.is_extended_wadler else f"no ({plan.wadler_violation})"
     print("query:           ", plan.source)
@@ -356,48 +368,23 @@ def plan_main(argv: list[str]) -> int:
     print("Extended Wadler: ", wadler)
     print("bottom-up paths: ", plan.bottomup_path_count)
     reason = "fragment dispatch"
-    if args.explain and plan.is_core_xpath:
+    if explain and plan.is_core_xpath:
         reason = "Theorem 13: Core XPath runs as linear-time set sweeps"
-    elif args.explain:
+    elif explain:
         reason = (
             "Corollary 11: outside Core XPath, OPTMINCONTEXT bounds each "
             "subexpression by its fragment"
         )
-    print("algorithm:       ", plan.algorithm, f"({reason})")
-    if plan.rewrite_stats is not None:
-        print("rewrites applied:", plan.rewrite_stats.total())
-    if args.xml or args.file:
-        code = _print_cost(args, plan)
-        if code != 0:
-            return code
-    if args.tree:
+    algorithm = plan.best_algorithm()
+    print("algorithm:       ", algorithm, f"({reason})")
+    if profile is not None:
+        print("profile:         ", profile.describe())
+        print("cost units:      ", f"{cost_units(plan, profile, algorithm):.3g}")
+    if tree:
         print("parse tree:")
         print(dump_tree(plan.ast, indent="    "))
         print("evaluation plan (per-subexpression strategy, Corollary 11):")
         print(explain_text(plan.ast))
-    return 0
-
-
-def _print_cost(args, plan) -> int:
-    """The document part of ``plan --explain``: the document's profile
-    and the cost units admission prices the cell at."""
-    from repro.service.cost import cost_units, document_profile
-
-    try:
-        if args.file:
-            with open(args.file, encoding="utf-8") as handle:
-                source = handle.read()
-        else:
-            source = args.xml
-        document = parse_document(source)
-    except OSError as error:
-        return _fail(str(error), EXIT_ERROR)
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
-    profile = document_profile(document)
-    print("profile:         ", profile.describe())
-    print("cost units:      ", f"{cost_units(plan, profile, plan.algorithm):.3g}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -471,11 +458,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--strip-whitespace",
         action="store_true",
         help="drop whitespace-only text nodes while parsing",
-    )
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="apply the semantics-preserving rewrite pass when compiling plans",
     )
     parser.add_argument(
         "--share",
@@ -632,13 +614,10 @@ def batch_main(argv: list[str]) -> int:
     # compile misses.
     for query in dict.fromkeys(queries):  # dedupe, keep first-error order
         try:
-            resolve_algorithm(compile_plan(query, optimize=args.optimize), args.algorithm)
+            resolve_algorithm(compile_plan(query), args.algorithm)
         except ReproError as error:
             return _fail(f"query {query!r}: {error}", error_exit_code(error))
-    service = QueryService(
-        plan_capacity=args.plan_capacity,
-        optimize=args.optimize,
-    )
+    service = QueryService(plan_capacity=args.plan_capacity)
     try:
         batch = service.evaluate_many(
             queries,
@@ -1065,26 +1044,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             source = args.xml
         document = parse_document(source, keep_whitespace_text=not args.strip_whitespace)
-        engine = XPathEngine(document, optimize=args.optimize)
+        engine = XPathEngine(document)
         compiled = engine.compile(args.query)
 
         if args.explain:
-            print("normalized query:", unparse(compiled.ast))
-            print("result type:     ", compiled.result_type)
-            core = "yes" if compiled.is_core_xpath else f"no ({compiled.core_violation})"
-            wadler = (
-                "yes" if compiled.is_extended_wadler else f"no ({compiled.wadler_violation})"
-            )
-            print("Core XPath:      ", core)
-            print("Extended Wadler: ", wadler)
-            print("bottom-up paths: ", compiled.bottomup_path_count)
-            print("auto algorithm:  ", compiled.best_algorithm())
-            if compiled.rewrite_stats is not None:
-                print("rewrites applied:", compiled.rewrite_stats.total())
-            print("parse tree:")
-            print(dump_tree(compiled.ast, indent="    "))
-            print("evaluation plan (per-subexpression strategy, Corollary 11):")
-            print(explain_text(compiled.ast))
+            _print_plan(compiled, explain=True, tree=True)
             print()
 
         if args.compare:

@@ -35,7 +35,7 @@ from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.errors import ReproError
-from repro.service.plan import CompiledPlan, CompiledQuery
+from repro.service.plan import LogicalPlan
 from repro.service.planner import (
     ALGORITHMS,
     QueryPlanner,
@@ -44,7 +44,7 @@ from repro.service.planner import (
 )
 from repro.xml.document import Document, Node
 
-__all__ = ["ALGORITHMS", "CompiledPlan", "CompiledQuery", "XPathEngine"]
+__all__ = ["ALGORITHMS", "LogicalPlan", "XPathEngine"]
 
 
 class XPathEngine:
@@ -54,23 +54,20 @@ class XPathEngine:
         self,
         document: Document,
         variables: dict[str, object] | None = None,
-        optimize: bool = False,
     ):
         self.document = document
         self.variables = dict(variables or {})
-        self.optimize = optimize
         self._planner = QueryPlanner()
-        self._cache: dict[str, CompiledPlan] = {}
+        self._cache: dict[str, LogicalPlan] = {}
 
     # ------------------------------------------------------------------
 
-    def compile(self, query: str) -> CompiledPlan:
-        """Parse + normalize (+ optionally rewrite) + analyze a query
-        (cached per engine)."""
+    def compile(self, query: str) -> LogicalPlan:
+        """Parse + normalize + analyze a query (cached per engine)."""
         cached = self._cache.get(query)
         if cached is not None:
             return cached
-        compiled = self._planner.compile(query, self.variables, self.optimize)
+        compiled = self._planner.compile(query, self.variables)
         self._cache[query] = compiled
         return compiled
 
@@ -78,7 +75,7 @@ class XPathEngine:
 
     def evaluate(
         self,
-        query: str | CompiledPlan,
+        query: str | LogicalPlan,
         context_node: Node | None = None,
         context_position: int = 1,
         context_size: int = 1,
@@ -109,7 +106,7 @@ class XPathEngine:
 
     def table(
         self,
-        query: str | CompiledPlan,
+        query: str | LogicalPlan,
         nodes=None,
         use_bottomup: bool = True,
     ) -> dict[Node, object]:
@@ -158,7 +155,7 @@ class XPathEngine:
             for context_node in context_nodes
         }
 
-    def select(self, query: str | CompiledPlan, **kwargs) -> list[Node]:
+    def select(self, query: str | LogicalPlan, **kwargs) -> list[Node]:
         """Like :meth:`evaluate`, but asserts a node-set result."""
         result = self.evaluate(query, **kwargs)
         if not isinstance(result, list):

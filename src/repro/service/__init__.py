@@ -6,8 +6,8 @@ evaluation. A batch flows through four layers — logical → batch →
 dispatch → rows:
 
 1. **logical planning (document-independent)** — each distinct
-   ``(query, options)`` pair is compiled once (parse → normalize →
-   rewrite → relevance → fragment classification → trait extraction)
+   ``(query, bindings)`` pair is compiled once (parse → normalize →
+   relevance → fragment classification → trait extraction)
    into a :class:`LogicalPlan`, held in the exact-accounting LRU
    :class:`PlanCache`. A logical plan deliberately names *no* evaluator:
    it carries the fragment classification that picks one and the cost
@@ -56,9 +56,8 @@ dispatch → rows:
 
 Modules:
 
-* :mod:`repro.service.plan` — :class:`LogicalPlan` (aliases
-  ``CompiledPlan``/``CompiledQuery``) / :class:`PlanTraits` /
-  :class:`PlanOptions`;
+* :mod:`repro.service.plan` — :class:`LogicalPlan` /
+  :class:`PlanTraits` / :func:`plan_key`;
 * :mod:`repro.service.planner` — the logical frontend pipeline and the
   static algorithm dispatch;
 * :mod:`repro.service.batchplan` — the batch layer: :class:`BatchPlan` /
@@ -98,14 +97,7 @@ Inspecting the stages — what runs where, and why::
 from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
 from repro.service.cost import DocumentProfile, document_profile
-from repro.service.plan import (
-    CompiledPlan,
-    CompiledQuery,
-    LogicalPlan,
-    PlanOptions,
-    PlanTraits,
-    plan_key,
-)
+from repro.service.plan import LogicalPlan, PlanTraits, plan_key
 from repro.service.planner import (
     ALGORITHMS,
     QueryPlanner,
@@ -119,13 +111,10 @@ __all__ = [
     "ALGORITHMS",
     "BatchPlan",
     "BatchResult",
-    "CompiledPlan",
-    "CompiledQuery",
     "DocumentProfile",
     "DocumentSession",
     "LogicalPlan",
     "PlanCache",
-    "PlanOptions",
     "PlanTraits",
     "QueryPlanner",
     "QueryService",

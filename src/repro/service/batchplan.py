@@ -125,7 +125,7 @@ def _compile_prefix(chain: tuple[str, ...], plan: LogicalPlan, length: int) -> L
     """Compile one materialized prefix into a standalone plan.
 
     The AST is a new absolute path over the first ``length`` steps of a
-    consumer plan (already normalized/rewritten, annotations included),
+    consumer plan (already normalized, annotations included),
     never re-parsed from the canonical text — the text is only the plan's
     stable source/cache key, so prefix memo entries survive across
     batches and across syntactic variants that normalize to the same

@@ -39,7 +39,7 @@ from repro.stats import CacheStats
 
 
 class PlanCache:
-    """LRU cache keyed by ``(query, options)`` with exact statistics."""
+    """LRU cache keyed by ``(query, bindings)`` with exact statistics."""
 
     def __init__(self, capacity: int = 256, name: str = "plan_cache"):
         if capacity < 1:

@@ -1,15 +1,14 @@
 """Logical query plans — the compiled, document-independent form of a query.
 
 A :class:`LogicalPlan` is everything the *document-independent* frontend
-pipeline produces for one query string: the normalized (and optionally
-rewritten) AST with ``value_type``/``Relev`` annotations, the fragment
+pipeline produces for one query string: the normalized AST with
+``value_type``/``Relev`` annotations, the fragment
 classification (Definition 12 and Section 4 of the paper), the bottom-up
 path count, and the :class:`PlanTraits` the cost model reads (AST size,
 position dependence, sibling-positional steps, string-function count).
 Building one costs a parse and one pass over the tree that normalizes
-it and derives all of the above (:func:`repro.xpath.normalize.analyze`),
-plus, with ``optimize``, a rewrite and one more pass; evaluating one is
-pure — the plan never changes and may be shared freely across
+it and derives all of the above (:func:`repro.xpath.normalize.analyze`);
+evaluating one is pure — the plan never changes and may be shared freely across
 documents, contexts, and threads of evaluation.
 That asymmetry is the whole point of the service layer: compile once,
 evaluate many times (Theorems 7/10/13 bound the *evaluation* cost; the
@@ -20,9 +19,9 @@ The evaluator a plan runs under ``auto`` follows from its fragment
 classification alone: :meth:`LogicalPlan.best_algorithm` (Core XPath →
 ``corexpath``, else ``optmincontext``), the same for every document.
 
-:class:`PlanOptions` captures the compile-time knobs that change the
-produced AST — the rewrite flag and the variable bindings — so the cache
-key ``(query, options)`` never conflates distinct plans.
+A plan is keyed by :func:`plan_key`, the query text and a signature of
+its variable bindings — the only inputs that change the produced AST —
+so the cache never conflates distinct plans.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.xpath.ast import Expr
 from repro.xpath.normalize import Analysis, Counts, StepSummary
-from repro.xpath.rewrite import RewriteStats
 
 
 def freeze_variables(variables: dict[str, object] | None) -> tuple:
@@ -57,23 +55,10 @@ def freeze_variables(variables: dict[str, object] | None) -> tuple:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class PlanOptions:
-    """Compile-time options that select *which* plan a query maps to."""
-
-    optimize: bool = False
-    variables_signature: tuple = ()
-
-    @classmethod
-    def make(
-        cls, variables: dict[str, object] | None = None, optimize: bool = False
-    ) -> "PlanOptions":
-        return cls(optimize=bool(optimize), variables_signature=freeze_variables(variables))
-
-
-def plan_key(query: str, options: PlanOptions) -> tuple:
-    """The plan-cache key: the exact query text plus its compile options."""
-    return (query, options)
+def plan_key(query: str, variables: dict[str, object] | None = None) -> tuple:
+    """The plan-cache key: the exact query text plus the signature of its
+    variable bindings."""
+    return (query, freeze_variables(variables))
 
 
 @dataclass(frozen=True)
@@ -139,13 +124,15 @@ class LogicalPlan:
             evaluate bottom-up.
         traits: the document-independent cost features admission
             prices (see :class:`PlanTraits`).
-        options: the compile-time options this plan was built under.
         step_summaries: one :class:`~repro.xpath.normalize.StepSummary`
             per main-path step when ``traits.step_keys`` is non-empty: the
             batch planner describes any prefix of the path from them
             without walking it. Kept beside the traits, not in them:
             ``PlanTraits`` is the cost model's (and the golden corpus's)
             record of the whole query.
+        cache_key: :func:`plan_key` of the source and bindings this plan
+            was built from, computed once; the plan cache, the result
+            memo and the batch planner key on it.
     """
 
     source: str
@@ -155,11 +142,12 @@ class LogicalPlan:
     wadler_violation: str | None
     bottomup_path_count: int
     variables: dict[str, object] = field(default_factory=dict, repr=False)
-    #: What the optimizer pass did (None when compiled with optimize=False).
-    rewrite_stats: RewriteStats | None = None
     traits: PlanTraits = field(default_factory=PlanTraits)
-    options: PlanOptions = field(default_factory=PlanOptions)
     step_summaries: tuple[StepSummary, ...] = field(default=(), repr=False)
+    cache_key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.cache_key = plan_key(self.source, self.variables)
 
     @classmethod
     def from_analysis(
@@ -167,8 +155,6 @@ class LogicalPlan:
         source: str,
         analysis: Analysis,
         variables: dict[str, object] | None = None,
-        rewrite_stats: RewriteStats | None = None,
-        optimize: bool = False,
     ) -> "LogicalPlan":
         """The plan of an analyzed tree (see :class:`PlanTraits` for when
         a plan has step keys)."""
@@ -182,7 +168,6 @@ class LogicalPlan:
             wadler_violation=analysis.wadler,
             bottomup_path_count=counts.bottomup,
             variables={} if variables is None else variables,
-            rewrite_stats=rewrite_stats,
             traits=PlanTraits(
                 ast_size=counts.size,
                 uses_position=counts.positions > 0,
@@ -192,7 +177,6 @@ class LogicalPlan:
                 name_test_tags=tuple(sorted(analysis.tags)),
                 step_keys=tuple(step.key for step in steps),
             ),
-            options=PlanOptions.make(variables, optimize),
             step_summaries=steps,
         )
 
@@ -211,21 +195,3 @@ class LogicalPlan:
         if self.is_core_xpath:
             return "corexpath"
         return "optmincontext"
-
-    @property
-    def algorithm(self) -> str:
-        """Alias for :meth:`best_algorithm` — derived, never stored, so it
-        cannot drift from the fragment classification."""
-        return self.best_algorithm()
-
-    @property
-    def cache_key(self) -> tuple:
-        return plan_key(self.source, self.options)
-
-
-#: Backward-compatible aliases — the class was named ``CompiledPlan``
-#: once (and ``CompiledQuery`` in the engine facade that predates the
-#: service layer). Both names remain importable; ``LogicalPlan`` is the
-#: name the architecture docs use.
-CompiledPlan = LogicalPlan
-CompiledQuery = LogicalPlan

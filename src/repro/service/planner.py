@@ -6,8 +6,7 @@ This module owns the *document-independent* half of compilation:
   normalizes it (variables substituted, conversions explicit) and, node
   by node, derives ``Relev``, the fragment verdicts, the bottom-up path
   count, the cost traits and each step's canonical key
-  (:func:`repro.xpath.normalize.analyze`); with ``optimize``, a rewrite
-  and one more such pass. The result is a
+  (:func:`repro.xpath.normalize.analyze`). The result is a
   :class:`~repro.service.plan.LogicalPlan`;
 * :func:`resolve_algorithm` — validate an algorithm name, apply the
   *static* ``auto`` fragment dispatch (Core XPath → Theorem 13's
@@ -32,11 +31,10 @@ from repro.core.naive import NaiveEvaluator
 from repro.core.optmincontext import OptMinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
 from repro.errors import FragmentViolationError, UnknownAlgorithmError
-from repro.service.plan import CompiledPlan, LogicalPlan
+from repro.service.plan import LogicalPlan
 from repro.xml.document import Document
 from repro.xpath.normalize import analyze
 from repro.xpath.parser import parse_xpath
-from repro.xpath.rewrite import RewriteStats, rewrite
 
 #: The selectable evaluation algorithms.
 ALGORITHMS = (
@@ -65,11 +63,7 @@ _EVALUATOR_CLASSES = {
 REUSABLE_ALGORITHMS = frozenset({"naive", "topdown", "corexpath"})
 
 
-def compile_plan(
-    query: str,
-    variables: dict[str, object] | None = None,
-    optimize: bool = False,
-) -> LogicalPlan:
+def compile_plan(query: str, variables: dict[str, object] | None = None) -> LogicalPlan:
     """Run the full frontend pipeline on one query string.
 
     The parser bounds the nesting it recurses into
@@ -81,11 +75,7 @@ def compile_plan(
     stats.count("plans_compiled")
     bindings = dict(variables or {})
     analysis = analyze(parse_xpath(query), bindings)
-    rewrite_stats = None
-    if optimize:
-        rewrite_stats = RewriteStats()
-        analysis = analyze(rewrite(analysis.ast, rewrite_stats), normalized=True)
-    return LogicalPlan.from_analysis(query, analysis, bindings, rewrite_stats, optimize)
+    return LogicalPlan.from_analysis(query, analysis, bindings)
 
 
 class QueryPlanner:
@@ -93,12 +83,9 @@ class QueryPlanner:
     instrumented or restricted planners later)."""
 
     def compile(
-        self,
-        query: str,
-        variables: dict[str, object] | None = None,
-        optimize: bool = False,
+        self, query: str, variables: dict[str, object] | None = None
     ) -> LogicalPlan:
-        return compile_plan(query, variables, optimize)
+        return compile_plan(query, variables)
 
 
 def resolve_algorithm(plan: LogicalPlan, algorithm: str = "auto") -> str:

@@ -3,7 +3,7 @@
 :class:`QueryService` is the production-facing entry point this
 reproduction grows toward (see ROADMAP.md): a long-lived object that
 
-* compiles each distinct ``(query, options)`` pair exactly once into a
+* compiles each distinct ``(query, bindings)`` pair exactly once into a
   :class:`~repro.service.plan.LogicalPlan`, held in an LRU
   :class:`~repro.service.cache.PlanCache`;
 * runs ``auto`` as the paper's fragment dispatch
@@ -24,8 +24,8 @@ reproduction grows toward (see ROADMAP.md): a long-lived object that
   :meth:`QueryService.batch_rows`, one row per document, which the
   serving daemon's ``BATCH`` steps one row at a time.
 
-The per-call frontend cost (parse → normalize → rewrite → relevance →
-fragment classification) is exactly the overhead the paper's algorithms
+The per-call frontend cost (parse → normalize → relevance → fragment
+classification) is exactly the overhead the paper's algorithms
 do *not* bound — Theorems 7/10/13 speak about evaluation. The service
 layer amortizes it away, which is what turns the worst-case-optimal
 algorithms into a fast system.
@@ -42,7 +42,7 @@ from repro.core.corexpath import CoreXPathEvaluator, HoldsMemo
 from repro.service.batchplan import BatchPlan, build_batch_plan
 from repro.service.cache import PlanCache
 from repro.service.cost import cost_units, document_profile
-from repro.service.plan import CompiledPlan, PlanOptions, plan_key
+from repro.service.plan import LogicalPlan, plan_key
 from repro.service.planner import (
     QueryPlanner,
     REUSABLE_ALGORITHMS,
@@ -135,7 +135,7 @@ class DocumentSession:
             self._profile = document_profile(self.document)
         return self._profile
 
-    def resolve(self, plan: CompiledPlan, algorithm: str = "auto") -> str:
+    def resolve(self, plan: LogicalPlan, algorithm: str = "auto") -> str:
         """The evaluator to run: ``auto`` is the plan's fragment
         dispatch, a forced name is validated against the plan's
         fragment (:func:`~repro.service.planner.resolve_algorithm`)."""
@@ -159,7 +159,7 @@ class DocumentSession:
 
     def evaluate(
         self,
-        plan: CompiledPlan,
+        plan: LogicalPlan,
         algorithm: str = "auto",
         context_node: Node | None = None,
         context_position: int = 1,
@@ -187,7 +187,7 @@ class DocumentSession:
 
     def evaluate_computed(
         self,
-        plan: CompiledPlan,
+        plan: LogicalPlan,
         algorithm: str,
         compute,
         context_node: Node | None = None,
@@ -227,7 +227,7 @@ class DocumentSession:
 
     def probe(
         self,
-        plan: CompiledPlan,
+        plan: LogicalPlan,
         algorithm: str = "auto",
         context_node: Node | None = None,
         context_position: int = 1,
@@ -267,7 +267,7 @@ class DocumentSession:
         # evaluations made.
         return (plan.cache_key, algorithm, node, position, size)
 
-    def _evaluate_timed(self, plan: CompiledPlan, resolved: str, context: Context):
+    def _evaluate_timed(self, plan: LogicalPlan, resolved: str, context: Context):
         """Run one real evaluation, feeding its wall time into the
         session's timing rates."""
         started = time.perf_counter()
@@ -352,12 +352,10 @@ class QueryService:
         plan_capacity: int = 256,
         session_capacity: int = 64,
         result_capacity: int | None = None,
-        optimize: bool = False,
         variables: dict[str, object] | None = None,
     ):
         self.planner = QueryPlanner()
         self.plans = PlanCache(plan_capacity)
-        self.optimize = optimize
         self.variables = dict(variables or {})
         self.result_capacity = result_capacity
         #: Observed seconds per cost unit, per algorithm: every session's
@@ -383,14 +381,11 @@ class QueryService:
         self,
         query: str,
         variables: dict[str, object] | None = None,
-        optimize: bool | None = None,
-    ) -> CompiledPlan:
+    ) -> LogicalPlan:
         """The compiled plan for a query, through the LRU cache."""
         bindings = self.variables if variables is None else variables
-        wants_rewrite = self.optimize if optimize is None else optimize
-        key = plan_key(query, PlanOptions.make(bindings, wants_rewrite))
         return self.plans.get_or_create(
-            key, lambda: self.planner.compile(query, bindings, wants_rewrite)
+            plan_key(query, bindings), lambda: self.planner.compile(query, bindings)
         )
 
     def session(self, document: Document) -> DocumentSession:
@@ -414,7 +409,7 @@ class QueryService:
 
     def evaluate(
         self,
-        query: str | CompiledPlan,
+        query: str | LogicalPlan,
         document: Document,
         context_node: Node | None = None,
         context_position: int = 1,
@@ -479,7 +474,7 @@ class QueryService:
 
     def batch_rows(
         self,
-        plans: list[CompiledPlan],
+        plans: list[LogicalPlan],
         documents,
         algorithm: str = "auto",
         batch_plan: BatchPlan | None = None,

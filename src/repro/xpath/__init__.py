@@ -26,7 +26,6 @@ from repro.xpath.ast import (
 from repro.xpath.parser import parse_xpath
 from repro.xpath.normalize import normalize
 from repro.xpath.relevance import compute_relevance
-from repro.xpath.rewrite import RewriteStats, rewrite
 from repro.xpath.explain import explain, explain_text
 from repro.xpath.unparse import unparse, dump_tree
 
@@ -45,8 +44,6 @@ __all__ = [
     "parse_xpath",
     "normalize",
     "compute_relevance",
-    "rewrite",
-    "RewriteStats",
     "explain",
     "explain_text",
     "unparse",

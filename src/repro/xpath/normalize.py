@@ -77,8 +77,8 @@ from repro.xpath.unparse import binary_text, leaf_text, negate_text, node_test_t
 
 #: The tallest tree :func:`analyze` accepts, in nodes from the root to
 #: the deepest leaf: every operator chain the recursive passes it
-#: replaced could compile fits, and the optimizer's rewrite and the
-#: evaluators, which recurse, stay clear of the interpreter's limit.
+#: replaced could compile fits, and the evaluators, which recurse, stay
+#: clear of the interpreter's limit.
 MAX_HEIGHT = 500
 
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "div", "mod"})
@@ -207,8 +207,8 @@ def analyze(
             reuse the raw AST).
         variables: variable bindings (``$x`` values): Python
             bool/float/str or an iterable of nodes.
-        normalized: ``expr`` is already normalized (an optimizer
-            rewrite, a tree the batch planner assembled): analyze only.
+        normalized: ``expr`` is already normalized (a tree the batch
+            planner assembled): analyze only.
             An unsubstituted variable is then an
             :class:`~repro.errors.XPathTypeError`.
         strict: apply Restriction 1 literally (see

@@ -45,7 +45,8 @@ def compute_relevance(expr: Expr) -> frozenset[str]:
     Must run on a normalized tree (variables substituted, conversions
     explicit) — raw trees may contain :class:`VariableRef` nodes, which
     are rejected. :func:`repro.xpath.normalize.analyze` applies the rules
-    above while it normalizes, so this is only needed after a rewrite.
+    above while it normalizes, so this is only needed on a tree
+    assembled by other means.
     """
     return analyze(expr, normalized=True).ast.relev
 

@@ -94,11 +94,22 @@ def test_error_reporting(capsys):
     assert "error:" in err
 
 
-def test_optimize_flag(capsys):
-    code, out, _ = run(capsys, "//b[1 = 1]", "--xml", XML, "--optimize", "--explain")
-    assert code == 0
-    assert "rewrites applied:" in out
-    assert "evaluation plan" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["//b[1 = 1]", "--xml", XML, "--explain"],
+        ["plan", "//b[1 = 1]"],
+        ["batch", "--xml", XML, "-q", "//b[1 = 1]"],
+    ],
+    ids=["query", "plan", "batch"],
+)
+def test_optimize_option_is_refused(capsys, argv):
+    """There is one way to compile a query: no command takes the option
+    that once selected a rewrite pass."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--optimize"])
+    assert excinfo.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --optimize" in capsys.readouterr().err
 
 
 def test_explain_shows_plan_strategies(capsys):
@@ -132,12 +143,6 @@ def test_plan_subcommand_tree_flag(capsys):
     assert code == 0
     assert "parse tree:" in out
     assert "evaluation plan" in out
-
-
-def test_plan_subcommand_optimize_flag(capsys):
-    code, out, _ = run(capsys, "plan", "//b[1 = 1]", "--optimize")
-    assert code == 0
-    assert "rewrites applied:" in out
 
 
 def test_plan_subcommand_malformed_query_exit_code(capsys):

@@ -1,6 +1,5 @@
 """Property-based tests for the XPath front end as a whole:
-unparse round-trips, rewrite is a semantics-preserving fixpoint, and the
-analyses are stable under re-parsing."""
+unparse round-trips and the analyses are stable under re-parsing."""
 
 import math
 import random
@@ -15,7 +14,6 @@ from repro.xpath.fragments import core_xpath_violation
 from repro.xpath.normalize import normalize
 from repro.xpath.parser import parse_xpath
 from repro.xpath.relevance import compute_relevance
-from repro.xpath.rewrite import RewriteStats, rewrite
 from repro.xpath.unparse import unparse
 
 
@@ -41,36 +39,6 @@ def test_unparse_reparse_evaluates_identically(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
-def test_rewrite_is_idempotent(seed):
-    """Applying the optimizer twice changes nothing more."""
-    query = random_query(random.Random(seed))
-    expr = normalize(parse_xpath(query))
-    compute_relevance(expr)
-    once = rewrite(expr, RewriteStats())
-    compute_relevance(once)
-    first = unparse(once)
-    second_stats = RewriteStats()
-    twice = rewrite(once, second_stats)
-    assert unparse(twice) == first
-    assert second_stats.descendant_fusions == 0
-    assert second_stats.self_elisions == 0
-    assert second_stats.double_negations == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 100_000), st.integers(0, 100_000))
-def test_rewrite_preserves_semantics(doc_seed, query_seed):
-    doc = random_document(random.Random(doc_seed), max_nodes=14)
-    query = random_query(random.Random(query_seed))
-    plain = XPathEngine(doc)
-    optimizing = XPathEngine(doc, optimize=True)
-    expected = plain.evaluate(query, algorithm="topdown")
-    got = optimizing.evaluate(query, algorithm="topdown")
-    assert _equal(got, expected), query
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 100_000))
 def test_analyses_are_reparse_stable(seed):
     """Fragment classification and relevance must agree between a query
     and its unparse (the analyses are functions of syntax alone)."""
@@ -87,15 +55,14 @@ def test_analyses_are_reparse_stable(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 100_000), st.booleans(), st.booleans())
-def test_core_verdict_of_the_pass_is_the_definition_12_walk(seed, core, optimize):
+@given(st.integers(0, 100_000), st.booleans())
+def test_core_verdict_of_the_pass_is_the_definition_12_walk(seed, core):
     """The front end's pass applies Definition 12 node by node;
     :func:`core_xpath_violation` walks the rules as stated. On whole
-    queries, Core and not, plain and rewritten, they give the same
-    verdict, reason included."""
+    queries, Core and not, they give the same verdict, reason included."""
     rng = random.Random(seed)
     query = random_core_query(rng) if core else random_query(rng)
-    plan = compile_plan(query, optimize=optimize)
+    plan = compile_plan(query)
     assert plan.core_violation == core_xpath_violation(plan.ast), query
 
 

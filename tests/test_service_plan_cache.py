@@ -11,7 +11,7 @@ import pytest
 from repro import stats
 from repro.engine import XPathEngine
 from repro.errors import XPathSyntaxError
-from repro.service import PlanCache, PlanOptions, QueryService, plan_key
+from repro.service import PlanCache, QueryService, plan_key
 from repro.workloads.documents import book_catalog, running_example_document
 from repro.xml.parser import parse_document
 
@@ -115,11 +115,20 @@ def test_cached_node_set_results_are_independent_copies(documents):
     assert second == XPathEngine(document).evaluate("//b")  # ...memo unharmed
 
 
-def test_plan_options_key_distinct_plans():
-    key_plain = plan_key("//b", PlanOptions.make())
-    key_optimized = plan_key("//b", PlanOptions.make(optimize=True))
-    key_vars = plan_key("//b", PlanOptions.make(variables={"x": 1.0}))
-    assert len({key_plain, key_optimized, key_vars}) == 3
+def test_plan_key_separates_variable_signatures():
+    """One plan per (text, bindings): no binding, a number, a boolean and
+    two node-sets each key a plan of their own, and a compiled plan
+    carries the key it was cached under."""
+    document = parse_document("<a><b/><b/></a>")
+    first, second = document.nodes[2], document.nodes[3]
+    bindings = [None, {"x": 1.0}, {"x": True}, {"x": [first]}, {"x": [second]}]
+    keys = [plan_key("//b", variables) for variables in bindings]
+    assert len(set(keys)) == len(bindings)
+    assert keys[0] == plan_key("//b", {}) == ("//b", ())
+    assert keys[3] == plan_key("//b", {"x": [first]})
+    service = QueryService()
+    for variables, key in zip(bindings, keys):
+        assert service.plan("//b", variables=variables).cache_key == key
 
 
 def test_bool_and_number_bindings_are_distinct_plans():
@@ -133,9 +142,7 @@ def test_bool_and_number_bindings_are_distinct_plans():
     )
     assert as_bool == "true"
     assert as_number == "1"
-    assert PlanOptions.make(variables={"v": True}) != PlanOptions.make(
-        variables={"v": 1}
-    )
+    assert plan_key("string($v)", {"v": True}) != plan_key("string($v)", {"v": 1})
 
 
 def test_variable_bindings_flow_through_service():
