@@ -16,8 +16,11 @@ The slower algorithms (``naive``, ``bottomup``, ``topdown``,
 differential test suite exercise all of them on the same queries.
 
 For serving many queries over many documents with plan/result caching,
-use :class:`repro.service.QueryService`; the engine keeps only a simple
-unbounded per-engine plan memo.
+use :class:`repro.service.QueryService`; the engine keeps only a plan
+cache, keyed and bounded like the service's (:func:`plan_key
+<repro.service.plan.plan_key>` of the text and the engine's current
+bindings, at most :attr:`PlanCache.DEFAULT_CAPACITY
+<repro.service.cache.PlanCache.DEFAULT_CAPACITY>` plans).
 
 Example::
 
@@ -35,7 +38,8 @@ from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.errors import ReproError
-from repro.service.plan import LogicalPlan
+from repro.service.cache import PlanCache
+from repro.service.plan import LogicalPlan, plan_key
 from repro.service.planner import (
     ALGORITHMS,
     QueryPlanner,
@@ -58,18 +62,19 @@ class XPathEngine:
         self.document = document
         self.variables = dict(variables or {})
         self._planner = QueryPlanner()
-        self._cache: dict[str, LogicalPlan] = {}
+        self.plans = PlanCache()
 
     # ------------------------------------------------------------------
 
     def compile(self, query: str) -> LogicalPlan:
-        """Parse + normalize + analyze a query (cached per engine)."""
-        cached = self._cache.get(query)
-        if cached is not None:
-            return cached
-        compiled = self._planner.compile(query, self.variables)
-        self._cache[query] = compiled
-        return compiled
+        """Parse + normalize + analyze a query under the engine's current
+        :attr:`variables` (cached per engine: changing or rebinding the
+        variables selects a different plan)."""
+        variables = self.variables
+        return self.plans.get_or_create(
+            plan_key(query, variables),
+            lambda: self._planner.compile(query, variables),
+        )
 
     # ------------------------------------------------------------------
 

@@ -8,10 +8,14 @@ one eviction — the plan-cache tests assert these counters literally.
 
 The cache is value-agnostic (it stores whatever the factory returns), but
 in practice the keys are :func:`repro.service.plan.plan_key` tuples and
-the values :class:`repro.service.plan.LogicalPlan` instances. Results live in each
+the values :class:`repro.service.plan.LogicalPlan` instances. It is the
+only owner of a compiled plan: an evicted plan is garbage once its
+callers drop it. Results live in each
 :class:`~repro.service.service.DocumentSession` memo instead, keyed by
 the plan's stable ``cache_key``, so an evicted-and-recompiled plan keeps
-hitting its existing results.
+hitting its existing results; an entry holds the value and the plan's
+node-set / object bindings (which the key names by ``id()``), never the
+plan itself.
 
 Thread safety: every operation (including the lookup-count + mutate
 pairs) runs under one re-entrant lock, so a single cache shared by
@@ -41,7 +45,11 @@ from repro.stats import CacheStats
 class PlanCache:
     """LRU cache keyed by ``(query, bindings)`` with exact statistics."""
 
-    def __init__(self, capacity: int = 256, name: str = "plan_cache"):
+    #: The plan bound of a :class:`~repro.service.service.QueryService`
+    #: and an :class:`~repro.engine.XPathEngine` unless told otherwise.
+    DEFAULT_CAPACITY = 256
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = "plan_cache"):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity

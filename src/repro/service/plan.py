@@ -35,9 +35,13 @@ from repro.xpath.normalize import Analysis, Counts, StepSummary
 def freeze_variables(variables: dict[str, object] | None) -> tuple:
     """A hashable signature of a variable binding for plan-cache keys.
 
-    Scalars key by value; node-set bindings key by member identity (two
-    bindings to the same nodes are the same plan; the plan itself retains
-    the real dict, so the signature only ever has to separate plans).
+    Scalars key by value; node-set and object bindings key by identity
+    (two bindings to the same nodes are the same plan). An ``id()`` only
+    names an object while it is alive, so whatever holds such a key also
+    holds the bindings: the plan keeps its own copy of the dict
+    (:attr:`LogicalPlan.variables`), and a session result-memo entry,
+    which outlives the plan's cache slot, keeps that dict and not the
+    plan.
     """
     if not variables:
         return ()
@@ -122,6 +126,8 @@ class LogicalPlan:
         wadler_violation: why it is outside the Extended Wadler Fragment.
         bottomup_path_count: number of subexpressions OPTMINCONTEXT will
             evaluate bottom-up.
+        variables: the plan's private copy of its bindings — what keeps
+            the objects :attr:`cache_key` names by ``id()`` alive.
         traits: the document-independent cost features admission
             prices (see :class:`PlanTraits`).
         step_summaries: one :class:`~repro.xpath.normalize.StepSummary`
@@ -132,7 +138,9 @@ class LogicalPlan:
             record of the whole query.
         cache_key: :func:`plan_key` of the source and bindings this plan
             was built from, computed once; the plan cache, the result
-            memo and the batch planner key on it.
+            memo and the batch planner key on it. Only the plan cache
+            holds the plan under it: the result memo keeps the key and
+            :attr:`variables`, so an evicted plan is garbage.
     """
 
     source: str

@@ -65,16 +65,19 @@ class DocumentSession:
     """Per-document evaluation state shared across queries.
 
     Holds reusable evaluator instances for the stateless algorithms, a
-    ``(plan, algorithm, context) → result`` memo and a
+    ``(plan key, algorithm, context) → result`` memo and a
     :class:`~repro.core.corexpath.HoldsMemo`: ``Path.key`` → the pres
     where that Core XPath predicate path holds, which the session's
     ``corexpath`` instance reads for every ``boolean(π)`` — in a whole
     query and in the batch planner's residual sweeps alike — so the
     session runs each (document, π) backward propagation once until a
     flush (at most ``4 * HoldsMemo.CELLS`` bytes, 4 MiB, of sets). The
-    caches are sound because documents are immutable and plans are never
-    mutated after compilation; all three go with :meth:`clear` and with
-    the session when its service evicts it.
+    caches are sound because documents are immutable and a plan's value
+    is a function of its cache key. A result-memo entry retains its
+    value and the plan's node-set / object bindings (the key names them
+    by ``id()``), never the plan: compiled plans live only in the
+    service's plan cache. All three go with :meth:`clear` and with the
+    session when its service evicts it.
 
     Thread safety: memo lookups (with their hit accounting) and
     inserts run under one lock, while the evaluation itself runs outside
@@ -219,7 +222,7 @@ class DocumentSession:
             if len(self._results) >= self.result_capacity:
                 self._results.clear()
                 self.result_stats.eviction(self.result_capacity)
-            self._results[key] = (plan, value)
+            self._results[key] = (plan.variables or None, value)
         return _copy_result(value)
 
     #: What :meth:`probe` returns when the memo holds no entry.
@@ -254,11 +257,15 @@ class DocumentSession:
         # Keyed by the plan's *stable* cache key, not the AST's identity:
         # a plan evicted from the LRU and recompiled gets a fresh AST (and
         # uid), but it is the same plan — its memo entries must stay
-        # reachable, not leak until the wholesale flush. Each entry also
-        # stores the plan itself: the key's variables signature identifies
-        # node-set/object bindings by id(), which is only sound while the
-        # bound objects are alive, so the entry pins them (via the plan's
-        # variables dict) for exactly as long as the key can match.
+        # reachable, not leak until the wholesale flush. An entry is
+        # ``(bindings, value)`` and retains nothing else: the key's
+        # variables signature names node-set and object bindings by id(),
+        # which is only sound while the bound objects are alive, so the
+        # entry pins them through the plan's private bindings dict (None
+        # when the plan has none) for exactly as long as the key can
+        # match. Texts, scalars and batch prefix plans are keyed by value,
+        # so nothing else need live: the entry never keeps the plan
+        # itself, and the plan cache is the only owner of compiled plans.
         # Keyed by the *requested* algorithm, with resolution deferred to
         # the miss path: a hit is one dict lookup. ``auto`` and a forced
         # name for the evaluator it dispatches to fill separate entries
@@ -349,7 +356,7 @@ class QueryService:
 
     def __init__(
         self,
-        plan_capacity: int = 256,
+        plan_capacity: int = PlanCache.DEFAULT_CAPACITY,
         session_capacity: int = 64,
         result_capacity: int | None = None,
         variables: dict[str, object] | None = None,

@@ -10,6 +10,7 @@ from repro.errors import (
     UnknownAlgorithmError,
     XPathSyntaxError,
 )
+from repro.service import PlanCache, QueryService
 from repro.xml.parser import parse_document
 
 
@@ -86,6 +87,31 @@ def test_variables_flow_through(engine):
     engine_with_vars = XPathEngine(engine.document, variables={"limit": 15})
     got = engine_with_vars.evaluate("//b[. > $limit]")
     assert [n.xml_id for n in got] == ["3"]
+
+
+def test_changing_or_rebinding_variables_changes_the_answer(engine):
+    """The plan cache keys by text *and* bindings: a compiled plan has
+    its variables substituted, so a text-only key answered with the
+    first binding forever."""
+    engine_with_vars = XPathEngine(engine.document, variables={"x": 1.0})
+    assert engine_with_vars.evaluate("$x + 0") == 1.0
+    engine_with_vars.variables["x"] = 5.0
+    assert engine_with_vars.evaluate("$x + 0") == 5.0
+    engine_with_vars.variables = {"x": 7.0}
+    assert engine_with_vars.evaluate("$x + 0") == 7.0
+    # Rebinding back to a seen value reuses that plan.
+    engine_with_vars.variables = {"x": 1.0}
+    assert engine_with_vars.evaluate("$x + 0") == 1.0
+    assert engine_with_vars.plans.stats.hits == 1
+
+
+def test_plan_cache_is_bounded_at_the_service_default(engine):
+    capacity = PlanCache.DEFAULT_CAPACITY
+    assert QueryService().plans.capacity == capacity
+    for index in range(capacity + 10):
+        engine.compile(f"count(//b) + {index}")
+    assert len(engine.plans) == capacity
+    assert engine.plans.stats.evictions == 10
 
 
 def test_unbound_variable_raises(engine):

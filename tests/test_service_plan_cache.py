@@ -6,6 +6,9 @@ compilation produces — and *accounting* — the LRU's hit/miss/eviction
 counters are exact, because the benchmark's hit-rate claims rest on them.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro import stats
@@ -230,6 +233,7 @@ def test_result_memo_survives_plan_eviction_and_recompile():
     document = parse_document('<a id="1"><b id="2">10</b><c id="3">20</c></a>')
     service = QueryService(plan_capacity=1)
     session = service.session(document)
+    first_plan = weakref.ref(service.plan("//b"))
     rounds = 3
     for _ in range(rounds):
         service.evaluate("//b", document)  # evicts //c's plan
@@ -241,6 +245,13 @@ def test_result_memo_survives_plan_eviction_and_recompile():
     assert session.result_stats.misses == 2
     assert session.result_stats.hits == 2 * (rounds - 1)
     # No unreachable-entry growth: one memo entry per distinct request.
+    assert len(session._results) == 2
+    # The memo entry the first //b plan filled does not keep that plan:
+    # once evicted, it is garbage, and a recompiled //b still hits.
+    gc.collect()
+    assert first_plan() is None
+    service.evaluate("//b", document)
+    assert session.result_stats.hits == 2 * rounds - 1
     assert len(session._results) == 2
 
 
