@@ -511,14 +511,15 @@ def _print_batch_stats(batch, from_store: bool) -> None:
         f"hit rate={result_stats['hit_rate']:.1%}",
         file=sys.stderr,
     )
-    holds_stats = batch.holds_stats
-    print(
-        "holds memo:   "
-        f"hits={holds_stats['hits']} misses={holds_stats['misses']} "
-        f"evictions={holds_stats['evictions']} "
-        f"hit rate={holds_stats['hit_rate']:.1%}",
-        file=sys.stderr,
-    )
+    for label, counts in (
+        ("holds memo:   ", batch.holds_stats),
+        ("step memo:    ", batch.step_stats),
+    ):
+        print(
+            f"{label}hits={counts['hits']} misses={counts['misses']} "
+            f"evictions={counts['evictions']} hit rate={counts['hit_rate']:.1%}",
+            file=sys.stderr,
+        )
     batch_plan = batch.batch_plan
     if batch_plan:
         print(

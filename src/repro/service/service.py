@@ -331,6 +331,7 @@ class BatchResult:
     plan_stats: dict = field(default_factory=dict)
     result_stats: dict = field(default_factory=dict)
     holds_stats: dict = field(default_factory=dict)
+    step_stats: dict = field(default_factory=dict)
     batch_plan: dict = field(default_factory=dict)
 
     def value(self, document_index: int, query_index: int):
@@ -464,6 +465,7 @@ class QueryService:
         plan_stats_before = self.plans.stats.snapshot()
         result_stats_before = self.result_cache_stats()
         holds_stats_before = self._holds_stats.snapshot()
+        step_stats_before = self.planner.steps.stats.snapshot()
         plans = [self.plan(query) for query in query_list]
         algorithms = [resolve_algorithm(plan, algorithm) for plan in plans]
         batch_plan = build_batch_plan(plans, algorithm, share)
@@ -476,6 +478,7 @@ class QueryService:
             plan_stats=_stats_delta(plan_stats_before, self.plans.stats.snapshot()),
             result_stats=_stats_delta(result_stats_before, self.result_cache_stats()),
             holds_stats=_stats_delta(holds_stats_before, self._holds_stats.snapshot()),
+            step_stats=_stats_delta(step_stats_before, self.planner.steps.stats.snapshot()),
             batch_plan=batch_plan.stats.snapshot() if batch_plan is not None else {},
         )
 
@@ -514,6 +517,7 @@ class QueryService:
             "plan_cache": self.plans.stats.snapshot(),
             "result_cache": self.result_cache_stats(),
             "holds_memo": self._holds_stats.snapshot(),
+            "step_memo": self.planner.steps.stats.snapshot(),
             "sessions": len(self._sessions),
             # Always zero: no memo stands behind it. Kept because the
             # end-to-end harness indexes it (benchmarks/e2e/worker.py's

@@ -300,7 +300,9 @@ def clone(node: AstNode) -> AstNode:
     parse-tree positions). Carries ``value_type``, ``relev`` and a path's
     ``key`` over and
     shares the immutable :class:`NodeTest` and the members of a
-    :class:`ConstantNodeSet`."""
+    :class:`ConstantNodeSet`. A planner's step memo clones a hit whose
+    steps are already in the tree it is building, and shares it (with
+    the plan that stored it) otherwise: plans never change their trees."""
     kind = type(node)
     if kind is Step:
         copy: AstNode = Step(node.axis, node.node_test, list(map(clone, node.predicates)))

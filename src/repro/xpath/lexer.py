@@ -24,7 +24,9 @@ operator):
 So the parser sees unambiguous token types. :func:`scan` returns plain
 ``(type, value, offset)`` tuples, which is what the parser reads;
 :func:`tokenize_xpath` returns the same tokens as :class:`Token`
-named tuples. Both end with a sentinel ``END`` token.
+named tuples. Both end with a sentinel ``END`` token. Given a dict,
+:func:`scan` also matches each ``[`` to its ``]``: the span a planner's
+step memo keys a predicate group by before the parser reads it.
 """
 
 from __future__ import annotations
@@ -101,12 +103,16 @@ _OPENERS = frozenset("([,@")
 _OPERATOR = TokenType.OPERATOR
 _NAME = TokenType.NAME
 _NUMBER = TokenType.NUMBER
+_LBRACKET = TokenType.LBRACKET
+_RBRACKET = TokenType.RBRACKET
 
 
-def scan(source: str) -> list[tuple]:
+def scan(source: str, closes: dict | None = None) -> list[tuple]:
     """The tokens of ``source`` as ``(type, value, offset)`` tuples,
-    ending with ``(END, "", len(source))``."""
+    ending with ``(END, "", len(source))``; ``closes``, when given, maps
+    each ``[`` token's index to its matching ``]``'s."""
     lexemes = _TOKEN.findall(source)
+    opens: list[int] = []
     count = len(lexemes)
     tokens: list[tuple] = []
     append = tokens.append
@@ -137,6 +143,14 @@ def scan(source: str) -> list[tuple]:
             operator_position = True
         elif kind is _SPACE:
             continue
+        elif type(kind) is TokenType:  # ( ) [ ] , @
+            if closes is not None:
+                if kind is _LBRACKET:
+                    opens.append(len(tokens))
+                elif kind is _RBRACKET and opens:
+                    closes[opens.pop()] = len(tokens)
+            append((kind, text, start))
+            operator_position = text not in _OPENERS
         elif kind is _SYMBOL and text != "!":
             append((_OPERATOR, text, start))
             operator_position = False
@@ -163,9 +177,6 @@ def scan(source: str) -> list[tuple]:
         elif kind is _DOLLAR and len(text) > 1:
             append((TokenType.VARIABLE, text[1:], start))
             operator_position = True
-        elif isinstance(kind, TokenType):
-            append((kind, text, start))
-            operator_position = text not in _OPENERS
         elif kind is _QUOTE:
             raise XPathSyntaxError("unterminated string literal", start)
         elif kind is _DOLLAR:

@@ -38,6 +38,12 @@ stack, so no Python recursion follows the tree's height. The parser
 bounds nesting (:data:`repro.xpath.parser.MAX_DEPTH`) but not operator
 chains, and the evaluators recurse: a tree more than
 :data:`MAX_HEIGHT` nodes tall is an :class:`~repro.errors.XPathSyntaxError`.
+
+Only :meth:`QueryPlanner.compile <repro.service.planner.QueryPlanner.compile>`
+passes ``steps``, the steps its memo gave the parser: the pass takes a
+hit's summary and does not revisit its predicates, and leaves every other
+step's summary in ``steps.summaries``. The planner memoizes no query long
+enough to pass :data:`MAX_HEIGHT`, so a hit never needs that check.
 """
 
 from __future__ import annotations
@@ -197,6 +203,7 @@ def analyze(
     *,
     normalized: bool = False,
     strict: bool = False,
+    steps=None,
 ) -> Analysis:
     """Normalize a freshly parsed expression (see the module docstring)
     and analyze it, in one visit per node.
@@ -213,8 +220,10 @@ def analyze(
             :class:`~repro.errors.XPathTypeError`.
         strict: apply Restriction 1 literally (see
             :func:`repro.xpath.fragments.wadler_violation`).
+        steps: the step-memo view the parser was given (see the module
+            docstring).
     """
-    root = _Pass(variables, normalized, strict).tree(expr)
+    root = _Pass(variables, normalized, strict, steps).tree(expr)
     node, counts = root.ast, root.counts
     core = root.core if type(node) is Path else NOT_A_PATH.format(type(node).__name__)
     if is_bottomup_eligible(node):
@@ -436,10 +445,11 @@ class _Pass:
     steps: only their predicates (one level further down) and its
     primary get entries of their own."""
 
-    def __init__(self, variables, normalized: bool, strict: bool):
+    def __init__(self, variables, normalized: bool, strict: bool, steps=None):
         self.variables = variables or {}
         self.normalizing = not normalized
         self.strict = strict
+        self.steps = steps
 
     def tree(self, expr: Expr) -> Analysis:
         """The analysis of ``expr``'s tree. The stack holds ``(node,
@@ -448,6 +458,7 @@ class _Pass:
         visited before its predicates and steps are."""
         out: list = []
         stack = [(expr, 1)]
+        hits = self.steps.hits if self.steps is not None else ()
         while stack:
             node, depth = stack.pop()
             if depth > 0:
@@ -457,6 +468,8 @@ class _Pass:
                     entered = len(stack)
                     stack.append((node, 0))
                     for step in reversed(node.steps):
+                        if hits and step in hits:  # normalized already
+                            continue
                         for predicate in reversed(step.predicates):
                             stack.append((predicate, depth + 2))
                     if node.primary is not None:
@@ -608,15 +621,24 @@ class _Pass:
 
     def visit_path(self, path: Path, out) -> Analysis:
         summaries = []
+        memo = self.steps
         for step in reversed(path.steps):  # the last step's predicates are on top
             predicates = []
             if step.predicates:
+                if memo is not None:
+                    hit = memo.hits.get(step)
+                    if hit is not None:
+                        summaries.append(hit[1])
+                        continue
                 predicates = _pop(out, len(step.predicates))
                 if self.normalizing:
                     predicates = [self.predicate(predicate) for predicate in predicates]
                     step.predicates = [predicate.ast for predicate in predicates]
             step.value_type, step.relev = "nset", _CN
-            summaries.append(_step(step, predicates))
+            summary = _step(step, predicates)
+            if memo is not None and predicates:
+                memo.summaries[step] = summary
+            summaries.append(summary)
         steps = tuple(reversed(summaries))
         path.value_type = "nset"
         if path.primary is None:

@@ -34,9 +34,22 @@ stack and refuses one taller than
 :data:`repro.xpath.normalize.MAX_HEIGHT` nodes: an operator chain
 compiles up to about 500 terms and evaluates up to about 235
 (``topdown``).
+
+**The step memo.** Only :meth:`QueryPlanner.compile
+<repro.service.planner.QueryPlanner.compile>` passes ``steps``, its
+compile's view of the planner's step memo. A step with predicates is
+then looked up by its source text, from its axis to the end of its
+predicate group (the lexer matched each ``[`` to its ``]``); on a hit
+the parser skips the group and returns the memo's step, *normalized*
+already. A group with a ``$``, a literal or a number is parsed (those
+are what differ between otherwise equal queries), and so is one that
+could pass :data:`MAX_DEPTH` where it sits (each level takes two of its
+tokens).
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
@@ -52,6 +65,7 @@ from repro.xpath.ast import (
     StringLiteral,
     Union,
     VariableRef,
+    clone,
 )
 from repro.xpath.lexer import NODE_TYPES, TokenType, scan
 
@@ -68,6 +82,9 @@ _NAME = TokenType.NAME
 _LPAREN = TokenType.LPAREN
 _RPAREN = TokenType.RPAREN
 _LBRACKET = TokenType.LBRACKET
+#: A character of a predicate group the step memo does not key (a digit
+#: in a name is enough too).
+_VARYING = re.compile(r"[$'\"0-9]")
 #: Token types that begin a location step.
 _STEP_STARTS = (
     _NAME, TokenType.STAR, TokenType.AXIS_NAME, TokenType.AT, TokenType.DOT, TokenType.DOTDOT
@@ -81,12 +98,15 @@ def _descendant_or_self() -> Step:
 class _Parser:
     """One query's tokens and the cursor over them."""
 
-    __slots__ = ("tokens", "pos", "open")
+    __slots__ = ("source", "tokens", "pos", "open", "memo", "closes")
 
-    def __init__(self, source: str):
-        self.tokens = scan(source)
+    def __init__(self, source: str, steps=None):
+        self.source = source
+        self.closes: dict | None = None if steps is None else {}
+        self.tokens = scan(source, self.closes)
         self.pos = 0
         self.open = 0  # parentheses, predicates and calls open at the cursor
+        self.memo = steps
 
     def expect(self, token_type: TokenType) -> None:
         token = self.tokens[self.pos]
@@ -199,7 +219,7 @@ class _Parser:
 
     def step(self) -> Step:
         tokens = self.tokens
-        pos = self.pos
+        pos = first = self.pos
         token = tokens[pos]
         kind = token[0]
         if kind is TokenType.DOT or kind is TokenType.DOTDOT:
@@ -239,8 +259,40 @@ class _Parser:
             )
         self.pos = pos
         if tokens[pos][0] is _LBRACKET:
+            if self.memo is not None:
+                return self.memo_step(axis, node_test, first)
             return Step(axis, node_test, self.predicates())
         return Step(axis, node_test)
+
+    def memo_step(self, axis: str, node_test: NodeTest, first: int) -> Step:
+        """A step with predicates that begins at token ``first``, through
+        the compile's step memo (see the module docstring)."""
+        tokens, closes, start = self.tokens, self.closes, self.pos
+        end = closes.get(start)
+        while end is not None and tokens[end + 1][0] is _LBRACKET:
+            end = closes.get(end + 1)
+        if end is None or self.open + (end - start + 1) // 2 > MAX_DEPTH:
+            return Step(axis, node_test, self.predicates())
+        source, stop = self.source, tokens[end][2] + 1
+        if _VARYING.search(source, tokens[start][2], stop):
+            return Step(axis, node_test, self.predicates())
+        memo, key = self.memo, source[tokens[first][2] : stop]
+        memo.lookups += 1
+        entry = memo.entries.get(key)
+        keys = memo.keys
+        if entry is not None:
+            step, _, inner = entry
+            if keys and not set(keys).isdisjoint(inner):
+                step = clone(step)  # one object at two positions of one tree
+            keys += inner
+            memo.hits[step] = entry
+            self.pos = end + 1
+            return step
+        mark = len(keys)
+        step = Step(axis, node_test, self.predicates())
+        memo.misses.append((step, key, (*keys[mark:], key)))
+        keys.append(key)
+        return step
 
     def node_type(self, name: str) -> NodeTest:
         """The rest of ``node()``, ``text()``, ``comment()`` or
@@ -310,12 +362,14 @@ class _Parser:
         raise XPathSyntaxError(f"unexpected token {token[1]!r}", token[2])
 
 
-def parse_xpath(source: str) -> Expr:
+def parse_xpath(source: str, steps=None) -> Expr:
     """Parse an XPath 1.0 expression string into an AST.
 
     The result is *raw*: run :func:`repro.xpath.normalize.normalize` to
     substitute variables, insert the explicit type conversions the paper
     assumes, and annotate static types before handing it to an evaluator
     (the engine does this for you).
+    With ``steps`` (a planner's step memo; see the module docstring) a
+    step may come back normalized already.
     """
-    return _Parser(source).parse()
+    return _Parser(source, steps).parse()
