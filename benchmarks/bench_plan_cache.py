@@ -96,7 +96,7 @@ def main() -> int:
     warm_plan = _median_pass_seconds(warm_plan_pass)
     warm = _median_pass_seconds(warm_pass)
 
-    plan_stats = warm_plan_service.plans.stats
+    plan_stats = warm_plan_service.plans.stats.snapshot()
     result_stats = warm_service.cache_stats()["result_cache"]
 
     report = ExperimentReport(
@@ -117,9 +117,9 @@ def main() -> int:
     )
     report.note()
     report.note(
-        f"plan-cache hit rate: {plan_stats.hit_rate:.1%} "
-        f"(hits={plan_stats.hits} misses={plan_stats.misses} "
-        f"evictions={plan_stats.evictions})"
+        f"plan-cache hit rate: {plan_stats['hit_rate']:.1%} "
+        f"(hits={plan_stats['hits']} misses={plan_stats['misses']} "
+        f"evictions={plan_stats['evictions']})"
     )
     report.note(
         f"result-cache hit rate: {result_stats['hit_rate']:.1%} "

@@ -11,8 +11,8 @@ slowest admitted request happens to do. Five gates:
   the per-request p99 under ``DEADLINE_MS + SLACK``: every request
   either completes fast, deadlines out at its budget, or fails typed —
   nothing hangs past the bound;
-* **reconciliation gate** — the exact :class:`~repro.stats.ServeStats`
-  identities close at the protocol level: ``queries == admitted +
+* **reconciliation gate** — the declared :data:`~repro.stats.ServeStats`
+  identities read residual 0 at the protocol level: ``queries == admitted +
   rejected + request_errors`` and ``admitted == completed + deadlined +
   failed``, globally and per client, with the global counters equal to
   the per-client sums — and **zero lost responses** (every request a
@@ -52,6 +52,7 @@ from repro.serve import FaultInjector, ServeClient, XPathDaemon
 from repro.serve.admission import AdmissionController
 from repro.serve.quotas import ClientQuota
 from repro.service.service import QueryService
+from repro.stats import ServeStats
 
 #: Per-query deadline for the slow ("sleepy") requests, milliseconds.
 DEADLINE_MS = 60.0
@@ -190,12 +191,7 @@ def sustained_load_phase():
 
 
 def identities_close(snapshot: dict) -> bool:
-    ok = snapshot["queries"] == (
-        snapshot["admitted"] + snapshot["rejected"] + snapshot["request_errors"]
-    )
-    return ok and snapshot["admitted"] == (
-        snapshot["completed"] + snapshot["deadlined"] + snapshot["failed"]
-    )
+    return not any(ServeStats.residuals(snapshot).values())
 
 
 def reconciliation_gate(stats: dict) -> bool:

@@ -180,9 +180,9 @@ def axis_test_pres(document: Document, axis: str, pre: int, test: NodeTest) -> l
     if _kernel_mode != "scan" and axis in INTERVAL_AXES:
         out = _interval_axis_pres(document, axis, [pre], test)
         if out is not None:
-            stats.axis_kernel_stats.fused()
+            stats.axis_kernel_stats.tick("fused_hits")
             return out[::-1] if axis == "preceding" else list(out)
-        stats.axis_kernel_stats.fallback()
+        stats.axis_kernel_stats.tick("fallback_scans")
     return select_node_test(document, axis_nodes(document, axis, pre), test, axis)
 
 

@@ -71,9 +71,9 @@ INVERSE_VECTOR_AXES = (
 
 def _count_kernel_run(block, columnar: bool) -> None:
     if columnar and len(block) >= VECTOR_MIN_BLOCK:
-        stats.axis_kernel_stats.vector_op()
+        stats.axis_kernel_stats.tick("vector_ops")
     else:
-        stats.axis_kernel_stats.fused()
+        stats.axis_kernel_stats.tick("fused_hits")
 
 
 def forward_step(document, axis, block, test):
@@ -87,7 +87,7 @@ def forward_step(document, axis, block, test):
         if out is not None:
             _count_kernel_run(block, axis in FORWARD_VECTOR_AXES)
             return out
-    stats.axis_kernel_stats.fallback()
+    stats.axis_kernel_stats.tick("fallback_scans")
     return sorted(select_node_test(document, axis_set(document, axis, block), test, axis))
 
 
@@ -100,7 +100,7 @@ def inverse_step(document, axis, block):
         if out is not None:
             _count_kernel_run(block, axis in INVERSE_VECTOR_AXES)
             return out
-    stats.axis_kernel_stats.fallback()
+    stats.axis_kernel_stats.tick("fallback_scans")
     return sorted(inverse_axis_set(document, axis, block))
 
 
@@ -114,7 +114,7 @@ def filter_step(document, axis, block, test):
     if kernel_mode() == "scan":
         return select_node_test(document, block, test, axis)
     if len(block) >= VECTOR_MIN_BLOCK:
-        stats.axis_kernel_stats.vector_op()
+        stats.axis_kernel_stats.tick("vector_ops")
     index = node_index(document)
     partition = index.filter_partition(
         test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE

@@ -59,7 +59,7 @@ from repro import stats
 from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
-from repro.stats import CacheStats
+from repro.stats import CacheStats, Counters
 from repro.xml.document import Document, Node
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
@@ -98,7 +98,7 @@ class HoldsMemo:
     #: What an entry's array header and dictionary slot are charged.
     ENTRY_CELLS = 16
 
-    def __init__(self, stats: CacheStats | None = None):
+    def __init__(self, stats: Counters | None = None):
         self.stats = stats if stats is not None else CacheStats(name="holds_memo")
         self._sets: dict[str, array] = {}
         self._cells = 0
@@ -109,9 +109,9 @@ class HoldsMemo:
         with self._lock:
             found = self._sets.get(key)
         if found is not None:
-            self.stats.hit()
+            self.stats.tick("hits")
             return found
-        self.stats.miss()
+        self.stats.tick("misses")
         value = array("i", factory())
         cost = len(value) + self.ENTRY_CELLS
         if cost > self.CELLS:
@@ -120,7 +120,7 @@ class HoldsMemo:
             if key in self._sets:
                 return self._sets[key]
             if self._cells + cost > self.CELLS:
-                self.stats.eviction(len(self._sets))
+                self.stats.tick("evictions", len(self._sets))
                 self._sets.clear()
                 self._cells = 0
             self._sets[key] = value

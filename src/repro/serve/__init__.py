@@ -9,7 +9,7 @@ daemon (:class:`~repro.serve.daemon.XPathDaemon`) fronts one shared
 TCP protocol (:mod:`repro.serve.protocol`). The connection reader runs
 one synchronous front half for every frame, on the event loop, and only
 a real evaluation leaves it for a task and a worker thread. The stages,
-in order, and the :class:`~repro.stats.ServeStats` counter each exit
+in order, and the :data:`~repro.stats.ServeStats` counter each exit
 lands in:
 
 1. **Decode** — a malformed line: typed ``PROTOCOL`` (``malformed``).

@@ -17,15 +17,17 @@ aim a fault at exactly one request in a busy workload:
   non-JSON line) — no server seam needed; the protocol resynchronizes
   at the next newline.
 
-The injector also counts ``evaluations_started`` — the proof the
+The injector counts ``evaluations_started`` on its
+:data:`~repro.stats.FaultStats` family — the proof the
 admission tests lean on that a rejected request never reached
 evaluation.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+
+from repro.stats import FaultStats
 
 
 class FaultInjector:
@@ -46,22 +48,17 @@ class FaultInjector:
         self.delay_seconds = delay_seconds
         self.die_matching = die_matching
         self.disconnect_matching = disconnect_matching
-        self.evaluations_started = 0
-        self.faults_injected = 0
-        self._lock = threading.Lock()
+        self.stats = FaultStats()
 
     def before_evaluate(self, query: str) -> None:
         """Called inside the evaluation thread, after admission. Sleeps
         (slow evaluator) or raises (worker death) on a match."""
-        with self._lock:
-            self.evaluations_started += 1
+        self.stats.tick("evaluations_started")
         if self.delay_matching is not None and self.delay_matching in query:
-            with self._lock:
-                self.faults_injected += 1
+            self.stats.tick("faults_injected")
             time.sleep(self.delay_seconds)
         if self.die_matching is not None and self.die_matching in query:
-            with self._lock:
-                self.faults_injected += 1
+            self.stats.tick("faults_injected")
             raise RuntimeError(
                 f"fault injection: worker died evaluating {query!r}"
             )
@@ -70,14 +67,9 @@ class FaultInjector:
         """Called right before a response is queued: a match makes the
         daemon drop the connection instead (mid-stream disconnect)."""
         if self.disconnect_matching is not None and self.disconnect_matching in query:
-            with self._lock:
-                self.faults_injected += 1
+            self.stats.tick("faults_injected")
             return True
         return False
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "evaluations_started": self.evaluations_started,
-                "faults_injected": self.faults_injected,
-            }
+        return self.stats.snapshot()

@@ -86,7 +86,7 @@ class ClientState:
     Clients are identified by the ``client`` field of their frames (one
     default identity per connection), so a client's documents survive
     reconnects and its quotas span every connection it opens. Counter
-    *events* live in the client's :class:`~repro.stats.ServeStats`;
+    *events* live in the client's :data:`~repro.stats.ServeStats` family;
     this class holds only the current-state gauges quota checks read.
     """
 

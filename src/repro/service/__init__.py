@@ -29,7 +29,7 @@ dispatch → rows:
    the paper's worst-case bounds are untouched, and ``share=False``
    (``--no-share``) reproduces independent evaluation byte-identically,
    stats included. Exact accounting lives on
-   :class:`repro.stats.BatchPlanStats` (``BatchResult.batch_plan``).
+   :data:`repro.stats.BatchPlanStats` family (``BatchResult.batch_plan``).
 3. **dispatch (per plan)** — ``auto`` is the paper's fragment dispatch,
    :meth:`LogicalPlan.best_algorithm`: Core XPath runs Theorem 13's
    linear-time set sweep (``corexpath``), everything else OPTMINCONTEXT

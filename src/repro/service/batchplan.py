@@ -53,7 +53,7 @@ Worst-case guarantees do not regress: sharing only ever *removes* work
 (prefixes are lazy, each computed at most once per document, and the
 telescoped prefix cost assigned to a miss cell never exceeds the steps
 independent evaluation would have spent — see
-:class:`repro.stats.BatchPlanStats`), and any per-cell error falls back
+:data:`repro.stats.BatchPlanStats`), and any per-cell error falls back
 to an independent evaluation of that cell, keeping the paper's bounds
 intact cell by cell.
 """
@@ -162,7 +162,7 @@ class BatchPlan:
 
     Build once per batch, then call :meth:`evaluate_row` once per
     document (:meth:`~repro.service.QueryService.batch_rows` does). :attr:`stats` carries the
-    exact :class:`~repro.stats.BatchPlanStats` for this batch.
+    exact :data:`~repro.stats.BatchPlanStats` counters for this batch.
     """
 
     def __init__(self, plans: list[LogicalPlan]):
@@ -215,11 +215,13 @@ class BatchPlan:
         sharable_keys = {
             key for key, plan in distinct.items() if plan.traits.step_keys
         }
-        self.stats.plan_counts(
-            sharable=len(sharable_keys),
-            shared=len(shared_keys),
-            independent=len(distinct) - len(shared_keys),
-            prefixes=len(self.nodes),
+        self.stats.add(
+            {
+                "sharable_plans": len(sharable_keys),
+                "shared_plans": len(shared_keys),
+                "independent_plans": len(distinct) - len(shared_keys),
+                "prefix_nodes": len(self.nodes),
+            }
         )
 
     # ------------------------------------------------------------------
@@ -240,7 +242,7 @@ class BatchPlan:
             if entry.base is None:
                 row.append(session.evaluate(entry.plan, algorithm="auto"))
             else:
-                self.stats.cell()
+                self.stats.tick("cells")
                 row.append(self._cell_value(session, entry, prefix_cache))
         return row
 
@@ -263,17 +265,22 @@ class BatchPlan:
                 # Per-cell fallback: any sharing-path error (fragment
                 # probe wrong, kernel refusal, ...) costs exactly one
                 # independent evaluation — the paper's bounds per cell.
-                self.stats.fallback()
+                self.stats.tick("fallback_cells")
                 return session.evaluate(plan, algorithm="auto", cached=False)
-            self.stats.shared_evaluation(
-                total_steps=len(entry.chain),
-                residual_steps=len(entry.residual_steps),
+            # Independent evaluation would have applied the whole chain;
+            # sharing applied only the residual past the base prefix.
+            self.stats.add(
+                {
+                    "shared_evaluations": 1,
+                    "steps_independent": len(entry.chain),
+                    "steps_shared": len(entry.residual_steps),
+                }
             )
             return value
 
         value = session.evaluate_computed(plan, "auto", compute)
         if not computed:
-            self.stats.memo_hit()
+            self.stats.tick("memo_hits")
         return value
 
     def _prefix_pres(self, session, chain, prefix_cache) -> list[int]:
@@ -282,7 +289,7 @@ class BatchPlan:
         document) as a residual of its parent prefix."""
         pres = prefix_cache.get(chain)
         if pres is not None:
-            self.stats.prefix_memo_hit()
+            self.stats.tick("prefix_memo_hits")
             return pres
         node = self.nodes[chain]
         computed: list[bool] = []
@@ -291,7 +298,7 @@ class BatchPlan:
             computed.append(True)
             if node.parent is None:
                 value = session.evaluate(node.plan, algorithm="auto", cached=False)
-                self.stats.prefix_evaluation(len(chain))
+                self.stats.add({"prefix_evaluations": 1, "steps_shared": len(chain)})
                 return value
             base_pres = self._prefix_pres(session, node.parent, prefix_cache)
             value = self._apply_residual(
@@ -301,12 +308,14 @@ class BatchPlan:
                 node.residual_core,
                 base_pres,
             )
-            self.stats.prefix_evaluation(len(chain) - len(node.parent))
+            self.stats.add(
+                {"prefix_evaluations": 1, "steps_shared": len(chain) - len(node.parent)}
+            )
             return value
 
         value = session.evaluate_computed(node.plan, "auto", compute)
         if not computed:
-            self.stats.prefix_memo_hit()
+            self.stats.tick("prefix_memo_hits")
         # Results come back in document order, so the pre projection is
         # already the sorted array the step kernels expect.
         pres = [n.pre for n in value]

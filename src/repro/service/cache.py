@@ -3,7 +3,7 @@
 ``OrderedDict``-based: a hit moves the entry to the MRU end, an insert
 beyond capacity evicts from the LRU end. Every lookup is counted as
 exactly one hit or one miss on the attached
-:class:`repro.stats.CacheStats`, and every capacity overflow as exactly
+:data:`repro.stats.CacheStats` family, and every capacity overflow as exactly
 one eviction — the plan-cache tests assert these counters literally.
 
 The cache is value-agnostic (it stores whatever the factory returns), but
@@ -65,10 +65,10 @@ class PlanCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.stats.miss()
+                self.stats.tick("misses")
                 return None
             self._entries.move_to_end(key)
-            self.stats.hit()
+            self.stats.tick("hits")
             return value
 
     def put(self, key: Hashable, value) -> None:
@@ -90,14 +90,14 @@ class PlanCache:
                 entries.move_to_end(key)
             while len(entries) > self.capacity:
                 entries.popitem(last=False)
-                self.stats.eviction()
+                self.stats.tick("evictions")
 
     def pop_lru(self) -> tuple:
         """Remove and return the least-recently-used ``(key, value)`` pair
         (counted as an eviction). Raises ``KeyError`` when empty."""
         with self._lock:
             key, value = self._entries.popitem(last=False)
-            self.stats.eviction()
+            self.stats.tick("evictions")
             return key, value
 
     def get_or_create(self, key: Hashable, factory: Callable[[], object]):
@@ -112,12 +112,12 @@ class PlanCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.stats.miss()
+                self.stats.tick("misses")
                 value = factory()
                 self.put(key, value)
                 return value
             self._entries.move_to_end(key)
-            self.stats.hit()
+            self.stats.tick("hits")
             return value
 
     # ------------------------------------------------------------------

@@ -113,9 +113,9 @@ class StepMemo:
         summarized (all of them, unless the compile failed)."""
         hits, misses = len(view.hits), view.lookups - len(view.hits)
         if hits:
-            self.stats.hit(hits)
+            self.stats.tick("hits", hits)
         if misses:
-            self.stats.miss(misses)
+            self.stats.tick("misses", misses)
         if not view.misses:
             return
         summaries = view.summaries
@@ -126,7 +126,7 @@ class StepMemo:
                 if summary is None:
                     continue
                 if len(entries) >= self.capacity:
-                    self.stats.eviction(len(entries))
+                    self.stats.tick("evictions", len(entries))
                     entries.clear()
                 entries[key] = (step, summary, keys)
 

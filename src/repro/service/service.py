@@ -49,7 +49,7 @@ from repro.service.planner import (
     make_evaluator,
     resolve_algorithm,
 )
-from repro.stats import CacheStats, TimingStats
+from repro.stats import CacheStats, Counters, TimingStats
 from repro.xml.document import Document, Node
 
 
@@ -98,8 +98,8 @@ class DocumentSession:
         document: Document,
         timings: TimingStats,
         result_capacity: int | None = None,
-        result_stats: CacheStats | None = None,
-        holds_stats: CacheStats | None = None,
+        result_stats: Counters | None = None,
+        holds_stats: Counters | None = None,
     ):
         self.document = document
         self.result_capacity = (
@@ -213,7 +213,7 @@ class DocumentSession:
         )
         if value is not self.MISS:
             return value
-        self.result_stats.miss()
+        self.result_stats.tick("misses")
         value = compute()
         key = self._result_key(
             plan, algorithm, context_node, context_position, context_size
@@ -221,7 +221,7 @@ class DocumentSession:
         with self._lock:
             if len(self._results) >= self.result_capacity:
                 self._results.clear()
-                self.result_stats.eviction(self.result_capacity)
+                self.result_stats.tick("evictions", self.result_capacity)
             self._results[key] = (plan.variables or None, value)
         return _copy_result(value)
 
@@ -249,7 +249,7 @@ class DocumentSession:
             entry = self._results.get(key)
             if entry is None:
                 return self.MISS
-            self.result_stats.hit()
+            self.result_stats.tick("hits")
             return _copy_result(entry[1])
 
     def _result_key(self, plan, algorithm, context_node, position, size) -> tuple:
@@ -293,17 +293,6 @@ class DocumentSession:
         self.holds.clear()
 
 
-def _stats_delta(before: dict, after: dict) -> dict:
-    """Per-batch cache statistics: the difference of two cumulative
-    snapshots, with the hit rate recomputed over the delta."""
-    delta = dict(after)
-    for key in ("hits", "misses", "evictions"):
-        delta[key] = after[key] - before[key]
-    lookups = delta["hits"] + delta["misses"]
-    delta["hit_rate"] = delta["hits"] / lookups if lookups else 0.0
-    return delta
-
-
 @dataclass
 class BatchResult:
     """The outcome of one :meth:`QueryService.evaluate_many` call.
@@ -318,7 +307,7 @@ class BatchResult:
     :meth:`QueryService.cache_stats`).
 
     ``batch_plan`` is the batch-shared step DAG's exact counter snapshot
-    (:class:`~repro.stats.BatchPlanStats`) when multi-query sharing ran
+    (:data:`~repro.stats.BatchPlanStats`) when multi-query sharing ran
     — ``share=True`` (the default) with ``algorithm='auto'`` — and an
     empty dict otherwise, notably for every ``share=False`` call (which
     reproduces independent evaluation byte-identically, stats included).
@@ -343,7 +332,7 @@ class QueryService:
 
     One instance is safe to share across threads (the serving daemon's
     worker threads among them): the plan cache, the session map, and
-    every :class:`~repro.stats.CacheStats` counter are lock-protected, so
+    every :data:`~repro.stats.CacheStats` counter are lock-protected, so
     concurrent drivers observe exact hit/miss/eviction totals and never
     lose an eviction. Evaluation itself runs outside the locks —
     documents and plans are immutable, so it needs no synchronization.
@@ -475,10 +464,10 @@ class QueryService:
             document_count=len(document_list),
             values=values,
             algorithms=algorithms,
-            plan_stats=_stats_delta(plan_stats_before, self.plans.stats.snapshot()),
-            result_stats=_stats_delta(result_stats_before, self.result_cache_stats()),
-            holds_stats=_stats_delta(holds_stats_before, self._holds_stats.snapshot()),
-            step_stats=_stats_delta(step_stats_before, self.planner.steps.stats.snapshot()),
+            plan_stats=self.plans.stats.delta(plan_stats_before),
+            result_stats=self._result_stats.delta(result_stats_before),
+            holds_stats=self._holds_stats.delta(holds_stats_before),
+            step_stats=self.planner.steps.stats.delta(step_stats_before),
             batch_plan=batch_plan.stats.snapshot() if batch_plan is not None else {},
         )
 

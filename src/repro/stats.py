@@ -1,23 +1,25 @@
-"""Lightweight instrumentation for complexity experiments.
+"""Exact counters, and the collectors that watch them.
 
 The benchmark harness validates the paper's complexity *claims* (Theorems
 7, 10, 13) not only with wall-clock measurements but also with abstract
-operation counts, which are immune to interpreter noise:
+operation counts, which are immune to interpreter noise. Two mechanisms
+keep them:
 
-* ``count(name)`` — bump a named counter (axis calls, contexts evaluated,
-  predicate loop iterations, ...).
-* ``table_cells_allocated`` / ``table_cells_freed`` — track the number of
-  live context-value-table cells, maintaining a peak. This is the space
-  measure in the paper's space bounds (each table entry is one unit;
-  Theorem 7's ``O(|D|^2·|Q|^2)`` counts exactly these).
-* :class:`CacheStats` — hit/miss/eviction accounting for the service
-  layer's plan and result caches (:mod:`repro.service`). Every event is
-  mirrored into the active collectors as ``<name>_hits`` /
-  ``<name>_misses`` / ``<name>_evictions`` counters, so one
-  :func:`collect` block sees evaluation work and cache traffic together.
-* :class:`StoreStats` — puts, fsyncs, partition passes and structural
-  checks of the document store and the snapshot codec, with the
-  identities that tie them together.
+* **Collectors.** ``count(name)`` bumps a named counter on every active
+  :func:`collect` block (axis calls, contexts evaluated, predicate loop
+  iterations, ...); ``table_cells_allocated`` / ``table_cells_freed``
+  track the live context-value-table cells and their peak — the space
+  measure of the paper's bounds (each table entry is one unit; Theorem
+  7's ``O(|D|^2·|Q|^2)`` counts exactly these).
+* **Counter families.** Every layer that promises exact accounting (the
+  caches, the axis kernels, the batch planner, the daemon, the document
+  store, the fault seam) keeps it in one :class:`Counters` instance: a
+  declared ``COUNTERS`` tuple, ticked under one lock, with its derived
+  totals and its reconciliation identities stated as data — linear
+  forms over the counters that :meth:`Counters.residuals` evaluates on
+  any snapshot, live, delta or off the wire. Every tick is mirrored into
+  the active collectors as ``<name>_<counter>``, so one :func:`collect`
+  block sees evaluation work and counter traffic together.
 
 Collection is opt-in and nestable::
 
@@ -36,7 +38,9 @@ import threading
 from dataclasses import dataclass, field
 
 
-@dataclass
+# Collectors compare by identity: two open blocks with equal counts are
+# still two blocks, and closing one must not remove the other.
+@dataclass(eq=False)
 class Stats:
     """Counters gathered during one :func:`collect` block."""
 
@@ -66,67 +70,331 @@ class Stats:
         return merged
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction bookkeeping for one cache instance.
+def _value(form: dict[str, int], counts: dict) -> int:
+    """A linear form ``{counter: coefficient}`` evaluated on counts."""
+    return sum(coefficient * counts[key] for key, coefficient in form.items())
 
-    The counters are exact (every lookup is either a hit or a miss, every
-    capacity overflow is an eviction) — the plan-cache tests assert on
-    them literally. Exactness must survive concurrent drivers (one
-    :class:`~repro.service.QueryService` shared across threads, as the
-    serving daemon's worker threads share it), so every counter update
-    happens inside the instance's lock; ``+=`` on a shared int is a
-    read-modify-write that loses increments under interleaving.
+
+class Counters:
+    """One family of exact counters.
+
+    A family declares its ``name``, its ``COUNTERS`` and, as linear forms
+    ``{counter: coefficient}``:
+
+    * ``derived`` totals — ``{total: form}``, computed into every
+      snapshot after the counters (``rejected = Σ rejected_*``);
+    * ``identities`` — ``{counter: form}``, each a claim that the counter
+      equals its form, checked (never computed) by :meth:`residuals`;
+    * ``ratios`` — ``{ratio: (numerator, denominator form)}``, 0.0 over
+      a zero denominator (``hit_rate``).
+
+    ``labels`` name values that lead every snapshot (``name``, and the
+    ``capacity`` a cache instance is given). ``aliases`` rename a
+    counter's collector mirror (``<family>_<alias>`` instead of
+    ``<family>_<counter>``).
+
+    Every update runs under the instance lock — ``+=`` on a shared int
+    is a read-modify-write that loses increments under interleaving, and
+    one instance is shared by concurrent drivers (the daemon's worker
+    threads) — and an :meth:`add` moves all of its counters under one
+    acquisition, so no snapshot ever sees half of an event.
+
+    A declaration is itself an instance (never ticked) and calling it
+    makes a fresh, zeroed instance of the same family, so
+    ``CacheStats(name="plan_cache", capacity=256)`` reads as it always
+    did.
     """
 
-    name: str = "cache"
-    capacity: int | None = None
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def hit(self, amount: int = 1) -> None:
-        with self._lock:
-            self.hits += amount
-        count(f"{self.name}_hits", amount)
-
-    def miss(self, amount: int = 1) -> None:
-        with self._lock:
-            self.misses += amount
-        count(f"{self.name}_misses", amount)
-
-    def eviction(self, amount: int = 1) -> None:
-        with self._lock:
-            self.evictions += amount
-        count(f"{self.name}_evictions", amount)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        """A consistent point-in-time copy of the counters (taken under
-        the lock, so a concurrent hit/miss can't tear the dict)."""
-        with self._lock:
-            hits, misses, evictions = self.hits, self.misses, self.evictions
-        lookups = hits + misses
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "hit_rate": hits / lookups if lookups else 0.0,
+    def __init__(
+        self,
+        name: str,
+        counters: tuple[str, ...],
+        *,
+        derived: dict | None = None,
+        identities: dict | None = None,
+        ratios: dict | None = None,
+        aliases: dict | None = None,
+        labels: tuple[str, ...] = (),
+        **values,
+    ):
+        self.name = name
+        self.COUNTERS = tuple(counters)
+        self.derived = dict(derived or {})
+        self.identities = dict(identities or {})
+        self.ratios = dict(ratios or {})
+        self.aliases = dict(aliases or {})
+        self.labels = {
+            key: name if key == "name" else values.pop(key, None) for key in labels
         }
+        if values:
+            raise TypeError(f"{name}: undeclared labels {sorted(values)}")
+        self._mirrors = {
+            key: f"{name}_{self.aliases.get(key, key)}" for key in self.COUNTERS
+        }
+        self._counts = dict.fromkeys(self.COUNTERS, 0)
+        self._lock = threading.Lock()
+
+    def __call__(self, name: str | None = None, **values) -> Counters:
+        """A fresh, zeroed instance of this family."""
+        return Counters(
+            self.name if name is None else name,
+            self.COUNTERS,
+            derived=self.derived,
+            identities=self.identities,
+            ratios=self.ratios,
+            aliases=self.aliases,
+            labels=tuple(self.labels),
+            **values,
+        )
+
+    def tick(self, key: str, amount: int = 1) -> None:
+        """Add ``amount`` to the counter ``key``; ``KeyError`` when the
+        family does not declare it."""
+        with self._lock:
+            self._counts[key] += amount
+        if _active:
+            mirror = self._mirrors[key]
+            for collector in _active:
+                collector.bump(mirror, amount)
+
+    def add(self, amounts: dict[str, int]) -> None:
+        """One event that moves several counters: every amount lands
+        under one lock acquisition (all of them, or — on an undeclared
+        key — none)."""
+        mirrors = [self._mirrors[key] for key in amounts]
+        with self._lock:
+            for key, amount in amounts.items():
+                self._counts[key] += amount
+        if _active:
+            for mirror, amount in zip(mirrors, amounts.values()):
+                count(mirror, amount)
+
+    def absorb(self, snapshot: dict) -> None:
+        """Fold another instance's snapshot into this one (derived
+        totals are recomputed, never summed; nothing is mirrored — the
+        events were mirrored when they happened)."""
+        with self._lock:
+            for key in self.COUNTERS:
+                self._counts[key] += snapshot.get(key, 0)
+
+    def snapshot(self) -> dict:
+        """A consistent point-in-time copy: labels, counters, derived
+        totals, ratios."""
+        with self._lock:
+            counts = dict(self._counts)
+        return self._render(counts)
+
+    def delta(self, before: dict) -> dict:
+        """What moved since ``before`` (an earlier :meth:`snapshot`),
+        shaped like a snapshot, derived totals and ratios recomputed
+        over the difference."""
+        with self._lock:
+            counts = {key: value - before[key] for key, value in self._counts.items()}
+        return self._render(counts)
+
+    def _render(self, counts: dict) -> dict:
+        merged = dict(self.labels)
+        merged.update(counts)
+        for key, form in self.derived.items():
+            merged[key] = _value(form, counts)
+        for key, (numerator, denominator) in self.ratios.items():
+            total = _value(denominator, counts)
+            merged[key] = counts[numerator] / total if total else 0.0
+        return merged
+
+    def residuals(self, snapshot: dict) -> dict[str, int]:
+        """Each identity's counter minus its form, and each derived total
+        the snapshot carries minus its form, over any snapshot-shaped
+        dict (a live snapshot, a :meth:`delta`, a wire ``STATS`` reply):
+        every value is 0 exactly when the counters reconcile."""
+        checks = dict(self.identities)
+        checks.update(
+            (key, form) for key, form in self.derived.items() if key in snapshot
+        )
+        return {key: snapshot[key] - _value(form, snapshot) for key, form in checks.items()}
+
+
+#: One cache's lookups (the plan cache, the result memo, the holds memo,
+#: the step memo, the session map): every lookup is exactly one ``hits``
+#: or one ``misses``, every capacity overflow (or wholesale flush, counted
+#: per entry dropped) ``evictions``. ``hit_rate`` is hits over lookups.
+CacheStats = Counters(
+    "cache",
+    ("hits", "misses", "evictions"),
+    ratios={"hit_rate": ("hits", {"hits": 1, "misses": 1})},
+    labels=("name", "capacity"),
+)
+
+#: The output-sensitive axis kernels, process-wide (indexes belong to
+#: documents, not to a service):
+#:
+#: * ``index_builds`` — :class:`repro.xml.index.NodeIndex` constructions
+#:   (at most one per document, ever: the index cache builds under its
+#:   lock);
+#: * ``index_adoptions`` — prebuilt indexes seeded by snapshot loads
+#:   (:func:`repro.xml.index.adopt_node_index`), apart from
+#:   ``index_builds`` so one-build-per-document stays assertable;
+#: * ``fused_hits`` — axis-step dispatches served by an output-sensitive
+#:   kernel over fewer than :data:`repro.axes.vec.VECTOR_MIN_BLOCK`
+#:   origins, or on an axis whose kernel has no whole-column form (the
+#:   sibling axes, ``id``); mirrored as ``axis_fused_kernels``;
+#: * ``fallback_scans`` — dispatches that ran the paper's ``O(|D|)``
+#:   Definition-1 scan instead (predicted output too large, or scan mode
+#:   forced);
+#: * ``lazy_documents`` — documents constructed
+#:   (:class:`repro.xml.document.Document`: parser, builders, snapshot
+#:   decoder);
+#: * ``nodes_materialized`` — ``Node`` objects created on them, each pre
+#:   exactly once ever (creation runs under the per-document lock): a
+#:   batch's delta is the O(output) the column path promises;
+#: * ``vector_ops`` — step ops run over a block of at least
+#:   ``VECTOR_MIN_BLOCK`` members in whole-column operations (an axis
+#:   step on :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /
+#:   ``INVERSE_VECTOR_AXES``, or a backward step's name-test filter).
+#:
+#: Every dispatch of :func:`repro.axes.vec.forward_step` /
+#: ``inverse_step`` ticks exactly one of ``fused_hits``,
+#: ``fallback_scans`` and ``vector_ops``: the three partition the
+#: axis-step work (the EXP-AXIS counter gate checks it).
+axis_kernel_stats = Counters(
+    "axis",
+    (
+        "index_builds",
+        "index_adoptions",
+        "fused_hits",
+        "fallback_scans",
+        "lazy_documents",
+        "nodes_materialized",
+        "vector_ops",
+    ),
+    aliases={"fused_hits": "fused_kernels"},
+)
+
+#: One batch-shared step DAG (:mod:`repro.service.batchplan`), one
+#: instance per shared :meth:`~repro.service.QueryService.evaluate_many`.
+#: ``sharable_plans`` / ``shared_plans`` / ``independent_plans`` /
+#: ``prefix_nodes`` describe the DAG built. Every shared (plan, document)
+#: cell is one of ``cells``, served by the session memo (``memo_hits``),
+#: evaluated as a residual over a materialized prefix
+#: (``shared_evaluations``) or, on a per-cell error, evaluated
+#: independently (``fallback_cells``, mirrored as
+#: ``batch_plan_fallbacks``). ``prefix_evaluations`` are prefixes
+#: actually computed (a memo miss), ``prefix_memo_hits`` the rest.
+#: ``steps_independent`` counts the location steps independent
+#: evaluation would have applied for each shared evaluation,
+#: ``steps_shared`` the residual steps applied plus every
+#: materialized-prefix step. ``steps_saved`` is their difference, and
+#: ``>= 0`` whenever ``fallback_cells == 0``: prefixes materialize
+#: lazily, each as a residual of its longest materialized proper prefix,
+#: so sharing only ever removes work.
+BatchPlanStats = Counters(
+    "batch_plan",
+    (
+        "sharable_plans",
+        "shared_plans",
+        "independent_plans",
+        "prefix_nodes",
+        "cells",
+        "memo_hits",
+        "shared_evaluations",
+        "fallback_cells",
+        "prefix_evaluations",
+        "prefix_memo_hits",
+        "steps_independent",
+        "steps_shared",
+    ),
+    derived={"steps_saved": {"steps_independent": 1, "steps_shared": -1}},
+    identities={"cells": {"memo_hits": 1, "shared_evaluations": 1, "fallback_cells": 1}},
+    aliases={"fallback_cells": "fallbacks"},
+)
+
+_SERVE_COUNTERS = (
+    "requests",
+    "malformed",
+    "queries",
+    "admitted",
+    "degraded",
+    "rejected_overload",
+    "rejected_rate",
+    "rejected_quota",
+    "rejected_draining",
+    "request_errors",
+    "completed",
+    "deadlined",
+    "failed",
+    "drained",
+    "memo_hits",
+)
+_REJECTED = {key: 1 for key in _SERVE_COUNTERS if key.startswith("rejected_")}
+
+#: The serving daemon (:mod:`repro.serve`): one global instance and one
+#: per client, both ticked by every client event, so the global counters
+#: are the per-client sums plus the frames of no client (undecodable
+#: lines, ``BYE``). ``requests`` counts frames, ``malformed``
+#: the undecodable ones, ``queries`` those that reached the admission
+#: pipeline. Each query is ``admitted``, rejected with a typed reason —
+#: ``rejected_overload`` (admission), ``rejected_rate`` (token bucket),
+#: ``rejected_quota`` (in-flight cap), ``rejected_draining`` (shutdown) —
+#: or refused before admission for a request-shape error
+#: (``request_errors``: unknown document, unparsable query). Each
+#: admitted query gets exactly one response: ``completed``,
+#: ``deadlined`` or ``failed`` — nothing admitted is ever lost. Three
+#: subsets are not outcomes: ``degraded`` ⊆ admitted (admitted past the
+#: degrade watermark with the plan's evaluator forced and batch sharing
+#: dropped), ``drained`` ⊆ outcomes (delivered while draining) and
+#: ``memo_hits`` ⊆ completed (answered from the result memo on the event
+#: loop, no pricing, no evaluation).
+ServeStats = Counters(
+    "serve",
+    _SERVE_COUNTERS,
+    derived={"rejected": _REJECTED},
+    identities={
+        "queries": {"admitted": 1, **_REJECTED, "request_errors": 1},
+        "admitted": {"completed": 1, "deadlined": 1, "failed": 1},
+    },
+)
+
+#: The document store and the snapshot codec (:mod:`repro.xml.store`,
+#: :mod:`repro.xml.snapshot`, :mod:`repro.xml.index`), process-wide: the
+#: partition pass and the structural check belong to documents, not to a
+#: store. Each counter is ticked where its event happens — ``fsyncs`` at
+#: the ``os.fsync`` call, ``files_written`` at the ``os.replace`` — so
+#: the identities are checks, not definitions: a put is one file, and it
+#: fsyncs its file and the store directory, a delete the directory after
+#: the unlink, and creating the store directory its parent, once per
+#: store. ``opens`` counts loads that returned a document,
+#: ``bytes_written`` the blob bytes of the puts, ``partition_passes`` the
+#: ``O(|D|)`` runs of :meth:`~repro.xml.index.NodeIndex._build_partitions`
+#: (one per parse or build, one inside each full structural check, none
+#: on a store load) and ``structural_checks`` the runs of the full check
+#: (:func:`~repro.xml.snapshot.check_snapshot`: one per
+#: :func:`~repro.xml.snapshot.decode_snapshot`, none on a store load).
+store_stats = Counters(
+    "store",
+    (
+        "puts",
+        "deletes",
+        "opens",
+        "files_written",
+        "fsyncs",
+        "bytes_written",
+        "directories_created",
+        "partition_passes",
+        "structural_checks",
+    ),
+    identities={
+        "files_written": {"puts": 1},
+        "fsyncs": {"puts": 2, "deletes": 1, "directories_created": 1},
+    },
+)
+
+#: The daemon's fault seam (:class:`repro.serve.faults.FaultInjector`):
+#: ``evaluations_started`` — the proof that a rejected request never
+#: reached evaluation — and ``faults_injected``.
+FaultStats = Counters("faults", ("evaluations_started", "faults_injected"))
+
+#: Every family, declared once.
+FAMILIES = (CacheStats, axis_kernel_stats, BatchPlanStats, ServeStats, store_stats, FaultStats)
 
 
 @dataclass
@@ -139,8 +407,8 @@ class TimingStats:
     predicted and the seconds the evaluation actually took — and the
     per-key exponentially-weighted seconds-per-unit rate is what
     admission control (:mod:`repro.serve.admission`) prices with once a
-    key has enough observations. Counters are lock-protected for the same reason
-    :class:`CacheStats` counters are: concurrent drivers must not lose
+    key has enough observations. Its maps are lock-protected for the
+    reason :class:`Counters` are: concurrent drivers must not lose
     observations. Every observation is also mirrored into the active
     :func:`collect` collectors as ``<name>_<key>_observations`` /
     ``<name>_<key>_ns`` counters.
@@ -196,449 +464,6 @@ class TimingStats:
                 }
                 for key in self._rates
             }
-
-
-@dataclass
-class KernelStats:
-    """Exact accounting for the output-sensitive axis kernels.
-
-    Seven counters, each updated under the instance lock (the same
-    exactness contract as :class:`CacheStats` — the thread-safety hammer
-    asserts them with ``==``):
-
-    * ``index_builds`` — :class:`repro.xml.index.NodeIndex` constructions
-      (at most one per document, ever: the index cache builds under its
-      lock);
-    * ``index_adoptions`` — prebuilt indexes seeded into the cache by
-      snapshot loads (:func:`repro.xml.index.adopt_node_index`); kept
-      apart from ``index_builds`` so the one-build-per-document
-      exactness stays assertable;
-    * ``fused_hits`` — axis-step dispatches served by an
-      output-sensitive kernel over fewer than
-      :data:`repro.axes.vec.VECTOR_MIN_BLOCK` origins, or on an axis
-      whose kernel has no whole-column form (the sibling axes, ``id``);
-    * ``fallback_scans`` — dispatches that ran the paper's ``O(|D|)``
-      Definition-1 scan instead (predicted output too large, or scan
-      mode forced);
-    * ``lazy_documents`` — documents constructed (by the parser, the
-      builders or the snapshot decoder: :class:`repro.xml.document.Document`);
-    * ``nodes_materialized`` — ``Node`` objects actually created on
-      those documents, each pre counted exactly once ever (creation
-      runs under the per-document lock). A batch's delta is the
-      O(output) the column path promises;
-    * ``vector_ops`` — step ops run by a kernel over a block of at least
-      ``VECTOR_MIN_BLOCK`` members in whole-column operations: an axis
-      step on one of :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /
-      ``INVERSE_VECTOR_AXES``, or the name-test filter of a backward
-      step.
-
-    Every dispatch of :func:`repro.axes.vec.forward_step` /
-    ``inverse_step`` ticks exactly one of ``fused_hits``,
-    ``fallback_scans`` and ``vector_ops``, so the three partition the
-    axis-step work exactly — the invariant the EXP-AXIS counter gate
-    checks. Events are mirrored into active :func:`collect` collectors
-    as ``axis_index_builds`` / ``axis_index_adoptions`` /
-    ``axis_fused_kernels`` / ``axis_fallback_scans`` /
-    ``axis_vector_ops``.
-    """
-
-    name: str = "axis_kernels"
-    index_builds: int = 0
-    index_adoptions: int = 0
-    fused_hits: int = 0
-    fallback_scans: int = 0
-    lazy_documents: int = 0
-    nodes_materialized: int = 0
-    vector_ops: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def index_build(self, amount: int = 1) -> None:
-        with self._lock:
-            self.index_builds += amount
-        count("axis_index_builds", amount)
-
-    def index_adoption(self, amount: int = 1) -> None:
-        with self._lock:
-            self.index_adoptions += amount
-        count("axis_index_adoptions", amount)
-
-    def fused(self, amount: int = 1) -> None:
-        with self._lock:
-            self.fused_hits += amount
-        count("axis_fused_kernels", amount)
-
-    def fallback(self, amount: int = 1) -> None:
-        with self._lock:
-            self.fallback_scans += amount
-        count("axis_fallback_scans", amount)
-
-    def lazy_document(self, amount: int = 1) -> None:
-        with self._lock:
-            self.lazy_documents += amount
-        count("axis_lazy_documents", amount)
-
-    def node_materialized(self, amount: int = 1) -> None:
-        with self._lock:
-            self.nodes_materialized += amount
-        count("axis_nodes_materialized", amount)
-
-    def vector_op(self, amount: int = 1) -> None:
-        with self._lock:
-            self.vector_ops += amount
-        count("axis_vector_ops", amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """A consistent point-in-time copy of the counters."""
-        with self._lock:
-            return {
-                "index_builds": self.index_builds,
-                "index_adoptions": self.index_adoptions,
-                "fused_hits": self.fused_hits,
-                "fallback_scans": self.fallback_scans,
-                "lazy_documents": self.lazy_documents,
-                "nodes_materialized": self.nodes_materialized,
-                "vector_ops": self.vector_ops,
-            }
-
-
-#: The process-wide kernel counters: the node-index cache and the fused
-#: axis dispatch are process-global (indexes are per *document*, not per
-#: service), so their exact accounting is too. CLI ``batch --stats``
-#: prints this; the thread-safety hammer asserts it.
-axis_kernel_stats = KernelStats()
-
-
-@dataclass
-class BatchPlanStats:
-    """Exact accounting for one batch-shared step DAG
-    (:mod:`repro.service.batchplan`).
-
-    One instance per :meth:`~repro.service.QueryService.evaluate_many`
-    call with sharing on, so the counters need no delta arithmetic. The
-    same exactness contract as :class:`CacheStats` holds, with two
-    reconciliation identities the tests and the EXP-MQO counter gate
-    assert literally:
-
-    * ``cells == memo_hits + shared_evaluations + fallback_cells`` —
-      every shared (plan, document) cell is either served by the session
-      memo, evaluated as a residual over a materialized prefix, or (on a
-      per-cell error) fell back to an independent evaluation;
-    * ``steps_saved == steps_independent - steps_shared >= 0`` whenever
-      ``fallback_cells == 0`` — prefixes are materialized lazily (only
-      when a consumer actually misses the memo) and each is computed as
-      a residual of its longest materialized proper prefix, so the
-      telescoped prefix work assigned to a miss cell never exceeds the
-      steps independent evaluation would have spent on that cell.
-      Sharing only ever removes work.
-
-    ``steps_independent`` counts, for each shared evaluation, the
-    location steps an independent evaluation of that cell would have
-    applied; ``steps_shared`` counts the residual steps actually applied
-    plus every materialized-prefix step (each prefix computed at most
-    once per document, through the memo). Plan-level fields
-    (``sharable_plans``/``shared_plans``/``independent_plans``/
-    ``prefix_nodes``) describe the DAG built for the batch.
-    """
-
-    name: str = "batch_plan"
-    sharable_plans: int = 0
-    shared_plans: int = 0
-    independent_plans: int = 0
-    prefix_nodes: int = 0
-    cells: int = 0
-    memo_hits: int = 0
-    shared_evaluations: int = 0
-    fallback_cells: int = 0
-    prefix_evaluations: int = 0
-    prefix_memo_hits: int = 0
-    steps_independent: int = 0
-    steps_shared: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def plan_counts(
-        self, sharable: int, shared: int, independent: int, prefixes: int
-    ) -> None:
-        """Record the DAG shape chosen at build time."""
-        with self._lock:
-            self.sharable_plans += sharable
-            self.shared_plans += shared
-            self.independent_plans += independent
-            self.prefix_nodes += prefixes
-
-    def cell(self, amount: int = 1) -> None:
-        with self._lock:
-            self.cells += amount
-        count(f"{self.name}_cells", amount)
-
-    def memo_hit(self, amount: int = 1) -> None:
-        with self._lock:
-            self.memo_hits += amount
-        count(f"{self.name}_memo_hits", amount)
-
-    def shared_evaluation(self, total_steps: int, residual_steps: int) -> None:
-        """One miss cell evaluated as a residual: independent evaluation
-        would have applied ``total_steps``; sharing applied only the
-        ``residual_steps`` past the materialized base prefix."""
-        with self._lock:
-            self.shared_evaluations += 1
-            self.steps_independent += total_steps
-            self.steps_shared += residual_steps
-        count(f"{self.name}_shared_evaluations")
-
-    def fallback(self, amount: int = 1) -> None:
-        with self._lock:
-            self.fallback_cells += amount
-        count(f"{self.name}_fallbacks", amount)
-
-    def prefix_evaluation(self, steps: int) -> None:
-        """One materialized prefix actually computed (memo miss), as a
-        residual of ``steps`` location steps over its parent prefix."""
-        with self._lock:
-            self.prefix_evaluations += 1
-            self.steps_shared += steps
-        count(f"{self.name}_prefix_evaluations")
-
-    def prefix_memo_hit(self, amount: int = 1) -> None:
-        with self._lock:
-            self.prefix_memo_hits += amount
-        count(f"{self.name}_prefix_memo_hits", amount)
-
-    @property
-    def steps_saved(self) -> int:
-        with self._lock:
-            return self.steps_independent - self.steps_shared
-
-    def snapshot(self) -> dict[str, int]:
-        """A consistent point-in-time copy of the counters, including the
-        derived ``steps_saved``."""
-        with self._lock:
-            merged = {
-                "sharable_plans": self.sharable_plans,
-                "shared_plans": self.shared_plans,
-                "independent_plans": self.independent_plans,
-                "prefix_nodes": self.prefix_nodes,
-                "cells": self.cells,
-                "memo_hits": self.memo_hits,
-                "shared_evaluations": self.shared_evaluations,
-                "fallback_cells": self.fallback_cells,
-                "prefix_evaluations": self.prefix_evaluations,
-                "prefix_memo_hits": self.prefix_memo_hits,
-                "steps_independent": self.steps_independent,
-                "steps_shared": self.steps_shared,
-            }
-        merged["steps_saved"] = (
-            merged["steps_independent"] - merged["steps_shared"]
-        )
-        return merged
-
-
-class ServeStats:
-    """Exact accounting for the serving daemon (:mod:`repro.serve`).
-
-    The daemon keeps one instance per client plus one global instance
-    and bumps both on every event, so the global counters are the exact
-    per-client sums at all times (the EXP-SERVE gate asserts this with
-    ``==``). The same exactness contract as :class:`CacheStats` holds —
-    every update happens under the instance lock — with two
-    reconciliation identities the tests and the benchmark gate assert
-    literally against protocol-level request counts:
-
-    * ``queries == admitted + rejected_overload + rejected_rate +
-      rejected_quota + rejected_draining + request_errors`` — every
-      query that reached the admission pipeline was admitted, rejected
-      (with a typed reason), or failed request validation *before*
-      admission (unknown document, unparsable query);
-    * ``admitted == completed + deadlined + failed`` — every admitted
-      query produced exactly one response: its value, a typed
-      ``DEADLINE`` marker, or a typed evaluation error. Nothing is ever
-      admitted and then lost — the zero-lost-responses drain gate is
-      this identity plus a client-side response count.
-
-    ``degraded`` counts admissions past the degrade watermark that were
-    downgraded (the plan's evaluator forced, batch sharing dropped)
-    instead of rejected — a subset of ``admitted``. ``drained`` counts
-    responses (completed, deadlined, or failed) delivered while the
-    daemon was draining — a subset of the outcome counters, never a
-    separate outcome. ``memo_hits`` counts queries answered from the
-    result memo on the event loop, with no pricing and no evaluation —
-    admitted and completed like any other answer, so a subset of
-    ``completed``.
-    """
-
-    #: Every counter, declared once: the attributes, :meth:`snapshot`'s
-    #: keys (in this order) and what :meth:`absorb_snapshot` folds.
-    COUNTERS = (
-        "requests",
-        "malformed",
-        "queries",
-        "admitted",
-        "degraded",
-        "rejected_overload",
-        "rejected_rate",
-        "rejected_quota",
-        "rejected_draining",
-        "request_errors",
-        "completed",
-        "deadlined",
-        "failed",
-        "drained",
-        "memo_hits",
-    )
-
-    def __init__(self, name: str = "serve"):
-        self.name = name
-        self._lock = threading.Lock()
-        for key in self.COUNTERS:
-            setattr(self, key, 0)
-
-    def request(self, amount: int = 1) -> None:
-        with self._lock:
-            self.requests += amount
-        count(f"{self.name}_requests", amount)
-
-    def malformed_frame(self, amount: int = 1) -> None:
-        with self._lock:
-            self.malformed += amount
-        count(f"{self.name}_malformed", amount)
-
-    def query(self, amount: int = 1) -> None:
-        """One query reached the admission pipeline."""
-        with self._lock:
-            self.queries += amount
-        count(f"{self.name}_queries", amount)
-
-    def admit(self, degraded: bool = False) -> None:
-        with self._lock:
-            self.admitted += 1
-            if degraded:
-                self.degraded += 1
-        count(f"{self.name}_admitted")
-
-    def reject(self, reason: str) -> None:
-        """One typed pre-evaluation rejection: ``overload`` (admission),
-        ``rate`` (token bucket), ``quota`` (in-flight cap), or
-        ``draining`` (shutdown in progress)."""
-        field_name = f"rejected_{reason}"
-        with self._lock:
-            setattr(self, field_name, getattr(self, field_name) + 1)
-        count(f"{self.name}_{field_name}")
-
-    def request_error(self, amount: int = 1) -> None:
-        """One query refused before admission for a request-shape error
-        (unknown document, unparsable query, bad arguments)."""
-        with self._lock:
-            self.request_errors += amount
-        count(f"{self.name}_request_errors", amount)
-
-    def complete(self, drained: bool = False, memo: bool = False) -> None:
-        with self._lock:
-            self.completed += 1
-            if drained:
-                self.drained += 1
-            if memo:
-                self.memo_hits += 1
-        count(f"{self.name}_completed")
-
-    def deadline(self, drained: bool = False) -> None:
-        with self._lock:
-            self.deadlined += 1
-            if drained:
-                self.drained += 1
-        count(f"{self.name}_deadlined")
-
-    def fail(self, drained: bool = False) -> None:
-        with self._lock:
-            self.failed += 1
-            if drained:
-                self.drained += 1
-        count(f"{self.name}_failed")
-
-    def absorb_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` dict into this instance (derived
-        fields recomputed, never summed)."""
-        with self._lock:
-            for key in self.COUNTERS:
-                setattr(self, key, getattr(self, key) + snapshot.get(key, 0))
-
-    def snapshot(self) -> dict[str, int]:
-        """A consistent point-in-time copy, including the derived
-        ``rejected`` total."""
-        with self._lock:
-            merged = {key: getattr(self, key) for key in self.COUNTERS}
-        merged["rejected"] = sum(
-            merged[key] for key in self.COUNTERS if key.startswith("rejected_")
-        )
-        return merged
-
-
-class StoreStats:
-    """Exact accounting for the document store and the snapshot codec
-    (:mod:`repro.xml.store`, :mod:`repro.xml.snapshot`,
-    :mod:`repro.xml.index`). Each counter is ticked where its event
-    happens — ``fsyncs`` at the ``os.fsync`` call, ``files_written`` at
-    the ``os.replace`` — never derived from another, so the identities
-    are checks, not definitions:
-
-    * ``files_written == puts`` — a put is one file, and nothing else
-      writes one;
-    * ``fsyncs == 2 × puts + deletes + directories_created`` — a put
-      fsyncs its file and the store directory, a delete the directory
-      after the unlink, and creating the store directory fsyncs its
-      parent, once per store.
-
-    ``opens`` counts :meth:`~repro.xml.store.DocumentStore.load` calls
-    that returned a document, ``bytes_written`` the blob bytes of the
-    puts, ``partition_passes`` the ``O(|D|)`` runs of
-    :meth:`~repro.xml.index.NodeIndex._build_partitions` (one per parse
-    or build, one inside each full structural check, none on a store
-    load) and ``structural_checks`` the runs of the full
-    ``O(|D|)`` check (:func:`~repro.xml.snapshot.check_snapshot`: one
-    per :func:`~repro.xml.snapshot.decode_snapshot`, none on a store
-    load).
-    """
-
-    #: Every counter, declared once: the attributes and
-    #: :meth:`snapshot`'s keys (in this order).
-    COUNTERS = (
-        "puts",
-        "deletes",
-        "opens",
-        "files_written",
-        "fsyncs",
-        "bytes_written",
-        "directories_created",
-        "partition_passes",
-        "structural_checks",
-    )
-
-    def __init__(self, name: str = "store"):
-        self.name = name
-        self._lock = threading.Lock()
-        for key in self.COUNTERS:
-            setattr(self, key, 0)
-
-    def tick(self, key: str, amount: int = 1) -> None:
-        """Add ``amount`` to the counter ``key`` (one of :attr:`COUNTERS`)."""
-        if key not in self.COUNTERS:
-            raise KeyError(key)
-        with self._lock:
-            setattr(self, key, getattr(self, key) + amount)
-        count(f"{self.name}_{key}", amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """A consistent point-in-time copy of the counters."""
-        with self._lock:
-            return {key: getattr(self, key) for key in self.COUNTERS}
-
-
-#: The process-wide store counters — process-global for the reason
-#: :data:`axis_kernel_stats` is: the partition pass and the structural
-#: check belong to documents, not to a store instance.
-store_stats = StoreStats()
 
 
 # Active collectors; almost always empty, occasionally one deep.

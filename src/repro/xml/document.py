@@ -359,7 +359,7 @@ class Document:
         self._texts_decoded = 0
         self._paths = None
         self._root_element_pre = self._find_root_element_pre()
-        axis_kernel_stats.lazy_document()
+        axis_kernel_stats.tick("lazy_documents")
 
     @classmethod
     def from_columns(
@@ -424,7 +424,7 @@ class Document:
             node = self._cache[pre]
             if node is None:  # else a racing caller's node is it
                 node = self._cache[pre] = Node(self, pre)
-                axis_kernel_stats.node_materialized()
+                axis_kernel_stats.tick("nodes_materialized")
             return node
 
     def nodes_at(self, pres) -> list[Node]:

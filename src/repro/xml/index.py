@@ -557,7 +557,7 @@ def node_index(document: Document) -> NodeIndex:
         index = NodeIndex.from_columns(document, document.columns)
         with _INDEX_LOCK:
             _INDEX_CACHE[document] = index
-            axis_kernel_stats.index_build()
+            axis_kernel_stats.tick("index_builds")
     return index
 
 
@@ -580,7 +580,7 @@ def adopt_node_index(document: Document, index: NodeIndex) -> NodeIndex:
         if existing is not None:
             return existing
         _INDEX_CACHE[document] = index
-        axis_kernel_stats.index_adoption()
+        axis_kernel_stats.tick("index_adoptions")
     return index
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import threading
+
 import pytest
 
 from repro.engine import XPathEngine
+from repro.serve import XPathDaemon
+from repro.serve.admission import AdmissionController
 from repro.workloads.documents import (
     book_catalog,
     doubling_document,
@@ -123,3 +129,40 @@ def assert_all_agree(engine: XPathEngine, query: str, algorithms=ALL_ALGORITHMS)
             f"{value!r} != {baseline!r}"
         )
     return baseline
+
+
+@contextlib.contextmanager
+def running_daemon(**kwargs):
+    """A daemon on its own loop thread; drains and joins on exit."""
+    holder = {}
+    ready = threading.Event()
+
+    def run():
+        async def main():
+            daemon = XPathDaemon(**kwargs)
+            await daemon.start()
+            holder["daemon"] = daemon
+            holder["loop"] = asyncio.get_running_loop()
+            ready.set()
+            await daemon.wait_closed()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(10), "daemon failed to start"
+    try:
+        yield holder["daemon"]
+    finally:
+        with contextlib.suppress(RuntimeError):
+            holder["loop"].call_soon_threadsafe(holder["daemon"].initiate_drain)
+        thread.join(15)
+        assert not thread.is_alive(), "daemon loop failed to drain"
+
+
+def permissive(service, **overrides):
+    """An admission controller that admits everything (tests that want
+    to reach evaluation, deadlines, or faults without pricing noise)."""
+    defaults = dict(seconds_per_unit=1e-12, max_cost_seconds=60.0)
+    defaults.update(overrides)
+    return AdmissionController(service, **defaults)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine import XPathEngine
 from repro.service import QueryService
+from repro.stats import BatchPlanStats
 from repro.workloads.documents import (
     random_document,
     running_example_document,
@@ -358,7 +359,7 @@ def test_fuzz_corpus_through_the_service_layer():
     queries = [random_core_query(rng) for _ in range(30)]
     for query in queries + queries:  # second pass: all cache hits
         assert service.evaluate(query, document) == engine.evaluate(query)
-    assert service.plans.stats.hits >= len(queries)
+    assert service.plans.stats.snapshot()["hits"] >= len(queries)
 
 
 def test_fuzz_is_deterministic():
@@ -422,8 +423,6 @@ def test_batch_sharing_differential():
     assert independent.batch_plan == {}
     plan = shared.batch_plan
     assert plan["shared_plans"] >= 5
-    assert plan["cells"] == (
-        plan["memo_hits"] + plan["shared_evaluations"] + plan["fallback_cells"]
-    )
+    assert BatchPlanStats.residuals(plan) == {"cells": 0, "steps_saved": 0}
     if plan["fallback_cells"] == 0:
         assert plan["steps_saved"] >= 0

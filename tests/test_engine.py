@@ -102,7 +102,7 @@ def test_changing_or_rebinding_variables_changes_the_answer(engine):
     # Rebinding back to a seen value reuses that plan.
     engine_with_vars.variables = {"x": 1.0}
     assert engine_with_vars.evaluate("$x + 0") == 1.0
-    assert engine_with_vars.plans.stats.hits == 1
+    assert engine_with_vars.plans.stats.snapshot()["hits"] == 1
 
 
 def test_plan_cache_is_bounded_at_the_service_default(engine):
@@ -111,7 +111,7 @@ def test_plan_cache_is_bounded_at_the_service_default(engine):
     for index in range(capacity + 10):
         engine.compile(f"count(//b) + {index}")
     assert len(engine.plans) == capacity
-    assert engine.plans.stats.evictions == 10
+    assert engine.plans.stats.snapshot()["evictions"] == 10
 
 
 def test_unbound_variable_raises(engine):

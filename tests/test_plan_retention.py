@@ -70,7 +70,7 @@ def test_evaluate_many_retains_at_most_plan_capacity_plans():
     queries = distinct_queries(4 * CAPACITY)
     batch = service.evaluate_many(queries, documents)
     assert batch.batch_plan["prefix_nodes"] >= 2
-    assert service.plans.stats.misses == len(queries)
+    assert service.plans.stats.snapshot()["misses"] == len(queries)
     assert live_plans() - baseline <= CAPACITY
 
 
@@ -82,7 +82,7 @@ def test_daemon_query_path_retains_at_most_plan_capacity_plans():
             client.register("books", BOOKS)
             for query in distinct_queries(4 * CAPACITY):
                 assert client.query(query, "books")["kind"] == "node-set"
-    assert service.plans.stats.misses == 4 * CAPACITY
+    assert service.plans.stats.snapshot()["misses"] == 4 * CAPACITY
     assert live_plans() - baseline <= CAPACITY
 
 

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from conftest import permissive, running_daemon
 from repro.cli import _CODE_EXITS, error_exit_code, main as cli_main
 from repro.engine import XPathEngine
 from repro.errors import (
@@ -52,51 +53,10 @@ BOOKS = (
 )
 
 
-@contextlib.contextmanager
-def running_daemon(**kwargs):
-    """A daemon on its own loop thread; drains and joins on exit."""
-    holder = {}
-    ready = threading.Event()
-
-    def run():
-        async def main():
-            daemon = XPathDaemon(**kwargs)
-            await daemon.start()
-            holder["daemon"] = daemon
-            holder["loop"] = asyncio.get_running_loop()
-            ready.set()
-            await daemon.wait_closed()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "daemon failed to start"
-    try:
-        yield holder["daemon"]
-    finally:
-        with contextlib.suppress(RuntimeError):
-            holder["loop"].call_soon_threadsafe(holder["daemon"].initiate_drain)
-        thread.join(15)
-        assert not thread.is_alive(), "daemon loop failed to drain"
-
-
-def permissive(service, **overrides):
-    """An admission controller that admits everything (tests that want
-    to reach evaluation, deadlines, or faults without pricing noise)."""
-    defaults = dict(seconds_per_unit=1e-12, max_cost_seconds=60.0)
-    defaults.update(overrides)
-    return AdmissionController(service, **defaults)
-
-
 def assert_identities(snapshot):
-    """The two exact reconciliation identities every test can close on."""
-    assert snapshot["queries"] == (
-        snapshot["admitted"] + snapshot["rejected"] + snapshot["request_errors"]
-    )
-    assert snapshot["admitted"] == (
-        snapshot["completed"] + snapshot["deadlined"] + snapshot["failed"]
-    )
+    """The two exact reconciliation identities every test can close on
+    (``queries`` and ``admitted``), and the ``rejected`` total."""
+    assert ServeStats.residuals(snapshot) == {"queries": 0, "admitted": 0, "rejected": 0}
 
 
 # ----------------------------------------------------------------------

@@ -172,9 +172,9 @@ def test_lru_eviction_order_and_counters():
     assert "b" not in cache
     assert "a" in cache and "c" in cache
     assert cache.get("b") is None
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    assert cache.stats.evictions == 1
+    assert cache.stats.snapshot()["hits"] == 1
+    assert cache.stats.snapshot()["misses"] == 1
+    assert cache.stats.snapshot()["evictions"] == 1
     assert len(cache) == 2
 
 
@@ -184,11 +184,11 @@ def test_plan_cache_counters_are_exact():
     for _ in range(3):
         for query in QUERIES:
             service.evaluate(query, document)
-    plan_stats = service.plans.stats
-    assert plan_stats.misses == len(QUERIES)
-    assert plan_stats.hits == 2 * len(QUERIES)
-    assert plan_stats.evictions == 0
-    assert plan_stats.hit_rate == pytest.approx(2 / 3)
+    plan_stats = service.plans.stats.snapshot()
+    assert plan_stats["misses"] == len(QUERIES)
+    assert plan_stats["hits"] == 2 * len(QUERIES)
+    assert plan_stats["evictions"] == 0
+    assert plan_stats["hit_rate"] == pytest.approx(2 / 3)
     result_stats = service.cache_stats()["result_cache"]
     assert result_stats["misses"] == len(QUERIES)
     assert result_stats["hits"] == 2 * len(QUERIES)
@@ -200,16 +200,16 @@ def test_plan_cache_eviction_under_capacity_pressure():
     queries = ["//a", "//b", "//c", "//d"]
     for query in queries:
         service.evaluate(query, document)
-    assert service.plans.stats.misses == 4
-    assert service.plans.stats.evictions == 2
+    assert service.plans.stats.snapshot()["misses"] == 4
+    assert service.plans.stats.snapshot()["evictions"] == 2
     assert len(service.plans) == 2
     # Only the two most recent survive.
     survivors = {key[0] for key in service.plans.keys()}
     assert survivors == {"//c", "//d"}
     # Re-requesting an evicted query recompiles (a miss), not a stale hit.
-    before = service.plans.stats.misses
+    before = service.plans.stats.snapshot()["misses"]
     service.evaluate("//a", document)
-    assert service.plans.stats.misses == before + 1
+    assert service.plans.stats.snapshot()["misses"] == before + 1
 
 
 def test_session_capacity_bounds_document_retention():
@@ -239,11 +239,11 @@ def test_result_memo_survives_plan_eviction_and_recompile():
         service.evaluate("//b", document)  # evicts //c's plan
         service.evaluate("//c", document)  # evicts //b's plan
     # The plan cache thrashes by construction...
-    assert service.plans.stats.misses == 2 * rounds
-    assert service.plans.stats.evictions == 2 * rounds - 1
+    assert service.plans.stats.snapshot()["misses"] == 2 * rounds
+    assert service.plans.stats.snapshot()["evictions"] == 2 * rounds - 1
     # ...but the result memo keeps hitting across recompilations.
-    assert session.result_stats.misses == 2
-    assert session.result_stats.hits == 2 * (rounds - 1)
+    assert session.result_stats.snapshot()["misses"] == 2
+    assert session.result_stats.snapshot()["hits"] == 2 * (rounds - 1)
     # No unreachable-entry growth: one memo entry per distinct request.
     assert len(session._results) == 2
     # The memo entry the first //b plan filled does not keep that plan:
@@ -251,7 +251,7 @@ def test_result_memo_survives_plan_eviction_and_recompile():
     gc.collect()
     assert first_plan() is None
     service.evaluate("//b", document)
-    assert session.result_stats.hits == 2 * rounds - 1
+    assert session.result_stats.snapshot()["hits"] == 2 * rounds - 1
     assert len(session._results) == 2
 
 
@@ -262,7 +262,7 @@ def test_result_memo_flushes_at_capacity():
     for query in ("//b", "//c", "//d"):  # third insert flushes the memo
         service.evaluate(query, document)
     assert len(session._results) == 1
-    assert session.result_stats.evictions == 2
+    assert session.result_stats.snapshot()["evictions"] == 2
     # Flushed entries recompute correctly (a miss, not an error).
     assert service.evaluate("//b", document) == XPathEngine(document).evaluate("//b")
 
@@ -274,7 +274,7 @@ def test_get_or_create_factory_runs_once():
         value = cache.get_or_create("k", lambda: calls.append(1) or "v")
     assert value == "v"
     assert calls == [1]
-    assert cache.stats.hits == 2 and cache.stats.misses == 1
+    assert cache.stats.snapshot()["hits"] == 2 and cache.stats.snapshot()["misses"] == 1
 
 
 def test_get_or_create_factory_with_recursive_inserts_keeps_counters_exact():
@@ -290,7 +290,7 @@ def test_get_or_create_factory_with_recursive_inserts_keeps_counters_exact():
 
     assert cache.get_or_create("k", factory) == "outer"
     assert len(cache) == 2
-    assert cache.stats.evictions == 1          # "x" (LRU) and nothing else
+    assert cache.stats.snapshot()["evictions"] == 1          # "x" (LRU) and nothing else
     assert list(cache.keys()) == ["y", "k"]
     assert cache.get("k") == "outer"
 
@@ -306,7 +306,7 @@ def test_get_or_create_factory_inserting_the_same_key_is_not_an_eviction():
 
     assert cache.get_or_create("k", factory) == "outer"
     assert len(cache) == 1
-    assert cache.stats.evictions == 0
+    assert cache.stats.snapshot()["evictions"] == 0
     assert cache.get("k") == "outer"
 
 
@@ -317,7 +317,7 @@ def test_put_refreshes_existing_key_to_mru():
     cache.put("a", 10)            # refresh must move "a" to the MRU end
     cache.put("c", 3)             # so this evicts "b", not "a"
     assert "a" in cache and "c" in cache and "b" not in cache
-    assert cache.stats.evictions == 1
+    assert cache.stats.snapshot()["evictions"] == 1
 
 
 def test_capacity_must_be_positive():
@@ -343,7 +343,7 @@ def test_clear_drops_entries_but_keeps_stats():
     service.evaluate("//b", document)
     service.clear()
     assert len(service.plans) == 0
-    assert service.plans.stats.misses == 1
+    assert service.plans.stats.snapshot()["misses"] == 1
     # After clearing, the same query compiles again.
     service.evaluate("//b", document)
-    assert service.plans.stats.misses == 2
+    assert service.plans.stats.snapshot()["misses"] == 2

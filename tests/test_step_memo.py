@@ -136,7 +136,7 @@ def test_a_repeated_step_is_cloned_and_every_evaluator_agrees(query):
     planner = QueryPlanner()
     warmup = [planner.compile(text) for text in WARMUP]
     plan = planner.compile(query)
-    assert planner.steps.stats.hits > 0
+    assert planner.steps.stats.snapshot()["hits"] > 0
     assert_positions_unique(plan.ast)
     assert fingerprint(lambda q, v: plan, query) == fingerprint(compile_plan, query)
     # A hit is shared with the plan that stored it where it can be.
@@ -253,7 +253,7 @@ def test_a_hit_nested_past_max_depth_is_refused_where_a_cold_parse_is():
     for levels in (MAX_DEPTH - 9, MAX_DEPTH - 2, MAX_DEPTH - 1):
         query = "(" * levels + step + ")" * levels
         assert _outcome(planner.compile, query) == _outcome(compile_plan, query)
-    hits = planner.steps.stats.hits
+    hits = planner.steps.stats.snapshot()["hits"]
     assert hits >= 1  # the shallow one took the stored step
     deep = "(" * (MAX_DEPTH - 1) + step + ")" * (MAX_DEPTH - 1)
     with pytest.raises(XPathSyntaxError) as refused:

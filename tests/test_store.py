@@ -548,13 +548,10 @@ def test_store_counters_are_exact_and_their_identities_hold(tmp_path):
     # The family, declared once; the identities, over this whole run (a
     # put that died after its rename, as in the crash tests above, is a
     # file written and no put — which is why these are checks).
-    end = stats.store_stats.snapshot()
-    assert tuple(end) == stats.StoreStats.COUNTERS
-    totals = {key: end[key] - start[key] for key in end}
+    totals = stats.store_stats.delta(start)
+    assert tuple(totals) == stats.store_stats.COUNTERS
     assert totals["puts"] == 3 and totals["deletes"] == 1 and totals["opens"] == 1
-    assert totals["files_written"] == totals["puts"]
-    assert totals["fsyncs"] == (
-        2 * totals["puts"] + totals["deletes"] + totals["directories_created"]
-    )
+    # files_written == puts, fsyncs == 2·puts + deletes + directories_created
+    assert stats.store_stats.residuals(totals) == {"files_written": 0, "fsyncs": 0}
     with pytest.raises(KeyError):
         stats.store_stats.tick("saves")

@@ -1,7 +1,8 @@
 """Concurrency hammer: one shared QueryService under many threads.
 
-PR 3's thread-safety contract: :class:`PlanCache`, :class:`CacheStats`,
-and the :class:`QueryService` session/memo maps are lock-protected, so a
+The thread-safety contract: :class:`PlanCache`, every
+:class:`repro.stats.Counters` family and the :class:`QueryService`
+session/memo maps are lock-protected, so a
 single service driven from many threads (the serving daemon's worker
 threads, an event loop's offload pool, or plain user threads) keeps
 *exact* counters — every lookup counted exactly once, every capacity
@@ -13,11 +14,14 @@ locks, losing increments under an 8-thread hammer was the overwhelmingly
 likely outcome, so equality is the regression signal.
 """
 
+import sys
 import threading
+
+import pytest
 
 from repro.engine import XPathEngine
 from repro.service import PlanCache, QueryService
-from repro.stats import CacheStats
+from repro.stats import FAMILIES, ServeStats
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
 from repro.xml.parser import parse_document
 
@@ -47,20 +51,60 @@ def _hammer(worker, threads=THREADS):
         raise errors[0]
 
 
-def test_cache_stats_counters_are_exact_under_contention():
-    stats = CacheStats(name="hammer")
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.name)
+def test_counter_family_is_exact_under_contention(family):
+    """Every declared family, ticked and added to from 8 threads, ends
+    with exactly the amounts it was given."""
+    counters = family()
 
     def worker(_):
-        for _ in range(1000):
-            stats.hit()
-            stats.miss()
-            stats.eviction()
+        for _ in range(500):
+            for key in counters.COUNTERS:
+                counters.tick(key)
+            counters.add(dict.fromkeys(counters.COUNTERS, 1))
 
     _hammer(worker)
-    assert stats.hits == THREADS * 1000
-    assert stats.misses == THREADS * 1000
-    assert stats.evictions == THREADS * 1000
-    assert stats.lookups == 2 * THREADS * 1000
+    snapshot = counters.snapshot()
+    assert {key: snapshot[key] for key in counters.COUNTERS} == dict.fromkeys(
+        counters.COUNTERS, THREADS * 1000
+    )
+
+
+def test_a_reader_never_sees_half_of_a_multi_counter_event():
+    """``add`` moves every counter of one event under one lock: a
+    concurrent snapshot never shows a subset ahead of its superset, even
+    though each event names the subset first."""
+    counters = ServeStats()
+    done = threading.Event()
+    torn = []
+
+    def reader():
+        while not done.is_set():
+            snapshot = counters.snapshot()
+            if (
+                snapshot["degraded"] > snapshot["admitted"]
+                or snapshot["memo_hits"] > snapshot["completed"]
+            ):
+                torn.append(snapshot)
+
+    def worker(_):
+        for _ in range(2000):
+            counters.add({"degraded": 1, "admitted": 1})
+            counters.add({"memo_hits": 1, "completed": 1})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    watcher = threading.Thread(target=reader)
+    try:
+        watcher.start()
+        _hammer(worker)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        watcher.join(10)
+    assert not watcher.is_alive()
+    assert torn == []
+    assert counters.snapshot()["admitted"] == THREADS * 2000
 
 
 def test_plan_cache_accounting_is_exact_under_contention():
@@ -77,13 +121,13 @@ def test_plan_cache_accounting_is_exact_under_contention():
             assert value == ("plan", key)
 
     _hammer(worker)
-    stats = cache.stats
+    stats = cache.stats.snapshot()
     total_lookups = THREADS * ROUNDS
-    assert stats.hits + stats.misses == total_lookups
+    assert stats["hits"] + stats["misses"] == total_lookups
     # Every miss inserted a brand-new key (the factory runs under the
     # lock, so racing callers of one key produce one miss, then hits);
     # keys only leave via counted evictions.
-    assert stats.misses - stats.evictions == len(cache)
+    assert stats["misses"] - stats["evictions"] == len(cache)
     assert len(cache) == cache.capacity
 
 
@@ -119,11 +163,11 @@ def test_shared_query_service_is_exact_and_correct_under_8_threads():
 
     _hammer(worker)
     evaluations = THREADS * ROUNDS
-    plan = service.plans.stats
+    plan = service.plans.stats.snapshot()
     # Exactly one plan-cache lookup per evaluate() call, none lost.
-    assert plan.hits + plan.misses == evaluations
+    assert plan["hits"] + plan["misses"] == evaluations
     # Keys leave the plan cache only via counted evictions.
-    assert plan.misses - plan.evictions == len(service.plans)
+    assert plan["misses"] - plan["evictions"] == len(service.plans)
     assert len(service.plans) <= 4
     # Exactly one result-memo lookup per evaluate() call, aggregated
     # across live and retired sessions, none lost.
@@ -212,9 +256,9 @@ def test_concurrent_drivers_through_the_async_front_end():
 
     values = asyncio.run(main())
     assert len(values) == 48
-    plan = service.plans.stats
-    assert plan.hits + plan.misses == 48
-    assert plan.misses - plan.evictions == len(service.plans)
+    plan = service.plans.stats.snapshot()
+    assert plan["hits"] + plan["misses"] == 48
+    assert plan["misses"] - plan["evictions"] == len(service.plans)
 
 
 def test_node_index_is_built_exactly_once_under_contention():
@@ -303,7 +347,7 @@ def test_vector_program_counters_are_exact_under_contention():
     """The block counters under the hammer: 8 threads evaluating the
     same compiled sweep over one shared document tick ``vector_ops`` and
     ``fused_hits`` by exactly ``threads x rounds x per-evaluation
-    shape`` — they ride the same locked :class:`repro.stats.KernelStats`,
+    shape`` — they ride the same locked :data:`repro.stats.axis_kernel_stats`,
     so equality is the torn-update regression signal — while every
     thread reads identical bytes."""
     from repro import stats
