@@ -96,9 +96,9 @@ def main() -> None:
 
     banner("Example 4: the outermost location path as plain node sets")
     mc2 = MinContextEvaluator(document)
-    first = mc2._eval_step_from_set(ast.steps[0], [document.root.pre])
+    first = mc2._eval_step_from_set(ast.steps[0], [document.root.pre], ast.steps[0].axis)
     print("X after /descendant::*      =", node_set(box_value(document, first, "nset")))
-    second = mc2._eval_step_from_set(ast.steps[1], first)
+    second = mc2._eval_step_from_set(ast.steps[1], first, ast.steps[1].axis)
     print("Y after descendant::*[...]  =", node_set(box_value(document, second, "nset")))
     print("final result of e           =", node_set(result))
 

@@ -28,7 +28,11 @@ intersections with the index's test partition
 (:func:`repro.axes.vec.filter_step`), ``χ⁻¹`` is
 :func:`repro.axes.vec.inverse_step` — the two halves of a Core sweep's
 backward step — and the resulting boolean table over ``dom`` is a list
-indexed by pre.
+indexed by pre. ``dom`` itself is never listed: it is a ``range`` of
+pres, a propagation from it starts at the node test's partition (what
+``filter_step`` returns for a full block), and an answer that is all of
+it (an absolute or primary-rooted path that holds) fills its table with
+one list multiplication.
 
 Soundness fixes relative to the *printed* pseudo-code:
 
@@ -107,15 +111,18 @@ def eval_bottomup_path(mc: MinContextEvaluator, node: Expr) -> None:
     else:
         raise EvaluationError(f"not a bottom-up-eligible node: {node!r}")
 
-    truths = [otherwise] * len(dom)
-    for x in start_nodes:
-        truths[x] = when_reached
+    if len(start_nodes) == len(dom):
+        truths = [when_reached] * len(dom)
+    else:
+        truths = [otherwise] * len(dom)
+        for x in start_nodes:
+            truths[x] = when_reached
     mc.store_dom_table(node, truths)
 
 
-def _dom(mc: MinContextEvaluator) -> list[int]:
-    """All of ``dom`` as a sorted pre list."""
-    return list(range(len(mc.document.nodes)))
+def _dom(mc: MinContextEvaluator) -> range:
+    """All of ``dom`` as a range of pres, never a list."""
+    return range(len(mc.document.nodes))
 
 
 def _comparison_parts(node: BinaryOp) -> tuple[Path, str, Expr]:
@@ -133,7 +140,7 @@ def propagate_path_backwards(
 ) -> list[int]:
     """Propagate a target set (sorted pres) backwards through ``π``: the
     returned sorted pre list is ``{x ∈ dom | some y ∈ targets is
-    reachable from x via π}``."""
+    reachable from x via π}``, a ``range`` when that is all of ``dom``."""
     if not isinstance(path, Path):
         raise EvaluationError(f"not a location path: {path!r}")
     current = targets

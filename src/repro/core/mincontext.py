@@ -96,6 +96,27 @@ Deviations from the printed pseudo-code:
   ``mincontext_contexts_evaluated`` and ``operator_applications`` read
   what the per-(cp, cs) loop would. A predicate that reads ``cn``, or
   an ``e`` with a library call, still runs the loop.
+* **One-row relations are node sets.** The printed eval_inner_locpath
+  always composes a ``dom × 2^dom`` relation. A relation with one
+  origin — an absolute inner path (``count(//b)``, ``id(//b/r)``), or
+  any inner path prepared for a single context — has one row, and that
+  row is a node set: :meth:`~MinContextEvaluator._compose_steps` runs it
+  through the set loop of eval_outermost_locpath (Example 4's idea,
+  applied wherever it holds), so it composes no relation cells and
+  threads no per-origin lists through the steps. Positional predicates
+  still rank per context node of their step. Two or more origins still
+  compose the relation.
+* **``//t`` runs as one descendant step.** In every step loop (outermost,
+  one-origin, relation composition) a bare ``descendant-or-self::node()``
+  followed by ``child::t[e1]...[eq]`` runs as ``descendant::t[e1]...[eq]``
+  (:func:`fused_steps`): the same candidates, without first listing
+  every node below the origin and evaluating it as a context. The two
+  steps fuse only when no ``ei`` reads ``position()`` or ``last()``:
+  child positions are counted per parent, descendant positions per
+  origin, so ``//t[2]`` (every second ``t`` child) is not
+  ``/descendant::t[2]`` (the document's second ``t``). The check is made
+  when the loop runs; the plan tree keeps both steps, so the other
+  evaluators and the batch DAG see the query as written.
 
 Instances are single-use: create one evaluator per query evaluation (the
 engine does). OPTMINCONTEXT pre-fills ``tables`` for bottom-up-evaluated
@@ -319,8 +340,14 @@ class MinContextEvaluator:
             current = self._primary_start_set(expr, X, outer)
         else:
             current = X
-        for step in expr.steps:
-            current = self._eval_step_from_set(step, current)
+        return self._sweep(expr.steps, current)
+
+    def _sweep(self, steps: list[Step], current: list[int]) -> list[int]:
+        """``π1/π2`` on node sets: each step maps the set reached so far
+        to the next (:meth:`_eval_step_from_set`), ``//t`` as one
+        descendant step (:func:`fused_steps`)."""
+        for axis, step in fused_steps(steps):
+            current = self._eval_step_from_set(step, current, axis)
         return current
 
     def _primary_start_set(self, path: Path, X: list[int], outer: tuple) -> list[int]:
@@ -337,17 +364,18 @@ class MinContextEvaluator:
         self.eval_by_cnode_only(predicate, nodes)
         return self.ranker(predicate)(nodes)
 
-    def _eval_step_from_set(self, step: Step, X: list[int]) -> list[int]:
-        """One step, set-in/set-out (the pseudo-code's ``χ::t[e1]...[eq]``
-        case of eval_outermost_locpath)."""
-        Y = step_candidate_pres(self.document, step.axis, X, step.node_test)
+    def _eval_step_from_set(self, step: Step, X: list[int], axis: str) -> list[int]:
+        """One step along ``axis`` (the step's own, or ``descendant`` for a
+        fused ``//t``), set-in/set-out (the pseudo-code's
+        ``χ::t[e1]...[eq]`` case of eval_outermost_locpath)."""
+        Y = step_candidate_pres(self.document, axis, X, step.node_test)
         for predicate in step.predicates:
             self.eval_by_cnode_only(predicate, Y)
         if position_free(step):
             return self.filter_by_cnode(step.predicates, Y)
         # At least one predicate needs cp/cs: loop over all pairs of
         # previous/current context node (Example 5 / Theorem 7's loop).
-        relation = step_relation_pres(self.document, step.axis, X, Y, step.node_test)
+        relation = step_relation_pres(self.document, axis, X, Y, step.node_test)
         result: set[int] = set()
         for candidates in relation.values():
             result.update(self.filter_by_position(step.predicates, candidates))
@@ -616,9 +644,7 @@ class MinContextEvaluator:
                 current = self._filter_document_order(current, predicate)
         else:
             current = [triple[0]]
-        for step in node.steps:
-            current = self._eval_step_from_set(step, current)
-        return current
+        return self._sweep(node.steps, current)
 
     # ------------------------------------------------------------------
     # eval_inner_locpath (Section 6)
@@ -626,7 +652,10 @@ class MinContextEvaluator:
 
     def eval_inner_locpath(self, expr: Expr, X: list[int]) -> dict[int, list[int]]:
         """Evaluate an inner location path as the relation
-        ``table(N) ⊆ dom × 2^dom`` (context node → reachable set)."""
+        ``table(N) ⊆ dom × 2^dom`` (context node → reachable set). An
+        absolute path, or any path for a single context node, is one
+        origin and runs as a set sweep (:meth:`_compose_steps`); the
+        rows of an absolute path all share its one reachable set."""
         stats.count("inner_path_evaluations")
         if isinstance(expr, Union):
             left = self.eval_inner_locpath(expr.left, X)
@@ -655,10 +684,20 @@ class MinContextEvaluator:
         self, steps: list[Step], mapping: dict[int, list[int]]
     ) -> dict[int, list[int]]:
         """``π1/π2`` composition: thread the origin→reachable relation
-        through each step's per-origin relation."""
-        for step in steps:
+        through each step's per-origin relation.
+
+        A mapping with one origin — an absolute path, or any path
+        prepared for a single context — is a relation with one row, and
+        that row is a node set: it runs as :meth:`_sweep`, the set loop
+        of eval_outermost_locpath, and composes no relation cells.
+        Positional predicates still rank per context node of each step
+        there. Only two or more origins build per-origin relations."""
+        if len(mapping) == 1:
+            ((x, reachable),) = mapping.items()
+            return {x: self._sweep(steps, reachable)}
+        for axis, step in fused_steps(steps):
             origins = sorted(set().union(*mapping.values()))
-            relation = self._inner_step_relation(step, origins)
+            relation = self._inner_step_relation(step, origins, axis)
             composed = {}
             cells = 0
             for x, reachable in mapping.items():
@@ -670,18 +709,20 @@ class MinContextEvaluator:
             stats.count("mincontext_relation_cells", cells)
         return mapping
 
-    def _inner_step_relation(self, step: Step, X: list[int]) -> dict[int, list[int]]:
-        """Per-origin step results (the pseudo-code's
+    def _inner_step_relation(
+        self, step: Step, X: list[int], axis: str
+    ) -> dict[int, list[int]]:
+        """Per-origin step results along ``axis`` (the pseudo-code's
         ``χ::t[e1]...[eq]`` case of eval_inner_locpath); origins that
         reach nothing have no entry."""
         document = self.document
-        Y = step_candidate_pres(document, step.axis, X, step.node_test)
+        Y = step_candidate_pres(document, axis, X, step.node_test)
         for predicate in step.predicates:
             self.eval_by_cnode_only(predicate, Y)
         if position_free(step):
             passing = self.filter_by_cnode(step.predicates, Y)
-            return step_relation_pres(document, step.axis, X, passing, step.node_test)
-        relation = step_relation_pres(document, step.axis, X, Y, step.node_test)
+            return step_relation_pres(document, axis, X, passing, step.node_test)
+        relation = step_relation_pres(document, axis, X, Y, step.node_test)
         for x, candidates in relation.items():
             relation[x] = self.filter_by_position(step.predicates, candidates)
         return relation
@@ -777,3 +818,23 @@ def position_window(op: str, bound: float, candidates: list) -> list:
 def position_free(step: Step) -> bool:
     """No predicate of the step reads the context position or size."""
     return all(_CPCS.isdisjoint(predicate.relev) for predicate in step.predicates)
+
+
+def fused_steps(steps: list[Step]) -> list[tuple[str, Step]]:
+    """The ``(axis, step)`` pairs a step loop runs: a bare
+    ``descendant-or-self::node()`` followed by a ``child::t`` step whose
+    predicates are position-free (``//t``) is the one pair
+    ``("descendant", child step)``; every other step is its own axis."""
+    pairs = []
+    for step in steps:
+        if pairs and step.axis == "child" and position_free(step):
+            axis, previous = pairs[-1]
+            if (
+                axis == "descendant-or-self"
+                and previous.node_test.kind == "node"
+                and not previous.predicates
+            ):
+                pairs[-1] = ("descendant", step)
+                continue
+        pairs.append((step.axis, step))
+    return pairs

@@ -367,17 +367,27 @@ class XPathDaemon:
 
     def stats_snapshot(self) -> dict:
         """The STATS payload: exact global + per-client counters (evicted
-        clients' counters aggregated under ``(evicted)``), live gauges,
-        and the fault injector's evaluation counts."""
+        clients' counters aggregated under ``(evicted)``), each snapshot's
+        :meth:`ServeStats.residuals <repro.stats.Counters.residuals>` (all
+        0 when the counters reconcile), live gauges, and the fault
+        injector's evaluation counts."""
         clients = {
             name: stats.snapshot() for name, stats in self._client_stats.items()
         }
         evicted = self._evicted_stats.snapshot()
         if any(evicted.values()):
             clients["(evicted)"] = evicted
+        served = self.stats.snapshot()
         return {
-            "global": self.stats.snapshot(),
+            "global": served,
             "clients": clients,
+            "residuals": {
+                "global": ServeStats.residuals(served),
+                "clients": {
+                    name: ServeStats.residuals(snapshot)
+                    for name, snapshot in clients.items()
+                },
+            },
             "gauges": {
                 name: state.gauges() for name, state in self._clients.items()
             },

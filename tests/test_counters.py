@@ -103,6 +103,13 @@ def test_every_declared_identity_closes_on_a_mixed_run(tmp_path):
     assert served["memo_hits"] == 2 and served["rejected_rate"] == 1
     assert served["deadlined"] == 1 and served["failed"] == 1
     assert wire["faults"]["faults_injected"] == 2
+    # STATS carries the same residuals, computed in the daemon.
+    reported = wire["residuals"]
+    assert reported["global"] == stats.ServeStats.residuals(wire["global"])
+    assert reported["clients"].keys() == wire["clients"].keys()
+    for residuals in [reported["global"], *reported["clients"].values()]:
+        assert set(residuals) >= set(stats.ServeStats.identities)
+        assert not any(residuals.values()), residuals
 
 
 @pytest.mark.parametrize(

@@ -229,11 +229,11 @@ def test_example4_outermost_sets(doc):
     ast = normalize(parse_xpath(QUERY_E))
     compute_relevance(ast)
     mc = MinContextEvaluator(doc)
-    first = mc._eval_step_from_set(ast.steps[0], [doc.root.pre])
+    first = mc._eval_step_from_set(ast.steps[0], [doc.root.pre], ast.steps[0].axis)
     assert ids(box_value(doc, first, "nset")) == [
         "10", "11", "12", "13", "14", "21", "22", "23", "24",
     ]
-    second = mc._eval_step_from_set(ast.steps[1], first)
+    second = mc._eval_step_from_set(ast.steps[1], first, ast.steps[1].axis)
     assert ids(box_value(doc, second, "nset")) == ["13", "14", "21", "22", "23", "24"]
 
 

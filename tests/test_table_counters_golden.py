@@ -15,12 +15,19 @@ the object-based evaluators this suite was first committed against;
 ``operator_applications`` (one ``F[[Op]]`` per compound node per context)
 and the cells of the end-to-end benchmark's template shapes were added
 from the pre-plane interpreter of the commit before the evaluators
-compiled their context loops. A representation change that moves any of
-them changed the algorithm.
+compiled their context loops. ``mincontext_contexts_evaluated`` and
+``mincontext_relation_cells`` are this tree's: MINCONTEXT runs a
+one-origin path relation as a set sweep and ``//t`` as one descendant
+step, and no longer counts the ``descendant-or-self::node()`` contexts
+and relation cells those skip; the other four columns did not move. A
+representation change that moves any of them changed the algorithm.
+Regenerate with ``PYTHONPATH=src python tests/test_table_counters_golden.py``
+and check that only the columns the change means to move did.
 """
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -199,3 +206,10 @@ def test_table_counters_match_the_committed_literal(build_documents):
         if measured[key] != golden[key]
     }
     assert not moved, f"(golden, measured) per counter: {moved}"
+
+
+if __name__ == "__main__":
+    cells = sorted(measure_grid(_eager_documents()).items())
+    lines = [f"{json.dumps(key)}: {json.dumps(cell)}" for key, cell in cells]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {GOLDEN_PATH}", file=sys.stderr)

@@ -21,9 +21,12 @@ checks:
   is Core XPath, ``bottomup`` on the tree);
 * every ``Stats`` counter of every forced evaluation of that grid equals
   ``golden/template_counters.json``, written by the evaluators of
-  ``1480c00`` (before the slices and the member test). Regenerate it
-  from that commit's tree: ``PYTHONPATH=<tree>/src python
-  tests/test_table_sweeps.py``.
+  ``1480c00`` (before the slices and the member test), except MINCONTEXT's
+  contexts, relation cells and ``axis_*`` counters, which are this
+  tree's (one-origin relations as set sweeps, ``//t`` as one descendant
+  step). Regenerate it with ``PYTHONPATH=src python
+  tests/test_table_sweeps.py`` and check that only the counters the
+  change means to move did.
 """
 
 import json
