@@ -27,72 +27,41 @@ ORDER = [
 ]
 
 
-def plan_cache_lines() -> list[str]:
-    """The cache hit-rate and speedup lines from the EXP-SVC report
-    (written by bench_plan_cache.py)."""
-    path = RESULTS_DIR / "exp_svc.txt"
+#: ``--flag`` → (report stem, the markers of the lines it prints, the
+#: script that writes the report, what the flag prints).
+GATES = {
+    "plan-cache": (
+        "exp_svc", ("hit rate:", "speedup = "), "bench_plan_cache.py",
+        "the plan-cache hit rates and speedups (EXP-SVC)",
+    ),
+    "axes": (
+        "exp_axis", ("gate:", "speedup", "kernels:", "dispatch", "workload:"),
+        "bench_axes.py", "the fused-axis-kernel gates and speedup (EXP-AXIS)",
+    ),
+    "snapshot": (
+        "exp_snap",
+        ("gate:", "speedup", "adoption", "store:", "cold-start", "first query",
+         "dispatch", "workload:"),
+        "bench_snapshot.py", "the binary-snapshot gates and speedups (EXP-SNAP)",
+    ),
+    "batchplan": (
+        "exp_mqo", ("gate:", "vs independent", "batch plan:", "steps:", "workload:"),
+        "bench_batchplan.py", "the multi-query sharing gates and speedup (EXP-MQO)",
+    ),
+    "serve": (
+        "exp_serve", ("gate:", "counters:", "workload:", "p99"), "bench_serve.py",
+        "the serving-daemon gates: p99, reconciliation, admission, drain, "
+        "hit (EXP-SERVE)",
+    ),
+}
+
+
+def gate_lines(flag: str) -> list[str]:
+    """The lines of ``flag``'s report that carry one of its markers."""
+    stem, markers, _, _ = GATES[flag]
+    path = RESULTS_DIR / f"{stem}.txt"
     if not path.exists():
         return []
-    markers = ("hit rate:", "speedup = ")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def axes_lines() -> list[str]:
-    """The gate, speedup, and kernel-counter lines from the EXP-AXIS
-    report (written by bench_axes.py)."""
-    path = RESULTS_DIR / "exp_axis.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "speedup", "kernels:", "dispatch", "workload:")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def snapshot_lines() -> list[str]:
-    """The gate, speedup, and adoption- and store-counter lines from the
-    EXP-SNAP report (written by bench_snapshot.py)."""
-    path = RESULTS_DIR / "exp_snap.txt"
-    if not path.exists():
-        return []
-    markers = (
-        "gate:", "speedup", "adoption", "store:", "cold-start", "first query",
-        "dispatch", "workload:",
-    )
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def batchplan_lines() -> list[str]:
-    """The gate, speedup, and DAG-counter lines from the EXP-MQO report
-    (written by bench_batchplan.py)."""
-    path = RESULTS_DIR / "exp_mqo.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "vs independent", "batch plan:", "steps:", "workload:")
-    return [
-        line
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if any(marker in line for marker in markers)
-    ]
-
-
-def serve_lines() -> list[str]:
-    """The gate, percentile, and counter lines from the EXP-SERVE report
-    (written by bench_serve.py)."""
-    path = RESULTS_DIR / "exp_serve.txt"
-    if not path.exists():
-        return []
-    markers = ("gate:", "counters:", "workload:", "p99")
     return [
         line
         for line in path.read_text(encoding="utf-8").splitlines()
@@ -102,77 +71,18 @@ def serve_lines() -> list[str]:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--plan-cache",
-        action="store_true",
-        help="print only the plan-cache hit rates and speedups (EXP-SVC)",
-    )
-    parser.add_argument(
-        "--axes",
-        action="store_true",
-        help="print only the fused-axis-kernel gates and speedup (EXP-AXIS)",
-    )
-    parser.add_argument(
-        "--snapshot",
-        action="store_true",
-        help="print only the binary-snapshot gates and speedups (EXP-SNAP)",
-    )
-    parser.add_argument(
-        "--batchplan",
-        action="store_true",
-        help="print only the multi-query sharing gates and speedup (EXP-MQO)",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="print only the serving-daemon gates: p99, reconciliation, "
-        "admission, drain, hit (EXP-SERVE)",
-    )
+    for flag, (_, _, _, what) in GATES.items():
+        parser.add_argument(f"--{flag}", action="store_true", help=f"print only {what}")
     args = parser.parse_args(argv)
-    if args.plan_cache:
-        lines = plan_cache_lines()
-        if not lines:
-            raise SystemExit(
-                "no plan-cache results yet — run: python benchmarks/bench_plan_cache.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.axes:
-        lines = axes_lines()
-        if not lines:
-            raise SystemExit(
-                "no fused-kernel results yet — run: "
-                "python benchmarks/bench_axes.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.snapshot:
-        lines = snapshot_lines()
-        if not lines:
-            raise SystemExit(
-                "no snapshot results yet — run: "
-                "python benchmarks/bench_snapshot.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.batchplan:
-        lines = batchplan_lines()
-        if not lines:
-            raise SystemExit(
-                "no multi-query results yet — run: "
-                "python benchmarks/bench_batchplan.py"
-            )
-        print("\n".join(lines))
-        return
-    if args.serve:
-        lines = serve_lines()
-        if not lines:
-            raise SystemExit(
-                "no serving-daemon results yet — run: "
-                "python benchmarks/bench_serve.py"
-            )
-        print("\n".join(lines))
-        return
+    for flag, (stem, _, script, _) in GATES.items():
+        if getattr(args, flag.replace("-", "_")):
+            lines = gate_lines(flag)
+            if not lines:
+                raise SystemExit(
+                    f"no {stem} results yet — run: python benchmarks/{script}"
+                )
+            print("\n".join(lines))
+            return
     if not RESULTS_DIR.exists():
         raise SystemExit("no results yet — run: pytest benchmarks/ --benchmark-only")
     sections = []

@@ -79,7 +79,7 @@ from repro.service import (
     DocumentProfile,
     DocumentSession,
     LogicalPlan,
-    PlanCache,
+    Memo,
     QueryPlanner,
     QueryService,
     document_profile,
@@ -102,9 +102,9 @@ __all__ = [
     "EvaluationError",
     "FragmentViolationError",
     "LogicalPlan",
+    "Memo",
     "Node",
     "NodeKind",
-    "PlanCache",
     "QueryPlanner",
     "QueryService",
     "ReproError",

@@ -497,21 +497,9 @@ def _load_batch_queries(args) -> list[str]:
 def _print_batch_stats(batch, from_store: bool) -> None:
     """The --stats footer; ``from_store`` adds the (process-wide)
     document-store counters."""
-    plan_stats, result_stats = batch.plan_stats, batch.result_stats
-    print(
-        "plan cache:   "
-        f"hits={plan_stats['hits']} misses={plan_stats['misses']} "
-        f"evictions={plan_stats['evictions']} "
-        f"hit rate={plan_stats['hit_rate']:.1%}",
-        file=sys.stderr,
-    )
-    print(
-        "result cache: "
-        f"hits={result_stats['hits']} misses={result_stats['misses']} "
-        f"hit rate={result_stats['hit_rate']:.1%}",
-        file=sys.stderr,
-    )
     for label, counts in (
+        ("plan cache:   ", batch.plan_stats),
+        ("result cache: ", batch.result_stats),
         ("holds memo:   ", batch.holds_stats),
         ("step memo:    ", batch.step_stats),
     ):

@@ -25,12 +25,13 @@ the test oracles) every backward propagation runs exactly once per
 ``boolean``, whatever the block, so the query costs ``O(|Q|)`` sweeps of
 ``O(|D|)`` (Theorem 13) and ``corexpath_steps`` is a function of the
 query alone. The set where π holds depends only on the document and π,
-so an evaluator handed a :class:`HoldsMemo` — each
-:class:`~repro.service.service.DocumentSession` owns one — runs each
-(document, π) propagation once until the memo is flushed, keyed by π's
-canonical text (``Path.key``): a repeat costs one dictionary read and
-no sweep, and ``corexpath_steps`` then counts only the propagations the
-memo did not hold. Each step goes through the per-step
+so an evaluator handed a holds memo — each
+:class:`~repro.service.service.DocumentSession` owns one, a
+:class:`~repro.service.cache.Memo` keyed by π's canonical text
+(``Path.key``) — runs each (document, π) propagation once while the
+memo keeps its set: a repeat costs one dictionary read and no sweep,
+and ``corexpath_steps`` then counts only the propagations the memo did
+not hold. Each step goes through the per-step
 gate of :mod:`repro.axes.vec` — ``χ(X) ∩ T(t)`` is
 :func:`~repro.axes.vec.forward_step`, a backward step
 :func:`~repro.axes.vec.filter_step` then
@@ -52,14 +53,12 @@ MINCONTEXT / OPTMINCONTEXT share this pre plane
 
 from __future__ import annotations
 
-import threading
 from array import array
 
 from repro import stats
 from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
-from repro.stats import CacheStats, Counters
 from repro.xml.document import Document, Node
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
@@ -72,79 +71,15 @@ def _without(block, hits: list[int]) -> list[int]:
     return sorted(set(block).difference(hits))
 
 
-class HoldsMemo:
-    """One document's memo of backward propagations: ``Path.key`` → the
-    sorted pres where that path holds, stored as ``array('i')`` (four
-    bytes a pre, not a boxed int per member).
-
-    Bounded by :data:`CELLS` stored cells, an entry costing its length
-    plus :data:`ENTRY_CELLS` for its header, and flushed wholesale when
-    an insert would pass the bound — like the session's result memo,
-    whose entries are recomputable too. So the sets and their headers
-    never take more than ``4 * CELLS`` bytes (4 MiB) per document
-    session, beside the key strings, which are the plans' canonical
-    texts. A set longer than the bound on its own is not kept.
-
-    Thread-safe: lookups and inserts run under one lock, the propagation
-    outside it. Two threads that miss one key both compute the same set
-    and the first insert stays. Every lookup counts one hit or one miss
-    and every flushed entry one eviction on :attr:`stats`, which a
-    :class:`~repro.service.service.QueryService` shares across its
-    sessions.
-    """
-
-    #: The bound, in stored cells (a cell is one 4-byte pre).
-    CELLS = 1 << 20
-    #: What an entry's array header and dictionary slot are charged.
-    ENTRY_CELLS = 16
-
-    def __init__(self, stats: Counters | None = None):
-        self.stats = stats if stats is not None else CacheStats(name="holds_memo")
-        self._sets: dict[str, array] = {}
-        self._cells = 0
-        self._lock = threading.Lock()
-
-    def get_or_create(self, key: str, factory) -> array:
-        """The set stored under ``key``, or ``factory()``'s, stored."""
-        with self._lock:
-            found = self._sets.get(key)
-        if found is not None:
-            self.stats.tick("hits")
-            return found
-        self.stats.tick("misses")
-        value = array("i", factory())
-        cost = len(value) + self.ENTRY_CELLS
-        if cost > self.CELLS:
-            return value
-        with self._lock:
-            if key in self._sets:
-                return self._sets[key]
-            if self._cells + cost > self.CELLS:
-                self.stats.tick("evictions", len(self._sets))
-                self._sets.clear()
-                self._cells = 0
-            self._sets[key] = value
-            self._cells += cost
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._sets.clear()
-            self._cells = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sets)
-
-
 class CoreXPathEvaluator:
     """Forward/backward sorted-array evaluation for Core XPath queries.
 
     ``holds``, when given, memoizes each keyed predicate path's backward
-    propagation (see :class:`HoldsMemo`); without it every ``boolean``
-    propagates afresh."""
+    propagation: a :class:`~repro.service.cache.Memo` from ``Path.key``
+    to the set as an ``array('i')`` (four bytes a pre, not a boxed int
+    per member). Without it every ``boolean`` propagates afresh."""
 
-    def __init__(self, document: Document, holds: HoldsMemo | None = None):
+    def __init__(self, document: Document, holds=None):
         self.document = document
         self.holds = holds
         self._dom_pres: list[int] | None = None
@@ -224,10 +159,14 @@ class CoreXPathEvaluator:
         """``{cn ∈ block | path evaluates to a nonempty set at cn}``: the
         block intersected with the set where the path holds."""
         assert isinstance(path, Path)
-        if self.holds is None or path.key is None:
+        memo = self.holds
+        if memo is None or path.key is None:
             holds = self._holds_at(path)
         else:
-            holds = self.holds.get_or_create(path.key, lambda: self._holds_at(path))
+            holds = memo.get(path.key)
+            if holds is None:
+                holds = array("i", self._holds_at(path))
+                memo.put(path.key, holds)
         if path.absolute:
             return (block if isinstance(block, list) else list(block)) if holds else []
         return intersect(block, holds)

@@ -19,8 +19,9 @@ For serving many queries over many documents with plan/result caching,
 use :class:`repro.service.QueryService`; the engine keeps only a plan
 cache, keyed and bounded like the service's (:func:`plan_key
 <repro.service.plan.plan_key>` of the text and the engine's current
-bindings, at most :attr:`PlanCache.DEFAULT_CAPACITY
-<repro.service.cache.PlanCache.DEFAULT_CAPACITY>` plans).
+bindings, at most :attr:`Memo.DEFAULT_CAPACITY
+<repro.service.cache.Memo.DEFAULT_CAPACITY>` plans, least recently used
+first out).
 
 Example::
 
@@ -38,7 +39,7 @@ from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.mincontext import MinContextEvaluator
 from repro.errors import ReproError
-from repro.service.cache import PlanCache
+from repro.service.cache import Memo
 from repro.service.plan import LogicalPlan, plan_key
 from repro.service.planner import (
     ALGORITHMS,
@@ -62,7 +63,7 @@ class XPathEngine:
         self.document = document
         self.variables = dict(variables or {})
         self._planner = QueryPlanner()
-        self.plans = PlanCache()
+        self.plans = Memo()
 
     # ------------------------------------------------------------------
 

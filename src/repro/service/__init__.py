@@ -8,8 +8,8 @@ dispatch → rows:
 1. **logical planning (document-independent)** — each distinct
    ``(query, bindings)`` pair is compiled once (parse → normalize →
    relevance → fragment classification → trait extraction)
-   into a :class:`LogicalPlan`, held in the exact-accounting LRU
-   :class:`PlanCache`. A logical plan deliberately names *no* evaluator:
+   into a :class:`LogicalPlan`, held in the plan cache, a
+   :class:`Memo`. A logical plan deliberately names *no* evaluator:
    it carries the fragment classification that picks one and the cost
    features (:class:`~repro.service.plan.PlanTraits`) admission prices
    — including ``step_keys``, the canonical per-step rendering of plain
@@ -45,10 +45,10 @@ dispatch → rows:
    one batch loop: for each document in order it yields that document's
    row, through the DAG's ``evaluate_row`` when a prefix is shared, cell
    by cell through the session memo otherwise. Either way the session's
-   ``corexpath`` instance reads the session's
-   :class:`~repro.core.corexpath.HoldsMemo`, so each Core XPath
-   predicate path is propagated backwards once per document until a
-   flush, across queries, batches and requests.
+   ``corexpath`` instance reads the session's holds memo, so each
+   Core XPath predicate path is propagated backwards once per document
+   while its set stays in the memo, across queries, batches and
+   requests.
    :meth:`QueryService.evaluate_many` consumes it whole into one
    :class:`BatchResult`; the serving daemon's ``BATCH`` steps it one row
    per worker-thread hop, so its first rows are ready before its last
@@ -64,8 +64,11 @@ Modules:
   :func:`build_batch_plan`, prefix unification and residual evaluation;
 * :mod:`repro.service.cost` — :class:`DocumentProfile` and the
   admission price of a (plan, document, evaluator) cell;
-* :mod:`repro.service.cache` — the thread-safe, exact-accounting LRU
-  :class:`PlanCache`;
+* :mod:`repro.service.cache` — :class:`Memo`, the one store type of
+  the layer: thread-safe, least recently used entries out first,
+  bounded in cost units, exact counters. The plan cache, the session
+  map, each session's result and holds memos and the planner's step
+  memo are its instances;
 * :mod:`repro.service.service` — :class:`QueryService` /
   :class:`DocumentSession` / :class:`BatchResult` (thread-safe: one
   service may be shared across concurrent drivers).
@@ -95,7 +98,7 @@ Inspecting the stages — what runs where, and why::
 """
 
 from repro.service.batchplan import BatchPlan, build_batch_plan
-from repro.service.cache import PlanCache
+from repro.service.cache import Memo
 from repro.service.cost import DocumentProfile, document_profile
 from repro.service.plan import LogicalPlan, PlanTraits, plan_key
 from repro.service.planner import (
@@ -114,7 +117,7 @@ __all__ = [
     "DocumentProfile",
     "DocumentSession",
     "LogicalPlan",
-    "PlanCache",
+    "Memo",
     "PlanTraits",
     "QueryPlanner",
     "QueryService",

@@ -1,36 +1,27 @@
-"""An exact-accounting LRU cache for logical plans.
+"""One memo type for every cache of the service layer.
 
-``OrderedDict``-based: a hit moves the entry to the MRU end, an insert
-beyond capacity evicts from the LRU end. Every lookup is counted as
-exactly one hit or one miss on the attached
-:data:`repro.stats.CacheStats` family, and every capacity overflow as exactly
-one eviction — the plan-cache tests assert these counters literally.
+Every store here holds a value that can be recomputed — a compiled plan,
+a document's session, the value of a (query, context) pair, the set
+where a Core XPath predicate path holds (Section 2.3's context-value
+tables, Theorem 13's backward propagation), a normalized location step —
+so the only policy any of them needs is which entry to drop when full.
+:class:`Memo` is that store: an ``OrderedDict`` under one lock whose
+least recently used entries go first, bounded in cost units, counting
+every lookup as exactly one hit or one miss and every dropped entry as
+one eviction on a :data:`repro.stats.CacheStats` family.
 
-The cache is value-agnostic (it stores whatever the factory returns), but
-in practice the keys are :func:`repro.service.plan.plan_key` tuples and
-the values :class:`repro.service.plan.LogicalPlan` instances. It is the
-only owner of a compiled plan: an evicted plan is garbage once its
-callers drop it. Results live in each
-:class:`~repro.service.service.DocumentSession` memo instead, keyed by
-the plan's stable ``cache_key``, so an evicted-and-recompiled plan keeps
-hitting its existing results; an entry holds the value and the plan's
-node-set / object bindings (which the key names by ``id()``), never the
-plan itself.
+An entry costs ``cost(value)``, or 1 when the memo has no cost function;
+a value costing more than the whole bound is handed back unstored. Only
+the bare value is stored: a cost-weighted memo recomputes an entry's
+cost when it drops it, so ``cost`` must be a pure function of the value.
 
-Thread safety: every operation (including the lookup-count + mutate
-pairs) runs under one re-entrant lock, so a single cache shared by
-concurrent drivers — the serving daemon's worker threads, user
-threads — keeps its counters exact and never loses
-an eviction. The lock is re-entrant because a ``get_or_create`` factory
-may legitimately insert entries (even the same key) into the cache it is
-populating; holding the lock across the factory also guarantees each key
-is built at most once, so racing callers see one miss and then hits.
-The flip side, accepted deliberately: while one thread's factory runs
-(a plan compile, ~sub-millisecond), other threads' lookups wait on the
-lock — the simple-and-exact accounting this layer promises over maximal
-compile concurrency. If compiles ever dominate contention, the upgrade
-path is per-key placeholders inserted under the lock with the factory
-run outside it.
+Two ways to fill a memo. :meth:`Memo.get_or_create` runs the factory
+under the lock, so each key is built once however many threads race for
+it (plans, sessions); the lock is re-entrant because a factory may
+itself insert into the memo. :meth:`Memo.get`, a computation outside
+the lock, then :meth:`Memo.put` keeps expensive work concurrent (result
+values, predicate sets): two threads that miss one key both compute the
+same value and the later insert overwrites the earlier.
 """
 
 from __future__ import annotations
@@ -39,102 +30,96 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, Iterator
 
-from repro.stats import CacheStats
+from repro.stats import CacheStats, Counters
 
 
-class PlanCache:
-    """LRU cache keyed by ``(query, bindings)`` with exact statistics."""
+def _one(value) -> int:
+    return 1
 
-    #: The plan bound of a :class:`~repro.service.service.QueryService`
-    #: and an :class:`~repro.engine.XPathEngine` unless told otherwise.
+
+class Memo:
+    """An LRU memo bounded in cost units, with exact statistics."""
+
+    #: The bound of the plan cache and the step memo unless told otherwise.
     DEFAULT_CAPACITY = 256
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = "plan_cache"):
+    def __init__(
+        self,
+        capacity: int = DEFAULT_CAPACITY,
+        name: str = "plan_cache",
+        cost: Callable[[object], int] | None = None,
+        stats: Counters | None = None,
+    ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.stats = CacheStats(name=name, capacity=capacity)
+        self.cost = cost or _one
+        #: The counters; several memos (a service's sessions) may share one.
+        self.stats = CacheStats(name=name, capacity=capacity) if stats is None else stats
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._used = 0
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------
+    def peek(self, key: Hashable):
+        """The stored value, refreshed to most recent and counted as a
+        hit, or ``None``, counted as nothing: for a caller whose miss is
+        counted elsewhere."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.stats.tick("hits")
+            return value
 
     def get(self, key: Hashable):
-        """The cached value, refreshed to MRU, or ``None`` on a miss."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.stats.tick("misses")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.tick("hits")
-            return value
+        """:meth:`peek`, with a miss counted."""
+        value = self.peek(key)
+        if value is None:
+            self.stats.tick("misses")
+        return value
 
     def put(self, key: Hashable, value) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries over capacity.
-
-        Single-lookup insert path: assigning into the ``OrderedDict``
-        already appends new keys at the MRU end, so only the refresh of a
-        *pre-existing* key (detected by the length not growing) needs an
-        explicit ``move_to_end`` — no separate membership probe, no
-        double hash. This also keeps eviction counters exact when a
-        ``get_or_create`` factory recursively inserts entries (including
-        the same key) before the outer insert lands.
-        """
+        """Store ``value`` as the most recent entry, dropping the least
+        recent ones past the bound (unless it alone is past it)."""
+        charge = self.cost
+        cost = charge(value)
+        if cost > self.capacity:
+            return
         with self._lock:
             entries = self._entries
-            size_before = len(entries)
+            if key in entries:
+                self._used -= charge(entries.pop(key))
             entries[key] = value
-            if len(entries) == size_before:
-                entries.move_to_end(key)
-            while len(entries) > self.capacity:
-                entries.popitem(last=False)
+            self._used += cost
+            while self._used > self.capacity:
+                self._used -= charge(entries.popitem(last=False)[1])
                 self.stats.tick("evictions")
 
-    def pop_lru(self) -> tuple:
-        """Remove and return the least-recently-used ``(key, value)`` pair
-        (counted as an eviction). Raises ``KeyError`` when empty."""
-        with self._lock:
-            key, value = self._entries.popitem(last=False)
-            self.stats.tick("evictions")
-            return key, value
-
     def get_or_create(self, key: Hashable, factory: Callable[[], object]):
-        """One-lookup combination of :meth:`get` and :meth:`put`.
-
-        The factory runs only on a miss — under the lock, so concurrent
-        callers of the same key build the value exactly once; a factory
-        that raises leaves the cache unchanged (the miss is still counted
-        — the lookup happened).
-        """
+        """The stored value, or ``factory()``'s, stored; the factory runs
+        under the lock (a factory that raises stores nothing, and its
+        miss still counts)."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.stats.tick("misses")
+            value = self.get(key)
+            if value is None:
                 value = factory()
                 self.put(key, value)
-                return value
-            self._entries.move_to_end(key)
-            self.stats.tick("hits")
             return value
 
-    # ------------------------------------------------------------------
-
     def clear(self) -> None:
-        """Drop all entries (statistics are retained)."""
+        """Drop every entry (the statistics stay)."""
         with self._lock:
             self._entries.clear()
+            self._used = 0
 
     def keys(self) -> Iterator[Hashable]:
-        """Keys from LRU to MRU (a point-in-time copy, safe to iterate
-        while the cache is concurrently mutated)."""
+        """Keys from least to most recent (a copy, safe to iterate while
+        the memo changes)."""
         with self._lock:
             return iter(list(self._entries))
 
     def values(self) -> Iterator[object]:
-        """Values from LRU to MRU (no recency update; point-in-time copy)."""
+        """Values from least to most recent (a copy; no recency update)."""
         with self._lock:
             return iter(list(self._entries.values()))
 

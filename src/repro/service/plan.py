@@ -13,7 +13,7 @@ documents, contexts, and threads of evaluation.
 That asymmetry is the whole point of the service layer: compile once,
 evaluate many times (Theorems 7/10/13 bound the *evaluation* cost; the
 frontend cost is amortized away by
-:class:`repro.service.cache.PlanCache`).
+the plan cache, a :class:`repro.service.cache.Memo`).
 
 The evaluator a plan runs under ``auto`` follows from its fragment
 classification alone: :meth:`LogicalPlan.best_algorithm` (Core XPath →

@@ -21,20 +21,20 @@ There is no per-document stage: :func:`resolve_algorithm` is what
 clients of these functions, through a :class:`QueryPlanner` each.
 
 **The step memo.** A :class:`QueryPlanner` parses and normalizes each
-location step with predicates once: it keeps the normalized step and
-its :class:`~repro.xpath.normalize.StepSummary` under the step's source
+location step with predicates once: its :attr:`QueryPlanner.steps`, a
+:class:`~repro.service.cache.Memo`, keeps the normalized step and its
+:class:`~repro.xpath.normalize.StepSummary` under the step's source
 text (axis, node test, predicate group), at most
-:attr:`PlanCache.DEFAULT_CAPACITY <repro.service.cache.PlanCache.DEFAULT_CAPACITY>`
-of them. On a hit the parser skips the group and the pass after it the
-step's predicates: six continuations of ``//book[P]`` parse ``P`` once.
+:attr:`Memo.DEFAULT_CAPACITY <repro.service.cache.Memo.DEFAULT_CAPACITY>`
+of them, least recently used out first. On a hit the parser skips the
+group and the pass after it the step's predicates: six continuations of
+``//book[P]`` parse ``P`` once.
 Only :meth:`QueryPlanner.compile` uses it; :func:`compile_plan`,
 :func:`~repro.xpath.parser.parse_xpath` and
 :func:`~repro.xpath.normalize.analyze` alone build every tree cold.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro import stats
 from repro.core.bottomup import BottomUpEvaluator
@@ -44,9 +44,8 @@ from repro.core.naive import NaiveEvaluator
 from repro.core.optmincontext import OptMinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
 from repro.errors import FragmentViolationError, UnknownAlgorithmError
-from repro.service.cache import PlanCache
+from repro.service.cache import Memo
 from repro.service.plan import LogicalPlan
-from repro.stats import CacheStats
 from repro.xml.document import Document
 from repro.xpath.ast import Step
 from repro.xpath.normalize import MAX_HEIGHT, StepSummary, analyze
@@ -94,59 +93,38 @@ def compile_plan(query: str, variables: dict[str, object] | None = None) -> Logi
     return LogicalPlan.from_analysis(query, analysis, bindings)
 
 
-class StepMemo:
-    """A planner's memo of normalized location steps: ``entries`` maps a
-    step's source text to ``(step, summary, keys)``, ``keys`` being the
-    memo keys of it and of the memo steps inside it (whether a hit may
-    be shared or must be cloned). A store into a full dict empties it
-    first, each entry dropped an eviction. Lookups take no lock; a
-    compile is counted, and its misses stored, once, when it ends."""
-
-    def __init__(self, capacity: int = PlanCache.DEFAULT_CAPACITY):
-        self.capacity = capacity
-        self.stats = CacheStats(name="step_memo", capacity=capacity)
-        self.entries: dict[str, tuple] = {}
-        self._lock = threading.Lock()
-
-    def settle(self, view: "_StepView") -> None:
-        """Count one compile's lookups and store the misses the pass
-        summarized (all of them, unless the compile failed)."""
-        hits, misses = len(view.hits), view.lookups - len(view.hits)
-        if hits:
-            self.stats.tick("hits", hits)
-        if misses:
-            self.stats.tick("misses", misses)
-        if not view.misses:
-            return
-        summaries = view.summaries
-        with self._lock:
-            entries = self.entries
-            for step, key, keys in view.misses:
-                summary = summaries.get(step)
-                if summary is None:
-                    continue
-                if len(entries) >= self.capacity:
-                    self.stats.tick("evictions", len(entries))
-                    entries.clear()
-                entries[key] = (step, summary, keys)
-
-
 class _StepView:
     """One compile's dealings with the step memo: the parser looks steps
-    up in ``entries``, counting ``lookups``, and records each hit in
-    ``hits`` and each step it parsed instead in ``misses``, ``(step, key,
-    keys)``; the pass leaves those steps' summaries in ``summaries``.
-    ``keys`` are the memo keys already in the tree, in parse order."""
+    up through ``peek`` (a hit counts there), counting ``lookups``, and
+    records each hit in ``hits`` and each step it parsed instead in
+    ``misses``, ``(step, key, keys)``, ``keys`` being the memo keys of it
+    and of the memo steps inside it (whether a later hit may be shared
+    or must be cloned); the pass leaves those steps' summaries in
+    ``summaries``. ``keys`` are the memo keys already in the tree, in
+    parse order."""
 
-    __slots__ = ("entries", "lookups", "hits", "summaries", "keys", "misses")
+    __slots__ = ("memo", "peek", "lookups", "hits", "summaries", "keys", "misses")
 
-    def __init__(self, memo: StepMemo):
-        self.entries = memo.entries
+    def __init__(self, memo: Memo):
+        self.memo = memo
+        self.peek = memo.peek
         self.lookups = 0
         self.hits: dict[Step, tuple] = {}
         self.summaries: dict[Step, StepSummary] = {}
         self.keys: list = []
         self.misses: list = []
+
+    def settle(self) -> None:
+        """Count the compile's misses and store the steps the pass
+        summarized (all of them, unless the compile failed)."""
+        misses = self.lookups - len(self.hits)
+        if misses:
+            self.memo.stats.tick("misses", misses)
+        summaries = self.summaries
+        for step, key, keys in self.misses:
+            summary = summaries.get(step)
+            if summary is not None:
+                self.memo.put(key, (step, summary, keys))
 
 
 class QueryPlanner:
@@ -155,7 +133,7 @@ class QueryPlanner:
     counters are ``steps.stats``."""
 
     def __init__(self):
-        self.steps = StepMemo()
+        self.steps = Memo(name="step_memo")
 
     def compile(
         self, query: str, variables: dict[str, object] | None = None
@@ -172,7 +150,7 @@ class QueryPlanner:
             analysis = analyze(parse_xpath(query, view), bindings, steps=view)
         finally:
             if view.lookups:
-                self.steps.settle(view)
+                view.settle()
         return LogicalPlan.from_analysis(query, analysis, bindings)
 
 

@@ -4,8 +4,7 @@
 reproduction grows toward (see ROADMAP.md): a long-lived object that
 
 * compiles each distinct ``(query, bindings)`` pair exactly once into a
-  :class:`~repro.service.plan.LogicalPlan`, held in an LRU
-  :class:`~repro.service.cache.PlanCache`;
+  :class:`~repro.service.plan.LogicalPlan`, held in the plan cache;
 * runs ``auto`` as the paper's fragment dispatch
   (:meth:`~repro.service.plan.LogicalPlan.best_algorithm`: Theorem 13's
   sweep on Core XPath, OPTMINCONTEXT elsewhere) and feeds every
@@ -14,10 +13,9 @@ reproduction grows toward (see ROADMAP.md): a long-lived object that
 * keeps one :class:`DocumentSession` per served document, which reuses
   stateless evaluator instances, memoizes ``(plan, context)`` results
   — evaluation is pure, so repeated identical requests are dictionary
-  lookups — and memoizes where each Core XPath predicate path holds
-  (:class:`~repro.core.corexpath.HoldsMemo`), so every query, batch and
-  request on the document runs each such backward propagation once
-  until the memo is flushed;
+  lookups — and memoizes where each Core XPath predicate path holds,
+  so every query, batch and request on the document runs each such
+  backward propagation once while its set stays in the memo;
 * exposes :meth:`QueryService.evaluate_many`, the batch API: all queries
   × all documents in one call, sharing the plan cache across documents
   and each document's session caches across queries. Its loop is
@@ -29,6 +27,13 @@ classification) is exactly the overhead the paper's algorithms
 do *not* bound — Theorems 7/10/13 speak about evaluation. The service
 layer amortizes it away, which is what turns the worst-case-optimal
 algorithms into a fast system.
+
+Every one of those stores — the plan cache, the session map, each
+session's result and holds memos, and the planner's step memo — is a
+:class:`~repro.service.cache.Memo`: one lock, least recently used
+entries out first, a bound in cost units, a
+:data:`~repro.stats.CacheStats` family the service shares across its
+sessions.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.context import Context
-from repro.core.corexpath import CoreXPathEvaluator, HoldsMemo
+from repro.core.corexpath import CoreXPathEvaluator
 from repro.service.batchplan import BatchPlan, build_batch_plan
-from repro.service.cache import PlanCache
+from repro.service.cache import Memo
 from repro.service.cost import cost_units, document_profile
 from repro.service.plan import LogicalPlan, plan_key
 from repro.service.planner import (
@@ -61,37 +66,39 @@ def _copy_result(value):
     return value
 
 
+def _holds_cells(pres) -> int:
+    """A holds-memo entry's cost: its pres, plus 16 cells for the
+    array's header and the dictionary slot."""
+    return len(pres) + 16
+
+
 class DocumentSession:
     """Per-document evaluation state shared across queries.
 
-    Holds reusable evaluator instances for the stateless algorithms, a
-    ``(plan key, algorithm, context) → result`` memo and a
-    :class:`~repro.core.corexpath.HoldsMemo`: ``Path.key`` → the pres
-    where that Core XPath predicate path holds, which the session's
-    ``corexpath`` instance reads for every ``boolean(π)`` — in a whole
-    query and in the batch planner's residual sweeps alike — so the
-    session runs each (document, π) backward propagation once until a
-    flush (at most ``4 * HoldsMemo.CELLS`` bytes, 4 MiB, of sets). The
-    caches are sound because documents are immutable and a plan's value
-    is a function of its cache key. A result-memo entry retains its
-    value and the plan's node-set / object bindings (the key names them
-    by ``id()``), never the plan: compiled plans live only in the
-    service's plan cache. All three go with :meth:`clear` and with the
-    session when its service evicts it.
+    Holds reusable evaluator instances for the stateless algorithms and
+    two memos (:class:`~repro.service.cache.Memo`): :attr:`results`,
+    ``(plan key, algorithm, context) → result``, at most
+    :attr:`result_capacity` entries, and :attr:`holds`, ``Path.key`` →
+    the pres where that Core XPath predicate path holds as an
+    ``array('i')``, which the session's ``corexpath`` instance reads for
+    every ``boolean(π)`` — in a whole query and in the batch planner's
+    residual sweeps alike — at most :attr:`HOLDS_CELLS` cells (4 MiB) of
+    sets and headers. The memos are sound because documents are
+    immutable and a plan's value is a function of its cache key. A
+    result entry retains its value and the plan's node-set / object
+    bindings (the key names them by ``id()``), never the plan: compiled
+    plans live only in the service's plan cache. Everything goes with
+    :meth:`clear` and with the session when its service evicts it.
 
-    Thread safety: memo lookups (with their hit accounting) and
-    inserts run under one lock, while the evaluation itself runs outside
-    it — so concurrent drivers of one session never lose a counter or
-    corrupt the memo, but also never serialize the expensive work. Two
-    threads that miss the same key both evaluate (pure, so both compute
-    the same value) and the second insert is a harmless overwrite.
+    Thread safety: each memo's lookups and inserts run under its lock,
+    the evaluation outside it, so concurrent drivers of one session
+    never lose a counter but never serialize the expensive work either.
     """
 
-    #: Default bound on the per-session result memo; when full the memo
-    #: is flushed wholesale (results are recomputable, so a flush only
-    #: costs time, and wholesale beats per-entry LRU bookkeeping on the
-    #: hot path).
+    #: The result memo's bound unless told otherwise, in entries.
     DEFAULT_RESULT_CAPACITY = 1024
+    #: The holds memo's bound, in cells (a cell is one 4-byte pre).
+    HOLDS_CELLS = 1 << 20
 
     def __init__(
         self,
@@ -105,28 +112,17 @@ class DocumentSession:
         self.result_capacity = (
             self.DEFAULT_RESULT_CAPACITY if result_capacity is None else result_capacity
         )
-        if self.result_capacity < 1:
-            raise ValueError(
-                f"result capacity must be >= 1, got {self.result_capacity}"
-            )
         #: Per-algorithm seconds-per-unit rates every uncached
         #: evaluation feeds; a :class:`QueryService` hands every session
-        #: it makes the same instance.
+        #: it makes the same instance, as it does the memos' counters.
         self.timings = timings
         self._profile = None
         self._evaluators: dict[str, object] = {}
-        self._results: dict[tuple, object] = {}
-        self._lock = threading.RLock()
-        #: The memo's counters; a :class:`QueryService` hands every
-        #: session it makes the same instance.
-        self.result_stats = (
-            CacheStats(name="result_cache", capacity=self.result_capacity)
-            if result_stats is None
-            else result_stats
-        )
-        #: Where each keyed Core XPath predicate path holds; its
-        #: counters, like the result memo's, are shared by a service.
-        self.holds = HoldsMemo(holds_stats)
+        self._lock = threading.Lock()
+        self.results = Memo(self.result_capacity, "result_cache", stats=result_stats)
+        self.holds = Memo(self.HOLDS_CELLS, "holds_memo", _holds_cells, holds_stats)
+        #: The result memo's counters.
+        self.result_stats = self.results.stats
 
     # ------------------------------------------------------------------
 
@@ -176,14 +172,13 @@ class DocumentSession:
         (used by benchmarks to time real evaluation work).
         """
         node = context_node if context_node is not None else self.document.root
-        if not cached:
-            context = Context(node, context_position, context_size)
-            return self._evaluate_timed(plan, self.resolve(plan, algorithm), context)
 
         def compute():
             context = Context(node, context_position, context_size)
             return self._evaluate_timed(plan, self.resolve(plan, algorithm), context)
 
+        if not cached:
+            return compute()
         return self.evaluate_computed(
             plan, algorithm, compute, node, context_position, context_size
         )
@@ -208,21 +203,14 @@ class DocumentSession:
         shared and independent runs (and repeat batches) populate and
         hit the same entries.
         """
-        value = self.probe(
-            plan, algorithm, context_node, context_position, context_size
-        )
-        if value is not self.MISS:
-            return value
-        self.result_stats.tick("misses")
-        value = compute()
         key = self._result_key(
             plan, algorithm, context_node, context_position, context_size
         )
-        with self._lock:
-            if len(self._results) >= self.result_capacity:
-                self._results.clear()
-                self.result_stats.tick("evictions", self.result_capacity)
-            self._results[key] = (plan.variables or None, value)
+        entry = self.results.get(key)
+        if entry is not None:
+            return _copy_result(entry[1])
+        value = compute()
+        self.results.put(key, (plan.variables or None, value))
         return _copy_result(value)
 
     #: What :meth:`probe` returns when the memo holds no entry.
@@ -236,28 +224,24 @@ class DocumentSession:
         context_position: int = 1,
         context_size: int = 1,
     ):
-        """The memo's read half alone: the memoized value (counted as a
-        hit, under the same key and lock as :meth:`evaluate_computed`)
-        or :attr:`MISS` — which counts nothing, because the evaluation
-        the caller goes on to request counts that miss itself. One
-        dictionary read, so a caller that must not block (the serving
-        daemon's event loop) can answer repeats without a worker."""
-        key = self._result_key(
-            plan, algorithm, context_node, context_position, context_size
+        """The memo's read half alone (:meth:`Memo.peek
+        <repro.service.cache.Memo.peek>`): the memoized value, counted as
+        a hit, or :attr:`MISS` — which counts nothing, because the
+        evaluation the caller goes on to request counts that miss
+        itself. One dictionary read, so a caller that must not block
+        (the serving daemon's event loop) can answer repeats without a
+        worker."""
+        entry = self.results.peek(
+            self._result_key(plan, algorithm, context_node, context_position, context_size)
         )
-        with self._lock:
-            entry = self._results.get(key)
-            if entry is None:
-                return self.MISS
-            self.result_stats.tick("hits")
-            return _copy_result(entry[1])
+        return self.MISS if entry is None else _copy_result(entry[1])
 
     def _result_key(self, plan, algorithm, context_node, position, size) -> tuple:
         node = context_node if context_node is not None else self.document.root
         # Keyed by the plan's *stable* cache key, not the AST's identity:
         # a plan evicted from the LRU and recompiled gets a fresh AST (and
         # uid), but it is the same plan — its memo entries must stay
-        # reachable, not leak until the wholesale flush. An entry is
+        # reachable, not linger unreachable until evicted. An entry is
         # ``(bindings, value)`` and retains nothing else: the key's
         # variables signature names node-set and object bindings by id(),
         # which is only sound while the bound objects are alive, so the
@@ -289,7 +273,7 @@ class DocumentSession:
     def clear(self) -> None:
         with self._lock:
             self._evaluators.clear()
-            self._results.clear()
+        self.results.clear()
         self.holds.clear()
 
 
@@ -300,11 +284,9 @@ class BatchResult:
     ``values[d][q]`` is the result of ``queries[q]`` on document ``d``;
     ``algorithms[q]`` is the evaluator that ran ``queries[q]`` on every
     document (the fragment dispatch for ``auto``).
-    ``plan_stats``/``result_stats``/``holds_stats`` (the sessions'
-    :class:`~repro.core.corexpath.HoldsMemo` lookups) cover *this batch
-    only* (deltas, not
-    service-lifetime totals — those live on
-    :meth:`QueryService.cache_stats`).
+    ``plan_stats``/``result_stats``/``holds_stats``/``step_stats`` cover
+    *this batch only* (deltas, not service-lifetime totals — those live
+    on :meth:`QueryService.cache_stats`).
 
     ``batch_plan`` is the batch-shared step DAG's exact counter snapshot
     (:data:`~repro.stats.BatchPlanStats`) when multi-query sharing ran
@@ -346,31 +328,34 @@ class QueryService:
 
     def __init__(
         self,
-        plan_capacity: int = PlanCache.DEFAULT_CAPACITY,
+        plan_capacity: int = Memo.DEFAULT_CAPACITY,
         session_capacity: int = 64,
         result_capacity: int | None = None,
         variables: dict[str, object] | None = None,
     ):
         self.planner = QueryPlanner()
-        self.plans = PlanCache(plan_capacity)
+        self.plans = Memo(plan_capacity)
         self.variables = dict(variables or {})
         self.result_capacity = result_capacity
         #: Observed seconds per cost unit, per algorithm: every session's
         #: uncached evaluations feed it, admission control prices with it.
         self.timings = TimingStats(name="eval")
-        # Sessions are LRU-bounded too: a long-lived service must not
-        # retain every document tree it has ever served. Evicting a
-        # session drops its document reference and result memo. Every
-        # session counts into the one _result_stats, so a lookup on a
-        # session another thread has just evicted is still counted.
-        self._sessions = PlanCache(session_capacity, name="session_cache")
-        self._result_stats = CacheStats(name="result_cache")
-        # The same for every session's memo of backward propagations;
-        # its capacity is per session, in cells.
-        self._holds_stats = CacheStats(name="holds_memo", capacity=HoldsMemo.CELLS)
-        # Guards the compound session-map operations (lookup + create +
-        # evict must be atomic, or racing threads leak sessions).
-        self._lock = threading.RLock()
+        # Sessions are bounded too: a long-lived service must not retain
+        # every document tree it has ever served. Evicting a session
+        # drops its document reference and its memos. Every session
+        # counts into the one _result_stats and _holds_stats, so a lookup
+        # on a session another thread has just evicted is still counted;
+        # their capacities are per session.
+        self._sessions = Memo(session_capacity, "session_cache")
+        self._result_stats = CacheStats(
+            name="result_cache",
+            capacity=DocumentSession.DEFAULT_RESULT_CAPACITY
+            if result_capacity is None
+            else result_capacity,
+        )
+        self._holds_stats = CacheStats(
+            name="holds_memo", capacity=DocumentSession.HOLDS_CELLS
+        )
 
     # ------------------------------------------------------------------
 
@@ -379,28 +364,24 @@ class QueryService:
         query: str,
         variables: dict[str, object] | None = None,
     ) -> LogicalPlan:
-        """The compiled plan for a query, through the LRU cache."""
+        """The compiled plan for a query, through the plan cache."""
         bindings = self.variables if variables is None else variables
         return self.plans.get_or_create(
             plan_key(query, bindings), lambda: self.planner.compile(query, bindings)
         )
 
     def session(self, document: Document) -> DocumentSession:
-        """The (lazily created, LRU-bounded) per-document session."""
-        with self._lock:
-            session = self._sessions.get(document)
-            if session is None:
-                session = DocumentSession(
-                    document,
-                    result_capacity=self.result_capacity,
-                    timings=self.timings,
-                    result_stats=self._result_stats,
-                    holds_stats=self._holds_stats,
-                )
-                while len(self._sessions) >= self._sessions.capacity:
-                    self._sessions.pop_lru()
-                self._sessions.put(document, session)
-            return session
+        """The (lazily created, bounded) per-document session."""
+        return self._sessions.get_or_create(
+            document,
+            lambda: DocumentSession(
+                document,
+                result_capacity=self.result_capacity,
+                timings=self.timings,
+                result_stats=self._result_stats,
+                holds_stats=self._holds_stats,
+            ),
+        )
 
     # ------------------------------------------------------------------
 
@@ -518,7 +499,6 @@ class QueryService:
     def clear(self) -> None:
         """Drop all cached plans and sessions (statistics are retained)."""
         self.plans.clear()
-        with self._lock:
-            for session in self._sessions.values():
-                session.clear()
-            self._sessions.clear()
+        for session in self._sessions.values():
+            session.clear()
+        self._sessions.clear()

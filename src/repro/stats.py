@@ -214,10 +214,10 @@ class Counters:
         return {key: snapshot[key] - _value(form, snapshot) for key, form in checks.items()}
 
 
-#: One cache's lookups (the plan cache, the result memo, the holds memo,
-#: the step memo, the session map): every lookup is exactly one ``hits``
-#: or one ``misses``, every capacity overflow (or wholesale flush, counted
-#: per entry dropped) ``evictions``. ``hit_rate`` is hits over lookups.
+#: One :class:`~repro.service.cache.Memo`'s lookups (the plan cache, the
+#: result memo, the holds memo, the step memo, the session map): every
+#: lookup is exactly one ``hits`` or one ``misses``, every entry dropped
+#: past the bound one ``evictions``. ``hit_rate`` is hits over lookups.
 CacheStats = Counters(
     "cache",
     ("hits", "misses", "evictions"),

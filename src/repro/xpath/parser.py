@@ -278,7 +278,7 @@ class _Parser:
             return Step(axis, node_test, self.predicates())
         memo, key = self.memo, source[tokens[first][2] : stop]
         memo.lookups += 1
-        entry = memo.entries.get(key)
+        entry = memo.peek(key)
         keys = memo.keys
         if entry is not None:
             step, _, inner = entry

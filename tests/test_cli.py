@@ -199,6 +199,7 @@ def test_batch_subcommand_stats_output(capsys):
     assert "hits=1" in err
     assert "hit rate=50.0%" in err
     assert "result cache:" in err
+    assert "result cache: hits=1 misses=1 evictions=0 hit rate=50.0%" in err
     assert "axis kernels:" in err
     assert "index builds=" in err
     assert "fallback scans=" in err

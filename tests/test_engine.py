@@ -10,7 +10,7 @@ from repro.errors import (
     UnknownAlgorithmError,
     XPathSyntaxError,
 )
-from repro.service import PlanCache, QueryService
+from repro.service import Memo, QueryService
 from repro.xml.parser import parse_document
 
 
@@ -106,7 +106,7 @@ def test_changing_or_rebinding_variables_changes_the_answer(engine):
 
 
 def test_plan_cache_is_bounded_at_the_service_default(engine):
-    capacity = PlanCache.DEFAULT_CAPACITY
+    capacity = Memo.DEFAULT_CAPACITY
     assert QueryService().plans.capacity == capacity
     for index in range(capacity + 10):
         engine.compile(f"count(//b) + {index}")

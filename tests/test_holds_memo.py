@@ -3,11 +3,12 @@
 Theorem 13's evaluator answers ``boolean(π)`` with one backward
 propagation from all of ``dom``; the set where π holds depends on the
 document and π alone. A :class:`DocumentSession` keeps those sets in a
-:class:`HoldsMemo` keyed by π's canonical text (``Path.key``), so every
-query, batch and request on a document propagates each π once until a
-flush. These tests hold the memo to the bare evaluators' answers, to
-its key (one entry per canonical path, never one for two paths), to
-exact counters, to its lifetime, and to concurrent threads.
+memo (a :class:`~repro.service.cache.Memo`) keyed by π's canonical text
+(``Path.key``), so every query, batch and request on a document
+propagates each π once while the memo keeps its set. These tests hold
+the memo to the bare evaluators' answers, to its key (one entry per
+canonical path, never one for two paths), to exact counters, to its
+lifetime, and to concurrent threads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import pytest
 from repro import stats
 from repro.cli import main as cli_main
 from repro.core.context import Context
-from repro.core.corexpath import CoreXPathEvaluator, HoldsMemo
+from repro.core.corexpath import CoreXPathEvaluator
 from repro.engine import XPathEngine
 from repro.service.planner import compile_plan
-from repro.service.service import QueryService
+from repro.service.service import DocumentSession, QueryService
 from repro.workloads.documents import book_catalog
 from repro.workloads.queries import random_core_query
 from repro.xml.parser import parse_document
@@ -251,24 +252,50 @@ def test_an_evicted_session_takes_its_memo_with_it():
     assert _holds(service)["misses"] == 3 and _holds(service)["hits"] == 0
 
 
-def test_the_bound_flushes_wholesale_and_counts_its_evictions():
+def test_the_bound_evicts_the_least_recent_and_counts_its_evictions():
     """Absolute paths hold a set of one cell at most, so two entries fit
-    in 40 cells and the third flushes both. A set longer than the whole
-    bound is neither kept nor flushes anything."""
+    in 40 cells and the third evicts the least recent one. A set longer
+    than the whole bound is neither kept nor evicts anything."""
     document = parse_document("<r>" + "<a/>" * 40 + "</r>")
     service = QueryService()
     session = service.session(document)
-    with mock.patch.object(HoldsMemo, "CELLS", 40):
+    with mock.patch.object(session.holds, "capacity", 40):
         for path in ("/descendant::a", "/child::r", "/child::a"):
             service.evaluate(f"//a[{path}]", document)
-        assert _holds(service)["evictions"] == 2
-        assert len(session.holds) == 1
+        assert _holds(service)["evictions"] == 1
+        assert len(session.holds) == 2
         for _ in range(2):
             service.evaluate("//*[ancestor-or-self::node()]", document, cached=False)
-        assert len(session.holds) == 1
+        assert len(session.holds) == 2
     counters = _holds(service)
     assert counters["misses"] == 5 and counters["hits"] == 0
-    assert counters["evictions"] == 2
+    assert counters["evictions"] == 1
+
+
+def test_the_bound_evicts_exactly_the_least_recently_used_set():
+    """Three one-cell sets (17 cells each with the header) under a
+    40-cell bound: the third evicts the set used least recently, not
+    the one a later query just read. A set longer than the bound is
+    answered, not stored, and evicts nothing."""
+    document = parse_document("<r>" + "<a/>" * 40 + "</r>")
+    service = QueryService()
+    with mock.patch.object(DocumentSession, "HOLDS_CELLS", 40):
+        session = service.session(document)
+    first, second, third = (
+        f"//a[{path}]" for path in ("/descendant::a", "/child::r", "/descendant::r")
+    )
+    service.evaluate(first, document)
+    service.evaluate(second, document)
+    service.evaluate(first, document, cached=False)  # a hit: first is now the most recent
+    service.evaluate(third, document)
+    assert list(session.holds.keys()) == _keys(first) + _keys(third)
+    assert (_holds(service)["hits"], _holds(service)["evictions"]) == (1, 1)
+    wide = "//*[ancestor-or-self::node()]"
+    assert _pres(service.evaluate(wide, document)) == _pres(
+        XPathEngine(document).evaluate(wide, algorithm="corexpath")
+    )
+    assert list(session.holds.keys()) == _keys(first) + _keys(third)
+    assert _holds(service)["evictions"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from repro import stats
 from repro.engine import XPathEngine
 from repro.errors import XPathSyntaxError
-from repro.service import PlanCache, QueryService, plan_key
+from repro.service import Memo, QueryService, plan_key
 from repro.workloads.documents import book_catalog, running_example_document
 from repro.xml.parser import parse_document
 
@@ -164,7 +164,7 @@ def test_variable_bindings_flow_through_service():
 
 
 def test_lru_eviction_order_and_counters():
-    cache = PlanCache(capacity=2)
+    cache = Memo(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refreshes "a" to MRU
@@ -245,30 +245,62 @@ def test_result_memo_survives_plan_eviction_and_recompile():
     assert session.result_stats.snapshot()["misses"] == 2
     assert session.result_stats.snapshot()["hits"] == 2 * (rounds - 1)
     # No unreachable-entry growth: one memo entry per distinct request.
-    assert len(session._results) == 2
+    assert len(session.results) == 2
     # The memo entry the first //b plan filled does not keep that plan:
     # once evicted, it is garbage, and a recompiled //b still hits.
     gc.collect()
     assert first_plan() is None
     service.evaluate("//b", document)
     assert session.result_stats.snapshot()["hits"] == 2 * rounds - 1
-    assert len(session._results) == 2
+    assert len(session.results) == 2
 
 
-def test_result_memo_flushes_at_capacity():
+def test_result_memo_evicts_at_capacity():
     document = parse_document("<a><b>1</b><c>2</c><d>3</d></a>")
     service = QueryService(result_capacity=2)
     session = service.session(document)
-    for query in ("//b", "//c", "//d"):  # third insert flushes the memo
+    for query in ("//b", "//c", "//d"):  # third insert evicts the least recent
         service.evaluate(query, document)
-    assert len(session._results) == 1
-    assert session.result_stats.snapshot()["evictions"] == 2
-    # Flushed entries recompute correctly (a miss, not an error).
+    assert len(session.results) == 2
+    assert session.result_stats.snapshot()["evictions"] == 1
+    # Evicted entries recompute correctly (a miss, not an error).
     assert service.evaluate("//b", document) == XPathEngine(document).evaluate("//b")
 
 
+def test_result_memo_keeps_an_entry_just_hit_through_an_overflow():
+    """Least recently used out first: //b, hit just before //d overflows
+    the memo, stays; //c, untouched since its insert, goes."""
+    document = parse_document("<a><b>1</b><c>2</c><d>3</d></a>")
+    service = QueryService(result_capacity=2)
+    for query in ("//b", "//c", "//b", "//d"):
+        service.evaluate(query, document)
+    before = service.result_cache_stats()
+    service.evaluate("//b", document)
+    after = service.result_cache_stats()
+    assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+    service.evaluate("//c", document)
+    assert service.result_cache_stats()["misses"] == before["misses"] + 1
+
+
+def test_cache_stats_reports_every_memo_capacity():
+    """Each memo's bound in its own unit: plans, result entries per
+    session, holds cells per session, steps."""
+    stats_of = QueryService().cache_stats()
+    capacities = {
+        name: stats_of[name]["capacity"]
+        for name in ("plan_cache", "result_cache", "holds_memo", "step_memo")
+    }
+    assert capacities == {
+        "plan_cache": 256,
+        "result_cache": 1024,
+        "holds_memo": 1048576,
+        "step_memo": 256,
+    }
+    assert QueryService(result_capacity=8).cache_stats()["result_cache"]["capacity"] == 8
+
+
 def test_get_or_create_factory_runs_once():
-    cache = PlanCache(capacity=4)
+    cache = Memo(capacity=4)
     calls = []
     for _ in range(3):
         value = cache.get_or_create("k", lambda: calls.append(1) or "v")
@@ -281,7 +313,7 @@ def test_get_or_create_factory_with_recursive_inserts_keeps_counters_exact():
     """The unified insert path must stay exact when the factory itself
     populates the cache: 3 entries through a capacity-2 cache is exactly
     one eviction, and the outer value lands at the MRU end."""
-    cache = PlanCache(capacity=2)
+    cache = Memo(capacity=2)
 
     def factory():
         cache.put("x", "inner-1")
@@ -298,7 +330,7 @@ def test_get_or_create_factory_with_recursive_inserts_keeps_counters_exact():
 def test_get_or_create_factory_inserting_the_same_key_is_not_an_eviction():
     """A factory that inserts the contested key itself: the outer insert
     overwrites in place — no spurious eviction, no duplicate entry."""
-    cache = PlanCache(capacity=2)
+    cache = Memo(capacity=2)
 
     def factory():
         cache.put("k", "inner")
@@ -311,7 +343,7 @@ def test_get_or_create_factory_inserting_the_same_key_is_not_an_eviction():
 
 
 def test_put_refreshes_existing_key_to_mru():
-    cache = PlanCache(capacity=2)
+    cache = Memo(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.put("a", 10)            # refresh must move "a" to the MRU end
@@ -322,7 +354,7 @@ def test_put_refreshes_existing_key_to_mru():
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        PlanCache(capacity=0)
+        Memo(capacity=0)
 
 
 def test_cache_events_mirror_into_stats_collectors():

@@ -1,4 +1,4 @@
-"""The planner's step memo (:class:`repro.service.planner.StepMemo`).
+"""The planner's step memo (``QueryPlanner.steps``, a :class:`repro.service.cache.Memo`).
 
 A :class:`~repro.service.planner.QueryPlanner` keeps each location step
 with predicates it has compiled, normalized, under its axis, node test
@@ -20,6 +20,7 @@ import pathlib
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 
@@ -27,8 +28,8 @@ from repro.cli import main as cli_main
 from repro.engine import XPathEngine
 from repro.errors import XPathSyntaxError
 from repro.service import QueryService
-from repro.service.cache import PlanCache
-from repro.service.planner import QueryPlanner, StepMemo, compile_plan
+from repro.service.cache import Memo
+from repro.service.planner import QueryPlanner, _StepView, compile_plan
 from repro.xml.parser import parse_document
 from repro.xpath.ast import Path
 from repro.xpath.normalize import MAX_HEIGHT
@@ -176,20 +177,20 @@ def test_a_raw_parse_after_a_warm_compile_is_still_raw():
 def test_the_memo_never_exceeds_its_bound():
     planner = QueryPlanner()
     capacity = planner.steps.capacity
-    assert capacity == PlanCache.DEFAULT_CAPACITY
+    assert capacity == Memo.DEFAULT_CAPACITY
     names = ["".join(chr(97 + (index // 26 ** k) % 26) for k in range(3)) for index in range(700)]
     for name in names:
         planner.compile(f"//{name}[b]/c")
-        assert len(planner.steps.entries) <= capacity
+        assert len(planner.steps) <= capacity
     stats = planner.steps.stats.snapshot()
     assert (stats["hits"], stats["misses"]) == (0, 700)
-    assert stats["evictions"] == 2 * capacity
+    assert stats["evictions"] == 700 - capacity
     assert stats["capacity"] == capacity
 
 
 def test_eight_threads_compile_the_plans_of_one_thread():
     """Overlapping queries from eight threads through one small memo that
-    flushes while they run: every plan is the cold one, and the counters
+    evicts while they run: every plan is the cold one, and the counters
     add up to every lookup every compile made."""
     heads = ("//book[chapter[heading] and authors/author]", "//chapter[pages and ref]",
              "//book[chapter[heading]]", "//a[b[c]]")
@@ -197,15 +198,14 @@ def test_eight_threads_compile_the_plans_of_one_thread():
     queries = [head + tail for head in heads for tail in tails]
     expected = {query: fingerprint(compile_plan, query) for query in queries}
     planner = QueryPlanner()
-    memo = planner.steps = StepMemo(capacity=6)
+    memo = planner.steps = Memo(capacity=6, name="step_memo")
     lookups: list = []
-    settle = memo.settle
+    settle = _StepView.settle
 
     def counted(view) -> None:
         lookups.append(view.lookups)
         settle(view)
 
-    memo.settle = counted
     seen: list = []
     barrier = threading.Barrier(8)
 
@@ -219,11 +219,12 @@ def test_eight_threads_compile_the_plans_of_one_thread():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        with mock.patch.object(_StepView, "settle", counted):
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
@@ -231,7 +232,7 @@ def test_eight_threads_compile_the_plans_of_one_thread():
     assert all(found == expected[query] for query, found in seen)
     stats = memo.stats.snapshot()
     assert stats["hits"] + stats["misses"] == sum(lookups) > 0
-    assert stats["evictions"] > 0 and len(memo.entries) <= 6
+    assert stats["evictions"] > 0 and len(memo) <= 6
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +292,7 @@ def test_cache_stats_and_the_batch_footer_count_the_memo(capsys):
     batch = service.evaluate_many(["//c[b]", "//a[c[b]]/c", "//a[c[b]]/b"], [document])
     assert (batch.step_stats["hits"], batch.step_stats["misses"]) == (2, 2)
     memo = service.cache_stats()["step_memo"]
-    assert (memo["hits"], memo["misses"], memo["capacity"]) == (2, 2, PlanCache.DEFAULT_CAPACITY)
+    assert (memo["hits"], memo["misses"], memo["capacity"]) == (2, 2, Memo.DEFAULT_CAPACITY)
     code = cli_main(
         ["batch", "--xml", "<a><b/><c><b/></c></a>", "-q", "//c[b]", "-q", "//a[c[b]]/c",
          "-q", "//a[c[b]]/b", "--stats"]

@@ -1,6 +1,6 @@
 """Concurrency hammer: one shared QueryService under many threads.
 
-The thread-safety contract: :class:`PlanCache`, every
+The thread-safety contract: :class:`Memo`, every
 :class:`repro.stats.Counters` family and the :class:`QueryService`
 session/memo maps are lock-protected, so a
 single service driven from many threads (the serving daemon's worker
@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from repro.engine import XPathEngine
-from repro.service import PlanCache, QueryService
+from repro.service import Memo, QueryService
 from repro.stats import FAMILIES, ServeStats
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
 from repro.xml.parser import parse_document
@@ -107,28 +107,58 @@ def test_a_reader_never_sees_half_of_a_multi_counter_event():
     assert counters.snapshot()["admitted"] == THREADS * 2000
 
 
-def test_plan_cache_accounting_is_exact_under_contention():
-    """Interleaved get_or_create over more keys than capacity: every
-    lookup is one hit or one miss, every insert past capacity evicts,
-    and the cache never exceeds capacity — all exactly."""
-    cache = PlanCache(capacity=5)
+def _value_of(key: str) -> tuple:
+    """A value one to three cost units long under ``cost=len``."""
+    return (key,) * (1 + int(key[1:]) % 3)
+
+
+def _get_or_create(cache: Memo, key: str) -> tuple:
+    return cache.get_or_create(key, lambda: _value_of(key))
+
+
+def _get_then_put(cache: Memo, key: str) -> tuple:
+    value = cache.get(key)
+    if value is None:
+        value = _value_of(key)
+        cache.put(key, value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "cost, lookup",
+    [(None, _get_or_create), (len, _get_then_put)],
+    ids=["unit_get_or_create", "weighted_get_then_put"],
+)
+def test_memo_accounting_is_exact_under_contention(cost, lookup):
+    """Interleaved lookups over more keys than fit: every lookup is one
+    hit or one miss and the memo never passes its bound, whether the
+    factory runs under the lock (unit cost) or the value is computed
+    outside it and put (cost-weighted) — all exactly."""
+    cache = Memo(capacity=5, cost=cost)
     keys = [f"q{i}" for i in range(12)]
 
     def worker(index):
         for round_number in range(ROUNDS):
             key = keys[(index + round_number) % len(keys)]
-            value = cache.get_or_create(key, lambda k=key: ("plan", k))
-            assert value == ("plan", key)
+            value = lookup(cache, key)
+            assert value == _value_of(key)
 
-    _hammer(worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(interval)
     stats = cache.stats.snapshot()
     total_lookups = THREADS * ROUNDS
     assert stats["hits"] + stats["misses"] == total_lookups
-    # Every miss inserted a brand-new key (the factory runs under the
-    # lock, so racing callers of one key produce one miss, then hits);
-    # keys only leave via counted evictions.
-    assert stats["misses"] - stats["evictions"] == len(cache)
-    assert len(cache) == cache.capacity
+    assert sum(len(value) if cost else 1 for value in cache.values()) <= cache.capacity
+    if cost is None:
+        # Every miss inserted a brand-new key (the factory runs under the
+        # lock, so racing callers of one key produce one miss, then hits);
+        # keys only leave via counted evictions.
+        assert stats["misses"] - stats["evictions"] == len(cache)
+        assert len(cache) == cache.capacity
 
 
 def test_shared_query_service_is_exact_and_correct_under_8_threads():
@@ -384,7 +414,7 @@ def test_vector_program_counters_are_exact_under_contention():
 def test_plan_cache_iteration_is_safe_during_mutation():
     """keys()/values() hand out point-in-time copies, so a monitoring
     thread can walk the cache while drivers mutate it."""
-    cache = PlanCache(capacity=8)
+    cache = Memo(capacity=8)
     stop = threading.Event()
 
     def reader():
