@@ -64,10 +64,12 @@ hit started none).
 
 **Drain** — SIGTERM flips the daemon into draining: new work is refused
 with ``SHUTTING_DOWN``, in-flight work finishes (or is deadlined out)
-within the grace window, response queues are flushed, and the exact
-per-client counters still reconcile: ``queries == admitted + rejected +
-request_errors`` and ``admitted == completed + deadlined + failed``,
-global == Σ clients, with zero admitted queries losing their response.
+within the grace window and writes its reply, each connection gets the
+grace window again to flush (a client that stopped reading is then
+aborted, not waited on), and the exact per-client counters still
+reconcile: ``queries == admitted + rejected + request_errors`` and
+``admitted == completed + deadlined + failed``, global == Σ clients,
+with zero admitted queries losing their response.
 
 :class:`~repro.serve.client.ServeClient` is the matching client: typed
 errors reconstructed from stable protocol codes, and jittered

@@ -7,10 +7,9 @@ service's timing histories, per-client :class:`~repro.serve.quotas.
 ClientState`, and exact per-client + global :data:`~repro.stats.
 ServeStats` counters. Connections speak the line-delimited JSON protocol of
 :mod:`repro.serve.protocol`; requests on one connection may be
-pipelined, with responses correlated by ``id`` and delivered through a
-bounded per-connection response queue (a client that does not read
-stalls its own reader and its own evaluation tasks, never the daemon's
-memory).
+pipelined, with responses correlated by ``id`` and written straight to
+the transport (a client that does not read stalls its own reader and its
+own evaluation tasks in ``drain``, never the daemon's memory).
 
 The connection reader runs one **synchronous front half** for every
 frame, on the event loop, and answers right there whatever does not
@@ -20,7 +19,8 @@ order a frame meets them, with the counter each exit lands in:
 1. **decode** — a malformed line gets a typed ``PROTOCOL`` error
    (``malformed``) and the connection resynchronizes at the next
    newline; an oversized frame gets ``FRAME_TOO_LARGE`` and a close.
-2. **count + client lookup** — ``requests``. ``PING``, ``STATS`` and
+2. **count + client lookup** — ``requests`` (a QUERY or BATCH ticks it
+   with ``queries`` and its outcome, as one event). ``PING``, ``STATS`` and
    ``UNREGISTER`` are answered here; ``REGISTER`` is validated here and
    its parse runs as a task on a worker thread.
 3. **gate** (QUERY and BATCH, ``queries``) — draining
@@ -65,9 +65,9 @@ order a frame meets them, with the counter each exit lands in:
    cannot be interrupted, only abandoned; their results are dropped and
    their timing observations still sharpen future admissions.
 8. **drain** — SIGTERM stops admission, lets in-flight work finish
-   inside ``drain_grace``, flushes every response queue, and only then
-   closes: zero lost responses, ``admitted == completed + deadlined +
-   failed`` through the shutdown.
+   inside ``drain_grace``, gives each connection ``drain_grace`` more to
+   flush (then aborts it), and only then closes: zero lost responses,
+   ``admitted == completed + deadlined + failed`` through the shutdown.
 
 Every failure mode is deterministically testable through the
 :class:`~repro.serve.faults.FaultInjector` seam. ``before_evaluate``
@@ -185,33 +185,42 @@ class _Request:
 
 
 class _Connection:
-    """One client connection: reader, writer, the bounded response
-    queue, and the set of in-flight request tasks."""
+    """One client connection: its writer and its in-flight request
+    tasks."""
 
-    def __init__(self, reader, writer, default_client: str, queue_size: int):
-        self.reader = reader
+    def __init__(self, writer, default_client: str):
         self.writer = writer
         self.default_client = default_client
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.tasks: set[asyncio.Task] = set()
         self.dead = False
 
     async def send(self, frame: dict) -> None:
-        """Queue one response frame (drops silently once the transport
-        died — the handler's counters already recorded the outcome).
-        Returns without yielding while the queue has room; a full queue
-        suspends the caller — the reader included, which then stops
-        taking frames off the socket."""
-        if not self.dead:
-            await self.queue.put(frame)
+        """Write one response frame to the transport (dropped silently
+        once the transport died — the handler's counters already
+        recorded the outcome). Returns without yielding while the
+        transport's buffer is below its high-water mark; above it the
+        caller waits in ``drain`` — the reader included, which then
+        stops taking frames off the socket."""
+        if self.dead:
+            return
+        try:
+            data = encode_frame(frame)
+        except ReproError as error:
+            # An oversized response (giant node-set) degrades to a typed
+            # error frame; the connection stays usable.
+            data = encode_frame(
+                error_response(frame.get("id"), "FRAME_TOO_LARGE", str(error))
+            )
+        try:
+            self.writer.write(data)
+            await self.writer.drain()
+        except (ConnectionError, OSError):
+            self.dead = True
 
     def spawn(self, coroutine) -> None:
         task = asyncio.ensure_future(coroutine)
         self.tasks.add(task)
         task.add_done_callback(self.tasks.discard)
-
-    async def close_queue(self) -> None:
-        await self.queue.put(None)
 
 
 class XPathDaemon:
@@ -227,7 +236,6 @@ class XPathDaemon:
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
         default_deadline_seconds: float | None = None,
-        response_queue_size: int = 256,
         drain_grace: float = 5.0,
         client_retention_seconds: float = 900.0,
         max_retained_clients: int = 1024,
@@ -241,7 +249,6 @@ class XPathDaemon:
         )
         self.injector = injector if injector is not None else FaultInjector()
         self.default_deadline_seconds = default_deadline_seconds
-        self.response_queue_size = response_queue_size
         self.drain_grace = drain_grace
         self.client_retention_seconds = client_retention_seconds
         self.max_retained_clients = max_retained_clients
@@ -283,8 +290,8 @@ class XPathDaemon:
 
     async def drain(self) -> None:
         """Graceful shutdown: stop admitting, finish or deadline-out the
-        in-flight work within ``drain_grace``, flush every response
-        queue, close. Zero admitted queries lose their response."""
+        in-flight work within ``drain_grace``, close every connection.
+        Zero admitted queries lose their response."""
         self.draining = True
         if self._server is not None:
             # Stop accepting. wait_closed() is deferred until after the
@@ -406,15 +413,8 @@ class XPathDaemon:
         # below malloc's default mmap and trim thresholds.
         writer.transport.max_size = 64 * 1024
         self._connection_serial += 1
-        conn = _Connection(
-            reader,
-            writer,
-            default_client=f"conn:{self._connection_serial}",
-            queue_size=self.response_queue_size,
-        )
+        conn = _Connection(writer, default_client=f"conn:{self._connection_serial}")
         self._connections.add(conn)
-        writer_task = asyncio.ensure_future(self._write_loop(conn))
-        conn.writer_task = writer_task
         try:
             while True:
                 try:
@@ -469,15 +469,14 @@ class XPathDaemon:
             for task in set(conn.tasks):
                 task.cancel()
             await asyncio.wait(set(conn.tasks), timeout=self.drain_grace)
-        await conn.close_queue()
-        try:
-            await asyncio.wait_for(conn.writer_task, timeout=self.drain_grace)
-        except asyncio.TimeoutError:
-            conn.writer_task.cancel()
         conn.dead = True
         try:
             conn.writer.close()
-            await conn.writer.wait_closed()
+            await asyncio.wait_for(conn.writer.wait_closed(), timeout=self.drain_grace)
+        except asyncio.TimeoutError:  # an OSError: it must come first
+            # A client that stopped reading never lets the buffered
+            # replies flush: give up on them.
+            conn.writer.transport.abort()
         except (ConnectionError, OSError):
             pass
         # The anonymous per-connection identity can never be addressed
@@ -486,30 +485,6 @@ class XPathDaemon:
         state = self._clients.get(conn.default_client)
         if state is not None and state.in_flight == 0:
             self._evict_client(conn.default_client)
-
-    async def _write_loop(self, conn: _Connection) -> None:
-        """Drain the bounded response queue onto the socket; on a broken
-        transport keep consuming (and dropping) so handlers never block
-        on a queue nobody reads."""
-        while True:
-            frame = await conn.queue.get()
-            if frame is None:
-                return
-            if conn.dead:
-                continue
-            try:
-                data = encode_frame(frame)
-            except ReproError as error:
-                # An oversized response (giant node-set) degrades to a
-                # typed error frame; the connection stays usable.
-                data = encode_frame(
-                    error_response(frame.get("id"), "FRAME_TOO_LARGE", str(error))
-                )
-            try:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                conn.dead = True
 
     def _drop_connection(self, conn: _Connection) -> None:
         """Fault injection: hard mid-stream disconnect."""
@@ -529,9 +504,9 @@ class XPathDaemon:
         request_id = frame.get("id")
         verb = frame.get("verb")
         client, client_stats = self._client(frame, conn)
-        self._tick(client_stats, {"requests": 1})
         if verb in ("QUERY", "BATCH"):
             return self._front_query(conn, frame, client, client_stats, received)
+        self._tick(client_stats, {"requests": 1})
         if verb == "PING":
             return ok_response(request_id, pong=True, draining=self.draining)
         if verb == "STATS":
@@ -579,23 +554,26 @@ class XPathDaemon:
 
     def _front_query(self, conn, frame, client, client_stats, received) -> dict | None:
         """Gate → validation → memo probe → admission for one QUERY or
-        BATCH. The in-flight slot taken at the gate is released on every
-        exit from here except the hand-off to the evaluation task."""
+        BATCH, counted as one event: ``requests``, ``queries`` and the
+        outcome, ticked once on every exit. The in-flight slot taken at
+        the gate is released on every exit from here except the
+        hand-off to the evaluation task."""
         request_id = frame.get("id")
-        self._tick(client_stats, {"queries": 1})
-        refusal = self._gate(client)
-        if refusal is not None:
-            self._tick(client_stats, {f"rejected_{refusal[0]}": 1})
-            return error_to_response(request_id, refusal[1])
-        handed_off = False
+        event = {"requests": 1, "queries": 1}
+        holds_slot = False
         try:
+            refusal = self._gate(client)
+            if refusal is not None:
+                event[f"rejected_{refusal[0]}"] = 1
+                return error_to_response(request_id, refusal[1])
+            holds_slot = True
             try:
                 request = self._validate(frame, client, client_stats, received)
             except ReproError as error:
-                self._tick(client_stats, {"request_errors": 1})
+                event["request_errors"] = 1
                 return error_to_response(request_id, error)
             except Exception as error:  # a front-end bug: typed, never lost
-                self._tick(client_stats, {"request_errors": 1})
+                event["request_errors"] = 1
                 return error_response(
                     request_id, "INTERNAL", f"request validation failed: {error!r}"
                 )
@@ -604,27 +582,28 @@ class XPathDaemon:
                 value = session.probe(request.plans[0])
                 if value is not DocumentSession.MISS:
                     request.decision = _MEMO_HIT
-                    self._tick(client_stats, {"admitted": 1, "completed": 1, "memo_hits": 1})
+                    event.update(admitted=1, completed=1, memo_hits=1)
                     return self._query_reply(conn, request, value)
             decision = self.admission.decide(
                 request.plans, request.documents, request.deadline_seconds,
                 self._in_flight,
             )
             if not decision.admitted:
-                self._tick(client_stats, {"rejected_overload": 1})
+                event["rejected_overload"] = 1
                 return error_to_response(
                     request_id,
                     OverloadError(decision.reason, retry_after=decision.retry_after),
                 )
-            self._tick(client_stats, {"admitted": 1, "degraded": int(decision.degraded)})
+            event.update(admitted=1, degraded=int(decision.degraded))
             request.decision = decision
             self._in_flight += 1
             conn.spawn(self._settle(conn, request))
-            handed_off = True
+            holds_slot = False  # the task releases it
             return None
         finally:
-            if not handed_off:
+            if holds_slot:
                 client.release_slot()
+            self._tick(client_stats, event)
 
     def _gate(self, client: ClientState) -> tuple[str, ReproError] | None:
         """Stage 3: the reject reason and its typed error, or ``None``

@@ -64,7 +64,7 @@ class FaultInjector:
             )
 
     def should_disconnect(self, query: str) -> bool:
-        """Called right before a response is queued: a match makes the
+        """Called right before a QUERY reply is sent: a match makes the
         daemon drop the connection instead (mid-stream disconnect)."""
         if self.disconnect_matching is not None and self.disconnect_matching in query:
             self.stats.tick("faults_injected")

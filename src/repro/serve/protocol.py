@@ -43,11 +43,15 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 VERBS = ("PING", "REGISTER", "UNREGISTER", "QUERY", "BATCH", "STATS", "BYE")
 
 
+#: One compact encoder for every frame (``json.dumps`` builds one a call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(payload: dict) -> bytes:
     """One frame: compact JSON + newline. Raises
     :class:`~repro.errors.ProtocolError` when the encoded frame would
     exceed :data:`MAX_FRAME_BYTES` (the receiver would reject it)."""
-    line = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    line = _ENCODER.encode(payload).encode("utf-8") + b"\n"
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(line)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

@@ -12,6 +12,7 @@ requests never reach evaluation.
 import asyncio
 import concurrent.futures
 import contextlib
+import json
 import os
 import signal
 import socket
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -43,7 +45,7 @@ from repro.serve.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.serve.quotas import ClientQuota, ClientState, TokenBucket
 from repro.service.planner import QueryPlanner
 from repro.service.service import QueryService
-from repro.stats import ServeStats
+from repro.stats import Counters, ServeStats
 from repro.xml.parser import parse_document
 from repro.xpath.parser import MAX_DEPTH
 
@@ -76,6 +78,26 @@ def test_frame_roundtrip():
 def test_malformed_frames_raise_protocol_error(line):
     with pytest.raises(ProtocolError):
         decode_frame(line)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"verb": "QUERY", "id": 1, "query": "//título[. = 'naïve — ✓']", "doc": "d"},
+        {"id": "x", "ok": True, "kind": "number", "value": 0.1 + 0.2, "elapsed_ms": 1e-07},
+        {"id": 2, "ok": True, "kind": "number", "value": float("nan"), "neg": -1.5e300},
+        {"id": None, "ok": True, "cells": [[1, [2.5, "ü"]], [], [[None, False]]]},
+        {"id": 3, "ok": False, "error": {"code": "PROTOCOL", "message": "bad \"frame\"\n"}},
+        {"id": 4, "ok": False, "error": {"code": "OVERLOAD", "message": "m", "retry_after": 0.05}},
+        {"id": 5, "ok": False, "error": {"code": "DEADLINE", "message": "late"},
+         "cells": [{"doc": "d", "query": "//a", "count": 0, "items": []}],
+         "completed": 1, "total": 2, "elapsed_ms": 12.345},
+        {"id": 6, "ok": True, "items": ["/r[1]/\u00e9\U0001f600[2]"], "memo": True},
+    ],
+)
+def test_encode_frame_is_byte_identical_to_compact_json_dumps(frame):
+    expected = json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+    assert encode_frame(frame) == expected
 
 
 def test_oversized_frame_raises_protocol_error():
@@ -1084,6 +1106,37 @@ def read_frames(sock, count, timeout=30.0):
         return [decode_frame(stream.readline()) for _ in range(count)]
 
 
+def daemon_connection(daemon, sock, deadline):
+    """The daemon's side of a client socket. The kernel can take a whole
+    burst before the loop has accepted the connection, and a client that
+    just closed may still be listed: it has its BYE reply before the
+    daemon drops it."""
+    name = sock.getsockname()
+    while time.monotonic() < deadline:
+        for conn in list(daemon._connections):
+            if conn.writer.get_extra_info("peername") == name:
+                return conn
+        time.sleep(0.01)
+    raise AssertionError("the daemon never accepted the connection")
+
+
+def wait_until_stalled(daemon, transport, deadline) -> int:
+    """Wait until the reader has stopped above the transport's high-water
+    mark (a client that does not read); return the ``requests`` count it
+    stopped at. It must stay put for ten polls, so that a passing
+    crossing of the mark does not count."""
+    high_water = transport.get_write_buffer_limits()[1]
+    requests, still = None, 0
+    while still < 10 and time.monotonic() < deadline:
+        seen = daemon.stats.snapshot()["requests"]
+        above = transport.get_write_buffer_size() >= high_water
+        still = still + 1 if above and seen == requests else 0
+        requests = seen
+        time.sleep(0.01)
+    assert still == 10, "the reader never stalled above the high-water mark"
+    return requests
+
+
 def test_pipelined_frames_get_one_reply_each_and_hits_keep_send_order():
     service = QueryService()
     with running_daemon(
@@ -1141,33 +1194,165 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         items = "".join("<item/>" for _ in range(200))
         with ServeClient(port=daemon.port, client="b") as client:
             client.register("d", f"<r>{items}</r>")
-            largest = len(encode_frame(client.query("//item", "d")))
+            client.query("//item", "d")
         frame = {"verb": "QUERY", "client": "b", "doc": "d", "query": "//item"}
         burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
         with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
             sock.sendall(burst)
             deadline = time.monotonic() + 10.0
-            # The kernel can take the whole burst before the loop has
-            # accepted the connection.
-            while not daemon._connections and time.monotonic() < deadline:
-                time.sleep(0.01)
-            (conn,) = daemon._connections
+            conn = daemon_connection(daemon, sock, deadline)
             transport = conn.writer.transport
             high_water = transport.get_write_buffer_limits()[1]
-            while not conn.queue.full() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert conn.queue.full()  # the reader is now waiting on it
+            requests = wait_until_stalled(daemon, transport, deadline)
+            buffered = []
             for _ in range(20):
-                assert conn.queue.qsize() <= daemon.response_queue_size
-                assert transport.get_write_buffer_size() <= high_water + 2 * largest
+                assert daemon.stats.snapshot()["requests"] == requests
+                buffered.append(transport.get_write_buffer_size())
                 assert not conn.tasks
                 time.sleep(0.01)
             replies = read_frames(sock, 5000)
+        # A write lands only below the mark, so the buffer overshoots it
+        # by at most one reply.
+        largest = max(len(encode_frame(reply)) for reply in replies)
+        assert max(buffered) <= high_water + largest
         assert [reply["id"] for reply in replies] == list(range(5000))
         assert all(reply["memo"] and reply["count"] == 200 for reply in replies)
         snapshot = daemon.stats.snapshot()
         assert snapshot["memo_hits"] == 5000
         assert_identities(snapshot)
+
+
+@contextlib.contextmanager
+def serve_adds():
+    """Every ``Counters.add`` call a serve family takes while the block
+    runs, as ``(instance name, amounts)``."""
+    calls = []
+    add = Counters.add
+
+    def counting(self, amounts):
+        if self.name.startswith("serve"):
+            calls.append((self.name, dict(amounts)))
+        return add(self, amounts)
+
+    with mock.patch.object(Counters, "add", counting):
+        yield calls
+
+
+def test_a_query_frame_is_one_counter_event_on_every_exit():
+    """The front half counts a QUERY or BATCH as one event — one add on
+    the global counters, one on the client's — whether it is answered
+    from the memo, admitted or refused."""
+    injector = FaultInjector(delay_matching="slow", delay_seconds=2.0)
+    service = QueryService()
+    quota = ClientQuota(max_in_flight=1, rate=1e-3, burst=7)
+    with running_daemon(
+        service=service, injector=injector, quota=quota, admission=permissive(service)
+    ) as daemon:
+        frame = {"requests": 1, "queries": 1}
+
+        def one_event(**outcome):
+            event = {**frame, **outcome}
+            return [("serve", event), ("serve_client_c", event)]
+
+        with ServeClient(port=daemon.port, client="c") as client:
+            client.register("d", "<a><b/><slow/></a>")
+            client.query("//b", "d", retry=False)  # fills the memo
+            with serve_adds() as calls:
+                assert client.query("//b", "d", retry=False)["memo"] is True
+            assert calls == one_event(admitted=1, completed=1, memo_hits=1)
+            with serve_adds() as calls:
+                client.batch(["//b"], ["d"], retry=False)
+            # The front half's event, then the evaluation task's outcome.
+            assert calls == one_event(admitted=1, degraded=0) + [
+                ("serve", {"completed": 1, "drained": 0}),
+                ("serve_client_c", {"completed": 1, "drained": 0}),
+            ]
+            with serve_adds() as calls:
+                with pytest.raises(ReproError):
+                    client.query("//b", "ghost", retry=False)
+            assert calls == one_event(request_errors=1)
+            with serve_adds() as calls:
+                with pytest.raises(OverloadError):
+                    client.query("//b[1]", "d", deadline_ms=0, retry=False)
+            assert calls == one_event(rejected_overload=1)
+            started = injector.snapshot()["evaluations_started"]
+            with ServeClient(port=daemon.port, client="c") as holder:
+                slow = threading.Thread(
+                    target=lambda: holder.query("//slow", "d", retry=False)
+                )
+                slow.start()
+                deadline = time.monotonic() + 5.0
+                while injector.snapshot()["evaluations_started"] == started:
+                    assert time.monotonic() < deadline, "the slow query never started"
+                    time.sleep(0.01)
+                with serve_adds() as calls:
+                    with pytest.raises(QuotaExceededError):
+                        client.query("//b", "d", retry=False)
+                assert calls == one_event(rejected_quota=1)
+                with serve_adds() as calls:
+                    with pytest.raises(RateLimitedError):
+                        client.query("//b", "d", retry=False)
+                assert calls == one_event(rejected_rate=1)
+                slow.join(10)
+            daemon.draining = True  # the next drain finds it already set
+            with serve_adds() as calls:
+                with pytest.raises(ReproError) as refused:
+                    client.query("//b", "d", retry=False)
+            assert refused.value.protocol_code == "SHUTTING_DOWN"
+            assert calls == one_event(rejected_draining=1)
+        assert_identities(daemon.stats.snapshot())
+
+
+def test_stats_pipelined_behind_mixed_frames_reads_every_residual_zero():
+    """Every frame before a STATS is fully counted by the time it is
+    answered: pipelined hits, refusals of three kinds, request errors,
+    malformed lines, PINGs and unknown verbs leave no residual."""
+    service = QueryService()
+    quota = ClientQuota(max_in_flight=512, rate=1e-3, burst=150)
+    with running_daemon(
+        service=service, quota=quota, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="p") as client:
+            client.register("d", "<r><item/><item/></r>")
+            client.query("//item", "d")
+        frames = []
+        for index in range(1, 301):
+            fields = {"verb": "QUERY", "id": index, "client": "p", "doc": "d"}
+            kind = index % 10
+            if kind == 0:
+                frames.append(b"{not json\n")
+                continue
+            if kind == 1:
+                fields = {"verb": "PING", "id": index, "client": "p"}
+            elif kind == 2:
+                fields.update(query="//item", doc="ghost")
+            elif kind == 3:  # a miss priced over its own deadline
+                fields.update(query=f"//item[{index}]", deadline_ms=0)
+            elif kind == 4:
+                fields = {
+                    "verb": "BATCH", "id": index, "client": "p",
+                    "queries": ["//item"], "deadline_ms": 0,
+                }
+            elif kind == 5:
+                fields = {"verb": "NOPE", "id": index, "client": "p"}
+            else:
+                fields["query"] = "//item"
+            frames.append(encode_frame(fields))
+        frames.append(encode_frame({"verb": "STATS", "id": 301, "client": "p"}))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(b"".join(frames))
+            replies = read_frames(sock, 301)
+        assert replies[-1]["id"] == 301
+        stats = replies[-1]["stats"]
+        served = stats["global"]
+        assert served["memo_hits"] > 0 and served["malformed"] == 30
+        assert served["rejected_overload"] > 0 and served["rejected_rate"] > 0
+        assert served["request_errors"] > 0
+        residuals = stats["residuals"]
+        assert set(residuals["global"].values()) == {0}
+        assert residuals["clients"] and all(
+            set(client.values()) == {0} for client in residuals["clients"].values()
+        )
 
 
 def test_a_batch_whose_client_leaves_starts_no_further_row():
@@ -1311,6 +1496,52 @@ def test_drain_deadlines_out_stragglers_and_loses_no_responses():
     assert snapshot["deadlined"] == 1
     assert snapshot["drained"] == 1
     assert_identities(snapshot)
+
+
+def test_drain_finishes_while_a_connected_client_has_stopped_reading():
+    """A client that pipelines a burst and never reads keeps replies
+    buffered above the transport's high-water mark; the drain still
+    finishes inside its grace windows instead of waiting on it."""
+    service = QueryService()
+    holder = {}
+    ready = threading.Event()
+
+    def run():
+        async def main():
+            daemon = XPathDaemon(service=service, drain_grace=1.0)
+            await daemon.start()
+            holder["daemon"] = daemon
+            holder["loop"] = asyncio.get_running_loop()
+            ready.set()
+            await daemon.wait_closed()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(10)
+    daemon = holder["daemon"]
+    items = "".join("<item/>" for _ in range(2000))
+    with ServeClient(port=daemon.port, client="s") as client:
+        client.register("d", f"<r>{items}</r>")
+        client.query("//item", "d")  # every frame of the burst is a hit
+    frame = {"verb": "QUERY", "client": "s", "doc": "d", "query": "//item"}
+    burst = b"".join(encode_frame({**frame, "id": n}) for n in range(3000))
+    with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+        sock.sendall(burst)
+        deadline = time.monotonic() + 10.0
+        conn = daemon_connection(daemon, sock, deadline)
+        wait_until_stalled(daemon, conn.writer.transport, deadline)
+        holder["loop"].call_soon_threadsafe(daemon.initiate_drain)
+        thread.join(3.0)
+        assert not thread.is_alive(), "the drain waited on a client that never reads"
+        # The daemon gave up on the unread replies: the connection is
+        # gone, not left open behind the finished loop.
+        sock.settimeout(5.0)
+        with contextlib.suppress(ConnectionResetError):
+            while sock.recv(1 << 20):
+                pass
+    assert_identities(daemon.stats.snapshot())
 
 
 # ----------------------------------------------------------------------
