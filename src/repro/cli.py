@@ -9,8 +9,9 @@ Three modes:
   ``plan --explain`` additionally names the fragment result behind that
   choice (Theorem 13 for Core XPath, Corollary 11 elsewhere); give
   ``plan`` a document via ``--xml``/``--file`` and it also prints the
-  document's profile (``|dom|``, depth, fanout, text ratio) and the
-  cost units admission control prices the cell at.
+  document's profile (``|dom|`` and fanout) and the cost units
+  admission control prices the cell at (``|D|·|Q|`` plus the
+  positional-loop width).
   ``plan --explain-batch QUERY...`` accepts several queries and prints
   the *batch-shared step DAG* the service would build for them — which
   step prefixes unify, which plans consume them, and which plans stay
@@ -274,7 +275,8 @@ def build_plan_parser() -> argparse.ArgumentParser:
         prog="repro-xpath plan",
         description="Compile a query and print its logical plan (no document "
         "needed). --explain adds the fragment reason for the evaluator auto "
-        "runs and, given a document, its profile and admission cost units. "
+        "runs and, given a document, its |dom| and fanout and the cost units "
+        "admission prices the cell at (|D|*|Q| plus the positional-loop width). "
         "--explain-batch accepts several queries and prints the "
         "batch-shared step DAG the service would build.",
     )
@@ -292,8 +294,8 @@ def build_plan_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print why auto runs the evaluator it does (Theorem 13 or "
-        "Corollary 11) and, given a document, its profile and the cost "
-        "units admission prices",
+        "Corollary 11) and, given a document, its |dom| and fanout and the "
+        "cost units admission prices",
     )
     parser.add_argument(
         "--explain-batch",
@@ -379,7 +381,7 @@ def _print_plan(plan, explain: bool, tree: bool, profile=None) -> None:
     print("algorithm:       ", algorithm, f"({reason})")
     if profile is not None:
         print("profile:         ", profile.describe())
-        print("cost units:      ", f"{cost_units(plan, profile, algorithm):.3g}")
+        print("cost units:      ", f"{cost_units(plan, profile):.3g}")
     if tree:
         print("parse tree:")
         print(dump_tree(plan.ast, indent="    "))

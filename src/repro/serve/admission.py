@@ -1,13 +1,14 @@
 """Admission control: price work before doing it, refuse it typed.
 
 The paper's complexity theorems give every (query, document) cell a
-computable cost *shape*; the service layer turns that shape into
-numbers — :func:`repro.service.cost.cost_units` estimates abstract units
-for the evaluator ``auto`` runs (the plan's fragment dispatch),
-and :attr:`QueryService.timings <repro.service.service.QueryService.timings>`
-holds the observed seconds-per-unit EMA per algorithm. The
-:class:`AdmissionController` composes the two into a pre-evaluation
-gate:
+computable bound; :func:`repro.service.cost.cost_units` is that bound in
+abstract units (``|D|·|Q|`` plus the positional-loop width, one formula
+for every evaluator), and
+:attr:`QueryService.timings <repro.service.service.QueryService.timings>`
+holds the observed seconds-per-unit EMA per algorithm, which carries
+each evaluator's constant factor. The :class:`AdmissionController`
+multiplies the units by the rate of the evaluator ``auto`` runs (the
+plan's fragment dispatch) into a pre-evaluation gate:
 
 * **admit** — the priced cost fits the remaining deadline and the queue
   is shallow: evaluate normally (``auto``, batch sharing on);
@@ -19,9 +20,10 @@ gate:
   deadline (typed ``OVERLOAD`` with *no* hint: retrying the same
   request cannot help).
 
-Everything here is arithmetic over memoized profiles — no evaluation
-ever starts for a rejected request, which is what keeps the daemon's
-p99 bounded under overload (the EXP-SERVE gate).
+Everything here is arithmetic over two numbers of the document's index
+and the plan's traits — no evaluation ever starts for a rejected
+request, which is what keeps the daemon's p99 bounded under overload
+(the EXP-SERVE gate).
 """
 
 from __future__ import annotations
@@ -105,11 +107,10 @@ class AdmissionController:
     def price(self, plan, document) -> float:
         """Priced seconds for one (query, document) cell under the
         evaluator ``auto`` runs,
-        :meth:`~repro.service.plan.LogicalPlan.best_algorithm`: model
-        units × that evaluator's rate."""
-        algorithm = plan.best_algorithm()
-        units = cost_units(plan, document_profile(document), algorithm)
-        return units * self._rate(algorithm)
+        :meth:`~repro.service.plan.LogicalPlan.best_algorithm`: the
+        cell's units × that evaluator's rate."""
+        units = cost_units(plan, document_profile(document))
+        return units * self._rate(plan.best_algorithm())
 
     # -- the gate -------------------------------------------------------
 

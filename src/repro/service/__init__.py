@@ -37,10 +37,11 @@ dispatch → rows:
    history. The kernels under either evaluator keep a guarantee of
    their own: the axis dispatch (:func:`repro.axes.vec.forward_step`)
    reverts to the Definition-1 ``O(|D|)`` scans whenever predicted
-   output is large. A price for the chosen evaluator — abstract units
-   from :mod:`repro.service.cost` (plan traits × :class:`DocumentProfile`)
-   times the observed seconds per unit on :attr:`QueryService.timings`
-   — is what admission control reads.
+   output is large. Admission control reads a price for the chosen
+   evaluator: the cell's bound from :mod:`repro.service.cost`
+   (``|D|·|Q|`` plus the positional-loop width, the same units for
+   every evaluator) times that evaluator's observed seconds per unit on
+   :attr:`QueryService.timings`.
 4. **rows (per document)** — :meth:`QueryService.batch_rows` is the
    one batch loop: for each document in order it yields that document's
    row, through the DAG's ``evaluate_row`` when a prefix is shared, cell
@@ -63,7 +64,7 @@ Modules:
 * :mod:`repro.service.batchplan` — the batch layer: :class:`BatchPlan` /
   :func:`build_batch_plan`, prefix unification and residual evaluation;
 * :mod:`repro.service.cost` — :class:`DocumentProfile` and the
-  admission price of a (plan, document, evaluator) cell;
+  admission price of a (plan, document) cell;
 * :mod:`repro.service.cache` — :class:`Memo`, the one store type of
   the layer: thread-safe, least recently used entries out first,
   bounded in cost units, exact counters. The plan cache, the session
@@ -90,7 +91,7 @@ Inspecting the stages — what runs where, and why::
     plan = service.plan("//book[price > 20]/title")   # logical (cached)
     plan.best_algorithm()              # what auto runs: 'optmincontext'
     from repro.service.cost import cost_units, document_profile
-    cost_units(plan, document_profile(docs[0]), plan.best_algorithm())
+    cost_units(plan, document_profile(docs[0]))   # |D|·|Q| + loop width
     from repro.service.batchplan import build_batch_plan
     print(build_batch_plan([plan, service.plan("//book/title")]).describe())
     # CLI forms: repro-xpath plan --explain --file doc.xml QUERY

@@ -5,7 +5,7 @@ pipeline produces for one query string: the normalized AST with
 ``value_type``/``Relev`` annotations, the fragment
 classification (Definition 12 and Section 4 of the paper), the bottom-up
 path count, and the :class:`PlanTraits` the cost model reads (AST size,
-position dependence, sibling-positional steps, string-function count).
+position dependence, sibling-positional steps).
 Building one costs a parse and one pass over the tree that normalizes
 it and derives all of the above (:func:`repro.xpath.normalize.analyze`);
 evaluating one is pure — the plan never changes and may be shared freely across
@@ -81,15 +81,6 @@ class PlanTraits:
     * ``positional_sibling`` — a sibling-axis step carries a
       position-dependent predicate: the loop width then scales with the
       document's fanout (sibling-run length), not just ``|D|``;
-    * ``string_op_count`` — string-library calls, whose cost scales with
-      the document's text volume;
-    * ``indexed_axis_steps`` — steps on the interval axes
-      (descendant/descendant-or-self/following/preceding), the ones the
-      fused NodeIndex kernels turn into partition range queries;
-    * ``name_test_tags`` — the element tags those steps name-test (the
-      *name-test selectivity hook*: combined with a profile's per-tag
-      counts, the cost model predicts how small the fused kernels'
-      outputs are — see :func:`repro.service.cost.name_test_selectivity`);
     * ``step_keys`` — the canonical per-step keys of the query's main
       path, when the query *is* a plain absolute location path: each
       normalized step's canonical text (its ``unparse``). Two plans
@@ -108,9 +99,6 @@ class PlanTraits:
     ast_size: int = 1
     uses_position: bool = False
     positional_sibling: bool = False
-    string_op_count: int = 0
-    indexed_axis_steps: int = 0
-    name_test_tags: tuple = ()
     step_keys: tuple = ()
 
 
@@ -180,9 +168,6 @@ class LogicalPlan:
                 ast_size=counts.size,
                 uses_position=counts.positions > 0,
                 positional_sibling=counts.siblings > 0,
-                string_op_count=counts.string_ops,
-                indexed_axis_steps=counts.indexed,
-                name_test_tags=tuple(sorted(analysis.tags)),
                 step_keys=tuple(step.key for step in steps),
             ),
             step_summaries=steps,

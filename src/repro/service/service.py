@@ -129,7 +129,7 @@ class DocumentSession:
     @property
     def profile(self):
         """This document's :class:`~repro.service.cost.DocumentProfile`
-        (computed lazily, cached process-wide by the cost module)."""
+        (read off its index on first use)."""
         if self._profile is None:
             self._profile = document_profile(self.document)
         return self._profile
@@ -264,9 +264,7 @@ class DocumentSession:
         started = time.perf_counter()
         value = self.evaluator(resolved).evaluate(plan.ast, context)
         self.timings.observe(
-            resolved,
-            cost_units(plan, self.profile, resolved),
-            time.perf_counter() - started,
+            resolved, cost_units(plan, self.profile), time.perf_counter() - started
         )
         return value
 

@@ -46,10 +46,9 @@ they stand and runs the pass over them — or, for a snapshot load, takes
 the packed array, its span directory (:attr:`NodeIndex.partitions`) and
 the shape back as they were written — and :func:`adopt_node_index`
 seeds the process-wide cache with it (``index_adoptions``).
-:func:`node_index` is weak-cached like :func:`repro.service.cost.document_profile`; a
-document made without :meth:`~repro.xml.document.Document.from_columns`
-is indexed on first use, under the cache lock, so racing threads see
-exactly one build (``index_builds`` on
+:func:`node_index` is weak-cached; a document made without
+:meth:`~repro.xml.document.Document.from_columns` is indexed on first
+use, under the cache lock, so racing threads see exactly one build (``index_builds`` on
 :data:`repro.stats.axis_kernel_stats` is exact).
 """
 

@@ -6,8 +6,8 @@ sibling/position work, text volume drives string-value comparisons. This
 module reads those shape statistics off the document's index — for the
 ``fragment_advisor`` example (to contextualize measurements) and
 workload tests asserting generator shapes; admission's
-``DocumentProfile`` (:mod:`repro.service.cost`) reads the same index
-numbers directly.
+``DocumentProfile`` (:mod:`repro.service.cost`) reads two of the same
+index numbers, ``|dom|`` and fanout, directly.
 """
 
 from __future__ import annotations

@@ -48,10 +48,8 @@ enough to pass :data:`MAX_HEIGHT`, so a hit never needs that check.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
-from repro.axes.order import INTERVAL_AXES
 from repro.errors import UnboundVariableError, XPathSyntaxError, XPathTypeError
 from repro.functions.library import FUNCTION_LIBRARY, signature_for
 from repro.xpath.ast import (
@@ -102,15 +100,10 @@ _FIXED_RELEV = {"position": frozenset({"cp"}), "last": frozenset({"cs"}),
 _CONTEXT_NODE_FUNCTIONS = frozenset(
     name for name, sig in FUNCTION_LIBRARY.items() if sig.context_node_dependent
 )
-#: Sibling axes whose positional predicates loop over sibling runs —
-#: the shape feature that makes OPTMINCONTEXT's bottom-up precomputation
-#: pay off on high-fanout documents (see the cost model).
+#: Sibling axes whose positional predicates loop over sibling runs: the
+#: price's loop width is then the document's fanout per node
+#: (:func:`repro.service.cost.positional_loop_width`).
 _SIBLING_AXES = frozenset({"following-sibling", "preceding-sibling"})
-#: String-library functions whose cost scales with text volume.
-_STRING_FUNCTIONS = frozenset(
-    "string concat contains starts-with substring substring-before substring-after "
-    "string-length normalize-space translate".split()
-)
 #: Definition 12: why a node of each kind is outside Core XPath as a
 #: predicate (and/or, not() and boolean() decide on their operands).
 _NON_CORE = {
@@ -128,20 +121,16 @@ _NON_EXISTENTIAL = {
 
 
 class Counts(NamedTuple):
-    """The counters of a subtree that a plan's ``PlanTraits`` and its
-    bottom-up path count are read from. The pass carries them packed
-    into one int, 32 bits apiece, so that adding a child's counts to its
-    parent's is one addition (``_NODE``, ``_BOTTOMUP`` and so on are one
-    unit of each)."""
+    """The five counters of a subtree that a plan's ``PlanTraits`` (the
+    price's ``|Q|`` and loop-width flags) and its bottom-up path count
+    are read from. The pass carries them packed into one int, 32 bits
+    apiece, so that adding a child's counts to its parent's is one
+    addition (``_NODE``, ``_BOTTOMUP`` and so on are one unit of each)."""
 
     #: Parse-tree nodes, steps included.
     size: int
     #: Subexpressions OPTMINCONTEXT evaluates bottom-up.
     bottomup: int
-    #: String-library calls.
-    string_ops: int
-    #: Interval-axis steps.
-    indexed: int
     #: ``position()`` / ``last()`` calls, the only origin of ``cp`` /
     #: ``cs`` in a ``Relev`` set.
     positions: int
@@ -152,48 +141,38 @@ class Counts(NamedTuple):
 
     @classmethod
     def unpack(cls, packed: int) -> Counts:
-        return cls._make([packed >> 32 * field & 0xFFFFFFFF for field in range(7)])
+        return cls._make([packed >> 32 * field & 0xFFFFFFFF for field in range(5)])
 
 
-_NODE, _BOTTOMUP, _STRING_OP, _INDEXED, _POSITION, _SIBLING, _CONSTANT = (
-    1 << 32 * field for field in range(7)
-)
+_NODE, _BOTTOMUP, _POSITION, _SIBLING, _CONSTANT = (1 << 32 * field for field in range(5))
 #: The counts of a call, before its arguments' are added.
-_CALL_COUNTS = {
-    **{name: _NODE + _STRING_OP for name in _STRING_FUNCTIONS},
-    "position": _NODE + _POSITION,
-    "last": _NODE + _POSITION,
-}
+_CALL_COUNTS = {"position": _NODE + _POSITION, "last": _NODE + _POSITION}
 
 
 class StepSummary(NamedTuple):
     """One location step, as :func:`analyze` saw it: its canonical text
     (the batch planner's step key), why it puts a path outside Core XPath
-    and why it violates Restrictions 1–3 (None: it does not), the counts
-    of the step and its predicates, and the name tests of the
-    interval-axis steps in them."""
+    and why it violates Restrictions 1–3 (None: it does not), and the
+    counts of the step and its predicates."""
 
     key: str
     core: str | None
     wadler: str | None
     counts: int
-    tags: tuple
 
 
 class Analysis(NamedTuple):
     """A normalized, annotated (sub)tree: its canonical text; why it is
     outside Core XPath (a path as a location path, any other node as a
     predicate; for a whole query, as a query) and why it violates
-    Restrictions 1–3 in an existential position; its packed counts; the
-    name tests of its interval-axis steps, unsorted; and, for an absolute
-    location path, one summary per step."""
+    Restrictions 1–3 in an existential position; its packed counts;
+    and, for an absolute location path, one summary per step."""
 
     ast: Expr
     text: str
     core: str | None
     wadler: str | None
     counts: int
-    tags: tuple = ()
     steps: tuple[StepSummary, ...] = ()
 
 
@@ -228,7 +207,7 @@ def analyze(
     core = root.core if type(node) is Path else NOT_A_PATH.format(type(node).__name__)
     if is_bottomup_eligible(node):
         counts -= _BOTTOMUP  # a whole query is never its own bottom-up subexpression
-    return Analysis(node, root.text, core, root.wadler, counts, root.tags, root.steps)
+    return Analysis(node, root.text, core, root.wadler, counts, root.steps)
 
 
 def normalize(expr: Expr, variables: dict[str, object] | None = None) -> Expr:
@@ -252,10 +231,6 @@ def _first(verdicts) -> str | None:
     return next(filter(None, verdicts), None)
 
 
-def _tags(analyses) -> tuple:
-    return tuple(chain.from_iterable([analysis.tags for analysis in analyses]))
-
-
 def _as_predicate(analysis: Analysis) -> str | None:
     """Definition 12's verdict on a node in a predicate position."""
     return _NON_CORE[Path] if type(analysis.ast) is Path else analysis.core
@@ -275,7 +250,7 @@ def _path_test(call: FunctionCall, path: Analysis) -> Analysis:
     counts = _NODE + path.counts
     if is_bottomup_eligible(call):
         counts += _BOTTOMUP
-    return Analysis(call, f"boolean({path.text})", path.core, path.wadler, counts, path.tags)
+    return Analysis(call, f"boolean({path.text})", path.core, path.wadler, counts)
 
 
 def _call(call: FunctionCall, args: list[Analysis], strict: bool) -> Analysis:
@@ -284,10 +259,9 @@ def _call(call: FunctionCall, args: list[Analysis], strict: bool) -> Analysis:
         return _path_test(call, args[0])
     fixed = _FIXED_RELEV.get(name)
     relev = fixed if fixed is not None else _CN if name in _CONTEXT_NODE_FUNCTIONS else _EMPTY
-    counts, tags = _CALL_COUNTS.get(name, _NODE), ()
+    counts = _CALL_COUNTS.get(name, _NODE)
     for arg in args:
         counts += arg.counts
-        tags += arg.tags
         if fixed is None:
             relev = relev | arg.ast.relev
     call.relev = relev
@@ -297,7 +271,7 @@ def _call(call: FunctionCall, args: list[Analysis], strict: bool) -> Analysis:
     elif name == "boolean" and len(args) == 1:
         core = NOT_A_PATH.format(type(args[0].ast).__name__)
     text = f"{name}({', '.join([arg.text for arg in args])})"
-    return Analysis(call, text, core, _wadler_call(name, args, strict), counts, tags)
+    return Analysis(call, text, core, _wadler_call(name, args, strict), counts)
 
 
 def _wadler_call(name: str, args: list[Analysis], strict: bool) -> str | None:
@@ -342,17 +316,15 @@ def _binary(node: BinaryOp, left: Analysis, right: Analysis) -> Analysis:
     else:
         wadler = _scalar(left) or _scalar(right)
     text = binary_text(node, left.text, right.text)
-    return Analysis(node, text, core, wadler, counts, left.tags + right.tags)
+    return Analysis(node, text, core, wadler, counts)
 
 
 def _step(step: Step, predicates: list[Analysis]) -> StepSummary:
-    axis, test = step.axis, step.node_test
-    indexed = axis in INTERVAL_AXES
-    text = f"{axis}::{node_test_to_string(test)}"
+    axis = step.axis
+    text = f"{axis}::{node_test_to_string(step.node_test)}"
     core = ID_AXIS if axis == "id" else None
     wadler = None
-    counts = _NODE + _INDEXED if indexed else _NODE
-    tags = (test.name,) if indexed and test.kind == "name" else ()
+    counts = _NODE
     if predicates:
         text += "".join(f"[{predicate.text}]" for predicate in predicates)
         core = core or _first(map(_as_predicate, predicates))
@@ -362,18 +334,15 @@ def _step(step: Step, predicates: list[Analysis]) -> StepSummary:
         ):
             counts += _SIBLING
         counts += sum([predicate.counts for predicate in predicates])
-        tags += _tags(predicates)
-    return StepSummary(text, core, wadler, counts, tags)
+    return StepSummary(text, core, wadler, counts)
 
 
 def _steps_analysis(path: Path, steps: tuple[StepSummary, ...]) -> Analysis:
     """A primary-less path's analysis over its steps' summaries."""
     core = wadler = None
-    tags: tuple = ()
     for step in steps:
         core = core or step.core
         wadler = wadler or step.wadler
-        tags += step.tags
     text = "/".join([step.key for step in steps])
     return Analysis(
         path,
@@ -381,7 +350,6 @@ def _steps_analysis(path: Path, steps: tuple[StepSummary, ...]) -> Analysis:
         core,
         wadler,
         _NODE + sum([step.counts for step in steps]),
-        tags,
         steps if path.absolute else (),
     )
 
@@ -551,10 +519,8 @@ class _Pass:
             operand = _convert(operand, "num")
             node.operand, node.value_type = operand.ast, "num"
         node.relev = operand.ast.relev
-        return Analysis(
-            node, negate_text(node, operand.text), _NON_CORE[Negate],
-            _scalar(operand), _NODE + operand.counts, operand.tags,
-        )
+        text = negate_text(node, operand.text)
+        return Analysis(node, text, _NON_CORE[Negate], _scalar(operand), _NODE + operand.counts)
 
     def visit_binary(self, node: BinaryOp, out) -> Analysis:
         left, right = _pop(out, 2)
@@ -585,7 +551,6 @@ class _Pass:
         return Analysis(
             node, binary_text(node, left.text, right.text), _NON_CORE[Union],
             left.wadler or right.wadler, _NODE + left.counts + right.counts,
-            left.tags + right.tags,
         )
 
     def visit_call(self, call: FunctionCall, out) -> Analysis:
@@ -664,7 +629,6 @@ class _Pass:
         return Analysis(
             path, text, FILTER_PRIMARY, wadler or tail.wadler,
             tail.counts + primary.counts + sum([predicate.counts for predicate in predicates]),
-            tail.tags + primary.tags + _tags(predicates),
         )
 
 

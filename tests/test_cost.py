@@ -1,16 +1,17 @@
-"""Static dispatch and the admission cost model.
+"""Static dispatch and the admission price.
 
 ``auto`` is the paper's fragment dispatch — Theorem 13's sweep on Core
 XPath, OPTMINCONTEXT elsewhere — whatever the service has observed.
-What stays per document is the *price* admission control reads: a
-:class:`DocumentProfile` read off the index, the plan's traits, and
-:func:`cost_units`, scaled by the rates every uncached evaluation feeds
-into :attr:`QueryService.timings`.
+What stays per document is the *price* admission control reads: the
+cell's bound, :func:`cost_units` (``|D|·|Q|`` plus the positional-loop
+width, one formula for every evaluator), scaled by the rates every
+uncached evaluation feeds into :attr:`QueryService.timings`.
 """
 
 import pytest
 
 from repro.errors import FragmentViolationError, UnknownAlgorithmError
+from repro.serve.admission import AdmissionController
 from repro.service import QueryService, compile_plan
 from repro.service.cost import DocumentProfile, cost_units, document_profile
 from repro.workloads.documents import balanced_tree, book_catalog, numbered_line
@@ -27,18 +28,9 @@ from test_xpath_frontend_golden import FULL_TEMPLATES, WADLER_TEMPLATES, templat
 def test_document_profile_matches_statistics():
     document = book_catalog(books=5)
     shape = document_statistics(document)
-    profile = DocumentProfile.of(document)
+    profile = document_profile(document)
     assert profile.total_nodes == shape.total_nodes == len(document)
-    assert profile.max_depth == shape.max_depth
     assert profile.max_fanout == shape.max_fanout
-    assert profile.text_ratio == pytest.approx(
-        shape.total_text_bytes / shape.total_nodes
-    )
-
-
-def test_document_profile_is_cached_process_wide():
-    document = book_catalog(books=3)
-    assert document_profile(document) is document_profile(document)
 
 
 def test_plan_traits_classify_position_dependence():
@@ -55,9 +47,6 @@ def test_plan_traits_classify_position_dependence():
     assert sibling.traits.uses_position
     assert sibling.traits.positional_sibling
 
-    strings = compile_plan("//a[contains(string(self::node()), 'x')]")
-    assert strings.traits.string_op_count >= 2  # contains + string
-
 
 def test_inner_position_does_not_leak_to_outer_traits():
     """position() bound by an inner step is resolved there: the outer
@@ -66,14 +55,67 @@ def test_inner_position_does_not_leak_to_outer_traits():
     assert not plan.traits.positional_sibling
 
 
-SMALL = DocumentProfile(total_nodes=200, max_depth=5, max_fanout=8, text_ratio=2.0)
-BIG = DocumentProfile(total_nodes=9000, max_depth=12, max_fanout=16, text_ratio=2.0)
+SMALL = DocumentProfile(total_nodes=200, max_fanout=8)
+BIG = DocumentProfile(total_nodes=9000, max_fanout=16)
 
 
 def test_cost_units_are_monotone_in_document_size():
     plan = compile_plan(core_family(4))
-    for algorithm in ("mincontext", "optmincontext", "corexpath"):
-        assert cost_units(plan, SMALL, algorithm) < cost_units(plan, BIG, algorithm)
+    assert cost_units(plan, SMALL) < cost_units(plan, BIG)
+
+
+# ----------------------------------------------------------------------
+# The price: the paper's bound, no constant of its own
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("query", ["//a/b", core_family(3), "/a[b or not(c)]//d"])
+@pytest.mark.parametrize("profile", [SMALL, BIG, DocumentProfile(1, 0)])
+def test_a_core_plan_costs_its_size_times_the_document(query, profile):
+    """Theorem 13: Core XPath is O(|D|·|Q|), and it has no ``position()``
+    (Definition 12), so no loop term is added."""
+    plan = compile_plan(query)
+    assert plan.is_core_xpath
+    assert cost_units(plan, profile) == profile.total_nodes * plan.traits.ast_size
+
+
+@pytest.mark.parametrize("profile", [SMALL, BIG])
+def test_a_positional_plan_adds_two_loop_cells_per_node(profile):
+    plan = compile_plan("//b[position() = 1]")
+    assert plan.traits.uses_position and not plan.traits.positional_sibling
+    n = profile.total_nodes
+    assert cost_units(plan, profile) == n * plan.traits.ast_size + 2 * n
+
+
+@pytest.mark.parametrize(
+    "profile", [SMALL, BIG, DocumentProfile(50, 0), DocumentProfile(50, 1)]
+)
+def test_a_positional_sibling_step_adds_the_fanout_per_node(profile):
+    plan = compile_plan("//a/following-sibling::b[position() = last()]")
+    assert plan.traits.positional_sibling
+    n = profile.total_nodes
+    expected = n * plan.traits.ast_size + n * max(1, profile.max_fanout)
+    assert cost_units(plan, profile) == expected
+
+
+@pytest.mark.parametrize(
+    "query", ["//book/title", "//book[position() = 2]/title"], ids=["core", "non-core"]
+)
+def test_admission_prices_units_at_the_evaluators_observed_rate(query):
+    """Observations of ``seconds = k · units`` make the evaluator's rate
+    ``k``, so the price is ``k · cost_units``: whatever constant factor
+    an evaluator has lives in its rate, not in its units."""
+    service = QueryService()
+    admission = AdmissionController(service)
+    document = book_catalog(books=4)
+    plan = service.plan(query)
+    algorithm = plan.best_algorithm()
+    units = cost_units(plan, document_profile(document))
+    k = {"corexpath": 3e-8, "optmincontext": 7e-6}[algorithm]
+    for observed in range(1, AdmissionController.MIN_OBSERVATIONS + 1):
+        assert admission.price(plan, document) == units * admission.seconds_per_unit
+        service.timings.observe(algorithm, 100.0 * observed, k * 100.0 * observed)
+    assert admission.price(plan, document) == pytest.approx(k * units)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +157,7 @@ def test_auto_does_not_depend_on_observed_rates():
     plan's fragment dispatch."""
     service = QueryService()
     documents = [book_catalog(books=6), balanced_tree(6, 3), numbered_line(200)]
-    units = cost_units(compile_plan("//a/b"), SMALL, "corexpath")
+    units = cost_units(compile_plan("//a/b"), SMALL)
     for _ in range(10):
         service.timings.observe("corexpath", units, 1.0)
         service.timings.observe("optmincontext", units, 1e-4)
@@ -183,12 +225,10 @@ def test_cli_plan_explain_with_document_names_profile_and_choice(capsys):
     assert code == 0
     assert "algorithm:        optmincontext (Corollary 11:" in out
     assert "|dom|=6" in out
+    assert "profile:          |dom|=6 fanout=2" in out
     plan = compile_plan("//b[. > 1]")
-    profile = DocumentProfile(
-        total_nodes=6, max_depth=2, max_fanout=2, text_ratio=2 / 6,
-        tag_counts=(("a", 1), ("b", 2)),
-    )
-    assert f"cost units:       {cost_units(plan, profile, 'optmincontext'):.3g}" in out
+    profile = DocumentProfile(total_nodes=6, max_fanout=2)
+    assert f"cost units:       {cost_units(plan, profile):.3g}" in out
 
 
 def test_cli_plan_document_implies_explain(capsys):

@@ -23,7 +23,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_node_statistics
-from repro.service.cost import DocumentProfile
+from repro.service.cost import document_profile
 from repro.xml.builder import DocumentBuilder
 from repro.xml.document import Document
 from repro.xml.index import KIND_PARTITIONS, node_index
@@ -208,11 +208,10 @@ def test_parsed_built_decoded_and_loaded_documents_profile_alike(data):
     parsed = parse_document(serialize(built), id_attribute=id_attribute)
     trusted, checked = _round_trips(built, "doc")
     oracle = per_node_statistics(parsed)
-    profile = DocumentProfile.of(parsed)
-    assert profile.text_ratio == oracle.total_text_bytes / oracle.total_nodes
-    assert (profile.max_depth, profile.max_fanout) == (oracle.max_depth, oracle.max_fanout)
+    profile = document_profile(parsed)
+    assert (profile.total_nodes, profile.max_fanout) == (oracle.total_nodes, oracle.max_fanout)
     for document in (parsed, built, checked, trusted):
         assert _same_statistics(document_statistics(document), oracle)
-        assert DocumentProfile.of(document) == profile
+        assert document_profile(document) == profile
         assert document.materialized_count() == 0
     assert not trusted.text_join_ready

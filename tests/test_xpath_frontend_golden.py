@@ -7,7 +7,8 @@ tokenizer + ten-level recursive-descent parser of the commit before the
 XPath front end was rewritten (``2f1e65b``). An accepted cell pins
 ``unparse`` of the raw AST, ``unparse`` of the normalized AST, the
 pre-order ``Relev`` list of the normalized AST, the Core / Wadler
-violation texts, the bottom-up path count and the ``PlanTraits`` tuple;
+violation texts, the bottom-up path count and the ``PlanTraits``
+fields, by name (:data:`TRAITS`);
 a query that parses but does not compile also pins its raw AST. A
 rejected cell pins ``[type, message, offset]`` of the
 :class:`~repro.errors.ReproError` (or the bare type name of whatever
@@ -48,7 +49,6 @@ then ``PYTHONPATH=src python tests/test_xpath_frontend_golden.py
 from __future__ import annotations
 
 import ast as pyast
-import dataclasses
 import json
 import pathlib
 import random
@@ -443,6 +443,11 @@ def _relev(node) -> str:
     return ",".join(sorted(node.relev)) or "{}"
 
 
+#: The ``PlanTraits`` fields a cell pins, named so that the front end of
+#: ``2f1e65b`` (whose traits had three more fields) records the same list.
+TRAITS = ("ast_size", "uses_position", "positional_sibling", "step_keys")
+
+
 def outcome(query: str, variables: dict | None = None) -> dict:
     cell: dict = {}
     try:
@@ -460,7 +465,7 @@ def outcome(query: str, variables: dict | None = None) -> dict:
         core=plan.core_violation,
         wadler=plan.wadler_violation,
         bottomup_paths=plan.bottomup_path_count,
-        traits=list(dataclasses.astuple(plan.traits)),
+        traits=[getattr(plan.traits, name) for name in TRAITS],
     )
     return cell
 
