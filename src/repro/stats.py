@@ -34,6 +34,7 @@ on a module-level list).
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -246,7 +247,9 @@ CacheStats = Counters(
 #:   decoder);
 #: * ``nodes_materialized`` — ``Node`` objects created on them, each pre
 #:   exactly once ever (creation runs under the per-document lock): a
-#:   batch's delta is the O(output) the column path promises;
+#:   batch's delta is the O(output) the column path promises. Boxing a
+#:   result (:meth:`~repro.xml.document.Document.nodes_at`) is one event
+#:   of the nodes it made, none when every node already existed;
 #: * ``vector_ops`` — step ops run over a block of at least
 #:   ``VECTOR_MIN_BLOCK`` members in whole-column operations (an axis
 #:   step on :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /
@@ -405,9 +408,13 @@ class TimingStats:
     holds one: every uncached evaluation reports ``(key, units,
     seconds)`` — the abstract cost units :mod:`repro.service.cost`
     predicted and the seconds the evaluation actually took — and the
-    per-key exponentially-weighted seconds-per-unit rate is what
-    admission control (:mod:`repro.serve.admission`) prices with once a
-    key has enough observations. Its maps are lock-protected for the
+    per-key seconds-per-unit rate is what admission control
+    (:mod:`repro.serve.admission`) prices with once a key has enough
+    observations. The rate is an exponentially-weighted average of the
+    *log* of seconds per unit, each step clamped so that one observation
+    moves it by at most a factor of 2: one mispriced evaluation cannot
+    make the next price jump, and equal observations leave the rate
+    exactly where it is. Its maps are lock-protected for the
     reason :class:`Counters` are: concurrent drivers must not lose
     observations. Every observation is also mirrored into the active
     :func:`collect` collectors as ``<name>_<key>_observations`` /
@@ -415,7 +422,7 @@ class TimingStats:
     """
 
     name: str = "timings"
-    #: EMA smoothing: weight of the newest observation.
+    #: EMA smoothing: weight of the newest observation's log rate.
     smoothing: float = 0.2
     _rates: dict = field(default_factory=dict, repr=False)
     _counts: dict = field(default_factory=dict, repr=False)
@@ -427,15 +434,18 @@ class TimingStats:
     def observe(self, key: str, units: float, seconds: float) -> None:
         """Record one evaluation: ``units`` predicted cost units took
         ``seconds`` of wall clock. Non-positive units are clamped so a
-        degenerate estimate can never poison the rate with an infinity."""
+        degenerate estimate can never poison the rate with an infinity;
+        a zero-second observation counts as a full step down."""
         per_unit = seconds / max(units, 1.0)
+        bound = math.log(2.0) / self.smoothing  # one step moves at most 2×
         with self._lock:
             previous = self._rates.get(key)
-            if previous is None:
+            if not previous:  # the first observation (or a zero rate)
                 self._rates[key] = per_unit
             else:
-                self._rates[key] = (
-                    previous + self.smoothing * (per_unit - previous)
+                step = math.log(per_unit / previous) if per_unit > 0.0 else -bound
+                self._rates[key] = previous * math.exp(
+                    self.smoothing * min(max(step, -bound), bound)
                 )
             self._counts[key] = self._counts.get(key, 0) + 1
             self._totals[key] = self._totals.get(key, 0.0) + seconds

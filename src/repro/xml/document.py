@@ -57,7 +57,10 @@ straight from the columns:
 
 ``nodes_materialized`` / ``lazy_documents`` on
 :data:`repro.stats.axis_kernel_stats` count nodes and documents exactly
-(each pre is counted once, ever, under the per-document lock).
+(each pre is counted once, ever, under the per-document lock). A boxing
+call (:meth:`Document.nodes_at`) is one ``nodes_materialized`` event of
+the nodes it made, and none when it made none; :meth:`Document.node_at`
+is one event per node it makes.
 """
 
 from __future__ import annotations
@@ -102,6 +105,30 @@ KIND_CODES = {
 CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
 
 
+class _ColumnField:
+    """A :class:`Node` field read from its column on first access and
+    memoized as an instance attribute. A non-data descriptor: once the
+    attribute is set, lookup finds it first and never calls back here."""
+
+    __slots__ = ("column", "field")
+
+    def __init__(self, column: str):
+        self.column = column
+
+    def __set_name__(self, owner, field: str):
+        self.field = field
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = getattr(node.document.columns, self.column)[node.pre]
+        # No __set__ here, so this stores the instance attribute; going
+        # through node.__dict__ instead would build a dict object, which
+        # un-specializes method calls on the node.
+        setattr(node, self.field, value)
+        return value
+
+
 class Node:
     """One node of a document: a pre number and its column entries.
 
@@ -117,17 +144,23 @@ class Node:
         size: number of nodes in this node's subtree, including itself and
             all attribute nodes in the subtree.
 
-    ``parent`` / ``children`` / ``attributes`` / ``child_index`` /
-    ``string_value`` are cut from the columns on first access and
-    memoized in the node's slots, so a result node costs one object
-    until a caller walks from it.
+    Creation fills ``document``, ``pre``, ``kind`` and ``size``. ``name``
+    and ``value`` — on a stored document, a decode out of the columns'
+    :class:`~repro.xml.columns.StringTable` each — are read from the
+    columns on first access and memoized as instance attributes
+    (:class:`_ColumnField`), so boxing a result decodes no string and a
+    later read is an attribute lookup, no call. The class defines no
+    ``__getattr__``: that hook would slow *every* attribute read of every
+    node (``pre``, ``document``, ``path``) — CPython does not specialize
+    attribute access on such a class. ``parent`` / ``children`` /
+    ``attributes`` / ``child_index`` / ``string_value`` are cut from the
+    columns on first access and memoized in the node's slots, so a result
+    node costs one object until a caller reads or walks from it.
     """
 
     __slots__ = (
         "document",
         "kind",
-        "name",
-        "value",
         "pre",
         "size",
         "_parent",
@@ -135,14 +168,16 @@ class Node:
         "_attributes",
         "_child_index",
         "_string_value",
+        "__dict__",
     )
+
+    name = _ColumnField("names")
+    value = _ColumnField("values")
 
     def __init__(self, document: "Document", pre: int):
         columns = document.columns
         self.document = document
         self.kind = CODE_KINDS[columns.kinds[pre]]
-        self.name = columns.names[pre]
-        self.value = columns.values[pre]
         self.pre = pre
         self.size = columns.size[pre]
 
@@ -428,11 +463,29 @@ class Document:
             return node
 
     def nodes_at(self, pres) -> list[Node]:
-        """The nodes for ``pres`` (valid pre numbers), in their order: one
-        list read per node already created — how every node-set result
-        is boxed."""
-        cache, node_at = self._cache, self.node_at
-        return [cache[pre] or node_at(pre) for pre in pres]
+        """The nodes for ``pres`` (a sequence of valid pre numbers), in
+        their order — how every node-set result is boxed.
+
+        One list read per node already created. The pres without a node
+        are created in one pass under one acquisition of the lock (each
+        slot re-checked there, so a racing caller's node is kept) and
+        counted as one ``nodes_materialized`` event of the number
+        actually made — none when every pre already has its node."""
+        cache = self._cache
+        nodes = [cache[pre] for pre in pres]
+        if not all(nodes):  # a Node is always true; None is "no node yet"
+            made = 0
+            with self._materialize_lock:
+                for position, pre in enumerate(pres):
+                    if nodes[position] is None:
+                        node = cache[pre]
+                        if node is None:  # else a racing caller's node is it
+                            node = cache[pre] = Node(self, pre)
+                            made += 1
+                        nodes[position] = node
+                if made:
+                    axis_kernel_stats.tick("nodes_materialized", made)
+        return nodes
 
     def materialized_count(self) -> int:
         """How many pres have nodes (counter-reconciliation hook)."""

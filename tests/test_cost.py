@@ -14,6 +14,7 @@ from repro.errors import FragmentViolationError, UnknownAlgorithmError
 from repro.serve.admission import AdmissionController
 from repro.service import QueryService, compile_plan
 from repro.service.cost import DocumentProfile, cost_units, document_profile
+from repro.stats import TimingStats
 from repro.workloads.documents import balanced_tree, book_catalog, numbered_line
 from repro.workloads.queries import core_family, wadler_family
 from repro.xml.statistics import document_statistics
@@ -116,6 +117,28 @@ def test_admission_prices_units_at_the_evaluators_observed_rate(query):
         assert admission.price(plan, document) == units * admission.seconds_per_unit
         service.timings.observe(algorithm, 100.0 * observed, k * 100.0 * observed)
     assert admission.price(plan, document) == pytest.approx(k * units)
+
+
+def test_one_observation_moves_the_rate_at_most_twofold():
+    """A 139× outlier (one mispriced cell) moves the rate by at most a
+    factor of 2, and the rate is back within 1.1× of ``k`` after at most
+    20 more ordinary observations; equal observations leave it exactly."""
+    timings = TimingStats()
+    k = 3e-8
+    for units in range(100, 1100, 100):
+        timings.observe("corexpath", units, k * units)
+    settled = timings.rate("corexpath")
+    assert settled == pytest.approx(k)
+    timings.observe("corexpath", 500, k * 500)
+    assert timings.rate("corexpath") == settled
+    timings.observe("corexpath", 500, 139 * k * 500)
+    assert settled < timings.rate("corexpath") <= 2 * settled * (1 + 1e-12)
+    for observed in range(1, 21):
+        timings.observe("corexpath", 500, k * 500)
+        if timings.rate("corexpath") <= 1.1 * k:
+            break
+    assert timings.rate("corexpath") <= 1.1 * k, observed
+    assert timings.snapshot()["corexpath"]["observations"] == 12 + observed
 
 
 # ----------------------------------------------------------------------

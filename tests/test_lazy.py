@@ -18,6 +18,8 @@ seeds, so every case is reproducible.
 """
 
 import random
+import threading
+from unittest import mock
 
 from conftest import per_node_statistics, walked_path
 from repro import stats
@@ -27,12 +29,15 @@ from repro.engine import XPathEngine
 from repro.service import QueryService
 from repro.workloads.documents import book_catalog, running_example_document, wide_tree
 from repro.workloads.queries import random_core_query, random_full_query
+from repro.stats import Counters
+from repro.xml.columns import StringTable
 from repro.xml.document import Document, Node
 from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
 from repro.xml.statistics import document_statistics
+from repro.xml.store import DocumentStore
 from repro.xpath.ast import NodeTest
 
 SEED = 20030612
@@ -203,6 +208,100 @@ def test_selective_query_materializes_output_only():
             expected = len(result) if boxed_results else 0
             assert after - before == expected, (algorithm, query)
             assert document.materialized_count() == 1 + expected, (algorithm, query)
+
+
+# ----------------------------------------------------------------------
+# Boxing: no decodes, one counter event per call, one node per pre
+# ----------------------------------------------------------------------
+
+
+def test_boxing_a_stored_answer_decodes_no_string(tmp_path):
+    """A stored document keeps its names and values encoded: boxing a
+    node-set answer and reading ``.pre`` decodes none of them. ``.name``
+    and ``.value`` are decoded on first read, equal the parsed twin's,
+    and a second read decodes nothing."""
+    parsed = book_catalog(books=12, chapters_per_book=3)
+    store = DocumentStore(tmp_path / "store")
+    store.save("catalog", parsed)
+    document = store.load("catalog")
+    assert isinstance(document.columns.names, StringTable)
+    engine = XPathEngine(document)
+    plan = engine.compile("/descendant::chapter/child::*")
+    decodes = []
+    decode = StringTable.__getitem__
+
+    def spy(table, index):
+        decodes.append(index)
+        return decode(table, index)
+
+    with mock.patch.object(StringTable, "__getitem__", spy):
+        nodes = engine.evaluate(plan, algorithm="corexpath")
+        pres = [node.pre for node in nodes]
+        assert len(nodes) > 12 and decodes == []
+        reboxed = document.nodes_at(pres)
+        assert all(a is b for a, b in zip(nodes, reboxed)) and decodes == []
+        first = [(node.name, node.value) for node in nodes]
+        assert len(decodes) == 2 * len(nodes)
+        assert [(node.name, node.value) for node in nodes] == first
+        assert len(decodes) == 2 * len(nodes)
+    twin = parsed.nodes
+    assert first == [(twin[pre].name, twin[pre].value) for pre in pres]
+    attribute = document.nodes_at([node_index(document).by_attribute["lang"][0]])[0]
+    assert attribute.name == "lang" and attribute.value in ("en", "de")
+
+
+def test_one_boxing_call_is_one_counter_event():
+    """``nodes_at`` over k new pres ticks ``nodes_materialized`` once, by
+    k; over pres that all have nodes already it ticks nothing."""
+    document = _lazy_twin(book_catalog(books=6, chapters_per_book=2))
+    pres = list(node_index(document).elements)
+    document.node_at(pres[0])
+    events = []
+    tick = Counters.tick
+
+    def spy(family, key, amount=1):
+        if key == "nodes_materialized":
+            events.append(amount)
+        tick(family, key, amount)
+
+    with mock.patch.object(Counters, "tick", spy):
+        nodes = document.nodes_at(pres + pres[:3])
+        assert events == [len(pres) - 1]
+        assert document.nodes_at(pres) == nodes[: len(pres)]
+        assert document.nodes_at([]) == []
+        assert events == [len(pres) - 1]
+    assert document.materialized_count() == len(pres)
+
+
+def test_racing_boxing_calls_keep_one_node_per_pre():
+    """Eight threads box overlapping pre lists of one fresh document:
+    every pre gets one node, ``document.nodes[pre]`` is the node every
+    thread got, and the counter moves by exactly the nodes made."""
+    document = _lazy_twin(book_catalog(books=40, chapters_per_book=4))
+    total = len(document)
+    lists = [list(range(start, total, 3)) for start in range(3)]
+    lists += [list(range(total)), list(range(0, total, 2)), list(range(1, total, 2))]
+    lists += [list(range(total // 2)), list(range(total // 3, total))]
+    barrier = threading.Barrier(len(lists))
+    results = [None] * len(lists)
+
+    def box(slot):
+        barrier.wait()
+        results[slot] = document.nodes_at(lists[slot])
+
+    before = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+    threads = [threading.Thread(target=box, args=(slot,)) for slot in range(len(lists))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    after = stats.axis_kernel_stats.snapshot()["nodes_materialized"]
+    assert all(nodes is not None for nodes in results)
+    for pres, nodes in zip(lists, results):
+        assert [node.pre for node in nodes] == pres
+        assert all(document.nodes[node.pre] is node for node in nodes)
+    assert document.materialized_count() == total
+    assert after - before == document.materialized_count()
 
 
 # ----------------------------------------------------------------------

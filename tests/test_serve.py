@@ -414,8 +414,21 @@ def test_an_unexpected_validation_failure_is_one_typed_counted_reply():
 
 
 def test_rate_limit_is_typed_and_the_retry_hint_works():
-    with running_daemon(quota=ClientQuota(rate=20.0, burst=1)) as daemon:
-        with ServeClient(port=daemon.port, client="r") as client:
+    """The client's rate bucket runs on a clock that moves only when the
+    client sleeps on a retry hint: no real gap between the two queries
+    can refill the bucket, and the retry's sleep always does."""
+    now = [time.monotonic()]
+
+    def sleep(seconds):
+        now[0] += seconds
+
+    def client_state(**fields):
+        return ClientState(**fields, clock=lambda: now[0])
+
+    with mock.patch("repro.serve.daemon.ClientState", client_state), running_daemon(
+        quota=ClientQuota(rate=20.0, burst=1)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="r", sleep=sleep) as client:
             client.register("d", "<a><b/></a>")
             assert client.query("//b", "d", retry=False)["ok"]
             with pytest.raises(RateLimitedError) as excinfo:
