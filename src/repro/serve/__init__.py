@@ -6,9 +6,13 @@ size, fragment), not a surprise discovered mid-evaluation. This package
 turns that predictability into an operational contract. A long-lived
 daemon (:class:`~repro.serve.daemon.XPathDaemon`) fronts one shared
 :class:`~repro.service.service.QueryService` over a line-delimited JSON
-TCP protocol (:mod:`repro.serve.protocol`). The connection reader runs
-one synchronous front half for every frame, on the event loop, and only
-a real evaluation leaves it for a task and a worker thread. The stages,
+TCP protocol (:mod:`repro.serve.protocol`). Each connection is an
+:class:`asyncio.Protocol` whose ``data_received`` splits the bytes into
+frames and runs one synchronous front half for each, on the event loop:
+a frame answered there costs one callback, no future and no task, and
+only a real evaluation leaves it for a task and a worker thread. The
+transport's ``pause_writing`` / ``resume_writing`` stop and restart a
+connection whose client does not read its replies. The stages,
 in order, and the :data:`~repro.stats.ServeStats` counter each exit
 lands in:
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.service.cost import cost_units, document_profile
+from repro.stats import TimingStats
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,12 @@ class AdmissionController:
 
     #: Seed seconds-per-unit before any timing observations exist.
     #: Deliberately conservative (admission should start strict and
-    #: relax as real rates come in); the EMA replaces it after
+    #: relax as real rates come in); the observed rate replaces it after
     #: ``MIN_OBSERVATIONS`` evaluations per algorithm.
     DEFAULT_SECONDS_PER_UNIT = 2e-7
     #: Observations an algorithm needs before its observed rate replaces
-    #: the seed.
-    MIN_OBSERVATIONS = 3
+    #: the seed: the timings' warm-up, whose median the rate then is.
+    MIN_OBSERVATIONS = TimingStats.WARMUP
 
     def __init__(
         self,

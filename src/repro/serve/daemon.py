@@ -8,17 +8,23 @@ ClientState`, and exact per-client + global :data:`~repro.stats.
 ServeStats` counters. Connections speak the line-delimited JSON protocol of
 :mod:`repro.serve.protocol`; requests on one connection may be
 pipelined, with responses correlated by ``id`` and written straight to
-the transport (a client that does not read stalls its own reader and its
-own evaluation tasks in ``drain``, never the daemon's memory).
+the transport. Each connection is an :class:`asyncio.Protocol`: a client
+that does not read fills the transport's write buffer, whose
+``pause_writing`` stops that connection's frames before the next one and
+pauses its reading, and holds its evaluation tasks' replies until
+``resume_writing``; it never grows the daemon's memory.
 
-The connection reader runs one **synchronous front half** for every
-frame, on the event loop, and answers right there whatever does not
-have to wait; only a real evaluation becomes a task. The stages, in the
-order a frame meets them, with the counter each exit lands in:
+The connection's ``data_received`` callback splits the received bytes
+into lines and runs one **synchronous front half** for every frame, on
+the event loop, answering right there whatever does not have to wait;
+only a real evaluation becomes a task. The stages, in the order a frame
+meets them, with the counter each exit lands in:
 
 1. **decode** — a malformed line gets a typed ``PROTOCOL`` error
    (``malformed``) and the connection resynchronizes at the next
-   newline; an oversized frame gets ``FRAME_TOO_LARGE`` and a close.
+   newline; a line whose newline is not within ``MAX_FRAME_BYTES + 2``
+   bytes gets ``FRAME_TOO_LARGE`` and a close. The EOF ends the
+   connection once every frame received before it is answered.
 2. **count + client lookup** — ``requests`` (a QUERY or BATCH ticks it
    with ``queries`` and its outcome, as one event). ``PING``, ``STATS`` and
    ``UNREGISTER`` are answered here; ``REGISTER`` is validated here and
@@ -184,24 +190,168 @@ class _Request:
         return {"cells": self.cells, "completed": len(self.cells), "total": total}
 
 
-class _Connection:
-    """One client connection: its writer and its in-flight request
-    tasks."""
+class _Connection(asyncio.Protocol):
+    """One client connection, as its transport's protocol: the bytes
+    received and not yet answered, its in-flight request tasks, and the
+    write side's flow control.
 
-    def __init__(self, writer, default_client: str):
-        self.writer = writer
-        self.default_client = default_client
+    Every complete line is answered inside :meth:`data_received`, so a
+    frame the front half answers costs one callback and no future or
+    task. When the transport's write buffer crosses its high-water mark
+    (a client that does not read), the frame loop stops before the next
+    frame and reading pauses; :meth:`resume_writing` picks both up."""
+
+    #: The line bound: a newline further in than this (or unterminated
+    #: bytes beyond it) is ``FRAME_TOO_LARGE``; a longer line within it
+    #: reaches :func:`decode_frame`, which refuses it typed.
+    LINE_LIMIT = MAX_FRAME_BYTES + 2
+
+    def __init__(self, daemon: XPathDaemon):
+        self.daemon = daemon
+        self.transport = None
+        self.default_client = ""
         self.tasks: set[asyncio.Task] = set()
         self.dead = False
+        #: Received bytes from the first unanswered frame on; none of
+        #: ``buffer[:scanned]`` is a newline.
+        self.buffer = bytearray()
+        self.scanned = 0
+        self.eof = False
+        #: No more frames: a BYE, the EOF or an oversized frame ended it.
+        self.ended = False
+        self.paused = False
+        #: Senders waiting for the write side to resume.
+        self.waiters: list[asyncio.Future] = []
+        #: Done once the transport is gone.
+        self.closed: asyncio.Future | None = None
+        #: The task that ends the connection (strongly held).
+        self.ending: asyncio.Task | None = None
 
-    async def send(self, frame: dict) -> None:
+    # -- transport callbacks ----------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        # asyncio reads 256 KiB per recv() into a fresh bytes object. Under
+        # glibc, freeing it after every small frame can trim and regrow the
+        # heap top on each request: a page-fault storm that made hot
+        # requests ~25 % slower in some process layouts. 64 KiB stays
+        # below malloc's default mmap and trim thresholds.
+        transport.max_size = 64 * 1024
+        self.transport = transport
+        self.closed = asyncio.get_running_loop().create_future()
+        daemon = self.daemon
+        daemon._connection_serial += 1
+        self.default_client = f"conn:{daemon._connection_serial}"
+        daemon._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.ended:
+            return
+        self.buffer += data
+        self.answer_frames()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.answer_frames()
+        return True  # half-open: the replies still go out
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        # After the EOF the transport has stopped reading for good;
+        # pausing it would let resume_reading re-arm the reader.
+        if not self.eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+        self._wake()
+        self.answer_frames()
+
+    def connection_lost(self, exc) -> None:
+        self.dead = True
+        self._wake()
+        self.closed.set_result(None)
+        if self in self.daemon._connections:
+            self.end(self.daemon._teardown_connection(self))
+
+    # -- frames -----------------------------------------------------------
+
+    def answer_frames(self) -> None:
+        """Answer the buffered complete lines in order, until writing
+        pauses or the connection ends; at the EOF, the unterminated rest
+        is the last line and then the connection ends."""
+        buffer = self.buffer
+        start = 0
+        try:
+            while not (self.paused or self.ended):
+                end = buffer.find(b"\n", max(start, self.scanned))
+                if end < 0:
+                    self.scanned = len(buffer)
+                    if len(buffer) - start > self.LINE_LIMIT:
+                        self._too_large()
+                    elif self.eof:
+                        if start < len(buffer):
+                            self.answer_line(buffer[start:])
+                        start = len(buffer)
+                        self.end(self.daemon._teardown_connection(self))
+                    break
+                if end - start > self.LINE_LIMIT:
+                    self._too_large()
+                    break
+                line = buffer[start:end + 1]
+                start = end + 1
+                self.answer_line(line)
+        finally:
+            del buffer[:start]
+            self.scanned = max(self.scanned - start, 0)
+
+    def answer_line(self, line: bytearray) -> None:
+        """Stage 1 for one line, then the front half or BYE."""
+        if not line.strip():
+            return
+        daemon = self.daemon
+        try:
+            frame = decode_frame(line)
+            received = time.monotonic()
+        except ReproError as error:
+            daemon.stats.add({"requests": 1, "malformed": 1})
+            self.write(error_to_response(None, error))
+            return
+        if frame.get("verb") == "BYE":
+            daemon.stats.tick("requests")
+            self.end(daemon._bye(self, frame.get("id")))
+            return
+        reply = daemon._front(self, frame, received)
+        if reply is not None:
+            self.write(reply)
+
+    def _too_large(self) -> None:
+        # A partially received line cannot be resynchronized: refuse, close.
+        self.daemon.stats.add({"requests": 1, "malformed": 1})
+        self.write(
+            error_response(
+                None, "FRAME_TOO_LARGE", f"frame exceeds the {MAX_FRAME_BYTES}-byte limit"
+            )
+        )
+        self.end(self.daemon._teardown_connection(self))
+
+    def end(self, coroutine) -> None:
+        """Answer no further frame; ``coroutine`` finishes the
+        connection, unless an earlier end already does."""
+        self.ended = True
+        self.buffer.clear()
+        if self.ending is None:
+            self.ending = asyncio.ensure_future(coroutine)
+        else:
+            coroutine.close()
+
+    # -- replies ----------------------------------------------------------
+
+    def write(self, frame: dict) -> None:
         """Write one response frame to the transport (dropped silently
-        once the transport died — the handler's counters already
-        recorded the outcome). Returns without yielding while the
-        transport's buffer is below its high-water mark; above it the
-        caller waits in ``drain`` — the reader included, which then
-        stops taking frames off the socket."""
-        if self.dead:
+        once the connection is closing — the handler's counters already
+        recorded the outcome)."""
+        if self.dead or self.transport.is_closing():
             return
         try:
             data = encode_frame(frame)
@@ -211,11 +361,33 @@ class _Connection:
             data = encode_frame(
                 error_response(frame.get("id"), "FRAME_TOO_LARGE", str(error))
             )
-        try:
-            self.writer.write(data)
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            self.dead = True
+        self.transport.write(data)
+
+    async def send(self, frame: dict) -> None:
+        """An evaluation task's reply: written at once; the task then
+        waits while the write side is paused above its high-water mark."""
+        self.write(frame)
+        if self.paused and not self.dead:
+            waiter = asyncio.get_running_loop().create_future()
+            self.waiters.append(waiter)
+            await waiter
+
+    def _wake(self) -> None:
+        waiters, self.waiters = self.waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    async def close(self, grace: float) -> None:
+        """Close the transport once the written replies flush; abort it
+        when they do not within ``grace`` (a client that stopped
+        reading)."""
+        self.dead = True
+        if not self.closed.done():
+            self.transport.close()
+            done, _ = await asyncio.wait({self.closed}, timeout=grace)
+            if not done:
+                self.transport.abort()
 
     def spawn(self, coroutine) -> None:
         task = asyncio.ensure_future(coroutine)
@@ -270,11 +442,9 @@ class XPathDaemon:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            host=self.host,
-            port=self.port,
-            limit=MAX_FRAME_BYTES + 2,
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -405,54 +575,13 @@ class XPathDaemon:
 
     # -- connection handling --------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        # asyncio reads 256 KiB per recv() into a fresh bytes object. Under
-        # glibc, freeing it after every small frame can trim and regrow the
-        # heap top on each request: a page-fault storm that made hot
-        # requests ~25 % slower in some process layouts. 64 KiB stays
-        # below malloc's default mmap and trim thresholds.
-        writer.transport.max_size = 64 * 1024
-        self._connection_serial += 1
-        conn = _Connection(writer, default_client=f"conn:{self._connection_serial}")
-        self._connections.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.stats.add({"requests": 1, "malformed": 1})
-                    await conn.send(
-                        error_response(
-                            None,
-                            "FRAME_TOO_LARGE",
-                            f"frame exceeds the {MAX_FRAME_BYTES}-byte limit",
-                        )
-                    )
-                    break  # cannot resynchronize a partially-read line
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = decode_frame(line)
-                    received = time.monotonic()
-                except ReproError as error:
-                    self.stats.add({"requests": 1, "malformed": 1})
-                    await conn.send(error_to_response(None, error))
-                    continue
-                if frame.get("verb") == "BYE":
-                    self.stats.tick("requests")
-                    if conn.tasks:
-                        await asyncio.wait(set(conn.tasks))
-                    await conn.send(ok_response(frame.get("id"), bye=True))
-                    break
-                reply = self._front(conn, frame, received)
-                if reply is not None:
-                    await conn.send(reply)
-        except ConnectionError:
-            pass
-        finally:
-            await self._teardown_connection(conn)
+    async def _bye(self, conn: _Connection, request_id) -> None:
+        """BYE: the connection's tasks reply first, then BYE's own reply,
+        then the close."""
+        if conn.tasks:
+            await asyncio.wait(set(conn.tasks))
+        conn.write(ok_response(request_id, bye=True))
+        await self._teardown_connection(conn)
 
     async def _teardown_connection(self, conn: _Connection, cancel_tasks: bool = True) -> None:
         if conn not in self._connections:
@@ -461,24 +590,15 @@ class XPathDaemon:
         if cancel_tasks and conn.tasks:
             # The client is gone mid-flight: cancelled evaluations are
             # recorded as failed, keeping admitted == completed +
-            # deadlined + failed exact (see _settle). The reader may
-            # have created the newest task without yielding since; one
+            # deadlined + failed exact (see _settle). The front half
+            # may have created the newest task without yielding since; one
             # pass of the loop lets it reach the ladder that does that
             # recording before the cancel lands.
             await asyncio.sleep(0)
             for task in set(conn.tasks):
                 task.cancel()
             await asyncio.wait(set(conn.tasks), timeout=self.drain_grace)
-        conn.dead = True
-        try:
-            conn.writer.close()
-            await asyncio.wait_for(conn.writer.wait_closed(), timeout=self.drain_grace)
-        except asyncio.TimeoutError:  # an OSError: it must come first
-            # A client that stopped reading never lets the buffered
-            # replies flush: give up on them.
-            conn.writer.transport.abort()
-        except (ConnectionError, OSError):
-            pass
+        await conn.close(self.drain_grace)
         # The anonymous per-connection identity can never be addressed
         # again (serials are unique): retaining it would leak one
         # ClientState + ServeStats per connection for the daemon's life.
@@ -489,10 +609,7 @@ class XPathDaemon:
     def _drop_connection(self, conn: _Connection) -> None:
         """Fault injection: hard mid-stream disconnect."""
         conn.dead = True
-        try:
-            conn.writer.close()
-        except (ConnectionError, OSError):
-            pass
+        conn.transport.close()
 
     # -- the synchronous front half -------------------------------------
 

@@ -33,6 +33,7 @@ on a module-level list).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import threading
@@ -409,9 +410,12 @@ class TimingStats:
     seconds)`` — the abstract cost units :mod:`repro.service.cost`
     predicted and the seconds the evaluation actually took — and the
     per-key seconds-per-unit rate is what admission control
-    (:mod:`repro.serve.admission`) prices with once a key has enough
-    observations. The rate is an exponentially-weighted average of the
-    *log* of seconds per unit, each step clamped so that one observation
+    (:mod:`repro.serve.admission`) prices with once a key has
+    :attr:`WARMUP` observations. Until then the rate is the lower median
+    of the seconds-per-unit values seen so far, so one outlier among
+    the first few cannot seed it. From there on it is an
+    exponentially-weighted average of the *log* of seconds per unit,
+    starting from that median, each step clamped so that one observation
     moves it by at most a factor of 2: one mispriced evaluation cannot
     make the next price jump, and equal observations leave the rate
     exactly where it is. Its maps are lock-protected for the
@@ -421,11 +425,17 @@ class TimingStats:
     ``<name>_<key>_ns`` counters.
     """
 
+    #: Observations a key's rate is the median of, before the EMA takes
+    #: over (and before admission trusts the rate at all).
+    WARMUP = 3
+
     name: str = "timings"
     #: EMA smoothing: weight of the newest observation's log rate.
     smoothing: float = 0.2
     _rates: dict = field(default_factory=dict, repr=False)
     _counts: dict = field(default_factory=dict, repr=False)
+    #: The sorted seconds-per-unit values of keys still warming up.
+    _early: dict = field(default_factory=dict, repr=False)
     _totals: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -439,15 +449,21 @@ class TimingStats:
         per_unit = seconds / max(units, 1.0)
         bound = math.log(2.0) / self.smoothing  # one step moves at most 2×
         with self._lock:
-            previous = self._rates.get(key)
-            if not previous:  # the first observation (or a zero rate)
+            seen = self._counts.get(key, 0) + 1
+            self._counts[key] = seen
+            if seen <= self.WARMUP:
+                early = self._early.setdefault(key, [])
+                bisect.insort(early, per_unit)
+                self._rates[key] = early[(seen - 1) // 2]
+                if seen == self.WARMUP:
+                    del self._early[key]
+            elif not (previous := self._rates[key]):  # a zero rate
                 self._rates[key] = per_unit
             else:
                 step = math.log(per_unit / previous) if per_unit > 0.0 else -bound
                 self._rates[key] = previous * math.exp(
                     self.smoothing * min(max(step, -bound), bound)
                 )
-            self._counts[key] = self._counts.get(key, 0) + 1
             self._totals[key] = self._totals.get(key, 0.0) + seconds
         count(f"{self.name}_{key}_observations")
         count(f"{self.name}_{key}_ns", int(seconds * 1e9))

@@ -141,6 +141,23 @@ def test_one_observation_moves_the_rate_at_most_twofold():
     assert timings.snapshot()["corexpath"]["observations"] == 12 + observed
 
 
+def test_an_outlier_first_observation_cannot_seed_the_rate():
+    """During the warm-up the rate is the lower median of what was seen:
+    a 139× first cell is outvoted by the next two ordinary ones, so the
+    rate admission starts pricing with is ``k``, and the EMA carries on
+    from there."""
+    timings = TimingStats()
+    k = 3e-8
+    timings.observe("optmincontext", 500, 139 * k * 500)
+    for observed in range(2, 21):
+        timings.observe("optmincontext", 500, k * 500)
+        if observed == 3:
+            assert timings.rate("optmincontext") == pytest.approx(k)
+        if observed >= 3:
+            assert timings.rate("optmincontext") <= 2 * k
+    assert AdmissionController.MIN_OBSERVATIONS == TimingStats.WARMUP == 3
+
+
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------

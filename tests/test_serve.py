@@ -1127,7 +1127,7 @@ def daemon_connection(daemon, sock, deadline):
     name = sock.getsockname()
     while time.monotonic() < deadline:
         for conn in list(daemon._connections):
-            if conn.writer.get_extra_info("peername") == name:
+            if conn.transport.get_extra_info("peername") == name:
                 return conn
         time.sleep(0.01)
     raise AssertionError("the daemon never accepted the connection")
@@ -1214,7 +1214,7 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
             sock.sendall(burst)
             deadline = time.monotonic() + 10.0
             conn = daemon_connection(daemon, sock, deadline)
-            transport = conn.writer.transport
+            transport = conn.transport
             high_water = transport.get_write_buffer_limits()[1]
             requests = wait_until_stalled(daemon, transport, deadline)
             buffered = []
@@ -1233,6 +1233,198 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         snapshot = daemon.stats.snapshot()
         assert snapshot["memo_hits"] == 5000
         assert_identities(snapshot)
+
+
+def framing_stream() -> tuple[bytes, int]:
+    """≈50 pipelined frames for client ``f`` on document ``d``: hits of
+    the warmed ``//item``, misses, one malformed line, blank lines and a
+    PING; with the number of replies it must get."""
+    lines = []
+    for index in range(1, 51):
+        if index == 20:
+            lines.append(b"{this is not json\n")
+            continue
+        if index % 10 == 5:
+            lines += [b"\n", b"  \r\n"]
+        fields = {"verb": "QUERY", "id": index, "client": "f", "doc": "d", "query": "//item"}
+        if index == 30:
+            fields = {"verb": "PING", "id": index, "client": "f"}
+        elif index % 4 == 0:
+            fields["query"] = f"//item[@n = '{index % 7}' or @m = '{index}']"
+        lines.append(encode_frame(fields))
+    return b"".join(lines), 50
+
+
+def run_framing_stream(daemon, chunks) -> tuple[dict, dict]:
+    """Re-register ``d`` (a fresh document, so its memo holds only the
+    warmed ``//item``), send ``chunks`` one segment each and read every
+    reply: the replies by ``id`` without their clocks, and what the
+    stream moved on the global counters."""
+    items = "".join(f"<item n='{index % 7}'/>" for index in range(30))
+    with ServeClient(port=daemon.port, client="f") as client:
+        client.register("d", f"<r>{items}</r>")
+        client.query("//item", "d")
+    before = daemon.stats.snapshot()
+    stream, count = framing_stream()
+    assert b"".join(chunks) == stream
+    with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            sock.sendall(chunk)
+        replies = read_frames(sock, count)
+    by_id = {}
+    for reply in replies:
+        assert reply["id"] not in by_id
+        reply.pop("elapsed_ms", None)
+        reply.pop("priced_ms", None)
+        by_id[reply["id"]] = reply
+    return by_id, daemon.stats.delta(before)
+
+
+def test_every_chunking_of_a_pipelined_stream_gets_the_same_replies():
+    """However the bytes of a pipelined stream are cut into segments —
+    one byte each, a cut right at a newline, or random — the daemon
+    answers every frame exactly as it answers one ``sendall``, and the
+    counters move the same."""
+    from hypothesis import example, given, settings, strategies as st
+
+    service = QueryService()
+    with running_daemon(
+        service=service,
+        quota=ClientQuota(max_in_flight=512),
+        admission=permissive(service, queue_high=1024, queue_degrade=1024),
+    ) as daemon:
+        stream, count = framing_stream()
+        expected, moved = run_framing_stream(daemon, [stream])
+        assert len(expected) == count and expected[None]["error"]["code"] == "PROTOCOL"
+        assert moved["malformed"] == 1 and moved["memo_hits"] == 37
+        newlines = [index for index, byte in enumerate(stream) if byte == ord("\n")]
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.lists(st.integers(1, len(stream) - 1), max_size=40))
+        @example(list(range(1, len(stream))))  # one byte per segment
+        @example(newlines)  # every newline opens the next segment
+        @example([index + 1 for index in newlines[:-1]])  # one line per segment
+        def chunked(cuts):
+            bounds = [0, *sorted(set(cuts)), len(stream)]
+            chunks = [stream[start:end] for start, end in zip(bounds, bounds[1:])]
+            assert run_framing_stream(daemon, chunks) == (expected, moved)
+
+        chunked()
+
+
+def test_the_frame_bound_is_max_frame_bytes_plus_two():
+    """The wire bound: a line whose newline sits at most
+    ``MAX_FRAME_BYTES + 2`` bytes in is read, and decoding refuses it
+    as any oversized frame (typed ``PROTOCOL``, the connection stays
+    usable); one byte more is ``FRAME_TOO_LARGE`` and a close."""
+    with running_daemon() as daemon:
+        ping = encode_frame({"verb": "PING", "id": 1})
+        longest = b"x" * (MAX_FRAME_BYTES + 2) + b"\n"
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(longest + ping)
+            refused, pong = read_frames(sock, 2)
+        assert refused["id"] is None and refused["error"]["code"] == "PROTOCOL"
+        assert "exceeds" in refused["error"]["message"] and pong["pong"] is True
+        before = daemon.stats.snapshot()
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(b"x" + longest)
+            (reply,) = read_frames(sock, 1)
+            assert reply["error"]["code"] == "FRAME_TOO_LARGE"
+            with contextlib.suppress(ConnectionResetError):
+                assert sock.recv(1 << 16) == b""
+        moved = daemon.stats.delta(before)
+        assert moved["requests"] == 1 and moved["malformed"] == 1
+
+
+def test_an_unterminated_frame_past_the_limit_gets_one_refusal():
+    """Unterminated bytes past the bound, arriving in 64 KiB pieces, get
+    one ``FRAME_TOO_LARGE`` and a close, counted once as malformed."""
+    with running_daemon() as daemon:
+        before = daemon.stats.snapshot()
+        piece = b"x" * (64 * 1024)
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            for _ in range(MAX_FRAME_BYTES // len(piece)):
+                sock.sendall(piece)
+            sock.sendall(b"xyz")  # 3 bytes past the bound, and no newline
+            (reply,) = read_frames(sock, 1)
+            assert reply["error"]["code"] == "FRAME_TOO_LARGE"
+            with contextlib.suppress(ConnectionResetError):
+                assert sock.recv(1 << 16) == b""
+        moved = daemon.stats.delta(before)
+        assert moved["requests"] == 1 and moved["malformed"] == 1
+
+
+def test_eof_is_honoured_after_every_buffered_frame_is_answered():
+    """A client that pipelines a burst and half-closes without reading
+    still gets every reply, then the close."""
+    with running_daemon() as daemon:
+        items = "".join("<item/>" for _ in range(200))
+        with ServeClient(port=daemon.port, client="e") as client:
+            client.register("d", f"<r>{items}</r>")
+            client.query("//item", "d")
+        frame = {"verb": "QUERY", "client": "e", "doc": "d", "query": "//item"}
+        burst = b"".join(encode_frame({**frame, "id": n}) for n in range(3000))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(burst)
+            sock.shutdown(socket.SHUT_WR)
+            time.sleep(0.2)  # the daemon meets the EOF with replies unread
+            replies = read_frames(sock, 3000)
+            assert sock.recv(1 << 16) == b""
+        assert [reply["id"] for reply in replies] == list(range(3000))
+        assert all(reply["memo"] for reply in replies)
+        snapshot = daemon.stats.snapshot()
+        assert snapshot["memo_hits"] == 3000
+        assert_identities(snapshot)
+
+
+def test_a_memo_hit_makes_no_future_and_no_task():
+    """A hit is answered inside the callback that read its frame: a
+    thousand of them, one per send, make no future and no task on the
+    daemon's loop."""
+    with running_daemon() as daemon:
+        with ServeClient(port=daemon.port, client="h") as client:
+            client.register("d", BOOKS)
+            client.query("//title", "d")
+        loop = daemon._server.get_loop()
+        made = []
+        installed = threading.Event()
+        create_future = loop.create_future
+
+        def counting_future():
+            made.append("future")
+            return create_future()
+
+        def counting_task(loop, coroutine, **kwargs):
+            made.append("task")
+            return asyncio.Task(coroutine, loop=loop, **kwargs)
+
+        def install(on):
+            if on:
+                loop.create_future = counting_future
+                loop.set_task_factory(counting_task)
+            else:
+                del loop.create_future
+                loop.set_task_factory(None)
+            installed.set()
+
+        frame = encode_frame(
+            {"verb": "QUERY", "id": 1, "client": "h", "doc": "d", "query": "//title"}
+        )
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(frame)
+            read_frames(sock, 1)  # the connection is set up and warm
+            loop.call_soon_threadsafe(install, True)
+            assert installed.wait(5)
+            sock.settimeout(30.0)
+            with sock.makefile("rb") as stream:
+                for _ in range(1000):
+                    sock.sendall(frame)
+                    assert decode_frame(stream.readline())["memo"] is True
+            installed.clear()
+            loop.call_soon_threadsafe(install, False)
+            assert installed.wait(5)
+        assert made == []
 
 
 @contextlib.contextmanager
@@ -1544,7 +1736,7 @@ def test_drain_finishes_while_a_connected_client_has_stopped_reading():
         sock.sendall(burst)
         deadline = time.monotonic() + 10.0
         conn = daemon_connection(daemon, sock, deadline)
-        wait_until_stalled(daemon, conn.writer.transport, deadline)
+        wait_until_stalled(daemon, conn.transport, deadline)
         holder["loop"].call_soon_threadsafe(daemon.initiate_drain)
         thread.join(3.0)
         assert not thread.is_alive(), "the drain waited on a client that never reads"
