@@ -15,12 +15,12 @@ Three gates, two of them machine-independent:
   byte-identical node sets to the forced-``scan`` path, forward and
   inverse; and every workload query evaluates byte-identically under
   ``scan`` and ``auto`` across the paper-bounded evaluators.
-* **counter gate** — ``index_adoptions`` moves by exactly one per fresh
-  built document and ``index_builds`` by zero (every document adopts
-  the index partitioned from its columns at birth, and ``node_index``
-  hits it), every dispatch counts exactly one fused/fallback outcome,
-  and the selective workload actually takes the kernels (fused hits
-  dominate).
+* **counter gate** — ``partition_passes`` (``store_stats``) and
+  ``lazy_documents`` move by exactly one per fresh built document
+  (every document is born with the index partitioned from its columns)
+  and by zero over every later ``node_index`` read and axis step, every
+  dispatch counts exactly one fused/fallback outcome, and the selective
+  workload actually takes the kernels (fused hits dominate).
 * **speedup gate** — summed best-of-N evaluation time of the selective
   workload under ``auto`` dispatch ≥ 2× faster than under forced
   ``scan``. Host-gated: enforced when the host grants
@@ -147,10 +147,11 @@ def run_value_gate(documents) -> tuple[bool, int]:
 
 
 def run_counter_gate() -> tuple[bool, dict]:
-    """Exact accounting: one adoption and no build per fresh built
-    document, one outcome per dispatch, kernels actually engaged on the
-    selective workload."""
+    """Exact accounting: one partition pass per fresh built document
+    and none after it, one outcome per dispatch, kernels actually
+    engaged on the selective workload."""
     before = stats.axis_kernel_stats.snapshot()
+    passes_before = stats.store_stats.snapshot()["partition_passes"]
     documents = []
     for i in range(3):
         builder = DocumentBuilder()
@@ -160,13 +161,9 @@ def run_counter_gate() -> tuple[bool, dict]:
             builder.leaf("b", "2")
         builder.end()
         documents.append(builder.build())
-    for document in documents:
-        node_index(document)  # must hit the adopted index
+    passes_built = stats.store_stats.snapshot()["partition_passes"]
+    born_indexed = all(node_index(document) is document.index for document in documents)
     after_builds = stats.axis_kernel_stats.snapshot()
-    builds_exact = (
-        after_builds["index_adoptions"] - before["index_adoptions"] == len(documents)
-        and after_builds["index_builds"] == before["index_builds"]
-    )
     test = NodeTest("name", "a")
     calls = 0
     before_dispatch = stats.axis_kernel_stats.snapshot()
@@ -180,10 +177,17 @@ def run_counter_gate() -> tuple[bool, dict]:
     fallback_delta = after["fallback_scans"] - before_dispatch["fallback_scans"]
     dispatch_exact = fused_delta + fallback_delta == calls
     kernels_engaged = fused_delta == calls  # selective name test: all fused
+    passes_after = stats.store_stats.snapshot()["partition_passes"]
+    builds_exact = (
+        born_indexed
+        and passes_built - passes_before == len(documents)
+        and after_builds["lazy_documents"] - before["lazy_documents"] == len(documents)
+        and passes_after == passes_built
+    )
     detail = {
         "documents": len(documents),
-        "adoptions_delta": after_builds["index_adoptions"] - before["index_adoptions"],
-        "builds_delta": after_builds["index_builds"] - before["index_builds"],
+        "build_passes": passes_built - passes_before,
+        "later_passes": passes_after - passes_built,
         "dispatches": calls,
         "fused": fused_delta,
         "fallback": fallback_delta,
@@ -198,8 +202,6 @@ def run_speedup_gate(documents):
         [(engine.compile(query), algorithm) for query, algorithm in WORKLOAD_QUERIES]
         for engine in engines
     ]
-    for engine in engines:  # build indexes outside the timed region
-        node_index(engine.document)
     per_mode = {}
     for mode in ("scan", "auto"):
         with kernel_mode_forced(mode):
@@ -247,16 +249,16 @@ def main() -> int:
         f"kernels: {counter_detail['fused']} fused / "
         f"{counter_detail['fallback']} fallback over "
         f"{counter_detail['dispatches']} counted dispatches; "
-        f"{counter_detail['adoptions_delta']} index adoptions and "
-        f"{counter_detail['builds_delta']} builds for "
-        f"{counter_detail['documents']} fresh documents"
+        f"{counter_detail['build_passes']} partition passes building "
+        f"{counter_detail['documents']} fresh documents, "
+        f"{counter_detail['later_passes']} after"
     )
     report.note(
         f"value gate:   auto == scan on every cell ({value_cells} cells) — "
         + ("PASS" if value_ok else "FAIL")
     )
     report.note(
-        "counter gate: adoptions/dispatch outcomes exact, kernels engaged — "
+        "counter gate: partition passes/dispatch outcomes exact, kernels engaged — "
         + ("PASS" if counters_ok else "FAIL")
     )
     if speedup_enforced:

@@ -40,7 +40,7 @@ GATES = {
     ),
     "snapshot": (
         "exp_snap",
-        ("gate:", "speedup", "adoption", "store:", "cold-start", "first query",
+        ("gate:", "speedup", "index:", "store:", "cold-start", "first query",
          "dispatch", "workload:"),
         "bench_snapshot.py", "the binary-snapshot gates and speedups (EXP-SNAP)",
     ),

@@ -66,7 +66,7 @@ from repro import stats
 from repro.axes.order import FORWARD_AXES, INTERVAL_AXES, REVERSE_AXES, is_forward_axis
 from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT
 from repro.xml.document import Document
-from repro.xml.index import merge_intersection, merge_union, node_index
+from repro.xml.index import merge_intersection, merge_union
 from repro.xpath.ast import NodeTest
 
 #: Every axis this library supports. ``id`` is the pseudo-axis of
@@ -536,7 +536,7 @@ def _interval_axis_pres(
     array is sorted (interval slices are emitted over disjoint ascending
     ranges).
     """
-    index = node_index(document)
+    index = document.index
     partition = index.partition(test, axis)
     if partition is None:
         return None
@@ -612,7 +612,7 @@ def _pointer_axis_pres(
     test is then one intersection with the matching partition.
     Output-sensitive, no nodes.
     """
-    index = node_index(document)
+    index = document.index
     if axis == "child":
         return _child_pres(index, pres, test)
     if axis == "self":
@@ -786,7 +786,7 @@ def _inverse_pointer_pres(
     """
     if axis == "self":
         return list(pres)
-    index = node_index(document)
+    index = document.index
     if axis == "following-sibling" or axis == "preceding-sibling":
         # x has a following sibling in Y ⟺ x is a preceding sibling of a
         # member of Y, and vice versa.
@@ -827,7 +827,7 @@ def _inverse_interval_pres(
     be sorted ascending."""
     if not pres:
         return []
-    index = node_index(document)
+    index = document.index
     size = index.size
     kinds = index.kinds
     if axis == "following":

@@ -50,7 +50,6 @@ from repro.axes.axes import (
     kernel_mode,
     select_node_test,
 )
-from repro.xml.index import node_index
 
 #: Forward axes whose kernel runs a block in whole-column operations
 #: (interval joins, pointer/child-span/attribute-run gathers, frontier
@@ -115,7 +114,7 @@ def filter_step(document, axis, block, test):
         return select_node_test(document, block, test, axis)
     if len(block) >= VECTOR_MIN_BLOCK:
         stats.axis_kernel_stats.tick("vector_ops")
-    index = node_index(document)
+    index = document.index
     partition = index.filter_partition(
         test, attribute_principal=axis in AXIS_PRINCIPAL_ATTRIBUTE
     )

@@ -111,6 +111,7 @@ from repro.stats import axis_kernel_stats, store_stats
 from repro.xml.document import Node
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize_node
+from repro.xml.snapshot import SNAPSHOT_VERSION
 from repro.xpath.explain import explain_text
 from repro.xpath.unparse import dump_tree, unparse
 
@@ -532,8 +533,6 @@ def _print_batch_stats(batch, from_store: bool) -> None:
     kernel_stats = axis_kernel_stats.snapshot()
     print(
         "axis kernels: "
-        f"index builds={kernel_stats['index_builds']} "
-        f"adoptions={kernel_stats['index_adoptions']} "
         f"fused={kernel_stats['fused_hits']} "
         f"fallback scans={kernel_stats['fallback_scans']}",
         file=sys.stderr,
@@ -703,7 +702,7 @@ def store_main(argv: list[str]) -> int:
         for name in store.names():
             sizes = store.column_sizes(name)
             print(
-                f"{name}\tsnapshot v3\tnodes={sizes['nodes']}\t"
+                f"{name}\tsnapshot v{SNAPSHOT_VERSION}\tnodes={sizes['nodes']}\t"
                 f"disk={sizes['disk_bytes']}B\t"
                 f"columns={sizes['column_bytes']}B\t"
                 f"partitions={sizes['partition_bytes']}B"

@@ -35,7 +35,7 @@ from repro.values.coerce import node_numval, node_strval
 from repro.values.compare import COMPARE, compare_values
 from repro.values.numbers import xpath_divide, xpath_modulo
 from repro.xml.document import Document, Node
-from repro.xml.index import ATTR, node_index
+from repro.xml.index import ATTR
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Negate, NodeTest
 
 __all__ = [
@@ -96,7 +96,7 @@ def step_relation_pres(
     stats.count("axis_single_calls", len(origins))
     if not pool:
         return {}
-    index = node_index(document)
+    index = document.index
     relation: dict[int, list[int]] = {}
     if axis == "child" or axis == "attribute":
         parent_pre = index.parent_pre

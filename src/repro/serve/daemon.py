@@ -71,8 +71,9 @@ meets them, with the counter each exit lands in:
    cannot be interrupted, only abandoned; their results are dropped and
    their timing observations still sharpen future admissions.
 8. **drain** — SIGTERM stops admission, lets in-flight work finish
-   inside ``drain_grace``, gives each connection ``drain_grace`` more to
-   flush (then aborts it), and only then closes: zero lost responses,
+   inside ``drain_grace``, gives the connections, all at once,
+   ``drain_grace`` more to flush (then aborts the ones that did not),
+   and only then closes: zero lost responses,
    ``admitted == completed + deadlined + failed`` through the shutdown.
 
 Every failure mode is deterministically testable through the
@@ -465,7 +466,7 @@ class XPathDaemon:
         self.draining = True
         if self._server is not None:
             # Stop accepting. wait_closed() is deferred until after the
-            # teardown loop below: on Python >= 3.12.1 it also waits for
+            # teardown below: on Python >= 3.12.1 it also waits for
             # every client connection, so awaiting it here would hang
             # the drain for as long as any client stays connected.
             self._server.close()
@@ -478,8 +479,12 @@ class XPathDaemon:
                 task.cancel()
             if stragglers:
                 await asyncio.wait(stragglers, timeout=self.drain_grace)
-        for conn in list(self._connections):
-            await self._teardown_connection(conn, cancel_tasks=False)
+        # All at once: each close may wait out drain_grace on a client
+        # that stopped reading, and N of them must not take N graces.
+        await asyncio.gather(
+            *(self._teardown_connection(conn, cancel_tasks=False)
+              for conn in list(self._connections))
+        )
         if self._server is not None:
             try:
                 await asyncio.wait_for(

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.service.plan import LogicalPlan
 from repro.xml.document import Document
-from repro.xml.index import node_index
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,9 @@ class DocumentProfile:
 
 
 def document_profile(document: Document) -> DocumentProfile:
-    """A document's profile: two numbers off its (weak-cached) index,
+    """A document's profile: two numbers off its index,
     nothing per node, no string decoded."""
-    index = node_index(document)
+    index = document.index
     return DocumentProfile(index.total, index.shape.max_fanout)
 
 

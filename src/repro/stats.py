@@ -228,14 +228,10 @@ CacheStats = Counters(
 )
 
 #: The output-sensitive axis kernels, process-wide (indexes belong to
-#: documents, not to a service):
+#: documents, not to a service; a document's index is built with it, so
+#: the partition passes are counted by ``store_stats.partition_passes``
+#: and the documents by ``lazy_documents``):
 #:
-#: * ``index_builds`` — :class:`repro.xml.index.NodeIndex` constructions
-#:   (at most one per document, ever: the index cache builds under its
-#:   lock);
-#: * ``index_adoptions`` — prebuilt indexes seeded by snapshot loads
-#:   (:func:`repro.xml.index.adopt_node_index`), apart from
-#:   ``index_builds`` so one-build-per-document stays assertable;
 #: * ``fused_hits`` — axis-step dispatches served by an output-sensitive
 #:   kernel over fewer than :data:`repro.axes.vec.VECTOR_MIN_BLOCK`
 #:   origins, or on an axis whose kernel has no whole-column form (the
@@ -263,8 +259,6 @@ CacheStats = Counters(
 axis_kernel_stats = Counters(
     "axis",
     (
-        "index_builds",
-        "index_adoptions",
         "fused_hits",
         "fallback_scans",
         "lazy_documents",

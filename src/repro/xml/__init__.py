@@ -19,16 +19,16 @@ way into the system produces them. Two forms sit over the columns:
   :func:`~repro.xml.snapshot.decode_snapshot` and
   :meth:`DocumentStore.load <repro.xml.store.DocumentStore.load>` read
   them back from a snapshot (strings still encoded, decoded per access);
-  all finish through :meth:`Document.from_columns
-  <repro.xml.document.Document.from_columns>`. String values, attribute
+  all finish through the :class:`~repro.xml.document.Document`
+  constructor. String values, attribute
   lookup, id maps, paths, shape statistics and serialization are
   answered straight from the columns.
 * **Packed index** (:mod:`repro.xml.index`) — the same int columns as
   memoryviews plus name/kind partitions as sorted pre arrays and the
   document's shape (text volume, element depth and fanout), made by
   one pass over the columns (or, for a loaded document, read out of the
-  snapshot) and *adopted* by the document at birth
-  (``index_adoptions``). The fused axis kernels, the Core XPath sweeps
+  snapshot) when the document is constructed, and held by it as
+  ``Document.index``. The fused axis kernels, the Core XPath sweeps
   and the table evaluators compute entirely in this plane; the binary
   snapshot format (:mod:`repro.xml.snapshot`) persists exactly these
   columns, partitions and shape.
@@ -41,7 +41,6 @@ from repro.xml.columns import DocumentColumns
 from repro.xml.document import Document, Node, NodeKind
 from repro.xml.index import (
     NodeIndex,
-    adopt_node_index,
     merge_intersection,
     merge_union,
     node_index,
@@ -64,7 +63,6 @@ __all__ = [
     "Node",
     "NodeIndex",
     "NodeKind",
-    "adopt_node_index",
     "decode_snapshot",
     "encode_snapshot",
     "merge_intersection",

@@ -13,7 +13,7 @@ Two styles are offered:
 
 Both append to the columns the parser writes (kind, parent, size, depth,
 name, value per node, in document order) and finish through the same
-:meth:`Document.from_columns <repro.xml.document.Document.from_columns>`,
+:class:`~repro.xml.document.Document` constructor, which builds the index,
 and both build only what the parser could have read from the document's
 serialization: adjacent text merges into one node, empty text is
 dropped, PI data loses its surrounding whitespace, and a second root
@@ -145,7 +145,7 @@ class DocumentBuilder:
         columns = DocumentColumns.from_lists(
             self._kinds, self._parents, self._sizes, self._depths, self._names, self._values
         )
-        return Document.from_columns(columns, self.id_attribute)
+        return Document(columns, self.id_attribute)
 
 
 class _Spec:

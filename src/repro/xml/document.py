@@ -23,8 +23,8 @@ the axis functions in :mod:`repro.axes` run in linear time:
   ``x.pre + x.size``.
 
 The parser, the builders and the snapshot decoder write the columns and
-finish through :meth:`Document.from_columns`: a document is immutable
-from birth, with its :class:`~repro.xml.index.NodeIndex` adopted. The
+finish through the :class:`Document` constructor: a document is immutable
+from birth, with its :class:`~repro.xml.index.NodeIndex` built. The
 fused axis kernels (:mod:`repro.axes.axes`), the Core XPath evaluator
 and the context-value-table evaluators (MINCONTEXT / OPTMINCONTEXT)
 thread sorted pre arrays end-to-end; a :class:`Node` is created for a
@@ -75,7 +75,7 @@ from typing import Iterator
 
 from repro.stats import axis_kernel_stats
 from repro.xml.columns import ATTR, COMMENT, DOC, ELEM, PI, TEXT, DocumentColumns
-from repro.xml.index import NodeIndex, adopt_node_index, node_index
+from repro.xml.index import NodeIndex
 
 
 class NodeKind(enum.Enum):
@@ -364,15 +364,18 @@ class Document:
     """An XML document: the paper's ``dom`` as flat columns plus derived
     indexes, immutable from birth.
 
-    Made by :meth:`from_columns` — the last step of
+    Made by its constructor — the last step of
     :func:`~repro.xml.parser.parse_document`, of
     :class:`~repro.xml.builder.DocumentBuilder` and of the snapshot
-    decoder. The adopted :class:`~repro.xml.index.NodeIndex` is held as
-    ``_index`` (a strong reference: the index's own document link is
-    weak, so document keeps index alive and index does not pin document).
+    decoder — over columns already known to be legal.
 
     Attributes:
         columns: the :class:`~repro.xml.columns.DocumentColumns`.
+        index: the document's :class:`~repro.xml.index.NodeIndex`, made
+            from the columns — or from the persisted ``partitions`` and
+            ``shape`` of :attr:`NodeIndex.partitions
+            <repro.xml.index.NodeIndex>` / ``NodeIndex.shape``, which a
+            snapshot load hands in so it runs no partition pass.
         nodes: all nodes in document order (``dom``), a :class:`NodeList`;
             ``nodes[i].pre == i``.
         id_attribute: the attribute name used for ``id()`` lookups
@@ -380,11 +383,14 @@ class Document:
             by an ``id`` attribute).
     """
 
-    def __init__(self, columns: DocumentColumns, id_attribute: str = "id"):
+    def __init__(
+        self, columns: DocumentColumns, id_attribute: str = "id", partitions=None,
+        shape=None,
+    ):
         self.id_attribute = id_attribute
         self.columns = columns
         self.nodes = NodeList(self)
-        self._index = None
+        self.index = NodeIndex(columns, partitions, shape)
         self._cache: list[Node | None] = [None] * len(columns)
         self._materialize_lock = threading.Lock()
         self._id_pres = None
@@ -395,24 +401,6 @@ class Document:
         self._paths = None
         self._root_element_pre = self._find_root_element_pre()
         axis_kernel_stats.tick("lazy_documents")
-
-    @classmethod
-    def from_columns(
-        cls, columns: DocumentColumns, id_attribute: str = "id", partitions=None,
-        shape=None,
-    ) -> "Document":
-        """The document over ``columns`` (already known to be legal) with
-        its index made from them — or from the persisted ``partitions``
-        and ``shape`` of :attr:`NodeIndex.partitions
-        <repro.xml.index.NodeIndex>` / ``NodeIndex.shape`` — and adopted:
-        no node is created and no index build is ever counted for it."""
-        document = cls(columns, id_attribute=id_attribute)
-        index = NodeIndex.from_columns(document, columns, partitions, shape)
-        # First-in wins in the process cache; keep a strong ref to the
-        # winner so the weak-keyed cache entry survives as long as the
-        # document does (the index only weak-refs the document back).
-        document._index = adopt_node_index(document, index)
-        return document
 
     def _find_root_element_pre(self) -> int | None:
         """Pre of the single element child of the document node, if any
@@ -497,7 +485,7 @@ class Document:
 
     def elements(self) -> list[Node]:
         """All element nodes in document order."""
-        return [self.node_at(p) for p in node_index(self).elements]
+        return [self.node_at(p) for p in self.index.elements]
 
     def in_document_order(self, nodes) -> list[Node]:
         """Sort an iterable of nodes into document order."""
@@ -517,8 +505,8 @@ class Document:
 
     def attribute_pres(self, pre: int) -> range:
         """The contiguous attribute run of element ``pre`` (maybe empty)."""
-        index = self._index
-        if index is not None and index.attribute_counts_ready:
+        index = self.index
+        if index.attribute_counts_ready:
             # An axis kernel already paid for the per-pre attribute
             # counts — the run is a closed form then (non-elements
             # count 0, so the kind check is subsumed).
@@ -545,8 +533,8 @@ class Document:
     def child_pres(self, pre: int) -> list[int]:
         """Child pres of ``pre`` in order: skip the attribute run, then
         hop sibling subtrees (``c += size[c]``) to the interval end."""
-        index = self._index
-        if index is not None and index.child_table_ready:
+        index = self.index
+        if index.child_table_ready:
             # One contiguous span of the memoized child table (built by
             # the axis kernels; non-parents have an empty span).
             offsets, children = index.child_table()
@@ -594,7 +582,7 @@ class Document:
         structure = self._text_structure_cache
         if structure is None:
             values = self.columns.values
-            pres = node_index(self).text_nodes
+            pres = self.index.text_nodes
             parts = [values[text_pre] or "" for text_pre in pres]
             offsets = array("q", accumulate(map(len, parts), initial=0))
             structure = (pres, offsets, "".join(parts))
@@ -621,7 +609,7 @@ class Document:
         end = pre + columns.size[pre]
         structure = self._text_structure_cache
         if structure is None:
-            pres = node_index(self).text_nodes
+            pres = self.index.text_nodes
             lo = bisect_left(pres, pre)
             hi = bisect_left(pres, end, lo)
             self._texts_decoded += hi - lo
@@ -707,7 +695,7 @@ class Document:
             parent_pre, values = self.columns.parent_pre, self.columns.values
             mapping = {}
             last_element = -1
-            for attr_pre in node_index(self).by_attribute.get(self.id_attribute, ()):
+            for attr_pre in self.index.by_attribute.get(self.id_attribute, ()):
                 element = parent_pre[attr_pre]
                 if element != last_element:
                     last_element = element

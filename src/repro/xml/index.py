@@ -5,7 +5,7 @@ the bound every complexity theorem relies on, but also the reason a
 selective query over a large document spends almost all of its time
 re-scanning the whole tree to produce a tiny node set. This module holds
 the *derived* structures that make an output-sensitive fast path
-possible, all computed once per document and cached process-wide:
+possible, all computed once per document and held by it:
 
 * **pre numbering** — ``pre`` is positional (``nodes[i].pre == i``),
   and ancestorship is the interval test ``x < y < x + size[x]``;
@@ -40,28 +40,24 @@ document's flat columns (:class:`~repro.xml.columns.DocumentColumns`),
 counted as ``partition_passes`` on :data:`repro.stats.store_stats`. The
 same pass measures the document's :class:`DocumentShape` (text volume,
 element depth and fanout), so a profile of the document reads numbers
-instead of walking nodes. Every document is born with its index:
-:meth:`~repro.xml.document.Document.from_columns` adopts the columns as
-they stand and runs the pass over them — or, for a snapshot load, takes
-the packed array, its span directory (:attr:`NodeIndex.partitions`) and
-the shape back as they were written — and :func:`adopt_node_index`
-seeds the process-wide cache with it (``index_adoptions``).
-:func:`node_index` is weak-cached; a document made without
-:meth:`~repro.xml.document.Document.from_columns` is indexed on first
-use, under the cache lock, so racing threads see exactly one build (``index_builds`` on
-:data:`repro.stats.axis_kernel_stats` is exact).
+instead of walking nodes. A document owns its index: the
+:class:`~repro.xml.document.Document` constructor builds it over the
+columns as they stand — or, for a snapshot load, takes the packed array,
+its span directory (:attr:`NodeIndex.partitions`) and the shape back as
+they were written — and holds it as
+:attr:`~repro.xml.document.Document.index`. It is built once, with the
+document, so no lock guards it: the columns and partitions never change
+after, and the tables memoized on first use are idempotent.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.stats import axis_kernel_stats, store_stats
+from repro.stats import store_stats
 from repro.xml.columns import ATTR, COMMENT, ELEM, PI, TEXT
 
 if TYPE_CHECKING:
@@ -93,7 +89,8 @@ class NodeIndex:
     """Derived per-document arrays and name partitions (read-only).
 
     Attributes:
-        document: the indexed (immutable) document.
+        columns: the indexed document's
+            :class:`~repro.xml.columns.DocumentColumns`.
         total: ``|dom|``.
         size: ``size[i]`` — subtree size of the node with pre number ``i``.
         depth: ``depth[i]`` — distance from the document node (root is 0;
@@ -120,7 +117,7 @@ class NodeIndex:
     """
 
     __slots__ = (
-        "_document_ref",
+        "columns",
         "total",
         "_child_offsets",
         "_child_packed",
@@ -143,29 +140,15 @@ class NodeIndex:
         "pis",
     )
 
-    @classmethod
-    def from_columns(
-        cls, document: Document, columns, partitions=None, shape=None
-    ) -> "NodeIndex":
+    def __init__(self, columns, partitions=None, shape=None):
         """The index over a document's flat columns
-        (:class:`~repro.xml.columns.DocumentColumns`, already known to
-        describe ``document``) — the parser's and the snapshot decoder's
-        constructor. The int columns are adopted zero-copy. The parser
-        and the builders leave ``partitions`` and ``shape`` out and pay
-        one ``O(|D|)`` partition pass over the columns, which never
-        touches ``document.nodes`` (doing so would create every node);
-        the decoder hands in the persisted :attr:`partitions` and
+        (:class:`~repro.xml.columns.DocumentColumns`), its int columns
+        adopted zero-copy. The parser and the builders leave
+        ``partitions`` and ``shape`` out and pay one ``O(|D|)``
+        partition pass over the columns, which creates no node; the
+        snapshot decoder hands in the persisted :attr:`partitions` and
         :attr:`shape` of the encoded index and pays nothing per node."""
-        index = cls.__new__(cls)
-        index._adopt(document, columns, partitions, shape)
-        return index
-
-    def _adopt(self, document: Document, columns, partitions=None, shape=None) -> None:
-        # Weak back-reference only: the index is the *value* of a
-        # weak-keyed cache whose key is the document — a strong reference
-        # here would make every key strongly reachable from its own value
-        # and pin every indexed document in memory forever.
-        self._document_ref = weakref.ref(document)
+        self.columns = columns
         self._child_offsets = None
         self._child_packed = None
         self._attribute_counts = None
@@ -277,15 +260,6 @@ class NodeIndex:
         self.by_pi_target = dict(zip(pi_targets, spans))
 
     # ------------------------------------------------------------------
-
-    @property
-    def document(self) -> Document:
-        """The indexed document (weakly held — see ``_adopt``)."""
-        document = self._document_ref()
-        if document is None:  # pragma: no cover - needs a caller that
-            # outlives the document it handed in
-            raise ReferenceError("the indexed document has been garbage-collected")
-        return document
 
     def partition(self, test, axis: str):
         """The sorted pre array of ``T(t)`` for a node test, restricted to
@@ -452,7 +426,7 @@ class NodeIndex:
         ``AssertionError`` with a description on violation. O(|D|²) in
         the interval cross-check — property-test use only.
         """
-        names = self.document.columns.names
+        names = self.columns.names
         total = self.total
         assert len(self.kinds) == len(self.size) == total, "column lengths diverged"
         assert len(self.depth) == len(self.parent_pre) == total, (
@@ -509,78 +483,9 @@ class NodeIndex:
                 assert self.kinds[pre] == ATTR and names[pre] == name
 
 
-# ----------------------------------------------------------------------
-# Process-wide cache
-# ----------------------------------------------------------------------
-
-#: Indexes are immutable facts about immutable documents; cache them
-#: process-wide so every evaluator over the same document shares one.
-#: Weak keys (and a weak back-reference inside the index): the cache
-#: never pins a document.
-_INDEX_CACHE: "weakref.WeakKeyDictionary[Document, NodeIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-#: Per-document build locks (weak-keyed too): racing first callers of
-#: one document serialize, builds of *different* documents proceed in
-#: parallel — worker threads answering first queries on fresh
-#: documents must not funnel every O(|D|·log|D|) build through one
-#: global lock.
-_BUILD_LOCKS: "weakref.WeakKeyDictionary[Document, threading.Lock]" = (
-    weakref.WeakKeyDictionary()
-)
-_INDEX_LOCK = threading.Lock()
-
-
 def node_index(document: Document) -> NodeIndex:
-    """The (process-wide, weakly cached) :class:`NodeIndex` of a document.
-
-    Exactness contract: one build per document, *ever* (asserted by the
-    thread-safety hammer). The global lock only guards the dictionaries;
-    the build itself runs under a per-document lock, so concurrent first
-    callers of one document see one build and then hits, while unrelated
-    documents index concurrently.
-    """
-    with _INDEX_LOCK:
-        index = _INDEX_CACHE.get(document)
-        if index is not None:
-            return index
-        build_lock = _BUILD_LOCKS.get(document)
-        if build_lock is None:
-            build_lock = threading.Lock()
-            _BUILD_LOCKS[document] = build_lock
-    with build_lock:
-        with _INDEX_LOCK:
-            index = _INDEX_CACHE.get(document)
-            if index is not None:  # built by the racing caller we waited on
-                return index
-        index = NodeIndex.from_columns(document, document.columns)
-        with _INDEX_LOCK:
-            _INDEX_CACHE[document] = index
-            axis_kernel_stats.tick("index_builds")
-    return index
-
-
-def adopt_node_index(document: Document, index: NodeIndex) -> NodeIndex:
-    """Seed the process-wide cache with a prebuilt index (every
-    :meth:`~repro.xml.document.Document.from_columns`).
-
-    Counts as ``index_adoptions`` on :data:`repro.stats.axis_kernel_stats`
-    — never ``index_builds``, whose one-build-per-document exactness the
-    thread hammer asserts. If a racing caller already built or adopted an
-    index for ``document``, that one wins and is returned; the loser is
-    dropped (both describe the same immutable document, so either is
-    correct — first-in keeps identity stable for callers already holding
-    it).
-    """
-    if index.document is not document:
-        raise ValueError("index does not describe this document")
-    with _INDEX_LOCK:
-        existing = _INDEX_CACHE.get(document)
-        if existing is not None:
-            return existing
-        _INDEX_CACHE[document] = index
-        axis_kernel_stats.tick("index_adoptions")
-    return index
+    """The :class:`NodeIndex` a document was born with."""
+    return document.index
 
 
 # ----------------------------------------------------------------------

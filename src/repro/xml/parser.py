@@ -5,8 +5,8 @@ regex (one alternative per construct, attribute runs split by a second
 regex) and appends to the flat columns of the paper's data model —
 ``kinds`` / ``parent_pre`` / ``size`` / ``depth`` / ``names`` /
 ``values`` — closing an element's ``size`` on its end tag. The result is a :class:`~repro.xml.document.Document`
-with its :class:`~repro.xml.index.NodeIndex` adopted: no ``Node`` exists
-until a caller touches one, and no index build ever runs for it.
+with its :class:`~repro.xml.index.NodeIndex` built by the one partition
+pass over those columns: no ``Node`` exists until a caller touches one.
 
 The accepted language is that of a small cursor lexer, leniencies
 included: ASCII names, no whitespace required between attributes,
@@ -310,7 +310,7 @@ def parse_document(
         raise XMLSyntaxError("document has no root element")
     sizes[0] = len(kinds)
     columns = DocumentColumns.from_lists(kinds, parents, sizes, depths, names, values)
-    return Document.from_columns(columns, id_attribute)
+    return Document(columns, id_attribute)
 
 
 def parse_fragment(source: str, id_attribute: str = "id") -> Document:

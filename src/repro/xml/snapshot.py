@@ -10,9 +10,10 @@ directory it holds anyway (:attr:`NodeIndex.partitions
 (:class:`~repro.xml.index.DocumentShape`: text characters, element
 depth and fanout) that the partition pass measured. A document is
 written as it stands; a load reads the int sections with ``frombytes``,
-points ``memoryview`` slices at the partition array and adopts the index
-(``index_adoptions``) — no parse, no index build, no partition pass, no
-string decoded, no node created; profiling the loaded document decodes
+points ``memoryview`` slices at the partition array and hands them, with
+the shape, to the :class:`~repro.xml.document.Document` constructor as
+the document's index — no parse, no partition pass, no string decoded,
+no node created; profiling the loaded document decodes
 no text either. :class:`~repro.xml.store.DocumentStore` keeps one such
 file per document.
 
@@ -85,7 +86,7 @@ from repro.errors import DocumentStoreError, SnapshotCorruptError
 from repro.stats import store_stats
 from repro.xml.columns import DocumentColumns, StringTable
 from repro.xml.document import Document
-from repro.xml.index import KIND_PARTITIONS, DocumentShape, NodeIndex, node_index
+from repro.xml.index import KIND_PARTITIONS, DocumentShape, NodeIndex
 
 SNAPSHOT_MAGIC = b"RXSNAP04"
 SNAPSHOT_VERSION = 4
@@ -131,10 +132,9 @@ def _string_table(strings) -> bytes:
 def encode_snapshot(document: Document, name: str = "") -> bytes:
     """Serialize a document to the binary snapshot format, ``name``
     (what a store files it under) in the header: its columns and its
-    adopted index as they stand — no node is created, no partition
-    pass runs."""
+    index as they stand — no node is created, no partition pass runs."""
     columns = document.columns
-    index = node_index(document)
+    index = document.index
     packed, span_ends, tags, attributes, pi_targets = index.partitions
     payload = b"".join(
         (
@@ -372,8 +372,8 @@ def check_snapshot(columns: DocumentColumns, partitions: tuple, shape: DocumentS
 
 
 def decode_snapshot(blob: bytes, lazy: bool = True) -> Document:
-    """Rebuild a document (index adopted) from snapshot bytes
-    of any origin: read, fully checked, adopted. **Zero**
+    """Rebuild a document (index included) from snapshot bytes
+    of any origin: read, fully checked, constructed. **Zero**
     :class:`~repro.xml.document.Node` objects exist until a caller
     touches one. ``lazy`` is accepted and selects nothing.
 
@@ -384,18 +384,18 @@ def decode_snapshot(blob: bytes, lazy: bool = True) -> Document:
     """
     _, id_attribute, columns, partitions, shape = read_snapshot(blob)
     check_snapshot(columns, partitions, shape)
-    return Document.from_columns(columns, id_attribute, partitions, shape)
+    return Document(columns, id_attribute, partitions, shape)
 
 
 def decode_stored(blob: bytes, name: str) -> Document:
     """:func:`decode_snapshot` for a file a
     :class:`~repro.xml.store.DocumentStore` wrote itself: read and
-    adopted, the full check left out (the module docstring says why),
+    constructed, the full check left out (the module docstring says why),
     the header required to name the document asked for."""
     stored_name, id_attribute, columns, partitions, shape = read_snapshot(blob)
     if stored_name != name:
         raise _corrupt(f"file for {name!r} holds {stored_name!r}", _FIXED_HEADER)
-    return Document.from_columns(columns, id_attribute, partitions, shape)
+    return Document(columns, id_attribute, partitions, shape)
 
 
 def snapshot_column_sizes(blob: bytes) -> dict[str, int]:

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.xml.document import Document
-from repro.xml.index import node_index
 
 
 @dataclass
@@ -69,7 +68,7 @@ def document_statistics(document: Document) -> DocumentStatistics:
     measured (and a snapshot persists), so no text is decoded. The one
     loop left runs over the ``by_attribute[id_attribute]`` partition to
     count identified elements."""
-    index = node_index(document)
+    index = document.index
     shape = index.shape
     values = document.columns.values
     parent_of = index.parent_pre.__getitem__

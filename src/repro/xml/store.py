@@ -225,7 +225,7 @@ class DocumentStore:
         """Reconstruct the document stored under ``name``: identical
         pre-order numbering, subtree sizes and string values — every
         axis computation answers as on the original — with its node
-        index adopted from the file, no ``Node`` object created and no
+        index read from the file, no ``Node`` object created and no
         string decoded. ``lazy`` is accepted and selects nothing."""
         document = decode_stored(self.load_snapshot(name), name)
         store_stats.tick("opens")

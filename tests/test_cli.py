@@ -200,8 +200,7 @@ def test_batch_subcommand_stats_output(capsys):
     assert "hit rate=50.0%" in err
     assert "result cache:" in err
     assert "result cache: hits=1 misses=1 evictions=0 hit rate=50.0%" in err
-    assert "axis kernels:" in err
-    assert "index builds=" in err
+    assert "axis kernels: fused=" in err
     assert "fallback scans=" in err
 
 
@@ -330,8 +329,8 @@ def test_store_list_shows_catalog(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert [line.split("\t")[:2] for line in lines] == [
-        ["one", "snapshot v3"],
-        ["two", "snapshot v3"],
+        ["one", "snapshot v4"],
+        ["two", "snapshot v4"],
     ]
     # Per-document sizes: what lazy loading keeps resident vs the disk blob.
     for line in lines:
@@ -401,15 +400,14 @@ def test_batch_snapshot_store_corrupt_sidecar_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_batch_snapshot_store_stats_count_adoptions(tmp_path, capsys):
+def test_batch_snapshot_store_stats_print_kernel_and_store_lines(tmp_path, capsys):
     store = tmp_path / "catalog.json"
     run(capsys, "store", "snapshot", "--store", str(store), "--name", "doc", "--xml", XML)
     code, _, err = run(
         capsys, "batch", "--snapshot-store", str(store), "-q", "//b", "--stats",
     )
     assert code == 0
-    assert "axis kernels:" in err
-    assert "adoptions=" in err
+    assert "axis kernels: fused=" in err
     # The store's own counters ride the same block, only with a store.
     (store_line,) = [line for line in err.splitlines() if line.startswith("store:")]
     assert "opens=" in store_line and "structural_checks=" in store_line

@@ -42,6 +42,7 @@ from repro.workloads.documents import (
     running_example_document,
     wide_tree,
 )
+from repro.xml.document import Document
 from repro.xml.index import (
     merge_intersection,
     merge_union,
@@ -49,6 +50,7 @@ from repro.xml.index import (
 )
 from repro.xml.parser import parse_document
 from repro.xml.snapshot import decode_snapshot, encode_snapshot
+from repro.xml.store import DocumentStore
 from repro.xpath.ast import NodeTest
 
 SEED = 20030614
@@ -151,24 +153,44 @@ def test_partitions_are_sorted_and_complete():
 
 def test_node_index_is_cached():
     document = book_catalog(books=2)
-    assert node_index(document) is node_index(document) is document._index
+    assert node_index(document) is node_index(document) is document.index
 
 
-def test_index_cache_never_pins_a_document():
-    """The weak-keyed cache promise: indexing a document must not keep
-    it alive — the index holds only a weak back-reference, so dropping
-    the last strong reference collects both document and index."""
+def test_a_bare_document_is_born_with_its_index():
+    """The constructor is the only way to a document, and it builds the
+    index: one partition pass, nothing deferred to first use."""
+    columns = book_catalog(books=2).columns
+    before = stats.store_stats.snapshot()["partition_passes"]
+    document = Document(columns)
+    assert stats.store_stats.snapshot()["partition_passes"] == before + 1
+    assert node_index(document) is document.index
+    assert document.index.columns is columns
+    document.index.validate()
+
+
+def test_parse_runs_one_partition_pass_and_a_store_load_none(tmp_path):
+    store = DocumentStore(tmp_path / "store")
+    before = stats.store_stats.snapshot()["partition_passes"]
+    document = parse_document("<a><b/><b>t</b></a>")
+    assert stats.store_stats.snapshot()["partition_passes"] == before + 1
+    store.save("doc", document)
+    loaded = store.load("doc")
+    assert stats.store_stats.snapshot()["partition_passes"] == before + 1
+    assert list(loaded.index.by_tag["b"]) == list(document.index.by_tag["b"])
+
+
+def test_a_dropped_document_is_collected():
+    """Nothing process-wide holds a document: after its index has
+    served a step, dropping the last strong reference collects it."""
     import gc
     import weakref
 
     document = book_catalog(books=2)
-    index = node_index(document)
-    assert index.document is document
+    forward_step(document, "descendant", [0], NodeTest("name", "title"))
     finalizer = weakref.ref(document)
     del document
-    del index
     gc.collect()
-    assert finalizer() is None, "indexed document leaked through the cache"
+    assert finalizer() is None, "a dropped document stayed reachable"
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +333,6 @@ def test_every_dispatch_counts_exactly_one_outcome():
     steps: one tick per dispatch, a scan under ``scan``, a block op on
     the columnar axes of a block, a fused hit otherwise."""
     document = book_catalog(books=3)
-    node_index(document)  # build outside the measured window
     rng = random.Random(SEED + 5)
     narrow = rng.sample(range(len(document)), 6)
     block = list(range(len(document)))
@@ -337,7 +358,6 @@ def test_every_dispatch_counts_exactly_one_outcome():
             for key in ("fused_hits", "fallback_scans", "vector_ops")
         )
         assert got == want, (mode, len(X))
-        assert after["index_builds"] == before["index_builds"]
 
 
 def test_scan_mode_step_functions_read_no_index():

@@ -1703,10 +1703,11 @@ def test_drain_deadlines_out_stragglers_and_loses_no_responses():
     assert_identities(snapshot)
 
 
-def test_drain_finishes_while_a_connected_client_has_stopped_reading():
-    """A client that pipelines a burst and never reads keeps replies
-    buffered above the transport's high-water mark; the drain still
-    finishes inside its grace windows instead of waiting on it."""
+def _drain_with_stalled_clients(clients: int, within: float) -> None:
+    """Stall ``clients`` sockets, each by pipelining a burst of memo hits
+    and never reading, so replies stay buffered above the transport's
+    high-water mark; then drain with ``drain_grace=1.0`` and require the
+    loop to finish ``within`` seconds and every connection to be gone."""
     service = QueryService()
     holder = {}
     ready = threading.Event()
@@ -1732,21 +1733,40 @@ def test_drain_finishes_while_a_connected_client_has_stopped_reading():
         client.query("//item", "d")  # every frame of the burst is a hit
     frame = {"verb": "QUERY", "client": "s", "doc": "d", "query": "//item"}
     burst = b"".join(encode_frame({**frame, "id": n}) for n in range(3000))
-    with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
-        sock.sendall(burst)
-        deadline = time.monotonic() + 10.0
-        conn = daemon_connection(daemon, sock, deadline)
-        wait_until_stalled(daemon, conn.transport, deadline)
+    with contextlib.ExitStack() as stack:
+        socks = []
+        for _ in range(clients):
+            sock = stack.enter_context(
+                socket.create_connection(("127.0.0.1", daemon.port))
+            )
+            sock.sendall(burst)
+            deadline = time.monotonic() + 10.0
+            conn = daemon_connection(daemon, sock, deadline)
+            wait_until_stalled(daemon, conn.transport, deadline)
+            socks.append(sock)
         holder["loop"].call_soon_threadsafe(daemon.initiate_drain)
-        thread.join(3.0)
-        assert not thread.is_alive(), "the drain waited on a client that never reads"
-        # The daemon gave up on the unread replies: the connection is
+        thread.join(within)
+        assert not thread.is_alive(), "the drain waited on clients that never read"
+        # The daemon gave up on the unread replies: every connection is
         # gone, not left open behind the finished loop.
-        sock.settimeout(5.0)
-        with contextlib.suppress(ConnectionResetError):
-            while sock.recv(1 << 20):
-                pass
+        for sock in socks:
+            sock.settimeout(5.0)
+            with contextlib.suppress(ConnectionResetError):
+                while sock.recv(1 << 20):
+                    pass
     assert_identities(daemon.stats.snapshot())
+
+
+def test_drain_finishes_while_a_connected_client_has_stopped_reading():
+    """The drain finishes inside its grace windows instead of waiting on
+    a client that never reads."""
+    _drain_with_stalled_clients(1, within=3.0)
+
+
+def test_drain_gives_stalled_clients_one_grace_together():
+    """Stalled connections are torn down concurrently: three clients
+    that never read cost one ``drain_grace`` (1 s), not three."""
+    _drain_with_stalled_clients(3, within=2.5)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,9 @@ corpus: a decoded document is a built one):
   reader's bounds can see) is asserted beside each case.
 * **Round-trip equality** — a decoded snapshot reproduces ``pre`` /
   ``size`` / ``depth`` / every partition and the shape exactly, and its
-  index arrives adopted (``index_adoptions``), never rebuilt
-  (``index_builds``).
+  index arrives from the file: the only partition pass a decode runs is
+  the full structural check's (``partition_passes`` /
+  ``structural_checks``).
 """
 
 import random
@@ -42,7 +43,7 @@ from repro.workloads.documents import (
     running_example_document,
     wide_tree,
 )
-from repro.xml.index import adopt_node_index, node_index
+from repro.xml.index import node_index
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.snapshot import (
@@ -249,7 +250,7 @@ def test_flat_list_and_scan_kernels_are_byte_identical():
 def test_round_trip_columns_and_partitions_equal():
     """One index form: the index a document partitions from the columns
     it was built or parsed with is, column for column and partition for
-    partition, the index its ``encode -> decode`` twin adopts from the
+    partition, the index its ``encode -> decode`` twin reads from the
     snapshot."""
     for document in _corpus():
         original_index = node_index(document)
@@ -278,23 +279,18 @@ def test_round_trip_columns_and_partitions_equal():
         loaded_index.validate()
 
 
-def test_decode_adopts_index_without_building():
+def test_decode_runs_only_the_checks_partition_pass():
+    """A decode's index comes from the file: its one partition pass is
+    the full structural check's, and reading the index afterwards runs
+    none."""
     document = book_catalog(books=3)
     blob = encode_snapshot(document)
-    before = stats.axis_kernel_stats.snapshot()
+    before = stats.store_stats.snapshot()
     loaded = decode_snapshot(blob)
-    after = stats.axis_kernel_stats.snapshot()
-    assert after["index_builds"] == before["index_builds"]
-    assert after["index_adoptions"] == before["index_adoptions"] + 1
-    # node_index() now hits the adopted entry — still no build.
-    node_index(loaded)
-    assert stats.axis_kernel_stats.snapshot()["index_builds"] == before["index_builds"]
-
-
-def test_adopt_rejects_foreign_index():
-    a, b = parse_document("<a/>"), parse_document("<b/>")
-    with pytest.raises(ValueError):
-        adopt_node_index(a, node_index(b))
+    node_index(loaded).child_table()
+    after = stats.store_stats.snapshot()
+    assert after["structural_checks"] == before["structural_checks"] + 1
+    assert after["partition_passes"] == before["partition_passes"] + 1
 
 
 def test_snapshot_preserves_custom_id_attribute():

@@ -131,7 +131,7 @@ def test_document_is_finalized():
     doc = parse_document("<a/>")
     assert len(doc) == 2  # document node + element
     assert list(doc.columns.size) == [2, 1]
-    assert node_index(doc) is doc._index
+    assert node_index(doc) is doc.index
 
 
 # ----------------------------------------------------------------------
