@@ -23,7 +23,7 @@ hops below it) the kernel branches on the block's width at
 ``VECTOR_MIN_BLOCK``. They are built from the standard library's
 C-speed blocks alone.
 
-**One gate.** The three pre-plane evaluators — Core XPath sweeps,
+**One gate.** The three set-at-a-time evaluators — Core XPath sweeps,
 MINCONTEXT's and OPTMINCONTEXT's set steps
 (:func:`repro.core.common.step_candidate_pres`, whose per-origin
 candidate lists :func:`repro.core.common.step_relation_pres` cuts from

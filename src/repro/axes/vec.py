@@ -1,10 +1,10 @@
-"""The per-step gate: one dispatch for every pre-plane axis step.
+"""The per-step gate: one dispatch for every set-at-a-time axis step.
 
 An evaluator's set step is ``χ(X) ∩ T(t)`` (forward), ``χ⁻¹(Y)``
 (inverse) or ``Y ∩ T(t)`` (the name-test filter an inverse step applies
 first) over a sorted duplicate-free pre block. :func:`forward_step`,
 :func:`inverse_step` and :func:`filter_step` are the only way any
-pre-plane evaluator runs one: the forward and backward sweeps of Core
+evaluator runs one: the forward and backward sweeps of Core
 XPath (:mod:`repro.core.corexpath`), the set steps of MINCONTEXT /
 OPTMINCONTEXT (:func:`repro.core.common.step_candidate_pres`) and the
 bottom-up path propagation (:mod:`repro.core.bottomup_paths`).

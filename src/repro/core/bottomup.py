@@ -16,15 +16,19 @@ This evaluator exists as the reference point for the space experiment
 EXP-X2 (its ``Θ(|D|³)`` live cells versus MINCONTEXT's ``O(|D|)``-per-
 node tables) and as one more independent oracle for the differential
 tests. It is only practical on small documents — which is the point.
+
+Contexts are ``(pre, position, size)`` triples and node sets sets of
+pres (:mod:`repro.core.common`); only the answer is boxed.
 """
 
 from __future__ import annotations
 
 from repro import stats
-from repro.core.common import apply_operator, step_candidates
+from repro.axes.axes import axis_test_pres
+from repro.core.common import apply_operator, box_value, constant_pres
 from repro.core.context import Context
 from repro.errors import EvaluationError
-from repro.xml.document import Document, Node
+from repro.xml.document import Document
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
@@ -44,24 +48,31 @@ class BottomUpEvaluator:
 
     def __init__(self, document: Document):
         self.document = document
+        #: ``dom`` as pres.
+        self.dom = range(len(document))
         #: uid → table. Scalar tables: {(cn, cp, cs): value}; node-set
-        #: tables: {cn: frozenset-of-nodes}.
+        #: tables: {cn: set of pres}; cn is a pre.
         self.tables: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
 
     def evaluate(self, expr: Expr, context: Context):
         """Tabulate every subexpression, then read off the answer."""
+        if isinstance(expr, ConstantNodeSet):
+            # A bare node-set binding is its own value (see constant_pres).
+            return self.document.in_document_order(expr.nodes)
         self._build(expr)
+        table = self.tables[expr.uid]
+        cn = context.node.pre
         if expr.value_type == "nset":
-            return self.document.in_document_order(self.tables[expr.uid][context.node])
-        return self.tables[expr.uid][context.triple()]
+            return box_value(self.document, sorted(table[cn]), "nset")
+        return table[(cn, context.position, context.size)]
 
     # ------------------------------------------------------------------
 
     def _context_triples(self):
-        size = len(self.document.nodes)
-        for cn in self.document.nodes:
+        size = len(self.dom)
+        for cn in self.dom:
             for cs in range(1, size + 1):
                 for cp in range(1, cs + 1):
                     yield (cn, cp, cs)
@@ -76,7 +87,7 @@ class BottomUpEvaluator:
 
     def _nset_table(self, expr: Expr, row) -> None:
         table = {}
-        for cn in self.document.nodes:
+        for cn in self.dom:
             table[cn] = row(cn)
         self.tables[expr.uid] = table
         stats.count("bottomup_table_rows", len(table))
@@ -103,7 +114,8 @@ class BottomUpEvaluator:
         elif isinstance(expr, StringLiteral):
             self._scalar_table(expr, lambda triple: expr.value)
         elif isinstance(expr, ConstantNodeSet):
-            self._nset_table(expr, lambda cn: set(expr.nodes))
+            pres = constant_pres(self.document, expr)
+            self._nset_table(expr, lambda cn: set(pres))
         elif isinstance(expr, FunctionCall) and expr.name == "position":
             self._scalar_table(expr, lambda triple: float(triple[1]))
         elif isinstance(expr, FunctionCall) and expr.name == "last":
@@ -129,11 +141,13 @@ class BottomUpEvaluator:
             # id(scalar) is the one operator with a node-set result.
             self._nset_table(
                 expr,
-                lambda cn: apply_operator(
-                    self.document,
-                    expr,
-                    [self._child_value(c, (cn, 1, 1)) for c in children],
-                    cn,
+                lambda cn: set(
+                    apply_operator(
+                        self.document,
+                        expr,
+                        [self._child_value(c, (cn, 1, 1)) for c in children],
+                        cn,
+                    )
                 ),
             )
             return
@@ -151,17 +165,17 @@ class BottomUpEvaluator:
 
     def _build_path_table(self, path: Path) -> None:
         if path.absolute:
-            start = {cn: {self.document.root} for cn in self.document.nodes}
+            start = {cn: {0} for cn in self.dom}  # the document node
         elif path.primary is not None:
             primary = self.tables[path.primary.uid]
             start = {}
-            for cn in self.document.nodes:
+            for cn in self.dom:
                 selected = set(primary[cn])
                 for predicate in path.primary_predicates:
                     selected = self._filter_document_order(selected, predicate)
                 start[cn] = selected
         else:
-            start = {cn: {cn} for cn in self.document.nodes}
+            start = {cn: {cn} for cn in self.dom}
         # One shared per-origin step relation serves every context node.
         for step in path.steps:
             relation = self._step_relation(step)
@@ -171,27 +185,27 @@ class BottomUpEvaluator:
             }
         self._nset_table(path, lambda cn: start[cn])
 
-    def _step_relation(self, step: Step) -> dict[Node, set[Node]]:
-        relation: dict[Node, set[Node]] = {}
-        for origin in self.document.nodes:
-            candidates = step_candidates(self.document, step.axis, origin, step.node_test)
+    def _step_relation(self, step: Step) -> dict[int, set[int]]:
+        relation: dict[int, set[int]] = {}
+        for origin in self.dom:
+            candidates = axis_test_pres(self.document, step.axis, origin, step.node_test)
             for predicate in step.predicates:
                 table = self.tables[predicate.uid]
                 size = len(candidates)
                 candidates = [
-                    node
-                    for position, node in enumerate(candidates, start=1)
-                    if table[(node, position, size)]
+                    pre
+                    for position, pre in enumerate(candidates, start=1)
+                    if table[(pre, position, size)]
                 ]
             relation[origin] = set(candidates)
         return relation
 
-    def _filter_document_order(self, nodes: set[Node], predicate: Expr) -> set[Node]:
+    def _filter_document_order(self, pres: set[int], predicate: Expr) -> set[int]:
         table = self.tables[predicate.uid]
-        ordered = self.document.in_document_order(nodes)
+        ordered = sorted(pres)
         size = len(ordered)
         return {
-            node
-            for position, node in enumerate(ordered, start=1)
-            if table[(node, position, size)]
+            pre
+            for position, pre in enumerate(ordered, start=1)
+            if table[(pre, position, size)]
         }

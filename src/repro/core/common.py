@@ -1,24 +1,21 @@
 """Shared evaluation primitives used by every algorithm.
 
-Node-test matching (the paper's ``T`` function generalized to node
-kinds), per-step candidate enumeration, and the generic application of an
-operator node ``Op(e1, ..., ek)`` to already-evaluated child values —
-Figure 1's ``F[[Op]]`` dispatched over the AST.
+Every evaluator runs on the pre plane: a context node is its pre number
+and a node set a collection of pres; only what leaves an evaluator is
+boxed (:func:`box_value`). :func:`apply_operator` is Figure 1's
+``F[[Op]]`` over already evaluated child values, reading node-set members
+from the document, and :func:`constant_pres` is the one rule for a
+node-set variable.
 
-The step primitives come in two planes:
-
-* **nodes** — :func:`step_candidates` enumerates one context node's
-  candidates as ``Node`` objects in proximity order. The reference
-  evaluators (``naive``, ``topdown``, ``bottomup``) use it; they are the
-  differential oracle and stay object-based (the candidates are
-  enumerated over pre numbers and only the output becomes nodes).
-* **pre plane** — :func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a
-  sorted pre array, through the per-step gate of :mod:`repro.axes.vec`
-  — the step all three pre-plane evaluators share) and
-  :func:`step_relation_pres` (the per-origin relation ``x ↦ χ({x}) ∩ pool`` in proximity order, cut from the
-  :class:`~repro.xml.index.NodeIndex` columns for all origins at once).
-  MINCONTEXT, OPTMINCONTEXT and the Core XPath evaluator run here; they
-  create no node but what leaves the evaluator (:func:`box_value`).
+:func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a sorted pre array,
+through the per-step gate of :mod:`repro.axes.vec`) and
+:func:`step_relation_pres` (the per-origin relation ``x ↦ χ({x}) ∩
+pool`` in proximity order, cut from the
+:class:`~repro.xml.index.NodeIndex` columns for all origins at once) are
+the set-at-a-time steps of MINCONTEXT, OPTMINCONTEXT and Core XPath. The
+reference evaluators (``naive``, ``topdown``, ``bottomup``), the
+differential oracle, never call them: they enumerate one origin at a time
+with the Definition-1 dispatch :func:`repro.axes.axes.axis_test_pres`.
 """
 
 from __future__ import annotations
@@ -27,35 +24,22 @@ import math
 from bisect import bisect_left, bisect_right
 
 from repro import stats
-from repro.axes.axes import axis_test_pres
 from repro.axes.vec import forward_step
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
-from repro.values.coerce import node_numval, node_strval
 from repro.values.compare import COMPARE, compare_values
 from repro.values.numbers import xpath_divide, xpath_modulo
-from repro.xml.document import Document, Node
+from repro.xml.document import Document
 from repro.xml.index import ATTR
-from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Negate, NodeTest
+from repro.xpath.ast import BinaryOp, ConstantNodeSet, Expr, FunctionCall, Negate, NodeTest
 
 __all__ = [
     "apply_operator",
     "box_value",
+    "constant_pres",
     "step_candidate_pres",
-    "step_candidates",
     "step_relation_pres",
 ]
-
-
-def step_candidates(document: Document, axis: str, node: Node, test: NodeTest) -> list[Node]:
-    """``χ({x}) ∩ T(t)`` in proximity order — one context node's
-    candidates, the list predicates assign positions over. Routed through
-    the fused per-node dispatch (:func:`repro.axes.axes.axis_test_pres`):
-    interval-axis enumerations become singleton partition range queries
-    when the predicted output is small, the enumerate-then-filter walk
-    otherwise — identical candidates in identical proximity order either
-    way, so positional predicates rank the same lists."""
-    return document.nodes_at(axis_test_pres(document, axis, node.pre, test))
 
 
 def step_candidate_pres(
@@ -204,30 +188,35 @@ def step_relation_pres(
 def box_value(document: Document, value, value_type: str):
     """The boxed read-out of a pre-plane value: a node set (sorted pre
     list) becomes the document-ordered ``list[Node]``; scalars pass
-    through. The one place the pre-plane evaluators materialize nodes."""
+    through. The one place an evaluator materializes nodes."""
     if value_type == "nset":
         return document.nodes_at(value)
     return value
 
 
-def apply_operator(
-    document: Document,
-    expr: Expr,
-    values: list,
-    context_node: Node | None = None,
-    strval=node_strval,
-    numval=node_numval,
-):
+def constant_pres(document: Document, node: ConstantNodeSet) -> list[int]:
+    """A node-set variable's nodes as a sorted pre list of ``document``.
+    Pre numbers of ``document`` cannot name another document's nodes, so
+    such a binding is refused here: an evaluator accepts it only as the
+    whole query, which it returns as it is."""
+    if any(member.document is not document for member in node.nodes):
+        raise EvaluationError(
+            "a node-set variable bound to nodes of another document can "
+            "only be the whole query, not an operand"
+        )
+    return sorted(member.pre for member in node.nodes)
+
+
+def apply_operator(document: Document, expr: Expr, values: list, context_pre: int | None = None):
     """Apply the operator at ``expr`` to its children's values.
 
     This is ``F[[Op]]`` (Figure 1) for compound nodes: arithmetic,
     comparisons (dispatched on the children's *static* types, as Figure
     1's typed signatures do), boolean connectives, unary minus, and core
     library calls. ``position``/``last`` are context accessors and must
-    be handled by the caller, never passed here. ``strval`` / ``numval``
-    are the member accessors for node-set operands
-    (:mod:`repro.values.coerce`): boxed nodes unless the caller works on
-    pre numbers.
+    be handled by the caller, never passed here. Node-set operands are
+    collections of pres of ``document``; ``context_pre`` is the context
+    node, read by ``lang()`` only.
     """
     stats.count("operator_applications")
     if isinstance(expr, BinaryOp):
@@ -238,8 +227,8 @@ def apply_operator(
                 expr.left.value_type,
                 values[1],
                 expr.right.value_type,
-                strval,
-                numval,
+                document.string_value_of_pre,
+                document.number_value_of_pre,
             )
         if expr.op == "and":
             return values[0] and values[1]
@@ -266,5 +255,5 @@ def apply_operator(
             raise EvaluationError(
                 f"{expr.name}() is a context accessor and cannot be applied as a value function"
             )
-        return apply_function(document, expr.name, values, context_node, strval, numval)
+        return apply_function(document, expr.name, values, context_pre)
     raise EvaluationError(f"cannot apply operator node {expr!r}")

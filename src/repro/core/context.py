@@ -19,22 +19,15 @@ WILDCARD = "*"
 
 @dataclass(frozen=True)
 class Context:
-    """One evaluation context.
-
-    ``position``/``size`` may be :data:`WILDCARD` in MINCONTEXT-internal
-    calls; public entry points always supply concrete integers.
-    """
+    """One evaluation context as the public entry points take it; every
+    evaluator reads it as the triple ``(node.pre, position, size)``."""
 
     node: Node
-    position: int | str = 1
-    size: int | str = 1
+    position: int = 1
+    size: int = 1
 
     def __post_init__(self):
-        if isinstance(self.position, int) and isinstance(self.size, int):
-            if not (1 <= self.position <= self.size):
-                raise ValueError(
-                    f"invalid context: position {self.position} not in 1..size {self.size}"
-                )
-
-    def triple(self) -> tuple:
-        return (self.node, self.position, self.size)
+        if not (1 <= self.position <= self.size):
+            raise ValueError(
+                f"invalid context: position {self.position} not in 1..size {self.size}"
+            )

@@ -47,8 +47,7 @@ Because pres thread end-to-end — context in, set algebra through, pres
 out — the only place this evaluator touches a ``Node`` is the final
 materialization of the *result* (``document.nodes_at``), in either
 kernel mode: a whole Core XPath query costs O(output) node objects.
-MINCONTEXT / OPTMINCONTEXT share this pre plane
-(:mod:`repro.core.mincontext`).
+Every evaluator shares this pre plane (:mod:`repro.core.common`).
 """
 
 from __future__ import annotations

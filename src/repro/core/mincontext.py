@@ -41,8 +41,7 @@ numbers are read per pre from the document
 :meth:`~repro.xml.document.Document.number_value_of_pre`). ``Node``
 objects appear only where a value leaves the evaluator —
 :meth:`MinContextEvaluator.evaluate`'s result and the
-:meth:`~MinContextEvaluator.boxed_table` read-out — and where a
-long-tail library function (``name``, ``lang``, ``id`` …) is applied.
+:meth:`~MinContextEvaluator.boxed_table` read-out.
 The paper's counters (table rows and cells, contexts evaluated,
 relation cells) count the same things as on boxed nodes.
 
@@ -75,7 +74,7 @@ Deviations from the printed pseudo-code:
   operator and member reading resolved once
   (:func:`~repro.values.compare.member_operands`); any other comparison
   ``compare_values`` with the static types and this document's
-  accessors bound; everything else :meth:`~MinContextEvaluator.apply`.
+  accessors bound; everything else :func:`~repro.core.common.apply_operator`.
   ``and`` / ``or`` still evaluate both operands, as ``F[[Op]]`` applied
   to a value list does. No table is built, keyed, merged or counted
   differently, and ``operator_applications`` still reads one per
@@ -132,6 +131,7 @@ from repro import stats
 from repro.core.common import (
     apply_operator,
     box_value,
+    constant_pres,
     step_candidate_pres,
     step_relation_pres,
 )
@@ -154,9 +154,6 @@ from repro.xpath.ast import (
 )
 
 _CPCS = frozenset({"cp", "cs"})
-
-#: Library functions that read more of a node than its string value.
-_BOXED_FUNCTIONS = frozenset({"name", "local-name", "namespace-uri", "lang", "id"})
 
 #: ``F[[Op]]`` for a binary operator whose operands are both statically
 #: ``num``: the float operator itself. Comparisons are
@@ -217,7 +214,7 @@ class MinContextEvaluator:
                 self.eval_by_cnode_only(expr, [triple[0]])
                 value = self.eval_single_context(expr, triple)
         finally:
-            # The closures hold this evaluator (``_lookup``, ``apply``):
+            # The closures hold this evaluator (``_lookup``):
             # dropped here, it and its tables die with the last reference
             # instead of waiting for the cycle collector.
             self._compiled.clear()
@@ -264,15 +261,6 @@ class MinContextEvaluator:
                 f"pre={cn!r} — prepared with a different candidate set"
             ) from None
 
-    def _constant_pres(self, node: ConstantNodeSet) -> list[int]:
-        document = self.document
-        if any(member.document is not document for member in node.nodes):
-            raise EvaluationError(
-                "a node-set variable bound to nodes of another document can "
-                "only be the whole query, not an operand"
-            )
-        return sorted(member.pre for member in node.nodes)
-
     def boxed_table(self, node) -> dict[tuple, object]:
         """``table(N)`` read out onto boxed nodes: ``{projected context:
         value}`` with the context node (when relevant) as a one-tuple
@@ -288,29 +276,6 @@ class MinContextEvaluator:
                 value = {nodes[pre] for pre in value}
             boxed[() if key == () else (nodes[key],)] = value
         return boxed
-
-    # ------------------------------------------------------------------
-    # F[[Op]] on pre-plane values
-    # ------------------------------------------------------------------
-
-    def apply(self, node: Expr, values: list, cn):
-        """Apply the operator at ``node`` to its children's values, node
-        sets being sorted pre lists: :func:`~repro.core.common.apply_operator`
-        with this document's per-pre member accessors. Only the long tail
-        of the library (``name``, ``local-name``, ``lang``, ``id`` …)
-        needs boxed nodes, and gets them at the call."""
-        if isinstance(node, FunctionCall) and node.name in _BOXED_FUNCTIONS:
-            document = self.document
-            arguments = [
-                box_value(document, value, argument.value_type)
-                for value, argument in zip(values, node.args)
-            ]
-            context_node = None if cn is None else document.nodes[cn]
-            result = apply_operator(document, node, arguments, context_node)
-            if node.value_type == "nset":
-                return sorted(target.pre for target in result)
-            return result
-        return apply_operator(self.document, node, values, None, self.strval, self.numval)
 
     # ------------------------------------------------------------------
     # eval_outermost_locpath (Section 6)
@@ -470,7 +435,7 @@ class MinContextEvaluator:
             self._store(node, {(): node.value})
             return
         if isinstance(node, ConstantNodeSet):
-            self._store(node, {(): self._constant_pres(node)})
+            self._store(node, {(): constant_pres(self.document, node)})
             return
         # Op(e1, ..., ek) with Relev(N) ⊆ {'cn'}.
         for child in node.children():
@@ -620,10 +585,11 @@ class MinContextEvaluator:
 
         else:
             own = 0  # apply_operator ticks for itself
-            apply = self.apply
+            document = self.document
 
             def apply_op(cn, cp, cs):
-                return apply(node, [operand(cn, cp, cs) for operand in operands], cn)
+                values = [operand(cn, cp, cs) for operand in operands]
+                return apply_operator(document, node, values, cn)
 
         apply_op.applications = own + sum(operand.applications for operand in operands)
         self._operators[node.uid] = apply_op
@@ -662,7 +628,7 @@ class MinContextEvaluator:
             right = self.eval_inner_locpath(expr.right, X)
             return {x: merge_union(left[x], right[x]) for x in X}
         if isinstance(expr, ConstantNodeSet):
-            return dict.fromkeys(X, self._constant_pres(expr))
+            return dict.fromkeys(X, constant_pres(self.document, expr))
         if not isinstance(expr, Path):
             raise EvaluationError(f"not an inner location path: {expr!r}")
         if expr.absolute:
@@ -773,7 +739,7 @@ def _is_position(node: Expr) -> bool:
 def _list_constant(node: Expr) -> bool:
     """A ``num`` with ``Relev ⊆ {cs}`` whose compiled form ticks nothing
     itself: ``last()``, a table row, or float arithmetic over them
-    (:meth:`~MinContextEvaluator.apply` ticks per call, so a library
+    (:func:`~repro.core.common.apply_operator` ticks per call, so a library
     call would count once where the loop counts per member)."""
     if node.value_type != "num" or not node.relev <= {"cs"}:
         return False

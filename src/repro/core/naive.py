@@ -18,16 +18,19 @@ node-set membership, per-context predicate groups see the right
 positions, and the final node-set is deduplicated and document-ordered at
 the boundary, exactly as real engines did. Only the *cost* is the
 historical one.
+
+Contexts are ``(pre, position, size)`` triples and node sets lists of
+pres (:mod:`repro.core.common`); only the answer is boxed.
 """
 
 from __future__ import annotations
 
 from repro import stats
-from repro.axes.order import is_forward_axis
-from repro.core.common import apply_operator, step_candidates
+from repro.axes.axes import axis_test_pres
+from repro.core.common import apply_operator, box_value, constant_pres
 from repro.core.context import Context
 from repro.errors import EvaluationError
-from repro.xml.document import Document, Node
+from repro.xml.document import Document
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
@@ -53,31 +56,34 @@ class NaiveEvaluator:
     def evaluate(self, expr: Expr, context: Context):
         """Evaluate and return a boundary value: node-sets come back as a
         deduplicated, document-ordered list."""
-        value = self._eval(expr, context)
+        if isinstance(expr, ConstantNodeSet):
+            # A bare node-set binding is its own value (see constant_pres).
+            return self.document.in_document_order(expr.nodes)
+        value = self._eval(expr, (context.node.pre, context.position, context.size))
         if expr.value_type == "nset":
-            return self.document.in_document_order(set(value))
-        return value
+            value = sorted(set(value))
+        return box_value(self.document, value, expr.value_type)
 
     # ------------------------------------------------------------------
 
-    def _eval(self, expr: Expr, context: Context):
+    def _eval(self, expr: Expr, context: tuple):
         stats.count("naive_eval_calls")
         if isinstance(expr, NumberLiteral):
             return expr.value
         if isinstance(expr, StringLiteral):
             return expr.value
         if isinstance(expr, ConstantNodeSet):
-            return list(expr.nodes)
+            return constant_pres(self.document, expr)
         if isinstance(expr, FunctionCall):
             if expr.name == "position":
-                return float(context.position)
+                return float(context[1])
             if expr.name == "last":
-                return float(context.size)
+                return float(context[2])
             values = [self._boundary(a, self._eval(a, context)) for a in expr.args]
-            return apply_operator(self.document, expr, values, context.node)
+            return apply_operator(self.document, expr, values, context[0])
         if isinstance(expr, (BinaryOp, Negate)):
             values = [self._boundary(c, self._eval(c, context)) for c in expr.children()]
-            return apply_operator(self.document, expr, values, context.node)
+            return apply_operator(self.document, expr, values, context[0])
         if isinstance(expr, Union):
             # Concatenation without deduplication: the naive hallmark.
             return self._eval(expr.left, context) + self._eval(expr.right, context)
@@ -93,45 +99,44 @@ class NaiveEvaluator:
         historical blow-up lives purely in the per-context re-evaluation
         of location steps, which this method does not touch.
         """
-        if expr.value_type == "nset" and isinstance(value, list):
+        if expr.value_type == "nset":
             return list(dict.fromkeys(value))
         return value
 
     # ------------------------------------------------------------------
 
-    def _eval_path(self, path: Path, context: Context) -> list[Node]:
+    def _eval_path(self, path: Path, context: tuple) -> list[int]:
         if path.absolute:
-            current: list[Node] = [self.document.root]
+            current = [0]  # the document node
         elif path.primary is not None:
             primary_value = self._eval(path.primary, context)
             # Filter-expression predicates rank the primary's *set* in
             # document order, so duplicates must not distort positions.
-            current = self.document.in_document_order(set(primary_value))
+            current = sorted(set(primary_value))
             for predicate in path.primary_predicates:
                 current = self._filter_by_predicate(current, predicate)
         else:
-            current = [context.node]
+            current = [context[0]]
         for step in path.steps:
             current = self._eval_step(step, current)
         return current
 
-    def _eval_step(self, step: Step, origins: list[Node]) -> list[Node]:
-        result: list[Node] = []
+    def _eval_step(self, step: Step, origins: list[int]) -> list[int]:
+        result: list[int] = []
         for origin in origins:
             stats.count("naive_step_contexts")
-            candidates = step_candidates(self.document, step.axis, origin, step.node_test)
+            candidates = axis_test_pres(self.document, step.axis, origin, step.node_test)
             for predicate in step.predicates:
                 candidates = self._filter_by_predicate(candidates, predicate)
             result.extend(candidates)
         return result
 
-    def _filter_by_predicate(self, candidates: list[Node], predicate: Expr) -> list[Node]:
+    def _filter_by_predicate(self, candidates: list[int], predicate: Expr) -> list[int]:
         """One predicate pass: each survivor list re-ranks the next pass."""
         size = len(candidates)
-        survivors: list[Node] = []
+        survivors: list[int] = []
         for position, candidate in enumerate(candidates, start=1):
             stats.count("naive_predicate_evaluations")
-            value = self._eval(predicate, Context(candidate, position, size))
-            if value:
+            if self._eval(predicate, (candidate, position, size)):
                 survivors.append(candidate)
         return survivors

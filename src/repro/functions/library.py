@@ -12,13 +12,13 @@ context-component accessors handled specially by every evaluator (their
 signatures so arity checking is uniform.
 
 ``lang()`` is the one function that needs the context *node* in addition
-to its argument; evaluators pass it via ``context_node``.
+to its argument; evaluators pass its pre number via ``context_pre``.
 
-``sum``, ``string`` and ``number`` read the members of a node-set
-argument through the accessors of :mod:`repro.values.coerce` (boxed nodes
-by default, pre ints on the pre plane); ``count`` and ``boolean`` never
-look at a member. The rest of the node-set functions (``name``,
-``local-name``, ``id``) and ``lang`` take boxed nodes.
+A node-set argument is a collection of pre numbers of ``document``, and
+``id`` returns a sorted pre list. The functions read members from the
+document: ``string`` / ``number`` / ``sum`` / ``id`` through its per-pre
+string and number values, ``name`` / ``local-name`` from its name column,
+``lang`` from its attribute runs and parent column.
 """
 
 from __future__ import annotations
@@ -27,19 +27,14 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import UnknownFunctionError, WrongArityError
-from repro.values.coerce import (
-    node_numval,
-    node_strval,
-    to_boolean,
-    to_number_value,
-    to_string_value,
-)
+from repro.values.coerce import to_boolean, to_number_value, to_string_value
 from repro.values.numbers import (
     xpath_ceiling,
     xpath_floor,
     xpath_round,
 )
-from repro.xml.document import Document, Node
+from repro.xml.columns import ELEM
+from repro.xml.document import Document
 
 
 @dataclass(frozen=True)
@@ -140,39 +135,33 @@ def signature_for(name: str) -> Signature:
 # ----------------------------------------------------------------------
 
 
-def _first_node(nodes) -> Node | None:
-    best = None
-    for node in nodes:
-        if best is None or node.pre < best.pre:
-            best = node
-    return best
-
-
-def _fn_count(document: Document, args, context_node):
+def _fn_count(document: Document, args, context_pre):
     return float(len(args[0]))
 
 
-def _fn_sum(document: Document, args, context_node, strval, numval):
+def _fn_sum(document: Document, args, context_pre):
     # Figure 1: Σ_{n∈S} to_number(strval(n)); an unparsable value makes
     # the whole sum NaN (IEEE addition).
+    numval = document.number_value_of_pre
     total = 0.0
-    for member in args[0]:
-        total += numval(member)
+    for pre in args[0]:
+        total += numval(pre)
     return total
 
 
-def _fn_id(document: Document, args, context_node):
+def _fn_id(document: Document, args, context_pre):
     value = args[0]
     # Figure 1 gives both rows: id(nset) unions deref_ids over the nodes'
     # string values; id(scalar) derefs the string conversion. (The nset
     # row normally disappears at normalize time via the Section 4 rewrite
     # to the id pseudo-axis, but the function stays correct standalone.)
     if isinstance(value, (set, frozenset, list, tuple)):
-        result: set[Node] = set()
-        for node in value:
-            result.update(document.deref_ids(node.string_value))
-        return result
-    return document.deref_ids(to_string_value(value, _scalar_type(value)))
+        strval = document.string_value_of_pre
+        result: set[int] = set()
+        for pre in value:
+            result.update(document.deref_id_pres(strval(pre)))
+        return sorted(result)
+    return sorted(document.deref_id_pres(to_string_value(value, _scalar_type(value))))
 
 
 def _scalar_type(value) -> str:
@@ -185,55 +174,57 @@ def _scalar_type(value) -> str:
     raise TypeError(f"not an XPath scalar: {value!r}")
 
 
-def _fn_local_name(document: Document, args, context_node):
-    node = _first_node(args[0])
-    if node is None or node.name is None:
+def _first_name(document: Document, members) -> str:
+    """The name of the node set's first node in document order; "" for
+    the empty set and for a node without a name."""
+    if not members:
         return ""
-    return node.name.rpartition(":")[2]
+    return document.columns.names[min(members)] or ""
 
 
-def _fn_namespace_uri(document: Document, args, context_node):
+def _fn_local_name(document: Document, args, context_pre):
+    return _first_name(document, args[0]).rpartition(":")[2]
+
+
+def _fn_namespace_uri(document: Document, args, context_pre):
     # Namespaces are out of scope (as in the paper); every node's URI is "".
     return ""
 
 
-def _fn_name(document: Document, args, context_node):
-    node = _first_node(args[0])
-    if node is None or node.name is None:
-        return ""
-    return node.name
+def _fn_name(document: Document, args, context_pre):
+    return _first_name(document, args[0])
 
 
-def _fn_string(document: Document, args, context_node, strval, numval):
+def _fn_string(document: Document, args, context_pre):
     value = args[0]
     if isinstance(value, (set, frozenset, list, tuple)):
-        return to_string_value(value, "nset", strval)
+        return to_string_value(value, "nset", document.string_value_of_pre)
     return to_string_value(value, _scalar_type(value))
 
 
-def _fn_concat(document: Document, args, context_node):
+def _fn_concat(document: Document, args, context_pre):
     return "".join(args)
 
 
-def _fn_starts_with(document: Document, args, context_node):
+def _fn_starts_with(document: Document, args, context_pre):
     return args[0].startswith(args[1])
 
 
-def _fn_contains(document: Document, args, context_node):
+def _fn_contains(document: Document, args, context_pre):
     return args[1] in args[0]
 
 
-def _fn_substring_before(document: Document, args, context_node):
+def _fn_substring_before(document: Document, args, context_pre):
     before, separator, _ = args[0].partition(args[1])
     return before if separator else ""
 
 
-def _fn_substring_after(document: Document, args, context_node):
+def _fn_substring_after(document: Document, args, context_pre):
     _, separator, after = args[0].partition(args[1])
     return after if separator else ""
 
 
-def _fn_substring(document: Document, args, context_node):
+def _fn_substring(document: Document, args, context_pre):
     """W3C §4.2 substring with the notorious rounding/NaN edge cases.
 
     Positions are 1-based; the selected characters are those at positions
@@ -257,15 +248,15 @@ def _fn_substring(document: Document, args, context_node):
     return "".join(result)
 
 
-def _fn_string_length(document: Document, args, context_node):
+def _fn_string_length(document: Document, args, context_pre):
     return float(len(args[0]))
 
 
-def _fn_normalize_space(document: Document, args, context_node):
+def _fn_normalize_space(document: Document, args, context_pre):
     return " ".join(args[0].split())
 
 
-def _fn_translate(document: Document, args, context_node):
+def _fn_translate(document: Document, args, context_pre):
     source, from_chars, to_chars = args
     mapping: dict[str, str | None] = {}
     for index, char in enumerate(from_chars):
@@ -282,55 +273,56 @@ def _fn_translate(document: Document, args, context_node):
     return "".join(result)
 
 
-def _fn_boolean(document: Document, args, context_node):
+def _fn_boolean(document: Document, args, context_pre):
     value = args[0]
     if isinstance(value, (set, frozenset, list, tuple)):
         return to_boolean(value, "nset")
     return to_boolean(value, _scalar_type(value))
 
 
-def _fn_not(document: Document, args, context_node):
+def _fn_not(document: Document, args, context_pre):
     return not args[0]
 
 
-def _fn_true(document: Document, args, context_node):
+def _fn_true(document: Document, args, context_pre):
     return True
 
 
-def _fn_false(document: Document, args, context_node):
+def _fn_false(document: Document, args, context_pre):
     return False
 
 
-def _fn_lang(document: Document, args, context_node):
+def _fn_lang(document: Document, args, context_pre):
     """W3C §4.3 lang(): match xml:lang of the nearest ancestor-or-self."""
     wanted = args[0].lower()
-    node = context_node
-    while node is not None:
-        if node.is_element:
-            declared = node.attribute_value("xml:lang")
+    columns = document.columns
+    pre = -1 if context_pre is None else context_pre
+    while pre >= 0:
+        if columns.kinds[pre] == ELEM:
+            declared = document.attribute_pre_of(pre, "xml:lang")
             if declared is not None:
-                declared = declared.lower()
+                declared = columns.values[declared].lower()
                 return declared == wanted or declared.startswith(wanted + "-")
-        node = node.parent
+        pre = columns.parent_pre[pre]
     return False
 
 
-def _fn_number(document: Document, args, context_node, strval, numval):
+def _fn_number(document: Document, args, context_pre):
     value = args[0]
     if isinstance(value, (set, frozenset, list, tuple)):
-        return to_number_value(value, "nset", numval)
+        return to_number_value(value, "nset", document.number_value_of_pre)
     return to_number_value(value, _scalar_type(value))
 
 
-def _fn_floor(document: Document, args, context_node):
+def _fn_floor(document: Document, args, context_pre):
     return xpath_floor(args[0])
 
 
-def _fn_ceiling(document: Document, args, context_node):
+def _fn_ceiling(document: Document, args, context_pre):
     return xpath_ceiling(args[0])
 
 
-def _fn_round(document: Document, args, context_node):
+def _fn_round(document: Document, args, context_pre):
     return xpath_round(args[0])
 
 
@@ -363,28 +355,14 @@ _IMPLEMENTATIONS = {
 }
 
 
-#: Functions that read node-set members through the accessors.
-_MEMBER_READERS = frozenset({"sum", "string", "number"})
-
-
-def apply_function(
-    document: Document,
-    name: str,
-    args: list,
-    context_node: Node | None = None,
-    strval=node_strval,
-    numval=node_numval,
-):
-    """Apply ``F[[name]]`` to evaluated argument values.
+def apply_function(document: Document, name: str, args: list, context_pre: int | None = None):
+    """Apply ``F[[name]]`` to evaluated argument values, node sets being
+    collections of pres of ``document`` (see the module docstring).
 
     ``position``/``last`` are rejected here on purpose — they are context
     accessors, not value functions, and each evaluator handles them.
-    ``strval`` / ``numval`` are the member accessors for node-set
-    arguments (see the module docstring).
     """
     implementation = _IMPLEMENTATIONS.get(name)
     if implementation is None:
         raise UnknownFunctionError(name)
-    if name in _MEMBER_READERS:
-        return implementation(document, args, context_node, strval, numval)
-    return implementation(document, args, context_node)
+    return implementation(document, args, context_pre)

@@ -17,7 +17,10 @@ pauses its reading, and holds its evaluation tasks' replies until
 The connection's ``data_received`` callback splits the received bytes
 into lines and runs one **synchronous front half** for every frame, on
 the event loop, answering right there whatever does not have to wait;
-only a real evaluation becomes a task. The stages, in the order a frame
+only a real evaluation becomes a task. One callback answers at most
+:data:`FRAMES_PER_PASS` frames: a longer pipelined burst pauses the
+connection's reading and goes on in the next loop pass, so other
+connections are served in between. The stages, in the order a frame
 meets them, with the counter each exit lands in:
 
 1. **decode** — a malformed line gets a typed ``PROTOCOL`` error
@@ -156,6 +159,10 @@ class _RequestError(ReproError):
 #: The verdict a memo hit carries in place of a priced one.
 _MEMO_HIT = AdmissionDecision(action="admit", reason="memo hit")
 
+#: The most frames one loop pass answers for one connection; the rest
+#: of a pipelined burst waits for the next pass.
+FRAMES_PER_PASS = 64
+
 
 @dataclass(eq=False)
 class _Request:
@@ -200,7 +207,9 @@ class _Connection(asyncio.Protocol):
     frame the front half answers costs one callback and no future or
     task. When the transport's write buffer crosses its high-water mark
     (a client that does not read), the frame loop stops before the next
-    frame and reading pauses; :meth:`resume_writing` picks both up."""
+    frame and reading pauses; :meth:`resume_writing` picks both up. After
+    :data:`FRAMES_PER_PASS` frames the loop stops too, reading pauses,
+    and :meth:`answer_deferred` goes on in the next loop pass."""
 
     #: The line bound: a newline further in than this (or unterminated
     #: bytes beyond it) is ``FRAME_TOO_LARGE``; a longer line within it
@@ -279,10 +288,12 @@ class _Connection(asyncio.Protocol):
 
     def answer_frames(self) -> None:
         """Answer the buffered complete lines in order, until writing
-        pauses or the connection ends; at the EOF, the unterminated rest
-        is the last line and then the connection ends."""
+        pauses, the connection ends or :data:`FRAMES_PER_PASS` lines are
+        answered; at the EOF, the unterminated rest is the last line and
+        then the connection ends."""
         buffer = self.buffer
         start = 0
+        answered = 0
         try:
             while not (self.paused or self.ended):
                 end = buffer.find(b"\n", max(start, self.scanned))
@@ -299,12 +310,25 @@ class _Connection(asyncio.Protocol):
                 if end - start > self.LINE_LIMIT:
                     self._too_large()
                     break
+                if answered == FRAMES_PER_PASS:
+                    if not self.eof:  # reading has stopped for good then
+                        self.transport.pause_reading()
+                    asyncio.get_running_loop().call_soon(self.answer_deferred)
+                    break
                 line = buffer[start:end + 1]
                 start = end + 1
                 self.answer_line(line)
+                answered += 1
         finally:
             del buffer[:start]
             self.scanned = max(self.scanned - start, 0)
+
+    def answer_deferred(self) -> None:
+        """The next pass of a burst the frame cap cut: reading resumes
+        unless writing is paused, and the frame loop goes on."""
+        if not (self.ended or self.dead or self.paused):
+            self.transport.resume_reading()
+            self.answer_frames()
 
     def answer_line(self, line: bytearray) -> None:
         """Stage 1 for one line, then the front half or BYE."""

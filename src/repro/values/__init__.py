@@ -1,8 +1,8 @@
 """XPath 1.0 value system.
 
 The four XPath types of Section 2.2 — ``nset``, ``num``, ``str``,
-``bool`` — are represented by Python ``set[Node]``/``frozenset[Node]``,
-``float``, ``str``, and ``bool``. This package implements the conversion
+``bool`` — are represented by collections of pre numbers (read through
+their document's per-pre accessors), ``float``, ``str``, and ``bool``. This package implements the conversion
 and comparison entries of the paper's Figure 1 (the "effective semantics
 function" ``F``), deferring, as the paper does, to the W3C XPath 1.0
 recommendation [18] for the precise rules (IEEE-754 numbers, NaN, the

@@ -21,9 +21,9 @@ comparison. We follow the W3C rule (the paper itself defers to [18] for
 precise semantics, and none of the paper's examples exercise the
 difference).
 
-Node-set operands are read through the member accessors of
-:mod:`repro.values.coerce` (``strval`` / ``numval``): boxed nodes by
-default, pre ints with a document's per-pre accessors on the pre plane.
+Node-set operands are collections of pre numbers, read through their
+document's member accessors (``strval`` / ``numval``, see
+:mod:`repro.values.coerce`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 
-from repro.values.coerce import node_numval, node_strval, to_boolean, to_number_value
+from repro.values.coerce import to_boolean, to_number_value
 from repro.values.numbers import to_number
 
 EQUALITY_OPS = ("=", "!=")
@@ -106,18 +106,18 @@ def compare_values(
     left_type: str,
     right,
     right_type: str,
-    strval=node_strval,
-    numval=node_numval,
+    strval=None,
+    numval=None,
 ) -> bool:
     """Full XPath 1.0 comparison dispatch (§3.4 / the paper's Figure 1).
 
     Args:
         op: one of ``= != < <= > >=``.
         left, right: runtime values; node sets are sized collections of
-            members (boxed nodes by default).
+            pre numbers.
         left_type, right_type: static type tags (``nset num str bool``).
-        strval, numval: member accessors for node-set operands (see
-            :mod:`repro.values.coerce`).
+        strval, numval: the pres' document accessors, read only for
+            node-set operands (see :mod:`repro.values.coerce`).
     """
     if left_type == "nset" and right_type == "nset":
         return _nset_vs_nset(op, left, right, strval, numval)

@@ -153,9 +153,10 @@ class Node:
     ``__getattr__``: that hook would slow *every* attribute read of every
     node (``pre``, ``document``, ``path``) — CPython does not specialize
     attribute access on such a class. ``parent`` / ``children`` /
-    ``attributes`` / ``child_index`` / ``string_value`` are cut from the
-    columns on first access and memoized in the node's slots, so a result
-    node costs one object until a caller reads or walks from it.
+    ``attributes`` / ``child_index`` are cut from the columns on first
+    access and memoized in the node's slots, so a result node costs one
+    object until a caller reads or walks from it; ``string_value`` is
+    the document's ``strval`` of the node's pre.
     """
 
     __slots__ = (
@@ -167,7 +168,6 @@ class Node:
         "_children",
         "_attributes",
         "_child_index",
-        "_string_value",
         "__dict__",
     )
 
@@ -235,17 +235,10 @@ class Node:
         For document and element nodes: the concatenation of the values of
         all text-node descendants in document order (the paper's "non-tag,
         non-comment strings between start and end tag"). For text,
-        attribute, comment, and PI nodes: the node's own value.
+        attribute, comment, and PI nodes: the node's own value. Read from
+        the columns (:meth:`Document.string_value_of_pre`), not memoized.
         """
-        try:
-            return self._string_value
-        except AttributeError:
-            pass
-        if self.kind is NodeKind.DOCUMENT or self.kind is NodeKind.ELEMENT:
-            self._string_value = self.document.string_value_of_pre(self.pre)
-        else:
-            self._string_value = self.value or ""
-        return self._string_value
+        return self.document.string_value_of_pre(self.pre)
 
     # ------------------------------------------------------------------
     # Kind predicates
@@ -491,14 +484,6 @@ class Document:
         """Sort an iterable of nodes into document order."""
         return sorted(nodes, key=lambda n: n.pre)
 
-    def first_in_document_order(self, nodes) -> Node | None:
-        """The paper's ``first_<doc``: earliest node of a set, or ``None``."""
-        best: Node | None = None
-        for node in nodes:
-            if best is None or node.pre < best.pre:
-                best = node
-        return best
-
     # ------------------------------------------------------------------
     # Column accessors (what predicates need, without nodes)
     # ------------------------------------------------------------------
@@ -718,10 +703,6 @@ class Document:
         ids are the whitespace-separated tokens of ``value``."""
         mapping = self.id_pre_map()
         return {mapping[token] for token in value.split() if token in mapping}
-
-    def deref_ids(self, value: str) -> set[Node]:
-        """The paper's ``deref_ids``: whitespace-separated keys to nodes."""
-        return {self.node_at(pre) for pre in self.deref_id_pres(value)}
 
     def id_tokens(self) -> list[frozenset[str]]:
         """Per pre, the whitespace tokens of the node's string value.

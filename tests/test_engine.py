@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import (
+    EvaluationError,
     FragmentViolationError,
     ReproError,
     UnboundVariableError,
@@ -87,6 +88,27 @@ def test_variables_flow_through(engine):
     engine_with_vars = XPathEngine(engine.document, variables={"limit": 15})
     got = engine_with_vars.evaluate("//b[. > $limit]")
     assert [n.xml_id for n in got] == ["3"]
+
+
+def test_a_foreign_node_set_variable_is_accepted_only_as_the_whole_query(engine):
+    """One rule for every evaluator: ``$v`` bound to another document's
+    nodes is returned as it is when it is the whole query, and refused
+    as an operand, where this document's pre numbers cannot name its
+    nodes. Core XPath has no variables, so ``corexpath`` refuses both as
+    outside its fragment."""
+    other = parse_document("<x><y/><y/></x>")
+    foreign = XPathEngine(engine.document, variables={"v": other.nodes[2:]})
+    for algorithm in ALGORITHMS:
+        if algorithm == "corexpath":
+            for query in ("$v", "count($v)"):
+                with pytest.raises(FragmentViolationError):
+                    foreign.evaluate(query, algorithm=algorithm)
+            continue
+        result = foreign.evaluate("$v", algorithm=algorithm)
+        assert [node.pre for node in result] == [2, 3], algorithm
+        assert all(node.document is other for node in result), algorithm
+        with pytest.raises(EvaluationError):
+            foreign.evaluate("count($v)", algorithm=algorithm)
 
 
 def test_changing_or_rebinding_variables_changes_the_answer(engine):

@@ -278,7 +278,8 @@ def test_step_relation_pres_matches_per_origin_enumeration():
     equals the one-origin-at-a-time enumeration the reference evaluators
     rank: on every axis (``id`` included), for the full
     candidate pool and for a thinned one (a predicate-passing subset)."""
-    from repro.core.common import step_candidate_pres, step_candidates, step_relation_pres
+    from repro.axes.axes import axis_test_pres
+    from repro.core.common import step_candidate_pres, step_relation_pres
 
     rng = random.Random(SEED + 5)
     cells = 0
@@ -294,9 +295,7 @@ def test_step_relation_pres_matches_per_origin_enumeration():
                         kept = set(pool)
                         for x in X:
                             expected = [
-                                y.pre
-                                for y in step_candidates(document, axis, document.nodes[x], test)
-                                if y.pre in kept
+                                y for y in axis_test_pres(document, axis, x, test) if y in kept
                             ]
                             assert relation.get(x, []) == expected, (axis, test.kind)
                             cells += 1

@@ -48,9 +48,10 @@ def test_identity_keyed_bindings_stay_pinned_by_the_memo_entry():
 
     def evaluate_with_foreign_nodes():
         other = parse_document("<x><y/><y/></x>")
-        plan = service.plan("count($v)", variables={"v": other.nodes[2:]})
-        # OPTMINCONTEXT takes foreign nodes only as the whole query.
-        assert service.evaluate(plan, document, algorithm="topdown") == 2.0
+        plan = service.plan("$v", variables={"v": other.nodes[2:]})
+        # Every evaluator takes foreign nodes only as the whole query.
+        result = service.evaluate(plan, document, algorithm="topdown")
+        assert [node.pre for node in result] == [2, 3]
         return weakref.ref(other)
 
     other = evaluate_with_foreign_nodes()

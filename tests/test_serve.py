@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.serve import FaultInjector, ServeClient, XPathDaemon
 from repro.serve.admission import AdmissionController
+from repro.serve.daemon import FRAMES_PER_PASS, _Connection
 from repro.serve.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.serve.quotas import ClientQuota, ClientState, TokenBucket
 from repro.service.planner import QueryPlanner
@@ -1233,6 +1234,42 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         snapshot = daemon.stats.snapshot()
         assert snapshot["memo_hits"] == 5000
         assert_identities(snapshot)
+
+
+def test_a_pipelined_burst_is_answered_in_passes_of_at_most_the_frame_cap():
+    """5 000 memo hits sent in one burst: no loop callback answers more
+    than ``FRAMES_PER_PASS`` frames of it (the rest waits for the next
+    pass, so other connections are served in between), and every reply
+    still arrives, in order."""
+    passes = []
+    answer_frames, answer_line = _Connection.answer_frames, _Connection.answer_line
+
+    def counting_frames(self):
+        passes.append(0)
+        answer_frames(self)
+
+    def counting_line(self, line):
+        passes[-1] += 1
+        answer_line(self, line)
+
+    with mock.patch.object(_Connection, "answer_frames", counting_frames), mock.patch.object(
+        _Connection, "answer_line", counting_line
+    ), running_daemon() as daemon:
+        with ServeClient(port=daemon.port, client="p") as client:
+            client.register("d", BOOKS)
+            client.query("//title", "d")
+        frame = {"verb": "QUERY", "client": "p", "doc": "d", "query": "//title"}
+        burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sender = threading.Thread(target=sock.sendall, args=(burst,))
+            sender.start()
+            replies = read_frames(sock, 5000)
+            sender.join(10)
+        assert [reply["id"] for reply in replies] == list(range(5000))
+        assert all(reply["memo"] for reply in replies)
+        assert daemon.stats.snapshot()["memo_hits"] == 5000
+    assert max(passes) == FRAMES_PER_PASS
+    assert sum(passes) >= 5000
 
 
 def framing_stream() -> tuple[bytes, int]:

@@ -4,7 +4,6 @@ never exercises directly (it always passes singleton lists)."""
 
 import pytest
 
-from repro.core.context import Context
 from repro.core.topdown import TopDownEvaluator
 from repro.xml.parser import parse_document
 from repro.xpath.normalize import normalize
@@ -24,9 +23,10 @@ def analyzed(query):
 
 
 def contexts(doc):
-    elements = doc.elements()[1:]  # the three a's
+    """``(pre, position, size)`` triples over the three a's."""
+    elements = doc.elements()[1:]
     size = len(elements)
-    return [Context(node, position, size) for position, node in enumerate(elements, 1)]
+    return [(node.pre, position, size) for position, node in enumerate(elements, 1)]
 
 
 def test_vectorized_position_and_last(doc):
@@ -50,7 +50,7 @@ def test_vectorized_path_per_context(doc):
     evaluator = TopDownEvaluator(doc)
     results = evaluator._eval(analyzed("self::a"), contexts(doc))
     for context, reachable in zip(contexts(doc), results):
-        assert reachable == {context.node}
+        assert reachable == {context[0]}
 
 
 def test_vectorized_union_is_componentwise(doc):
@@ -78,8 +78,8 @@ def test_absolute_path_ignores_individual_contexts(doc):
 def test_shared_relation_across_equal_context_nodes(doc):
     """Two contexts with the same node share the step relation rows."""
     evaluator = TopDownEvaluator(doc)
-    node = doc.elements()[1]
-    duplicated = [Context(node, 1, 2), Context(node, 2, 2)]
+    pre = doc.elements()[1].pre
+    duplicated = [(pre, 1, 2), (pre, 2, 2)]
     results = evaluator._eval(analyzed("following-sibling::a"), duplicated)
     assert results[0] == results[1]
     assert len(results[0]) == 2

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.values.coerce import convert, to_boolean, to_number_value, to_string_value
+from repro.values.coerce import to_boolean, to_number_value, to_string_value
 from repro.values.compare import compare_values
 from repro.xml.parser import parse_document
 
@@ -16,7 +16,13 @@ def doc():
 
 
 def nodes(doc, *keys):
-    return {doc.element_by_id(k) for k in keys}
+    """A node set: the pres of the elements with these ids."""
+    return {doc.id_pre_map()[k] for k in keys}
+
+
+def compare(doc, *operands):
+    """``compare_values`` reading node-set members from ``doc``."""
+    return compare_values(*operands, doc.string_value_of_pre, doc.number_value_of_pre)
 
 
 # --- boolean() ------------------------------------------------------------
@@ -44,8 +50,8 @@ def test_boolean_of_node_sets(doc):
 # --- string() --------------------------------------------------------------
 
 def test_string_of_node_set_takes_first_in_document_order(doc):
-    assert to_string_value(nodes(doc, "2", "1"), "nset") == "10"
-    assert to_string_value(set(), "nset") == ""
+    assert to_string_value(nodes(doc, "2", "1"), "nset", doc.string_value_of_pre) == "10"
+    assert to_string_value(set(), "nset", doc.string_value_of_pre) == ""
 
 
 def test_string_of_scalars():
@@ -65,17 +71,10 @@ def test_number_of_scalars():
 
 
 def test_number_of_node_set_goes_through_string(doc):
-    assert to_number_value(nodes(doc, "1"), "nset") == 10.0
-    assert math.isnan(to_number_value(nodes(doc, "3"), "nset"))
-    assert math.isnan(to_number_value(set(), "nset"))
-
-
-def test_convert_dispatch(doc):
-    assert convert(5.0, "num", "str") == "5"
-    assert convert("", "str", "bool") is False
-    assert convert(nodes(doc, "1"), "nset", "num") == 10.0
-    with pytest.raises(ValueError):
-        convert("x", "str", "nset")
+    numval = doc.number_value_of_pre
+    assert to_number_value(nodes(doc, "1"), "nset", numval) == 10.0
+    assert math.isnan(to_number_value(nodes(doc, "3"), "nset", numval))
+    assert math.isnan(to_number_value(set(), "nset", numval))
 
 
 # --- scalar comparisons --------------------------------------------------------
@@ -116,68 +115,68 @@ def test_nan_relational_false():
 
 def test_nset_vs_num_existential(doc):
     S = nodes(doc, "1", "2")
-    assert compare_values("=", S, "nset", 20.0, "num") is True
-    assert compare_values("=", S, "nset", 30.0, "num") is False
-    assert compare_values("<", S, "nset", 15.0, "num") is True  # 10 < 15
-    assert compare_values(">", S, "nset", 15.0, "num") is True  # 20 > 15
-    assert compare_values(">", S, "nset", 25.0, "num") is False
+    assert compare(doc, "=", S, "nset", 20.0, "num") is True
+    assert compare(doc, "=", S, "nset", 30.0, "num") is False
+    assert compare(doc, "<", S, "nset", 15.0, "num") is True  # 10 < 15
+    assert compare(doc, ">", S, "nset", 15.0, "num") is True  # 20 > 15
+    assert compare(doc, ">", S, "nset", 25.0, "num") is False
 
 
 def test_nset_with_unparsable_member(doc):
     S = nodes(doc, "3")  # strval "x" -> NaN
-    assert compare_values("=", S, "nset", 0.0, "num") is False
-    assert compare_values("!=", S, "nset", 0.0, "num") is True  # NaN != 0
+    assert compare(doc, "=", S, "nset", 0.0, "num") is False
+    assert compare(doc, "!=", S, "nset", 0.0, "num") is True  # NaN != 0
 
 
 def test_nset_vs_str(doc):
     S = nodes(doc, "1", "3")
-    assert compare_values("=", S, "nset", "x", "str") is True
-    assert compare_values("=", S, "nset", "y", "str") is False
-    assert compare_values("!=", S, "nset", "x", "str") is True  # "10" != "x"
+    assert compare(doc, "=", S, "nset", "x", "str") is True
+    assert compare(doc, "=", S, "nset", "y", "str") is False
+    assert compare(doc, "!=", S, "nset", "x", "str") is True  # "10" != "x"
     # Relational vs string goes numeric: only "10" parses.
-    assert compare_values("<", S, "nset", "11", "str") is True
-    assert compare_values(">", S, "nset", "11", "str") is False
+    assert compare(doc, "<", S, "nset", "11", "str") is True
+    assert compare(doc, ">", S, "nset", "11", "str") is False
 
 
 def test_nset_vs_bool(doc):
-    assert compare_values("=", nodes(doc, "1"), "nset", True, "bool") is True
-    assert compare_values("=", set(), "nset", False, "bool") is True
-    assert compare_values("!=", set(), "nset", True, "bool") is True
+    assert compare(doc, "=", nodes(doc, "1"), "nset", True, "bool") is True
+    assert compare(doc, "=", set(), "nset", False, "bool") is True
+    assert compare(doc, "!=", set(), "nset", True, "bool") is True
 
 
 def test_empty_nset_comparisons_always_false(doc):
-    assert compare_values("=", set(), "nset", 0.0, "num") is False
-    assert compare_values("!=", set(), "nset", 0.0, "num") is False
-    assert compare_values("=", set(), "nset", "", "str") is False
+    assert compare(doc, "=", set(), "nset", 0.0, "num") is False
+    assert compare(doc, "!=", set(), "nset", 0.0, "num") is False
+    assert compare(doc, "=", set(), "nset", "", "str") is False
 
 
 def test_nset_vs_nset_equality(doc):
     S1 = nodes(doc, "1", "2")  # {"10","20"}
     S2 = nodes(doc, "2", "3")  # {"20","x"}
-    assert compare_values("=", S1, "nset", S2, "nset") is True  # share "20"
-    assert compare_values("=", nodes(doc, "1"), "nset", nodes(doc, "3"), "nset") is False
+    assert compare(doc, "=", S1, "nset", S2, "nset") is True  # share "20"
+    assert compare(doc, "=", nodes(doc, "1"), "nset", nodes(doc, "3"), "nset") is False
 
 
 def test_nset_vs_nset_inequality_subtleties(doc):
     one = nodes(doc, "1")
     also_one = {next(iter(nodes(doc, "1")))}
-    assert compare_values("!=", one, "nset", also_one, "nset") is False  # "10" != "10" has no witness
-    assert compare_values("!=", nodes(doc, "1", "2"), "nset", one, "nset") is True
+    assert compare(doc, "!=", one, "nset", also_one, "nset") is False  # "10" != "10" has no witness
+    assert compare(doc, "!=", nodes(doc, "1", "2"), "nset", one, "nset") is True
 
 
 def test_nset_vs_nset_relational(doc):
     S1 = nodes(doc, "1")  # 10
     S2 = nodes(doc, "2")  # 20
-    assert compare_values("<", S1, "nset", S2, "nset") is True
-    assert compare_values(">", S1, "nset", S2, "nset") is False
-    assert compare_values(">", S2, "nset", S1, "nset") is True
+    assert compare(doc, "<", S1, "nset", S2, "nset") is True
+    assert compare(doc, ">", S1, "nset", S2, "nset") is False
+    assert compare(doc, ">", S2, "nset", S1, "nset") is True
     # NaN members contribute nothing.
-    assert compare_values("<", nodes(doc, "3"), "nset", S2, "nset") is False
+    assert compare(doc, "<", nodes(doc, "3"), "nset", S2, "nset") is False
 
 
 def test_flipped_operand_order(doc):
     S = nodes(doc, "1", "2")
     # scalar RelOp nset must mirror nset RelOp scalar with flipped op.
-    assert compare_values("<", 15.0, "num", S, "nset") is True  # 15 < 20
-    assert compare_values(">", 25.0, "num", S, "nset") is True  # 25 > 10
-    assert compare_values(">", 5.0, "num", S, "nset") is False
+    assert compare(doc, "<", 15.0, "num", S, "nset") is True  # 15 < 20
+    assert compare(doc, ">", 25.0, "num", S, "nset") is True  # 25 > 10
+    assert compare(doc, ">", 5.0, "num", S, "nset") is False

@@ -60,7 +60,7 @@ def test_string_value_of_leaf_kinds():
 def test_id_map_and_deref():
     doc = parse_document('<a id="r"><b id="x"/><b id="y"/></a>')
     assert doc.element_by_id("x").pre < doc.element_by_id("y").pre
-    assert doc.deref_ids("y r missing") == {doc.root_element, doc.element_by_id("y")}
+    assert doc.deref_id_pres("y r missing") == {doc.root_element.pre, doc.element_by_id("y").pre}
 
 
 def test_duplicate_ids_first_wins():
@@ -73,8 +73,6 @@ def test_document_order_helpers():
     a = doc.root_element
     b, c = a.children
     assert doc.in_document_order({c, b, a}) == [a, b, c]
-    assert doc.first_in_document_order({c, b}) is b
-    assert doc.first_in_document_order([]) is None
 
 
 def test_ancestors_iteration_order():
