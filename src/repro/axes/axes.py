@@ -537,9 +537,11 @@ def _interval_axis_pres(
     ranges).
     """
     index = document.index
-    partition = index.partition(test, axis)
+    partition = index.filter_partition(test)
     if partition is None:
-        return None
+        # node(): every non-attribute node (the interval kernels never
+        # reach attribute nodes).
+        partition = index.non_attributes
     if not pres or not partition:
         # An empty partition settles it: only node() matches attribute
         # selves, and its partition (non_attributes) is never empty.

@@ -1,6 +1,6 @@
 """Command-line XPath tool: ``repro-xpath`` / ``python -m repro``.
 
-Three modes:
+Six modes:
 
 * the default (legacy) mode evaluates one query against one document;
 * ``repro-xpath plan QUERY`` compiles a query and prints its *logical*
@@ -73,10 +73,19 @@ query from a bad document from a bad invocation:
 * 8 — query deadline exceeded (:data:`EXIT_DEADLINE`);
 * 9 — serving protocol or transport failure (:data:`EXIT_SERVE`).
 
-The class-level table ``_ERROR_EXITS`` and the wire-code table
-``_CODE_EXITS`` are kept coherent: for every library error,
-``error_exit_code(error) == _CODE_EXITS[error_code(error)]`` — a
-query that fails remotely exits exactly as it would have locally.
+One table, ``_CODE_EXITS``, maps every stable protocol code
+(:data:`repro.errors.PROTOCOL_CODES`) onto an exit code, and
+``error_exit_code(error)`` is ``_CODE_EXITS[error_code(error)]`` — a
+query that fails remotely exits exactly as it would have locally, by
+construction.
+
+Every mode reads, renders and fails one way: :func:`_read` is the one
+file read and :func:`_document` the one document loader; a result is
+printed as the payload the daemon would send
+(:func:`repro.serve.protocol.render_value`) turned into text by
+:func:`_render_response_payload`, so local and remote output are the
+same bytes; and a subcommand raises instead of catching — :func:`main`
+maps ``OSError`` to 1 and a library error to its family, once.
 """
 
 from __future__ import annotations
@@ -86,20 +95,8 @@ import asyncio
 import sys
 
 from repro.engine import ALGORITHMS, XPathEngine
-from repro.errors import (
-    DeadlineExceededError,
-    DocumentStoreError,
-    FragmentViolationError,
-    OverloadError,
-    QuotaExceededError,
-    ReproError,
-    ServeError,
-    UnboundVariableError,
-    UnknownAlgorithmError,
-    XMLSyntaxError,
-    XPathSyntaxError,
-    XPathTypeError,
-)
+from repro.errors import ReproError, error_code
+from repro.serve.protocol import render_value
 from repro.service import (
     QueryService,
     compile_plan,
@@ -108,9 +105,7 @@ from repro.service import (
 )
 from repro.service.cost import cost_units
 from repro.stats import axis_kernel_stats, store_stats
-from repro.xml.document import Node
 from repro.xml.parser import parse_document
-from repro.xml.serializer import serialize_node
 from repro.xml.snapshot import SNAPSHOT_VERSION
 from repro.xpath.explain import explain_text
 from repro.xpath.unparse import dump_tree, unparse
@@ -128,27 +123,9 @@ EXIT_OVERLOAD = 7
 EXIT_DEADLINE = 8
 EXIT_SERVE = 9
 
-#: Most-specific-first mapping from error class to exit code (subclasses
-#: before their bases, mirroring :data:`repro.errors.ERROR_CODES`).
-_ERROR_EXITS = (
-    (XPathSyntaxError, EXIT_QUERY),
-    (XPathTypeError, EXIT_QUERY),
-    (UnboundVariableError, EXIT_QUERY),
-    (XMLSyntaxError, EXIT_DOCUMENT),
-    (FragmentViolationError, EXIT_FRAGMENT),
-    (UnknownAlgorithmError, EXIT_USAGE),
-    (DocumentStoreError, EXIT_STORE),
-    (DeadlineExceededError, EXIT_DEADLINE),
-    (OverloadError, EXIT_OVERLOAD),
-    (QuotaExceededError, EXIT_OVERLOAD),
-    (ServeError, EXIT_SERVE),
-)
-
 #: Every stable protocol code (:data:`repro.errors.PROTOCOL_CODES`)
-#: mapped onto an exit code. Kept coherent with ``_ERROR_EXITS`` — the
-#: taxonomy test asserts ``error_exit_code(e) == _CODE_EXITS[
-#: error_code(e)]`` for every library error class — so a remote failure
-#: relayed by the client exits exactly as the local failure would.
+#: mapped onto an exit code: the one table, for local failures and for
+#: failures relayed by the client alike.
 _CODE_EXITS = {
     "QUERY_SYNTAX": EXIT_QUERY,
     "UNKNOWN_FUNCTION": EXIT_QUERY,
@@ -177,17 +154,11 @@ _CODE_EXITS = {
 
 
 def error_exit_code(error: ReproError) -> int:
-    """The exit code for a library error: distinct nonzero codes per
-    family, :data:`EXIT_ERROR` for anything unclassified. Errors
-    relayed from a server (:class:`~repro.errors.RemoteError`) carry
-    their stable protocol code and map through :data:`_CODE_EXITS`."""
-    protocol_code = getattr(error, "protocol_code", None)
-    if protocol_code is not None:
-        return _CODE_EXITS.get(protocol_code, EXIT_ERROR)
-    for error_class, code in _ERROR_EXITS:
-        if isinstance(error, error_class):
-            return code
-    return EXIT_ERROR
+    """The exit code for a library error: its stable protocol code
+    (:func:`repro.errors.error_code`, which keeps a relayed
+    :class:`~repro.errors.RemoteError`'s own) through
+    :data:`_CODE_EXITS`, :data:`EXIT_ERROR` for anything unclassified."""
+    return _CODE_EXITS.get(error_code(error), EXIT_ERROR)
 
 
 def _fail(message: str, code: int) -> int:
@@ -196,22 +167,64 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _render_node(node: Node, style: str) -> str:
-    if style == "path":
-        return node.path()
-    if style == "xml":
-        return serialize_node(node)
-    return node.string_value
+def _read(path: str) -> str:
+    """The one file read of the CLI: a UTF-8 text file's contents."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _render_result(result, style: str) -> str:
-    if isinstance(result, list):
-        if not result:
-            return "(empty node-set)"
-        return "\n".join(_render_node(node, style) for node in result)
-    if isinstance(result, bool):
-        return "true" if result else "false"
-    return str(result)
+def _document(path: str | None, inline: str | None, strip_whitespace: bool = False):
+    """The one document loader: parse ``--file PATH`` when given, else
+    the ``--xml`` string."""
+    source = _read(path) if path else inline
+    return parse_document(source, keep_whitespace_text=not strip_whitespace)
+
+
+def _render_response_payload(payload: dict) -> str:
+    """A result payload (:func:`~repro.serve.protocol.render_value`, the
+    daemon's ``QUERY`` reply) as the text every mode prints."""
+    if payload.get("kind") == "node-set":
+        items = payload.get("items", [])
+        return "\n".join(items) if items else "(empty node-set)"
+    if payload.get("kind") == "boolean":
+        return "true" if payload.get("value") else "false"
+    return str(payload.get("value"))
+
+
+def _render(value, style: str) -> str:
+    """A local result printed exactly as the daemon's reply would be."""
+    return _render_response_payload(render_value(value, style))
+
+
+#: The flags several modes share, each declared once.
+_SHARED_FLAGS = {
+    "algorithm": (
+        ("--algorithm", "-a"),
+        dict(
+            choices=ALGORITHMS,
+            default="auto",
+            help="evaluation algorithm (default: auto fragment dispatch)",
+        ),
+    ),
+    "output": (
+        ("--output", "-o"),
+        dict(
+            choices=("path", "xml", "value"),
+            default="path",
+            help="node rendering: debug path, serialized XML, or string value",
+        ),
+    ),
+    "strip_whitespace": (
+        ("--strip-whitespace",),
+        dict(action="store_true", help="drop whitespace-only text nodes while parsing"),
+    ),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, options = _SHARED_FLAGS[name]
+        parser.add_argument(*flags, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,25 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--file", "-f", help="XML document file")
     source.add_argument("--xml", help="inline XML document string")
-    parser.add_argument(
-        "--algorithm",
-        "-a",
-        choices=ALGORITHMS,
-        default="auto",
-        help="evaluation algorithm (default: auto fragment dispatch)",
-    )
-    parser.add_argument(
-        "--output",
-        "-o",
-        choices=("path", "xml", "value"),
-        default="path",
-        help="node rendering: debug path, serialized XML, or string value",
-    )
-    parser.add_argument(
-        "--strip-whitespace",
-        action="store_true",
-        help="drop whitespace-only text nodes while parsing",
-    )
+    _add_shared(parser, "algorithm", "output", "strip_whitespace")
     parser.add_argument(
         "--explain",
         action="store_true",
@@ -340,17 +335,7 @@ def plan_main(argv: list[str]) -> int:
         return 0
     profile = None
     if args.xml or args.file:
-        try:
-            if args.file:
-                with open(args.file, encoding="utf-8") as handle:
-                    source = handle.read()
-            else:
-                source = args.xml
-            profile = document_profile(parse_document(source))
-        except OSError as error:
-            return _fail(str(error), EXIT_ERROR)
-        except ReproError as error:
-            return _fail(str(error), error_exit_code(error))
+        profile = document_profile(_document(args.file, args.xml))
     # Giving a document *is* asking what runs on it — never ignore it.
     _print_plan(plans[0], args.explain or profile is not None, args.tree, profile)
     return 0
@@ -443,25 +428,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="with --snapshot-store: load only this named document "
         "(repeatable; default: every document in the store)",
     )
-    parser.add_argument(
-        "--algorithm",
-        "-a",
-        choices=ALGORITHMS,
-        default="auto",
-        help="evaluation algorithm for every query (default: auto)",
-    )
-    parser.add_argument(
-        "--output",
-        "-o",
-        choices=("path", "xml", "value"),
-        default="path",
-        help="node rendering: debug path, serialized XML, or string value",
-    )
-    parser.add_argument(
-        "--strip-whitespace",
-        action="store_true",
-        help="drop whitespace-only text nodes while parsing",
-    )
+    _add_shared(parser, "algorithm", "output", "strip_whitespace")
     parser.add_argument(
         "--share",
         action=argparse.BooleanOptionalAction,
@@ -489,11 +456,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
 def _load_batch_queries(args) -> list[str]:
     queries = list(args.query)
     if args.queries_file:
-        with open(args.queries_file, encoding="utf-8") as handle:
-            for line in handle:
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    queries.append(stripped)
+        for line in _read(args.queries_file).split("\n"):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                queries.append(stripped)
     return queries
 
 
@@ -549,10 +515,7 @@ def _print_batch_stats(batch, from_store: bool) -> None:
 def batch_main(argv: list[str]) -> int:
     parser = build_batch_parser()
     args = parser.parse_args(argv)
-    try:
-        queries = _load_batch_queries(args)
-    except OSError as error:
-        return _fail(str(error), EXIT_ERROR)
+    queries = _load_batch_queries(args)
     if not queries:
         return _fail("no queries given (use -q or --queries-file)", EXIT_USAGE)
     if not args.xml and not args.file and not args.snapshot_store:
@@ -566,38 +529,21 @@ def batch_main(argv: list[str]) -> int:
         return _fail("--plan-capacity must be >= 1", EXIT_USAGE)
     labels = []
     documents = []
-    for inline in args.xml:
-        label = f"xml[{len(documents)}]"
+    sources = [(f"xml[{index}]", None, inline) for index, inline in enumerate(args.xml)]
+    sources += [(path, path, None) for path in args.file]
+    for label, path, inline in sources:
         try:
-            documents.append(
-                parse_document(inline, keep_whitespace_text=not args.strip_whitespace)
-            )
+            documents.append(_document(path, inline, args.strip_whitespace))
         except ReproError as error:
             return _fail(f"document {label}: {error}", error_exit_code(error))
         labels.append(label)
-    for path in args.file:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-            documents.append(
-                parse_document(source, keep_whitespace_text=not args.strip_whitespace)
-            )
-        except OSError as error:
-            return _fail(str(error), EXIT_ERROR)
-        except ReproError as error:
-            return _fail(f"document {path}: {error}", error_exit_code(error))
-        labels.append(path)
     if args.snapshot_store:
         from repro.xml.store import DocumentStore
 
-        try:
-            store = DocumentStore(args.snapshot_store)
-            names = args.doc if args.doc else store.names()
-            for name in names:
-                documents.append(store.load(name))
-                labels.append(f"store:{name}")
-        except ReproError as error:
-            return _fail(str(error), error_exit_code(error))
+        store = DocumentStore(args.snapshot_store)
+        for name in args.doc if args.doc else store.names():
+            documents.append(store.load(name))
+            labels.append(f"store:{name}")
     # Compile every query up front so an unparsable query mid-list fails
     # with a one-line message *naming the query*. Validation uses a throwaway compile, not
     # the service's cache, so the batch's --stats still report the real
@@ -608,20 +554,17 @@ def batch_main(argv: list[str]) -> int:
         except ReproError as error:
             return _fail(f"query {query!r}: {error}", error_exit_code(error))
     service = QueryService(plan_capacity=args.plan_capacity)
-    try:
-        batch = service.evaluate_many(
-            queries,
-            documents,
-            algorithm=args.algorithm,
-            share=args.share,
-        )
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
+    batch = service.evaluate_many(
+        queries,
+        documents,
+        algorithm=args.algorithm,
+        share=args.share,
+    )
     for doc_index, label in enumerate(labels):
         for query_index, query in enumerate(queries):
             algorithm = batch.algorithms[query_index]
             print(f"=== {label} :: {query} [{algorithm}] ===")
-            print(_render_result(batch.value(doc_index, query_index), args.output))
+            print(_render(batch.value(doc_index, query_index), args.output))
     if args.stats:
         _print_batch_stats(batch, bool(args.snapshot_store))
     return 0
@@ -661,11 +604,7 @@ def build_store_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--file", "-f", help="XML document file to snapshot")
     source.add_argument("--xml", help="inline XML document string to snapshot")
-    parser.add_argument(
-        "--strip-whitespace",
-        action="store_true",
-        help="drop whitespace-only text nodes while parsing",
-    )
+    _add_shared(parser, "strip_whitespace")
     return parser
 
 
@@ -673,42 +612,24 @@ def store_main(argv: list[str]) -> int:
     args = build_store_parser().parse_args(argv)
     from repro.xml.store import DocumentStore
 
-    try:
-        store = DocumentStore(args.store)
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
+    store = DocumentStore(args.store)
     if args.action == "snapshot":
         if not args.name:
             return _fail("store snapshot requires --name", EXIT_USAGE)
         if not args.xml and not args.file:
             return _fail("store snapshot requires --xml or --file", EXIT_USAGE)
-        try:
-            if args.file:
-                with open(args.file, encoding="utf-8") as handle:
-                    source = handle.read()
-            else:
-                source = args.xml
-            document = parse_document(
-                source, keep_whitespace_text=not args.strip_whitespace
-            )
-            snapshot_file = store.save_snapshot(args.name, document)
-        except OSError as error:
-            return _fail(str(error), EXIT_ERROR)
-        except ReproError as error:
-            return _fail(str(error), error_exit_code(error))
+        document = _document(args.file, args.xml, args.strip_whitespace)
+        snapshot_file = store.save_snapshot(args.name, document)
         print(f"{args.name}: {len(document.nodes)} nodes -> {snapshot_file}")
         return EXIT_OK
-    try:
-        for name in store.names():
-            sizes = store.column_sizes(name)
-            print(
-                f"{name}\tsnapshot v{SNAPSHOT_VERSION}\tnodes={sizes['nodes']}\t"
-                f"disk={sizes['disk_bytes']}B\t"
-                f"columns={sizes['column_bytes']}B\t"
-                f"partitions={sizes['partition_bytes']}B"
-            )
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
+    for name in store.names():
+        sizes = store.column_sizes(name)
+        print(
+            f"{name}\tsnapshot v{SNAPSHOT_VERSION}\tnodes={sizes['nodes']}\t"
+            f"disk={sizes['disk_bytes']}B\t"
+            f"columns={sizes['column_bytes']}B\t"
+            f"partitions={sizes['partition_bytes']}B"
+        )
     return EXIT_OK
 
 
@@ -838,9 +759,7 @@ def serve_main(argv: list[str]) -> int:
         asyncio.run(run_daemon(daemon, ready=ready))
     except KeyboardInterrupt:
         pass
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
-    except OSError as error:
+    except OSError as error:  # the bind
         return _fail(str(error), EXIT_SERVE)
     return EXIT_OK
 
@@ -900,13 +819,7 @@ def build_client_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-query deadline in milliseconds",
     )
-    parser.add_argument(
-        "--output",
-        "-o",
-        choices=("path", "xml", "value"),
-        default="path",
-        help="node rendering: debug path, serialized XML, or string value",
-    )
+    _add_shared(parser, "output")
     parser.add_argument(
         "--no-retry",
         action="store_true",
@@ -922,16 +835,6 @@ def build_client_parser() -> argparse.ArgumentParser:
         help="print the daemon's per-client and global counters afterwards",
     )
     return parser
-
-
-def _render_response_payload(payload: dict) -> str:
-    """Render a QUERY response's result payload like the local modes."""
-    if payload.get("kind") == "node-set":
-        items = payload.get("items", [])
-        return "\n".join(items) if items else "(empty node-set)"
-    if payload.get("kind") == "boolean":
-        return "true" if payload.get("value") else "false"
-    return str(payload.get("value"))
 
 
 def client_main(argv: list[str]) -> int:
@@ -956,28 +859,22 @@ def client_main(argv: list[str]) -> int:
             "nothing to do (use --register/--register-xml, -q, or --stats)",
             EXIT_USAGE,
         )
+    # Every file is read before connecting: a missing one is a local
+    # failure, not a transport one.
+    sources = [
+        (name, value if inline else _read(value)) for name, value, inline in registrations
+    ]
     try:
-        client = ServeClient(
+        with ServeClient(
             host=args.host,
             port=args.port,
             client=args.client,
             timeout=args.timeout,
             max_retries=0 if args.no_retry else 4,
-        )
-    except OSError as error:
-        return _fail(str(error), EXIT_SERVE)
-    try:
-        with client:
-            registered = []
-            for name, value, inline in registrations:
-                if inline:
-                    source = value
-                else:
-                    with open(value, encoding="utf-8") as handle:
-                        source = handle.read()
+        ) as client:
+            for name, source in sources:
                 client.register(name, source)
-                registered.append(name)
-            doc_names = args.doc if args.doc else registered
+            doc_names = args.doc if args.doc else [name for name, _ in sources]
             if args.query and not doc_names:
                 return _fail(
                     "no documents to query (use --register or --doc)",
@@ -999,10 +896,8 @@ def client_main(argv: list[str]) -> int:
                     print(_render_response_payload(response))
             if args.stats:
                 print(json.dumps(client.stats(), indent=2), file=sys.stderr)
-    except OSError as error:
+    except OSError as error:  # the transport
         return _fail(str(error), EXIT_SERVE)
-    except ReproError as error:
-        return _fail(str(error), error_exit_code(error))
     return EXIT_OK
 
 
@@ -1011,56 +906,57 @@ def client_main(argv: list[str]) -> int:
 # ----------------------------------------------------------------------
 
 
+def query_main(argv: list[str]) -> int:
+    """The default mode: one query against one document."""
+    args = build_parser().parse_args(argv)
+    document = _document(args.file, args.xml, args.strip_whitespace)
+    engine = XPathEngine(document)
+    compiled = engine.compile(args.query)
+    if args.explain:
+        _print_plan(compiled, explain=True, tree=True)
+        print()
+    if args.compare:
+        candidates = ["topdown", "mincontext", "optmincontext"]
+        if len(document.nodes) <= 40:
+            candidates = ["naive", "bottomup"] + candidates
+        if compiled.is_core_xpath:
+            candidates.append("corexpath")
+        rendered = {
+            name: _render(engine.evaluate(compiled, algorithm=name), args.output)
+            for name in candidates
+        }
+        agree = len(set(rendered.values())) == 1
+        for name, text in rendered.items():
+            print(f"--- {name} ---")
+            print(text)
+        print("AGREE" if agree else "DISAGREE", file=sys.stderr)
+        return 0 if agree else 2
+    print(_render(engine.evaluate(compiled, algorithm=args.algorithm), args.output))
+    return 0
+
+
+#: Subcommands, recognized only in first position, so queries that are
+#: literally "plan"/"batch"/... stay reachable: lead with any option
+#: (repro-xpath --xml '<r/>' plan) or spell it as child::plan.
+_SUBCOMMANDS = {
+    "plan": plan_main,
+    "batch": batch_main,
+    "store": store_main,
+    "serve": serve_main,
+    "client": client_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Subcommands are recognized only in first position, so queries that
-    # are literally "plan"/"batch"/"store" stay reachable: lead with any
-    # option (repro-xpath --xml '<r/>' plan) or spell it as child::plan.
-    if argv and argv[0] == "plan":
-        return plan_main(argv[1:])
-    if argv and argv[0] == "batch":
-        return batch_main(argv[1:])
-    if argv and argv[0] == "store":
-        return store_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "client":
-        return client_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        command, argv = _SUBCOMMANDS[argv[0]], argv[1:]
+    else:
+        command = query_main
     try:
-        if args.file:
-            with open(args.file, encoding="utf-8") as handle:
-                source = handle.read()
-        else:
-            source = args.xml
-        document = parse_document(source, keep_whitespace_text=not args.strip_whitespace)
-        engine = XPathEngine(document)
-        compiled = engine.compile(args.query)
-
-        if args.explain:
-            _print_plan(compiled, explain=True, tree=True)
-            print()
-
-        if args.compare:
-            candidates = ["topdown", "mincontext", "optmincontext"]
-            if len(document.nodes) <= 40:
-                candidates = ["naive", "bottomup"] + candidates
-            if compiled.is_core_xpath:
-                candidates.append("corexpath")
-            outcomes = {}
-            for name in candidates:
-                outcomes[name] = engine.evaluate(compiled, algorithm=name)
-            rendered = {name: _render_result(value, args.output) for name, value in outcomes.items()}
-            agree = len(set(rendered.values())) == 1
-            for name, text in rendered.items():
-                print(f"--- {name} ---")
-                print(text)
-            print("AGREE" if agree else "DISAGREE", file=sys.stderr)
-            return 0 if agree else 2
-
-        result = engine.evaluate(compiled, algorithm=args.algorithm)
-        print(_render_result(result, args.output))
-        return 0
+        return command(argv)
+    except OSError as error:
+        return _fail(str(error), EXIT_ERROR)
     except ReproError as error:
         return _fail(str(error), error_exit_code(error))
 

@@ -298,7 +298,10 @@ class MinContextEvaluator:
                 self.eval_outermost_locpath(expr.right, X, outer),
             )
         if not isinstance(expr, Path):
-            raise EvaluationError(f"not a location path: {expr!r}")
+            # A node-set operand that is no path (``id('x')``, ``$v``):
+            # an expression like any other, read from its table.
+            self.eval_by_cnode_only(expr, X)
+            return self.eval_single_context(expr, outer)
         if expr.absolute:
             current = [0]
         elif expr.primary is not None:
@@ -601,7 +604,8 @@ class MinContextEvaluator:
                 self._eval_path_single(node.left, triple),
                 self._eval_path_single(node.right, triple),
             )
-        assert isinstance(node, Path)
+        if not isinstance(node, Path):
+            return self.eval_single_context(node, triple)
         if node.absolute:
             current = [0]
         elif node.primary is not None:
@@ -630,7 +634,8 @@ class MinContextEvaluator:
         if isinstance(expr, ConstantNodeSet):
             return dict.fromkeys(X, constant_pres(self.document, expr))
         if not isinstance(expr, Path):
-            raise EvaluationError(f"not an inner location path: {expr!r}")
+            self.eval_by_cnode_only(expr, X)
+            return {x: self._lookup(expr, x) for x in X}
         if expr.absolute:
             # One row per context node, all sharing the one reachable set.
             reachable = self._compose_steps(expr.steps, {0: [0]})[0]

@@ -37,10 +37,14 @@ class OptMinContextEvaluator:
         #: tables the bottom-up pass pre-fills.
         self.mincontext = MinContextEvaluator(document)
 
-    def evaluate(self, expr: Expr, context: Context):
-        # Step 1: evaluate all bottom-up location paths, innermost first.
+    def evaluate_bottomup_paths(self, expr: Expr) -> MinContextEvaluator:
+        """Step 1: evaluate all bottom-up location paths, innermost first,
+        into the tables of :attr:`mincontext`, and return it."""
         for node in find_bottomup_paths(expr):
             stats.count("optmincontext_bottomup_paths")
             eval_bottomup_path(self.mincontext, node)
+        return self.mincontext
+
+    def evaluate(self, expr: Expr, context: Context):
         # Step 2: MINCONTEXT (precomputed subexpressions are skipped).
-        return self.mincontext.evaluate(expr, context)
+        return self.evaluate_bottomup_paths(expr).evaluate(expr, context)

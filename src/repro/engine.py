@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from repro.core.common import box_value
 from repro.core.context import Context
-from repro.core.mincontext import MinContextEvaluator
+from repro.core.optmincontext import OptMinContextEvaluator
 from repro.errors import ReproError
 from repro.service.cache import Memo
 from repro.service.plan import LogicalPlan, plan_key
@@ -114,7 +114,6 @@ class XPathEngine:
         self,
         query: str | LogicalPlan,
         nodes=None,
-        use_bottomup: bool = True,
     ) -> dict[Node, object]:
         """The context-value-table principle as a public API: evaluate the
         query *simultaneously for every context node* and return one
@@ -131,8 +130,9 @@ class XPathEngine:
             query: query string or compiled query.
             nodes: restrict the table to these context nodes (defaults to
                 every node of the document).
-            use_bottomup: run OPTMINCONTEXT's bottom-up pass first
-                (Algorithm 8) — cheaper for existential subexpressions.
+
+        OPTMINCONTEXT's bottom-up pass (Algorithm 8) runs first, so
+        existential subexpressions are tabulated bottom-up.
         """
         compiled = self.compile(query) if isinstance(query, str) else query
         relev = compiled.ast.relev or frozenset()
@@ -141,14 +141,10 @@ class XPathEngine:
                 "table() needs a position/size-independent query "
                 f"(Relev = {sorted(relev)})"
             )
-        from repro.core.bottomup_paths import eval_bottomup_path
-        from repro.xpath.fragments import find_bottomup_paths as _find
-
         context_nodes = list(nodes) if nodes is not None else list(self.document.nodes)
-        evaluator = MinContextEvaluator(self.document)
-        if use_bottomup:
-            for node in _find(compiled.ast):
-                eval_bottomup_path(evaluator, node)
+        evaluator = OptMinContextEvaluator(self.document).evaluate_bottomup_paths(
+            compiled.ast
+        )
         evaluator.eval_by_cnode_only(
             compiled.ast, sorted({node.pre for node in context_nodes})
         )

@@ -111,6 +111,7 @@ from repro.serve.protocol import (
     error_response,
     error_to_response,
     ok_response,
+    render_value,
 )
 from repro.serve.quotas import ClientQuota, ClientState
 from repro.service.batchplan import build_batch_plan
@@ -118,26 +119,6 @@ from repro.service.planner import resolve_algorithm
 from repro.service.service import DocumentSession, QueryService
 from repro.stats import Counters, ServeStats
 from repro.xml.parser import parse_document
-from repro.xml.serializer import serialize_node
-
-
-def render_value(value, style: str = "path") -> dict:
-    """An XPath result as a JSON-safe payload: node-sets become rendered
-    item lists (``path``/``value``/``xml`` styles, matching the CLI),
-    scalars keep their type tag."""
-    if isinstance(value, list):
-        if style == "xml":
-            items = [serialize_node(node) for node in value]
-        elif style == "value":
-            items = [node.string_value for node in value]
-        else:
-            items = [node.path() for node in value]
-        return {"kind": "node-set", "count": len(value), "items": items}
-    if isinstance(value, bool):
-        return {"kind": "boolean", "value": value}
-    if isinstance(value, (int, float)):
-        return {"kind": "number", "value": float(value)}
-    return {"kind": "string", "value": str(value)}
 
 
 def _consume_result(future) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 
 from repro.errors import ProtocolError, ReproError, error_code
+from repro.xml.serializer import serialize_node
 
 #: Hard per-frame byte bound (requests and responses). Registration
 #: payloads dominate frame size; 32 MiB comfortably fits every document
@@ -77,6 +78,26 @@ def decode_frame(line: bytes) -> dict:
             f"malformed frame: expected a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+def render_value(value, style: str = "path") -> dict:
+    """An XPath result as a JSON-safe payload: node-sets become rendered
+    item lists (``path``/``value``/``xml`` styles), scalars keep their
+    type tag. The CLI prints every result through this payload, so its
+    local and remote output are the same text."""
+    if isinstance(value, list):
+        if style == "xml":
+            items = [serialize_node(node) for node in value]
+        elif style == "value":
+            items = [node.string_value for node in value]
+        else:
+            items = [node.path() for node in value]
+        return {"kind": "node-set", "count": len(value), "items": items}
+    if isinstance(value, bool):
+        return {"kind": "boolean", "value": value}
+    if isinstance(value, (int, float)):
+        return {"kind": "number", "value": float(value)}
+    return {"kind": "string", "value": str(value)}
 
 
 def ok_response(request_id, **payload) -> dict:

@@ -261,39 +261,13 @@ class NodeIndex:
 
     # ------------------------------------------------------------------
 
-    def partition(self, test, axis: str):
-        """The sorted pre array of ``T(t)`` for a node test, restricted to
-        the principal-capable node kinds the partition axes can reach.
-
-        Only meaningful for the non-attribute-principal axes (the
-        interval/suffix kernels never enumerate attribute nodes — the
-        attribute axis is handled by per-node enumeration). Returns
-        ``None`` only for test shapes with no precomputed partition.
-        """
-        kind = test.kind
-        if kind == "name":
-            return self.by_tag.get(test.name, [])
-        if kind == "wildcard":
-            return self.elements
-        if kind == "node":
-            return self.non_attributes
-        if kind == "text":
-            return self.text_nodes
-        if kind == "comment":
-            return self.comments
-        if kind == "pi":
-            if test.name is None:
-                return self.pis
-            return self.by_pi_target.get(test.name, [])
-        return None
-
     def filter_partition(self, test, attribute_principal: bool = False):
         """The sorted pre array equal to ``select_node_test(dom)`` for
         *arbitrary* candidate nodes — the membership filter the backward
         sweeps intersect with. ``None`` means "matches everything"
-        (``node()``, which is kind-blind). Unlike :meth:`partition`, name
-        and wildcard tests here honor the axis's principal node type:
-        the caller passes ``attribute_principal`` (``axis in
+        (``node()``, which is kind-blind). Name and wildcard tests honor
+        the axis's principal node type: the caller passes
+        ``attribute_principal`` (``axis in
         repro.axes.AXIS_PRINCIPAL_ATTRIBUTE``) — a bool parameter keeps
         the xml layer below the axes layer.
         """

@@ -85,13 +85,19 @@ def test_strip_whitespace_flag(capsys):
     assert out.strip() == "0.0"
 
 
-def test_error_reporting(capsys):
+def test_error_reporting(tmp_path, capsys):
     code, _, err = run(capsys, "//b[", "--xml", XML)
     assert code == 3  # EXIT_QUERY: unparsable query
     assert "error:" in err
     code, _, err = run(capsys, "//b", "--xml", "<a><unclosed>")
     assert code == 4  # EXIT_DOCUMENT: malformed XML
     assert "error:" in err
+    # A missing --file is one error line and EXIT_ERROR, not a traceback.
+    code, out, err = run(capsys, "//b", "--file", str(tmp_path / "missing.xml"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "missing.xml" in err
 
 
 @pytest.mark.parametrize(

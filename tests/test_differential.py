@@ -46,6 +46,9 @@ CORPUS = [
     "//*[child::*[position() = last() - 1]]",
     "-(-count(//*))",
     "//*[10 >= .]",
+    "//b | id('3')",
+    "count(id('3') | //b)",
+    "(id('3') | //b)[2]",
 ]
 
 

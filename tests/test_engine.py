@@ -111,6 +111,18 @@ def test_a_foreign_node_set_variable_is_accepted_only_as_the_whole_query(engine)
             foreign.evaluate("count($v)", algorithm=algorithm)
 
 
+def test_a_same_document_variable_unions_with_a_path(engine):
+    """``$v | //b`` with ``$v`` bound to this document's nodes: every
+    evaluator outside Core XPath merges the two sets in document order,
+    MINCONTEXT and OPTMINCONTEXT too (the variable operand is no path)."""
+    bound = XPathEngine(engine.document, variables={"v": engine.document.nodes[1:2]})
+    for algorithm in ALGORITHMS:
+        if algorithm == "corexpath":
+            continue
+        result = bound.evaluate("$v | //b", algorithm=algorithm)
+        assert [node.pre for node in result] == [1, 3, 6], algorithm
+
+
 def test_changing_or_rebinding_variables_changes_the_answer(engine):
     """The plan cache keys by text *and* bindings: a compiled plan has
     its variables substituted, so a text-only key answered with the

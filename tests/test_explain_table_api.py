@@ -112,14 +112,6 @@ def test_table_rejects_position_dependent_queries(doc):
         engine.table("last()")
 
 
-def test_table_with_and_without_bottomup_agree(doc):
-    engine = XPathEngine(doc)
-    query = "boolean(b = 20)"
-    with_pass = engine.table(query, use_bottomup=True)
-    without = engine.table(query, use_bottomup=False)
-    assert with_pass == without
-
-
 def test_table_matches_per_node_evaluation_on_paths(doc):
     engine = XPathEngine(doc)
     query = "following-sibling::*"

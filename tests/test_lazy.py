@@ -476,7 +476,7 @@ def test_following_axis_suffix_is_a_zero_copy_view():
     document = book_catalog(books=6)
     index = node_index(document)
     test = NodeTest("name", "price")
-    partition = index.partition(test, "following")
+    partition = index.filter_partition(test)
     origin = index.by_tag["title"][0]
     with kernel_mode_forced("auto"):
         out = forward_step(document, "following", [origin], test)

@@ -1848,12 +1848,74 @@ def test_cli_client_round_trip_and_exit_codes(tmp_path, capsys):
         )
         assert code == 3
         capsys.readouterr()
+        # A missing --register file is a local failure (exit 1), found
+        # before connecting: no frame reaches the daemon.
+        requests = daemon.stats.snapshot()["requests"]
+        code = cli_main(
+            [
+                "client",
+                "--port",
+                port,
+                "--register",
+                f"a={tmp_path / 'missing.xml'}",
+                "-q",
+                "//a",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert daemon.stats.snapshot()["requests"] == requests
     # Connection refused (daemon gone) -> the serve-family exit code.
     assert (
         cli_main(["client", "--port", port, "--no-retry", "-q", "//b", "--doc", "x"])
         == 9
     )
     capsys.readouterr()
+
+
+def _result_texts(output: str) -> list[str]:
+    """The result texts of a ``batch``/``client`` printout, headers
+    (``=== doc :: query [algorithm] ===``) dropped."""
+    texts = []
+    for line in output.splitlines():
+        if line.startswith("=== "):
+            texts.append([])
+        else:
+            texts[-1].append(line)
+    return ["\n".join(text) for text in texts]
+
+
+def test_cli_modes_print_identical_result_text(capsys):
+    """One query set through the default mode, ``batch`` and ``client``
+    prints the same result text, byte for byte, in every style: all
+    three render through the daemon's result payload."""
+    queries = [
+        "//book/title",
+        "//missing",
+        "count(//book)",
+        "sum(//price) div 3",
+        "boolean(//price > 20)",
+        "string(//title)",
+    ]
+    with running_daemon() as daemon:
+        for style in ("path", "xml", "value"):
+            local = []
+            for query in queries:
+                assert cli_main([query, "--xml", BOOKS, "-o", style]) == 0
+                local.append(capsys.readouterr().out.rstrip("\n"))
+            flags = [arg for query in queries for arg in ("-q", query)]
+            assert cli_main(["batch", "--xml", BOOKS, "-o", style, *flags]) == 0
+            batch = _result_texts(capsys.readouterr().out)
+            code = cli_main(
+                ["client", "--port", str(daemon.port), "--register-xml",
+                 f"d={BOOKS}", "-o", style, *flags]
+            )
+            assert code == 0
+            remote = _result_texts(capsys.readouterr().out)
+            assert local == batch == remote, style
+    assert local[1] == "(empty node-set)"
+    assert local[2:5] == ["2.0", "10.333333333333334", "true"]
 
 
 def test_cli_client_overload_exit_code(capsys):
