@@ -96,7 +96,7 @@ import sys
 
 from repro.engine import ALGORITHMS, XPathEngine
 from repro.errors import ReproError, error_code
-from repro.serve.protocol import render_value
+from repro.serve.protocol import OUTPUT_STYLES, render_value
 from repro.service import (
     QueryService,
     compile_plan,
@@ -209,7 +209,7 @@ _SHARED_FLAGS = {
     "output": (
         ("--output", "-o"),
         dict(
-            choices=("path", "xml", "value"),
+            choices=OUTPUT_STYLES,
             default="path",
             help="node rendering: debug path, serialized XML, or string value",
         ),

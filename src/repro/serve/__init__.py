@@ -24,15 +24,16 @@ lands in:
    rate (``RATE_LIMITED``, ``rejected_rate``), the in-flight cap
    (``QUOTA``, ``rejected_quota``); ``retry_after`` hints when waiting
    helps.
-4. **Validation** — deadline, documents, query text, plan (cache or
-   compile): typed request error (``request_errors``).
+4. **Validation** — deadline, output style, documents, query text,
+   plan (cache or compile): typed request error (``request_errors``).
 5. **Memo probe** (QUERY) — the paper's "never compute the value of a
    (subexpression, context) pair twice", at request granularity: a
    repeat of an answered (query, document) cell is one dictionary read
-   (:meth:`~repro.service.service.DocumentSession.probe`) and is
-   answered on the spot — ``admitted``, ``completed`` and ``memo_hits``
-   (⊆ ``completed``), reply field ``memo: true`` with ``algorithm:
-   "auto"``, ``degraded: false``, ``priced_ms: 0.0``.
+   (:meth:`~repro.service.service.DocumentSession.payload`) and is
+   answered on the spot with the payload its entry stored at the first
+   hit in that output style — ``admitted``, ``completed`` and
+   ``memo_hits`` (⊆ ``completed``), reply field ``memo: true`` with the
+   evaluator ``auto`` ran, ``degraded: false``, ``priced_ms: 0.0``.
 6. **Admission** (:mod:`repro.serve.admission`; a miss, every BATCH) —
    the dynamic gate. Each (query, document) cell is priced from the
    cost model of :mod:`repro.service.cost` (abstract units for the

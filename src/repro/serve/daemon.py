@@ -36,7 +36,8 @@ meets them, with the counter each exit lands in:
    (``SHUTTING_DOWN``, ``rejected_draining``), the client's token
    bucket (``RATE_LIMITED`` + ``retry_after``, ``rejected_rate``) and
    its in-flight cap (``QUOTA``, ``rejected_quota``).
-4. **validation** — ``deadline_ms``, the named documents, the query
+4. **validation** — ``deadline_ms``, ``output`` (``path``, ``value`` or
+   ``xml``; absent is ``path``), the named documents, the query
    text, then the plan (cache or compile): any failure is a typed
    request error (``request_errors``) — a library error with its own
    code, anything else (a bug) ``INTERNAL``; the connection stays open.
@@ -45,10 +46,12 @@ meets them, with the counter each exit lands in:
    evaluation hop is a ``DEADLINE`` there.
 5. **memo probe** (QUERY) — one dictionary read in the document's
    session. A hit is answered now: no task, no worker thread, no
-   pricing. It is an answer like any other — ``admitted`` and
-   ``completed``, plus ``memo_hits`` ⊆ ``completed`` — so both
-   identities close unchanged; its reply carries ``memo: true``,
-   ``algorithm: "auto"``, ``degraded: false``, ``priced_ms: 0.0``.
+   pricing, no render and no encode — a fresh head before the payload
+   its entry stored for the ``output`` style at the first such hit. It
+   is an answer like any other — ``admitted`` and ``completed``, plus
+   ``memo_hits`` ⊆ ``completed`` — so both identities close unchanged;
+   its reply carries ``memo: true``, ``degraded: false``, ``priced_ms:
+   0.0`` and, like a miss's, the evaluator ``auto`` ran as ``algorithm``.
    *Quotas apply to hits* (stage 3 came first: a hit takes a rate token
    and needs a free slot, and is refused while draining); *admission
    does not* (an answer that costs no evaluation is not load to shed,
@@ -105,18 +108,13 @@ from repro.errors import (
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.faults import FaultInjector
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    decode_frame,
-    encode_frame,
-    error_response,
-    error_to_response,
-    ok_response,
-    render_value,
+    MAX_FRAME_BYTES, OUTPUT_STYLES, decode_frame, encode_frame, encode_payload,
+    encode_reply, error_response, error_to_response, ok_response, render_value,
 )
 from repro.serve.quotas import ClientQuota, ClientState
 from repro.service.batchplan import build_batch_plan
 from repro.service.planner import resolve_algorithm
-from repro.service.service import DocumentSession, QueryService
+from repro.service.service import QueryService
 from repro.stats import Counters, ServeStats
 from repro.xml.parser import parse_document
 
@@ -353,23 +351,24 @@ class _Connection(asyncio.Protocol):
 
     # -- replies ----------------------------------------------------------
 
-    def write(self, frame: dict) -> None:
-        """Write one response frame to the transport (dropped silently
-        once the connection is closing — the handler's counters already
-        recorded the outcome)."""
+    def write(self, frame: dict | bytes) -> None:
+        """Write one response frame, a dict or an encoded QUERY reply, to
+        the transport (dropped silently once the connection is closing —
+        the handler's counters already recorded the outcome)."""
         if self.dead or self.transport.is_closing():
             return
-        try:
-            data = encode_frame(frame)
-        except ReproError as error:
-            # An oversized response (giant node-set) degrades to a typed
-            # error frame; the connection stays usable.
-            data = encode_frame(
-                error_response(frame.get("id"), "FRAME_TOO_LARGE", str(error))
-            )
-        self.transport.write(data)
+        if isinstance(frame, dict):
+            try:
+                frame = encode_frame(frame)
+            except ReproError as error:
+                # An oversized response (giant batch) degrades to a typed
+                # error frame; the connection stays usable.
+                frame = encode_frame(
+                    error_response(frame.get("id"), "FRAME_TOO_LARGE", str(error))
+                )
+        self.transport.write(frame)
 
-    async def send(self, frame: dict) -> None:
+    async def send(self, frame: dict | bytes) -> None:
         """An evaluation task's reply: written at once; the task then
         waits while the write side is paused above its high-water mark."""
         self.write(frame)
@@ -616,14 +615,9 @@ class XPathDaemon:
         if state is not None and state.in_flight == 0:
             self._evict_client(conn.default_client)
 
-    def _drop_connection(self, conn: _Connection) -> None:
-        """Fault injection: hard mid-stream disconnect."""
-        conn.dead = True
-        conn.transport.close()
-
     # -- the synchronous front half -------------------------------------
 
-    def _front(self, conn: _Connection, frame: dict, received: float) -> dict | None:
+    def _front(self, conn: _Connection, frame: dict, received: float) -> dict | bytes | None:
         """Stages 2–6 for one frame decoded at ``received`` (a
         ``time.monotonic()`` reading), without yielding: the reply to
         send now, or ``None`` when a task spawned here will answer (or
@@ -679,7 +673,7 @@ class XPathDaemon:
             )
         )
 
-    def _front_query(self, conn, frame, client, client_stats, received) -> dict | None:
+    def _front_query(self, conn, frame, client, client_stats, received) -> dict | bytes | None:
         """Gate → validation → memo probe → admission for one QUERY or
         BATCH, counted as one event: ``requests``, ``queries`` and the
         outcome, ticked once on every exit. The in-flight slot taken at
@@ -706,11 +700,11 @@ class XPathDaemon:
                 )
             if not request.batch:
                 session = self.service.session(request.documents[0])
-                value = session.probe(request.plans[0])
-                if value is not DocumentSession.MISS:
+                payload = session.payload(request.plans[0], request.style, encode_payload)
+                if payload is not None:
                     request.decision = _MEMO_HIT
                     event.update(admitted=1, completed=1, memo_hits=1)
-                    return self._query_reply(conn, request, value)
+                    return self._query_reply(conn, request, payload)
             decision = self.admission.decide(
                 request.plans, request.documents, request.deadline_seconds,
                 self._in_flight,
@@ -766,6 +760,9 @@ class XPathDaemon:
             raise ProtocolError(f"'deadline_ms' must be finite, got {deadline_ms!r}")
         else:
             deadline_seconds = max(float(deadline_ms), 0.0) / 1000.0
+        style = frame.get("output", "path")
+        if style not in OUTPUT_STYLES:
+            raise ProtocolError(f"'output' must be path, value or xml, got {style!r}")
         batch = frame.get("verb") == "BATCH"
         if batch:
             queries = frame.get("queries")
@@ -797,28 +794,34 @@ class XPathDaemon:
         plans = [self.service.plan(query) for query in queries]
         return _Request(
             frame.get("id"), client, client_stats, batch, queries, doc_names,
-            documents, plans, deadline_seconds, frame.get("output", "path"), received,
+            documents, plans, deadline_seconds, style, received,
         )
 
-    def _query_reply(self, conn, request: _Request, value) -> dict | None:
-        """The QUERY answer, hit or evaluated — unless the disconnect
-        fault takes the connection instead."""
+    def _query_reply(self, conn, request: _Request, payload: bytes) -> bytes | dict | None:
+        """The QUERY answer, hit or evaluated: a head naming the evaluator
+        ``auto`` ran before the result's encoded ``payload`` (a hit's is its
+        memo entry's), one frame or a typed ``FRAME_TOO_LARGE`` — unless
+        the disconnect fault takes the connection instead."""
         query = request.queries[0]
-        if self.injector.should_disconnect(query):
-            self._drop_connection(conn)
+        if self.injector.should_disconnect(query):  # a hard mid-stream disconnect
+            conn.dead = True
+            conn.transport.close()
             return None
         decision = request.decision
-        return ok_response(
+        head = ok_response(
             request.id,
             query=query,
             doc=request.doc_names[0],
-            algorithm=decision.algorithm,
+            algorithm=resolve_algorithm(request.plans[0], decision.algorithm),
             degraded=decision.degraded,
             priced_ms=round(decision.priced_seconds * 1000.0, 3),
             memo=decision is _MEMO_HIT,
             elapsed_ms=request.elapsed_ms(),
-            **render_value(value, request.style),
         )
+        try:
+            return encode_reply(head, payload)
+        except ProtocolError as error:
+            return error_response(request.id, "FRAME_TOO_LARGE", str(error))
 
     # -- evaluation tasks -----------------------------------------------
 
@@ -866,7 +869,7 @@ class XPathDaemon:
                     elapsed_ms=request.elapsed_ms(),
                 )
             else:
-                reply = self._query_reply(conn, request, value)
+                reply = self._query_reply(conn, request, encode_payload(value, request.style))
         if reply is not None:
             await conn.send(reply)
 
@@ -900,12 +903,8 @@ class XPathDaemon:
 
     async def _run_query(self, request: _Request):
         return await self._hop(
-            request,
-            self._evaluate_sync,
-            request.plans[0],
-            request.documents[0],
-            request.decision.algorithm,
-            request.queries[0],
+            request, self._evaluate_sync, request.plans[0], request.documents[0],
+            request.decision.algorithm, request.queries[0],
         )
 
     def _evaluate_sync(self, plan, document, algorithm: str, query: str):

@@ -43,6 +43,10 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 #: The request verbs the daemon understands.
 VERBS = ("PING", "REGISTER", "UNREGISTER", "QUERY", "BATCH", "STATS", "BYE")
 
+#: The ways a node-set renders (:func:`render_value`); a request's
+#: ``output`` names one, ``path`` when absent.
+OUTPUT_STYLES = ("path", "xml", "value")
+
 
 #: One compact encoder for every frame (``json.dumps`` builds one a call).
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -53,6 +57,26 @@ def encode_frame(payload: dict) -> bytes:
     :class:`~repro.errors.ProtocolError` when the encoded frame would
     exceed :data:`MAX_FRAME_BYTES` (the receiver would reject it)."""
     line = _ENCODER.encode(payload).encode("utf-8") + b"\n"
+    if len(line) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {len(line)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+    return line
+
+
+def encode_payload(value, style: str = "path") -> bytes:
+    """A result's reply payload, encoded once: :func:`render_value`'s
+    members as they follow a response head's — ``,"kind":…}`` and the
+    newline — so :func:`encode_reply` appends them as they are (a
+    memoized result keeps them per style)."""
+    return b"," + _ENCODER.encode(render_value(value, style))[1:].encode("utf-8") + b"\n"
+
+
+def encode_reply(head: dict, payload: bytes) -> bytes:
+    """One frame of a non-empty ``head`` and an :func:`encode_payload`
+    payload, byte-identical to ``encode_frame({**head, **render_value(value,
+    style)})`` and bounded the same way; the payload is copied once."""
+    line = _ENCODER.encode(head)[:-1].encode("utf-8") + payload
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(line)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

@@ -66,6 +66,20 @@ def _copy_result(value):
     return value
 
 
+class _Entry:
+    """A result-memo entry: the value, the plan's bindings the key names
+    by ``id()`` (``None`` when it has none), and — from the entry's
+    first :meth:`DocumentSession.payload` on — its encoded reply
+    payloads by output style."""
+
+    __slots__ = ("bindings", "value", "payloads")
+
+    def __init__(self, bindings, value):
+        self.bindings = bindings
+        self.value = value
+        self.payloads = None
+
+
 def _holds_cells(pres) -> int:
     """A holds-memo entry's cost: its pres, plus 16 cells for the
     array's header and the dictionary slot."""
@@ -87,7 +101,10 @@ class DocumentSession:
     immutable and a plan's value is a function of its cache key. A
     result entry retains its value and the plan's node-set / object
     bindings (the key names them by ``id()``), never the plan: compiled
-    plans live only in the service's plan cache. Everything goes with
+    plans live only in the service's plan cache. From its first
+    :meth:`payload` hit on, an entry also keeps that value's encoded
+    reply payload per output style, so a repeat is neither rendered nor
+    encoded again; it goes with its entry. Everything goes with
     :meth:`clear` and with the session when its service evicts it.
 
     Thread safety: each memo's lookups and inserts run under its lock,
@@ -208,41 +225,39 @@ class DocumentSession:
         )
         entry = self.results.get(key)
         if entry is not None:
-            return _copy_result(entry[1])
+            return _copy_result(entry.value)
         value = compute()
-        self.results.put(key, (plan.variables or None, value))
+        self.results.put(key, _Entry(plan.variables or None, value))
         return _copy_result(value)
 
-    #: What :meth:`probe` returns when the memo holds no entry.
-    MISS = object()
-
-    def probe(
-        self,
-        plan: LogicalPlan,
-        algorithm: str = "auto",
-        context_node: Node | None = None,
-        context_position: int = 1,
-        context_size: int = 1,
-    ):
+    def payload(self, plan: LogicalPlan, style: str, encode) -> bytes | None:
         """The memo's read half alone (:meth:`Memo.peek
-        <repro.service.cache.Memo.peek>`): the memoized value, counted as
-        a hit, or :attr:`MISS` — which counts nothing, because the
-        evaluation the caller goes on to request counts that miss
-        itself. One dictionary read, so a caller that must not block
-        (the serving daemon's event loop) can answer repeats without a
-        worker."""
-        entry = self.results.peek(
-            self._result_key(plan, algorithm, context_node, context_position, context_size)
-        )
-        return self.MISS if entry is None else _copy_result(entry[1])
+        <repro.service.cache.Memo.peek>`) for ``auto`` at the root: the
+        memoized value's reply payload in ``style``, counted as a hit, or
+        ``None`` — which counts nothing, because the evaluation the
+        caller goes on to request counts that miss itself. The payload is
+        ``encode(value, style)``, made at the first hit in that style and
+        kept in the entry; the value is not copied. A dictionary read, so
+        a caller that must not block (the serving daemon's event loop)
+        can answer repeats without a worker."""
+        entry = self.results.peek(self._result_key(plan, "auto", None, 1, 1))
+        if entry is None:
+            return None
+        payloads = entry.payloads
+        if payloads is None:
+            payloads = entry.payloads = {}
+        payload = payloads.get(style)
+        if payload is None:
+            payload = payloads[style] = encode(entry.value, style)
+        return payload
 
     def _result_key(self, plan, algorithm, context_node, position, size) -> tuple:
         node = context_node if context_node is not None else self.document.root
         # Keyed by the plan's *stable* cache key, not the AST's identity:
         # a plan evicted from the LRU and recompiled gets a fresh AST (and
         # uid), but it is the same plan — its memo entries must stay
-        # reachable, not linger unreachable until evicted. An entry is
-        # ``(bindings, value)`` and retains nothing else: the key's
+        # reachable, not linger unreachable until evicted. An entry is an
+        # _Entry and retains nothing else but its payloads: the key's
         # variables signature names node-set and object bindings by id(),
         # which is only sound while the bound objects are alive, so the
         # entry pins them through the plan's private bindings dict (None
@@ -254,8 +269,8 @@ class DocumentSession:
         # the miss path: a hit is one dict lookup. ``auto`` and a forced
         # name for the evaluator it dispatches to fill separate entries
         # holding the same value; the daemon admits and degrades alike
-        # under ``auto``, so its loop-side probe finds every entry its
-        # evaluations made.
+        # under ``auto``, so its loop-side :meth:`payload` finds every
+        # entry its evaluations made.
         return (plan.cache_key, algorithm, node, position, size)
 
     def _evaluate_timed(self, plan: LogicalPlan, resolved: str, context: Context):

@@ -513,7 +513,7 @@ def test_degraded_admission_still_answers():
             client.register("d", BOOKS)
             response = client.query("//book/title", "d")
             assert response["degraded"]
-            assert response["algorithm"] == "auto"
+            assert response["algorithm"] == "corexpath"
             local = XPathEngine(parse_document(BOOKS)).evaluate("//book/title")
             assert response["items"] == [node.path() for node in local]
             batch = client.batch(["//title", "//price"], ["d"])
@@ -935,7 +935,7 @@ def test_memo_hits_start_no_evaluation_no_task_and_no_pricing():
             for _ in range(25):
                 hit = client.query("//book/title", "d")
                 assert hit["memo"] is True and not conn.tasks
-                assert hit["algorithm"] == "auto" and hit["degraded"] is False
+                assert hit["algorithm"] == "corexpath" and hit["degraded"] is False
                 assert hit["priced_ms"] == 0.0
                 assert {key: hit[key] for key in ("kind", "count", "items")} == {
                     key: miss[key] for key in ("kind", "count", "items")
