@@ -184,7 +184,7 @@ def sustained_load_phase():
             thread.join(120)
             if thread.is_alive():
                 raise RuntimeError("sustained-load client hung")
-        snapshot = runner.daemon.stats_snapshot()
+        snapshot = runner.daemon.core.stats_snapshot()
     finally:
         runner.stop()
     return latencies, ledgers, snapshot
@@ -284,7 +284,7 @@ def hit_phase():
                 cache = service.result_cache_stats()
                 return {
                     "evaluations_started": injector.snapshot()["evaluations_started"],
-                    "memo_hits": runner.daemon.stats.snapshot()["memo_hits"],
+                    "memo_hits": runner.daemon.core.stats.snapshot()["memo_hits"],
                     "cache_hits": cache["hits"],
                     "cache_misses": cache["misses"],
                 }

@@ -281,8 +281,8 @@ class Node:
 
     def is_ancestor_of(self, other: "Node") -> bool:
         """True iff ``self`` is a proper ancestor of ``other`` (the
-        pre-order interval test)."""
-        if other is self:
+        pre-order interval test); never for a node of another document."""
+        if other is self or other.document is not self.document:
             return False
         return self.pre <= other.pre < self.pre + self.size
 

@@ -64,12 +64,12 @@ def test_every_declared_identity_closes_on_a_mixed_run(tmp_path):
             with pytest.raises(RemoteError) as killed:
                 client.query("//boom", "d", retry=False)
             assert killed.value.protocol_code == "EVALUATION"
-            daemon._clients["mixed"].bucket = TokenBucket(rate=1.0, burst=1, clock=lambda: 0.0)
+            daemon.core.clients["mixed"].bucket = TokenBucket(rate=1.0, burst=1, clock=lambda: 0.0)
             assert client.query("//book/title", "d", retry=False)["memo"] is True
             with pytest.raises(RateLimitedError):
                 client.query("//book/title", "d", retry=False)
             wire = client.stats()
-        served = daemon.stats.snapshot()
+        served = daemon.core.stats.snapshot()
 
     deltas = {
         "cache": [

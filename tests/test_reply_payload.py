@@ -143,7 +143,7 @@ def counted_renders():
         return render_value(value, style)
 
     with mock.patch("repro.serve.protocol.render_value", counting), \
-            mock.patch("repro.serve.daemon.render_value", counting):
+            mock.patch("repro.serve.core.render_value", counting):
         yield calls
 
 
@@ -225,7 +225,7 @@ def test_a_hit_too_large_for_one_frame_is_refused_typed():
                 assert client.ping()["pong"] is True
                 small = client.query("/r/t", "d")
                 assert small["items"] == ["/r[1]/t[1]"]
-            snapshot = daemon.stats.snapshot()
+            snapshot = daemon.core.stats.snapshot()
     assert snapshot["memo_hits"] == 2 and snapshot["completed"] == 4
     assert_identities(snapshot)
 
@@ -281,7 +281,7 @@ def test_client_names_the_evaluator_batch_names_on_miss_and_hit(capsys, query, e
             ["client", "--port", str(daemon.port), "--register-xml", f"d={BOOKS}",
              "-q", query, "-q", query]
         )
-        hits = daemon.stats.snapshot()["memo_hits"]
+        hits = daemon.core.stats.snapshot()["memo_hits"]
     assert code == 0 and hits == 1
     assert _headers(capsys.readouterr().out) == [f"=== d :: {query} [{evaluator}] ==="] * 2
 

@@ -39,6 +39,10 @@ def test_interval_ancestor_test():
     assert not d.is_ancestor_of(c)
     assert not c.is_ancestor_of(c)
     assert doc.root.is_ancestor_of(d)
+    # Pre numbers are per document: another document's node is no descendant.
+    other = parse_document("<x><y/><z/></x>")
+    assert not a.is_ancestor_of(other.nodes[3])
+    assert not doc.root.is_ancestor_of(other.root_element)
 
 
 def test_string_value_of_element_concatenates_descendant_text():
