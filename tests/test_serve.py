@@ -45,7 +45,6 @@ from repro.service.planner import QueryPlanner
 from repro.service.service import QueryService
 from repro.stats import Counters, ServeStats
 from repro.xml.parser import parse_document
-from repro.xpath.parser import MAX_DEPTH
 from test_serve_core import Driver
 
 from repro.xpath.parser import MAX_DEPTH
@@ -658,6 +657,32 @@ def test_per_client_quotas_span_connections():
     assert second("QUERY", query="/a", doc="a")["count"] == 1
     # ...and so does the quota.
     assert code(second("REGISTER", name="b", xml="<b/>")) == "QUOTA"
+
+
+def test_stats_verb_reports_exact_per_client_counters():
+    service = QueryService()
+    with running_daemon(service=service, admission=permissive(service)) as daemon:
+        with ServeClient(port=daemon.port, client="one") as one:
+            one.register("d", BOOKS)
+            one.query("//book", "d")
+            with contextlib.suppress(RemoteError):
+                one.query("//title", "missing")
+            with ServeClient(port=daemon.port, client="two") as two:
+                two.register("d", "<a><b/></a>")
+                two.query("//b", "d")
+                two.query("//b", "d")
+                stats = two.stats()
+        snapshot = stats["global"]
+        assert_identities(snapshot)
+        for client_snapshot in stats["clients"].values():
+            assert_identities(client_snapshot)
+        # Global counters are the exact per-client sums.
+        for key in ("queries", "admitted", "completed", "request_errors"):
+            assert snapshot[key] == sum(
+                client[key] for client in stats["clients"].values()
+            )
+        assert stats["clients"]["one"]["request_errors"] == 1
+        assert stats["clients"]["two"]["completed"] == 2
 
 
 def test_anonymous_client_state_is_evicted_at_teardown():
@@ -1314,6 +1339,58 @@ def test_a_memo_hit_makes_no_future_and_no_task():
             loop.call_soon_threadsafe(install, False)
             assert installed.wait(5)
         assert made == []
+
+
+def test_stats_pipelined_behind_mixed_frames_reads_every_residual_zero():
+    """Every frame before a STATS is fully counted by the time it is
+    answered: pipelined hits, refusals of three kinds, request errors,
+    malformed lines, PINGs and unknown verbs leave no residual."""
+    service = QueryService()
+    quota = ClientQuota(max_in_flight=512, rate=1e-3, burst=150)
+    with running_daemon(
+        service=service, quota=quota, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="p") as client:
+            client.register("d", "<r><item/><item/></r>")
+            client.query("//item", "d")
+        frames = []
+        for index in range(1, 301):
+            fields = {"verb": "QUERY", "id": index, "client": "p", "doc": "d"}
+            kind = index % 10
+            if kind == 0:
+                frames.append(b"{not json\n")
+                continue
+            if kind == 1:
+                fields = {"verb": "PING", "id": index, "client": "p"}
+            elif kind == 2:
+                fields.update(query="//item", doc="ghost")
+            elif kind == 3:  # a miss priced over its own deadline
+                fields.update(query=f"//item[{index}]", deadline_ms=0)
+            elif kind == 4:
+                fields = {
+                    "verb": "BATCH", "id": index, "client": "p",
+                    "queries": ["//item"], "deadline_ms": 0,
+                }
+            elif kind == 5:
+                fields = {"verb": "NOPE", "id": index, "client": "p"}
+            else:
+                fields["query"] = "//item"
+            frames.append(encode_frame(fields))
+        frames.append(encode_frame({"verb": "STATS", "id": 301, "client": "p"}))
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(b"".join(frames))
+            replies = read_frames(sock, 301)
+        assert replies[-1]["id"] == 301
+        stats = replies[-1]["stats"]
+        served = stats["global"]
+        assert served["memo_hits"] > 0 and served["malformed"] == 30
+        assert served["rejected_overload"] > 0 and served["rejected_rate"] > 0
+        assert served["request_errors"] > 0
+        residuals = stats["residuals"]
+        assert set(residuals["global"].values()) == {0}
+        assert residuals["clients"] and all(
+            set(client.values()) == {0} for client in residuals["clients"].values()
+        )
 
 
 def test_a_batch_whose_client_leaves_starts_no_further_row():
