@@ -9,9 +9,9 @@ answers with ``(kind, argument)`` **actions** that :mod:`repro.serve.
 daemon` performs:
 
 * ``WRITE`` bytes — one encoded reply frame;
-* ``EVALUATE`` a :class:`Request` — run its :meth:`~ServeCore.steps` on
-  worker threads under its deadline, each result to :meth:`Request.take`,
-  then the outcome to :meth:`~ServeCore.settle`;
+* ``EVALUATE`` a :class:`Request` — run the worker-thread calls of its
+  :meth:`~ServeCore.hops`, each within its seconds, each result to
+  :meth:`Request.take`, then the outcome to :meth:`~ServeCore.settle`;
 * ``REGISTER`` a :class:`Registration` — parse its XML off the loop;
 * ``CLOSE`` a farewell — a BYE's reply, written once the connection's
   evaluations have replied; ``None``: close now, cancelling them (each
@@ -199,6 +199,10 @@ class Request:
              **render_value(value, self.style)}
             for query, algorithm, value in zip(self.queries, self.algorithms, result)
         )
+
+    def overdue(self) -> DeadlineExceededError:
+        """The error of a deadline that lapsed before or during a hop."""
+        return DeadlineExceededError(f"deadline of {self.deadline_seconds * 1000:.0f}ms exceeded")
 
     def partial(self) -> dict:
         """The cells a BATCH reply carries, finished or not."""
@@ -580,20 +584,24 @@ class ServeCore:
     def _elapsed_ms(self, request: Request) -> float:
         return round((self.clock() - request.started) * 1000.0, 3)
 
-    def steps(self, request: Request) -> list:
-        """Stage 7 as worker-thread calls, one per QUERY or BATCH row; each
-        result goes to :meth:`Request.take` before the next starts."""
-        if not request.batch:
-            return [lambda: self._evaluate(request)]
-        algorithm = request.decision.algorithm
-        rows = self.service.batch_rows(
-            request.plans,
-            request.documents,
-            algorithm,
-            build_batch_plan(request.plans, algorithm, request.decision.share),
-        )
-        request.algorithms = [resolve_algorithm(plan, algorithm) for plan in request.plans]
-        return [lambda: self._batch_row(request, rows)] * len(request.documents)
+    def hops(self, request: Request):
+        """Stage 7 as worker-thread calls, one per QUERY or BATCH row, each with
+        the seconds it may take (``None``: no deadline). Each result goes to
+        :meth:`Request.take` before the next is asked for; asking once the deadline
+        has lapsed raises :meth:`Request.overdue`. Nothing is checked after the last."""
+        steps = [lambda: self._evaluate(request)]
+        if request.batch:
+            algorithm, share = request.decision.algorithm, request.decision.share
+            batch_plan = build_batch_plan(request.plans, algorithm, share)
+            rows = self.service.batch_rows(request.plans, request.documents, algorithm, batch_plan)
+            request.algorithms = [resolve_algorithm(plan, algorithm) for plan in request.plans]
+            steps = [lambda: self._batch_row(request, rows)] * len(request.documents)
+        deadline = request.deadline_seconds
+        for step in steps:
+            remaining = None if deadline is None else deadline - (self.clock() - request.started)
+            if remaining is not None and remaining <= 0:
+                raise request.overdue()
+            yield step, remaining
 
     def _evaluate(self, request: Request):
         """A QUERY's step: the fault seam, then the service (whose timings

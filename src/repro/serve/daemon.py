@@ -15,7 +15,7 @@ import asyncio
 import signal
 import time
 
-from repro.errors import DeadlineExceededError, ReproError
+from repro.errors import ReproError
 from repro.serve.core import (
     ABANDON, CANCELLED, CLOSE, DEFERRED, EVALUATE, REGISTER, WRITE, Request,
     ServeCore,
@@ -254,11 +254,11 @@ class XPathDaemon:
         await conn.send(self.core.registered(registration, outcome))
 
     async def _evaluate(self, conn: _Connection, request: Request) -> None:
-        """An EVALUATE: the steps, one hop each, then the settlement."""
+        """An EVALUATE: each hop the core allows, then the settlement."""
         error = None
         try:
-            for step in self.core.steps(request):
-                request.take(await self._hop(request, step))
+            for step, remaining in self.core.hops(request):
+                request.take(await self._hop(request, step, remaining))
         except asyncio.CancelledError:
             error = CANCELLED
         except Exception as caught:  # deadline, library error, worker death
@@ -269,24 +269,16 @@ class XPathDaemon:
             raise asyncio.CancelledError
         await conn.send(actions)
 
-    async def _hop(self, request: Request, step):
-        """One worker-thread hop under the request's remaining deadline;
-        none starts once it has lapsed. A thread cannot be interrupted,
-        only abandoned: its eventual result is then swallowed."""
-        deadline, remaining = request.deadline_seconds, None
-        if deadline is not None:
-            remaining = deadline - (self.core.clock() - request.started)
-        if remaining is None or remaining > 0:
-            future = asyncio.get_running_loop().run_in_executor(None, step)
-            # Retrieve an abandoned step's outcome, so none is logged.
-            future.add_done_callback(lambda done: done.cancelled() or done.exception())
-            try:
-                return await asyncio.wait_for(asyncio.shield(future), remaining)
-            except asyncio.TimeoutError:
-                pass
-        raise DeadlineExceededError(
-            f"deadline of {deadline * 1000:.0f}ms exceeded"
-        )
+    async def _hop(self, request: Request, step, remaining: float | None):
+        """One worker-thread hop within ``remaining`` seconds; a thread cannot
+        be interrupted, only abandoned, its eventual result swallowed."""
+        future = asyncio.get_running_loop().run_in_executor(None, step)
+        # Retrieve an abandoned step's outcome, so none is logged.
+        future.add_done_callback(lambda done: done.cancelled() or done.exception())
+        try:
+            return await asyncio.wait_for(asyncio.shield(future), remaining)
+        except asyncio.TimeoutError:
+            raise request.overdue() from None
 
 
 async def run_daemon(daemon: XPathDaemon, ready=None) -> None:

@@ -39,15 +39,15 @@ from repro.errors import (
 from repro.serve import FaultInjector, ServeClient
 from repro.serve.admission import AdmissionController
 from repro.serve.core import FRAMES_PER_PASS
+from repro.serve.daemon import _Connection
 from repro.serve.protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.serve.quotas import ClientQuota, ClientState, TokenBucket
 from repro.service.planner import QueryPlanner
 from repro.service.service import QueryService
 from repro.stats import Counters, ServeStats
 from repro.xml.parser import parse_document
-from test_serve_core import Driver
-
 from repro.xpath.parser import MAX_DEPTH
+from test_serve_core import Driver
 
 BOOKS = (
     "<lib><book><title>A</title><price>8</price></book>"
@@ -59,6 +59,18 @@ def assert_identities(snapshot):
     """The two exact reconciliation identities every test can close on
     (``queries`` and ``admitted``), and the ``rejected`` total."""
     assert ServeStats.residuals(snapshot) == {"queries": 0, "admitted": 0, "rejected": 0}
+
+
+def assert_stats_reconcile(stats):
+    """Both identities globally and per client, global == Σ clients."""
+    assert_identities(stats["global"])
+    for client_snapshot in stats["clients"].values():
+        assert_identities(client_snapshot)
+    # BYE and undecodable lines are requests of no client.
+    for key in set(ServeStats.COUNTERS) - {"requests", "malformed"}:
+        assert stats["global"][key] == sum(
+            client[key] for client in stats["clients"].values()
+        ), key
 
 
 # ----------------------------------------------------------------------
@@ -571,28 +583,33 @@ def test_repeat_batches_hit_the_shared_memo_and_compile_each_query_once():
 
 def test_a_deadline_and_elapsed_ms_count_from_the_frame_not_the_compile():
     """A request's clock starts at the frame's decode: a deadline the
-    compile used up is a DEADLINE at the hop, ``elapsed_ms`` includes the
-    compile, and a memo hit still meets any deadline."""
+    compile used up is a DEADLINE at the hop (no evaluation starts),
+    ``elapsed_ms`` includes the compile, and a memo hit meets any deadline."""
     injector = FaultInjector()
     service = QueryService()
     service.planner = CountingPlanner()
-    driver = Driver(service=service, injector=injector, admission=permissive(service))
     compile_plan = service.planner.compile
 
     def slow_compile(*args, **kwargs):
-        driver.now += 0.3
+        time.sleep(0.3)
         return compile_plan(*args, **kwargs)
 
     service.planner.compile = slow_compile
-    (peer,) = served(driver, p=BOOKS)
-    assert code(peer("QUERY", query="//title", doc="d", deadline_ms=100)) == "DEADLINE"
-    assert injector.snapshot()["evaluations_started"] == 0
-    reply = peer("QUERY", query="//price", doc="d")
-    assert reply["memo"] is False and reply["elapsed_ms"] == 300.0
-    assert peer("QUERY", query="//price", doc="d", deadline_ms=0)["memo"]
-    snapshot = driver.core.stats.snapshot()
-    assert snapshot["deadlined"] == 1 and snapshot["completed"] == 2
-    assert service.planner.compiles == 2
+    with running_daemon(
+        service=service, injector=injector, admission=permissive(service)
+    ) as daemon:
+        with ServeClient(port=daemon.port, client="p", timeout=10) as client:
+            client.register("d", BOOKS)
+            with pytest.raises(DeadlineExceededError):
+                client.query("//title", "d", deadline_ms=100, retry=False)
+            assert injector.snapshot()["evaluations_started"] == 0
+            reply = client.query("//price", "d", retry=False)
+            assert reply["memo"] is False and reply["elapsed_ms"] >= 300.0
+            assert client.query("//price", "d", deadline_ms=0, retry=False)["memo"]
+        snapshot = daemon.core.stats.snapshot()
+        assert snapshot["deadlined"] == 1 and snapshot["completed"] == 2
+        assert service.planner.compiles == 2
+        assert_identities(snapshot)
 
 
 def test_a_batch_appends_each_row_before_the_next_is_evaluated():
@@ -605,7 +622,7 @@ def test_a_batch_appends_each_row_before_the_next_is_evaluated():
         peer("REGISTER", name=name, xml=BOOKS)
     peer.send("BATCH", queries=["//title", "count(//book)"], docs=names)
     (evaluation,) = driver.pending
-    for appended in (0, 2, 4):
+    for appended in (0, 2, 4, 6):  # the last step finds no hop left: the reply
         assert len(evaluation.request.cells) == appended
         driver.step(evaluation)
     (_, reply, _) = driver.replies[-1]
@@ -623,15 +640,10 @@ def test_deadline_lapsing_after_the_last_row_is_not_a_deadline():
         peer("REGISTER", name=name, xml=BOOKS)
     peer.send("BATCH", queries=["//title", "//price"], docs=names, deadline_ms=60_000)
     (evaluation,) = driver.pending
-    last_row = evaluation.steps[-1]
-
-    def lapsing_row():
-        row = last_row()
-        driver.now += 120.0
-        return row
-
-    evaluation.steps[-1] = lapsing_row
-    driver.finish(evaluation)
+    driver.step(evaluation)
+    driver.step(evaluation)  # the last row
+    driver.now += 120.0
+    driver.step(evaluation)
     (_, reply, _) = driver.replies[-1]
     assert reply["completed"] == reply["total"] == 4
     snapshot = driver.core.stats.snapshot()
@@ -722,18 +734,6 @@ class CountingAdmission(AdmissionController):
     def decide(self, *args, **kwargs):
         self.decisions += 1
         return super().decide(*args, **kwargs)
-
-
-def assert_stats_reconcile(stats):
-    """Both identities globally and per client, global == Σ clients."""
-    assert_identities(stats["global"])
-    for client_snapshot in stats["clients"].values():
-        assert_identities(client_snapshot)
-    # BYE and undecodable lines are requests of no client.
-    for key in set(ServeStats.COUNTERS) - {"requests", "malformed"}:
-        assert stats["global"][key] == sum(
-            client[key] for client in stats["clients"].values()
-        ), key
 
 
 def test_memo_hits_start_no_evaluation_no_task_and_no_pricing():
@@ -917,22 +917,6 @@ def test_pipelined_frames_get_one_reply_each_and_hits_keep_send_order():
     moved = driver.core.stats.delta(before)
     assert moved["memo_hits"] == len(hits) and moved["completed"] == len(hits) + len(misses)
     assert moved["malformed"] == 1 and moved["request_errors"] == 1
-
-
-def test_a_pipelined_burst_is_answered_in_passes_of_at_most_the_frame_cap():
-    """5 000 memo hits at once are answered in order, in passes of at
-    most ``FRAMES_PER_PASS`` frames (other connections go in between)."""
-    driver = Driver()
-    (peer,) = served(driver, p=BOOKS)
-    peer("QUERY", query="//title", doc="d")
-    frame = {"verb": "QUERY", "client": "p", "doc": "d", "query": "//title"}
-    burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
-    driver.passes = [0]
-    replies = driver.send(Peer(driver).conn, burst)
-    assert [reply["id"] for reply in replies] == list(range(5000))
-    assert all(reply["memo"] for reply in replies)
-    assert max(driver.passes) == FRAMES_PER_PASS
-    assert sum(driver.passes) == 5000
 
 
 def framing_stream() -> tuple[bytes, int]:
@@ -1120,7 +1104,6 @@ def test_draining_daemon_refuses_new_work_typed():
 # ----------------------------------------------------------------------
 
 
-
 def test_in_flight_quota_is_typed_and_retryable():
     injector = FaultInjector(delay_matching="slow", delay_seconds=0.6)
     service = QueryService()
@@ -1267,6 +1250,40 @@ def test_a_client_that_does_not_read_cannot_grow_the_daemons_buffers():
         snapshot = daemon.core.stats.snapshot()
         assert snapshot["memo_hits"] == 5000
         assert_identities(snapshot)
+
+
+def test_a_pipelined_burst_is_answered_in_passes_of_at_most_the_frame_cap():
+    """5 000 memo hits sent in one burst: no adapter pass answers more than
+    ``FRAMES_PER_PASS`` frames of it (the rest waits for the next pass, so
+    other connections are served in between); every reply arrives, in order."""
+    passes = []
+    answer_frames, perform = _Connection.answer_frames, _Connection.perform
+
+    def counting_frames(self):
+        passes.append(0)
+        answer_frames(self)
+
+    def counting_perform(self, actions):
+        passes[-1] += 1
+        perform(self, actions)
+
+    with running_daemon() as daemon:
+        with ServeClient(port=daemon.port, client="p") as client:
+            client.register("d", BOOKS)
+            client.query("//title", "d")
+        frame = {"verb": "QUERY", "client": "p", "doc": "d", "query": "//title"}
+        burst = b"".join(encode_frame({**frame, "id": n}) for n in range(5000))
+        with mock.patch.object(_Connection, "answer_frames", counting_frames), mock.patch.object(
+            _Connection, "perform", counting_perform
+        ), socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sender = threading.Thread(target=sock.sendall, args=(burst,))
+            sender.start()
+            replies = read_frames(sock, 5000)
+            sender.join(10)
+        assert [reply["id"] for reply in replies] == list(range(5000))
+        assert all(reply["memo"] for reply in replies)
+    assert max(passes) == FRAMES_PER_PASS
+    assert sum(passes) >= 5000
 
 
 def test_eof_is_honoured_after_every_buffered_frame_is_answered():
@@ -1538,7 +1555,6 @@ def test_drain_gives_stalled_clients_one_grace_together():
     """Stalled connections are torn down concurrently: three clients
     that never read cost one ``drain_grace`` (1 s), not three."""
     _drain_with_stalled_clients(3, within=2.5)
-
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ seed=7)`` (``src`` and ``tests`` on ``sys.path``) explores another.
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro.engine import XPathEngine
-from repro.errors import PROTOCOL_CODES, DeadlineExceededError, EvaluationError, ReproError
+from repro.errors import PROTOCOL_CODES, EvaluationError, ReproError
 from repro.serve.admission import AdmissionController
 from repro.serve.core import (
     ABANDON, CANCELLED, CLOSE, DEFERRED, EVALUATE, REGISTER, WRITE, Request, ServeCore,
@@ -41,11 +42,10 @@ from repro.xml.serializer import serialize
 
 @dataclass(eq=False)
 class Evaluation:
-    """An admitted request in flight: its steps and how many ran."""
+    """An admitted request in flight, with what is left of its hops."""
 
     request: Request
-    steps: list
-    done: int = 0
+    hops: Iterator
 
 
 class Driver:
@@ -60,8 +60,6 @@ class Driver:
         self.eager = eager
         self.pending: list[Evaluation] = []
         self.replies: list[tuple] = []
-        #: Frames answered per pass, one entry per pass.
-        self.passes: list[int] = [0]
 
     def connect(self):
         return self.core.connect()
@@ -72,12 +70,8 @@ class Driver:
         start = len(self.replies)
         self.core.receive(conn, data)
         while (actions := self.core.next_actions(conn)) is not None:
-            if actions is DEFERRED:
-                self.passes.append(0)
-                continue
-            self.passes[-1] += 1
-            self.perform(conn, actions)
-        self.passes.append(0)
+            if actions is not DEFERRED:
+                self.perform(conn, actions)
         self.check()
         return [frame for _, frame, _ in self.replies[start:]]
 
@@ -87,7 +81,7 @@ class Driver:
                 if conn in self.core.connections:  # the adapter drops the rest
                     self.replies.append((conn, decode_frame(argument), request))
             elif kind == EVALUATE:
-                evaluation = Evaluation(argument, self.core.steps(argument))
+                evaluation = Evaluation(argument, self.core.hops(argument))
                 self.pending.append(evaluation)
                 if self.eager:
                     self.finish(evaluation)
@@ -118,20 +112,15 @@ class Driver:
             self.settle(evaluation, CANCELLED)
 
     def step(self, evaluation: Evaluation) -> None:
-        """One worker-thread hop, none once the deadline has lapsed."""
-        request = evaluation.request
-        deadline = request.deadline_seconds
-        if deadline is not None and deadline - (self.now - request.started) <= 0:
-            self.settle(evaluation, DeadlineExceededError("deadline exceeded"))
-            return
+        """The next hop the core allows, run at once; the settlement once
+        none is left, the core refuses one (a lapsed deadline) or it raises."""
         try:
-            request.take(evaluation.steps[evaluation.done]())
+            step, _ = next(evaluation.hops)
+            evaluation.request.take(step())
+        except StopIteration:
+            self.settle(evaluation, None)
         except Exception as error:
             self.settle(evaluation, error)
-            return
-        evaluation.done += 1
-        if evaluation.done == len(evaluation.steps):
-            self.settle(evaluation, None)
 
     def finish(self, evaluation: Evaluation) -> None:
         while evaluation in self.pending:
@@ -342,7 +331,7 @@ class ServeMachine(RuleBasedStateMachine):
             self.driver.settle(evaluation, EvaluationError("evaluation broke"))
         elif request.deadline_seconds is not None:
             self.driver.now = max(self.driver.now, request.started + request.deadline_seconds)
-            self.driver.settle(evaluation, DeadlineExceededError("deadline exceeded"))
+            self.driver.settle(evaluation, request.overdue())
 
     @precondition(lambda self: self.conns)
     @rule(pick=PICK, seed=SEEDS, cuts=st.lists(st.integers(1, 60), max_size=3),
