@@ -35,16 +35,21 @@ counter each exit lands in:
    ``retry_after``, ``rejected_rate``), its in-flight cap (``QUOTA``,
    ``rejected_quota``).
 4. **validation** — ``deadline_ms``, ``output`` (``path``, ``value``,
-   ``xml``), documents, query text, plan (cache or compile): a typed
-   request error (``request_errors``; a bug is ``INTERNAL``). Deadline
-   and ``elapsed_ms`` count from the decode, so a compile spends them.
-5. **memo probe** (QUERY) — one dictionary read; a hit is answered now,
-   a fresh head before the payload its entry stored for the style:
+   ``xml``), documents, query text: a typed request error
+   (``request_errors``; a bug is ``INTERNAL``).
+5. **memo probe** (QUERY), **then compile** — the result memo is read by
+   the query's text (its :func:`~repro.service.plan.plan_key`, the key
+   its plan carries), so a hit looks no plan up and compiles nothing; it
+   is answered now: the id, the head its entry stored at its first hit,
+   ``elapsed_ms`` and the payload it stored for the style, spliced.
    ``admitted``, ``completed``, ``memo_hits`` ⊆ ``completed``; reply
    ``memo: true``, ``priced_ms: 0.0``, the evaluator ``auto`` ran. Quotas
    apply to hits (a rate token, a free slot, not while draining);
    admission does not (an answer that costs no evaluation is not load to
-   shed), and a hit meets any deadline.
+   shed), and a hit meets any deadline. A miss and every BATCH then get
+   their plans (cache or compile; a compile error is a typed request
+   error). Deadline and ``elapsed_ms`` count from the decode, so a
+   compile spends them.
 6. **admission** (a miss, every BATCH) — cells priced from the cost
    model × observed per-algorithm rates: admit, degrade (still ``auto``,
    sharing dropped, so a degraded QUERY fills the same memo entry), or
@@ -80,10 +85,12 @@ from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.faults import FaultInjector
 from repro.serve.protocol import (
     MAX_FRAME_BYTES, OUTPUT_STYLES, decode_frame, encode_frame, encode_payload,
-    encode_reply, error_response, error_to_response, ok_response, render_value,
+    error_response, error_to_response, ok_response, render_value, reply_head,
+    splice_reply,
 )
 from repro.serve.quotas import ClientQuota, ClientState
 from repro.service.batchplan import build_batch_plan
+from repro.service.plan import plan_key
 from repro.service.planner import resolve_algorithm
 from repro.service.service import QueryService
 from repro.stats import Counters, ServeStats
@@ -110,9 +117,6 @@ FRAMES_PER_PASS = 64
 DEFERRED = ((DEFER, None),)
 
 _ABANDON = (ABANDON, None)
-
-#: The verdict a memo hit carries in place of a priced one.
-_MEMO_HIT = AdmissionDecision(action="admit", reason="memo hit")
 
 
 class _RequestError(ReproError):
@@ -174,12 +178,13 @@ class Request:
     queries: list
     doc_names: list
     documents: list
-    plans: list
     deadline_seconds: float | None
     style: str
     #: The clock when the frame was decoded: the deadline and
     #: ``elapsed_ms`` count from here, so a plan compile spends them.
     started: float
+    #: One compiled plan per query; none for a QUERY the memo answers.
+    plans: list = field(default_factory=list)
     decision: AdmissionDecision | None = None
     #: BATCH result cells, a whole row at a time (a deadline keeps them).
     cells: list = field(default_factory=list)
@@ -244,6 +249,8 @@ class ServeCore:
         #: Counters of evicted clients, folded here so the exact
         #: ``global == sum(clients)`` identity survives eviction.
         self._evicted_stats = ServeStats(name="serve_evicted")
+        #: No retained client's retention window ends before this instant.
+        self._next_sweep = -math.inf
         self.connections: set[Connection] = set()
         self._connection_serial = 0
         #: Admitted evaluations not yet settled.
@@ -389,8 +396,11 @@ class ServeCore:
     def _evict_idle_clients(self) -> None:
         """Drop named clients idle past the retention window (PINGs keep
         one resident), then the oldest idle beyond the cap; never a live
-        connection's identity or a client with work in flight."""
+        connection's identity or a client with work in flight. Sorts only
+        when one can go: over the cap, or once the earliest window ends."""
         now = self.clock()
+        if len(self.clients) <= self.max_retained_clients and now < self._next_sweep:
+            return
         live = {conn.client for conn in self.connections}
         idle = sorted(
             (state.last_active, name)
@@ -401,6 +411,8 @@ class ServeCore:
         for index, (last_active, name) in enumerate(idle):
             if index < over_cap or now - last_active >= self.client_retention_seconds:
                 self._evict_client(name)
+        oldest = min((state.last_active for state in self.clients.values()), default=now)
+        self._next_sweep = oldest + self.client_retention_seconds
 
     def stats_snapshot(self) -> dict:
         """The STATS payload: global and per-client counters (evicted ones
@@ -461,6 +473,9 @@ class ServeCore:
             holds_slot = True
             try:
                 request = self._validate(conn, frame, client, client_stats, received)
+                hit = None if request.batch else self._probe(request)
+                if hit is None:
+                    request.plans = [self.service.plan(query) for query in request.queries]
             except ReproError as error:
                 event["request_errors"] = 1
                 return [_write(error_to_response(request_id, error))]
@@ -468,13 +483,9 @@ class ServeCore:
                 event["request_errors"] = 1
                 message = f"request validation failed: {error!r}"
                 return [_write(error_response(request_id, "INTERNAL", message))]
-            if not request.batch:
-                session = self.service.session(request.documents[0])
-                payload = session.payload(request.plans[0], request.style, encode_payload)
-                if payload is not None:
-                    request.decision = _MEMO_HIT
-                    event.update(admitted=1, completed=1, memo_hits=1)
-                    return [self._query_reply(request, payload)]
+            if hit is not None:
+                event.update(admitted=1, completed=1, memo_hits=1)
+                return [self._query_reply(request, *hit)]
             decision = self.admission.decide(
                 request.plans, request.documents, request.deadline_seconds,
                 self.in_flight,
@@ -552,32 +563,33 @@ class ServeCore:
                     f"no document {name!r} registered for client {client.name!r}",
                 )
             documents.append(document)
-        plans = [self.service.plan(query) for query in queries]
         return Request(
             frame.get("id"), conn, client, client_stats, batch, queries, doc_names,
-            documents, plans, deadline_seconds, style, received,
+            documents, deadline_seconds, style, received,
         )
 
-    def _query_reply(self, request: Request, payload: bytes) -> tuple:
-        """A QUERY's answer: a head naming the evaluator ``auto`` ran before
-        the encoded ``payload`` — or, on the disconnect fault, ABANDON."""
-        query = request.queries[0]
-        if self.injector.should_disconnect(query):
+    def _probe(self, request: Request) -> tuple[bytes, bytes] | None:
+        """Stage 5's probe: a QUERY's memoized reply head and payload, found
+        by its text (the plan's cache key, no plan looked up), or ``None``.
+        The stored head names the document, which is sound because each
+        REGISTER parses its own: a document is served under one name."""
+        query, doc = request.queries[0], request.doc_names[0]
+        return self.service.session(request.documents[0]).payload(
+            plan_key(query, self.service.variables), request.style, encode_payload,
+            lambda algorithm: reply_head(
+                query=query, doc=doc, algorithm=algorithm, degraded=False,
+                priced_ms=0.0, memo=True,
+            ),
+        )
+
+    def _query_reply(self, request: Request, head: bytes, payload: bytes) -> tuple:
+        """A QUERY's answer: its :func:`reply_head` and the clock before the
+        encoded ``payload`` — or, on the disconnect fault, ABANDON."""
+        if self.injector.should_disconnect(request.queries[0]):
             self._end(request.connection)
             return _ABANDON
-        decision = request.decision
-        head = ok_response(
-            request.id,
-            query=query,
-            doc=request.doc_names[0],
-            algorithm=resolve_algorithm(request.plans[0], decision.algorithm),
-            degraded=decision.degraded,
-            priced_ms=round(decision.priced_seconds * 1000.0, 3),
-            memo=decision is _MEMO_HIT,
-            elapsed_ms=self._elapsed_ms(request),
-        )
         try:
-            return WRITE, encode_reply(head, payload)
+            return WRITE, splice_reply(request.id, head, self._elapsed_ms(request), payload)
         except ProtocolError as error:
             return _write(error_response(request.id, "FRAME_TOO_LARGE", str(error)))
 
@@ -637,8 +649,17 @@ class ServeCore:
                     elapsed_ms=self._elapsed_ms(request),
                 ))
             else:
+                decision = request.decision
+                head = reply_head(
+                    query=request.queries[0],
+                    doc=request.doc_names[0],
+                    algorithm=resolve_algorithm(request.plans[0], decision.algorithm),
+                    degraded=decision.degraded,
+                    priced_ms=round(decision.priced_seconds * 1000.0, 3),
+                    memo=False,
+                )
                 payload = encode_payload(request.value, request.style)
-                action = self._query_reply(request, payload)
+                action = self._query_reply(request, head, payload)
         elif error is CANCELLED and not drained:
             # The client left mid-flight: nobody to answer, but the
             # counters must still reconcile.

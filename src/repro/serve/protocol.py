@@ -67,16 +67,27 @@ def encode_frame(payload: dict) -> bytes:
 def encode_payload(value, style: str = "path") -> bytes:
     """A result's reply payload, encoded once: :func:`render_value`'s
     members as they follow a response head's — ``,"kind":…}`` and the
-    newline — so :func:`encode_reply` appends them as they are (a
+    newline — so :func:`splice_reply` appends them as they are (a
     memoized result keeps them per style)."""
     return b"," + _ENCODER.encode(render_value(value, style))[1:].encode("utf-8") + b"\n"
 
 
-def encode_reply(head: dict, payload: bytes) -> bytes:
-    """One frame of a non-empty ``head`` and an :func:`encode_payload`
-    payload, byte-identical to ``encode_frame({**head, **render_value(value,
-    style)})`` and bounded the same way; the payload is copied once."""
-    line = _ENCODER.encode(head)[:-1].encode("utf-8") + payload
+def reply_head(**fields) -> bytes:
+    """A QUERY reply's fixed part, encoded once: ``,"ok":true``, then
+    ``fields`` in order, then ``,"elapsed_ms":`` — everything between the
+    ``id`` and the clock reading (a memoized result keeps its hit's)."""
+    return b"," + _ENCODER.encode({"ok": True, **fields})[1:-1].encode("utf-8") + b',"elapsed_ms":'
+
+
+def splice_reply(request_id, head: bytes, elapsed_ms: float, payload: bytes) -> bytes:
+    """One QUERY reply frame: the id, a :func:`reply_head`, ``elapsed_ms``
+    and an :func:`encode_payload` payload, byte-identical to
+    ``encode_frame({**ok_response(request_id, **fields, elapsed_ms=elapsed_ms),
+    **render_value(value, style)})`` and bounded the same way; the payload is
+    copied once."""
+    # An int id (the common case) skips the encoder's general path.
+    encoded = repr(request_id) if type(request_id) is int else _ENCODER.encode(request_id)
+    line = b'{"id":' + encoded.encode("utf-8") + head + repr(elapsed_ms).encode("ascii") + payload
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(line)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

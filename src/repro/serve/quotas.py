@@ -10,12 +10,13 @@ arithmetic) and every refusal is typed — ``QUOTA`` or ``RATE_LIMITED``
 with a ``retry_after`` hint when waiting can help.
 
 The token bucket takes an injectable monotonic ``clock`` so the tests
-drive it deterministically; the daemon uses ``time.monotonic``.
+drive it deterministically; the daemon uses ``time.monotonic``. Nothing
+here takes a lock: the serving core's one thread owns every instance
+(:class:`~repro.serve.core.ServeCore` runs on the daemon's event loop).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ class ClientQuota:
 
 
 class TokenBucket:
-    """The classic token bucket, lock-protected and clock-injectable.
+    """The classic token bucket, clock-injectable, owned by one thread.
 
     ``try_take()`` either consumes one token or reports the seconds
     until one accrues — the ``retry_after`` hint a rate-limited client
@@ -58,7 +59,6 @@ class TokenBucket:
         self._clock = clock
         self._tokens = float(burst)
         self._updated = clock()
-        self._lock = threading.Lock()
 
     def _refill(self, now: float) -> None:
         elapsed = now - self._updated
@@ -70,13 +70,11 @@ class TokenBucket:
         """Take one token. Returns ``None`` on success, else the seconds
         until the next token accrues (never 0: a failed take always
         carries a positive wait)."""
-        now = self._clock()
-        with self._lock:
-            self._refill(now)
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return None
-            return max((1.0 - self._tokens) / self.rate, 1e-9)
+        self._refill(self._clock())
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
+            return None
+        return max((1.0 - self._tokens) / self.rate, 1e-9)
 
 
 @dataclass
@@ -87,7 +85,8 @@ class ClientState:
     default identity per connection), so a client's documents survive
     reconnects and its quotas span every connection it opens. Counter
     *events* live in the client's :data:`~repro.stats.ServeStats` family;
-    this class holds only the current-state gauges quota checks read.
+    this class holds only the current-state gauges quota checks read,
+    on the one thread that owns it.
     """
 
     name: str
@@ -100,7 +99,6 @@ class ClientState:
     #: the daemon's retention sweep evicts on.
     last_active: float = 0.0
     bucket: TokenBucket | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self):
         self.last_active = self.clock()
@@ -118,47 +116,42 @@ class ClientState:
     def check_register(self, name: str, source_bytes: int) -> None:
         """Raise a typed :class:`~repro.errors.QuotaExceededError` when
         registering ``source_bytes`` more would bust a budget."""
-        with self._lock:
-            replacing = name in self.documents
-            if not replacing and len(self.documents) >= self.quota.max_documents:
-                raise QuotaExceededError(
-                    f"client {self.name!r} already holds "
-                    f"{len(self.documents)} registered documents "
-                    f"(max_documents={self.quota.max_documents})"
-                )
-            budget = self.registered_bytes + source_bytes
-            if replacing:
-                budget -= self.documents[name][1]
-            if budget > self.quota.max_registered_bytes:
-                raise QuotaExceededError(
-                    f"registering {source_bytes} bytes would put client "
-                    f"{self.name!r} at {budget} registered bytes "
-                    f"(max_registered_bytes={self.quota.max_registered_bytes})"
-                )
+        replacing = name in self.documents
+        if not replacing and len(self.documents) >= self.quota.max_documents:
+            raise QuotaExceededError(
+                f"client {self.name!r} already holds "
+                f"{len(self.documents)} registered documents "
+                f"(max_documents={self.quota.max_documents})"
+            )
+        budget = self.registered_bytes + source_bytes
+        if replacing:
+            budget -= self.documents[name][1]
+        if budget > self.quota.max_registered_bytes:
+            raise QuotaExceededError(
+                f"registering {source_bytes} bytes would put client "
+                f"{self.name!r} at {budget} registered bytes "
+                f"(max_registered_bytes={self.quota.max_registered_bytes})"
+            )
 
     def register(self, name: str, document, source_bytes: int) -> None:
-        with self._lock:
-            if name in self.documents:
-                self.registered_bytes -= self.documents[name][1]
-            self.documents[name] = (document, source_bytes)
-            self.registered_bytes += source_bytes
+        if name in self.documents:
+            self.registered_bytes -= self.documents[name][1]
+        self.documents[name] = (document, source_bytes)
+        self.registered_bytes += source_bytes
 
     def unregister(self, name: str) -> bool:
-        with self._lock:
-            entry = self.documents.pop(name, None)
-            if entry is None:
-                return False
-            self.registered_bytes -= entry[1]
-            return True
+        entry = self.documents.pop(name, None)
+        if entry is None:
+            return False
+        self.registered_bytes -= entry[1]
+        return True
 
     def document(self, name: str):
-        with self._lock:
-            entry = self.documents.get(name)
-            return entry[0] if entry is not None else None
+        entry = self.documents.get(name)
+        return entry[0] if entry is not None else None
 
     def document_names(self) -> list[str]:
-        with self._lock:
-            return list(self.documents)
+        return list(self.documents)
 
     # -- query-time checks ----------------------------------------------
 
@@ -179,23 +172,20 @@ class ClientState:
         """Claim one in-flight slot or raise a typed
         :class:`~repro.errors.QuotaExceededError` (retryable: slots free
         as queries finish)."""
-        with self._lock:
-            if self.in_flight >= self.quota.max_in_flight:
-                raise QuotaExceededError(
-                    f"client {self.name!r} has {self.in_flight} queries "
-                    f"in flight (max_in_flight={self.quota.max_in_flight})",
-                    retry_after=0.05,
-                )
-            self.in_flight += 1
+        if self.in_flight >= self.quota.max_in_flight:
+            raise QuotaExceededError(
+                f"client {self.name!r} has {self.in_flight} queries "
+                f"in flight (max_in_flight={self.quota.max_in_flight})",
+                retry_after=0.05,
+            )
+        self.in_flight += 1
 
     def release_slot(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
+        self.in_flight -= 1
 
     def gauges(self) -> dict:
-        with self._lock:
-            return {
-                "documents": len(self.documents),
-                "registered_bytes": self.registered_bytes,
-                "in_flight": self.in_flight,
-            }
+        return {
+            "documents": len(self.documents),
+            "registered_bytes": self.registered_bytes,
+            "in_flight": self.in_flight,
+        }

@@ -68,16 +68,17 @@ def _copy_result(value):
 
 class _Entry:
     """A result-memo entry: the value, the plan's bindings the key names
-    by ``id()`` (``None`` when it has none), and — from the entry's
-    first :meth:`DocumentSession.payload` on — its encoded reply
-    payloads by output style."""
+    by ``id()`` (``None`` when it has none), the evaluator that ran, and —
+    from the entry's first :meth:`DocumentSession.payload` on — its hit
+    reply's head and encoded payloads by output style."""
 
-    __slots__ = ("bindings", "value", "payloads")
+    __slots__ = ("bindings", "value", "algorithm", "head", "payloads")
 
-    def __init__(self, bindings, value):
+    def __init__(self, bindings, value, algorithm):
         self.bindings = bindings
         self.value = value
-        self.payloads = None
+        self.algorithm = algorithm
+        self.head = self.payloads = None
 
 
 def _holds_cells(pres) -> int:
@@ -102,10 +103,11 @@ class DocumentSession:
     result entry retains its value and the plan's node-set / object
     bindings (the key names them by ``id()``), never the plan: compiled
     plans live only in the service's plan cache. From its first
-    :meth:`payload` hit on, an entry also keeps that value's encoded
-    reply payload per output style, so a repeat is neither rendered nor
-    encoded again; it goes with its entry. Everything goes with
-    :meth:`clear` and with the session when its service evicts it.
+    :meth:`payload` hit on, an entry also keeps its hit reply's head and
+    that value's encoded reply payload per output style, so a repeat is
+    neither rendered nor encoded again; they go with their entry.
+    Everything goes with :meth:`clear` and with the session when its
+    service evicts it.
 
     Thread safety: each memo's lookups and inserts run under its lock,
     the evaluation outside it, so concurrent drivers of one session
@@ -227,29 +229,34 @@ class DocumentSession:
         if entry is not None:
             return _copy_result(entry.value)
         value = compute()
-        self.results.put(key, _Entry(plan.variables or None, value))
+        resolved = resolve_algorithm(plan, algorithm)
+        self.results.put(key, _Entry(plan.variables or None, value, resolved))
         return _copy_result(value)
 
-    def payload(self, plan: LogicalPlan, style: str, encode) -> bytes | None:
+    def payload(self, key: tuple, style: str, encode, head) -> tuple[bytes, bytes] | None:
         """The memo's read half alone (:meth:`Memo.peek
-        <repro.service.cache.Memo.peek>`) for ``auto`` at the root: the
-        memoized value's reply payload in ``style``, counted as a hit, or
-        ``None`` — which counts nothing, because the evaluation the
-        caller goes on to request counts that miss itself. The payload is
-        ``encode(value, style)``, made at the first hit in that style and
-        kept in the entry; the value is not copied. A dictionary read, so
-        a caller that must not block (the serving daemon's event loop)
-        can answer repeats without a worker."""
-        entry = self.results.peek(self._result_key(plan, "auto", None, 1, 1))
+        <repro.service.cache.Memo.peek>`) for ``auto`` at the root, by the
+        plan's cache key (:func:`~repro.service.plan.plan_key` of the query
+        text and bindings), so no plan is looked up: the memoized value's
+        reply head and payload in ``style``, counted as a hit, or ``None`` —
+        which counts nothing, because the evaluation the caller goes on to
+        request counts that miss itself. The head is ``head(algorithm)``,
+        made at the entry's first hit; the payload is ``encode(value,
+        style)``, made at the first hit in that style; the entry keeps both
+        and the value is not copied. A dictionary read, so a caller that
+        must not block (the serving daemon's event loop) can answer repeats
+        without a worker."""
+        entry = self.results.peek((key, "auto", self.document.root, 1, 1))
         if entry is None:
             return None
         payloads = entry.payloads
         if payloads is None:
             payloads = entry.payloads = {}
+            entry.head = head(entry.algorithm)
         payload = payloads.get(style)
         if payload is None:
             payload = payloads[style] = encode(entry.value, style)
-        return payload
+        return entry.head, payload
 
     def _result_key(self, plan, algorithm, context_node, position, size) -> tuple:
         node = context_node if context_node is not None else self.document.root
@@ -257,7 +264,7 @@ class DocumentSession:
         # a plan evicted from the LRU and recompiled gets a fresh AST (and
         # uid), but it is the same plan — its memo entries must stay
         # reachable, not linger unreachable until evicted. An entry is an
-        # _Entry and retains nothing else but its payloads: the key's
+        # _Entry and retains nothing else but its reply bytes: the key's
         # variables signature names node-set and object bindings by id(),
         # which is only sound while the bound objects are alive, so the
         # entry pins them through the plan's private bindings dict (None
@@ -269,8 +276,9 @@ class DocumentSession:
         # the miss path: a hit is one dict lookup. ``auto`` and a forced
         # name for the evaluator it dispatches to fill separate entries
         # holding the same value; the daemon admits and degrades alike
-        # under ``auto``, so its loop-side :meth:`payload` finds every
-        # entry its evaluations made.
+        # under ``auto``, so its loop-side :meth:`payload`, which builds
+        # this tuple from the query text's plan key, finds every entry
+        # its evaluations made.
         return (plan.cache_key, algorithm, node, position, size)
 
     def _evaluate_timed(self, plan: LogicalPlan, resolved: str, context: Context):

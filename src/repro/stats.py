@@ -134,6 +134,8 @@ class Counters:
             key: f"{name}_{self.aliases.get(key, key)}" for key in self.COUNTERS
         }
         self._counts = dict.fromkeys(self.COUNTERS, 0)
+        #: The declared keys, a live view: :meth:`add` checks an event against it.
+        self._declared = self._counts.keys()
         self._lock = threading.Lock()
 
     def __call__(self, name: str | None = None, **values) -> Counters:
@@ -163,13 +165,14 @@ class Counters:
         """One event that moves several counters: every amount lands
         under one lock acquisition (all of them, or — on an undeclared
         key — none)."""
-        mirrors = [self._mirrors[key] for key in amounts]
+        if not amounts.keys() <= self._declared:
+            raise KeyError(next(key for key in amounts if key not in self._declared))
         with self._lock:
             for key, amount in amounts.items():
                 self._counts[key] += amount
         if _active:
-            for mirror, amount in zip(mirrors, amounts.values()):
-                count(mirror, amount)
+            for key, amount in amounts.items():
+                count(self._mirrors[key], amount)
 
     def absorb(self, snapshot: dict) -> None:
         """Fold another instance's snapshot into this one (derived

@@ -134,6 +134,16 @@ def test_an_undeclared_counter_is_a_key_error(family):
     assert counters.snapshot() == family().snapshot()
 
 
+def test_an_event_names_its_mirrors_only_while_a_collector_is_open():
+    counters = stats.ServeStats()
+    counters._mirrors = {}  # naming a mirror would now be a KeyError
+    counters.add({"requests": 1, "queries": 1})
+    assert counters.snapshot()["queries"] == 1
+    with stats.collect() as collector:
+        stats.ServeStats().add({"requests": 1, "queries": 2})
+    assert collector.get("serve_queries") == 2
+
+
 def test_closing_an_inner_collector_leaves_the_outer_one_counting():
     with stats.collect() as outer:
         with stats.collect() as inner:

@@ -1,11 +1,13 @@
 """A QUERY reply is a head spliced before the result's encoded payload.
 
-A result-memo entry keeps that payload per output style from its first
-hit on, so a repeated QUERY is neither rendered nor re-encoded. These
-tests hold the splice byte-identical to encoding the whole frame, count
-the renders the memo saves through a wrapper around ``render_value``,
-and pin the ``output`` validation and the evaluator name the reply
-carries.
+A result-memo entry keeps that payload per output style, and its hit
+reply's head, from its first hit on, so a repeated QUERY is neither
+rendered nor re-encoded; it is found by its text, so no plan is looked
+up either. These tests hold the splice byte-identical to encoding the
+whole frame, count the renders the memo saves through a wrapper around
+``render_value``, pin the hit path's contract (no plan lookup or
+compile, the fields still checked, the probe's key) and the ``output``
+validation and the evaluator name the reply carries.
 """
 
 import contextlib
@@ -14,19 +16,23 @@ from unittest import mock
 import pytest
 
 from conftest import permissive, running_daemon
+from test_serve_core import Driver
 from repro.cli import main as cli_main
 from repro.engine import XPathEngine
 from repro.errors import ProtocolError, RemoteError
+from repro.serve.core import EVALUATE, WRITE
 from repro.serve import ServeClient
 from repro.serve.protocol import (
     OUTPUT_STYLES,
     decode_frame,
     encode_frame,
     encode_payload,
-    encode_reply,
     ok_response,
     render_value,
+    reply_head,
+    splice_reply,
 )
+from repro.service.plan import plan_key
 from repro.service.service import QueryService
 from repro.xml.parser import parse_document
 from test_serve import BOOKS, assert_identities, assert_stats_reconcile
@@ -64,11 +70,12 @@ SCALARS = [
     "héllo ☃ \U0001d11e \\ back",
 ]
 
+#: ``(id, head fields, elapsed_ms)`` of a reply.
 HEADS = [
-    ok_response(1, query="//i", doc="d", algorithm="corexpath", degraded=False,
-                priced_ms=0.0, memo=True, elapsed_ms=0.011),
-    ok_response("id-é", query='//t[. = "☃"]', doc="d\n"),
-    {"id": None},
+    (1, dict(query="//i", doc="d", algorithm="corexpath", degraded=False,
+             priced_ms=0.0, memo=True), 0.011),
+    ("id-é", dict(query='//t[. = "☃"]', doc="d\n"), 1234.5),
+    (None, {}, 0.0),
 ]
 
 
@@ -81,22 +88,28 @@ def _values():
 def test_a_spliced_reply_is_byte_identical_to_the_encoded_frame(style):
     values = _values()
     assert len(values[2]) == 200 and values[0] == []
-    for head in HEADS:
+    for request_id, fields, elapsed_ms in HEADS:
+        head = reply_head(**fields)
         for value in values:
-            expected = encode_frame({**head, **render_value(value, style)})
-            assert encode_reply(head, encode_payload(value, style)) == expected
+            expected = encode_frame({
+                **ok_response(request_id, **fields, elapsed_ms=elapsed_ms),
+                **render_value(value, style),
+            })
+            reply = splice_reply(request_id, head, elapsed_ms, encode_payload(value, style))
+            assert reply == expected
 
 
 def test_the_frame_bound_holds_for_the_whole_spliced_frame():
     payload = encode_payload(list(XPathEngine(parse_document(MIXED)).evaluate("//i")))
-    head = HEADS[0]
-    size = len(encode_reply(head, payload))
+    request_id, fields, elapsed_ms = HEADS[0]
+    head = reply_head(**fields)
+    size = len(splice_reply(request_id, head, elapsed_ms, payload))
     assert len(payload) < size
     with mock.patch("repro.serve.protocol.MAX_FRAME_BYTES", size):
-        assert len(encode_reply(head, payload)) == size
+        assert len(splice_reply(request_id, head, elapsed_ms, payload)) == size
     with mock.patch("repro.serve.protocol.MAX_FRAME_BYTES", size - 1):
         with pytest.raises(ProtocolError):
-            encode_reply(head, payload)
+            splice_reply(request_id, head, elapsed_ms, payload)
 
 
 #: The reply fields that differ between a miss and the hit after it.
@@ -285,3 +298,134 @@ def test_client_names_the_evaluator_batch_names_on_miss_and_hit(capsys, query, e
     assert code == 0 and hits == 1
     assert _headers(capsys.readouterr().out) == [f"=== d :: {query} [{evaluator}] ==="] * 2
 
+
+
+# ----------------------------------------------------------------------
+# The hit path's contract, on the core driven in process
+# ----------------------------------------------------------------------
+
+
+def _query(driver: Driver, conn, **fields) -> bytes:
+    """One QUERY frame through the core, a miss evaluated at once: the
+    reply's bytes as written."""
+    core = driver.core
+    core.receive(conn, encode_frame({"verb": "QUERY", "client": "h", **fields}))
+    ((kind, argument),) = core.next_actions(conn)
+    assert core.next_actions(conn) is None
+    if kind == EVALUATE:
+        for step, _ in core.hops(argument):
+            argument.take(step())
+        ((kind, argument),) = core.settle(argument)
+    assert kind == WRITE
+    return argument
+
+
+def _hot(service: QueryService, xml: str = BOOKS) -> tuple:
+    """A driven core on ``service`` with ``xml`` registered as ``d``."""
+    driver = Driver(service=service)
+    conn = driver.connect()
+    driver.send(conn, encode_frame(
+        {"verb": "REGISTER", "client": "h", "name": "d", "xml": xml}
+    ))
+    return driver, conn
+
+
+def test_hits_look_up_no_plan():
+    service = QueryService()
+    driver, conn = _hot(service)
+    assert decode_frame(_query(driver, conn, id=0, query="//book/title", doc="d"))["memo"] is False
+    before = service.plans.stats.snapshot()
+    for number in range(25):
+        hit = decode_frame(_query(driver, conn, id=number, query="//book/title", doc="d"))
+        assert hit["memo"] is True
+    after = service.plans.stats.snapshot()
+    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+    assert driver.core.stats.snapshot()["memo_hits"] == 25
+
+
+def test_a_hit_whose_plan_was_evicted_compiles_nothing():
+    service = QueryService(plan_capacity=1)
+    compiles = []
+    compile_plan = service.planner.compile
+
+    def counting(query, *args, **kwargs):
+        compiles.append(query)
+        return compile_plan(query, *args, **kwargs)
+
+    service.planner.compile = counting
+    driver, conn = _hot(service)
+    miss = decode_frame(_query(driver, conn, id=1, query="//book/title", doc="d"))
+    _query(driver, conn, id=2, query="//price", doc="d")  # evicts the first plan
+    assert compiles == ["//book/title", "//price"]
+    assert ("//book/title", ()) not in service.plans
+    hit = decode_frame(_query(driver, conn, id=3, query="//book/title", doc="d"))
+    assert hit["memo"] is True and hit["algorithm"] == "corexpath"
+    assert hit["items"] == miss["items"]
+    assert compiles == ["//book/title", "//price"]
+
+
+#: A request id of every JSON type.
+IDS = [
+    'say "hi"', "été", "\U0001d11e astral", [1, "two", None], {"k": [True, 2.5]},
+    2.5, -0.0, 7, True, False, None,
+]
+
+
+@pytest.mark.parametrize("style", OUTPUT_STYLES)
+def test_hit_bytes_are_the_encoded_frame_for_every_id_type(style):
+    service = QueryService()
+    ticks = iter(range(10**6))
+    driver, conn = _hot(service, MIXED)
+    driver.core.clock = lambda: next(ticks) * 0.00125  # elapsed_ms moves
+    engine = XPathEngine(parse_document(MIXED))
+    for query in VALUE_QUERIES + ["count(//i)", "string(//t)", "//n = 3"]:
+        miss = _query(driver, conn, id="miss", query=query, doc="d", output=style)
+        assert decode_frame(miss)["memo"] is False
+        rendered = render_value(engine.evaluate(query), style)
+        for request_id in IDS:
+            hit = _query(driver, conn, id=request_id, query=query, doc="d", output=style)
+            head = ok_response(
+                request_id, query=query, doc="d", algorithm=decode_frame(miss)["algorithm"],
+                degraded=False, priced_ms=0.0, memo=True,
+                elapsed_ms=decode_frame(hit)["elapsed_ms"],
+            )
+            assert hit == encode_frame({**head, **rendered}), (query, request_id)
+    assert decode_frame(hit)["elapsed_ms"] > 0.0
+
+
+def test_a_memoized_cell_still_refuses_bad_fields_typed():
+    service = QueryService()
+    driver, conn = _hot(service)
+    cell = {"query": "//book/title", "doc": "d"}
+    _query(driver, conn, id=0, **cell)
+    assert decode_frame(_query(driver, conn, id=1, **cell))["memo"] is True
+    before = driver.core.stats.snapshot()
+    refusals = [
+        ({**cell, "deadline_ms": "soon"}, "PROTOCOL"),
+        ({**cell, "deadline_ms": [250]}, "PROTOCOL"),
+        ({**cell, "output": "html"}, "PROTOCOL"),
+        ({**cell, "doc": "nope"}, "UNKNOWN_DOCUMENT"),
+        ({**cell, "doc": ["d"]}, "UNKNOWN_DOCUMENT"),
+    ]
+    for fields, expected in refusals:
+        reply = decode_frame(_query(driver, conn, id=2, **fields))
+        assert reply["ok"] is False and reply["error"]["code"] == expected, fields
+    after = driver.core.stats.snapshot()
+    assert after["memo_hits"] == before["memo_hits"]
+    assert after["request_errors"] == before["request_errors"] + len(refusals)
+    assert decode_frame(_query(driver, conn, id=3, **cell))["memo"] is True
+
+
+def test_the_probe_key_is_the_plans_cache_key():
+    nodes = parse_document(BOOKS).root.children
+    for variables, query in (
+        ({"n": 2, "flag": True, "s": "A"}, "//book[$n]/title = $s"),
+        ({"set": nodes, "n": 1.5}, "$set"),  # another document's nodes: the whole query
+    ):
+        service = QueryService(variables=variables)
+        assert plan_key(query, service.variables) == service.plan(query).cache_key
+        driver, conn = _hot(service)
+        miss = decode_frame(_query(driver, conn, id=0, query=query, doc="d"))
+        hit = decode_frame(_query(driver, conn, id=1, query=query, doc="d"))
+        assert (miss["memo"], hit["memo"]) == (False, True)
+        assert {**hit, **{key: miss[key] for key in VOLATILE}} == miss

@@ -726,6 +726,35 @@ def test_idle_named_clients_are_evicted_after_the_retention_window():
     assert stats["clients"]["(evicted)"]["completed"] == 1
 
 
+def test_a_new_identity_sorts_the_clients_only_when_one_can_go():
+    """The retention sweep sorts the retained clients only over the cap or
+    once the earliest retention window has ended, not on every new identity
+    (regression: each new connection's first frame sorted them all)."""
+    driver = Driver(client_retention_seconds=30.0)
+    core = driver.core
+
+    def ping(conn, **fields) -> None:
+        core.receive(conn, encode_frame({"verb": "PING", **fields}))
+        ((_, reply),) = core.next_actions(conn)
+        assert decode_frame(reply)["pong"] is True
+        assert core.next_actions(conn) is None  # the pass ends
+
+    named = core.connect()
+    for index in range(1000):
+        ping(named, client=f"n{index}")
+    core.disconnect(named)
+    with mock.patch("repro.serve.core.sorted", side_effect=sorted, create=True) as sorts:
+        for _ in range(300):
+            conn = core.connect()
+            ping(conn)
+            core.disconnect(conn)
+        assert sorts.call_count == 0 and len(core.clients) == 1000
+        driver.now += 30.0  # every named client's window has ended
+        ping(core.connect())
+    assert sorts.call_count == 1
+    assert not any(name.startswith("n") for name in core.clients)
+
+
 class CountingAdmission(AdmissionController):
     """Counts the requests that were priced."""
 
