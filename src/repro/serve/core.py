@@ -473,7 +473,10 @@ class ServeCore:
             holds_slot = True
             try:
                 request = self._validate(conn, frame, client, client_stats, received)
-                hit = None if request.batch else self._probe(request)
+                session = None if request.batch else self.service.session(
+                    request.documents[0], create=False
+                )
+                hit = None if session is None else self._probe(request, session)
                 if hit is None:
                     request.plans = [self.service.plan(query) for query in request.queries]
             except ReproError as error:
@@ -568,13 +571,14 @@ class ServeCore:
             documents, deadline_seconds, style, received,
         )
 
-    def _probe(self, request: Request) -> tuple[bytes, bytes] | None:
-        """Stage 5's probe: a QUERY's memoized reply head and payload, found
-        by its text (the plan's cache key, no plan looked up), or ``None``.
-        The stored head names the document, which is sound because each
-        REGISTER parses its own: a document is served under one name."""
+    def _probe(self, request: Request, session) -> tuple[bytes, bytes] | None:
+        """Stage 5's probe: a QUERY's memoized reply head and payload in its
+        document's live ``session`` (the miss path makes a missing one),
+        found by its text (the plan's cache key, no plan looked up), or
+        ``None``. The stored head names the document, which is sound because
+        each REGISTER parses its own: a document is served under one name."""
         query, doc = request.queries[0], request.doc_names[0]
-        return self.service.session(request.documents[0]).payload(
+        return session.payload(
             plan_key(query, self.service.variables), request.style, encode_payload,
             lambda algorithm: reply_head(
                 query=query, doc=doc, algorithm=algorithm, degraded=False,

@@ -21,7 +21,9 @@ classification alone: :meth:`LogicalPlan.best_algorithm` (Core XPath →
 
 A plan is keyed by :func:`plan_key`, the query text and a signature of
 its variable bindings — the only inputs that change the produced AST —
-so the cache never conflates distinct plans.
+so the cache never conflates distinct plans, nor the result memo two
+queries that differ in a literal only. A planner also keeps a plan under
+its literal-free template (:mod:`repro.service.planner`).
 """
 
 from __future__ import annotations

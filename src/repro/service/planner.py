@@ -20,18 +20,25 @@ There is no per-document stage: :func:`resolve_algorithm` is what
 :class:`QueryService <repro.service.service.QueryService>` are both thin
 clients of these functions, through a :class:`QueryPlanner` each.
 
-**The step memo.** A :class:`QueryPlanner` parses and normalizes each
-location step with predicates once: its :attr:`QueryPlanner.steps`, a
-:class:`~repro.service.cache.Memo`, keeps the normalized step and its
-:class:`~repro.xpath.normalize.StepSummary` under the step's source
-text (axis, node test, predicate group), at most
-:attr:`Memo.DEFAULT_CAPACITY <repro.service.cache.Memo.DEFAULT_CAPACITY>`
-of them, least recently used out first. On a hit the parser skips the
-group and the pass after it the step's predicates: six continuations of
-``//book[P]`` parse ``P`` once.
-Only :meth:`QueryPlanner.compile` uses it; :func:`compile_plan`,
-:func:`~repro.xpath.parser.parse_xpath` and
-:func:`~repro.xpath.normalize.analyze` alone build every tree cold.
+**Three memos** (each a :class:`~repro.service.cache.Memo`, least
+recently used out first), consulted in turn:
+
+* the owner's plan cache, by exact text and bindings
+  (:func:`~repro.service.plan.plan_key`);
+* :attr:`QueryPlanner.templates`, for a query with a literal and only
+  scalar bindings, by its template (:func:`repro.xpath.lexer.template`)
+  and bindings: the plan of the template's first query, which a hit
+  binds this query's literals into (:func:`_bind`) without a parse — a
+  plan's fragment, evaluator and price never read a literal's value;
+* :attr:`QueryPlanner.steps`, in every full compile (``plans_compiled``
+  counts those): each normalized location step with predicates and its
+  :class:`~repro.xpath.normalize.StepSummary` under its source text; on
+  a hit the parser skips the group and the pass after it the step's
+  predicates, so six continuations of ``//book[P]`` parse ``P`` once.
+
+:func:`compile_plan`, :func:`~repro.xpath.parser.parse_xpath` and
+:func:`~repro.xpath.normalize.analyze` alone build every tree cold, and
+so does the planner for a query long enough to pass ``MAX_HEIGHT``.
 """
 
 from __future__ import annotations
@@ -45,11 +52,13 @@ from repro.core.optmincontext import OptMinContextEvaluator
 from repro.core.topdown import TopDownEvaluator
 from repro.errors import FragmentViolationError, UnknownAlgorithmError
 from repro.service.cache import Memo
-from repro.service.plan import LogicalPlan
+from repro.service.plan import LogicalPlan, PlanTraits, freeze_variables
 from repro.xml.document import Document
-from repro.xpath.ast import Step
+from repro.xpath.ast import Step, clone, slotted
+from repro.xpath.lexer import template
 from repro.xpath.normalize import MAX_HEIGHT, StepSummary, analyze
 from repro.xpath.parser import parse_xpath
+from repro.xpath.unparse import step_to_string, unparse
 
 #: The selectable evaluation algorithms.
 ALGORITHMS = (
@@ -127,13 +136,35 @@ class _StepView:
                 self.memo.put(key, (step, summary, keys))
 
 
+def _bind(entry: tuple, query: str, values: dict, bindings: dict) -> LogicalPlan:
+    """``query``'s plan from its template's ``(plan, slotted ids)``: its literals bound into a
+    clone, the texts that render one rendered again, every other field the template's."""
+    plan, to_copy = entry
+    keyed: list = []
+    ast = clone(plan.ast, values, to_copy, keyed)
+    for path in keyed:
+        path.key = unparse(path)
+    traits, summaries = plan.traits, plan.step_summaries
+    if summaries:
+        summaries = tuple(
+            summary if step is shared else summary._replace(key=step_to_string(step))
+            for summary, step, shared in zip(summaries, ast.steps, plan.ast.steps)
+        )
+        keys = tuple(summary.key for summary in summaries)
+        traits = PlanTraits(traits.ast_size, traits.uses_position, traits.positional_sibling, keys)
+    return LogicalPlan(
+        query, ast, plan.result_type, plan.core_violation, plan.wadler_violation,
+        plan.bottomup_path_count, bindings, traits, summaries,
+    )
+
+
 class QueryPlanner:
     """The compiler a service or an engine owns: :func:`compile_plan`
-    through the planner's step memo (see the module docstring), whose
-    counters are ``steps.stats``."""
+    through its template and step memos (see the module docstring)."""
 
     def __init__(self):
         self.steps = Memo(name="step_memo")
+        self.templates = Memo(name="template_memo")
 
     def compile(
         self, query: str, variables: dict[str, object] | None = None
@@ -143,15 +174,27 @@ class QueryPlanner:
             # makes at most two nodes): it compiles cold, and no hit
             # ever needs the height check.
             return compile_plan(query, variables)
-        stats.count("plans_compiled")
         bindings = dict(variables or {})
+        key, found = None, template(query)
+        if found is not None:
+            signature = freeze_variables(bindings)
+            # A node-set or object binding is keyed by id(): no template.
+            if not (signature and any(item[1] in ("nset", "object") for item in signature)):
+                key = (found[0], signature)
+                hit = self.templates.get(key)
+                if hit is not None:
+                    return _bind(hit, query, found[1], bindings)
+        stats.count("plans_compiled")
         view = _StepView(self.steps)
         try:
             analysis = analyze(parse_xpath(query, view), bindings, steps=view)
         finally:
             if view.lookups:
                 view.settle()
-        return LogicalPlan.from_analysis(query, analysis, bindings)
+        plan = LogicalPlan.from_analysis(query, analysis, bindings)
+        if key is not None:
+            self.templates.put(key, (plan, slotted(plan.ast)))
+        return plan
 
 
 def resolve_algorithm(plan: LogicalPlan, algorithm: str = "auto") -> str:

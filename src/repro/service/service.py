@@ -391,8 +391,11 @@ class QueryService:
             plan_key(query, bindings), lambda: self.planner.compile(query, bindings)
         )
 
-    def session(self, document: Document) -> DocumentSession:
-        """The (lazily created, bounded) per-document session."""
+    def session(self, document: Document, create: bool = True) -> DocumentSession | None:
+        """The (lazily created, bounded) per-document session; with
+        ``create=False`` a live one (a hit) or ``None`` (counted nowhere)."""
+        if not create:
+            return self._sessions.peek(document)
         return self._sessions.get_or_create(
             document,
             lambda: DocumentSession(
@@ -509,6 +512,7 @@ class QueryService:
             "result_cache": self.result_cache_stats(),
             "holds_memo": self._holds_stats.snapshot(),
             "step_memo": self.planner.steps.stats.snapshot(),
+            "template_memo": self.planner.templates.stats.snapshot(),
             "sessions": len(self._sessions),
             # Always zero: no memo stands behind it. Kept because the
             # end-to-end harness indexes it (benchmarks/e2e/worker.py's

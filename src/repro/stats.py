@@ -107,6 +107,9 @@ class Counters:
     did.
     """
 
+    __slots__ = ("name", "COUNTERS", "derived", "identities", "ratios", "aliases", "labels",
+                 "_mirrors", "_counts", "_declared", "_lock")
+
     def __init__(
         self,
         name: str,
@@ -119,37 +122,39 @@ class Counters:
         labels: tuple[str, ...] = (),
         **values,
     ):
-        self.name = name
         self.COUNTERS = tuple(counters)
         self.derived = dict(derived or {})
         self.identities = dict(identities or {})
         self.ratios = dict(ratios or {})
         self.aliases = dict(aliases or {})
-        self.labels = {
-            key: name if key == "name" else values.pop(key, None) for key in labels
-        }
-        if values:
-            raise TypeError(f"{name}: undeclared labels {sorted(values)}")
-        self._mirrors = {
-            key: f"{name}_{self.aliases.get(key, key)}" for key in self.COUNTERS
-        }
-        self._counts = dict.fromkeys(self.COUNTERS, 0)
-        #: The declared keys, a live view: :meth:`add` checks an event against it.
-        self._declared = self._counts.keys()
-        self._lock = threading.Lock()
+        #: The declared keys: :meth:`add` checks an event against them.
+        self._declared = frozenset(self.COUNTERS)
+        self._start(name, labels, values)
 
     def __call__(self, name: str | None = None, **values) -> Counters:
-        """A fresh, zeroed instance of this family."""
-        return Counters(
-            self.name if name is None else name,
-            self.COUNTERS,
-            derived=self.derived,
-            identities=self.identities,
-            ratios=self.ratios,
-            aliases=self.aliases,
-            labels=tuple(self.labels),
-            **values,
-        )
+        """A fresh, zeroed instance of this family, sharing the declaration's
+        tables (counters, forms, aliases), which nothing changes."""
+        fresh = object.__new__(Counters)
+        fresh.COUNTERS, fresh._declared = self.COUNTERS, self._declared
+        fresh.derived, fresh.identities = self.derived, self.identities
+        fresh.ratios, fresh.aliases = self.ratios, self.aliases
+        fresh._start(self.name if name is None else name, self.labels, values)
+        return fresh
+
+    def _start(self, name: str, labels, values: dict) -> None:
+        self.name = name
+        self.labels = {key: name if key == "name" else values.pop(key, None) for key in labels}
+        if values:
+            raise TypeError(f"{name}: undeclared labels {sorted(values)}")
+        self._mirrors: dict | None = None  # made at the first mirrored event
+        self._counts = dict.fromkeys(self.COUNTERS, 0)
+        self._lock = threading.Lock()
+
+    def mirrors(self) -> dict[str, str]:
+        """Each counter's collector mirror, ``<name>_<counter or alias>``."""
+        if self._mirrors is None:
+            self._mirrors = {k: f"{self.name}_{self.aliases.get(k, k)}" for k in self.COUNTERS}
+        return self._mirrors
 
     def tick(self, key: str, amount: int = 1) -> None:
         """Add ``amount`` to the counter ``key``; ``KeyError`` when the
@@ -157,7 +162,7 @@ class Counters:
         with self._lock:
             self._counts[key] += amount
         if _active:
-            mirror = self._mirrors[key]
+            mirror = self.mirrors()[key]
             for collector in _active:
                 collector.bump(mirror, amount)
 
@@ -171,8 +176,9 @@ class Counters:
             for key, amount in amounts.items():
                 self._counts[key] += amount
         if _active:
+            mirrors = self.mirrors()
             for key, amount in amounts.items():
-                count(self._mirrors[key], amount)
+                count(mirrors[key], amount)
 
     def absorb(self, snapshot: dict) -> None:
         """Fold another instance's snapshot into this one (derived

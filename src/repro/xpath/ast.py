@@ -54,26 +54,28 @@ class Expr(AstNode):
 
 
 class NumberLiteral(Expr):
-    """A numeric constant, e.g. ``0.5`` in Figure 3's node N7."""
+    """A numeric constant, e.g. ``0.5`` in Figure 3's node N7 (``slot``: its token's index)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "slot")
 
-    def __init__(self, value: float):
+    def __init__(self, value: float, slot: int | None = None):
         super().__init__()
         self.value = float(value)
+        self.slot = slot
 
     def __repr__(self) -> str:
         return f"NumberLiteral({self.value})"
 
 
 class StringLiteral(Expr):
-    """A string constant (``'...'`` or ``"..."``)."""
+    """A string constant (``'...'`` or ``"..."``), ``slot`` as above."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "slot")
 
-    def __init__(self, value: str):
+    def __init__(self, value: str, slot: int | None = None):
         super().__init__()
         self.value = value
+        self.slot = slot
 
     def __repr__(self) -> str:
         return f"StringLiteral({self.value!r})"
@@ -294,39 +296,68 @@ class Path(Expr):
         return f"Path({root}, steps={self.steps!r})"
 
 
-def clone(node: AstNode) -> AstNode:
+def clone(node: AstNode, values=None, to_copy=frozenset(), keyed: list | None = None) -> AstNode:
     """A structural deep copy with fresh uids (the table-based evaluators
     key side tables by uid, so one AST object must never sit at two
-    parse-tree positions). Carries ``value_type``, ``relev`` and a path's
-    ``key`` over and
+    parse-tree positions). Carries ``value_type``, ``relev``, a literal's
+    ``slot`` and a path's ``key`` over and
     shares the immutable :class:`NodeTest` and the members of a
     :class:`ConstantNodeSet`. A planner's step memo clones a hit whose
     steps are already in the tree it is building, and shares it (with
-    the plan that stored it) otherwise: plans never change their trees."""
-    kind = type(node)
-    if kind is Step:
-        copy: AstNode = Step(node.axis, node.node_test, list(map(clone, node.predicates)))
-    elif kind is Path:
-        primary = node.primary and clone(node.primary)
-        predicates = list(map(clone, node.primary_predicates))
-        copy = Path(node.absolute, primary, predicates, list(map(clone, node.steps)))
-        copy.key = node.key
-    elif kind is FunctionCall:
-        copy = FunctionCall(node.name, list(map(clone, node.args)))
-    elif kind is BinaryOp:
-        copy = BinaryOp(node.op, clone(node.left), clone(node.right))
-    elif kind is NumberLiteral or kind is StringLiteral:
-        copy = kind(node.value)
-    elif kind is VariableRef:
-        copy = VariableRef(node.name)
-    elif kind is ConstantNodeSet:
-        copy = ConstantNodeSet(node.nodes)
-    elif kind is Negate:
-        copy = Negate(clone(node.operand))
-    elif kind is Union:
-        copy = Union(clone(node.left), clone(node.right))
-    else:
-        raise TypeError(f"cannot clone AST node: {kind.__name__}")
-    copy.value_type = node.value_type
-    copy.relev = node.relev
-    return copy
+    the plan that stored it) otherwise: plans never change their trees.
+
+    With ``values`` (literals by slot) a template memo binds a hit: only
+    the nodes in ``to_copy``, by id (:func:`slotted`), are copied, and
+    ``keyed`` collects the copied paths with a key."""
+
+    def copy(node: AstNode) -> AstNode:
+        if values is not None and id(node) not in to_copy:
+            return node
+        kind = type(node)
+        if kind is Step:
+            new: AstNode = Step(node.axis, node.node_test, list(map(copy, node.predicates)))
+        elif kind is Path:
+            primary = node.primary and copy(node.primary)
+            predicates = list(map(copy, node.primary_predicates))
+            new = Path(node.absolute, primary, predicates, list(map(copy, node.steps)))
+            new.key = node.key
+            if keyed is not None and node.key is not None:
+                keyed.append(new)
+        elif kind is FunctionCall:
+            new = FunctionCall(node.name, list(map(copy, node.args)))
+        elif kind is BinaryOp:
+            new = BinaryOp(node.op, copy(node.left), copy(node.right))
+        elif kind is NumberLiteral or kind is StringLiteral:
+            new = kind(node.value if values is None else values[node.slot], node.slot)
+        elif kind is VariableRef:
+            new = VariableRef(node.name)
+        elif kind is ConstantNodeSet:
+            new = ConstantNodeSet(node.nodes)
+        elif kind is Negate:
+            new = Negate(copy(node.operand))
+        elif kind is Union:
+            new = Union(copy(node.left), copy(node.right))
+        else:
+            raise TypeError(f"cannot clone AST node: {kind.__name__}")
+        new.value_type = node.value_type
+        new.relev = node.relev
+        return new
+
+    return copy(node)
+
+
+def slotted(root: AstNode) -> set[int]:
+    """The ids of the nodes of ``root``'s tree with a literal slot at or
+    below them: what :func:`clone` copies when it binds values."""
+    found: set[int] = set()
+
+    def visit(node: AstNode) -> bool:
+        below = getattr(node, "slot", None) is not None
+        for child in node.children():
+            below = visit(child) or below
+        if below:
+            found.add(id(node))
+        return below
+
+    visit(root)
+    return found

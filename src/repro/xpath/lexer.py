@@ -105,6 +105,8 @@ _NAME = TokenType.NAME
 _NUMBER = TokenType.NUMBER
 _LBRACKET = TokenType.LBRACKET
 _RBRACKET = TokenType.RBRACKET
+_PI_OPEN = ["processing-instruction", "("]
+_SLOTTED = re.compile(r"[0-9'\"]")
 
 
 def scan(source: str, closes: dict | None = None) -> list[tuple]:
@@ -185,6 +187,30 @@ def scan(source: str, closes: dict | None = None) -> list[tuple]:
             raise XPathSyntaxError(f"unexpected character {text!r}", start)
     append((TokenType.END, "", len(source)))
     return tokens
+
+
+def template(source: str) -> tuple[tuple, dict] | None:
+    """``source``'s lexemes without whitespace, each number the slot ``#n``
+    and each string literal (not a ``processing-instruction('t')`` target)
+    the slot ``#s``, and the slots' values by token index; ``None``: no
+    slot. Lexemes fix the token types, so two queries share a template
+    exactly when their tokens differ in literal values only."""
+    if _SLOTTED.search(source) is None:
+        return None
+    key: list = []
+    values = {}
+    for text in _TOKEN.findall(source):
+        kind = _CLASS.get(text[0])
+        if kind is _SPACE:
+            continue
+        if kind is _DIGIT or kind is _PERIOD and len(text) > 1 and text != "..":
+            values[len(key)] = text
+            text = "#n"
+        elif kind is _QUOTE and len(text) > 1 and key[-2:] != _PI_OPEN:
+            values[len(key)] = text[1:-1]
+            text = "#s"
+        key.append(text)
+    return (tuple(key), values) if values else None
 
 
 def tokenize_xpath(source: str) -> list[Token]:

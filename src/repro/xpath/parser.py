@@ -45,6 +45,10 @@ already. A group with a ``$``, a literal or a number is parsed (those
 are what differ between otherwise equal queries), and so is one that
 could pass :data:`MAX_DEPTH` where it sits (each level takes two of its
 tokens).
+
+A number or string literal records its token's index as its ``slot``
+(a ``processing-instruction('t')`` target is no literal): a planner's
+template memo binds another query's literals there.
 """
 
 from __future__ import annotations
@@ -331,10 +335,10 @@ class _Parser:
         kind = token[0]
         if kind is TokenType.NUMBER:
             self.pos += 1
-            return NumberLiteral(float(token[1]))
+            return NumberLiteral(float(token[1]), self.pos - 1)
         if kind is TokenType.LITERAL:
             self.pos += 1
-            return StringLiteral(token[1])
+            return StringLiteral(token[1], self.pos - 1)
         if kind is TokenType.VARIABLE:
             self.pos += 1
             return VariableRef(token[1])

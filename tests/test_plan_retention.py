@@ -8,7 +8,9 @@ and the plan's node-set / object bindings — the objects its key names by
 ``id()`` — and never the plan: after any number of distinct queries the
 live :class:`~repro.service.plan.LogicalPlan` objects are bounded by
 ``plan_capacity``, through the library batch API and through the
-daemon's ``QUERY`` and ``BATCH`` paths alike.
+daemon's ``QUERY`` and ``BATCH`` paths alike. (The planner's template
+memo keeps one plan per literal-bearing template besides; the texts here
+have no literal, so it keeps none.)
 """
 
 import gc

@@ -284,17 +284,18 @@ def test_result_memo_keeps_an_entry_just_hit_through_an_overflow():
 
 def test_cache_stats_reports_every_memo_capacity():
     """Each memo's bound in its own unit: plans, result entries per
-    session, holds cells per session, steps."""
+    session, holds cells per session, steps, templates."""
     stats_of = QueryService().cache_stats()
     capacities = {
         name: stats_of[name]["capacity"]
-        for name in ("plan_cache", "result_cache", "holds_memo", "step_memo")
+        for name in ("plan_cache", "result_cache", "holds_memo", "step_memo", "template_memo")
     }
     assert capacities == {
         "plan_cache": 256,
         "result_cache": 1024,
         "holds_memo": 1048576,
         "step_memo": 256,
+        "template_memo": 256,
     }
     assert QueryService(result_capacity=8).cache_stats()["result_cache"]["capacity"] == 8
 
