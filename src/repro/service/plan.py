@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.xpath.ast import Expr
-from repro.xpath.normalize import Analysis, Counts, StepSummary
+from repro.xpath.normalize import Analysis, StepSummary
 
 
 def freeze_variables(variables: dict[str, object] | None) -> tuple:
@@ -156,20 +156,20 @@ class LogicalPlan:
     ) -> "LogicalPlan":
         """The plan of an analyzed tree (see :class:`PlanTraits` for when
         a plan has step keys)."""
-        counts = Counts.unpack(analysis.counts)
-        steps = () if counts.constants else analysis.steps
+        counts = analysis.counts  # five packed counts, 32 bits apiece (see normalize)
+        steps = () if counts >> 128 & 0xFFFFFFFF else analysis.steps
         return cls(
             source=source,
             ast=analysis.ast,
             result_type=analysis.ast.value_type or "nset",
             core_violation=analysis.core,
             wadler_violation=analysis.wadler,
-            bottomup_path_count=counts.bottomup,
+            bottomup_path_count=counts >> 32 & 0xFFFFFFFF,
             variables={} if variables is None else variables,
             traits=PlanTraits(
-                ast_size=counts.size,
-                uses_position=counts.positions > 0,
-                positional_sibling=counts.siblings > 0,
+                ast_size=counts & 0xFFFFFFFF,
+                uses_position=counts >> 64 & 0xFFFFFFFF > 0,
+                positional_sibling=counts >> 96 & 0xFFFFFFFF > 0,
                 step_keys=tuple(step.key for step in steps),
             ),
             step_summaries=steps,

@@ -26,15 +26,25 @@ recently used out first), consulted in turn:
 * the owner's plan cache, by exact text and bindings
   (:func:`~repro.service.plan.plan_key`);
 * :attr:`QueryPlanner.templates`, for a query with a literal and only
-  scalar bindings, by its template (:func:`repro.xpath.lexer.template`)
-  and bindings: the plan of the template's first query, which a hit
-  binds this query's literals into (:func:`_bind`) without a parse — a
-  plan's fragment, evaluator and price never read a literal's value;
+  scalar bindings, by its template
+  (:meth:`Lexer.template <repro.xpath.lexer.Lexer.template>`) and
+  bindings: the plan of the template's first query, which a hit binds
+  this query's literals into (:func:`_bind`) without a parse — a plan's
+  fragment, evaluator and price never read a literal's value;
 * :attr:`QueryPlanner.steps`, in every full compile (``plans_compiled``
-  counts those): each normalized location step with predicates and its
-  :class:`~repro.xpath.normalize.StepSummary` under its source text; on
-  a hit the parser skips the group and the pass after it the step's
-  predicates, so six continuations of ``//book[P]`` parse ``P`` once.
+  counts those): each normalized location step that begins with a name
+  and has predicates without a ``$``, literal or number, and its
+  :class:`~repro.xpath.normalize.StepSummary`, under its source text;
+  the lexer cuts such a step as one *step group*, and on a hit the
+  parser returns the stored step with none of its tokens typed and the
+  pass after it skips its predicates, so six continuations of
+  ``//book[P]`` lex and parse ``P`` once.
+
+A compile cuts its query into lexemes once
+(:class:`~repro.xpath.lexer.Lexer`): the template is keyed from the
+lexemes the parser then types, and the parser records the nodes a bind
+may share as it builds them. ``tokens_typed`` counts the tokens a
+parsed query had typed.
 
 :func:`compile_plan`, :func:`~repro.xpath.parser.parse_xpath` and
 :func:`~repro.xpath.normalize.analyze` alone build every tree cold, and
@@ -54,8 +64,8 @@ from repro.errors import FragmentViolationError, UnknownAlgorithmError
 from repro.service.cache import Memo
 from repro.service.plan import LogicalPlan, PlanTraits, freeze_variables
 from repro.xml.document import Document
-from repro.xpath.ast import Step, clone, slotted
-from repro.xpath.lexer import template
+from repro.xpath.ast import Step, clone
+from repro.xpath.lexer import Lexer
 from repro.xpath.normalize import MAX_HEIGHT, StepSummary, analyze
 from repro.xpath.parser import parse_xpath
 from repro.xpath.unparse import step_to_string, unparse
@@ -98,18 +108,21 @@ def compile_plan(query: str, variables: dict[str, object] | None = None) -> Logi
     """
     stats.count("plans_compiled")
     bindings = dict(variables or {})
-    analysis = analyze(parse_xpath(query), bindings)
-    return LogicalPlan.from_analysis(query, analysis, bindings)
+    lexer = Lexer(query)
+    tree = parse_xpath(lexer)
+    stats.count("tokens_typed", len(lexer.tokens) - 1 - lexer.groups)
+    return LogicalPlan.from_analysis(query, analyze(tree, bindings), bindings)
 
 
 class _StepView:
     """One compile's dealings with the step memo: the parser looks steps
     up through ``peek`` (a hit counts there), counting ``lookups``, and
     records each hit in ``hits`` and each step it parsed instead in
-    ``misses``, ``(step, key, keys)``, ``keys`` being the memo keys of it
-    and of the memo steps inside it (whether a later hit may be shared
-    or must be cloned); the pass leaves those steps' summaries in
-    ``summaries``. ``keys`` are the memo keys already in the tree, in
+    ``misses``, ``(step, key, keys, tokens)``, ``keys`` being the memo
+    keys of it and of the memo steps inside it (whether a later hit may
+    be shared or must be cloned) and ``tokens`` the count of its tokens
+    (what a hit leaves untyped); the pass leaves those steps' summaries
+    in ``summaries``. ``keys`` are the memo keys already in the tree, in
     parse order."""
 
     __slots__ = ("memo", "peek", "lookups", "hits", "summaries", "keys", "misses")
@@ -130,18 +143,18 @@ class _StepView:
         if misses:
             self.memo.stats.tick("misses", misses)
         summaries = self.summaries
-        for step, key, keys in self.misses:
+        for step, key, keys, tokens in self.misses:
             summary = summaries.get(step)
             if summary is not None:
-                self.memo.put(key, (step, summary, keys))
+                self.memo.put(key, (step, summary, keys, tokens))
 
 
 def _bind(entry: tuple, query: str, values: dict, bindings: dict) -> LogicalPlan:
-    """``query``'s plan from its template's ``(plan, slotted ids)``: its literals bound into a
+    """``query``'s plan from its template's ``(plan, free)``: its literals bound into a
     clone, the texts that render one rendered again, every other field the template's."""
-    plan, to_copy = entry
+    plan, free = entry
     keyed: list = []
-    ast = clone(plan.ast, values, to_copy, keyed)
+    ast = clone(plan.ast, values, free, keyed)
     for path in keyed:
         path.key = unparse(path)
     traits, summaries = plan.traits, plan.step_summaries
@@ -175,7 +188,8 @@ class QueryPlanner:
             # ever needs the height check.
             return compile_plan(query, variables)
         bindings = dict(variables or {})
-        key, found = None, template(query)
+        lexer = Lexer(query)
+        key, found = None, lexer.template()
         if found is not None:
             signature = freeze_variables(bindings)
             # A node-set or object binding is keyed by id(): no template.
@@ -186,14 +200,17 @@ class QueryPlanner:
                     return _bind(hit, query, found[1], bindings)
         stats.count("plans_compiled")
         view = _StepView(self.steps)
+        free = None if key is None else {}
         try:
-            analysis = analyze(parse_xpath(query, view), bindings, steps=view)
+            tree = parse_xpath(lexer, view, free)
+            stats.count("tokens_typed", len(lexer.tokens) - 1 - lexer.groups)
+            analysis = analyze(tree, bindings, steps=view)
         finally:
             if view.lookups:
                 view.settle()
         plan = LogicalPlan.from_analysis(query, analysis, bindings)
         if key is not None:
-            self.templates.put(key, (plan, slotted(plan.ast)))
+            self.templates.put(key, (plan, free))
         return plan
 
 

@@ -296,7 +296,7 @@ class Path(Expr):
         return f"Path({root}, steps={self.steps!r})"
 
 
-def clone(node: AstNode, values=None, to_copy=frozenset(), keyed: list | None = None) -> AstNode:
+def clone(node: AstNode, values=None, shared=frozenset(), keyed: list | None = None) -> AstNode:
     """A structural deep copy with fresh uids (the table-based evaluators
     key side tables by uid, so one AST object must never sit at two
     parse-tree positions). Carries ``value_type``, ``relev``, a literal's
@@ -306,12 +306,15 @@ def clone(node: AstNode, values=None, to_copy=frozenset(), keyed: list | None = 
     steps are already in the tree it is building, and shares it (with
     the plan that stored it) otherwise: plans never change their trees.
 
-    With ``values`` (literals by slot) a template memo binds a hit: only
-    the nodes in ``to_copy``, by id (:func:`slotted`), are copied, and
+    With ``values`` (literals by slot) a template memo binds a hit: the
+    nodes with no slot below them are not copied (those whose ids are in
+    ``shared``, the parser's ``free``, and steps without predicates), and
     ``keyed`` collects the copied paths with a key."""
 
     def copy(node: AstNode) -> AstNode:
-        if values is not None and id(node) not in to_copy:
+        if values is not None and (
+            id(node) in shared or type(node) is Step and not node.predicates
+        ):
             return node
         kind = type(node)
         if kind is Step:
@@ -328,7 +331,8 @@ def clone(node: AstNode, values=None, to_copy=frozenset(), keyed: list | None = 
         elif kind is BinaryOp:
             new = BinaryOp(node.op, copy(node.left), copy(node.right))
         elif kind is NumberLiteral or kind is StringLiteral:
-            new = kind(node.value if values is None else values[node.slot], node.slot)
+            value = node.value if values is None else values.get(node.slot, node.value)
+            new = kind(value, node.slot)
         elif kind is VariableRef:
             new = VariableRef(node.name)
         elif kind is ConstantNodeSet:
@@ -344,20 +348,3 @@ def clone(node: AstNode, values=None, to_copy=frozenset(), keyed: list | None = 
         return new
 
     return copy(node)
-
-
-def slotted(root: AstNode) -> set[int]:
-    """The ids of the nodes of ``root``'s tree with a literal slot at or
-    below them: what :func:`clone` copies when it binds values."""
-    found: set[int] = set()
-
-    def visit(node: AstNode) -> bool:
-        below = getattr(node, "slot", None) is not None
-        for child in node.children():
-            below = visit(child) or below
-        if below:
-            found.add(id(node))
-        return below
-
-    visit(root)
-    return found

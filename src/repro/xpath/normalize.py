@@ -27,7 +27,7 @@ derives everything later stages read about the tree: the node's static
 the canonical text (what :func:`~repro.xpath.unparse.unparse` renders,
 built from the children's texts), the Core XPath and Extended Wadler
 verdicts (the rules of :mod:`repro.xpath.fragments`) and the
-:class:`Counts` the planner's ``PlanTraits`` and bottom-up path count
+counts the planner's ``PlanTraits`` and bottom-up path count
 are read from. Each step gets a :class:`StepSummary`: all the batch
 planner needs to describe any prefix of an absolute path.
 :func:`repro.xpath.fragments.core_xpath_violation` stays a walk of its
@@ -120,30 +120,15 @@ _NON_EXISTENTIAL = {
 }
 
 
-class Counts(NamedTuple):
-    """The five counters of a subtree that a plan's ``PlanTraits`` (the
-    price's ``|Q|`` and loop-width flags) and its bottom-up path count
-    are read from. The pass carries them packed into one int, 32 bits
-    apiece, so that adding a child's counts to its parent's is one
-    addition (``_NODE``, ``_BOTTOMUP`` and so on are one unit of each)."""
-
-    #: Parse-tree nodes, steps included.
-    size: int
-    #: Subexpressions OPTMINCONTEXT evaluates bottom-up.
-    bottomup: int
-    #: ``position()`` / ``last()`` calls, the only origin of ``cp`` /
-    #: ``cs`` in a ``Relev`` set.
-    positions: int
-    #: Sibling-axis steps with a position-dependent predicate.
-    siblings: int
-    #: Embedded :class:`ConstantNodeSet` nodes.
-    constants: int
-
-    @classmethod
-    def unpack(cls, packed: int) -> Counts:
-        return cls._make([packed >> 32 * field & 0xFFFFFFFF for field in range(5)])
-
-
+#: One unit of each of the five counts of a subtree that a plan's
+#: ``PlanTraits`` (the price's ``|Q|`` and loop-width flags) and its
+#: bottom-up path count are read from, packed into one int, 32 bits
+#: apiece, so that adding a child's counts to its parent's is one
+#: addition: parse-tree nodes (steps included), subexpressions
+#: OPTMINCONTEXT evaluates bottom-up, ``position()`` / ``last()`` calls
+#: (the only origin of ``cp`` / ``cs`` in a ``Relev`` set), sibling-axis
+#: steps with a position-dependent predicate, and embedded
+#: :class:`ConstantNodeSet` nodes.
 _NODE, _BOTTOMUP, _POSITION, _SIBLING, _CONSTANT = (1 << 32 * field for field in range(5))
 #: The counts of a call, before its arguments' are added.
 _CALL_COUNTS = {"position": _NODE + _POSITION, "last": _NODE + _POSITION}

@@ -12,9 +12,10 @@ W3C rules:
 * ``@n``   →  ``attribute::n``
 * no axis  →  ``child::``
 
-The tokens come from :func:`repro.xpath.lexer.scan`, which reads the
-whole query first (a lexical error anywhere wins over a syntax error
-before it). :meth:`_Parser.expr` folds binary operators left-
+The tokens come from a :class:`repro.xpath.lexer.Lexer`. A lexical
+error anywhere wins over a syntax error before it: the parser has the
+step groups after the cursor typed before it raises one
+(:meth:`_Parser.fail`). :meth:`_Parser.expr` folds binary operators left-
 associatively on an explicit operator stack ranked by
 :data:`repro.xpath.ast.BINARY_PRECEDENCE` — one loop for all six levels,
 no recursion per operator. An operand is unary minus over a ``|`` union
@@ -37,23 +38,24 @@ compiles up to about 500 terms and evaluates up to about 235
 
 **The step memo.** Only :meth:`QueryPlanner.compile
 <repro.service.planner.QueryPlanner.compile>` passes ``steps``, its
-compile's view of the planner's step memo. A step with predicates is
-then looked up by its source text, from its axis to the end of its
-predicate group (the lexer matched each ``[`` to its ``]``); on a hit
-the parser skips the group and returns the memo's step, *normalized*
-already. A group with a ``$``, a literal or a number is parsed (those
-are what differ between otherwise equal queries), and so is one that
-could pass :data:`MAX_DEPTH` where it sits (each level takes two of its
-tokens).
+compile's view of the planner's step memo, and its lexer cuts the query
+by step groups (see :mod:`repro.xpath.lexer`): a step that begins with
+a name and whose predicates the memo keys (no ``$``, literal or number:
+what differs between otherwise equal queries) is one token, looked up
+by its text. On a hit the parser returns the memo's step, *normalized*
+already, and the group stays untyped. A group that could pass
+:data:`MAX_DEPTH` where it sits (each level takes two of its characters)
+is parsed.
 
-A number or string literal records its token's index as its ``slot``
-(a ``processing-instruction('t')`` target is no literal): a planner's
-template memo binds another query's literals there.
+A number or string literal records its token's index in the whole
+query as its ``slot`` (a ``processing-instruction('t')`` target is no
+literal): a planner's template memo binds another query's literals
+there. Given ``free``, the parser also records in it each step, path and
+function call with no slot below it, by id: what such a bind shares (and
+any step without predicates).
 """
 
 from __future__ import annotations
-
-import re
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
@@ -71,7 +73,7 @@ from repro.xpath.ast import (
     VariableRef,
     clone,
 )
-from repro.xpath.lexer import NODE_TYPES, TokenType, scan
+from repro.xpath.lexer import NODE_TYPES, Lexer, TokenType
 
 #: The deepest nesting a query may have (see the module docstring).
 MAX_DEPTH = 80
@@ -86,12 +88,11 @@ _NAME = TokenType.NAME
 _LPAREN = TokenType.LPAREN
 _RPAREN = TokenType.RPAREN
 _LBRACKET = TokenType.LBRACKET
-#: A character of a predicate group the step memo does not key (a digit
-#: in a name is enough too).
-_VARYING = re.compile(r"[$'\"0-9]")
+_GROUP = TokenType.STEP_GROUP
 #: Token types that begin a location step.
 _STEP_STARTS = (
-    _NAME, TokenType.STAR, TokenType.AXIS_NAME, TokenType.AT, TokenType.DOT, TokenType.DOTDOT
+    _NAME, TokenType.STAR, TokenType.AXIS_NAME, TokenType.AT, TokenType.DOT, TokenType.DOTDOT,
+    _GROUP,
 )
 
 
@@ -102,22 +103,30 @@ def _descendant_or_self() -> Step:
 class _Parser:
     """One query's tokens and the cursor over them."""
 
-    __slots__ = ("source", "tokens", "pos", "open", "memo", "closes")
+    __slots__ = ("lexer", "tokens", "pos", "open", "memo", "free", "slots")
 
-    def __init__(self, source: str, steps=None):
-        self.source = source
-        self.closes: dict | None = None if steps is None else {}
-        self.tokens = scan(source, self.closes)
+    def __init__(self, lexer: Lexer, steps=None, free: dict | None = None):
+        self.lexer = lexer
+        self.tokens = lexer.type(steps is not None)
         self.pos = 0
         self.open = 0  # parentheses, predicates and calls open at the cursor
         self.memo = steps
+        self.free = free
+        self.slots = 0  # literals parsed
+
+    def fail(self, message: str, offset: int) -> XPathSyntaxError:
+        """The syntax error to raise, once the step groups after the cursor
+        are typed: a lexical error in one is raised instead."""
+        self.lexer.check(self.tokens[self.pos :])
+        return XPathSyntaxError(message, offset)
 
     def expect(self, token_type: TokenType) -> None:
         token = self.tokens[self.pos]
         if token[0] is not token_type:
-            raise XPathSyntaxError(
-                f"expected {token_type.value!r}, found {token[1]!r}", token[2]
-            )
+            if token[0] is _GROUP:
+                self.lexer.expand(self.pos)
+                return self.expect(token_type)
+            raise self.fail(f"expected {token_type.value!r}, found {token[1]!r}", token[2])
         self.pos += 1
 
     def enter(self, offset: int) -> None:
@@ -125,15 +134,13 @@ class _Parser:
         parser recurses into it."""
         self.open += 1
         if self.open > MAX_DEPTH:
-            raise XPathSyntaxError(f"query nested deeper than {MAX_DEPTH} levels", offset)
+            raise self.fail(f"query nested deeper than {MAX_DEPTH} levels", offset)
 
     def parse(self) -> Expr:
         expr = self.expr()
         trailing = self.tokens[self.pos]
         if trailing[0] is not TokenType.END:
-            raise XPathSyntaxError(
-                f"unexpected trailing input {trailing[1]!r}", trailing[2]
-            )
+            raise self.fail(f"unexpected trailing input {trailing[1]!r}", trailing[2])
         return expr
 
     def expr(self) -> Expr:
@@ -184,7 +191,7 @@ class _Parser:
     def path(self) -> Expr:
         """PathExpr: a location path, or a filter expression optionally
         followed by '/' RelativeLocationPath."""
-        tokens = self.tokens
+        tokens, slots = self.tokens, self.slots
         token = tokens[self.pos]
         if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
             self.pos += 1
@@ -194,26 +201,34 @@ class _Parser:
                 steps = self.steps([])
             else:
                 steps = []
-            return Path(absolute=True, steps=steps)
-        if token[0] in _STEP_STARTS:
-            return Path(steps=self.steps([]))
-        primary = self.primary()
-        predicates = self.predicates()
-        token = tokens[self.pos]
-        if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
-            self.pos += 1
-            steps = self.steps([_descendant_or_self()] if token[1] == "//" else [])
-        elif not predicates:
-            return primary
+            path = Path(absolute=True, steps=steps)
+        elif token[0] in _STEP_STARTS:
+            path = Path(steps=self.steps([]))
         else:
-            steps = []
-        return Path(primary=primary, primary_predicates=predicates, steps=steps)
+            primary = self.primary()
+            predicates = self.predicates()
+            token = tokens[self.pos]
+            if token[0] is _OPERATOR and (token[1] == "/" or token[1] == "//"):
+                self.pos += 1
+                steps = self.steps([_descendant_or_self()] if token[1] == "//" else [])
+            elif not predicates:
+                return primary
+            else:
+                steps = []
+            path = Path(primary=primary, primary_predicates=predicates, steps=steps)
+        if self.free is not None and self.slots == slots:
+            self.free[id(path)] = path
+        return path
 
     def steps(self, steps: list) -> list:
         """RelativeLocationPath, appended to ``steps``."""
-        tokens = self.tokens
+        tokens, free = self.tokens, self.free
         while True:
-            steps.append(self.step())
+            slots = self.slots
+            step = self.step()
+            if free is not None and self.slots == slots:
+                free[id(step)] = step
+            steps.append(step)
             token = tokens[self.pos]
             if token[0] is not _OPERATOR or (token[1] != "/" and token[1] != "//"):
                 return steps
@@ -223,9 +238,15 @@ class _Parser:
 
     def step(self) -> Step:
         tokens = self.tokens
-        pos = first = self.pos
+        pos = self.pos
         token = tokens[pos]
         kind = token[0]
+        if kind is _GROUP:
+            step = self.group_step(token[1])
+            if step is not None:
+                return step
+            token = tokens[pos]
+            kind = token[0]
         if kind is TokenType.DOT or kind is TokenType.DOTDOT:
             self.pos = pos + 1
             return Step("self" if kind is TokenType.DOT else "parent", NodeTest("node"))
@@ -233,11 +254,9 @@ class _Parser:
         if kind is TokenType.AXIS_NAME:
             axis = token[1]
             if axis not in _AXES:
-                raise XPathSyntaxError(f"unknown axis {axis!r}", token[2])
+                raise self.fail(f"unknown axis {axis!r}", token[2])
             if axis == "namespace":
-                raise XPathSyntaxError(
-                    "the namespace axis is not supported (see DESIGN.md)", token[2]
-                )
+                raise self.fail("the namespace axis is not supported (see DESIGN.md)", token[2])
             self.pos = pos + 1
             self.expect(TokenType.COLONCOLON)
             pos = self.pos
@@ -245,6 +264,9 @@ class _Parser:
             axis = "attribute"
             pos += 1
         token = tokens[pos]
+        if token[0] is _GROUP:  # after '@' or '::'
+            self.lexer.expand(pos)
+            token = tokens[pos]
         if token[0] is _NAME:
             name = token[1]
             pos += 1
@@ -258,44 +280,42 @@ class _Parser:
             pos += 1
             node_test = NodeTest("wildcard")
         else:
-            raise XPathSyntaxError(
-                f"expected a node test, found {token[1]!r}", token[2]
-            )
+            raise self.fail(f"expected a node test, found {token[1]!r}", token[2])
         self.pos = pos
         if tokens[pos][0] is _LBRACKET:
-            if self.memo is not None:
-                return self.memo_step(axis, node_test, first)
             return Step(axis, node_test, self.predicates())
         return Step(axis, node_test)
 
-    def memo_step(self, axis: str, node_test: NodeTest, first: int) -> Step:
-        """A step with predicates that begins at token ``first``, through
-        the compile's step memo (see the module docstring)."""
-        tokens, closes, start = self.tokens, self.closes, self.pos
-        end = closes.get(start)
-        while end is not None and tokens[end + 1][0] is _LBRACKET:
-            end = closes.get(end + 1)
-        if end is None or self.open + (end - start + 1) // 2 > MAX_DEPTH:
-            return Step(axis, node_test, self.predicates())
-        source, stop = self.source, tokens[end][2] + 1
-        if _VARYING.search(source, tokens[start][2], stop):
-            return Step(axis, node_test, self.predicates())
-        memo, key = self.memo, source[tokens[first][2] : stop]
+    def group_step(self, text: str) -> Step | None:
+        """The step of the step group ``text`` at the cursor, through the
+        step memo (see the module docstring); ``None``: its tokens are
+        typed now, parse them."""
+        lexer, memo = self.lexer, self.memo
+        cut = text.index("[")
+        axis, named, test = text[:cut].partition("::")
+        axis, test = (axis.strip(), test.strip()) if named else ("child", axis.strip())
+        deep = self.open + (len(text) - cut) // 2 > MAX_DEPTH
+        if deep or axis not in _AXES or axis == "namespace":
+            lexer.expand(self.pos)
+            return None
+        whole, keys = self.pos + lexer.skipped, memo.keys
         memo.lookups += 1
-        entry = memo.peek(key)
-        keys = memo.keys
+        entry = memo.peek(text)
         if entry is not None:
-            step, _, inner = entry
+            step, _, inner, tokens = entry
             if keys and not set(keys).isdisjoint(inner):
                 step = clone(step)  # one object at two positions of one tree
             keys += inner
             memo.hits[step] = entry
-            self.pos = end + 1
+            self.pos += 1
+            lexer.skipped += tokens - 1
             return step
+        lexer.expand(self.pos, 3 if named else 1)  # the head stays untyped
         mark = len(keys)
+        node_test = NodeTest("wildcard") if test == "*" else NodeTest("name", test)
         step = Step(axis, node_test, self.predicates())
-        memo.misses.append((step, key, (*keys[mark:], key)))
-        keys.append(key)
+        memo.misses.append((step, text, (*keys[mark:], text), self.pos + lexer.skipped - whole))
+        keys.append(text)
         return step
 
     def node_type(self, name: str) -> NodeTest:
@@ -333,12 +353,13 @@ class _Parser:
     def primary(self) -> Expr:
         token = self.tokens[self.pos]
         kind = token[0]
-        if kind is TokenType.NUMBER:
+        if kind is TokenType.NUMBER or kind is TokenType.LITERAL:
+            self.slots += 1
             self.pos += 1
-            return NumberLiteral(float(token[1]), self.pos - 1)
-        if kind is TokenType.LITERAL:
-            self.pos += 1
-            return StringLiteral(token[1], self.pos - 1)
+            slot = self.pos - 1 + self.lexer.skipped
+            if kind is TokenType.NUMBER:
+                return NumberLiteral(float(token[1]), slot)
+            return StringLiteral(token[1], slot)
         if kind is TokenType.VARIABLE:
             self.pos += 1
             return VariableRef(token[1])
@@ -350,6 +371,7 @@ class _Parser:
             self.open -= 1
             return inner
         if kind is TokenType.FUNCTION_NAME:
+            slots = self.slots
             self.pos += 1
             self.expect(_LPAREN)
             self.enter(token[2])
@@ -362,18 +384,24 @@ class _Parser:
                     self.pos += 1
             self.expect(_RPAREN)
             self.open -= 1
-            return FunctionCall(token[1], args)
-        raise XPathSyntaxError(f"unexpected token {token[1]!r}", token[2])
+            call = FunctionCall(token[1], args)
+            if self.free is not None and self.slots == slots:
+                self.free[id(call)] = call
+            return call
+        raise self.fail(f"unexpected token {token[1]!r}", token[2])
 
 
-def parse_xpath(source: str, steps=None) -> Expr:
+def parse_xpath(source: str | Lexer, steps=None, free: dict | None = None) -> Expr:
     """Parse an XPath 1.0 expression string into an AST.
 
     The result is *raw*: run :func:`repro.xpath.normalize.normalize` to
     substitute variables, insert the explicit type conversions the paper
     assumes, and annotate static types before handing it to an evaluator
     (the engine does this for you).
-    With ``steps`` (a planner's step memo; see the module docstring) a
-    step may come back normalized already.
+    ``source`` may be the query's :class:`~repro.xpath.lexer.Lexer`
+    (nothing typed yet). With ``steps`` (a planner's step memo; see the
+    module docstring) a step may come back normalized already; ``free``
+    collects the nodes a template bind shares.
     """
-    return _Parser(source, steps).parse()
+    lexer = source if type(source) is Lexer else Lexer(source)
+    return _Parser(lexer, steps, free).parse()
