@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from repro import stats
 from repro.axes.axes import axis_test_pres
-from repro.core.common import apply_operator, box_value, constant_pres
-from repro.core.context import Context
+from repro.core.common import Evaluator, apply_operator, constant_pres
 from repro.errors import EvaluationError
 from repro.xml.document import Document
 from repro.xpath.ast import (
@@ -43,11 +42,11 @@ from repro.xpath.ast import (
 )
 
 
-class BottomUpEvaluator:
+class BottomUpEvaluator(Evaluator):
     """Full-table ``E↑`` evaluation. Single-use per query."""
 
     def __init__(self, document: Document):
-        self.document = document
+        super().__init__(document)
         #: ``dom`` as pres.
         self.dom = range(len(document))
         #: uid → table. Scalar tables: {(cn, cp, cs): value}; node-set
@@ -56,17 +55,13 @@ class BottomUpEvaluator:
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, context: Context):
+    def pre_value(self, expr: Expr, triple: tuple):
         """Tabulate every subexpression, then read off the answer."""
-        if isinstance(expr, ConstantNodeSet):
-            # A bare node-set binding is its own value (see constant_pres).
-            return self.document.in_document_order(expr.nodes)
         self._build(expr)
         table = self.tables[expr.uid]
-        cn = context.node.pre
         if expr.value_type == "nset":
-            return box_value(self.document, sorted(table[cn]), "nset")
-        return table[(cn, context.position, context.size)]
+            return sorted(table[triple[0]])
+        return table[triple]
 
     # ------------------------------------------------------------------
 

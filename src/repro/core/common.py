@@ -1,11 +1,11 @@
 """Shared evaluation primitives used by every algorithm.
 
-Every evaluator runs on the pre plane: a context node is its pre number
-and a node set a collection of pres; only what leaves an evaluator is
-boxed (:func:`box_value`). :func:`apply_operator` is Figure 1's
-``F[[Op]]`` over already evaluated child values, reading node-set members
-from the document, and :func:`constant_pres` is the one rule for a
-node-set variable.
+Every evaluator (:class:`Evaluator`) runs on the pre plane: a context
+node is its pre number and a node set a collection of pres, its value a
+:class:`NodeSet`, boxed only at the public edges (:func:`box_value`).
+:func:`apply_operator` is Figure 1's ``F[[Op]]`` over already evaluated
+child values, reading node-set members from the document, and
+:func:`constant_pres` is the one rule for a node-set variable.
 
 :func:`step_candidate_pres` (``χ(X) ∩ T(t)`` as a sorted pre array,
 through the per-step gate of :mod:`repro.axes.vec`) and
@@ -21,10 +21,13 @@ with the Definition-1 dispatch :func:`repro.axes.axes.axis_test_pres`.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from repro import stats
 from repro.axes.vec import forward_step
+from repro.core.context import Context
 from repro.errors import EvaluationError
 from repro.functions.library import apply_function
 from repro.values.compare import COMPARE, compare_values
@@ -34,6 +37,8 @@ from repro.xml.index import ATTR
 from repro.xpath.ast import BinaryOp, ConstantNodeSet, Expr, FunctionCall, Negate, NodeTest
 
 __all__ = [
+    "Evaluator",
+    "NodeSet",
     "apply_operator",
     "box_value",
     "constant_pres",
@@ -185,10 +190,26 @@ def step_relation_pres(
     raise ValueError(f"unknown axis: {axis}")
 
 
+@dataclass(frozen=True, slots=True)
+class NodeSet:
+    """A node-set value: ``document`` (``None`` for an empty binding) and
+    its members' pres as a sorted, duplicate-free ``array('I')`` that
+    nobody writes."""
+
+    document: Document | None
+    pres: array
+
+    def __len__(self) -> int:
+        return len(self.pres)
+
+
 def box_value(document: Document, value, value_type: str):
-    """The boxed read-out of a pre-plane value: a node set (sorted pre
-    list) becomes the document-ordered ``list[Node]``; scalars pass
-    through. The one place an evaluator materializes nodes."""
+    """The public read-out of a value: a :class:`NodeSet` (or sorted pres
+    of ``document``) becomes a fresh document-ordered ``list[Node]``;
+    scalars pass through. The one place a result is boxed."""
+    if isinstance(value, NodeSet):
+        # An empty binding names no document; any will box it.
+        return (value.document or document).nodes_at(value.pres)
     if value_type == "nset":
         return document.nodes_at(value)
     return value
@@ -198,13 +219,37 @@ def constant_pres(document: Document, node: ConstantNodeSet) -> list[int]:
     """A node-set variable's nodes as a sorted pre list of ``document``.
     Pre numbers of ``document`` cannot name another document's nodes, so
     such a binding is refused here: an evaluator accepts it only as the
-    whole query, which it returns as it is."""
-    if any(member.document is not document for member in node.nodes):
+    whole query, which :meth:`Evaluator.value` returns as it is."""
+    nodes = node.nodes
+    if nodes.pres and nodes.document is not document:
         raise EvaluationError(
             "a node-set variable bound to nodes of another document can "
             "only be the whole query, not an operand"
         )
-    return sorted(member.pre for member in node.nodes)
+    return list(nodes.pres)
+
+
+class Evaluator:
+    """An evaluator: :meth:`evaluate` boxes :meth:`value`, which wraps a
+    node set into a :class:`NodeSet`, and a subclass's
+    ``pre_value(expr, (pre, position, size))`` computes it as sorted,
+    duplicate-free pres."""
+
+    def __init__(self, document: Document):
+        self.document = document
+
+    def evaluate(self, expr: Expr, context: Context):
+        return box_value(self.document, self.value(expr, context), expr.value_type)
+
+    def value(self, expr: Expr, context: Context):
+        # A bare node-set binding is its own value, even one of another
+        # document's nodes.
+        if isinstance(expr, ConstantNodeSet):
+            return expr.nodes
+        value = self.pre_value(expr, (context.node.pre, context.position, context.size))
+        if expr.value_type == "nset":
+            return NodeSet(self.document, array("I", value))
+        return value
 
 
 def apply_operator(document: Document, expr: Expr, values: list, context_pre: int | None = None):

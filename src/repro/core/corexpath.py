@@ -43,11 +43,12 @@ narrow interval step predicts no saving — so a selective step costs
 benchmark EXP-T13 verifies the linear scaling, EXP-AXIS the
 output-sensitive fast path.
 
-Because pres thread end-to-end — context in, set algebra through, pres
-out — the only place this evaluator touches a ``Node`` is the final
-materialization of the *result* (``document.nodes_at``), in either
-kernel mode: a whole Core XPath query costs O(output) node objects.
-Every evaluator shares this pre plane (:mod:`repro.core.common`).
+Pres thread end-to-end — context in, set algebra through, pres out — in
+either kernel mode: the value (:meth:`~repro.core.common.Evaluator.value`)
+is a :class:`~repro.core.common.NodeSet`, and only the public
+:meth:`~repro.core.common.Evaluator.evaluate` boxes it, O(output) node
+objects. Every evaluator shares this pre plane
+(:mod:`repro.core.common`).
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ from array import array
 
 from repro import stats
 from repro.axes.vec import filter_step, forward_step, intersect, inverse_step
+from repro.core.common import Evaluator, NodeSet
 from repro.core.context import Context
 from repro.errors import FragmentViolationError
-from repro.xml.document import Document, Node
+from repro.xml.document import Document
 from repro.xpath.ast import BinaryOp, Expr, FunctionCall, Path, Step
 from repro.xpath.fragments import core_xpath_violation
 
@@ -70,7 +72,7 @@ def _without(block, hits: list[int]) -> list[int]:
     return sorted(set(block).difference(hits))
 
 
-class CoreXPathEvaluator:
+class CoreXPathEvaluator(Evaluator):
     """Forward/backward sorted-array evaluation for Core XPath queries.
 
     ``holds``, when given, memoizes each keyed predicate path's backward
@@ -79,23 +81,23 @@ class CoreXPathEvaluator:
     per member). Without it every ``boolean`` propagates afresh."""
 
     def __init__(self, document: Document, holds=None):
-        self.document = document
+        super().__init__(document)
         self.holds = holds
         self._dom_pres: list[int] | None = None
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, context: Context) -> list[Node]:
-        """Evaluate a Core XPath query; raises
-        :class:`repro.errors.FragmentViolationError` outside the fragment."""
+    def value(self, expr: Expr, context: Context):
+        """The value of a Core XPath query, always a node set; raises
+        :class:`repro.errors.FragmentViolationError` outside the fragment
+        (a bare ``$v`` too: Core XPath has no variables)."""
         violation = core_xpath_violation(expr)
         if violation is not None:
             raise FragmentViolationError(f"not a Core XPath query: {violation}")
-        assert isinstance(expr, Path)
-        result = self._forward_path(expr, [context.node.pre])
-        return self.document.nodes_at(result)
+        start = [0] if expr.absolute else [context.node.pre]
+        return NodeSet(self.document, array("I", self._sweep(expr.steps, start)))
 
-    def forward_from_pres(self, steps: list[Step], pres: list[int]) -> list[int]:
+    def forward_from_pres(self, steps: list[Step], pres: list[int]):
         """Forward-sweep a *relative* step suffix from an
         already-materialized sorted pre array.
 
@@ -119,13 +121,10 @@ class CoreXPathEvaluator:
 
     # ------------------------------------------------------------------
 
-    def _forward_path(self, path: Path, start: list[int]) -> list[int]:
-        current = [0] if path.absolute else list(start)
-        return self._sweep(path.steps, current)
-
-    def _sweep(self, steps: list[Step], current: list[int]) -> list[int]:
+    def _sweep(self, steps: list[Step], current: list[int]):
         """Forward-sweep a step chain: every step runs, even on an empty
-        set."""
+        set. The sorted pres come back as the last step left them (a
+        list, or a kernel's array or view)."""
         for step in steps:
             stats.count("corexpath_steps")
             current = forward_step(self.document, step.axis, current, step.node_test)
@@ -133,7 +132,7 @@ class CoreXPathEvaluator:
                 if not current:
                     break
                 current = self._within(predicate, current)
-        return current if isinstance(current, list) else list(current)
+        return current
 
     # ------------------------------------------------------------------
 

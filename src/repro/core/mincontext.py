@@ -22,7 +22,7 @@ principle:
 The four procedures map one-to-one onto the Section 6 pseudo-code:
 ``eval_outermost_locpath``, ``eval_by_cnode_only``,
 ``eval_single_context``, ``eval_inner_locpath``. Algorithm 6 is
-:meth:`MinContextEvaluator.evaluate`.
+:meth:`MinContextEvaluator.pre_value`.
 
 Bound: ``O(|D|⁴·|Q|²)`` time and ``O(|D|²·|Q|²)`` space (Theorem 7).
 
@@ -39,9 +39,9 @@ per-origin candidate lists are cut from the index columns
 numbers are read per pre from the document
 (:meth:`~repro.xml.document.Document.string_value_of_pre` /
 :meth:`~repro.xml.document.Document.number_value_of_pre`). ``Node``
-objects appear only where a value leaves the evaluator —
-:meth:`MinContextEvaluator.evaluate`'s result and the
-:meth:`~MinContextEvaluator.boxed_table` read-out.
+objects appear only in the public read-outs — the boxed result of
+:meth:`~repro.core.common.Evaluator.evaluate` and
+:meth:`~MinContextEvaluator.boxed_table`.
 The paper's counters (table rows and cells, contexts evaluated,
 relation cells) count the same things as on boxed nodes.
 
@@ -129,13 +129,13 @@ import operator
 
 from repro import stats
 from repro.core.common import (
+    Evaluator,
     apply_operator,
-    box_value,
     constant_pres,
     step_candidate_pres,
     step_relation_pres,
 )
-from repro.core.context import WILDCARD, Context
+from repro.core.context import WILDCARD
 from repro.errors import EvaluationError
 from repro.values.compare import COMPARE, FLIPPED, compare_values, member_operands
 from repro.values.numbers import xpath_divide, xpath_modulo
@@ -171,11 +171,11 @@ _ARITHMETIC = {
 _NUM_OPERATORS = {**COMPARE, **_ARITHMETIC}
 
 
-class MinContextEvaluator:
+class MinContextEvaluator(Evaluator):
     """The MINCONTEXT query processor."""
 
     def __init__(self, document: Document):
-        self.document = document
+        super().__init__(document)
         #: uid → table: ``{projected context: value}`` (the projection is
         #: the context node's pre, or ``()`` for a context-free node), or
         #: a pre-indexed list of booleans over all of ``dom``.
@@ -198,21 +198,13 @@ class MinContextEvaluator:
     # Algorithm 6
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, context: Context):
-        """Algorithm 6 (MINCONTEXT). Node-set results come back as
-        document-ordered lists."""
-        if isinstance(expr, ConstantNodeSet):
-            # A bare node-set binding is its own value; its members may
-            # even belong to another document, which pre numbers of this
-            # one could not express.
-            return self.document.in_document_order(expr.nodes)
-        triple = (context.node.pre, context.position, context.size)
+    def pre_value(self, expr: Expr, triple: tuple):
+        """Algorithm 6 (MINCONTEXT)."""
         try:
             if expr.value_type == "nset" and isinstance(expr, (Path, Union)):
-                value = self.eval_outermost_locpath(expr, [triple[0]], triple)
-            else:
-                self.eval_by_cnode_only(expr, [triple[0]])
-                value = self.eval_single_context(expr, triple)
+                return self.eval_outermost_locpath(expr, [triple[0]], triple)
+            self.eval_by_cnode_only(expr, [triple[0]])
+            return self.eval_single_context(expr, triple)
         finally:
             # The closures hold this evaluator (``_lookup``):
             # dropped here, it and its tables die with the last reference
@@ -220,7 +212,6 @@ class MinContextEvaluator:
             self._compiled.clear()
             self._operators.clear()
             self._rankers.clear()
-        return box_value(self.document, value, expr.value_type)
 
     # ------------------------------------------------------------------
     # Table plumbing

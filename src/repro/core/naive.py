@@ -27,10 +27,8 @@ from __future__ import annotations
 
 from repro import stats
 from repro.axes.axes import axis_test_pres
-from repro.core.common import apply_operator, box_value, constant_pres
-from repro.core.context import Context
+from repro.core.common import Evaluator, apply_operator, constant_pres
 from repro.errors import EvaluationError
-from repro.xml.document import Document
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
@@ -45,24 +43,16 @@ from repro.xpath.ast import (
 )
 
 
-class NaiveEvaluator:
+class NaiveEvaluator(Evaluator):
     """Recursive interpreter with list-based node-set semantics."""
 
-    def __init__(self, document: Document):
-        self.document = document
-
-    # ------------------------------------------------------------------
-
-    def evaluate(self, expr: Expr, context: Context):
-        """Evaluate and return a boundary value: node-sets come back as a
-        deduplicated, document-ordered list."""
-        if isinstance(expr, ConstantNodeSet):
-            # A bare node-set binding is its own value (see constant_pres).
-            return self.document.in_document_order(expr.nodes)
-        value = self._eval(expr, (context.node.pre, context.position, context.size))
+    def pre_value(self, expr: Expr, triple: tuple):
+        """The boundary value: a node set deduplicated, in document
+        order."""
+        value = self._eval(expr, triple)
         if expr.value_type == "nset":
             value = sorted(set(value))
-        return box_value(self.document, value, expr.value_type)
+        return value
 
     # ------------------------------------------------------------------
 

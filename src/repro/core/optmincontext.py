@@ -21,18 +21,18 @@ from __future__ import annotations
 
 from repro import stats
 from repro.core.bottomup_paths import eval_bottomup_path
-from repro.core.context import Context
+from repro.core.common import Evaluator
 from repro.core.mincontext import MinContextEvaluator
 from repro.xml.document import Document
 from repro.xpath.ast import Expr
 from repro.xpath.fragments import find_bottomup_paths
 
 
-class OptMinContextEvaluator:
+class OptMinContextEvaluator(Evaluator):
     """Algorithm 8. Single-use per query, like MINCONTEXT."""
 
     def __init__(self, document: Document):
-        self.document = document
+        super().__init__(document)
         #: Exposed for inspection/tests: the MINCONTEXT instance whose
         #: tables the bottom-up pass pre-fills.
         self.mincontext = MinContextEvaluator(document)
@@ -45,6 +45,6 @@ class OptMinContextEvaluator:
             eval_bottomup_path(self.mincontext, node)
         return self.mincontext
 
-    def evaluate(self, expr: Expr, context: Context):
+    def pre_value(self, expr: Expr, triple: tuple):
         # Step 2: MINCONTEXT (precomputed subexpressions are skipped).
-        return self.evaluate_bottomup_paths(expr).evaluate(expr, context)
+        return self.evaluate_bottomup_paths(expr).pre_value(expr, triple)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro import stats
 from repro.axes.axes import axis_test_pres
-from repro.core.common import apply_operator, box_value, constant_pres
+from repro.core.common import Evaluator, apply_operator, constant_pres
 from repro.core.context import Context
 from repro.errors import EvaluationError
 from repro.xml.document import Document
@@ -41,7 +41,7 @@ from repro.xpath.ast import (
 )
 
 
-class TopDownEvaluator:
+class TopDownEvaluator(Evaluator):
     """Vectorized Definition-2 semantics.
 
     When ``record_tables=True`` every ``E↓`` call appends its
@@ -50,23 +50,19 @@ class TopDownEvaluator:
     """
 
     def __init__(self, document: Document, record_tables: bool = False):
-        self.document = document
+        super().__init__(document)
         self.record_tables = record_tables
         #: uid → list of ((pre, cp, cs), value) rows, in evaluation order.
         self.tables: dict[int, list[tuple[tuple, object]]] = {}
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, expr: Expr, context: Context):
-        """Evaluate for one outer context; node-sets are returned as
-        document-ordered lists."""
-        if isinstance(expr, ConstantNodeSet):
-            # A bare node-set binding is its own value (see constant_pres).
-            return self.document.in_document_order(expr.nodes)
-        (value,) = self._eval(expr, [(context.node.pre, context.position, context.size)])
+    def pre_value(self, expr: Expr, triple: tuple):
+        """``E↓`` for the one outer context, a node set sorted."""
+        (value,) = self._eval(expr, [triple])
         if expr.value_type == "nset":
             value = sorted(value)
-        return box_value(self.document, value, expr.value_type)
+        return value
 
     # ------------------------------------------------------------------
     # E↓
@@ -210,7 +206,7 @@ class TopDownEvaluator:
         self.record_tables = True
         self.tables = {}
         try:
-            self.evaluate(expr, context)
+            self.value(expr, context)
         finally:
             self.record_tables = previous
         nodes = self.document.nodes

@@ -620,12 +620,11 @@ class ServeCore:
             yield step, remaining
 
     def _evaluate(self, request: Request):
-        """A QUERY's step: the fault seam, then the service (whose timings
-        feed admission)."""
+        """A QUERY's step: the fault seam, then the document's session
+        (whose timings feed admission); a node set stays unboxed."""
         self.injector.before_evaluate(request.queries[0])
-        return self.service.evaluate(
-            request.plans[0], request.documents[0], algorithm=request.decision.algorithm
-        )
+        session = self.service.session(request.documents[0])
+        return session.value(request.plans[0], algorithm=request.decision.algorithm)
 
     def _batch_row(self, request: Request, rows) -> list:
         """A BATCH step: the fault seam per query, then the next row."""

@@ -31,9 +31,11 @@ priced cost exceeds the request's own deadline).
 from __future__ import annotations
 
 import json
+from array import array
 
+from repro.core.common import NodeSet
 from repro.errors import ProtocolError, ReproError, error_code
-from repro.xml.serializer import serialize_node
+from repro.xml.serializer import serialize_pre
 
 #: Hard per-frame byte bound (requests and responses). Registration
 #: payloads dominate frame size; 32 MiB comfortably fits every document
@@ -118,16 +120,22 @@ def decode_frame(line: bytes) -> dict:
 def render_value(value, style: str = "path") -> dict:
     """An XPath result as a JSON-safe payload: node-sets become rendered
     item lists (``path``/``value``/``xml`` styles), scalars keep their
-    type tag. The CLI prints every result through this payload, so its
-    local and remote output are the same text."""
+    type tag; a node set, a :class:`~repro.core.common.NodeSet` or a
+    public edge's ``list[Node]``, renders from its pres. The CLI prints
+    every result through this payload, so its local and remote output
+    are the same text."""
     if isinstance(value, list):
+        document = value[0].document if value else None
+        value = NodeSet(document, array("I", [node.pre for node in value]))
+    if isinstance(value, NodeSet):
+        document, pres = value.document, value.pres
         if style == "xml":
-            items = [serialize_node(node) for node in value]
+            items = [serialize_pre(document, pre) for pre in pres]
         elif style == "value":
-            items = [node.string_value for node in value]
+            items = [document.string_value_of_pre(pre) for pre in pres]
         else:
-            items = [node.path() for node in value]
-        return {"kind": "node-set", "count": len(value), "items": items}
+            items = [document.path_of_pre(pre) for pre in pres]
+        return {"kind": "node-set", "count": len(pres), "items": items}
     if isinstance(value, bool):
         return {"kind": "boolean", "value": value}
     if isinstance(value, (int, float)):

@@ -60,12 +60,13 @@ intact cell by cell.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
+from repro.core.common import NodeSet, box_value
 from repro.errors import ReproError
 from repro.service.plan import LogicalPlan
 from repro.stats import BatchPlanStats
-from repro.xml.document import Document
 from repro.xpath.ast import ConstantNodeSet, Path, Step, clone
 from repro.xpath.normalize import StepSummary, analyze, prefix_analysis
 
@@ -140,15 +141,13 @@ def _compile_prefix(chain: tuple[str, ...], plan: LogicalPlan, length: int) -> L
     return LogicalPlan.from_analysis("/" + "/".join(chain), analysis)
 
 
-def _residual_plan(
-    plan: LogicalPlan, steps: list[Step], base_pres: list[int], document: Document
-) -> LogicalPlan:
+def _residual_plan(plan: LogicalPlan, steps: list[Step], base: NodeSet) -> LogicalPlan:
     """A per-(cell, document) residual plan: the already-materialized
     prefix result as a ``ConstantNodeSet`` primary, the remaining steps
     cloned on top. Only built for non-Core suffixes (Core ones resume
     the sorted-pre-array sweep directly); always evaluated with
     ``cached=False`` so its ad-hoc source never lands in any memo."""
-    primary = ConstantNodeSet(document.nodes_at(base_pres))
+    primary = ConstantNodeSet(base)
     primary.value_type = "nset"
     ast = Path(primary=primary, steps=[clone(step) for step in steps])
     ast.value_type = "nset"
@@ -233,14 +232,22 @@ class BatchPlan:
         return bool(self.nodes)
 
     def evaluate_row(self, session) -> list[object]:
-        """All of this batch's plans against one document's session, in
-        input order — shared cells through the DAG, everything else
-        exactly as independent evaluation would."""
-        prefix_cache: dict[tuple[str, ...], list[int]] = {}
+        """:meth:`row`, node sets boxed into ``list[Node]``."""
+        return [
+            box_value(session.document, value, entry.plan.result_type)
+            for entry, value in zip(self.entries, self.row(session))
+        ]
+
+    def row(self, session) -> list[object]:
+        """All of this batch's plans' values (node sets unboxed) against
+        one document's session, in input order — shared cells through
+        the DAG, everything else exactly as independent evaluation
+        would."""
+        prefix_cache: dict[tuple[str, ...], NodeSet] = {}
         row = []
         for entry in self.entries:
             if entry.base is None:
-                row.append(session.evaluate(entry.plan, algorithm="auto"))
+                row.append(session.value(entry.plan, algorithm="auto"))
             else:
                 self.stats.tick("cells")
                 row.append(self._cell_value(session, entry, prefix_cache))
@@ -253,20 +260,16 @@ class BatchPlan:
         def compute():
             computed.append(True)
             try:
-                base_pres = self._prefix_pres(session, entry.base, prefix_cache)
+                base = self._prefix(session, entry.base, prefix_cache)
                 value = self._apply_residual(
-                    session,
-                    plan,
-                    entry.residual_steps,
-                    entry.residual_core,
-                    base_pres,
+                    session, plan, entry.residual_steps, entry.residual_core, base
                 )
             except ReproError:
                 # Per-cell fallback: any sharing-path error (fragment
                 # probe wrong, kernel refusal, ...) costs exactly one
                 # independent evaluation — the paper's bounds per cell.
                 self.stats.tick("fallback_cells")
-                return session.evaluate(plan, algorithm="auto", cached=False)
+                return session.value(plan, algorithm="auto", cached=False)
             # Independent evaluation would have applied the whole chain;
             # sharing applied only the residual past the base prefix.
             self.stats.add(
@@ -283,30 +286,26 @@ class BatchPlan:
             self.stats.tick("memo_hits")
         return value
 
-    def _prefix_pres(self, session, chain, prefix_cache) -> list[int]:
-        """The materialized prefix's sorted pre array for this document —
+    def _prefix(self, session, chain, prefix_cache) -> NodeSet:
+        """The materialized prefix's node set on this document —
         row-cached, session-memoized, computed (at most once per
         document) as a residual of its parent prefix."""
-        pres = prefix_cache.get(chain)
-        if pres is not None:
+        value = prefix_cache.get(chain)
+        if value is not None:
             self.stats.tick("prefix_memo_hits")
-            return pres
+            return value
         node = self.nodes[chain]
         computed: list[bool] = []
 
         def compute():
             computed.append(True)
             if node.parent is None:
-                value = session.evaluate(node.plan, algorithm="auto", cached=False)
+                value = session.value(node.plan, algorithm="auto", cached=False)
                 self.stats.add({"prefix_evaluations": 1, "steps_shared": len(chain)})
                 return value
-            base_pres = self._prefix_pres(session, node.parent, prefix_cache)
+            base = self._prefix(session, node.parent, prefix_cache)
             value = self._apply_residual(
-                session,
-                node.plan,
-                node.residual_steps,
-                node.residual_core,
-                base_pres,
+                session, node.plan, node.residual_steps, node.residual_core, base
             )
             self.stats.add(
                 {"prefix_evaluations": 1, "steps_shared": len(chain) - len(node.parent)}
@@ -316,28 +315,19 @@ class BatchPlan:
         value = session.evaluate_computed(node.plan, "auto", compute)
         if not computed:
             self.stats.tick("prefix_memo_hits")
-        # Results come back in document order, so the pre projection is
-        # already the sorted array the step kernels expect.
-        pres = [n.pre for n in value]
-        prefix_cache[chain] = pres
-        return pres
+        prefix_cache[chain] = value
+        return value
 
     def _apply_residual(
-        self,
-        session,
-        plan: LogicalPlan,
-        steps: list[Step],
-        core_ok: bool,
-        base_pres: list[int],
-    ) -> list:
-        document = session.document
+        self, session, plan: LogicalPlan, steps: list[Step], core_ok: bool, base: NodeSet
+    ) -> NodeSet:
         if not steps:
-            return document.nodes_at(base_pres)
+            return base
         if core_ok:
-            evaluator = session.evaluator("corexpath")
-            return document.nodes_at(evaluator.forward_from_pres(steps, base_pres))
-        residual = _residual_plan(plan, steps, base_pres, document)
-        return session.evaluate(residual, algorithm="optmincontext", cached=False)
+            pres = session.evaluator("corexpath").forward_from_pres(steps, base.pres)
+            return NodeSet(session.document, array("I", pres))
+        residual = _residual_plan(plan, steps, base)
+        return session.value(residual, algorithm="optmincontext", cached=False)
 
     # ------------------------------------------------------------------
 

@@ -42,6 +42,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.common import box_value
 from repro.core.context import Context
 from repro.core.corexpath import CoreXPathEvaluator
 from repro.service.batchplan import BatchPlan, build_batch_plan
@@ -58,19 +59,12 @@ from repro.stats import CacheStats, Counters, TimingStats
 from repro.xml.document import Document, Node
 
 
-def _copy_result(value):
-    """Node-set results are lists; hand out a fresh list per call so
-    callers can mutate their copy without corrupting the memo."""
-    if isinstance(value, list):
-        return list(value)
-    return value
-
-
 class _Entry:
-    """A result-memo entry: the value, the plan's bindings the key names
-    by ``id()`` (``None`` when it has none), the evaluator that ran, and —
-    from the entry's first :meth:`DocumentSession.payload` on — its hit
-    reply's head and encoded payloads by output style."""
+    """A result-memo entry: the value (a node set unboxed), the plan's
+    bindings the key names by ``id()`` (``None`` when it has none), the
+    evaluator that ran, and — from the entry's first
+    :meth:`DocumentSession.payload` on — its hit reply's head and encoded
+    payloads by output style."""
 
     __slots__ = ("bindings", "value", "algorithm", "head", "payloads")
 
@@ -92,7 +86,8 @@ class DocumentSession:
 
     Holds reusable evaluator instances for the stateless algorithms and
     two memos (:class:`~repro.service.cache.Memo`): :attr:`results`,
-    ``(plan key, algorithm, context) → result``, at most
+    ``(plan key, algorithm, context) → value`` (a node set as its
+    :class:`~repro.core.common.NodeSet`), at most
     :attr:`result_capacity` entries, and :attr:`holds`, ``Path.key`` →
     the pres where that Core XPath predicate path holds as an
     ``array('i')``, which the session's ``corexpath`` instance reads for
@@ -175,7 +170,12 @@ class DocumentSession:
                 return instance
         return make_evaluator(self.document, algorithm)
 
-    def evaluate(
+    def evaluate(self, plan: LogicalPlan, *args, **kwargs):
+        """:meth:`value`, a node set boxed into a fresh ``list[Node]``."""
+        value = self.value(plan, *args, **kwargs)
+        return box_value(self.document, value, plan.result_type)
+
+    def value(
         self,
         plan: LogicalPlan,
         algorithm: str = "auto",
@@ -184,7 +184,8 @@ class DocumentSession:
         context_size: int = 1,
         cached: bool = True,
     ):
-        """Evaluate a compiled plan against this session's document.
+        """Evaluate a compiled plan against this session's document, a
+        node set as its :class:`~repro.core.common.NodeSet`.
 
         ``algorithm='auto'`` runs the plan's fragment dispatch (see
         :meth:`resolve`). ``cached=False`` bypasses the result memo
@@ -213,7 +214,7 @@ class DocumentSession:
     ):
         """The memo protocol with a caller-supplied miss computation.
 
-        Identical lookup/accounting/insert behavior to :meth:`evaluate`
+        Identical lookup/accounting/insert behavior to :meth:`value`
         — same key, same hit/miss/eviction counting, ``compute()`` runs
         outside the lock exactly where the resolved evaluator would.
         This is the batch planner's hook
@@ -227,11 +228,11 @@ class DocumentSession:
         )
         entry = self.results.get(key)
         if entry is not None:
-            return _copy_result(entry.value)
+            return entry.value
         value = compute()
         resolved = resolve_algorithm(plan, algorithm)
         self.results.put(key, _Entry(plan.variables or None, value, resolved))
-        return _copy_result(value)
+        return value
 
     def payload(self, key: tuple, style: str, encode, head) -> tuple[bytes, bytes] | None:
         """The memo's read half alone (:meth:`Memo.peek
@@ -242,8 +243,8 @@ class DocumentSession:
         which counts nothing, because the evaluation the caller goes on to
         request counts that miss itself. The head is ``head(algorithm)``,
         made at the entry's first hit; the payload is ``encode(value,
-        style)``, made at the first hit in that style; the entry keeps both
-        and the value is not copied. A dictionary read, so a caller that
+        style)`` of the unboxed value, made at the first hit in that style;
+        the entry keeps both. A dictionary read, so a caller that
         must not block (the serving daemon's event loop) can answer repeats
         without a worker."""
         entry = self.results.peek((key, "auto", self.document.root, 1, 1))
@@ -285,7 +286,7 @@ class DocumentSession:
         """Run one real evaluation, feeding its wall time into the
         session's timing rates."""
         started = time.perf_counter()
-        value = self.evaluator(resolved).evaluate(plan.ast, context)
+        value = self.evaluator(resolved).value(plan.ast, context)
         self.timings.observe(
             resolved, cost_units(plan, self.profile), time.perf_counter() - started
         )
@@ -463,7 +464,11 @@ class QueryService:
         plans = [self.plan(query) for query in query_list]
         algorithms = [resolve_algorithm(plan, algorithm) for plan in plans]
         batch_plan = build_batch_plan(plans, algorithm, share)
-        values = list(self.batch_rows(plans, document_list, algorithm, batch_plan))
+        rows = self.batch_rows(plans, document_list, algorithm, batch_plan)
+        values = [
+            [box_value(document, value, plan.result_type) for plan, value in zip(plans, row)]
+            for document, row in zip(document_list, rows)
+        ]
         return BatchResult(
             queries=query_list,
             document_count=len(document_list),
@@ -484,7 +489,7 @@ class QueryService:
         batch_plan: BatchPlan | None = None,
     ):
         """Yield each document's row, in order: every plan's value on
-        that document. The one batch loop — :meth:`evaluate_many`
+        that document, unboxed. The one batch loop — :meth:`evaluate_many`
         consumes it whole, the serving daemon's ``BATCH`` steps it one
         row per worker-thread hop. A ``batch_plan`` (from
         :func:`~repro.service.batchplan.build_batch_plan`, built once
@@ -494,9 +499,9 @@ class QueryService:
         for document in documents:
             session = self.session(document)
             if shared:
-                yield batch_plan.evaluate_row(session)
+                yield batch_plan.row(session)
             else:
-                yield [session.evaluate(plan, algorithm=algorithm) for plan in plans]
+                yield [session.value(plan, algorithm=algorithm) for plan in plans]
 
     # ------------------------------------------------------------------
 

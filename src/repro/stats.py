@@ -253,9 +253,10 @@ CacheStats = Counters(
 #:   decoder);
 #: * ``nodes_materialized`` — ``Node`` objects created on them, each pre
 #:   exactly once ever (creation runs under the per-document lock): a
-#:   batch's delta is the O(output) the column path promises. Boxing a
-#:   result (:meth:`~repro.xml.document.Document.nodes_at`) is one event
-#:   of the nodes it made, none when every node already existed;
+#:   batch's delta is the O(output) the column path promises, a served
+#:   one's none but the root. Boxing a result at a public edge
+#:   (:func:`~repro.core.common.box_value`) is one event of the nodes it
+#:   made, none when every node already existed;
 #: * ``vector_ops`` — step ops run over a block of at least
 #:   ``VECTOR_MIN_BLOCK`` members in whole-column operations (an axis
 #:   step on :data:`repro.axes.vec.FORWARD_VECTOR_AXES` /

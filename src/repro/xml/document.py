@@ -445,7 +445,7 @@ class Document:
 
     def nodes_at(self, pres) -> list[Node]:
         """The nodes for ``pres`` (a sequence of valid pre numbers), in
-        their order — how every node-set result is boxed.
+        their order — how a result is boxed at a public edge.
 
         One list read per node already created. The pres without a node
         are created in one pass under one acquisition of the lock (each

@@ -25,7 +25,7 @@ def _escape_attribute(value: str) -> str:
     )
 
 
-def _serialize_pre(document: Document, pre: int) -> str:
+def serialize_pre(document: Document, pre: int) -> str:
     """Markup of the subtree at ``pre``: ``kinds`` / ``names`` /
     ``values`` / ``size`` in one pass over its pre interval."""
     columns = document.columns
@@ -69,12 +69,12 @@ def _serialize_pre(document: Document, pre: int) -> str:
 
 def serialize_node(node: Node) -> str:
     """Serialize a single node (and its subtree) to markup."""
-    return _serialize_pre(node.document, node.pre)
+    return serialize_pre(node.document, node.pre)
 
 
 def serialize(document: Document, xml_declaration: bool = False) -> str:
     """Serialize a whole document."""
-    body = _serialize_pre(document, 0)
+    body = serialize_pre(document, 0)
     if xml_declaration:
         return f'<?xml version="1.0"?>{body}'
     return body

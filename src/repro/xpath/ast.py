@@ -181,14 +181,14 @@ class Union(Expr):
 
 class ConstantNodeSet(Expr):
     """A literal node-set, produced when a variable bound to a node-set is
-    substituted during normalization (Section 2.2). Holds a frozenset of
-    :class:`repro.xml.document.Node`."""
+    substituted during normalization (Section 2.2). Holds its
+    :class:`repro.core.common.NodeSet`, built once at bind time."""
 
     __slots__ = ("nodes",)
 
     def __init__(self, nodes):
         super().__init__()
-        self.nodes = frozenset(nodes)
+        self.nodes = nodes
 
     def __repr__(self) -> str:
         return f"ConstantNodeSet({len(self.nodes)} nodes)"

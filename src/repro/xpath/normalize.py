@@ -48,10 +48,12 @@ enough to pass :data:`MAX_HEIGHT`, so a hit never needs that check.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from repro.errors import UnboundVariableError, XPathSyntaxError, XPathTypeError
 from repro.functions.library import FUNCTION_LIBRARY, signature_for
+from repro.xml.document import Node
 from repro.xpath.ast import (
     BinaryOp,
     ConstantNodeSet,
@@ -392,6 +394,18 @@ def _pop(out: list, count: int) -> list:
 # ----------------------------------------------------------------------
 
 
+def _binding(name: str, nodes):
+    """A node-set binding's :class:`~repro.core.common.NodeSet`, built
+    once: nodes of one document, as their sorted pres."""
+    from repro.core.common import NodeSet  # repro.core imports this package
+
+    documents = {node.document if isinstance(node, Node) else None for node in nodes}
+    if None in documents or len(documents) > 1:
+        raise XPathTypeError(f"${name} must be bound to nodes of one document")
+    pres = array("I", sorted({node.pre for node in nodes}))
+    return NodeSet(documents.pop() if documents else None, pres)
+
+
 class _Pass:
     """One :func:`analyze` call. A visit takes its children's analyses
     off the output stack and returns its own. A path visits its own
@@ -495,7 +509,7 @@ class _Pass:
         if isinstance(value, str):
             return self.visit_leaf(StringLiteral(value), out)
         if isinstance(value, (set, frozenset, list, tuple)):
-            return self.visit_leaf(ConstantNodeSet(value), out)
+            return self.visit_leaf(ConstantNodeSet(_binding(ref.name, value)), out)
         raise XPathTypeError(f"unsupported variable binding type for ${ref.name}: {type(value)}")
 
     def visit_negate(self, node: Negate, out) -> Analysis:

@@ -10,6 +10,8 @@ from repro.errors import (
     UnboundVariableError,
     UnknownAlgorithmError,
     XPathSyntaxError,
+    XPathTypeError,
+    error_code,
 )
 from repro.service import Memo, QueryService
 from repro.xml.parser import parse_document
@@ -109,6 +111,53 @@ def test_a_foreign_node_set_variable_is_accepted_only_as_the_whole_query(engine)
         assert all(node.document is other for node in result), algorithm
         with pytest.raises(EvaluationError):
             foreign.evaluate("count($v)", algorithm=algorithm)
+
+
+def test_a_node_set_binding_must_hold_nodes_of_one_document(engine):
+    """A node-set binding is checked once, when the normalizer builds its
+    value: a member that is no node, or members of two documents, is an
+    ``XPathTypeError`` (wire code ``QUERY_TYPE``) for every query that
+    reads it, under every evaluator, through the engine and the service
+    alike."""
+    document = engine.document
+    other = parse_document("<x><y/><y/></x>")
+    refused = {
+        "ints": [1, 2],
+        "a node and an int": [document.nodes[1], 2],
+        "two documents": {document.nodes[1], other.nodes[2], document.nodes[3]},
+    }
+    for label, binding in refused.items():
+        bound = XPathEngine(document, variables={"v": binding})
+        service = QueryService(variables={"v": binding})
+        for query in ("$v", "count($v)", "$v | //b"):
+            for algorithm in ALGORITHMS:
+                with pytest.raises(XPathTypeError) as raised:
+                    bound.evaluate(query, algorithm=algorithm)
+                assert error_code(raised.value) == "QUERY_TYPE", (label, query)
+                with pytest.raises(XPathTypeError):
+                    service.evaluate(query, document, algorithm=algorithm)
+
+
+def test_a_node_set_binding_is_read_in_document_order(engine):
+    """One document's nodes in any order, repeats and all, bind as a set,
+    and an empty binding, which names no document, as the empty set: the
+    same answers under every evaluator outside Core XPath, from the
+    engine and the service."""
+    nodes = engine.document.nodes
+    for binding, pres in (([nodes[3], nodes[1], nodes[3], nodes[6]], [1, 3, 6]), ([], [])):
+        bound = XPathEngine(engine.document, variables={"v": binding})
+        service = QueryService(variables={"v": binding})
+        for algorithm in ALGORITHMS:
+            if algorithm == "corexpath":
+                continue
+            for evaluate in (
+                lambda query: bound.evaluate(query, algorithm=algorithm),
+                lambda query: service.evaluate(query, engine.document, algorithm=algorithm),
+            ):
+                assert [node.pre for node in evaluate("$v")] == pres, algorithm
+                assert evaluate("count($v)") == len(pres), algorithm
+                union = evaluate("$v | //b")
+                assert [node.pre for node in union] == sorted({*pres, 3, 6}), algorithm
 
 
 def test_a_same_document_variable_unions_with_a_path(engine):
